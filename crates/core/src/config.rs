@@ -124,10 +124,11 @@ pub struct PopConfig {
     /// default) leaves every hook disarmed. The `POP_FAULT_PLAN` /
     /// `POP_FAULT_SEED` environment variables set it.
     pub faults: Option<FaultPlan>,
-    /// Continuous suboptimality monitors: every serially-built operator
-    /// of a POP plan is wrapped with a cheap per-batch row counter whose
-    /// trip bound derives from the planlint interval envelope and the
-    /// optimizer's estimate (see `pop_exec::MonitorOp`). A count crossing
+    /// Continuous suboptimality monitors: every operator of a POP plan
+    /// that no CHECK already counts is wrapped with a cheap per-batch row
+    /// counter whose trip bound derives from the planlint interval
+    /// envelope and the optimizer's estimate (a monitor-bound
+    /// [`pop_exec::operators::GuardOp`]). A count crossing
     /// the bound raises a monitor-flagged violation the driver escalates
     /// exactly like a CHECK violation — catching misestimates on edges no
     /// CHECK guards. On by default (the always-on safety net); the

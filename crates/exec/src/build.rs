@@ -2,14 +2,14 @@
 //! tree — the "code generator" of the paper's architecture diagram.
 
 use crate::operators::agg::AggKind;
+use crate::operators::guard::FoldCell;
 use crate::operators::joins::BuildState;
 use crate::operators::materialize::HarvestInfo;
-use crate::operators::monitor::{FoldMonitorOp, MonitorFoldCell};
-use crate::operators::parallel::{ExchangeSourceOp, ExchangeState, FoldCell, FoldCheckOp};
+use crate::operators::parallel::{ExchangeSourceOp, ExchangeState};
 use crate::operators::{
-    AntiJoinRidsOp, BufCheckOp, CheckOp, GatherOp, HashAggOp, HavingOp, HsjnOp, IndexRangeScanOp,
-    InsertOp, LimitOp, MgjnOp, MonitorOp, MonitorSet, MvScanOp, NljnOp, Operator, ProjectOp,
-    RidSinkOp, SemiProbeOp, SortOp, TableScanOp, TempOp,
+    AntiJoinRidsOp, GatherOp, GuardOp, HashAggOp, HavingOp, HsjnOp, IndexRangeScanOp, InsertOp,
+    LimitOp, MgjnOp, MonitorSet, MonitorSpec, MvScanOp, NljnOp, Operator, ProjectOp, RidSinkOp,
+    SemiProbeOp, SortOp, TableScanOp, TempOp,
 };
 use pop_expr::{BoundExpr, Expr};
 use pop_plan::{AggFunc, LayoutCol, PhysNode, SortKeyRef};
@@ -26,27 +26,22 @@ pub type Signatures = HashMap<u64, String>;
 /// Per-partition build environment: when present, the operator tree being
 /// built is one partition's instance of a parallel region (below a
 /// `Gather`). Scans take their partition slice, hash joins reference the
-/// controller's shared builds, fold-registered CHECKs attach to their
-/// shared [`FoldCell`], monitored nodes attach to their shared
-/// [`MonitorFoldCell`], and an `Exchange` node becomes this consumer's
-/// receive leaf.
+/// controller's shared builds, every guarded node (fold-registered CHECK
+/// or monitor) attaches to its shared [`FoldCell`], and an `Exchange` node
+/// becomes this consumer's receive leaf.
 ///
-/// Shared builds and fold cells are consumed via cursors in **spine
-/// pre-order** — the same order the region controller collected them in
-/// ([`crate::operators::parallel::visit_spine_indexed`]) — which is what keeps the
-/// k partition instances attached to the right shared state. Monitor
-/// cells are instead keyed by the node's pre-order index in the *full*
-/// plan, claimed through the same [`MonitorCursor`] the serial builder
-/// uses.
+/// Shared builds are consumed via a cursor in **spine pre-order** — the
+/// same order the region controller collected them in
+/// ([`crate::operators::parallel::visit_spine_indexed`]). Guard cells are
+/// keyed by the node's pre-order index in the *full* plan, claimed
+/// through the [`NodeCursor`] every builder walks with.
 pub(crate) struct PartitionEnv {
     part: usize,
     parts: usize,
     builds: Vec<Arc<BuildState>>,
-    folds: Vec<Arc<FoldCell>>,
-    monitors: Arc<HashMap<usize, Arc<MonitorFoldCell>>>,
+    cells: Arc<HashMap<usize, Arc<FoldCell>>>,
     exchange: Option<Arc<ExchangeState>>,
     build_cursor: Cell<usize>,
-    fold_cursor: Cell<usize>,
 }
 
 impl PartitionEnv {
@@ -54,19 +49,16 @@ impl PartitionEnv {
         part: usize,
         parts: usize,
         builds: Vec<Arc<BuildState>>,
-        folds: Vec<Arc<FoldCell>>,
-        monitors: Arc<HashMap<usize, Arc<MonitorFoldCell>>>,
+        cells: Arc<HashMap<usize, Arc<FoldCell>>>,
         exchange: Option<Arc<ExchangeState>>,
     ) -> Self {
         PartitionEnv {
             part,
             parts,
             builds,
-            folds,
-            monitors,
+            cells,
             exchange,
             build_cursor: Cell::new(0),
-            fold_cursor: Cell::new(0),
         }
     }
 
@@ -77,45 +69,43 @@ impl PartitionEnv {
             PopError::Planning("parallel region has more hash joins than shared builds".into())
         })
     }
-
-    fn next_fold(&self) -> PopResult<Arc<FoldCell>> {
-        let i = self.fold_cursor.get();
-        self.fold_cursor.set(i + 1);
-        self.folds.get(i).cloned().ok_or_else(|| {
-            PopError::Planning("parallel region has more fold checks than fold cells".into())
-        })
-    }
 }
 
-/// Cursor over a [`MonitorSet`] during operator construction. The builder
-/// recurses in the plan's `children()` pre-order, so advancing one index
-/// per built node keeps the cursor aligned with the driver's pre-order
-/// enumeration. Subtrees the current recursion does *not* build are
-/// skipped wholesale: a region instance skips the shared build side of
-/// its hash joins (built once, serially, by the controller) and a
-/// consumer chain skips the producer stage below its `Exchange` (built by
-/// the stage workers); the controller hands each of those builders a
-/// cursor positioned at the subtree's own pre-order base.
-pub(crate) struct MonitorCursor<'a> {
-    set: &'a MonitorSet,
+/// Pre-order position in the full plan during operator construction, plus
+/// the serial monitors to install along the way. The builder recurses in
+/// the plan's `children()` pre-order, so advancing one index per built
+/// node keeps the cursor aligned with the driver's pre-order enumeration.
+/// Subtrees the current recursion does *not* build are skipped wholesale:
+/// a region instance skips the shared build side of its hash joins (built
+/// once, serially, by the controller) and a consumer chain skips the
+/// producer stage below its `Exchange` (built by the stage workers); the
+/// controller hands each of those builders a cursor positioned at the
+/// subtree's own pre-order base.
+pub(crate) struct NodeCursor<'a> {
+    monitors: Option<&'a MonitorSet>,
     next: Cell<usize>,
 }
 
-impl<'a> MonitorCursor<'a> {
-    /// Cursor over `set`, positioned at pre-order index `start`.
-    pub(crate) fn at(set: &'a MonitorSet, start: usize) -> Self {
-        MonitorCursor {
-            set,
+impl<'a> NodeCursor<'a> {
+    /// Cursor positioned at pre-order index `start`, installing the
+    /// serial monitors of `monitors` (region instances pass `None`: their
+    /// monitors are shared cells of the [`PartitionEnv`]).
+    pub(crate) fn at(monitors: Option<&'a MonitorSet>, start: usize) -> Self {
+        NodeCursor {
+            monitors,
             next: Cell::new(start),
         }
     }
 
-    /// Claim the current node's pre-order index and return it with the
-    /// monitor parameters installed there, if any.
-    fn take(&self) -> (usize, Option<crate::operators::MonitorSpec>) {
+    /// Claim the current node's pre-order index.
+    fn take(&self) -> usize {
         let i = self.next.get();
         self.next.set(i + 1);
-        (i, self.set.specs.get(&i).cloned())
+        i
+    }
+
+    fn monitor_at(&self, idx: usize) -> Option<&'a MonitorSpec> {
+        self.monitors.and_then(|m| m.specs.get(&idx))
     }
 
     /// Current pre-order position (the index the next `take` will claim).
@@ -194,22 +184,19 @@ pub fn build_operator(
     catalog: &Catalog,
     signatures: &Signatures,
 ) -> PopResult<Box<dyn Operator>> {
-    build_with_env(node, catalog, signatures, None, None)
+    build_with_env(node, catalog, signatures, None, &NodeCursor::at(None, 0))
 }
 
 /// [`build_operator`] with suboptimality monitors: every node whose
-/// pre-order index appears in `monitors` is wrapped in a [`MonitorOp`].
+/// pre-order index appears in `monitors` is wrapped in a monitor guard.
 pub fn build_monitored(
     node: &PhysNode,
     catalog: &Catalog,
     signatures: &Signatures,
     monitors: &MonitorSet,
 ) -> PopResult<Box<dyn Operator>> {
-    let cursor = MonitorCursor {
-        set: monitors,
-        next: Cell::new(0),
-    };
-    build_with_env(node, catalog, signatures, None, Some(&cursor))
+    let cursor = NodeCursor::at(Some(monitors), 0);
+    build_with_env(node, catalog, signatures, None, &cursor)
 }
 
 /// [`build_operator`], optionally inside a parallel region: with an env,
@@ -219,12 +206,12 @@ pub(crate) fn build_with_env(
     catalog: &Catalog,
     signatures: &Signatures,
     env: Option<&PartitionEnv>,
-    mon: Option<&MonitorCursor>,
+    cur: &NodeCursor,
 ) -> PopResult<Box<dyn Operator>> {
     // Claim this node's pre-order index up front, before any child
     // recursion, so the cursor walks the exact enumeration order the
-    // driver used when computing the set.
-    let (mon_idx, mon_spec) = mon.map_or((0, None), MonitorCursor::take);
+    // driver used when computing the monitor set.
+    let idx = cur.take();
     // Operators whose semantics are inherently global (total order, global
     // limit, cross-step compensation, side effects) never appear inside a
     // region — the parallelize pass keeps them above the Gather and
@@ -298,7 +285,7 @@ pub(crate) fn build_with_env(
             inner,
             ..
         } => {
-            let outer_op = build_with_env(outer, catalog, signatures, env, mon)?;
+            let outer_op = build_with_env(outer, catalog, signatures, env, cur)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
             let inner_table = catalog.table(&inner.table)?;
             let index = catalog
@@ -347,19 +334,17 @@ pub(crate) fn build_with_env(
                 // table once; attach this partition's probe to it. The
                 // shared-build cursor advances *before* the probe subtree
                 // is built: spine pre-order, matching the controller. The
-                // monitor cursor skips the build subtree (monitored by the
-                // controller's serial build pass, not by this instance).
+                // node cursor skips the build subtree (built and monitored
+                // by the controller's serial build pass, not this instance).
                 let state = e.next_build()?;
-                if let Some(c) = mon {
-                    c.skip(build.node_count());
-                }
-                let probe_op = build_with_env(probe, catalog, signatures, env, mon)?;
+                cur.skip(build.node_count());
+                let probe_op = build_with_env(probe, catalog, signatures, env, cur)?;
                 let join: Box<dyn Operator> =
                     Box::new(HsjnOp::with_shared_build(probe_op, ppos, state));
-                return Ok(wrap_monitor(join, mon_idx, mon_spec, env));
+                return Ok(wrap_monitor(join, idx, env, cur));
             }
-            let build_op = build_with_env(build, catalog, signatures, env, mon)?;
-            let probe_op = build_with_env(probe, catalog, signatures, env, mon)?;
+            let build_op = build_with_env(build, catalog, signatures, env, cur)?;
+            let probe_op = build_with_env(probe, catalog, signatures, env, cur)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -377,8 +362,8 @@ pub(crate) fn build_with_env(
             right_keys,
             ..
         } => {
-            let left_op = build_with_env(left, catalog, signatures, env, mon)?;
-            let right_op = build_with_env(right, catalog, signatures, env, mon)?;
+            let left_op = build_with_env(left, catalog, signatures, env, cur)?;
+            let right_op = build_with_env(right, catalog, signatures, env, cur)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
                 return Err(PopError::Planning(
                     "MGJN requires at least one join key per side".into(),
@@ -391,7 +376,7 @@ pub(crate) fn build_with_env(
         PhysNode::Sort {
             input, key, desc, ..
         } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
             let pos = match key {
                 SortKeyRef::Col(c) => pos_of(&input.props().layout, *c)?,
                 SortKeyRef::Pos(p) => *p,
@@ -404,11 +389,11 @@ pub(crate) fn build_with_env(
             ))
         }
         PhysNode::Temp { input, .. } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
             Box::new(TempOp::new(child, harvest_info(node, signatures)))
         }
         PhysNode::Project { input, cols, .. } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
             let positions = cols
                 .iter()
                 .map(|c| match c {
@@ -431,7 +416,7 @@ pub(crate) fn build_with_env(
             aggs,
             ..
         } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
             let keys = group_by
                 .iter()
                 .map(|k| pos_of(&input.props().layout, *k))
@@ -454,27 +439,20 @@ pub(crate) fn build_with_env(
             if let Some(e) = env {
                 // Inside a region a CHECK compares per-partition counts
                 // against a global range unless it folds into the shared
-                // counter — refuse anything unregistered (PL306 statically,
-                // this error dynamically).
-                if !spec.fold {
-                    return Err(PopError::Planning(format!(
+                // cell the controller registered for it — refuse anything
+                // unregistered (PL306 statically, this error dynamically).
+                let cell = e.cells.get(&idx).filter(|_| spec.fold).ok_or_else(|| {
+                    PopError::Planning(format!(
                         "CHECK #{} inside a parallel region lacks fold registration",
                         spec.id
-                    )));
-                }
-                let cell = e.next_fold()?; // pre-order, before the child
-                                           // Same eager/exact split as the serial CheckOp: above a
-                                           // materialization the serial check evaluates once against
-                                           // the exact count, so the fold must defer to the region
-                                           // controller's exact evaluation instead of tripping
-                                           // mid-stream with an `AtLeast` bound.
-                let eager = !is_materializing(input);
-                let child = build_with_env(input, catalog, signatures, env, mon)?;
-                return Ok(Box::new(FoldCheckOp::new(child, spec.clone(), cell, eager)));
+                    ))
+                })?;
+                let child = build_with_env(input, catalog, signatures, env, cur)?;
+                return Ok(Box::new(GuardOp::shared(child, Arc::clone(cell))));
             }
             let materialized = is_materializing(input);
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
-            Box::new(CheckOp::new(child, spec.clone(), materialized))
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
+            Box::new(GuardOp::check(child, spec.clone(), materialized))
         }
         PhysNode::BufCheck {
             input,
@@ -482,11 +460,11 @@ pub(crate) fn build_with_env(
             buffer,
             ..
         } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
-            Box::new(BufCheckOp::new(child, spec.clone(), *buffer))
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
+            Box::new(GuardOp::bufcheck(child, spec.clone(), *buffer))
         }
         PhysNode::SemiProbe { input, clause, .. } => {
-            let child = build_with_env(input, catalog, signatures, env, mon)?;
+            let child = build_with_env(input, catalog, signatures, env, cur)?;
             let outer_pos = pos_of(&input.props().layout, clause.outer_col)?;
             let inner_table = catalog.table(&clause.table)?;
             let index = catalog
@@ -515,35 +493,33 @@ pub(crate) fn build_with_env(
             ))
         }
         PhysNode::Having { input, preds, .. } => Box::new(HavingOp::new(
-            build_with_env(input, catalog, signatures, env, mon)?,
+            build_with_env(input, catalog, signatures, env, cur)?,
             preds.clone(),
         )),
         PhysNode::Limit { input, n, .. } => Box::new(LimitOp::new(
-            build_with_env(input, catalog, signatures, env, mon)?,
+            build_with_env(input, catalog, signatures, env, cur)?,
             *n,
         )),
         PhysNode::RidSink { input, .. } => Box::new(RidSinkOp::new(build_with_env(
-            input, catalog, signatures, env, mon,
+            input, catalog, signatures, env, cur,
         )?)),
         PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_with_env(
-            input, catalog, signatures, env, mon,
+            input, catalog, signatures, env, cur,
         )?)),
         PhysNode::Insert { input, target, .. } => {
             let t = catalog.table(target)?;
             Box::new(InsertOp::new(
-                build_with_env(input, catalog, signatures, env, mon)?,
+                build_with_env(input, catalog, signatures, env, cur)?,
                 t,
             ))
         }
         PhysNode::Exchange { input, .. } => match env {
             // One partition's view of an exchange is its receive leaf; the
             // producer stage below is built (and run) by separate workers,
-            // so the monitor cursor skips the whole producer subtree.
+            // so the node cursor skips the whole producer subtree.
             Some(e) => match &e.exchange {
                 Some(state) => {
-                    if let Some(c) = mon {
-                        c.skip(input.node_count());
-                    }
+                    cur.skip(input.node_count());
                     Box::new(ExchangeSourceOp::new(Arc::clone(state), e.part))
                 }
                 None => {
@@ -571,20 +547,14 @@ pub(crate) fn build_with_env(
             // region (it folds them into shared cells) together with the
             // region root's pre-order base.
             let n = input.node_count();
-            let (region_base, region_monitors) = match mon {
-                Some(c) => {
-                    let base = c.pos();
-                    c.skip(n);
-                    let mut rm = MonitorSet::default();
-                    for (i, s) in &c.set.specs {
-                        if (base..base + n).contains(i) {
-                            rm.specs.insert(*i, s.clone());
-                        }
-                    }
-                    (base, rm)
+            let region_base = cur.pos();
+            cur.skip(n);
+            let mut region_monitors = MonitorSet::default();
+            for (i, s) in cur.monitors.iter().flat_map(|m| &m.specs) {
+                if (region_base..region_base + n).contains(i) {
+                    region_monitors.specs.insert(*i, s.clone());
                 }
-                None => (0, MonitorSet::default()),
-            };
+            }
             Box::new(GatherOp::new(
                 (**input).clone(),
                 *parts,
@@ -595,26 +565,26 @@ pub(crate) fn build_with_env(
             ))
         }
     };
-    Ok(wrap_monitor(op, mon_idx, mon_spec, env))
+    Ok(wrap_monitor(op, idx, env, cur))
 }
 
-/// Apply the monitor claimed for a node's pre-order index: a plain
-/// counting [`MonitorOp`] when built serially, the node's shared
-/// [`MonitorFoldCell`] instance when built inside a parallel region.
+/// Apply the monitor installed at a node's pre-order index: a locally
+/// counting guard when built serially, an instance of the node's shared
+/// cell when built inside a parallel region.
 fn wrap_monitor(
     op: Box<dyn Operator>,
     idx: usize,
-    spec: Option<crate::operators::MonitorSpec>,
     env: Option<&PartitionEnv>,
+    cur: &NodeCursor,
 ) -> Box<dyn Operator> {
-    let Some(spec) = spec else {
-        return op;
-    };
     match env {
-        Some(e) => match e.monitors.get(&idx) {
-            Some(cell) => Box::new(FoldMonitorOp::new(op, Arc::clone(cell))),
+        Some(e) => match e.cells.get(&idx) {
+            Some(cell) => Box::new(GuardOp::shared(op, Arc::clone(cell))),
             None => op,
         },
-        None => Box::new(MonitorOp::new(op, spec)),
+        None => match cur.monitor_at(idx) {
+            Some(spec) => Box::new(GuardOp::monitor(op, spec.clone())),
+            None => op,
+        },
     }
 }

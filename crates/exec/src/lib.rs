@@ -8,9 +8,11 @@
 //!
 //! POP-specific runtime behaviour (paper §2.1, §3):
 //!
-//! * **CHECK / BUFCHECK** operators count rows against their check range
-//!   (Figure 10) and raise an [`ExecSignal::Reopt`] control signal on
-//!   violation — not an error: the POP driver catches it, harvests
+//! * **Cardinality guards** — CHECK, BUFCHECK (Figure 10) and the
+//!   always-on suboptimality monitors are one operator
+//!   ([`operators::GuardOp`]) over one counting core: it counts rows
+//!   against a bound and raises an [`ExecSignal::Reopt`] control signal
+//!   on violation — not an error: the POP driver catches it, harvests
 //!   intermediate results and re-optimizes.
 //! * **Materialization harvest**: every completed SORT/TEMP
 //!   materialization snapshots its rows (in canonical column order) into

@@ -1,0 +1,1369 @@
+//! The runtime cardinality guard: one counting core behind every CHECK,
+//! BUFCHECK (Figure 10) and suboptimality monitor, serial or folded across
+//! the workers of a parallel region.
+//!
+//! A [`Guard`] describes *what* is enforced — identity, `[lo, hi]` bound,
+//! arming rule, per-row work charge, what a verdict records. CHECKs and
+//! monitors differ only in where the bound comes from (a validity range
+//! vs. a drift bound, see [`super::monitor`]) and in what they record
+//! (`CheckEvent` vs. `SuboptimalitySignal`). A [`Counter`] holds the
+//! running count: a plain `u64` owned by one operator, or a shared
+//! [`FoldCell`] every partition instance of the node adds into, so the
+//! bound is always compared against the node's *global* output.
+//!
+//! Counting is per batch: a batch of `n` rows that cannot cross `hi` is
+//! admitted with one add, one compare and one work charge. When a batch
+//! *would* cross, [`Counter::admit`] names the exact tripping row — the
+//! row on which row-at-a-time counting would have fired — and
+//! [`GuardOp`] returns the rows before it as a short batch, raises on the
+//! following call, and keeps the suffix (tripping row included) for
+//! replay, so a run resumed without re-optimizing loses nothing.
+//! Observations and event order are therefore identical at every batch
+//! size, morsel size and thread count. The lower bound is decided on the
+//! exact count ([`Guard::decide_exact`]): at end of stream, or once at
+//! `open` above a materialization point.
+
+use crate::context::{CheckEvent, CheckOutcome};
+use crate::operators::monitor::{MonitorSpec, SuboptimalitySignal};
+use crate::operators::Operator;
+use crate::signal::{ExecSignal, ObservedCard, Violation};
+use crate::{ExecCtx, OpResult, RowBatch};
+use pop_plan::{CheckContext, CheckFlavor, CheckSpec, ValidityRange};
+use pop_types::PopError;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+/// What one guard enforces. A monitor is a CHECK-shaped guard with no
+/// plan id (`usize::MAX` — the driver dispatches on
+/// [`Violation::monitor`]), flavor ECB and range `[0, trip]`.
+#[derive(Debug)]
+pub(crate) struct Guard {
+    spec: CheckSpec,
+    /// `Some` for a monitor, `None` for a planned CHECK.
+    monitor: Option<Monitored>,
+}
+
+/// What a monitor carries beyond its CHECK-shaped spec.
+#[derive(Debug)]
+struct Monitored {
+    /// Path of the monitored node, reported on the signal.
+    path: String,
+    /// The nominal trip bound ([`Guard::rearm`] restores it).
+    trip: u64,
+}
+
+impl Guard {
+    pub(crate) fn check(spec: CheckSpec) -> Self {
+        Guard {
+            spec,
+            monitor: None,
+        }
+    }
+
+    /// A monitor at its nominal trip bound; [`Guard::rearm`] applies the
+    /// lying-monitor fault hook before each use.
+    pub(crate) fn monitor(m: MonitorSpec) -> Self {
+        Guard {
+            spec: CheckSpec {
+                id: usize::MAX,
+                flavor: CheckFlavor::Ecb,
+                range: ValidityRange::new(0.0, m.trip as f64),
+                est_card: m.est_card,
+                signature: m.signature,
+                context: CheckContext::Pipeline,
+                fold: false,
+            },
+            monitor: Some(Monitored {
+                path: m.path,
+                trip: m.trip,
+            }),
+        }
+    }
+
+    pub(crate) fn id(&self) -> usize {
+        self.spec.id
+    }
+
+    /// Fault hook: a lying monitor trips immediately. The observation it
+    /// reports is still the truthful running count, so the feedback path
+    /// stays sound and the run converges like a spurious check.
+    pub(crate) fn rearm(&mut self, ctx: &mut ExecCtx) {
+        if let Some(m) = &self.monitor {
+            let trip = if ctx.fault_monitor_lie() { 0 } else { m.trip };
+            self.spec.range.hi = trip as f64;
+        }
+    }
+
+    /// May this guard raise right now? When a dummy re-optimization is
+    /// forced at one checkpoint, every *other* guard observes without
+    /// raising, so the measured cost is pure re-optimization overhead
+    /// (Figure 12). Sample-vet runs disable checks (a sample's absolute
+    /// counts would violate lower bounds spuriously) but rely on their own
+    /// scaled-trip monitors, so a sampling context keeps monitors armed; a
+    /// monitor whose signature already fired in this query stays quiet so
+    /// a re-optimized plan with a still-stale envelope cannot loop.
+    fn armed(&self, ctx: &ExecCtx) -> bool {
+        if self.monitor.is_some() {
+            (ctx.checks_enabled || ctx.sample.is_some())
+                && ctx.force_reopt_at.is_none()
+                && !ctx.monitor_fired.contains(&self.spec.signature)
+        } else {
+            ctx.checks_enabled && ctx.force_reopt_at.is_none_or(|id| id == self.spec.id)
+        }
+    }
+
+    /// Work units per counted row. Monitors charge nothing: the work
+    /// counter measures plan work, monitor overhead is engine overhead
+    /// (wall-clock, `bench_monitor`).
+    fn row_charge(&self, ctx: &ExecCtx) -> f64 {
+        if self.monitor.is_some() {
+            0.0
+        } else {
+            ctx.model.check_row
+        }
+    }
+
+    /// Record a verdict on `ctx`: a [`CheckEvent`] for a CHECK, a
+    /// [`SuboptimalitySignal`] (plus the fired-signature latch) for a
+    /// monitor.
+    pub(crate) fn record(
+        &self,
+        ctx: &mut ExecCtx,
+        outcome: CheckOutcome,
+        observed: ObservedCard,
+        started_at: f64,
+    ) {
+        let s = &self.spec;
+        match &self.monitor {
+            Some(m) => {
+                ctx.monitor_fired.insert(s.signature.clone());
+                ctx.monitor_signals.push(SuboptimalitySignal {
+                    path: m.path.clone(),
+                    signature: s.signature.clone(),
+                    est_card: s.est_card,
+                    trip: s.range.hi as u64,
+                    observed: observed.count(),
+                    at_work: ctx.work,
+                });
+            }
+            None => ctx.check_events.push(CheckEvent {
+                check_id: s.id,
+                flavor: s.flavor,
+                context: s.context,
+                outcome,
+                at_work: ctx.work,
+                started_at,
+                observed,
+                est_card: s.est_card,
+                range: s.range,
+                signature: s.signature.clone(),
+            }),
+        }
+    }
+
+    /// Record the verdict and build the re-optimization signal for it.
+    fn raise(
+        &self,
+        ctx: &mut ExecCtx,
+        outcome: CheckOutcome,
+        observed: ObservedCard,
+        started_at: f64,
+    ) -> ExecSignal {
+        self.record(ctx, outcome, observed, started_at);
+        let s = &self.spec;
+        ExecSignal::Reopt(Box::new(Violation {
+            check_id: s.id,
+            flavor: s.flavor,
+            signature: s.signature.clone(),
+            observed,
+            est_card: s.est_card,
+            range: s.range,
+            forced: outcome == CheckOutcome::Forced,
+            monitor: self.monitor.is_some(),
+        }))
+    }
+
+    /// Decide a completed (exact) count against both bounds, recording the
+    /// one event of this check.
+    pub(crate) fn decide_exact(
+        &self,
+        total: u64,
+        started_at: f64,
+        ctx: &mut ExecCtx,
+    ) -> OpResult<()> {
+        let observed = ObservedCard::Exact(total);
+        let in_range = self.spec.range.contains(total as f64);
+        let forced = ctx.force_reopt_at == Some(self.spec.id) && !ctx.forced_fired;
+        let may_raise = self.armed(ctx);
+        // Fault hook: an armed, in-range check may be ordered to report a
+        // spurious violation. The observation it carries stays truthful,
+        // so the driver's feedback/re-optimization path runs with correct
+        // cardinalities and must converge.
+        let spurious = may_raise && in_range && !forced && ctx.fault_spurious_check();
+        if may_raise && (!in_range || forced || spurious) {
+            let outcome = if in_range && !spurious {
+                ctx.forced_fired = true;
+                CheckOutcome::Forced
+            } else {
+                CheckOutcome::Violated
+            };
+            return Err(self.raise(ctx, outcome, observed, started_at));
+        }
+        self.record(ctx, CheckOutcome::Passed, observed, started_at);
+        Ok(())
+    }
+}
+
+/// Index of the first live row of an `n`-row batch that pushes a count of
+/// `before` past `hi` — the row row-at-a-time counting fires on — or
+/// `None` when the whole batch fits under the bound.
+fn tripping_row(before: u64, n: u64, hi: f64) -> Option<u64> {
+    ((before + n) as f64 > hi).then(|| (hi.floor() as u64).saturating_sub(before))
+}
+
+/// An upper-bound crossing found by [`Counter::admit`].
+struct Trip {
+    /// Live rows of the batch admitted before the tripping row.
+    row: usize,
+    observed: ObservedCard,
+}
+
+/// Shared state of one guarded node inside a parallel region: the global
+/// row count, a trip-once latch so exactly one task reports an
+/// upper-bound crossing, and — for a CHECK above a materialization point,
+/// in range mode — a cancellable rendezvous where all partition chains
+/// meet once their TEMP shares are materialized, so the check is decided
+/// against the exact global count at the same point of the open cascade
+/// where the serial plan decides it (Figure 10). A monitor is a monotone
+/// upper-bound threshold, never a lower-bound test, so it needs no
+/// rendezvous: mid-stream detection is complete.
+pub(crate) struct FoldCell {
+    pub(crate) guard: Guard,
+    count: AtomicU64,
+    tripped: AtomicBool,
+    rv: Option<Rendezvous>,
+}
+
+struct Rendezvous {
+    parts: usize,
+    state: Mutex<RvState>,
+    cv: Condvar,
+}
+
+struct RvState {
+    arrived: usize,
+    decided: bool,
+    violated: bool,
+    cancelled: bool,
+}
+
+/// What one partition takes away from a materialization rendezvous.
+enum RvOutcome {
+    /// All partitions arrived and the global count holds: keep going.
+    Passed,
+    /// Violated, and this partition (the last arriver) raises the one
+    /// re-optimization signal, carrying the exact global count.
+    Winner(u64),
+    /// Violated, but another partition raises: quiesce quietly.
+    Peer,
+    /// The region is stopping (a peer raised elsewhere): quiesce.
+    Cancelled,
+}
+
+impl FoldCell {
+    /// Fresh cell; `rendezvous_parts` attaches a rendezvous of that many
+    /// partition chains (a CHECK above a materialization point).
+    pub(crate) fn new(guard: Guard, rendezvous_parts: Option<usize>) -> Self {
+        FoldCell {
+            guard,
+            count: AtomicU64::new(0),
+            tripped: AtomicBool::new(false),
+            rv: rendezvous_parts.map(|parts| Rendezvous {
+                parts: parts.max(1),
+                state: Mutex::new(RvState {
+                    arrived: 0,
+                    decided: false,
+                    violated: false,
+                    cancelled: false,
+                }),
+                cv: Condvar::new(),
+            }),
+        }
+    }
+
+    pub(crate) fn total(&self) -> u64 {
+        self.count.load(Ordering::Acquire)
+    }
+
+    /// Does this cell decide at an open-time rendezvous (as opposed to
+    /// tripping eagerly mid-stream)?
+    pub(crate) fn has_rendezvous(&self) -> bool {
+        self.rv.is_some()
+    }
+
+    /// Block until every partition of the stage has added its
+    /// materialized share to the counter. The last arriver evaluates the
+    /// global count (`is_violated`), publishes the verdict, and — on
+    /// violation — trips the cell and becomes the raiser. `cancel` wakes
+    /// every waiter so a quiescing region can never deadlock here.
+    fn rendezvous(&self, is_violated: impl FnOnce(u64) -> bool) -> RvOutcome {
+        let Some(rv) = &self.rv else {
+            return RvOutcome::Passed;
+        };
+        let mut s = rv.state.lock().expect("fold rendezvous poisoned");
+        if s.cancelled {
+            return RvOutcome::Cancelled;
+        }
+        s.arrived += 1;
+        if s.arrived >= rv.parts {
+            let total = self.total();
+            s.decided = true;
+            s.violated = is_violated(total);
+            let violated = s.violated;
+            rv.cv.notify_all();
+            drop(s);
+            if violated {
+                self.tripped.store(true, Ordering::Release);
+                return RvOutcome::Winner(total);
+            }
+            return RvOutcome::Passed;
+        }
+        while !s.decided && !s.cancelled {
+            s = rv.cv.wait(s).expect("fold rendezvous poisoned");
+        }
+        if !s.decided {
+            RvOutcome::Cancelled
+        } else if s.violated {
+            RvOutcome::Peer
+        } else {
+            RvOutcome::Passed
+        }
+    }
+
+    /// Wake every rendezvous waiter with a cancellation verdict.
+    pub(crate) fn cancel(&self) {
+        if let Some(rv) = &self.rv {
+            let mut s = rv.state.lock().expect("fold rendezvous poisoned");
+            s.cancelled = true;
+            rv.cv.notify_all();
+        }
+    }
+
+    /// Did a rendezvous complete here with a passing verdict? (Then the
+    /// counter holds the exact global cardinality.)
+    pub(crate) fn decided_passed(&self) -> bool {
+        self.rv.as_ref().is_some_and(|rv| {
+            let s = rv.state.lock().expect("fold rendezvous poisoned");
+            s.decided && !s.violated
+        })
+    }
+}
+
+/// The running count of one guard instance.
+enum Counter {
+    /// Owned by one operator: the serial plan, and the serially-built
+    /// hash-join build sides of a region.
+    Local { guard: Guard, count: u64 },
+    /// One partition instance's handle on the node's shared cell.
+    Shared(Arc<FoldCell>),
+}
+
+impl Counter {
+    fn guard(&self) -> &Guard {
+        match self {
+            Counter::Local { guard, .. } => guard,
+            Counter::Shared(cell) => &cell.guard,
+        }
+    }
+
+    /// Count `n` live rows against the upper bound, charging the guard's
+    /// row charge plus `surcharge` work units per counted row. `None`
+    /// admits the whole batch.
+    ///
+    /// A local counter counts and charges only up to and including the
+    /// tripping row and observes its own count there. A shared cell adds
+    /// the whole batch (rows of other workers interleave, so no row of it
+    /// is "before" the crossing: it trips at row 0); the first crossing
+    /// wins the latch, later tasks pass through, and the observation is
+    /// derived from the bound itself — `floor(hi) + 1`, exactly what
+    /// row-at-a-time counting observes — so it is independent of batch
+    /// shape, thread count and morsel size.
+    fn admit(&mut self, n: u64, surcharge: f64, resolved: bool, ctx: &mut ExecCtx) -> Option<Trip> {
+        let per_row = self.guard().row_charge(ctx) + surcharge;
+        match self {
+            Counter::Local { guard, count } => {
+                let row = tripping_row(*count, n, guard.spec.range.hi)
+                    .filter(|_| !resolved && guard.armed(ctx));
+                let counted = row.map_or(n, |j| j + 1);
+                *count += counted;
+                ctx.charge(counted as f64 * per_row);
+                row.map(|j| Trip {
+                    row: j as usize,
+                    observed: ObservedCard::AtLeast(*count),
+                })
+            }
+            Counter::Shared(cell) => {
+                let hi = cell.guard.spec.range.hi;
+                let before = cell.count.fetch_add(n, Ordering::AcqRel);
+                ctx.charge(n as f64 * per_row);
+                tripping_row(before, n, hi)
+                    .filter(|_| cell.guard.armed(ctx) && !cell.tripped.swap(true, Ordering::AcqRel))
+                    .map(|_| Trip {
+                        row: 0,
+                        observed: ObservedCard::AtLeast(hi.floor() as u64 + 1),
+                    })
+            }
+        }
+    }
+}
+
+/// The guard operator: a transparent pass-through that counts its input
+/// against a [`Guard`].
+///
+/// * In a **pipeline** the upper bound fires as soon as it is crossed
+///   (observation "at least count"); a CHECK's lower bound is evaluated at
+///   end of stream (exact). Inside a parallel region the end-of-stream
+///   evaluation belongs to the region controller, on the folded count.
+/// * Above a **materialization point** a CHECK executes once, right after
+///   `open`, against the materialized row count (exact observation), and
+///   the stream passes through uncounted.
+/// * As a **BUFCHECK valve** (§3.3, ECB) it first buffers up to
+///   `capacity` rows until either the count exceeds `hi` (fail
+///   immediately — *before* any materialization below completes) or the
+///   producer is exhausted (then `lo` is verified); once the capacity is
+///   reached without a decision it opens the valve and streams, still
+///   counting against `hi`. A batch straddling the capacity boundary is
+///   split there: the head is buffered (and counted at the buffering
+///   rate), the tail is held as overflow and counted in the streaming
+///   phase — so the valve's decision points are identical at every batch
+///   size.
+///
+/// A guard raises at most once; after raising (or when disarmed) it
+/// degrades to a pass-through counter, which lets the driver resume
+/// execution after deciding not to re-optimize (e.g. when the
+/// re-optimization budget is exhausted).
+pub struct GuardOp {
+    input: Box<dyn Operator>,
+    counter: Counter,
+    above_materialization: bool,
+    /// BUFCHECK valve capacity in rows; 0 for a plain streaming guard.
+    capacity: usize,
+    /// Decided at `open` against the materialized count: batches stream
+    /// through uncounted.
+    decided_at_open: bool,
+    /// No further verdict from this instance (it raised, or decided).
+    resolved: bool,
+    /// Rows delivered before new input: the filled valve, and the rows
+    /// from a tripping row onward.
+    replay: VecDeque<RowBatch>,
+    /// Tail of the batch that straddled the valve capacity, not yet
+    /// counted; processed by the streaming phase before new input.
+    overflow: Option<RowBatch>,
+    eof: bool,
+    /// A violation held back while the pre-violation prefix of its batch
+    /// is delivered; raised on the following call.
+    pending_signal: Option<ExecSignal>,
+    started_at: f64,
+    /// Resident bytes charged to the governor for the valve buffer.
+    reserved: u64,
+}
+
+impl GuardOp {
+    fn new(
+        input: Box<dyn Operator>,
+        counter: Counter,
+        above_materialization: bool,
+        capacity: usize,
+    ) -> Self {
+        GuardOp {
+            input,
+            counter,
+            above_materialization,
+            capacity,
+            decided_at_open: false,
+            resolved: false,
+            replay: VecDeque::new(),
+            overflow: None,
+            eof: false,
+            pending_signal: None,
+            started_at: 0.0,
+            reserved: 0,
+        }
+    }
+
+    fn local(input: Box<dyn Operator>, guard: Guard, materialized: bool, capacity: usize) -> Self {
+        Self::new(
+            input,
+            Counter::Local { guard, count: 0 },
+            materialized,
+            capacity,
+        )
+    }
+
+    /// A CHECK. `materialized_child` marks checks placed directly above
+    /// SORT/TEMP/MV operators.
+    pub fn check(input: Box<dyn Operator>, spec: CheckSpec, materialized_child: bool) -> Self {
+        Self::local(input, Guard::check(spec), materialized_child, 0)
+    }
+
+    /// A BUFCHECK with the given valve capacity.
+    pub fn bufcheck(input: Box<dyn Operator>, spec: CheckSpec, capacity: usize) -> Self {
+        Self::local(input, Guard::check(spec), false, capacity.max(1))
+    }
+
+    /// A suboptimality monitor over `input`.
+    pub fn monitor(input: Box<dyn Operator>, spec: MonitorSpec) -> Self {
+        Self::local(input, Guard::monitor(spec), false, 0)
+    }
+
+    /// One partition's instance of a guarded node inside a parallel
+    /// region, counting into the node's shared cell.
+    pub(crate) fn shared(input: Box<dyn Operator>, cell: Arc<FoldCell>) -> Self {
+        let rendezvous = cell.has_rendezvous();
+        Self::new(input, Counter::Shared(cell), rendezvous, 0)
+    }
+
+    /// Count one streamed batch; on a crossing, deliver the pre-violation
+    /// prefix and stash the rest.
+    fn stream_batch(&mut self, ctx: &mut ExecCtx, b: RowBatch) -> OpResult<Option<RowBatch>> {
+        if self.decided_at_open {
+            return Ok(Some(b));
+        }
+        let n = b.live_count() as u64;
+        let Some(trip) = self.counter.admit(n, 0.0, self.resolved, ctx) else {
+            return Ok(Some(b));
+        };
+        let sig = self.raise_upper(ctx, trip.observed);
+        let (prefix, suffix) = b.split_live(trip.row);
+        self.replay.push_back(suffix);
+        if prefix.live_count() == 0 {
+            return Err(sig);
+        }
+        self.pending_signal = Some(sig);
+        Ok(Some(prefix))
+    }
+
+    fn raise_upper(&mut self, ctx: &mut ExecCtx, observed: ObservedCard) -> ExecSignal {
+        self.resolved = true;
+        self.counter
+            .guard()
+            .raise(ctx, CheckOutcome::Violated, observed, self.started_at)
+    }
+
+    /// The producer is exhausted: a serial CHECK verifies its exact count
+    /// (lower bound included). Monitors have no lower bound, and a shared
+    /// cell's exact count is the region controller's to evaluate.
+    fn finish(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
+        self.eof = true;
+        match &self.counter {
+            Counter::Local { guard, count } if guard.monitor.is_none() && !self.resolved => {
+                self.resolved = true;
+                guard.decide_exact(*count, self.started_at, ctx)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Decide once against the exact materialized count `n` (the Figure 10
+    /// optimization for materialization points). A shared cell folds the
+    /// local share in, meets the other partitions, and lets the last
+    /// arriver decide on the global count — before anything above
+    /// materializes or streams, like the serial plan. Leaf-to-root
+    /// ordering across nested materializations is inherited from the open
+    /// cascade itself.
+    fn decide_materialized(&mut self, n: u64, ctx: &mut ExecCtx) -> OpResult<()> {
+        self.decided_at_open = true;
+        self.resolved = true;
+        ctx.charge(ctx.model.check_row);
+        match &mut self.counter {
+            Counter::Local { guard, count } => {
+                *count = n;
+                guard.decide_exact(n, self.started_at, ctx)
+            }
+            Counter::Shared(cell) => {
+                cell.count.fetch_add(n, Ordering::AcqRel);
+                let guard = &cell.guard;
+                let armed = guard.armed(ctx);
+                match cell.rendezvous(|total| armed && !guard.spec.range.contains(total as f64)) {
+                    RvOutcome::Passed => Ok(()),
+                    RvOutcome::Winner(total) => Err(guard.raise(
+                        ctx,
+                        CheckOutcome::Violated,
+                        ObservedCard::Exact(total),
+                        self.started_at,
+                    )),
+                    RvOutcome::Peer | RvOutcome::Cancelled => {
+                        Err(ExecSignal::Error(PopError::Cancelled))
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fill the valve, charging the buffering surcharge per row.
+    fn fill_valve(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
+        let surcharge = ctx.model.temp_write_row * 0.5;
+        let mut buffered = 0usize;
+        while buffered < self.capacity {
+            let Some(b) = self.input.next_batch(ctx)? else {
+                return self.finish(ctx);
+            };
+            let room = self.capacity - buffered;
+            let (head, tail) = if b.live_count() > room {
+                let (head, tail) = b.split_live(room);
+                (head, Some(tail))
+            } else {
+                (b, None)
+            };
+            let n = head.live_count();
+            let trip = self.counter.admit(n as u64, surcharge, self.resolved, ctx);
+            // The head stays buffered either way, so a resumed
+            // (checks-disabled) run replays every row.
+            let bytes = head.approx_bytes();
+            self.reserved += bytes;
+            ctx.guard_reserve(bytes)?;
+            ctx.guard_tick()?;
+            self.replay.push_back(head);
+            buffered += n;
+            self.overflow = tail;
+            if let Some(trip) = trip {
+                return Err(self.raise_upper(ctx, trip.observed));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Operator for GuardOp {
+    fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
+        self.decided_at_open = false;
+        self.resolved = false;
+        self.replay.clear();
+        self.overflow = None;
+        self.eof = false;
+        self.pending_signal = None;
+        self.started_at = ctx.work;
+        // A shared cell is deliberately not reset: tasks re-open per
+        // morsel while the count is global to the region's step.
+        if let Counter::Local { guard, count } = &mut self.counter {
+            *count = 0;
+            guard.rearm(ctx);
+        }
+        self.input.open(ctx)?;
+        if self.above_materialization {
+            if let Some(n) = self.input.materialized_count() {
+                self.decide_materialized(n, ctx)?;
+            }
+        }
+        if self.capacity > 0 {
+            self.fill_valve(ctx)?;
+        }
+        Ok(())
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
+        if let Some(sig) = self.pending_signal.take() {
+            return Err(sig);
+        }
+        if let Some(b) = self.replay.pop_front() {
+            return Ok(Some(b));
+        }
+        if let Some(b) = self.overflow.take() {
+            return self.stream_batch(ctx, b);
+        }
+        if self.eof {
+            return Ok(None);
+        }
+        match self.input.next_batch(ctx)? {
+            Some(b) => self.stream_batch(ctx, b),
+            None => self.finish(ctx).map(|()| None),
+        }
+    }
+
+    fn close(&mut self, ctx: &mut ExecCtx) {
+        self.input.close(ctx);
+        self.replay.clear();
+        self.overflow = None;
+        ctx.guard_release(self.reserved);
+        self.reserved = 0;
+    }
+
+    fn materialized_count(&self) -> Option<u64> {
+        self.input.materialized_count()
+    }
+}
+
+crate::operators::opaque_debug!(GuardOp);
+
+/// One table drives every guard through the same protocol: each case runs
+/// with a local counter and with a shared cell (the harness standing in
+/// for the region controller's end-of-region evaluation), at chunk sizes
+/// 1, 7, 64 and 1024, and must produce the same signal, observation and
+/// event — and, drained past the signal, every input row exactly once.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::operators::TempOp;
+    use crate::SampleSpec;
+    use pop_plan::CostModel;
+    use pop_storage::Catalog;
+    use pop_types::{Rid, Value};
+
+    const TOTAL: usize = 100;
+
+    /// Source emitting `TOTAL` rows `0, 1, 2, …` in chunks of `chunk`.
+    struct Rows {
+        chunk: usize,
+        emitted: usize,
+    }
+
+    impl Operator for Rows {
+        fn open(&mut self, _ctx: &mut ExecCtx) -> OpResult<()> {
+            self.emitted = 0;
+            Ok(())
+        }
+
+        fn next_batch(&mut self, _ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
+            if self.emitted >= TOTAL {
+                return Ok(None);
+            }
+            let n = self.chunk.min(TOTAL - self.emitted);
+            let mut b = RowBatch::new();
+            for i in 0..n {
+                let v = (self.emitted + i) as i64;
+                b.push_row(&[Value::Int(v)], &[Rid::new(0, v as u64)]);
+            }
+            self.emitted += n;
+            Ok(Some(b))
+        }
+
+        fn close(&mut self, _ctx: &mut ExecCtx) {}
+    }
+
+    crate::operators::opaque_debug!(Rows);
+
+    #[derive(Clone, Copy)]
+    enum Bound {
+        Check { lo: f64, hi: f64 },
+        Monitor { trip: u64 },
+    }
+    use Bound::{Check, Monitor};
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Shape {
+        /// Pipelined: counts the stream.
+        Stream,
+        /// Directly above a TEMP: decided once at open.
+        AboveTemp,
+        /// BUFCHECK valve of this capacity (serial plans only).
+        Valve(usize),
+    }
+    use Shape::{AboveTemp, Stream, Valve};
+
+    struct Case {
+        name: &'static str,
+        bound: Bound,
+        shape: Shape,
+        arrange: fn(&mut ExecCtx),
+        /// The one signal expected: observation and `forced` flag.
+        signal: Option<(ObservedCard, bool)>,
+        /// Rows a local guard delivers before raising it.
+        before: usize,
+        /// Rows a local guard has charged at the signal: `(streaming
+        /// rate, valve-filling rate)`.
+        charged: Option<(f64, f64)>,
+    }
+
+    fn case(name: &'static str, bound: Bound, shape: Shape) -> Case {
+        Case {
+            name,
+            bound,
+            shape,
+            arrange: |_| {},
+            signal: None,
+            before: 0,
+            charged: None,
+        }
+    }
+
+    impl Case {
+        fn arrange(mut self, f: fn(&mut ExecCtx)) -> Self {
+            self.arrange = f;
+            self
+        }
+        fn raises(mut self, observed: ObservedCard, before: usize) -> Self {
+            self.signal = Some((observed, false));
+            self.before = before;
+            self
+        }
+        fn forced(mut self) -> Self {
+            self.signal = self.signal.map(|(o, _)| (o, true));
+            self
+        }
+        fn charged(mut self, streaming: f64, filling: f64) -> Self {
+            self.charged = Some((streaming, filling));
+            self
+        }
+    }
+
+    fn table() -> Vec<Case> {
+        use ObservedCard::{AtLeast, Exact};
+        let all = TOTAL as u64;
+        vec![
+            case(
+                "check passes within range",
+                Check { lo: 5.0, hi: 200.0 },
+                Stream,
+            ),
+            case(
+                "upper bound fires mid-stream",
+                Check { lo: 0.0, hi: 5.0 },
+                Stream,
+            )
+            .raises(AtLeast(6), 5)
+            .charged(6.0, 0.0),
+            case("fractional upper bound", Check { lo: 0.0, hi: 7.5 }, Stream)
+                .raises(AtLeast(8), 7)
+                .charged(8.0, 0.0),
+            case(
+                "lower bound fires at EOF",
+                Check { lo: 150.0, hi: 1e3 },
+                Stream,
+            )
+            .raises(Exact(all), TOTAL)
+            .charged(100.0, 0.0),
+            case(
+                "forced reopt fires in range",
+                Check { lo: 0.0, hi: 1e3 },
+                Stream,
+            )
+            .arrange(|c| c.force_reopt_at = Some(0))
+            .raises(Exact(all), TOTAL)
+            .forced(),
+            case(
+                "forced elsewhere: observe only",
+                Check { lo: 0.0, hi: 5.0 },
+                Stream,
+            )
+            .arrange(|c| c.force_reopt_at = Some(9)),
+            case(
+                "disabled checks never fire",
+                Check { lo: 0.0, hi: 5.0 },
+                Stream,
+            )
+            .arrange(|c| c.checks_enabled = false),
+            case(
+                "materialized: decided at open",
+                Check { lo: 0.0, hi: 10.0 },
+                AboveTemp,
+            )
+            .raises(Exact(all), 0),
+            case(
+                "materialized: passes at open",
+                Check { lo: 0.0, hi: 1e3 },
+                AboveTemp,
+            ),
+            case(
+                "valve fails before capacity",
+                Check { lo: 0.0, hi: 7.0 },
+                Valve(1000),
+            )
+            .raises(AtLeast(8), 0)
+            .charged(0.0, 8.0),
+            case(
+                "valve splits, trips streaming",
+                Check { lo: 0.0, hi: 5.0 },
+                Valve(2),
+            )
+            .raises(AtLeast(6), 5)
+            .charged(4.0, 2.0),
+            case(
+                "valve passes and streams",
+                Check { lo: 2.0, hi: 500.0 },
+                Valve(4),
+            ),
+            case(
+                "valve lower bound at EOF",
+                Check {
+                    lo: 150.0,
+                    hi: 500.0,
+                },
+                Valve(1000),
+            )
+            .raises(Exact(all), 0)
+            .charged(0.0, 100.0),
+            case("monitor trips on exact row", Monitor { trip: 10 }, Stream)
+                .raises(AtLeast(11), 10),
+            case("monitor silent at its bound", Monitor { trip: all }, Stream),
+            case("monitor disarmed: checks off", Monitor { trip: 10 }, Stream)
+                .arrange(|c| c.checks_enabled = false),
+            case("monitor armed while sampling", Monitor { trip: 10 }, Stream)
+                .arrange(|c| {
+                    c.checks_enabled = false;
+                    c.sample = Some(SampleSpec {
+                        table: "t".into(),
+                        stride: 2,
+                    });
+                })
+                .raises(AtLeast(11), 10),
+            case(
+                "monitor disarmed: already fired",
+                Monitor { trip: 10 },
+                Stream,
+            )
+            .arrange(|c| {
+                c.monitor_fired.insert("sig".into());
+            }),
+            case(
+                "monitor disarmed: forced reopt",
+                Monitor { trip: 10 },
+                Stream,
+            )
+            .arrange(|c| c.force_reopt_at = Some(0)),
+            case(
+                "lying monitor trips at once",
+                Monitor { trip: 1000 },
+                Stream,
+            )
+            .arrange(|c| {
+                let plan = pop_guard::FaultPlan::single(pop_guard::FaultKind::MonitorLie, 0);
+                c.faults = Some(pop_guard::FaultInjector::new(plan));
+            })
+            .raises(AtLeast(1), 0),
+        ]
+    }
+
+    fn guard_of(bound: Bound) -> Guard {
+        match bound {
+            Check { lo, hi } => Guard::check(CheckSpec {
+                id: 0,
+                flavor: CheckFlavor::Lc,
+                range: ValidityRange::new(lo, hi),
+                est_card: 1.0,
+                signature: "sig".into(),
+                context: CheckContext::AboveTemp,
+                fold: true,
+            }),
+            Monitor { trip } => Guard::monitor(MonitorSpec {
+                path: "$".into(),
+                signature: "sig".into(),
+                est_card: 1.0,
+                trip,
+            }),
+        }
+    }
+
+    /// What one run produced.
+    struct Run {
+        values: Vec<i64>,
+        /// Rows delivered before the first signal.
+        before: usize,
+        /// `ctx.work` when the first signal was raised.
+        work_at_signal: f64,
+        signals: Vec<Violation>,
+    }
+
+    /// Build the case's guard over a fresh source, drain it *past* any
+    /// signal (the resume path), and — for a shared cell — evaluate the
+    /// exact count at the end like the region controller does.
+    fn drive(case: &Case, shared: bool, ctx: &mut ExecCtx) -> Run {
+        let mut src: Box<dyn Operator> = Box::new(Rows {
+            chunk: ctx.batch_size,
+            emitted: 0,
+        });
+        if case.shape == AboveTemp {
+            src = Box::new(TempOp::new(src, None));
+        }
+        let mut guard = guard_of(case.bound);
+        let (mut op, cell) = if shared {
+            guard.rearm(ctx);
+            let rendezvous = (case.shape == AboveTemp).then_some(1);
+            let cell = Arc::new(FoldCell::new(guard, rendezvous));
+            (GuardOp::shared(src, Arc::clone(&cell)), Some(cell))
+        } else {
+            let capacity = match case.shape {
+                Valve(c) => c,
+                _ => 0,
+            };
+            let op = GuardOp::local(src, guard, case.shape == AboveTemp, capacity);
+            (op, None)
+        };
+        let mut run = Run {
+            values: Vec::new(),
+            before: 0,
+            work_at_signal: 0.0,
+            signals: Vec::new(),
+        };
+        let step = |r: OpResult<Option<RowBatch>>, run: &mut Run, ctx: &ExecCtx| match r {
+            Ok(Some(b)) => {
+                run.values
+                    .extend(b.into_rows().iter().map(|r| match r.values[0] {
+                        Value::Int(i) => i,
+                        ref other => panic!("unexpected {other:?}"),
+                    }));
+                true
+            }
+            Ok(None) => false,
+            Err(ExecSignal::Reopt(v)) => {
+                if run.signals.is_empty() {
+                    run.before = run.values.len();
+                    run.work_at_signal = ctx.work;
+                }
+                run.signals.push(*v);
+                true
+            }
+            Err(ExecSignal::Error(e)) => panic!("{}: {e}", case.name),
+        };
+        let opened = op.open(ctx).map(|()| None);
+        step(opened, &mut run, ctx);
+        loop {
+            let r = op.next_batch(ctx);
+            if !step(r, &mut run, ctx) {
+                break;
+            }
+        }
+        if let Some(cell) = cell.filter(|c| c.guard.monitor.is_none() && run.signals.is_empty()) {
+            let decided = cell.guard.decide_exact(cell.total(), 0.0, ctx);
+            step(decided.map(|()| None), &mut run, ctx);
+        }
+        op.close(ctx);
+        run
+    }
+
+    #[test]
+    fn every_guard_follows_one_protocol() {
+        for case in table() {
+            for shared in [false, true] {
+                if shared && matches!(case.shape, Valve(_)) {
+                    continue; // BUFCHECK never appears inside a region
+                }
+                for chunk in [1usize, 7, 64, 1024] {
+                    let at = format!("{} (shared={shared}, chunk={chunk})", case.name);
+                    let mut ctx = ExecCtx::new(
+                        Catalog::new(),
+                        pop_expr::Params::none(),
+                        CostModel::default(),
+                    );
+                    ctx.batch_size = chunk;
+                    (case.arrange)(&mut ctx);
+                    let run = drive(&case, shared, &mut ctx);
+
+                    // Nothing dropped, nothing duplicated, order kept —
+                    // including the rows held back around the signal.
+                    assert_eq!(run.values, (0..TOTAL as i64).collect::<Vec<_>>(), "{at}");
+
+                    // At most one signal, with the expected observation.
+                    let got: Vec<_> = run.signals.iter().map(|v| (v.observed, v.forced)).collect();
+                    assert_eq!(got, case.signal.into_iter().collect::<Vec<_>>(), "{at}");
+                    let mid_stream = matches!(case.signal, Some((ObservedCard::AtLeast(_), _)));
+                    let before = if shared && mid_stream {
+                        // A shared cell holds back the whole tripping batch.
+                        case.before / chunk * chunk
+                    } else {
+                        case.before
+                    };
+                    assert_eq!(run.before, before, "{at}");
+                    assert_eq!(
+                        ctx.forced_fired,
+                        case.signal.is_some_and(|(_, f)| f),
+                        "{at}"
+                    );
+
+                    match case.bound {
+                        Check { lo, hi } => {
+                            // Exactly one event: the signal's, or Passed
+                            // on the exact count.
+                            assert!(ctx.monitor_signals.is_empty(), "{at}");
+                            assert_eq!(ctx.check_events.len(), 1, "{at}");
+                            let e = &ctx.check_events[0];
+                            let (observed, outcome) = match case.signal {
+                                Some((o, true)) => (o, CheckOutcome::Forced),
+                                Some((o, false)) => (o, CheckOutcome::Violated),
+                                None => (ObservedCard::Exact(TOTAL as u64), CheckOutcome::Passed),
+                            };
+                            assert_eq!((e.observed, e.outcome), (observed, outcome), "{at}");
+                            for v in &run.signals {
+                                assert!(!v.monitor, "{at}");
+                                assert_eq!((v.check_id, v.flavor), (0, CheckFlavor::Lc), "{at}");
+                                assert_eq!(v.range, ValidityRange::new(lo, hi), "{at}");
+                            }
+                            if let (Some((s, f)), false) = (case.charged, shared) {
+                                let m = &ctx.model;
+                                let want =
+                                    s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
+                                assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
+                            }
+                        }
+                        Monitor { .. } => {
+                            // Monitors record signals, never check events,
+                            // and charge no work.
+                            assert!(ctx.check_events.is_empty(), "{at}");
+                            assert_eq!(ctx.work, 0.0, "{at}");
+                            assert_eq!(ctx.monitor_signals.len(), run.signals.len(), "{at}");
+                            for (v, s) in run.signals.iter().zip(&ctx.monitor_signals) {
+                                assert!(v.monitor && !v.forced, "{at}");
+                                assert_eq!((v.check_id, v.flavor), (usize::MAX, CheckFlavor::Ecb));
+                                assert_eq!(v.range, ValidityRange::new(0.0, s.trip as f64), "{at}");
+                                assert_eq!(ObservedCard::AtLeast(s.observed), v.observed, "{at}");
+                                assert_eq!((s.path.as_str(), s.signature.as_str()), ("$", "sig"));
+                                assert!(ctx.monitor_fired.contains("sig"), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Hand-rolled concurrency model check for [`FoldCell`] (no loom/miri in
+/// this toolchain). The rendezvous is serialized by a single mutex, so a
+/// concurrent execution is equivalent to some linear order of arrivals
+/// with `cancel` landing at one position in that order. The deterministic
+/// harness below therefore enumerates, for each partition count, every
+/// arrival permutation crossed with every cancel position (including "no
+/// cancel" and "cancel after the decision"), forcing each order with a
+/// per-thread release gate and observing arrivals through the cell's own
+/// state; a separate racing test lets real threads and a canceller
+/// contend freely and asserts the all-or-nothing invariant that linear
+/// order implies: either every partition gets a normal verdict (exactly
+/// one `Winner` iff violated) or every partition gets `Cancelled`.
+#[cfg(test)]
+mod model_check {
+    use super::{FoldCell, Guard, RvOutcome};
+    use std::sync::atomic::Ordering;
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::{Duration, Instant};
+
+    const SHARE: u64 = 10;
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A rendezvous cell over `parts` partitions (the guard itself plays
+    /// no part in the rendezvous protocol).
+    fn cell_of(parts: usize) -> FoldCell {
+        let spec = pop_plan::CheckSpec {
+            id: 0,
+            flavor: pop_plan::CheckFlavor::Lc,
+            range: pop_plan::ValidityRange::unbounded(),
+            est_card: 0.0,
+            signature: String::new(),
+            context: pop_plan::CheckContext::AboveTemp,
+            fold: true,
+        };
+        FoldCell::new(Guard::check(spec), Some(parts))
+    }
+
+    /// Comparable mirror of [`RvOutcome`] for assertions.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum O {
+        Passed,
+        Winner(u64),
+        Peer,
+        Cancelled,
+    }
+
+    fn tag(o: &RvOutcome) -> O {
+        match o {
+            RvOutcome::Passed => O::Passed,
+            RvOutcome::Winner(t) => O::Winner(*t),
+            RvOutcome::Peer => O::Peer,
+            RvOutcome::Cancelled => O::Cancelled,
+        }
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for rest in permutations(n - 1) {
+            for slot in 0..=rest.len() {
+                let mut p = rest.clone();
+                p.insert(slot, n - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Spin until `arrived` (read through the cell's own rendezvous
+    /// state) reaches `want`, so the next release happens strictly after
+    /// the previous thread is parked inside `rendezvous`.
+    fn wait_arrived(cell: &FoldCell, want: usize) {
+        let start = Instant::now();
+        loop {
+            let rv = cell.rv.as_ref().expect("cell has a rendezvous");
+            if rv.state.lock().expect("rv poisoned").arrived >= want {
+                return;
+            }
+            assert!(
+                start.elapsed() < DEADLINE,
+                "arrival {want} never observed: rendezvous deadlocked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Drive one fully-ordered schedule: threads arrive in `order`;
+    /// `cancel_after = Some(k)` fires `cancel` once exactly `k` threads
+    /// have arrived (and before the next release); `k == parts` cancels
+    /// after the decision, which must be a no-op.
+    fn run_ordered(parts: usize, order: &[usize], cancel_after: Option<usize>, violate: bool) {
+        let cell = Arc::new(cell_of(parts));
+        let hi = parts as u64 * SHARE - u64::from(violate);
+        let (res_tx, res_rx) = mpsc::channel::<(usize, O)>();
+        let mut gates = Vec::new();
+        let handles: Vec<_> = (0..parts)
+            .map(|tid| {
+                let cell = Arc::clone(&cell);
+                let res_tx = res_tx.clone();
+                let (gate_tx, gate_rx) = mpsc::channel::<()>();
+                gates.push(gate_tx);
+                std::thread::spawn(move || {
+                    gate_rx.recv().expect("release gate dropped");
+                    cell.count.fetch_add(SHARE, Ordering::AcqRel);
+                    let out = cell.rendezvous(|t| t > hi);
+                    res_tx
+                        .send((tid, tag(&out)))
+                        .expect("result channel dropped");
+                })
+            })
+            .collect();
+
+        let mut cancelled_at = None;
+        for (step, &tid) in order.iter().enumerate() {
+            if cancel_after == Some(step) {
+                cell.cancel();
+                cancelled_at = Some(step);
+            }
+            gates[tid].send(()).expect("worker gone before release");
+            if cancelled_at.is_none() && step + 1 < parts {
+                wait_arrived(&cell, step + 1);
+            }
+        }
+        if cancel_after == Some(parts) {
+            // All partitions arrived: the decision is already published;
+            // a late cancel must not disturb it.
+            wait_arrived(&cell, parts);
+            cell.cancel();
+        }
+
+        let mut outcomes = vec![None; parts];
+        for _ in 0..parts {
+            let (tid, o) = res_rx
+                .recv_timeout(DEADLINE)
+                .expect("rendezvous deadlocked: missing outcome");
+            outcomes[tid] = Some(o);
+        }
+        for h in handles {
+            h.join().expect("partition thread panicked");
+        }
+        let outcomes: Vec<O> = outcomes.into_iter().map(Option::unwrap).collect();
+
+        match cancelled_at {
+            Some(_) => {
+                // Cancel preceded some arrival: no decision, everyone
+                // quiesces, nothing trips.
+                assert!(
+                    outcomes.iter().all(|&o| o == O::Cancelled),
+                    "cancel at {cancelled_at:?} order {order:?}: {outcomes:?}"
+                );
+                assert!(!cell.decided_passed());
+                assert!(!cell.tripped.load(Ordering::Acquire));
+            }
+            None if violate => {
+                // Exactly one Winner carrying the exact global count —
+                // the last arriver in the forced order — rest are Peers.
+                let total = parts as u64 * SHARE;
+                let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
+                assert_eq!(winners, 1, "order {order:?}: {outcomes:?}");
+                assert_eq!(outcomes[*order.last().unwrap()], O::Winner(total));
+                assert!(outcomes
+                    .iter()
+                    .all(|&o| o == O::Peer || o == O::Winner(total)));
+                assert!(cell.tripped.load(Ordering::Acquire));
+                assert!(!cell.decided_passed());
+            }
+            None => {
+                assert!(
+                    outcomes.iter().all(|&o| o == O::Passed),
+                    "order {order:?}: {outcomes:?}"
+                );
+                assert!(cell.decided_passed());
+                assert_eq!(cell.total(), parts as u64 * SHARE);
+                assert!(!cell.tripped.load(Ordering::Acquire));
+            }
+        }
+    }
+
+    #[test]
+    fn fold_rendezvous_all_orders_and_cancel_positions() {
+        for parts in 1..=4 {
+            for order in permutations(parts) {
+                for violate in [false, true] {
+                    run_ordered(parts, &order, None, violate);
+                    for k in 0..=parts {
+                        run_ordered(parts, &order, Some(k), violate);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_rendezvous_race_is_all_or_nothing() {
+        // Unordered: partitions and a canceller race from a barrier. The
+        // single rendezvous mutex linearizes them, so every run must land
+        // in one of exactly two worlds: a full normal decision (one
+        // Winner iff violated) or a full cancellation.
+        for violate in [false, true] {
+            for _round in 0..64 {
+                let parts = 4usize;
+                let cell = Arc::new(cell_of(parts));
+                let hi = parts as u64 * SHARE - u64::from(violate);
+                let gate = Arc::new(Barrier::new(parts + 1));
+                let canceller = {
+                    let cell = Arc::clone(&cell);
+                    let gate = Arc::clone(&gate);
+                    std::thread::spawn(move || {
+                        gate.wait();
+                        cell.cancel();
+                    })
+                };
+                let handles: Vec<_> = (0..parts)
+                    .map(|_| {
+                        let cell = Arc::clone(&cell);
+                        let gate = Arc::clone(&gate);
+                        std::thread::spawn(move || {
+                            gate.wait();
+                            cell.count.fetch_add(SHARE, Ordering::AcqRel);
+                            tag(&cell.rendezvous(|t| t > hi))
+                        })
+                    })
+                    .collect();
+                canceller.join().expect("canceller panicked");
+                let outcomes: Vec<O> = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("partition thread panicked"))
+                    .collect();
+
+                let cancelled = outcomes.iter().filter(|&&o| o == O::Cancelled).count();
+                if cancelled > 0 {
+                    assert_eq!(cancelled, parts, "mixed verdicts: {outcomes:?}");
+                    assert!(!cell.tripped.load(Ordering::Acquire));
+                } else if violate {
+                    let total = parts as u64 * SHARE;
+                    let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
+                    assert_eq!(winners, 1, "{outcomes:?}");
+                    assert!(outcomes
+                        .iter()
+                        .all(|&o| o == O::Peer || o == O::Winner(total)));
+                } else {
+                    assert!(outcomes.iter().all(|&o| o == O::Passed), "{outcomes:?}");
+                    assert!(cell.decided_passed());
+                }
+            }
+        }
+    }
+}

@@ -3,7 +3,7 @@
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
 
 pub(crate) mod agg;
-mod check;
+pub(crate) mod guard;
 pub(crate) mod joins;
 pub(crate) mod materialize;
 pub(crate) mod monitor;
@@ -12,10 +12,10 @@ mod scan;
 mod side;
 
 pub use agg::{HashAggOp, HavingOp, LimitOp, ProjectOp};
-pub use check::{BufCheckOp, CheckOp};
+pub use guard::GuardOp;
 pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
 pub use materialize::{SortOp, TempOp};
-pub use monitor::{MonitorOp, MonitorSet, MonitorSpec, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
+pub use monitor::{MonitorSet, MonitorSpec, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use parallel::GatherOp;
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
 pub use side::{AntiJoinRidsOp, InsertOp, RidSinkOp};
@@ -43,8 +43,9 @@ pub(crate) use opaque_debug;
 /// equivalent, and [`crate::ExecCtx::batch_size`] of 1 reproduces classic
 /// row-at-a-time execution exactly. All three calls may raise an
 /// [`crate::ExecSignal`] — either a genuine error or a re-optimization
-/// request from a CHECK; a CHECK that fires mid-batch first emits the rows
-/// counted before the violation as a short batch, then raises.
+/// request from a cardinality guard ([`guard`]: CHECK, BUFCHECK, monitor);
+/// a guard that fires mid-batch first emits the rows counted before the
+/// violation as a short batch, then raises.
 pub trait Operator {
     /// Prepare for iteration.
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()>;

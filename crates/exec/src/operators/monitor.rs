@@ -1,12 +1,12 @@
 //! Continuous suboptimality monitors: a cheap, always-on cardinality
-//! watchdog on every serially-built operator.
+//! watchdog on every operator the planned CHECK layer does not observe.
 //!
 //! Planned CHECKs guard the edges the optimizer *decided* to guard; a
 //! correlated misestimate on an unguarded pipeline edge can sail all the
-//! way to the root without tripping anything. A [`MonitorOp`] closes that
-//! hole: it wraps an operator and counts its output rows — one `u64` add
-//! per batch, no per-row work — against a precomputed **trip bound**
-//! derived from two independent alarms:
+//! way to the root without tripping anything. A monitor closes that hole:
+//! the operator is wrapped in a [`super::guard`] shell that counts its
+//! output rows — one `u64` add per batch, no per-row work — against a
+//! precomputed **trip bound** derived from two independent alarms:
 //!
 //! * **envelope escape** — the planlint interval analysis proves the
 //!   output cardinality lies in `[lo, hi]` *given true statistics*; an
@@ -19,33 +19,20 @@
 //!
 //! The trip bound is `max(min(hi, est) × drift, floor)`: the tighter of
 //! the two alarms, floored at [`MONITOR_TRIP_FLOOR`] rows so tiny
-//! estimates do not produce hair-trigger monitors. When a batch would
-//! cross the bound the monitor finds the exact tripping row (same
-//! protocol as CHECK, so observations are invariant across batch sizes,
-//! morsel sizes and thread counts), records a [`SuboptimalitySignal`] on
-//! the context, and raises an `ExecSignal::Reopt` carrying an
-//! `AtLeast(bound + 1)` observation tagged `monitor: true`. The driver
-//! escalates it exactly like a CHECK violation: feedback, memo
-//! invalidation, early re-optimization.
+//! estimates do not produce hair-trigger monitors. Crossing it follows
+//! the guard protocol (exact tripping row, split and replay), records a
+//! [`SuboptimalitySignal`] on the context, and raises an
+//! `ExecSignal::Reopt` carrying an `AtLeast(bound + 1)` observation
+//! tagged `monitor: true`. The driver escalates it exactly like a CHECK
+//! violation: feedback, memo invalidation, early re-optimization.
 //!
-//! A fired signature is remembered in [`ExecCtx::monitor_fired`] across
-//! steps, so a re-optimized plan whose envelope is *still* stale cannot
-//! re-trip on the same subplan and loop; the harvested `AtLeast` fact
-//! already corrected the estimate, and `max_reopts` bounds the loop
+//! A fired signature is remembered in [`crate::ExecCtx::monitor_fired`]
+//! across steps, so a re-optimized plan whose envelope is *still* stale
+//! cannot re-trip on the same subplan and loop; the harvested `AtLeast`
+//! fact already corrected the estimate, and `max_reopts` bounds the loop
 //! globally anyway.
-//!
-//! Monitors charge **no work-model units**: the work counter measures
-//! plan work for budgets and experiments, while monitor overhead is real
-//! engine overhead, measured in wall-clock by `bench_monitor` and pinned
-//! below 2% on the Q6 scan path.
 
-use crate::operators::Operator;
-use crate::signal::{ExecSignal, ObservedCard, Violation};
-use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::{CheckFlavor, ValidityRange};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Minimum trip bound in rows. Estimates near zero (the correlated-marker
 /// pathology) would otherwise arm monitors that fire on the first row.
@@ -87,7 +74,7 @@ impl MonitorSet {
     }
 }
 
-/// One raised monitor alarm, recorded on [`ExecCtx::monitor_signals`] for
+/// One raised monitor alarm, recorded on [`crate::ExecCtx::monitor_signals`] for
 /// the step report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuboptimalitySignal {
@@ -103,407 +90,4 @@ pub struct SuboptimalitySignal {
     pub observed: u64,
     /// Work counter at the moment of firing.
     pub at_work: f64,
-}
-
-/// Shared counter of one monitored node inside a parallel region.
-///
-/// A region instantiates its spine per task, so the per-instance counting
-/// of [`MonitorOp`] would compare one task's share against a bound
-/// derived from the *logical* node's estimate. Folding the count — every
-/// [`FoldMonitorOp`] instance adds into one cell, exactly like a
-/// fold-registered CHECK — restores the serial semantics: the bound is
-/// crossed when the node's global output does, whichever worker happens
-/// to add the crossing batch. Unlike a fold CHECK there is no
-/// end-of-stream rendezvous: a monitor trip is a monotone upper-bound
-/// threshold, never a lower-bound test, so mid-stream detection is
-/// complete.
-///
-/// The reported observation is derived from the bound itself
-/// (`AtLeast(trip + 1)`), not from the tripping batch, so it is identical
-/// across thread counts, morsel sizes and batch shapes.
-#[derive(Debug)]
-pub struct MonitorFoldCell {
-    /// The monitored node's parameters.
-    pub spec: MonitorSpec,
-    /// Effective trip bound (the spec's, unless a `monitor` fault lies).
-    pub trip: u64,
-    count: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl MonitorFoldCell {
-    /// Fresh cell with the given effective trip bound.
-    pub fn new(spec: MonitorSpec, trip: u64) -> Self {
-        MonitorFoldCell {
-            spec,
-            trip,
-            count: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Per-task instance of an in-region monitor: counts its output into the
-/// shared [`MonitorFoldCell`] and raises on the first global crossing of
-/// the trip bound. The winning instance's signal quiesces the region and
-/// is escalated by the controller exactly like a serial monitor's.
-pub struct FoldMonitorOp {
-    input: Box<dyn Operator>,
-    cell: Arc<MonitorFoldCell>,
-}
-
-impl FoldMonitorOp {
-    /// Wrap one task's instance of the monitored node.
-    pub fn new(input: Box<dyn Operator>, cell: Arc<MonitorFoldCell>) -> Self {
-        FoldMonitorOp { input, cell }
-    }
-}
-
-impl Operator for FoldMonitorOp {
-    fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        // Deliberately no cell reset: tasks re-open per morsel while the
-        // count is global to the region's step.
-        self.input.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        let Some(b) = self.input.next_batch(ctx)? else {
-            return Ok(None);
-        };
-        let n = b.live_count() as u64;
-        let new_total = self.cell.count.fetch_add(n, Ordering::AcqRel) + n;
-        let armed = (ctx.checks_enabled || ctx.sample.is_some())
-            && ctx.force_reopt_at.is_none()
-            && !ctx.monitor_fired.contains(&self.cell.spec.signature);
-        if armed && new_total > self.cell.trip && !self.cell.tripped.swap(true, Ordering::AcqRel) {
-            let spec = &self.cell.spec;
-            ctx.monitor_fired.insert(spec.signature.clone());
-            ctx.monitor_signals.push(SuboptimalitySignal {
-                path: spec.path.clone(),
-                signature: spec.signature.clone(),
-                est_card: spec.est_card,
-                trip: self.cell.trip,
-                observed: self.cell.trip + 1,
-                at_work: ctx.work,
-            });
-            return Err(ExecSignal::Reopt(Box::new(Violation {
-                check_id: usize::MAX,
-                flavor: CheckFlavor::Ecb,
-                signature: spec.signature.clone(),
-                observed: ObservedCard::AtLeast(self.cell.trip + 1),
-                est_card: spec.est_card,
-                range: ValidityRange::new(0.0, self.cell.trip as f64),
-                forced: false,
-                monitor: true,
-            })));
-        }
-        Ok(Some(b))
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx) {
-        self.input.close(ctx);
-    }
-
-    fn materialized_count(&self) -> Option<u64> {
-        self.input.materialized_count()
-    }
-}
-
-crate::operators::opaque_debug!(FoldMonitorOp);
-
-/// The monitor operator: transparent pass-through plus a per-batch
-/// counter against [`MonitorSpec::trip`]. See the module docs for the
-/// firing protocol.
-pub struct MonitorOp {
-    input: Box<dyn Operator>,
-    spec: MonitorSpec,
-    /// Effective trip bound (the spec's, unless a `monitor` fault lies).
-    trip: u64,
-    count: u64,
-    raised: bool,
-    /// Rows from the tripping row onward, replayed after the violation so
-    /// draining past the signal loses nothing (mirrors CHECK).
-    pending: Option<RowBatch>,
-    /// A signal held back while the pre-trip prefix of its batch is
-    /// delivered; raised on the following call.
-    pending_signal: Option<ExecSignal>,
-}
-
-impl MonitorOp {
-    /// Wrap `input` with a monitor.
-    pub fn new(input: Box<dyn Operator>, spec: MonitorSpec) -> Self {
-        let trip = spec.trip;
-        MonitorOp {
-            input,
-            spec,
-            trip,
-            count: 0,
-            raised: false,
-            pending: None,
-            pending_signal: None,
-        }
-    }
-
-    fn armed(&self, ctx: &ExecCtx) -> bool {
-        // Sample-vet runs disable checks (a sample's absolute counts would
-        // violate lower bounds spuriously) but still rely on their own
-        // scaled-trip monitors, so a sampling context keeps monitors armed.
-        !self.raised
-            && (ctx.checks_enabled || ctx.sample.is_some())
-            && ctx.force_reopt_at.is_none()
-            && !ctx.monitor_fired.contains(&self.spec.signature)
-    }
-
-    fn fire(&mut self, ctx: &mut ExecCtx) -> ExecSignal {
-        ctx.monitor_fired.insert(self.spec.signature.clone());
-        ctx.monitor_signals.push(SuboptimalitySignal {
-            path: self.spec.path.clone(),
-            signature: self.spec.signature.clone(),
-            est_card: self.spec.est_card,
-            trip: self.trip,
-            observed: self.count,
-            at_work: ctx.work,
-        });
-        ExecSignal::Reopt(Box::new(Violation {
-            // Monitors have no check id; the driver dispatches on the
-            // `monitor` flag.
-            check_id: usize::MAX,
-            flavor: CheckFlavor::Ecb,
-            signature: self.spec.signature.clone(),
-            observed: ObservedCard::AtLeast(self.count),
-            est_card: self.spec.est_card,
-            range: ValidityRange::new(0.0, self.trip as f64),
-            forced: false,
-            monitor: true,
-        }))
-    }
-}
-
-impl Operator for MonitorOp {
-    fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        self.count = 0;
-        self.raised = false;
-        self.pending = None;
-        self.pending_signal = None;
-        // Fault hook: a lying monitor trips immediately. The observation
-        // it reports is still the truthful running count, so the feedback
-        // path stays sound and the run converges like a spurious check.
-        self.trip = if ctx.fault_monitor_lie() {
-            0
-        } else {
-            self.spec.trip
-        };
-        self.input.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        if let Some(sig) = self.pending_signal.take() {
-            return Err(sig);
-        }
-        if let Some(b) = self.pending.take() {
-            return Ok(Some(b));
-        }
-        let Some(b) = self.input.next_batch(ctx)? else {
-            return Ok(None);
-        };
-        let n = b.live_count() as u64;
-        if !self.armed(ctx) || self.count + n <= self.trip {
-            self.count += n;
-            return Ok(Some(b));
-        }
-        // The (j+1)-th live row of this batch is the first past the
-        // bound — the row row-at-a-time counting would have fired on.
-        let j = self.trip - self.count;
-        self.count = self.trip + 1;
-        self.raised = true;
-        let sig = self.fire(ctx);
-        let (prefix, suffix) = b.split_live(j as usize);
-        self.pending = Some(suffix);
-        if prefix.live_count() == 0 {
-            return Err(sig);
-        }
-        self.pending_signal = Some(sig);
-        Ok(Some(prefix))
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx) {
-        self.input.close(ctx);
-    }
-
-    fn materialized_count(&self) -> Option<u64> {
-        self.input.materialized_count()
-    }
-}
-
-crate::operators::opaque_debug!(MonitorOp);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::operators::Operator;
-    use pop_plan::CostModel;
-    use pop_storage::Catalog;
-    use pop_types::{Rid, Value};
-
-    /// Source emitting `total` rows in chunks of `chunk`.
-    struct Rows {
-        total: usize,
-        chunk: usize,
-        emitted: usize,
-    }
-
-    impl Operator for Rows {
-        fn open(&mut self, _ctx: &mut ExecCtx) -> OpResult<()> {
-            self.emitted = 0;
-            Ok(())
-        }
-
-        fn next_batch(&mut self, _ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-            if self.emitted >= self.total {
-                return Ok(None);
-            }
-            let n = self.chunk.min(self.total - self.emitted);
-            let mut b = RowBatch::new();
-            for i in 0..n {
-                let v = (self.emitted + i) as i64;
-                b.push_row(&[Value::Int(v)], &[Rid::new(0, v as u64)]);
-            }
-            self.emitted += n;
-            Ok(Some(b))
-        }
-
-        fn close(&mut self, _ctx: &mut ExecCtx) {}
-    }
-
-    crate::operators::opaque_debug!(Rows);
-
-    fn ctx() -> ExecCtx {
-        let mut c = ExecCtx::new(
-            Catalog::new(),
-            pop_expr::Params::none(),
-            CostModel::default(),
-        );
-        c.checks_enabled = true;
-        c
-    }
-
-    fn spec(trip: u64) -> MonitorSpec {
-        MonitorSpec {
-            path: "$".into(),
-            signature: "t".into(),
-            est_card: 1.0,
-            trip,
-        }
-    }
-
-    fn drain(op: &mut MonitorOp, ctx: &mut ExecCtx) -> (usize, Option<Violation>) {
-        let mut rows = 0;
-        let mut v = None;
-        op.open(ctx).expect("open");
-        loop {
-            match op.next_batch(ctx) {
-                Ok(Some(b)) => rows += b.live_count(),
-                Ok(None) => break,
-                Err(ExecSignal::Reopt(b)) => {
-                    assert!(v.is_none(), "monitor raised twice");
-                    v = Some(*b);
-                }
-                Err(ExecSignal::Error(e)) => panic!("error: {e}"),
-            }
-        }
-        (rows, v)
-    }
-
-    #[test]
-    fn fires_on_exact_tripping_row_at_any_chunk_size() {
-        for chunk in [1, 3, 7, 100] {
-            let mut c = ctx();
-            let mut op = MonitorOp::new(
-                Box::new(Rows {
-                    total: 100,
-                    chunk,
-                    emitted: 0,
-                }),
-                spec(10),
-            );
-            let (rows, v) = drain(&mut op, &mut c);
-            let v = v.expect("monitor must fire");
-            assert!(v.monitor);
-            assert_eq!(v.observed, ObservedCard::AtLeast(11), "chunk={chunk}");
-            assert_eq!(v.signature, "t");
-            // Raise-once, then pass-through: all rows still arrive.
-            assert_eq!(rows, 100, "chunk={chunk}");
-            assert_eq!(c.monitor_signals.len(), 1);
-            assert_eq!(c.monitor_signals[0].observed, 11);
-            assert!(c.monitor_fired.contains("t"));
-        }
-    }
-
-    #[test]
-    fn silent_below_bound() {
-        let mut c = ctx();
-        let mut op = MonitorOp::new(
-            Box::new(Rows {
-                total: 10,
-                chunk: 4,
-                emitted: 0,
-            }),
-            spec(10),
-        );
-        let (rows, v) = drain(&mut op, &mut c);
-        assert!(v.is_none());
-        assert_eq!(rows, 10);
-        assert!(c.monitor_signals.is_empty());
-    }
-
-    #[test]
-    fn disarmed_when_checks_disabled_or_signature_fired() {
-        let mut c = ctx();
-        c.checks_enabled = false;
-        let mut op = MonitorOp::new(
-            Box::new(Rows {
-                total: 100,
-                chunk: 8,
-                emitted: 0,
-            }),
-            spec(10),
-        );
-        let (rows, v) = drain(&mut op, &mut c);
-        assert!(v.is_none());
-        assert_eq!(rows, 100);
-
-        let mut c = ctx();
-        c.monitor_fired.insert("t".into());
-        let mut op = MonitorOp::new(
-            Box::new(Rows {
-                total: 100,
-                chunk: 8,
-                emitted: 0,
-            }),
-            spec(10),
-        );
-        let (_, v) = drain(&mut op, &mut c);
-        assert!(v.is_none(), "fired signature must stay disarmed");
-    }
-
-    #[test]
-    fn lying_monitor_fault_trips_immediately_with_truthful_count() {
-        let mut c = ctx();
-        c.faults = Some(pop_guard::FaultInjector::new(pop_guard::FaultPlan::single(
-            pop_guard::FaultKind::MonitorLie,
-            0,
-        )));
-        let mut op = MonitorOp::new(
-            Box::new(Rows {
-                total: 20,
-                chunk: 5,
-                emitted: 0,
-            }),
-            spec(1000),
-        );
-        let (rows, v) = drain(&mut op, &mut c);
-        let v = v.expect("lying monitor must fire");
-        assert_eq!(v.observed, ObservedCard::AtLeast(1));
-        assert_eq!(rows, 20);
-    }
 }

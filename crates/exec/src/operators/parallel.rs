@@ -1,6 +1,7 @@
-//! Morsel-driven parallel execution: the GATHER region controller, the
-//! EXCHANGE runtime (bounded queues + hash routing), and the folded CHECK
-//! that keeps the paper's §3 semantics global across workers.
+//! Morsel-driven parallel execution: the GATHER region controller and the
+//! EXCHANGE runtime (bounded queues + hash routing). Guards inside a
+//! region count into shared cells ([`super::guard`]), which keeps the
+//! paper's §3 semantics global across workers.
 //!
 //! A `Gather` plan node marks the boundary between the serial plan above
 //! and a **parallel region** below. [`GatherOp`] is the region
@@ -31,16 +32,16 @@
 //! replays its input in tag order, which again pins the per-consumer
 //! row order to the serial order of the producing stage.
 //!
-//! **CHECK folding (§2.1/§3).** A CHECK inside a region counts locally
-//! but folds into one shared atomic counter ([`FoldCell`]), so a validity
-//! range is compared against the *global* cardinality:
+//! **Guard folding (§2.1/§3).** A CHECK or monitor inside a region folds
+//! into one shared [`FoldCell`], so its bound is compared against the
+//! *global* cardinality:
 //!
 //! * upper bound: the task whose batch crosses `hi` trips the cell
 //!   exactly once and raises with observed `AtLeast(floor(hi)+1)` — the
 //!   same observation serial row-at-a-time counting reports;
 //! * lower bound / exact evaluation: once every task reaches end of
-//!   stream the controller evaluates the folded exact count once, on the
-//!   main context, and records a single [`CheckEvent`].
+//!   stream the controller evaluates each CHECK's folded exact count
+//!   once, on the main context, and records a single `CheckEvent`.
 //!
 //! A violation (or any error) sets the region **stop flag** and stops all
 //! exchange queues; workers quiesce at the next morsel boundary (blocked
@@ -52,19 +53,20 @@
 //! driver. The violation's observed cardinality feeds re-planning, which
 //! may widen, narrow, or drop the region's degree of parallelism.
 
-use crate::build::{build_with_env, pos_of, MonitorCursor, PartitionEnv, Signatures};
-use crate::context::{CheckEvent, CheckOutcome, Harvest};
+use crate::build::{build_with_env, pos_of, NodeCursor, PartitionEnv, Signatures};
+use crate::context::{CheckOutcome, Harvest};
 use crate::morsel::{BatchPool, MorselQueue, RegionDiag, RegionMode, WorkerDiag};
-use crate::operators::monitor::{MonitorFoldCell, MonitorSet, SuboptimalitySignal};
+use crate::operators::guard::{FoldCell, Guard};
+use crate::operators::monitor::{MonitorSet, SuboptimalitySignal};
 use crate::operators::Operator;
-use crate::signal::{ExecSignal, ObservedCard, Violation};
+use crate::signal::{ExecSignal, ObservedCard};
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::{CheckSpec, Partitioning, PhysNode};
+use pop_plan::{Partitioning, PhysNode};
 use pop_storage::Catalog;
 use pop_types::{PopError, Value};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -93,236 +95,6 @@ impl RegionShared {
 
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-}
-
-/// Shared state of one folded CHECK: the global row count, a trip-once
-/// latch so exactly one task reports an upper-bound violation, and —
-/// for checks above a materialization point, in range mode — a
-/// cancellable rendezvous where all partition chains meet once their
-/// TEMP shares are materialized, so the check is decided against the
-/// exact global count at the same point of the open cascade where the
-/// serial plan decides it (Figure 10).
-pub(crate) struct FoldCell {
-    count: AtomicU64,
-    tripped: AtomicBool,
-    parts: usize,
-    rv: Mutex<RvState>,
-    cv: Condvar,
-}
-
-struct RvState {
-    arrived: usize,
-    decided: bool,
-    violated: bool,
-    cancelled: bool,
-}
-
-/// What one partition takes away from a materialization rendezvous.
-enum RvOutcome {
-    /// All partitions arrived and the global count holds: keep going.
-    Passed,
-    /// Violated, and this partition (the last arriver) raises the one
-    /// re-optimization signal, carrying the exact global count.
-    Winner(u64),
-    /// Violated, but another partition raises: quiesce quietly.
-    Peer,
-    /// The region is stopping (a peer raised elsewhere): quiesce.
-    Cancelled,
-}
-
-impl FoldCell {
-    fn new(parts: usize) -> Self {
-        FoldCell {
-            count: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-            parts: parts.max(1),
-            rv: Mutex::new(RvState {
-                arrived: 0,
-                decided: false,
-                violated: false,
-                cancelled: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn total(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
-    }
-
-    /// Block until every partition of the stage has added its
-    /// materialized share to the counter. The last arriver evaluates the
-    /// global count (`is_violated`), publishes the verdict, and — on
-    /// violation — trips the cell and becomes the raiser. `cancel` wakes
-    /// every waiter so a quiescing region can never deadlock here.
-    fn rendezvous(&self, is_violated: impl FnOnce(u64) -> bool) -> RvOutcome {
-        let mut s = self.rv.lock().expect("fold rendezvous poisoned");
-        if s.cancelled {
-            return RvOutcome::Cancelled;
-        }
-        s.arrived += 1;
-        if s.arrived >= self.parts {
-            let total = self.total();
-            s.decided = true;
-            s.violated = is_violated(total);
-            let violated = s.violated;
-            self.cv.notify_all();
-            drop(s);
-            if violated {
-                self.tripped.store(true, Ordering::Release);
-                return RvOutcome::Winner(total);
-            }
-            return RvOutcome::Passed;
-        }
-        while !s.decided && !s.cancelled {
-            s = self.cv.wait(s).expect("fold rendezvous poisoned");
-        }
-        if !s.decided {
-            RvOutcome::Cancelled
-        } else if s.violated {
-            RvOutcome::Peer
-        } else {
-            RvOutcome::Passed
-        }
-    }
-
-    /// Wake every rendezvous waiter with a cancellation verdict.
-    fn cancel(&self) {
-        let mut s = self.rv.lock().expect("fold rendezvous poisoned");
-        s.cancelled = true;
-        self.cv.notify_all();
-    }
-
-    /// Did a rendezvous complete here with a passing verdict? (Then the
-    /// counter holds the exact global cardinality.)
-    fn decided_passed(&self) -> bool {
-        let s = self.rv.lock().expect("fold rendezvous poisoned");
-        s.decided && !s.violated
-    }
-}
-
-/// Worker-side CHECK with fold registration (`CheckSpec::fold`): counts
-/// into the shared [`FoldCell`] so the upper bound is compared against
-/// the global cardinality. For a pipelined check (`eager`) the first
-/// task to cross `hi` trips the cell and raises, mirroring the serial
-/// mid-stream `AtLeast` observation; a check over a materializing child
-/// only accumulates, because its serial counterpart evaluates once
-/// against the exact materialized count (Figure 10) — the region
-/// controller performs that exact evaluation once all tasks are done,
-/// so both report `Exact(total)`.
-pub(crate) struct FoldCheckOp {
-    input: Box<dyn Operator>,
-    spec: CheckSpec,
-    cell: Arc<FoldCell>,
-    eager: bool,
-    /// Set when the check was decided at the open-time rendezvous:
-    /// batches stream through uncounted, like the serial fast path.
-    resolved_at_open: bool,
-}
-
-impl FoldCheckOp {
-    pub(crate) fn new(
-        input: Box<dyn Operator>,
-        spec: CheckSpec,
-        cell: Arc<FoldCell>,
-        eager: bool,
-    ) -> Self {
-        FoldCheckOp {
-            input,
-            spec,
-            cell,
-            eager,
-            resolved_at_open: false,
-        }
-    }
-}
-
-impl Operator for FoldCheckOp {
-    fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        self.resolved_at_open = false;
-        self.input.open(ctx)?;
-        if self.eager {
-            return Ok(());
-        }
-        let Some(n) = self.input.materialized_count() else {
-            // Defensive: no exact count after all — fall back to
-            // streaming accumulation (controller evaluates at the end).
-            return Ok(());
-        };
-        // The serial counterpart decides here, once, against the exact
-        // materialized count — before anything above it materializes or
-        // streams. Mirror that: fold the local share in, meet the other
-        // partitions, and let the last arriver decide on the global
-        // count. Leaf-to-root ordering across nested materializations is
-        // inherited from the open cascade itself.
-        self.resolved_at_open = true;
-        self.cell.count.fetch_add(n, Ordering::AcqRel);
-        ctx.charge(ctx.model.check_row);
-        let armed = ctx.checks_enabled && ctx.force_reopt_at.is_none();
-        let range = self.spec.range;
-        match self
-            .cell
-            .rendezvous(|total| armed && !range.contains(total as f64))
-        {
-            RvOutcome::Passed => Ok(()),
-            RvOutcome::Winner(total) => Err(ExecSignal::Reopt(Box::new(Violation {
-                check_id: self.spec.id,
-                flavor: self.spec.flavor,
-                signature: self.spec.signature.clone(),
-                observed: ObservedCard::Exact(total),
-                est_card: self.spec.est_card,
-                range: self.spec.range,
-                forced: false,
-                monitor: false,
-            }))),
-            RvOutcome::Peer | RvOutcome::Cancelled => Err(ExecSignal::Error(PopError::Cancelled)),
-        }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        let Some(b) = self.input.next_batch(ctx)? else {
-            return Ok(None);
-        };
-        if self.resolved_at_open {
-            return Ok(Some(b));
-        }
-        let n = b.live_count() as u64;
-        ctx.charge(n as f64 * ctx.model.check_row);
-        // Suppression mirrors the serial `armed()` rules; forced reopts
-        // run serial plans, so inside a region force_reopt_at is only
-        // ever a suppressor.
-        let armed = self.eager
-            && ctx.checks_enabled
-            && ctx.force_reopt_at.is_none()
-            && !self.cell.tripped.load(Ordering::Acquire);
-        let new_total = self.cell.count.fetch_add(n, Ordering::AcqRel) + n;
-        if armed && new_total as f64 > self.spec.range.hi {
-            // First crossing wins; later tasks pass through.
-            if !self.cell.tripped.swap(true, Ordering::AcqRel) {
-                // Row-at-a-time counting fires on the first row that
-                // crosses `hi`, having observed exactly floor(hi)+1 rows
-                // — reproduce that observation from the bound itself so
-                // it is independent of batch shape, thread count and
-                // morsel size.
-                let observed = ObservedCard::AtLeast(self.spec.range.hi.floor() as u64 + 1);
-                return Err(ExecSignal::Reopt(Box::new(Violation {
-                    check_id: self.spec.id,
-                    flavor: self.spec.flavor,
-                    signature: self.spec.signature.clone(),
-                    observed,
-                    est_card: self.spec.est_card,
-                    range: self.spec.range,
-                    forced: false,
-                    monitor: false,
-                })));
-            }
-        }
-        Ok(Some(b))
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx) {
-        self.input.close(ctx);
     }
 }
 
@@ -679,8 +451,8 @@ pub struct GatherOp {
     signatures: Signatures,
     /// Monitors falling inside the region, keyed by full-plan pre-order
     /// index (the serial builder's enumeration). Worker-built nodes fold
-    /// into shared [`MonitorFoldCell`]s; the serial build side of spine
-    /// hash joins is monitored by plain per-instance monitors during
+    /// into shared [`FoldCell`]s; the serial build side of spine hash
+    /// joins is monitored by locally-counting guards during
     /// [`GatherOp::prepare`].
     region_monitors: MonitorSet,
     /// Full-plan pre-order index of the region root (the `Gather`'s own
@@ -719,27 +491,14 @@ impl GatherOp {
 
     /// Serially execute the build side of every spine hash join, in spine
     /// order, charging the main context (one build, shared by all
-    /// partition probes). Build subtrees carry their plain serial
-    /// monitors — they run once, on the main context, so per-instance
-    /// counting is exact there. Returns the builds plus the spine's
-    /// fold-check specs, the exchange node (if any) with the builds/folds
-    /// counts that belong to the consumer stage above it, and the
-    /// full-plan pre-order base of the partitioned stage's root.
-    #[allow(clippy::type_complexity)]
-    fn prepare(
-        &self,
-        ctx: &mut ExecCtx,
-    ) -> OpResult<(
-        Vec<Arc<crate::operators::joins::BuildState>>,
-        Vec<(CheckSpec, Arc<FoldCell>, bool)>,
-        Option<&PhysNode>,
-        usize,
-        usize,
-        usize,
-    )> {
+    /// partition probes), then register one shared cell per guarded node
+    /// the workers will build. Build subtrees carry locally-counting
+    /// monitors instead — they run once, on the main context, so
+    /// per-instance counting is exact there.
+    fn prepare(&self, ctx: &mut ExecCtx) -> OpResult<Prepared<'_>> {
         let parts = self.parts;
         let mut hsjns: Vec<(&PhysNode, usize)> = Vec::new();
-        let mut folds: Vec<(CheckSpec, Arc<FoldCell>, bool)> = Vec::new();
+        let mut folds: Vec<(usize, Arc<FoldCell>)> = Vec::new();
         let mut exchange: Option<&PhysNode> = None;
         let mut above_builds = 0usize;
         let mut above_folds = 0usize;
@@ -753,12 +512,19 @@ impl GatherOp {
             }
             PhysNode::Hsjn { .. } => hsjns.push((n, idx)),
             PhysNode::Check { input, spec, .. } if spec.fold => {
-                let eager = !crate::build::is_materializing(input);
-                folds.push((spec.clone(), Arc::new(FoldCell::new(parts)), eager));
+                // Above a materialization the serial check evaluates once
+                // against the exact count, so the fold meets at an
+                // open-time rendezvous instead of tripping mid-stream
+                // with an `AtLeast` bound.
+                let rendezvous = crate::build::is_materializing(input).then_some(parts);
+                let cell = FoldCell::new(Guard::check(spec.clone()), rendezvous);
+                folds.push((idx, Arc::new(cell)));
             }
             _ => {}
         });
         let mut builds = Vec::with_capacity(hsjns.len());
+        // Pre-order index ranges of the serially-built subtrees.
+        let mut serial: Vec<std::ops::Range<usize>> = Vec::new();
         for (node, idx) in hsjns {
             let PhysNode::Hsjn {
                 build, build_keys, ..
@@ -768,8 +534,9 @@ impl GatherOp {
             };
             // The build subtree's pre-order indices start right after the
             // join's own.
-            let mcur = MonitorCursor::at(&self.region_monitors, idx + 1);
-            let mut op = build_with_env(build, &self.catalog, &self.signatures, None, Some(&mcur))?;
+            serial.push(idx + 1..idx + 1 + build.node_count());
+            let cur = NodeCursor::at(Some(&self.region_monitors), idx + 1);
+            let mut op = build_with_env(build, &self.catalog, &self.signatures, None, &cur)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -781,43 +548,54 @@ impl GatherOp {
             op.close(ctx);
             builds.push(Arc::new(state?));
         }
-        Ok((
-            builds,
-            folds,
-            exchange,
-            above_builds,
-            above_folds,
-            stage_base,
-        ))
-    }
-
-    /// Shared monitor cells for the region's worker-built nodes: every
-    /// in-region monitor except those inside spine hash-join build
-    /// subtrees (serially built and monitored by [`GatherOp::prepare`]).
-    /// Created in ascending index order so the lying-monitor fault hook
-    /// consumes its occurrences deterministically.
-    fn fold_monitor_cells(&self, ctx: &mut ExecCtx) -> HashMap<usize, Arc<MonitorFoldCell>> {
-        let mut serial: Vec<std::ops::Range<usize>> = Vec::new();
-        visit_spine_indexed(&self.region, self.region_base, &mut |n, idx| {
-            if let PhysNode::Hsjn { build, .. } = n {
-                serial.push(idx + 1..idx + 1 + build.node_count());
-            }
-        });
-        let mut specs: Vec<_> = self
+        // Monitor cells for every worker-built node, created in ascending
+        // index order so the lying-monitor fault hook consumes its
+        // occurrences deterministically; fold-check cells go in last (a
+        // CHECK node is guarded by its check alone).
+        let mut monitored: Vec<_> = self
             .region_monitors
             .specs
             .iter()
             .filter(|(i, _)| !serial.iter().any(|r| r.contains(i)))
             .collect();
-        specs.sort_by_key(|(i, _)| **i);
-        specs
+        monitored.sort_by_key(|(i, _)| **i);
+        let mut cells: HashMap<usize, Arc<FoldCell>> = monitored
             .into_iter()
-            .map(|(i, s)| {
-                let trip = if ctx.fault_monitor_lie() { 0 } else { s.trip };
-                (*i, Arc::new(MonitorFoldCell::new(s.clone(), trip)))
+            .map(|(i, m)| {
+                let mut guard = Guard::monitor(m.clone());
+                guard.rearm(ctx);
+                (*i, Arc::new(FoldCell::new(guard, None)))
             })
-            .collect()
+            .collect();
+        cells.extend(folds.iter().cloned());
+        Ok(Prepared {
+            builds,
+            folds: folds.into_iter().map(|(_, c)| c).collect(),
+            cells: Arc::new(cells),
+            exchange,
+            above_builds,
+            above_folds,
+            stage_base,
+        })
     }
+}
+
+/// The region's shared state, set up serially by [`GatherOp::prepare`].
+struct Prepared<'a> {
+    /// Shared hash-join builds, in spine pre-order.
+    builds: Vec<Arc<crate::operators::joins::BuildState>>,
+    /// The spine's fold-check cells, in spine pre-order (root to leaf).
+    folds: Vec<Arc<FoldCell>>,
+    /// Every shared guard cell — fold checks and monitors — keyed by the
+    /// guarded node's full-plan pre-order index.
+    cells: Arc<HashMap<usize, Arc<FoldCell>>>,
+    /// The exchange node, if the region repartitions, with the number of
+    /// builds / folds belonging to the consumer stage above it.
+    exchange: Option<&'a PhysNode>,
+    above_builds: usize,
+    above_folds: usize,
+    /// Full-plan pre-order index of the partitioned stage's root.
+    stage_base: usize,
 }
 
 /// Run one task chain to end of stream, folding batches into the given
@@ -872,9 +650,15 @@ impl Operator for GatherOp {
         let region_start_work = ctx.work;
 
         // Phase 1 (serial): shared hash-join builds, on the main context.
-        let (builds, folds, exchange_node, above_builds, above_folds, stage_base) =
-            self.prepare(ctx)?;
-        let mon_cells = Arc::new(self.fold_monitor_cells(ctx));
+        let Prepared {
+            builds,
+            folds,
+            cells,
+            exchange: exchange_node,
+            above_builds,
+            above_folds,
+            stage_base,
+        } = self.prepare(ctx)?;
         let release_builds = |ctx: &mut ExecCtx| {
             for b in &builds {
                 ctx.guard_release(b.reserved);
@@ -901,7 +685,7 @@ impl Operator for GatherOp {
         // meet a dynamic task count — the parallelize pass marks those
         // stages `Range`, this is the runtime double-check) and a
         // determinable driving-scan size.
-        let stage_eager = folds[above_folds..].iter().all(|(_, _, eager)| *eager);
+        let stage_eager = folds[above_folds..].iter().all(|c| !c.has_rendezvous());
         let morsel_total = match stage_root.props().partitioning {
             Partitioning::Morsel(_) if stage_eager => stage_leaf_rows(stage_root, &self.catalog)
                 .map(|n| n.div_ceil(ctx.morsel_size.max(1)).max(1)),
@@ -921,7 +705,6 @@ impl Operator for GatherOp {
         // counter; withdrawn below once worker work folds back in.
         seed.guard.publish_work(region_start_work);
         let exchange_state = exchange_node.map(|_| Arc::new(ExchangeState::new(parts, w)));
-        let fold_cells: Vec<Arc<FoldCell>> = folds.iter().map(|(_, c, _)| Arc::clone(c)).collect();
         let queue = MorselQueue::new(m_total, w);
 
         let mut outcomes: Vec<WorkerOut> = std::thread::scope(|s| {
@@ -930,9 +713,8 @@ impl Operator for GatherOp {
             let seed = &seed;
             let queue = &queue;
             let builds = &builds;
-            let fold_cells = &fold_cells;
-            let mon_cells = &mon_cells;
-            let region_monitors = &self.region_monitors;
+            let folds = &folds;
+            let cells = &cells;
             let region_base = self.region_base;
             let region = &self.region;
             let catalog = &self.catalog;
@@ -943,7 +725,6 @@ impl Operator for GatherOp {
             // Stage-A shared state: everything below the exchange, or the
             // whole spine when the region does not repartition.
             let stage_builds = &builds[above_builds..];
-            let stage_cells = &fold_cells[above_folds..];
 
             // min(k, M) stage workers pulling tasks from the morsel queue.
             for widx in 0..w {
@@ -951,7 +732,7 @@ impl Operator for GatherOp {
                     let mut quiesce = Quiesce {
                         shared,
                         exchange: xref,
-                        folds: fold_cells,
+                        folds,
                         armed: true,
                     };
                     let mut out = WorkerOut::default();
@@ -973,24 +754,19 @@ impl Operator for GatherOp {
                             m,
                             m_total,
                             stage_builds.to_vec(),
-                            stage_cells.to_vec(),
-                            Arc::clone(mon_cells),
+                            Arc::clone(cells),
                             None,
                         );
-                        let mcur = MonitorCursor::at(region_monitors, stage_base);
-                        let op = match build_with_env(
-                            stage_root,
-                            catalog,
-                            signatures,
-                            Some(&env),
-                            Some(&mcur),
-                        ) {
-                            Ok(op) => op,
-                            Err(e) => {
-                                out.raised = Some((true, m, ExecSignal::Error(e)));
-                                return out; // quiesce guard stops the region
-                            }
-                        };
+                        let cur = NodeCursor::at(None, stage_base);
+                        let op =
+                            match build_with_env(stage_root, catalog, signatures, Some(&env), &cur)
+                            {
+                                Ok(op) => op,
+                                Err(e) => {
+                                    out.raised = Some((true, m, ExecSignal::Error(e)));
+                                    return out; // quiesce guard stops the region
+                                }
+                            };
                         // Producer task: route rows by hash into
                         // per-consumer bucket batches, allocation-free per
                         // row (routed-out input batches recycle through
@@ -1077,7 +853,7 @@ impl Operator for GatherOp {
                         let mut quiesce = Quiesce {
                             shared,
                             exchange: Some(xarc.as_ref()),
-                            folds: fold_cells,
+                            folds,
                             armed: true,
                         };
                         let mut out = WorkerOut::default();
@@ -1088,18 +864,12 @@ impl Operator for GatherOp {
                             part,
                             parts,
                             builds[..above_builds].to_vec(),
-                            fold_cells[..above_folds].to_vec(),
-                            Arc::clone(mon_cells),
+                            Arc::clone(cells),
                             Some(Arc::clone(xarc)),
                         );
-                        let mcur = MonitorCursor::at(region_monitors, region_base);
-                        let op = match build_with_env(
-                            region,
-                            catalog,
-                            signatures,
-                            Some(&env),
-                            Some(&mcur),
-                        ) {
+                        let cur = NodeCursor::at(None, region_base);
+                        let op = match build_with_env(region, catalog, signatures, Some(&env), &cur)
+                        {
                             Ok(op) => op,
                             Err(e) => {
                                 out.raised = Some((false, part, ExecSignal::Error(e)));
@@ -1229,16 +999,14 @@ impl Operator for GatherOp {
             release_builds(ctx);
             if let ExecSignal::Reopt(v) = &sig {
                 if v.monitor {
-                    // A fold monitor tripped on a worker context: replay
+                    // A monitor cell tripped on a worker context: replay
                     // the selected raiser's signal onto the main context
                     // (its observation is derived from the trip bound, so
-                    // it is the same whichever worker won the swap).
-                    for s in raiser_signals {
+                    // it is the same whichever worker won the latch).
+                    for mut s in raiser_signals {
                         ctx.monitor_fired.insert(s.signature.clone());
-                        ctx.monitor_signals.push(SuboptimalitySignal {
-                            at_work: ctx.work,
-                            ..s
-                        });
+                        s.at_work = ctx.work;
+                        ctx.monitor_signals.push(s);
                     }
                     return Err(sig);
                 }
@@ -1250,52 +1018,31 @@ impl Operator for GatherOp {
                 // passed it to get there); a pipelined fold is only
                 // globally complete below the shallowest such rendezvous,
                 // exactly where its serial counterpart had reached end of
-                // stream inside a finished materialization.
-                let raiser = folds.iter().position(|(s, _, _)| s.id == v.check_id);
-                if let Some(p) = raiser {
-                    let shallowest_done =
-                        (p + 1..folds.len()).find(|&i| !folds[i].2 && folds[i].1.decided_passed());
-                    for i in (p + 1..folds.len()).rev() {
-                        let (spec, cell, eager) = &folds[i];
-                        let complete = if *eager {
-                            matches!(shallowest_done, Some(r) if i > r)
-                        } else {
+                // stream inside a finished materialization. Then record
+                // the single, global event of the violated fold itself.
+                if let Some(p) = folds.iter().position(|c| c.guard.id() == v.check_id) {
+                    let shallowest_done = (p + 1..folds.len()).find(|&i| folds[i].decided_passed());
+                    for (i, cell) in folds.iter().enumerate().skip(p + 1).rev() {
+                        let complete = if cell.has_rendezvous() {
                             cell.decided_passed()
+                        } else {
+                            matches!(shallowest_done, Some(r) if i > r)
                         };
-                        if !complete {
-                            continue;
+                        if complete {
+                            let observed = ObservedCard::Exact(cell.total());
+                            cell.guard.record(
+                                ctx,
+                                CheckOutcome::Passed,
+                                observed,
+                                region_start_work,
+                            );
                         }
-                        ctx.check_events.push(CheckEvent {
-                            check_id: spec.id,
-                            flavor: spec.flavor,
-                            context: spec.context,
-                            outcome: CheckOutcome::Passed,
-                            at_work: ctx.work,
-                            started_at: region_start_work,
-                            observed: ObservedCard::Exact(cell.total()),
-                            est_card: spec.est_card,
-                            range: spec.range,
-                            signature: spec.signature.clone(),
-                        });
                     }
+                    let outcome = CheckOutcome::Violated;
+                    folds[p]
+                        .guard
+                        .record(ctx, outcome, v.observed, region_start_work);
                 }
-                // Record the single, global check event for the fold.
-                let context = folds
-                    .iter()
-                    .find(|(s, _, _)| s.id == v.check_id)
-                    .map_or(pop_plan::CheckContext::Pipeline, |(s, _, _)| s.context);
-                ctx.check_events.push(CheckEvent {
-                    check_id: v.check_id,
-                    flavor: v.flavor,
-                    context,
-                    outcome: CheckOutcome::Violated,
-                    at_work: ctx.work,
-                    started_at: region_start_work,
-                    observed: v.observed,
-                    est_card: v.est_card,
-                    range: v.range,
-                    signature: v.signature.clone(),
-                });
             }
             // No row of this step is emitted: the buffered task output
             // is discarded wholesale, so ECDC compensation state is
@@ -1309,59 +1056,14 @@ impl Operator for GatherOp {
         // before the checks above it do). Folds decided at an open-time
         // rendezvous are already tripped (violation) or simply re-record
         // the same exact count (pass).
-        for (spec, cell, _) in folds.iter().rev() {
-            let total = cell.total();
-            let observed = ObservedCard::Exact(total);
-            let in_range = spec.range.contains(total as f64);
-            let may_raise = ctx.checks_enabled
-                && (ctx.force_reopt_at.is_none() || ctx.force_reopt_at == Some(spec.id));
-            let already_raised = cell.tripped.load(Ordering::Acquire);
-            let forced = ctx.force_reopt_at == Some(spec.id) && !ctx.forced_fired;
-            let spurious =
-                may_raise && !already_raised && in_range && !forced && ctx.fault_spurious_check();
-            if may_raise && !already_raised && (!in_range || forced || spurious) {
-                let outcome = if in_range && !spurious {
-                    ctx.forced_fired = true;
-                    CheckOutcome::Forced
-                } else {
-                    CheckOutcome::Violated
-                };
-                ctx.check_events.push(CheckEvent {
-                    check_id: spec.id,
-                    flavor: spec.flavor,
-                    context: spec.context,
-                    outcome,
-                    at_work: ctx.work,
-                    started_at: region_start_work,
-                    observed,
-                    est_card: spec.est_card,
-                    range: spec.range,
-                    signature: spec.signature.clone(),
-                });
+        for cell in folds.iter().rev() {
+            if let Err(sig) = cell
+                .guard
+                .decide_exact(cell.total(), region_start_work, ctx)
+            {
                 release_builds(ctx);
-                return Err(ExecSignal::Reopt(Box::new(Violation {
-                    check_id: spec.id,
-                    flavor: spec.flavor,
-                    signature: spec.signature.clone(),
-                    observed,
-                    est_card: spec.est_card,
-                    range: spec.range,
-                    forced: in_range && !spurious,
-                    monitor: false,
-                })));
+                return Err(sig);
             }
-            ctx.check_events.push(CheckEvent {
-                check_id: spec.id,
-                flavor: spec.flavor,
-                context: spec.context,
-                outcome: CheckOutcome::Passed,
-                at_work: ctx.work,
-                started_at: region_start_work,
-                observed,
-                est_card: spec.est_card,
-                range: spec.range,
-                signature: spec.signature.clone(),
-            });
         }
 
         release_builds(ctx);
@@ -1404,239 +1106,4 @@ impl Operator for GatherOp {
     }
 }
 
-crate::operators::opaque_debug!(GatherOp, FoldCheckOp, ExchangeSourceOp);
-
-/// Hand-rolled concurrency model check for [`FoldCell`] (no loom/miri in
-/// this toolchain). The rendezvous is serialized by a single mutex, so a
-/// concurrent execution is equivalent to some linear order of arrivals
-/// with `cancel` landing at one position in that order. The deterministic
-/// harness below therefore enumerates, for each partition count, every
-/// arrival permutation crossed with every cancel position (including "no
-/// cancel" and "cancel after the decision"), forcing each order with a
-/// per-thread release gate and observing arrivals through the cell's own
-/// state; a separate racing test lets real threads and a canceller
-/// contend freely and asserts the all-or-nothing invariant that linear
-/// order implies: either every partition gets a normal verdict (exactly
-/// one `Winner` iff violated) or every partition gets `Cancelled`.
-#[cfg(test)]
-mod model_check {
-    use super::{FoldCell, RvOutcome};
-    use std::sync::atomic::Ordering;
-    use std::sync::{mpsc, Arc, Barrier};
-    use std::time::{Duration, Instant};
-
-    const SHARE: u64 = 10;
-    const DEADLINE: Duration = Duration::from_secs(10);
-
-    /// Comparable mirror of [`RvOutcome`] for assertions.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum O {
-        Passed,
-        Winner(u64),
-        Peer,
-        Cancelled,
-    }
-
-    fn tag(o: &RvOutcome) -> O {
-        match o {
-            RvOutcome::Passed => O::Passed,
-            RvOutcome::Winner(t) => O::Winner(*t),
-            RvOutcome::Peer => O::Peer,
-            RvOutcome::Cancelled => O::Cancelled,
-        }
-    }
-
-    fn permutations(n: usize) -> Vec<Vec<usize>> {
-        if n == 0 {
-            return vec![Vec::new()];
-        }
-        let mut out = Vec::new();
-        for rest in permutations(n - 1) {
-            for slot in 0..=rest.len() {
-                let mut p = rest.clone();
-                p.insert(slot, n - 1);
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// Spin until `arrived` (read through the cell's own rendezvous
-    /// state) reaches `want`, so the next release happens strictly after
-    /// the previous thread is parked inside `rendezvous`.
-    fn wait_arrived(cell: &FoldCell, want: usize) {
-        let start = Instant::now();
-        loop {
-            if cell.rv.lock().expect("rv poisoned").arrived >= want {
-                return;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "arrival {want} never observed: rendezvous deadlocked"
-            );
-            std::thread::yield_now();
-        }
-    }
-
-    /// Drive one fully-ordered schedule: threads arrive in `order`;
-    /// `cancel_after = Some(k)` fires `cancel` once exactly `k` threads
-    /// have arrived (and before the next release); `k == parts` cancels
-    /// after the decision, which must be a no-op.
-    fn run_ordered(parts: usize, order: &[usize], cancel_after: Option<usize>, violate: bool) {
-        let cell = Arc::new(FoldCell::new(parts));
-        let hi = parts as u64 * SHARE - u64::from(violate);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, O)>();
-        let mut gates = Vec::new();
-        let handles: Vec<_> = (0..parts)
-            .map(|tid| {
-                let cell = Arc::clone(&cell);
-                let res_tx = res_tx.clone();
-                let (gate_tx, gate_rx) = mpsc::channel::<()>();
-                gates.push(gate_tx);
-                std::thread::spawn(move || {
-                    gate_rx.recv().expect("release gate dropped");
-                    cell.count.fetch_add(SHARE, Ordering::AcqRel);
-                    let out = cell.rendezvous(|t| t > hi);
-                    res_tx
-                        .send((tid, tag(&out)))
-                        .expect("result channel dropped");
-                })
-            })
-            .collect();
-
-        let mut cancelled_at = None;
-        for (step, &tid) in order.iter().enumerate() {
-            if cancel_after == Some(step) {
-                cell.cancel();
-                cancelled_at = Some(step);
-            }
-            gates[tid].send(()).expect("worker gone before release");
-            if cancelled_at.is_none() && step + 1 < parts {
-                wait_arrived(&cell, step + 1);
-            }
-        }
-        if cancel_after == Some(parts) {
-            // All partitions arrived: the decision is already published;
-            // a late cancel must not disturb it.
-            wait_arrived(&cell, parts);
-            cell.cancel();
-        }
-
-        let mut outcomes = vec![None; parts];
-        for _ in 0..parts {
-            let (tid, o) = res_rx
-                .recv_timeout(DEADLINE)
-                .expect("rendezvous deadlocked: missing outcome");
-            outcomes[tid] = Some(o);
-        }
-        for h in handles {
-            h.join().expect("partition thread panicked");
-        }
-        let outcomes: Vec<O> = outcomes.into_iter().map(Option::unwrap).collect();
-
-        match cancelled_at {
-            Some(_) => {
-                // Cancel preceded some arrival: no decision, everyone
-                // quiesces, nothing trips.
-                assert!(
-                    outcomes.iter().all(|&o| o == O::Cancelled),
-                    "cancel at {cancelled_at:?} order {order:?}: {outcomes:?}"
-                );
-                assert!(!cell.decided_passed());
-                assert!(!cell.tripped.load(Ordering::Acquire));
-            }
-            None if violate => {
-                // Exactly one Winner carrying the exact global count —
-                // the last arriver in the forced order — rest are Peers.
-                let total = parts as u64 * SHARE;
-                let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
-                assert_eq!(winners, 1, "order {order:?}: {outcomes:?}");
-                assert_eq!(outcomes[*order.last().unwrap()], O::Winner(total));
-                assert!(outcomes
-                    .iter()
-                    .all(|&o| o == O::Peer || o == O::Winner(total)));
-                assert!(cell.tripped.load(Ordering::Acquire));
-                assert!(!cell.decided_passed());
-            }
-            None => {
-                assert!(
-                    outcomes.iter().all(|&o| o == O::Passed),
-                    "order {order:?}: {outcomes:?}"
-                );
-                assert!(cell.decided_passed());
-                assert_eq!(cell.total(), parts as u64 * SHARE);
-                assert!(!cell.tripped.load(Ordering::Acquire));
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rendezvous_all_orders_and_cancel_positions() {
-        for parts in 1..=4 {
-            for order in permutations(parts) {
-                for violate in [false, true] {
-                    run_ordered(parts, &order, None, violate);
-                    for k in 0..=parts {
-                        run_ordered(parts, &order, Some(k), violate);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rendezvous_race_is_all_or_nothing() {
-        // Unordered: partitions and a canceller race from a barrier. The
-        // single rendezvous mutex linearizes them, so every run must land
-        // in one of exactly two worlds: a full normal decision (one
-        // Winner iff violated) or a full cancellation.
-        for violate in [false, true] {
-            for _round in 0..64 {
-                let parts = 4usize;
-                let cell = Arc::new(FoldCell::new(parts));
-                let hi = parts as u64 * SHARE - u64::from(violate);
-                let gate = Arc::new(Barrier::new(parts + 1));
-                let canceller = {
-                    let cell = Arc::clone(&cell);
-                    let gate = Arc::clone(&gate);
-                    std::thread::spawn(move || {
-                        gate.wait();
-                        cell.cancel();
-                    })
-                };
-                let handles: Vec<_> = (0..parts)
-                    .map(|_| {
-                        let cell = Arc::clone(&cell);
-                        let gate = Arc::clone(&gate);
-                        std::thread::spawn(move || {
-                            gate.wait();
-                            cell.count.fetch_add(SHARE, Ordering::AcqRel);
-                            tag(&cell.rendezvous(|t| t > hi))
-                        })
-                    })
-                    .collect();
-                canceller.join().expect("canceller panicked");
-                let outcomes: Vec<O> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition thread panicked"))
-                    .collect();
-
-                let cancelled = outcomes.iter().filter(|&&o| o == O::Cancelled).count();
-                if cancelled > 0 {
-                    assert_eq!(cancelled, parts, "mixed verdicts: {outcomes:?}");
-                    assert!(!cell.tripped.load(Ordering::Acquire));
-                } else if violate {
-                    let total = parts as u64 * SHARE;
-                    let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
-                    assert_eq!(winners, 1, "{outcomes:?}");
-                    assert!(outcomes
-                        .iter()
-                        .all(|&o| o == O::Peer || o == O::Winner(total)));
-                } else {
-                    assert!(outcomes.iter().all(|&o| o == O::Passed), "{outcomes:?}");
-                    assert!(cell.decided_passed());
-                }
-            }
-        }
-    }
-}
+crate::operators::opaque_debug!(GatherOp, ExchangeSourceOp);

@@ -16,7 +16,7 @@
 //! ```
 
 use crate::page::{decode_row, encode_row};
-use pop_types::{PopError, PopResult, Row};
+use pop_types::{fnv1a, PopError, PopResult, Row};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -25,16 +25,6 @@ const FRAME_HDR: usize = 12;
 
 fn io_err(path: &Path, what: &str, e: &std::io::Error) -> PopError {
     PopError::Execution(format!("wal io: {what} {}: {e}", path.display()))
-}
-
-/// FNV-1a 64-bit checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One replayed WAL record.
