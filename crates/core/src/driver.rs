@@ -127,17 +127,7 @@ impl PopExecutor {
 
     /// Optimize without executing; returns the rendered plan.
     pub fn explain(&self, spec: &QuerySpec, params: &pop_expr::Params) -> PopResult<String> {
-        let opt_config = self.effective_optimizer_config();
-        let feedback = FeedbackCache::new();
-        let octx = OptimizerContext::new(
-            &self.catalog,
-            &self.stats,
-            &opt_config,
-            &self.config.cost_model,
-            Some(params),
-            &feedback,
-        );
-        Ok(optimize(spec, &octx)?.to_string())
+        Ok(self.plan(spec, params)?.to_string())
     }
 
     /// The cross-query feedback store (populated only when

@@ -71,8 +71,8 @@ pub use report::{QueryResult, RunReport, SampleVet, StepReport};
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use pop_exec::{
-    CheckEvent, CheckOutcome, ObservedCard, RegionDiag, RegionMode, SuboptimalitySignal, Violation,
-    WorkerDiag, MONITOR_TRIP_FLOOR,
+    CheckEvent, CheckOutcome, ObservedCard, RegionDiag, SuboptimalitySignal, Violation, WorkerDiag,
+    MONITOR_TRIP_FLOOR,
 };
 pub use pop_guard::{
     Budget, CancelToken, CleanupRegistry, FaultInjector, FaultKind, FaultPlan, FaultSpec, Governor,

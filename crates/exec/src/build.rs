@@ -212,14 +212,15 @@ pub(crate) fn build_with_env(
     // recursion, so the cursor walks the exact enumeration order the
     // driver used when computing the monitor set.
     let idx = cur.take();
-    // Operators whose semantics are inherently global (total order, global
-    // limit, cross-step compensation, side effects) never appear inside a
-    // region — the parallelize pass keeps them above the Gather and
-    // planlint (PL304) re-verifies. Refuse at build time as the last line
-    // of defense.
+    // Operators whose semantics are inherently global (total order,
+    // materialization, global limit, cross-step compensation, side
+    // effects) never appear inside a region — the parallelize pass keeps
+    // them above the Gather. Refuse at build time as the last line of
+    // defense.
     if env.is_some() {
         match node {
             PhysNode::Sort { .. }
+            | PhysNode::Temp { .. }
             | PhysNode::Mgjn { .. }
             | PhysNode::MvScan { .. }
             | PhysNode::BufCheck { .. }

@@ -40,7 +40,7 @@ pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use build::{build_monitored, build_operator};
 pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest, SampleSpec};
 pub use executor::{execute, RunOutcome};
-pub use morsel::{RegionDiag, RegionMode, WorkerDiag, DEFAULT_MORSEL_SIZE};
+pub use morsel::{RegionDiag, WorkerDiag, DEFAULT_MORSEL_SIZE};
 pub use operators::{MonitorSet, MonitorSpec, Operator, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use row::ExecRow;
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

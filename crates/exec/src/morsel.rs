@@ -32,7 +32,7 @@ const POOL_CAP: usize = 16;
 /// Per-worker diagnostics for one parallel region.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerDiag {
-    /// Work units (morsels, or fixed chains in range mode) this worker ran.
+    /// Tasks this worker ran: morsels, or 1 for an exchange consumer.
     pub morsels: u64,
     /// How many of those were claimed outside the worker's home span.
     pub steals: u64,
@@ -42,34 +42,13 @@ pub struct WorkerDiag {
     pub compute_ns: u64,
 }
 
-/// How a region's partitioned stage was executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionMode {
-    /// Morsel-driven: dynamic work queue, work-stealing workers.
-    Morsel,
-    /// Legacy fixed contiguous-range chains (one per partition) — used
-    /// when a stage fold needs the fixed-chain-count rendezvous.
-    Range,
-}
-
-impl std::fmt::Display for RegionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegionMode::Morsel => write!(f, "morsel"),
-            RegionMode::Range => write!(f, "range"),
-        }
-    }
-}
-
 /// Diagnostics for one executed parallel region, collected by the region
 /// controller and surfaced per step in the run report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionDiag {
     /// Planned degree of parallelism (the `Gather` node's `parts`).
     pub dop: usize,
-    /// Execution mode of the partitioned stage.
-    pub mode: RegionMode,
-    /// Morsel count of the partitioned stage (= `dop` in range mode).
+    /// Morsel count of the partitioned stage.
     pub morsels: usize,
     /// One entry per worker thread: partitioned-stage workers first,
     /// then exchange consumers (if the region repartitions).
@@ -92,9 +71,8 @@ impl RegionDiag {
             .map(|w| format!("{}m/{}s", w.morsels, w.steals))
             .collect();
         format!(
-            "dop={} mode={} morsels={} workers=[{}] wait={:.1}ms compute={:.1}ms",
+            "dop={} morsels={} workers=[{}] wait={:.1}ms compute={:.1}ms",
             self.dop,
-            self.mode,
             self.morsels,
             per_worker.join(" "),
             wait as f64 / 1e6,

@@ -29,10 +29,9 @@ use crate::operators::Operator;
 use crate::signal::{ExecSignal, ObservedCard, Violation};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_plan::{CheckContext, CheckFlavor, CheckSpec, ValidityRange};
-use pop_types::PopError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// What one guard enforces. A monitor is a CHECK-shaped guard with no
 /// plan id (`usize::MAX` — the driver dispatches on
@@ -230,133 +229,27 @@ struct Trip {
 }
 
 /// Shared state of one guarded node inside a parallel region: the global
-/// row count, a trip-once latch so exactly one task reports an
-/// upper-bound crossing, and — for a CHECK above a materialization point,
-/// in range mode — a cancellable rendezvous where all partition chains
-/// meet once their TEMP shares are materialized, so the check is decided
-/// against the exact global count at the same point of the open cascade
-/// where the serial plan decides it (Figure 10). A monitor is a monotone
-/// upper-bound threshold, never a lower-bound test, so it needs no
-/// rendezvous: mid-stream detection is complete.
+/// row count plus a trip-once latch, so exactly one task reports an
+/// upper-bound crossing. The lower bound needs no coordination here: the
+/// region controller decides it on the folded exact count once every task
+/// has reached end of stream.
 pub(crate) struct FoldCell {
     pub(crate) guard: Guard,
     count: AtomicU64,
     tripped: AtomicBool,
-    rv: Option<Rendezvous>,
-}
-
-struct Rendezvous {
-    parts: usize,
-    state: Mutex<RvState>,
-    cv: Condvar,
-}
-
-struct RvState {
-    arrived: usize,
-    decided: bool,
-    violated: bool,
-    cancelled: bool,
-}
-
-/// What one partition takes away from a materialization rendezvous.
-enum RvOutcome {
-    /// All partitions arrived and the global count holds: keep going.
-    Passed,
-    /// Violated, and this partition (the last arriver) raises the one
-    /// re-optimization signal, carrying the exact global count.
-    Winner(u64),
-    /// Violated, but another partition raises: quiesce quietly.
-    Peer,
-    /// The region is stopping (a peer raised elsewhere): quiesce.
-    Cancelled,
 }
 
 impl FoldCell {
-    /// Fresh cell; `rendezvous_parts` attaches a rendezvous of that many
-    /// partition chains (a CHECK above a materialization point).
-    pub(crate) fn new(guard: Guard, rendezvous_parts: Option<usize>) -> Self {
+    pub(crate) fn new(guard: Guard) -> Self {
         FoldCell {
             guard,
             count: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
-            rv: rendezvous_parts.map(|parts| Rendezvous {
-                parts: parts.max(1),
-                state: Mutex::new(RvState {
-                    arrived: 0,
-                    decided: false,
-                    violated: false,
-                    cancelled: false,
-                }),
-                cv: Condvar::new(),
-            }),
         }
     }
 
     pub(crate) fn total(&self) -> u64 {
         self.count.load(Ordering::Acquire)
-    }
-
-    /// Does this cell decide at an open-time rendezvous (as opposed to
-    /// tripping eagerly mid-stream)?
-    pub(crate) fn has_rendezvous(&self) -> bool {
-        self.rv.is_some()
-    }
-
-    /// Block until every partition of the stage has added its
-    /// materialized share to the counter. The last arriver evaluates the
-    /// global count (`is_violated`), publishes the verdict, and — on
-    /// violation — trips the cell and becomes the raiser. `cancel` wakes
-    /// every waiter so a quiescing region can never deadlock here.
-    fn rendezvous(&self, is_violated: impl FnOnce(u64) -> bool) -> RvOutcome {
-        let Some(rv) = &self.rv else {
-            return RvOutcome::Passed;
-        };
-        let mut s = rv.state.lock().expect("fold rendezvous poisoned");
-        if s.cancelled {
-            return RvOutcome::Cancelled;
-        }
-        s.arrived += 1;
-        if s.arrived >= rv.parts {
-            let total = self.total();
-            s.decided = true;
-            s.violated = is_violated(total);
-            let violated = s.violated;
-            rv.cv.notify_all();
-            drop(s);
-            if violated {
-                self.tripped.store(true, Ordering::Release);
-                return RvOutcome::Winner(total);
-            }
-            return RvOutcome::Passed;
-        }
-        while !s.decided && !s.cancelled {
-            s = rv.cv.wait(s).expect("fold rendezvous poisoned");
-        }
-        if !s.decided {
-            RvOutcome::Cancelled
-        } else if s.violated {
-            RvOutcome::Peer
-        } else {
-            RvOutcome::Passed
-        }
-    }
-
-    /// Wake every rendezvous waiter with a cancellation verdict.
-    pub(crate) fn cancel(&self) {
-        if let Some(rv) = &self.rv {
-            let mut s = rv.state.lock().expect("fold rendezvous poisoned");
-            s.cancelled = true;
-            rv.cv.notify_all();
-        }
-    }
-
-    /// Did a rendezvous complete here with a passing verdict? (Then the
-    /// counter holds the exact global cardinality.)
-    pub(crate) fn decided_passed(&self) -> bool {
-        self.rv.as_ref().is_some_and(|rv| {
-            let s = rv.state.lock().expect("fold rendezvous poisoned");
-            s.decided && !s.violated
-        })
     }
 }
 
@@ -427,7 +320,8 @@ impl Counter {
 ///   evaluation belongs to the region controller, on the folded count.
 /// * Above a **materialization point** a CHECK executes once, right after
 ///   `open`, against the materialized row count (exact observation), and
-///   the stream passes through uncounted.
+///   the stream passes through uncounted. Materialization points end a
+///   parallel region, so this path is always serial.
 /// * As a **BUFCHECK valve** (§3.3, ECB) it first buffers up to
 ///   `capacity` rows until either the count exceeds `hi` (fail
 ///   immediately — *before* any materialization below completes) or the
@@ -520,8 +414,7 @@ impl GuardOp {
     /// One partition's instance of a guarded node inside a parallel
     /// region, counting into the node's shared cell.
     pub(crate) fn shared(input: Box<dyn Operator>, cell: Arc<FoldCell>) -> Self {
-        let rendezvous = cell.has_rendezvous();
-        Self::new(input, Counter::Shared(cell), rendezvous, 0)
+        Self::new(input, Counter::Shared(cell), false, 0)
     }
 
     /// Count one streamed batch; on a crossing, deliver the pre-violation
@@ -566,39 +459,13 @@ impl GuardOp {
     }
 
     /// Decide once against the exact materialized count `n` (the Figure 10
-    /// optimization for materialization points). A shared cell folds the
-    /// local share in, meets the other partitions, and lets the last
-    /// arriver decide on the global count — before anything above
-    /// materializes or streams, like the serial plan. Leaf-to-root
-    /// ordering across nested materializations is inherited from the open
-    /// cascade itself.
+    /// optimization for materialization points) — before anything above
+    /// materializes or streams.
     fn decide_materialized(&mut self, n: u64, ctx: &mut ExecCtx) -> OpResult<()> {
         self.decided_at_open = true;
         self.resolved = true;
         ctx.charge(ctx.model.check_row);
-        match &mut self.counter {
-            Counter::Local { guard, count } => {
-                *count = n;
-                guard.decide_exact(n, self.started_at, ctx)
-            }
-            Counter::Shared(cell) => {
-                cell.count.fetch_add(n, Ordering::AcqRel);
-                let guard = &cell.guard;
-                let armed = guard.armed(ctx);
-                match cell.rendezvous(|total| armed && !guard.spec.range.contains(total as f64)) {
-                    RvOutcome::Passed => Ok(()),
-                    RvOutcome::Winner(total) => Err(guard.raise(
-                        ctx,
-                        CheckOutcome::Violated,
-                        ObservedCard::Exact(total),
-                        self.started_at,
-                    )),
-                    RvOutcome::Peer | RvOutcome::Cancelled => {
-                        Err(ExecSignal::Error(PopError::Cancelled))
-                    }
-                }
-            }
-        }
+        self.counter.guard().decide_exact(n, self.started_at, ctx)
     }
 
     /// Fill the valve, charging the buffering surcharge per row.
@@ -697,10 +564,11 @@ impl Operator for GuardOp {
 crate::operators::opaque_debug!(GuardOp);
 
 /// One table drives every guard through the same protocol: each case runs
-/// with a local counter and with a shared cell (the harness standing in
-/// for the region controller's end-of-region evaluation), at chunk sizes
-/// 1, 7, 64 and 1024, and must produce the same signal, observation and
-/// event — and, drained past the signal, every input row exactly once.
+/// with a local counter and — streaming cases, the only shape a region
+/// holds — with a shared cell (the harness standing in for the region
+/// controller's end-of-region evaluation), at chunk sizes 1, 7, 64 and
+/// 1024, and must produce the same signal, observation and event — and,
+/// drained past the signal, every input row exactly once.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,7 +624,7 @@ mod tests {
         Stream,
         /// Directly above a TEMP: decided once at open.
         AboveTemp,
-        /// BUFCHECK valve of this capacity (serial plans only).
+        /// BUFCHECK valve of this capacity.
         Valve(usize),
     }
     use Shape::{AboveTemp, Stream, Valve};
@@ -978,8 +846,7 @@ mod tests {
         let mut guard = guard_of(case.bound);
         let (mut op, cell) = if shared {
             guard.rearm(ctx);
-            let rendezvous = (case.shape == AboveTemp).then_some(1);
-            let cell = Arc::new(FoldCell::new(guard, rendezvous));
+            let cell = Arc::new(FoldCell::new(guard));
             (GuardOp::shared(src, Arc::clone(&cell)), Some(cell))
         } else {
             let capacity = match case.shape {
@@ -1035,8 +902,8 @@ mod tests {
     fn every_guard_follows_one_protocol() {
         for case in table() {
             for shared in [false, true] {
-                if shared && matches!(case.shape, Valve(_)) {
-                    continue; // BUFCHECK never appears inside a region
+                if shared && case.shape != Stream {
+                    continue; // a region is one pipeline: no TEMP, no BUFCHECK
                 }
                 for chunk in [1usize, 7, 64, 1024] {
                     let at = format!("{} (shared={shared}, chunk={chunk})", case.name);
@@ -1117,252 +984,63 @@ mod tests {
     }
 }
 
-/// Hand-rolled concurrency model check for [`FoldCell`] (no loom/miri in
-/// this toolchain). The rendezvous is serialized by a single mutex, so a
-/// concurrent execution is equivalent to some linear order of arrivals
-/// with `cancel` landing at one position in that order. The deterministic
-/// harness below therefore enumerates, for each partition count, every
-/// arrival permutation crossed with every cancel position (including "no
-/// cancel" and "cancel after the decision"), forcing each order with a
-/// per-thread release gate and observing arrivals through the cell's own
-/// state; a separate racing test lets real threads and a canceller
-/// contend freely and asserts the all-or-nothing invariant that linear
-/// order implies: either every partition gets a normal verdict (exactly
-/// one `Winner` iff violated) or every partition gets `Cancelled`.
+/// Hand-rolled concurrency model check for [`FoldCell`]'s trip-once latch
+/// (no loom/miri in this toolchain): tasks racing from a barrier add their
+/// batches into one cell whose bound the sum crosses. `fetch_add` hands
+/// every task a distinct `before`, and the latch is one atomic `swap`, so
+/// whatever the interleaving exactly one task reports the crossing, with
+/// the bound-derived observation, and the cell ends at the exact total.
 #[cfg(test)]
 mod model_check {
-    use super::{FoldCell, Guard, RvOutcome};
-    use std::sync::atomic::Ordering;
-    use std::sync::{mpsc, Arc, Barrier};
-    use std::time::{Duration, Instant};
-
-    const SHARE: u64 = 10;
-    const DEADLINE: Duration = Duration::from_secs(10);
-
-    /// A rendezvous cell over `parts` partitions (the guard itself plays
-    /// no part in the rendezvous protocol).
-    fn cell_of(parts: usize) -> FoldCell {
-        let spec = pop_plan::CheckSpec {
-            id: 0,
-            flavor: pop_plan::CheckFlavor::Lc,
-            range: pop_plan::ValidityRange::unbounded(),
-            est_card: 0.0,
-            signature: String::new(),
-            context: pop_plan::CheckContext::AboveTemp,
-            fold: true,
-        };
-        FoldCell::new(Guard::check(spec), Some(parts))
-    }
-
-    /// Comparable mirror of [`RvOutcome`] for assertions.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum O {
-        Passed,
-        Winner(u64),
-        Peer,
-        Cancelled,
-    }
-
-    fn tag(o: &RvOutcome) -> O {
-        match o {
-            RvOutcome::Passed => O::Passed,
-            RvOutcome::Winner(t) => O::Winner(*t),
-            RvOutcome::Peer => O::Peer,
-            RvOutcome::Cancelled => O::Cancelled,
-        }
-    }
-
-    fn permutations(n: usize) -> Vec<Vec<usize>> {
-        if n == 0 {
-            return vec![Vec::new()];
-        }
-        let mut out = Vec::new();
-        for rest in permutations(n - 1) {
-            for slot in 0..=rest.len() {
-                let mut p = rest.clone();
-                p.insert(slot, n - 1);
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    /// Spin until `arrived` (read through the cell's own rendezvous
-    /// state) reaches `want`, so the next release happens strictly after
-    /// the previous thread is parked inside `rendezvous`.
-    fn wait_arrived(cell: &FoldCell, want: usize) {
-        let start = Instant::now();
-        loop {
-            let rv = cell.rv.as_ref().expect("cell has a rendezvous");
-            if rv.state.lock().expect("rv poisoned").arrived >= want {
-                return;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "arrival {want} never observed: rendezvous deadlocked"
-            );
-            std::thread::yield_now();
-        }
-    }
-
-    /// Drive one fully-ordered schedule: threads arrive in `order`;
-    /// `cancel_after = Some(k)` fires `cancel` once exactly `k` threads
-    /// have arrived (and before the next release); `k == parts` cancels
-    /// after the decision, which must be a no-op.
-    fn run_ordered(parts: usize, order: &[usize], cancel_after: Option<usize>, violate: bool) {
-        let cell = Arc::new(cell_of(parts));
-        let hi = parts as u64 * SHARE - u64::from(violate);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, O)>();
-        let mut gates = Vec::new();
-        let handles: Vec<_> = (0..parts)
-            .map(|tid| {
-                let cell = Arc::clone(&cell);
-                let res_tx = res_tx.clone();
-                let (gate_tx, gate_rx) = mpsc::channel::<()>();
-                gates.push(gate_tx);
-                std::thread::spawn(move || {
-                    gate_rx.recv().expect("release gate dropped");
-                    cell.count.fetch_add(SHARE, Ordering::AcqRel);
-                    let out = cell.rendezvous(|t| t > hi);
-                    res_tx
-                        .send((tid, tag(&out)))
-                        .expect("result channel dropped");
-                })
-            })
-            .collect();
-
-        let mut cancelled_at = None;
-        for (step, &tid) in order.iter().enumerate() {
-            if cancel_after == Some(step) {
-                cell.cancel();
-                cancelled_at = Some(step);
-            }
-            gates[tid].send(()).expect("worker gone before release");
-            if cancelled_at.is_none() && step + 1 < parts {
-                wait_arrived(&cell, step + 1);
-            }
-        }
-        if cancel_after == Some(parts) {
-            // All partitions arrived: the decision is already published;
-            // a late cancel must not disturb it.
-            wait_arrived(&cell, parts);
-            cell.cancel();
-        }
-
-        let mut outcomes = vec![None; parts];
-        for _ in 0..parts {
-            let (tid, o) = res_rx
-                .recv_timeout(DEADLINE)
-                .expect("rendezvous deadlocked: missing outcome");
-            outcomes[tid] = Some(o);
-        }
-        for h in handles {
-            h.join().expect("partition thread panicked");
-        }
-        let outcomes: Vec<O> = outcomes.into_iter().map(Option::unwrap).collect();
-
-        match cancelled_at {
-            Some(_) => {
-                // Cancel preceded some arrival: no decision, everyone
-                // quiesces, nothing trips.
-                assert!(
-                    outcomes.iter().all(|&o| o == O::Cancelled),
-                    "cancel at {cancelled_at:?} order {order:?}: {outcomes:?}"
-                );
-                assert!(!cell.decided_passed());
-                assert!(!cell.tripped.load(Ordering::Acquire));
-            }
-            None if violate => {
-                // Exactly one Winner carrying the exact global count —
-                // the last arriver in the forced order — rest are Peers.
-                let total = parts as u64 * SHARE;
-                let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
-                assert_eq!(winners, 1, "order {order:?}: {outcomes:?}");
-                assert_eq!(outcomes[*order.last().unwrap()], O::Winner(total));
-                assert!(outcomes
-                    .iter()
-                    .all(|&o| o == O::Peer || o == O::Winner(total)));
-                assert!(cell.tripped.load(Ordering::Acquire));
-                assert!(!cell.decided_passed());
-            }
-            None => {
-                assert!(
-                    outcomes.iter().all(|&o| o == O::Passed),
-                    "order {order:?}: {outcomes:?}"
-                );
-                assert!(cell.decided_passed());
-                assert_eq!(cell.total(), parts as u64 * SHARE);
-                assert!(!cell.tripped.load(Ordering::Acquire));
-            }
-        }
-    }
+    use super::*;
+    use pop_plan::CostModel;
+    use pop_storage::Catalog;
+    use std::sync::Barrier;
 
     #[test]
-    fn fold_rendezvous_all_orders_and_cancel_positions() {
-        for parts in 1..=4 {
-            for order in permutations(parts) {
-                for violate in [false, true] {
-                    run_ordered(parts, &order, None, violate);
-                    for k in 0..=parts {
-                        run_ordered(parts, &order, Some(k), violate);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rendezvous_race_is_all_or_nothing() {
-        // Unordered: partitions and a canceller race from a barrier. The
-        // single rendezvous mutex linearizes them, so every run must land
-        // in one of exactly two worlds: a full normal decision (one
-        // Winner iff violated) or a full cancellation.
-        for violate in [false, true] {
-            for _round in 0..64 {
-                let parts = 4usize;
-                let cell = Arc::new(cell_of(parts));
-                let hi = parts as u64 * SHARE - u64::from(violate);
-                let gate = Arc::new(Barrier::new(parts + 1));
-                let canceller = {
-                    let cell = Arc::clone(&cell);
-                    let gate = Arc::clone(&gate);
-                    std::thread::spawn(move || {
-                        gate.wait();
-                        cell.cancel();
-                    })
+    fn fold_cell_trips_exactly_once_under_contention() {
+        const TASKS: u64 = 4;
+        const BATCHES: u64 = 50;
+        const ROWS: u64 = 7;
+        for hi in [0.0, 1.0, 349.5, (TASKS * BATCHES * ROWS - 1) as f64] {
+            for _round in 0..16 {
+                let spec = CheckSpec {
+                    id: 0,
+                    flavor: CheckFlavor::Lc,
+                    range: ValidityRange::new(0.0, hi),
+                    est_card: 0.0,
+                    signature: String::new(),
+                    context: CheckContext::Pipeline,
+                    fold: true,
                 };
-                let handles: Vec<_> = (0..parts)
-                    .map(|_| {
-                        let cell = Arc::clone(&cell);
-                        let gate = Arc::clone(&gate);
-                        std::thread::spawn(move || {
-                            gate.wait();
-                            cell.count.fetch_add(SHARE, Ordering::AcqRel);
-                            tag(&cell.rendezvous(|t| t > hi))
+                let cell = Arc::new(FoldCell::new(Guard::check(spec)));
+                let gate = Barrier::new(TASKS as usize);
+                let trips: Vec<ObservedCard> = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..TASKS)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut ctx = ExecCtx::new(
+                                    Catalog::new(),
+                                    pop_expr::Params::none(),
+                                    CostModel::default(),
+                                );
+                                let mut counter = Counter::Shared(Arc::clone(&cell));
+                                gate.wait();
+                                (0..BATCHES)
+                                    .filter_map(|_| counter.admit(ROWS, 0.0, false, &mut ctx))
+                                    .map(|t| t.observed)
+                                    .collect::<Vec<_>>()
+                            })
                         })
-                    })
-                    .collect();
-                canceller.join().expect("canceller panicked");
-                let outcomes: Vec<O> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition thread panicked"))
-                    .collect();
-
-                let cancelled = outcomes.iter().filter(|&&o| o == O::Cancelled).count();
-                if cancelled > 0 {
-                    assert_eq!(cancelled, parts, "mixed verdicts: {outcomes:?}");
-                    assert!(!cell.tripped.load(Ordering::Acquire));
-                } else if violate {
-                    let total = parts as u64 * SHARE;
-                    let winners = outcomes.iter().filter(|&&o| o == O::Winner(total)).count();
-                    assert_eq!(winners, 1, "{outcomes:?}");
-                    assert!(outcomes
-                        .iter()
-                        .all(|&o| o == O::Peer || o == O::Winner(total)));
-                } else {
-                    assert!(outcomes.iter().all(|&o| o == O::Passed), "{outcomes:?}");
-                    assert!(cell.decided_passed());
-                }
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("task panicked"))
+                        .collect()
+                });
+                let want = ObservedCard::AtLeast(hi.floor() as u64 + 1);
+                assert_eq!(trips, vec![want], "hi={hi}");
+                assert_eq!(cell.total(), TASKS * BATCHES * ROWS);
             }
         }
     }

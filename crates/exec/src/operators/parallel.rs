@@ -8,20 +8,16 @@
 //! controller: its `open` executes the whole region — serial shared
 //! hash-join builds first, then the partitioned stage on scoped worker
 //! threads — buffers the region's output batches, and re-emits them.
-//! Everything above the `Gather` (final CHECKs, SORT, the executor loop)
-//! stays byte-for-byte serial.
+//! Everything above the `Gather` (final CHECKs, SORT, TEMP, the executor
+//! loop) stays byte-for-byte serial. **A region is one pipeline:**
+//! materialization points end it, so a lazy `CHECK(TEMP(..))` is decided
+//! serially above the boundary and no worker chain ever materializes.
 //!
-//! **Morsel scheduling.** A stage marked `Partitioning::Morsel(k)`
-//! decomposes its driving scan into `M = ceil(rows / morsel_size)`
-//! contiguous **morsels** on a shared [`MorselQueue`]; `min(k, M)`
-//! workers claim morsels (own home span first, then work-stealing) and
-//! instantiate the stage chain per morsel via the same
-//! [`PartitionEnv`] machinery, with `(part, parts) = (m, M)`. A stage
-//! marked `Partitioning::Range(k)` — one whose CHECK sits directly above
-//! a materialization and therefore needs the fixed-chain-count fold
-//! rendezvous — runs in the legacy mode: exactly `k` fixed chains, one
-//! per worker. Single-marked stages (hand-built plans) also take the
-//! legacy path.
+//! **Morsel scheduling.** The stage decomposes its driving scan into
+//! `M = ceil(rows / morsel_size)` contiguous **morsels** on a shared
+//! [`MorselQueue`]; `min(k, M)` workers claim morsels (own home span
+//! first, then work-stealing) and instantiate the stage chain per morsel
+//! via the [`PartitionEnv`] machinery, with `(part, parts) = (m, M)`.
 //!
 //! **Determinism.** Morsels are *contiguous ranges* of the serial scan
 //! order, chains are order-preserving, and the controller concatenates
@@ -47,32 +43,31 @@
 //! exchange queues; workers quiesce at the next morsel boundary (blocked
 //! producers and consumers wake up), the scope joins, and the controller
 //! discards the region's buffered output — no row of a violating step is
-//! ever emitted, so no deferred compensation is needed for them — then
-//! folds completed per-task TEMP materializations into whole harvests
-//! (exact, summed stats, §2.3) before re-raising the violation to the
-//! driver. The violation's observed cardinality feeds re-planning, which
-//! may widen, narrow, or drop the region's degree of parallelism.
+//! ever emitted, so no deferred compensation is needed for them — before
+//! re-raising the violation to the driver. The violation's observed
+//! cardinality feeds re-planning, which may widen, narrow, or drop the
+//! region's degree of parallelism.
 
 use crate::build::{build_with_env, pos_of, NodeCursor, PartitionEnv, Signatures};
-use crate::context::{CheckOutcome, Harvest};
-use crate::morsel::{BatchPool, MorselQueue, RegionDiag, RegionMode, WorkerDiag};
+use crate::context::CheckOutcome;
+use crate::morsel::{BatchPool, MorselQueue, RegionDiag, WorkerDiag};
 use crate::operators::guard::{FoldCell, Guard};
 use crate::operators::monitor::{MonitorSet, SuboptimalitySignal};
 use crate::operators::Operator;
-use crate::signal::{ExecSignal, ObservedCard};
+use crate::signal::ExecSignal;
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::{Partitioning, PhysNode};
+use pop_plan::PhysNode;
 use pop_storage::Catalog;
-use pop_types::{PopError, Value};
+use pop_types::{PopError, PopResult, Value};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Messages flowing through an exchange: the producing task's tag (morsel
-/// index, or partition index in range mode) plus one batch, so the
-/// consumer can replay its input in producing-stage serial order.
+/// Messages flowing through an exchange: the producing task's morsel
+/// index plus one batch, so the consumer can replay its input in
+/// producing-stage serial order.
 type Msg = (usize, RowBatch);
 
 /// Messages buffered per queue before producers block (the "bounded
@@ -276,8 +271,8 @@ impl Operator for ExchangeSourceOp {
     }
 }
 
-/// Output of one completed task (one morsel chain, or one fixed
-/// partition / consumer chain).
+/// Output of one completed task (one morsel chain, or one exchange
+/// consumer chain).
 struct TaskOut {
     /// Merge key: morsel index, or consumer partition index.
     tag: usize,
@@ -295,9 +290,6 @@ struct WorkerOut {
     raised: Option<(bool, usize, ExecSignal)>,
     work: f64,
     rows_scanned: u64,
-    /// Harvests with their producing stage and tag, for per-stage
-    /// completeness grouping and tag-ordered merging.
-    harvests: Vec<(bool, usize, Harvest)>,
     /// Suboptimality signals recorded on this worker's context (at most
     /// one: a fold monitor raises, the worker returns). Folded into the
     /// main context only when this worker's raise is the one selected.
@@ -305,13 +297,12 @@ struct WorkerOut {
     diag: WorkerDiag,
 }
 
-/// Sets the stop flag (and stops the exchange queues and fold
-/// rendezvous) unless disarmed — armed across the whole worker body so a
-/// panic can never leave peers blocked on a queue or a rendezvous.
+/// Sets the stop flag (and stops the exchange queues) unless disarmed —
+/// armed across the whole worker body so a panic can never leave peers
+/// blocked on a queue.
 struct Quiesce<'a> {
     shared: &'a RegionShared,
     exchange: Option<&'a ExchangeState>,
-    folds: &'a [Arc<FoldCell>],
     armed: bool,
 }
 
@@ -321,9 +312,6 @@ impl Drop for Quiesce<'_> {
             self.shared.set_stop();
             if let Some(x) = self.exchange {
                 x.stop_all();
-            }
-            for f in self.folds {
-                f.cancel();
             }
         }
     }
@@ -413,26 +401,26 @@ pub(crate) fn visit_spine_indexed<'a>(
     }
 }
 
-/// Base-table row count of the stage's driving scan, when it can be
-/// determined — the denominator of the morsel count. `None` (no base
-/// scan drives the stage) falls back to range mode.
-fn stage_leaf_rows(stage: &PhysNode, catalog: &Catalog) -> Option<usize> {
-    let mut node = stage;
+/// Base-table row count of the region's driving scan — the denominator
+/// of the morsel count. A spine that does not bottom out in a base scan
+/// has nothing to decompose into morsels: an invalid (hand-built) plan.
+fn driving_scan_rows(region: &PhysNode, catalog: &Catalog) -> PopResult<usize> {
+    let mut node = region;
     loop {
         match node {
             PhysNode::TableScan { table, .. } | PhysNode::IndexRangeScan { table, .. } => {
-                return catalog.table(table).ok().map(|t| t.row_count());
+                return Ok(catalog.table(table)?.row_count());
             }
             PhysNode::Hsjn { probe, .. } => node = probe,
-            PhysNode::Nljn { outer, .. } => node = outer,
-            other => {
-                let ch = other.children();
-                if ch.len() == 1 {
-                    node = ch[0];
-                } else {
-                    return None;
+            other => match other.children()[..] {
+                [only] => node = only,
+                _ => {
+                    return Err(PopError::InvalidPlan(format!(
+                        "GATHER region is driven by {}, not a base-table scan",
+                        other.name()
+                    )))
                 }
-            }
+            },
         }
     }
 }
@@ -496,28 +484,20 @@ impl GatherOp {
     /// monitors instead — they run once, on the main context, so
     /// per-instance counting is exact there.
     fn prepare(&self, ctx: &mut ExecCtx) -> OpResult<Prepared<'_>> {
-        let parts = self.parts;
         let mut hsjns: Vec<(&PhysNode, usize)> = Vec::new();
         let mut folds: Vec<(usize, Arc<FoldCell>)> = Vec::new();
         let mut exchange: Option<&PhysNode> = None;
         let mut above_builds = 0usize;
-        let mut above_folds = 0usize;
         let mut stage_base = self.region_base;
         visit_spine_indexed(&self.region, self.region_base, &mut |n, idx| match n {
             PhysNode::Exchange { .. } if exchange.is_none() => {
                 exchange = Some(n);
                 above_builds = hsjns.len();
-                above_folds = folds.len();
                 stage_base = idx + 1;
             }
             PhysNode::Hsjn { .. } => hsjns.push((n, idx)),
-            PhysNode::Check { input, spec, .. } if spec.fold => {
-                // Above a materialization the serial check evaluates once
-                // against the exact count, so the fold meets at an
-                // open-time rendezvous instead of tripping mid-stream
-                // with an `AtLeast` bound.
-                let rendezvous = crate::build::is_materializing(input).then_some(parts);
-                let cell = FoldCell::new(Guard::check(spec.clone()), rendezvous);
+            PhysNode::Check { spec, .. } if spec.fold => {
+                let cell = FoldCell::new(Guard::check(spec.clone()));
                 folds.push((idx, Arc::new(cell)));
             }
             _ => {}
@@ -564,7 +544,7 @@ impl GatherOp {
             .map(|(i, m)| {
                 let mut guard = Guard::monitor(m.clone());
                 guard.rearm(ctx);
-                (*i, Arc::new(FoldCell::new(guard, None)))
+                (*i, Arc::new(FoldCell::new(guard)))
             })
             .collect();
         cells.extend(folds.iter().cloned());
@@ -574,7 +554,6 @@ impl GatherOp {
             cells: Arc::new(cells),
             exchange,
             above_builds,
-            above_folds,
             stage_base,
         })
     }
@@ -590,10 +569,9 @@ struct Prepared<'a> {
     /// guarded node's full-plan pre-order index.
     cells: Arc<HashMap<usize, Arc<FoldCell>>>,
     /// The exchange node, if the region repartitions, with the number of
-    /// builds / folds belonging to the consumer stage above it.
+    /// builds belonging to the consumer stage above it.
     exchange: Option<&'a PhysNode>,
     above_builds: usize,
-    above_folds: usize,
     /// Full-plan pre-order index of the partitioned stage's root.
     stage_base: usize,
 }
@@ -648,6 +626,10 @@ impl Operator for GatherOp {
         self.opened = true;
         let parts = self.parts;
         let region_start_work = ctx.work;
+        let m_total = driving_scan_rows(&self.region, &self.catalog)?
+            .div_ceil(ctx.morsel_size.max(1))
+            .max(1);
+        let w = parts.min(m_total);
 
         // Phase 1 (serial): shared hash-join builds, on the main context.
         let Prepared {
@@ -656,7 +638,6 @@ impl Operator for GatherOp {
             cells,
             exchange: exchange_node,
             above_builds,
-            above_folds,
             stage_base,
         } = self.prepare(ctx)?;
         let release_builds = |ctx: &mut ExecCtx| {
@@ -680,25 +661,9 @@ impl Operator for GatherOp {
         };
         let stage_root: &PhysNode = producer_cfg.as_ref().map_or(&self.region, |(r, _)| *r);
 
-        // Execution mode. Morsel-driven needs every stage fold eager
-        // (the fixed-chain rendezvous of a materialization fold cannot
-        // meet a dynamic task count — the parallelize pass marks those
-        // stages `Range`, this is the runtime double-check) and a
-        // determinable driving-scan size.
-        let stage_eager = folds[above_folds..].iter().all(|c| !c.has_rendezvous());
-        let morsel_total = match stage_root.props().partitioning {
-            Partitioning::Morsel(_) if stage_eager => stage_leaf_rows(stage_root, &self.catalog)
-                .map(|n| n.div_ceil(ctx.morsel_size.max(1)).max(1)),
-            _ => None,
-        };
-        let (mode, m_total, w) = match morsel_total {
-            Some(m) => (RegionMode::Morsel, m, parts.min(m)),
-            None => (RegionMode::Range, parts, parts),
-        };
-
-        // Phase 2 (parallel): the partitioned stage as a morsel pool (or
-        // fixed chains), plus fixed consumer chains above any exchange,
-        // under one scoped worker set.
+        // Phase 2 (parallel): the partitioned stage as a morsel pool, plus
+        // fixed consumer chains above any exchange, under one scoped
+        // worker set.
         let shared = RegionShared::default();
         let seed = WorkerSeed::from_ctx(ctx);
         // Base work published so worker ticks compare the true global
@@ -713,7 +678,6 @@ impl Operator for GatherOp {
             let seed = &seed;
             let queue = &queue;
             let builds = &builds;
-            let folds = &folds;
             let cells = &cells;
             let region_base = self.region_base;
             let region = &self.region;
@@ -732,7 +696,6 @@ impl Operator for GatherOp {
                     let mut quiesce = Quiesce {
                         shared,
                         exchange: xref,
-                        folds,
                         armed: true,
                     };
                     let mut out = WorkerOut::default();
@@ -828,8 +791,6 @@ impl Operator for GatherOp {
                             (t0.elapsed().as_nanos() as u64).saturating_sub(wctx.queue_wait_ns);
                         out.work += wctx.work;
                         out.rows_scanned += wctx.rows_scanned;
-                        out.harvests
-                            .extend(wctx.harvests.drain(..).map(|h| (true, m, h)));
                         out.monitor_signals.append(&mut wctx.monitor_signals);
                         if let Some(sig) = raised {
                             out.raised = Some((true, m, sig));
@@ -853,7 +814,6 @@ impl Operator for GatherOp {
                         let mut quiesce = Quiesce {
                             shared,
                             exchange: Some(xarc.as_ref()),
-                            folds,
                             armed: true,
                         };
                         let mut out = WorkerOut::default();
@@ -886,7 +846,6 @@ impl Operator for GatherOp {
                             (t0.elapsed().as_nanos() as u64).saturating_sub(wctx.queue_wait_ns);
                         out.work = wctx.work;
                         out.rows_scanned = wctx.rows_scanned;
-                        out.harvests = wctx.harvests.drain(..).map(|h| (false, part, h)).collect();
                         out.monitor_signals.append(&mut wctx.monitor_signals);
                         if let Some(sig) = raised {
                             out.raised = Some((false, part, sig));
@@ -928,48 +887,9 @@ impl Operator for GatherOp {
         seed.guard.withdraw_work(region_start_work + folded_work);
         ctx.region_diags.push(RegionDiag {
             dop: parts,
-            mode,
             morsels: m_total,
             workers: outcomes.iter().map(|o| o.diag.clone()).collect(),
         });
-
-        // Fold completed per-task TEMP materializations into whole
-        // harvests (§2.3): a signature harvested by *every* task of its
-        // stage concatenates, in tag order, into one exact snapshot.
-        // Partial groups (some task quiesced early) are dropped — their
-        // stats would not be exact. Stage-A tasks number `m_total`;
-        // consumer chains number `parts`.
-        type HarvestGroup<'a> = (bool, String, Vec<(usize, &'a Harvest)>);
-        let mut groups: Vec<HarvestGroup<'_>> = Vec::new();
-        for o in &outcomes {
-            for (stage_a, tag, h) in &o.harvests {
-                match groups
-                    .iter_mut()
-                    .find(|(sa, sig, _)| sa == stage_a && *sig == h.signature)
-                {
-                    Some((_, _, v)) => v.push((*tag, h)),
-                    None => groups.push((*stage_a, h.signature.clone(), vec![(*tag, h)])),
-                }
-            }
-        }
-        for (stage_a, signature, mut pieces) in groups {
-            let expected = if stage_a { m_total } else { parts };
-            if pieces.len() != expected {
-                continue;
-            }
-            pieces.sort_by_key(|(tag, _)| *tag);
-            let mut merged = Harvest {
-                signature,
-                layout: pieces[0].1.layout.clone(),
-                rows: Vec::new(),
-                lineage: Vec::new(),
-            };
-            for (_, h) in pieces {
-                merged.rows.extend(h.rows.iter().cloned());
-                merged.lineage.extend(h.lineage.iter().cloned());
-            }
-            ctx.harvests.push(merged);
-        }
 
         // Raised-signal priority: a genuine re-optimization beats errors;
         // a real error beats the Cancelled artifacts of quiescing. Ties
@@ -1010,38 +930,12 @@ impl Operator for GatherOp {
                     }
                     return Err(sig);
                 }
-                // Folds *below* the raiser that had already resolved
-                // globally recorded a Passed event in the serial plan
-                // before the violation fired — replay those first, in the
-                // same leaf-to-root order. A materialization fold below
-                // the raiser has always rendezvoused (every partition
-                // passed it to get there); a pipelined fold is only
-                // globally complete below the shallowest such rendezvous,
-                // exactly where its serial counterpart had reached end of
-                // stream inside a finished materialization. Then record
-                // the single, global event of the violated fold itself.
-                if let Some(p) = folds.iter().position(|c| c.guard.id() == v.check_id) {
-                    let shallowest_done = (p + 1..folds.len()).find(|&i| folds[i].decided_passed());
-                    for (i, cell) in folds.iter().enumerate().skip(p + 1).rev() {
-                        let complete = if cell.has_rendezvous() {
-                            cell.decided_passed()
-                        } else {
-                            matches!(shallowest_done, Some(r) if i > r)
-                        };
-                        if complete {
-                            let observed = ObservedCard::Exact(cell.total());
-                            cell.guard.record(
-                                ctx,
-                                CheckOutcome::Passed,
-                                observed,
-                                region_start_work,
-                            );
-                        }
-                    }
-                    let outcome = CheckOutcome::Violated;
-                    folds[p]
-                        .guard
-                        .record(ctx, outcome, v.observed, region_start_work);
+                // Record the single, global event of the violated fold.
+                // Folds below it are pipelined and still mid-stream, as in
+                // the serial plan, so they record nothing.
+                if let Some(cell) = folds.iter().find(|c| c.guard.id() == v.check_id) {
+                    cell.guard
+                        .record(ctx, CheckOutcome::Violated, v.observed, region_start_work);
                 }
             }
             // No row of this step is emitted: the buffered task output
@@ -1053,9 +947,7 @@ impl Operator for GatherOp {
         // All tasks done: evaluate each fold's exact global count once,
         // leaf-to-root — the order in which serial end-of-stream
         // evaluation unwinds (an inner check sees its end of stream
-        // before the checks above it do). Folds decided at an open-time
-        // rendezvous are already tripped (violation) or simply re-record
-        // the same exact count (pass).
+        // before the checks above it do).
         for cell in folds.iter().rev() {
             if let Err(sig) = cell
                 .guard
@@ -1107,3 +999,30 @@ impl Operator for GatherOp {
 }
 
 crate::operators::opaque_debug!(GatherOp, ExchangeSourceOp);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pop_plan::{CostModel, PlanProps, TableSet};
+
+    /// A hand-built region with no base scan to decompose into morsels is
+    /// a typed error at `open`, never a silent fallback.
+    #[test]
+    fn region_without_a_driving_scan_is_an_invalid_plan() {
+        let region = PhysNode::MvScan {
+            mv_name: "mv".into(),
+            signature: "sig".into(),
+            props: PlanProps::leaf(TableSet::single(0), 10.0, 10.0, vec![]),
+        };
+        let cat = Catalog::new();
+        let mut ctx = ExecCtx::new(cat.clone(), pop_expr::Params::none(), CostModel::default());
+        let mut gather = GatherOp::new(region, 4, cat, Signatures::new(), MonitorSet::default(), 1);
+        match gather.open(&mut ctx) {
+            Err(ExecSignal::Error(PopError::InvalidPlan(msg))) => {
+                assert!(msg.contains("MVSCAN"), "{msg}");
+            }
+            other => panic!("expected InvalidPlan, got {:?}", other.err()),
+        }
+        assert!(ctx.region_diags.is_empty());
+    }
+}

@@ -1,20 +1,26 @@
 //! The parallelize post-pass: wrap eligible subplans in a `Gather`
-//! (partition-parallel region), inserting an `Exchange` repartition stage
+//! (morsel-parallel region), inserting an `Exchange` repartition stage
 //! where hash aggregation needs co-located groups.
+//!
+//! **A region is one pipeline; materialization points end it.** TEMP,
+//! SORT and MVSCAN are pipeline breakers, so a `CHECK(TEMP(..))` lazy
+//! check (Figure 10) stays serial above the boundary — decided once, on
+//! the exact materialized count — and the pass looks for a region *below*
+//! the TEMP.
 //!
 //! Runs after checkpoint placement, so every CHECK that lands on a
 //! region's partitioned spine gets **fold registration**
-//! (`CheckSpec::fold`): at runtime the k partition instances of the check
+//! (`CheckSpec::fold`): at runtime the per-morsel instances of the check
 //! count into one shared counter and the violation decision compares the
 //! *global* cardinality against the validity range — per-partition counts
 //! against a global range would be meaningless (planlint PL306 rejects
 //! exactly that). Checks on hash-join build sides stay serial and
 //! unfolded: build sides run once, in the region controller.
 //!
-//! Two region shapes are produced:
+//! Two region shapes are produced, both `Partitioning::Morsel(k)`:
 //!
 //! * **Shape A — pipeline region**: a spine of scans, join probes,
-//!   filters, projections, temps and checks. The driving base scan is
+//!   filters, projections and checks. The driving base scan is
 //!   decomposed into contiguous morsels claimed dynamically by k workers;
 //!   the Gather merges outputs in morsel order, which reproduces the
 //!   serial row order exactly (so any input sort order survives for
@@ -25,17 +31,11 @@
 //!   groups; per-consumer HashAggs then aggregate independently and
 //!   concatenate without a merge phase.
 //!
-//! Spines whose CHECKs sit above a materialization point need the
-//! all-partitions fold rendezvous, which assumes a fixed set of
-//! concurrently running chains — those regions are marked
-//! `Partitioning::Range(k)` and execute in the legacy fixed-partition
-//! mode; everything else is marked `Partitioning::Morsel(k)`.
-//!
-//! Nodes with inherently global semantics — SORT (total order), MGJN
-//! (order-dependent), LIMIT (global count), MVSCAN (compensation
-//! lineage), BUFCHECK, RIDSINK/ANTIJOINRIDS/INSERT (cross-step
-//! compensation and side effects) — never enter a region; the pass keeps
-//! them above the Gather or declines to parallelize.
+//! Nodes with inherently global semantics — SORT (total order), TEMP
+//! (materialization), MGJN (order-dependent), LIMIT (global count),
+//! MVSCAN (compensation lineage), BUFCHECK, RIDSINK/ANTIJOINRIDS/INSERT
+//! (cross-step compensation and side effects) — never enter a region; the
+//! pass keeps them above the Gather or declines to parallelize.
 //!
 //! **The degree of parallelism is a cost decision, re-made on every
 //! re-optimization.** For each candidate region the pass models the
@@ -187,8 +187,7 @@ impl Pass<'_> {
 
     /// Shape A: mark the spine partitioned, wrap in a Gather.
     fn wrap_pipeline(&self, mut region: PhysNode, k: usize) -> PhysNode {
-        let part = stage_partitioning(&region, k);
-        mark_region(&mut region, &part);
+        mark_region(&mut region, k);
         let mut props = region.props().clone();
         props.cost += props.card * self.cost.exchange_row;
         props.partitioning = Partitioning::Single;
@@ -209,8 +208,7 @@ impl Pass<'_> {
         agg_props: PlanProps,
         k: usize,
     ) -> PhysNode {
-        let part = stage_partitioning(&input, k);
-        mark_region(&mut input, &part);
+        mark_region(&mut input, k);
         let mut xprops = input.props().clone();
         xprops.cost += xprops.card * self.cost.exchange_row;
         xprops.partitioning = Partitioning::Hash(group_by.clone(), k);
@@ -256,41 +254,8 @@ fn driving_rows(node: &PhysNode) -> f64 {
         PhysNode::SemiProbe { input, .. }
         | PhysNode::Project { input, .. }
         | PhysNode::Having { input, .. }
-        | PhysNode::Check { input, .. }
-        | PhysNode::Temp { input, .. } => driving_rows(input),
+        | PhysNode::Check { input, .. } => driving_rows(input),
         _ => node.props().card,
-    }
-}
-
-/// Morsel mode unless some spine CHECK needs the fixed-chain fold
-/// rendezvous (a check above a materialization point evaluates once
-/// against the exact count, at a rendezvous of *all* chains of the stage
-/// — which presumes a fixed chain count, not a dynamic morsel pool).
-fn stage_partitioning(spine: &PhysNode, k: usize) -> Partitioning {
-    let mut needs_fixed = false;
-    let mut cur = spine;
-    loop {
-        cur = match cur {
-            PhysNode::Check { input, .. } => {
-                needs_fixed |= matches!(
-                    input.as_ref(),
-                    PhysNode::Sort { .. } | PhysNode::Temp { .. } | PhysNode::MvScan { .. }
-                );
-                input
-            }
-            PhysNode::Hsjn { probe, .. } => probe,
-            PhysNode::Nljn { outer, .. } => outer,
-            PhysNode::SemiProbe { input, .. }
-            | PhysNode::Project { input, .. }
-            | PhysNode::Having { input, .. }
-            | PhysNode::Temp { input, .. } => input,
-            _ => break,
-        };
-    }
-    if needs_fixed {
-        Partitioning::Range(k)
-    } else {
-        Partitioning::Morsel(k)
     }
 }
 
@@ -304,10 +269,11 @@ fn dummy() -> PhysNode {
     }
 }
 
-/// May this whole subtree run as one partition's chain? The partitioned
-/// spine (probe/outer sides, single-child chains) must consist of
-/// partition-safe operators; hash-join **build** sides are exempt — they
-/// run serially, once, in the region controller.
+/// May this whole subtree run as one morsel's chain? The partitioned
+/// spine (probe/outer sides, single-child chains) must be one pipeline of
+/// partition-safe operators — a materialization point (TEMP, SORT,
+/// MVSCAN) ends it; hash-join **build** sides are exempt — they run
+/// serially, once, in the region controller.
 fn region_safe(node: &PhysNode) -> bool {
     match node {
         PhysNode::TableScan { .. } | PhysNode::IndexRangeScan { .. } => true,
@@ -316,8 +282,7 @@ fn region_safe(node: &PhysNode) -> bool {
         PhysNode::SemiProbe { input, .. }
         | PhysNode::Project { input, .. }
         | PhysNode::Having { input, .. }
-        | PhysNode::Check { input, .. }
-        | PhysNode::Temp { input, .. } => region_safe(input),
+        | PhysNode::Check { input, .. } => region_safe(input),
         _ => false,
     }
 }
@@ -325,19 +290,18 @@ fn region_safe(node: &PhysNode) -> bool {
 /// Mark every spine node of a region: set its partitioning property and
 /// give its CHECKs fold registration. Build sides are left untouched
 /// (serial, `Single`).
-fn mark_region(node: &mut PhysNode, part: &Partitioning) {
-    node.props_mut().partitioning = part.clone();
+fn mark_region(node: &mut PhysNode, k: usize) {
+    node.props_mut().partitioning = Partitioning::Morsel(k);
     match node {
         PhysNode::Check { spec, input, .. } => {
             spec.fold = true;
-            mark_region(input, part);
+            mark_region(input, k);
         }
-        PhysNode::Hsjn { probe, .. } => mark_region(probe, part),
-        PhysNode::Nljn { outer, .. } => mark_region(outer, part),
+        PhysNode::Hsjn { probe, .. } => mark_region(probe, k),
+        PhysNode::Nljn { outer, .. } => mark_region(outer, k),
         PhysNode::SemiProbe { input, .. }
         | PhysNode::Project { input, .. }
-        | PhysNode::Having { input, .. }
-        | PhysNode::Temp { input, .. } => mark_region(input, part),
+        | PhysNode::Having { input, .. } => mark_region(input, k),
         _ => {}
     }
 }
@@ -498,8 +462,80 @@ mod tests {
             panic!("expected check under gather");
         };
         assert!(spec.fold, "spine check not fold-registered");
-        // A check over a plain scan needs no fixed-chain rendezvous, so
-        // the stage runs morsel-driven.
+        assert_eq!(input.props().partitioning, Partitioning::Morsel(4));
+    }
+
+    #[test]
+    fn materialization_point_ends_the_region() {
+        // LCEM chain NLJN(CHECK(TEMP(scan))): the lazy check and its TEMP
+        // stay serial; the region forms below the materialization point.
+        let scan = PhysNode::TableScan {
+            qidx: 0,
+            table: "t".into(),
+            pred: None,
+            props: PlanProps::leaf(
+                TableSet::single(0),
+                100_000.0,
+                100_000.0,
+                vec![LayoutCol::Base(ColId::new(0, 0))],
+            ),
+        };
+        let props = scan.props().clone();
+        let temp = PhysNode::Temp {
+            input: Box::new(scan),
+            props: props.clone(),
+        };
+        let check = PhysNode::Check {
+            input: Box::new(temp),
+            spec: CheckSpec {
+                id: 3,
+                flavor: CheckFlavor::Lcem,
+                range: ValidityRange::new(0.0, 50_000.0),
+                est_card: 100_000.0,
+                signature: "sig".into(),
+                context: CheckContext::AboveTemp,
+                fold: false,
+            },
+            props: props.clone(),
+        };
+        let plan = PhysNode::Nljn {
+            outer: Box::new(check),
+            outer_key: ColId::new(0, 0),
+            inner: pop_plan::InnerProbe {
+                qidx: 1,
+                table: "u".into(),
+                join_col: 0,
+                pred: None,
+                residual_joins: vec![],
+                inner_card: 10.0,
+            },
+            props,
+        };
+        let cost = CostModel::default();
+        let pass = Pass {
+            threads: 4,
+            min_rows: 0.0,
+            morsel_rows: 16384.0,
+            cost: &cost,
+        };
+        let out = pass.descend(plan);
+        assert_eq!(out.props().partitioning, Partitioning::Single);
+        let PhysNode::Nljn { outer, .. } = out else {
+            panic!("expected the serial NLJN root");
+        };
+        let PhysNode::Check { spec, input, props } = *outer else {
+            panic!("expected the lazy check under the NLJN");
+        };
+        assert!(!spec.fold, "check above a TEMP must not fold");
+        assert_eq!(props.partitioning, Partitioning::Single);
+        let PhysNode::Temp { input, props } = *input else {
+            panic!("expected the TEMP under its check");
+        };
+        assert_eq!(props.partitioning, Partitioning::Single);
+        let PhysNode::Gather { input, parts, .. } = *input else {
+            panic!("expected the gather below the TEMP");
+        };
+        assert_eq!(parts, 4);
         assert_eq!(input.props().partitioning, Partitioning::Morsel(4));
     }
 

@@ -53,18 +53,12 @@ pub enum Partitioning {
     /// One serial stream (the default everywhere outside parallel regions).
     #[default]
     Single,
-    /// `k` partitions driven by contiguous row ranges of the region's
-    /// driving base scan. Range (rather than round-robin) assignment keeps
-    /// the concatenation of partition outputs identical to the serial row
-    /// order, which is what makes parallel execution thread-count
-    /// invariant (see DESIGN.md §12).
-    Range(usize),
     /// Morsel-driven execution at degree `k`: the driving scan is split
     /// into many batch-sized contiguous morsels on a shared work queue and
     /// `k` work-stealing workers claim them dynamically. Output is merged
-    /// in morsel order, so like `Range` it reproduces the serial row order
-    /// exactly — but load balances, and `k` is a *plan property* the
-    /// re-planner revises from CHECK feedback (see DESIGN.md §13).
+    /// in morsel order, so it reproduces the serial row order exactly at
+    /// any thread count, and `k` is a *plan property* the re-planner
+    /// revises from CHECK feedback (see DESIGN.md §12).
     Morsel(usize),
     /// `k` partitions formed by hashing the given key columns — the
     /// distribution produced by a [`PhysNode::Exchange`].
@@ -76,7 +70,7 @@ impl Partitioning {
     pub fn parts(&self) -> usize {
         match self {
             Partitioning::Single => 1,
-            Partitioning::Range(k) | Partitioning::Morsel(k) | Partitioning::Hash(_, k) => *k,
+            Partitioning::Morsel(k) | Partitioning::Hash(_, k) => *k,
         }
     }
 
@@ -90,7 +84,6 @@ impl std::fmt::Display for Partitioning {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Partitioning::Single => write!(f, "single"),
-            Partitioning::Range(k) => write!(f, "range({k})"),
             Partitioning::Morsel(k) => write!(f, "morsel({k})"),
             Partitioning::Hash(keys, k) => write!(f, "hash({} keys,{k})", keys.len()),
         }
@@ -390,14 +383,14 @@ pub enum PhysNode {
         /// Node properties.
         props: PlanProps,
     },
-    /// Repartition: redistributes the `parts` range partitions of its
-    /// input into `parts` hash partitions on `keys` (all-to-all over
+    /// Repartition: redistributes the morsels of its input stage into
+    /// `parts` hash partitions on `keys` (all-to-all over
     /// bounded channels at runtime). Used to parallelize grouped
     /// aggregation: hashing on the group keys makes every partition's
     /// groups complete, so per-partition results concatenate without a
     /// merge phase.
     Exchange {
-        /// Input (range-partitioned).
+        /// Input (morsel-partitioned).
         input: Box<PhysNode>,
         /// Hash partitioning keys.
         keys: Vec<ColId>,
@@ -406,10 +399,10 @@ pub enum PhysNode {
         /// Node properties.
         props: PlanProps,
     },
-    /// Merge-to-one: the serial/parallel boundary. The subtree below runs
-    /// as `parts` per-partition operator chains on the worker runtime; the
-    /// gather concatenates their outputs in partition order — which, with
-    /// range partitioning, reproduces the serial row order exactly (so an
+    /// Merge-to-one: the serial/parallel boundary. The subtree below is
+    /// one pipeline run as per-morsel operator chains by `parts` workers;
+    /// the gather concatenates their outputs in morsel order — which, with
+    /// contiguous morsels, reproduces the serial row order exactly (so an
     /// input sort order is preserved for free).
     Gather {
         /// Input (partitioned).

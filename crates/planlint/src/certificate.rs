@@ -241,7 +241,7 @@ mod tests {
             CheckContext::AboveTemp,
         );
         let mut partitioned = serial.clone();
-        partitioned.props_mut().partitioning = Partitioning::Range(4);
+        partitioned.props_mut().partitioning = Partitioning::Morsel(4);
         let parallel = gather(partitioned, 4);
         let ctx = LintContext::bare();
         let a = certify(&serial, &ctx);

@@ -618,7 +618,7 @@ mod tests {
         let build = leaf(0, "customer", 2, build_est);
         let mut probe = leaf(1, "orders", 2, probe_est);
         if partitioned {
-            probe.props_mut().partitioning = Partitioning::Range(4);
+            probe.props_mut().partitioning = Partitioning::Morsel(4);
         }
         let mut join = hsjn(build, probe, 20_000.0);
         join.props_mut().edge_ranges = if risky_build {
@@ -627,7 +627,7 @@ mod tests {
             vec![ValidityRange::unbounded(), ValidityRange::new(0.0, 10.0)]
         };
         if partitioned {
-            join.props_mut().partitioning = Partitioning::Range(4);
+            join.props_mut().partitioning = Partitioning::Morsel(4);
         }
         join
     }
@@ -699,11 +699,11 @@ mod tests {
             ValidityRange::unbounded(),
         );
         let mut probe = leaf(1, "orders", 2, 20_000.0);
-        probe.props_mut().partitioning = Partitioning::Range(4);
+        probe.props_mut().partitioning = Partitioning::Morsel(4);
         let mut join = hsjn(build, probe, 20_000.0);
         join.props_mut().edge_ranges =
             vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()];
-        join.props_mut().partitioning = Partitioning::Range(4);
+        join.props_mut().partitioning = Partitioning::Morsel(4);
         let plan = gather(join, 4);
         let ctx = LintContext::bare()
             .with_stats(&stats)

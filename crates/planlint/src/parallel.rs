@@ -216,7 +216,7 @@ mod tests {
 
     fn partitioned_leaf(card: f64, k: usize) -> PhysNode {
         let mut n = leaf(0, "t", 2, card);
-        n.props_mut().partitioning = Partitioning::Range(k);
+        n.props_mut().partitioning = Partitioning::Morsel(k);
         n
     }
 
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn pl304_gather_output_partitioned() {
         let mut plan = gather(partitioned_leaf(100.0, 4), 4);
-        plan.props_mut().partitioning = Partitioning::Range(4);
+        plan.props_mut().partitioning = Partitioning::Morsel(4);
         // The root is now partitioned too, so both the boundary rule and
         // the leak rule fire — PL304 either way.
         assert!(codes(&lint_plan(&plan, &LintContext::bare())).contains(&"PL304"));
@@ -299,16 +299,16 @@ mod tests {
     }
 
     /// A placement-legal partitioned check: LC above a TEMP, everything
-    /// marked `Range(4)`.
+    /// marked `Morsel(4)`.
     fn region_check(fold: bool) -> PhysNode {
         let mut t = temp(partitioned_leaf(100.0, 4));
-        t.props_mut().partitioning = Partitioning::Range(4);
+        t.props_mut().partitioning = Partitioning::Morsel(4);
         let mut checked = check(
             t,
             pop_plan::CheckFlavor::Lc,
             pop_plan::CheckContext::AboveTemp,
         );
-        checked.props_mut().partitioning = Partitioning::Range(4);
+        checked.props_mut().partitioning = Partitioning::Morsel(4);
         if let PhysNode::Check { spec, .. } = &mut checked {
             spec.fold = fold;
         }
@@ -341,24 +341,5 @@ mod tests {
         let plan = gather(region_check(true), 4);
         let diags = lint_plan(&plan, &LintContext::bare());
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn morsel_region_is_clean() {
-        // A morsel-marked region is as well-formed as a range-marked one:
-        // the rules key on `parts()`/`is_partitioned()`, not the variant.
-        let mut n = leaf(0, "t", 2, 100.0);
-        n.props_mut().partitioning = Partitioning::Morsel(4);
-        let plan = gather(n, 4);
-        let diags = lint_plan(&plan, &LintContext::bare());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn pl304_morsel_partition_count_mismatch() {
-        let mut n = leaf(0, "t", 2, 100.0);
-        n.props_mut().partitioning = Partitioning::Morsel(2);
-        let plan = gather(n, 4);
-        assert!(codes(&lint_plan(&plan, &LintContext::bare())).contains(&"PL304"));
     }
 }

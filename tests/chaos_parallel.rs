@@ -1,18 +1,16 @@
-//! Chaos suite for partition-parallel execution: the fault-site sweep of
+//! Chaos suite for morsel-parallel execution: the fault-site sweep of
 //! `tests/chaos.rs` re-run with a 4-way worker pool, so every injected
-//! failure also exercises region quiesce — bounded exchange queues, fold
-//! rendezvous and the scoped worker join.
+//! failure also exercises region quiesce — the stop flag, bounded
+//! exchange queues and the scoped worker join.
 //!
 //! Invariants, on every exit path:
 //!
 //! * errors surface as typed [`PopError`] values — never panics;
-//! * no temporary MV leaks out of the catalog (partial per-partition
-//!   harvests must be dropped, never promoted);
+//! * no temporary MV leaks out of the catalog;
 //! * when the run completes despite the fault, the rows are exactly the
 //!   serial no-fault baseline — neither dropped nor duplicated;
 //! * the suite *terminating* is itself the deadlock check: a worker
-//!   blocked on a full/empty bounded queue or an abandoned fold
-//!   rendezvous would hang the sweep;
+//!   blocked on a full/empty bounded queue would hang the sweep;
 //! * a fixed fault seed reproduces the identical outcome.
 
 use pop::{Budget, CancelToken, FaultKind, FaultPlan, PopConfig, PopExecutor};
@@ -199,8 +197,7 @@ fn correlated_query() -> QuerySpec {
 }
 
 /// Cancellation must quiesce a running region: workers blocked on
-/// exchange queues or a fold rendezvous wake up, the scope joins, and
-/// nothing leaks.
+/// exchange queues wake up, the scope joins, and nothing leaks.
 #[test]
 fn parallel_cancellation_quiesces_cleanly() {
     let exec = PopExecutor::new(correlated_db(), parallel_config()).unwrap();
@@ -254,7 +251,7 @@ fn parallel_chaos_fault_mid_morsel_under_stealing() {
                 .steps
                 .iter()
                 .flat_map(|s| s.parallel.iter())
-                .filter(|d| d.mode == pop::RegionMode::Morsel && d.morsels > d.dop)
+                .filter(|d| d.morsels > d.dop)
                 .count()
         })
         .sum();

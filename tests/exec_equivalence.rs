@@ -307,6 +307,16 @@ fn assert_thread_invariant(
         let reference = run_workload_threads(make_catalog(), queries, bs, 1);
         for threads in THREAD_COUNTS {
             let got = run_workload_threads(make_catalog(), queries, bs, threads);
+            // Guard against degrading to serial-vs-serial.
+            let regions: usize = got
+                .iter()
+                .flat_map(|(_, rep)| rep.steps.iter())
+                .map(|s| s.parallel.len())
+                .sum();
+            assert!(
+                regions > 0,
+                "{label} @ threads {threads}: no region executed"
+            );
             for (((rows_ref, rep_ref), (rows, rep)), (name, _)) in
                 reference.iter().zip(got.iter()).zip(queries.iter())
             {
@@ -419,11 +429,9 @@ fn parallel_regions_actually_form() {
 }
 
 /// Every executed parallel region surfaces its scheduling diagnostics on
-/// the step report: degree of parallelism, mode, morsel count and
-/// per-worker morsel/steal/wait/compute figures. At least one TPC-H
-/// region must actually run morsel-driven (many morsels, work-stealing
-/// pool); regions whose CHECK needs the fixed-chain rendezvous stay
-/// `Range`.
+/// the step report: degree of parallelism, morsel count and per-worker
+/// morsel/steal/wait/compute figures. At least one TPC-H region must
+/// actually run a many-morsel, work-stealing schedule.
 #[test]
 fn parallel_regions_report_morsel_diagnostics() {
     let mut cfg = config_with_threads(1024, 4);
@@ -449,7 +457,7 @@ fn parallel_regions_report_morsel_diagnostics() {
                 d.morsels,
                 d.summary()
             );
-            if d.mode == pop::RegionMode::Morsel && d.morsels > d.dop {
+            if d.morsels > d.dop {
                 morsel_regions += 1;
             }
         }

@@ -1,15 +1,11 @@
 //! Regression guards for the paper-shape claims recorded in
 //! EXPERIMENTS.md. These run the real experiment harness at experiment
-//! scale, so they are slower than unit tests; run with
-//!
-//! ```text
-//! cargo test --release --test paper_shapes -- --ignored
-//! ```
+//! scale (a few seconds in a debug build), as part of tier-1
+//! `cargo test -q`.
 
 use pop_bench::experiments::{fig11, fig13, fig15, validity};
 
 #[test]
-#[ignore = "experiment-scale; run with --release -- --ignored"]
 fn fig11_shape_holds() {
     let r = fig11::run().unwrap();
     // POP stays within a small constant of the correct-estimate optimum
@@ -36,7 +32,6 @@ fn fig11_shape_holds() {
 }
 
 #[test]
-#[ignore = "experiment-scale; run with --release -- --ignored"]
 fn fig13_lcem_overhead_is_small() {
     let r = fig13::run().unwrap();
     assert!(
@@ -47,7 +42,6 @@ fn fig13_lcem_overhead_is_small() {
 }
 
 #[test]
-#[ignore = "experiment-scale; run with --release -- --ignored"]
 fn fig15_dmv_asymmetry_holds() {
     let r = fig15::run().unwrap();
     // A healthy share of queries improves...
@@ -72,7 +66,6 @@ fn fig15_dmv_asymmetry_holds() {
 }
 
 #[test]
-#[ignore = "experiment-scale; run with --release -- --ignored"]
 fn validity_ranges_show_the_paper_asymmetry() {
     let r = validity::run().unwrap();
     // Most checkpoints get finite upper bounds...
