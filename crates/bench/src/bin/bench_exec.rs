@@ -4,9 +4,11 @@
 //! bench_exec [--quick]
 //! ```
 //!
-//! Runs four representative queries — a scan-heavy half-selectivity
+//! Runs five representative queries — a scan-heavy half-selectivity
 //! selection over LINEITEM, a low-selectivity predicate scan (TPC-H Q6),
-//! an aggregation pipeline (TPC-H Q1) and a join (TPC-H Q3) — once with
+//! an aggregation pipeline (TPC-H Q1), a join (TPC-H Q3) and two hash
+//! joins probed by all of LINEITEM feeding a one-group-per-order
+//! aggregate (TPC-H Q18, the hash probe / group lookup hot path) — once with
 //! `batch_size = 1` (which reproduces the classic Volcano row engine) and
 //! once with the default batch size, and reports rows/second over the
 //! query's dominant input table. POP checks are disabled so the numbers
@@ -18,7 +20,7 @@ use pop::{PopConfig, PopExecutor, QuerySpec};
 use pop_exec::DEFAULT_BATCH_SIZE;
 use pop_expr::{Expr, Params};
 use pop_plan::QueryBuilder;
-use pop_tpch::{cols::lineitem, q1, q3, q6, tpch_catalog};
+use pop_tpch::{cols::lineitem, q1, q18, q3, q6, tpch_catalog};
 use serde::Serialize;
 use std::fs;
 use std::time::Instant;
@@ -111,6 +113,7 @@ fn main() {
         ("tpch_q6", "scan", q6(), lineitem_rows),
         ("tpch_q1", "agg", q1(), lineitem_rows),
         ("tpch_q3", "join", q3(), lineitem_rows),
+        ("tpch_q18", "join+agg", q18(), lineitem_rows),
     ];
     let mut report = BenchReport {
         scale_factor: sf,
@@ -124,7 +127,7 @@ fn main() {
         let batch_rps = input_rows as f64 / (batch_ms / 1e3);
         let speedup = batch_rps / row_rps;
         println!(
-            "  {name:8} [{kind:4}] row-mode {row_ms:8.2} ms ({row_rps:>12.0} rows/s)  \
+            "  {name:12} [{kind:8}] row-mode {row_ms:8.2} ms ({row_rps:>12.0} rows/s)  \
              batch-mode {batch_ms:8.2} ms ({batch_rps:>12.0} rows/s)  speedup {speedup:.2}x"
         );
         report.queries.push(QueryResultLine {

@@ -4,7 +4,8 @@
 use crate::{LintMode, PopConfig, QueryResult, RunReport, SampleVet, StepReport};
 use parking_lot::Mutex;
 use pop_exec::{
-    execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, SampleSpec, MONITOR_TRIP_FLOOR,
+    execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, SampleSpec, Signatures, Subplan,
+    MONITOR_TRIP_FLOOR,
 };
 use pop_guard::{CancelToken, CleanupRegistry, FaultInjector, Governor};
 use pop_optimizer::{
@@ -358,7 +359,7 @@ impl PopExecutor {
                     },
                 }
             };
-            let signatures = collect_signatures(spec, &plan, params);
+            let signatures = self.collect_signatures(spec, &plan, params);
             // Install the continuous suboptimality monitors for this
             // step's plan (the always-on safety net on edges no CHECK
             // guards).
@@ -458,7 +459,7 @@ impl PopExecutor {
                             feedback
                                 .record(h.signature.clone(), CardFact::Exact(h.rows.len() as f64));
                         }
-                        self.promote_harvest(spec, h, &mut mv_counter)?;
+                        self.promote_harvest(spec, h, &mut mv_counter, &mut report.warnings)?;
                     }
                     // Injected corrupted statistics: poison the violated
                     // signature's fed-back cardinality with an absurd
@@ -615,7 +616,7 @@ impl PopExecutor {
         ctx.batch_size = self.config.batch_size.max(1);
         ctx.morsel_size = self.config.morsel_size.max(1);
         ctx.guard = Governor::new(self.config.budget, None);
-        let signatures = collect_signatures(spec, plan, params);
+        let signatures = self.collect_signatures(spec, plan, params);
         let _cleanup = MvCleanup {
             catalog: &self.catalog,
         };
@@ -667,7 +668,7 @@ impl PopExecutor {
         &self,
         spec: &QuerySpec,
         plan: &PhysNode,
-        signatures: &HashMap<u64, String>,
+        signatures: &Signatures,
     ) -> Option<std::sync::Arc<MonitorSet>> {
         if !(self.config.monitor && self.config.enabled) {
             return None;
@@ -715,7 +716,7 @@ impl PopExecutor {
         spec: &QuerySpec,
         plan: &PhysNode,
         certificate: Option<&pop_planlint::RobustnessCertificate>,
-        signatures: &HashMap<u64, String>,
+        signatures: &Signatures,
         ctx: &mut ExecCtx,
         feedback: &FeedbackCache,
     ) -> PopResult<Option<SampleVet>> {
@@ -750,7 +751,8 @@ impl PopExecutor {
                 .count() as u32;
             k
         };
-        let sig_mask: HashMap<&String, u64> = signatures.iter().map(|(m, s)| (s, *m)).collect();
+        let sig_mask: HashMap<&String, u64> =
+            signatures.iter().map(|(m, s)| (&s.signature, *m)).collect();
         // The sample's own monitors: same envelope-derived trips as the
         // full run's, scaled down by the sampling factor of each subplan
         // (built even when continuous monitoring is off — the vet relies
@@ -855,27 +857,63 @@ impl PopExecutor {
         }))
     }
 
-    /// Promote one harvested materialization to a temp MV, when it covers
-    /// all columns of its table set (so the canonical-layout contract of
-    /// MV matching holds).
-    fn promote_harvest(
-        &self,
-        spec: &QuerySpec,
-        h: pop_exec::Harvest,
-        mv_counter: &mut usize,
-    ) -> PopResult<()> {
-        let set = TableSet::from_iter(h.layout.iter().map(|c| c.table));
-        let col_counts: Vec<usize> = spec
-            .tables
+    /// Column count of every query table (`0` for a table the catalog
+    /// does not know; planning has already rejected such a spec).
+    fn col_counts(&self, spec: &QuerySpec) -> Vec<usize> {
+        spec.tables
             .iter()
             .map(|t| {
                 self.catalog
                     .table(&t.table)
                     .map_or(0, |tb| tb.schema().len())
             })
-            .collect();
-        if h.layout != canonical_layout(set, &col_counts) {
-            return Ok(()); // projected/partial layout: not MV-reusable
+            .collect()
+    }
+
+    /// Signature and canonical layout for every table set appearing in
+    /// the plan (labels observations and harvested materializations).
+    /// Parameter bindings are folded into the signatures so facts and MVs
+    /// never leak across different bindings.
+    fn collect_signatures(
+        &self,
+        spec: &QuerySpec,
+        plan: &PhysNode,
+        params: &pop_expr::Params,
+    ) -> Signatures {
+        let col_counts = self.col_counts(spec);
+        let mut map = Signatures::new();
+        plan.visit(&mut |n| {
+            let set = n.props().tables;
+            if !set.is_empty() {
+                map.entry(set.mask()).or_insert_with(|| Subplan {
+                    signature: subplan_signature_with_params(spec, set, Some(params)),
+                    layout: canonical_layout(spec, set, &col_counts),
+                });
+            }
+        });
+        map
+    }
+
+    /// Promote one harvested materialization to a temp MV. The operator
+    /// builder only harvests nodes whose output is the canonical layout of
+    /// their table set — the contract MV matching relies on — so a harvest
+    /// that disagrees with it is a bug: it is dropped and reported on
+    /// `warnings` instead of silently turning MV reuse off.
+    fn promote_harvest(
+        &self,
+        spec: &QuerySpec,
+        h: pop_exec::Harvest,
+        mv_counter: &mut usize,
+        warnings: &mut Vec<String>,
+    ) -> PopResult<()> {
+        let set = TableSet::from_iter(h.layout.iter().map(|c| c.table));
+        let canonical = canonical_layout(spec, set, &self.col_counts(spec));
+        if h.layout != canonical {
+            warnings.push(format!(
+                "harvest {} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
+                h.signature, h.layout
+            ));
+            return Ok(());
         }
         // Build the MV schema from the base tables' column definitions.
         let mut cols = Vec::with_capacity(h.layout.len());
@@ -947,7 +985,7 @@ fn count_preserving(node: &PhysNode) -> bool {
 fn collect_monitor_specs(
     node: &PhysNode,
     intervals: &[(String, f64, pop_planlint::CardInterval)],
-    signatures: &HashMap<u64, String>,
+    signatures: &Signatures,
     drift: f64,
     idx: &mut usize,
     under_check: bool,
@@ -958,7 +996,7 @@ fn collect_monitor_specs(
     let is_check = matches!(node, PhysNode::Check { .. } | PhysNode::BufCheck { .. });
     let monitorable = !is_check && !under_check && !node.props().tables.is_empty();
     if monitorable {
-        if let Some(signature) = signatures.get(&node.props().tables.mask()) {
+        if let Some(Subplan { signature, .. }) = signatures.get(&node.props().tables.mask()) {
             let (path, est, iv) = &intervals[my];
             let mut bound = est * drift;
             if iv.hi.is_finite() {
@@ -1098,25 +1136,6 @@ fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, rows: Vec<pop_exec:
         }
         collected.push(r.values);
     }
-}
-
-/// Signatures for every table set appearing in the plan (labels harvested
-/// materializations). Parameter bindings are folded in so facts and MVs
-/// never leak across different bindings.
-fn collect_signatures(
-    spec: &QuerySpec,
-    plan: &PhysNode,
-    params: &pop_expr::Params,
-) -> HashMap<u64, String> {
-    let mut map = HashMap::new();
-    plan.visit(&mut |n| {
-        let set = n.props().tables;
-        if !set.is_empty() {
-            map.entry(set.mask())
-                .or_insert_with(|| subplan_signature_with_params(spec, set, Some(params)));
-        }
-    });
-    map
 }
 
 #[cfg(test)]
@@ -1330,5 +1349,43 @@ mod tests {
                     .collect::<Vec<_>>()
             );
         }
+    }
+
+    #[test]
+    fn non_canonical_harvest_is_reported_not_silently_dropped() {
+        let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
+        let mut q = correlated_query();
+        // With a projection the canonical layout of {customer} is its join
+        // key plus the projected column — not the table's full width.
+        q.projection = vec![pop_types::ColId::new(0, 1)];
+        let canonical = canonical_layout(&q, TableSet::single(0), &exec.col_counts(&q));
+        assert_eq!(
+            canonical,
+            vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(0, 1)]
+        );
+        let harvest = |layout: Vec<pop_types::ColId>| pop_exec::Harvest {
+            signature: "sig".into(),
+            rows: vec![vec![Value::Int(1); layout.len()]],
+            lineage: vec![vec![]],
+            layout,
+        };
+        let _cleanup = MvCleanup {
+            catalog: exec.catalog(),
+        };
+        let (mut n, mut warnings) = (0, Vec::new());
+        exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)
+            .unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(exec.catalog().temp_mv_count(), 1);
+        // The same table set at another width breaks the MV contract.
+        let narrow = vec![pop_types::ColId::new(0, 0)];
+        exec.promote_harvest(&q, harvest(narrow), &mut n, &mut warnings)
+            .unwrap();
+        assert_eq!(exec.catalog().temp_mv_count(), 1);
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].contains("not promoted to a temp MV"),
+            "{warnings:?}"
+        );
     }
 }

@@ -137,6 +137,16 @@ impl RowBatch {
         self.finish_push();
     }
 
+    /// [`RowBatch::push_row`] keeping only the columns `cols` of a stored
+    /// row, in that order — the leaf operators' copy-out: a column the
+    /// plan's layout does not carry is never cloned.
+    pub fn push_projected(&mut self, row: &[Value], cols: &[usize], lineage: &[Rid]) {
+        self.begin_push(cols.len());
+        self.vals.extend(cols.iter().map(|c| row[*c].clone()));
+        self.lin.extend_from_slice(lineage);
+        self.finish_push();
+    }
+
     /// Append a live row that concatenates two halves — the hot path for
     /// join outputs (`left ++ right` values and lineage), allocation-free
     /// per row.
@@ -144,6 +154,24 @@ impl RowBatch {
         self.begin_push(a.len() + b.len());
         self.vals.extend_from_slice(a);
         self.vals.extend_from_slice(b);
+        self.lin.extend_from_slice(la);
+        self.lin.extend_from_slice(lb);
+        self.finish_push();
+    }
+
+    /// [`RowBatch::push_concat`] whose right half is the columns `b_cols`
+    /// of a stored row (the NLJN inner fetch).
+    pub fn push_concat_projected(
+        &mut self,
+        a: &[Value],
+        b_row: &[Value],
+        b_cols: &[usize],
+        la: &[Rid],
+        lb: &[Rid],
+    ) {
+        self.begin_push(a.len() + b_cols.len());
+        self.vals.extend_from_slice(a);
+        self.vals.extend(b_cols.iter().map(|c| b_row[*c].clone()));
         self.lin.extend_from_slice(la);
         self.lin.extend_from_slice(lb);
         self.finish_push();
@@ -324,16 +352,24 @@ impl RowBatch {
     }
 
     /// Project each live row to the given layout positions (values are
-    /// cloned, lineage is kept as-is). The result has no selection vector
-    /// and no per-row allocations.
+    /// moved out of the consumed batch — cloned only where a position
+    /// repeats later in the list — and lineage is kept as-is). The result
+    /// has no selection vector and no per-row allocations.
     pub fn project(mut self, positions: &[usize]) -> RowBatch {
         self.compact();
         let w = self.width;
+        let last_use: Vec<bool> = (0..positions.len())
+            .map(|k| !positions[k + 1..].contains(&positions[k]))
+            .collect();
         let mut vals = Vec::with_capacity(self.rows * positions.len());
         for i in 0..self.rows {
-            let row = &self.vals[i * w..(i + 1) * w];
-            for p in positions {
-                vals.push(row[*p].clone());
+            let row = &mut self.vals[i * w..(i + 1) * w];
+            for (p, last) in positions.iter().zip(&last_use) {
+                vals.push(if *last {
+                    std::mem::replace(&mut row[*p], Value::Null)
+                } else {
+                    row[*p].clone()
+                });
             }
         }
         RowBatch {
@@ -347,8 +383,9 @@ impl RowBatch {
     }
 
     /// Move the row at physical index `i` out of the batch, leaving dead
-    /// (`Null`) values behind. Only [`crate::operators::BatchCursor`] uses
-    /// this, consuming each live slot exactly once.
+    /// (`Null`) values behind. Only [`crate::operators::BatchCursor`] (the
+    /// merge join's owned-row adapter) uses this, consuming each live slot
+    /// exactly once.
     pub(crate) fn take_row_at(&mut self, i: usize) -> ExecRow {
         let w = self.width;
         let mut values = Vec::with_capacity(w);
@@ -450,6 +487,36 @@ mod tests {
         let p = b.project(&[1]);
         assert_eq!(p.values_at(0), &[Value::Int(2)][..]);
         assert_eq!(p.lineage_at(0), &[Rid::new(0, 0), Rid::new(1, 7)]);
+    }
+
+    #[test]
+    fn project_repeated_position_keeps_both_copies() {
+        let mut b = RowBatch::new();
+        b.push(vec![Value::str("a"), Value::Int(2)], vec![]);
+        let p = b.project(&[0, 1, 0]);
+        assert_eq!(
+            p.values_at(0),
+            &[Value::str("a"), Value::Int(2), Value::str("a")][..]
+        );
+    }
+
+    #[test]
+    fn projected_pushes_copy_only_the_named_columns() {
+        let stored = [Value::Int(1), Value::Int(2), Value::Int(3)];
+        let mut b = RowBatch::new();
+        b.push_projected(&stored, &[2, 0], &[Rid::new(0, 4)]);
+        assert_eq!(b.values_at(0), &[Value::Int(3), Value::Int(1)][..]);
+        assert_eq!(b.lineage_at(0), &[Rid::new(0, 4)]);
+        let mut j = RowBatch::new();
+        j.push_concat_projected(
+            &[Value::Int(9)],
+            &stored,
+            &[1],
+            &[Rid::new(0, 4)],
+            &[Rid::new(1, 5)],
+        );
+        assert_eq!(j.values_at(0), &[Value::Int(9), Value::Int(2)][..]);
+        assert_eq!(j.lineage_at(0), &[Rid::new(0, 4), Rid::new(1, 5)]);
     }
 
     #[test]

@@ -13,15 +13,25 @@ use crate::operators::{
 };
 use pop_expr::{BoundExpr, Expr};
 use pop_plan::{AggFunc, LayoutCol, PhysNode, SortKeyRef};
-use pop_storage::Catalog;
+use pop_storage::{Catalog, Table};
 use pop_types::{ColId, PopError, PopResult};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Signatures of subplans by table-set mask, used to label harvested
-/// materializations so re-optimization can match them to the query.
-pub type Signatures = HashMap<u64, String>;
+/// What the driver knows about one table set of the plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Subplan {
+    /// Subplan signature: labels harvested materializations, CHECK and
+    /// monitor observations so re-optimization can match them to the query.
+    pub signature: String,
+    /// [`pop_plan::canonical_layout`] of the set — the column order a
+    /// harvested materialization is stored in.
+    pub layout: Vec<ColId>,
+}
+
+/// Subplans by table-set mask.
+pub type Signatures = HashMap<u64, Subplan>;
 
 /// Per-partition build environment: when present, the operator tree being
 /// built is one partition's instance of a parallel region (below a
@@ -126,45 +136,50 @@ pub(crate) fn pos_of(layout: &[LayoutCol], col: ColId) -> PopResult<usize> {
         .ok_or_else(|| PopError::Planning(format!("column {col} not in operator layout")))
 }
 
-/// Bind an expression against a layout of base columns.
-fn bind(expr: &Expr, layout: &[LayoutCol]) -> PopResult<BoundExpr> {
-    let base: Vec<ColId> = layout
-        .iter()
-        .map(|c| match c {
-            LayoutCol::Base(b) => Ok(*b),
-            LayoutCol::Agg(_) => Err(PopError::Planning(
-                "predicate over aggregate output is not supported".into(),
-            )),
-        })
-        .collect::<PopResult<_>>()?;
-    BoundExpr::bind(expr, &base)
+/// Bind a leaf-level predicate (scan filter, index residual, NLJN / EXISTS
+/// inner filter) of query table `qidx` against the table's schema: leaves
+/// evaluate predicates on the stored row, before any column is dropped.
+fn bind_to_schema(expr: &Expr, qidx: usize, table: &Table) -> PopResult<BoundExpr> {
+    let schema: Vec<ColId> = (0..table.schema().len())
+        .map(|c| ColId::new(qidx, c))
+        .collect();
+    BoundExpr::bind(expr, &schema)
 }
 
-/// Harvest descriptor for a materializing node, when its output is a pure
-/// base-column layout covered by a known signature.
+/// The table columns a leaf over query table `qidx` copies out: its
+/// layout (for an NLJN, the suffix after the outer layout), each entry a
+/// column of `table`.
+fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<Vec<usize>> {
+    layout
+        .iter()
+        .map(|c| match c {
+            LayoutCol::Base(b) if b.table == qidx && b.col < table.schema().len() => Ok(b.col),
+            other => Err(PopError::Planning(format!(
+                "leaf over t{qidx} ({}) cannot emit layout column {other:?}",
+                table.name()
+            ))),
+        })
+        .collect()
+}
+
+/// Harvest descriptor for a materializing node, when its output is the
+/// canonical layout of its table set in some order. A node above the
+/// final projection or aggregate carries other columns and is not the
+/// subplan's materialization.
 pub(crate) fn harvest_info(node: &PhysNode, signatures: &Signatures) -> Option<HarvestInfo> {
     let props = node.props();
-    let signature = signatures.get(&props.tables.mask())?.clone();
-    let mut base: Vec<ColId> = Vec::with_capacity(props.layout.len());
-    for c in &props.layout {
-        match c {
-            LayoutCol::Base(b) => base.push(*b),
-            LayoutCol::Agg(_) => return None,
-        }
+    let subplan = signatures.get(&props.tables.mask())?;
+    if props.layout.len() != subplan.layout.len() {
+        return None;
     }
-    let mut canonical = base.clone();
-    canonical.sort();
-    canonical.dedup();
-    if canonical.len() != base.len() {
-        return None; // duplicated columns: not a canonical materialization
-    }
-    let perm = canonical
+    let perm = subplan
+        .layout
         .iter()
-        .map(|c| base.iter().position(|b| b == c))
+        .map(|c| props.layout.iter().position(|l| *l == LayoutCol::Base(*c)))
         .collect::<Option<Vec<_>>>()?;
     Some(HarvestInfo {
-        signature,
-        canonical_layout: canonical,
+        signature: subplan.signature.clone(),
+        canonical_layout: subplan.layout.clone(),
         perm,
     })
 }
@@ -238,24 +253,31 @@ pub(crate) fn build_with_env(
     }
     let op: Box<dyn Operator> = match node {
         PhysNode::TableScan {
-            table, pred, props, ..
+            qidx,
+            table,
+            pred,
+            props,
         } => {
             let t = catalog.table(table)?;
-            let bound = pred.as_ref().map(|p| bind(p, &props.layout)).transpose()?;
-            let op = TableScanOp::new(t, bound);
+            let bound = pred
+                .as_ref()
+                .map(|p| bind_to_schema(p, *qidx, &t))
+                .transpose()?;
+            let cols = leaf_columns(&props.layout, *qidx, &t)?;
+            let op = TableScanOp::new(t, bound).with_columns(cols);
             match env {
                 Some(e) => Box::new(op.with_partition(e.part, e.parts)),
                 None => Box::new(op),
             }
         }
         PhysNode::IndexRangeScan {
+            qidx,
             table,
             column,
             lo,
             hi,
             residual,
             props,
-            ..
         } => {
             let t = catalog.table(table)?;
             let index = catalog.find_index(t.id(), *column, true).ok_or_else(|| {
@@ -265,9 +287,11 @@ pub(crate) fn build_with_env(
             })?;
             let bound = residual
                 .as_ref()
-                .map(|p| bind(p, &props.layout))
+                .map(|p| bind_to_schema(p, *qidx, &t))
                 .transpose()?;
-            let op = IndexRangeScanOp::new(t, index, lo.clone(), hi.clone(), bound);
+            let cols = leaf_columns(&props.layout, *qidx, &t)?;
+            let op =
+                IndexRangeScanOp::new(t, index, lo.clone(), hi.clone(), bound).with_columns(cols);
             match env {
                 Some(e) => Box::new(op.with_partition(e.part, e.parts)),
                 None => Box::new(op),
@@ -284,7 +308,7 @@ pub(crate) fn build_with_env(
             outer,
             outer_key,
             inner,
-            ..
+            props,
         } => {
             let outer_op = build_with_env(outer, catalog, signatures, env, cur)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
@@ -297,27 +321,25 @@ pub(crate) fn build_with_env(
                         inner.table, inner.join_col
                     ))
                 })?;
-            let inner_layout: Vec<LayoutCol> = (0..inner_table.schema().len())
-                .map(|c| LayoutCol::Base(ColId::new(inner.qidx, c)))
-                .collect();
             let pred = inner
                 .pred
                 .as_ref()
-                .map(|p| bind(p, &inner_layout))
+                .map(|p| bind_to_schema(p, inner.qidx, &inner_table))
                 .transpose()?;
+            let suffix = props
+                .layout
+                .get(outer.props().layout.len()..)
+                .unwrap_or_default();
+            let inner_cols = leaf_columns(suffix, inner.qidx, &inner_table)?;
             let residual = inner
                 .residual_joins
                 .iter()
                 .map(|(ocol, icol)| Ok((pos_of(&outer.props().layout, *ocol)?, *icol)))
                 .collect::<PopResult<Vec<_>>>()?;
-            Box::new(NljnOp::new(
-                outer_op,
-                outer_pos,
-                inner_table,
-                index,
-                pred,
-                residual,
-            ))
+            Box::new(
+                NljnOp::new(outer_op, outer_pos, inner_table, index, pred, residual)
+                    .with_inner_columns(inner_cols),
+            )
         }
         PhysNode::Hsjn {
             build,
@@ -476,13 +498,10 @@ pub(crate) fn build_with_env(
                         clause.table, clause.inner_col
                     ))
                 })?;
-            let inner_layout: Vec<LayoutCol> = (0..inner_table.schema().len())
-                .map(|c| LayoutCol::Base(ColId::new(0, c)))
-                .collect();
             let pred = clause
                 .pred
                 .as_ref()
-                .map(|p| bind(p, &inner_layout))
+                .map(|p| bind_to_schema(p, 0, &inner_table))
                 .transpose()?;
             Box::new(SemiProbeOp::new(
                 child,

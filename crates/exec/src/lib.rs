@@ -37,7 +37,7 @@ mod row;
 mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
-pub use build::{build_monitored, build_operator};
+pub use build::{build_monitored, build_operator, Signatures, Subplan};
 pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest, SampleSpec};
 pub use executor::{execute, RunOutcome};
 pub use morsel::{RegionDiag, WorkerDiag, DEFAULT_MORSEL_SIZE};

@@ -1,9 +1,9 @@
 //! Hash aggregation and projection.
 
+use crate::operators::key::{fill_key, KeyMap};
 use crate::operators::{emit_chunk, Operator};
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
 use pop_types::Value;
-use std::collections::HashMap;
 
 /// An aggregate to compute, with its argument resolved to a layout
 /// position (`None` for COUNT(*)).
@@ -141,7 +141,10 @@ impl HashAggOp {
 impl Operator for HashAggOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+        let mut groups: KeyMap<Vec<AggState>> = KeyMap::default();
+        // Group-key scratch: a row of an existing group is looked up by
+        // slice; only a new group allocates its key.
+        let mut key = Vec::with_capacity(self.key_pos.len());
         let mut saw_any = false;
         while let Some(b) = self.input.next_batch(ctx)? {
             ctx.charge(b.live_count() as f64 * ctx.model.agg_row);
@@ -149,12 +152,20 @@ impl Operator for HashAggOp {
             for i in b.live_indices() {
                 saw_any = true;
                 let row = b.values_at(i);
-                let key: Vec<Value> = self.key_pos.iter().map(|p| row[*p].clone()).collect();
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(*a)).collect());
-                for (state, kind) in states.iter_mut().zip(self.aggs.iter()) {
-                    state.update(*kind, row)?;
+                fill_key(&mut key, row, &self.key_pos);
+                let update = |states: &mut [AggState]| {
+                    states
+                        .iter_mut()
+                        .zip(&self.aggs)
+                        .try_for_each(|(state, kind)| state.update(*kind, row))
+                };
+                if let Some(states) = groups.get_mut(key.as_slice()) {
+                    update(states)?;
+                } else {
+                    let mut fresh: Vec<AggState> =
+                        self.aggs.iter().map(|a| AggState::new(*a)).collect();
+                    update(&mut fresh)?;
+                    groups.insert(key.clone(), fresh);
                 }
             }
         }

@@ -1,18 +1,20 @@
 //! The three join methods: index nested-loop, hash, and merge join.
 //!
-//! Joins consume their streaming inputs through a [`BatchCursor`] (rows
-//! are moved out of the buffered batch, never cloned) and accumulate
-//! output into a [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per
-//! call.
+//! The per-row probes (hash-join probe side, NLJN outer) read their
+//! streaming input in place through a [`RowCursor`] — no row is moved or
+//! allocated until it is copied into the output; the merge join, which
+//! buffers owned right-side groups, pulls rows through a [`BatchCursor`].
+//! Output accumulates into a [`RowBatch`] of up to
+//! [`ExecCtx::batch_size`] rows per call.
 
+use crate::operators::key::{fill_key, KeyMap};
 use crate::operators::materialize::{snapshot_harvest, HarvestInfo};
-use crate::operators::{BatchCursor, Operator};
+use crate::operators::{BatchCursor, Operator, RowCursor};
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
 use pop_expr::BoundExpr;
 use pop_storage::{Index, RowFetcher, Table};
 use pop_types::{Rid, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Index nested-loop join: for each outer row, probe the inner table's
@@ -27,12 +29,15 @@ pub struct NljnOp {
     outer_key_pos: usize,
     inner_table: Arc<Table>,
     inner_index: Arc<Index>,
+    /// Filter on the fetched inner row, bound against the inner schema.
     inner_pred: Option<BoundExpr>,
     /// `(outer position, inner column)` residual equi-join conditions.
     residual: Vec<(usize, usize)>,
+    /// Inner table columns appended to the outer row, in layout order.
+    inner_cols: Vec<usize>,
     fetcher: Option<RowFetcher>,
-    cursor: BatchCursor,
-    current_outer: Option<ExecRow>,
+    /// The outer stream; its current row is the one being probed.
+    outer_rows: RowCursor,
     matches: Vec<u64>,
     match_pos: usize,
     /// Last inner page fetched from, for random-I/O accounting.
@@ -41,7 +46,8 @@ pub struct NljnOp {
 }
 
 impl NljnOp {
-    /// Create an index NLJN.
+    /// Create an index NLJN emitting the outer row followed by every
+    /// inner column.
     pub fn new(
         outer: Box<dyn Operator>,
         outer_key_pos: usize,
@@ -53,18 +59,25 @@ impl NljnOp {
         NljnOp {
             outer,
             outer_key_pos,
+            inner_cols: (0..inner_table.schema().len()).collect(),
             inner_table,
             inner_index,
             inner_pred,
             residual,
             fetcher: None,
-            cursor: BatchCursor::new(),
-            current_outer: None,
+            outer_rows: RowCursor::default(),
             matches: Vec::new(),
             match_pos: 0,
             last_page: None,
             pending_signal: None,
         }
+    }
+
+    /// Append only the inner table columns `cols` (each below the inner
+    /// schema width), in that order.
+    pub fn with_inner_columns(mut self, cols: Vec<usize>) -> Self {
+        self.inner_cols = cols;
+        self
     }
 }
 
@@ -72,8 +85,7 @@ impl Operator for NljnOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.outer.open(ctx)?;
         self.fetcher = Some(self.inner_table.fetcher());
-        self.cursor.reset();
-        self.current_outer = None;
+        self.outer_rows.reset();
         self.matches.clear();
         self.match_pos = 0;
         self.last_page = None;
@@ -91,54 +103,48 @@ impl Operator for NljnOp {
         let target = ctx.batch_size.max(1);
         let mut out = RowBatch::with_capacity(target);
         loop {
-            // Drain pending matches of the current outer row.
+            // Drain pending matches of the current outer row: filter each
+            // fetched inner row where it is stored, copy out its columns.
             while self.match_pos < self.matches.len() {
                 let pos = self.matches[self.match_pos];
                 self.match_pos += 1;
-                let fetcher = self.fetcher.as_ref().expect("checked above");
-                let Some(inner_row) = fetcher.get(pos)? else {
-                    continue; // index briefly ahead of the opened rows
-                };
-                if let Some(p) = &self.inner_pred {
-                    if !p.passes(&inner_row, &ctx.params)? {
-                        continue;
-                    }
-                }
-                let outer = self
-                    .current_outer
-                    .as_ref()
+                let (outer, outer_lineage) = self
+                    .outer_rows
+                    .row()
                     .ok_or_else(|| super::protocol_err("NLJN match without an outer row"))?;
-                let mut ok = true;
-                for (outer_pos, inner_col) in &self.residual {
-                    if let Some(Ordering::Equal) =
-                        outer.values[*outer_pos].sql_cmp(&inner_row[*inner_col])
-                    {
-                    } else {
-                        ok = false;
-                        break;
+                let fetcher = self.fetcher.as_ref().expect("checked above");
+                // A position past the opened rows (index briefly ahead of
+                // them) is skipped by the fetcher.
+                fetcher.for_each(&[pos], |_, inner_row| {
+                    let keep = match &self.inner_pred {
+                        Some(p) => p.passes(inner_row, &ctx.params)?,
+                        None => true,
+                    } && self.residual.iter().all(|(outer_pos, inner_col)| {
+                        outer[*outer_pos].sql_cmp(&inner_row[*inner_col]) == Some(Ordering::Equal)
+                    });
+                    if keep {
+                        out.push_concat_projected(
+                            outer,
+                            inner_row,
+                            &self.inner_cols,
+                            outer_lineage,
+                            &[Rid::new(self.inner_table.id(), pos)],
+                        );
                     }
-                }
-                if !ok {
-                    continue;
-                }
-                out.push_concat(
-                    &outer.values,
-                    &inner_row,
-                    &outer.lineage,
-                    &[Rid::new(self.inner_table.id(), pos)],
-                );
+                    Ok(true)
+                })?;
                 if out.len() >= target {
                     return Ok(Some(out));
                 }
             }
             // Advance the outer; fetch charges for the whole match list
             // (rows and page transitions) are taken up front at probe time.
-            match self.cursor.next_row(self.outer.as_mut(), ctx) {
+            match self.outer_rows.advance(self.outer.as_mut(), ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
-                Ok(None) => return Ok(if out.is_empty() { None } else { Some(out) }),
-                Ok(Some(outer_row)) => {
-                    let key = &outer_row.values[self.outer_key_pos];
-                    self.matches = self.inner_index.probe(key)?;
+                Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
+                Ok(true) => {
+                    let (outer, _) = self.outer_rows.row().expect("advance returned true");
+                    self.matches = self.inner_index.probe(&outer[self.outer_key_pos])?;
                     self.match_pos = 0;
                     let fetcher = self.fetcher.as_ref().expect("checked above");
                     let mut new_pages = 0u64;
@@ -154,7 +160,6 @@ impl Operator for NljnOp {
                             + self.matches.len() as f64 * ctx.model.index_fetch_row
                             + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
                     );
-                    self.current_outer = Some(outer_row);
                 }
             }
         }
@@ -163,7 +168,7 @@ impl Operator for NljnOp {
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.outer.close(ctx);
         self.fetcher = None;
-        self.cursor.reset();
+        self.outer_rows.reset();
     }
 }
 
@@ -176,8 +181,8 @@ impl Operator for NljnOp {
 pub struct BuildState {
     /// Build rows, stored exactly once.
     pub(crate) arena: Vec<ExecRow>,
-    /// Join key → arena indices.
-    pub(crate) table: HashMap<Vec<Value>, Vec<u32>>,
+    /// Join key → arena indices, in build order.
+    pub(crate) table: KeyMap<Vec<u32>>,
     pub(crate) spill_passes: f64,
     /// Resident bytes charged to the governor; released by the owner.
     pub(crate) reserved: u64,
@@ -195,10 +200,11 @@ pub(crate) fn run_hash_build(
 ) -> OpResult<BuildState> {
     let mut state = BuildState {
         arena: Vec::new(),
-        table: HashMap::new(),
+        table: KeyMap::default(),
         spill_passes: 0.0,
         reserved: 0,
     };
+    let mut key = Vec::with_capacity(build_key_pos.len());
     while let Some(b) = build.next_batch(ctx)? {
         ctx.charge(b.live_count() as f64 * ctx.model.hash_build_row);
         let bytes = b.approx_bytes();
@@ -206,16 +212,18 @@ pub(crate) fn run_hash_build(
         ctx.guard_reserve(bytes)?;
         ctx.guard_tick()?;
         for row in b.into_rows() {
-            let key: Vec<Value> = build_key_pos
-                .iter()
-                .map(|p| row.values[*p].clone())
-                .collect();
+            fill_key(&mut key, &row.values, build_key_pos);
             let idx = state.arena.len() as u32;
             state.arena.push(row);
             if key.iter().any(Value::is_null) {
                 continue; // NULL keys never join
             }
-            state.table.entry(key).or_default().push(idx);
+            match state.table.get_mut(key.as_slice()) {
+                Some(list) => list.push(idx),
+                None => {
+                    state.table.insert(std::mem::take(&mut key), vec![idx]);
+                }
+            }
         }
     }
     if let Some(info) = build_harvest {
@@ -231,9 +239,12 @@ pub(crate) fn run_hash_build(
 }
 
 /// Hash join: the build side is fully materialized into a row arena plus
-/// a hash table of arena indices at `open`; the probe side streams. Probe
-/// hits reference arena rows by index and are copied out once into the
-/// join output — the build row is never re-cloned per bucket. Build
+/// a hash table of arena indices at `open`; the probe side streams and is
+/// read in place: the probe key is built in a reused buffer and looked up
+/// by slice, and the hit list is copied into a reused index buffer, so a
+/// probe row allocates nothing. Probe hits reference arena rows by index
+/// and are copied out once into the join output — the build row is never
+/// re-cloned per bucket. Build
 /// overflow past the memory budget charges simulated spill passes,
 /// mirroring the cost model's step function.
 ///
@@ -254,10 +265,14 @@ pub struct HsjnOp {
     own: Option<BuildState>,
     /// Controller-owned build shared across partitions (parallel mode).
     shared: Option<Arc<BuildState>>,
-    cursor: BatchCursor,
-    current: Vec<u32>,
-    current_pos: usize,
-    current_probe: Option<ExecRow>,
+    /// The probe stream; its current row is the one being matched.
+    probe_rows: RowCursor,
+    /// Probe-key scratch, reused across rows.
+    key: Vec<Value>,
+    /// Arena indices matching the current probe row, and how many of
+    /// them have been emitted.
+    matches: Vec<u32>,
+    match_pos: usize,
     pending_signal: Option<crate::ExecSignal>,
 }
 
@@ -277,10 +292,10 @@ impl HsjnOp {
             build_harvest: None,
             own: None,
             shared: None,
-            cursor: BatchCursor::new(),
-            current: Vec::new(),
-            current_pos: 0,
-            current_probe: None,
+            probe_rows: RowCursor::default(),
+            key: Vec::new(),
+            matches: Vec::new(),
+            match_pos: 0,
             pending_signal: None,
         }
     }
@@ -300,10 +315,10 @@ impl HsjnOp {
             build_harvest: None,
             own: None,
             shared: Some(build),
-            cursor: BatchCursor::new(),
-            current: Vec::new(),
-            current_pos: 0,
-            current_probe: None,
+            probe_rows: RowCursor::default(),
+            key: Vec::new(),
+            matches: Vec::new(),
+            match_pos: 0,
             pending_signal: None,
         }
     }
@@ -331,10 +346,9 @@ impl Operator for HsjnOp {
             )?);
         }
         self.probe.open(ctx)?;
-        self.cursor.reset();
-        self.current.clear();
-        self.current_pos = 0;
-        self.current_probe = None;
+        self.probe_rows.reset();
+        self.matches.clear();
+        self.match_pos = 0;
         self.pending_signal = None;
         Ok(())
     }
@@ -343,60 +357,43 @@ impl Operator for HsjnOp {
         if let Some(sig) = self.pending_signal.take() {
             return Err(sig);
         }
+        let state = self
+            .shared
+            .as_deref()
+            .or(self.own.as_ref())
+            .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
         let target = ctx.batch_size.max(1);
         let mut out = RowBatch::with_capacity(target);
         loop {
-            while self.current_pos < self.current.len() {
-                let idx = self.current[self.current_pos] as usize;
-                self.current_pos += 1;
-                let probe_row = self
-                    .current_probe
-                    .as_ref()
+            if self.match_pos < self.matches.len() {
+                let (probe, probe_lineage) = self
+                    .probe_rows
+                    .row()
                     .ok_or_else(|| super::protocol_err("HSJN match without a probe row"))?;
-                let state = self
-                    .shared
-                    .as_deref()
-                    .or(self.own.as_ref())
-                    .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
-                let build_row = &state.arena[idx];
-                out.push_concat(
-                    &build_row.values,
-                    &probe_row.values,
-                    &build_row.lineage,
-                    &probe_row.lineage,
-                );
-                if out.len() >= target {
-                    return Ok(Some(out));
+                while self.match_pos < self.matches.len() {
+                    let build_row = &state.arena[self.matches[self.match_pos] as usize];
+                    self.match_pos += 1;
+                    out.push_concat(&build_row.values, probe, &build_row.lineage, probe_lineage);
+                    if out.len() >= target {
+                        return Ok(Some(out));
+                    }
                 }
             }
-            match self.cursor.next_row(self.probe.as_mut(), ctx) {
+            match self.probe_rows.advance(self.probe.as_mut(), ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
-                Ok(None) => return Ok(if out.is_empty() { None } else { Some(out) }),
-                Ok(Some(row)) => {
-                    let matches = {
-                        let state =
-                            self.shared
-                                .as_deref()
-                                .or(self.own.as_ref())
-                                .ok_or_else(|| {
-                                    super::protocol_err("HSJN next_batch() before open()")
-                                })?;
-                        ctx.charge(
-                            ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row,
-                        );
-                        let key: Vec<Value> = self
-                            .probe_key_pos
-                            .iter()
-                            .map(|p| row.values[*p].clone())
-                            .collect();
-                        if key.iter().any(Value::is_null) {
-                            continue;
-                        }
-                        state.table.get(&key).cloned().unwrap_or_default()
-                    };
-                    self.current = matches;
-                    self.current_pos = 0;
-                    self.current_probe = Some(row);
+                Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
+                Ok(true) => {
+                    ctx.charge(ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row);
+                    let (probe, _) = self.probe_rows.row().expect("advance returned true");
+                    fill_key(&mut self.key, probe, &self.probe_key_pos);
+                    self.matches.clear();
+                    self.match_pos = 0;
+                    if self.key.iter().any(Value::is_null) {
+                        continue; // NULL keys never join
+                    }
+                    if let Some(hits) = state.table.get(self.key.as_slice()) {
+                        self.matches.extend_from_slice(hits);
+                    }
                 }
             }
         }
@@ -407,7 +404,7 @@ impl Operator for HsjnOp {
             b.close(ctx);
         }
         self.probe.close(ctx);
-        self.cursor.reset();
+        self.probe_rows.reset();
         // Only a privately-built arena's reservation is ours to release;
         // a shared build belongs to the region controller.
         if let Some(own) = self.own.take() {
@@ -896,6 +893,163 @@ mod tests {
             ctx.work
         );
         op.close(&mut ctx);
+    }
+
+    /// Hash-key semantics of the probe path, one table of cases × batch
+    /// sizes 1 / 7 / 1024 × private and shared builds. Rows are
+    /// `(key columns.., tag)`; a case expects the joined `(build tag,
+    /// probe tag)` pairs in emission order.
+    #[test]
+    fn hash_key_table() {
+        struct Case {
+            name: &'static str,
+            key_cols: usize,
+            build: Vec<Vec<Value>>,
+            probe: Vec<Vec<Value>>,
+            expect: Vec<(&'static str, &'static str)>,
+        }
+        let row = |key: &[Value], tag: &str| -> Vec<Value> {
+            key.iter().cloned().chain([Value::str(tag)]).collect()
+        };
+        let int = Value::Int;
+        let cases = vec![
+            Case {
+                name: "Int / Float / Date keys of equal value join as equal",
+                key_cols: 1,
+                build: vec![row(&[int(3)], "b3"), row(&[int(4)], "b4")],
+                probe: vec![
+                    row(&[Value::Float(3.0)], "pf"),
+                    row(&[Value::Date(3)], "pd"),
+                    row(&[Value::Float(3.5)], "px"),
+                    row(&[int(4)], "pi"),
+                ],
+                expect: vec![("b3", "pf"), ("b3", "pd"), ("b4", "pi")],
+            },
+            Case {
+                name: "NULL keys never join, not even each other",
+                key_cols: 1,
+                build: vec![row(&[Value::Null], "bn"), row(&[int(1)], "b1")],
+                probe: vec![row(&[Value::Null], "pn"), row(&[int(1)], "p1")],
+                expect: vec![("b1", "p1")],
+            },
+            Case {
+                name: "multi-column keys match on every column",
+                key_cols: 2,
+                build: vec![
+                    row(&[int(1), Value::str("x")], "b1x"),
+                    row(&[int(1), Value::str("y")], "b1y"),
+                    row(&[int(2), Value::Null], "b2n"),
+                ],
+                probe: vec![
+                    row(&[int(1), Value::str("y")], "p1y"),
+                    row(&[int(2), Value::str("x")], "p2x"),
+                    row(&[int(2), Value::Null], "p2n"),
+                    row(&[Value::Float(1.0), Value::str("x")], "p1x"),
+                ],
+                expect: vec![("b1y", "p1y"), ("b1x", "p1x")],
+            },
+            Case {
+                name: "duplicate build keys emit in build order, per probe row",
+                key_cols: 1,
+                build: (0..9)
+                    .map(|i| {
+                        row(
+                            &[int(i % 2)],
+                            ["a", "b", "c", "d", "e", "f", "g", "h", "i"][i as usize],
+                        )
+                    })
+                    .collect(),
+                probe: vec![
+                    row(&[int(0)], "p"),
+                    row(&[int(1)], "q"),
+                    row(&[int(0)], "r"),
+                ],
+                expect: vec![
+                    ("a", "p"),
+                    ("c", "p"),
+                    ("e", "p"),
+                    ("g", "p"),
+                    ("i", "p"),
+                    ("b", "q"),
+                    ("d", "q"),
+                    ("f", "q"),
+                    ("h", "q"),
+                    ("a", "r"),
+                    ("c", "r"),
+                    ("e", "r"),
+                    ("g", "r"),
+                    ("i", "r"),
+                ],
+            },
+        ];
+        for case in &cases {
+            let cat = Catalog::new();
+            let schema = |prefix: &str| {
+                let cols: Vec<(String, DataType)> = (0..=case.key_cols)
+                    .map(|i| (format!("{prefix}{i}"), DataType::Int))
+                    .collect();
+                let pairs: Vec<(&str, DataType)> =
+                    cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+                Schema::from_pairs(&pairs)
+            };
+            let build = cat
+                .create_table("b", schema("b"), case.build.clone())
+                .unwrap();
+            let probe = cat
+                .create_table("p", schema("p"), case.probe.clone())
+                .unwrap();
+            let keys: Vec<usize> = (0..case.key_cols).collect();
+            let tags = |rows: Vec<ExecRow>| -> Vec<(String, String)> {
+                let tag = |v: &Value| v.as_str().unwrap().to_string();
+                rows.iter()
+                    .map(|r| (tag(&r.values[case.key_cols]), tag(r.values.last().unwrap())))
+                    .collect()
+            };
+            let expect: Vec<(String, String)> = case
+                .expect
+                .iter()
+                .map(|(b, p)| ((*b).to_string(), (*p).to_string()))
+                .collect();
+            for batch_size in [1, 7, 1024] {
+                let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
+                ctx.batch_size = batch_size;
+                let scan = |t: &Arc<Table>| -> Box<dyn Operator> {
+                    Box::new(TableScanOp::new(t.clone(), None))
+                };
+                let drain_in_order = |op: &mut dyn Operator, ctx: &mut ExecCtx| {
+                    op.open(ctx).unwrap();
+                    let mut out = Vec::new();
+                    while let Some(b) = op.next_batch(ctx).unwrap() {
+                        assert!(b.live_count() <= batch_size.max(1));
+                        out.extend(b.into_rows());
+                    }
+                    op.close(ctx);
+                    out
+                };
+                let mut private =
+                    HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone());
+                let private_rows = drain_in_order(&mut private, &mut ctx);
+                assert_eq!(
+                    tags(private_rows.clone()),
+                    expect,
+                    "{} @ {batch_size}",
+                    case.name
+                );
+
+                let mut build_op = scan(&build);
+                build_op.open(&mut ctx).unwrap();
+                let state = run_hash_build(build_op.as_mut(), &keys, None, &mut ctx).unwrap();
+                build_op.close(&mut ctx);
+                let mut shared =
+                    HsjnOp::with_shared_build(scan(&probe), keys.clone(), Arc::new(state));
+                assert_eq!(
+                    drain_in_order(&mut shared, &mut ctx),
+                    private_rows,
+                    "{}: shared build @ {batch_size}",
+                    case.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The operator trait and the physical operator implementations.
 
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
+use pop_types::{Rid, Value};
 
 pub(crate) mod agg;
 pub(crate) mod guard;
 pub(crate) mod joins;
+mod key;
 pub(crate) mod materialize;
 pub(crate) mod monitor;
 pub(crate) mod parallel;
@@ -62,14 +64,59 @@ pub trait Operator {
     }
 }
 
-/// Row-at-a-time adapter over a batched child, for operators whose logic
-/// is inherently per-row (join probes, merge state machines). Rows are
-/// moved out of the buffered batch, not cloned.
+/// In-place row cursor over a batched child, for the per-row join probes
+/// (hash-join probe side, NLJN outer): the current row is read where it
+/// sits in the buffered batch, so advancing allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct BatchCursor {
+pub(crate) struct RowCursor {
     batch: Option<RowBatch>,
-    pos: usize,
+    /// Ordinal (among live rows) of the row the next `advance` moves to.
+    next: usize,
+    /// Physical index of the current row.
+    at: usize,
 }
+
+impl RowCursor {
+    /// Drop any buffered batch (on open/close).
+    pub(crate) fn reset(&mut self) {
+        *self = RowCursor::default();
+    }
+
+    /// Move to the next live row of `input`, refilling from `next_batch`
+    /// as needed; `false` at end of stream.
+    pub(crate) fn advance(
+        &mut self,
+        input: &mut dyn Operator,
+        ctx: &mut ExecCtx,
+    ) -> OpResult<bool> {
+        loop {
+            if let Some(i) = self.batch.as_ref().and_then(|b| b.live_index(self.next)) {
+                self.next += 1;
+                self.at = i;
+                return Ok(true);
+            }
+            // Release the consumed batch before pulling its successor.
+            self.batch = None;
+            self.batch = input.next_batch(ctx)?;
+            self.next = 0;
+            if self.batch.is_none() {
+                return Ok(false);
+            }
+        }
+    }
+
+    /// The current row (values, lineage), once `advance` returned `true`.
+    pub(crate) fn row(&self) -> Option<(&[Value], &[Rid])> {
+        let b = self.batch.as_ref()?;
+        Some((b.values_at(self.at), b.lineage_at(self.at)))
+    }
+}
+
+/// Owned-row adapter over a batched child, for the merge join (which
+/// buffers groups of right-side rows across batches): a [`RowCursor`]
+/// whose current row is moved out of the buffered batch, not cloned.
+#[derive(Debug, Default)]
+pub(crate) struct BatchCursor(RowCursor);
 
 impl BatchCursor {
     pub(crate) fn new() -> Self {
@@ -78,8 +125,7 @@ impl BatchCursor {
 
     /// Drop any buffered batch (on open/close).
     pub(crate) fn reset(&mut self) {
-        self.batch = None;
-        self.pos = 0;
+        self.0.reset();
     }
 
     /// Pull the next live row from `input`, refilling from `next_batch`
@@ -89,22 +135,11 @@ impl BatchCursor {
         input: &mut dyn Operator,
         ctx: &mut ExecCtx,
     ) -> OpResult<Option<ExecRow>> {
-        loop {
-            if let Some(b) = &mut self.batch {
-                if let Some(i) = b.live_index(self.pos) {
-                    self.pos += 1;
-                    return Ok(Some(b.take_row_at(i)));
-                }
-                self.batch = None;
-            }
-            match input.next_batch(ctx)? {
-                None => return Ok(None),
-                Some(b) => {
-                    self.batch = Some(b);
-                    self.pos = 0;
-                }
-            }
+        if !self.0.advance(input, ctx)? {
+            return Ok(None);
         }
+        let at = self.0.at;
+        Ok(self.0.batch.as_mut().map(|b| b.take_row_at(at)))
     }
 }
 

@@ -9,12 +9,15 @@ use std::sync::Arc;
 
 /// Sequential scan with an optional pushed-down predicate. Each
 /// `next_batch` call charges and filters one cursor chunk; the predicate
-/// runs over the whole chunk via a selection vector, and only passing rows
-/// are copied out. Chunk boundaries and logical page touches are identical
-/// on either backend, so the charged work is too.
+/// (bound against the table schema) runs over the stored rows of the whole
+/// chunk via a selection vector, and only the output columns of passing
+/// rows are copied out. Chunk boundaries and logical page touches are
+/// identical on either backend, so the charged work is too.
 pub struct TableScanOp {
     table: Arc<Table>,
     pred: Option<BoundExpr>,
+    /// Table columns copied into the output, in layout order.
+    cols: Vec<usize>,
     /// Contiguous range partition `(part, parts)`: this instance scans
     /// only rows `[part*n/parts, (part+1)*n/parts)` of the table.
     /// `None` scans everything. Contiguous (not round-robin) assignment
@@ -31,9 +34,11 @@ pub struct TableScanOp {
 }
 
 impl TableScanOp {
-    /// Create a scan of `table` filtered by the (already bound) predicate.
+    /// Create a scan of `table` filtered by the predicate (already bound
+    /// against the table schema), emitting every column.
     pub fn new(table: Arc<Table>, pred: Option<BoundExpr>) -> Self {
         TableScanOp {
+            cols: (0..table.schema().len()).collect(),
             table,
             pred,
             partition: None,
@@ -41,6 +46,13 @@ impl TableScanOp {
             cursor: None,
             sel: Vec::new(),
         }
+    }
+
+    /// Emit only the table columns `cols` (each below the schema width),
+    /// in that order.
+    pub fn with_columns(mut self, cols: Vec<usize>) -> Self {
+        self.cols = cols;
+        self
     }
 
     /// Restrict the scan to range partition `part` of `parts`.
@@ -99,7 +111,7 @@ impl Operator for TableScanOp {
                         None => true,
                     };
                     if passes {
-                        out.push_row(row, &[Rid::new(self.table.id(), p)]);
+                        out.push_projected(row, &self.cols, &[Rid::new(self.table.id(), p)]);
                     }
                     cursor.seek(p + stride as u64);
                 }
@@ -124,7 +136,8 @@ impl Operator for TableScanOp {
                 None => {
                     let mut out = RowBatch::with_capacity(chunk.rows.len());
                     for (i, row) in chunk.rows.iter().enumerate() {
-                        out.push_row(row, &[Rid::new(self.table.id(), start + i as u64)]);
+                        let rid = Rid::new(self.table.id(), start + i as u64);
+                        out.push_projected(row, &self.cols, &[rid]);
                     }
                     out
                 }
@@ -137,8 +150,9 @@ impl Operator for TableScanOp {
                     }
                     let mut out = RowBatch::with_capacity(self.sel.len());
                     for &i in &self.sel {
-                        out.push_row(
+                        out.push_projected(
                             &chunk.rows[i as usize],
+                            &self.cols,
                             &[Rid::new(self.table.id(), start + u64::from(i))],
                         );
                     }
@@ -157,13 +171,17 @@ impl Operator for TableScanOp {
 
 /// Range scan over a sorted index: fetches only the rows whose indexed
 /// column lies in `[lo, hi]`, in index (ascending key) order, then applies
-/// the residual predicate — one batch of positions per call.
+/// the residual predicate (bound against the table schema) to the stored
+/// row and copies out the output columns — one batch of positions per
+/// call.
 pub struct IndexRangeScanOp {
     table: Arc<Table>,
     index: Arc<pop_storage::Index>,
     lo: Option<pop_types::Value>,
     hi: Option<pop_types::Value>,
     residual: Option<BoundExpr>,
+    /// Table columns copied into the output, in layout order.
+    cols: Vec<usize>,
     /// Contiguous range partition over the matching index positions (see
     /// [`TableScanOp::partition`]); each partition fetches a contiguous
     /// slice of the index-order position list.
@@ -177,7 +195,7 @@ pub struct IndexRangeScanOp {
 }
 
 impl IndexRangeScanOp {
-    /// Create an index range scan.
+    /// Create an index range scan emitting every column.
     pub fn new(
         table: Arc<Table>,
         index: Arc<pop_storage::Index>,
@@ -186,6 +204,7 @@ impl IndexRangeScanOp {
         residual: Option<BoundExpr>,
     ) -> Self {
         IndexRangeScanOp {
+            cols: (0..table.schema().len()).collect(),
             table,
             index,
             lo,
@@ -197,6 +216,13 @@ impl IndexRangeScanOp {
             pos: 0,
             last_page: None,
         }
+    }
+
+    /// Emit only the table columns `cols` (each below the schema width),
+    /// in that order.
+    pub fn with_columns(mut self, cols: Vec<usize>) -> Self {
+        self.cols = cols;
+        self
     }
 
     /// Restrict the scan to range partition `part` of `parts`.
@@ -256,7 +282,7 @@ impl Operator for IndexRangeScanOp {
                     None => true,
                 };
                 if passes {
-                    out.push_row(row, &[Rid::new(self.table.id(), p)]);
+                    out.push_projected(row, &self.cols, &[Rid::new(self.table.id(), p)]);
                 }
                 Ok(true)
             })?;
@@ -395,6 +421,21 @@ mod tests {
         assert_eq!(rows.len(), 4); // b=0 for i in {0,3,6,9}
                                    // The scan still touches all 10 rows.
         assert_eq!(ctx.work, 10.0 * ctx.model.seq_row);
+    }
+
+    #[test]
+    fn predicate_reads_a_column_the_output_drops() {
+        let (mut ctx, t) = ctx_and_table();
+        let schema = vec![ColId::new(0, 0), ColId::new(0, 1)];
+        let pred = BoundExpr::bind(&Expr::col(0, 1).eq(Expr::lit(0i64)), &schema).unwrap();
+        let mut op = TableScanOp::new(t, Some(pred)).with_columns(vec![0]);
+        let rows = drain(&mut op, &mut ctx);
+        let a: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
+        assert_eq!(
+            a,
+            [0, 3, 6, 9].map(|i| vec![Value::Int(i)]),
+            "b = 0 filters on the stored row; only column a is copied out"
+        );
     }
 
     #[test]

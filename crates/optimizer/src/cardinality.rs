@@ -2,7 +2,7 @@
 
 use crate::OptimizerContext;
 use parking_lot::RwLock;
-use pop_plan::{subplan_signature_with_params, QuerySpec, TableSet};
+use pop_plan::{subplan_signature_with_params, LayoutCol, QuerySpec, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity};
 use pop_types::{ColId, PopResult};
 use std::collections::HashMap;
@@ -43,6 +43,7 @@ pub struct CardEstimator {
     raw_cards: Vec<f64>,
     base_cards: Vec<f64>,
     col_counts: Vec<usize>,
+    leaf_layouts: Vec<Vec<LayoutCol>>,
     distincts: Vec<Vec<f64>>,
     facts: Vec<SetFact>,
     sigs: SigCache,
@@ -67,6 +68,7 @@ impl CardEstimator {
         let mut raw_cards = Vec::with_capacity(spec.tables.len());
         let mut base_cards = Vec::with_capacity(spec.tables.len());
         let mut col_counts = Vec::with_capacity(spec.tables.len());
+        let mut leaf_layouts = Vec::with_capacity(spec.tables.len());
         let mut distincts = Vec::with_capacity(spec.tables.len());
         for (qidx, tref) in spec.tables.iter().enumerate() {
             let table = ctx.catalog.table(&tref.table)?;
@@ -79,6 +81,12 @@ impl CardEstimator {
             raw_cards.push(raw);
             base_cards.push((raw * sel).max(0.0));
             col_counts.push(table.schema().len());
+            leaf_layouts.push(
+                spec.required_columns(qidx, table.schema().len())
+                    .into_iter()
+                    .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
+                    .collect(),
+            );
             distincts.push(
                 (0..table.schema().len())
                     .map(|c| stats.distinct(c))
@@ -100,6 +108,7 @@ impl CardEstimator {
             raw_cards,
             base_cards,
             col_counts,
+            leaf_layouts,
             distincts,
             facts: Vec::new(),
             sigs,
@@ -149,6 +158,13 @@ impl CardEstimator {
     /// Column counts per query table (for canonical layouts).
     pub fn col_counts(&self) -> &[usize] {
         &self.col_counts
+    }
+
+    /// Output layout of every leaf over query table `qidx` (scan, index
+    /// range scan, NLJN inner suffix): its
+    /// [`QuerySpec::required_columns`], ascending.
+    pub fn leaf_layout(&self, qidx: usize) -> &[LayoutCol] {
+        &self.leaf_layouts[qidx]
     }
 
     /// Distinct count of a column.

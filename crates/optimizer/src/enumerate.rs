@@ -70,7 +70,7 @@ pub(crate) fn build_singleton_group(
     ctx: &OptimizerContext<'_>,
 ) -> PopResult<Vec<Candidate>> {
     let mut list = Vec::new();
-    insert_candidate(&mut list, scan_candidate(t, est, ctx)?, ctx);
+    insert_candidate(&mut list, scan_candidate(t, est, ctx), ctx);
     for cand in index_range_candidates(t, est, ctx)? {
         insert_candidate(&mut list, cand, ctx);
     }
@@ -259,9 +259,7 @@ fn add_partition_candidates(
             let fixed = oc.cost;
             let local = crate::cost::root_local_cost(ctx.cost, &spec_root, &edge_cards);
             let mut layout = oc.node.props().layout.clone();
-            for c in 0..table.schema().len() {
-                layout.push(LayoutCol::Base(ColId::new(t, c)));
-            }
+            layout.extend_from_slice(est.leaf_layout(t));
             let order = oc.order;
             let node = PhysNode::Nljn {
                 outer: Box::new(oc.node.clone()),
@@ -368,13 +366,8 @@ fn add_partition_candidates(
 }
 
 /// Base-table scan candidate with pushed-down local predicates.
-fn scan_candidate(
-    qidx: usize,
-    est: &CardEstimator,
-    ctx: &OptimizerContext<'_>,
-) -> PopResult<Candidate> {
+fn scan_candidate(qidx: usize, est: &CardEstimator, ctx: &OptimizerContext<'_>) -> Candidate {
     let spec = est.spec();
-    let table = ctx.catalog.table(&spec.tables[qidx].table)?;
     let pred = combine_local_preds(spec.local_preds_of(qidx));
     let raw = est.raw_card(qidx);
     let card = est.card(TableSet::single(qidx));
@@ -385,10 +378,8 @@ fn scan_candidate(
         .get(&spec.tables[qidx].table)
         .map_or(0.0, |s| s.pages as f64);
     let cost = ctx.cost.scan_cost(raw, pages);
-    let layout = (0..table.schema().len())
-        .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
-        .collect();
-    Ok(Candidate {
+    let layout = est.leaf_layout(qidx).to_vec();
+    Candidate {
         node: PhysNode::TableScan {
             qidx,
             table: spec.tables[qidx].table.clone(),
@@ -406,7 +397,7 @@ fn scan_candidate(
         fixed_cost: 0.0,
         edge_cards: vec![],
         edge_to_child: vec![],
-    })
+    }
 }
 
 /// Index-range-scan candidates: one per local conjunct of the form
@@ -473,9 +464,7 @@ fn index_range_candidates(
         );
         let matching = sel * raw;
         let cost = ctx.cost.index_range_scan_cost(matching, stats.pages as f64);
-        let layout: Vec<LayoutCol> = (0..table.schema().len())
-            .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
-            .collect();
+        let layout = est.leaf_layout(qidx).to_vec();
         let mut props = PlanProps::leaf(TableSet::single(qidx), card, cost, layout);
         props.sorted_by = Some(ColId::new(qidx, col));
         out.push(Candidate {

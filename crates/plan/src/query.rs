@@ -172,6 +172,40 @@ impl QuerySpec {
         !self.join_preds_between(left, right).is_empty()
     }
 
+    /// The columns of query table `t` (which has `ncols` columns) that any
+    /// operator above `t`'s leaf reads, ascending: join keys (both sides,
+    /// which covers NLJN probe keys and residuals), the projection, GROUP
+    /// BY keys, aggregate arguments and EXISTS outer columns. This is the
+    /// leaf's output layout, so every layout in a plan is a function of
+    /// the spec alone. Columns used only by local predicates are absent:
+    /// scans and NLJN inner filters evaluate those on the stored row. A
+    /// spec with neither aggregate nor projection outputs every column.
+    pub fn required_columns(&self, t: usize, ncols: usize) -> Vec<usize> {
+        if self.aggregate.is_none() && self.projection.is_empty() {
+            return (0..ncols).collect();
+        }
+        let agg = self.aggregate.iter().flat_map(|a| {
+            let args = a.aggs.iter().filter_map(|f| match f {
+                AggFunc::Count => None,
+                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) | AggFunc::Avg(c) => Some(*c),
+            });
+            a.group_by.iter().copied().chain(args)
+        });
+        let mut cols: Vec<usize> = self
+            .join_preds
+            .iter()
+            .flat_map(|j| [j.left, j.right])
+            .chain(self.projection.iter().copied())
+            .chain(agg)
+            .chain(self.exists.iter().map(|e| e.outer_col))
+            .filter(|c| c.table == t)
+            .map(|c| c.col)
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
     /// Structural validation: table count, predicate column scoping, join
     /// graph connectivity.
     pub fn validate(&self) -> PopResult<()> {
@@ -489,6 +523,49 @@ mod tests {
             right: ColId::new(0, 1),
         };
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn required_columns_table() {
+        // c(0) ⋈ o(1) on c.0 = o.1 and c.4 = o.5 (a second predicate: an
+        // NLJN residual or a multi-column hash key), o ⋈ l(2) on o.0 = l.0.
+        let base = || {
+            let mut b = QueryBuilder::new();
+            let c = b.table("customer");
+            let o = b.table("orders");
+            let l = b.table("lineitem");
+            b.join(c, 0, o, 1);
+            b.join(c, 4, o, 5);
+            b.join(o, 0, l, 0);
+            // Local predicates alone never make a column required.
+            b.filter(c, Expr::col(c, 6).eq(Expr::lit(1i64)));
+            b.filter(l, Expr::col(l, 3).gt(Expr::lit(0i64)));
+            b
+        };
+        let cols = |q: &QuerySpec| -> Vec<Vec<usize>> {
+            (0..3).map(|t| q.required_columns(t, 8)).collect()
+        };
+
+        // `SELECT *`: no aggregate and no projection keeps every column.
+        let q = base().build().unwrap();
+        assert_eq!(cols(&q), vec![(0..8).collect::<Vec<_>>(); 3]);
+
+        // Projection: join keys on both sides + the projected columns.
+        let mut b = base();
+        b.project(&[(2, 7), (0, 2), (0, 0)]);
+        let q = b.build().unwrap();
+        assert_eq!(cols(&q), vec![vec![0, 2, 4], vec![0, 1, 5], vec![0, 7]]);
+
+        // GROUP BY key, aggregate argument (COUNT(*) needs none) and an
+        // EXISTS outer column; the filtered c.6 / l.3 stay dropped.
+        let mut b = base();
+        b.aggregate(
+            &[(1, 2)],
+            vec![AggFunc::Count, AggFunc::Sum(ColId::new(2, 4))],
+        );
+        b.exists("supplier", (2, 6), 0, None);
+        let q = b.build().unwrap();
+        assert_eq!(cols(&q), vec![vec![0, 4], vec![0, 1, 2, 5], vec![0, 4, 6]]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! of query tables joined and the predicates applied (all local predicates
 //! of the member tables plus all join predicates fully inside the set).
 //! Materialized intermediate results are stored in **canonical column
-//! order** (ascending query-table index, then ascending column index), so
+//! order** ([`canonical_layout`]: the columns the query reads above the
+//! leaves, ascending query-table index, then ascending column index), so
 //! two subplans with the same signature produce identical multisets of
 //! rows in identical layouts — regardless of join order or join method.
 //!
@@ -101,17 +102,19 @@ pub fn spec_fingerprint(spec: &QuerySpec) -> String {
     )
 }
 
-/// The canonical column layout for a materialized subplan over `set`:
-/// all columns of the member tables, ascending by query-table index then
-/// column index. `col_counts[t]` is the column count of query table `t`.
-pub fn canonical_layout(set: TableSet, col_counts: &[usize]) -> Vec<ColId> {
-    let mut out = Vec::new();
-    for t in set.iter() {
-        for c in 0..col_counts[t] {
-            out.push(ColId::new(t, c));
-        }
-    }
-    out
+/// The canonical column layout of a materialized subplan over `set` — the
+/// one contract temp-MV producers (harvests) and consumers (MV scans)
+/// share: the [`QuerySpec::required_columns`] of the member tables,
+/// ascending by query-table index then column index. `col_counts[t]` is
+/// the column count of query table `t`.
+pub fn canonical_layout(spec: &QuerySpec, set: TableSet, col_counts: &[usize]) -> Vec<ColId> {
+    set.iter()
+        .flat_map(|t| {
+            spec.required_columns(t, col_counts[t])
+                .into_iter()
+                .map(move |c| ColId::new(t, c))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -165,7 +168,8 @@ mod tests {
 
     #[test]
     fn canonical_layout_order() {
-        let layout = canonical_layout(TableSet::from_iter([0, 2]), &[2, 5, 3]);
+        // `SELECT *`: every column of the member tables.
+        let layout = canonical_layout(&spec(), TableSet::from_iter([0, 2]), &[2, 5, 3]);
         assert_eq!(
             layout,
             vec![
@@ -175,6 +179,15 @@ mod tests {
                 ColId::new(2, 1),
                 ColId::new(2, 2),
             ]
+        );
+        // With a projection: only what the query reads above the leaves
+        // (join keys + projected columns; local-predicate columns dropped).
+        let mut q = spec();
+        q.projection = vec![ColId::new(2, 2)];
+        let layout = canonical_layout(&q, TableSet::from_iter([0, 2]), &[2, 5, 3]);
+        assert_eq!(
+            layout,
+            vec![ColId::new(0, 0), ColId::new(2, 0), ColId::new(2, 2)]
         );
     }
 }

@@ -142,8 +142,12 @@ impl DiagCode {
     /// One-line description of what the code means.
     pub fn title(&self) -> &'static str {
         match self {
-            DiagCode::Pl001 => "column reference does not resolve in the input layout",
-            DiagCode::Pl002 => "node output layout inconsistent with its children",
+            DiagCode::Pl001 => {
+                "column reference does not resolve (leaf predicate: table schema; else: input layout)"
+            }
+            DiagCode::Pl002 => {
+                "output layout is not what the operator produces (leaf: ascending subset of its table's columns)"
+            }
             DiagCode::Pl003 => "malformed operator arguments",
             DiagCode::Pl004 => "type mismatch in predicate or join key",
             DiagCode::Pl101 => "empty validity range (lo > hi)",

@@ -1,12 +1,18 @@
 //! Pass 1: schema/layout checking (`PL001`–`PL004`).
 //!
-//! The executor's `build_operator` binds every expression positionally
-//! against the child's layout; a reference that does not resolve there is
+//! The executor's `build_operator` binds every expression positionally:
+//! leaf-level predicates (scan filters, index residuals, NLJN inner
+//! filters) against the stored row's table schema, everything above
+//! against the child's layout. A reference that does not resolve there is
 //! either a runtime error or — worse — a silent bind to the wrong column.
-//! This pass proves, per node, that (a) every column reference resolves in
-//! the layout it will be bound against, (b) the node's own output layout is
-//! exactly what its operator produces from its children, and (c) types
-//! agree where the catalog makes them knowable.
+//! Leaves emit only the columns the query reads above them, so a column
+//! used higher up but pruned at the leaf shows here as `PL001` at its
+//! first consumer. This pass proves, per node, that (a) every column
+//! reference resolves in what it will be bound against, (b) the node's
+//! own output layout is exactly what its operator produces — for a leaf, a
+//! strictly ascending subset of its table's columns; for the rest, a
+//! function of the children — and (c) types agree where the catalog makes
+//! them knowable.
 
 use crate::dataflow::{NodeCx, Pass};
 use crate::{DiagCode, LintContext, Sink};
@@ -27,11 +33,15 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
     let env = TypeEnv::new(ctx);
     match node {
         PhysNode::TableScan {
-            qidx, pred, props, ..
+            qidx,
+            table,
+            pred,
+            props,
         } => {
-            check_scan_layout(node, *qidx, props, path, sink);
+            let ncols = env.schema_len(table);
+            check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
             if let Some(p) = pred {
-                check_expr_resolves(node, p, &props.layout, "scan predicate", path, sink);
+                check_expr_in_schema(node, p, *qidx, ncols, "scan predicate", path, sink);
                 env.check_expr(node, p, path, sink);
             }
         }
@@ -43,8 +53,9 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             props,
             ..
         } => {
-            check_scan_layout(node, *qidx, props, path, sink);
-            if let Some(n) = env.schema_len(table) {
+            let ncols = env.schema_len(table);
+            check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
+            if let Some(n) = ncols {
                 if *column >= n {
                     sink.emit(
                         DiagCode::Pl001,
@@ -55,7 +66,7 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                 }
             }
             if let Some(r) = residual {
-                check_expr_resolves(node, r, &props.layout, "index residual", path, sink);
+                check_expr_in_schema(node, r, *qidx, ncols, "index residual", path, sink);
                 env.check_expr(node, r, path, sink);
             }
         }
@@ -106,30 +117,27 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                     );
                 }
             }
+            let ncols = env.schema_len(&inner.table);
             if let Some(p) = &inner.pred {
-                for c in p.columns_used() {
-                    if c.table != inner.qidx {
-                        sink.emit(
-                            DiagCode::Pl001,
-                            node,
-                            path,
-                            format!(
-                                "NLJN inner predicate references {c}, not inner table t{}",
-                                inner.qidx
-                            ),
-                        );
-                    }
-                }
+                check_expr_in_schema(
+                    node,
+                    p,
+                    inner.qidx,
+                    ncols,
+                    "NLJN inner predicate",
+                    path,
+                    sink,
+                );
             }
-            check_nljn_layout(
-                node,
-                ol,
-                inner.qidx,
-                env.schema_len(&inner.table),
-                props,
-                path,
-                sink,
-            );
+            match props.layout.strip_prefix(ol.as_slice()) {
+                Some(suffix) => check_leaf_layout(node, suffix, inner.qidx, ncols, path, sink),
+                None => sink.emit(
+                    DiagCode::Pl002,
+                    node,
+                    path,
+                    "NLJN layout must start with its outer layout".into(),
+                ),
+            }
             if let (Some(a), Some(b)) = (
                 env.dtype(*outer_key),
                 env.table_col_dtype(&inner.table, inner.join_col),
@@ -337,58 +345,42 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
     }
 }
 
-fn check_scan_layout(
+/// A leaf's output (a scan's layout, an NLJN's suffix after the outer
+/// layout) must be a strictly ascending subset of its own table's columns:
+/// that is what the leaf operators copy out of the stored row, and the
+/// order every canonical layout is built from.
+fn check_leaf_layout(
     node: &PhysNode,
+    layout: &[LayoutCol],
     qidx: usize,
-    props: &PlanProps,
+    ncols: Option<usize>,
     path: &[usize],
     sink: &mut Sink,
 ) {
-    for c in &props.layout {
-        match c {
-            LayoutCol::Base(b) if b.table == qidx => {}
-            other => {
-                sink.emit(
-                    DiagCode::Pl002,
-                    node,
-                    path,
-                    format!("scan of t{qidx} emits foreign layout column {other:?}"),
-                );
-                return;
+    let mut prev: Option<usize> = None;
+    for c in layout {
+        let problem = match c {
+            LayoutCol::Base(b) if b.table == qidx => {
+                if ncols.is_some_and(|n| b.col >= n) {
+                    Some("a column beyond the table schema")
+                } else if prev.is_some_and(|p| b.col <= p) {
+                    Some("columns out of ascending order or repeated")
+                } else {
+                    prev = Some(b.col);
+                    None
+                }
             }
+            _ => Some("a foreign layout column"),
+        };
+        if let Some(what) = problem {
+            sink.emit(
+                DiagCode::Pl002,
+                node,
+                path,
+                format!("leaf over t{qidx} emits {what}: {c:?}"),
+            );
+            return;
         }
-    }
-}
-
-fn check_nljn_layout(
-    node: &PhysNode,
-    outer_layout: &[LayoutCol],
-    inner_qidx: usize,
-    inner_cols: Option<usize>,
-    props: &PlanProps,
-    path: &[usize],
-    sink: &mut Sink,
-) {
-    let ok_prefix = props.layout.len() >= outer_layout.len()
-        && props.layout[..outer_layout.len()] == *outer_layout;
-    let suffix = if ok_prefix {
-        &props.layout[outer_layout.len()..]
-    } else {
-        &[]
-    };
-    let ok_suffix = ok_prefix
-        && suffix
-            .iter()
-            .enumerate()
-            .all(|(i, c)| *c == LayoutCol::Base(ColId::new(inner_qidx, i)))
-        && inner_cols.is_none_or(|n| suffix.len() == n);
-    if !ok_prefix || !ok_suffix {
-        sink.emit(
-            DiagCode::Pl002,
-            node,
-            path,
-            format!("NLJN layout must be outer layout then all columns of inner t{inner_qidx}"),
-        );
     }
 }
 
@@ -478,16 +470,27 @@ fn check_col_resolves(
     }
 }
 
-fn check_expr_resolves(
+/// A leaf-level predicate is bound against the stored row: every column
+/// must belong to the leaf's own table and, when the catalog is known,
+/// exist in its schema.
+fn check_expr_in_schema(
     node: &PhysNode,
     expr: &Expr,
-    layout: &[LayoutCol],
+    qidx: usize,
+    ncols: Option<usize>,
     what: &str,
     path: &[usize],
     sink: &mut Sink,
 ) {
     for c in expr.columns_used() {
-        check_col_resolves(node, c, layout, what, path, sink);
+        if c.table != qidx || ncols.is_some_and(|n| c.col >= n) {
+            sink.emit(
+                DiagCode::Pl001,
+                node,
+                path,
+                format!("{what} {c} not in the schema of t{qidx}"),
+            );
+        }
     }
 }
 
@@ -648,11 +651,126 @@ mod tests {
         );
     }
 
+    /// Catalog with `a(id INT, name STR, grp INT)` and `b(id INT, v INT)`
+    /// (`b.id` hash-indexed), plus `a ⋈ b ON a.id = b.id` filtered on
+    /// `a.grp`, projecting `b.v` — so `a` needs only `id`, `b` needs `id, v`.
+    fn pruned_setup() -> (Catalog, pop_plan::QuerySpec) {
+        let cat = Catalog::new();
+        cat.create_table(
+            "a",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("name", DataType::Str),
+                ("grp", DataType::Int),
+            ]),
+            vec![],
+        )
+        .unwrap();
+        cat.create_table(
+            "b",
+            Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]),
+            vec![],
+        )
+        .unwrap();
+        cat.create_index("b", "id", pop_storage::IndexKind::Hash)
+            .unwrap();
+        let mut q = QueryBuilder::new();
+        let a = q.table("a");
+        let b = q.table("b");
+        q.join(a, 0, b, 0);
+        q.filter(a, Expr::col(a, 2).eq(Expr::lit(1i64)));
+        q.project(&[(b, 1)]);
+        (cat, q.build().unwrap())
+    }
+
+    fn base(cols: &[(usize, usize)]) -> Vec<LayoutCol> {
+        cols.iter()
+            .map(|(t, c)| LayoutCol::Base(ColId::new(*t, *c)))
+            .collect()
+    }
+
+    /// `PROJECT[b.v](NLJN(SCAN a [id] WHERE grp = 1, b [suffix]))`.
+    fn pruned_plan(suffix: &[(usize, usize)]) -> PhysNode {
+        let mut scan = leaf(0, "a", 1, 10.0);
+        if let PhysNode::TableScan { pred, .. } = &mut scan {
+            *pred = Some(Expr::col(0, 2).eq(Expr::lit(1i64)));
+        }
+        let mut props = scan.props().clone();
+        props.tables = pop_plan::TableSet::from_iter([0, 1]);
+        props.layout.extend(base(suffix));
+        props.edge_ranges = vec![pop_plan::ValidityRange::unbounded()];
+        let nljn = PhysNode::Nljn {
+            outer: Box::new(scan),
+            outer_key: ColId::new(0, 0),
+            inner: pop_plan::InnerProbe {
+                qidx: 1,
+                table: "b".into(),
+                join_col: 0,
+                pred: None,
+                residual_joins: vec![],
+                inner_card: 10.0,
+            },
+            props: props.clone(),
+        };
+        props.layout = base(&[(1, 1)]);
+        PhysNode::Project {
+            input: Box::new(nljn),
+            cols: base(&[(1, 1)]),
+            props,
+        }
+    }
+
+    fn layout_codes(plan: &PhysNode, cat: &Catalog, q: &pop_plan::QuerySpec) -> Vec<&'static str> {
+        codes(&lint_plan(plan, &LintContext::full(cat, q)))
+            .into_iter()
+            .filter(|c| c.starts_with("PL00"))
+            .collect()
+    }
+
+    #[test]
+    fn pruned_leaf_layouts_lint_clean() {
+        // The scan filters on a.grp, which its one-column layout does not
+        // carry: leaf predicates resolve against the schema, not the layout.
+        let (cat, q) = pruned_setup();
+        let plan = pruned_plan(&[(1, 0), (1, 1)]);
+        assert!(layout_codes(&plan, &cat, &q).is_empty(), "{plan}");
+    }
+
+    #[test]
+    fn pl001_leaf_missing_a_column_used_above() {
+        // b's suffix drops b.v, which the projection reads.
+        let (cat, q) = pruned_setup();
+        let plan = pruned_plan(&[(1, 0)]);
+        assert_eq!(layout_codes(&plan, &cat, &q), vec!["PL001"]);
+    }
+
+    #[test]
+    fn pl002_nljn_suffix_not_ascending_or_repeated() {
+        let (cat, q) = pruned_setup();
+        for suffix in [
+            &[(1, 1), (1, 0)][..],
+            &[(1, 0), (1, 1), (1, 1)][..],
+            &[(1, 0), (1, 1), (0, 1)][..], // foreign table
+            &[(1, 0), (1, 1), (1, 2)][..], // beyond b's schema
+        ] {
+            let plan = pruned_plan(suffix);
+            assert_eq!(layout_codes(&plan, &cat, &q), vec!["PL002"], "{suffix:?}");
+        }
+    }
+
     #[test]
     fn pl001_unresolved_filter_column() {
+        // The filter names a.c9; `a` has three columns. (Without a catalog
+        // only the table index can be checked.)
+        let (cat, q) = pruned_setup();
         let mut plan = leaf(0, "a", 2, 10.0);
         if let PhysNode::TableScan { pred, .. } = &mut plan {
             *pred = Some(Expr::col(0, 9).eq(Expr::lit(1i64)));
+        }
+        assert_eq!(layout_codes(&plan, &cat, &q), vec!["PL001"]);
+        assert!(diag_codes(&plan).is_empty());
+        if let PhysNode::TableScan { pred, .. } = &mut plan {
+            *pred = Some(Expr::col(1, 0).eq(Expr::lit(1i64)));
         }
         assert!(diag_codes(&plan).contains(&"PL001"));
     }
