@@ -1,4 +1,5 @@
-//! Re-optimization latency: incremental memo vs from-scratch planning.
+//! Re-optimization latency: the persistent (incremental) memo vs a fresh
+//! memo per re-optimization — from-scratch planning.
 //!
 //! ```text
 //! bench_reopt [--quick] [--assert]
@@ -20,11 +21,11 @@
 //!      (2^5 = 32 of 127 re-derived), so the win is bounded; the
 //!      assertion only requires incremental to not be *slower*.
 //!
-//!    Each planner runs alone in its own steady-state loop over the
-//!    same injected-fact sequence (a deployed system runs one planner
-//!    or the other), the incremental side is checked for bit-identical
-//!    plan cost against an untimed from-scratch run every round, and
-//!    latency is summarized by the per-round median.
+//!    Each side runs alone in its own steady-state loop over the same
+//!    injected-fact sequence (a deployed system keeps its memo or does
+//!    not), every round's incremental plan must cost bit-identically to
+//!    the fresh-memo plan of the same round, and latency is summarized
+//!    by the per-round median.
 //!
 //! 2. **Repeated parameterized Q10.** Under cross-query learning the
 //!    first run pays for its misestimate with a re-optimization; the
@@ -36,9 +37,7 @@
 
 use pop::{PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
-use pop_optimizer::{
-    optimize, optimize_with_memo, CardFact, FeedbackCache, Memo, OptimizerContext,
-};
+use pop_optimizer::{optimize, CardFact, FeedbackCache, Memo, OptimizerContext};
 use pop_plan::{subplan_signature, QueryBuilder, QuerySpec, TableSet};
 use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, IndexKind};
@@ -141,12 +140,11 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One timed scenario. Each mode runs in its own steady-state loop over
-/// the *same* fact sequence — a deployed system runs one planner or the
-/// other, so neither should pay the other's cache churn — and latency is
-/// summarized by the per-round median. A separate untimed pass asserts
-/// the incremental plan costs bit-identically to from-scratch after
-/// every injection.
+/// One timed scenario. Each side runs in its own steady-state loop over
+/// the *same* fact sequence — a deployed system keeps its memo or does
+/// not, so neither should pay the other's cache churn — and latency is
+/// summarized by the per-round median. The incremental plan of every
+/// round must cost bit-identically to the fresh-memo plan of that round.
 fn run_scenario(
     name: &str,
     description: &str,
@@ -160,43 +158,50 @@ fn run_scenario(
     let spec = chain_query();
     let opt_cfg = pop_optimizer::OptimizerConfig::default();
     let cost = PopConfig::default().cost_model;
-
-    // Phase 1: from-scratch planner, alone in its loop.
-    let feedback = FeedbackCache::new();
-    let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
-    let warm = optimize(&spec, &octx).unwrap();
-    assert!(warm.props().cost.is_finite());
-    let mut scratch_us = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let set = fact_set(round, &spec);
+    let inject = |feedback: &FeedbackCache, round: usize| {
         // A fresh value every round so each round really re-plans.
         let observed = (500 + 137 * round) as f64;
-        feedback.record(subplan_signature(&spec, set), CardFact::Exact(observed));
+        feedback.record(
+            subplan_signature(&spec, fact_set(round, &spec)),
+            CardFact::Exact(observed),
+        );
+    };
+
+    // Phase 1: from scratch — a fresh memo per re-optimization.
+    let feedback = FeedbackCache::new();
+    let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
+    let (warm, _) = optimize(&spec, &octx, &mut Memo::new()).unwrap();
+    assert!(warm.props().cost.is_finite());
+    let mut scratch_us = Vec::with_capacity(rounds);
+    let mut scratch_cost_bits = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        inject(&feedback, round);
         let t0 = Instant::now();
-        let plan = optimize(&spec, &octx).unwrap();
+        let (plan, _) = optimize(&spec, &octx, &mut Memo::new()).unwrap();
         scratch_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert!(plan.props().cost.is_finite());
+        scratch_cost_bits.push(plan.props().cost.to_bits());
     }
 
-    // Phase 2: equivalence verification, untimed — a fresh memo walks
-    // the same fact sequence and every round's incremental plan must
-    // cost bit-identically to a from-scratch plan.
+    // Phase 2: one persistent memo, same fact sequence.
     let feedback = FeedbackCache::new();
     let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
     let mut memo = Memo::new();
-    optimize_with_memo(&spec, &octx, &mut memo).unwrap();
+    // Warm: the first optimization builds every group (a query's initial
+    // plan always pays full price; re-optimizations are what POP repeats).
+    let (warm, _) = optimize(&spec, &octx, &mut memo).unwrap();
+    assert!(warm.props().cost.is_finite());
+    let mut inc_us = Vec::with_capacity(rounds);
     let mut rederived_total = 0usize;
     let mut groups_total = 0usize;
-    for round in 0..rounds {
-        let set = fact_set(round, &spec);
-        let observed = (500 + 137 * round) as f64;
-        feedback.record(subplan_signature(&spec, set), CardFact::Exact(observed));
-        let (inc, stats_rep) = optimize_with_memo(&spec, &octx, &mut memo).unwrap();
-        let scratch = optimize(&spec, &octx).unwrap();
+    for (round, scratch_bits) in scratch_cost_bits.iter().enumerate() {
+        inject(&feedback, round);
+        let t1 = Instant::now();
+        let (inc, stats_rep) = optimize(&spec, &octx, &mut memo).unwrap();
+        inc_us.push(t1.elapsed().as_secs_f64() * 1e6);
         assert_eq!(
-            scratch.props().cost.to_bits(),
+            *scratch_bits,
             inc.props().cost.to_bits(),
-            "{name} round {round}: memo and scratch diverged"
+            "{name} round {round}: persistent and fresh memo diverged"
         );
         assert!(
             !stats_rep.rebuilt,
@@ -208,26 +213,6 @@ fn run_scenario(
         );
         rederived_total += stats_rep.groups_rederived;
         groups_total = stats_rep.groups_total;
-    }
-
-    // Phase 3: persistent memo, same fact sequence, alone in its
-    // timed loop.
-    let feedback = FeedbackCache::new();
-    let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
-    let mut memo = Memo::new();
-    // Warm: the first optimization builds every group (a query's initial
-    // plan always pays full price; re-optimizations are what POP repeats).
-    let (warm, _) = optimize_with_memo(&spec, &octx, &mut memo).unwrap();
-    assert!(warm.props().cost.is_finite());
-    let mut inc_us = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let set = fact_set(round, &spec);
-        let observed = (500 + 137 * round) as f64;
-        feedback.record(subplan_signature(&spec, set), CardFact::Exact(observed));
-        let t1 = Instant::now();
-        let (inc, _) = optimize_with_memo(&spec, &octx, &mut memo).unwrap();
-        inc_us.push(t1.elapsed().as_secs_f64() * 1e6);
-        assert!(inc.props().cost.is_finite());
     }
 
     let scratch_median_us = median(&mut scratch_us);

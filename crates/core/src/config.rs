@@ -64,19 +64,11 @@ pub struct PopConfig {
     /// [`pop_optimizer::DEFAULT_FEEDBACK_CAPACITY`]; overridable with the
     /// `POP_FEEDBACK_CAPACITY` environment variable.
     pub feedback_capacity: usize,
-    /// Incremental memo maintenance: keep the join-order memo across
-    /// re-optimization steps (and across queries) and re-derive only the
-    /// groups a cardinality fact or MV promotion actually reaches,
-    /// instead of re-enumerating the full join-order space on every
-    /// violation. Plans are provably identical either way; `false`
-    /// re-enumerates from scratch each step. Overridable with the
-    /// `POP_MEMO` environment variable.
-    pub incremental_memo: bool,
-    /// Differential self-check: run the from-scratch optimizer alongside
-    /// every incremental memo pass and fail the step on any divergence in
-    /// plan shape or cost. Expensive (defeats the point of the memo) —
-    /// meant for tests and debugging. Overridable with the
-    /// `POP_VERIFY_MEMO` environment variable.
+    /// Differential self-check of the incremental memo: re-plan every
+    /// step on a fresh memo (which re-derives every group) and fail the
+    /// step on any divergence in plan shape or cost from the persistent
+    /// memo's answer. Expensive (defeats the point of the memo) — meant
+    /// for tests and debugging; off by default, no environment variable.
     pub verify_memo: bool,
     /// Validity-range plan cache: reuse a previously finalized plan for
     /// the same query template when the current binding's estimated
@@ -209,16 +201,6 @@ fn feedback_capacity_from_env(warnings: &mut Vec<String>) -> usize {
         .unwrap_or(pop_optimizer::DEFAULT_FEEDBACK_CAPACITY)
 }
 
-/// Incremental memo switch from `POP_MEMO` (default on).
-fn memo_from_env(warnings: &mut Vec<String>) -> bool {
-    pop_guard::env_parsed("POP_MEMO", |_: &bool| true, warnings).unwrap_or(true)
-}
-
-/// Memo differential self-check switch from `POP_VERIFY_MEMO`.
-fn verify_memo_from_env(warnings: &mut Vec<String>) -> bool {
-    pop_guard::env_parsed("POP_VERIFY_MEMO", |_: &bool| true, warnings).unwrap_or(false)
-}
-
 /// Plan-cache switch from `POP_PLAN_CACHE` (default off).
 fn plan_cache_from_env(warnings: &mut Vec<String>) -> bool {
     pop_guard::env_parsed("POP_PLAN_CACHE", |_: &bool| true, warnings).unwrap_or(false)
@@ -318,8 +300,7 @@ impl Default for PopConfig {
             observe_only: false,
             learn_across_queries: learn_from_env(&mut env_warnings),
             feedback_capacity: feedback_capacity_from_env(&mut env_warnings),
-            incremental_memo: memo_from_env(&mut env_warnings),
-            verify_memo: verify_memo_from_env(&mut env_warnings),
+            verify_memo: false,
             plan_cache: plan_cache_from_env(&mut env_warnings),
             plan_cache_capacity: plan_cache_capacity_from_env(&mut env_warnings),
             lint: LintMode::default(),

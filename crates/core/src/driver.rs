@@ -9,8 +9,8 @@ use pop_exec::{
 };
 use pop_guard::{CancelToken, CleanupRegistry, FaultInjector, Governor};
 use pop_optimizer::{
-    optimize, optimize_with_memo, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet,
-    Memo, MemoStats, OptimizerContext, PlanCache,
+    optimize, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats,
+    OptimizerContext, PlanCache,
 };
 use pop_plan::{
     canonical_layout, spec_fingerprint, subplan_signature_with_params, CheckFlavor, Partitioning,
@@ -336,7 +336,7 @@ impl PopExecutor {
                 match self.plan_step(spec, &octx, ctx, &mut memo) {
                     Ok((bare, plan, vetting, stats)) => {
                         fallback = Some(bare);
-                        (plan, vetting, stats)
+                        (plan, vetting, Some(stats))
                     }
                     // Graceful degradation: a query that already has a working
                     // plan should not abort because *re*-planning failed
@@ -491,46 +491,40 @@ impl PopExecutor {
     }
 
     /// One planning step of the loop: the optimizer-failure fault hook,
-    /// optimization (incremental through the memo, or from scratch),
-    /// compensation wrapping and static verification. Returns the bare
-    /// (unwrapped) plan for the degradation fallback alongside the
-    /// executable plan, its lint warnings, and the memo statistics (when
-    /// the incremental path ran).
+    /// optimization through the persistent memo, compensation wrapping
+    /// and static verification. Returns the bare (unwrapped) plan for the
+    /// degradation fallback alongside the executable plan, its lint
+    /// warnings, and the pass's memo statistics.
     fn plan_step(
         &self,
         spec: &QuerySpec,
         octx: &OptimizerContext<'_>,
         ctx: &mut ExecCtx,
         memo: &mut Memo,
-    ) -> PopResult<(PhysNode, PhysNode, Vetting, Option<MemoStats>)> {
+    ) -> PopResult<(PhysNode, PhysNode, Vetting, MemoStats)> {
         if let Some(inj) = ctx.faults.as_mut() {
             if let Some(err) = inj.optimizer_fail() {
                 return Err(err);
             }
         }
-        let (bare, stats) = if self.config.incremental_memo {
-            let (bare, stats) = optimize_with_memo(spec, octx, memo)?;
-            // Differential oracle: under `verify_memo` every incremental
-            // answer is checked against a from-scratch optimization. Any
-            // divergence is a memo-maintenance bug, surfaced loudly.
-            if self.config.verify_memo {
-                let oracle = optimize(spec, octx)?;
-                if oracle.props().cost.to_bits() != bare.props().cost.to_bits()
-                    || oracle.to_string() != bare.to_string()
-                {
-                    return Err(PopError::Planning(format!(
-                        "memo/scratch divergence: incremental plan (cost {}) differs from \
-                         from-scratch plan (cost {})",
-                        bare.props().cost,
-                        oracle.props().cost
-                    )));
-                }
+        let (bare, stats) = optimize(spec, octx, memo)?;
+        // Differential oracle: under `verify_memo` every incremental
+        // answer is checked against a fresh memo, which re-derives every
+        // group. Any divergence is a memo-maintenance bug (dirty seeding
+        // or propagation), surfaced loudly.
+        if self.config.verify_memo {
+            let (fresh, _) = optimize(spec, octx, &mut Memo::new())?;
+            if fresh.props().cost.to_bits() != bare.props().cost.to_bits()
+                || fresh.to_string() != bare.to_string()
+            {
+                return Err(PopError::Planning(format!(
+                    "memo divergence: incremental plan (cost {}) differs from the \
+                     fresh-memo plan (cost {})",
+                    bare.props().cost,
+                    fresh.props().cost
+                )));
             }
-            (bare, Some(stats))
-        } else {
-            memo.clear();
-            (optimize(spec, octx)?, None)
-        };
+        }
         let plan = wrap_compensation(bare.clone(), ctx);
         let vetting = self.vet_plan(&plan, spec)?;
         Ok((bare, plan, vetting, stats))
@@ -592,7 +586,7 @@ impl PopExecutor {
             Some(params),
             &feedback,
         );
-        optimize(spec, &octx)
+        optimize(spec, &octx, &mut Memo::new()).map(|(plan, _)| plan)
     }
 
     /// Execute a caller-supplied plan for `spec` after passing it through

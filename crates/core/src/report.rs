@@ -54,8 +54,8 @@ pub struct StepReport {
     pub monitors_installed: usize,
     /// Memo maintenance statistics for this step's optimization: how many
     /// join-order groups were reused versus re-derived. `None` when the
-    /// step did not run the incremental memo (memo disabled, degraded
-    /// fallback, plan-cache hit, or `execute_plan`).
+    /// step's plan did not come out of the optimizer (degraded fallback,
+    /// plan-cache hit, or `execute_plan`).
     pub memo: Option<MemoStats>,
 }
 

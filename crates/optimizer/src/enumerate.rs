@@ -1,65 +1,26 @@
-//! Dynamic-programming join enumeration with pruning-integrated validity
-//! range computation.
+//! Group builders for the dynamic-programming join enumeration, with
+//! pruning-integrated validity range computation.
 //!
 //! Classic System-R DP over table subsets (bushy up to
 //! [`crate::OptimizerConfig::bushy_limit`] tables, left-deep beyond),
 //! keeping the cheapest candidate per interesting sort order per subset.
+//! This module derives the candidate list of *one* subset from the lists
+//! of its sub-subsets; the walk over subsets — the DP loop itself — is
+//! [`crate::Memo`]'s, which calls these builders for every group a change
+//! reached (all of them, on a fresh memo).
 //! At each pruning decision between candidates over the **same partition
 //! and sort order** (= structurally equivalent plans in the paper's sense,
 //! §2.2), [`crate::validity::narrow_on_prune`] narrows the winner's
 //! per-edge validity ranges — so range computation costs only a few extra
 //! cost-function evaluations, exactly as the paper advertises.
 
+use crate::memo::Group;
 use crate::{validity, Candidate, CardEstimator, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
 use pop_plan::{
     InnerProbe, LayoutCol, Partitioning, PhysNode, PlanProps, SortKeyRef, TableSet, ValidityRange,
 };
-use pop_types::{ColId, PopError, PopResult};
-use std::collections::HashMap;
-
-/// Find the cheapest join plan for all tables of the query.
-///
-/// This is the from-scratch path: it enumerates every group on every
-/// call. [`crate::Memo::best_join_order`] builds the same groups through
-/// the same [`build_singleton_group`]/[`build_join_group`] helpers but
-/// re-derives only dirty ones; this function is kept as its
-/// differential-testing oracle.
-pub fn optimize_join_order(
-    est: &CardEstimator,
-    ctx: &OptimizerContext<'_>,
-) -> PopResult<Candidate> {
-    let spec = est.spec();
-    let n = spec.tables.len();
-    let full = spec.all_tables();
-    let mut memo: HashMap<u64, Vec<Candidate>> = HashMap::new();
-
-    // Base relations: sequential scan, index range scans, temp MVs.
-    for t in 0..n {
-        memo.insert(
-            TableSet::single(t).mask(),
-            build_singleton_group(t, est, ctx)?,
-        );
-    }
-
-    // Ascending mask order guarantees every proper subset is finished
-    // before any superset is started, so validity ranges of children have
-    // settled by the time they are cloned into parents.
-    for mask in 1u64..(1u64 << n) {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        let set = TableSet::from_iter((0..n).filter(|i| mask & (1 << i) != 0));
-        let list = build_join_group(set, &memo, est, ctx);
-        memo.insert(mask, list);
-    }
-
-    memo.remove(&full.mask())
-        .and_then(|list| list.into_iter().min_by(|a, b| a.cost.total_cmp(&b.cost)))
-        .ok_or_else(|| {
-            PopError::Planning("no feasible join plan (check join graph and indexes)".into())
-        })
-}
+use pop_types::{ColId, PopResult};
 
 /// Candidate list for a single base relation: sequential scan, index
 /// range scans, temp MVs — in that insertion order (pruning decisions,
@@ -81,13 +42,13 @@ pub(crate) fn build_singleton_group(
 }
 
 /// Candidate list for a join group (`set.len() >= 2`), reading child
-/// groups out of `memo`. Every proper subset of `set` must already be
-/// final in `memo`; partitions are visited in the same order as the
-/// from-scratch path so pruning sequences — and thus narrowed validity
-/// ranges — are bit-identical.
+/// groups out of the mask-indexed DP table. Every proper subset of `set`
+/// must already be final in `groups`; partitions are visited in a fixed
+/// order, so pruning sequences — and thus narrowed validity ranges —
+/// depend only on the child groups.
 pub(crate) fn build_join_group(
     set: TableSet,
-    memo: &HashMap<u64, Vec<Candidate>>,
+    groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
 ) -> Vec<Candidate> {
@@ -103,13 +64,13 @@ pub(crate) fn build_join_group(
             if s1.mask() > s2.mask() {
                 continue; // unordered partition: visit once
             }
-            add_partition_candidates(&mut list, s1, s2, memo, est, ctx);
+            add_partition_candidates(&mut list, s1, s2, groups, est, ctx);
         }
     } else {
         for t in set.iter() {
             let s2 = TableSet::single(t);
             let s1 = set.minus(s2);
-            add_partition_candidates(&mut list, s1, s2, memo, est, ctx);
+            add_partition_candidates(&mut list, s1, s2, groups, est, ctx);
         }
     }
     list
@@ -120,7 +81,7 @@ fn add_partition_candidates(
     list: &mut Vec<Candidate>,
     s1: TableSet,
     s2: TableSet,
-    memo: &HashMap<u64, Vec<Candidate>>,
+    groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
 ) {
@@ -128,10 +89,7 @@ fn add_partition_candidates(
     if !spec.connected(s1, s2) {
         return;
     }
-    let (Some(l1), Some(l2)) = (memo.get(&s1.mask()), memo.get(&s2.mask())) else {
-        return;
-    };
-    if l1.is_empty() || l2.is_empty() {
+    if candidates(groups, s1).is_empty() || candidates(groups, s2).is_empty() {
         return;
     }
     // Canonical edge order: smaller mask first.
@@ -148,7 +106,7 @@ fn add_partition_candidates(
     if ctx.config.joins.hsjn {
         for build_is_a in [true, false] {
             let (bset, pset) = if build_is_a { (a, b) } else { (b, a) };
-            let (Some(bc), Some(pc)) = (cheapest(memo, bset), cheapest(memo, pset)) else {
+            let (Some(bc), Some(pc)) = (cheapest(groups, bset), cheapest(groups, pset)) else {
                 continue;
             };
             let mut build_keys = Vec::new();
@@ -246,7 +204,7 @@ fn add_partition_candidates(
             let Some((outer_key, join_col)) = probe_pred else {
                 continue;
             };
-            let Some(oc) = cheapest(memo, outer_set) else {
+            let Some(oc) = cheapest(groups, outer_set) else {
                 continue;
             };
             let inner_pred = combine_local_preds(spec.local_preds_of(t));
@@ -310,8 +268,8 @@ fn add_partition_candidates(
         let Some((key_a, key_b)) = j.split(a) else {
             return;
         };
-        let (lc, sort_left) = pick_for_order(memo, a, key_a);
-        let (rc, sort_right) = pick_for_order(memo, b, key_b);
+        let (lc, sort_left) = pick_for_order(groups, a, key_a);
+        let (rc, sort_right) = pick_for_order(groups, b, key_b);
         let (Some(lc), Some(rc)) = (lc, rc) else {
             return;
         };
@@ -532,31 +490,29 @@ fn combine_local_preds(preds: Vec<&Expr>) -> Option<Expr> {
     Some(it.fold(first, pop_expr::Expr::and))
 }
 
+/// The finished candidate list of a table subset.
+fn candidates(groups: &[Group], set: TableSet) -> &[Candidate] {
+    &groups[set.mask() as usize].cands
+}
+
 /// Cheapest candidate for a set, any order.
-fn cheapest(memo: &HashMap<u64, Vec<Candidate>>, set: TableSet) -> Option<&Candidate> {
-    memo.get(&set.mask())?
+pub(crate) fn cheapest(groups: &[Group], set: TableSet) -> Option<&Candidate> {
+    candidates(groups, set)
         .iter()
         .min_by(|x, y| x.cost.total_cmp(&y.cost))
 }
 
 /// Candidate to feed a merge join needing order on `key`: prefer one that
 /// is already sorted (no enforcer), else the cheapest plus a sort.
-fn pick_for_order(
-    memo: &HashMap<u64, Vec<Candidate>>,
-    set: TableSet,
-    key: ColId,
-) -> (Option<&Candidate>, bool) {
-    let Some(list) = memo.get(&set.mask()) else {
-        return (None, true);
-    };
-    if let Some(sorted) = list
+fn pick_for_order(groups: &[Group], set: TableSet, key: ColId) -> (Option<&Candidate>, bool) {
+    if let Some(sorted) = candidates(groups, set)
         .iter()
         .filter(|c| c.order == Some(key))
         .min_by(|x, y| x.cost.total_cmp(&y.cost))
     {
         return (Some(sorted), false);
     }
-    (list.iter().min_by(|x, y| x.cost.total_cmp(&y.cost)), true)
+    (cheapest(groups, set), true)
 }
 
 /// Wrap a node in an enforcer sort when needed.
@@ -624,7 +580,7 @@ fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate, ctx: &Optimiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, FeedbackCache, OptimizerConfig};
+    use crate::{optimize, CostModel, FeedbackCache, Memo, OptimizerConfig};
     use pop_plan::QueryBuilder;
     use pop_stats::StatsRegistry;
     use pop_storage::{Catalog, IndexKind};
@@ -665,7 +621,7 @@ mod tests {
         cat: &Catalog,
         stats: &StatsRegistry,
         filter_grp: bool,
-    ) -> Candidate {
+    ) -> PhysNode {
         let cost = CostModel::default();
         let fb = FeedbackCache::new();
         let ctx = OptimizerContext::new(cat, stats, cfg, &cost, None, &fb);
@@ -677,8 +633,7 @@ mod tests {
             b.filter(c, pop_expr::Expr::col(c, 1).eq(pop_expr::Expr::lit(3i64)));
         }
         let q = b.build().unwrap();
-        let est = CardEstimator::new(&q, &ctx).unwrap();
-        optimize_join_order(&est, &ctx).unwrap()
+        optimize(&q, &ctx, &mut Memo::new()).unwrap().0
     }
 
     #[test]
@@ -686,11 +641,10 @@ mod tests {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
         // Filtered customer (~10 rows) joined to 20k orders: NLJN must win.
-        let cand = run(&cfg, &cat, &stats, true);
+        let plan = run(&cfg, &cat, &stats, true);
         assert!(
-            cand.node.join_shape().contains("NLJN"),
-            "expected NLJN, got:\n{}",
-            cand.node
+            plan.join_shape().contains("NLJN"),
+            "expected NLJN, got:\n{plan}"
         );
     }
 
@@ -710,11 +664,10 @@ mod tests {
             },
             ..cfg
         };
-        let cand = run(&cfg2, &cat, &stats, false);
+        let plan = run(&cfg2, &cat, &stats, false);
         assert!(
-            cand.node.join_shape().contains("HSJN"),
-            "expected HSJN, got:\n{}",
-            cand.node
+            plan.join_shape().contains("HSJN"),
+            "expected HSJN, got:\n{plan}"
         );
     }
 
@@ -729,15 +682,14 @@ mod tests {
             },
             ..OptimizerConfig::default()
         };
-        let cand = run(&cfg, &cat, &stats, false);
+        let plan = run(&cfg, &cat, &stats, false);
         assert!(
-            cand.node.join_shape().contains("MGJN"),
-            "expected MGJN, got:\n{}",
-            cand.node
+            plan.join_shape().contains("MGJN"),
+            "expected MGJN, got:\n{plan}"
         );
         // Enforcer sorts are materialization points.
         let mut sorts = 0;
-        cand.node.visit(&mut |n| {
+        plan.visit(&mut |n| {
             if matches!(n, PhysNode::Sort { .. }) {
                 sorts += 1;
             }
@@ -749,12 +701,12 @@ mod tests {
     fn nljn_outer_edge_gets_finite_validity_range() {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
-        let cand = run(&cfg, &cat, &stats, true);
+        let plan = run(&cfg, &cat, &stats, true);
         // The winning NLJN pruned HSJN/MGJN alternatives over the same
         // partition, so its outer edge must have a finite upper bound:
         // beyond it, hash join provably wins.
         let mut found = false;
-        cand.node.visit(&mut |n| {
+        plan.visit(&mut |n| {
             if let PhysNode::Nljn { props, .. } = n {
                 if props.edge_ranges[0].hi.is_finite() {
                     found = true;
@@ -763,8 +715,7 @@ mod tests {
         });
         assert!(
             found,
-            "NLJN outer edge should have a finite validity upper bound:\n{}",
-            cand.node
+            "NLJN outer edge should have a finite validity upper bound:\n{plan}"
         );
     }
 
@@ -772,8 +723,8 @@ mod tests {
     fn validity_range_contains_estimate() {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
-        let cand = run(&cfg, &cat, &stats, true);
-        cand.node.visit(&mut |n| {
+        let plan = run(&cfg, &cat, &stats, true);
+        plan.visit(&mut |n| {
             for (child, range) in n.children().iter().zip(n.props().edge_ranges.iter()) {
                 let est = child.props().card;
                 assert!(
@@ -808,10 +759,9 @@ mod tests {
         b.join(c, 0, o, 1);
         b.join(c, 1, nat, 0); // grp -> nid (toy FK)
         let q = b.build().unwrap();
-        let est = CardEstimator::new(&q, &ctx).unwrap();
-        let cand = optimize_join_order(&est, &ctx).unwrap();
-        assert_eq!(cand.node.props().tables, q.all_tables());
-        assert!(cand.cost > 0.0);
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
+        assert_eq!(plan.props().tables, q.all_tables());
+        assert!(plan.props().cost > 0.0);
     }
 
     #[test]
@@ -845,18 +795,16 @@ mod tests {
             lineage: None,
         });
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-        let est = CardEstimator::new(&q, &ctx).unwrap();
-        let cand = optimize_join_order(&est, &ctx).unwrap();
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
         let mut has_mv = false;
-        cand.node.visit(&mut |n| {
+        plan.visit(&mut |n| {
             if matches!(n, PhysNode::MvScan { .. }) {
                 has_mv = true;
             }
         });
         assert!(
             has_mv,
-            "the cheap MV should replace the customer scan:\n{}",
-            cand.node
+            "the cheap MV should replace the customer scan:\n{plan}"
         );
     }
 
@@ -889,10 +837,9 @@ mod tests {
         let cost = CostModel::default();
         let fb = FeedbackCache::new();
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-        let est = CardEstimator::new(&q, &ctx).unwrap();
-        let cand = optimize_join_order(&est, &ctx).unwrap();
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
         let mut has_mv = false;
-        cand.node.visit(&mut |n| {
+        plan.visit(&mut |n| {
             if matches!(n, PhysNode::MvScan { .. }) {
                 has_mv = true;
             }

@@ -1,41 +1,32 @@
-//! Top-level plan assembly: join order → aggregation / projection →
-//! ordering → side effects → checkpoint placement.
+//! The optimizer's entry point and top-level plan assembly: join order
+//! (through the [`Memo`]) → aggregation / projection → ordering → side
+//! effects → checkpoint placement → parallelization.
 
-use crate::{
-    optimize_join_order, parallelize, place_checkpoints, CardEstimator, Memo, MemoStats,
-    OptimizerContext,
-};
+use crate::parallelize::parallelize;
+use crate::placement::place_checkpoints;
+use crate::{CardEstimator, Memo, MemoStats, OptimizerContext};
 use pop_plan::{
     LayoutCol, Partitioning, PhysNode, PlanProps, QuerySpec, SortKeyRef, ValidityRange,
 };
 use pop_types::PopResult;
 
 /// Optimize a query into an executable physical plan, with checkpoints
-/// placed per the context's configuration. From-scratch path: the full
-/// join-order space is enumerated on every call (this is the memo path's
-/// differential-testing oracle).
-pub fn optimize(spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> PopResult<PhysNode> {
-    spec.validate()?;
-    let est = CardEstimator::new(spec, ctx)?;
-    let cand = optimize_join_order(&est, ctx)?;
-    Ok(assemble(cand.node, spec, &est, ctx))
-}
-
-/// Like [`optimize`], but maintaining the caller's persistent [`Memo`]
-/// incrementally: only groups affected by new cardinality facts or MV
-/// promotions since the previous call are re-derived. Also returns the
-/// pass's [`MemoStats`] for reporting.
-pub fn optimize_with_memo(
+/// placed per the context's configuration — the only way to get a plan.
+/// The join order comes out of the caller's [`Memo`]: a memo that already
+/// holds this query's groups re-derives only those reached by cardinality
+/// facts or temp-MV changes since the previous call, and a [`Memo::new`]
+/// derives every group (a from-scratch optimization is the all-dirty
+/// case, not a second code path). Also returns the pass's [`MemoStats`]
+/// for reporting.
+pub fn optimize(
     spec: &QuerySpec,
     ctx: &OptimizerContext<'_>,
     memo: &mut Memo,
 ) -> PopResult<(PhysNode, MemoStats)> {
     spec.validate()?;
-    memo.prepare(spec, ctx.params);
-    let est = CardEstimator::with_sig_cache(spec, ctx, memo.sig_cache())?;
-    let cand = memo.best_join_order(&est, ctx)?;
-    let plan = assemble(cand.node, spec, &est, ctx);
-    Ok((plan, memo.last_stats()))
+    let est = memo.bind(spec, ctx)?;
+    let (cand, stats) = memo.best_join_order(&est, ctx)?;
+    Ok((assemble(cand.node, spec, &est, ctx), stats))
 }
 
 /// Wrap the winning join tree with the query's non-join operators
@@ -220,7 +211,7 @@ mod tests {
         );
         b.order_by(1, true);
         let q = b.build().unwrap();
-        let plan = optimize(&q, &ctx).unwrap();
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
         // Top (under possible checks): Sort over HashAgg.
         let s = plan.to_string();
         assert!(s.contains("AGG"), "plan:\n{s}");
@@ -249,7 +240,7 @@ mod tests {
         b.filter(c, Expr::col(c, 1).eq(Expr::lit(3i64)));
         b.project(&[(o, 0), (c, 0)]);
         let q = b.build().unwrap();
-        let plan = optimize(&q, &ctx).unwrap();
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
         assert_eq!(plan.props().layout.len(), 2);
     }
 
@@ -274,7 +265,7 @@ mod tests {
         b.project(&[(c, 0), (o, 0)]);
         b.insert_into("sink");
         let q = b.build().unwrap();
-        let plan = optimize(&q, &ctx).unwrap();
+        let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
         let mut has_insert = false;
         plan.visit(&mut |n| {
             if matches!(n, PhysNode::Insert { .. }) {
@@ -292,6 +283,6 @@ mod tests {
         let fb = FeedbackCache::new();
         let ctx = crate::OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = pop_plan::QuerySpec::default();
-        assert!(optimize(&q, &ctx).is_err());
+        assert!(optimize(&q, &ctx, &mut Memo::new()).is_err());
     }
 }

@@ -1,8 +1,10 @@
 //! The cost-based query optimizer with POP extensions.
 //!
 //! A System-R-style dynamic-programming optimizer over the query's join
-//! graph, producing a [`pop_plan::PhysNode`] tree. The POP-specific parts
-//! (paper §2):
+//! graph, producing a [`pop_plan::PhysNode`] tree through one entry point,
+//! [`optimize`], over one DP table, the [`Memo`] (incrementally maintained
+//! across re-optimizations; a fresh one optimizes from scratch). The
+//! POP-specific parts (paper §2):
 //!
 //! * **Validity ranges** ([`validity`]): while pruning a structurally
 //!   equivalent alternative plan, a modified Newton-Raphson root search on
@@ -15,7 +17,7 @@
 //!   CHECK failure enter enumeration as [`pop_plan::PhysNode::MvScan`]
 //!   candidates with exact cardinalities, competing on cost with
 //!   recomputing the subplan from scratch (§2.3, Figure 6).
-//! * **CHECK placement post-pass** ([`placement`]): inserts LC / LCEM /
+//! * **CHECK placement post-pass** (`placement`): inserts LC / LCEM /
 //!   ECB / ECWC / ECDC checkpoints per the placement policies of Table 1.
 
 mod candidate;
@@ -27,8 +29,8 @@ mod enumerate;
 mod feedback;
 mod finalize;
 mod memo;
-pub mod parallelize;
-pub mod placement;
+mod parallelize;
+mod placement;
 mod plan_cache;
 mod provenance;
 pub mod validity;
@@ -38,11 +40,8 @@ pub use cardinality::{CardEstimator, SigCache};
 pub use config::{FlavorSet, JoinMethods, OptimizerConfig, ValidityMode};
 pub use context::OptimizerContext;
 pub use cost::CostModel;
-pub use enumerate::optimize_join_order;
 pub use feedback::{CardFact, FeedbackCache, FeedbackStore, DEFAULT_FEEDBACK_CAPACITY};
-pub use finalize::{optimize, optimize_with_memo};
+pub use finalize::optimize;
 pub use memo::{Memo, MemoStats};
-pub use parallelize::parallelize;
-pub use placement::place_checkpoints;
 pub use plan_cache::{PlanCache, PlanGuard, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use provenance::{plan_provenance, EstimateProvenance, EstimateSource};

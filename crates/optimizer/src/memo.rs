@@ -1,43 +1,45 @@
-//! Incrementally-maintained optimizer memo.
+//! The join-order memo: the optimizer's one DP table.
 //!
 //! The classic POP loop re-runs the whole System-R enumeration on every
 //! CHECK violation, even though a violation changes the cardinality of
 //! *one* subplan and everything disjoint from it is provably unaffected.
 //! Following Liu/Ives/Loo ("Enabling Incremental Query Re-Optimization"),
 //! this module treats the DP table as a materialized view over the
-//! estimator's inputs and maintains it incrementally:
+//! estimator's inputs and maintains it incrementally; a from-scratch
+//! optimization is the same walk with every group dirty, which is what a
+//! [`Memo::new`] gets.
 //!
-//! * Each **group** is a table subset (mask) with its candidate list from
+//! * Each [`Group`] is a table subset (mask) with its candidate list from
 //!   [`crate::enumerate::build_join_group`], plus a [`GroupMeta`] snapshot
-//!   of the inputs it was built from (estimated cardinality bits, temp-MV
-//!   state).
-//! * A re-optimization pass walks masks in ascending order. A group whose
-//!   snapshot still matches is a **clean** group; since ascending order
-//!   means all its subsets were visited first, every subset is also clean,
-//!   so its candidate list — including pruning decisions and narrowed
-//!   validity ranges — is bit-identical to what a from-scratch run would
-//!   produce, and it is reused as-is.
+//!   of the inputs it was built from (estimated cardinality bits, identity
+//!   and cardinality of a matching temp MV).
+//! * [`Memo::best_join_order`] — the only loop that builds groups — walks
+//!   masks in ascending order. A group whose snapshot still matches is a
+//!   **clean** group; since ascending order means all its subsets were
+//!   visited first, every subset is also clean, so its candidate list —
+//!   including pruning decisions and narrowed validity ranges — is
+//!   bit-identical to what a fresh memo would derive, and it is reused
+//!   as-is.
 //! * A changed snapshot marks the group **dirty**; dirtiness propagates to
 //!   every superset (`dirty(S) ⇐ dirty(S \ {b})` for any `b ∈ S`), and
-//!   exactly the dirty groups are re-derived through the same builders the
-//!   from-scratch oracle uses.
+//!   exactly the dirty groups are re-derived, through the same builders in
+//!   the same order a fresh memo uses.
 //!
 //! The memo survives across re-optimization steps of one query *and*
-//! across queries: [`Memo::prepare`] compares the (spec, params) pair
-//! structurally and clears the groups when it changes, while config/
-//! cost-model/statistics changes are caught inside
-//! [`Memo::best_join_order`]. [`crate::optimize_join_order`] remains the
-//! differential-testing oracle; `OptimizerConfig::verify_memo` in the
-//! driver runs both and rejects any divergence.
+//! across queries: [`Memo::bind`] compares the (spec, params) pair
+//! structurally and drops the groups when it changes, while config /
+//! cost-model / statistics changes are caught inside
+//! [`Memo::best_join_order`]. The driver's `verify_memo` re-plans every
+//! step on a fresh memo and rejects any divergence.
 
 use crate::cardinality::SigCache;
-use crate::enumerate::{build_join_group, build_singleton_group};
+use crate::enumerate::{build_join_group, build_singleton_group, cheapest};
 use crate::{Candidate, CardEstimator, OptimizerContext};
 use pop_plan::{QuerySpec, TableSet};
+use pop_storage::TableId;
 use pop_types::{ColId, PopError, PopResult};
-use std::collections::HashMap;
 
-/// Statistics of one [`Memo::best_join_order`] pass.
+/// Statistics of one optimization pass over the [`Memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// The pass rebuilt every group from scratch (first optimization, or
@@ -54,14 +56,29 @@ pub struct MemoStats {
 }
 
 /// Snapshot of the estimator inputs a group was last built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct GroupMeta {
     /// `f64::to_bits` of the estimated cardinality at build time — changes
     /// exactly when a `CardFact` (or statistics change) reaches this set.
     card_bits: u64,
-    /// Actual cardinality of a matching temp MV at build time, if any —
-    /// changes when a violation promotes (or cleanup drops) an MV.
-    mv_card: Option<u64>,
+    /// Catalog table id and actual cardinality of a matching temp MV at
+    /// build time, if any — changes when a violation promotes (or cleanup
+    /// drops) an MV, and also when a later harvest *replaces* it under the
+    /// same signature: the candidate names the MV's table, so an equal
+    /// row count alone does not make the old candidate reusable.
+    mv: Option<(TableId, u64)>,
+}
+
+/// One entry of the DP table: the surviving candidates of a table subset
+/// and what they were derived from.
+#[derive(Debug, Default)]
+pub(crate) struct Group {
+    pub(crate) cands: Vec<Candidate>,
+    meta: GroupMeta,
+    /// Re-derived by the pass in progress. Written when the pass visits
+    /// the group and read only by its (later-visited) supersets, so it
+    /// needs no reset between passes.
+    dirty: bool,
 }
 
 /// Persistent join-order memo with dirty-propagation maintenance.
@@ -75,172 +92,135 @@ pub struct Memo {
     env: Option<(crate::OptimizerConfig, pop_plan::CostModel)>,
     /// Fingerprint of the estimator's statistics-derived inputs.
     stats_fp: u64,
-    n: usize,
-    groups: HashMap<u64, Vec<Candidate>>,
-    meta: HashMap<u64, GroupMeta>,
+    /// The DP table, indexed by table-set mask (slot 0, the empty set, is
+    /// never derived and never dirty). Empty until the first pass.
+    groups: Vec<Group>,
     sigs: SigCache,
-    last: MemoStats,
 }
 
 impl Memo {
-    /// Fresh, empty memo.
+    /// Fresh, empty memo: its first pass derives every group.
     pub fn new() -> Self {
         Memo::default()
     }
 
-    /// Bind the memo to a (spec, params) pair before building an
-    /// estimator. When the pair differs from the previous binding, all
-    /// groups and cached signatures are dropped — incremental maintenance
-    /// only ever spans re-optimizations of one bound query.
-    pub fn prepare(&mut self, spec: &QuerySpec, params: Option<&pop_expr::Params>) {
+    /// Bind the memo to the context's (spec, params) pair and build the
+    /// step's estimator over the memo's signature cache, so signature
+    /// strings are shared between estimator fact probing, MV lookups, and
+    /// the memo's own dirty detection. When the pair differs from the
+    /// previous binding, all groups and cached signatures are dropped —
+    /// incremental maintenance only ever spans re-optimizations of one
+    /// bound query.
+    pub(crate) fn bind(
+        &mut self,
+        spec: &QuerySpec,
+        ctx: &OptimizerContext<'_>,
+    ) -> PopResult<CardEstimator> {
         let same = self
             .bound
             .as_ref()
-            .is_some_and(|(s, p)| s == spec && p.as_ref() == params);
+            .is_some_and(|(s, p)| s == spec && p.as_ref() == ctx.params);
         if !same {
             self.groups.clear();
-            self.meta.clear();
             self.sigs.write().clear();
-            self.last = MemoStats::default();
-            self.bound = Some((spec.clone(), params.cloned()));
+            self.bound = Some((spec.clone(), ctx.params.cloned()));
         }
-    }
-
-    /// The signature cache to build the step's [`CardEstimator`] with
-    /// (via [`CardEstimator::with_sig_cache`]), so signature strings are
-    /// shared between estimator fact probing, MV lookups, and the memo's
-    /// own dirty detection.
-    pub fn sig_cache(&self) -> SigCache {
-        self.sigs.clone()
-    }
-
-    /// Statistics of the most recent [`Memo::best_join_order`] pass.
-    pub fn last_stats(&self) -> MemoStats {
-        self.last
-    }
-
-    /// Drop all state (used when incremental maintenance is disabled).
-    pub fn clear(&mut self) {
-        self.bound = None;
-        self.groups.clear();
-        self.meta.clear();
-        self.sigs.write().clear();
-        self.last = MemoStats::default();
+        CardEstimator::with_sig_cache(spec, ctx, self.sigs.clone())
     }
 
     /// Find the cheapest join plan for all tables, reusing every clean
-    /// group. Produces exactly the plan [`crate::optimize_join_order`]
-    /// would: clean groups are bit-identical by induction (all their
-    /// subsets are clean), dirty groups run the same builders in the same
-    /// ascending-mask order, and the final tie-break (`min_by`, last
-    /// minimum wins) is identical.
-    pub fn best_join_order(
+    /// group. Produces exactly the plan a fresh memo would: clean groups
+    /// are bit-identical by induction (all their subsets are clean), and
+    /// dirty groups run the same builders in the same ascending-mask
+    /// order.
+    pub(crate) fn best_join_order(
         &mut self,
         est: &CardEstimator,
         ctx: &OptimizerContext<'_>,
-    ) -> PopResult<Candidate> {
-        let spec = est.spec();
-        let n = spec.tables.len();
-        let full = spec.all_tables();
+    ) -> PopResult<(Candidate, MemoStats)> {
+        let n = est.spec().tables.len();
         let same_env = self
             .env
             .as_ref()
             .is_some_and(|(cfg, cost)| cfg == ctx.config && cost == ctx.cost);
         let stats_fp = stats_fingerprint(est, n);
-        let rebuilt =
-            self.groups.is_empty() || self.n != n || !same_env || self.stats_fp != stats_fp;
+        let rebuilt = self.groups.len() != 1 << n || !same_env || self.stats_fp != stats_fp;
         if rebuilt {
             self.groups.clear();
-            self.meta.clear();
-            self.n = n;
+            self.groups.resize_with(1 << n, Group::default);
             self.env = Some((ctx.config.clone(), ctx.cost.clone()));
             self.stats_fp = stats_fp;
         }
 
         let mut stats = MemoStats {
             rebuilt,
+            groups_total: self.groups.len() - 1,
             ..MemoStats::default()
         };
         // One lock acquisition per pass, not one per group: when no temp
         // MVs exist (the common case between violations) every signature
         // lookup below is skipped outright.
         let any_mvs = ctx.config.use_temp_mvs && ctx.catalog.temp_mv_count() > 0;
-        let mut dirty = vec![false; 1usize << n];
         // Ascending mask order: every subset of a group is final before the
-        // group itself is visited (same invariant as the scratch path).
-        for mask in 1u64..(1u64 << n) {
-            let set = TableSet::from_iter((0..n).filter(|i| mask & (1 << i) != 0));
+        // group itself is visited, so validity ranges of children have
+        // settled by the time they are cloned into parents.
+        for mask in 1..self.groups.len() {
+            let set = TableSet::from_iter((0..n).filter(|t| mask & (1 << t) != 0));
+            let old = &self.groups[mask];
             // A group with an empty candidate list and no MV is empty for
             // structural reasons (a disconnected subset): no cardinality
             // change can give it a candidate, so its estimate needs no
             // re-probing. Only a newly matching temp MV could revive it,
             // and the MV probe below still runs when any MVs exist.
-            let structurally_empty = !rebuilt
-                && self.groups.get(&mask).is_some_and(Vec::is_empty)
-                && self.meta.get(&mask).is_some_and(|m| m.mv_card.is_none());
+            let structurally_empty = !rebuilt && old.cands.is_empty() && old.meta.mv.is_none();
             let current = GroupMeta {
                 card_bits: if structurally_empty {
-                    self.meta[&mask].card_bits
+                    old.meta.card_bits
                 } else {
                     est.card(set).to_bits()
                 },
-                mv_card: if any_mvs {
-                    current_mv_card(set, est, ctx)
+                mv: if any_mvs {
+                    ctx.catalog
+                        .temp_mv(&est.signature(set))
+                        .map(|mv| (mv.table.id(), mv.actual_card))
                 } else {
                     None
                 },
             };
-            let seed = rebuilt || self.meta.get(&mask) != Some(&current);
+            let seed = rebuilt || old.meta != current;
             if seed && !rebuilt {
                 stats.dirty_seeds += 1;
             }
-            let mut is_dirty = seed;
-            if !is_dirty && mask.count_ones() >= 2 {
-                let mut bits = mask;
-                while bits != 0 {
-                    let b = bits & bits.wrapping_neg();
-                    if dirty[usize::try_from(mask & !b).expect("mask fits usize")] {
-                        is_dirty = true;
-                        break;
-                    }
-                    bits &= bits - 1;
-                }
-            }
-            dirty[usize::try_from(mask).expect("mask fits usize")] = is_dirty;
-            if is_dirty {
-                let list = if mask.is_power_of_two() {
+            let dirty = seed || set.iter().any(|t| self.groups[mask & !(1 << t)].dirty);
+            if dirty {
+                let cands = if mask.is_power_of_two() {
                     let t = set.iter().next().expect("singleton");
-                    build_singleton_group(t, est, ctx)?
+                    // A pass that stops half-way leaves supersets derived
+                    // from superseded subsets: drop the table, so the next
+                    // pass rebuilds instead of trusting it.
+                    build_singleton_group(t, est, ctx).inspect_err(|_| self.groups.clear())?
                 } else {
                     build_join_group(set, &self.groups, est, ctx)
                 };
-                self.groups.insert(mask, list);
-                self.meta.insert(mask, current);
+                self.groups[mask] = Group {
+                    cands,
+                    meta: current,
+                    dirty: true,
+                };
                 stats.groups_rederived += 1;
             } else {
+                self.groups[mask].dirty = false;
                 stats.groups_reused += 1;
             }
         }
-        stats.groups_total = self.groups.len();
-        self.last = stats;
 
-        self.groups
-            .get(&full.mask())
-            .and_then(|list| list.iter().min_by(|a, b| a.cost.total_cmp(&b.cost)))
+        cheapest(&self.groups, est.spec().all_tables())
             .cloned()
+            .map(|best| (best, stats))
             .ok_or_else(|| {
                 PopError::Planning("no feasible join plan (check join graph and indexes)".into())
             })
     }
-}
-
-/// Actual cardinality of a temp MV matching this set's signature, if any.
-fn current_mv_card(set: TableSet, est: &CardEstimator, ctx: &OptimizerContext<'_>) -> Option<u64> {
-    if !ctx.config.use_temp_mvs {
-        return None;
-    }
-    let sig = est.signature(set);
-    ctx.catalog.temp_mv(&sig).map(|mv| mv.actual_card)
 }
 
 /// FNV-1a over the estimator's statistics-derived inputs (raw/filtered
@@ -263,8 +243,8 @@ fn stats_fingerprint(est: &CardEstimator, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize_join_order, CardFact, CostModel, FeedbackCache, OptimizerConfig};
-    use pop_plan::QueryBuilder;
+    use crate::{optimize, CardFact, CostModel, FeedbackCache, OptimizerConfig};
+    use pop_plan::{PhysNode, QueryBuilder};
     use pop_stats::StatsRegistry;
     use pop_storage::{Catalog, IndexKind};
     use pop_types::{DataType, Schema, Value};
@@ -317,6 +297,43 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Register a 10-row temp MV over the filtered customer subplan of
+    /// [`chain_query`], backed by a fresh table called `name`.
+    fn register_customer_mv(cat: &Catalog, q: &pop_plan::QuerySpec, name: &str) {
+        cat.register_temp_mv(pop_storage::TempMv {
+            table: std::sync::Arc::new(pop_storage::Table::new(
+                cat.allocate_temp_id(),
+                name,
+                Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
+                (0..10)
+                    .map(|i| vec![Value::Int(i), Value::Int(3)])
+                    .collect(),
+            )),
+            signature: pop_plan::subplan_signature(q, TableSet::single(0)),
+            layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
+            actual_card: 10,
+            lineage: None,
+        });
+    }
+
+    fn mv_scans(plan: &PhysNode) -> Vec<String> {
+        let mut names = Vec::new();
+        plan.visit(&mut |n| {
+            if let PhysNode::MvScan { mv_name, .. } = n {
+                names.push(mv_name.clone());
+            }
+        });
+        names
+    }
+
+    /// The incremental answer must be the fresh-memo answer, bit for bit.
+    fn assert_matches_fresh(inc: &PhysNode, q: &pop_plan::QuerySpec, ctx: &OptimizerContext<'_>) {
+        let (fresh, stats) = optimize(q, ctx, &mut Memo::new()).unwrap();
+        assert!(stats.rebuilt);
+        assert_eq!(inc.props().cost.to_bits(), fresh.props().cost.to_bits());
+        assert_eq!(inc.to_string(), fresh.to_string());
+    }
+
     #[test]
     fn first_pass_rebuilds_then_reuses_everything() {
         let (cat, stats) = setup();
@@ -326,20 +343,17 @@ mod tests {
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
-        memo.prepare(&q, None);
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        let c1 = memo.best_join_order(&est, &ctx).unwrap();
-        assert!(memo.last_stats().rebuilt);
-        assert_eq!(memo.last_stats().groups_reused, 0);
+        let (p1, s1) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(s1.rebuilt);
+        assert_eq!(s1.groups_reused, 0);
+        assert_eq!(s1.groups_rederived, s1.groups_total);
         // Nothing changed: second pass reuses every group.
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        let c2 = memo.best_join_order(&est, &ctx).unwrap();
-        let s = memo.last_stats();
-        assert!(!s.rebuilt);
-        assert_eq!(s.groups_rederived, 0);
-        assert_eq!(s.groups_reused, s.groups_total);
-        assert_eq!(c1.cost.to_bits(), c2.cost.to_bits());
-        assert_eq!(c1.node.to_string(), c2.node.to_string());
+        let (p2, s2) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(!s2.rebuilt);
+        assert_eq!(s2.groups_rederived, 0);
+        assert_eq!(s2.groups_reused, s2.groups_total);
+        assert_eq!(p1.props().cost.to_bits(), p2.props().cost.to_bits());
+        assert_eq!(p1.to_string(), p2.to_string());
     }
 
     #[test]
@@ -348,31 +362,21 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
         let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
-        {
-            let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-            memo.prepare(&q, None);
-            let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-            memo.best_join_order(&est, &ctx).unwrap();
-        }
+        optimize(&q, &ctx, &mut memo).unwrap();
         // A fact on {customer} dirties {c}, {c,o}, {c,i}, {c,o,i} — the
         // four ancestors — and leaves {o}, {i}, {o,i} untouched.
         fb.record(
             pop_plan::subplan_signature(&q, TableSet::single(0)),
             CardFact::Exact(55.0),
         );
-        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        let inc = memo.best_join_order(&est, &ctx).unwrap();
-        let s = memo.last_stats();
+        let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt, "a CardFact must not force a full rebuild");
         assert_eq!(s.groups_rederived, 4, "{s:?}");
         assert_eq!(s.groups_reused, 3, "{s:?}");
-        // And the result matches the from-scratch oracle exactly.
-        let scratch = optimize_join_order(&est, &ctx).unwrap();
-        assert_eq!(inc.cost.to_bits(), scratch.cost.to_bits());
-        assert_eq!(inc.node.to_string(), scratch.node.to_string());
+        assert_matches_fresh(&inc, &q, &ctx);
     }
 
     #[test]
@@ -390,25 +394,15 @@ mod tests {
         let p1 = pop_expr::Params::new(vec![Value::Int(3)]);
         let p2 = pop_expr::Params::new(vec![Value::Int(7)]);
         let mut memo = Memo::new();
-        memo.prepare(&q, Some(&p1));
-        {
-            let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&p1), &fb);
-            let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-            memo.best_join_order(&est, &ctx).unwrap();
-            assert!(memo.last_stats().rebuilt);
-        }
+        let ctx1 = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&p1), &fb);
+        assert!(optimize(&q, &ctx1, &mut memo).unwrap().1.rebuilt);
         // Different binding: the memo must not carry groups across.
-        memo.prepare(&q, Some(&p2));
-        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&p2), &fb);
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        memo.best_join_order(&est, &ctx).unwrap();
-        assert!(memo.last_stats().rebuilt);
+        let ctx2 = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&p2), &fb);
+        assert!(optimize(&q, &ctx2, &mut memo).unwrap().1.rebuilt);
         // Same binding again: fully reused.
-        memo.prepare(&q, Some(&p2));
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        memo.best_join_order(&est, &ctx).unwrap();
-        assert!(!memo.last_stats().rebuilt);
-        assert_eq!(memo.last_stats().groups_rederived, 0);
+        let (_, s) = optimize(&q, &ctx2, &mut memo).unwrap();
+        assert!(!s.rebuilt);
+        assert_eq!(s.groups_rederived, 0);
     }
 
     #[test]
@@ -417,47 +411,68 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
         let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
-        {
-            let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-            memo.prepare(&q, None);
-            let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-            memo.best_join_order(&est, &ctx).unwrap();
-        }
-        // Promote an MV over the filtered customer subplan.
-        let sig = pop_plan::subplan_signature(&q, TableSet::single(0));
-        let id = cat.allocate_temp_id();
-        cat.register_temp_mv(pop_storage::TempMv {
-            table: std::sync::Arc::new(pop_storage::Table::new(
-                id,
-                "__mv_memo",
-                Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-                (0..10)
-                    .map(|i| vec![Value::Int(i), Value::Int(3)])
-                    .collect(),
-            )),
-            signature: sig,
-            layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
-            actual_card: 10,
-            lineage: None,
-        });
-        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        let inc = memo.best_join_order(&est, &ctx).unwrap();
-        let s = memo.last_stats();
+        optimize(&q, &ctx, &mut memo).unwrap();
+        register_customer_mv(&cat, &q, "__mv_memo");
+        let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt);
         assert!(s.dirty_seeds >= 1, "{s:?}");
-        let scratch = optimize_join_order(&est, &ctx).unwrap();
-        assert_eq!(inc.cost.to_bits(), scratch.cost.to_bits());
-        assert_eq!(inc.node.to_string(), scratch.node.to_string());
-        let mut has_mv = false;
-        inc.node.visit(&mut |n| {
-            if matches!(n, pop_plan::PhysNode::MvScan { .. }) {
-                has_mv = true;
-            }
-        });
-        assert!(has_mv, "promoted MV must appear in the incremental plan");
+        assert_matches_fresh(&inc, &q, &ctx);
+        assert_eq!(
+            mv_scans(&inc),
+            ["__mv_memo"],
+            "promoted MV must appear in the incremental plan"
+        );
+    }
+
+    /// A later harvest re-registers an MV under the same signature with
+    /// the same row count but a new backing table. The group's candidate
+    /// names the table, so the group must be re-derived — a snapshot of the
+    /// cardinality alone kept the stale `MVSCAN` (planlint `PL402`).
+    #[test]
+    fn replaced_mv_with_equal_cardinality_dirties_the_group() {
+        let (cat, stats) = setup();
+        let cfg = OptimizerConfig::default();
+        let cost = CostModel::default();
+        let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        let q = chain_query();
+        let mut memo = Memo::new();
+        register_customer_mv(&cat, &q, "__mv_old");
+        let (first, _) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert_eq!(mv_scans(&first), ["__mv_old"]);
+
+        register_customer_mv(&cat, &q, "__mv_new");
+        let (second, s) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(!s.rebuilt);
+        assert_eq!(s.dirty_seeds, 1, "{s:?}");
+        assert_eq!(s.groups_rederived, 4, "{s:?}");
+        assert_eq!(mv_scans(&second), ["__mv_new"]);
+        assert_matches_fresh(&second, &q, &ctx);
+        let lctx = pop_planlint::LintContext::full(&cat, &q);
+        let diags = pop_planlint::lint_plan(&second, &lctx);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn dropped_mv_dirties_the_group() {
+        let (cat, stats) = setup();
+        let cfg = OptimizerConfig::default();
+        let cost = CostModel::default();
+        let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        let q = chain_query();
+        let mut memo = Memo::new();
+        register_customer_mv(&cat, &q, "__mv_gone");
+        let (with_mv, _) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert_eq!(mv_scans(&with_mv), ["__mv_gone"]);
+        cat.clear_temp_mvs();
+        let (without, s) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(!s.rebuilt);
+        assert!(mv_scans(&without).is_empty(), "{without}");
+        assert_matches_fresh(&without, &q, &ctx);
     }
 
     #[test]
@@ -468,12 +483,8 @@ mod tests {
         let q = chain_query();
         let mut memo = Memo::new();
         let cfg = OptimizerConfig::default();
-        {
-            let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
-            memo.prepare(&q, None);
-            let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-            memo.best_join_order(&est, &ctx).unwrap();
-        }
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        optimize(&q, &ctx, &mut memo).unwrap();
         let cfg2 = OptimizerConfig {
             joins: crate::JoinMethods {
                 nljn: false,
@@ -482,11 +493,8 @@ mod tests {
             ..OptimizerConfig::default()
         };
         let ctx = OptimizerContext::new(&cat, &stats, &cfg2, &cost, None, &fb);
-        memo.prepare(&q, None);
-        let est = CardEstimator::with_sig_cache(&q, &ctx, memo.sig_cache()).unwrap();
-        let inc = memo.best_join_order(&est, &ctx).unwrap();
-        assert!(memo.last_stats().rebuilt);
-        let scratch = optimize_join_order(&est, &ctx).unwrap();
-        assert_eq!(inc.node.to_string(), scratch.node.to_string());
+        let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(s.rebuilt);
+        assert_matches_fresh(&inc, &q, &ctx);
     }
 }

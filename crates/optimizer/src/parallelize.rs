@@ -58,7 +58,7 @@ use pop_plan::{AggFunc, CostModel, Partitioning, PhysNode, PlanProps, TableSet, 
 use pop_types::ColId;
 
 /// Apply the parallelize post-pass to a finished, checkpointed plan.
-pub fn parallelize(plan: PhysNode, ctx: &OptimizerContext<'_>) -> PhysNode {
+pub(crate) fn parallelize(plan: PhysNode, ctx: &OptimizerContext<'_>) -> PhysNode {
     let k = ctx.config.threads;
     if k <= 1 {
         return plan;
@@ -352,7 +352,7 @@ mod tests {
             b.aggregate(&[(c, 1)], vec![AggFunc::Count]);
         }
         let q = b.build().unwrap();
-        optimize(&q, &ctx).unwrap()
+        optimize(&q, &ctx, &mut crate::Memo::new()).unwrap().0
     }
 
     fn threads_cfg(threads: usize, min_parallel_rows: f64) -> OptimizerConfig {

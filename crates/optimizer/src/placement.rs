@@ -69,7 +69,7 @@ impl PlaceState<'_, '_> {
 
 /// Insert checkpoints into a finished plan. Returns the plan unchanged if
 /// no flavor is enabled or the plan is below the cost threshold.
-pub fn place_checkpoints(
+pub(crate) fn place_checkpoints(
     plan: PhysNode,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
@@ -549,7 +549,7 @@ fn edge_range(props: &pop_plan::PlanProps, edge: usize) -> ValidityRange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CardEstimator, CostModel, FeedbackCache, FlavorSet, JoinMethods, OptimizerConfig};
+    use crate::{CostModel, FeedbackCache, FlavorSet, JoinMethods, OptimizerConfig};
     use pop_expr::Expr;
     use pop_plan::{CheckFlavor, QueryBuilder, QuerySpec};
     use pop_stats::StatsRegistry;
@@ -594,10 +594,11 @@ mod tests {
         let cost = CostModel::default();
         let fb = FeedbackCache::new();
         let ctx = crate::OptimizerContext::new(&cat, &stats, cfg, &cost, None, &fb);
-        let q = query();
-        let est = CardEstimator::new(&q, &ctx).unwrap();
-        let cand = crate::optimize_join_order(&est, &ctx).unwrap();
-        place_checkpoints(cand.node, &est, &ctx)
+        // A join-only query at one thread: `optimize` is enumeration plus
+        // the placement pass under test.
+        crate::optimize(&query(), &ctx, &mut crate::Memo::new())
+            .unwrap()
+            .0
     }
 
     #[test]

@@ -245,7 +245,7 @@ mod tests {
         b.filter(c, pop_expr::Expr::col(c, 1).eq(pop_expr::Expr::lit(3i64)));
         let q = b.build().unwrap();
         let est = CardEstimator::new(&q, &ctx).unwrap();
-        let plan = crate::optimize(&q, &ctx).unwrap();
+        let (plan, _) = crate::optimize(&q, &ctx, &mut crate::Memo::new()).unwrap();
         (plan, est, q)
     }
 

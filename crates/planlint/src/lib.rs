@@ -462,7 +462,9 @@ mod tests {
     use super::testutil::*;
     use super::*;
     use pop_expr::{Expr, Params};
-    use pop_optimizer::{optimize, FeedbackCache, FlavorSet, OptimizerConfig, OptimizerContext};
+    use pop_optimizer::{
+        optimize, FeedbackCache, FlavorSet, Memo, OptimizerConfig, OptimizerContext,
+    };
     use pop_plan::{CostModel, QueryBuilder};
     use pop_stats::StatsRegistry;
     use pop_storage::IndexKind;
@@ -509,7 +511,7 @@ mod tests {
         let params = Params::none();
         let plan = {
             let octx = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&params), &fb);
-            optimize(&q, &octx).unwrap()
+            optimize(&q, &octx, &mut Memo::new()).unwrap().0
         };
         (cat, q, plan)
     }
@@ -555,7 +557,7 @@ mod tests {
         let params = Params::none();
         let plan = {
             let octx = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&params), &fb);
-            optimize(&q, &octx).unwrap()
+            optimize(&q, &octx, &mut Memo::new()).unwrap().0
         };
         let mut has_gather = false;
         plan.visit(&mut |n| has_gather |= matches!(n, PhysNode::Gather { .. }));

@@ -43,6 +43,13 @@ fn dmv_workload_runs_and_pop_preserves_semantics() {
             .run(&q.spec, &Params::none())
             .unwrap_or_else(|e| panic!("{} without POP failed: {e}", q.name));
         assert_rows_equal(a.rows.clone(), b.rows.clone(), &q.name);
+        // No fault is injected, so every re-optimization must produce a
+        // plan that passes the lint gate (a stale MVSCAN once did not).
+        assert!(
+            !a.report.degraded,
+            "{}: re-optimization degraded: {:?}",
+            q.name, a.report.warnings
+        );
         total_reopts += a.report.reopt_count;
         if a.report.total_work < b.report.total_work {
             improved += 1;
