@@ -1,0 +1,115 @@
+//! Plan goldens: one FNV-1a hash per (suite × flavor set) over the rendered
+//! plans of every TPC-H and DMV query. The end-to-end suites compare result
+//! rows, which a changed plan usually leaves alone; this pins the plans
+//! themselves — join order, operators, costs, CHECK ids, flavors and ranges
+//! — so a refactor of how plans are *built* cannot silently change *which*
+//! plans are built. Each `FlavorSet::only(..)` runs beside the default set
+//! so every arm of CHECK placement is exercised.
+//!
+//! A legitimate plan change re-records the constants from the failure
+//! message (which prints the new hash).
+
+use pop::{PopConfig, PopExecutor};
+use pop_expr::Params;
+use pop_optimizer::{CostModel, FlavorSet, OptimizerConfig};
+use pop_plan::{CheckFlavor, QuerySpec};
+use pop_storage::StorageConfig;
+
+const TPCH_SF: f64 = 0.0005;
+const DMV_SCALE: f64 = 0.0003;
+
+/// The default flavor set, then each flavor alone.
+fn flavor_sets() -> [(&'static str, FlavorSet); 6] {
+    [
+        ("default", OptimizerConfig::default().flavors),
+        ("LC", FlavorSet::only(CheckFlavor::Lc)),
+        ("LCEM", FlavorSet::only(CheckFlavor::Lcem)),
+        ("ECB", FlavorSet::only(CheckFlavor::Ecb)),
+        ("ECWC", FlavorSet::only(CheckFlavor::Ecwc)),
+        ("ECDC", FlavorSet::only(CheckFlavor::Ecdc)),
+    ]
+}
+
+/// Mem backend, flat cost model, one thread — independent of the `POP_*`
+/// environment, so the hashes mean the same thing in every CI job.
+fn config(flavors: FlavorSet) -> PopConfig {
+    PopConfig {
+        optimizer: OptimizerConfig {
+            flavors,
+            ..OptimizerConfig::default()
+        },
+        cost_model: CostModel::default(),
+        ..PopConfig::default()
+    }
+}
+
+fn check_suite(
+    suite: &str,
+    mut exec: PopExecutor,
+    queries: &[(String, QuerySpec)],
+    expected: [u64; 6],
+) {
+    let mut failures = Vec::new();
+    for ((label, flavors), want) in flavor_sets().into_iter().zip(expected) {
+        *exec.config_mut() = config(flavors);
+        let mut h = pop_types::FNV1A_OFFSET;
+        for (name, spec) in queries {
+            let plan = exec
+                .plan(spec, &Params::none())
+                .unwrap_or_else(|e| panic!("{suite} {name} [{label}]: {e}"));
+            pop_types::fnv1a_extend(&mut h, plan.to_string().as_bytes());
+        }
+        if h != want {
+            failures.push(format!(
+                "{suite} [{label}]: plans changed — new hash {h:#018x}, recorded {want:#018x}"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn tpch_plans_are_pinned() {
+    let cat = pop_tpch::tpch_catalog_with(TPCH_SF, StorageConfig::default()).unwrap();
+    let queries: Vec<_> = pop_tpch::extended_queries()
+        .into_iter()
+        .map(|(name, spec)| (name.to_string(), spec))
+        .collect();
+    assert_eq!(queries.len(), 17);
+    check_suite(
+        "TPC-H",
+        PopExecutor::new(cat, config(FlavorSet::none())).unwrap(),
+        &queries,
+        [
+            0xbd46_1f4b_48d6_c590,
+            0x190a_c80d_ac79_3fdc,
+            0x6409_66f0_93d8_73c3,
+            0x7fac_460a_08a1_ec9d,
+            0x619c_3a38_13bc_49b5,
+            0xebfb_a0c4_636d_45ec,
+        ],
+    );
+}
+
+#[test]
+fn dmv_plans_are_pinned() {
+    let cat = pop_dmv::dmv_catalog_with(DMV_SCALE, StorageConfig::default()).unwrap();
+    let queries: Vec<_> = pop_dmv::dmv_queries()
+        .into_iter()
+        .map(|q| (q.name, q.spec))
+        .collect();
+    assert_eq!(queries.len(), 39);
+    check_suite(
+        "DMV",
+        PopExecutor::new(cat, config(FlavorSet::none())).unwrap(),
+        &queries,
+        [
+            0xbcb9_571d_3869_7f3d,
+            0x80a1_3459_1993_2114,
+            0xbf95_5dd4_6aed_933c,
+            0xd2a8_864d_e190_e9a5,
+            0x40f5_6f62_bfc5_79e9,
+            0x0ea6_2326_0f41_8efd,
+        ],
+    );
+}
