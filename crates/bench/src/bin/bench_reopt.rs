@@ -25,7 +25,9 @@
 //!    injected-fact sequence (a deployed system keeps its memo or does
 //!    not), every round's incremental plan must cost bit-identically to
 //!    the fresh-memo plan of the same round, and latency is summarized
-//!    by the per-round median.
+//!    by the per-round median. Besides the ratio floors, `--assert` holds
+//!    each scenario's incremental median to an absolute ceiling, so the
+//!    ratio cannot be kept by both sides getting slower.
 //!
 //! 2. **Repeated parameterized Q10.** Under cross-query learning the
 //!    first run pays for its misestimate with a re-optimization; the
@@ -50,6 +52,17 @@ use std::time::Instant;
 /// Seven tables make a 6-join chain.
 const CHAIN_TABLES: usize = 7;
 const SPEEDUP_FLOOR: f64 = 5.0;
+/// Incremental medians recorded in `results/BENCH_reopt.json` before
+/// candidates became cost records (200 rounds, 2-vCPU sandbox). A ratio
+/// floor alone would let both sides get slower together, so `--assert` also
+/// holds each scenario's incremental median to these, times
+/// [`NOISE_ALLOWANCE`].
+const ROOT_CHECK_CEILING_US: f64 = 67.875;
+const DEEP_CHECK_CEILING_US: f64 = 311.959;
+/// Single runs of one binary on that sandbox spread up to ~1.9x around
+/// their median; the ceilings are absolute microseconds, so slower CI
+/// hardware needs room too.
+const NOISE_ALLOWANCE: f64 = 1.5;
 const TPCH_SF: f64 = 0.002;
 
 #[derive(Debug, Clone, Serialize)]
@@ -65,6 +78,9 @@ struct ReoptScenario {
     mean_groups_rederived: f64,
     /// Floor `--assert` holds this scenario's speedup to.
     asserted_floor: f64,
+    /// Ceiling `--assert` holds `incremental_median_us` to (before the
+    /// noise allowance).
+    incremental_ceiling_us: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -150,6 +166,7 @@ fn run_scenario(
     description: &str,
     rounds: usize,
     asserted_floor: f64,
+    incremental_ceiling_us: f64,
     fact_set: impl Fn(usize, &QuerySpec) -> TableSet,
 ) -> (ReoptScenario, usize) {
     let cat = chain_catalog();
@@ -227,6 +244,7 @@ fn run_scenario(
             speedup: scratch_median_us / incremental_median_us,
             mean_groups_rederived: rederived_total as f64 / rounds as f64,
             asserted_floor,
+            incremental_ceiling_us,
         },
         groups_total,
     )
@@ -240,6 +258,7 @@ fn reopt_latency(rounds: usize) -> ReoptLatency {
          full table set and dirties exactly one group",
         rounds,
         SPEEDUP_FLOOR,
+        ROOT_CHECK_CEILING_US,
         |_, spec| spec.all_tables(),
     );
     let (deep, _) = run_scenario(
@@ -248,6 +267,7 @@ fn reopt_latency(rounds: usize) -> ReoptLatency {
          covering group re-derives, bounding the win",
         rounds,
         1.0,
+        DEEP_CHECK_CEILING_US,
         |round, _| {
             let lo = round % (CHAIN_TABLES - 1);
             TableSet::from_iter(lo..lo + 2)
@@ -331,6 +351,13 @@ fn main() {
                     "{}: incremental re-optimization only {:.2}x cheaper than \
                      from-scratch (floor {}x)",
                     s.name, s.speedup, s.asserted_floor
+                ));
+            }
+            if s.incremental_median_us > s.incremental_ceiling_us * NOISE_ALLOWANCE {
+                failures.push(format!(
+                    "{}: incremental re-optimization took {:.1} us, above the recorded \
+                     {:.1} us x {NOISE_ALLOWANCE} allowance",
+                    s.name, s.incremental_median_us, s.incremental_ceiling_us
                 ));
             }
         }

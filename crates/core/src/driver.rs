@@ -14,7 +14,7 @@ use pop_optimizer::{
 };
 use pop_plan::{
     canonical_layout, spec_fingerprint, subplan_signature_with_params, CheckFlavor, Partitioning,
-    PhysNode, PlanProps, QuerySpec, TableSet, ValidityRange,
+    PhysNode, QuerySpec, TableSet, ValidityRange,
 };
 use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
@@ -1036,21 +1036,10 @@ fn serial_skeleton(node: PhysNode) -> PhysNode {
                 spec.fold = false;
             }
             for child in other.children_mut() {
-                let owned = std::mem::replace(child, placeholder_node());
-                *child = serial_skeleton(owned);
+                child.replace_with(serial_skeleton);
             }
             other
         }
-    }
-}
-
-/// Throwaway node used to take ownership of a boxed child.
-fn placeholder_node() -> PhysNode {
-    PhysNode::TableScan {
-        qidx: 0,
-        table: String::new(),
-        pred: None,
-        props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
     }
 }
 

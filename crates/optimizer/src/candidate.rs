@@ -1,4 +1,10 @@
-//! Plan candidates held in the DP memo.
+//! Plan candidates held in the DP memo: cost records with child references.
+//!
+//! Pruning and validity-range narrowing (§2.2) compare cost *functions*,
+//! never operator trees, so that is what a [`Candidate`] stores. A join
+//! candidate refers to its inputs by index into the child groups (as a group
+//! entry does in Liu/Ives/Loo's incremental memo) instead of containing
+//! copies of them.
 
 use pop_plan::{PhysNode, TableSet, ValidityRange};
 use pop_types::ColId;
@@ -76,11 +82,13 @@ impl RootCostSpec {
     }
 }
 
-/// A memo entry: a physical subplan plus everything pruning needs.
+/// A memo entry: a cost record, not a plan. It holds what pruning and the
+/// sensitivity analysis read — the cost *function* of the root operator over
+/// its canonical edges — plus, per edge, which candidate of the child group
+/// feeds it and the validity range pruning has narrowed so far. The operator
+/// tree is built once, for the winner, by `finalize::extract`.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// The physical subplan (props filled in).
-    pub node: PhysNode,
     /// Total estimated cost (children + root local + enforcers).
     pub cost: f64,
     /// Estimated output cardinality.
@@ -97,9 +105,18 @@ pub struct Candidate {
     pub fixed_cost: f64,
     /// Estimated cards of the canonical edges.
     pub edge_cards: Vec<f64>,
-    /// Canonical edge index → child index in `node` (None if the edge has
-    /// no corresponding physical child, e.g. the NLJN inner).
-    pub edge_to_child: Vec<Option<usize>>,
+    /// Validity range of each canonical edge, narrowed in place by
+    /// [`crate::validity::narrow_on_prune`].
+    pub edge_ranges: Vec<ValidityRange>,
+    /// Per canonical edge, the index of the chosen candidate in that
+    /// side's group (`None` for the NLJN inner, which is probed through
+    /// its index rather than planned). A child group is final before any
+    /// superset is derived, and re-deriving it dirties every superset, so
+    /// the index stays valid for as long as this candidate exists.
+    pub edge_children: Vec<Option<usize>>,
+    /// The finished node of a leaf or MV scan — childless, so keeping it
+    /// clones no subtree. `None` for joins.
+    pub leaf: Option<PhysNode>,
 }
 
 impl Candidate {
@@ -109,41 +126,16 @@ impl Candidate {
     pub fn cost_at(&self, model: &crate::CostModel, cards: &[f64]) -> f64 {
         self.fixed_cost + crate::cost::root_local_cost(model, &self.root_spec, cards)
     }
-
-    /// Narrow the validity range stored on the physical child edge that
-    /// corresponds to canonical edge `edge`.
-    pub fn apply_range(&mut self, edge: usize, range: ValidityRange) {
-        if let Some(Some(child_idx)) = self.edge_to_child.get(edge) {
-            let props = self.node.props_mut();
-            while props.edge_ranges.len() <= *child_idx {
-                props.edge_ranges.push(ValidityRange::unbounded());
-            }
-            let r = &mut props.edge_ranges[*child_idx];
-            *r = r.intersect(&range);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CostModel;
-    use pop_plan::{LayoutCol, PlanProps};
 
-    fn leaf_candidate() -> Candidate {
-        let node = PhysNode::TableScan {
-            qidx: 0,
-            table: "t".into(),
-            pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(0),
-                50.0,
-                100.0,
-                vec![LayoutCol::Base(ColId::new(0, 0))],
-            ),
-        };
-        Candidate {
-            node,
+    #[test]
+    fn cost_at_leaf_is_constant() {
+        let c = Candidate {
             cost: 100.0,
             card: 50.0,
             order: None,
@@ -154,22 +146,12 @@ mod tests {
             },
             fixed_cost: 0.0,
             edge_cards: vec![],
-            edge_to_child: vec![],
-        }
-    }
-
-    #[test]
-    fn cost_at_leaf_is_constant() {
-        let c = leaf_candidate();
+            edge_ranges: vec![],
+            edge_children: vec![],
+            leaf: None,
+        };
         let m = CostModel::default();
         assert_eq!(c.cost_at(&m, &[]), 100.0);
-    }
-
-    #[test]
-    fn apply_range_out_of_bounds_is_noop() {
-        let mut c = leaf_candidate();
-        c.apply_range(5, ValidityRange::new(1.0, 2.0));
-        assert!(c.node.props().edge_ranges.is_empty());
     }
 
     #[test]

@@ -106,9 +106,6 @@ pub enum ValidityMode {
 pub struct OptimizerConfig {
     /// Join methods available.
     pub joins: JoinMethods,
-    /// Require an index on the inner join column for NLJN (the realistic
-    /// setting; naive rescanning NLJN is never competitive here).
-    pub nljn_requires_index: bool,
     /// Checkpoint flavors to place.
     pub flavors: FlavorSet,
     /// How check ranges are computed.
@@ -166,7 +163,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             joins: JoinMethods::default(),
-            nljn_requires_index: true,
             flavors: FlavorSet::default(),
             validity_mode: ValidityMode::Ranges,
             check_cost_threshold: 1_000.0,

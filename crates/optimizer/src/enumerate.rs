@@ -13,13 +13,15 @@
 //! §2.2), [`crate::validity::narrow_on_prune`] narrows the winner's
 //! per-edge validity ranges — so range computation costs only a few extra
 //! cost-function evaluations, exactly as the paper advertises.
+//!
+//! A join candidate is a cost record that names its inputs by index in the
+//! child groups; nothing here builds or copies an operator that has
+//! children. `finalize::extract` turns the one winning record into a tree.
 
 use crate::memo::Group;
 use crate::{validity, Candidate, CardEstimator, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
-use pop_plan::{
-    InnerProbe, LayoutCol, Partitioning, PhysNode, PlanProps, SortKeyRef, TableSet, ValidityRange,
-};
+use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, QuerySpec, TableSet, ValidityRange};
 use pop_types::{ColId, PopResult};
 
 /// Candidate list for a single base relation: sequential scan, index
@@ -77,6 +79,8 @@ pub(crate) fn build_join_group(
 }
 
 /// Generate and insert all join candidates for one unordered partition.
+/// A candidate is a cost record over the partition's two canonical edges
+/// that names its inputs by index; no operator is built here.
 fn add_partition_candidates(
     list: &mut Vec<Candidate>,
     s1: TableSet,
@@ -86,177 +90,82 @@ fn add_partition_candidates(
     ctx: &OptimizerContext<'_>,
 ) {
     let spec = est.spec();
-    if !spec.connected(s1, s2) {
-        return;
-    }
-    if candidates(groups, s1).is_empty() || candidates(groups, s2).is_empty() {
-        return;
-    }
     // Canonical edge order: smaller mask first.
     let (a, b) = if s1.mask() < s2.mask() {
         (s1, s2)
     } else {
         (s2, s1)
     };
-    let edge_cards = vec![est.card(a), est.card(b)];
-    let out_card = est.card(a.union(b));
     let preds = spec.join_preds_between(a, b);
+    if preds.is_empty() {
+        return;
+    }
+    let (Some(best_a), Some(best_b)) = (cheapest(groups, a), cheapest(groups, b)) else {
+        return;
+    };
+    let sides = [a, b];
+    let best = [best_a, best_b];
+    let edge_cards = [est.card(a), est.card(b)];
+    let out_card = est.card(a.union(b));
+    let mut push = |root_spec: RootCostSpec,
+                    order: Option<ColId>,
+                    inputs: [Option<(usize, &Candidate)>; 2]| {
+        let fixed: f64 = inputs.iter().flatten().map(|(_, c)| c.cost).sum();
+        let cost = fixed + crate::cost::root_local_cost(ctx.cost, &root_spec, &edge_cards);
+        insert_candidate(
+            list,
+            Candidate {
+                cost,
+                card: out_card,
+                order,
+                partition: Some((a, b)),
+                root_spec,
+                fixed_cost: fixed,
+                edge_cards: edge_cards.to_vec(),
+                edge_ranges: vec![ValidityRange::unbounded(); 2],
+                edge_children: inputs.iter().map(|i| i.map(|(idx, _)| idx)).collect(),
+                leaf: None,
+            },
+            ctx,
+        );
+    };
 
-    // HSJN (both build orientations).
+    // HSJN (both build orientations); the output keeps the probe's order.
     if ctx.config.joins.hsjn {
-        for build_is_a in [true, false] {
-            let (bset, pset) = if build_is_a { (a, b) } else { (b, a) };
-            let (Some(bc), Some(pc)) = (cheapest(groups, bset), cheapest(groups, pset)) else {
-                continue;
-            };
-            let mut build_keys = Vec::new();
-            let mut probe_keys = Vec::new();
-            for j in &preds {
-                if let Some((k_in, k_out)) = j.split(bset) {
-                    build_keys.push(k_in);
-                    probe_keys.push(k_out);
-                }
-            }
-            if build_keys.is_empty() {
-                continue;
-            }
-            let spec_root = RootCostSpec::Hsjn {
-                build_edge: usize::from(!build_is_a),
-                probe_edge: usize::from(build_is_a),
-            };
-            let fixed = bc.cost + pc.cost;
-            let local = crate::cost::root_local_cost(ctx.cost, &spec_root, &edge_cards);
-            let layout: Vec<LayoutCol> = bc
-                .node
-                .props()
-                .layout
-                .iter()
-                .chain(pc.node.props().layout.iter())
-                .copied()
-                .collect();
-            let order = pc.order;
-            let node = PhysNode::Hsjn {
-                build: Box::new(bc.node.clone()),
-                probe: Box::new(pc.node.clone()),
-                build_keys,
-                probe_keys,
-                props: PlanProps {
-                    tables: a.union(b),
-                    card: out_card,
-                    cost: fixed + local,
-                    layout,
-                    sorted_by: order,
-                    edge_ranges: vec![ValidityRange::unbounded(); 2],
-                    partitioning: Partitioning::Single,
+        for build_edge in [0, 1] {
+            let probe_edge = 1 - build_edge;
+            push(
+                RootCostSpec::Hsjn {
+                    build_edge,
+                    probe_edge,
                 },
-            };
-            insert_candidate(
-                list,
-                Candidate {
-                    node,
-                    cost: fixed + local,
-                    card: out_card,
-                    order,
-                    partition: Some((a, b)),
-                    root_spec: spec_root,
-                    fixed_cost: fixed,
-                    edge_cards: edge_cards.clone(),
-                    // children: [build, probe]
-                    edge_to_child: if build_is_a {
-                        vec![Some(0), Some(1)]
-                    } else {
-                        vec![Some(1), Some(0)]
-                    },
-                },
-                ctx,
+                best[probe_edge].1.order,
+                best.map(Some),
             );
         }
     }
 
-    // NLJN: the inner must be a single table probed through an index.
+    // NLJN: the inner must be a single table probed through an index, so
+    // only the outer edge has a planned input.
     if ctx.config.joins.nljn {
-        for inner_is_a in [false, true] {
-            let (inner_set, outer_set) = if inner_is_a { (a, b) } else { (b, a) };
-            if inner_set.len() != 1 {
+        for outer_edge in [0, 1] {
+            let inner = sides[1 - outer_edge];
+            if inner.len() != 1 {
                 continue;
             }
-            let t = inner_set.iter().next().expect("singleton");
-            let Ok(table) = ctx.catalog.table(&spec.tables[t].table) else {
+            let t = inner.iter().next().expect("singleton");
+            let Some(probe) = nljn_probe(&preds, t, spec, ctx) else {
                 continue;
             };
-            // Pick the first join predicate whose inner column has an index.
-            let mut probe_pred: Option<(ColId, usize)> = None;
-            let mut residual: Vec<(ColId, usize)> = Vec::new();
-            for j in &preds {
-                if let Some((k_inner, k_outer)) = j.split(inner_set) {
-                    if probe_pred.is_none()
-                        && ctx
-                            .catalog
-                            .find_index(table.id(), k_inner.col, false)
-                            .is_some()
-                    {
-                        probe_pred = Some((k_outer, k_inner.col));
-                    } else {
-                        residual.push((k_outer, k_inner.col));
-                    }
-                }
-            }
-            let Some((outer_key, join_col)) = probe_pred else {
-                continue;
-            };
-            let Some(oc) = cheapest(groups, outer_set) else {
-                continue;
-            };
-            let inner_pred = combine_local_preds(spec.local_preds_of(t));
-            let matches = est.matches_per_probe(ColId::new(t, join_col));
-            let outer_edge = usize::from(inner_is_a);
-            let spec_root = RootCostSpec::Nljn {
-                outer_edge,
-                matches_per_probe: matches,
-            };
-            let fixed = oc.cost;
-            let local = crate::cost::root_local_cost(ctx.cost, &spec_root, &edge_cards);
-            let mut layout = oc.node.props().layout.clone();
-            layout.extend_from_slice(est.leaf_layout(t));
-            let order = oc.order;
-            let node = PhysNode::Nljn {
-                outer: Box::new(oc.node.clone()),
-                outer_key,
-                inner: InnerProbe {
-                    qidx: t,
-                    table: spec.tables[t].table.clone(),
-                    join_col,
-                    pred: inner_pred,
-                    residual_joins: residual,
-                    inner_card: est.raw_card(t),
+            let mut inputs = [None, None];
+            inputs[outer_edge] = Some(best[outer_edge]);
+            push(
+                RootCostSpec::Nljn {
+                    outer_edge,
+                    matches_per_probe: est.matches_per_probe(ColId::new(t, probe.join_col)),
                 },
-                props: PlanProps {
-                    tables: a.union(b),
-                    card: out_card,
-                    cost: fixed + local,
-                    layout,
-                    sorted_by: order,
-                    edge_ranges: vec![ValidityRange::unbounded(); 1],
-                    partitioning: Partitioning::Single,
-                },
-            };
-            // Canonical edges [a, b]; only the outer edge maps to a child.
-            let mut edge_to_child = vec![None, None];
-            edge_to_child[outer_edge] = Some(0);
-            insert_candidate(
-                list,
-                Candidate {
-                    node,
-                    cost: fixed + local,
-                    card: out_card,
-                    order,
-                    partition: Some((a, b)),
-                    root_spec: spec_root,
-                    fixed_cost: fixed,
-                    edge_cards: edge_cards.clone(),
-                    edge_to_child,
-                },
-                ctx,
+                best[outer_edge].1.order,
+                inputs,
             );
         }
     }
@@ -264,67 +173,75 @@ fn add_partition_candidates(
     // MGJN: single-column equi-join only (multi-predicate joins go to HSJN
     // or NLJN with residuals).
     if ctx.config.joins.mgjn && preds.len() == 1 {
-        let j = preds[0];
-        let Some((key_a, key_b)) = j.split(a) else {
+        let Some((key_a, key_b)) = preds[0].split(a) else {
             return;
         };
-        let (lc, sort_left) = pick_for_order(groups, a, key_a);
-        let (rc, sort_right) = pick_for_order(groups, b, key_b);
-        let (Some(lc), Some(rc)) = (lc, rc) else {
-            return;
-        };
-        let spec_root = RootCostSpec::Mgjn {
-            left_edge: 0,
-            right_edge: 1,
-            sort_left,
-            sort_right,
-        };
-        let fixed = lc.cost + rc.cost;
-        let local = crate::cost::root_local_cost(ctx.cost, &spec_root, &edge_cards);
-        let left_node = maybe_sort(lc.node.clone(), key_a, sort_left, ctx);
-        let right_node = maybe_sort(rc.node.clone(), key_b, sort_right, ctx);
-        let layout: Vec<LayoutCol> = left_node
-            .props()
-            .layout
-            .iter()
-            .chain(right_node.props().layout.iter())
-            .copied()
-            .collect();
-        let node = PhysNode::Mgjn {
-            left: Box::new(left_node),
-            right: Box::new(right_node),
-            left_keys: vec![key_a],
-            right_keys: vec![key_b],
-            props: PlanProps {
-                tables: a.union(b),
-                card: out_card,
-                cost: fixed + local,
-                layout,
-                sorted_by: Some(key_a),
-                edge_ranges: vec![ValidityRange::unbounded(); 2],
-                partitioning: Partitioning::Single,
+        let (left, sort_left) = pick_for_order(groups, a, key_a, best_a);
+        let (right, sort_right) = pick_for_order(groups, b, key_b, best_b);
+        push(
+            RootCostSpec::Mgjn {
+                left_edge: 0,
+                right_edge: 1,
+                sort_left,
+                sort_right,
             },
-        };
-        insert_candidate(
-            list,
-            Candidate {
-                node,
-                cost: fixed + local,
-                card: out_card,
-                order: Some(key_a),
-                partition: Some((a, b)),
-                root_spec: spec_root,
-                fixed_cost: fixed,
-                edge_cards,
-                edge_to_child: vec![Some(0), Some(1)],
-            },
-            ctx,
+            Some(key_a),
+            [Some(left), Some(right)],
         );
     }
 }
 
+/// How an NLJN probes its inner table.
+pub(crate) struct NljnProbe {
+    /// Outer column compared with the indexed inner column.
+    pub(crate) outer_key: ColId,
+    /// Inner column probed through its index.
+    pub(crate) join_col: usize,
+    /// Remaining join predicates `(outer column, inner column)`, verified
+    /// after the fetch.
+    pub(crate) residual: Vec<(ColId, usize)>,
+}
+
+/// The probe an NLJN over `preds` would use into the single table `t`: the
+/// first join predicate whose inner column has an index drives it, the rest
+/// are residuals. `None` when no predicate can — the enumerator then offers
+/// no NLJN, and extraction asks again for the one it did offer.
+pub(crate) fn nljn_probe(
+    preds: &[&JoinPred],
+    t: usize,
+    spec: &QuerySpec,
+    ctx: &OptimizerContext<'_>,
+) -> Option<NljnProbe> {
+    let table = ctx.catalog.table(&spec.tables[t].table).ok()?;
+    let mut probe: Option<(ColId, usize)> = None;
+    let mut residual = Vec::new();
+    for j in preds {
+        if let Some((k_inner, k_outer)) = j.split(TableSet::single(t)) {
+            if probe.is_none()
+                && ctx
+                    .catalog
+                    .find_index(table.id(), k_inner.col, false)
+                    .is_some()
+            {
+                probe = Some((k_outer, k_inner.col));
+            } else {
+                residual.push((k_outer, k_inner.col));
+            }
+        }
+    }
+    probe.map(|(outer_key, join_col)| NljnProbe {
+        outer_key,
+        join_col,
+        residual,
+    })
+}
+
 /// Base-table scan candidate with pushed-down local predicates.
-fn scan_candidate(qidx: usize, est: &CardEstimator, ctx: &OptimizerContext<'_>) -> Candidate {
+pub(crate) fn scan_candidate(
+    qidx: usize,
+    est: &CardEstimator,
+    ctx: &OptimizerContext<'_>,
+) -> Candidate {
     let spec = est.spec();
     let pred = combine_local_preds(spec.local_preds_of(qidx));
     let raw = est.raw_card(qidx);
@@ -337,24 +254,35 @@ fn scan_candidate(qidx: usize, est: &CardEstimator, ctx: &OptimizerContext<'_>) 
         .map_or(0.0, |s| s.pages as f64);
     let cost = ctx.cost.scan_cost(raw, pages);
     let layout = est.leaf_layout(qidx).to_vec();
-    Candidate {
-        node: PhysNode::TableScan {
+    leaf_candidate(
+        PhysNode::TableScan {
             qidx,
             table: spec.tables[qidx].table.clone(),
             pred,
             props: PlanProps::leaf(TableSet::single(qidx), card, cost, layout),
         },
-        cost,
-        card,
-        order: None,
-        partition: None,
-        root_spec: RootCostSpec::Leaf {
+        RootCostSpec::Leaf {
             base_rows: raw,
             base_pages: pages,
         },
+    )
+}
+
+/// The cost record of a finished childless node (scan, index range scan,
+/// MV scan), which reads cost, cardinality and order off the node.
+fn leaf_candidate(node: PhysNode, root_spec: RootCostSpec) -> Candidate {
+    let props = node.props();
+    Candidate {
+        cost: props.cost,
+        card: props.card,
+        order: props.sorted_by,
+        partition: None,
+        root_spec,
         fixed_cost: 0.0,
         edge_cards: vec![],
-        edge_to_child: vec![],
+        edge_ranges: vec![],
+        edge_children: vec![],
+        leaf: Some(node),
     }
 }
 
@@ -425,8 +353,8 @@ fn index_range_candidates(
         let layout = est.leaf_layout(qidx).to_vec();
         let mut props = PlanProps::leaf(TableSet::single(qidx), card, cost, layout);
         props.sorted_by = Some(ColId::new(qidx, col));
-        out.push(Candidate {
-            node: PhysNode::IndexRangeScan {
+        out.push(leaf_candidate(
+            PhysNode::IndexRangeScan {
                 qidx,
                 table: spec.tables[qidx].table.clone(),
                 column: col,
@@ -435,15 +363,8 @@ fn index_range_candidates(
                 residual: Some(full_pred.clone()),
                 props,
             },
-            cost,
-            card,
-            order: Some(ColId::new(qidx, col)),
-            partition: None,
-            root_spec: RootCostSpec::Fixed { cost },
-            fixed_cost: 0.0,
-            edge_cards: vec![],
-            edge_to_child: vec![],
-        });
+            RootCostSpec::Fixed { cost },
+        ));
     }
     Ok(out)
 }
@@ -466,25 +387,18 @@ fn mv_candidate(
     let pages = mv.table.page_count() as f64;
     let cost = ctx.cost.mv_scan_cost(rows, pages);
     let layout = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
-    Some(Candidate {
-        node: PhysNode::MvScan {
+    Some(leaf_candidate(
+        PhysNode::MvScan {
             mv_name: mv.table.name().to_string(),
             signature: sig,
             props: PlanProps::leaf(set, rows, cost, layout),
         },
-        cost,
-        card: rows,
-        order: None,
-        partition: None,
-        root_spec: RootCostSpec::MvScan { rows, pages },
-        fixed_cost: 0.0,
-        edge_cards: vec![],
-        edge_to_child: vec![],
-    })
+        RootCostSpec::MvScan { rows, pages },
+    ))
 }
 
 /// AND together a table's local predicates.
-fn combine_local_preds(preds: Vec<&Expr>) -> Option<Expr> {
+pub(crate) fn combine_local_preds(preds: Vec<&Expr>) -> Option<Expr> {
     let mut it = preds.into_iter().cloned();
     let first = it.next()?;
     Some(it.fold(first, pop_expr::Expr::and))
@@ -495,41 +409,28 @@ fn candidates(groups: &[Group], set: TableSet) -> &[Candidate] {
     &groups[set.mask() as usize].cands
 }
 
-/// Cheapest candidate for a set, any order.
-pub(crate) fn cheapest(groups: &[Group], set: TableSet) -> Option<&Candidate> {
+/// Cheapest candidate for a set, any order, with its index in the group.
+pub(crate) fn cheapest(groups: &[Group], set: TableSet) -> Option<(usize, &Candidate)> {
     candidates(groups, set)
         .iter()
-        .min_by(|x, y| x.cost.total_cmp(&y.cost))
+        .enumerate()
+        .min_by(|(_, x), (_, y)| x.cost.total_cmp(&y.cost))
 }
 
 /// Candidate to feed a merge join needing order on `key`: prefer one that
-/// is already sorted (no enforcer), else the cheapest plus a sort.
-fn pick_for_order(groups: &[Group], set: TableSet, key: ColId) -> (Option<&Candidate>, bool) {
-    if let Some(sorted) = candidates(groups, set)
+/// is already sorted (no enforcer), else the group's cheapest plus a sort.
+fn pick_for_order<'g>(
+    groups: &'g [Group],
+    set: TableSet,
+    key: ColId,
+    cheapest: (usize, &'g Candidate),
+) -> ((usize, &'g Candidate), bool) {
+    candidates(groups, set)
         .iter()
-        .filter(|c| c.order == Some(key))
-        .min_by(|x, y| x.cost.total_cmp(&y.cost))
-    {
-        return (Some(sorted), false);
-    }
-    (cheapest(groups, set), true)
-}
-
-/// Wrap a node in an enforcer sort when needed.
-fn maybe_sort(node: PhysNode, key: ColId, needed: bool, ctx: &OptimizerContext<'_>) -> PhysNode {
-    if !needed {
-        return node;
-    }
-    let mut props = node.props().clone();
-    props.cost += ctx.cost.sort_cost(props.card);
-    props.sorted_by = Some(key);
-    props.edge_ranges = vec![ValidityRange::unbounded()];
-    PhysNode::Sort {
-        input: Box::new(node),
-        key: SortKeyRef::Col(key),
-        desc: false,
-        props,
-    }
+        .enumerate()
+        .filter(|(_, c)| c.order == Some(key))
+        .min_by(|(_, x), (_, y)| x.cost.total_cmp(&y.cost))
+        .map_or((cheapest, true), |sorted| (sorted, false))
 }
 
 /// `a` dominates `b` when it costs no more and provides `b`'s order.

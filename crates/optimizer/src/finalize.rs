@@ -1,14 +1,21 @@
 //! The optimizer's entry point and top-level plan assembly: join order
-//! (through the [`Memo`]) → aggregation / projection → ordering → side
-//! effects → checkpoint placement → parallelization.
+//! (through the [`Memo`]) → extraction of the winning join tree →
+//! aggregation / projection → ordering → side effects → checkpoint
+//! placement → parallelization. The memo holds cost records; this module is
+//! where the one plan tree of an optimization comes into existence
+//! (`extract`) and is passed, by value and edited in place, through every
+//! later stage.
 
+use crate::enumerate::{combine_local_preds, nljn_probe};
+use crate::memo::Group;
 use crate::parallelize::parallelize;
 use crate::placement::place_checkpoints;
-use crate::{CardEstimator, Memo, MemoStats, OptimizerContext};
+use crate::{CardEstimator, Memo, MemoStats, OptimizerContext, RootCostSpec};
 use pop_plan::{
-    LayoutCol, Partitioning, PhysNode, PlanProps, QuerySpec, SortKeyRef, ValidityRange,
+    InnerProbe, LayoutCol, Partitioning, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet,
+    ValidityRange,
 };
-use pop_types::PopResult;
+use pop_types::{ColId, PopResult};
 
 /// Optimize a query into an executable physical plan, with checkpoints
 /// placed per the context's configuration — the only way to get a plan.
@@ -25,8 +32,132 @@ pub fn optimize(
 ) -> PopResult<(PhysNode, MemoStats)> {
     spec.validate()?;
     let est = memo.bind(spec, ctx)?;
-    let (cand, stats) = memo.best_join_order(&est, ctx)?;
-    Ok((assemble(cand.node, spec, &est, ctx), stats))
+    let (groups, best, stats) = memo.best_join_order(&est, ctx)?;
+    let join_tree = extract(groups, spec.all_tables(), best, &est, ctx);
+    Ok((assemble(join_tree, spec, &est, ctx), stats))
+}
+
+/// Build the operator tree of candidate `idx` of group `set` — the one
+/// place join nodes and enforcer sorts are constructed, called once per
+/// optimization, for the winner. Everything the DP decided is read back
+/// from the cost records: inputs by their recorded index in the child
+/// groups, orientation and enforcers from the root spec, cost / cardinality
+/// / order from the candidate; join keys are re-derived from the spec, and
+/// each canonical edge's validity range is written onto the physical child
+/// it feeds.
+fn extract(
+    groups: &[Group],
+    set: TableSet,
+    idx: usize,
+    est: &CardEstimator,
+    ctx: &OptimizerContext<'_>,
+) -> PhysNode {
+    let cand = &groups[set.mask() as usize].cands[idx];
+    if let Some(node) = &cand.leaf {
+        return node.clone();
+    }
+    let (a, b) = cand
+        .partition
+        .expect("a candidate without a node is a join");
+    let sides = [a, b];
+    let spec = est.spec();
+    let preds = spec.join_preds_between(a, b);
+    let input = |edge: usize| {
+        let idx = cand.edge_children[edge].expect("a planned input names its candidate");
+        extract(groups, sides[edge], idx, est, ctx)
+    };
+    // `edges`: the canonical edge behind each physical child, in child order.
+    let props = |layout: Vec<LayoutCol>, edges: &[usize]| PlanProps {
+        tables: set,
+        card: cand.card,
+        cost: cand.cost,
+        layout,
+        sorted_by: cand.order,
+        edge_ranges: edges.iter().map(|&e| cand.edge_ranges[e]).collect(),
+        partitioning: Partitioning::Single,
+    };
+    let concat = |l: &PhysNode, r: &[LayoutCol]| [&l.props().layout, r].concat();
+    match cand.root_spec {
+        RootCostSpec::Hsjn {
+            build_edge,
+            probe_edge,
+        } => {
+            let (build, probe) = (input(build_edge), input(probe_edge));
+            let (build_keys, probe_keys) = preds
+                .iter()
+                .filter_map(|j| j.split(sides[build_edge]))
+                .unzip();
+            PhysNode::Hsjn {
+                props: props(
+                    concat(&build, &probe.props().layout),
+                    &[build_edge, probe_edge],
+                ),
+                build: Box::new(build),
+                probe: Box::new(probe),
+                build_keys,
+                probe_keys,
+            }
+        }
+        // The inner's canonical edge has no physical child: its range is
+        // dropped here.
+        RootCostSpec::Nljn { outer_edge, .. } => {
+            let outer = input(outer_edge);
+            let t = sides[1 - outer_edge]
+                .iter()
+                .next()
+                .expect("singleton inner");
+            let probe = nljn_probe(&preds, t, spec, ctx).expect("enumerated with this probe");
+            PhysNode::Nljn {
+                props: props(concat(&outer, est.leaf_layout(t)), &[outer_edge]),
+                outer: Box::new(outer),
+                outer_key: probe.outer_key,
+                inner: InnerProbe {
+                    qidx: t,
+                    table: spec.tables[t].table.clone(),
+                    join_col: probe.join_col,
+                    pred: combine_local_preds(spec.local_preds_of(t)),
+                    residual_joins: probe.residual,
+                    inner_card: est.raw_card(t),
+                },
+            }
+        }
+        // An enforcer sort sits between the MGJN and the input, so the
+        // edge's range stays on the MGJN, above the sort.
+        RootCostSpec::Mgjn {
+            sort_left,
+            sort_right,
+            ..
+        } => {
+            let (key_a, key_b) = preds[0].split(a).expect("predicate spans the partition");
+            let sorted = |node: PhysNode, key: ColId, needed: bool| {
+                if !needed {
+                    return node;
+                }
+                let mut props = node.props().clone();
+                props.cost += ctx.cost.sort_cost(props.card);
+                props.sorted_by = Some(key);
+                props.edge_ranges = vec![ValidityRange::unbounded()];
+                PhysNode::Sort {
+                    input: Box::new(node),
+                    key: SortKeyRef::Col(key),
+                    desc: false,
+                    props,
+                }
+            };
+            let left = sorted(input(0), key_a, sort_left);
+            let right = sorted(input(1), key_b, sort_right);
+            PhysNode::Mgjn {
+                props: props(concat(&left, &right.props().layout), &[0, 1]),
+                left: Box::new(left),
+                right: Box::new(right),
+                left_keys: vec![key_a],
+                right_keys: vec![key_b],
+            }
+        }
+        RootCostSpec::Leaf { .. } | RootCostSpec::MvScan { .. } | RootCostSpec::Fixed { .. } => {
+            unreachable!("edge-less candidates carry their node")
+        }
+    }
 }
 
 /// Wrap the winning join tree with the query's non-join operators
@@ -159,12 +290,12 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, FeedbackCache, OptimizerConfig};
+    use crate::{Candidate, CostModel, FeedbackCache, OptimizerConfig};
     use pop_expr::Expr;
     use pop_plan::{AggFunc, QueryBuilder};
     use pop_stats::StatsRegistry;
     use pop_storage::{Catalog, IndexKind};
-    use pop_types::{ColId, DataType, Schema, Value};
+    use pop_types::{DataType, Schema, Value};
 
     fn setup() -> (Catalog, StatsRegistry) {
         let cat = Catalog::new();
@@ -192,6 +323,147 @@ mod tests {
         let stats = StatsRegistry::new();
         stats.analyze_all(&cat).unwrap();
         (cat, stats)
+    }
+
+    /// `extract` on a hand-written join candidate over `customer ⋈ orders`
+    /// (canonical edge 0 = customer, edge 1 = orders, both fed by the
+    /// groups' sequential scans), with distinct ranges on the two edges so
+    /// a swapped mapping shows. Returns the two ranges, the scans' layouts
+    /// and the extracted node, whose cost / cardinality must be the
+    /// candidate's `1234.5` / `77.0`.
+    fn extract_join(
+        root_spec: RootCostSpec,
+        order: Option<ColId>,
+    ) -> ([ValidityRange; 2], [Vec<LayoutCol>; 2], PhysNode) {
+        let (cat, stats) = setup();
+        let cfg = OptimizerConfig::default();
+        let cost = CostModel::default();
+        let fb = FeedbackCache::new();
+        let ctx = crate::OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        let mut b = QueryBuilder::new();
+        let c = b.table("customer");
+        let o = b.table("orders");
+        b.join(c, 0, o, 1);
+        let q = b.build().unwrap();
+        let est = Memo::new().bind(&q, &ctx).unwrap();
+        let ranges = [
+            ValidityRange::new(2.0, 300.0),
+            ValidityRange::new(5.0, 70_000.0),
+        ];
+        let nljn = matches!(root_spec, RootCostSpec::Nljn { .. });
+        let mut groups: Vec<Group> = (0..4).map(|_| Group::default()).collect();
+        for t in 0..2 {
+            groups[1 << t].cands = vec![crate::enumerate::scan_candidate(t, &est, &ctx)];
+        }
+        groups[3].cands = vec![Candidate {
+            cost: 1234.5,
+            card: 77.0,
+            order,
+            partition: Some((TableSet::single(0), TableSet::single(1))),
+            root_spec,
+            fixed_cost: 0.0,
+            edge_cards: vec![200.0, 20_000.0],
+            edge_ranges: ranges.to_vec(),
+            edge_children: vec![Some(0), (!nljn).then_some(0)],
+            leaf: None,
+        }];
+        let node = extract(&groups, q.all_tables(), 0, &est, &ctx);
+        assert_eq!(node.props().cost, 1234.5);
+        assert_eq!(node.props().card, 77.0);
+        assert_eq!(node.props().sorted_by, order);
+        let layouts = [0, 1].map(|t| est.leaf_layout(t).to_vec());
+        (ranges, layouts, node)
+    }
+
+    #[test]
+    fn extract_hsjn_building_on_edge_1_swaps_the_ranges() {
+        let (ranges, layouts, node) = extract_join(
+            RootCostSpec::Hsjn {
+                build_edge: 1,
+                probe_edge: 0,
+            },
+            None,
+        );
+        let PhysNode::Hsjn {
+            build,
+            probe,
+            build_keys,
+            probe_keys,
+            props,
+        } = &node
+        else {
+            panic!("expected HSJN:\n{node}");
+        };
+        // Physical children are [build, probe] = canonical edges [1, 0].
+        assert_eq!(build.props().tables, TableSet::single(1));
+        assert_eq!(probe.props().tables, TableSet::single(0));
+        assert_eq!(props.edge_ranges, [ranges[1], ranges[0]]);
+        assert_eq!(props.layout, [&layouts[1][..], &layouts[0][..]].concat());
+        assert_eq!(build_keys, &[ColId::new(1, 1)]);
+        assert_eq!(probe_keys, &[ColId::new(0, 0)]);
+    }
+
+    #[test]
+    fn extract_nljn_drops_the_inner_edge_range() {
+        let (ranges, layouts, node) = extract_join(
+            RootCostSpec::Nljn {
+                outer_edge: 0,
+                matches_per_probe: 100.0,
+            },
+            None,
+        );
+        let PhysNode::Nljn {
+            outer,
+            outer_key,
+            inner,
+            props,
+        } = &node
+        else {
+            panic!("expected NLJN:\n{node}");
+        };
+        // One physical child (the outer); the inner's edge has none.
+        assert_eq!(outer.props().tables, TableSet::single(0));
+        assert_eq!(props.edge_ranges, [ranges[0]]);
+        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
+        assert_eq!(*outer_key, ColId::new(0, 0));
+        assert_eq!((inner.qidx, inner.join_col), (1, 1));
+    }
+
+    #[test]
+    fn extract_mgjn_keeps_the_range_above_its_enforcer_sort() {
+        let key = ColId::new(0, 0);
+        let (ranges, layouts, node) = extract_join(
+            RootCostSpec::Mgjn {
+                left_edge: 0,
+                right_edge: 1,
+                sort_left: true,
+                sort_right: false,
+            },
+            Some(key),
+        );
+        let PhysNode::Mgjn {
+            left, right, props, ..
+        } = &node
+        else {
+            panic!("expected MGJN:\n{node}");
+        };
+        assert_eq!(props.edge_ranges, ranges);
+        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
+        let PhysNode::Sort {
+            input,
+            props: sort_props,
+            ..
+        } = left.as_ref()
+        else {
+            panic!("expected an enforcer sort on the left:\n{node}");
+        };
+        assert_eq!(sort_props.edge_ranges, [ValidityRange::unbounded()]);
+        assert_eq!(sort_props.sorted_by, Some(key));
+        assert_eq!(
+            sort_props.cost,
+            input.props().cost + CostModel::default().sort_cost(input.props().card)
+        );
+        assert!(matches!(right.as_ref(), PhysNode::TableScan { .. }));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * Each [`Group`] is a table subset (mask) with its candidate list from
 //!   [`crate::enumerate::build_join_group`], plus a [`GroupMeta`] snapshot
 //!   of the inputs it was built from (estimated cardinality bits, identity
-//!   and cardinality of a matching temp MV).
+//!   and cardinality of a matching temp MV). A join candidate refers to its
+//!   inputs as `(child group, index)`, so reusing a group copies nothing.
 //! * [`Memo::best_join_order`] — the only loop that builds groups — walks
 //!   masks in ascending order. A group whose snapshot still matches is a
 //!   **clean** group; since ascending order means all its subsets were
@@ -129,15 +130,16 @@ impl Memo {
     }
 
     /// Find the cheapest join plan for all tables, reusing every clean
-    /// group. Produces exactly the plan a fresh memo would: clean groups
-    /// are bit-identical by induction (all their subsets are clean), and
-    /// dirty groups run the same builders in the same ascending-mask
-    /// order.
+    /// group, and return the finished DP table with the winner's index in
+    /// the all-tables group (for `finalize::extract`). Produces exactly
+    /// the plan a fresh memo would: clean groups are bit-identical by
+    /// induction (all their subsets are clean), and dirty groups run the
+    /// same builders in the same ascending-mask order.
     pub(crate) fn best_join_order(
         &mut self,
         est: &CardEstimator,
         ctx: &OptimizerContext<'_>,
-    ) -> PopResult<(Candidate, MemoStats)> {
+    ) -> PopResult<(&[Group], usize, MemoStats)> {
         let n = est.spec().tables.len();
         let same_env = self
             .env
@@ -162,8 +164,8 @@ impl Memo {
         // lookup below is skipped outright.
         let any_mvs = ctx.config.use_temp_mvs && ctx.catalog.temp_mv_count() > 0;
         // Ascending mask order: every subset of a group is final before the
-        // group itself is visited, so validity ranges of children have
-        // settled by the time they are cloned into parents.
+        // group itself is visited, so the candidate indices a join records
+        // for its inputs (and the inputs' validity ranges) no longer move.
         for mask in 1..self.groups.len() {
             let set = TableSet::from_iter((0..n).filter(|t| mask & (1 << t) != 0));
             let old = &self.groups[mask];
@@ -214,12 +216,10 @@ impl Memo {
             }
         }
 
-        cheapest(&self.groups, est.spec().all_tables())
-            .cloned()
-            .map(|best| (best, stats))
-            .ok_or_else(|| {
-                PopError::Planning("no feasible join plan (check join graph and indexes)".into())
-            })
+        let (best, _) = cheapest(&self.groups, est.spec().all_tables()).ok_or_else(|| {
+            PopError::Planning("no feasible join plan (check join graph and indexes)".into())
+        })?;
+        Ok((&self.groups, best, stats))
     }
 }
 

@@ -54,7 +54,7 @@
 //! remain comparable to serial plans.
 
 use crate::OptimizerContext;
-use pop_plan::{AggFunc, CostModel, Partitioning, PhysNode, PlanProps, TableSet, ValidityRange};
+use pop_plan::{AggFunc, CostModel, Partitioning, PhysNode, PlanProps, ValidityRange};
 use pop_types::ColId;
 
 /// Apply the parallelize post-pass to a finished, checkpointed plan.
@@ -173,11 +173,9 @@ impl Pass<'_> {
         let mut node = node;
         if node.children().len() == 1 {
             let slot = node.children_mut().pop().expect("one child");
-            let child = std::mem::replace(slot, dummy());
-            let before = child.props().cost;
-            let child = self.descend(child);
-            let delta = (child.props().cost - before).max(0.0);
-            *slot = child;
+            let before = slot.props().cost;
+            slot.replace_with(|child| self.descend(child));
+            let delta = (slot.props().cost - before).max(0.0);
             // Keep cumulative cost monotone over the region's exchange
             // surcharge.
             node.props_mut().cost += delta;
@@ -259,16 +257,6 @@ fn driving_rows(node: &PhysNode) -> f64 {
     }
 }
 
-/// Throwaway node used to take ownership of a boxed child.
-fn dummy() -> PhysNode {
-    PhysNode::TableScan {
-        qidx: 0,
-        table: String::new(),
-        pred: None,
-        props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
-    }
-}
-
 /// May this whole subtree run as one morsel's chain? The partitioned
 /// spine (probe/outer sides, single-child chains) must be one pipeline of
 /// partition-safe operators — a materialization point (TEMP, SORT,
@@ -310,7 +298,7 @@ fn mark_region(node: &mut PhysNode, k: usize) {
 mod tests {
     use super::*;
     use crate::{optimize, CostModel, FeedbackCache, OptimizerConfig};
-    use pop_plan::{CheckContext, CheckFlavor, CheckSpec, LayoutCol, QueryBuilder};
+    use pop_plan::{CheckContext, CheckFlavor, CheckSpec, LayoutCol, QueryBuilder, TableSet};
     use pop_stats::StatsRegistry;
     use pop_storage::{Catalog, IndexKind};
     use pop_types::{DataType, Schema, Value};

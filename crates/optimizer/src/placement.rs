@@ -19,6 +19,10 @@
 //! (SORT, TEMP, CHECK, PROJECT, RIDSINK, INSERT) by intersection. Queries
 //! cheaper than [`crate::OptimizerConfig::check_cost_threshold`] get no
 //! checkpoints at all.
+//!
+//! The pass is one in-place walk over the optimizer's single plan tree: it
+//! constructs only the nodes it inserts (CHECK, BUFCHECK, TEMP, RIDSINK),
+//! and each node absorbs once what the guards below it added to the cost.
 
 use crate::{CardEstimator, OptimizerContext, ValidityMode};
 use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode, ValidityRange};
@@ -70,7 +74,7 @@ impl PlaceState<'_, '_> {
 /// Insert checkpoints into a finished plan. Returns the plan unchanged if
 /// no flavor is enabled or the plan is below the cost threshold.
 pub(crate) fn place_checkpoints(
-    plan: PhysNode,
+    mut plan: PhysNode,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
 ) -> PhysNode {
@@ -84,17 +88,18 @@ pub(crate) fn place_checkpoints(
         next_id: 0,
         is_spj,
     };
-    let root = rebuild(plan, ValidityRange::unbounded(), &mut st);
+    place(&mut plan, ValidityRange::unbounded(), &mut st);
     // ECDC needs the rid side table: record every returned row's lineage.
     if ctx.config.flavors.ecdc && is_spj {
-        let props = root.props().clone();
-        PhysNode::RidSink {
-            input: Box::new(root),
-            props,
-        }
-    } else {
-        root
+        plan.replace_with(|root| {
+            let props = root.props().clone();
+            PhysNode::RidSink {
+                input: Box::new(root),
+                props,
+            }
+        });
     }
+    plan
 }
 
 /// Is this node (looking through checks) already a materialized input?
@@ -129,7 +134,8 @@ fn provably_exact(node: &PhysNode) -> bool {
     }
 }
 
-/// Does this edge carry the same row count as the node's own input edge?
+/// Does this node emit exactly the rows of its input edge? Then the range
+/// on the edge above it also bounds the edge below it.
 fn count_preserving(node: &PhysNode) -> bool {
     matches!(
         node,
@@ -143,26 +149,27 @@ fn count_preserving(node: &PhysNode) -> bool {
     )
 }
 
+/// Wrap `node` in a CHECK of the given flavor, in place.
 fn wrap_check(
-    node: PhysNode,
+    node: &mut PhysNode,
     flavor: CheckFlavor,
     range: ValidityRange,
     context: CheckContext,
     st: &mut PlaceState,
-) -> PhysNode {
-    let spec = st.make_spec(flavor, &node, range, context);
+) {
+    let spec = st.make_spec(flavor, node, range, context);
     let mut props = node.props().clone();
     props.cost += props.card * st.ctx.cost.check_row;
     props.edge_ranges = vec![range];
-    PhysNode::Check {
-        input: Box::new(node),
+    node.replace_with(|input| PhysNode::Check {
+        input: Box::new(input),
         spec,
         props,
-    }
+    });
 }
 
-fn wrap_bufcheck(node: PhysNode, range: ValidityRange, st: &mut PlaceState) -> PhysNode {
-    let spec = st.make_spec(CheckFlavor::Ecb, &node, range, CheckContext::NljnOuter);
+fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState) {
+    let spec = st.make_spec(CheckFlavor::Ecb, node, range, CheckContext::NljnOuter);
     let buffer = if spec.range.hi.is_finite() {
         (spec.range.hi as usize).saturating_add(1)
     } else {
@@ -171,379 +178,144 @@ fn wrap_bufcheck(node: PhysNode, range: ValidityRange, st: &mut PlaceState) -> P
     let mut props = node.props().clone();
     props.cost += props.card * st.ctx.cost.check_row;
     props.edge_ranges = vec![range];
-    PhysNode::BufCheck {
-        input: Box::new(node),
+    node.replace_with(|input| PhysNode::BufCheck {
+        input: Box::new(input),
         spec,
         buffer,
         props,
-    }
+    });
 }
 
-fn wrap_temp(node: PhysNode, st: &mut PlaceState) -> PhysNode {
+fn wrap_temp(node: &mut PhysNode, st: &mut PlaceState) {
     let mut props = node.props().clone();
     props.cost += st.ctx.cost.temp_cost(props.card);
     props.edge_ranges = vec![ValidityRange::unbounded()];
-    PhysNode::Temp {
-        input: Box::new(node),
+    node.replace_with(|input| PhysNode::Temp {
+        input: Box::new(input),
         props,
-    }
+    });
 }
 
-/// Rebuild the tree inserting checkpoints. `incoming` is the validity
+/// Walk the tree inserting checkpoints in place. `incoming` is the validity
 /// range on the edge *above* this node, already intersected through
-/// count-preserving ancestors.
-fn rebuild(node: PhysNode, incoming: ValidityRange, st: &mut PlaceState) -> PhysNode {
+/// count-preserving ancestors. For each input edge in turn: place below it,
+/// then put the consumer's guard on the edge; the node then absorbs what
+/// the guards added to its inputs' costs, and finally gets the guard that
+/// belongs above it.
+fn place(node: &mut PhysNode, incoming: ValidityRange, st: &mut PlaceState) {
     let flavors = st.ctx.config.flavors;
-    match node {
-        PhysNode::Nljn {
-            outer,
-            outer_key,
-            inner,
-            mut props,
-        } => {
-            let outer_range = edge_range(&props, 0);
-            let outer_cost = outer.props().cost;
-            let mut new_outer = rebuild(*outer, outer_range, st);
-            let already_materialized = materialized_through_checks(&new_outer);
-            // A provably exact outer (e.g. a temp-MV reuse after
-            // re-optimization) needs no insurance: any check on it would
-            // be dead.
-            let exact = provably_exact(&new_outer);
-            // ECB below, LCEM above (§3.4: "couple both approaches,
-            // placing an LCEM above an ECB so that the ECB can prevent the
-            // materialization from growing beyond bounds").
-            if flavors.ecb && !already_materialized && !exact {
-                new_outer = wrap_bufcheck(new_outer, outer_range, st);
-            }
-            if flavors.lcem && !already_materialized && !exact {
-                new_outer = wrap_temp(new_outer, st);
-                new_outer = wrap_check(
-                    new_outer,
-                    CheckFlavor::Lcem,
-                    outer_range,
-                    CheckContext::NljnOuter,
-                    st,
-                );
-            }
-            // ECDC: a purely pipelined check on the outer edge (Figure 9's
-            // P1/P2 split) — only when no blocking guard sits there already.
-            if flavors.ecdc
-                && st.is_spj
-                && !already_materialized
-                && !exact
-                && !flavors.lcem
-                && !flavors.ecb
-            {
-                new_outer = wrap_check(
-                    new_outer,
-                    CheckFlavor::Ecdc,
-                    outer_range,
-                    CheckContext::Pipeline,
-                    st,
-                );
-            }
-            // Keep cumulative costs consistent: inserted checks/temps
-            // raised the subtree cost below us.
-            props.cost += new_outer.props().cost - outer_cost;
-            let rebuilt = PhysNode::Nljn {
-                outer: Box::new(new_outer),
-                outer_key,
-                inner,
-                props,
-            };
-            maybe_ecdc(rebuilt, incoming, st)
+    let passes_count = count_preserving(node);
+    let is_nljn = matches!(node, PhysNode::Nljn { .. });
+    let mut below_delta = 0.0;
+    for i in 0..node.children().len() {
+        let mut range = node.props().edge_range(i);
+        if passes_count {
+            range = incoming.intersect(&range);
         }
-        PhysNode::Hsjn {
-            build,
-            probe,
-            build_keys,
-            probe_keys,
-            mut props,
-        } => {
-            let build_range = edge_range(&props, 0);
-            let probe_range = edge_range(&props, 1);
-            let build_cost = build.props().cost;
-            let probe_cost = probe.props().cost;
-            let mut new_build = rebuild(*build, build_range, st);
-            // The hash-join build is a materialization point: an LC on its
-            // input edge costs nothing and fires when the build completes
-            // (or overflows its range mid-build).
-            if flavors.lc
-                && !matches!(new_build, PhysNode::Check { .. })
-                && !provably_exact(&new_build)
-            {
-                new_build = wrap_check(
-                    new_build,
-                    CheckFlavor::Lc,
-                    build_range,
-                    CheckContext::HashBuild,
-                    st,
-                );
-            }
-            let mut new_probe = rebuild(*probe, probe_range, st);
-            // ECDC: the probe side streams to the consumer; a pipelined
-            // check there catches probe-cardinality errors.
-            if flavors.ecdc
-                && st.is_spj
-                && !matches!(new_probe, PhysNode::Check { .. })
-                && !provably_exact(&new_probe)
-            {
-                new_probe = wrap_check(
-                    new_probe,
-                    CheckFlavor::Ecdc,
-                    probe_range,
-                    CheckContext::Pipeline,
-                    st,
-                );
-            }
-            props.cost +=
-                (new_build.props().cost - build_cost) + (new_probe.props().cost - probe_cost);
-            let rebuilt = PhysNode::Hsjn {
-                build: Box::new(new_build),
-                probe: Box::new(new_probe),
-                build_keys,
-                probe_keys,
-                props,
-            };
-            maybe_ecdc(rebuilt, incoming, st)
-        }
-        PhysNode::Mgjn {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            mut props,
-        } => {
-            let lr = edge_range(&props, 0);
-            let rr = edge_range(&props, 1);
-            let left_cost = left.props().cost;
-            let right_cost = right.props().cost;
-            let new_left = rebuild(*left, lr, st);
-            let new_right = rebuild(*right, rr, st);
-            props.cost +=
-                (new_left.props().cost - left_cost) + (new_right.props().cost - right_cost);
-            let rebuilt = PhysNode::Mgjn {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
-                left_keys,
-                right_keys,
-                props,
-            };
-            maybe_ecdc(rebuilt, incoming, st)
-        }
-        PhysNode::Sort {
-            input,
-            key,
-            desc,
-            mut props,
-        } => {
-            // Ranges propagate through the count-preserving sort.
-            let child_range = incoming.intersect(&edge_range(&props, 0));
-            let input_cost = input.props().cost;
-            let mut new_input = rebuild(*input, child_range, st);
-            if flavors.ecwc
-                && !matches!(new_input, PhysNode::Check { .. })
-                && !provably_exact(&new_input)
-            {
-                new_input = wrap_check(
-                    new_input,
-                    CheckFlavor::Ecwc,
-                    child_range,
-                    CheckContext::BelowMaterialization,
-                    st,
-                );
-            }
-            props.cost += new_input.props().cost - input_cost;
-            let rebuilt = PhysNode::Sort {
-                input: Box::new(new_input),
-                key,
-                desc,
-                props,
-            };
-            if flavors.lc && !provably_exact(&rebuilt) {
-                wrap_check(
-                    rebuilt,
-                    CheckFlavor::Lc,
-                    incoming,
-                    CheckContext::AboveSort,
-                    st,
-                )
+        let rule = edge_rule(node, i, st);
+        let child = node.children_mut().swap_remove(i);
+        let cost_before = child.props().cost;
+        place(child, range, st);
+        if is_nljn {
+            guard_nljn_outer(child, range, st);
+        } else if let Some((flavor, context)) = rule {
+            // An edge that already carries a guard gets no second one; the
+            // aggregate also accepts the guard of a materialized input.
+            let guarded = if context == CheckContext::AggBuild {
+                matches!(child, PhysNode::Check { .. } | PhysNode::BufCheck { .. })
+                    || materialized_through_checks(child)
             } else {
-                rebuilt
-            }
-        }
-        PhysNode::Temp { input, mut props } => {
-            let child_range = incoming.intersect(&edge_range(&props, 0));
-            let input_cost = input.props().cost;
-            let mut new_input = rebuild(*input, child_range, st);
-            if flavors.ecwc
-                && !matches!(new_input, PhysNode::Check { .. })
-                && !provably_exact(&new_input)
-            {
-                new_input = wrap_check(
-                    new_input,
-                    CheckFlavor::Ecwc,
-                    child_range,
-                    CheckContext::BelowMaterialization,
-                    st,
-                );
-            }
-            props.cost += new_input.props().cost - input_cost;
-            let rebuilt = PhysNode::Temp {
-                input: Box::new(new_input),
-                props,
+                matches!(child, PhysNode::Check { .. })
             };
-            if flavors.lc && !provably_exact(&rebuilt) {
-                wrap_check(
-                    rebuilt,
-                    CheckFlavor::Lc,
-                    incoming,
-                    CheckContext::AboveTemp,
-                    st,
-                )
-            } else {
-                rebuilt
+            if !guarded && !provably_exact(child) {
+                wrap_check(child, flavor, range, context, st);
             }
         }
-        // Count-preserving single-child wrappers: pass the range down.
-        PhysNode::Project {
-            input,
-            cols,
-            mut props,
-        } => {
-            let child_range = incoming.intersect(&edge_range(&props, 0));
-            let input_cost = input.props().cost;
-            let new_input = rebuild(*input, child_range, st);
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::Project {
-                input: Box::new(new_input),
-                cols,
-                props,
-            }
+        below_delta += child.props().cost - cost_before;
+    }
+    // Keep cumulative costs consistent: inserted checks/temps raised the
+    // subtree cost below us.
+    node.props_mut().cost += below_delta;
+
+    // LC above every materialization point, ECDC above every join of a
+    // pipelined SPJ plan.
+    let above = match node {
+        PhysNode::Sort { .. } | PhysNode::Temp { .. } if !flavors.lc || provably_exact(node) => {
+            None
         }
-        PhysNode::Insert {
-            input,
-            target,
-            mut props,
-        } => {
-            let child_range = incoming.intersect(&edge_range(&props, 0));
-            let input_cost = input.props().cost;
-            let new_input = rebuild(*input, child_range, st);
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::Insert {
-                input: Box::new(new_input),
-                target,
-                props,
-            }
+        PhysNode::Sort { .. } => Some((CheckFlavor::Lc, CheckContext::AboveSort)),
+        PhysNode::Temp { .. } => Some((CheckFlavor::Lc, CheckContext::AboveTemp)),
+        PhysNode::Nljn { .. } | PhysNode::Hsjn { .. } | PhysNode::Mgjn { .. }
+            if flavors.ecdc && st.is_spj =>
+        {
+            Some((CheckFlavor::Ecdc, CheckContext::Pipeline))
         }
-        PhysNode::HashAgg {
-            input,
-            group_by,
-            aggs,
-            mut props,
-        } => {
-            // Aggregation changes counts: do not propagate incoming.
-            let child_range = edge_range(&props, 0);
-            let input_cost = input.props().cost;
-            let mut new_input = rebuild(*input, child_range, st);
-            // The aggregate's hash table is a materialization point that
-            // fully consumes its input before emitting: a pipelined input
-            // reaching it unobserved is the last chance to catch a
-            // cardinality error (the planlint PL411 coverage proof). LC
-            // guards the edge like any other materialization point.
-            if flavors.lc
-                && !matches!(
-                    new_input,
-                    PhysNode::Check { .. } | PhysNode::BufCheck { .. }
-                )
-                && !materialized_through_checks(&new_input)
-                && !provably_exact(&new_input)
-            {
-                new_input = wrap_check(
-                    new_input,
-                    CheckFlavor::Lc,
-                    child_range,
-                    CheckContext::AggBuild,
-                    st,
-                );
-            }
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::HashAgg {
-                input: Box::new(new_input),
-                group_by,
-                aggs,
-                props,
-            }
-        }
-        // Count-changing wrappers above the aggregate: recurse, do not
-        // propagate the incoming range.
-        PhysNode::SemiProbe {
-            input,
-            clause,
-            mut props,
-        } => {
-            let input_cost = input.props().cost;
-            let new_input = rebuild(*input, edge_range(&props, 0), st);
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::SemiProbe {
-                input: Box::new(new_input),
-                clause,
-                props,
-            }
-        }
-        PhysNode::Having {
-            input,
-            preds,
-            mut props,
-        } => {
-            let input_cost = input.props().cost;
-            let new_input = rebuild(*input, edge_range(&props, 0), st);
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::Having {
-                input: Box::new(new_input),
-                preds,
-                props,
-            }
-        }
-        PhysNode::Limit {
-            input,
-            n,
-            mut props,
-        } => {
-            let input_cost = input.props().cost;
-            let new_input = rebuild(*input, edge_range(&props, 0), st);
-            props.cost += new_input.props().cost - input_cost;
-            PhysNode::Limit {
-                input: Box::new(new_input),
-                n,
-                props,
-            }
-        }
-        // Leaves and POP nodes (none exist pre-placement) stay as-is.
-        other => {
-            let _ = count_preserving(&other);
-            other
-        }
+        _ => None,
+    };
+    if let Some((flavor, context)) = above {
+        wrap_check(node, flavor, incoming, context, st);
     }
 }
 
-/// ECDC: eager check above a join in a pipelined SPJ plan.
-fn maybe_ecdc(node: PhysNode, incoming: ValidityRange, st: &mut PlaceState) -> PhysNode {
-    if st.ctx.config.flavors.ecdc && st.is_spj {
-        wrap_check(
-            node,
-            CheckFlavor::Ecdc,
-            incoming,
-            CheckContext::Pipeline,
-            st,
-        )
-    } else {
-        node
+/// The CHECK that Table 1 puts on input edge `edge` of `consumer`, if its
+/// flavor is enabled. (NLJN outers take several: [`guard_nljn_outer`].)
+fn edge_rule(
+    consumer: &PhysNode,
+    edge: usize,
+    st: &PlaceState,
+) -> Option<(CheckFlavor, CheckContext)> {
+    let flavors = st.ctx.config.flavors;
+    match (consumer, edge) {
+        // The hash-join build is a materialization point: an LC on its
+        // input edge costs nothing and fires when the build completes (or
+        // overflows its range mid-build).
+        (PhysNode::Hsjn { .. }, 0) if flavors.lc => {
+            Some((CheckFlavor::Lc, CheckContext::HashBuild))
+        }
+        // ECDC: the probe side streams to the consumer; a pipelined check
+        // there catches probe-cardinality errors.
+        (PhysNode::Hsjn { .. }, 1) if flavors.ecdc && st.is_spj => {
+            Some((CheckFlavor::Ecdc, CheckContext::Pipeline))
+        }
+        (PhysNode::Sort { .. } | PhysNode::Temp { .. }, _) if flavors.ecwc => {
+            Some((CheckFlavor::Ecwc, CheckContext::BelowMaterialization))
+        }
+        // The aggregate's hash table is a materialization point that fully
+        // consumes its input before emitting: a pipelined input reaching it
+        // unobserved is the last chance to catch a cardinality error (the
+        // planlint PL411 coverage proof). LC guards the edge like any other
+        // materialization point.
+        (PhysNode::HashAgg { .. }, _) if flavors.lc => {
+            Some((CheckFlavor::Lc, CheckContext::AggBuild))
+        }
+        _ => None,
     }
 }
 
-fn edge_range(props: &pop_plan::PlanProps, edge: usize) -> ValidityRange {
-    props.edge_range(edge)
+/// The NLJN outer is the edge the paper spends most flavors on.
+fn guard_nljn_outer(outer: &mut PhysNode, range: ValidityRange, st: &mut PlaceState) {
+    let flavors = st.ctx.config.flavors;
+    // A materialized outer already has its LC; a provably exact one (e.g. a
+    // temp-MV reuse after re-optimization) needs no insurance: any check
+    // on it would be dead.
+    if materialized_through_checks(outer) || provably_exact(outer) {
+        return;
+    }
+    // ECB below, LCEM above (§3.4: "couple both approaches, placing an LCEM
+    // above an ECB so that the ECB can prevent the materialization from
+    // growing beyond bounds").
+    if flavors.ecb {
+        wrap_bufcheck(outer, range, st);
+    }
+    if flavors.lcem {
+        wrap_temp(outer, st);
+        wrap_check(outer, CheckFlavor::Lcem, range, CheckContext::NljnOuter, st);
+    }
+    // ECDC: a purely pipelined check on the outer edge (Figure 9's P1/P2
+    // split) — only when no blocking guard sits there already.
+    if flavors.ecdc && st.is_spj && !flavors.lcem && !flavors.ecb {
+        wrap_check(outer, CheckFlavor::Ecdc, range, CheckContext::Pipeline, st);
+    }
 }
 
 #[cfg(test)]

@@ -171,12 +171,9 @@ pub fn narrow_on_prune(
             let opt_cost = winner_fixed + crate::cost::root_local_cost(model, &winner_spec, &cards);
             loser.cost_at(model, &cards) + gain_margin - opt_cost
         };
-        if let Some(hi) = find_upper_crossing(diff, est, iters) {
-            winner.apply_range(edge, ValidityRange::new(0.0, hi));
-        }
-        if let Some(lo) = find_lower_crossing(diff, est, iters) {
-            winner.apply_range(edge, ValidityRange::new(lo, f64::INFINITY));
-        }
+        let hi = find_upper_crossing(diff, est, iters).unwrap_or(f64::INFINITY);
+        let lo = find_lower_crossing(diff, est, iters).unwrap_or(0.0);
+        winner.edge_ranges[edge] = winner.edge_ranges[edge].intersect(&ValidityRange::new(lo, hi));
     }
 }
 

@@ -15,27 +15,13 @@
 
 use pop_optimizer::validity::{find_lower_crossing, find_upper_crossing, narrow_on_prune};
 use pop_optimizer::{Candidate, CostModel, RootCostSpec};
-use pop_plan::{LayoutCol, PhysNode, PlanProps, TableSet, ValidityRange};
-use pop_types::ColId;
+use pop_plan::{TableSet, ValidityRange};
 use proptest::prelude::*;
 
-/// A two-edge join candidate whose root cost follows `root_spec`, suitable
-/// for exercising `narrow_on_prune` (the node shape is irrelevant to the
-/// sensitivity analysis; only props/edge bookkeeping is consulted).
+/// A two-edge join candidate whose root cost follows `root_spec` — a cost
+/// record is all `narrow_on_prune` reads.
 fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: Vec<f64>) -> Candidate {
-    let node = PhysNode::TableScan {
-        qidx: 0,
-        table: "t".into(),
-        pred: None,
-        props: PlanProps::leaf(
-            TableSet::single(0),
-            edge_cards[0] * edge_cards[1],
-            100.0,
-            vec![LayoutCol::Base(ColId::new(0, 0))],
-        ),
-    };
     Candidate {
-        node,
         cost: 0.0,
         card: edge_cards[0] * edge_cards[1],
         order: None,
@@ -43,17 +29,10 @@ fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: Vec<f64>
         root_spec,
         fixed_cost,
         edge_cards,
-        edge_to_child: vec![Some(0), Some(1)],
+        edge_ranges: vec![ValidityRange::unbounded(); 2],
+        edge_children: vec![Some(0), Some(0)],
+        leaf: None,
     }
-}
-
-/// Edge ranges of a candidate, padded with `unbounded` the same way
-/// `apply_range` pads, so before/after comparisons line up.
-fn edge_ranges(c: &Candidate) -> Vec<ValidityRange> {
-    let ranges = &c.node.props().edge_ranges;
-    (0..2)
-        .map(|i| ranges.get(i).copied().unwrap_or(ValidityRange::unbounded()))
-        .collect()
 }
 
 proptest! {
@@ -159,17 +138,16 @@ proptest! {
         );
         // Seed the winner with pre-existing (already narrowed) ranges that
         // still contain the estimates.
-        winner.apply_range(0, ValidityRange::new(pre_lo, pre_hi));
-        winner.apply_range(1, ValidityRange::new(pre_lo, pre_hi));
+        winner.edge_ranges = vec![ValidityRange::new(pre_lo, pre_hi); 2];
         let loser = join_candidate(
             RootCostSpec::Nljn { outer_edge: 0, matches_per_probe },
             loser_fixed,
             cards.clone(),
         );
 
-        let before = edge_ranges(&winner);
+        let before = winner.edge_ranges.clone();
         narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
-        let after = edge_ranges(&winner);
+        let after = &winner.edge_ranges;
 
         for edge in 0..2 {
             prop_assert!(
@@ -199,7 +177,7 @@ proptest! {
             fixed,
             cards.clone(),
         );
-        let mut prev = edge_ranges(&winner);
+        let mut prev = winner.edge_ranges.clone();
         for mpp in probes {
             let loser = join_candidate(
                 RootCostSpec::Nljn { outer_edge: 0, matches_per_probe: mpp },
@@ -207,7 +185,7 @@ proptest! {
                 cards.clone(),
             );
             narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
-            let curr = edge_ranges(&winner);
+            let curr = winner.edge_ranges.clone();
             for edge in 0..2 {
                 prop_assert!(
                     curr[edge].lo >= prev[edge].lo && curr[edge].hi <= prev[edge].hi,

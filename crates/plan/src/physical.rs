@@ -519,6 +519,20 @@ impl PhysNode {
         }
     }
 
+    /// Replace this node by `f(self)` in place — how a tree walk holding
+    /// `&mut` wraps a node in a new parent or swaps it for a descendant. A
+    /// throwaway leaf occupies the slot while `f` runs; if `f` panics, the
+    /// throwaway is what unwinding finds there.
+    pub fn replace_with(&mut self, f: impl FnOnce(PhysNode) -> PhysNode) {
+        let hole = PhysNode::TableScan {
+            qidx: 0,
+            table: String::new(),
+            pred: None,
+            props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
+        };
+        *self = f(std::mem::replace(self, hole));
+    }
+
     /// Operator name for display.
     pub fn name(&self) -> &'static str {
         match self {
