@@ -456,8 +456,8 @@ impl PopExecutor {
                     let harvests = std::mem::take(&mut ctx.harvests);
                     for h in harvests {
                         if !violation.forced {
-                            feedback
-                                .record(h.signature.clone(), CardFact::Exact(h.rows.len() as f64));
+                            let card = CardFact::Exact(h.row_count() as f64);
+                            feedback.record(h.signature.clone(), card);
                         }
                         self.promote_harvest(spec, h, &mut mv_counter, &mut report.warnings)?;
                     }
@@ -922,12 +922,15 @@ impl PopExecutor {
         let name = format!("__pop_mv_{}", *mv_counter);
         *mv_counter += 1;
         let id = self.catalog.allocate_temp_id();
-        let actual_card = h.rows.len() as u64;
+        // The one copy a harvest makes: canonical-order rows out of the
+        // operator's buffer.
+        let (rows, lineage) = h.to_rows();
+        let actual_card = rows.len() as u64;
         // Under the paged backend the MV spills to temporary pages whose
         // files the catalog's cleanup (table drop) unlinks.
         let table = self
             .catalog
-            .create_temp_table(id, name.clone(), Schema::new(cols), h.rows)?;
+            .create_temp_table(id, name.clone(), Schema::new(cols), rows)?;
         // Exact statistics for the re-optimization (the paper: "having the
         // cardinality of the intermediate result in its catalog
         // statistics").
@@ -938,7 +941,7 @@ impl PopExecutor {
             signature: h.signature,
             layout: h.layout,
             actual_card,
-            lineage: Some(Arc::new(h.lineage)),
+            lineage: Some(Arc::new(lineage)),
         });
         Ok(())
     }
@@ -1346,11 +1349,15 @@ mod tests {
             canonical,
             vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(0, 1)]
         );
-        let harvest = |layout: Vec<pop_types::ColId>| pop_exec::Harvest {
-            signature: "sig".into(),
-            rows: vec![vec![Value::Int(1); layout.len()]],
-            lineage: vec![vec![]],
-            layout,
+        let harvest = |layout: Vec<pop_types::ColId>| {
+            let mut buffer = pop_exec::RowBatch::new();
+            buffer.push(vec![Value::Int(1); layout.len()], vec![]);
+            let info = pop_exec::operators::HarvestInfo {
+                signature: "sig".into(),
+                perm: (0..layout.len()).collect(),
+                canonical_layout: layout,
+            };
+            pop_exec::Harvest::new(&info, Arc::new(buffer), None)
         };
         let _cleanup = MvCleanup {
             catalog: exec.catalog(),

@@ -15,6 +15,10 @@
 //! `Vec`s only reappear at the boundaries that need owned rows
 //! ([`RowBatch::into_rows`], [`RowBatch::take_row_at`]).
 //!
+//! The same container, grown with [`RowBatch::append`], is the buffer
+//! behind every materialization (hash-join build, SORT, TEMP): rows are
+//! addressed by index and copied out with [`RowBatch::copy_rows`].
+//!
 //! Invariants relied on across the engine:
 //! * a selection vector is strictly increasing (preserves row order);
 //! * operators never emit an all-dead batch — `next_batch` returns `None`
@@ -67,7 +71,8 @@ impl RowBatch {
         RowBatch::with_capacity(0)
     }
 
-    /// Empty batch with room for `n` rows.
+    /// Empty batch with room for `n` rows (the value buffer is sized by
+    /// the first push, which knows the row width).
     pub fn with_capacity(n: usize) -> Self {
         let mut lin_off = Vec::with_capacity(n + 1);
         lin_off.push(0);
@@ -93,20 +98,14 @@ impl RowBatch {
         self.sel = None;
     }
 
-    /// Batch from fully-materialized rows (all live).
-    pub fn from_rows(rows: Vec<ExecRow>) -> Self {
-        let mut b = RowBatch::with_capacity(rows.len());
-        for r in rows {
-            b.push(r.values, r.lineage);
-        }
-        b
-    }
-
     #[inline]
     fn begin_push(&mut self, width: usize) {
         debug_assert!(self.sel.is_none(), "push into a filtered batch");
         if self.rows == 0 {
             self.width = width;
+            // Room for as many rows as the offsets were sized for; free
+            // once a `reset` batch has grown to its working size.
+            self.vals.reserve((self.lin_off.capacity() - 1) * width);
         } else {
             debug_assert_eq!(width, self.width, "row width mismatch");
         }
@@ -175,6 +174,58 @@ impl RowBatch {
         self.lin.extend_from_slice(la);
         self.lin.extend_from_slice(lb);
         self.finish_push();
+    }
+
+    /// Append a derived row (no lineage) of `width` values — the
+    /// aggregate's output path.
+    pub fn push_derived(&mut self, width: usize, values: impl Iterator<Item = Value>) {
+        self.begin_push(width);
+        self.vals.extend(values);
+        debug_assert_eq!(self.vals.len(), (self.rows + 1) * width);
+        self.finish_push();
+    }
+
+    /// Move the live rows of `other` onto the end of this batch — how a
+    /// materializing operator grows its one buffer from its input.
+    pub fn append(&mut self, mut other: RowBatch) {
+        if other.rows == 0 {
+            return;
+        }
+        self.begin_push(other.width);
+        let base = self.lin.len() as u32;
+        match other.sel.take() {
+            None => {
+                self.vals.append(&mut other.vals);
+                self.lin.append(&mut other.lin);
+                self.lin_off
+                    .extend(other.lin_off[1..].iter().map(|o| base + o));
+                self.rows += other.rows;
+            }
+            Some(sel) => {
+                let w = other.width;
+                for i in sel {
+                    let i = i as usize;
+                    self.vals.extend(
+                        other.vals[i * w..(i + 1) * w]
+                            .iter_mut()
+                            .map(|v| std::mem::replace(v, Value::Null)),
+                    );
+                    self.lin.extend_from_slice(other.lineage_at(i));
+                    self.finish_push();
+                }
+            }
+        }
+    }
+
+    /// Copy the rows at the given physical indices, in that order, into a
+    /// fresh batch (all live) — how a materializing operator re-emits its
+    /// buffer in chunks.
+    pub fn copy_rows(&self, rows: impl ExactSizeIterator<Item = usize>) -> RowBatch {
+        let mut out = RowBatch::with_capacity(rows.len());
+        for i in rows {
+            out.push_row(self.values_at(i), self.lineage_at(i));
+        }
+        out
     }
 
     /// Physical row count, dead rows included.
@@ -281,26 +332,10 @@ impl RowBatch {
 
     /// Drop dead rows, leaving a batch with no selection vector.
     pub fn compact(&mut self) {
-        if let Some(sel) = self.sel.take() {
-            let w = self.width;
-            let mut vals = Vec::with_capacity(sel.len() * w);
-            let mut lin = Vec::with_capacity(sel.len());
-            let mut lin_off = Vec::with_capacity(sel.len() + 1);
-            lin_off.push(0);
-            for &i in &sel {
-                let i = i as usize;
-                for j in i * w..(i + 1) * w {
-                    vals.push(std::mem::replace(&mut self.vals[j], Value::Null));
-                }
-                lin.extend_from_slice(
-                    &self.lin[self.lin_off[i] as usize..self.lin_off[i + 1] as usize],
-                );
-                lin_off.push(lin.len() as u32);
-            }
-            self.rows = sel.len();
-            self.vals = vals;
-            self.lin = lin;
-            self.lin_off = lin_off;
+        if self.sel.is_some() {
+            let live = RowBatch::with_capacity(self.live_count());
+            let filtered = std::mem::replace(self, live);
+            self.append(filtered);
         }
     }
 
@@ -533,6 +568,58 @@ mod tests {
             &[Value::Int(1), Value::Int(2), Value::Int(3)][..]
         );
         assert_eq!(b.lineage_at(0), &[Rid::new(0, 4), Rid::new(1, 5)]);
+    }
+
+    #[test]
+    fn append_moves_live_rows_and_rebases_lineage() {
+        let mut buf = RowBatch::new();
+        buf.append(RowBatch::new()); // nothing to take a width from
+        buf.append(batch(3));
+        let mut filtered = batch(6);
+        filtered.retain_live(|v, _| int_at(v) % 2 == 1); // 1 3 5
+        buf.append(filtered);
+        buf.append(batch(1));
+        assert_eq!((buf.len(), buf.live_count(), buf.sel()), (7, 7, None));
+        let ints: Vec<i64> = (0..7).map(|i| int_at(buf.values_at(i))).collect();
+        assert_eq!(ints, vec![0, 1, 2, 1, 3, 5, 0]);
+        for (i, v) in ints.iter().enumerate() {
+            assert_eq!(buf.lineage_at(i), &[Rid::new(0, *v as u64)]);
+        }
+    }
+
+    #[test]
+    fn copy_rows_picks_rows_by_index_in_the_given_order() {
+        let buf = batch(5);
+        let picked = buf.copy_rows([4usize, 0, 4].into_iter());
+        assert_eq!(picked.len(), 3);
+        assert_eq!(picked.values_at(0), &[Value::Int(4)][..]);
+        assert_eq!(picked.lineage_at(1), &[Rid::new(0, 0)]);
+        assert_eq!(buf.copy_rows(1..3), {
+            let mut b = RowBatch::new();
+            b.push_row(buf.values_at(1), buf.lineage_at(1));
+            b.push_row(buf.values_at(2), buf.lineage_at(2));
+            b
+        });
+        assert!(buf.copy_rows(0..0).is_empty());
+    }
+
+    #[test]
+    fn with_capacity_sizes_the_value_buffer_on_the_first_push() {
+        let mut b = RowBatch::with_capacity(100);
+        let row = [Value::Int(1), Value::Int(2), Value::Int(3)];
+        b.push_row(&row, &[]);
+        let cap = b.vals.capacity();
+        assert!(cap >= 300, "capacity {cap}");
+        for _ in 1..100 {
+            b.push_row(&row, &[]);
+        }
+        assert_eq!(b.vals.capacity(), cap, "grew while filling");
+        // `reset` keeps the buffer for the next fill.
+        b.reset();
+        b.push_derived(3, row.iter().cloned());
+        assert_eq!(b.vals.capacity(), cap);
+        assert_eq!(b.values_at(0), &row[..]);
+        assert!(b.lineage_at(0).is_empty());
     }
 
     #[test]

@@ -372,7 +372,7 @@ pub(crate) fn build_with_env(
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
                 .collect::<PopResult<Vec<_>>>()?;
-            // Hash-join builds are materializations too: snapshot them for
+            // Hash-join builds are materializations too: harvest them for
             // potential reuse after a CHECK failure (the enhancement the
             // paper's prototype planned, §4).
             let build_harvest = harvest_info(build, signatures);

@@ -1,28 +1,68 @@
 //! The execution context: catalog handle, parameters, instrumentation,
 //! harvested materializations, and cross-run compensation state.
 
+use crate::operators::HarvestInfo;
 use crate::signal::ObservedCard;
+use crate::RowBatch;
 use pop_expr::Params;
 use pop_guard::{FaultInjector, Governor};
 use pop_plan::{CheckContext, CheckFlavor, CostModel, ValidityRange};
 use pop_storage::Catalog;
 use pop_types::{ColId, PopError, Rid, Row};
 use std::collections::HashSet;
+use std::sync::Arc;
 
-/// A completed materialization, snapshotted for potential promotion to a
+/// A completed materialization, kept for potential promotion to a
 /// temporary materialized view if a CHECK fails later in this run (§2.3).
-/// Rows are stored in **canonical column order** so any re-optimized plan
-/// can consume them regardless of the join order that produced them.
+/// It shares the operator's own buffer; rows in **canonical column order**
+/// (so any re-optimized plan can consume them regardless of the join
+/// order that produced them) are only built by [`Harvest::to_rows`], at
+/// promotion — a run that never re-optimizes copies nothing.
 #[derive(Debug, Clone)]
 pub struct Harvest {
     /// Subplan signature (tables + applied predicates).
     pub signature: String,
-    /// Canonical column layout of `rows`.
+    /// Canonical column layout of the harvested rows.
     pub layout: Vec<ColId>,
-    /// The materialized rows.
-    pub rows: Vec<Row>,
-    /// Lineage per row.
-    pub lineage: Vec<Vec<Rid>>,
+    /// `perm[i]` = position in a buffer row of canonical column `i`.
+    perm: Vec<usize>,
+    /// The materializing operator's buffer (all rows live).
+    buffer: Arc<RowBatch>,
+    /// Buffer indices in output order (SORT); `None` = buffer order.
+    order: Option<Arc<[u32]>>,
+}
+
+impl Harvest {
+    /// Harvest of `buffer`, read in `order` if given.
+    pub fn new(info: &HarvestInfo, buffer: Arc<RowBatch>, order: Option<Arc<[u32]>>) -> Self {
+        debug_assert!(buffer.sel().is_none(), "harvest of a filtered batch");
+        Harvest {
+            signature: info.signature.clone(),
+            layout: info.canonical_layout.clone(),
+            perm: info.perm.clone(),
+            buffer,
+            order,
+        }
+    }
+
+    /// Exact cardinality of the materialization.
+    pub fn row_count(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// The rows in canonical column order, with their lineage, in the
+    /// operator's output order.
+    pub fn to_rows(&self) -> (Vec<Row>, Vec<Vec<Rid>>) {
+        let n = self.row_count();
+        let (mut rows, mut lineage) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for k in 0..n {
+            let i = self.order.as_ref().map_or(k, |o| o[k] as usize);
+            let values = self.buffer.values_at(i);
+            rows.push(self.perm.iter().map(|p| values[*p].clone()).collect());
+            lineage.push(self.buffer.lineage_at(i).to_vec());
+        }
+        (rows, lineage)
+    }
 }
 
 /// Outcome of one CHECK evaluation.
@@ -205,8 +245,9 @@ impl ExecCtx {
         self.guard.tick(self.work)
     }
 
-    /// Reserve resident operator memory (hash builds, sort/TEMP buffers,
-    /// check valves, promoted temp MVs) against the byte budget.
+    /// Reserve resident operator memory (hash builds, aggregate groups,
+    /// sort/TEMP buffers, check valves, promoted temp MVs) against the
+    /// byte budget.
     #[inline]
     pub fn guard_reserve(&mut self, bytes: u64) -> Result<(), PopError> {
         self.guard.reserve(bytes)
@@ -260,12 +301,13 @@ mod tests {
         let mut ctx = ExecCtx::new(Catalog::new(), Params::none(), CostModel::default());
         ctx.work = 10.0;
         ctx.prev_returned.insert(vec![Rid::new(0, 1)]);
-        ctx.harvests.push(Harvest {
+        let info = HarvestInfo {
             signature: "s".into(),
-            layout: vec![],
-            rows: vec![],
-            lineage: vec![],
-        });
+            canonical_layout: vec![],
+            perm: vec![],
+        };
+        ctx.harvests
+            .push(Harvest::new(&info, Arc::new(RowBatch::new()), None));
         ctx.begin_run();
         assert_eq!(ctx.work, 10.0);
         assert_eq!(ctx.prev_returned.len(), 1);

@@ -14,10 +14,11 @@
 //!   against a bound and raises an [`ExecSignal::Reopt`] control signal
 //!   on violation — not an error: the POP driver catches it, harvests
 //!   intermediate results and re-optimizes.
-//! * **Materialization harvest**: every completed SORT/TEMP
-//!   materialization snapshots its rows (in canonical column order) into
-//!   the execution context, so a later CHECK failure can promote them to
-//!   temporary materialized views with exact cardinalities (§2.3).
+//! * **Materialization harvest**: every completed SORT/TEMP/hash-build
+//!   materialization registers its buffer — shared, not copied — with the
+//!   execution context, so a later CHECK failure can promote it (in
+//!   canonical column order) to a temporary materialized view with exact
+//!   cardinality (§2.3).
 //! * **Work accounting**: operators charge the same
 //!   [`pop_plan::CostModel`] coefficients the optimizer estimates with
 //!   (including simulated spill passes for oversized hash builds and

@@ -1,8 +1,8 @@
 //! Hash aggregation and projection.
 
-use crate::operators::key::{fill_key, KeyMap};
-use crate::operators::{emit_chunk, Operator};
-use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
+use crate::operators::key::{group_hash, ChainIndex, NIL};
+use crate::operators::{next_chunk, Operator};
+use crate::{ExecCtx, OpResult, RowBatch};
 use pop_types::Value;
 
 /// An aggregate to compute, with its argument resolved to a layout
@@ -89,8 +89,9 @@ impl AggState {
         Ok(())
     }
 
-    fn finish(self) -> Value {
-        match self {
+    /// The aggregate's value (MIN/MAX move theirs out).
+    fn finish(&mut self) -> Value {
+        match *self {
             AggState::Count(n) => Value::Int(n),
             AggState::Sum { sum, all_int, any } => {
                 if !any {
@@ -101,8 +102,7 @@ impl AggState {
                     Value::Float(sum)
                 }
             }
-            AggState::Min(m) => m.unwrap_or(Value::Null),
-            AggState::Max(m) => m.unwrap_or(Value::Null),
+            AggState::Min(ref mut m) | AggState::Max(ref mut m) => m.take().unwrap_or(Value::Null),
             AggState::Avg { sum, n } => {
                 if n == 0 {
                     Value::Null
@@ -117,12 +117,22 @@ impl AggState {
 /// Hash aggregation: consumes the input at `open` batch by batch, emits
 /// one row per group (group key columns followed by aggregate values),
 /// **sorted by group key** for deterministic output.
+///
+/// Groups are dense ids in first-seen order: group `g` owns
+/// `keys[g*k..(g+1)*k]` and `states[g*a..(g+1)*a]` of two flat buffers
+/// (`k` key columns, `a` aggregates), found through a [`ChainIndex`] by
+/// comparing an input row's key columns against the stored key in place.
 pub struct HashAggOp {
     input: Box<dyn Operator>,
     key_pos: Vec<usize>,
     aggs: Vec<AggKind>,
-    out: Vec<ExecRow>,
+    keys: Vec<Value>,
+    states: Vec<AggState>,
+    /// Group ids sorted by key; emitted from `pos` on.
+    order: Vec<u32>,
     pos: usize,
+    /// Resident bytes charged to the governor for the group table.
+    reserved: u64,
 }
 
 impl HashAggOp {
@@ -132,8 +142,11 @@ impl HashAggOp {
             input,
             key_pos,
             aggs,
-            out: Vec::new(),
+            keys: Vec::new(),
+            states: Vec::new(),
+            order: Vec::new(),
             pos: 0,
+            reserved: 0,
         }
     }
 }
@@ -141,61 +154,81 @@ impl HashAggOp {
 impl Operator for HashAggOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        let mut groups: KeyMap<Vec<AggState>> = KeyMap::default();
-        // Group-key scratch: a row of an existing group is looked up by
-        // slice; only a new group allocates its key.
-        let mut key = Vec::with_capacity(self.key_pos.len());
-        let mut saw_any = false;
+        let (k, a) = (self.key_pos.len(), self.aggs.len());
+        let group_bytes = k * std::mem::size_of::<Value>() + a * std::mem::size_of::<AggState>();
+        let (keys, states) = (&mut self.keys, &mut self.states);
+        keys.clear();
+        states.clear();
+        let mut index = ChainIndex::build(0, 0, |_| None);
+        let mut groups = 0usize;
         while let Some(b) = self.input.next_batch(ctx)? {
             ctx.charge(b.live_count() as f64 * ctx.model.agg_row);
             ctx.guard_tick()?;
+            let seen = groups;
             for i in b.live_indices() {
-                saw_any = true;
                 let row = b.values_at(i);
-                fill_key(&mut key, row, &self.key_pos);
-                let update = |states: &mut [AggState]| {
-                    states
-                        .iter_mut()
-                        .zip(&self.aggs)
-                        .try_for_each(|(state, kind)| state.update(*kind, row))
-                };
-                if let Some(states) = groups.get_mut(key.as_slice()) {
-                    update(states)?;
-                } else {
-                    let mut fresh: Vec<AggState> =
-                        self.aggs.iter().map(|a| AggState::new(*a)).collect();
-                    update(&mut fresh)?;
-                    groups.insert(key.clone(), fresh);
+                let hash = group_hash(self.key_pos.iter().map(|p| &row[*p]));
+                let mut g = index.first(hash);
+                while g != NIL
+                    && !(keys[g as usize * k..][..k].iter())
+                        .zip(&self.key_pos)
+                        .all(|(key, p)| *key == row[*p])
+                {
+                    g = index.next_of(g);
+                }
+                if g == NIL {
+                    g = groups as u32;
+                    groups += 1;
+                    keys.extend(self.key_pos.iter().map(|p| row[*p].clone()));
+                    states.extend(self.aggs.iter().map(|kind| AggState::new(*kind)));
+                    index.push(hash, |g| group_hash(keys[g * k..][..k].iter()));
+                }
+                for (state, kind) in states[g as usize * a..][..a].iter_mut().zip(&self.aggs) {
+                    state.update(*kind, row)?;
                 }
             }
+            let bytes = ((groups - seen) * group_bytes) as u64;
+            self.reserved += bytes;
+            ctx.guard_reserve(bytes)?;
         }
         // Scalar aggregate over an empty input still yields one row.
-        if groups.is_empty() && self.key_pos.is_empty() && !saw_any {
-            groups.insert(
-                Vec::new(),
-                self.aggs.iter().map(|a| AggState::new(*a)).collect(),
-            );
+        if groups == 0 && k == 0 {
+            states.extend(self.aggs.iter().map(|kind| AggState::new(*kind)));
+            groups = 1;
         }
-        let mut rows: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        self.out = rows
-            .into_iter()
-            .map(|(mut key, states)| {
-                key.extend(states.into_iter().map(AggState::finish));
-                ExecRow::derived(key)
-            })
-            .collect();
+        self.order = (0..groups as u32).collect();
+        self.order
+            .sort_by(|x, y| keys[*x as usize * k..][..k].cmp(&keys[*y as usize * k..][..k]));
         self.pos = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        Ok(emit_chunk(&self.out, &mut self.pos, ctx))
+        let Some(chunk) = next_chunk(&mut self.pos, self.order.len(), ctx) else {
+            return Ok(None);
+        };
+        let (k, a) = (self.key_pos.len(), self.aggs.len());
+        let mut out = RowBatch::with_capacity(chunk.len());
+        for g in &self.order[chunk] {
+            // Each group is emitted once: move its key and values out.
+            let key = self.keys[*g as usize * k..][..k]
+                .iter_mut()
+                .map(|v| std::mem::replace(v, Value::Null));
+            let aggs = self.states[*g as usize * a..][..a]
+                .iter_mut()
+                .map(AggState::finish);
+            out.push_derived(k + a, key.chain(aggs));
+        }
+        Ok(Some(out))
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.input.close(ctx);
-        self.out.clear();
+        self.keys.clear();
+        self.states.clear();
+        self.order.clear();
+        ctx.guard_release(self.reserved);
+        self.reserved = 0;
     }
 }
 
@@ -431,6 +464,85 @@ mod tests {
         let out = drain(&mut op, &mut ctx);
         let keys: Vec<&Value> = out.iter().map(|r| &r[0]).collect();
         assert_eq!(keys, vec![&Value::Int(1), &Value::Int(3), &Value::Int(5)]);
+    }
+
+    /// Group-key semantics of the flat group table, at batch sizes
+    /// 1 / 7 / 1024: NULL is a key value (one group per distinct
+    /// NULL-bearing key, apart from every non-NULL key), numerics of
+    /// equal value share a group under its first-seen key, and enough
+    /// distinct keys to grow the index several times all stay apart.
+    #[test]
+    fn group_key_table() {
+        let mut rows = vec![
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Int(0), Value::Int(2)],
+            vec![Value::Int(3), Value::Int(3)],
+            vec![Value::Float(3.0), Value::Int(4)],
+            vec![Value::Null, Value::Int(5)],
+            vec![Value::Date(3), Value::Int(6)],
+        ];
+        rows.extend((10..400).map(|i| vec![Value::Int(i), Value::Int(i)]));
+        for batch_size in [1, 7, 1024] {
+            let (mut ctx, scan) = setup(rows.clone());
+            ctx.batch_size = batch_size;
+            let mut op = HashAggOp::new(scan, vec![0], vec![AggKind::Count, AggKind::Sum(1)]);
+            let out = drain(&mut op, &mut ctx);
+            assert_eq!(out.len(), 3 + 390, "@ {batch_size}");
+            assert_eq!(out[0], vec![Value::Null, Value::Int(2), Value::Int(6)]);
+            assert_eq!(out[1], vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
+            assert_eq!(out[2], vec![Value::Int(3), Value::Int(3), Value::Int(13)]);
+            assert!(matches!(out[2][0], Value::Int(_)), "first-seen key kept");
+            assert!(out[3..].iter().all(|r| r[1] == Value::Int(1)));
+            // Both key columns: (NULL, x) groups differ by x.
+            let (mut ctx, scan) = setup(rows[..6].to_vec());
+            ctx.batch_size = batch_size;
+            let mut op = HashAggOp::new(scan, vec![0, 1], vec![AggKind::Count]);
+            assert_eq!(drain(&mut op, &mut ctx).len(), 6);
+            // No key column: one group over everything.
+            let (mut ctx, scan) = setup(rows.clone());
+            ctx.batch_size = batch_size;
+            let mut op = HashAggOp::new(scan, vec![], vec![AggKind::Count]);
+            assert_eq!(drain(&mut op, &mut ctx), vec![vec![Value::Int(396)]]);
+        }
+    }
+
+    /// The group table is resident operator state: it is charged to the
+    /// byte budget as groups appear and given back on `close`.
+    #[test]
+    fn group_table_is_charged_to_the_byte_budget() {
+        use pop_guard::{Budget, Governor};
+        let rows: Vec<Vec<Value>> = (0..500)
+            .map(|i| vec![Value::Int(i), Value::Int(1)])
+            .collect();
+        let group_bytes = (std::mem::size_of::<Value>() + std::mem::size_of::<AggState>()) as u64;
+        let budget = |max| Budget {
+            max_resident_bytes: Some(max),
+            ..Budget::unlimited()
+        };
+        let (mut ctx, scan) = setup(rows.clone());
+        ctx.guard = Governor::new(budget(500 * group_bytes), None);
+        let mut op = HashAggOp::new(scan, vec![0], vec![AggKind::Count]);
+        assert_eq!(drain(&mut op, &mut ctx).len(), 500);
+        assert_eq!(ctx.guard.peak_resident_bytes(), 500 * group_bytes);
+        // Released: the same budget admits the same aggregate again.
+        let t = ctx.catalog.table("t").unwrap();
+        let mut op = HashAggOp::new(
+            Box::new(TableScanOp::new(t, None)),
+            vec![0],
+            vec![AggKind::Count],
+        );
+        assert_eq!(drain(&mut op, &mut ctx).len(), 500);
+
+        let (mut ctx, scan) = setup(rows);
+        ctx.guard = Governor::new(budget(100 * group_bytes), None);
+        let mut op = HashAggOp::new(scan, vec![0], vec![AggKind::Count]);
+        match op.open(&mut ctx) {
+            Err(crate::ExecSignal::Error(pop_types::PopError::BudgetExceeded(msg))) => {
+                assert!(msg.contains("resident"), "{msg}");
+            }
+            other => panic!("expected BudgetExceeded, got {:?}", other.err()),
+        }
+        op.close(&mut ctx);
     }
 
     #[test]

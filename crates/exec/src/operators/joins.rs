@@ -7,8 +7,9 @@
 //! Output accumulates into a [`RowBatch`] of up to
 //! [`ExecCtx::batch_size`] rows per call.
 
-use crate::operators::key::{fill_key, KeyMap};
-use crate::operators::materialize::{snapshot_harvest, HarvestInfo};
+use crate::context::Harvest;
+use crate::operators::key::{key_hash, ChainIndex, NIL};
+use crate::operators::materialize::{materialize, HarvestInfo};
 use crate::operators::{BatchCursor, Operator, RowCursor};
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
 use pop_expr::BoundExpr;
@@ -172,25 +173,27 @@ impl Operator for NljnOp {
     }
 }
 
-/// The completed build phase of a hash join: the row arena, the key →
-/// arena-index table, the simulated spill factor, and the bytes reserved
-/// against the governor. Built once — either privately by [`HsjnOp::open`]
-/// or serially by a parallel region's controller, which then shares one
-/// `Arc<BuildState>` across all partition probe instances ("build once,
-/// probe in parallel").
+/// The completed build phase of a hash join: the build rows in one flat
+/// buffer, the chained index over their keys, the simulated spill factor,
+/// and the bytes reserved against the governor. Built once — either
+/// privately by [`HsjnOp::open`] or serially by a parallel region's
+/// controller, which then shares one `Arc<BuildState>` across all
+/// partition probe instances ("build once, probe in parallel").
 pub struct BuildState {
-    /// Build rows, stored exactly once.
-    pub(crate) arena: Vec<ExecRow>,
-    /// Join key → arena indices, in build order.
-    pub(crate) table: KeyMap<Vec<u32>>,
-    pub(crate) spill_passes: f64,
+    /// Build rows, stored exactly once (shared with the build's harvest).
+    rows: Arc<RowBatch>,
+    /// Key positions in a build row.
+    key_pos: Vec<usize>,
+    /// Key hash → chain of `rows` indices, in build order.
+    index: ChainIndex,
+    spill_passes: f64,
     /// Resident bytes charged to the governor; released by the owner.
     pub(crate) reserved: u64,
 }
 
-/// Run the build phase: drain `build` into an arena + hash table,
-/// charging `hash_build_row` per row, reserving the arena bytes, and
-/// snapshotting the harvest (if any) into `ctx`. The caller owns the
+/// Run the build phase: drain `build` into the row buffer and index it,
+/// charging `hash_build_row` per row, reserving the buffer's bytes, and
+/// registering the harvest (if any) with `ctx`. The caller owns the
 /// returned state's byte reservation.
 pub(crate) fn run_hash_build(
     build: &mut dyn Operator,
@@ -198,60 +201,43 @@ pub(crate) fn run_hash_build(
     build_harvest: Option<&HarvestInfo>,
     ctx: &mut ExecCtx,
 ) -> OpResult<BuildState> {
-    let mut state = BuildState {
-        arena: Vec::new(),
-        table: KeyMap::default(),
-        spill_passes: 0.0,
-        reserved: 0,
-    };
-    let mut key = Vec::with_capacity(build_key_pos.len());
-    while let Some(b) = build.next_batch(ctx)? {
-        ctx.charge(b.live_count() as f64 * ctx.model.hash_build_row);
-        let bytes = b.approx_bytes();
-        state.reserved += bytes;
-        ctx.guard_reserve(bytes)?;
-        ctx.guard_tick()?;
-        for row in b.into_rows() {
-            fill_key(&mut key, &row.values, build_key_pos);
-            let idx = state.arena.len() as u32;
-            state.arena.push(row);
-            if key.iter().any(Value::is_null) {
-                continue; // NULL keys never join
-            }
-            match state.table.get_mut(key.as_slice()) {
-                Some(list) => list.push(idx),
-                None => {
-                    state.table.insert(std::mem::take(&mut key), vec![idx]);
-                }
-            }
-        }
-    }
+    let mut reserved = 0;
+    let row_charge = ctx.model.hash_build_row;
+    let rows = materialize(build, row_charge, &mut reserved, ctx)?;
+    let index = ChainIndex::build(rows.len(), rows.len(), |r| {
+        key_hash(rows.values_at(r), build_key_pos)
+    });
     if let Some(info) = build_harvest {
-        ctx.harvests.push(snapshot_harvest(info, &state.arena));
+        ctx.harvests
+            .push(Harvest::new(info, Arc::clone(&rows), None));
     }
     // Simulated grace-hash spill: the same step function the optimizer
     // models, so misestimated builds really do cost what the model says.
-    state.spill_passes = ctx.model.spill_passes(state.arena.len() as f64);
-    if state.spill_passes > 0.0 {
-        ctx.charge(state.spill_passes * state.arena.len() as f64 * ctx.model.spill_row);
+    let spill_passes = ctx.model.spill_passes(rows.len() as f64);
+    if spill_passes > 0.0 {
+        ctx.charge(spill_passes * rows.len() as f64 * ctx.model.spill_row);
     }
-    Ok(state)
+    Ok(BuildState {
+        rows,
+        key_pos: build_key_pos.to_vec(),
+        index,
+        spill_passes,
+        reserved,
+    })
 }
 
-/// Hash join: the build side is fully materialized into a row arena plus
-/// a hash table of arena indices at `open`; the probe side streams and is
-/// read in place: the probe key is built in a reused buffer and looked up
-/// by slice, and the hit list is copied into a reused index buffer, so a
-/// probe row allocates nothing. Probe hits reference arena rows by index
-/// and are copied out once into the join output — the build row is never
-/// re-cloned per bucket. Build
-/// overflow past the memory budget charges simulated spill passes,
-/// mirroring the cost model's step function.
+/// Hash join: the build side is fully materialized into one flat row
+/// buffer plus a chained index at `open`; the probe side streams and is
+/// read in place: the probe key is hashed where it sits, the matching
+/// chain is walked comparing keys against the buffer's rows, and each hit
+/// is copied out once into the join output — a probe row allocates
+/// nothing. Build overflow past the memory budget charges simulated
+/// spill passes, mirroring the cost model's step function.
 ///
 /// Inside a parallel region the controller builds once and every
 /// partition's probe instance references the same [`BuildState`] through
 /// [`HsjnOp::with_shared_build`]; such an instance has no build child and
-/// does not own the arena's byte reservation.
+/// does not own the buffer's byte reservation.
 pub struct HsjnOp {
     build: Option<Box<dyn Operator>>,
     probe: Box<dyn Operator>,
@@ -261,18 +247,14 @@ pub struct HsjnOp {
     /// intermediate result — the hash-join-build reuse the paper lists as
     /// a planned enhancement of its prototype (§4).
     build_harvest: Option<HarvestInfo>,
-    /// Privately-owned build (serial mode), populated at `open`.
-    own: Option<BuildState>,
-    /// Controller-owned build shared across partitions (parallel mode).
-    shared: Option<Arc<BuildState>>,
+    /// The completed build: this operator's own, populated at `open`, or
+    /// (without a `build` child) the region controller's, shared across
+    /// partitions.
+    state: Option<Arc<BuildState>>,
     /// The probe stream; its current row is the one being matched.
     probe_rows: RowCursor,
-    /// Probe-key scratch, reused across rows.
-    key: Vec<Value>,
-    /// Arena indices matching the current probe row, and how many of
-    /// them have been emitted.
-    matches: Vec<u32>,
-    match_pos: usize,
+    /// Next build row of the current probe row's chain ([`NIL`] = done).
+    chain: u32,
     pending_signal: Option<crate::ExecSignal>,
 }
 
@@ -290,12 +272,9 @@ impl HsjnOp {
             build_key_pos,
             probe_key_pos,
             build_harvest: None,
-            own: None,
-            shared: None,
+            state: None,
             probe_rows: RowCursor::default(),
-            key: Vec::new(),
-            matches: Vec::new(),
-            match_pos: 0,
+            chain: NIL,
             pending_signal: None,
         }
     }
@@ -313,12 +292,9 @@ impl HsjnOp {
             build_key_pos: Vec::new(),
             probe_key_pos,
             build_harvest: None,
-            own: None,
-            shared: Some(build),
+            state: Some(build),
             probe_rows: RowCursor::default(),
-            key: Vec::new(),
-            matches: Vec::new(),
-            match_pos: 0,
+            chain: NIL,
             pending_signal: None,
         }
     }
@@ -332,23 +308,18 @@ impl HsjnOp {
 
 impl Operator for HsjnOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        if self.shared.is_none() {
-            let build = self
-                .build
-                .as_mut()
-                .ok_or_else(|| super::protocol_err("HSJN without a build child or shared build"))?;
+        if let Some(build) = &mut self.build {
             build.open(ctx)?;
-            self.own = Some(run_hash_build(
+            self.state = Some(Arc::new(run_hash_build(
                 build.as_mut(),
                 &self.build_key_pos,
                 self.build_harvest.as_ref(),
                 ctx,
-            )?);
+            )?));
         }
         self.probe.open(ctx)?;
         self.probe_rows.reset();
-        self.matches.clear();
-        self.match_pos = 0;
+        self.chain = NIL;
         self.pending_signal = None;
         Ok(())
     }
@@ -358,24 +329,32 @@ impl Operator for HsjnOp {
             return Err(sig);
         }
         let state = self
-            .shared
+            .state
             .as_deref()
-            .or(self.own.as_ref())
             .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
         let target = ctx.batch_size.max(1);
         let mut out = RowBatch::with_capacity(target);
         loop {
-            if self.match_pos < self.matches.len() {
+            if self.chain != NIL {
                 let (probe, probe_lineage) = self
                     .probe_rows
                     .row()
                     .ok_or_else(|| super::protocol_err("HSJN match without a probe row"))?;
-                while self.match_pos < self.matches.len() {
-                    let build_row = &state.arena[self.matches[self.match_pos] as usize];
-                    self.match_pos += 1;
-                    out.push_concat(&build_row.values, probe, &build_row.lineage, probe_lineage);
-                    if out.len() >= target {
-                        return Ok(Some(out));
+                while self.chain != NIL {
+                    let r = self.chain as usize;
+                    self.chain = state.index.next_of(self.chain);
+                    let build_row = state.rows.values_at(r);
+                    // The chain holds every build row of the bucket.
+                    let hit = state
+                        .key_pos
+                        .iter()
+                        .zip(&self.probe_key_pos)
+                        .all(|(b, p)| build_row[*b] == probe[*p]);
+                    if hit {
+                        out.push_concat(build_row, probe, state.rows.lineage_at(r), probe_lineage);
+                        if out.len() >= target {
+                            return Ok(Some(out));
+                        }
                     }
                 }
             }
@@ -385,15 +364,9 @@ impl Operator for HsjnOp {
                 Ok(true) => {
                     ctx.charge(ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row);
                     let (probe, _) = self.probe_rows.row().expect("advance returned true");
-                    fill_key(&mut self.key, probe, &self.probe_key_pos);
-                    self.matches.clear();
-                    self.match_pos = 0;
-                    if self.key.iter().any(Value::is_null) {
-                        continue; // NULL keys never join
-                    }
-                    if let Some(hits) = state.table.get(self.key.as_slice()) {
-                        self.matches.extend_from_slice(hits);
-                    }
+                    // NULL keys never join.
+                    self.chain =
+                        key_hash(probe, &self.probe_key_pos).map_or(NIL, |h| state.index.first(h));
                 }
             }
         }
@@ -402,14 +375,14 @@ impl Operator for HsjnOp {
     fn close(&mut self, ctx: &mut ExecCtx) {
         if let Some(b) = &mut self.build {
             b.close(ctx);
+            // Only a privately-built buffer's reservation is ours to
+            // release; a shared build belongs to the region controller.
+            if let Some(own) = self.state.take() {
+                ctx.guard_release(own.reserved);
+            }
         }
         self.probe.close(ctx);
         self.probe_rows.reset();
-        // Only a privately-built arena's reservation is ours to release;
-        // a shared build belongs to the region controller.
-        if let Some(own) = self.own.take() {
-            ctx.guard_release(own.reserved);
-        }
     }
 }
 
@@ -980,6 +953,20 @@ mod tests {
                     ("g", "r"),
                     ("i", "r"),
                 ],
+            },
+            Case {
+                name: "a zero-column key matches every pair, NULL columns or not",
+                key_cols: 0,
+                build: vec![row(&[], "a"), row(&[], "b")],
+                probe: vec![row(&[], "p"), row(&[], "q")],
+                expect: vec![("a", "p"), ("b", "p"), ("a", "q"), ("b", "q")],
+            },
+            Case {
+                name: "an empty build joins nothing",
+                key_cols: 1,
+                build: vec![],
+                probe: vec![row(&[int(1)], "p"), row(&[Value::Null], "q")],
+                expect: vec![],
             },
         ];
         for case in &cases {

@@ -1,10 +1,13 @@
 //! Materializing operators: SORT and TEMP — the paper's materialization
-//! points, and the source of reusable intermediate results.
+//! points, and the source of reusable intermediate results. Each buffers
+//! its input in one grown [`RowBatch`] (SORT orders a `u32` permutation
+//! over it, never the rows) and shares that buffer with its harvest.
 
 use crate::context::Harvest;
-use crate::operators::{emit_chunk, Operator};
-use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
+use crate::operators::{next_chunk, Operator};
+use crate::{ExecCtx, OpResult, RowBatch};
 use pop_types::ColId;
+use std::sync::Arc;
 
 /// Harvest descriptor attached to a materializing operator at build time:
 /// the subplan signature plus the permutation that reorders the node's
@@ -19,32 +22,42 @@ pub struct HarvestInfo {
     pub perm: Vec<usize>,
 }
 
-pub(crate) fn snapshot_harvest(info: &HarvestInfo, rows: &[ExecRow]) -> Harvest {
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut lineage = Vec::with_capacity(rows.len());
-    for r in rows {
-        out_rows.push(info.perm.iter().map(|p| r.values[*p].clone()).collect());
-        lineage.push(r.lineage.clone());
+/// Drain `input` into one flat buffer (behind an `Arc`, to be shared with
+/// a harvest) — the one loop behind SORT, TEMP and the hash-join build —
+/// charging `row_charge` work units per row and reserving each batch's
+/// bytes against the governor (added to `reserved`, which the caller
+/// releases).
+pub(crate) fn materialize(
+    input: &mut dyn Operator,
+    row_charge: f64,
+    reserved: &mut u64,
+    ctx: &mut ExecCtx,
+) -> OpResult<Arc<RowBatch>> {
+    let mut buf = RowBatch::new();
+    while let Some(b) = input.next_batch(ctx)? {
+        ctx.charge(b.live_count() as f64 * row_charge);
+        let bytes = b.approx_bytes();
+        *reserved += bytes;
+        ctx.guard_reserve(bytes)?;
+        ctx.guard_tick()?;
+        buf.append(b);
     }
-    Harvest {
-        signature: info.signature.clone(),
-        layout: info.canonical_layout.clone(),
-        rows: out_rows,
-        lineage,
-    }
+    Ok(Arc::new(buf))
 }
 
 /// Materializing sort. The entire input is consumed at `open`; the sorted
-/// result is registered as a harvest (in canonical column order) for
-/// potential reuse after a CHECK failure, then re-emitted in batches.
+/// result is registered as a harvest for potential reuse after a CHECK
+/// failure, then re-emitted in batches.
 pub struct SortOp {
     input: Box<dyn Operator>,
     key_pos: usize,
     desc: bool,
     harvest: Option<HarvestInfo>,
-    rows: Vec<ExecRow>,
+    /// The input, in arrival order; `None` until `open`.
+    buf: Option<Arc<RowBatch>>,
+    /// Indices into `buf`, in sorted order.
+    order: Arc<[u32]>,
     pos: usize,
-    opened: bool,
     /// Resident bytes charged to the governor for the sort buffer.
     reserved: u64,
 }
@@ -62,9 +75,9 @@ impl SortOp {
             key_pos,
             desc,
             harvest,
-            rows: Vec::new(),
+            buf: None,
+            order: Arc::from([]),
             pos: 0,
-            opened: false,
             reserved: 0,
         }
     }
@@ -73,49 +86,43 @@ impl SortOp {
 impl Operator for SortOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        self.rows.clear();
         self.pos = 0;
-        while let Some(b) = self.input.next_batch(ctx)? {
-            let bytes = b.approx_bytes();
-            self.reserved += bytes;
-            ctx.guard_reserve(bytes)?;
-            ctx.guard_tick()?;
-            self.rows.extend(b.into_rows());
-        }
-        let key = self.key_pos;
+        let buf = materialize(self.input.as_mut(), 0.0, &mut self.reserved, ctx)?;
+        let key = |i: &u32| &buf.values_at(*i as usize)[self.key_pos];
+        let mut order: Vec<u32> = (0..buf.len() as u32).collect();
         // Stable sort: chained sorts implement multi-key ORDER BY.
-        self.rows
-            .sort_by(|a, b| a.values[key].cmp_total(&b.values[key]));
+        order.sort_by(|a, b| key(a).cmp_total(key(b)));
         if self.desc {
-            self.rows.reverse();
+            order.reverse();
         }
-        ctx.charge(ctx.model.sort_cost(self.rows.len() as f64));
+        self.order = Arc::from(order);
+        ctx.charge(ctx.model.sort_cost(buf.len() as f64));
         if let Some(info) = &self.harvest {
-            let h = snapshot_harvest(info, &self.rows);
-            ctx.harvests.push(h);
+            let order = Some(Arc::clone(&self.order));
+            ctx.harvests
+                .push(Harvest::new(info, Arc::clone(&buf), order));
         }
-        self.opened = true;
+        self.buf = Some(buf);
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        Ok(emit_chunk(&self.rows, &mut self.pos, ctx))
+        let Some(buf) = &self.buf else {
+            return Ok(None);
+        };
+        Ok(next_chunk(&mut self.pos, buf.len(), ctx)
+            .map(|chunk| buf.copy_rows(self.order[chunk].iter().map(|i| *i as usize))))
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.input.close(ctx);
-        self.rows.clear();
+        self.buf = None;
         ctx.guard_release(self.reserved);
         self.reserved = 0;
-        self.opened = false;
     }
 
     fn materialized_count(&self) -> Option<u64> {
-        if self.opened {
-            Some(self.rows.len() as u64)
-        } else {
-            None
-        }
+        self.buf.as_ref().map(|b| b.len() as u64)
     }
 }
 
@@ -125,9 +132,9 @@ impl Operator for SortOp {
 pub struct TempOp {
     input: Box<dyn Operator>,
     harvest: Option<HarvestInfo>,
-    rows: Vec<ExecRow>,
+    /// The input, in arrival order; `None` until `open`.
+    buf: Option<Arc<RowBatch>>,
     pos: usize,
-    opened: bool,
     /// Resident bytes charged to the governor for the TEMP buffer.
     reserved: u64,
 }
@@ -138,9 +145,8 @@ impl TempOp {
         TempOp {
             input,
             harvest,
-            rows: Vec::new(),
+            buf: None,
             pos: 0,
-            opened: false,
             reserved: 0,
         }
     }
@@ -149,25 +155,22 @@ impl TempOp {
 impl Operator for TempOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        self.rows.clear();
         self.pos = 0;
-        while let Some(b) = self.input.next_batch(ctx)? {
-            ctx.charge(b.live_count() as f64 * ctx.model.temp_write_row);
-            let bytes = b.approx_bytes();
-            self.reserved += bytes;
-            ctx.guard_reserve(bytes)?;
-            ctx.guard_tick()?;
-            self.rows.extend(b.into_rows());
-        }
+        let row_charge = ctx.model.temp_write_row;
+        let buf = materialize(self.input.as_mut(), row_charge, &mut self.reserved, ctx)?;
         if let Some(info) = &self.harvest {
-            ctx.harvests.push(snapshot_harvest(info, &self.rows));
+            ctx.harvests
+                .push(Harvest::new(info, Arc::clone(&buf), None));
         }
-        self.opened = true;
+        self.buf = Some(buf);
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        let out = emit_chunk(&self.rows, &mut self.pos, ctx);
+        let Some(buf) = &self.buf else {
+            return Ok(None);
+        };
+        let out = next_chunk(&mut self.pos, buf.len(), ctx).map(|chunk| buf.copy_rows(chunk));
         if let Some(b) = &out {
             ctx.charge(b.live_count() as f64 * ctx.model.temp_read_row);
         }
@@ -176,18 +179,13 @@ impl Operator for TempOp {
 
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.input.close(ctx);
-        self.rows.clear();
+        self.buf = None;
         ctx.guard_release(self.reserved);
         self.reserved = 0;
-        self.opened = false;
     }
 
     fn materialized_count(&self) -> Option<u64> {
-        if self.opened {
-            Some(self.rows.len() as u64)
-        } else {
-            None
-        }
+        self.buf.as_ref().map(|b| b.len() as u64)
     }
 }
 
@@ -258,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn temp_harvests_in_canonical_order() {
+    fn temp_harvest_shares_the_buffer() {
         let (mut ctx, scan) = ctx_and_scan();
         let info = HarvestInfo {
             signature: "sig-t".into(),
@@ -270,9 +268,21 @@ mod tests {
         assert_eq!(ctx.harvests.len(), 1);
         let h = &ctx.harvests[0];
         assert_eq!(h.signature, "sig-t");
-        assert_eq!(h.rows.len(), 3);
-        assert_eq!(h.lineage.len(), 3);
+        assert_eq!(h.row_count(), 3);
         assert_eq!(op.materialized_count(), Some(3));
+        // The harvest outlives the operator's own handle on the buffer.
+        op.close(&mut ctx);
+        let (rows, lineage) = ctx.harvests[0].to_rows();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(3)],
+                vec![Value::Int(1)],
+                vec![Value::Int(2)]
+            ]
+        );
+        assert_eq!(lineage.len(), 3);
+        assert_eq!(lineage[1].len(), 1);
     }
 
     #[test]
@@ -287,16 +297,54 @@ mod tests {
         assert!((ctx.work - expect).abs() < 1e-9, "work={}", ctx.work);
     }
 
+    /// `(key, tag)` rows with duplicate keys: a descending sort is the
+    /// stable ascending sort reversed (equal keys come out in reverse
+    /// input order), and the harvest reads the buffer in sorted order with
+    /// its columns permuted into canonical order.
     #[test]
-    fn harvest_permutation_reorders_columns() {
-        let rows = vec![ExecRow::derived(vec![Value::Int(1), Value::Int(2)])];
+    fn sort_desc_is_the_reversed_stable_sort_and_harvests_in_sorted_order() {
+        let cat = Catalog::new();
+        let rows = [(2, "a"), (1, "b"), (2, "c"), (1, "d"), (3, "e")];
+        let t = cat
+            .create_table(
+                "kt",
+                Schema::from_pairs(&[("k", DataType::Int), ("t", DataType::Str)]),
+                rows.iter()
+                    .map(|(k, t)| vec![Value::Int(*k), Value::str(t)])
+                    .collect(),
+            )
+            .unwrap();
         let info = HarvestInfo {
             signature: "s".into(),
             canonical_layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             perm: vec![1, 0], // canonical col 0 lives at layout pos 1
         };
-        let h = snapshot_harvest(&info, &rows);
-        assert_eq!(h.rows[0], vec![Value::Int(2), Value::Int(1)]);
+        for (desc, expect) in [(false, "bdace"), (true, "ecadb")] {
+            for batch_size in [1, 2, 1024] {
+                let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
+                ctx.batch_size = batch_size;
+                let scan = Box::new(TableScanOp::new(t.clone(), None));
+                let mut op = SortOp::new(scan, 0, desc, Some(info.clone()));
+                op.open(&mut ctx).unwrap();
+                let mut tags = String::new();
+                while let Some(b) = op.next_batch(&mut ctx).unwrap() {
+                    assert!(b.live_count() <= batch_size);
+                    for i in b.live_indices() {
+                        tags.push_str(b.values_at(i)[1].as_str().unwrap());
+                        assert_eq!(b.lineage_at(i).len(), 1);
+                    }
+                }
+                assert_eq!(tags, expect, "desc={desc} @ {batch_size}");
+                op.close(&mut ctx);
+                let (rows, lineage) = ctx.harvests[0].to_rows();
+                let harvested: String = rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+                assert_eq!(harvested, expect, "harvest, desc={desc}");
+                assert!(rows.iter().all(|r| r[1].as_i64().is_some()));
+                let pos = |tag: char| expect.find(tag).unwrap();
+                assert_eq!(lineage[pos('a')], vec![pop_types::Rid::new(t.id(), 0)]);
+                assert_eq!(lineage[pos('e')], vec![pop_types::Rid::new(t.id(), 4)]);
+            }
+        }
     }
 }
 

@@ -13,10 +13,10 @@ pub(crate) mod parallel;
 mod scan;
 mod side;
 
-pub use agg::{HashAggOp, HavingOp, LimitOp, ProjectOp};
+pub use agg::{AggKind, HashAggOp, HavingOp, LimitOp, ProjectOp};
 pub use guard::GuardOp;
 pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
-pub use materialize::{SortOp, TempOp};
+pub use materialize::{HarvestInfo, SortOp, TempOp};
 pub use monitor::{MonitorSet, MonitorSpec, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use parallel::GatherOp;
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
@@ -143,19 +143,20 @@ impl BatchCursor {
     }
 }
 
-/// Emit the next chunk of an already-materialized result, cloning up to
-/// `ctx.batch_size` rows per call. Shared by SORT/TEMP/aggregation output.
-pub(crate) fn emit_chunk(rows: &[ExecRow], pos: &mut usize, ctx: &ExecCtx) -> Option<RowBatch> {
-    if *pos >= rows.len() {
+/// The next chunk of an already-materialized result of `len` rows: up to
+/// `ctx.batch_size` positions from `*pos` on, or `None` once exhausted.
+/// Shared by SORT/TEMP/aggregation output.
+pub(crate) fn next_chunk(
+    pos: &mut usize,
+    len: usize,
+    ctx: &ExecCtx,
+) -> Option<std::ops::Range<usize>> {
+    if *pos >= len {
         return None;
     }
-    let end = (*pos + ctx.batch_size.max(1)).min(rows.len());
-    let mut out = RowBatch::with_capacity(end - *pos);
-    for r in &rows[*pos..end] {
-        out.push_row(&r.values, &r.lineage);
-    }
-    *pos = end;
-    Some(out)
+    let start = *pos;
+    *pos = (start + ctx.batch_size.max(1)).min(len);
+    Some(start..*pos)
 }
 
 /// Resolve a signal a child raised while this operator holds buffered

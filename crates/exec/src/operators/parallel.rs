@@ -1025,4 +1025,70 @@ mod tests {
         }
         assert!(ctx.region_diags.is_empty());
     }
+
+    /// The controller builds a spine hash join once and every worker's
+    /// probe shares it — and so does the build's harvest, registered with
+    /// the main context in canonical column order.
+    #[test]
+    fn shared_build_is_harvested_once_from_the_region() {
+        use crate::build::Subplan;
+        use pop_plan::LayoutCol;
+        use pop_types::{ColId, DataType, Schema};
+        let cat = Catalog::new();
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let rows = |n: i64, m: i64| (0..n).map(move |i| vec![Value::Int(i % m), Value::Int(i)]);
+        cat.create_table("b", schema.clone(), rows(6, 3).collect())
+            .unwrap();
+        cat.create_table("p", schema, rows(40, 4).collect())
+            .unwrap();
+        let scan = |qidx: usize, table: &str, cols: [usize; 2]| PhysNode::TableScan {
+            qidx,
+            table: table.into(),
+            pred: None,
+            props: PlanProps::leaf(
+                TableSet::single(qidx),
+                1.0,
+                1.0,
+                cols.map(|c| LayoutCol::Base(ColId::new(qidx, c))).to_vec(),
+            ),
+        };
+        // The build emits (v, k): canonical order (k, v) is a permutation.
+        let region = PhysNode::Hsjn {
+            build: Box::new(scan(0, "b", [1, 0])),
+            probe: Box::new(scan(1, "p", [0, 1])),
+            build_keys: vec![ColId::new(0, 0)],
+            probe_keys: vec![ColId::new(1, 0)],
+            props: PlanProps::leaf(TableSet::from_iter([0, 1]), 1.0, 1.0, vec![]),
+        };
+        let mut signatures = Signatures::new();
+        signatures.insert(
+            TableSet::single(0).mask(),
+            Subplan {
+                signature: "sig-b".into(),
+                layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
+            },
+        );
+        let mut ctx = ExecCtx::new(cat.clone(), pop_expr::Params::none(), CostModel::default());
+        ctx.morsel_size = 8; // five morsels over two workers
+        let mut gather = GatherOp::new(region, 2, cat, signatures, MonitorSet::default(), 1);
+        gather.open(&mut ctx).unwrap();
+        let mut joined = 0;
+        while let Some(b) = gather.next_batch(&mut ctx).unwrap() {
+            for i in b.live_indices() {
+                let r = b.values_at(i);
+                assert_eq!(r[1], r[2], "build k = probe k in {r:?}");
+                joined += 1;
+            }
+        }
+        gather.close(&mut ctx);
+        // Probe keys 0..4 × 10 rows each; build keys 0..3 × 2 rows each.
+        assert_eq!(joined, 3 * 10 * 2);
+        assert_eq!(ctx.harvests.len(), 1);
+        let (rows, lineage) = ctx.harvests[0].to_rows();
+        let expect: Vec<Vec<Value>> = (0..6)
+            .map(|i| vec![Value::Int(i % 3), Value::Int(i)])
+            .collect();
+        assert_eq!(rows, expect);
+        assert_eq!(lineage.len(), 6);
+    }
 }

@@ -22,14 +22,6 @@ pub struct ExecRow {
 }
 
 impl ExecRow {
-    /// Row with no lineage (derived data).
-    pub fn derived(values: Row) -> Self {
-        ExecRow {
-            values,
-            lineage: Vec::new(),
-        }
-    }
-
     /// Row from a single base-table row.
     pub fn base(values: Row, rid: Rid) -> Self {
         ExecRow {
@@ -58,11 +50,5 @@ mod tests {
         let c = a.concat(&b);
         assert_eq!(c.values, vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(c.lineage, vec![Rid::new(0, 7), Rid::new(1, 9)]);
-    }
-
-    #[test]
-    fn derived_has_no_lineage() {
-        let r = ExecRow::derived(vec![Value::Int(3)]);
-        assert!(r.lineage.is_empty());
     }
 }

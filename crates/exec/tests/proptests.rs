@@ -2,13 +2,14 @@
 //! methods must agree with each other and with a nested-loop reference
 //! implementation on arbitrary data, including duplicates and NULLs.
 
-use pop_exec::operators::{HsjnOp, MgjnOp, NljnOp, SortOp, TableScanOp};
+use pop_exec::operators::{AggKind, HashAggOp, HsjnOp, MgjnOp, NljnOp, SortOp, TableScanOp};
 use pop_exec::{ExecCtx, Operator};
 use pop_expr::Params;
 use pop_plan::CostModel;
 use pop_storage::{Catalog, IndexKind};
 use pop_types::{DataType, Schema, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn opt_int(v: Option<i64>) -> Value {
@@ -46,13 +47,19 @@ fn setup(
     (ctx, l, r)
 }
 
-fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
+fn drain_in_order(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
     op.open(ctx).unwrap();
     let mut out = Vec::new();
     while let Some(b) = op.next_batch(ctx).unwrap() {
+        assert!(b.live_count() <= ctx.batch_size);
         out.extend(b.into_rows().into_iter().map(|r| r.values));
     }
     op.close(ctx);
+    out
+}
+
+fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
+    let mut out = drain_in_order(op, ctx);
     out.sort();
     out
 }
@@ -82,7 +89,114 @@ fn arb_table() -> impl Strategy<Value = Vec<(Option<i64>, i64)>> {
     prop::collection::vec((prop::option::of(0i64..12), -100i64..100), 0..40)
 }
 
+/// A key value: NULL, or one of a few numbers spelled as `Int`, `Float`
+/// (whole and fractional) or `Date`, so equal keys of different types and
+/// duplicates are both common.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0i64..5).prop_map(Value::Int),
+        (0i64..10).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        (0i32..5).prop_map(Value::Date),
+    ]
+}
+
+/// Rows `(k1, k2, x)`: a numeric-or-NULL key column, a string-or-NULL key
+/// column and a nullable integer payload.
+fn arb_keyed_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    let k2 = prop_oneof![
+        Just(Value::Null),
+        Just(Value::str("a")),
+        Just(Value::str("b"))
+    ];
+    let x = prop::option::of(-50i64..50).prop_map(opt_int);
+    prop::collection::vec(
+        (arb_key(), k2, x).prop_map(|(a, b, c)| vec![a, b, c]),
+        0..60,
+    )
+}
+
+fn keyed_scan(cat: &Catalog, name: &str, rows: &[Vec<Value>]) -> Box<dyn Operator> {
+    let schema = Schema::from_pairs(&[
+        ("k1", DataType::Float),
+        ("k2", DataType::Str),
+        ("x", DataType::Int),
+    ]);
+    let t = cat.create_table(name, schema, rows.to_vec()).unwrap();
+    Box::new(TableScanOp::new(t, None))
+}
+
+const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
+
 proptest! {
+    /// The chained index + in-place key comparison against nested loops:
+    /// two-column keys, NULL in either column never joins, numerics of
+    /// equal value join across types, and the output comes in probe order
+    /// with each probe row's matches in build order.
+    #[test]
+    fn hash_join_matches_nested_loop_oracle(
+        build in arb_keyed_rows(),
+        probe in arb_keyed_rows(),
+        batch_idx in 0usize..3,
+    ) {
+        let mut expected = Vec::new();
+        for p in &probe {
+            for b in &build {
+                let no_null = !(b[0].is_null() || b[1].is_null() || p[0].is_null() || p[1].is_null());
+                if no_null && b[0] == p[0] && b[1] == p[1] {
+                    expected.push([b.as_slice(), p.as_slice()].concat());
+                }
+            }
+        }
+        let cat = Catalog::new();
+        let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
+        ctx.batch_size = BATCH_SIZES[batch_idx];
+        let mut join = HsjnOp::new(
+            keyed_scan(&cat, "b", &build),
+            keyed_scan(&cat, "p", &probe),
+            vec![0, 1],
+            vec![0, 1],
+        );
+        prop_assert_eq!(drain_in_order(&mut join, &mut ctx), expected);
+    }
+
+    /// The flat group table against a `BTreeMap` keyed by the same total
+    /// order: NULL is a group key, numerics of equal value share a group,
+    /// output is sorted by key.
+    #[test]
+    fn hash_aggregate_matches_btreemap_oracle(
+        rows in arb_keyed_rows(),
+        batch_idx in 0usize..3,
+    ) {
+        // key -> [count, sum of x, min x, max x], x over non-NULL values.
+        let mut oracle: BTreeMap<Vec<Value>, [Option<i64>; 4]> = BTreeMap::new();
+        for r in &rows {
+            let [n, sum, min, max] = oracle.entry(r[..2].to_vec()).or_insert([Some(0), None, None, None]);
+            *n = n.map(|n| n + 1);
+            if let Some(x) = r[2].as_i64() {
+                *sum = Some(sum.unwrap_or(0) + x);
+                *min = Some(min.map_or(x, |m| m.min(x)));
+                *max = Some(max.map_or(x, |m| m.max(x)));
+            }
+        }
+        let expected: Vec<Vec<Value>> = oracle
+            .into_iter()
+            .map(|(mut key, aggs)| {
+                key.extend(aggs.map(opt_int));
+                key
+            })
+            .collect();
+        let cat = Catalog::new();
+        let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
+        ctx.batch_size = BATCH_SIZES[batch_idx];
+        let mut agg = HashAggOp::new(
+            keyed_scan(&cat, "t", &rows),
+            vec![0, 1],
+            vec![AggKind::Count, AggKind::Sum(2), AggKind::Min(2), AggKind::Max(2)],
+        );
+        prop_assert_eq!(drain_in_order(&mut agg, &mut ctx), expected);
+    }
+
     #[test]
     fn all_join_methods_agree_with_reference(
         left in arb_table(),

@@ -16,8 +16,8 @@ pub struct Budget {
     /// non-deterministic limit; chaos runs leave it unset.)
     pub max_wall_ms: Option<u64>,
     /// Maximum resident bytes across memory-hungry operator state:
-    /// hash-join build sides, sort and TEMP buffers, BUFCHECK valves and
-    /// promoted temp MVs. Env: `POP_MAX_BYTES`.
+    /// hash-join build sides, aggregate group tables, sort and TEMP
+    /// buffers, BUFCHECK valves and promoted temp MVs. Env: `POP_MAX_BYTES`.
     pub max_resident_bytes: Option<u64>,
 }
 

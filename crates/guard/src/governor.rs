@@ -202,9 +202,10 @@ impl Governor {
         Ok(())
     }
 
-    /// Reserve `bytes` of resident operator memory (hash build, sort/TEMP
-    /// buffer, BUFCHECK valve, temp MV). Fails with a typed error when the
-    /// reservation would cross the resident-byte budget.
+    /// Reserve `bytes` of resident operator memory (hash build, aggregate
+    /// groups, sort/TEMP buffer, BUFCHECK valve, temp MV). Fails with a
+    /// typed error when the reservation would cross the resident-byte
+    /// budget.
     #[inline]
     pub fn reserve(&mut self, bytes: u64) -> Result<(), PopError> {
         if !self.enabled {

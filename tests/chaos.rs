@@ -438,6 +438,37 @@ fn resident_byte_budget_trips_with_typed_error() {
     assert_eq!(exec.catalog().temp_mv_count(), 0);
 }
 
+/// The aggregate's group table is resident operator state like a hash
+/// build: a GROUP BY with 50k groups over a bare scan (no join, SORT or
+/// TEMP to trip first) exceeds a budget that a 1000-group one fits in.
+#[test]
+fn resident_byte_budget_covers_aggregate_groups() {
+    use pop_plan::{AggFunc, QueryBuilder};
+    let group_by = |col: usize| {
+        let mut b = QueryBuilder::new();
+        let o = b.table("orders");
+        b.aggregate(&[(o, col)], vec![AggFunc::Count]);
+        b.build().unwrap()
+    };
+    let config = PopConfig {
+        budget: Budget {
+            max_resident_bytes: Some(64 << 10),
+            ..Budget::default()
+        },
+        ..PopConfig::default()
+    };
+    let exec = PopExecutor::new(correlated_db(), config).unwrap();
+    let err = exec
+        .run(&group_by(0), &Params::none())
+        .expect_err("50k groups cannot fit in 64 KiB");
+    assert!(matches!(err, PopError::BudgetExceeded(_)), "{err}");
+    assert_eq!(exec.catalog().temp_mv_count(), 0);
+    // The reservation was released with the failed run: a small group
+    // table still fits afterwards.
+    let few = exec.run(&group_by(1), &Params::none()).unwrap();
+    assert_eq!(few.rows.len(), 1000);
+}
+
 #[test]
 fn generous_budget_changes_nothing() {
     let config = PopConfig {
