@@ -14,13 +14,19 @@
 //!    whole table, scan once to fault pages in, then time repeated
 //!    scans served entirely from memory (zero physical reads during
 //!    the timed reps).
+//!
+//!    Both are run twice: reading every column, and *projected* onto the
+//!    three integer columns `a, c, d` of the six (`TableCursor::project`),
+//!    which decodes neither string column. Projection changes what is
+//!    decoded, never what is read: same rows, same checksum, same pages.
 //! 3. **WAL replay** — append a batch that lives only in the WAL, drop
 //!    the catalog without a checkpoint (simulated crash), and time the
 //!    reopen that replays the log and rebuilds the table.
 //!
 //! `--assert` fails the process on the *deterministic* facts — evictions
 //! observed on the starved pool, zero physical reads when warm, WAL
-//! records actually replayed, identical rows either way — rather than on
+//! records actually replayed, identical rows either way, a projected scan
+//! that reads exactly the pages of the full one — rather than on
 //! wall-clock ratios, which on a small file mostly measure the OS page
 //! cache. Text goes to stdout; raw data is written to
 //! `results/BENCH_storage.json`.
@@ -40,10 +46,16 @@ struct BenchReport {
     cold_ms: f64,
     cold_mrows_per_s: f64,
     cold_io: IoSnapshot,
+    cold_projected_ms: f64,
+    cold_projected_io: IoSnapshot,
     warm_ms: f64,
     warm_mrows_per_s: f64,
     warm_speedup: f64,
     warm_io: IoSnapshot,
+    projected_columns: usize,
+    warm_projected_ms: f64,
+    warm_projected_mrows_per_s: f64,
+    warm_projected_io: IoSnapshot,
     wal_records_replayed: u64,
     wal_replay_ms: f64,
     asserted: bool,
@@ -73,6 +85,8 @@ const COLD_POOL_FRAMES: usize = 32;
 /// 16 MiB: comfortably holds the full-mode table (~2k pages), so warm
 /// scans are pure pool hits.
 const WARM_POOL_FRAMES: usize = 4096;
+/// The projected scan reads `a`, `c` (the checksum column) and `d`.
+const PROJECTED: [usize; 3] = [0, 2, 3];
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -80,6 +94,8 @@ fn schema() -> Schema {
         ("b", DataType::Int),
         ("c", DataType::Int),
         ("d", DataType::Int),
+        ("code", DataType::Str),
+        ("note", DataType::Str),
     ])
 }
 
@@ -91,6 +107,8 @@ fn rows(range: std::ops::Range<i64>) -> Vec<Vec<Value>> {
                 Value::Int(i % 97),
                 Value::Int(i * 7 % 1009),
                 Value::Int(-i),
+                Value::str(["open", "held", "done"][(i % 3) as usize]),
+                Value::str(format!("note for row {i}")),
             ]
         })
         .collect()
@@ -109,10 +127,14 @@ fn storage(dir: &std::path::Path, pool_frames: Option<usize>) -> StorageConfig {
     cfg
 }
 
-/// Full sequential scan through the cursor layer; returns (rows, checksum)
-/// so the compiler cannot elide the reads and runs are comparable.
-fn scan(table: &pop_storage::Table) -> (usize, i64) {
+/// Full sequential scan through the cursor layer, decoding every column or
+/// only `cols`; returns (rows, checksum) so the compiler cannot elide the
+/// reads and runs are comparable.
+fn scan(table: &pop_storage::Table, cols: Option<&[usize]>) -> (usize, i64) {
     let mut cursor = table.cursor(0, table.row_count() as u64).expect("cursor");
+    if let Some(cols) = cols {
+        cursor = cursor.project(cols.iter().copied());
+    }
     let mut n = 0usize;
     let mut sum = 0i64;
     while let Some(chunk) = cursor.next_chunk(1024).expect("chunk") {
@@ -159,25 +181,34 @@ fn main() {
     let table_pages = cold_table.page_count();
     let io_before = cold_cat.io_stats();
     let t = Instant::now();
-    let (cold_rows, cold_sum) = scan(&cold_table);
+    let (cold_rows, cold_sum) = scan(&cold_table, None);
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     let cold_io = cold_cat.io_stats().since(&io_before);
+    let io_before = cold_cat.io_stats();
+    let t = Instant::now();
+    let cold_projected = scan(&cold_table, Some(&PROJECTED));
+    let cold_projected_ms = t.elapsed().as_secs_f64() * 1e3;
+    let cold_projected_io = cold_cat.io_stats().since(&io_before);
     drop(cold_table);
     drop(cold_cat);
 
     // Warm: ample pool, one priming scan, then best-of-reps from memory.
     let warm_cat = Catalog::with_storage(storage(&dir, Some(WARM_POOL_FRAMES)));
     let warm_table = warm_cat.open_table("data", schema()).expect("reopen");
-    let (prime_rows, prime_sum) = scan(&warm_table);
-    let io_before = warm_cat.io_stats();
-    let mut warm_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let (r, s) = scan(&warm_table);
-        warm_ms = warm_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!((r, s), (prime_rows, prime_sum), "warm scan diverged");
-    }
-    let warm_io = warm_cat.io_stats().since(&io_before);
+    let (prime_rows, prime_sum) = scan(&warm_table, None);
+    let timed = |cols: Option<&[usize]>| {
+        let io_before = warm_cat.io_stats();
+        let mut best_ms = f64::INFINITY;
+        for _ in 0..reps {
+            let t = Instant::now();
+            let (r, s) = scan(&warm_table, cols);
+            best_ms = best_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            assert_eq!((r, s), (prime_rows, prime_sum), "warm scan diverged");
+        }
+        (best_ms, warm_cat.io_stats().since(&io_before))
+    };
+    let (warm_ms, warm_io) = timed(None);
+    let (warm_projected_ms, warm_projected_io) = timed(Some(&PROJECTED));
     drop(warm_table);
     drop(warm_cat);
     let _ = fs::remove_dir_all(&dir);
@@ -191,10 +222,16 @@ fn main() {
         cold_ms,
         cold_mrows_per_s: mrows(cold_ms),
         cold_io: cold_io.into(),
+        cold_projected_ms,
+        cold_projected_io: cold_projected_io.into(),
         warm_ms,
         warm_mrows_per_s: mrows(warm_ms),
         warm_speedup: cold_ms / warm_ms,
         warm_io: warm_io.into(),
+        projected_columns: PROJECTED.len(),
+        warm_projected_ms,
+        warm_projected_mrows_per_s: mrows(warm_projected_ms),
+        warm_projected_io: warm_projected_io.into(),
         wal_records_replayed: replayed,
         wal_replay_ms,
         asserted: assert_facts,
@@ -214,6 +251,15 @@ fn main() {
         report.warm_io.pool_hits,
         report.warm_io.pages_read,
         report.warm_speedup
+    );
+    println!(
+        "  projected onto {} of {} columns: cold {cold_projected_ms:8.2} ms ({} misses), \
+         warm {warm_projected_ms:8.2} ms  {:6.2} Mrows/s ({} physical reads)",
+        PROJECTED.len(),
+        schema().len(),
+        report.cold_projected_io.pool_misses,
+        report.warm_projected_mrows_per_s,
+        report.warm_projected_io.pages_read
     );
     println!("  WAL replay on reopen: {wal_replay_ms:8.2} ms  ({replayed} records)");
     let _ = fs::create_dir_all("results");
@@ -253,6 +299,19 @@ fn main() {
             report.warm_io
         );
         assert!(report.warm_io.pool_hits > 0, "warm scans recorded no hits");
+        assert_eq!(
+            cold_projected,
+            (cold_rows, cold_sum),
+            "projected scan disagrees with the full scan"
+        );
+        assert_eq!(
+            report.cold_projected_io.pages_read, report.cold_io.pages_read,
+            "projection must not change the pages a cold scan reads"
+        );
+        assert_eq!(
+            report.warm_projected_io.pages_read, 0,
+            "warm projected scans must be served from the pool"
+        );
         assert!(replayed > 0, "reopen replayed no WAL records");
         println!("storage assertions passed");
     }

@@ -10,6 +10,7 @@
 use crate::context::Harvest;
 use crate::operators::key::{key_hash, ChainIndex, NIL};
 use crate::operators::materialize::{materialize, HarvestInfo};
+use crate::operators::scan::read_set;
 use crate::operators::{BatchCursor, Operator, RowCursor};
 use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
 use pop_expr::BoundExpr;
@@ -85,7 +86,12 @@ impl NljnOp {
 impl Operator for NljnOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.outer.open(ctx)?;
-        self.fetcher = Some(self.inner_table.fetcher());
+        // The inner row is read for its output columns, the predicate and
+        // the residual join columns — nothing else is decoded.
+        let inner_read = read_set(&self.inner_cols, self.inner_pred.as_ref())
+            .into_iter()
+            .chain(self.residual.iter().map(|&(_, inner_col)| inner_col));
+        self.fetcher = Some(self.inner_table.fetcher().project(inner_read));
         self.outer_rows.reset();
         self.matches.clear();
         self.match_pos = 0;
@@ -428,7 +434,9 @@ impl SemiProbeOp {
 impl Operator for SemiProbeOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        self.fetcher = Some(self.inner_table.fetcher());
+        // Only the clause predicate looks at the inner row.
+        let inner_read = read_set(&[], self.pred.as_ref());
+        self.fetcher = Some(self.inner_table.fetcher().project(inner_read));
         self.last_page = None;
         Ok(())
     }

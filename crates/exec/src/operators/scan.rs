@@ -11,8 +11,10 @@ use std::sync::Arc;
 /// `next_batch` call charges and filters one cursor chunk; the predicate
 /// (bound against the table schema) runs over the stored rows of the whole
 /// chunk via a selection vector, and only the output columns of passing
-/// rows are copied out. Chunk boundaries and logical page touches are
-/// identical on either backend, so the charged work is too.
+/// rows are copied out. The cursor is asked for exactly those columns (the
+/// `read_set`), so a paged table decodes nothing else. Chunk boundaries
+/// and logical page touches are identical on either backend, so the charged
+/// work is too.
 pub struct TableScanOp {
     table: Arc<Table>,
     pred: Option<BoundExpr>,
@@ -62,6 +64,17 @@ impl TableScanOp {
     }
 }
 
+/// The table columns a leaf reads from storage: its output columns plus
+/// every column its predicate (bound against the table schema) touches.
+/// Any other column of a stored row is unspecified and must not be read.
+pub(crate) fn read_set(cols: &[usize], pred: Option<&BoundExpr>) -> Vec<usize> {
+    let mut set = cols.to_vec();
+    if let Some(p) = pred {
+        p.for_each_col(&mut |c| set.push(c));
+    }
+    set
+}
+
 /// Row range `[lo, hi)` of partition `part` of `parts` over `n` rows.
 pub(crate) fn partition_bounds(n: usize, part: usize, parts: usize) -> (usize, usize) {
     (part * n / parts, (part + 1) * n / parts)
@@ -80,7 +93,8 @@ impl Operator for TableScanOp {
             (None, Some(s)) if s.table == self.table.name() => Some(s.stride.max(1)),
             _ => None,
         };
-        self.cursor = Some(self.table.cursor(lo as u64, hi as u64)?);
+        let cursor = self.table.cursor(lo as u64, hi as u64)?;
+        self.cursor = Some(cursor.project(read_set(&self.cols, self.pred.as_ref())));
         Ok(())
     }
 
@@ -234,7 +248,8 @@ impl IndexRangeScanOp {
 
 impl Operator for IndexRangeScanOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        self.fetcher = Some(self.table.fetcher());
+        let fetcher = self.table.fetcher();
+        self.fetcher = Some(fetcher.project(read_set(&self.cols, self.residual.as_ref())));
         let mut positions = self
             .index
             .range(self.lo.as_ref(), self.hi.as_ref())?

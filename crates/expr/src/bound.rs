@@ -79,6 +79,30 @@ impl BoundExpr {
             Expr::IsNull(e) => BoundExpr::IsNull(Box::new(Self::bind(e, layout)?)),
         })
     }
+
+    /// Call `f` with the row offset of every column reference, in
+    /// evaluation order (an offset referenced twice is reported twice).
+    /// Storage leaves use it to name the columns a predicate reads.
+    pub fn for_each_col(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            BoundExpr::Col(i) => f(*i),
+            BoundExpr::Lit(_) | BoundExpr::Param(_) => {}
+            BoundExpr::Cmp(_, a, b) | BoundExpr::Arith(_, a, b) => {
+                a.for_each_col(f);
+                b.for_each_col(f);
+            }
+            BoundExpr::And(v) | BoundExpr::Or(v) => v.iter().for_each(|e| e.for_each_col(f)),
+            BoundExpr::Not(e)
+            | BoundExpr::Like(e, _)
+            | BoundExpr::InList(e, _)
+            | BoundExpr::IsNull(e) => e.for_each_col(f),
+            BoundExpr::Between(e, lo, hi) => {
+                e.for_each_col(f);
+                lo.for_each_col(f);
+                hi.for_each_col(f);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -104,6 +128,31 @@ mod tests {
         let layout = vec![ColId::new(0, 0)];
         let e = Expr::col(3, 3).eq(Expr::lit(1i64));
         assert!(BoundExpr::bind(&e, &layout).is_err());
+    }
+
+    #[test]
+    fn for_each_col_reaches_every_variant() {
+        let layout: Vec<ColId> = (0..8).map(|c| ColId::new(0, c)).collect();
+        let e = Expr::col(0, 0)
+            .eq(Expr::Arith(
+                ArithOp::Add,
+                Box::new(Expr::col(0, 1)),
+                Box::new(Expr::Param(0)),
+            ))
+            .and(Expr::col(0, 2).between(Expr::col(0, 3), Expr::lit(9i64)))
+            .and(
+                Expr::col(0, 4)
+                    .like("a%")
+                    .or(Expr::col(0, 5).in_list(vec![Value::Int(1)]))
+                    .not(),
+            )
+            .and(Expr::IsNull(Box::new(Expr::col(0, 6))))
+            .and(Expr::col(0, 0).lt(Expr::lit(3i64)));
+        let mut seen = Vec::new();
+        BoundExpr::bind(&e, &layout)
+            .unwrap()
+            .for_each_col(&mut |c| seen.push(c));
+        assert_eq!(seen, [0, 1, 2, 3, 4, 5, 6, 0], "column 7 is never read");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! The trait contract that keeps execution byte-identical across
 //! backends: `append` assigns consecutive positions in arrival order,
-//! `read_range`/`row_at` observe exactly the appended rows, and
+//! `read_range`/`row_at` observe exactly the appended rows (on the columns
+//! the reader names — its [`ColumnSet`]), and
 //! `page_count`/`page_of_row` are computed with the shared
 //! [`PageLayout`] packing rule — so page-aware cost estimates and the
 //! runtime's logical page-touch charges depend only on table contents,
@@ -12,7 +13,7 @@
 //! evictions, WAL bytes) are visible only through [`IoStats`].
 
 use crate::buffer::{BufferPool, IoCounters, IoStats};
-use crate::page::{PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
+use crate::page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
 use parking_lot::Mutex;
 use pop_guard::{env_parsed, FaultInjector, Governor};
 use pop_types::{PopError, PopResult, Row};
@@ -293,15 +294,19 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Append `rows` at the end; returns the position of the first.
     fn append(&self, rows: Vec<Row>) -> PopResult<u64>;
 
-    /// All rows as one shared vector. Cheap for the mem backend; the
-    /// paged backend materializes (index builds, stats analysis).
+    /// All rows, every column, as one shared vector. Cheap for the mem
+    /// backend; the paged backend materializes (stats analysis).
     fn snapshot(&self) -> PopResult<Arc<Vec<Row>>>;
 
-    /// Append rows with positions in `[lo, hi)` to `out`.
-    fn read_range(&self, lo: u64, hi: u64, out: &mut Vec<Row>) -> PopResult<()>;
+    /// Read the rows with positions in `[lo, hi)` (clamped) into `out`,
+    /// which is resized to the rows read; the rows already in it are
+    /// reused as decode scratch. Rows keep the table's full width, but
+    /// only the columns in `cols` are specified (see [`ColumnSet`]).
+    fn read_range(&self, lo: u64, hi: u64, cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()>;
 
-    /// The single row at `pos`.
-    fn row_at(&self, pos: u64) -> PopResult<Row>;
+    /// Read the single row at `pos` into `row`, in place; only the columns
+    /// in `cols` are specified.
+    fn row_at(&self, pos: u64, cols: &ColumnSet, row: &mut Row) -> PopResult<()>;
 
     /// Logical data-page index (0-based) holding row `pos`.
     fn page_of_row(&self, pos: u64) -> u64;

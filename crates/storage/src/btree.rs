@@ -23,7 +23,7 @@
 //! stays cheap because internals are a tiny fraction of the tree.
 
 use crate::backend::StorageEnv;
-use crate::page::{decode_row, encode_row};
+use crate::page::{decode_row_into, encode_row, ColumnSet};
 use crate::pager::PageFile;
 use parking_lot::Mutex;
 use pop_types::{PopError, PopResult, Value};
@@ -54,7 +54,8 @@ fn encode_key(key: &Value) -> Vec<u8> {
 
 /// Decode a key at `*at`, advancing past it.
 fn decode_key(buf: &[u8], at: &mut usize) -> PopResult<Value> {
-    let mut row = decode_row(buf, at)?;
+    let mut row = Vec::new();
+    *at = decode_row_into(buf, *at, &ColumnSet::all(), &mut row)?;
     row.pop().ok_or_else(|| corrupt("empty key"))
 }
 
@@ -547,7 +548,7 @@ impl BTree {
     /// Read page `pid` through the buffer pool.
     fn read_page(&self, inner: &mut BTreeInner, pid: u64) -> PopResult<Arc<Vec<u8>>> {
         let env = &self.env;
-        let file = &mut inner.file;
+        let file = &inner.file;
         env.pool().get((self.file_id, pid), || {
             let trunc = env.fault_short_read();
             env.io().pages_read.fetch_add(1, Ordering::Relaxed);

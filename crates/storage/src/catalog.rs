@@ -255,9 +255,10 @@ impl Catalog {
     ///
     /// On the paged backend, the first `Sorted` index of a table becomes
     /// its persistent B+tree primary index (maintained on append); any
-    /// other index is an in-memory map that snapshots the table at
-    /// creation time — after inserting rows, call
-    /// [`Catalog::refresh_indexes`] so those see the new data.
+    /// other index is an in-memory map over the rows the table holds at
+    /// creation time (built by reading just the indexed column) — after
+    /// inserting rows, call [`Catalog::refresh_indexes`] so those see the
+    /// new data.
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> PopResult<()> {
         let t = self.table(table)?;
         let col = t
@@ -274,10 +275,10 @@ impl Catalog {
                 .flatten()
             {
                 Some(bt) => Arc::new(Index::from_btree(col, bt)),
-                None => Arc::new(Index::build(kind, col, &t.snapshot())),
+                None => Arc::new(Index::build(kind, col, &t)?),
             }
         } else {
-            Arc::new(Index::build(kind, col, &t.snapshot()))
+            Arc::new(Index::build(kind, col, &t)?)
         };
         self.inner
             .write()
@@ -293,14 +294,13 @@ impl Catalog {
     /// indexes are maintained on append and skipped.
     pub fn refresh_indexes(&self, table: &str) -> PopResult<()> {
         let t = self.table(table)?;
-        let snapshot = t.snapshot();
         let mut inner = self.inner.write();
         if let Some(list) = inner.indexes.get_mut(&t.id()) {
             for idx in list.iter_mut() {
                 if idx.is_persistent() {
                     continue;
                 }
-                *idx = Arc::new(Index::build(idx.kind(), idx.column(), &snapshot));
+                *idx = Arc::new(Index::build(idx.kind(), idx.column(), &t)?);
             }
         }
         Ok(())

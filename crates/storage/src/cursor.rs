@@ -7,11 +7,20 @@
 //! identical *logical* page-touch counts (the mem backend counts virtual
 //! pages with the same packing rule the paged backend uses for real
 //! ones). Only the physical behaviour differs: the mem paths are
-//! zero-copy slices, the paged paths read through the buffer pool.
+//! zero-copy slices, the paged paths read through the buffer pool and
+//! decode, in place into rows they reuse, only the columns the reader
+//! names with `.project(cols)`.
+//!
+//! The read-set contract: rows always have the table's full width, so
+//! predicates and projections stay bound against the table schema, but
+//! *columns outside the projection are unspecified (NULL on paged, the
+//! stored value on mem) and must not be read*.
 
 use crate::backend::StorageBackend;
 use crate::mem::MemBackend;
+use crate::page::ColumnSet;
 use pop_types::{PopResult, Row};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -37,9 +46,8 @@ pub struct CursorChunk<'a> {
 
 /// Sequential cursor over a row range `[pos, end)` of one backend.
 ///
-/// Chunk boundaries replicate [`crate::chunk`] exactly: each call yields
-/// `min(max, remaining)` rows, so batch traces are byte-identical whether
-/// the table is in memory or on pages.
+/// Each call yields `min(max, remaining)` rows, so batch traces are
+/// byte-identical whether the table is in memory or on pages.
 #[derive(Debug)]
 pub struct TableCursor {
     src: CursorSrc,
@@ -48,7 +56,10 @@ pub struct TableCursor {
     end: u64,
     /// Last page already counted into `new_pages` (watermark).
     counted: Option<u64>,
-    /// Decode scratch for the paged path, reused across chunks.
+    /// Columns the paged path decodes (all of them until `project`).
+    cols: ColumnSet,
+    /// Decode scratch for the paged path: the rows are overwritten in
+    /// place chunk after chunk.
     buf: Vec<Row>,
 }
 
@@ -68,8 +79,16 @@ impl TableCursor {
             pos: lo,
             end: hi,
             counted: None,
+            cols: ColumnSet::all(),
             buf: Vec::new(),
         })
+    }
+
+    /// Read only the table columns `cols`: every other column of a chunk's
+    /// rows is unspecified and must not be read.
+    pub fn project(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
+        self.cols = ColumnSet::of(cols);
+        self
     }
 
     /// Next position the cursor will read (for stride/sample callers that
@@ -112,8 +131,7 @@ impl TableCursor {
         let rows: &[Row] = match &self.src {
             CursorSrc::Mem(snap) => &snap[start as usize..(start + take) as usize],
             CursorSrc::Paged(b) => {
-                self.buf.clear();
-                b.read_range(start, start + take, &mut self.buf)?;
+                b.read_range(start, start + take, &self.cols, &mut self.buf)?;
                 &self.buf
             }
         };
@@ -134,7 +152,8 @@ enum FetchSrc {
 /// Positional row access for index fetches and join probes.
 ///
 /// The mem path hands out `&Row` straight from the snapshot; the paged
-/// path decodes the row from its page (through the buffer pool). Both
+/// path decodes the projected columns of the row from its page (through
+/// the buffer pool) into one scratch row it reuses for every fetch. Both
 /// skip positions past the end of the backend — an index can briefly
 /// trail the snapshot it is paired with.
 #[derive(Debug)]
@@ -142,6 +161,10 @@ pub struct RowFetcher {
     src: FetchSrc,
     len: u64,
     backend: Arc<dyn StorageBackend>,
+    /// Columns the paged path decodes (all of them until `project`).
+    cols: ColumnSet,
+    /// The paged path's decode scratch, lent to the visitor.
+    scratch: RefCell<Row>,
 }
 
 impl RowFetcher {
@@ -152,7 +175,20 @@ impl RowFetcher {
             Some(mem) => FetchSrc::Mem(mem.rows()),
             None => FetchSrc::Paged(Arc::clone(&backend)),
         };
-        RowFetcher { src, len, backend }
+        RowFetcher {
+            src,
+            len,
+            backend,
+            cols: ColumnSet::all(),
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// Read only the table columns `cols`: every other column of a visited
+    /// row is unspecified and must not be read.
+    pub fn project(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
+        self.cols = ColumnSet::of(cols);
+        self
     }
 
     /// Row count the fetcher was opened over.
@@ -189,11 +225,14 @@ impl RowFetcher {
                 }
             }
             FetchSrc::Paged(b) => {
+                // A visitor that fetched through this fetcher again would
+                // find the scratch row taken: that is a bug, and panics.
+                let mut row = self.scratch.borrow_mut();
                 for &p in positions {
                     if p >= self.len {
                         continue;
                     }
-                    let row = b.row_at(p)?;
+                    b.row_at(p, &self.cols, &mut row)?;
                     if !visit(p, &row)? {
                         return Ok(());
                     }
@@ -201,18 +240,6 @@ impl RowFetcher {
             }
         }
         Ok(())
-    }
-
-    /// The row at `pos`, if in range. The paged path decodes a fresh
-    /// copy; prefer [`RowFetcher::for_each`] for batches.
-    pub fn get(&self, pos: u64) -> PopResult<Option<Row>> {
-        if pos >= self.len {
-            return Ok(None);
-        }
-        match &self.src {
-            FetchSrc::Mem(snap) => Ok(snap.get(pos as usize).cloned()),
-            FetchSrc::Paged(b) => b.row_at(pos).map(Some),
-        }
     }
 }
 
@@ -240,30 +267,67 @@ mod tests {
         (Arc::new(mem), Arc::new(paged))
     }
 
+    /// `rows` restricted to `cols`: what a projected reader may compare.
+    fn on_cols(rows: &[Row], cols: &[usize]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+            .collect()
+    }
+
     #[test]
     fn chunk_boundaries_and_page_touches_match_across_backends() {
         let (mem, paged) = both_backends(300);
-        for max in [1usize, 7, 64, 1024] {
-            let mut a = TableCursor::over(Arc::clone(&mem), 0, u64::MAX).unwrap();
-            let mut b = TableCursor::over(Arc::clone(&paged), 0, u64::MAX).unwrap();
-            let mut total_pages = (0u64, 0u64);
-            loop {
-                let (ca, cb) = (a.next_chunk(max).unwrap(), b.next_chunk(max).unwrap());
-                match (ca, cb) {
-                    (None, None) => break,
-                    (Some(ca), Some(cb)) => {
-                        assert_eq!(ca.start, cb.start, "max={max}");
-                        assert_eq!(ca.rows, cb.rows, "max={max} start={}", ca.start);
-                        assert_eq!(ca.new_pages, cb.new_pages, "max={max} start={}", ca.start);
-                        total_pages.0 += ca.new_pages;
-                        total_pages.1 += cb.new_pages;
+        for cols in [vec![0, 1], vec![0], vec![1], vec![]] {
+            for max in [1usize, 7, 64, 1024] {
+                let mut a = TableCursor::over(Arc::clone(&mem), 0, u64::MAX)
+                    .unwrap()
+                    .project(cols.clone());
+                let mut b = TableCursor::over(Arc::clone(&paged), 0, u64::MAX)
+                    .unwrap()
+                    .project(cols.clone());
+                let mut total_pages = (0u64, 0u64);
+                loop {
+                    let (ca, cb) = (a.next_chunk(max).unwrap(), b.next_chunk(max).unwrap());
+                    match (ca, cb) {
+                        (None, None) => break,
+                        (Some(ca), Some(cb)) => {
+                            let at = format!("cols={cols:?} max={max} start={}", ca.start);
+                            assert_eq!(ca.start, cb.start, "{at}");
+                            assert_eq!(ca.rows.len(), cb.rows.len(), "{at}");
+                            // Full-width rows on both; equal where projected.
+                            assert!(cb.rows.iter().all(|r| r.len() == 2), "{at}");
+                            assert_eq!(on_cols(ca.rows, &cols), on_cols(cb.rows, &cols), "{at}");
+                            assert_eq!(ca.new_pages, cb.new_pages, "{at}");
+                            total_pages.0 += ca.new_pages;
+                            total_pages.1 += cb.new_pages;
+                        }
+                        _ => panic!("cursor lengths diverged at max={max}"),
                     }
-                    _ => panic!("cursor lengths diverged at max={max}"),
                 }
+                // A full scan counts every page exactly once.
+                assert_eq!(total_pages.0, mem.page_count(), "max={max}");
+                assert_eq!(total_pages.1, paged.page_count(), "max={max}");
             }
-            // A full scan counts every page exactly once.
-            assert_eq!(total_pages.0, mem.page_count(), "max={max}");
-            assert_eq!(total_pages.1, paged.page_count(), "max={max}");
+        }
+    }
+
+    #[test]
+    fn fetcher_parity_on_the_projected_columns() {
+        let (mem, paged) = both_backends(300);
+        let positions: Vec<u64> = (0..300).rev().step_by(7).chain([299, 0, 300, 12]).collect();
+        for cols in [vec![0, 1], vec![0], vec![1], vec![]] {
+            let visit = |b: &Arc<dyn StorageBackend>| {
+                let f = RowFetcher::over(Arc::clone(b)).project(cols.clone());
+                let mut seen = Vec::new();
+                f.for_each(&positions, |p, row| {
+                    assert_eq!(row.len(), 2, "full-width row");
+                    seen.push((p, cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>()));
+                    Ok(true)
+                })
+                .unwrap();
+                seen
+            };
+            assert_eq!(visit(&mem), visit(&paged), "cols={cols:?}");
         }
     }
 
@@ -298,8 +362,6 @@ mod tests {
                 vec![(3, Value::Int(3)), (7, Value::Int(7))],
                 "out-of-range skipped, early stop honoured"
             );
-            assert_eq!(f.get(11).unwrap().unwrap()[0], Value::Int(11));
-            assert!(f.get(50).unwrap().is_none());
         }
     }
 }

@@ -7,7 +7,8 @@
 //! situation POP's CHECK on the NLJN outer guards against (Figure 2).
 //!
 //! Two representations share one probe interface: in-memory maps (built
-//! from a snapshot, rebuilt by [`crate::Catalog::refresh_indexes`]) and
+//! by scanning the indexed column — and, on a paged table, decoding only
+//! that column — rebuilt by [`crate::Catalog::refresh_indexes`]) and
 //! the paged backend's persistent [`BTree`] primary index (maintained
 //! incrementally on append, read through the buffer pool). Key semantics
 //! are identical: NULLs are never indexed, probes return row positions
@@ -15,10 +16,14 @@
 //! order.
 
 use crate::btree::BTree;
-use pop_types::{PopResult, Row, Value};
+use crate::table::Table;
+use pop_types::{PopResult, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
+
+/// Rows read per cursor chunk while building an in-memory index.
+const BUILD_CHUNK: usize = 1024;
 
 /// Kind of index structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +36,7 @@ pub enum IndexKind {
 
 #[derive(Debug)]
 enum Repr {
-    /// In-memory maps over a snapshot.
+    /// In-memory maps over the rows the table held at build time.
     Mem {
         hash: HashMap<Value, Vec<u64>>,
         sorted: BTreeMap<Value, Vec<u64>>,
@@ -50,29 +55,27 @@ pub struct Index {
 }
 
 impl Index {
-    /// Build an in-memory index of `kind` on `column` over the given rows.
-    pub fn build(kind: IndexKind, column: usize, rows: &Arc<Vec<Row>>) -> Self {
+    /// Build an in-memory index of `kind` on `column` over the table's
+    /// current rows, reading that one column through a projected cursor.
+    pub fn build(kind: IndexKind, column: usize, table: &Table) -> PopResult<Self> {
         let mut hash = HashMap::new();
         let mut sorted = BTreeMap::new();
         let mut entries = 0u64;
-        for (pos, row) in rows.iter().enumerate() {
-            let v = &row[column];
-            if v.is_null() {
-                continue; // NULL never matches an equi-join or range probe
-            }
-            entries += 1;
-            match kind {
-                IndexKind::Hash => hash
-                    .entry(v.clone())
-                    .or_insert_with(Vec::new)
-                    .push(pos as u64),
-                IndexKind::Sorted => sorted
-                    .entry(v.clone())
-                    .or_insert_with(Vec::new)
-                    .push(pos as u64),
+        let mut cursor = table.cursor(0, u64::MAX)?.project([column]);
+        while let Some(chunk) = cursor.next_chunk(BUILD_CHUNK)? {
+            for (pos, row) in (chunk.start..).zip(chunk.rows) {
+                let v = &row[column];
+                if v.is_null() {
+                    continue; // NULL never matches an equi-join or range probe
+                }
+                entries += 1;
+                match kind {
+                    IndexKind::Hash => hash.entry(v.clone()).or_insert_with(Vec::new).push(pos),
+                    IndexKind::Sorted => sorted.entry(v.clone()).or_insert_with(Vec::new).push(pos),
+                }
             }
         }
-        Index {
+        Ok(Index {
             column,
             kind,
             repr: Repr::Mem {
@@ -80,7 +83,7 @@ impl Index {
                 sorted,
                 entries,
             },
-        }
+        })
     }
 
     /// Wrap a paged backend's persistent B+tree primary index. Always
@@ -169,19 +172,25 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_types::{DataType, Row, Schema};
 
-    fn rows() -> Arc<Vec<Row>> {
-        Arc::new(vec![
+    fn rows() -> Vec<Row> {
+        vec![
             vec![Value::Int(5), Value::str("a")],
             vec![Value::Int(3), Value::str("b")],
             vec![Value::Int(5), Value::str("c")],
             vec![Value::Null, Value::str("d")],
-        ])
+        ]
+    }
+
+    fn build(kind: IndexKind, column: usize) -> Index {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
+        Index::build(kind, column, &Table::new(0, "t", schema, rows())).unwrap()
     }
 
     #[test]
     fn hash_probe() {
-        let idx = Index::build(IndexKind::Hash, 0, &rows());
+        let idx = build(IndexKind::Hash, 0);
         assert_eq!(idx.probe(&Value::Int(5)).unwrap(), vec![0, 2]);
         assert!(idx.probe(&Value::Int(9)).unwrap().is_empty());
         assert!(idx.probe(&Value::Null).unwrap().is_empty());
@@ -192,7 +201,7 @@ mod tests {
 
     #[test]
     fn sorted_probe_and_range() {
-        let idx = Index::build(IndexKind::Sorted, 0, &rows());
+        let idx = build(IndexKind::Sorted, 0);
         assert_eq!(idx.probe(&Value::Int(3)).unwrap(), vec![1]);
         let r = idx
             .range(Some(&Value::Int(3)), Some(&Value::Int(5)))
@@ -207,13 +216,13 @@ mod tests {
 
     #[test]
     fn hash_has_no_range() {
-        let idx = Index::build(IndexKind::Hash, 0, &rows());
+        let idx = build(IndexKind::Hash, 0);
         assert!(idx.range(None, None).unwrap().is_none());
     }
 
     #[test]
     fn string_keys() {
-        let idx = Index::build(IndexKind::Hash, 1, &rows());
+        let idx = build(IndexKind::Hash, 1);
         assert_eq!(idx.probe(&Value::str("c")).unwrap(), vec![2]);
         assert_eq!(idx.distinct_keys(), 4);
     }
@@ -228,12 +237,12 @@ mod tests {
             ..StorageConfig::paged()
         }));
         let b = PagedBackend::create(Arc::clone(&env), "t", true).unwrap();
-        b.append(rows().as_ref().clone()).unwrap();
+        b.append(rows()).unwrap();
         let bt = b.ensure_primary(0).unwrap().unwrap();
         let idx = Index::from_btree(0, bt);
         assert!(idx.is_persistent());
         assert_eq!(idx.kind(), IndexKind::Sorted);
-        let mem = Index::build(IndexKind::Sorted, 0, &rows());
+        let mem = build(IndexKind::Sorted, 0);
         // NULL skipped, positions ascending, ranges by ascending key —
         // exactly the in-memory Sorted semantics.
         assert_eq!(idx.entries(), mem.entries());

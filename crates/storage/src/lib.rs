@@ -11,6 +11,15 @@
 //! for identical contents. Physical I/O (pool hits and misses, evictions,
 //! WAL activity) is reported separately in [`IoStats`].
 //!
+//! Readers go through [`TableCursor`] (chunks of a row range) and
+//! [`RowFetcher`] (rows at positions) and name the columns they read with
+//! `.project(cols)` — a [`ColumnSet`]. Rows always have the table's full
+//! width, but *columns outside the projection are unspecified (NULL on
+//! paged, the stored value on mem) and must not be read*: the paged
+//! backend parses each page once and decodes, in place into rows the
+//! reader reuses, only the projected columns, stepping over the rest;
+//! the mem backend hands out zero-copy slices and ignores the set.
+//!
 //! Temp MVs are the mechanism POP uses to carry intermediate results across
 //! a re-optimization (§2.3 of the paper): when a CHECK fails, completed
 //! materializations are promoted to temp MVs whose catalog statistics hold
@@ -20,7 +29,6 @@
 //! pages and their files are unlinked when the MV is dropped.
 
 mod backend;
-mod batch;
 mod btree;
 mod buffer;
 mod catalog;
@@ -37,14 +45,13 @@ mod wal;
 pub use backend::{
     StorageBackend, StorageConfig, StorageEnv, StorageKind, DEFAULT_BUFFER_POOL_BYTES,
 };
-pub use batch::{chunk, gather, RowChunks};
 pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
 pub use catalog::{Catalog, BULK_LOAD_CHUNK};
 pub use cursor::{CursorChunk, RowFetcher, TableCursor};
 pub use index::{Index, IndexKind};
 pub use mem::MemBackend;
-pub use page::{PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
+pub use page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
 pub use paged::PagedBackend;
 pub use table::{Table, TableId};
 pub use tempmv::TempMv;

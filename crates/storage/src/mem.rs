@@ -9,7 +9,7 @@
 //! are fictional.
 
 use crate::backend::StorageBackend;
-use crate::page::{encoded_row_len, PageLayout};
+use crate::page::{encoded_row_len, ColumnSet, PageLayout};
 use parking_lot::RwLock;
 use pop_types::{PopError, PopResult, Row};
 use std::sync::Arc;
@@ -99,22 +99,27 @@ impl StorageBackend for MemBackend {
         Ok(self.rows())
     }
 
-    fn read_range(&self, lo: u64, hi: u64, out: &mut Vec<Row>) -> PopResult<()> {
+    // The column set is ignored on both reads: whole rows are already in
+    // memory (cursors and fetchers skip these copies and slice `rows()`).
+    fn read_range(&self, lo: u64, hi: u64, _cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()> {
         let inner = self.inner.read();
-        let n = inner.rows.len() as u64;
-        let (lo, hi) = (lo.min(n) as usize, hi.min(n) as usize);
+        let hi = hi.min(inner.rows.len() as u64);
+        let (lo, hi) = (lo.min(hi) as usize, hi as usize);
+        out.clear();
         out.extend_from_slice(&inner.rows[lo..hi]);
         Ok(())
     }
 
-    fn row_at(&self, pos: u64) -> PopResult<Row> {
+    fn row_at(&self, pos: u64, _cols: &ColumnSet, row: &mut Row) -> PopResult<()> {
         let inner = self.inner.read();
-        inner.rows.get(pos as usize).cloned().ok_or_else(|| {
+        let stored = inner.rows.get(pos as usize).ok_or_else(|| {
             PopError::Execution(format!(
                 "row {pos} out of range ({} rows)",
                 inner.rows.len()
             ))
-        })
+        })?;
+        row.clone_from(stored);
+        Ok(())
     }
 
     fn page_of_row(&self, pos: u64) -> u64 {
@@ -194,11 +199,13 @@ mod tests {
     fn read_range_and_row_at() {
         let mem = MemBackend::with_rows(PageLayout::default(), rows(20)).unwrap();
         let mut out = Vec::new();
-        mem.read_range(5, 9, &mut out).unwrap();
+        mem.read_range(5, 9, &ColumnSet::all(), &mut out).unwrap();
         assert_eq!(out.len(), 4);
         assert_eq!(out[0][0], Value::Int(5));
-        assert_eq!(mem.row_at(19).unwrap()[0], Value::Int(19));
-        assert!(mem.row_at(20).is_err());
+        let mut row = Row::new();
+        mem.row_at(19, &ColumnSet::all(), &mut row).unwrap();
+        assert_eq!(row[0], Value::Int(19));
+        assert!(mem.row_at(20, &ColumnSet::all(), &mut row).is_err());
     }
 
     #[test]

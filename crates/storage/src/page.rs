@@ -12,6 +12,12 @@
 //! [`MemBackend`]: crate::MemBackend
 //! [`PagedBackend`]: crate::PagedBackend
 //!
+//! The read side is one decoder, [`decode_row_into`]: it writes the columns
+//! of a [`ColumnSet`] into a row the caller reuses and steps over the rest.
+//! A page is parsed — and its header and slot directory validated — once
+//! per visit by [`PageView::new`]; WAL records and B+tree keys hold rows in
+//! the same encoding and decode through the same function.
+//!
 //! Data page layout (fixed `page_size` bytes):
 //!
 //! ```text
@@ -98,45 +104,125 @@ fn short(what: &str) -> PopError {
 }
 
 fn take<'a>(buf: &'a [u8], at: &mut usize, n: usize, what: &str) -> PopResult<&'a [u8]> {
-    let s = buf.get(*at..*at + n).ok_or_else(|| short(what))?;
-    *at += n;
+    let end = at.checked_add(n).ok_or_else(|| short(what))?;
+    let s = buf.get(*at..end).ok_or_else(|| short(what))?;
+    *at = end;
     Ok(s)
 }
 
-/// Decode one row starting at `*at`; advances `*at` past it.
-pub fn decode_row(buf: &[u8], at: &mut usize) -> PopResult<Row> {
-    let n = u16::from_le_bytes(take(buf, at, 2, "row header")?.try_into().unwrap());
-    let mut row = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let tag = take(buf, at, 1, "value tag")?[0];
-        let v = match tag {
-            V_NULL => Value::Null,
-            V_INT => Value::Int(i64::from_le_bytes(
-                take(buf, at, 8, "int")?.try_into().unwrap(),
-            )),
-            V_FLOAT => Value::Float(f64::from_bits(u64::from_le_bytes(
-                take(buf, at, 8, "float")?.try_into().unwrap(),
-            ))),
-            V_STR => {
-                let len = u32::from_le_bytes(take(buf, at, 4, "str len")?.try_into().unwrap());
-                let bytes = take(buf, at, len as usize, "str bytes")?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
-                Value::Str(Arc::from(s))
+/// The first `N` bytes of `b`, which the caller has sized.
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    b[..N].try_into().expect("caller took at least N bytes")
+}
+
+/// The table columns a reader wants decoded.
+///
+/// The read-set contract of every paged read path: a decoded row keeps the
+/// stored row's full width, so predicates and projections stay bound
+/// against the table schema, but only the columns in the set are written —
+/// *columns outside the projection are unspecified (NULL on paged, the
+/// stored value on mem) and must not be read*.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnSet {
+    /// `None` = every column; otherwise `mask[c]` for columns below its
+    /// length, nothing above it.
+    mask: Option<Vec<bool>>,
+}
+
+impl ColumnSet {
+    /// Every column (what [`StorageBackend::snapshot`] reads).
+    ///
+    /// [`StorageBackend::snapshot`]: crate::StorageBackend::snapshot
+    pub fn all() -> Self {
+        ColumnSet { mask: None }
+    }
+
+    /// Exactly the columns `cols` (duplicates and order are irrelevant).
+    pub fn of(cols: impl IntoIterator<Item = usize>) -> Self {
+        let mut mask = Vec::new();
+        for c in cols {
+            if c >= mask.len() {
+                mask.resize(c + 1, false);
             }
-            V_DATE => Value::Date(i32::from_le_bytes(
-                take(buf, at, 4, "date")?.try_into().unwrap(),
-            )),
-            V_BOOL => Value::Bool(take(buf, at, 1, "bool")?[0] != 0),
+            mask[c] = true;
+        }
+        ColumnSet { mask: Some(mask) }
+    }
+
+    /// Is column `col` in the set?
+    pub fn contains(&self, col: usize) -> bool {
+        match &self.mask {
+            None => true,
+            Some(m) => m.get(col).copied().unwrap_or(false),
+        }
+    }
+}
+
+/// Decode the row encoded at `data[at..]` into `row`, in place: `row` takes
+/// the stored row's width (extended with NULLs or truncated), the slots in
+/// `cols` are overwritten with the stored values, and every other column is
+/// stepped over by its tag's length without being written — so a scratch
+/// row reused across calls allocates only for the strings it is asked for.
+/// Returns the offset one past the row.
+pub fn decode_row_into(
+    data: &[u8],
+    mut at: usize,
+    cols: &ColumnSet,
+    row: &mut Row,
+) -> PopResult<usize> {
+    let header = take(data, &mut at, 2, "row header")?;
+    let n = usize::from(u16::from_le_bytes(le(header)));
+    if row.len() != n {
+        row.resize(n, Value::Null);
+    }
+    for (c, slot) in row.iter_mut().enumerate() {
+        let tag = take(data, &mut at, 1, "value tag")?[0];
+        let want = cols.contains(c);
+        match tag {
+            V_NULL => {
+                if want {
+                    *slot = Value::Null;
+                }
+            }
+            V_INT | V_FLOAT => {
+                let b = le(take(data, &mut at, 8, "int/float")?);
+                if want {
+                    *slot = if tag == V_INT {
+                        Value::Int(i64::from_le_bytes(b))
+                    } else {
+                        Value::Float(f64::from_bits(u64::from_le_bytes(b)))
+                    };
+                }
+            }
+            V_STR => {
+                let len = u32::from_le_bytes(le(take(data, &mut at, 4, "str len")?));
+                let bytes = take(data, &mut at, len as usize, "str bytes")?;
+                if want {
+                    let s = std::str::from_utf8(bytes)
+                        .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
+                    *slot = Value::Str(Arc::from(s));
+                }
+            }
+            V_DATE => {
+                let b = le(take(data, &mut at, 4, "date")?);
+                if want {
+                    *slot = Value::Date(i32::from_le_bytes(b));
+                }
+            }
+            V_BOOL => {
+                let b = take(data, &mut at, 1, "bool")?[0];
+                if want {
+                    *slot = Value::Bool(b != 0);
+                }
+            }
             t => {
                 return Err(PopError::Execution(format!(
                     "page codec: unknown value tag {t}"
                 )))
             }
-        };
-        row.push(v);
+        }
     }
-    Ok(row)
+    Ok(at)
 }
 
 /// The deterministic greedy packing rule both backends share.
@@ -199,16 +285,6 @@ impl DataPage {
         }
     }
 
-    /// Table position of slot 0.
-    pub fn first_row(&self) -> u64 {
-        self.first_row
-    }
-
-    /// Number of rows on the page.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// True when no rows are stored.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
@@ -247,67 +323,121 @@ impl DataPage {
         buf
     }
 
-    /// Parse a serialized page back into a builder (used when re-opening
-    /// the tail page for further appends).
-    pub fn from_bytes(layout: PageLayout, bytes: &[u8]) -> PopResult<Self> {
-        let (n, first_row) = page_header(bytes)?;
-        let mut page = DataPage::new(layout, first_row);
-        for i in 0..n {
-            let row = page_row(bytes, i)?;
-            page.slots.push(page.data.len() as u16);
-            encode_row(&row, &mut page.data);
+    /// Rebuild a builder from the first `keep` rows of a serialized page
+    /// (re-opening the tail page for further appends; `keep` below the
+    /// slot count drops rows past a mid-page checkpoint). Every kept row is
+    /// decoded in full, so a torn page is an error here rather than at the
+    /// first read.
+    pub fn from_page(layout: PageLayout, page: &PageView<'_>, keep: usize) -> PopResult<Self> {
+        let mut out = DataPage::new(layout, page.first_row());
+        let (mut row, mut end) = (Row::new(), PAGE_HDR);
+        for slot in 0..keep {
+            // Rows are packed front to back with no gaps.
+            if page.slot_offset(slot)? != end {
+                return Err(PopError::Execution(format!(
+                    "page codec: slot {slot} does not follow the row before it"
+                )));
+            }
+            out.slots.push((end - PAGE_HDR) as u16);
+            end = page.decode_slot(slot, &ColumnSet::all(), &mut row)?;
         }
-        Ok(page)
+        out.data.extend_from_slice(&page.bytes[PAGE_HDR..end]);
+        Ok(out)
     }
 }
 
-/// Parse a data page header: `(n_slots, first_row)`.
-pub fn page_header(bytes: &[u8]) -> PopResult<(usize, u64)> {
-    if bytes.len() < PAGE_HDR || bytes[0] != TAG_DATA {
-        return Err(PopError::Execution("not a data page".into()));
-    }
-    let n = u16::from_le_bytes(bytes[1..3].try_into().unwrap()) as usize;
-    let first = u64::from_le_bytes(bytes[3..11].try_into().unwrap());
-    Ok((n, first))
+/// A serialized data page, parsed once: [`PageView::new`] validates the
+/// tag, the header and every entry of the slot directory, so the per-row
+/// decode that follows does no bounds arithmetic of its own beyond the row
+/// bytes it walks.
+#[derive(Debug, Clone, Copy)]
+pub struct PageView<'a> {
+    bytes: &'a [u8],
+    n_slots: usize,
+    first_row: u64,
+    /// Offset where the slot directory starts; row bytes end before it.
+    dir_start: usize,
 }
 
-/// Decode row in slot `i` of a serialized data page.
-pub fn page_row(bytes: &[u8], i: usize) -> PopResult<Row> {
-    let (n, _) = page_header(bytes)?;
-    if i >= n {
-        return Err(PopError::Execution(format!(
-            "slot {i} out of range ({n} slots)"
-        )));
+impl<'a> PageView<'a> {
+    /// Parse `bytes` as a data page. Errors (typed, never a panic) when the
+    /// page is not a data page, the slot directory does not fit the page,
+    /// or a slot points outside the row area.
+    pub fn new(bytes: &'a [u8]) -> PopResult<Self> {
+        if bytes.len() < PAGE_HDR || bytes[0] != TAG_DATA {
+            return Err(PopError::Execution("not a data page".into()));
+        }
+        let n_slots = usize::from(u16::from_le_bytes(le(&bytes[1..])));
+        let first_row = u64::from_le_bytes(le(&bytes[3..]));
+        let dir_start = bytes
+            .len()
+            .checked_sub(2 * n_slots)
+            .filter(|&d| d >= PAGE_HDR)
+            .ok_or_else(|| {
+                PopError::Execution(format!(
+                    "page codec: {n_slots} slots do not fit a {}-byte page",
+                    bytes.len()
+                ))
+            })?;
+        let in_row_area = |entry: &[u8]| {
+            (PAGE_HDR..dir_start).contains(&usize::from(u16::from_le_bytes(le(entry))))
+        };
+        // The directory is packed back to front: slot 0 is the last entry.
+        if let Some(slot) = bytes[dir_start..]
+            .rchunks_exact(2)
+            .position(|e| !in_row_area(e))
+        {
+            return Err(PopError::Execution(format!(
+                "page codec: slot {slot} points outside the row area"
+            )));
+        }
+        Ok(PageView {
+            bytes,
+            n_slots,
+            first_row,
+            dir_start,
+        })
     }
-    let at = bytes.len() - 2 * (i + 1);
-    let off = u16::from_le_bytes(
-        bytes
-            .get(at..at + 2)
-            .ok_or_else(|| short("slot directory"))?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    decode_row(bytes, &mut { off })
-}
 
-/// Decode all rows of a serialized data page whose slot index lies in
-/// `[lo_slot, hi_slot)`, appending to `out`.
-pub fn page_rows_range(
-    bytes: &[u8],
-    lo_slot: usize,
-    hi_slot: usize,
-    out: &mut Vec<Row>,
-) -> PopResult<()> {
-    let (n, _) = page_header(bytes)?;
-    for i in lo_slot..hi_slot.min(n) {
-        out.push(page_row(bytes, i)?);
+    /// Rows on the page.
+    pub fn len(&self) -> usize {
+        self.n_slots
     }
-    Ok(())
+
+    /// True when the page holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.n_slots == 0
+    }
+
+    /// Table position of slot 0.
+    pub fn first_row(&self) -> u64 {
+        self.first_row
+    }
+
+    /// Offset of slot `slot`'s row (validated by [`PageView::new`]).
+    fn slot_offset(&self, slot: usize) -> PopResult<usize> {
+        if slot >= self.n_slots {
+            return Err(PopError::Execution(format!(
+                "slot {slot} out of range ({} slots)",
+                self.n_slots
+            )));
+        }
+        let at = self.bytes.len() - 2 * (slot + 1);
+        Ok(usize::from(u16::from_le_bytes(le(&self.bytes[at..]))))
+    }
+
+    /// Decode the columns `cols` of the row in `slot` into `row`, in place
+    /// (see [`decode_row_into`]); returns the offset one past the row.
+    pub fn decode_slot(&self, slot: usize, cols: &ColumnSet, row: &mut Row) -> PopResult<usize> {
+        let at = self.slot_offset(slot)?;
+        decode_row_into(&self.bytes[..self.dir_start], at, cols, row)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_row() -> Row {
         vec![
@@ -320,16 +450,19 @@ mod tests {
         ]
     }
 
+    fn decode_all(buf: &[u8]) -> PopResult<(Row, usize)> {
+        let mut row = Row::new();
+        let end = decode_row_into(buf, 0, &ColumnSet::all(), &mut row)?;
+        Ok((row, end))
+    }
+
     #[test]
     fn row_round_trip() {
         let row = sample_row();
         let mut buf = Vec::new();
         encode_row(&row, &mut buf);
         assert_eq!(buf.len(), encoded_row_len(&row));
-        let mut at = 0;
-        let back = decode_row(&buf, &mut at).unwrap();
-        assert_eq!(at, buf.len());
-        assert_eq!(row, back);
+        assert_eq!(decode_all(&buf).unwrap(), (row, buf.len()));
     }
 
     #[test]
@@ -337,33 +470,98 @@ mod tests {
         let mut buf = Vec::new();
         encode_row(&sample_row(), &mut buf);
         buf.truncate(buf.len() - 1);
-        assert!(decode_row(&buf, &mut 0).is_err());
+        assert!(decode_all(&buf).is_err());
     }
 
     #[test]
-    fn page_round_trip_and_slots() {
-        let layout = PageLayout::new(512);
-        let mut page = DataPage::new(layout, 100);
-        let mut n = 0u64;
+    fn projection_writes_only_the_wanted_slots() {
+        let mut buf = Vec::new();
+        encode_row(&sample_row(), &mut buf);
+        // A scratch row that is too narrow and holds stale values.
+        let mut row = vec![Value::str("stale"), Value::Int(-1)];
+        let end = decode_row_into(&buf, 0, &ColumnSet::of([0, 3, 9]), &mut row).unwrap();
+        assert_eq!(end, buf.len(), "skipped columns are still stepped over");
+        assert_eq!(row.len(), 6, "the row keeps the stored width");
+        assert_eq!((&row[0], &row[3]), (&Value::Int(42), &Value::Date(7300)));
+        assert_eq!(
+            row[1],
+            Value::Int(-1),
+            "column 1 is outside the set: untouched"
+        );
+        assert_eq!(row[2], Value::Null, "new slots start out NULL");
+        // Invalid UTF-8 in a string nobody reads is not an error; in one
+        // somebody reads, it is.
+        let at = buf.windows(5).position(|w| w == b"hello").unwrap();
+        buf[at] = 0xFF;
+        assert!(decode_row_into(&buf, 0, &ColumnSet::of([0]), &mut row).is_ok());
+        assert!(decode_row_into(&buf, 0, &ColumnSet::of([1]), &mut row).is_err());
+    }
+
+    fn filled_page(layout: PageLayout, first_row: u64) -> (Vec<u8>, usize) {
+        let mut page = DataPage::new(layout, first_row);
+        let mut n = 0;
         while page
             .push(&vec![Value::Int(n as i64), Value::str(format!("row-{n}"))])
             .unwrap()
         {
             n += 1;
         }
+        (page.to_bytes(), n)
+    }
+
+    #[test]
+    fn page_round_trip_and_slots() {
+        let layout = PageLayout::new(512);
+        let (bytes, n) = filled_page(layout, 100);
         assert!(n > 2, "512-byte page should hold a few rows, held {n}");
-        let bytes = page.to_bytes();
         assert_eq!(bytes.len(), 512);
-        let (slots, first) = page_header(&bytes).unwrap();
-        assert_eq!(slots as u64, n);
-        assert_eq!(first, 100);
-        for i in 0..slots {
-            let row = page_row(&bytes, i).unwrap();
-            assert_eq!(row[0], Value::Int(i as i64));
+        let page = PageView::new(&bytes).unwrap();
+        assert_eq!((page.len(), page.first_row()), (n, 100));
+        let mut row = Row::new();
+        for i in 0..n {
+            page.decode_slot(i, &ColumnSet::of([0]), &mut row).unwrap();
+            assert_eq!(row, vec![Value::Int(i as i64), Value::Null]);
         }
-        let reparsed = DataPage::from_bytes(layout, &bytes).unwrap();
-        assert_eq!(reparsed.len(), slots);
+        assert!(page.decode_slot(n, &ColumnSet::all(), &mut row).is_err());
+        let reparsed = DataPage::from_page(layout, &page, n).unwrap();
         assert_eq!(reparsed.to_bytes(), bytes);
+        // A mid-page checkpoint keeps the prefix only.
+        let prefix = DataPage::from_page(layout, &page, 2).unwrap().to_bytes();
+        let prefix = PageView::new(&prefix).unwrap();
+        assert_eq!((prefix.len(), prefix.first_row()), (2, 100));
+        prefix.decode_slot(1, &ColumnSet::all(), &mut row).unwrap();
+        assert_eq!(row, vec![Value::Int(1), Value::str("row-1")]);
+    }
+
+    #[test]
+    fn corrupt_slot_directory_is_a_typed_error() {
+        let (bytes, n) = filled_page(PageLayout::new(512), 0);
+        assert!(PageView::new(&bytes[..PAGE_HDR - 1]).is_err());
+        // More slots than the page has room for: the old row lookup
+        // computed `len - 2*(i+1)` and overflowed.
+        let mut bad = bytes.clone();
+        bad[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+        let err = PageView::new(&bad).unwrap_err();
+        assert!(err.to_string().contains("do not fit"), "{err}");
+        // A slot pointing into the slot directory.
+        let mut bad = bytes.clone();
+        let dir_start = bytes.len() - 2 * n;
+        bad[510..512].copy_from_slice(&(dir_start as u16).to_le_bytes());
+        let err = PageView::new(&bad).unwrap_err();
+        assert!(err.to_string().contains("slot 0 points outside"), "{err}");
+        // ... and one pointing into the header.
+        let mut bad = bytes.clone();
+        bad[508..510].copy_from_slice(&3u16.to_le_bytes());
+        let err = PageView::new(&bad).unwrap_err();
+        assert!(err.to_string().contains("slot 1 points outside"), "{err}");
+        // A row that would run into the directory stops at it.
+        let mut bad = bytes;
+        bad[510..512].copy_from_slice(&(dir_start as u16 - 3).to_le_bytes());
+        bad[dir_start - 3..dir_start].copy_from_slice(&[1, 0, V_INT]);
+        let page = PageView::new(&bad).unwrap();
+        assert!(page
+            .decode_slot(0, &ColumnSet::all(), &mut Row::new())
+            .is_err());
     }
 
     #[test]
@@ -393,6 +591,49 @@ mod tests {
                 assert!(page.push(&row).unwrap());
                 slots = 1;
                 bytes = len;
+            }
+        }
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+            "\\PC{0,12}".prop_map(Value::str),
+            any::<i32>().prop_map(Value::Date),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    proptest! {
+        /// One scratch row decodes a run of rows of changing width under
+        /// one column set: the wanted slots always equal the stored
+        /// values, nothing else is ever written, and no prefix of an
+        /// encoded row decodes or panics.
+        #[test]
+        fn projected_decode_matches_full_decode(
+            rows in prop::collection::vec(prop::collection::vec(value(), 0..9), 1..6),
+            wanted in prop::collection::btree_set(0usize..10, 0..10),
+        ) {
+            let cols = ColumnSet::of(wanted.iter().copied());
+            let mut scratch = Row::new();
+            for row in &rows {
+                let mut buf = Vec::new();
+                encode_row(row, &mut buf);
+                let end = decode_row_into(&buf, 0, &cols, &mut scratch).unwrap();
+                prop_assert_eq!(end, buf.len());
+                prop_assert_eq!(scratch.len(), row.len());
+                for (c, stored) in row.iter().enumerate() {
+                    let expect = if wanted.contains(&c) { stored } else { &Value::Null };
+                    prop_assert_eq!(&scratch[c], expect, "column {}", c);
+                }
+                prop_assert_eq!(&decode_all(&buf).unwrap().0, row);
+                for cut in 0..buf.len() {
+                    let mut partial = scratch.clone();
+                    prop_assert!(decode_row_into(&buf[..cut], 0, &cols, &mut partial).is_err());
+                    prop_assert!(decode_all(&buf[..cut]).is_err());
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 
 use crate::backend::{StorageBackend, StorageEnv};
 use crate::btree::BTree;
-use crate::page::{page_header, page_rows_range, DataPage, PageLayout};
+use crate::page::{ColumnSet, DataPage, PageLayout, PageView};
 use crate::pager::PageFile;
 use crate::wal::Wal;
 use parking_lot::Mutex;
@@ -34,6 +34,8 @@ const META_MAGIC: u32 = 0x504F_5044;
 const META_VERSION: u16 = 1;
 /// Sentinel for "no primary key column".
 const NO_KEY_COL: u32 = u32::MAX;
+/// Rows decoded per step while building the primary key map.
+const KEY_MAP_CHUNK: usize = 1024;
 
 #[derive(Debug)]
 struct PagedCore {
@@ -121,7 +123,7 @@ impl PagedBackend {
     /// the B+tree if a primary key column was set, then checkpoint.
     pub fn open(env: &Arc<StorageEnv>, name: &str) -> PopResult<Self> {
         let layout = env.layout();
-        let mut data = PageFile::open(Self::dat_path(env, name)?, layout.page_size)?;
+        let data = PageFile::open(Self::dat_path(env, name)?, layout.page_size)?;
         let meta = data.read_page(0, None)?;
         let magic = u32::from_le_bytes(meta[0..4].try_into().unwrap());
         let version = u16::from_le_bytes(meta[4..6].try_into().unwrap());
@@ -151,36 +153,21 @@ impl PagedBackend {
                 break;
             }
             let bytes = data.read_page(pid, None)?;
-            let Ok((slots, first)) = page_header(&bytes) else {
-                break; // torn page past the durable prefix
+            // An unreadable page ends the trusted prefix; the check below
+            // reports it if rows the meta page claims are missing.
+            let Ok(page) = PageView::new(&bytes) else {
+                break;
             };
-            if first != rows_seen || slots == 0 {
+            if page.first_row() != rows_seen || page.is_empty() {
                 break;
             }
-            let keep = (durable_rows - rows_seen).min(slots as u64) as usize;
-            let mut rows = Vec::with_capacity(keep);
-            if page_rows_range(&bytes, 0, keep, &mut rows).is_err() {
+            // A checkpoint that landed mid-page keeps only its prefix.
+            let keep = (durable_rows - rows_seen).min(page.len() as u64) as usize;
+            let Ok(kept) = DataPage::from_page(layout, &page, keep) else {
                 break;
-            }
-            page_starts.push(first);
-            if keep == slots {
-                tail = DataPage::from_bytes(layout, &bytes)?;
-            } else {
-                // Checkpoint landed mid-page: keep only the durable prefix.
-                tail = DataPage::new(layout, first);
-                for row in &rows {
-                    if !tail.push(row)? {
-                        return Err(PopError::Execution(format!(
-                            "storage: {name}.dat page {pid} violates the packing rule"
-                        )));
-                    }
-                }
-            }
-            if tail.first_row() != first || tail.len() != keep {
-                return Err(PopError::Execution(format!(
-                    "storage: {name}.dat page {pid} decoded inconsistently"
-                )));
-            }
+            };
+            page_starts.push(rows_seen);
+            tail = kept;
             tail_pid = pid;
             rows_seen += keep as u64;
         }
@@ -298,13 +285,12 @@ impl PagedCore {
     }
 
     /// Read one data page through the buffer pool.
-    fn read_data_page(&mut self, b: &PagedBackend, pid: u64) -> PopResult<Arc<Vec<u8>>> {
+    fn read_data_page(&self, b: &PagedBackend, pid: u64) -> PopResult<Arc<Vec<u8>>> {
         let env = &b.env;
-        let file = &mut self.data;
         env.pool().get((b.file_id, pid), || {
             let trunc = env.fault_short_read();
             env.io().pages_read.fetch_add(1, Ordering::Relaxed);
-            file.read_page(pid, trunc)
+            self.data.read_page(pid, trunc)
         })
     }
 
@@ -346,28 +332,41 @@ impl PagedCore {
         Ok(())
     }
 
-    /// Append rows in `[lo, hi)` to `out` by walking the covering pages.
+    /// Decode the columns `cols` of rows `[lo, hi)` into `out` by walking
+    /// the covering pages, each parsed once; `out` is resized to the rows
+    /// read and the rows already in it are overwritten in place.
     fn read_range(
-        &mut self,
+        &self,
         b: &PagedBackend,
         lo: u64,
         hi: u64,
+        cols: &ColumnSet,
         out: &mut Vec<Row>,
     ) -> PopResult<()> {
         let n = self.n_rows;
         let (lo, hi) = (lo.min(n), hi.min(n));
+        out.resize_with(hi.saturating_sub(lo) as usize, Row::new);
         if lo >= hi {
             return Ok(());
         }
-        let p_lo = self.page_of(lo);
-        let p_hi = self.page_of(hi - 1);
-        for p in p_lo..=p_hi {
+        let mut rows = out.iter_mut();
+        for p in self.page_of(lo)..=self.page_of(hi - 1) {
             let first = self.page_starts[p as usize];
             let pid = p + 1; // data pages start at pid 1
             let bytes = self.read_data_page(b, pid)?;
+            let page = PageView::new(&bytes)?;
+            let next = self.page_starts.get(p as usize + 1).map_or(n, |&s| s);
+            if page.first_row() != first || (page.len() as u64) < next - first {
+                return Err(PopError::Execution(format!(
+                    "storage: {}.dat page {pid} disagrees with the page map",
+                    b.name
+                )));
+            }
             let lo_slot = lo.saturating_sub(first) as usize;
-            let hi_slot = (hi - first) as usize;
-            page_rows_range(&bytes, lo_slot, hi_slot, out)?;
+            let hi_slot = (hi.min(next) - first) as usize;
+            for (slot, row) in (lo_slot..hi_slot).zip(&mut rows) {
+                page.decode_slot(slot, cols, row)?;
+            }
         }
         Ok(())
     }
@@ -377,17 +376,21 @@ impl PagedCore {
         (self.page_starts.partition_point(|&s| s <= pos).max(1) - 1) as u64
     }
 
-    /// Full key→positions map of column `col` (NULLs skipped).
-    fn key_map(&mut self, b: &PagedBackend, col: u32) -> PopResult<BTreeMap<Value, Vec<u64>>> {
-        let mut rows = Vec::new();
-        self.read_range(b, 0, self.n_rows, &mut rows)?;
+    /// Full key→positions map of column `col` (NULLs skipped), read one
+    /// chunk and that one column at a time.
+    fn key_map(&self, b: &PagedBackend, col: u32) -> PopResult<BTreeMap<Value, Vec<u64>>> {
+        let (col, cols) = (col as usize, ColumnSet::of([col as usize]));
         let mut map: BTreeMap<Value, Vec<u64>> = BTreeMap::new();
-        for (pos, row) in rows.iter().enumerate() {
-            let key = row.get(col as usize).ok_or_else(|| {
-                PopError::Execution(format!("storage: key column {col} out of range"))
-            })?;
-            if !matches!(key, Value::Null) {
-                map.entry(key.clone()).or_default().push(pos as u64);
+        let mut rows = Vec::new();
+        for lo in (0..self.n_rows).step_by(KEY_MAP_CHUNK) {
+            self.read_range(b, lo, lo + KEY_MAP_CHUNK as u64, &cols, &mut rows)?;
+            for (pos, row) in (lo..).zip(&rows) {
+                let key = row.get(col).ok_or_else(|| {
+                    PopError::Execution(format!("storage: key column {col} out of range"))
+                })?;
+                if !matches!(key, Value::Null) {
+                    map.entry(key.clone()).or_default().push(pos);
+                }
             }
         }
         Ok(map)
@@ -448,19 +451,18 @@ impl StorageBackend for PagedBackend {
     }
 
     fn snapshot(&self) -> PopResult<Arc<Vec<Row>>> {
-        let mut core = self.inner.lock();
-        let n = core.n_rows;
-        let mut rows = Vec::with_capacity(n as usize);
-        core.read_range(self, 0, n, &mut rows)?;
+        let core = self.inner.lock();
+        let mut rows = Vec::new();
+        core.read_range(self, 0, core.n_rows, &ColumnSet::all(), &mut rows)?;
         Ok(Arc::new(rows))
     }
 
-    fn read_range(&self, lo: u64, hi: u64, out: &mut Vec<Row>) -> PopResult<()> {
-        self.inner.lock().read_range(self, lo, hi, out)
+    fn read_range(&self, lo: u64, hi: u64, cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()> {
+        self.inner.lock().read_range(self, lo, hi, cols, out)
     }
 
-    fn row_at(&self, pos: u64) -> PopResult<Row> {
-        let mut core = self.inner.lock();
+    fn row_at(&self, pos: u64, cols: &ColumnSet, row: &mut Row) -> PopResult<()> {
+        let core = self.inner.lock();
         if pos >= core.n_rows {
             return Err(PopError::Execution(format!(
                 "row {pos} out of range ({} rows)",
@@ -470,7 +472,8 @@ impl StorageBackend for PagedBackend {
         let p = core.page_of(pos);
         let first = core.page_starts[p as usize];
         let bytes = core.read_data_page(self, p + 1)?;
-        crate::page::page_row(&bytes, (pos - first) as usize)
+        PageView::new(&bytes)?.decode_slot((pos - first) as usize, cols, row)?;
+        Ok(())
     }
 
     fn page_of_row(&self, pos: u64) -> u64 {
@@ -544,11 +547,23 @@ mod tests {
         }
         // Contents identical.
         assert_eq!(*paged.snapshot().unwrap(), *mem.snapshot().unwrap());
-        let mut out = Vec::new();
-        paged.read_range(100, 140, &mut out).unwrap();
+        // `out` is resized to the range; the rows in it are overwritten.
+        let mut out = rows(0, 3);
+        paged
+            .read_range(100, 140, &ColumnSet::all(), &mut out)
+            .unwrap();
         assert_eq!(out, rows(100, 140));
-        assert_eq!(paged.row_at(399).unwrap(), rows(399, 400)[0]);
-        assert!(paged.row_at(400).is_err());
+        paged
+            .read_range(390, 500, &ColumnSet::of([0]), &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 10, "clamped to the row count");
+        assert_eq!(out[9][0], Value::Int(399));
+        paged.read_range(7, 7, &ColumnSet::all(), &mut out).unwrap();
+        assert!(out.is_empty());
+        let mut row = Row::new();
+        paged.row_at(399, &ColumnSet::all(), &mut row).unwrap();
+        assert_eq!(row, rows(399, 400)[0]);
+        assert!(paged.row_at(400, &ColumnSet::all(), &mut row).is_err());
     }
 
     #[test]

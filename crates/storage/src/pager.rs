@@ -2,7 +2,8 @@
 
 use pop_types::{PopError, PopResult};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 fn io_err(path: &Path, what: &str, e: &std::io::Error) -> PopError {
@@ -58,9 +59,11 @@ impl PageFile {
         self.pages
     }
 
-    /// Read page `pid` in full. `truncate_to` (fault injection) cuts the
-    /// read short to simulate a torn page, which surfaces as a typed error.
-    pub fn read_page(&mut self, pid: u64, truncate_to: Option<usize>) -> PopResult<Vec<u8>> {
+    /// Read page `pid` in full with one positional read (no seek, so
+    /// readers need no exclusive access to the file). `truncate_to` (fault
+    /// injection) cuts the read short to simulate a torn page, which
+    /// surfaces as a typed error.
+    pub fn read_page(&self, pid: u64, truncate_to: Option<usize>) -> PopResult<Vec<u8>> {
         if pid >= self.pages {
             return Err(PopError::Execution(format!(
                 "storage io: page {pid} out of range ({} pages) in {}",
@@ -68,13 +71,10 @@ impl PageFile {
                 self.path.display()
             )));
         }
-        self.file
-            .seek(SeekFrom::Start(pid * self.page_size as u64))
-            .map_err(|e| io_err(&self.path, "seek", &e))?;
         let want = truncate_to.map_or(self.page_size, |t| t.min(self.page_size));
         let mut buf = vec![0u8; want];
         self.file
-            .read_exact(&mut buf)
+            .read_exact_at(&mut buf, pid * self.page_size as u64)
             .map_err(|e| io_err(&self.path, "read", &e))?;
         if want < self.page_size {
             return Err(PopError::Execution(format!(
@@ -137,7 +137,7 @@ mod tests {
         assert_eq!(pf.read_page(1, None).unwrap(), page);
         // Reopen sees the same contents.
         drop(pf);
-        let mut pf = PageFile::open(path.clone(), 256).unwrap();
+        let pf = PageFile::open(path.clone(), 256).unwrap();
         assert_eq!(pf.page_count(), 2);
         assert_eq!(pf.read_page(1, None).unwrap(), page);
         std::fs::remove_file(&path).unwrap();

@@ -15,7 +15,7 @@
 //! [12..]   payload: start_row (u64 LE), n_rows (u32 LE), encoded rows
 //! ```
 
-use crate::page::{decode_row, encode_row};
+use crate::page::{decode_row_into, encode_row, ColumnSet};
 use pop_types::{fnv1a, PopError, PopResult, Row};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -148,7 +148,9 @@ impl Wal {
             let mut rows = Vec::with_capacity(n as usize);
             let mut ok = true;
             for _ in 0..n {
-                if let Ok(row) = decode_row(payload, &mut p) {
+                let mut row = Row::new();
+                if let Ok(end) = decode_row_into(payload, p, &ColumnSet::all(), &mut row) {
+                    p = end;
                     rows.push(row);
                 } else {
                     ok = false;

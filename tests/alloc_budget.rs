@@ -1,9 +1,10 @@
-//! A deterministic floor under the executor's materialization path: heap
-//! allocations per query, counted by a wrapping global allocator. Wall
-//! time swings with the machine; the number of times a query asks the
-//! allocator for memory does not, so a regression back to a heap block
-//! per row (owned build rows, per-key hit lists, per-group state vectors,
-//! eager harvest copies) fails here on any box.
+//! A deterministic floor under the executor's materialization path and the
+//! paged read path: heap allocations per query, counted by a wrapping
+//! global allocator. Wall time swings with the machine; the number of times
+//! a query asks the allocator for memory does not, so a regression back to
+//! a heap block per row (owned build rows, per-key hit lists, per-group
+//! state vectors, eager harvest copies, a `Vec` and its strings per row
+//! decoded from a page) fails here on any box.
 //!
 //! The ceilings are the counts measured at the commit before the flat
 //! row table (`RECORDED_BEFORE`; with it: Q18 2 375, Q3 3 172, Q1 541,
@@ -100,6 +101,46 @@ const RECORDED_BEFORE: [(&str, u64, f64); 4] = [
     ("Q1", 1_132, 1.0),
     ("DMV18", 188_821, 1.0),
 ];
+
+/// The paged read path at the commit before the projected in-place row
+/// decoder: one `Vec` per stored row plus one `Arc<str>` for LINEITEM's
+/// one string column (`l_returnflag`), whatever the plan read — two heap
+/// blocks for each of the 60 175 rows. Q6 reads four numeric columns and
+/// now allocates per page and per scratch row only (2 664 in all); Q1
+/// groups by `l_returnflag`, still pays for that string on every row
+/// (62 735 in all: 0.515 of before), and is held to 0.55.
+const RECORDED_BEFORE_PAGED: [(&str, u64, f64); 2] = [("Q6", 121_645, 0.1), ("Q1", 121_716, 0.55)];
+
+#[test]
+fn paged_scans_allocate_for_the_columns_they_read_only() {
+    // A pool of 32 pages: every scan of LINEITEM (about 1 000 pages at
+    // SF 0.01) reads and decodes each page again.
+    let storage = StorageConfig {
+        buffer_pool_bytes: 256 << 10,
+        ..StorageConfig::paged()
+    };
+    let tpch = pop_tpch::tpch_catalog_with(0.01, storage).unwrap();
+    assert!(tpch.table("lineitem").unwrap().is_paged());
+    let tpch = PopExecutor::new(tpch, config()).unwrap();
+    let queries = pop_tpch::extended_queries();
+
+    let mut failures = Vec::new();
+    for (name, before, share) in RECORDED_BEFORE_PAGED {
+        let (_, spec) = queries
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("query exists");
+        let (count, _) = allocations(&tpch, spec);
+        let ceiling = (before as f64 * share) as u64;
+        println!("{name} (paged): {count} allocation(s), ceiling {ceiling}");
+        if count > ceiling {
+            failures.push(format!(
+                "{name}: {count} allocations > {ceiling} ({share} x {before} recorded before)"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
 
 #[test]
 fn allocations_per_query_stay_under_the_recorded_ceilings() {
