@@ -87,6 +87,10 @@ impl RootCostSpec {
 /// its canonical edges — plus, per edge, which candidate of the child group
 /// feeds it and the validity range pruning has narrowed so far. The operator
 /// tree is built once, for the winner, by `finalize::extract`.
+///
+/// A join has exactly two canonical edges, so the per-edge fields are
+/// fixed-size arrays and building a join candidate touches no heap; leaves
+/// and MV scans have no edges and leave them at their defaults.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// Total estimated cost (children + root local + enforcers).
@@ -104,20 +108,25 @@ pub struct Candidate {
     /// Sum of child subtree costs (constant under edge-card perturbation).
     pub fixed_cost: f64,
     /// Estimated cards of the canonical edges.
-    pub edge_cards: Vec<f64>,
+    pub edge_cards: [f64; 2],
     /// Validity range of each canonical edge, narrowed in place by
     /// [`crate::validity::narrow_on_prune`].
-    pub edge_ranges: Vec<ValidityRange>,
+    pub edge_ranges: [ValidityRange; 2],
     /// Per canonical edge, the index of the chosen candidate in that
     /// side's group (`None` for the NLJN inner, which is probed through
     /// its index rather than planned). A child group is final before any
     /// superset is derived, and re-deriving it dirties every superset, so
     /// the index stays valid for as long as this candidate exists.
-    pub edge_children: Vec<Option<usize>>,
+    pub edge_children: [Option<usize>; 2],
     /// The finished node of a leaf or MV scan — childless, so keeping it
-    /// clones no subtree. `None` for joins.
-    pub leaf: Option<PhysNode>,
+    /// clones no subtree. `None` for joins; boxed so that joins, which are
+    /// nearly all of the memo, do not carry a node's size each.
+    pub leaf: Option<Box<PhysNode>>,
 }
+
+// A DMV-sized memo holds thousands of these and pruning moves them around:
+// the record stays within three cache lines.
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 192);
 
 impl Candidate {
     /// Total cost at perturbed edge cards (used by the sensitivity
@@ -145,9 +154,9 @@ mod tests {
                 base_pages: 1.0,
             },
             fixed_cost: 0.0,
-            edge_cards: vec![],
-            edge_ranges: vec![],
-            edge_children: vec![],
+            edge_cards: [0.0; 2],
+            edge_ranges: [ValidityRange::unbounded(); 2],
+            edge_children: [None; 2],
             leaf: None,
         };
         let m = CostModel::default();

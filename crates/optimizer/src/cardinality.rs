@@ -1,19 +1,57 @@
 //! Per-query cardinality estimation with feedback overrides.
 
 use crate::OptimizerContext;
-use parking_lot::RwLock;
-use pop_plan::{subplan_signature_with_params, LayoutCol, QuerySpec, TableSet};
+use pop_plan::{subplan_signature_with_params, JoinGraph, LayoutCol, QuerySpec, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity};
 use pop_types::{ColId, PopResult};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Shared memo of subplan signatures keyed by table-set mask. Building a
-/// signature walks the spec's predicates and formats a string, which is
-/// the hottest part of fact probing and MV lookups; the [`crate::Memo`]
-/// owns one of these so the work is paid once per (spec, params), not
-/// once per optimization step.
-pub type SigCache = Arc<RwLock<HashMap<u64, String>>>;
+/// What a (spec, parameter binding) pair fixes for every optimization of
+/// it: the join graph, and the subplan signature of each connected table
+/// set. Building a signature walks the spec's predicates and formats a
+/// string, so each is built at most once per binding, and only when
+/// something could be keyed by it (a recorded feedback fact, a temp MV, a
+/// placed CHECK). The [`crate::Memo`] keeps the binding across
+/// re-optimization steps; every step's [`CardEstimator`] shares it.
+#[derive(Debug)]
+pub(crate) struct Binding {
+    spec: QuerySpec,
+    params: Option<pop_expr::Params>,
+    graph: JoinGraph,
+    /// One slot per connected set, at [`JoinGraph::rank`].
+    sigs: Vec<OnceLock<String>>,
+    sigs_built: AtomicUsize,
+}
+
+impl Binding {
+    /// Bind `spec` to `params`. Fails when the spec joins more tables than
+    /// the DP table is ever allocated for ([`crate::MAX_DP_TABLES`]).
+    pub(crate) fn new(spec: &QuerySpec, params: Option<&pop_expr::Params>) -> PopResult<Self> {
+        let graph = JoinGraph::new(spec, crate::MAX_DP_TABLES)?;
+        Ok(Binding {
+            spec: spec.clone(),
+            params: params.cloned(),
+            sigs: (0..graph.num_connected())
+                .map(|_| OnceLock::new())
+                .collect(),
+            graph,
+            sigs_built: AtomicUsize::new(0),
+        })
+    }
+
+    /// Is this the binding of `spec` to `params`? Compared structurally
+    /// (both derive `PartialEq`): a field-wise compare, no signature string.
+    pub(crate) fn binds(&self, spec: &QuerySpec, params: Option<&pop_expr::Params>) -> bool {
+        self.spec == *spec && self.params.as_ref() == params
+    }
+
+    /// Signature strings built under this binding so far.
+    #[cfg(test)]
+    pub(crate) fn signatures_built(&self) -> usize {
+        self.sigs_built.load(Ordering::Relaxed)
+    }
+}
 
 /// Resolved feedback fact for a table set.
 #[derive(Debug, Clone, Copy)]
@@ -38,38 +76,39 @@ struct SetFact {
 /// re-optimization step avoid the same mistake" (§2.1).
 #[derive(Debug)]
 pub struct CardEstimator {
-    spec: QuerySpec,
-    params: Option<pop_expr::Params>,
+    binding: Arc<Binding>,
     raw_cards: Vec<f64>,
     base_cards: Vec<f64>,
     col_counts: Vec<usize>,
     leaf_layouts: Vec<Vec<LayoutCol>>,
     distincts: Vec<Vec<f64>>,
+    /// Per query table, its indexed columns (ascending).
+    indexed_cols: Vec<Vec<usize>>,
     facts: Vec<SetFact>,
-    sigs: SigCache,
+    /// Signatures the binding had built before this estimator.
+    sigs_before: usize,
 }
 
 impl CardEstimator {
-    /// Build the estimator: resolves tables, estimates local selectivities
-    /// and resolves feedback signatures to table sets.
+    /// Build the estimator over a binding of its own.
     pub fn new(spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
-        CardEstimator::with_sig_cache(spec, ctx, SigCache::default())
+        CardEstimator::bound(Arc::new(Binding::new(spec, ctx.params)?), ctx)
     }
 
-    /// Like [`CardEstimator::new`], but memoizing subplan signatures in a
-    /// caller-owned cache that outlives this estimator (the memo clears it
-    /// whenever the spec or parameter binding changes).
-    pub fn with_sig_cache(
-        spec: &QuerySpec,
-        ctx: &OptimizerContext<'_>,
-        sigs: SigCache,
-    ) -> PopResult<Self> {
+    /// Build the estimator of one optimization step over a binding that
+    /// outlives it: resolves tables, statistics and indexes, estimates local
+    /// selectivities and resolves feedback signatures to table sets.
+    pub(crate) fn bound(binding: Arc<Binding>, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
+        let spec = &binding.spec;
+        let sigs_before = binding.sigs_built.load(Ordering::Relaxed);
         let params = ctx.estimation_params();
-        let mut raw_cards = Vec::with_capacity(spec.tables.len());
-        let mut base_cards = Vec::with_capacity(spec.tables.len());
-        let mut col_counts = Vec::with_capacity(spec.tables.len());
-        let mut leaf_layouts = Vec::with_capacity(spec.tables.len());
-        let mut distincts = Vec::with_capacity(spec.tables.len());
+        let n = spec.tables.len();
+        let mut raw_cards = Vec::with_capacity(n);
+        let mut base_cards = Vec::with_capacity(n);
+        let mut col_counts = Vec::with_capacity(n);
+        let mut leaf_layouts = Vec::with_capacity(n);
+        let mut distincts = Vec::with_capacity(n);
+        let mut indexed_cols = Vec::with_capacity(n);
         for (qidx, tref) in spec.tables.iter().enumerate() {
             let table = ctx.catalog.table(&tref.table)?;
             let stats = ctx.stats.get(&tref.table)?;
@@ -92,57 +131,61 @@ impl CardEstimator {
                     .map(|c| stats.distinct(c))
                     .collect(),
             );
+            let mut cols: Vec<usize> = ctx
+                .catalog
+                .indexes(table.id())
+                .iter()
+                .map(|idx| idx.column())
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            indexed_cols.push(cols);
         }
-        // Resolve feedback facts: enumerate is infeasible, so instead map
-        // every fact's signature by recomputing signatures for the sets the
-        // driver records facts for. The driver keys facts by
-        // `subplan_signature`, so we scan all feedback entries via the sets
-        // we can name: all connected subsets would be 2^n; instead the
-        // driver records (signature) and we match lazily per set in
-        // `card()`. To keep `card()` cheap we pre-resolve here by probing
-        // every subset only for small queries; larger queries probe per
-        // lookup with memoization-free direct signature computation.
         let mut est = CardEstimator {
-            spec: spec.clone(),
-            params: ctx.params.cloned(),
+            binding,
             raw_cards,
             base_cards,
             col_counts,
             leaf_layouts,
             distincts,
+            indexed_cols,
             facts: Vec::new(),
-            sigs,
+            sigs_before,
         };
+        // Facts are recorded for subplans that ran, and a subplan's table
+        // set is connected: those are the only signatures worth probing.
         if !ctx.feedback.is_empty() {
-            let n = spec.tables.len();
-            // Probe all subsets when feasible (n <= 16); otherwise only
-            // probe the subsets that appear during enumeration via
-            // `fact_for`, which recomputes signatures on demand. For the
-            // workloads here n <= 16 always holds.
-            if n <= 16 {
-                let mut facts = Vec::new();
-                for mask in 1u64..(1u64 << n) {
-                    let set = TableSet::from_iter((0..n).filter(|i| mask & (1 << i) != 0));
-                    let sig = est.signature(set);
-                    if let Some(fact) = ctx.feedback.get(&sig) {
-                        let (value, exact) = match fact {
-                            crate::CardFact::Exact(v) => (v, true),
-                            crate::CardFact::AtLeast(v) => (v, false),
-                        };
-                        facts.push(SetFact { set, value, exact });
-                    }
+            let mut facts = Vec::new();
+            for set in est.graph().connected_sets() {
+                if let Some(fact) = ctx.feedback.get(est.signature(set)) {
+                    let (value, exact) = match fact {
+                        crate::CardFact::Exact(v) => (v, true),
+                        crate::CardFact::AtLeast(v) => (v, false),
+                    };
+                    facts.push(SetFact { set, value, exact });
                 }
-                // Largest sets first so greedy coverage prefers them.
-                facts.sort_by_key(|f| std::cmp::Reverse(f.set.len()));
-                est.facts = facts;
             }
+            // Largest sets first so greedy coverage prefers them.
+            facts.sort_by_key(|f| std::cmp::Reverse(f.set.len()));
+            est.facts = facts;
         }
         Ok(est)
     }
 
     /// The query spec this estimator serves.
     pub fn spec(&self) -> &QuerySpec {
-        &self.spec
+        &self.binding.spec
+    }
+
+    /// The spec's join graph.
+    pub fn graph(&self) -> &JoinGraph {
+        &self.binding.graph
+    }
+
+    /// Signature strings built since this estimator was (its own fact
+    /// resolution included).
+    pub(crate) fn signatures_built(&self) -> usize {
+        self.binding.sigs_built.load(Ordering::Relaxed) - self.sigs_before
     }
 
     /// Unfiltered base cardinality of query table `qidx`.
@@ -172,6 +215,12 @@ impl CardEstimator {
         self.distincts[col.table][col.col]
     }
 
+    /// Does column `col` of query table `qidx` have an index (of any kind)
+    /// an NLJN could probe?
+    pub fn is_indexed(&self, qidx: usize, col: usize) -> bool {
+        self.indexed_cols[qidx].contains(&col)
+    }
+
     /// Average inner rows fetched per NLJN index probe on `inner_col`.
     pub fn matches_per_probe(&self, inner_col: ColId) -> f64 {
         let raw = self.raw_cards[inner_col.table];
@@ -179,14 +228,22 @@ impl CardEstimator {
     }
 
     /// Signature of the subplan over `set`, incorporating the query's
-    /// bound parameter values. Memoized in the shared [`SigCache`].
-    pub fn signature(&self, set: TableSet) -> String {
-        if let Some(sig) = self.sigs.read().get(&set.mask()) {
-            return sig.clone();
-        }
-        let sig = subplan_signature_with_params(&self.spec, set, self.params.as_ref());
-        self.sigs.write().insert(set.mask(), sig.clone());
-        sig
+    /// bound parameter values; built on first use and kept for as long as
+    /// the memo stays bound to this (spec, params) pair.
+    ///
+    /// # Panics
+    /// If `set` is not connected under the join predicates: no subplan
+    /// computes it, so nothing is ever keyed by it.
+    pub fn signature(&self, set: TableSet) -> &str {
+        let b = &*self.binding;
+        let slot = b
+            .graph
+            .rank(set)
+            .expect("only a connected table set is a subplan with a signature");
+        b.sigs[slot].get_or_init(|| {
+            b.sigs_built.fetch_add(1, Ordering::Relaxed);
+            subplan_signature_with_params(&b.spec, set, b.params.as_ref())
+        })
     }
 
     /// Estimated cardinality of the subplan joining exactly `set`.
@@ -205,7 +262,8 @@ impl CardEstimator {
         for t in set.minus(covered_union).iter() {
             result *= self.base_cards[t];
         }
-        for j in self.spec.join_preds_within(set) {
+        for i in self.graph().preds_within(set) {
+            let j = &self.spec().join_preds[i];
             // Skip predicates already accounted inside one covered fact.
             let endpoints = TableSet::from_iter([j.left.table, j.right.table]);
             if covered.iter().any(|c| endpoints.is_subset_of(*c)) {

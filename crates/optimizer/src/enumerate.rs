@@ -4,10 +4,12 @@
 //! Classic System-R DP over table subsets (bushy up to
 //! [`crate::OptimizerConfig::bushy_limit`] tables, left-deep beyond),
 //! keeping the cheapest candidate per interesting sort order per subset.
-//! This module derives the candidate list of *one* subset from the lists
-//! of its sub-subsets; the walk over subsets — the DP loop itself — is
-//! [`crate::Memo`]'s, which calls these builders for every group a change
-//! reached (all of them, on a fresh memo).
+//! This module derives the candidate list of *one* connected subset from
+//! the lists of its sub-subsets; the walk over subsets — the DP loop itself
+//! — is [`crate::Memo`]'s, which calls these builders for every group a
+//! change reached (all of them, on a fresh memo). Which splits of a subset
+//! are joins at all is the [`pop_plan::JoinGraph`]'s call, made on bit
+//! masks before anything is allocated, locked or estimated.
 //! At each pruning decision between candidates over the **same partition
 //! and sort order** (= structurally equivalent plans in the paper's sense,
 //! §2.2), [`crate::validity::narrow_on_prune`] narrows the winner's
@@ -19,75 +21,77 @@
 //! children. `finalize::extract` turns the one winning record into a tree.
 
 use crate::memo::Group;
-use crate::{validity, Candidate, CardEstimator, OptimizerContext, RootCostSpec};
+use crate::{validity, Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
-use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, QuerySpec, TableSet, ValidityRange};
+use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, TableSet, ValidityRange};
+use pop_storage::TempMv;
 use pop_types::{ColId, PopResult};
 
 /// Candidate list for a single base relation: sequential scan, index
-/// range scans, temp MVs — in that insertion order (pruning decisions,
-/// and so validity-range narrowing, depend on it).
+/// range scans, the temp MV registered for it (`mv`, if any) — in that
+/// insertion order (pruning decisions, and so validity-range narrowing,
+/// depend on it).
 pub(crate) fn build_singleton_group(
     t: usize,
+    mv: Option<TempMv>,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
+    stats: &mut MemoStats,
 ) -> PopResult<Vec<Candidate>> {
     let mut list = Vec::new();
-    insert_candidate(&mut list, scan_candidate(t, est, ctx), ctx);
+    insert_candidate(&mut list, scan_candidate(t, est, ctx), ctx, stats);
     for cand in index_range_candidates(t, est, ctx)? {
-        insert_candidate(&mut list, cand, ctx);
+        insert_candidate(&mut list, cand, ctx, stats);
     }
-    if let Some(mv) = mv_candidate(TableSet::single(t), est, ctx) {
-        insert_candidate(&mut list, mv, ctx);
+    if let Some(mv) = mv {
+        let cand = mv_candidate(TableSet::single(t), &mv, est, ctx);
+        insert_candidate(&mut list, cand, ctx, stats);
     }
     Ok(list)
 }
 
-/// Candidate list for a join group (`set.len() >= 2`), reading child
-/// groups out of the mask-indexed DP table. Every proper subset of `set`
-/// must already be final in `groups`; partitions are visited in a fixed
-/// order, so pruning sequences — and thus narrowed validity ranges —
-/// depend only on the child groups.
+/// Candidate list for a join group: a connected `set` of two or more
+/// tables with estimated cardinality `card` and, possibly, a temp MV
+/// registered for it, reading child groups out of the mask-indexed DP
+/// table. Every connected proper subset of `set` must already be final in
+/// `groups`; splits are visited in the join graph's fixed order, so
+/// pruning sequences — and thus narrowed validity ranges — depend only on
+/// the child groups.
 pub(crate) fn build_join_group(
     set: TableSet,
+    card: f64,
+    mv: Option<TempMv>,
     groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
+    stats: &mut MemoStats,
 ) -> Vec<Candidate> {
-    let n = est.spec().tables.len();
-    let bushy = n <= ctx.config.bushy_limit;
+    let bushy = est.spec().tables.len() <= ctx.config.bushy_limit;
     let mut list: Vec<Candidate> = Vec::new();
-    if let Some(mv) = mv_candidate(set, est, ctx) {
-        insert_candidate(&mut list, mv, ctx);
+    if let Some(mv) = mv {
+        insert_candidate(&mut list, mv_candidate(set, &mv, est, ctx), ctx, stats);
     }
-    if bushy {
-        for s1 in set.proper_subsets() {
-            let s2 = set.minus(s1);
-            if s1.mask() > s2.mask() {
-                continue; // unordered partition: visit once
-            }
-            add_partition_candidates(&mut list, s1, s2, groups, est, ctx);
-        }
-    } else {
-        for t in set.iter() {
-            let s2 = TableSet::single(t);
-            let s1 = set.minus(s2);
-            add_partition_candidates(&mut list, s1, s2, groups, est, ctx);
-        }
+    for (s1, s2) in est.graph().splits(set, bushy) {
+        add_partition_candidates(&mut list, s1, s2, card, groups, est, ctx, stats);
     }
     list
 }
 
-/// Generate and insert all join candidates for one unordered partition.
-/// A candidate is a cost record over the partition's two canonical edges
-/// that names its inputs by index; no operator is built here.
+/// Generate and insert all join candidates for one split of a group with
+/// cardinality `out_card` into two connected, adjacent sides. A candidate
+/// is a cost record over the partition's two canonical edges that names
+/// its inputs by index; no operator is built here, and nothing is
+/// allocated unless the split has a multi-predicate NLJN.
+#[allow(clippy::too_many_arguments)]
 fn add_partition_candidates(
     list: &mut Vec<Candidate>,
     s1: TableSet,
     s2: TableSet,
+    out_card: f64,
     groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
+    stats: &mut MemoStats,
 ) {
     let spec = est.spec();
     // Canonical edge order: smaller mask first.
@@ -96,22 +100,23 @@ fn add_partition_candidates(
     } else {
         (s2, s1)
     };
-    let preds = spec.join_preds_between(a, b);
-    if preds.is_empty() {
-        return;
-    }
+    // A connected side can still be unplannable (say, NLJN only and no
+    // index): such a split has nothing to cost.
     let (Some(best_a), Some(best_b)) = (cheapest(groups, a), cheapest(groups, b)) else {
         return;
     };
+    stats.splits_costed += 1;
+    let preds = || est.graph().preds_between(a, b).map(|i| &spec.join_preds[i]);
     let sides = [a, b];
     let best = [best_a, best_b];
-    let edge_cards = [est.card(a), est.card(b)];
-    let out_card = est.card(a.union(b));
+    // The child groups were built for exactly these estimates.
+    let edge_cards = [a, b].map(|side| groups[side.mask() as usize].card());
     let mut push = |root_spec: RootCostSpec,
                     order: Option<ColId>,
                     inputs: [Option<(usize, &Candidate)>; 2]| {
         let fixed: f64 = inputs.iter().flatten().map(|(_, c)| c.cost).sum();
         let cost = fixed + crate::cost::root_local_cost(ctx.cost, &root_spec, &edge_cards);
+        stats.candidates_built += 1;
         insert_candidate(
             list,
             Candidate {
@@ -121,12 +126,13 @@ fn add_partition_candidates(
                 partition: Some((a, b)),
                 root_spec,
                 fixed_cost: fixed,
-                edge_cards: edge_cards.to_vec(),
-                edge_ranges: vec![ValidityRange::unbounded(); 2],
-                edge_children: inputs.iter().map(|i| i.map(|(idx, _)| idx)).collect(),
+                edge_cards,
+                edge_ranges: [ValidityRange::unbounded(); 2],
+                edge_children: inputs.map(|i| i.map(|(idx, _)| idx)),
                 leaf: None,
             },
             ctx,
+            stats,
         );
     };
 
@@ -154,7 +160,7 @@ fn add_partition_candidates(
                 continue;
             }
             let t = inner.iter().next().expect("singleton");
-            let Some(probe) = nljn_probe(&preds, t, spec, ctx) else {
+            let Some(probe) = nljn_probe(preds(), t, est) else {
                 continue;
             };
             let mut inputs = [None, None];
@@ -172,8 +178,9 @@ fn add_partition_candidates(
 
     // MGJN: single-column equi-join only (multi-predicate joins go to HSJN
     // or NLJN with residuals).
-    if ctx.config.joins.mgjn && preds.len() == 1 {
-        let Some((key_a, key_b)) = preds[0].split(a) else {
+    let mut preds = preds();
+    if let (Some(pred), None, true) = (preds.next(), preds.next(), ctx.config.joins.mgjn) {
+        let Some((key_a, key_b)) = pred.split(a) else {
             return;
         };
         let (left, sort_left) = pick_for_order(groups, a, key_a, best_a);
@@ -206,23 +213,16 @@ pub(crate) struct NljnProbe {
 /// first join predicate whose inner column has an index drives it, the rest
 /// are residuals. `None` when no predicate can — the enumerator then offers
 /// no NLJN, and extraction asks again for the one it did offer.
-pub(crate) fn nljn_probe(
-    preds: &[&JoinPred],
+pub(crate) fn nljn_probe<'a>(
+    preds: impl IntoIterator<Item = &'a JoinPred>,
     t: usize,
-    spec: &QuerySpec,
-    ctx: &OptimizerContext<'_>,
+    est: &CardEstimator,
 ) -> Option<NljnProbe> {
-    let table = ctx.catalog.table(&spec.tables[t].table).ok()?;
     let mut probe: Option<(ColId, usize)> = None;
     let mut residual = Vec::new();
     for j in preds {
         if let Some((k_inner, k_outer)) = j.split(TableSet::single(t)) {
-            if probe.is_none()
-                && ctx
-                    .catalog
-                    .find_index(table.id(), k_inner.col, false)
-                    .is_some()
-            {
+            if probe.is_none() && est.is_indexed(t, k_inner.col) {
                 probe = Some((k_outer, k_inner.col));
             } else {
                 residual.push((k_outer, k_inner.col));
@@ -279,10 +279,10 @@ fn leaf_candidate(node: PhysNode, root_spec: RootCostSpec) -> Candidate {
         partition: None,
         root_spec,
         fixed_cost: 0.0,
-        edge_cards: vec![],
-        edge_ranges: vec![],
-        edge_children: vec![],
-        leaf: Some(node),
+        edge_cards: [0.0; 2],
+        edge_ranges: [ValidityRange::unbounded(); 2],
+        edge_children: [None; 2],
+        leaf: Some(Box::new(node)),
     }
 }
 
@@ -369,32 +369,28 @@ fn index_range_candidates(
     Ok(out)
 }
 
-/// Temp-MV scan candidate if the catalog holds a matching intermediate
-/// result (§2.3: the MV competes with recomputation on cost).
+/// Scan candidate of the temp MV `mv` the catalog holds for `set` (§2.3:
+/// the MV competes with recomputation on cost).
 fn mv_candidate(
     set: TableSet,
+    mv: &TempMv,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
-) -> Option<Candidate> {
-    if !ctx.config.use_temp_mvs {
-        return None;
-    }
-    let sig = est.signature(set);
-    let mv = ctx.catalog.temp_mv(&sig)?;
+) -> Candidate {
     let rows = mv.actual_card as f64;
     // Page count is a deterministic function of the MV contents, so it is
     // identical across storage backends.
     let pages = mv.table.page_count() as f64;
     let cost = ctx.cost.mv_scan_cost(rows, pages);
     let layout = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
-    Some(leaf_candidate(
+    leaf_candidate(
         PhysNode::MvScan {
             mv_name: mv.table.name().to_string(),
-            signature: sig,
+            signature: est.signature(set).to_string(),
             props: PlanProps::leaf(set, rows, cost, layout),
         },
         RootCostSpec::MvScan { rows, pages },
-    ))
+    )
 }
 
 /// AND together a table's local predicates.
@@ -445,7 +441,12 @@ fn structurally_equivalent(a: &Candidate, b: &Candidate) -> bool {
 }
 
 /// Insert a candidate with dominance pruning and validity-range narrowing.
-fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate, ctx: &OptimizerContext<'_>) {
+fn insert_candidate(
+    list: &mut Vec<Candidate>,
+    mut new: Candidate,
+    ctx: &OptimizerContext<'_>,
+    stats: &mut MemoStats,
+) {
     let iters = ctx.config.nr_iterations;
     let margin = |winner: &Candidate| {
         ctx.config
@@ -457,7 +458,7 @@ fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate, ctx: &Optimiz
         if dominates(ex, &new) {
             if structurally_equivalent(ex, &new) {
                 let m = margin(ex);
-                validity::narrow_on_prune(ex, &new, ctx.cost, iters, m);
+                stats.diff_evals += validity::narrow_on_prune(ex, &new, ctx.cost, iters, m);
             }
             return;
         }
@@ -469,7 +470,7 @@ fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate, ctx: &Optimiz
             let old = list.remove(i);
             if structurally_equivalent(&new, &old) {
                 let m = margin(&new);
-                validity::narrow_on_prune(&mut new, &old, ctx.cost, iters, m);
+                stats.diff_evals += validity::narrow_on_prune(&mut new, &old, ctx.cost, iters, m);
             }
         } else {
             i += 1;

@@ -54,7 +54,7 @@ fn extract(
 ) -> PhysNode {
     let cand = &groups[set.mask() as usize].cands[idx];
     if let Some(node) = &cand.leaf {
-        return node.clone();
+        return (**node).clone();
     }
     let (a, b) = cand
         .partition
@@ -106,7 +106,8 @@ fn extract(
                 .iter()
                 .next()
                 .expect("singleton inner");
-            let probe = nljn_probe(&preds, t, spec, ctx).expect("enumerated with this probe");
+            let probe =
+                nljn_probe(preds.iter().copied(), t, est).expect("enumerated with this probe");
             PhysNode::Nljn {
                 props: props(concat(&outer, est.leaf_layout(t)), &[outer_edge]),
                 outer: Box::new(outer),
@@ -362,9 +363,9 @@ mod tests {
             partition: Some((TableSet::single(0), TableSet::single(1))),
             root_spec,
             fixed_cost: 0.0,
-            edge_cards: vec![200.0, 20_000.0],
-            edge_ranges: ranges.to_vec(),
-            edge_children: vec![Some(0), (!nljn).then_some(0)],
+            edge_cards: [200.0, 20_000.0],
+            edge_ranges: ranges,
+            edge_children: [Some(0), (!nljn).then_some(0)],
             leaf: None,
         }];
         let node = extract(&groups, q.all_tables(), 0, &est, &ctx);

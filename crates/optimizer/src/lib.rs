@@ -36,12 +36,12 @@ mod provenance;
 pub mod validity;
 
 pub use candidate::{Candidate, RootCostSpec};
-pub use cardinality::{CardEstimator, SigCache};
+pub use cardinality::CardEstimator;
 pub use config::{FlavorSet, JoinMethods, OptimizerConfig, ValidityMode};
 pub use context::OptimizerContext;
 pub use cost::CostModel;
 pub use feedback::{CardFact, FeedbackCache, FeedbackStore, DEFAULT_FEEDBACK_CAPACITY};
 pub use finalize::optimize;
-pub use memo::{Memo, MemoStats};
+pub use memo::{Memo, MemoStats, MAX_DP_TABLES};
 pub use plan_cache::{PlanCache, PlanGuard, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use provenance::{plan_provenance, EstimateProvenance, EstimateSource};

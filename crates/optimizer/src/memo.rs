@@ -9,22 +9,28 @@
 //! optimization is the same walk with every group dirty, which is what a
 //! [`Memo::new`] gets.
 //!
-//! * Each [`Group`] is a table subset (mask) with its candidate list from
-//!   [`crate::enumerate::build_join_group`], plus a [`GroupMeta`] snapshot
-//!   of the inputs it was built from (estimated cardinality bits, identity
-//!   and cardinality of a matching temp MV). A join candidate refers to its
-//!   inputs as `(child group, index)`, so reusing a group copies nothing.
+//! * A [`Group`] is a **connected** table subset (mask) — the only kind a
+//!   plan without Cartesian products can contain, as the binding's
+//!   [`pop_plan::JoinGraph`] knows before anything is costed — with its
+//!   candidate list from [`crate::enumerate::build_join_group`], plus a
+//!   [`GroupMeta`] snapshot of the inputs it was built from (estimated
+//!   cardinality bits, identity and cardinality of a matching temp MV). A
+//!   join candidate refers to its inputs as `(child group, index)`, so
+//!   reusing a group copies nothing. Disconnected masks keep their slot in
+//!   the mask-indexed table and are never visited.
 //! * [`Memo::best_join_order`] — the only loop that builds groups — walks
-//!   masks in ascending order. A group whose snapshot still matches is a
-//!   **clean** group; since ascending order means all its subsets were
-//!   visited first, every subset is also clean, so its candidate list —
-//!   including pruning decisions and narrowed validity ranges — is
-//!   bit-identical to what a fresh memo would derive, and it is reused
-//!   as-is.
+//!   connected masks in ascending order. A group whose snapshot still
+//!   matches is a **clean** group; since ascending order means all its
+//!   subsets were visited first, every subset is also clean, so its
+//!   candidate list — including pruning decisions and narrowed validity
+//!   ranges — is bit-identical to what a fresh memo would derive, and it
+//!   is reused as-is.
 //! * A changed snapshot marks the group **dirty**; dirtiness propagates to
-//!   every superset (`dirty(S) ⇐ dirty(S \ {b})` for any `b ∈ S`), and
-//!   exactly the dirty groups are re-derived, through the same builders in
-//!   the same order a fresh memo uses.
+//!   every connected superset (`dirty(S) ⇐ dirty(S \ {b})` for any `b ∈ S`
+//!   that leaves `S \ {b}` connected — a connected set grows to any
+//!   connected superset one adjacent table at a time, so that reaches them
+//!   all), and exactly the dirty groups are re-derived, through the same
+//!   builders in the same order a fresh memo uses.
 //!
 //! The memo survives across re-optimization steps of one query *and*
 //! across queries: [`Memo::bind`] compares the (spec, params) pair
@@ -33,12 +39,23 @@
 //! [`Memo::best_join_order`]. The driver's `verify_memo` re-plans every
 //! step on a fresh memo and rejects any divergence.
 
-use crate::cardinality::SigCache;
+use crate::cardinality::Binding;
 use crate::enumerate::{build_join_group, build_singleton_group, cheapest};
 use crate::{Candidate, CardEstimator, OptimizerContext};
 use pop_plan::{QuerySpec, TableSet};
 use pop_storage::TableId;
 use pop_types::{ColId, PopError, PopResult};
+use std::sync::Arc;
+
+/// The DP horizon: the largest number of tables a query may join. The DP
+/// table is indexed by table-set mask, `2^n` [`Group`] slots for `n`
+/// tables, and is allowed [`DP_TABLE_BYTES`]; the bound follows from the
+/// slot size (20 tables at 64 bytes a slot). Beyond it `optimize` returns
+/// [`PopError::Planning`] instead of asking the allocator for the
+/// impossible. [`crate::OptimizerConfig::bushy_limit`] is the lower, tunable
+/// threshold at which enumeration turns left-deep.
+pub const MAX_DP_TABLES: usize = (DP_TABLE_BYTES / std::mem::size_of::<Group>()).ilog2() as usize;
+const DP_TABLE_BYTES: usize = 64 << 20;
 
 /// Statistics of one optimization pass over the [`Memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +63,7 @@ pub struct MemoStats {
     /// The pass rebuilt every group from scratch (first optimization, or
     /// the spec / parameter binding / config / statistics changed).
     pub rebuilt: bool,
-    /// Groups (table subsets) held by the memo after the pass.
+    /// Groups (connected table subsets) held by the memo after the pass.
     pub groups_total: usize,
     /// Clean groups whose candidate lists were reused unchanged.
     pub groups_reused: usize,
@@ -54,6 +71,17 @@ pub struct MemoStats {
     pub groups_rederived: usize,
     /// Groups whose own inputs changed (before dirty propagation).
     pub dirty_seeds: usize,
+    /// Two-sided splits of re-derived groups that had join candidates
+    /// costed: both sides connected, adjacent and planned.
+    pub splits_costed: usize,
+    /// Join candidates built (and offered to pruning) for those splits.
+    pub candidates_built: usize,
+    /// Cost-difference evaluations of the validity-range root search.
+    pub diff_evals: usize,
+    /// Subplan signature strings built by the pass (feedback-fact
+    /// resolution and temp-MV probes; CHECK placement builds its own
+    /// afterwards). Zero while no fact is recorded and no temp MV exists.
+    pub signatures_built: usize,
 }
 
 /// Snapshot of the estimator inputs a group was last built from.
@@ -70,8 +98,8 @@ struct GroupMeta {
     mv: Option<(TableId, u64)>,
 }
 
-/// One entry of the DP table: the surviving candidates of a table subset
-/// and what they were derived from.
+/// One entry of the DP table: the surviving candidates of a connected
+/// table subset and what they were derived from.
 #[derive(Debug, Default)]
 pub(crate) struct Group {
     pub(crate) cands: Vec<Candidate>,
@@ -82,21 +110,27 @@ pub(crate) struct Group {
     dirty: bool,
 }
 
+impl Group {
+    /// The estimated cardinality the group was built for.
+    pub(crate) fn card(&self) -> f64 {
+        f64::from_bits(self.meta.card_bits)
+    }
+}
+
 /// Persistent join-order memo with dirty-propagation maintenance.
 #[derive(Debug, Default)]
 pub struct Memo {
-    /// The (spec, params) pair the groups belong to. Stored structurally
-    /// (both derive `PartialEq`) so change detection costs a field-wise
-    /// compare instead of rebuilding a signature string per call.
-    bound: Option<(QuerySpec, Option<pop_expr::Params>)>,
+    /// The (spec, params) pair the groups belong to, with its join graph
+    /// and signatures.
+    bound: Option<Arc<Binding>>,
     /// Optimizer config + cost model the groups were built under.
     env: Option<(crate::OptimizerConfig, pop_plan::CostModel)>,
     /// Fingerprint of the estimator's statistics-derived inputs.
     stats_fp: u64,
-    /// The DP table, indexed by table-set mask (slot 0, the empty set, is
-    /// never derived and never dirty). Empty until the first pass.
+    /// The DP table, indexed by table-set mask; only the slots of
+    /// connected masks are ever derived, read or dirty. Empty until the
+    /// first pass.
     groups: Vec<Group>,
-    sigs: SigCache,
 }
 
 impl Memo {
@@ -106,27 +140,26 @@ impl Memo {
     }
 
     /// Bind the memo to the context's (spec, params) pair and build the
-    /// step's estimator over the memo's signature cache, so signature
-    /// strings are shared between estimator fact probing, MV lookups, and
-    /// the memo's own dirty detection. When the pair differs from the
-    /// previous binding, all groups and cached signatures are dropped —
-    /// incremental maintenance only ever spans re-optimizations of one
-    /// bound query.
+    /// step's estimator over the binding, so the join graph and signature
+    /// strings are shared between estimator fact probing, MV lookups, CHECK
+    /// placement and the memo's own dirty detection, across steps. When
+    /// the pair differs from the previous binding, all groups are dropped
+    /// with it — incremental maintenance only ever spans re-optimizations
+    /// of one bound query.
     pub(crate) fn bind(
         &mut self,
         spec: &QuerySpec,
         ctx: &OptimizerContext<'_>,
     ) -> PopResult<CardEstimator> {
-        let same = self
-            .bound
-            .as_ref()
-            .is_some_and(|(s, p)| s == spec && p.as_ref() == ctx.params);
-        if !same {
-            self.groups.clear();
-            self.sigs.write().clear();
-            self.bound = Some((spec.clone(), ctx.params.cloned()));
-        }
-        CardEstimator::with_sig_cache(spec, ctx, self.sigs.clone())
+        let binding = match &self.bound {
+            Some(b) if b.binds(spec, ctx.params) => b.clone(),
+            _ => {
+                self.groups.clear();
+                let fresh = Arc::new(Binding::new(spec, ctx.params)?);
+                self.bound.insert(fresh).clone()
+            }
+        };
+        CardEstimator::bound(binding, ctx)
     }
 
     /// Find the cheapest join plan for all tables, reusing every clean
@@ -141,6 +174,7 @@ impl Memo {
         ctx: &OptimizerContext<'_>,
     ) -> PopResult<(&[Group], usize, MemoStats)> {
         let n = est.spec().tables.len();
+        let graph = est.graph();
         let same_env = self
             .env
             .as_ref()
@@ -156,53 +190,48 @@ impl Memo {
 
         let mut stats = MemoStats {
             rebuilt,
-            groups_total: self.groups.len() - 1,
+            groups_total: graph.num_connected(),
             ..MemoStats::default()
         };
         // One lock acquisition per pass, not one per group: when no temp
-        // MVs exist (the common case between violations) every signature
-        // lookup below is skipped outright.
+        // MVs exist (the common case between violations) no signature is
+        // built and no MV looked up below.
         let any_mvs = ctx.config.use_temp_mvs && ctx.catalog.temp_mv_count() > 0;
         // Ascending mask order: every subset of a group is final before the
         // group itself is visited, so the candidate indices a join records
         // for its inputs (and the inputs' validity ranges) no longer move.
-        for mask in 1..self.groups.len() {
-            let set = TableSet::from_iter((0..n).filter(|t| mask & (1 << t) != 0));
+        for set in graph.connected_sets() {
+            let mask = set.mask() as usize;
             let old = &self.groups[mask];
-            // A group with an empty candidate list and no MV is empty for
-            // structural reasons (a disconnected subset): no cardinality
-            // change can give it a candidate, so its estimate needs no
-            // re-probing. Only a newly matching temp MV could revive it,
-            // and the MV probe below still runs when any MVs exist.
-            let structurally_empty = !rebuilt && old.cands.is_empty() && old.meta.mv.is_none();
+            let card = est.card(set);
+            let mv = if any_mvs {
+                ctx.catalog.temp_mv(est.signature(set))
+            } else {
+                None
+            };
             let current = GroupMeta {
-                card_bits: if structurally_empty {
-                    old.meta.card_bits
-                } else {
-                    est.card(set).to_bits()
-                },
-                mv: if any_mvs {
-                    ctx.catalog
-                        .temp_mv(&est.signature(set))
-                        .map(|mv| (mv.table.id(), mv.actual_card))
-                } else {
-                    None
-                },
+                card_bits: card.to_bits(),
+                mv: mv.as_ref().map(|mv| (mv.table.id(), mv.actual_card)),
             };
             let seed = rebuilt || old.meta != current;
             if seed && !rebuilt {
                 stats.dirty_seeds += 1;
             }
-            let dirty = seed || set.iter().any(|t| self.groups[mask & !(1 << t)].dirty);
+            let dirty = seed
+                || set.iter().any(|t| {
+                    let rest = set.minus(TableSet::single(t));
+                    graph.is_connected(rest) && self.groups[rest.mask() as usize].dirty
+                });
             if dirty {
                 let cands = if mask.is_power_of_two() {
                     let t = set.iter().next().expect("singleton");
                     // A pass that stops half-way leaves supersets derived
                     // from superseded subsets: drop the table, so the next
                     // pass rebuilds instead of trusting it.
-                    build_singleton_group(t, est, ctx).inspect_err(|_| self.groups.clear())?
+                    build_singleton_group(t, mv, est, ctx, &mut stats)
+                        .inspect_err(|_| self.groups.clear())?
                 } else {
-                    build_join_group(set, &self.groups, est, ctx)
+                    build_join_group(set, card, mv, &self.groups, est, ctx, &mut stats)
                 };
                 self.groups[mask] = Group {
                     cands,
@@ -215,9 +244,10 @@ impl Memo {
                 stats.groups_reused += 1;
             }
         }
+        stats.signatures_built = est.signatures_built();
 
         let (best, _) = cheapest(&self.groups, est.spec().all_tables()).ok_or_else(|| {
-            PopError::Planning("no feasible join plan (check join graph and indexes)".into())
+            PopError::Planning("no feasible join plan (check join methods and indexes)".into())
         })?;
         Ok((&self.groups, best, stats))
     }
@@ -366,15 +396,17 @@ mod tests {
         let q = chain_query();
         let mut memo = Memo::new();
         optimize(&q, &ctx, &mut memo).unwrap();
-        // A fact on {customer} dirties {c}, {c,o}, {c,i}, {c,o,i} — the
-        // four ancestors — and leaves {o}, {i}, {o,i} untouched.
+        // A fact on {customer} dirties {c}, {c,o}, {c,o,i} — its connected
+        // supersets ({c,i} is no group: nothing joins c to i) — and leaves
+        // {o}, {i}, {o,i} untouched.
         fb.record(
             pop_plan::subplan_signature(&q, TableSet::single(0)),
             CardFact::Exact(55.0),
         );
         let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt, "a CardFact must not force a full rebuild");
-        assert_eq!(s.groups_rederived, 4, "{s:?}");
+        assert_eq!(s.groups_total, 6, "{s:?}");
+        assert_eq!(s.groups_rederived, 3, "{s:?}");
         assert_eq!(s.groups_reused, 3, "{s:?}");
         assert_matches_fresh(&inc, &q, &ctx);
     }
@@ -448,7 +480,7 @@ mod tests {
         let (second, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt);
         assert_eq!(s.dirty_seeds, 1, "{s:?}");
-        assert_eq!(s.groups_rederived, 4, "{s:?}");
+        assert_eq!(s.groups_rederived, 3, "{s:?}");
         assert_eq!(mv_scans(&second), ["__mv_new"]);
         assert_matches_fresh(&second, &q, &ctx);
         let lctx = pop_planlint::LintContext::full(&cat, &q);
@@ -496,5 +528,184 @@ mod tests {
         let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(s.rebuilt);
         assert_matches_fresh(&inc, &q, &ctx);
+    }
+
+    /// Catalog of `n` tables `t0..`, `(pk, key, attr)`, with sizes cycling
+    /// through a few values and a hash index on every other table's `key`.
+    fn numbered_tables(n: usize) -> (Catalog, StatsRegistry) {
+        let cat = Catalog::new();
+        for i in 0..n {
+            let rows = [40i64, 200, 12, 90][i % 4];
+            cat.create_table(
+                format!("t{i}"),
+                Schema::from_pairs(&[
+                    ("pk", DataType::Int),
+                    ("key", DataType::Int),
+                    ("attr", DataType::Int),
+                ]),
+                (0..rows)
+                    .map(|r| vec![Value::Int(r), Value::Int(r % 8), Value::Int(r % 5)])
+                    .collect(),
+            )
+            .unwrap();
+            if i % 2 == 0 {
+                cat.create_index(&format!("t{i}"), "key", IndexKind::Hash)
+                    .unwrap();
+            }
+        }
+        let stats = StatsRegistry::new();
+        stats.analyze_all(&cat).unwrap();
+        (cat, stats)
+    }
+
+    /// `t0..t{n-1}` joined on `key` along `edges`.
+    fn graph_query(n: usize, edges: &[(usize, usize)]) -> pop_plan::QuerySpec {
+        let mut b = QueryBuilder::new();
+        for i in 0..n {
+            b.table(format!("t{i}"));
+        }
+        for &(x, y) in edges {
+            b.join(x, 1, y, 1);
+        }
+        b.build().unwrap()
+    }
+
+    fn chain_edges(n: usize) -> Vec<(usize, usize)> {
+        (1..n).map(|i| (i - 1, i)).collect()
+    }
+
+    #[test]
+    fn more_tables_than_the_dp_horizon_is_a_planning_error() {
+        assert_eq!(MAX_DP_TABLES, 20, "Group grew or shrank: re-derive the doc");
+        let (cat, stats) = numbered_tables(1);
+        let cfg = OptimizerConfig::default();
+        let cost = CostModel::default();
+        let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        // Valid as a spec (at most 64 tables), and 2^21 groups too many.
+        let n = MAX_DP_TABLES + 1;
+        let q = graph_query(n, &chain_edges(n));
+        let err = optimize(&q, &ctx, &mut Memo::new()).unwrap_err();
+        assert!(
+            matches!(&err, PopError::Planning(m) if m.contains("21 tables")),
+            "{err}"
+        );
+    }
+
+    /// Past 16 tables feedback used to be dropped without a word, and every
+    /// one of the 2^17 masks was a group.
+    #[test]
+    fn feedback_reaches_a_17_table_chain() {
+        let n = 17;
+        let (cat, stats) = numbered_tables(n);
+        let cfg = OptimizerConfig::default();
+        let cost = CostModel::default();
+        let fb = FeedbackCache::new();
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+        let q = graph_query(n, &chain_edges(n));
+        let mut memo = Memo::new();
+        let (_, first) = optimize(&q, &ctx, &mut memo).unwrap();
+        // n(n+1)/2 intervals, each split at most at its two ends.
+        assert_eq!(first.groups_total, 153);
+        assert_eq!(first.groups_rederived, 153);
+        assert_eq!(first.splits_costed, 2 * (153 - n));
+        assert_eq!(first.signatures_built, 0);
+
+        let pair = TableSet::from_iter([3, 4]);
+        let before = memo.bind(&q, &ctx).unwrap().card(pair);
+        assert_ne!(before, 4321.0);
+        fb.record(
+            pop_plan::subplan_signature(&q, pair),
+            CardFact::Exact(4321.0),
+        );
+
+        // Resolving the fact builds every group's signature that CHECK
+        // placement has not built already, once; the intervals [i, j] with
+        // i <= 3 and j >= 4 are re-derived.
+        let (inc, second) = optimize(&q, &ctx, &mut memo).unwrap();
+        assert!(!second.rebuilt);
+        assert_eq!(second.groups_rederived, 4 * 13, "{second:?}");
+        assert!(second.signatures_built > 100, "{second:?}");
+        assert_eq!(memo.bound.as_ref().unwrap().signatures_built(), 153);
+        assert_matches_fresh(&inc, &q, &ctx);
+        let est = memo.bind(&q, &ctx).unwrap();
+        assert_eq!(est.card(pair), 4321.0);
+        assert!(est.card(TableSet::from_iter([2, 3, 4])) > before);
+        assert_eq!(optimize(&q, &ctx, &mut memo).unwrap().1.signatures_built, 0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The splits the join graph admits, filtered by planned child
+        /// groups, are the splits the enumerator used to find by asking
+        /// `join_preds_between` and the child groups about every submask
+        /// pair — same pairs, same order — and a disconnected mask has
+        /// neither splits nor a group.
+        #[test]
+        fn admitted_splits_are_the_joinable_planned_pairs(
+            n in 2usize..=9,
+            parents in proptest::collection::vec(any::<usize>(), 9..10),
+            extra in proptest::collection::vec((0usize..9, 0usize..9), 0..5),
+            bushy in any::<bool>(),
+            hsjn in any::<bool>(),
+        ) {
+            let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (parents[i] % i, i)).collect();
+            edges.extend(extra.into_iter().filter(|&(x, y)| x < n && y < n && x != y));
+            let q = graph_query(n, &edges);
+            let (cat, stats) = numbered_tables(n);
+            let cfg = OptimizerConfig {
+                bushy_limit: if bushy { 11 } else { 0 },
+                joins: crate::JoinMethods { hsjn, ..Default::default() },
+                ..OptimizerConfig::default()
+            };
+            let cost = CostModel::default();
+            let fb = FeedbackCache::new();
+            let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
+            let mut memo = Memo::new();
+            // Without hash join a connected set may have no plan at all.
+            let pass = optimize(&q, &ctx, &mut memo);
+            prop_assert!(hsjn <= pass.is_ok());
+            let planned = |s: TableSet| !memo.groups[s.mask() as usize].cands.is_empty();
+            let graph = pop_plan::JoinGraph::new(&q, MAX_DP_TABLES).unwrap();
+            let mut costed = 0;
+            for mask in 1..1u64 << n {
+                let set = TableSet::from_mask(mask);
+                let pairs: Vec<(TableSet, TableSet)> = if bushy {
+                    set.proper_subsets()
+                        .map(|s1| (s1, set.minus(s1)))
+                        .filter(|(s1, s2)| s1.mask() <= s2.mask())
+                        .collect()
+                } else {
+                    set.iter()
+                        .map(|t| (set.minus(TableSet::single(t)), TableSet::single(t)))
+                        .collect()
+                };
+                let reference: Vec<_> = pairs
+                    .into_iter()
+                    .filter(|&(s1, s2)| {
+                        !s2.is_empty()
+                            && !q.join_preds_between(s1, s2).is_empty()
+                            && planned(s1)
+                            && planned(s2)
+                    })
+                    .collect();
+                if graph.is_connected(set) {
+                    let admitted: Vec<_> = graph
+                        .splits(set, bushy)
+                        .filter(|&(s1, s2)| planned(s1) && planned(s2))
+                        .collect();
+                    prop_assert_eq!(&admitted, &reference, "set {}", set);
+                    costed += admitted.len();
+                } else {
+                    prop_assert!(reference.is_empty() && !planned(set), "set {}", set);
+                }
+            }
+            if let Ok((_, stats)) = pass {
+                prop_assert_eq!(stats.splits_costed, costed);
+            }
+        }
     }
 }

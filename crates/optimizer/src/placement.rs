@@ -64,7 +64,7 @@ impl PlaceState<'_, '_> {
             flavor,
             range,
             est_card,
-            signature: self.est.signature(below.props().tables),
+            signature: self.est.signature(below.props().tables).to_string(),
             context,
             fold: false,
         }

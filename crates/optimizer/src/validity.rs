@@ -144,37 +144,37 @@ fn bisect_down(diff: &impl Fn(f64) -> f64, mut good: f64, mut bad: f64) -> f64 {
 /// Narrow `winner`'s per-edge validity ranges against a pruned,
 /// structurally-equivalent alternative. Called from the DP prune step;
 /// repeated calls against different alternatives progressively tighten the
-/// ranges (the iterative narrowing of §2.2).
+/// ranges (the iterative narrowing of §2.2). Returns the number of cost
+/// differences it evaluated.
 pub fn narrow_on_prune(
     winner: &mut Candidate,
     loser: &Candidate,
     model: &CostModel,
     iters: usize,
     gain_margin: f64,
-) {
+) -> usize {
     let n_edges = winner.root_spec.num_edges();
     if n_edges == 0 || loser.root_spec.num_edges() != n_edges {
-        return;
+        return 0;
     }
     debug_assert_eq!(winner.partition, loser.partition);
+    let evals = std::cell::Cell::new(0);
     for edge in 0..n_edges {
         let est = winner.edge_cards[edge];
-        let base = winner.edge_cards.clone();
-        let winner_spec = winner.root_spec.clone();
-        let winner_fixed = winner.fixed_cost;
         // The bound is declared where the alternative wins *by the gain
         // margin*, so a triggered check guarantees re-optimization is
         // worth its overhead, not merely that a tied plan exists.
         let diff = |c: f64| {
-            let mut cards = base.clone();
+            evals.set(evals.get() + 1);
+            let mut cards = winner.edge_cards;
             cards[edge] = c;
-            let opt_cost = winner_fixed + crate::cost::root_local_cost(model, &winner_spec, &cards);
-            loser.cost_at(model, &cards) + gain_margin - opt_cost
+            loser.cost_at(model, &cards) + gain_margin - winner.cost_at(model, &cards)
         };
         let hi = find_upper_crossing(diff, est, iters).unwrap_or(f64::INFINITY);
         let lo = find_lower_crossing(diff, est, iters).unwrap_or(0.0);
         winner.edge_ranges[edge] = winner.edge_ranges[edge].intersect(&ValidityRange::new(lo, hi));
     }
+    evals.get()
 }
 
 #[cfg(test)]

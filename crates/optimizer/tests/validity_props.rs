@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 /// A two-edge join candidate whose root cost follows `root_spec` — a cost
 /// record is all `narrow_on_prune` reads.
-fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: Vec<f64>) -> Candidate {
+fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: [f64; 2]) -> Candidate {
     Candidate {
         cost: 0.0,
         card: edge_cards[0] * edge_cards[1],
@@ -29,8 +29,8 @@ fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: Vec<f64>
         root_spec,
         fixed_cost,
         edge_cards,
-        edge_ranges: vec![ValidityRange::unbounded(); 2],
-        edge_children: vec![Some(0), Some(0)],
+        edge_ranges: [ValidityRange::unbounded(); 2],
+        edge_children: [Some(0), Some(0)],
         leaf: None,
     }
 }
@@ -130,22 +130,22 @@ proptest! {
         pre_hi in 1e5..1e9_f64,
     ) {
         let model = CostModel::default();
-        let cards = vec![build_cards.0, build_cards.1];
+        let cards = [build_cards.0, build_cards.1];
         let mut winner = join_candidate(
             RootCostSpec::Hsjn { build_edge: 0, probe_edge: 1 },
             winner_fixed,
-            cards.clone(),
+            cards,
         );
         // Seed the winner with pre-existing (already narrowed) ranges that
         // still contain the estimates.
-        winner.edge_ranges = vec![ValidityRange::new(pre_lo, pre_hi); 2];
+        winner.edge_ranges = [ValidityRange::new(pre_lo, pre_hi); 2];
         let loser = join_candidate(
             RootCostSpec::Nljn { outer_edge: 0, matches_per_probe },
             loser_fixed,
-            cards.clone(),
+            cards,
         );
 
-        let before = winner.edge_ranges.clone();
+        let before = winner.edge_ranges;
         narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
         let after = &winner.edge_ranges;
 
@@ -171,21 +171,21 @@ proptest! {
         probes in proptest::collection::vec(0.1..20.0_f64, 1..4),
     ) {
         let model = CostModel::default();
-        let cards = vec![cards.0, cards.1];
+        let cards = [cards.0, cards.1];
         let mut winner = join_candidate(
             RootCostSpec::Hsjn { build_edge: 0, probe_edge: 1 },
             fixed,
-            cards.clone(),
+            cards,
         );
-        let mut prev = winner.edge_ranges.clone();
+        let mut prev = winner.edge_ranges;
         for mpp in probes {
             let loser = join_candidate(
                 RootCostSpec::Nljn { outer_edge: 0, matches_per_probe: mpp },
                 fixed,
-                cards.clone(),
+                cards,
             );
             narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
-            let curr = winner.edge_ranges.clone();
+            let curr = winner.edge_ranges;
             for edge in 0..2 {
                 prop_assert!(
                     curr[edge].lo >= prev[edge].lo && curr[edge].hi <= prev[edge].hi,

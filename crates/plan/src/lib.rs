@@ -29,8 +29,8 @@ pub use physical::{
     AggFunc, AggSpec, InnerProbe, LayoutCol, Partitioning, PhysNode, PlanProps, SortKeyRef,
 };
 pub use query::{
-    node_count, Aggregate, ExistsClause, HavingPred, JoinPred, OrderKey, QueryBuilder, QuerySpec,
-    TableRef,
+    node_count, Aggregate, ExistsClause, HavingPred, JoinGraph, JoinPred, OrderKey, QueryBuilder,
+    QuerySpec, TableRef,
 };
 pub use signature::{
     canonical_layout, params_fingerprint, spec_fingerprint, subplan_signature,

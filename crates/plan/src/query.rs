@@ -265,33 +265,198 @@ impl QuerySpec {
                 "HAVING requires an aggregation".into(),
             ));
         }
-        // Connectivity check: BFS over the join graph.
-        if n > 1 {
-            let mut reached = TableSet::single(0);
-            let mut frontier = vec![0usize];
-            while let Some(t) = frontier.pop() {
-                for j in &self.join_preds {
-                    let (a, b) = j.tables();
-                    let next = if a == t {
-                        b
-                    } else if b == t {
-                        a
-                    } else {
-                        continue;
-                    };
-                    if !reached.contains(next) {
-                        reached = reached.with(next);
-                        frontier.push(next);
-                    }
-                }
-            }
-            if reached.len() != n {
-                return Err(PopError::InvalidQuery(
-                    "join graph is disconnected (Cartesian products are not supported)".into(),
-                ));
-            }
+        // Connectivity: every table must be reachable from table 0.
+        let adjacency = adjacency(self);
+        let first = component_of(&adjacency, 0);
+        if let Some(stray) = self.all_tables().minus(first).iter().next() {
+            return Err(PopError::InvalidQuery(format!(
+                "join graph is disconnected: no join predicate links tables {first} to tables {} \
+                 (Cartesian products are not supported)",
+                component_of(&adjacency, stray)
+            )));
         }
         Ok(())
+    }
+}
+
+/// Per query table, the tables it shares a join predicate with. Predicates
+/// naming a table the spec does not have (rejected by
+/// [`QuerySpec::validate`]) are skipped.
+fn adjacency(spec: &QuerySpec) -> Vec<TableSet> {
+    let n = spec.tables.len();
+    let mut adjacency = vec![TableSet::EMPTY; n];
+    for j in &spec.join_preds {
+        let (a, b) = j.tables();
+        if a < n && b < n && a != b {
+            adjacency[a] = adjacency[a].with(b);
+            adjacency[b] = adjacency[b].with(a);
+        }
+    }
+    adjacency
+}
+
+/// The connected component of the join graph that contains table `start`.
+fn component_of(adjacency: &[TableSet], start: usize) -> TableSet {
+    let mut reached = TableSet::single(start);
+    let mut frontier = reached;
+    while let Some(t) = frontier.iter().next() {
+        let new = adjacency[t].minus(reached);
+        reached = reached.union(new);
+        frontier = frontier.minus(TableSet::single(t)).union(new);
+    }
+    reached
+}
+
+/// The shape of a query's join graph, precomputed so that join enumeration
+/// can ask "is this table set a subplan?" and "do these two sides join?"
+/// with a bit test: per-table adjacency, every join predicate's endpoint
+/// pair, and a bitmap over table-set masks marking the **connected** sets —
+/// the only sets a plan without Cartesian products can contain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinGraph {
+    adjacency: Vec<TableSet>,
+    /// Endpoint tables of `QuerySpec::join_preds[i]`.
+    pred_ends: Vec<TableSet>,
+    /// Bit `m` is set iff the table set with mask `m` is connected.
+    connected: Vec<u64>,
+    /// Connected sets with a mask below `64 * w`, per bitmap word `w`.
+    rank_base: Vec<usize>,
+}
+
+impl JoinGraph {
+    /// Build the graph of a validated `spec`. The bitmap has `2^n` bits, so
+    /// the caller names the largest `n` it is prepared to enumerate;
+    /// a larger spec is a [`PopError::Planning`].
+    pub fn new(spec: &QuerySpec, max_tables: usize) -> PopResult<JoinGraph> {
+        let n = spec.tables.len();
+        if n > max_tables {
+            return Err(PopError::Planning(format!(
+                "query joins {n} tables; join enumeration keeps one group per connected \
+                 table subset in a table of 2^n entries and stops at {max_tables} tables"
+            )));
+        }
+        let adjacency = adjacency(spec);
+        let pred_ends = spec
+            .join_preds
+            .iter()
+            .map(|j| TableSet::from_iter([j.left.table, j.right.table]))
+            .collect();
+        // Ascending masks: a set of two or more tables is connected iff
+        // removing some table leaves a connected set that table is adjacent
+        // to (a spanning tree always has a leaf to remove), and every
+        // smaller mask is already decided.
+        let mut connected = vec![0u64; (1usize << n).div_ceil(64)];
+        let bit = |words: &[u64], m: u64| words[(m / 64) as usize] & (1 << (m % 64)) != 0;
+        for m in 1..1u64 << n {
+            let set = TableSet::from_mask(m);
+            let is_connected = m.is_power_of_two()
+                || set.iter().any(|t| {
+                    let rest = set.minus(TableSet::single(t));
+                    adjacency[t].intersects(rest) && bit(&connected, rest.mask())
+                });
+            if is_connected {
+                connected[(m / 64) as usize] |= 1 << (m % 64);
+            }
+        }
+        let rank_base = connected
+            .iter()
+            .scan(0usize, |below, word| {
+                let base = *below;
+                *below += word.count_ones() as usize;
+                Some(base)
+            })
+            .collect();
+        Ok(JoinGraph {
+            adjacency,
+            pred_ends,
+            connected,
+            rank_base,
+        })
+    }
+
+    /// Number of query tables.
+    pub fn num_tables(&self) -> usize {
+        self.adjacency.len()
+    }
+
+    /// Is `set` non-empty and connected under the join predicates?
+    pub fn is_connected(&self, set: TableSet) -> bool {
+        let m = set.mask();
+        self.connected
+            .get((m / 64) as usize)
+            .is_some_and(|word| word & (1 << (m % 64)) != 0)
+    }
+
+    /// Does a join predicate link a table of `a` to a table of `b`?
+    pub fn adjacent(&self, a: TableSet, b: TableSet) -> bool {
+        a.iter().any(|t| self.adjacency[t].intersects(b))
+    }
+
+    /// Number of connected sets.
+    pub fn num_connected(&self) -> usize {
+        self.connected.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Position of `set` among the connected sets in ascending mask order
+    /// (a dense index for per-subplan side tables), `None` if `set` is not
+    /// connected.
+    pub fn rank(&self, set: TableSet) -> Option<usize> {
+        if !self.is_connected(set) {
+            return None;
+        }
+        let (word, bit) = ((set.mask() / 64) as usize, set.mask() % 64);
+        let below = self.connected[word] & ((1u64 << bit) - 1);
+        Some(self.rank_base[word] + below.count_ones() as usize)
+    }
+
+    /// The connected sets, in ascending mask order.
+    pub fn connected_sets(&self) -> impl Iterator<Item = TableSet> + '_ {
+        self.connected.iter().enumerate().flat_map(|(w, &word)| {
+            TableSet::from_mask(word)
+                .iter()
+                .map(move |bit| TableSet::from_mask((64 * w + bit) as u64))
+        })
+    }
+
+    /// The ways to join the connected set `set` out of two connected,
+    /// adjacent sides, in enumeration order: bushy, every unordered
+    /// partition once, smaller mask first, by descending mask of that
+    /// side; left-deep (`bushy == false`), each member table split off the
+    /// rest, by ascending table.
+    pub fn splits(
+        &self,
+        set: TableSet,
+        bushy: bool,
+    ) -> impl Iterator<Item = (TableSet, TableSet)> + '_ {
+        let partitions = bushy.then(|| {
+            set.proper_subsets()
+                .map(move |s1| (s1, set.minus(s1)))
+                .filter(|(s1, s2)| s1.mask() < s2.mask())
+        });
+        let extensions = (!bushy).then(|| {
+            set.iter()
+                .map(move |t| (set.minus(TableSet::single(t)), TableSet::single(t)))
+        });
+        partitions
+            .into_iter()
+            .flatten()
+            .chain(extensions.into_iter().flatten())
+            .filter(|&(s1, s2)| {
+                self.is_connected(s1) && self.is_connected(s2) && self.adjacent(s1, s2)
+            })
+    }
+
+    /// Indexes into `QuerySpec::join_preds` of the predicates with both
+    /// endpoints in `set`, ascending.
+    pub fn preds_within(&self, set: TableSet) -> impl Iterator<Item = usize> + '_ {
+        (0..self.pred_ends.len()).filter(move |&i| self.pred_ends[i].is_subset_of(set))
+    }
+
+    /// Indexes into `QuerySpec::join_preds` of the predicates linking the
+    /// disjoint sets `a` and `b`, ascending.
+    pub fn preds_between(&self, a: TableSet, b: TableSet) -> impl Iterator<Item = usize> + '_ {
+        (0..self.pred_ends.len())
+            .filter(move |&i| self.pred_ends[i].intersects(a) && self.pred_ends[i].intersects(b))
     }
 }
 
@@ -476,6 +641,140 @@ mod tests {
         b.table("a");
         b.table("b");
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn disconnected_join_graph_error_names_two_components() {
+        let mut b = QueryBuilder::new();
+        let t: Vec<usize> = (0..5).map(|i| b.table(format!("t{i}"))).collect();
+        b.join(t[0], 0, t[3], 0);
+        b.join(t[1], 0, t[2], 0);
+        b.join(t[2], 0, t[4], 0);
+        let Err(PopError::InvalidQuery(msg)) = b.build() else {
+            panic!("a disconnected spec must be an InvalidQuery");
+        };
+        assert!(msg.contains("{0,3}") && msg.contains("{1,2,4}"), "{msg}");
+    }
+
+    /// `n` tables `t0..`, joined along `edges`; unvalidated, so a
+    /// disconnected graph can be built too.
+    fn graph_spec(n: usize, edges: &[(usize, usize)]) -> QuerySpec {
+        let mut b = QueryBuilder::new();
+        for i in 0..n {
+            b.table(format!("t{i}"));
+        }
+        for &(x, y) in edges {
+            b.join(x, 0, y, 0);
+        }
+        b.spec
+    }
+
+    /// (connected sets, connected bushy pairs) of a graph.
+    fn graph_counts(g: &JoinGraph) -> (usize, usize) {
+        let pairs = g
+            .connected_sets()
+            .map(|set| g.splits(set, true).count())
+            .sum();
+        (g.num_connected(), pairs)
+    }
+
+    #[test]
+    fn join_graph_counts_match_the_closed_forms() {
+        for n in 2..=9usize {
+            let chain: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
+            let star: Vec<_> = (1..n).map(|i| (0, i)).collect();
+            let mut cycle = chain.clone();
+            cycle.push((n - 1, 0));
+            let clique: Vec<_> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            let pow = |b: usize, e: usize| b.pow(e as u32);
+            let cases = [
+                ("chain", chain, n * (n + 1) / 2, (n * n * n - n) / 6),
+                ("star", star, pow(2, n - 1) + n - 1, (n - 1) * pow(2, n - 2)),
+                // A 2-cycle is the 2-chain with a doubled predicate.
+                (
+                    "cycle",
+                    cycle,
+                    if n == 2 { 3 } else { n * (n - 1) + 1 },
+                    if n == 2 { 1 } else { n * (n - 1) * (n - 1) / 2 },
+                ),
+                (
+                    "clique",
+                    clique,
+                    pow(2, n) - 1,
+                    // (3^n - 2^(n+1) + 1) / 2, and 3^n is odd.
+                    pow(3, n) / 2 + 1 - pow(2, n),
+                ),
+            ];
+            for (shape, edges, sets, pairs) in cases {
+                let g = JoinGraph::new(&graph_spec(n, &edges), 16).unwrap();
+                assert_eq!(graph_counts(&g), (sets, pairs), "{shape} of {n}");
+                assert!(g.is_connected(TableSet::first_n(n)), "{shape} of {n}");
+                // `rank` numbers the connected sets in `connected_sets` order.
+                for (i, set) in g.connected_sets().enumerate() {
+                    assert_eq!(g.rank(set), Some(i), "{shape} of {n}: {set}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_graph_of_two_components() {
+        // A 3-chain {0,1,2} beside a 2-chain {3,4}: 6 + 3 sets, 4 + 1 pairs.
+        let g = JoinGraph::new(&graph_spec(5, &[(0, 1), (1, 2), (3, 4)]), 16).unwrap();
+        assert_eq!(graph_counts(&g), (9, 5));
+        assert!(!g.is_connected(TableSet::first_n(5)));
+        assert!(!g.is_connected(TableSet::EMPTY));
+        assert_eq!(g.rank(TableSet::from_iter([0, 2])), None);
+        assert!(!g.adjacent(TableSet::from_iter([0, 1, 2]), TableSet::from_iter([3, 4])));
+        // Both sides connected is not enough: they must also join.
+        assert_eq!(g.splits(TableSet::first_n(5), true).count(), 0);
+        assert_eq!(g.splits(TableSet::first_n(5), false).count(), 0);
+    }
+
+    #[test]
+    fn join_graph_splits_keep_enumeration_order() {
+        // Star around table 0 with leaves 1, 2, 3.
+        let g = JoinGraph::new(&graph_spec(4, &[(0, 1), (0, 2), (0, 3)]), 16).unwrap();
+        let set = |v: &[usize]| TableSet::from_iter(v.iter().copied());
+        let all = TableSet::first_n(4);
+        // Bushy: the smaller-mask side, descending; the center's side must
+        // stay connected, so only single leaves split off.
+        assert_eq!(
+            g.splits(all, true).collect::<Vec<_>>(),
+            [
+                (set(&[0, 1, 2]), set(&[3])),
+                (set(&[2]), set(&[0, 1, 3])),
+                (set(&[1]), set(&[0, 2, 3])),
+            ]
+        );
+        // Left-deep: (rest, table) by ascending table; removing the center
+        // disconnects the rest.
+        assert_eq!(
+            g.splits(all, false).collect::<Vec<_>>(),
+            [
+                (set(&[0, 2, 3]), set(&[1])),
+                (set(&[0, 1, 3]), set(&[2])),
+                (set(&[0, 1, 2]), set(&[3])),
+            ]
+        );
+        assert_eq!(g.preds_within(set(&[0, 1, 3])).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(
+            g.preds_between(set(&[0, 2]), set(&[1, 3]))
+                .collect::<Vec<_>>(),
+            [0, 2]
+        );
+    }
+
+    #[test]
+    fn join_graph_refuses_more_tables_than_asked_for() {
+        let chain: Vec<_> = (1..9).map(|i| (i - 1, i)).collect();
+        let err = JoinGraph::new(&graph_spec(9, &chain), 8).unwrap_err();
+        assert!(
+            matches!(&err, PopError::Planning(m) if m.contains("9 tables")),
+            "{err}"
+        );
     }
 
     #[test]

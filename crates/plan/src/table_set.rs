@@ -37,6 +37,11 @@ impl TableSet {
         s
     }
 
+    /// The set whose members are the set bits of `mask`.
+    pub fn from_mask(mask: u64) -> TableSet {
+        TableSet(mask)
+    }
+
     /// The raw mask.
     pub fn mask(self) -> u64 {
         self.0

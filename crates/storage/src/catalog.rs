@@ -18,6 +18,10 @@ struct Inner {
     by_id: HashMap<TableId, Arc<Table>>,
     indexes: HashMap<TableId, Vec<Arc<Index>>>,
     temp_mvs: HashMap<String, TempMv>, // keyed by signature
+    /// Tables of temp MVs replaced under their signature since the last
+    /// [`Catalog::clear_temp_mvs`]: a plan built before the replacement may
+    /// still scan one by name, so they stay registered until then.
+    superseded_mvs: Vec<Arc<Table>>,
     next_id: TableId,
 }
 
@@ -354,7 +358,9 @@ impl Catalog {
         let id = mv.table.id();
         inner.tables.insert(name, mv.table.clone());
         inner.by_id.insert(id, mv.table.clone());
-        inner.temp_mvs.insert(mv.signature.clone(), mv);
+        if let Some(old) = inner.temp_mvs.insert(mv.signature.clone(), mv) {
+            inner.superseded_mvs.push(old.table);
+        }
     }
 
     /// Allocate a fresh table id for a temp MV table.
@@ -384,13 +390,12 @@ impl Catalog {
     /// unlinks its backing files.
     pub fn clear_temp_mvs(&self) {
         let mut inner = self.inner.write();
-        let sigs: Vec<String> = inner.temp_mvs.keys().cloned().collect();
-        for sig in sigs {
-            if let Some(mv) = inner.temp_mvs.remove(&sig) {
-                inner.tables.remove(mv.table.name());
-                inner.by_id.remove(&mv.table.id());
-                inner.indexes.remove(&mv.table.id());
-            }
+        let mut tables = std::mem::take(&mut inner.superseded_mvs);
+        tables.extend(inner.temp_mvs.drain().map(|(_, mv)| mv.table));
+        for table in tables {
+            inner.tables.remove(table.name());
+            inner.by_id.remove(&table.id());
+            inner.indexes.remove(&table.id());
         }
     }
 
@@ -512,6 +517,20 @@ mod tests {
         }
         assert_eq!(cat.temp_mv_count(), 1);
         assert_eq!(cat.temp_mv("sig").unwrap().actual_card, 1);
+        // The replaced MV's table serves plans built before the
+        // replacement, and goes with the rest at cleanup instead of
+        // staying registered by id for good.
+        let ids: Vec<TableId> = ["__mv_0", "__mv_1"]
+            .map(|name| cat.table(name).expect("both stay resolvable").id())
+            .to_vec();
+        cat.clear_temp_mvs();
+        for (name, id) in ["__mv_0", "__mv_1"].iter().zip(ids) {
+            assert!(cat.table(name).is_err(), "{name} still registered");
+            assert!(
+                cat.table_by_id(id).is_err(),
+                "{name} still registered by id"
+            );
+        }
     }
 
     #[test]
