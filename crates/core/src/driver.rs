@@ -13,8 +13,8 @@ use pop_optimizer::{
     OptimizerContext, PlanCache,
 };
 use pop_plan::{
-    canonical_layout, spec_fingerprint, subplan_signature_with_params, CheckFlavor, Partitioning,
-    PhysNode, QuerySpec, TableSet, ValidityRange,
+    canonical_layout, spec_fingerprint, CheckFlavor, Partitioning, PhysNode, QuerySpec, Signer,
+    TableSet, ValidityRange,
 };
 use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
@@ -314,7 +314,7 @@ impl PopExecutor {
                     if let Some(mut plan) = found {
                         // Signatures fold parameter bindings in; re-key the
                         // cached plan's checks for the current binding.
-                        rebind_check_signatures(&mut plan, spec, params);
+                        rebind_check_signatures(&mut plan, &Signer::new(spec, Some(params)));
                         match self.vet_plan(&plan, spec) {
                             Ok(vetting) => {
                                 fallback = Some(plan.clone());
@@ -875,12 +875,13 @@ impl PopExecutor {
         params: &pop_expr::Params,
     ) -> Signatures {
         let col_counts = self.col_counts(spec);
+        let signer = Signer::new(spec, Some(params));
         let mut map = Signatures::new();
         plan.visit(&mut |n| {
             let set = n.props().tables;
             if !set.is_empty() {
                 map.entry(set.mask()).or_insert_with(|| Subplan {
-                    signature: subplan_signature_with_params(spec, set, Some(params)),
+                    signature: signer.sign(set),
                     layout: canonical_layout(spec, set, &col_counts),
                 });
             }
@@ -1079,7 +1080,7 @@ fn driving_sample_table(plan: &PhysNode, stats: &StatsRegistry) -> Option<String
 /// current parameter binding. Subplan signatures fold bindings in (so
 /// feedback facts and temp MVs never leak across bindings); a cached plan
 /// still carries the signatures of the binding that first produced it.
-fn rebind_check_signatures(plan: &mut PhysNode, spec: &QuerySpec, params: &pop_expr::Params) {
+fn rebind_check_signatures(plan: &mut PhysNode, signer: &Signer) {
     if let PhysNode::Check {
         input, spec: cs, ..
     }
@@ -1087,10 +1088,10 @@ fn rebind_check_signatures(plan: &mut PhysNode, spec: &QuerySpec, params: &pop_e
         input, spec: cs, ..
     } = plan
     {
-        cs.signature = subplan_signature_with_params(spec, input.props().tables, Some(params));
+        cs.signature = signer.sign(input.props().tables);
     }
     for child in plan.children_mut() {
-        rebind_check_signatures(child, spec, params);
+        rebind_check_signatures(child, signer);
     }
 }
 

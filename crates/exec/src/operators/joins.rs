@@ -151,7 +151,8 @@ impl Operator for NljnOp {
                 Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
                 Ok(true) => {
                     let (outer, _) = self.outer_rows.row().expect("advance returned true");
-                    self.matches = self.inner_index.probe(&outer[self.outer_key_pos])?;
+                    self.inner_index
+                        .probe_into(&outer[self.outer_key_pos], &mut self.matches)?;
                     self.match_pos = 0;
                     let fetcher = self.fetcher.as_ref().expect("checked above");
                     let mut new_pages = 0u64;
@@ -404,6 +405,8 @@ pub struct SemiProbeOp {
     pred: Option<BoundExpr>,
     negated: bool,
     fetcher: Option<RowFetcher>,
+    /// Index positions of the current input row's key, refilled per probe.
+    matches: Vec<u64>,
     /// Last inner page fetched from, for random-I/O accounting.
     last_page: Option<u64>,
 }
@@ -426,6 +429,7 @@ impl SemiProbeOp {
             pred,
             negated,
             fetcher: None,
+            matches: Vec::new(),
             last_page: None,
         }
     }
@@ -454,10 +458,10 @@ impl Operator for SemiProbeOp {
             let result: OpResult<()> = b.try_retain_live(|values, _| {
                 charge += ctx.model.index_probe;
                 let key = &values[self.outer_pos];
-                let positions = self.inner_index.probe(key)?;
+                self.inner_index.probe_into(key, &mut self.matches)?;
                 let fetcher = self.fetcher.as_ref().expect("checked above");
                 let mut found = false;
-                fetcher.for_each(&positions, |p, inner| {
+                fetcher.for_each(&self.matches, |p, inner| {
                     charge += ctx.model.index_fetch_row;
                     let pg = fetcher.page_of(p);
                     if last_page != Some(pg) {

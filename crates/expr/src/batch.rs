@@ -4,16 +4,21 @@
 //! and a selection vector of candidate row indices; the vector is refined
 //! in place to the rows that pass. Semantics are identical to calling
 //! [`BoundExpr::passes`] per row (SQL WHERE: NULL does not pass) — the
-//! batch entry points exist so the common shapes avoid the recursive
-//! `eval` walk and its per-row `Value` allocations:
+//! batch entry points exist so the common shapes avoid the per-row
+//! recursive walk:
 //!
-//! * a conjunction filters sequentially, one conjunct over the whole
-//!   (shrinking) selection at a time, short-circuiting when it empties;
-//! * comparisons and BETWEEN over column/literal/parameter operands
-//!   compare in place without materializing a `Value::Bool`.
+//! * `AND` filters sequentially, one conjunct over the whole (shrinking)
+//!   selection at a time, stopping when it empties;
+//! * `OR` is the ordered union of its disjuncts' selections: each disjunct
+//!   runs over the rows no earlier one passed, exactly the rows per-row
+//!   evaluation would show it;
+//! * comparisons and BETWEEN over column/literal/parameter operands, LIKE
+//!   and IN over a column, compare in place without building a `Value`;
+//! * everything else, `NOT` included, tests row by row through
+//!   [`BoundExpr::passes`]' three-valued walk.
 
-use crate::eval::cmp_holds;
-use crate::{BoundExpr, Params};
+use crate::eval::{cmp_holds, like_type_error};
+use crate::{BoundExpr, CmpOp, Params};
 use pop_types::{PopError, PopResult, Row, Value};
 use std::cmp::Ordering;
 
@@ -62,6 +67,7 @@ impl BoundExpr {
                 }
                 Ok(())
             }
+            BoundExpr::Or(parts) => filter_any(parts, rows, params, sel),
             BoundExpr::Cmp(op, a, b) => {
                 match (Operand::of(a, params), Operand::of(b, params)) {
                     (Some(Operand::Col(c)), Some(Operand::Val(v))) => {
@@ -101,17 +107,24 @@ impl BoundExpr {
                     _ => self.filter_fallback(rows, params, sel),
                 }
             }
-            BoundExpr::InList(e, list) => match Operand::of(e, params) {
-                Some(v) => retain(rows, sel, |row| {
-                    let x = v.value(row)?;
-                    if x.is_null() {
-                        return Ok(false);
-                    }
-                    Ok(list
-                        .iter()
-                        .any(|item| x.sql_cmp(item) == Some(Ordering::Equal)))
-                }),
-                None => self.filter_fallback(rows, params, sel),
+            BoundExpr::Like(e, pattern) => match **e {
+                BoundExpr::Col(c) => {
+                    let mut mismatch = None;
+                    filter_col(rows, sel, c, |v| match v {
+                        Value::Str(s) => pattern.matches(s),
+                        Value::Null => false,
+                        other => {
+                            mismatch.get_or_insert_with(|| other.clone());
+                            false
+                        }
+                    })?;
+                    mismatch.map_or(Ok(()), |v| Err(like_type_error(&v)))
+                }
+                _ => self.filter_fallback(rows, params, sel),
+            },
+            BoundExpr::InList(e, items) => match **e {
+                BoundExpr::Col(c) => filter_col(rows, sel, c, |v| items.test(v) == Some(true)),
+                _ => self.filter_fallback(rows, params, sel),
             },
             _ => self.filter_fallback(rows, params, sel),
         }
@@ -138,6 +151,38 @@ impl BoundExpr {
     }
 }
 
+/// Rows where some disjunct passes, in selection order. `open` holds the
+/// rows no disjunct has passed yet; each disjunct runs over those only, as
+/// per-row evaluation would stop at the first TRUE disjunct. Every
+/// refinement keeps a subsequence of its input, so the passing rows are
+/// `sel` minus what stays open.
+fn filter_any(
+    parts: &[BoundExpr],
+    rows: &[Row],
+    params: &Params,
+    sel: &mut Vec<u32>,
+) -> PopResult<()> {
+    let mut open = sel.clone();
+    let mut hit = Vec::with_capacity(open.len());
+    for p in parts {
+        if open.is_empty() {
+            break;
+        }
+        hit.clear();
+        hit.extend_from_slice(&open);
+        p.filter_batch(rows, params, &mut hit)?;
+        remove_subsequence(&mut open, &hit);
+    }
+    remove_subsequence(sel, &open);
+    Ok(())
+}
+
+/// Remove from `from` the elements of `sub`, a subsequence of it.
+fn remove_subsequence(from: &mut Vec<u32>, sub: &[u32]) {
+    let mut next = sub.iter().peekable();
+    from.retain(|i| next.next_if_eq(&i).is_none());
+}
+
 /// `column op literal`, the single most common predicate shape. The inner
 /// loop carries no `Result` and no operand re-dispatch: the literal's
 /// variant is matched once per chunk, and each same-variant row compares
@@ -147,7 +192,7 @@ fn filter_col_vs_lit(
     rows: &[Row],
     sel: &mut Vec<u32>,
     col: usize,
-    op: crate::CmpOp,
+    op: CmpOp,
     lit: &Value,
 ) -> PopResult<()> {
     macro_rules! typed {
@@ -313,9 +358,50 @@ mod tests {
                 .or(Expr::col(0, 0).gt(Expr::lit(3i64))),
             Expr::col(0, 0).eq(Expr::lit(9i64)).not(),
             Expr::IsNull(Box::new(Expr::col(0, 1))),
+            Expr::col(0, 1).like("%o%"),
+            Expr::col(0, 1).like("%da"),
+            Expr::col(0, 1).like("h_n%").not(),
+            Expr::col(0, 1).like("ford").not(),
+            Expr::col(0, 0).in_list(vec![Value::Int(4), Value::Int(0)]),
+            Expr::col(0, 0)
+                .in_list(vec![Value::Int(4), Value::Null])
+                .not(),
+            Expr::col(0, 0).in_list(vec![Value::Float(3.0)]).not(),
+            Expr::col(0, 1).in_list(vec![Value::str("bmw")]).not(),
+            Expr::col(0, 0)
+                .between(Expr::lit(1i64), Expr::lit(3i64))
+                .not(),
+            Expr::lit(3i64).le(Expr::col(0, 0)).not(),
+            Expr::col(0, 1)
+                .like("h%")
+                .or(Expr::col(0, 0).in_list(vec![Value::Int(4)]))
+                .not(),
+            Expr::col(0, 0)
+                .gt(Expr::lit(0i64))
+                .and(Expr::col(0, 1).like("b%"))
+                .not(),
+            Expr::col(0, 1)
+                .eq(Expr::lit(Value::str("ford")))
+                .or(Expr::col(0, 0)
+                    .eq(Expr::lit(3i64))
+                    .and(Expr::col(0, 1).like("%a")))
+                .or(Expr::col(0, 0).lt(Expr::lit(1i64))),
         ] {
             check_equiv(&e, &p);
         }
+    }
+
+    #[test]
+    fn or_keeps_selection_order() {
+        // Rows decided by a later disjunct come back in their input order.
+        let e = Expr::col(0, 0)
+            .eq(Expr::lit(4i64))
+            .or(Expr::col(0, 1).like("hon%"));
+        let b = BoundExpr::bind(&e, &layout()).unwrap();
+        let rows = rows();
+        let mut sel = vec![4, 3, 1, 0];
+        b.filter_batch(&rows, &Params::none(), &mut sel).unwrap();
+        assert_eq!(sel, vec![4, 3, 0]);
     }
 
     #[test]

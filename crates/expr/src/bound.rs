@@ -1,7 +1,84 @@
-//! Bound expressions: column references resolved to flat row offsets.
+//! Bound expressions: column references resolved to flat row offsets, and
+//! LIKE patterns and IN-lists compiled into the typed forms both
+//! evaluation paths ([`BoundExpr::passes`], [`BoundExpr::filter_batch`])
+//! test against.
 
-use crate::{ArithOp, CmpOp, Expr};
+use crate::{ArithOp, CmpOp, Expr, LikePattern};
 use pop_types::{ColId, PopError, PopResult, Value};
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// An IN-list classified at bind time. The typed forms are sorted, which
+/// their binary searches rely on, so the representation is private.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InItems(Items);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Items {
+    /// Every item an `Int`: sorted and deduplicated, one binary search per
+    /// row.
+    Ints(Box<[i64]>),
+    /// Every item a `Str`: sorted and deduplicated.
+    Strs(Box<[Arc<str>]>),
+    /// Anything else (floats, dates, NULLs, mixed types): `sql_cmp` against
+    /// each item, in list order.
+    Values(Box<[Value]>),
+}
+
+impl InItems {
+    /// Classify `items`.
+    pub(crate) fn new(items: &[Value]) -> InItems {
+        if let Some(mut ints) = items.iter().map(Value::as_i64).collect::<Option<Vec<_>>>() {
+            ints.sort_unstable();
+            ints.dedup();
+            return InItems(Items::Ints(ints.into()));
+        }
+        let strs = items.iter().map(|v| match v {
+            Value::Str(s) => Some(Arc::clone(s)),
+            _ => None,
+        });
+        if let Some(mut strs) = strs.collect::<Option<Vec<_>>>() {
+            strs.sort_unstable();
+            strs.dedup();
+            return InItems(Items::Strs(strs.into()));
+        }
+        InItems(Items::Values(items.into()))
+    }
+
+    /// `x IN (items)` under three-valued logic: `None` (unknown) when `x`
+    /// is NULL, or when no item equals `x` and some item is NULL.
+    pub(crate) fn test(&self, x: &Value) -> Option<bool> {
+        if x.is_null() {
+            return None;
+        }
+        match &self.0 {
+            Items::Ints(ints) => Some(match x {
+                Value::Int(a) => ints.binary_search(a).is_ok(),
+                Value::Date(d) => ints.binary_search(&i64::from(*d)).is_ok(),
+                // Floats compare numerically; other types never equal an int.
+                other => ints
+                    .iter()
+                    .any(|&i| other.sql_cmp(&Value::Int(i)) == Some(Ordering::Equal)),
+            }),
+            // No other type ever equals a string.
+            Items::Strs(strs) => Some(
+                x.as_str()
+                    .is_some_and(|s| strs.binary_search_by(|p| (**p).cmp(s)).is_ok()),
+            ),
+            Items::Values(items) => {
+                let mut saw_null = false;
+                for item in items {
+                    match x.sql_cmp(item) {
+                        Some(Ordering::Equal) => return Some(true),
+                        None => saw_null = true,
+                        _ => {}
+                    }
+                }
+                (!saw_null).then_some(false)
+            }
+        }
+    }
+}
 
 /// An expression whose column references have been resolved against the
 /// column layout of a specific plan node, so evaluation is a direct index
@@ -22,10 +99,10 @@ pub enum BoundExpr {
     Or(Vec<BoundExpr>),
     /// Negation.
     Not(Box<BoundExpr>),
-    /// LIKE.
-    Like(Box<BoundExpr>, String),
-    /// IN list.
-    InList(Box<BoundExpr>, Vec<Value>),
+    /// LIKE, its pattern compiled.
+    Like(Box<BoundExpr>, LikePattern),
+    /// IN list, its items classified.
+    InList(Box<BoundExpr>, InItems),
     /// BETWEEN (inclusive).
     Between(Box<BoundExpr>, Box<BoundExpr>, Box<BoundExpr>),
     /// Arithmetic.
@@ -64,8 +141,12 @@ impl BoundExpr {
                     .collect::<PopResult<_>>()?,
             ),
             Expr::Not(e) => BoundExpr::Not(Box::new(Self::bind(e, layout)?)),
-            Expr::Like(e, p) => BoundExpr::Like(Box::new(Self::bind(e, layout)?), p.clone()),
-            Expr::InList(e, vs) => BoundExpr::InList(Box::new(Self::bind(e, layout)?), vs.clone()),
+            Expr::Like(e, p) => {
+                BoundExpr::Like(Box::new(Self::bind(e, layout)?), LikePattern::new(p))
+            }
+            Expr::InList(e, vs) => {
+                BoundExpr::InList(Box::new(Self::bind(e, layout)?), InItems::new(vs))
+            }
             Expr::Between(e, lo, hi) => BoundExpr::Between(
                 Box::new(Self::bind(e, layout)?),
                 Box::new(Self::bind(lo, layout)?),
@@ -121,6 +202,31 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn in_list_classification() {
+        let ints = InItems::new(&[Value::Int(5), Value::Int(1), Value::Int(5)]);
+        assert_eq!(ints.0, Items::Ints(vec![1, 5].into()));
+        let strs = InItems::new(&[Value::str("b"), Value::str("a")]);
+        assert_eq!(
+            strs.0,
+            Items::Strs(vec![Arc::from("a"), Arc::from("b")].into())
+        );
+        let mixed = [Value::Int(1), Value::Float(2.0)];
+        assert_eq!(InItems::new(&mixed).0, Items::Values(mixed.to_vec().into()));
+        let with_null = [Value::Int(1), Value::Null];
+        assert_eq!(
+            InItems::new(&with_null).0,
+            Items::Values(with_null.to_vec().into())
+        );
+        // Typed lists answer cross-type probes as `sql_cmp` does.
+        assert_eq!(ints.test(&Value::Float(5.0)), Some(true));
+        assert_eq!(ints.test(&Value::Date(1)), Some(true));
+        assert_eq!(ints.test(&Value::str("5")), Some(false));
+        assert_eq!(strs.test(&Value::Int(1)), Some(false));
+        assert_eq!(strs.test(&Value::Null), None);
+        assert_eq!(InItems::new(&with_null).test(&Value::Int(2)), None);
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! Three-valued evaluation of bound expressions.
+//!
+//! Predicate nodes are tested by `BoundExpr::test`, which reads column,
+//! literal and parameter operands by reference and answers
+//! `Option<bool>` (`None` = unknown) without building a `Value`;
+//! [`BoundExpr::eval`] computes values (columns, arithmetic, projections)
+//! and wraps a predicate's answer in `Value::Bool` / `Value::Null` only
+//! when a value is asked for.
 
-use crate::like::like_match;
 use crate::{ArithOp, BoundExpr, CmpOp, Params};
 use pop_types::{PopError, PopResult, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Truth of a value under SQL three-valued logic: `Some(true)`,
@@ -19,123 +26,112 @@ impl BoundExpr {
     /// Evaluate against a row and parameter bindings.
     pub fn eval(&self, row: &[Value], params: &Params) -> PopResult<Value> {
         Ok(match self {
-            BoundExpr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| PopError::Execution(format!("row too short for column {i}")))?,
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Param(i) => params.get(*i)?.clone(),
-            BoundExpr::Cmp(op, a, b) => {
-                let av = a.eval(row, params)?;
-                let bv = b.eval(row, params)?;
-                match av.sql_cmp(&bv) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(cmp_holds(*op, ord)),
-                }
-            }
-            BoundExpr::And(parts) => {
-                // SQL AND: false dominates, then null, then true.
-                let mut saw_null = false;
-                let mut result = Value::Bool(true);
-                for p in parts {
-                    match truth(&p.eval(row, params)?) {
-                        Some(false) => {
-                            result = Value::Bool(false);
-                            break;
-                        }
-                        None => saw_null = true,
-                        Some(true) => {}
-                    }
-                }
-                if result == Value::Bool(true) && saw_null {
-                    Value::Null
-                } else {
-                    result
-                }
-            }
-            BoundExpr::Or(parts) => {
-                // SQL OR: true dominates, then null, then false.
-                let mut saw_null = false;
-                let mut result = Value::Bool(false);
-                for p in parts {
-                    match truth(&p.eval(row, params)?) {
-                        Some(true) => {
-                            result = Value::Bool(true);
-                            break;
-                        }
-                        None => saw_null = true,
-                        Some(false) => {}
-                    }
-                }
-                if result == Value::Bool(false) && saw_null {
-                    Value::Null
-                } else {
-                    result
-                }
-            }
-            BoundExpr::Not(e) => match truth(&e.eval(row, params)?) {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            },
-            BoundExpr::Like(e, pattern) => {
-                let v = e.eval(row, params)?;
-                match v {
-                    Value::Null => Value::Null,
-                    Value::Str(s) => Value::Bool(like_match(&s, pattern)),
-                    other => {
-                        return Err(PopError::TypeMismatch(format!(
-                            "LIKE applied to non-string {other}"
-                        )))
-                    }
-                }
-            }
-            BoundExpr::InList(e, list) => {
-                let v = e.eval(row, params)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    match v.sql_cmp(item) {
-                        Some(Ordering::Equal) => return Ok(Value::Bool(true)),
-                        None => saw_null = true,
-                        _ => {}
-                    }
-                }
-                if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(false)
-                }
-            }
-            BoundExpr::Between(e, lo, hi) => {
-                let v = e.eval(row, params)?;
-                let lov = lo.eval(row, params)?;
-                let hiv = hi.eval(row, params)?;
-                match (v.sql_cmp(&lov), v.sql_cmp(&hiv)) {
-                    (Some(a), Some(b)) => {
-                        Value::Bool(a != Ordering::Less && b != Ordering::Greater)
-                    }
-                    _ => Value::Null,
-                }
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param(_) => {
+                self.operand(row, params)?.into_owned()
             }
             BoundExpr::Arith(op, a, b) => {
-                let av = a.eval(row, params)?;
-                let bv = b.eval(row, params)?;
+                let av = a.operand(row, params)?;
+                let bv = b.operand(row, params)?;
                 if av.is_null() || bv.is_null() {
                     return Ok(Value::Null);
                 }
                 arith(*op, &av, &bv)?
             }
-            BoundExpr::IsNull(e) => Value::Bool(e.eval(row, params)?.is_null()),
+            BoundExpr::Cmp(..)
+            | BoundExpr::And(_)
+            | BoundExpr::Or(_)
+            | BoundExpr::Not(_)
+            | BoundExpr::Like(..)
+            | BoundExpr::InList(..)
+            | BoundExpr::Between(..)
+            | BoundExpr::IsNull(_) => match self.test(row, params)? {
+                Some(b) => Value::Bool(b),
+                None => Value::Null,
+            },
         })
     }
 
     /// Evaluate as a predicate: does the row pass? NULL counts as *not
     /// passing* (SQL WHERE semantics).
     pub fn passes(&self, row: &[Value], params: &Params) -> PopResult<bool> {
-        Ok(truth(&self.eval(row, params)?).unwrap_or(false))
+        Ok(self.test(row, params)? == Some(true))
     }
+
+    /// Truth of the expression over `row` in three-valued logic: `Some`
+    /// true or false, `None` for unknown (NULL, or a non-boolean value).
+    /// Operands are read in place; only arithmetic computes a value.
+    pub(crate) fn test(&self, row: &[Value], params: &Params) -> PopResult<Option<bool>> {
+        Ok(match self {
+            BoundExpr::Cmp(op, a, b) => {
+                let av = a.operand(row, params)?;
+                let bv = b.operand(row, params)?;
+                av.sql_cmp(&bv).map(|ord| cmp_holds(*op, ord))
+            }
+            BoundExpr::And(parts) => {
+                // SQL AND: false dominates, then null, then true.
+                let mut saw_null = false;
+                for p in parts {
+                    match p.test(row, params)? {
+                        Some(false) => return Ok(Some(false)),
+                        None => saw_null = true,
+                        Some(true) => {}
+                    }
+                }
+                (!saw_null).then_some(true)
+            }
+            BoundExpr::Or(parts) => {
+                // SQL OR: true dominates, then null, then false.
+                let mut saw_null = false;
+                for p in parts {
+                    match p.test(row, params)? {
+                        Some(true) => return Ok(Some(true)),
+                        None => saw_null = true,
+                        Some(false) => {}
+                    }
+                }
+                (!saw_null).then_some(false)
+            }
+            BoundExpr::Not(e) => e.test(row, params)?.map(|b| !b),
+            BoundExpr::Like(e, pattern) => match &*e.operand(row, params)? {
+                Value::Null => None,
+                Value::Str(s) => Some(pattern.matches(s)),
+                other => return Err(like_type_error(other)),
+            },
+            BoundExpr::InList(e, items) => items.test(&*e.operand(row, params)?),
+            BoundExpr::Between(e, lo, hi) => {
+                let v = e.operand(row, params)?;
+                let lov = lo.operand(row, params)?;
+                let hiv = hi.operand(row, params)?;
+                match (v.sql_cmp(&lov), v.sql_cmp(&hiv)) {
+                    (Some(a), Some(b)) => Some(a != Ordering::Less && b != Ordering::Greater),
+                    _ => None,
+                }
+            }
+            BoundExpr::IsNull(e) => Some(e.operand(row, params)?.is_null()),
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param(_) | BoundExpr::Arith(..) => {
+                truth(&*self.operand(row, params)?)
+            }
+        })
+    }
+
+    /// The expression's value over `row`: borrowed for a column, literal or
+    /// parameter, computed otherwise.
+    fn operand<'a>(&'a self, row: &'a [Value], params: &'a Params) -> PopResult<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Col(i) => Cow::Borrowed(
+                row.get(*i)
+                    .ok_or_else(|| PopError::Execution(format!("row too short for column {i}")))?,
+            ),
+            BoundExpr::Lit(v) => Cow::Borrowed(v),
+            BoundExpr::Param(i) => Cow::Borrowed(params.get(*i)?),
+            _ => Cow::Owned(self.eval(row, params)?),
+        })
+    }
+}
+
+/// The error LIKE raises on a non-string, non-NULL operand.
+pub(crate) fn like_type_error(v: &Value) -> PopError {
+    PopError::TypeMismatch(format!("LIKE applied to non-string {v}"))
 }
 
 pub(crate) fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
@@ -274,8 +270,16 @@ mod tests {
     #[test]
     fn like_non_string_is_error() {
         let row = vec![Value::Int(1), Value::Int(2)];
-        let b = bind1(&Expr::col(0, 0).like("1%"));
-        assert!(b.eval(&row, &Params::none()).is_err());
+        let expected = PopError::TypeMismatch("LIKE applied to non-string 1".into());
+        // Every pattern class, and both evaluation paths, raise the same error.
+        for pattern in ["1", "1%", "%1", "%1%", "1_%", "%"] {
+            let b = bind1(&Expr::col(0, 0).like(pattern));
+            assert_eq!(b.eval(&row, &Params::none()), Err(expected.clone()));
+            assert_eq!(b.passes(&row, &Params::none()), Err(expected.clone()));
+            let mut sel = vec![0];
+            let batch = b.filter_batch(std::slice::from_ref(&row), &Params::none(), &mut sel);
+            assert_eq!(batch, Err(expected.clone()), "{pattern:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ mod expr;
 mod like;
 mod params;
 
-pub use bound::BoundExpr;
+pub use bound::{BoundExpr, InItems};
 pub use eval::truth;
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use like::like_match;
+pub use like::LikePattern;
 pub use params::Params;

@@ -1,33 +1,24 @@
 //! Property-based tests for expression evaluation.
 
-use pop_expr::{like_match, BoundExpr, CmpOp, Expr, Params};
+mod common;
+
+use common::like_ref;
+use pop_expr::{BoundExpr, CmpOp, Expr, LikePattern, Params};
 use pop_types::{ColId, Value};
 use proptest::prelude::*;
 
-/// Reference LIKE implementation: simple recursion (exponential, but fine
-/// for small inputs).
-fn like_ref(text: &[char], pat: &[char]) -> bool {
-    match (text.first(), pat.first()) {
-        (_, None) => text.is_empty(),
-        (_, Some('%')) => (0..=text.len()).any(|k| like_ref(&text[k..], &pat[1..])),
-        (Some(t), Some('_')) => {
-            let _ = t;
-            like_ref(&text[1..], &pat[1..])
-        }
-        (Some(t), Some(p)) => t == p && like_ref(&text[1..], &pat[1..]),
-        (None, Some(_)) => false,
-    }
+fn like_match(text: &str, pattern: &str) -> bool {
+    LikePattern::new(pattern).matches(text)
 }
 
 proptest! {
     #[test]
     fn like_matches_reference(
-        text in "[abc]{0,8}",
-        pat in "[abc%_]{0,6}",
+        // Multi-byte chars, and the wildcards as literals in the text.
+        text in "[abé日%_]{0,8}",
+        pat in "[abé日%_]{0,6}",
     ) {
-        let t: Vec<char> = text.chars().collect();
-        let p: Vec<char> = pat.chars().collect();
-        prop_assert_eq!(like_match(&text, &pat), like_ref(&t, &p));
+        prop_assert_eq!(like_match(&text, &pat), like_ref(&text, &pat), "{:?}", LikePattern::new(&pat));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-query cardinality estimation with feedback overrides.
 
 use crate::OptimizerContext;
-use pop_plan::{subplan_signature_with_params, JoinGraph, LayoutCol, QuerySpec, TableSet};
+use pop_plan::{JoinGraph, LayoutCol, QuerySpec, Signer, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity};
 use pop_types::{ColId, PopResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -9,16 +9,17 @@ use std::sync::{Arc, OnceLock};
 
 /// What a (spec, parameter binding) pair fixes for every optimization of
 /// it: the join graph, and the subplan signature of each connected table
-/// set. Building a signature walks the spec's predicates and formats a
-/// string, so each is built at most once per binding, and only when
+/// set. Each signature is built at most once per binding, and only when
 /// something could be keyed by it (a recorded feedback fact, a temp MV, a
-/// placed CHECK). The [`crate::Memo`] keeps the binding across
+/// placed CHECK), by one [`Signer`] that formats the spec's fragments on
+/// the first such need. The [`crate::Memo`] keeps the binding across
 /// re-optimization steps; every step's [`CardEstimator`] shares it.
 #[derive(Debug)]
 pub(crate) struct Binding {
     spec: QuerySpec,
     params: Option<pop_expr::Params>,
     graph: JoinGraph,
+    signer: OnceLock<Signer>,
     /// One slot per connected set, at [`JoinGraph::rank`].
     sigs: Vec<OnceLock<String>>,
     sigs_built: AtomicUsize,
@@ -32,6 +33,7 @@ impl Binding {
         Ok(Binding {
             spec: spec.clone(),
             params: params.cloned(),
+            signer: OnceLock::new(),
             sigs: (0..graph.num_connected())
                 .map(|_| OnceLock::new())
                 .collect(),
@@ -242,7 +244,9 @@ impl CardEstimator {
             .expect("only a connected table set is a subplan with a signature");
         b.sigs[slot].get_or_init(|| {
             b.sigs_built.fetch_add(1, Ordering::Relaxed);
-            subplan_signature_with_params(&b.spec, set, b.params.as_ref())
+            b.signer
+                .get_or_init(|| Signer::new(&b.spec, b.params.as_ref()))
+                .sign(set)
         })
     }
 

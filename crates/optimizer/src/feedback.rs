@@ -68,7 +68,7 @@ impl CardFact {
 pub const DEFAULT_FEEDBACK_CAPACITY: usize = 4096;
 
 /// The process-wide feedback base: cardinality facts keyed by subplan
-/// signature ([`pop_plan::subplan_signature_with_params`]), shared by
+/// signature ([`pop_plan::Signer`]), shared by
 /// every query an executor runs. Cloning shares the underlying map.
 #[derive(Clone)]
 pub struct FeedbackStore {

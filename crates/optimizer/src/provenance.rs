@@ -12,7 +12,7 @@
 
 use crate::feedback::{CardFact, FeedbackCache};
 use pop_expr::Params;
-use pop_plan::{subplan_signature_with_params, PhysNode, QuerySpec};
+use pop_plan::{PhysNode, QuerySpec, Signer};
 
 /// Where one node's cardinality estimate came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +68,14 @@ pub fn plan_provenance(
 ) -> Vec<EstimateProvenance> {
     let mut out = Vec::with_capacity(plan.node_count());
     let mut path = Vec::new();
-    visit(plan, spec, params, feedback, &mut path, &mut out);
+    let signer = Signer::new(spec, params);
+    visit(plan, &signer, feedback, &mut path, &mut out);
     out
 }
 
 fn visit(
     node: &PhysNode,
-    spec: &QuerySpec,
-    params: Option<&Params>,
+    signer: &Signer,
     feedback: &FeedbackCache,
     path: &mut Vec<usize>,
     out: &mut Vec<EstimateProvenance>,
@@ -83,8 +83,7 @@ fn visit(
     let source = if matches!(node, PhysNode::MvScan { .. }) {
         EstimateSource::TempMv
     } else {
-        let sig = subplan_signature_with_params(spec, node.props().tables, params);
-        match feedback.get(&sig) {
+        match feedback.get(&signer.sign(node.props().tables)) {
             Some(CardFact::Exact(_)) => EstimateSource::FeedbackExact,
             Some(CardFact::AtLeast(_)) => EstimateSource::FeedbackAtLeast,
             None => EstimateSource::Stats,
@@ -102,7 +101,7 @@ fn visit(
     });
     for (i, child) in node.children().into_iter().enumerate() {
         path.push(i);
-        visit(child, spec, params, feedback, path, out);
+        visit(child, signer, feedback, path, out);
         path.pop();
     }
 }

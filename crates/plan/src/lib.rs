@@ -12,8 +12,9 @@
 //!   CHECK, BUFCHECK, rid side-table insert and anti-join compensation.
 //! * [`ValidityRange`] — per-edge cardinality bounds computed by the
 //!   optimizer's sensitivity analysis (§2.2), consumed by CHECK.
-//! * [`subplan_signature`] — the canonical identity of an intermediate
-//!   result, used to match temp MVs during re-optimization (§2.3).
+//! * [`subplan_signature`] / [`Signer`] — the canonical identity of an
+//!   intermediate result, used to match temp MVs during re-optimization
+//!   (§2.3).
 
 mod check;
 mod cost;
@@ -33,7 +34,6 @@ pub use query::{
     QuerySpec, TableRef,
 };
 pub use signature::{
-    canonical_layout, params_fingerprint, spec_fingerprint, subplan_signature,
-    subplan_signature_with_params,
+    canonical_layout, params_fingerprint, spec_fingerprint, subplan_signature, Signer,
 };
 pub use table_set::TableSet;

@@ -45,45 +45,88 @@ pub fn params_fingerprint(spec: &QuerySpec, params: &Params) -> Option<String> {
     Some(out)
 }
 
-/// [`subplan_signature`] plus the parameter fingerprint, when the query
-/// uses markers.
-pub fn subplan_signature_with_params(
-    spec: &QuerySpec,
-    set: TableSet,
-    params: Option<&Params>,
-) -> String {
-    let mut sig = subplan_signature(spec, set);
-    if let Some(p) = params {
-        if let Some(fp) = params_fingerprint(spec, p) {
-            sig.push_str(&fp);
+/// Builds the subplan signatures of one (spec, parameter binding) pair.
+///
+/// A signature is `t{i}:{table}` for each member table (ascending), then
+/// the predicate fragments of the set — `p{t}:{fingerprint}` per local
+/// predicate of a member, `j(..)` per join predicate with both ends inside
+/// — in sorted order, all joined by `|`, then the parameter fingerprint.
+/// Every fragment is formatted once, here, and sorted once with the mask
+/// of tables it needs, so [`Signer::sign`] only concatenates.
+#[derive(Debug, Clone)]
+pub struct Signer {
+    /// `t{i}:{table}` per query table.
+    tables: Vec<String>,
+    /// Predicate fragments, sorted, each with its table mask.
+    preds: Vec<(u64, String)>,
+    /// [`params_fingerprint`], or empty.
+    params: String,
+}
+
+impl Signer {
+    /// Format every fragment of `spec` (and the fingerprint of `params`,
+    /// when the query uses markers).
+    pub fn new(spec: &QuerySpec, params: Option<&Params>) -> Signer {
+        let tables = spec
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(t, r)| format!("t{}:{}", t, r.table))
+            .collect();
+        let local = spec.local_preds.iter().map(|(t, e)| {
+            (
+                TableSet::single(*t).mask(),
+                format!("p{}:{}", t, e.fingerprint()),
+            )
+        });
+        let joins = spec.join_preds.iter().map(|j| {
+            let (a, b) = j.tables();
+            (TableSet::from_iter([a, b]).mask(), j.fingerprint())
+        });
+        let mut preds: Vec<(u64, String)> = local.chain(joins).collect();
+        preds.sort_by(|a, b| a.1.cmp(&b.1));
+        Signer {
+            tables,
+            preds,
+            params: params
+                .and_then(|p| params_fingerprint(spec, p))
+                .unwrap_or_default(),
         }
     }
-    sig
+
+    /// The signature of the subplan over `set`.
+    pub fn sign(&self, set: TableSet) -> String {
+        let mask = set.mask();
+        let parts = || {
+            let members = set.iter().map(|t| self.tables[t].as_str());
+            let preds = self
+                .preds
+                .iter()
+                .filter(move |(m, _)| m & !mask == 0)
+                .map(|(_, s)| s.as_str());
+            members.chain(preds)
+        };
+        let len = parts().map(|p| p.len() + 1).sum::<usize>() + self.params.len();
+        let mut sig = String::with_capacity(len);
+        for (i, part) in parts().enumerate() {
+            if i > 0 {
+                sig.push('|');
+            }
+            sig.push_str(part);
+        }
+        sig.push_str(&self.params);
+        sig
+    }
 }
 
 /// Compute the canonical signature of the subplan over `set` within `spec`.
 pub fn subplan_signature(spec: &QuerySpec, set: TableSet) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for t in set.iter() {
-        parts.push(format!("t{}:{}", t, spec.tables[t].table));
-    }
-    let mut preds: Vec<String> = Vec::new();
-    for (t, e) in &spec.local_preds {
-        if set.contains(*t) {
-            preds.push(format!("p{}:{}", t, e.fingerprint()));
-        }
-    }
-    for j in spec.join_preds_within(set) {
-        preds.push(j.fingerprint());
-    }
-    preds.sort();
-    parts.extend(preds);
-    parts.join("|")
+    Signer::new(spec, None).sign(set)
 }
 
 /// Parameter-independent fingerprint of a whole query *template*: the
 /// join-graph signature over all tables plus every non-join clause.
-/// Unlike [`subplan_signature_with_params`] this never incorporates bound
+/// Unlike a [`Signer`] built with params, this never incorporates bound
 /// parameter values — two executions of the same prepared statement with
 /// different bindings share one fingerprint, which is exactly what a
 /// parameterized plan cache keys on (validity-range guards, not the key,

@@ -332,11 +332,17 @@ impl BTree {
 
     /// All positions for `key`, ascending; empty when absent.
     pub fn probe(&self, key: &Value) -> PopResult<Vec<u64>> {
+        let mut out = Vec::new();
+        self.probe_into(key, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`BTree::probe`] appending to `out`.
+    pub fn probe_into(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
         let mut inner = self.inner.lock();
         let Some(mut pid) = self.descend(&mut inner, key)? else {
-            return Ok(Vec::new());
+            return Ok(());
         };
-        let mut out = Vec::new();
         loop {
             let page = self.read_page(&mut inner, pid)?;
             let (next, entries) = parse_leaf(&page)?;
@@ -344,11 +350,11 @@ impl BTree {
                 match e.key.cmp(key) {
                     std::cmp::Ordering::Less => {}
                     std::cmp::Ordering::Equal => out.extend(e.pos),
-                    std::cmp::Ordering::Greater => return Ok(out),
+                    std::cmp::Ordering::Greater => return Ok(()),
                 }
             }
             if next == 0 {
-                return Ok(out);
+                return Ok(());
             }
             pid = next;
         }

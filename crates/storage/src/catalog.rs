@@ -164,7 +164,8 @@ impl Catalog {
     }
 
     /// Create a *temporary* table (temp-MV spill target): on the paged
-    /// backend its files are unlinked when the table is dropped.
+    /// backend it is written without a WAL and its files are unlinked when
+    /// the table is dropped.
     pub fn create_temp_table(
         &self,
         id: TableId,
@@ -621,6 +622,47 @@ mod tests {
         assert!(
             !dir.join("__mv_spill.dat").exists(),
             "temp MV files unlink on drop"
+        );
+    }
+
+    #[test]
+    fn paged_temp_mv_writes_no_wal() {
+        let cat = Catalog::with_storage(StorageConfig {
+            page_size: 512,
+            ..StorageConfig::paged()
+        });
+        let rows: Vec<Row> = (0..200)
+            .map(|i| vec![Value::Int(i), Value::str(format!("mv row {i}"))])
+            .collect();
+        let before = cat.io_stats();
+        let id = cat.allocate_temp_id();
+        let table = cat
+            .create_temp_table(id, "__mv_nowal", schema(), rows.clone())
+            .unwrap();
+        assert!(table.page_count() > 1, "200 rows span several pages");
+        let dir = cat.storage().ensure_dir().unwrap();
+        assert!(dir.join("__mv_nowal.dat").exists());
+        assert!(
+            !dir.join("__mv_nowal.wal").exists(),
+            "no redo log for a temp MV"
+        );
+        let io = cat.io_stats();
+        assert_eq!(io.wal_records, before.wal_records);
+        assert_eq!(io.wal_bytes, before.wal_bytes);
+        cat.register_temp_mv(TempMv {
+            table,
+            signature: "sig".into(),
+            layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
+            actual_card: 200,
+            lineage: None,
+        });
+        // The MV scans back exactly what was promoted.
+        let scanned = cat.temp_mv("sig").unwrap().table.snapshot();
+        assert_eq!(*scanned, rows);
+        cat.clear_temp_mvs();
+        assert!(
+            !dir.join("__mv_nowal.dat").exists(),
+            "cleanup unlinks the pages"
         );
     }
 }

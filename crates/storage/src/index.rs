@@ -135,15 +135,28 @@ impl Index {
     /// representation reads pages, so probes can fail with a storage
     /// error.
     pub fn probe(&self, key: &Value) -> PopResult<Vec<u64>> {
+        let mut out = Vec::new();
+        self.probe_into(key, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Index::probe`] into a caller-owned buffer: `out` is cleared and
+    /// refilled, so a join probing once per outer row reuses one buffer.
+    pub fn probe_into(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
+        out.clear();
         if key.is_null() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         match &self.repr {
-            Repr::Mem { hash, sorted, .. } => Ok(match self.kind {
-                IndexKind::Hash => hash.get(key).cloned().unwrap_or_default(),
-                IndexKind::Sorted => sorted.get(key).cloned().unwrap_or_default(),
-            }),
-            Repr::BTree(bt) => bt.probe(key),
+            Repr::Mem { hash, sorted, .. } => {
+                let hit = match self.kind {
+                    IndexKind::Hash => hash.get(key),
+                    IndexKind::Sorted => sorted.get(key),
+                };
+                out.extend_from_slice(hit.map_or(&[][..], Vec::as_slice));
+                Ok(())
+            }
+            Repr::BTree(bt) => bt.probe_into(key, out),
         }
     }
 
@@ -215,6 +228,18 @@ mod tests {
     }
 
     #[test]
+    fn probe_into_refills_the_buffer() {
+        for kind in [IndexKind::Hash, IndexKind::Sorted] {
+            let idx = build(kind, 0);
+            let mut buf = vec![99];
+            for key in [Value::Int(5), Value::Int(9), Value::Int(3), Value::Null] {
+                idx.probe_into(&key, &mut buf).unwrap();
+                assert_eq!(buf, idx.probe(&key).unwrap(), "{kind:?} {key:?}");
+            }
+        }
+    }
+
+    #[test]
     fn hash_has_no_range() {
         let idx = build(IndexKind::Hash, 0);
         assert!(idx.range(None, None).unwrap().is_none());
@@ -247,12 +272,15 @@ mod tests {
         // exactly the in-memory Sorted semantics.
         assert_eq!(idx.entries(), mem.entries());
         assert_eq!(idx.distinct_keys(), mem.distinct_keys());
+        let mut buf = vec![99];
         for key in [Value::Int(5), Value::Int(3), Value::Int(9), Value::Null] {
             assert_eq!(
                 idx.probe(&key).unwrap(),
                 mem.probe(&key).unwrap(),
                 "{key:?}"
             );
+            idx.probe_into(&key, &mut buf).unwrap();
+            assert_eq!(buf, mem.probe(&key).unwrap(), "{key:?}");
         }
         assert_eq!(
             idx.range(Some(&Value::Int(3)), Some(&Value::Int(5)))

@@ -14,7 +14,7 @@
 //! the checkpointed row count, replays intact WAL records past it, and
 //! rebuilds the B+tree — so a torn write anywhere past the checkpoint
 //! loses nothing that reached the log. Temporary backends (spilled temp
-//! MVs) unlink their files on drop.
+//! MVs) write no WAL and unlink their files on drop.
 
 use crate::backend::{StorageBackend, StorageEnv};
 use crate::btree::BTree;
@@ -80,7 +80,8 @@ impl PagedBackend {
     }
 
     /// Create a fresh (empty) backend, truncating any prior files of the
-    /// same name.
+    /// same name. A temporary backend opens no WAL: its files are unlinked
+    /// on drop and never reopened, so a redo log could never be replayed.
     pub fn create(env: Arc<StorageEnv>, name: &str, temporary: bool) -> PopResult<Self> {
         for p in [
             Self::dat_path(&env, name)?,
@@ -91,7 +92,7 @@ impl PagedBackend {
         }
         let layout = env.layout();
         let data = PageFile::open(Self::dat_path(&env, name)?, layout.page_size)?;
-        let wal = if env.config().wal {
+        let wal = if env.config().wal && !temporary {
             Some(Wal::open(Self::wal_path(&env, name)?)?)
         } else {
             None
@@ -651,6 +652,11 @@ mod tests {
         let dir = env.ensure_dir().unwrap();
         assert!(dir.join("mv.dat").exists());
         assert!(dir.join("mv.idx").exists());
+        assert!(
+            !dir.join("mv.wal").exists(),
+            "a temporary table logs nothing"
+        );
+        assert_eq!(env.io_stats().wal_records, 0);
         drop(b);
         assert!(!dir.join("mv.dat").exists());
         assert!(!dir.join("mv.wal").exists());

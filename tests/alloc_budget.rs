@@ -185,6 +185,47 @@ fn allocations_per_query_stay_under_the_recorded_ceilings() {
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
+/// `(query, allocations per run before predicates were compiled, allowed
+/// share)` for the DMV queries whose owner scan carries
+/// `name LIKE 'Owner#0000d%'`, run without CHECKs (the `without_pop()`
+/// switch). The matcher then collected text and pattern into two fresh
+/// `Vec<char>`s per row: about 146 k allocations per run, of which the
+/// compiled prefix test leaves none per row.
+const RECORDED_BEFORE_LIKE: [(&str, u64, f64); 2] =
+    [("DMV12", 146_222, 0.05), ("DMV22", 147_487, 0.05)];
+
+#[test]
+fn like_filters_allocate_per_chunk_not_per_row() {
+    let dmv = pop_dmv::dmv_catalog_with(0.004, StorageConfig::default()).unwrap();
+    let static_config = PopConfig {
+        enabled: false,
+        ..config()
+    };
+    let dmv = PopExecutor::new(dmv, static_config).unwrap();
+    let queries = pop_dmv::dmv_queries();
+
+    let mut failures = Vec::new();
+    for (name, before, share) in RECORDED_BEFORE_LIKE {
+        let q = queries
+            .iter()
+            .find(|q| q.name == name)
+            .expect("query exists");
+        assert!(
+            format!("{:?}", q.spec.local_preds).contains("Like"),
+            "{name} no longer filters with LIKE: pick another"
+        );
+        let (count, _) = allocations(&dmv, &q.spec);
+        let ceiling = (before as f64 * share) as u64;
+        println!("{name} (LIKE, static): {count} allocation(s), ceiling {ceiling}");
+        if count > ceiling {
+            failures.push(format!(
+                "{name}: {count} allocations > {ceiling} ({share} x {before} recorded before)"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
 /// `PopExecutor::plan` at the commit before the enumerator consulted the
 /// join graph: a `Vec` of join predicates per split of every table subset,
 /// a signature string per subset, three `Vec`s per join candidate and one
