@@ -18,7 +18,7 @@ use pop_plan::{
 };
 use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
-use pop_types::{ColumnDef, PopError, PopResult, Rid, Row, Schema};
+use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -406,7 +406,7 @@ impl PopExecutor {
                 check_events: ctx.check_events.clone(),
                 violation: None,
                 mvs_used,
-                rows_emitted: outcome.rows().len(),
+                rows_emitted: outcome.row_count(),
                 batches_emitted: (ctx.batches_emitted - batches_start) as usize,
                 parallel: std::mem::take(&mut ctx.region_diags),
                 lint_warnings: vetting.warnings,
@@ -415,9 +415,9 @@ impl PopExecutor {
                 monitors_installed,
                 memo: memo_stats,
             };
+            collect_rows(collected, ctx, &outcome);
             match outcome {
-                RunOutcome::Complete { rows } => {
-                    collect_rows(collected, ctx, rows);
+                RunOutcome::Complete { .. } => {
                     report.steps.push(step);
                     // Cache the completed run's final vetted plan for
                     // future bindings of the same template (insert refuses
@@ -431,8 +431,7 @@ impl PopExecutor {
                     }
                     return Ok(());
                 }
-                RunOutcome::Suspended { rows, violation } => {
-                    collect_rows(collected, ctx, rows);
+                RunOutcome::Suspended { violation, .. } => {
                     // A *forced* (dummy) re-optimization measures pure POP
                     // overhead (Figure 12): no cardinality feedback, so
                     // the optimizer re-plans under the same estimates and
@@ -614,16 +613,14 @@ impl PopExecutor {
         let _cleanup = MvCleanup {
             catalog: &self.catalog,
         };
-        let rows = match execute(plan, &mut ctx, &signatures)? {
-            RunOutcome::Complete { rows } => rows,
-            RunOutcome::Suspended { .. } => {
-                return Err(PopError::Execution(
-                    "plan suspended although checkpoints were disabled".into(),
-                ))
-            }
-        };
+        let outcome = execute(plan, &mut ctx, &signatures)?;
+        if !outcome.is_complete() {
+            return Err(PopError::Execution(
+                "plan suspended although checkpoints were disabled".into(),
+            ));
+        }
         let mut collected: Vec<Row> = Vec::new();
-        collect_rows(&mut collected, &mut ctx, rows);
+        collect_rows(&mut collected, &mut ctx, &outcome);
         let mut report = RunReport::default();
         report.steps.push(StepReport {
             plan: plan.to_string(),
@@ -1112,16 +1109,23 @@ fn wrap_compensation(plan: PhysNode, ctx: &ExecCtx) -> PhysNode {
     }
 }
 
-/// Record returned rows: lineage goes to the rid side table (for deferred
-/// compensation), values go to the application buffer.
-fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, rows: Vec<pop_exec::ExecRow>) {
-    for r in rows {
-        if !r.lineage.is_empty() {
-            let mut key: Vec<Rid> = r.lineage.clone();
-            key.sort_unstable();
-            ctx.prev_returned.insert(key);
+/// The result boundary: a step's output rows, read straight from its
+/// batches, go to the application buffer. A step cut short by a violation
+/// also records each row's lineage in the rid side table, which the next
+/// plan's anti-join compensates against (deferred compensation); a
+/// completed step is the query's last, so nothing would read it.
+fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, outcome: &RunOutcome) {
+    let record = !outcome.is_complete();
+    for b in outcome.batches() {
+        for i in b.live_indices() {
+            let lineage = b.lineage_at(i);
+            if record && !lineage.is_empty() {
+                let mut key = lineage.to_vec();
+                key.sort_unstable();
+                ctx.prev_returned.insert(key);
+            }
+            collected.push(b.row_at(i));
         }
-        collected.push(r.values);
     }
 }
 
@@ -1309,6 +1313,93 @@ mod tests {
         }
     }
 
+    /// Only a suspended step feeds the rid side table: its rows were
+    /// returned before a re-optimization the next plan must compensate
+    /// for. A completed step's lineage would never be read.
+    #[test]
+    fn only_a_suspended_step_records_returned_lineage() {
+        use pop_plan::{CheckFlavor, CheckSpec, LayoutCol, PlanProps};
+        let cat = Catalog::new();
+        cat.create_table(
+            "t",
+            Schema::from_pairs(&[("a", DataType::Int)]),
+            (0..20).map(|i| vec![Value::Int(i)]).collect(),
+        )
+        .unwrap();
+        let scan = PhysNode::TableScan {
+            qidx: 0,
+            table: "t".into(),
+            pred: None,
+            props: PlanProps::leaf(
+                TableSet::single(0),
+                20.0,
+                20.0,
+                vec![LayoutCol::Base(pop_types::ColId::new(0, 0))],
+            ),
+        };
+        let checked = PhysNode::Check {
+            props: scan.props().clone(),
+            input: Box::new(scan.clone()),
+            spec: CheckSpec {
+                id: 0,
+                flavor: CheckFlavor::Ecdc,
+                range: ValidityRange::new(0.0, 7.0),
+                est_card: 5.0,
+                signature: "sig".into(),
+                context: pop_plan::CheckContext::Pipeline,
+                fold: false,
+            },
+        };
+        let mut ctx = ExecCtx::new(cat, Params::none(), pop_plan::CostModel::default());
+        let signatures = Signatures::new();
+        let mut collected = Vec::new();
+
+        let suspended = execute(&checked, &mut ctx, &signatures).unwrap();
+        assert!(!suspended.is_complete());
+        collect_rows(&mut collected, &mut ctx, &suspended);
+        assert_eq!(collected.len(), 7);
+        assert_eq!(ctx.prev_returned.len(), 7);
+
+        let complete = execute(&scan, &mut ctx, &signatures).unwrap();
+        assert!(complete.is_complete());
+        collect_rows(&mut collected, &mut ctx, &complete);
+        assert_eq!(collected.len(), 27);
+        assert_eq!(
+            ctx.prev_returned.len(),
+            7,
+            "a completed step records nothing"
+        );
+    }
+
+    /// An ECDC step that returned rows before its violation is followed by
+    /// a plan that anti-joins them away: every row exactly once.
+    #[test]
+    fn suspended_ecdc_run_compensates_its_returned_rows() {
+        let mut config = PopConfig::default();
+        config.optimizer.flavors = FlavorSet::only(CheckFlavor::Ecdc);
+        let exec = PopExecutor::new(correlated_db(), config).unwrap();
+        let mut q = correlated_query();
+        q.projection = vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(1, 0)];
+        let res = exec.run(&q, &Params::none()).unwrap();
+        let first = &res.report.steps[0];
+        assert!(first.violation.is_some(), "{:#?}", res.report.steps);
+        assert!(first.rows_emitted > 0 && first.rows_emitted < CORRELATED_ROWS);
+        assert!(
+            res.report.steps[1..]
+                .iter()
+                .all(|s| s.plan.contains("ANTIJOIN")),
+            "{:#?}",
+            res.report.steps
+        );
+        let mut rows = res.rows.clone();
+        rows.sort();
+        rows.dedup();
+        assert_eq!(
+            (res.rows.len(), rows.len()),
+            (CORRELATED_ROWS, CORRELATED_ROWS)
+        );
+    }
+
     #[test]
     fn explain_renders_plan() {
         let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
@@ -1352,7 +1443,7 @@ mod tests {
         );
         let harvest = |layout: Vec<pop_types::ColId>| {
             let mut buffer = pop_exec::RowBatch::new();
-            buffer.push(vec![Value::Int(1); layout.len()], vec![]);
+            buffer.push_row(&vec![Value::Int(1); layout.len()], &[]);
             let info = pop_exec::operators::HarvestInfo {
                 signature: "sig".into(),
                 perm: (0..layout.len()).collect(),

@@ -9,28 +9,33 @@
 //! flows through a pipeline with zero per-row allocation until something
 //! actually needs to restructure it.
 //!
-//! Storage is flat: all values live in one buffer (`width` values per
-//! row) and all lineage rids in another with per-row offsets. A batch of
-//! 1024 rows costs a handful of allocations, not thousands — per-row
-//! `Vec`s only reappear at the boundaries that need owned rows
-//! ([`RowBatch::into_rows`], [`RowBatch::take_row_at`]).
+//! Storage is column-major and typed: one vector per layout position, typed
+//! by the values it holds (`i64`, `f64`, `i32` dates, `bool`, `Arc<str>`,
+//! or `Value` for a column that really mixes types), with a NULL bitmap
+//! allocated on the first NULL (see [`crate::column`]). Lineage is one flat
+//! `Rid` vector with the same number of rids for every row of a batch. A
+//! batch of 1024 rows costs one allocation per column plus one for
+//! lineage; owned `Row`s exist only at the result boundary
+//! ([`RowBatch::row_at`]) and at temp-MV promotion.
 //!
 //! The same container, grown with [`RowBatch::append`], is the buffer
 //! behind every materialization (hash-join build, SORT, TEMP): rows are
-//! addressed by index and copied out with [`RowBatch::copy_rows`].
+//! addressed by index and copied out, a column at a time, with
+//! [`RowBatch::copy_rows`].
 //!
 //! Invariants relied on across the engine:
 //! * a selection vector is strictly increasing (preserves row order);
 //! * operators never emit an all-dead batch — `next_batch` returns `None`
 //!   at end of stream instead;
-//! * every row in a batch has the same number of values (`width`);
+//! * every row in a batch has the same number of values (`width`) and of
+//!   lineage rids;
 //! * batch boundaries are *not* semantically meaningful: any re-chunking
 //!   of the same row stream is equivalent (checked by the equivalence
 //!   suite, which runs every query at several batch sizes).
 //!
 //! [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
 
-use crate::ExecRow;
+use crate::column::{Cell, Column};
 use pop_types::{Rid, Row, Value};
 
 /// Default number of rows per batch (the `POP_BATCH_SIZE` knob and
@@ -44,145 +49,213 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Rows at positions absent from the selection are *dead*: they are
 /// skipped by every consumer and dropped on [`RowBatch::compact`]. When
 /// `sel` is `None` every row is live.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RowBatch {
-    /// Flat values: row `i` occupies `vals[i*width .. (i+1)*width]`.
-    vals: Vec<Value>,
-    /// Values per row; set by the first push.
-    width: usize,
-    /// Physical row count (needed because `width` may be zero).
+    /// One column per layout position, each `rows` long.
+    cols: Vec<Column>,
+    /// Physical row count (a batch may have no columns).
     rows: usize,
-    /// Flat lineage rids for all rows.
+    /// Rids per row, the same for every row; set by the first push.
+    lin_width: usize,
+    /// Flat lineage: row `i` owns `lin[i*lin_width .. (i+1)*lin_width]`.
     lin: Vec<Rid>,
-    /// `rows + 1` offsets into `lin`; row `i` owns `lin_off[i]..lin_off[i+1]`.
-    lin_off: Vec<u32>,
     sel: Option<Vec<u32>>,
-}
-
-impl Default for RowBatch {
-    fn default() -> Self {
-        RowBatch::with_capacity(0)
-    }
+    /// Rows a column vector is sized for when the batch creates it.
+    cap: usize,
 }
 
 impl RowBatch {
     /// Empty batch.
     pub fn new() -> Self {
-        RowBatch::with_capacity(0)
+        RowBatch::default()
     }
 
-    /// Empty batch with room for `n` rows (the value buffer is sized by
-    /// the first push, which knows the row width).
+    /// Empty batch with room for `n` rows (column vectors are sized when
+    /// the first value of their type arrives).
     pub fn with_capacity(n: usize) -> Self {
-        let mut lin_off = Vec::with_capacity(n + 1);
-        lin_off.push(0);
         RowBatch {
-            vals: Vec::new(),
-            width: 0,
-            rows: 0,
-            lin: Vec::with_capacity(n),
-            lin_off,
-            sel: None,
+            cap: n,
+            ..RowBatch::default()
         }
     }
 
     /// Clear all contents while keeping the allocated capacity — the
-    /// free-list reuse hook of the exchange routing path.
+    /// free-list reuse hook of the exchange routing path and the join
+    /// operators' scratch batches.
     pub fn reset(&mut self) {
-        self.vals.clear();
-        self.width = 0;
+        self.cols.iter_mut().for_each(Column::clear);
         self.rows = 0;
+        self.lin_width = 0;
         self.lin.clear();
-        self.lin_off.clear();
-        self.lin_off.push(0);
         self.sel = None;
     }
 
-    #[inline]
-    fn begin_push(&mut self, width: usize) {
+    /// Shape the batch for rows of `width` values and `lin_width` rids:
+    /// the first rows decide, later ones must agree.
+    fn begin(&mut self, width: usize, lin_width: usize) {
         debug_assert!(self.sel.is_none(), "push into a filtered batch");
         if self.rows == 0 {
-            self.width = width;
-            // Room for as many rows as the offsets were sized for; free
-            // once a `reset` batch has grown to its working size.
-            self.vals.reserve((self.lin_off.capacity() - 1) * width);
+            self.cols.resize_with(width, Column::default);
+            self.lin_width = lin_width;
+            self.lin.reserve(self.cap * lin_width);
         } else {
-            debug_assert_eq!(width, self.width, "row width mismatch");
+            debug_assert_eq!(
+                (width, lin_width),
+                (self.cols.len(), self.lin_width),
+                "row shape mismatch"
+            );
         }
     }
 
-    #[inline]
-    fn finish_push(&mut self) {
-        self.rows += 1;
-        self.lin_off.push(self.lin.len() as u32);
-    }
-
-    /// Append a live row from owned parts. Must not be called once a
-    /// selection exists (appended rows would be dead, which no producer
-    /// intends).
-    pub fn push(&mut self, values: Row, lineage: Vec<Rid>) {
-        self.begin_push(values.len());
-        self.vals.extend(values);
-        self.lin.extend(lineage);
-        self.finish_push();
-    }
-
-    /// Append a live row by cloning from borrowed parts — the hot path
-    /// for scans: no per-row `Vec` is ever allocated.
+    /// Append a live row. Must not be called once a selection exists
+    /// (appended rows would be dead, which no producer intends).
     pub fn push_row(&mut self, values: &[Value], lineage: &[Rid]) {
-        self.begin_push(values.len());
-        self.vals.extend_from_slice(values);
+        self.begin(values.len(), lineage.len());
+        let cap = self.cap;
+        for (c, v) in self.cols.iter_mut().zip(values) {
+            c.push(v, cap);
+        }
         self.lin.extend_from_slice(lineage);
-        self.finish_push();
+        self.rows += 1;
     }
 
     /// [`RowBatch::push_row`] keeping only the columns `cols` of a stored
-    /// row, in that order — the leaf operators' copy-out: a column the
-    /// plan's layout does not carry is never cloned.
+    /// row, in that order — the copy-out of a fetched row (IXSCAN, NLJN
+    /// inner): a column the plan's layout does not carry is never read.
     pub fn push_projected(&mut self, row: &[Value], cols: &[usize], lineage: &[Rid]) {
-        self.begin_push(cols.len());
-        self.vals.extend(cols.iter().map(|c| row[*c].clone()));
+        self.begin(cols.len(), lineage.len());
+        let cap = self.cap;
+        for (c, p) in self.cols.iter_mut().zip(cols) {
+            c.push(&row[*p], cap);
+        }
         self.lin.extend_from_slice(lineage);
-        self.finish_push();
+        self.rows += 1;
     }
 
-    /// Append a live row that concatenates two halves — the hot path for
-    /// join outputs (`left ++ right` values and lineage), allocation-free
-    /// per row.
+    /// Append a live row that concatenates two halves (`a ++ b` values,
+    /// `la ++ lb` lineage).
     pub fn push_concat(&mut self, a: &[Value], b: &[Value], la: &[Rid], lb: &[Rid]) {
-        self.begin_push(a.len() + b.len());
-        self.vals.extend_from_slice(a);
-        self.vals.extend_from_slice(b);
+        self.begin(a.len() + b.len(), la.len() + lb.len());
+        let cap = self.cap;
+        for (c, v) in self.cols.iter_mut().zip(a.iter().chain(b)) {
+            c.push(v, cap);
+        }
         self.lin.extend_from_slice(la);
         self.lin.extend_from_slice(lb);
-        self.finish_push();
+        self.rows += 1;
     }
 
-    /// [`RowBatch::push_concat`] whose right half is the columns `b_cols`
-    /// of a stored row (the NLJN inner fetch).
-    pub fn push_concat_projected(
+    /// Append the stored rows `rows[i]` for each `i` of `pick`, keeping
+    /// the table columns `cols` in that order, with lineage `lineage(i)` —
+    /// the scans' copy-out, one column at a time.
+    pub(crate) fn extend_stored<L: AsRef<[Rid]>>(
         &mut self,
-        a: &[Value],
-        b_row: &[Value],
-        b_cols: &[usize],
-        la: &[Rid],
-        lb: &[Rid],
+        rows: &[Row],
+        pick: impl Iterator<Item = usize> + Clone,
+        cols: &[usize],
+        lineage: impl Fn(usize) -> L,
     ) {
-        self.begin_push(a.len() + b_cols.len());
-        self.vals.extend_from_slice(a);
-        self.vals.extend(b_cols.iter().map(|c| b_row[*c].clone()));
-        self.lin.extend_from_slice(la);
-        self.lin.extend_from_slice(lb);
-        self.finish_push();
+        let Some(first) = pick.clone().next() else {
+            return;
+        };
+        self.begin(cols.len(), lineage(first).as_ref().len());
+        let cap = self.cap;
+        for (c, p) in self.cols.iter_mut().zip(cols) {
+            c.extend_values(pick.clone().map(|i| &rows[i][*p]), cap);
+        }
+        for i in pick {
+            let l = lineage(i);
+            debug_assert_eq!(l.as_ref().len(), self.lin_width, "lineage width");
+            self.lin.extend_from_slice(l.as_ref());
+            self.rows += 1;
+        }
     }
 
-    /// Append a derived row (no lineage) of `width` values — the
-    /// aggregate's output path.
-    pub fn push_derived(&mut self, width: usize, values: impl Iterator<Item = Value>) {
-        self.begin_push(width);
-        self.vals.extend(values);
-        debug_assert_eq!(self.vals.len(), (self.rows + 1) * width);
-        self.finish_push();
+    /// Append the rows `rows` of `src` (values and lineage), in that
+    /// order, one typed copy per column.
+    pub(crate) fn extend_from(
+        &mut self,
+        src: &RowBatch,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        let n = rows.clone().count();
+        if n == 0 {
+            return;
+        }
+        self.begin(src.cols.len(), src.lin_width);
+        let cap = self.cap.max(n);
+        for (c, s) in self.cols.iter_mut().zip(&src.cols) {
+            c.extend_gather(s, rows.clone(), cap);
+        }
+        for i in rows {
+            self.lin.extend_from_slice(src.lineage_at(i));
+        }
+        self.rows += n;
+    }
+
+    /// Append row `i` of `src`.
+    pub(crate) fn push_from(&mut self, src: &RowBatch, i: usize) {
+        self.begin(src.cols.len(), src.lin_width);
+        let cap = self.cap;
+        for (c, s) in self.cols.iter_mut().zip(&src.cols) {
+            c.push_from(s, i, cap);
+        }
+        self.lin.extend_from_slice(src.lineage_at(i));
+        self.rows += 1;
+    }
+
+    /// Append the columns `cols` of row `i` of `src`, without lineage —
+    /// the aggregate's key buffer.
+    pub(crate) fn push_cols_from(&mut self, src: &RowBatch, i: usize, cols: &[usize]) {
+        self.begin(cols.len(), 0);
+        let cap = self.cap;
+        for (c, p) in self.cols.iter_mut().zip(cols) {
+            c.push_from(&src.cols[*p], i, cap);
+        }
+        self.rows += 1;
+    }
+
+    /// Append one joined row per index pair: the columns of `left` at
+    /// `left_rows` followed by those of `right` at `right_rows`, lineage
+    /// likewise concatenated — the join operators' output, gathered a
+    /// column at a time.
+    pub(crate) fn extend_joined(
+        &mut self,
+        left: &RowBatch,
+        left_rows: impl Iterator<Item = usize> + Clone,
+        right: &RowBatch,
+        right_rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        let n = left_rows.clone().count();
+        if n == 0 {
+            return;
+        }
+        let lw = left.cols.len();
+        self.begin(lw + right.cols.len(), left.lin_width + right.lin_width);
+        let cap = self.cap.max(n);
+        let (lcols, rcols) = self.cols.split_at_mut(lw);
+        for (c, s) in lcols.iter_mut().zip(&left.cols) {
+            c.extend_gather(s, left_rows.clone(), cap);
+        }
+        for (c, s) in rcols.iter_mut().zip(&right.cols) {
+            c.extend_gather(s, right_rows.clone(), cap);
+        }
+        for (l, r) in left_rows.zip(right_rows) {
+            self.lin.extend_from_slice(left.lineage_at(l));
+            self.lin.extend_from_slice(right.lineage_at(r));
+        }
+        self.rows += n;
+    }
+
+    /// Add a column holding `values`, one per row — the aggregate's
+    /// output beside the group keys.
+    pub(crate) fn push_column(&mut self, values: impl Iterator<Item = Value>) {
+        let mut col = Column::default();
+        for v in values {
+            col.push(&v, self.rows);
+        }
+        debug_assert_eq!(col.len(), self.rows, "column length");
+        self.cols.push(col);
     }
 
     /// Move the live rows of `other` onto the end of this batch — how a
@@ -191,40 +264,31 @@ impl RowBatch {
         if other.rows == 0 {
             return;
         }
-        self.begin_push(other.width);
-        let base = self.lin.len() as u32;
-        match other.sel.take() {
-            None => {
-                self.vals.append(&mut other.vals);
-                self.lin.append(&mut other.lin);
-                self.lin_off
-                    .extend(other.lin_off[1..].iter().map(|o| base + o));
-                self.rows += other.rows;
-            }
-            Some(sel) => {
-                let w = other.width;
-                for i in sel {
-                    let i = i as usize;
-                    self.vals.extend(
-                        other.vals[i * w..(i + 1) * w]
-                            .iter_mut()
-                            .map(|v| std::mem::replace(v, Value::Null)),
-                    );
-                    self.lin.extend_from_slice(other.lineage_at(i));
-                    self.finish_push();
-                }
-            }
+        if let Some(sel) = other.sel.take() {
+            return self.extend_from(&other, sel.iter().map(|i| *i as usize));
         }
+        if self.rows == 0 {
+            *self = RowBatch {
+                cap: self.cap,
+                ..other
+            };
+            return;
+        }
+        self.begin(other.cols.len(), other.lin_width);
+        let cap = self.cap;
+        for (c, o) in self.cols.iter_mut().zip(other.cols) {
+            c.append(o, cap);
+        }
+        self.lin.append(&mut other.lin);
+        self.rows += other.rows;
     }
 
     /// Copy the rows at the given physical indices, in that order, into a
     /// fresh batch (all live) — how a materializing operator re-emits its
     /// buffer in chunks.
-    pub fn copy_rows(&self, rows: impl ExactSizeIterator<Item = usize>) -> RowBatch {
+    pub fn copy_rows(&self, rows: impl ExactSizeIterator<Item = usize> + Clone) -> RowBatch {
         let mut out = RowBatch::with_capacity(rows.len());
-        for i in rows {
-            out.push_row(self.values_at(i), self.lineage_at(i));
-        }
+        out.extend_from(self, rows);
         out
     }
 
@@ -238,13 +302,19 @@ impl RowBatch {
         self.rows == 0
     }
 
-    /// Approximate resident size in bytes: the flat value and lineage
-    /// buffers (offsets and selection are noise by comparison). Used by
+    /// Values per row.
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Approximate resident size in bytes: the column vectors (8 B per
+    /// `Int` / `Float`, 4 B per `Date`, 16 B per `Str`, 24 B per mixed
+    /// value, plus NULL bitmaps) and the lineage rids. Used by
     /// materializing operators to charge the resource governor's
     /// resident-byte budget.
     pub fn approx_bytes(&self) -> u64 {
-        (self.vals.len() * std::mem::size_of::<Value>()
-            + self.lin.len() * std::mem::size_of::<Rid>()) as u64
+        (self.cols.iter().map(Column::bytes).sum::<usize>()
+            + std::mem::size_of_val(self.lin.as_slice())) as u64
     }
 
     /// Number of live rows.
@@ -261,7 +331,7 @@ impl RowBatch {
     }
 
     /// Physical indices of the live rows, in row order.
-    pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn live_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         let (sel, all) = match &self.sel {
             Some(s) => (Some(s.iter().map(|i| *i as usize)), None),
             None => (None, Some(0..self.rows)),
@@ -269,27 +339,39 @@ impl RowBatch {
         sel.into_iter().flatten().chain(all.into_iter().flatten())
     }
 
-    /// Values of the row at physical index `i`.
-    pub fn values_at(&self, i: usize) -> &[Value] {
-        &self.vals[i * self.width..(i + 1) * self.width]
+    /// Value of column `col` at physical row `i`.
+    pub fn value(&self, col: usize, i: usize) -> Value {
+        self.cols[col].value(i)
+    }
+
+    /// The row at physical index `i`, as owned values — the result
+    /// boundary (rows handed to the application, rows inserted by INSERT).
+    pub fn row_at(&self, i: usize) -> Row {
+        self.cols.iter().map(|c| c.value(i)).collect()
     }
 
     /// Lineage of the row at physical index `i`.
     pub fn lineage_at(&self, i: usize) -> &[Rid] {
-        &self.lin[self.lin_off[i] as usize..self.lin_off[i + 1] as usize]
+        &self.lin[i * self.lin_width..(i + 1) * self.lin_width]
     }
 
-    /// Keep only live rows for which `keep(values, lineage)` holds.
-    pub fn retain_live<F: FnMut(&[Value], &[Rid]) -> bool>(&mut self, mut keep: F) {
-        let old: Vec<u32> = match self.sel.take() {
-            Some(s) => s,
-            None => (0..self.rows as u32).collect(),
-        };
-        let mut new = Vec::with_capacity(old.len());
-        for i in old {
-            if keep(self.values_at(i as usize), self.lineage_at(i as usize)) {
-                new.push(i);
-            }
+    pub(crate) fn col(&self, col: usize) -> &Column {
+        &self.cols[col]
+    }
+
+    /// Column `col` at physical row `i`, borrowed.
+    #[inline]
+    pub(crate) fn cell(&self, col: usize, i: usize) -> Cell<'_> {
+        self.cols[col].cell(i)
+    }
+
+    /// Keep only live rows for which `keep(self, physical index)` holds.
+    pub fn retain_live<F: FnMut(&RowBatch, usize) -> bool>(&mut self, mut keep: F) {
+        let old = self.sel.take();
+        let mut new = Vec::with_capacity(old.as_ref().map_or(self.rows, Vec::len));
+        match &old {
+            Some(s) => new.extend(s.iter().filter(|i| keep(self, **i as usize))),
+            None => new.extend((0..self.rows as u32).filter(|i| keep(self, *i as usize))),
         }
         self.sel = Some(new);
     }
@@ -297,7 +379,7 @@ impl RowBatch {
     /// Fallible [`RowBatch::retain_live`]: the first error aborts and is
     /// returned with the selection left partially refined (callers treat
     /// the batch as poisoned and propagate the error).
-    pub fn try_retain_live<E, F: FnMut(&[Value], &[Rid]) -> Result<bool, E>>(
+    pub fn try_retain_live<E, F: FnMut(&RowBatch, usize) -> Result<bool, E>>(
         &mut self,
         mut keep: F,
     ) -> Result<(), E> {
@@ -306,13 +388,19 @@ impl RowBatch {
             None => (0..self.rows as u32).collect(),
         };
         let mut new = Vec::with_capacity(old.len());
+        let mut result = Ok(());
         for i in old {
-            if keep(self.values_at(i as usize), self.lineage_at(i as usize))? {
-                new.push(i);
+            match keep(self, i as usize) {
+                Ok(true) => new.push(i),
+                Ok(false) => {}
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             }
         }
         self.sel = Some(new);
-        Ok(())
+        result
     }
 
     /// Keep only the first `n` live rows.
@@ -321,9 +409,10 @@ impl RowBatch {
             Some(s) => s.truncate(n),
             None => {
                 if n < self.rows {
-                    self.vals.truncate(n * self.width);
-                    self.lin.truncate(self.lin_off[n] as usize);
-                    self.lin_off.truncate(n + 1);
+                    for c in &mut self.cols {
+                        c.truncate(n);
+                    }
+                    self.lin.truncate(n * self.lin_width);
                     self.rows = n;
                 }
             }
@@ -332,10 +421,10 @@ impl RowBatch {
 
     /// Drop dead rows, leaving a batch with no selection vector.
     pub fn compact(&mut self) {
-        if self.sel.is_some() {
-            let live = RowBatch::with_capacity(self.live_count());
-            let filtered = std::mem::replace(self, live);
-            self.append(filtered);
+        if let Some(sel) = self.sel.take() {
+            let mut live = RowBatch::with_capacity(sel.len());
+            live.extend_from(self, sel.iter().map(|i| *i as usize));
+            *self = live;
         }
     }
 
@@ -346,91 +435,31 @@ impl RowBatch {
     pub fn split_live(mut self, k: usize) -> (RowBatch, RowBatch) {
         self.compact();
         let k = k.min(self.rows);
-        let rest_vals = self.vals.split_off(k * self.width);
-        let cut = self.lin_off[k];
-        let rest_lin = self.lin.split_off(cut as usize);
-        let mut rest_off = Vec::with_capacity(self.rows - k + 1);
-        rest_off.extend(self.lin_off[k..=self.rows].iter().map(|o| o - cut));
         let rest = RowBatch {
-            vals: rest_vals,
-            width: self.width,
+            cols: self.cols.iter_mut().map(|c| c.split_off(k)).collect(),
             rows: self.rows - k,
-            lin: rest_lin,
-            lin_off: rest_off,
+            lin_width: self.lin_width,
+            lin: self.lin.split_off(k * self.lin_width),
             sel: None,
+            cap: 0,
         };
-        self.lin_off.truncate(k + 1);
         self.rows = k;
         (self, rest)
     }
 
-    /// Consume into owned rows (live rows only, in order).
-    pub fn into_rows(mut self) -> Vec<ExecRow> {
-        self.compact();
-        let RowBatch {
-            vals,
-            width,
-            rows,
-            lin,
-            lin_off,
-            ..
-        } = self;
-        let mut out = Vec::with_capacity(rows);
-        let mut vals = vals.into_iter();
-        for i in 0..rows {
-            out.push(ExecRow {
-                values: vals.by_ref().take(width).collect(),
-                lineage: lin[lin_off[i] as usize..lin_off[i + 1] as usize].to_vec(),
+    /// Project to the given layout positions: a permutation of whole
+    /// columns (a column is copied only where its position repeats later
+    /// in the list), with lineage and selection kept as they are.
+    pub fn project(mut self, positions: &[usize]) -> RowBatch {
+        let mut cols = Vec::with_capacity(positions.len());
+        for (k, p) in positions.iter().enumerate() {
+            cols.push(if positions[k + 1..].contains(p) {
+                self.cols[*p].clone()
+            } else {
+                std::mem::take(&mut self.cols[*p])
             });
         }
-        out
-    }
-
-    /// Project each live row to the given layout positions (values are
-    /// moved out of the consumed batch — cloned only where a position
-    /// repeats later in the list — and lineage is kept as-is). The result
-    /// has no selection vector and no per-row allocations.
-    pub fn project(mut self, positions: &[usize]) -> RowBatch {
-        self.compact();
-        let w = self.width;
-        let last_use: Vec<bool> = (0..positions.len())
-            .map(|k| !positions[k + 1..].contains(&positions[k]))
-            .collect();
-        let mut vals = Vec::with_capacity(self.rows * positions.len());
-        for i in 0..self.rows {
-            let row = &mut self.vals[i * w..(i + 1) * w];
-            for (p, last) in positions.iter().zip(&last_use) {
-                vals.push(if *last {
-                    std::mem::replace(&mut row[*p], Value::Null)
-                } else {
-                    row[*p].clone()
-                });
-            }
-        }
-        RowBatch {
-            vals,
-            width: positions.len(),
-            rows: self.rows,
-            lin: self.lin,
-            lin_off: self.lin_off,
-            sel: None,
-        }
-    }
-
-    /// Move the row at physical index `i` out of the batch, leaving dead
-    /// (`Null`) values behind. Only [`crate::operators::BatchCursor`] (the
-    /// merge join's owned-row adapter) uses this, consuming each live slot
-    /// exactly once.
-    pub(crate) fn take_row_at(&mut self, i: usize) -> ExecRow {
-        let w = self.width;
-        let mut values = Vec::with_capacity(w);
-        for j in i * w..(i + 1) * w {
-            values.push(std::mem::replace(&mut self.vals[j], Value::Null));
-        }
-        ExecRow {
-            values,
-            lineage: self.lineage_at(i).to_vec(),
-        }
+        RowBatch { cols, ..self }
     }
 
     /// Physical index of the `k`-th live row, if any.
@@ -449,25 +478,26 @@ mod tests {
     fn batch(n: i64) -> RowBatch {
         let mut b = RowBatch::new();
         for i in 0..n {
-            b.push(vec![Value::Int(i)], vec![Rid::new(0, i as u64)]);
+            b.push_row(&[Value::Int(i)], &[Rid::new(0, i as u64)]);
         }
         b
     }
 
-    fn int_at(v: &[Value]) -> i64 {
-        match v[0] {
-            Value::Int(i) => i,
-            _ => panic!("not an int"),
-        }
+    fn int_at(b: &RowBatch, i: usize) -> i64 {
+        b.value(0, i).as_i64().expect("an int")
+    }
+
+    fn live_rows(b: &RowBatch) -> Vec<Row> {
+        b.live_indices().map(|i| b.row_at(i)).collect()
     }
 
     #[test]
     fn retain_builds_and_refines_selection() {
         let mut b = batch(10);
-        b.retain_live(|v, _| int_at(v) % 2 == 0); // 0 2 4 6 8
+        b.retain_live(|b, i| int_at(b, i) % 2 == 0); // 0 2 4 6 8
         assert_eq!(b.live_count(), 5);
         assert_eq!(b.len(), 10);
-        b.retain_live(|v, _| int_at(v) > 3); // 4 6 8
+        b.retain_live(|b, i| int_at(b, i) > 3); // 4 6 8
         let live: Vec<usize> = b.live_indices().collect();
         assert_eq!(live, vec![4, 6, 8]);
     }
@@ -475,63 +505,65 @@ mod tests {
     #[test]
     fn compact_drops_dead_rows_in_order() {
         let mut b = batch(5);
-        b.retain_live(|v, _| int_at(v) != 2);
+        b.retain_live(|b, i| int_at(b, i) != 2);
         b.compact();
         assert_eq!(b.len(), 4);
         assert_eq!(b.sel(), None);
-        let vals: Vec<&Value> = b.live_indices().map(|i| &b.values_at(i)[0]).collect();
-        assert_eq!(
-            vals,
-            vec![
-                &Value::Int(0),
-                &Value::Int(1),
-                &Value::Int(3),
-                &Value::Int(4)
-            ]
-        );
+        let vals: Vec<i64> = b.live_indices().map(|i| int_at(&b, i)).collect();
+        assert_eq!(vals, vec![0, 1, 3, 4]);
+        assert_eq!(b.lineage_at(2), &[Rid::new(0, 3)]);
     }
 
     #[test]
     fn split_live_respects_selection() {
         let mut b = batch(6);
-        b.retain_live(|v, _| int_at(v) % 2 == 1); // 1 3 5
+        b.retain_live(|b, i| int_at(b, i) % 2 == 1); // 1 3 5
         let (head, tail) = b.split_live(1);
         assert_eq!(head.live_count(), 1);
-        assert_eq!(head.values_at(0)[0], Value::Int(1));
+        assert_eq!(head.value(0, 0), Value::Int(1));
         assert_eq!(tail.live_count(), 2);
-        assert_eq!(tail.values_at(0)[0], Value::Int(3));
+        assert_eq!(tail.value(0, 0), Value::Int(3));
         assert_eq!(tail.lineage_at(1), &[Rid::new(0, 5)]);
     }
 
     #[test]
-    fn into_rows_applies_selection() {
+    fn truncate_live_keeps_the_first_rows() {
         let mut b = batch(4);
         b.truncate_live(2);
-        let rows = b.into_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].lineage, vec![Rid::new(0, 1)]);
+        assert_eq!(
+            live_rows(&b),
+            vec![vec![Value::Int(0)], vec![Value::Int(1)]]
+        );
+        assert_eq!(b.lineage_at(1), &[Rid::new(0, 1)]);
+        let mut filtered = batch(6);
+        filtered.retain_live(|b, i| int_at(b, i) >= 2);
+        filtered.truncate_live(1);
+        assert_eq!(live_rows(&filtered), vec![vec![Value::Int(2)]]);
     }
 
     #[test]
     fn project_reorders_and_keeps_lineage() {
         let mut b = RowBatch::new();
-        b.push(
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Rid::new(0, 0), Rid::new(1, 7)],
+        b.push_row(
+            &[Value::Int(1), Value::Int(2)],
+            &[Rid::new(0, 0), Rid::new(1, 7)],
         );
         let p = b.project(&[1]);
-        assert_eq!(p.values_at(0), &[Value::Int(2)][..]);
+        assert_eq!(p.row_at(0), vec![Value::Int(2)]);
         assert_eq!(p.lineage_at(0), &[Rid::new(0, 0), Rid::new(1, 7)]);
     }
 
     #[test]
     fn project_repeated_position_keeps_both_copies() {
         let mut b = RowBatch::new();
-        b.push(vec![Value::str("a"), Value::Int(2)], vec![]);
+        b.push_row(&[Value::str("a"), Value::Int(2)], &[]);
+        b.push_row(&[Value::str("b"), Value::Int(3)], &[]);
+        b.retain_live(|_, i| i == 1);
         let p = b.project(&[0, 1, 0]);
+        assert_eq!(p.sel(), Some(&[1][..]), "the selection rides along");
         assert_eq!(
-            p.values_at(0),
-            &[Value::str("a"), Value::Int(2), Value::str("a")][..]
+            live_rows(&p),
+            vec![vec![Value::str("b"), Value::Int(3), Value::str("b")]]
         );
     }
 
@@ -540,18 +572,24 @@ mod tests {
         let stored = [Value::Int(1), Value::Int(2), Value::Int(3)];
         let mut b = RowBatch::new();
         b.push_projected(&stored, &[2, 0], &[Rid::new(0, 4)]);
-        assert_eq!(b.values_at(0), &[Value::Int(3), Value::Int(1)][..]);
+        assert_eq!(b.row_at(0), vec![Value::Int(3), Value::Int(1)]);
         assert_eq!(b.lineage_at(0), &[Rid::new(0, 4)]);
-        let mut j = RowBatch::new();
-        j.push_concat_projected(
-            &[Value::Int(9)],
-            &stored,
-            &[1],
-            &[Rid::new(0, 4)],
-            &[Rid::new(1, 5)],
+        // The scans' column-at-a-time copy-out of picked stored rows.
+        let table: Vec<Row> = (0..4)
+            .map(|i| vec![Value::Int(i), Value::str(format!("s{i}")), Value::Null])
+            .collect();
+        let mut s = RowBatch::new();
+        s.extend_stored(&table, [3, 1].into_iter(), &[1, 2, 0], |i| {
+            [Rid::new(7, i as u64)]
+        });
+        assert_eq!(
+            live_rows(&s),
+            vec![
+                vec![Value::str("s3"), Value::Null, Value::Int(3)],
+                vec![Value::str("s1"), Value::Null, Value::Int(1)],
+            ]
         );
-        assert_eq!(j.values_at(0), &[Value::Int(9), Value::Int(2)][..]);
-        assert_eq!(j.lineage_at(0), &[Rid::new(0, 4), Rid::new(1, 5)]);
+        assert_eq!(s.lineage_at(1), &[Rid::new(7, 1)]);
     }
 
     #[test]
@@ -564,10 +602,25 @@ mod tests {
             &[Rid::new(1, 5)],
         );
         assert_eq!(
-            b.values_at(0),
-            &[Value::Int(1), Value::Int(2), Value::Int(3)][..]
+            b.row_at(0),
+            vec![Value::Int(1), Value::Int(2), Value::Int(3)]
         );
         assert_eq!(b.lineage_at(0), &[Rid::new(0, 4), Rid::new(1, 5)]);
+        // The join operators' gathered form of the same rows.
+        let mut j = RowBatch::new();
+        let left = batch(3);
+        j.extend_joined(&left, [2, 0].into_iter(), &b, [0, 0].into_iter());
+        assert_eq!(
+            live_rows(&j),
+            vec![
+                vec![Value::Int(2), Value::Int(1), Value::Int(2), Value::Int(3)],
+                vec![Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(3)],
+            ]
+        );
+        assert_eq!(
+            j.lineage_at(0),
+            &[Rid::new(0, 2), Rid::new(0, 4), Rid::new(1, 5)]
+        );
     }
 
     #[test]
@@ -576,11 +629,11 @@ mod tests {
         buf.append(RowBatch::new()); // nothing to take a width from
         buf.append(batch(3));
         let mut filtered = batch(6);
-        filtered.retain_live(|v, _| int_at(v) % 2 == 1); // 1 3 5
+        filtered.retain_live(|b, i| int_at(b, i) % 2 == 1); // 1 3 5
         buf.append(filtered);
         buf.append(batch(1));
         assert_eq!((buf.len(), buf.live_count(), buf.sel()), (7, 7, None));
-        let ints: Vec<i64> = (0..7).map(|i| int_at(buf.values_at(i))).collect();
+        let ints: Vec<i64> = (0..7).map(|i| int_at(&buf, i)).collect();
         assert_eq!(ints, vec![0, 1, 2, 1, 3, 5, 0]);
         for (i, v) in ints.iter().enumerate() {
             assert_eq!(buf.lineage_at(i), &[Rid::new(0, *v as u64)]);
@@ -592,41 +645,43 @@ mod tests {
         let buf = batch(5);
         let picked = buf.copy_rows([4usize, 0, 4].into_iter());
         assert_eq!(picked.len(), 3);
-        assert_eq!(picked.values_at(0), &[Value::Int(4)][..]);
+        assert_eq!(picked.row_at(0), vec![Value::Int(4)]);
         assert_eq!(picked.lineage_at(1), &[Rid::new(0, 0)]);
-        assert_eq!(buf.copy_rows(1..3), {
-            let mut b = RowBatch::new();
-            b.push_row(buf.values_at(1), buf.lineage_at(1));
-            b.push_row(buf.values_at(2), buf.lineage_at(2));
-            b
-        });
+        assert_eq!(
+            live_rows(&buf.copy_rows(1..3)),
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]]
+        );
         assert!(buf.copy_rows(0..0).is_empty());
     }
 
     #[test]
     fn with_capacity_sizes_the_value_buffer_on_the_first_push() {
         let mut b = RowBatch::with_capacity(100);
-        let row = [Value::Int(1), Value::Int(2), Value::Int(3)];
+        let row = [Value::Int(1), Value::Float(2.0), Value::str("3")];
         b.push_row(&row, &[]);
-        let cap = b.vals.capacity();
-        assert!(cap >= 300, "capacity {cap}");
+        let caps: Vec<usize> = b.cols.iter().map(Column::capacity).collect();
+        assert!(caps.iter().all(|c| *c >= 100), "capacities {caps:?}");
         for _ in 1..100 {
             b.push_row(&row, &[]);
         }
-        assert_eq!(b.vals.capacity(), cap, "grew while filling");
-        // `reset` keeps the buffer for the next fill.
+        let grown: Vec<usize> = b.cols.iter().map(Column::capacity).collect();
+        assert_eq!(grown, caps, "grew while filling");
+        // 8 B per Int and Float, 16 B per string: typed, not 24 B values.
+        assert_eq!(b.approx_bytes(), 100 * (8 + 8 + 16));
+        // `reset` keeps the vectors for the next fill of the same types.
         b.reset();
-        b.push_derived(3, row.iter().cloned());
-        assert_eq!(b.vals.capacity(), cap);
-        assert_eq!(b.values_at(0), &row[..]);
+        b.push_row(&row, &[]);
+        let kept: Vec<usize> = b.cols.iter().map(Column::capacity).collect();
+        assert_eq!(kept, caps);
+        assert_eq!(b.row_at(0), row.to_vec());
         assert!(b.lineage_at(0).is_empty());
     }
 
     #[test]
     fn try_retain_propagates_error() {
         let mut b = batch(3);
-        let r: Result<(), &str> = b.try_retain_live(|v, _| {
-            if int_at(v) == 1 {
+        let r: Result<(), &str> = b.try_retain_live(|b, i| {
+            if int_at(b, i) == 1 {
                 Err("boom")
             } else {
                 Ok(true)

@@ -1,0 +1,769 @@
+//! One column of a [`crate::RowBatch`]: a vector typed by the values it
+//! holds, plus a NULL bitmap allocated on the first NULL.
+//!
+//! A column starts untyped — every row so far NULL, nothing stored — and
+//! takes the type of its first non-NULL value: `Int` → `i64`, `Float` →
+//! `f64`, `Date` → `i32`, `Bool` → `bool`, `Str` → `Arc<str>`. A push of
+//! another type turns it into a `Value` vector for good (a SUM column can
+//! hold `Int` and `Float` groups), so any sequence of values round-trips,
+//! variant included. A column that is empty again (`clear`, `truncate(0)`)
+//! takes the type of whatever arrives next, keeping its allocation when
+//! that is the type it had.
+//!
+//! [`Cell`] is the borrowed view comparisons and hashes read through; it
+//! orders, compares and hashes exactly like `Value`, so typed and mixed
+//! columns meet under `Value`'s semantics: `Int(3)`, `Float(3.0)` and
+//! `Date(3)` are equal, floats compare by `total_cmp`, NULL is equal to
+//! NULL and sorts first.
+
+use pop_types::Value;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, LazyLock};
+
+/// What a NULL slot of a string vector holds (shared, never read).
+static NULL_STR: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
+
+/// The values of one column.
+#[derive(Debug, Clone)]
+pub(crate) enum Data {
+    /// No non-NULL value yet: this many NULL rows, nothing stored.
+    Null(usize),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Date(Vec<i32>),
+    Bool(Vec<bool>),
+    Str(Vec<Arc<str>>),
+    /// Values of more than one type; NULLs are `Value::Null`.
+    Mixed(Vec<Value>),
+}
+
+/// The element type of a typed vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Int,
+    Float,
+    Date,
+    Bool,
+    Str,
+}
+
+/// Apply `$body` to the vector of any variant, `$null` to the count of
+/// `Data::Null`.
+macro_rules! each_vec {
+    ($data:expr, |$v:ident| $body:expr, |$n:ident| $null:expr) => {
+        match $data {
+            Data::Null($n) => $null,
+            Data::Int($v) => $body,
+            Data::Float($v) => $body,
+            Data::Date($v) => $body,
+            Data::Bool($v) => $body,
+            Data::Str($v) => $body,
+            Data::Mixed($v) => $body,
+        }
+    };
+}
+
+/// Apply `$body` to two typed vectors of the same element type, or
+/// evaluate `$other`.
+macro_rules! same_typed {
+    ($a:expr, $b:expr, |$x:ident, $y:ident| $body:expr, $other:expr) => {
+        match ($a, $b) {
+            (Data::Int($x), Data::Int($y)) => $body,
+            (Data::Float($x), Data::Float($y)) => $body,
+            (Data::Date($x), Data::Date($y)) => $body,
+            (Data::Bool($x), Data::Bool($y)) => $body,
+            (Data::Str($x), Data::Str($y)) => $body,
+            _ => $other,
+        }
+    };
+}
+
+impl Data {
+    fn kind(&self) -> Option<Kind> {
+        match self {
+            Data::Int(_) => Some(Kind::Int),
+            Data::Float(_) => Some(Kind::Float),
+            Data::Date(_) => Some(Kind::Date),
+            Data::Bool(_) => Some(Kind::Bool),
+            Data::Str(_) => Some(Kind::Str),
+            Data::Null(_) | Data::Mixed(_) => None,
+        }
+    }
+
+    /// An empty vector of `kind` with room for `cap` values.
+    fn empty(kind: Kind, cap: usize) -> Data {
+        match kind {
+            Kind::Int => Data::Int(Vec::with_capacity(cap)),
+            Kind::Float => Data::Float(Vec::with_capacity(cap)),
+            Kind::Date => Data::Date(Vec::with_capacity(cap)),
+            Kind::Bool => Data::Bool(Vec::with_capacity(cap)),
+            Kind::Str => Data::Str(Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Push the slot a NULL occupies in a typed vector.
+    fn push_placeholder(&mut self) {
+        match self {
+            Data::Int(v) => v.push(0),
+            Data::Float(v) => v.push(0.0),
+            Data::Date(v) => v.push(0),
+            Data::Bool(v) => v.push(false),
+            Data::Str(v) => v.push(Arc::clone(&NULL_STR)),
+            Data::Null(n) => *n += 1,
+            Data::Mixed(v) => v.push(Value::Null),
+        }
+    }
+}
+
+fn kind_of(v: &Value) -> Option<Kind> {
+    match v {
+        Value::Int(_) => Some(Kind::Int),
+        Value::Float(_) => Some(Kind::Float),
+        Value::Date(_) => Some(Kind::Date),
+        Value::Bool(_) => Some(Kind::Bool),
+        Value::Str(_) => Some(Kind::Str),
+        Value::Null => None,
+    }
+}
+
+#[inline]
+fn bit(bits: Option<&Vec<u64>>, i: usize) -> bool {
+    bits.is_some_and(|b| b.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1))
+}
+
+fn set_bit(bits: &mut Option<Vec<u64>>, i: usize) {
+    let words = bits.get_or_insert_with(Vec::new);
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Extend `dst` with `src[i]` for every `i` of `idx`.
+fn gather<T: Clone>(dst: &mut Vec<T>, src: &[T], idx: impl Iterator<Item = usize>) {
+    dst.extend(idx.map(|i| src[i].clone()));
+}
+
+/// Push the leading run of `it` that `f` maps into `dst`; returns the
+/// first value `f` rejects.
+fn run<'a, T>(
+    dst: &mut Vec<T>,
+    it: &mut impl Iterator<Item = &'a Value>,
+    f: impl Fn(&'a Value) -> Option<T>,
+) -> Option<&'a Value> {
+    for v in it {
+        match f(v) {
+            Some(x) => dst.push(x),
+            None => return Some(v),
+        }
+    }
+    None
+}
+
+/// One column of a batch (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct Column {
+    data: Data,
+    /// NULL bitmap of a typed vector (bit set = NULL), allocated on the
+    /// first NULL; rows past its end are not NULL. `Data::Null` and
+    /// `Data::Mixed` hold their NULLs themselves.
+    nulls: Option<Vec<u64>>,
+}
+
+impl Default for Column {
+    fn default() -> Self {
+        Column {
+            data: Data::Null(0),
+            nulls: None,
+        }
+    }
+}
+
+impl Column {
+    pub(crate) fn data(&self) -> &Data {
+        &self.data
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        each_vec!(&self.data, |v| v.len(), |n| *n)
+    }
+
+    /// Does the NULL bitmap exist (some row of a typed vector is NULL)?
+    pub(crate) fn has_null_bitmap(&self) -> bool {
+        self.nulls.is_some()
+    }
+
+    /// Bytes the column's vectors hold (lengths, not capacities).
+    pub(crate) fn bytes(&self) -> usize {
+        each_vec!(&self.data, |v| std::mem::size_of_val(v.as_slice()), |_n| 0)
+            + self.nulls.as_ref().map_or(0, |b| b.len() * 8)
+    }
+
+    #[inline]
+    fn is_null(&self, i: usize) -> bool {
+        match &self.data {
+            Data::Null(_) => true,
+            Data::Mixed(v) => v[i].is_null(),
+            _ => bit(self.nulls.as_ref(), i),
+        }
+    }
+
+    /// Row `i`, borrowed.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize) -> Cell<'_> {
+        if bit(self.nulls.as_ref(), i) {
+            return Cell::Null;
+        }
+        match &self.data {
+            Data::Null(_) => Cell::Null,
+            Data::Int(v) => Cell::Int(v[i]),
+            Data::Float(v) => Cell::Float(v[i]),
+            Data::Date(v) => Cell::Date(v[i]),
+            Data::Bool(v) => Cell::Bool(v[i]),
+            Data::Str(v) => Cell::Str(&v[i]),
+            Data::Mixed(v) => Cell::of(&v[i]),
+        }
+    }
+
+    /// Row `i` as an owned value (a string is shared, not copied).
+    pub(crate) fn value(&self, i: usize) -> Value {
+        if bit(self.nulls.as_ref(), i) {
+            return Value::Null;
+        }
+        match &self.data {
+            Data::Null(_) => Value::Null,
+            Data::Int(v) => Value::Int(v[i]),
+            Data::Float(v) => Value::Float(v[i]),
+            Data::Date(v) => Value::Date(v[i]),
+            Data::Bool(v) => Value::Bool(v[i]),
+            Data::Str(v) => Value::Str(Arc::clone(&v[i])),
+            Data::Mixed(v) => v[i].clone(),
+        }
+    }
+
+    /// Make the column able to take values of `kind` (`None`: values of
+    /// any type). An empty column becomes a vector of that type (room for
+    /// `cap`), keeping its own if it is one; an all-NULL column becomes
+    /// one too, its NULLs as placeholders; anything else a `Value` vector.
+    fn retype(&mut self, kind: Option<Kind>, cap: usize) {
+        if self.len() == 0 {
+            let same = match kind {
+                Some(k) => self.data.kind() == Some(k),
+                None => matches!(self.data, Data::Mixed(_)),
+            };
+            if !same {
+                self.data = kind.map_or_else(
+                    || Data::Mixed(Vec::with_capacity(cap)),
+                    |k| Data::empty(k, cap),
+                );
+            }
+            self.nulls = None;
+            return;
+        }
+        match (kind, &self.data) {
+            (Some(k), Data::Null(n)) => {
+                let n = *n;
+                self.data = Data::empty(k, cap.max(n + 1));
+                for i in 0..n {
+                    self.data.push_placeholder();
+                    set_bit(&mut self.nulls, i);
+                }
+            }
+            (_, Data::Mixed(_)) => {}
+            _ => {
+                let values = (0..self.len()).map(|i| self.value(i)).collect();
+                self.data = Data::Mixed(values);
+                self.nulls = None;
+            }
+        }
+    }
+
+    fn push_null(&mut self) {
+        let i = self.len();
+        self.data.push_placeholder();
+        if self.data.kind().is_some() {
+            set_bit(&mut self.nulls, i);
+        }
+    }
+
+    /// Append one value; `cap` sizes a vector created by this push.
+    pub(crate) fn push(&mut self, v: &Value, cap: usize) {
+        match (&mut self.data, v) {
+            (Data::Int(d), Value::Int(x)) => d.push(*x),
+            (Data::Float(d), Value::Float(x)) => d.push(*x),
+            (Data::Date(d), Value::Date(x)) => d.push(*x),
+            (Data::Bool(d), Value::Bool(x)) => d.push(*x),
+            (Data::Str(d), Value::Str(x)) => d.push(Arc::clone(x)),
+            (Data::Mixed(d), v) => d.push(v.clone()),
+            (_, Value::Null) => self.push_null(),
+            (_, v) => {
+                self.retype(kind_of(v), cap);
+                self.push(v, cap);
+            }
+        }
+    }
+
+    /// Append every value of `vals`, copying each run of values of the
+    /// column's own type without re-dispatching per value.
+    pub(crate) fn extend_values<'a>(&mut self, vals: impl Iterator<Item = &'a Value>, cap: usize) {
+        let mut it = vals;
+        while let Some(v) = it.next() {
+            self.push(v, cap);
+            let stop = match &mut self.data {
+                Data::Int(d) => run(d, &mut it, |v| match v {
+                    Value::Int(x) => Some(*x),
+                    _ => None,
+                }),
+                Data::Float(d) => run(d, &mut it, |v| match v {
+                    Value::Float(x) => Some(*x),
+                    _ => None,
+                }),
+                Data::Date(d) => run(d, &mut it, |v| match v {
+                    Value::Date(x) => Some(*x),
+                    _ => None,
+                }),
+                Data::Bool(d) => run(d, &mut it, |v| match v {
+                    Value::Bool(x) => Some(*x),
+                    _ => None,
+                }),
+                Data::Str(d) => run(d, &mut it, |v| match v {
+                    Value::Str(x) => Some(Arc::clone(x)),
+                    _ => None,
+                }),
+                Data::Mixed(d) => {
+                    d.extend(it.by_ref().cloned());
+                    None
+                }
+                Data::Null(_) => None,
+            };
+            if let Some(v) = stop {
+                self.push(v, cap);
+            }
+        }
+    }
+
+    /// Append row `i` of `src`.
+    pub(crate) fn push_from(&mut self, src: &Column, i: usize, cap: usize) {
+        if src.is_null(i) {
+            return self.push_null();
+        }
+        same_typed!(
+            &mut self.data,
+            &src.data,
+            |d, s| gather(d, s, std::iter::once(i)),
+            self.push(&src.value(i), cap)
+        );
+    }
+
+    /// Append the rows `idx` of `src`, in that order: one typed copy per
+    /// column when the types agree.
+    pub(crate) fn extend_gather(
+        &mut self,
+        src: &Column,
+        idx: impl Iterator<Item = usize> + Clone,
+        cap: usize,
+    ) {
+        if let Data::Null(_) = src.data {
+            return idx.for_each(|_| self.push_null());
+        }
+        let fits = matches!(self.data, Data::Mixed(_))
+            || (self.data.kind().is_some() && self.data.kind() == src.data.kind());
+        if !fits {
+            self.retype(src.data.kind(), cap);
+        }
+        let base = self.len();
+        let typed = same_typed!(
+            &mut self.data,
+            &src.data,
+            |d, s| {
+                gather(d, s, idx.clone());
+                true
+            },
+            false
+        );
+        if !typed {
+            match &mut self.data {
+                Data::Mixed(d) => d.extend(idx.map(|i| src.value(i))),
+                _ => unreachable!("retyped for the source"),
+            }
+            return;
+        }
+        if src.nulls.is_some() {
+            for (k, i) in idx.enumerate() {
+                if bit(src.nulls.as_ref(), i) {
+                    set_bit(&mut self.nulls, base + k);
+                }
+            }
+        }
+    }
+
+    /// Move every row of `other` onto the end.
+    pub(crate) fn append(&mut self, mut other: Column, cap: usize) {
+        if self.len() == 0 {
+            *self = other;
+            return;
+        }
+        let (base, n) = (self.len(), other.len());
+        let moved = same_typed!(
+            &mut self.data,
+            &mut other.data,
+            |d, s| {
+                d.append(s);
+                true
+            },
+            false
+        );
+        if !moved {
+            return self.extend_gather(&other, 0..n, cap);
+        }
+        if other.nulls.is_some() {
+            for i in 0..n {
+                if bit(other.nulls.as_ref(), i) {
+                    set_bit(&mut self.nulls, base + i);
+                }
+            }
+        }
+    }
+
+    /// Keep the first `n` rows.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        each_vec!(&mut self.data, |v| v.truncate(n), |k| *k = (*k).min(n));
+        if let Some(words) = &mut self.nulls {
+            // Clear the dropped rows' bits: later pushes assume unset.
+            words.truncate(n.div_ceil(64));
+            if let (Some(w), 1..) = (words.last_mut(), n % 64) {
+                *w &= (1 << (n % 64)) - 1;
+            }
+        }
+    }
+
+    /// Split off rows `at..` into a column of their own.
+    pub(crate) fn split_off(&mut self, at: usize) -> Column {
+        let data = match &mut self.data {
+            Data::Null(n) => {
+                let tail = *n - at;
+                *n = at;
+                Data::Null(tail)
+            }
+            Data::Int(v) => Data::Int(v.split_off(at)),
+            Data::Float(v) => Data::Float(v.split_off(at)),
+            Data::Date(v) => Data::Date(v.split_off(at)),
+            Data::Bool(v) => Data::Bool(v.split_off(at)),
+            Data::Str(v) => Data::Str(v.split_off(at)),
+            Data::Mixed(v) => Data::Mixed(v.split_off(at)),
+        };
+        let mut nulls = None;
+        if self.nulls.is_some() {
+            for i in at..at + each_vec!(&data, |v| v.len(), |n| *n) {
+                if bit(self.nulls.as_ref(), i) {
+                    set_bit(&mut nulls, i - at);
+                }
+            }
+            self.truncate(at);
+        }
+        Column { data, nulls }
+    }
+
+    /// Drop every row, keeping the vector for values of the same type.
+    pub(crate) fn clear(&mut self) {
+        each_vec!(&mut self.data, |v| v.clear(), |n| *n = 0);
+        self.nulls = None;
+    }
+
+    /// `Value` equality of row `i` and row `j` of `other` (NULL equals
+    /// NULL): typed compares when both are same-typed vectors without
+    /// NULLs, the [`Cell`] order otherwise.
+    #[inline]
+    pub(crate) fn key_eq(&self, i: usize, other: &Column, j: usize) -> bool {
+        if self.nulls.is_none() && other.nulls.is_none() {
+            match (&self.data, &other.data) {
+                (Data::Int(x), Data::Int(y)) => return x[i] == y[j],
+                (Data::Date(x), Data::Date(y)) => return x[i] == y[j],
+                (Data::Float(x), Data::Float(y)) => return x[i].to_bits() == y[j].to_bits(),
+                (Data::Str(x), Data::Str(y)) => return x[i] == y[j],
+                _ => {}
+            }
+        }
+        self.cell(i).cmp_total(other.cell(j)) == Ordering::Equal
+    }
+
+    /// `Value`'s total order of rows `i` and `j`: typed compares where
+    /// there are no NULLs, the [`Cell`] order otherwise.
+    #[inline]
+    pub(crate) fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
+        if self.nulls.is_none() {
+            match &self.data {
+                Data::Int(v) => return v[i].cmp(&v[j]),
+                Data::Date(v) => return v[i].cmp(&v[j]),
+                Data::Float(v) => return v[i].total_cmp(&v[j]),
+                Data::Str(v) => return v[i].as_ref().cmp(v[j].as_ref()),
+                _ => {}
+            }
+        }
+        self.cell(i).cmp_total(self.cell(j))
+    }
+
+    /// Vector capacity, for tests of the sizing rule.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        each_vec!(&self.data, |v| v.capacity(), |_n| 0)
+    }
+}
+
+/// A borrowed value: one row of a [`Column`], or a `Value`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Date(i32),
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    pub(crate) fn of(v: &'a Value) -> Self {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Date(d) => Cell::Date(*d),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// `Value::as_f64`.
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::Int(i) => Some(i as f64),
+            Cell::Float(f) => Some(f),
+            Cell::Date(d) => Some(f64::from(d)),
+            _ => None,
+        }
+    }
+
+    /// `Value::type_rank`.
+    fn type_rank(self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Bool(_) => 1,
+            Cell::Int(_) => 2,
+            Cell::Float(_) => 3,
+            Cell::Date(_) => 4,
+            Cell::Str(_) => 5,
+        }
+    }
+
+    /// `Value::cmp_total`, case for case.
+    pub(crate) fn cmp_total(self, other: Cell<'_>) -> Ordering {
+        use Cell::{Bool, Date, Float, Int, Null, Str};
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Int(a), Date(b)) => a.cmp(&i64::from(b)),
+            (Date(a), Int(b)) => i64::from(a).cmp(&b),
+            (Float(a), Date(b)) => a.total_cmp(&f64::from(b)),
+            (Date(a), Float(b)) => f64::from(a).total_cmp(&b),
+            _ => self.type_rank().cmp(&other.type_rank()),
+        }
+    }
+
+    /// `Value::sql_cmp`: `None` when either side is NULL.
+    pub(crate) fn sql_cmp(self, other: Cell<'_>) -> Option<Ordering> {
+        (!self.is_null() && !other.is_null()).then(|| self.cmp_total(other))
+    }
+}
+
+/// `Value`'s `Hash`, byte for byte: a cell and the value it views feed a
+/// hasher identically.
+impl Hash for Cell<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Cell::Null => 0u8.hash(state),
+            Cell::Bool(b) => {
+                1u8.hash(state);
+                b.hash(state);
+            }
+            Cell::Int(i) => {
+                2u8.hash(state);
+                (i as f64).to_bits().hash(state);
+            }
+            Cell::Float(f) => {
+                2u8.hash(state);
+                f.to_bits().hash(state);
+            }
+            Cell::Date(d) => {
+                2u8.hash(state);
+                f64::from(d).to_bits().hash(state);
+            }
+            Cell::Str(s) => {
+                5u8.hash(state);
+                s.hash(state);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::hash_map::DefaultHasher;
+
+    fn column(values: &[Value]) -> Column {
+        let mut c = Column::default();
+        c.extend_values(values.iter(), 0);
+        c
+    }
+
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    /// Same variant and same value (floats by bit pattern).
+    fn identical(a: &[Value], b: &[Value]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| match (x, y) {
+                (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+                _ => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+            })
+    }
+
+    fn samples() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(3),
+            Value::Int(-7),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Date(3),
+            Value::str("abc"),
+            Value::str("abd"),
+            Value::str(""),
+        ]
+    }
+
+    #[test]
+    fn a_column_takes_its_first_type_and_mixes_on_a_mismatch() {
+        let ints = [Value::Null, Value::Int(1), Value::Null, Value::Int(2)];
+        let c = column(&ints);
+        assert!(matches!(c.data(), Data::Int(_)));
+        assert!(c.has_null_bitmap());
+        assert!(identical(&values(&c), &ints));
+        // 2 × 8 B of values + one bitmap word.
+        assert_eq!(c.bytes(), 4 * 8 + 8);
+
+        let no_nulls = column(&[Value::Float(1.5), Value::Float(2.0)]);
+        assert!(
+            !no_nulls.has_null_bitmap(),
+            "bitmap allocated on the first NULL only"
+        );
+        assert_eq!(no_nulls.bytes(), 16);
+
+        let mixed = [
+            Value::Int(1),
+            Value::Null,
+            Value::Float(2.5),
+            Value::str("x"),
+        ];
+        let c = column(&mixed);
+        assert!(matches!(c.data(), Data::Mixed(_)));
+        assert!(identical(&values(&c), &mixed));
+        assert!(matches!(
+            column(&vec![Value::Null; 3]).data(),
+            Data::Null(3)
+        ));
+    }
+
+    #[test]
+    fn gather_append_split_and_truncate_keep_values_and_nulls() {
+        let src = column(&samples());
+        let idx = [9usize, 0, 2, 0, 11];
+        for start in [
+            vec![],
+            vec![Value::Null],
+            vec![Value::Int(5)],
+            vec![Value::str("s")],
+        ] {
+            let mut c = column(&start);
+            c.extend_gather(&src, idx.iter().copied(), 0);
+            let want: Vec<Value> = start
+                .iter()
+                .cloned()
+                .chain(idx.iter().map(|i| samples()[*i].clone()))
+                .collect();
+            assert!(identical(&values(&c), &want), "{start:?}");
+
+            let mut a = column(&start);
+            a.append(column(&samples()), 0);
+            let want: Vec<Value> = start.iter().cloned().chain(samples()).collect();
+            assert!(identical(&values(&a), &want), "{start:?}");
+            let tail = a.split_off(start.len() + 4);
+            assert!(identical(&values(&tail), &samples()[4..]));
+            a.truncate(start.len() + 1);
+            assert!(identical(&values(&a), &want[..=start.len()]));
+        }
+        // A NULL bitmap cut mid-word forgets the dropped rows' bits.
+        let mut c = column(&[Value::Int(1), Value::Null, Value::Null]);
+        c.truncate(1);
+        c.push(&Value::Int(2), 0);
+        c.push(&Value::Int(3), 0);
+        assert!(identical(
+            &values(&c),
+            &[Value::Int(1), Value::Int(2), Value::Int(3)]
+        ));
+    }
+
+    #[test]
+    fn cells_order_compare_and_hash_like_values() {
+        let all = samples();
+        let c = column(&all);
+        for (i, a) in all.iter().enumerate() {
+            let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+                let mut s = DefaultHasher::new();
+                h(&mut s);
+                s.finish()
+            };
+            assert_eq!(hash(&|s| a.hash(s)), hash(&|s| c.cell(i).hash(s)), "{a:?}");
+            for (j, b) in all.iter().enumerate() {
+                assert_eq!(
+                    c.cell(i).cmp_total(c.cell(j)),
+                    a.cmp_total(b),
+                    "{a:?} {b:?}"
+                );
+                assert_eq!(c.cell(i).sql_cmp(Cell::of(b)), a.sql_cmp(b));
+                assert_eq!(c.key_eq(i, &c, j), a == b, "{a:?} {b:?}");
+            }
+        }
+        // Typed fast paths agree with the cell order.
+        let ints = column(&[Value::Int(2), Value::Int(1), Value::Int(2)]);
+        let floats = column(&[
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+        ]);
+        assert!(ints.key_eq(0, &ints, 2) && !ints.key_eq(0, &ints, 1));
+        assert!(
+            !floats.key_eq(0, &floats, 1),
+            "-0.0 and 0.0 differ under total_cmp"
+        );
+        assert!(floats.key_eq(2, &floats, 2), "NaN equals itself");
+        assert_eq!(floats.cmp_rows(0, 1), Ordering::Less);
+        assert_eq!(floats.cmp_rows(2, 1), Ordering::Greater, "NaN sorts last");
+        assert_eq!(ints.cmp_rows(1, 0), Ordering::Less);
+    }
+}

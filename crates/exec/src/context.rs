@@ -57,8 +57,7 @@ impl Harvest {
         let (mut rows, mut lineage) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for k in 0..n {
             let i = self.order.as_ref().map_or(k, |o| o[k] as usize);
-            let values = self.buffer.values_at(i);
-            rows.push(self.perm.iter().map(|p| values[*p].clone()).collect());
+            rows.push(self.perm.iter().map(|p| self.buffer.value(*p, i)).collect());
             lineage.push(self.buffer.lineage_at(i).to_vec());
         }
         (rows, lineage)

@@ -2,34 +2,41 @@
 //! CHECK violation.
 
 use crate::build::Signatures;
-use crate::{build_monitored, build_operator, ExecCtx, ExecRow, ExecSignal, Violation};
+use crate::{build_monitored, build_operator, ExecCtx, ExecSignal, RowBatch, Violation};
 use pop_plan::PhysNode;
 use pop_types::PopResult;
 
-/// Result of one execution step.
+/// Result of one execution step: the root's output batches, as emitted
+/// (their live rows, in order, are the rows returned to the application).
 #[derive(Debug)]
 pub enum RunOutcome {
     /// The plan ran to completion.
     Complete {
-        /// All rows returned to the application.
-        rows: Vec<ExecRow>,
+        /// Every batch the plan returned.
+        batches: Vec<RowBatch>,
     },
     /// A CHECK violated its range: execution stopped for re-optimization.
     Suspended {
-        /// Rows already returned to the application before the violation
-        /// (the driver must compensate for these in the next step).
-        rows: Vec<ExecRow>,
+        /// Batches already returned to the application before the
+        /// violation (the driver must compensate for their rows in the
+        /// next step).
+        batches: Vec<RowBatch>,
         /// The violation that stopped execution.
         violation: Violation,
     },
 }
 
 impl RunOutcome {
-    /// The rows produced, regardless of outcome.
-    pub fn rows(&self) -> &[ExecRow] {
+    /// The batches produced, regardless of outcome.
+    pub fn batches(&self) -> &[RowBatch] {
         match self {
-            RunOutcome::Complete { rows } | RunOutcome::Suspended { rows, .. } => rows,
+            RunOutcome::Complete { batches } | RunOutcome::Suspended { batches, .. } => batches,
         }
+    }
+
+    /// Number of rows produced.
+    pub fn row_count(&self) -> usize {
+        self.batches().iter().map(RowBatch::live_count).sum()
     }
 
     /// Did the step complete?
@@ -50,13 +57,13 @@ pub fn execute(
         Some(m) => build_monitored(plan, &ctx.catalog, signatures, &m)?,
         None => build_operator(plan, &ctx.catalog, signatures)?,
     };
-    let mut rows: Vec<ExecRow> = Vec::new();
+    let mut batches = Vec::new();
     match op.open(ctx) {
         Ok(()) => {}
         Err(ExecSignal::Reopt(v)) => {
             op.close(ctx);
             return Ok(RunOutcome::Suspended {
-                rows,
+                batches,
                 violation: *v,
             });
         }
@@ -75,13 +82,13 @@ pub fn execute(
                     op.close(ctx);
                     return Err(e);
                 }
-                rows.extend(b.into_rows());
+                batches.push(b);
             }
             Ok(None) => break,
             Err(ExecSignal::Reopt(v)) => {
                 op.close(ctx);
                 return Ok(RunOutcome::Suspended {
-                    rows,
+                    batches,
                     violation: *v,
                 });
             }
@@ -92,7 +99,7 @@ pub fn execute(
         }
     }
     op.close(ctx);
-    Ok(RunOutcome::Complete { rows })
+    Ok(RunOutcome::Complete { batches })
 }
 
 #[cfg(test)]
@@ -134,7 +141,7 @@ mod tests {
         let (mut ctx, plan) = scan_plan(None);
         let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
         assert!(out.is_complete());
-        assert_eq!(out.rows().len(), 20);
+        assert_eq!(out.row_count(), 20);
         assert!(ctx.work > 0.0);
     }
 
@@ -142,7 +149,7 @@ mod tests {
     fn filtered_scan() {
         let (mut ctx, plan) = scan_plan(Some(Expr::col(0, 0).lt(Expr::lit(5i64))));
         let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
-        assert_eq!(out.rows().len(), 5);
+        assert_eq!(out.row_count(), 5);
     }
 
     #[test]
@@ -163,9 +170,9 @@ mod tests {
             props,
         };
         let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+        assert_eq!(out.row_count(), 7);
         match out {
-            RunOutcome::Suspended { rows, violation } => {
-                assert_eq!(rows.len(), 7);
+            RunOutcome::Suspended { violation, .. } => {
                 assert_eq!(violation.check_id, 0);
                 assert_eq!(violation.observed, crate::ObservedCard::AtLeast(8));
             }

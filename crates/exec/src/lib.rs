@@ -30,11 +30,11 @@
 
 mod batch;
 mod build;
+mod column;
 mod context;
 mod executor;
 mod morsel;
 pub mod operators;
-mod row;
 mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
@@ -43,5 +43,4 @@ pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest, SampleSpec};
 pub use executor::{execute, RunOutcome};
 pub use morsel::{RegionDiag, WorkerDiag, DEFAULT_MORSEL_SIZE};
 pub use operators::{MonitorSet, MonitorSpec, Operator, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
-pub use row::ExecRow;
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

@@ -175,7 +175,7 @@ mod tests {
     fn pool_recycles_reset_batches() {
         let mut pool = BatchPool::default();
         let mut b = RowBatch::new();
-        b.push(vec![Value::Int(1)], vec![Rid::new(0, 0)]);
+        b.push_row(&[Value::Int(1)], &[Rid::new(0, 0)]);
         pool.put(b);
         let b = pool.get();
         assert!(b.is_empty());

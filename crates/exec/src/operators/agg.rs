@@ -1,9 +1,11 @@
 //! Hash aggregation and projection.
 
-use crate::operators::key::{group_hash, ChainIndex, NIL};
+use crate::column::{Cell, Data};
+use crate::operators::key::{hash_cells, hash_keys, ChainIndex, NIL};
 use crate::operators::{next_chunk, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_types::Value;
+use std::cmp::Ordering;
 
 /// An aggregate to compute, with its argument resolved to a layout
 /// position (`None` for COUNT(*)).
@@ -21,93 +23,203 @@ pub enum AggKind {
     Avg(usize),
 }
 
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Sum { sum: f64, all_int: bool, any: bool },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, n: i64 },
+/// The running state of one aggregate, one slot per group.
+#[derive(Debug)]
+enum Acc {
+    Count(Vec<i64>),
+    /// Summed in `f64` in row order; the result is an `Int` when every
+    /// summed value was one (and the sum is integral and exact).
+    Sum {
+        pos: usize,
+        sum: Vec<f64>,
+        all_int: Vec<bool>,
+        any: Vec<bool>,
+    },
+    /// The best value so far (`Null` = none yet).
+    Min {
+        pos: usize,
+        best: Vec<Value>,
+    },
+    Max {
+        pos: usize,
+        best: Vec<Value>,
+    },
+    Avg {
+        pos: usize,
+        sum: Vec<f64>,
+        n: Vec<i64>,
+    },
 }
 
-impl AggState {
-    fn new(kind: AggKind) -> AggState {
+impl Acc {
+    fn new(kind: AggKind) -> Acc {
         match kind {
-            AggKind::Count => AggState::Count(0),
-            AggKind::Sum(_) => AggState::Sum {
-                sum: 0.0,
-                all_int: true,
-                any: false,
+            AggKind::Count => Acc::Count(Vec::new()),
+            AggKind::Sum(pos) => Acc::Sum {
+                pos,
+                sum: Vec::new(),
+                all_int: Vec::new(),
+                any: Vec::new(),
             },
-            AggKind::Min(_) => AggState::Min(None),
-            AggKind::Max(_) => AggState::Max(None),
-            AggKind::Avg(_) => AggState::Avg { sum: 0.0, n: 0 },
+            AggKind::Min(pos) => Acc::Min {
+                pos,
+                best: Vec::new(),
+            },
+            AggKind::Max(pos) => Acc::Max {
+                pos,
+                best: Vec::new(),
+            },
+            AggKind::Avg(pos) => Acc::Avg {
+                pos,
+                sum: Vec::new(),
+                n: Vec::new(),
+            },
         }
     }
 
-    fn update(&mut self, kind: AggKind, row: &[Value]) -> OpResult<()> {
-        match (self, kind) {
-            (AggState::Count(n), AggKind::Count) => *n += 1,
-            (AggState::Sum { sum, all_int, any }, AggKind::Sum(pos)) => {
-                let v = &row[pos];
-                if v.is_null() {
-                    return Ok(());
-                }
-                if !matches!(v, Value::Int(_)) {
-                    *all_int = false;
-                }
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
-                    *any = true;
-                }
+    /// Open a slot for a new group.
+    fn push_group(&mut self) {
+        match self {
+            Acc::Count(n) => n.push(0),
+            Acc::Sum {
+                sum, all_int, any, ..
+            } => {
+                sum.push(0.0);
+                all_int.push(true);
+                any.push(false);
             }
-            (AggState::Min(m), AggKind::Min(pos)) => {
-                let v = &row[pos];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (AggState::Max(m), AggKind::Max(pos)) => {
-                let v = &row[pos];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (AggState::Avg { sum, n }, AggKind::Avg(pos)) => {
-                let v = &row[pos];
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
-                    *n += 1;
-                }
-            }
-            _ => {
-                return Err(super::protocol_err(
-                    "aggregate state does not match its kind",
-                ))
+            Acc::Min { best, .. } | Acc::Max { best, .. } => best.push(Value::Null),
+            Acc::Avg { sum, n, .. } => {
+                sum.push(0.0);
+                n.push(0);
             }
         }
-        Ok(())
     }
 
-    /// The aggregate's value (MIN/MAX move theirs out).
-    fn finish(&mut self) -> Value {
-        match *self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::Sum { sum, all_int, any } => {
-                if !any {
-                    Value::Null
-                } else if all_int && sum.fract() == 0.0 && sum.abs() < 9e15 {
-                    Value::Int(sum as i64)
-                } else {
-                    Value::Float(sum)
+    /// Bytes one group's slot holds.
+    fn slot_bytes(&self) -> usize {
+        match self {
+            Acc::Count(_) => 8,
+            Acc::Sum { .. } => 8 + 1 + 1,
+            Acc::Min { .. } | Acc::Max { .. } => std::mem::size_of::<Value>(),
+            Acc::Avg { .. } => 8 + 8,
+        }
+    }
+
+    /// Fold the batch rows `rows` into the slots `gids` (parallel lists),
+    /// in row order: one loop over the argument column, typed where the
+    /// column is.
+    fn update(&mut self, b: &RowBatch, rows: &[u32], gids: &[u32]) {
+        let pairs = rows
+            .iter()
+            .zip(gids)
+            .map(|(i, g)| (*i as usize, *g as usize));
+        let better = if matches!(self, Acc::Min { .. }) {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        };
+        match self {
+            Acc::Count(n) => pairs.for_each(|(_, g)| n[g] += 1),
+            Acc::Sum {
+                pos,
+                sum,
+                all_int,
+                any,
+            } => {
+                let col = b.col(*pos);
+                match col.data() {
+                    Data::Int(v) if !col.has_null_bitmap() => {
+                        for (i, g) in pairs {
+                            sum[g] += v[i] as f64;
+                            any[g] = true;
+                        }
+                    }
+                    Data::Float(v) if !col.has_null_bitmap() => {
+                        for (i, g) in pairs {
+                            sum[g] += v[i];
+                            all_int[g] = false;
+                            any[g] = true;
+                        }
+                    }
+                    _ => {
+                        for (i, g) in pairs {
+                            let c = col.cell(i);
+                            if c.is_null() {
+                                continue;
+                            }
+                            if !matches!(c, Cell::Int(_)) {
+                                all_int[g] = false;
+                            }
+                            if let Some(x) = c.as_f64() {
+                                sum[g] += x;
+                                any[g] = true;
+                            }
+                        }
+                    }
                 }
             }
-            AggState::Min(ref mut m) | AggState::Max(ref mut m) => m.take().unwrap_or(Value::Null),
-            AggState::Avg { sum, n } => {
-                if n == 0 {
+            Acc::Min { pos, best } | Acc::Max { pos, best } => {
+                let col = b.col(*pos);
+                for (i, g) in pairs {
+                    let c = col.cell(i);
+                    if !c.is_null()
+                        && (best[g].is_null() || c.cmp_total(Cell::of(&best[g])) == better)
+                    {
+                        best[g] = col.value(i);
+                    }
+                }
+            }
+            Acc::Avg { pos, sum, n } => {
+                let col = b.col(*pos);
+                match col.data() {
+                    Data::Int(v) if !col.has_null_bitmap() => {
+                        for (i, g) in pairs {
+                            sum[g] += v[i] as f64;
+                            n[g] += 1;
+                        }
+                    }
+                    Data::Float(v) if !col.has_null_bitmap() => {
+                        for (i, g) in pairs {
+                            sum[g] += v[i];
+                            n[g] += 1;
+                        }
+                    }
+                    _ => {
+                        for (i, g) in pairs {
+                            if let Some(x) = col.cell(i).as_f64() {
+                                sum[g] += x;
+                                n[g] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Group `g`'s aggregate value.
+    fn finish(&self, g: usize) -> Value {
+        match self {
+            Acc::Count(n) => Value::Int(n[g]),
+            Acc::Sum {
+                sum, all_int, any, ..
+            } => {
+                let s = sum[g];
+                if !any[g] {
+                    Value::Null
+                } else if all_int[g] && s.fract() == 0.0 && s.abs() < 9e15 {
+                    Value::Int(s as i64)
+                } else {
+                    Value::Float(s)
+                }
+            }
+            Acc::Min { best, .. } | Acc::Max { best, .. } => best[g].clone(),
+            Acc::Avg { sum, n, .. } => {
+                if n[g] == 0 {
                     Value::Null
                 } else {
-                    Value::Float(sum / n as f64)
+                    Value::Float(sum[g] / n[g] as f64)
                 }
             }
         }
@@ -118,16 +230,20 @@ impl AggState {
 /// one row per group (group key columns followed by aggregate values),
 /// **sorted by group key** for deterministic output.
 ///
-/// Groups are dense ids in first-seen order: group `g` owns
-/// `keys[g*k..(g+1)*k]` and `states[g*a..(g+1)*a]` of two flat buffers
-/// (`k` key columns, `a` aggregates), found through a [`ChainIndex`] by
-/// comparing an input row's key columns against the stored key in place.
+/// Groups are dense ids in first-seen order: group `g`'s key is row `g` of
+/// a key buffer (a [`RowBatch`] of typed key columns, holding each key as
+/// first seen) and its state slot `g` of one typed array per aggregate.
+/// Each input batch is aggregated in two phases: every live row's group id
+/// is resolved — its key columns hashed a column at a time, its chain in a
+/// [`ChainIndex`] walked comparing typed keys against the key buffer, a
+/// new group appended on a miss — and then each aggregate folds the batch
+/// into its array in one loop, rows in order.
 pub struct HashAggOp {
     input: Box<dyn Operator>,
     key_pos: Vec<usize>,
     aggs: Vec<AggKind>,
-    keys: Vec<Value>,
-    states: Vec<AggState>,
+    keys: RowBatch,
+    accs: Vec<Acc>,
     /// Group ids sorted by key; emitted from `pos` on.
     order: Vec<u32>,
     pos: usize,
@@ -142,8 +258,8 @@ impl HashAggOp {
             input,
             key_pos,
             aggs,
-            keys: Vec::new(),
-            states: Vec::new(),
+            keys: RowBatch::new(),
+            accs: Vec::new(),
             order: Vec::new(),
             pos: 0,
             reserved: 0,
@@ -154,51 +270,62 @@ impl HashAggOp {
 impl Operator for HashAggOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
-        let (k, a) = (self.key_pos.len(), self.aggs.len());
-        let group_bytes = k * std::mem::size_of::<Value>() + a * std::mem::size_of::<AggState>();
-        let (keys, states) = (&mut self.keys, &mut self.states);
-        keys.clear();
-        states.clear();
+        let k = self.key_pos.len();
+        let (keys, accs) = (&mut self.keys, &mut self.accs);
+        *keys = RowBatch::new();
+        *accs = self.aggs.iter().map(|kind| Acc::new(*kind)).collect();
+        let slot_bytes: usize = accs.iter().map(Acc::slot_bytes).sum();
         let mut index = ChainIndex::build(0, 0, |_| None);
-        let mut groups = 0usize;
+        let (mut rows, mut gids, mut hashes, mut nulls) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         while let Some(b) = self.input.next_batch(ctx)? {
             ctx.charge(b.live_count() as f64 * ctx.model.agg_row);
             ctx.guard_tick()?;
-            let seen = groups;
-            for i in b.live_indices() {
-                let row = b.values_at(i);
-                let hash = group_hash(self.key_pos.iter().map(|p| &row[*p]));
-                let mut g = index.first(hash);
+            // Phase 1: every live row's group id.
+            rows.clear();
+            rows.extend(b.live_indices().map(|i| i as u32));
+            hash_keys(&b, &self.key_pos, &mut hashes, &mut nulls);
+            gids.clear();
+            for (i, h) in rows.iter().zip(&hashes) {
+                let i = *i as usize;
+                let mut g = index.first(*h);
                 while g != NIL
-                    && !(keys[g as usize * k..][..k].iter())
-                        .zip(&self.key_pos)
-                        .all(|(key, p)| *key == row[*p])
+                    && !(self.key_pos.iter().enumerate())
+                        .all(|(c, p)| keys.col(c).key_eq(g as usize, b.col(*p), i))
                 {
                     g = index.next_of(g);
                 }
                 if g == NIL {
-                    g = groups as u32;
-                    groups += 1;
-                    keys.extend(self.key_pos.iter().map(|p| row[*p].clone()));
-                    states.extend(self.aggs.iter().map(|kind| AggState::new(*kind)));
-                    index.push(hash, |g| group_hash(keys[g * k..][..k].iter()));
+                    g = keys.len() as u32;
+                    keys.push_cols_from(&b, i, &self.key_pos);
+                    accs.iter_mut().for_each(Acc::push_group);
+                    index.push(*h, |g| hash_cells((0..k).map(|c| keys.cell(c, g))).0);
                 }
-                for (state, kind) in states[g as usize * a..][..a].iter_mut().zip(&self.aggs) {
-                    state.update(*kind, row)?;
-                }
+                gids.push(g);
             }
-            let bytes = ((groups - seen) * group_bytes) as u64;
+            // Phase 2: each aggregate over the whole batch.
+            for acc in accs.iter_mut() {
+                acc.update(&b, &rows, &gids);
+            }
+            let held = keys.approx_bytes() + (keys.len() * slot_bytes) as u64;
+            let bytes = held.saturating_sub(self.reserved);
             self.reserved += bytes;
             ctx.guard_reserve(bytes)?;
         }
         // Scalar aggregate over an empty input still yields one row.
-        if groups == 0 && k == 0 {
-            states.extend(self.aggs.iter().map(|kind| AggState::new(*kind)));
-            groups = 1;
+        if keys.is_empty() && k == 0 {
+            keys.push_row(&[], &[]);
+            accs.iter_mut().for_each(Acc::push_group);
         }
-        self.order = (0..groups as u32).collect();
-        self.order
-            .sort_by(|x, y| keys[*x as usize * k..][..k].cmp(&keys[*y as usize * k..][..k]));
+        self.order = (0..keys.len() as u32).collect();
+        // Distinct groups never compare equal, so an unstable sort is
+        // deterministic.
+        self.order.sort_unstable_by(|x, y| {
+            (0..k)
+                .map(|c| keys.col(c).cmp_rows(*x as usize, *y as usize))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
         self.pos = 0;
         Ok(())
     }
@@ -207,25 +334,18 @@ impl Operator for HashAggOp {
         let Some(chunk) = next_chunk(&mut self.pos, self.order.len(), ctx) else {
             return Ok(None);
         };
-        let (k, a) = (self.key_pos.len(), self.aggs.len());
-        let mut out = RowBatch::with_capacity(chunk.len());
-        for g in &self.order[chunk] {
-            // Each group is emitted once: move its key and values out.
-            let key = self.keys[*g as usize * k..][..k]
-                .iter_mut()
-                .map(|v| std::mem::replace(v, Value::Null));
-            let aggs = self.states[*g as usize * a..][..a]
-                .iter_mut()
-                .map(AggState::finish);
-            out.push_derived(k + a, key.chain(aggs));
+        let groups = &self.order[chunk];
+        let mut out = self.keys.copy_rows(groups.iter().map(|g| *g as usize));
+        for acc in &self.accs {
+            out.push_column(groups.iter().map(|g| acc.finish(*g as usize)));
         }
         Ok(Some(out))
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.input.close(ctx);
-        self.keys.clear();
-        self.states.clear();
+        self.keys = RowBatch::new();
+        self.accs.clear();
         self.order.clear();
         ctx.guard_release(self.reserved);
         self.reserved = 0;
@@ -256,21 +376,22 @@ impl Operator for HavingOp {
             let Some(mut b) = self.input.next_batch(ctx)? else {
                 return Ok(None);
             };
-            b.retain_live(|values, _| {
-                self.preds
-                    .iter()
-                    .all(|p| match values[p.pos].sql_cmp(&p.value) {
-                        None => false,
-                        Some(ord) => match p.op {
-                            pop_expr::CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                            pop_expr::CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                            pop_expr::CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                            pop_expr::CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                            pop_expr::CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                            pop_expr::CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                        },
-                    })
-            });
+            // One column per predicate, each over the rows the earlier
+            // ones kept.
+            for p in &self.preds {
+                let value = Cell::of(&p.value);
+                b.retain_live(|b, i| match b.cell(p.pos, i).sql_cmp(value) {
+                    None => false,
+                    Some(ord) => match p.op {
+                        pop_expr::CmpOp::Eq => ord == Ordering::Equal,
+                        pop_expr::CmpOp::Ne => ord != Ordering::Equal,
+                        pop_expr::CmpOp::Lt => ord == Ordering::Less,
+                        pop_expr::CmpOp::Le => ord != Ordering::Greater,
+                        pop_expr::CmpOp::Gt => ord == Ordering::Greater,
+                        pop_expr::CmpOp::Ge => ord != Ordering::Less,
+                    },
+                });
+            }
             if b.live_count() > 0 {
                 return Ok(Some(b));
             }
@@ -382,13 +503,10 @@ mod tests {
     }
 
     fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
-        op.open(ctx).unwrap();
-        let mut out = Vec::new();
-        while let Some(b) = op.next_batch(ctx).unwrap() {
-            out.extend(b.into_rows().into_iter().map(|r| r.values));
-        }
-        op.close(ctx);
-        out
+        crate::operators::drain(op, ctx)
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect()
     }
 
     #[test]
@@ -466,11 +584,14 @@ mod tests {
         assert_eq!(keys, vec![&Value::Int(1), &Value::Int(3), &Value::Int(5)]);
     }
 
-    /// Group-key semantics of the flat group table, at batch sizes
-    /// 1 / 7 / 1024: NULL is a key value (one group per distinct
-    /// NULL-bearing key, apart from every non-NULL key), numerics of
-    /// equal value share a group under its first-seen key, and enough
-    /// distinct keys to grow the index several times all stay apart.
+    /// Group-key semantics of the group table, at batch sizes 1 / 7 /
+    /// 1024: NULL is a key value (one group per distinct NULL-bearing key,
+    /// apart from every non-NULL key, in either position of a two-column
+    /// key), numerics of equal value share a group under its first-seen
+    /// key, `-0.0` and `0.0` do not, NaN groups with NaN, strings sharing
+    /// a prefix stay apart, a key column that turns mixed mid-stream keeps
+    /// grouping by value, and enough distinct keys to grow the index
+    /// several times all stay apart.
     #[test]
     fn group_key_table() {
         let mut rows = vec![
@@ -482,6 +603,23 @@ mod tests {
             vec![Value::Date(3), Value::Int(6)],
         ];
         rows.extend((10..400).map(|i| vec![Value::Int(i), Value::Int(i)]));
+        let special = vec![
+            vec![Value::Float(-0.0), Value::Int(1)],
+            vec![Value::Float(0.0), Value::Int(2)],
+            vec![Value::Int(0), Value::Int(4)],
+            vec![Value::Float(f64::NAN), Value::Int(8)],
+            vec![Value::Float(f64::NAN), Value::Int(16)],
+            vec![Value::str("abcdefgh"), Value::Int(32)],
+            vec![Value::str("abcdefghi"), Value::Int(64)],
+            vec![Value::str("abcdefgh"), Value::Int(128)],
+        ];
+        let null_pairs: Vec<Vec<Value>> = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (1, 0), (0, 1)]
+            .iter()
+            .map(|(a, b)| {
+                let v = |x: i64| if x == 0 { Value::Null } else { Value::Int(x) };
+                vec![v(*a), v(*b)]
+            })
+            .collect();
         for batch_size in [1, 7, 1024] {
             let (mut ctx, scan) = setup(rows.clone());
             ctx.batch_size = batch_size;
@@ -503,6 +641,40 @@ mod tests {
             ctx.batch_size = batch_size;
             let mut op = HashAggOp::new(scan, vec![], vec![AggKind::Count]);
             assert_eq!(drain(&mut op, &mut ctx), vec![vec![Value::Int(396)]]);
+
+            let (mut ctx, scan) = setup(special.clone());
+            ctx.batch_size = batch_size;
+            let mut op = HashAggOp::new(scan, vec![0], vec![AggKind::Count, AggKind::Sum(1)]);
+            let out = drain(&mut op, &mut ctx);
+            let groups: Vec<(Value, Value, Value)> = out
+                .into_iter()
+                .map(|r| (r[0].clone(), r[1].clone(), r[2].clone()))
+                .collect();
+            let want = [
+                (Value::Float(-0.0), 1, 1),
+                (Value::Float(0.0), 2, 6),
+                (Value::Float(f64::NAN), 2, 24),
+                (Value::str("abcdefgh"), 2, 160),
+                (Value::str("abcdefghi"), 1, 64),
+            ];
+            assert_eq!(groups.len(), want.len(), "@ {batch_size}: {groups:?}");
+            for ((key, n, sum), (wkey, wn, wsum)) in groups.iter().zip(&want) {
+                assert_eq!(key.cmp_total(wkey), Ordering::Equal, "@ {batch_size}");
+                assert!(
+                    std::mem::discriminant(key) == std::mem::discriminant(wkey),
+                    "first-seen key kept: {key:?}"
+                );
+                assert_eq!((n, sum), (&Value::Int(*wn), &Value::Int(*wsum)));
+            }
+
+            let (mut ctx, scan) = setup(null_pairs.clone());
+            ctx.batch_size = batch_size;
+            let mut op = HashAggOp::new(scan, vec![0, 1], vec![AggKind::Count]);
+            let counts: Vec<Value> = drain(&mut op, &mut ctx)
+                .into_iter()
+                .map(|r| r[2].clone())
+                .collect();
+            assert_eq!(counts, [2, 2, 2, 1].map(Value::Int), "@ {batch_size}");
         }
     }
 
@@ -514,7 +686,8 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..500)
             .map(|i| vec![Value::Int(i), Value::Int(1)])
             .collect();
-        let group_bytes = (std::mem::size_of::<Value>() + std::mem::size_of::<AggState>()) as u64;
+        // An `Int` key and a COUNT slot: 8 B each.
+        let group_bytes = 16;
         let budget = |max| Budget {
             max_resident_bytes: Some(max),
             ..Budget::unlimited()
@@ -543,6 +716,32 @@ mod tests {
             other => panic!("expected BudgetExceeded, got {:?}", other.err()),
         }
         op.close(&mut ctx);
+    }
+
+    /// An `Int`-keyed COUNT + SUM table of 10 000 groups is charged at
+    /// its typed size — 8 B key, 8 B count, 10 B sum state — against the
+    /// 880 000 B (24 B key value plus two 32 B states per group) the same
+    /// table was charged as `Value`s.
+    #[test]
+    fn typed_group_table_is_charged_under_half_the_value_table() {
+        use pop_guard::{Budget, Governor};
+        const RECORDED_AS_VALUES: u64 = 880_000;
+        let rows: Vec<Vec<Value>> = (0..10_000)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 3)])
+            .collect();
+        let (mut ctx, scan) = setup(rows);
+        ctx.guard = Governor::new(
+            Budget {
+                max_resident_bytes: Some(u64::MAX),
+                ..Budget::unlimited()
+            },
+            None,
+        );
+        let mut op = HashAggOp::new(scan, vec![0], vec![AggKind::Count, AggKind::Sum(1)]);
+        assert_eq!(drain(&mut op, &mut ctx).len(), 10_000);
+        let peak = ctx.guard.peak_resident_bytes();
+        assert_eq!(peak, 10_000 * (8 + 8 + 10));
+        assert!(peak * 2 <= RECORDED_AS_VALUES, "{peak} B");
     }
 
     #[test]

@@ -865,9 +865,9 @@ mod tests {
         let step = |r: OpResult<Option<RowBatch>>, run: &mut Run, ctx: &ExecCtx| match r {
             Ok(Some(b)) => {
                 run.values
-                    .extend(b.into_rows().iter().map(|r| match r.values[0] {
+                    .extend(b.live_indices().map(|i| match b.value(0, i) {
                         Value::Int(i) => i,
-                        ref other => panic!("unexpected {other:?}"),
+                        other => panic!("unexpected {other:?}"),
                     }));
                 true
             }

@@ -1,18 +1,17 @@
 //! The three join methods: index nested-loop, hash, and merge join.
 //!
-//! The per-row probes (hash-join probe side, NLJN outer) read their
-//! streaming input in place through a [`RowCursor`] — no row is moved or
-//! allocated until it is copied into the output; the merge join, which
-//! buffers owned right-side groups, pulls rows through a [`BatchCursor`].
-//! Output accumulates into a [`RowBatch`] of up to
-//! [`ExecCtx::batch_size`] rows per call.
+//! Every join reads its streaming inputs in place through a [`RowCursor`]
+//! — no input row is moved or allocated — and builds its output a column
+//! at a time: matches are collected as row-index pairs and gathered into
+//! a [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call.
 
+use crate::column::Cell;
 use crate::context::Harvest;
-use crate::operators::key::{key_hash, ChainIndex, NIL};
+use crate::operators::key::{hash_keys, ChainIndex, NIL};
 use crate::operators::materialize::{materialize, HarvestInfo};
 use crate::operators::scan::read_set;
-use crate::operators::{BatchCursor, Operator, RowCursor};
-use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
+use crate::operators::{Operator, RowCursor};
+use crate::{ExecCtx, OpResult, RowBatch};
 use pop_expr::BoundExpr;
 use pop_storage::{Index, RowFetcher, Table};
 use pop_types::{Rid, Value};
@@ -26,6 +25,11 @@ use std::sync::Arc;
 /// order-of-magnitude blowups POP guards against (Figure 2): its cost is
 /// `outer_card × (probe + matches × fetch)`, so an outer that is 100×
 /// larger than estimated costs 100× more.
+///
+/// A fetched inner row is filtered where storage holds it and its output
+/// columns are copied into a scratch batch; the outer half of each output
+/// row is a gather of the outer row's index, done before the outer batch
+/// is released.
 pub struct NljnOp {
     outer: Box<dyn Operator>,
     outer_key_pos: usize,
@@ -42,6 +46,10 @@ pub struct NljnOp {
     outer_rows: RowCursor,
     matches: Vec<u64>,
     match_pos: usize,
+    /// Joined rows not yet copied out: the outer row index of each (into
+    /// the cursor's batch) and its inner columns plus inner rid.
+    pending: Vec<u32>,
+    inner_rows: RowBatch,
     /// Last inner page fetched from, for random-I/O accounting.
     last_page: Option<u64>,
     pending_signal: Option<crate::ExecSignal>,
@@ -70,6 +78,8 @@ impl NljnOp {
             outer_rows: RowCursor::default(),
             matches: Vec::new(),
             match_pos: 0,
+            pending: Vec::new(),
+            inner_rows: RowBatch::new(),
             last_page: None,
             pending_signal: None,
         }
@@ -81,6 +91,26 @@ impl NljnOp {
         self.inner_cols = cols;
         self
     }
+}
+
+/// Copy out the NLJN rows joined against the cursor's batch: outer
+/// columns gathered by row index, inner columns as fetched.
+fn flush_joined(
+    out: &mut RowBatch,
+    outer: &RowCursor,
+    pending: &mut Vec<u32>,
+    inner: &mut RowBatch,
+) {
+    if let (false, Some((batch, _))) = (pending.is_empty(), outer.current()) {
+        out.extend_joined(
+            batch,
+            pending.iter().map(|i| *i as usize),
+            inner,
+            0..pending.len(),
+        );
+    }
+    pending.clear();
+    inner.reset();
 }
 
 impl Operator for NljnOp {
@@ -95,15 +125,17 @@ impl Operator for NljnOp {
         self.outer_rows.reset();
         self.matches.clear();
         self.match_pos = 0;
+        self.pending.clear();
+        self.inner_rows = RowBatch::with_capacity(ctx.batch_size.max(1));
         self.last_page = None;
         self.pending_signal = None;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        if self.fetcher.is_none() {
+        let Some(fetcher) = self.fetcher.as_ref() else {
             return Err(super::protocol_err("NLJN next_batch() before open()"));
-        }
+        };
         if let Some(sig) = self.pending_signal.take() {
             return Err(sig);
         }
@@ -115,60 +147,76 @@ impl Operator for NljnOp {
             while self.match_pos < self.matches.len() {
                 let pos = self.matches[self.match_pos];
                 self.match_pos += 1;
-                let (outer, outer_lineage) = self
+                let (outer, at) = self
                     .outer_rows
-                    .row()
+                    .current()
                     .ok_or_else(|| super::protocol_err("NLJN match without an outer row"))?;
-                let fetcher = self.fetcher.as_ref().expect("checked above");
+                let rid = [Rid::new(self.inner_table.id(), pos)];
+                let (pred, residual, params) = (&self.inner_pred, &self.residual, &ctx.params);
+                let (pending, inner_rows, inner_cols) =
+                    (&mut self.pending, &mut self.inner_rows, &self.inner_cols);
                 // A position past the opened rows (index briefly ahead of
                 // them) is skipped by the fetcher.
                 fetcher.for_each(&[pos], |_, inner_row| {
-                    let keep = match &self.inner_pred {
-                        Some(p) => p.passes(inner_row, &ctx.params)?,
+                    let keep = match pred {
+                        Some(p) => p.passes(inner_row, params)?,
                         None => true,
-                    } && self.residual.iter().all(|(outer_pos, inner_col)| {
-                        outer[*outer_pos].sql_cmp(&inner_row[*inner_col]) == Some(Ordering::Equal)
+                    } && residual.iter().all(|(outer_pos, inner_col)| {
+                        outer
+                            .cell(*outer_pos, at)
+                            .sql_cmp(Cell::of(&inner_row[*inner_col]))
+                            == Some(Ordering::Equal)
                     });
                     if keep {
-                        out.push_concat_projected(
-                            outer,
-                            inner_row,
-                            &self.inner_cols,
-                            outer_lineage,
-                            &[Rid::new(self.inner_table.id(), pos)],
-                        );
+                        pending.push(at as u32);
+                        inner_rows.push_projected(inner_row, inner_cols, &rid);
                     }
                     Ok(true)
                 })?;
-                if out.len() >= target {
+                if out.len() + self.pending.len() >= target {
+                    flush_joined(
+                        &mut out,
+                        &self.outer_rows,
+                        &mut self.pending,
+                        &mut self.inner_rows,
+                    );
                     return Ok(Some(out));
                 }
             }
             // Advance the outer; fetch charges for the whole match list
             // (rows and page transitions) are taken up front at probe time.
-            match self.outer_rows.advance(self.outer.as_mut(), ctx) {
+            if self.outer_rows.step() {
+                let (outer, at) = self.outer_rows.current().expect("stepped onto a row");
+                let key = outer.value(self.outer_key_pos, at);
+                self.inner_index.probe_into(&key, &mut self.matches)?;
+                self.match_pos = 0;
+                let mut new_pages = 0u64;
+                for &p in &self.matches {
+                    let pg = fetcher.page_of(p);
+                    if self.last_page != Some(pg) {
+                        self.last_page = Some(pg);
+                        new_pages += 1;
+                    }
+                }
+                ctx.charge(
+                    ctx.model.index_probe
+                        + self.matches.len() as f64 * ctx.model.index_fetch_row
+                        + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
+                );
+                continue;
+            }
+            // The outer batch is done: copy out what joined against it
+            // before it is released.
+            flush_joined(
+                &mut out,
+                &self.outer_rows,
+                &mut self.pending,
+                &mut self.inner_rows,
+            );
+            match self.outer_rows.refill(self.outer.as_mut(), ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
                 Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
-                Ok(true) => {
-                    let (outer, _) = self.outer_rows.row().expect("advance returned true");
-                    self.inner_index
-                        .probe_into(&outer[self.outer_key_pos], &mut self.matches)?;
-                    self.match_pos = 0;
-                    let fetcher = self.fetcher.as_ref().expect("checked above");
-                    let mut new_pages = 0u64;
-                    for &p in &self.matches {
-                        let pg = fetcher.page_of(p);
-                        if self.last_page != Some(pg) {
-                            self.last_page = Some(pg);
-                            new_pages += 1;
-                        }
-                    }
-                    ctx.charge(
-                        ctx.model.index_probe
-                            + self.matches.len() as f64 * ctx.model.index_fetch_row
-                            + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
-                    );
-                }
+                Ok(true) => {}
             }
         }
     }
@@ -177,6 +225,8 @@ impl Operator for NljnOp {
         self.outer.close(ctx);
         self.fetcher = None;
         self.outer_rows.reset();
+        self.pending.clear();
+        self.inner_rows = RowBatch::new();
     }
 }
 
@@ -199,9 +249,9 @@ pub struct BuildState {
 }
 
 /// Run the build phase: drain `build` into the row buffer and index it,
-/// charging `hash_build_row` per row, reserving the buffer's bytes, and
-/// registering the harvest (if any) with `ctx`. The caller owns the
-/// returned state's byte reservation.
+/// hashing the key columns a column at a time, charging `hash_build_row`
+/// per row, reserving the buffer's bytes, and registering the harvest (if
+/// any) with `ctx`. The caller owns the returned state's byte reservation.
 pub(crate) fn run_hash_build(
     build: &mut dyn Operator,
     build_key_pos: &[usize],
@@ -211,9 +261,10 @@ pub(crate) fn run_hash_build(
     let mut reserved = 0;
     let row_charge = ctx.model.hash_build_row;
     let rows = materialize(build, row_charge, &mut reserved, ctx)?;
-    let index = ChainIndex::build(rows.len(), rows.len(), |r| {
-        key_hash(rows.values_at(r), build_key_pos)
-    });
+    let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
+    hash_keys(&rows, build_key_pos, &mut hashes, &mut nulls);
+    // NULL keys never join: such rows stay out of the index.
+    let index = ChainIndex::build(rows.len(), rows.len(), |r| (!nulls[r]).then_some(hashes[r]));
     if let Some(info) = build_harvest {
         ctx.harvests
             .push(Harvest::new(info, Arc::clone(&rows), None));
@@ -235,11 +286,20 @@ pub(crate) fn run_hash_build(
 
 /// Hash join: the build side is fully materialized into one flat row
 /// buffer plus a chained index at `open`; the probe side streams and is
-/// read in place: the probe key is hashed where it sits, the matching
-/// chain is walked comparing keys against the buffer's rows, and each hit
-/// is copied out once into the join output — a probe row allocates
-/// nothing. Build overflow past the memory budget charges simulated
-/// spill passes, mirroring the cost model's step function.
+/// joined a batch at a time, in phases:
+///
+/// 1. hash the probe batch's key columns, a column at a time;
+/// 2. look up every live row's chain head (NULL keys never join);
+/// 3. walk the chains row by row, comparing typed keys against the build
+///    buffer's key columns, and collect `(build, probe)` row-index pairs;
+/// 4. gather the output columns from the pair list.
+///
+/// Pairs come out in probe order, each probe row's in chain (= build)
+/// order, and step 3 stops as soon as the output batch is full — so the
+/// output order, the batch boundaries and the per-probe-row work charges
+/// (taken as the walk reaches each row) are the row-at-a-time join's.
+/// Build overflow past the memory budget charges simulated spill passes,
+/// mirroring the cost model's step function.
 ///
 /// Inside a parallel region the controller builds once and every
 /// partition's probe instance references the same [`BuildState`] through
@@ -260,8 +320,16 @@ pub struct HsjnOp {
     state: Option<Arc<BuildState>>,
     /// The probe stream; its current row is the one being matched.
     probe_rows: RowCursor,
+    /// Chain head of each live row of the buffered probe batch, in order.
+    heads: Vec<u32>,
     /// Next build row of the current probe row's chain ([`NIL`] = done).
     chain: u32,
+    /// Matches not yet copied out: build rows and buffered probe rows.
+    pair_build: Vec<u32>,
+    pair_probe: Vec<u32>,
+    /// Key-hash scratch for one probe batch.
+    hashes: Vec<u64>,
+    nulls: Vec<bool>,
     pending_signal: Option<crate::ExecSignal>,
 }
 
@@ -273,17 +341,7 @@ impl HsjnOp {
         build_key_pos: Vec<usize>,
         probe_key_pos: Vec<usize>,
     ) -> Self {
-        HsjnOp {
-            build: Some(build),
-            probe,
-            build_key_pos,
-            probe_key_pos,
-            build_harvest: None,
-            state: None,
-            probe_rows: RowCursor::default(),
-            chain: NIL,
-            pending_signal: None,
-        }
+        Self::with_parts(Some(build), probe, build_key_pos, probe_key_pos, None)
     }
 
     /// Create a probe-only hash join over a build completed elsewhere.
@@ -293,15 +351,30 @@ impl HsjnOp {
         probe_key_pos: Vec<usize>,
         build: Arc<BuildState>,
     ) -> Self {
+        Self::with_parts(None, probe, Vec::new(), probe_key_pos, Some(build))
+    }
+
+    fn with_parts(
+        build: Option<Box<dyn Operator>>,
+        probe: Box<dyn Operator>,
+        build_key_pos: Vec<usize>,
+        probe_key_pos: Vec<usize>,
+        state: Option<Arc<BuildState>>,
+    ) -> Self {
         HsjnOp {
-            build: None,
+            build,
             probe,
-            build_key_pos: Vec::new(),
+            build_key_pos,
             probe_key_pos,
             build_harvest: None,
-            state: Some(build),
+            state,
             probe_rows: RowCursor::default(),
+            heads: Vec::new(),
             chain: NIL,
+            pair_build: Vec::new(),
+            pair_probe: Vec::new(),
+            hashes: Vec::new(),
+            nulls: Vec::new(),
             pending_signal: None,
         }
     }
@@ -311,6 +384,24 @@ impl HsjnOp {
         self.build_harvest = harvest;
         self
     }
+}
+
+/// Gather the output rows of the collected pairs (phase 4).
+fn flush_pairs(
+    out: &mut RowBatch,
+    build: &RowBatch,
+    probe: &RowBatch,
+    pair_build: &mut Vec<u32>,
+    pair_probe: &mut Vec<u32>,
+) {
+    out.extend_joined(
+        build,
+        pair_build.iter().map(|r| *r as usize),
+        probe,
+        pair_probe.iter().map(|p| *p as usize),
+    );
+    pair_build.clear();
+    pair_probe.clear();
 }
 
 impl Operator for HsjnOp {
@@ -326,7 +417,10 @@ impl Operator for HsjnOp {
         }
         self.probe.open(ctx)?;
         self.probe_rows.reset();
+        self.heads.clear();
         self.chain = NIL;
+        self.pair_build.clear();
+        self.pair_probe.clear();
         self.pending_signal = None;
         Ok(())
     }
@@ -340,40 +434,76 @@ impl Operator for HsjnOp {
             .as_deref()
             .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
         let target = ctx.batch_size.max(1);
+        let row_charge = ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row;
         let mut out = RowBatch::with_capacity(target);
         loop {
+            // Phase 3: walk the current probe row's chain.
             if self.chain != NIL {
-                let (probe, probe_lineage) = self
+                let (probe, p) = self
                     .probe_rows
-                    .row()
+                    .current()
                     .ok_or_else(|| super::protocol_err("HSJN match without a probe row"))?;
                 while self.chain != NIL {
-                    let r = self.chain as usize;
-                    self.chain = state.index.next_of(self.chain);
-                    let build_row = state.rows.values_at(r);
+                    let r = self.chain;
+                    self.chain = state.index.next_of(r);
                     // The chain holds every build row of the bucket.
                     let hit = state
                         .key_pos
                         .iter()
                         .zip(&self.probe_key_pos)
-                        .all(|(b, p)| build_row[*b] == probe[*p]);
+                        .all(|(b, q)| state.rows.col(*b).key_eq(r as usize, probe.col(*q), p));
                     if hit {
-                        out.push_concat(build_row, probe, state.rows.lineage_at(r), probe_lineage);
-                        if out.len() >= target {
+                        self.pair_build.push(r);
+                        self.pair_probe.push(p as u32);
+                        if out.len() + self.pair_build.len() >= target {
+                            flush_pairs(
+                                &mut out,
+                                &state.rows,
+                                probe,
+                                &mut self.pair_build,
+                                &mut self.pair_probe,
+                            );
                             return Ok(Some(out));
                         }
                     }
                 }
             }
-            match self.probe_rows.advance(self.probe.as_mut(), ctx) {
+            if self.probe_rows.step() {
+                ctx.charge(row_charge);
+                self.chain = self.heads[self.probe_rows.ordinal()];
+                continue;
+            }
+            // Phase 4 for the exhausted probe batch, then the next one.
+            if let Some((probe, _)) = self.probe_rows.current() {
+                flush_pairs(
+                    &mut out,
+                    &state.rows,
+                    probe,
+                    &mut self.pair_build,
+                    &mut self.pair_probe,
+                );
+            }
+            match self.probe_rows.refill(self.probe.as_mut(), ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
                 Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
                 Ok(true) => {
-                    ctx.charge(ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row);
-                    let (probe, _) = self.probe_rows.row().expect("advance returned true");
-                    // NULL keys never join.
-                    self.chain =
-                        key_hash(probe, &self.probe_key_pos).map_or(NIL, |h| state.index.first(h));
+                    // Phases 1 and 2 for the new probe batch.
+                    let (probe, _) = self.probe_rows.current().expect("refilled");
+                    hash_keys(
+                        probe,
+                        &self.probe_key_pos,
+                        &mut self.hashes,
+                        &mut self.nulls,
+                    );
+                    self.heads.clear();
+                    self.heads
+                        .extend(self.hashes.iter().zip(&self.nulls).map(|(h, null)| {
+                            if *null {
+                                NIL
+                            } else {
+                                state.index.first(*h)
+                            }
+                        }));
                 }
             }
         }
@@ -390,6 +520,8 @@ impl Operator for HsjnOp {
         }
         self.probe.close(ctx);
         self.probe_rows.reset();
+        self.pair_build.clear();
+        self.pair_probe.clear();
     }
 }
 
@@ -455,10 +587,10 @@ impl Operator for SemiProbeOp {
             };
             let mut charge = 0.0;
             let mut last_page = self.last_page;
-            let result: OpResult<()> = b.try_retain_live(|values, _| {
+            let result: OpResult<()> = b.try_retain_live(|b, i| {
                 charge += ctx.model.index_probe;
-                let key = &values[self.outer_pos];
-                self.inner_index.probe_into(key, &mut self.matches)?;
+                let key = b.value(self.outer_pos, i);
+                self.inner_index.probe_into(&key, &mut self.matches)?;
                 let fetcher = self.fetcher.as_ref().expect("checked above");
                 let mut found = false;
                 fetcher.for_each(&self.matches, |p, inner| {
@@ -495,24 +627,28 @@ impl Operator for SemiProbeOp {
     }
 }
 
-/// Merge join over inputs sorted on the join key (single-column). Buffers
-/// groups of equal right-side keys so duplicate keys on both sides produce
-/// the full cross product. The row-level merge state machine is unchanged
-/// from the row-at-a-time engine; rows arrive through cursors and output
-/// accumulates into batches.
+/// Merge join over inputs sorted on the join key (single-column). Both
+/// inputs are read in place through cursors; the group of right rows with
+/// one key is copied into a buffer batch, so duplicate keys on both sides
+/// produce the full cross product. The row-level merge state machine is
+/// the row-at-a-time engine's; output accumulates into batches.
 pub struct MgjnOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     left_key_pos: usize,
     right_key_pos: usize,
-    left_cursor: BatchCursor,
-    right_cursor: BatchCursor,
-    left_row: Option<ExecRow>,
-    group: Vec<ExecRow>,
+    /// The left stream; its current row (while `left_live`) is merging.
+    left_rows: RowCursor,
+    left_live: bool,
+    /// The right stream; with `right_pending` its current row was read
+    /// but belongs to the next group.
+    right_rows: RowCursor,
+    right_pending: bool,
+    right_eof: bool,
+    /// The current group of equal-keyed right rows.
+    group: RowBatch,
     group_key: Option<Value>,
     group_pos: usize,
-    right_pending: Option<ExecRow>,
-    right_eof: bool,
     pending_signal: Option<crate::ExecSignal>,
 }
 
@@ -529,24 +665,30 @@ impl MgjnOp {
             right,
             left_key_pos,
             right_key_pos,
-            left_cursor: BatchCursor::new(),
-            right_cursor: BatchCursor::new(),
-            left_row: None,
-            group: Vec::new(),
+            left_rows: RowCursor::default(),
+            left_live: false,
+            right_rows: RowCursor::default(),
+            right_pending: false,
+            right_eof: false,
+            group: RowBatch::new(),
             group_key: None,
             group_pos: 0,
-            right_pending: None,
-            right_eof: false,
             pending_signal: None,
         }
     }
 
+    /// Key of the cursor's current row.
+    fn key(cursor: &RowCursor, pos: usize) -> Value {
+        let (b, at) = cursor.current().expect("cursor on a row");
+        b.value(pos, at)
+    }
+
     fn advance_left(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         loop {
-            self.left_row = self.left_cursor.next_row(self.left.as_mut(), ctx)?;
-            if let Some(r) = &self.left_row {
+            self.left_live = self.left_rows.advance(self.left.as_mut(), ctx)?;
+            if self.left_live {
                 ctx.charge(ctx.model.merge_row);
-                if r.values[self.left_key_pos].is_null() {
+                if Self::key(&self.left_rows, self.left_key_pos).is_null() {
                     continue; // NULL keys never join
                 }
             }
@@ -554,28 +696,31 @@ impl MgjnOp {
         }
     }
 
-    fn pull_right(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<ExecRow>> {
-        if let Some(r) = self.right_pending.take() {
-            return Ok(Some(r));
+    /// Move to the next right row with a non-NULL key (or re-deliver the
+    /// pending one); `false` once the right input is exhausted.
+    fn pull_right(&mut self, ctx: &mut ExecCtx) -> OpResult<bool> {
+        if std::mem::take(&mut self.right_pending) {
+            return Ok(true);
         }
         if self.right_eof {
-            return Ok(None);
+            return Ok(false);
         }
         loop {
-            match self.right_cursor.next_row(self.right.as_mut(), ctx)? {
-                None => {
-                    self.right_eof = true;
-                    return Ok(None);
-                }
-                Some(r) => {
-                    ctx.charge(ctx.model.merge_row);
-                    if r.values[self.right_key_pos].is_null() {
-                        continue;
-                    }
-                    return Ok(Some(r));
-                }
+            if !self.right_rows.advance(self.right.as_mut(), ctx)? {
+                self.right_eof = true;
+                return Ok(false);
+            }
+            ctx.charge(ctx.model.merge_row);
+            if !Self::key(&self.right_rows, self.right_key_pos).is_null() {
+                return Ok(true);
             }
         }
+    }
+
+    /// Copy the right cursor's current row into the group buffer.
+    fn take_right(&mut self) {
+        let (b, at) = self.right_rows.current().expect("right cursor on a row");
+        self.group.push_from(b, at);
     }
 
     /// Load the group of right rows with key >= left key; returns when the
@@ -583,64 +728,57 @@ impl MgjnOp {
     fn load_group(&mut self, ctx: &mut ExecCtx, left_key: &Value) -> OpResult<()> {
         // Skip right rows below the left key.
         loop {
-            match self.pull_right(ctx)? {
-                None => {
-                    self.group.clear();
-                    self.group_key = None;
-                    return Ok(());
-                }
-                Some(r) => {
-                    let k = r.values[self.right_key_pos].clone();
-                    if k.cmp_total(left_key) == Ordering::Less {
-                        continue;
-                    }
-                    // Collect the full group of rows with key k.
-                    self.group.clear();
-                    self.group_key = Some(k.clone());
-                    self.group.push(r);
-                    loop {
-                        match self.pull_right(ctx)? {
-                            None => break,
-                            Some(r2) => {
-                                if r2.values[self.right_key_pos].cmp_total(&k) == Ordering::Equal {
-                                    self.group.push(r2);
-                                } else {
-                                    self.right_pending = Some(r2);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    return Ok(());
+            if !self.pull_right(ctx)? {
+                self.group.reset();
+                self.group_key = None;
+                return Ok(());
+            }
+            let k = Self::key(&self.right_rows, self.right_key_pos);
+            if k.cmp_total(left_key) == Ordering::Less {
+                continue;
+            }
+            // Collect the full group of rows with key k.
+            self.group.reset();
+            self.take_right();
+            while self.pull_right(ctx)? {
+                if Self::key(&self.right_rows, self.right_key_pos).cmp_total(&k) == Ordering::Equal
+                {
+                    self.take_right();
+                } else {
+                    self.right_pending = true;
+                    break;
                 }
             }
+            self.group_key = Some(k);
+            return Ok(());
         }
     }
 
-    /// One step of the merge state machine: the next joined row, if any.
-    fn next_joined(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<ExecRow>> {
+    /// One step of the merge state machine: the group row to join with
+    /// the current left row next, if any.
+    fn next_joined(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<usize>> {
         loop {
-            let Some(left) = self.left_row.clone() else {
+            if !self.left_live {
                 return Ok(None);
-            };
-            let left_key = left.values[self.left_key_pos].clone();
+            }
+            let left_key = Self::key(&self.left_rows, self.left_key_pos);
             if let Some(gk) = self.group_key.clone() {
                 match left_key.cmp_total(&gk) {
                     Ordering::Equal => {
                         if self.group_pos < self.group.len() {
-                            let r = self.group[self.group_pos].clone();
                             self.group_pos += 1;
-                            return Ok(Some(left.concat(&r)));
+                            return Ok(Some(self.group_pos - 1));
                         }
                         // Group exhausted for this left row: advance left;
                         // an equal next left key replays the group.
                         self.advance_left(ctx)?;
                         self.group_pos = 0;
-                        if let Some(l2) = &self.left_row {
-                            if l2.values[self.left_key_pos].cmp_total(&gk) != Ordering::Equal {
-                                self.group.clear();
-                                self.group_key = None;
-                            }
+                        if self.left_live
+                            && Self::key(&self.left_rows, self.left_key_pos).cmp_total(&gk)
+                                != Ordering::Equal
+                        {
+                            self.group.reset();
+                            self.group_key = None;
                         }
                     }
                     Ordering::Less => {
@@ -649,13 +787,13 @@ impl MgjnOp {
                     }
                     Ordering::Greater => {
                         // Left moved past the group: reload.
-                        self.group.clear();
+                        self.group.reset();
                         self.group_key = None;
                         self.group_pos = 0;
                     }
                 }
             } else {
-                if self.right_eof && self.right_pending.is_none() {
+                if self.right_eof && !self.right_pending {
                     return Ok(None);
                 }
                 self.load_group(ctx, &left_key)?;
@@ -672,13 +810,13 @@ impl Operator for MgjnOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        self.left_cursor.reset();
-        self.right_cursor.reset();
-        self.left_row = None;
-        self.group.clear();
+        self.left_rows.reset();
+        self.right_rows.reset();
+        self.left_live = false;
+        self.group.reset();
         self.group_key = None;
         self.group_pos = 0;
-        self.right_pending = None;
+        self.right_pending = false;
         self.right_eof = false;
         self.pending_signal = None;
         self.advance_left(ctx)?;
@@ -695,7 +833,10 @@ impl Operator for MgjnOp {
             match self.next_joined(ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
                 Ok(None) => break,
-                Ok(Some(r)) => out.push(r.values, r.lineage),
+                Ok(Some(g)) => {
+                    let (left, at) = self.left_rows.current().expect("left cursor on a row");
+                    out.extend_joined(left, std::iter::once(at), &self.group, std::iter::once(g));
+                }
             }
         }
         Ok(if out.is_empty() { None } else { Some(out) })
@@ -704,20 +845,20 @@ impl Operator for MgjnOp {
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.left.close(ctx);
         self.right.close(ctx);
-        self.left_cursor.reset();
-        self.right_cursor.reset();
-        self.group.clear();
+        self.left_rows.reset();
+        self.right_rows.reset();
+        self.group = RowBatch::new();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{SortOp, TableScanOp};
+    use crate::operators::{drain, SortOp, TableScanOp};
     use pop_expr::Params;
     use pop_plan::CostModel;
     use pop_storage::{Catalog, IndexKind};
-    use pop_types::{DataType, Schema, Value};
+    use pop_types::{DataType, Row, Schema};
 
     fn setup() -> (ExecCtx, Arc<Table>, Arc<Table>) {
         let cat = Catalog::new();
@@ -750,18 +891,14 @@ mod tests {
         (ctx, left, right)
     }
 
-    fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
-        op.open(ctx).unwrap();
-        let mut out = Vec::new();
-        while let Some(b) = op.next_batch(ctx).unwrap() {
-            out.extend(b.into_rows().into_iter().map(|r| r.values));
-        }
-        op.close(ctx);
+    /// The operator's rows, sorted.
+    fn sorted_rows(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Row> {
+        let mut out: Vec<Row> = drain(op, ctx).into_iter().map(|(r, _)| r).collect();
         out.sort();
         out
     }
 
-    fn expected_join() -> Vec<Vec<Value>> {
+    fn expected_join() -> Vec<Row> {
         // l.k = r.k: rows with k=2 on both sides -> 2x2 = 4 rows.
         let mut v = vec![
             vec![
@@ -799,7 +936,7 @@ mod tests {
         let idx = ctx.catalog.find_index(right.id(), 0, false).unwrap();
         let outer = Box::new(TableScanOp::new(left, None));
         let mut op = NljnOp::new(outer, 0, right, idx, None, vec![]);
-        assert_eq!(drain(&mut op, &mut ctx), expected_join());
+        assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
     #[test]
@@ -808,7 +945,7 @@ mod tests {
         let b = Box::new(TableScanOp::new(left, None));
         let p = Box::new(TableScanOp::new(right, None));
         let mut op = HsjnOp::new(b, p, vec![0], vec![0]);
-        assert_eq!(drain(&mut op, &mut ctx), expected_join());
+        assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
     #[test]
@@ -844,7 +981,7 @@ mod tests {
             None,
         ));
         let mut op = MgjnOp::new(l, r, 0, 0);
-        assert_eq!(drain(&mut op, &mut ctx), expected_join());
+        assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
     #[test]
@@ -880,6 +1017,36 @@ mod tests {
         op.close(&mut ctx);
     }
 
+    /// The build buffer is charged to the byte budget at its typed size:
+    /// 10 000 rows of three `Int` columns and one rid hold 3 × 8 + 16 =
+    /// 40 B a row (24 B per value plus the rid, 88 B, in a buffer of
+    /// `Value`s).
+    #[test]
+    fn hash_build_is_charged_its_typed_bytes() {
+        let cat = Catalog::new();
+        let n = 10_000i64;
+        let t = cat
+            .create_table(
+                "t",
+                Schema::from_pairs(&[
+                    ("a", DataType::Int),
+                    ("b", DataType::Int),
+                    ("c", DataType::Int),
+                ]),
+                (0..n)
+                    .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(-i)])
+                    .collect(),
+            )
+            .unwrap();
+        let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
+        let mut scan = TableScanOp::new(t, None);
+        scan.open(&mut ctx).unwrap();
+        let state = run_hash_build(&mut scan, &[0], None, &mut ctx).unwrap();
+        let per_row = state.reserved as f64 / n as f64;
+        assert!(per_row <= 48.0, "{per_row} B per build row");
+        assert_eq!(state.reserved, n as u64 * 40);
+    }
+
     /// Hash-key semantics of the probe path, one table of cases × batch
     /// sizes 1 / 7 / 1024 × private and shared builds. Rows are
     /// `(key columns.., tag)`; a case expects the joined `(build tag,
@@ -897,18 +1064,60 @@ mod tests {
             key.iter().cloned().chain([Value::str(tag)]).collect()
         };
         let int = Value::Int;
+        let float = Value::Float;
         let cases = vec![
             Case {
                 name: "Int / Float / Date keys of equal value join as equal",
                 key_cols: 1,
                 build: vec![row(&[int(3)], "b3"), row(&[int(4)], "b4")],
                 probe: vec![
-                    row(&[Value::Float(3.0)], "pf"),
+                    row(&[float(3.0)], "pf"),
                     row(&[Value::Date(3)], "pd"),
-                    row(&[Value::Float(3.5)], "px"),
+                    row(&[float(3.5)], "px"),
                     row(&[int(4)], "pi"),
                 ],
                 expect: vec![("b3", "pf"), ("b3", "pd"), ("b4", "pi")],
+            },
+            Case {
+                name: "-0.0 and 0.0 are different keys, NaN joins NaN, Int 0 joins 0.0",
+                key_cols: 1,
+                build: vec![
+                    row(&[float(-0.0)], "bneg"),
+                    row(&[float(0.0)], "bpos"),
+                    row(&[float(f64::NAN)], "bnan"),
+                    row(&[int(0)], "bint"),
+                ],
+                probe: vec![
+                    row(&[float(0.0)], "p0"),
+                    row(&[float(-0.0)], "pn"),
+                    row(&[float(f64::NAN)], "pnan"),
+                    row(&[int(0)], "pi"),
+                ],
+                expect: vec![
+                    ("bpos", "p0"),
+                    ("bint", "p0"),
+                    ("bneg", "pn"),
+                    ("bnan", "pnan"),
+                    ("bpos", "pi"),
+                    ("bint", "pi"),
+                ],
+            },
+            Case {
+                name: "strings sharing a prefix are different keys",
+                key_cols: 1,
+                build: vec![
+                    row(&[Value::str("abcdefgh")], "b8"),
+                    row(&[Value::str("abcdefghi")], "b9"),
+                    row(&[Value::str("abc")], "b3"),
+                    row(&[Value::str("")], "be"),
+                ],
+                probe: vec![
+                    row(&[Value::str("abcdefghi")], "p9"),
+                    row(&[Value::str("abcdefgh")], "p8"),
+                    row(&[Value::str("abcd")], "px"),
+                    row(&[Value::str("")], "pe"),
+                ],
+                expect: vec![("b9", "p9"), ("b8", "p8"), ("be", "pe")],
             },
             Case {
                 name: "NULL keys never join, not even each other",
@@ -916,6 +1125,22 @@ mod tests {
                 build: vec![row(&[Value::Null], "bn"), row(&[int(1)], "b1")],
                 probe: vec![row(&[Value::Null], "pn"), row(&[int(1)], "p1")],
                 expect: vec![("b1", "p1")],
+            },
+            Case {
+                name: "a NULL in either position of a two-column key never joins",
+                key_cols: 2,
+                build: vec![
+                    row(&[Value::Null, Value::str("x")], "bn1"),
+                    row(&[int(1), Value::Null], "bn2"),
+                    row(&[int(1), Value::str("x")], "b1x"),
+                ],
+                probe: vec![
+                    row(&[Value::Null, Value::str("x")], "pn1"),
+                    row(&[int(1), Value::Null], "pn2"),
+                    row(&[Value::Null, Value::Null], "pnn"),
+                    row(&[int(1), Value::str("x")], "p1x"),
+                ],
+                expect: vec![("b1x", "p1x")],
             },
             Case {
                 name: "multi-column keys match on every column",
@@ -929,9 +1154,33 @@ mod tests {
                     row(&[int(1), Value::str("y")], "p1y"),
                     row(&[int(2), Value::str("x")], "p2x"),
                     row(&[int(2), Value::Null], "p2n"),
-                    row(&[Value::Float(1.0), Value::str("x")], "p1x"),
+                    row(&[float(1.0), Value::str("x")], "p1x"),
                 ],
                 expect: vec![("b1y", "p1y"), ("b1x", "p1x")],
+            },
+            Case {
+                name: "a key column that turns mixed mid-stream joins by value",
+                key_cols: 1,
+                build: vec![
+                    row(&[int(1)], "b1"),
+                    row(&[int(2)], "b2"),
+                    row(&[Value::str("2")], "bs"),
+                    row(&[float(1.0)], "bf"),
+                ],
+                probe: vec![
+                    row(&[int(2)], "p2"),
+                    row(&[float(1.0)], "pf"),
+                    row(&[Value::str("2")], "ps"),
+                    row(&[Value::Date(1)], "pd"),
+                ],
+                expect: vec![
+                    ("b2", "p2"),
+                    ("b1", "pf"),
+                    ("bf", "pf"),
+                    ("bs", "ps"),
+                    ("b1", "pd"),
+                    ("bf", "pd"),
+                ],
             },
             Case {
                 name: "duplicate build keys emit in build order, per probe row",
@@ -998,10 +1247,10 @@ mod tests {
                 .create_table("p", schema("p"), case.probe.clone())
                 .unwrap();
             let keys: Vec<usize> = (0..case.key_cols).collect();
-            let tags = |rows: Vec<ExecRow>| -> Vec<(String, String)> {
+            let tags = |rows: &[(Row, Vec<Rid>)]| -> Vec<(String, String)> {
                 let tag = |v: &Value| v.as_str().unwrap().to_string();
                 rows.iter()
-                    .map(|r| (tag(&r.values[case.key_cols]), tag(r.values.last().unwrap())))
+                    .map(|(r, _)| (tag(&r[case.key_cols]), tag(r.last().unwrap())))
                     .collect()
             };
             let expect: Vec<(String, String)> = case
@@ -1015,25 +1264,10 @@ mod tests {
                 let scan = |t: &Arc<Table>| -> Box<dyn Operator> {
                     Box::new(TableScanOp::new(t.clone(), None))
                 };
-                let drain_in_order = |op: &mut dyn Operator, ctx: &mut ExecCtx| {
-                    op.open(ctx).unwrap();
-                    let mut out = Vec::new();
-                    while let Some(b) = op.next_batch(ctx).unwrap() {
-                        assert!(b.live_count() <= batch_size.max(1));
-                        out.extend(b.into_rows());
-                    }
-                    op.close(ctx);
-                    out
-                };
                 let mut private =
                     HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone());
-                let private_rows = drain_in_order(&mut private, &mut ctx);
-                assert_eq!(
-                    tags(private_rows.clone()),
-                    expect,
-                    "{} @ {batch_size}",
-                    case.name
-                );
+                let private_rows = drain(&mut private, &mut ctx);
+                assert_eq!(tags(&private_rows), expect, "{} @ {batch_size}", case.name);
 
                 let mut build_op = scan(&build);
                 build_op.open(&mut ctx).unwrap();
@@ -1042,7 +1276,7 @@ mod tests {
                 let mut shared =
                     HsjnOp::with_shared_build(scan(&probe), keys.clone(), Arc::new(state));
                 assert_eq!(
-                    drain_in_order(&mut shared, &mut ctx),
+                    drain(&mut shared, &mut ctx),
                     private_rows,
                     "{}: shared build @ {batch_size}",
                     case.name

@@ -1,12 +1,13 @@
 //! The hash table behind the hash join's build and the hash aggregate's
-//! groups: key hashing straight off a row's key columns, and a
-//! chained-`u32` index over rows that live elsewhere (the build's
-//! [`crate::RowBatch`], the aggregate's flat key buffer). The index
+//! groups: key hashing a column at a time over a batch's typed key
+//! columns, and a chained-`u32` index over rows that live elsewhere (the
+//! build's [`crate::RowBatch`], the aggregate's key buffer). The index
 //! stores no keys — a lookup walks one bucket's chain and the caller
 //! compares keys in place — so building it allocates two arrays, not one
 //! entry per key.
 
-use pop_types::Value;
+use crate::column::{Cell, Data};
+use crate::RowBatch;
 
 /// End-of-chain / empty-bucket marker.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -22,53 +23,103 @@ fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(MUL)
 }
 
-/// Hash a key, and report whether any of its values is NULL. Values that
-/// compare equal hash equally: all numerics go through their `f64` bit
+/// Fold in a numeric key value: all numerics go through their `f64` bit
 /// pattern, as in `Value`'s own `Hash`, so `Int(3)`, `Float(3.0)` and
 /// `Date(3)` meet in one bucket.
 #[inline]
-fn hash_values<'a>(key: impl Iterator<Item = &'a Value>) -> (u64, bool) {
-    let mut h = 0u64;
-    let mut null = false;
-    for v in key {
-        h = match v {
-            Value::Null => {
-                null = true;
-                mix(h, 0)
-            }
-            Value::Bool(b) => mix(mix(h, 1), u64::from(*b)),
-            Value::Int(i) => mix(mix(h, 2), (*i as f64).to_bits()),
-            Value::Float(f) => mix(mix(h, 2), f.to_bits()),
-            Value::Date(d) => mix(mix(h, 2), f64::from(*d).to_bits()),
-            Value::Str(s) => s.as_bytes().chunks(8).fold(mix(h, 5), |h, chunk| {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                mix(h, u64::from_le_bytes(word))
-            }),
-        };
+fn num(h: u64, x: f64) -> u64 {
+    mix(mix(h, 2), x.to_bits())
+}
+
+/// Fold in one key value. The column-wise loops of [`hash_keys`] apply
+/// exactly this step, per type.
+#[inline]
+fn step(h: u64, c: Cell<'_>) -> u64 {
+    match c {
+        Cell::Null => mix(h, 0),
+        Cell::Bool(b) => mix(mix(h, 1), u64::from(b)),
+        Cell::Int(i) => num(h, i as f64),
+        Cell::Float(f) => num(h, f),
+        Cell::Date(d) => num(h, f64::from(d)),
+        Cell::Str(s) => s.as_bytes().chunks(8).fold(mix(h, 5), |h, chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            mix(h, u64::from_le_bytes(word))
+        }),
     }
-    // Numeric bit patterns have their low ~30 bits zero for small
-    // integers, and a multiply only carries entropy upwards — while the
-    // index picks buckets from the low bits. Fold the high half down (a
-    // murmur-style finalizer) so consecutive integer keys spread.
+}
+
+/// Numeric bit patterns have their low ~30 bits zero for small integers,
+/// and a multiply only carries entropy upwards — while the index picks
+/// buckets from the low bits. Fold the high half down (a murmur-style
+/// finalizer) so consecutive integer keys spread.
+#[inline]
+fn finish(mut h: u64) -> u64 {
     h ^= h >> 32;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 29;
-    (h, null)
+    h ^ (h >> 29)
 }
 
-/// Hash of the join key at `positions` of `row`; `None` when any key
-/// column is NULL (NULL keys never join).
-#[inline]
-pub(crate) fn key_hash(row: &[Value], positions: &[usize]) -> Option<u64> {
-    let (h, null) = hash_values(positions.iter().map(|p| &row[*p]));
-    (!null).then_some(h)
+/// Hash of one key given value by value, and whether any of it is NULL.
+pub(crate) fn hash_cells<'a>(key: impl Iterator<Item = Cell<'a>>) -> (u64, bool) {
+    let mut null = false;
+    let h = key.fold(0, |h, c| {
+        null |= c.is_null();
+        step(h, c)
+    });
+    (finish(h), null)
 }
 
-/// Hash of a GROUP BY key, where NULL is a key value like any other.
-#[inline]
-pub(crate) fn group_hash<'a>(key: impl Iterator<Item = &'a Value>) -> u64 {
-    hash_values(key).0
+/// Hash the key columns `positions` of each live row of `batch`, one
+/// column at a time, into `hashes` (one per live row, in order; the
+/// buffers are cleared first). `nulls[k]` reports a NULL in row `k`'s key:
+/// such a key never joins, but groups like any other. Equal to
+/// [`hash_cells`] over each row's key.
+pub(crate) fn hash_keys(
+    batch: &RowBatch,
+    positions: &[usize],
+    hashes: &mut Vec<u64>,
+    nulls: &mut Vec<bool>,
+) {
+    let n = batch.live_count();
+    hashes.clear();
+    hashes.resize(n, 0);
+    nulls.clear();
+    nulls.resize(n, false);
+    if n == 0 {
+        return;
+    }
+    for p in positions {
+        let col = batch.col(*p);
+        let rows = batch.live_indices();
+        match col.data() {
+            Data::Int(v) if !col.has_null_bitmap() => {
+                for (h, i) in hashes.iter_mut().zip(rows) {
+                    *h = num(*h, v[i] as f64);
+                }
+            }
+            Data::Float(v) if !col.has_null_bitmap() => {
+                for (h, i) in hashes.iter_mut().zip(rows) {
+                    *h = num(*h, v[i]);
+                }
+            }
+            Data::Date(v) if !col.has_null_bitmap() => {
+                for (h, i) in hashes.iter_mut().zip(rows) {
+                    *h = num(*h, f64::from(v[i]));
+                }
+            }
+            _ => {
+                for ((h, null), i) in hashes.iter_mut().zip(nulls.iter_mut()).zip(rows) {
+                    let c = col.cell(i);
+                    *null |= c.is_null();
+                    *h = step(*h, c);
+                }
+            }
+        }
+    }
+    for h in hashes.iter_mut() {
+        *h = finish(*h);
+    }
 }
 
 /// Chained hash index over rows `0..n`: `heads[hash & mask]` is the first
@@ -134,6 +185,7 @@ impl ChainIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_types::Value;
     use std::collections::HashSet;
 
     fn chain(ix: &ChainIndex, hash: u64) -> Vec<u32> {
@@ -146,14 +198,31 @@ mod tests {
         rows
     }
 
+    fn hash_of(key: &[Value]) -> (u64, bool) {
+        hash_cells(key.iter().map(Cell::of))
+    }
+
+    /// Column-wise hashes of `positions` over every row of `rows`.
+    fn column_hashes(rows: &[Vec<Value>], positions: &[usize]) -> Vec<(u64, bool)> {
+        let mut b = RowBatch::new();
+        for r in rows {
+            b.push_row(r, &[]);
+        }
+        let (mut h, mut n) = (Vec::new(), Vec::new());
+        hash_keys(&b, positions, &mut h, &mut n);
+        h.into_iter().zip(n).collect()
+    }
+
     #[test]
     fn consecutive_int_keys_spread_in_the_low_bits() {
         // 2^15 consecutive keys into 2^15 buckets (the bits an index of
         // that size picks with): a uniform hash fills ~63 % of them;
         // without the finalizer every key lands in a handful.
         let n = 1usize << 15;
-        let buckets: HashSet<u64> = (0..n as i64)
-            .map(|i| key_hash(&[Value::Int(i)], &[0]).unwrap() & (n as u64 - 1))
+        let rows: Vec<Vec<Value>> = (0..n as i64).map(|i| vec![Value::Int(i)]).collect();
+        let buckets: HashSet<u64> = column_hashes(&rows, &[0])
+            .into_iter()
+            .map(|(h, _)| h & (n as u64 - 1))
             .collect();
         assert!(
             buckets.len() > n / 2,
@@ -164,30 +233,51 @@ mod tests {
 
     #[test]
     fn equal_keys_of_different_numeric_types_hash_equally() {
-        let int = key_hash(&[Value::Int(3), Value::str("x")], &[0, 1]);
-        assert!(int.is_some());
-        assert_eq!(
-            int,
-            key_hash(&[Value::Float(3.0), Value::str("x")], &[0, 1])
-        );
-        assert_eq!(int, key_hash(&[Value::Date(3), Value::str("x")], &[0, 1]));
-        assert_ne!(int, key_hash(&[Value::Int(4), Value::str("x")], &[0, 1]));
-        // Positions pick the key out of a wider row.
-        assert_eq!(
-            int,
-            key_hash(&[Value::str("x"), Value::Null, Value::Int(3)], &[2, 0])
-        );
+        let int = hash_of(&[Value::Int(3), Value::str("x")]);
+        assert!(!int.1);
+        assert_eq!(int, hash_of(&[Value::Float(3.0), Value::str("x")]));
+        assert_eq!(int, hash_of(&[Value::Date(3), Value::str("x")]));
+        assert_ne!(int, hash_of(&[Value::Int(4), Value::str("x")]));
+        // The column-wise hash equals the value-wise one on typed, NULL-
+        // bearing and mixed columns, and positions pick the key out of a
+        // wider row.
+        let rows = vec![
+            vec![Value::str("x"), Value::Null, Value::Int(3), Value::Int(3)],
+            vec![
+                Value::str("xyzzy-long"),
+                Value::Float(3.0),
+                Value::Null,
+                Value::Float(-0.0),
+            ],
+            vec![
+                Value::Null,
+                Value::Date(3),
+                Value::Int(-2),
+                Value::Bool(true),
+            ],
+            vec![
+                Value::str(""),
+                Value::Int(3),
+                Value::Int(9),
+                Value::str("3"),
+            ],
+        ];
+        let by_column = column_hashes(&rows, &[2, 0, 1, 3]);
+        for (r, got) in rows.iter().zip(by_column) {
+            let key = [r[2].clone(), r[0].clone(), r[1].clone(), r[3].clone()];
+            assert_eq!(got, hash_of(&key), "{r:?}");
+        }
+        assert_eq!(column_hashes(&rows, &[2, 0])[0], int);
     }
 
     #[test]
     fn null_keys_hash_for_grouping_only() {
         let row = [Value::Int(1), Value::Null];
-        assert_eq!(key_hash(&row, &[0, 1]), None);
-        assert_eq!(key_hash(&row, &[0]), key_hash(&[Value::Int(1)], &[0]));
-        assert_eq!(group_hash(row.iter()), group_hash(row.iter()));
-        assert_ne!(group_hash(row.iter()), group_hash(row[..1].iter()));
+        assert!(hash_of(&row).1, "a NULL key never joins");
+        assert_eq!(hash_of(&row), hash_of(&row));
+        assert_ne!(hash_of(&row).0, hash_of(&row[..1]).0);
         // The zero-column key is a key too: every row's.
-        assert_eq!(key_hash(&row, &[]), Some(group_hash([].iter())));
+        assert_eq!(column_hashes(&[row.to_vec()], &[]), vec![hash_of(&[])]);
     }
 
     #[test]
@@ -203,7 +293,7 @@ mod tests {
 
     #[test]
     fn pushed_rows_survive_growth() {
-        let hash_of = |r: usize| key_hash(&[Value::Int(r as i64)], &[0]).unwrap();
+        let hash_of = |r: usize| hash_of(&[Value::Int(r as i64)]).0;
         let mut ix = ChainIndex::build(0, 0, |_| None);
         for r in 0..1000 {
             ix.push(hash_of(r), hash_of);

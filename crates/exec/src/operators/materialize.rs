@@ -1,7 +1,8 @@
 //! Materializing operators: SORT and TEMP — the paper's materialization
 //! points, and the source of reusable intermediate results. Each buffers
 //! its input in one grown [`RowBatch`] (SORT orders a `u32` permutation
-//! over it, never the rows) and shares that buffer with its harvest.
+//! over it by the typed key column, never the rows) and shares that
+//! buffer with its harvest.
 
 use crate::context::Harvest;
 use crate::operators::{next_chunk, Operator};
@@ -88,10 +89,13 @@ impl Operator for SortOp {
         self.input.open(ctx)?;
         self.pos = 0;
         let buf = materialize(self.input.as_mut(), 0.0, &mut self.reserved, ctx)?;
-        let key = |i: &u32| &buf.values_at(*i as usize)[self.key_pos];
         let mut order: Vec<u32> = (0..buf.len() as u32).collect();
-        // Stable sort: chained sorts implement multi-key ORDER BY.
-        order.sort_by(|a, b| key(a).cmp_total(key(b)));
+        // Stable sort on the typed key column: chained sorts implement
+        // multi-key ORDER BY.
+        if !order.is_empty() {
+            let key = buf.col(self.key_pos);
+            order.sort_by(|a, b| key.cmp_rows(*a as usize, *b as usize));
+        }
         if self.desc {
             order.reverse();
         }
@@ -218,7 +222,7 @@ mod tests {
     fn drain_values(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Value> {
         let mut vals = Vec::new();
         while let Some(b) = op.next_batch(ctx).unwrap() {
-            vals.extend(b.into_rows().into_iter().map(|r| r.values[0].clone()));
+            vals.extend(b.live_indices().map(|i| b.value(0, i)));
         }
         vals
     }
@@ -239,7 +243,7 @@ mod tests {
         let mut op = SortOp::new(scan, 0, true, None);
         op.open(&mut ctx).unwrap();
         let b = op.next_batch(&mut ctx).unwrap().unwrap();
-        assert_eq!(b.values_at(0)[0], Value::Int(3));
+        assert_eq!(b.value(0, 0), Value::Int(3));
     }
 
     #[test]
@@ -330,7 +334,7 @@ mod tests {
                 while let Some(b) = op.next_batch(&mut ctx).unwrap() {
                     assert!(b.live_count() <= batch_size);
                     for i in b.live_indices() {
-                        tags.push_str(b.values_at(i)[1].as_str().unwrap());
+                        tags.push_str(b.value(1, i).as_str().unwrap());
                         assert_eq!(b.lineage_at(i).len(), 1);
                     }
                 }

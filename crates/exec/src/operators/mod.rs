@@ -1,7 +1,6 @@
 //! The operator trait and the physical operator implementations.
 
-use crate::{ExecCtx, ExecRow, OpResult, RowBatch};
-use pop_types::{Rid, Value};
+use crate::{ExecCtx, OpResult, RowBatch};
 
 pub(crate) mod agg;
 pub(crate) mod guard;
@@ -65,12 +64,13 @@ pub trait Operator {
 }
 
 /// In-place row cursor over a batched child, for the per-row join probes
-/// (hash-join probe side, NLJN outer): the current row is read where it
-/// sits in the buffered batch, so advancing allocates nothing.
+/// (hash-join probe side, NLJN outer, both merge-join inputs): the
+/// current row is read where it sits in the buffered batch, so advancing
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct RowCursor {
     batch: Option<RowBatch>,
-    /// Ordinal (among live rows) of the row the next `advance` moves to.
+    /// Ordinal (among live rows) of the row the next `step` moves to.
     next: usize,
     /// Physical index of the current row.
     at: usize,
@@ -82,64 +82,54 @@ impl RowCursor {
         *self = RowCursor::default();
     }
 
-    /// Move to the next live row of `input`, refilling from `next_batch`
-    /// as needed; `false` at end of stream.
+    /// Move to the next live row of the buffered batch; `false` once it
+    /// has none left (the batch stays readable until [`RowCursor::refill`]).
+    pub(crate) fn step(&mut self) -> bool {
+        match self.batch.as_ref().and_then(|b| b.live_index(self.next)) {
+            Some(i) => {
+                self.next += 1;
+                self.at = i;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Replace the buffered batch with the next one from `input`,
+    /// positioned before its first row; `false` at end of stream.
+    pub(crate) fn refill(&mut self, input: &mut dyn Operator, ctx: &mut ExecCtx) -> OpResult<bool> {
+        // Release the consumed batch before pulling its successor.
+        self.batch = None;
+        self.batch = input.next_batch(ctx)?;
+        self.next = 0;
+        Ok(self.batch.is_some())
+    }
+
+    /// Move to the next live row of `input`, refilling as needed; `false`
+    /// at end of stream.
     pub(crate) fn advance(
         &mut self,
         input: &mut dyn Operator,
         ctx: &mut ExecCtx,
     ) -> OpResult<bool> {
         loop {
-            if let Some(i) = self.batch.as_ref().and_then(|b| b.live_index(self.next)) {
-                self.next += 1;
-                self.at = i;
+            if self.step() {
                 return Ok(true);
             }
-            // Release the consumed batch before pulling its successor.
-            self.batch = None;
-            self.batch = input.next_batch(ctx)?;
-            self.next = 0;
-            if self.batch.is_none() {
+            if !self.refill(input, ctx)? {
                 return Ok(false);
             }
         }
     }
 
-    /// The current row (values, lineage), once `advance` returned `true`.
-    pub(crate) fn row(&self) -> Option<(&[Value], &[Rid])> {
-        let b = self.batch.as_ref()?;
-        Some((b.values_at(self.at), b.lineage_at(self.at)))
-    }
-}
-
-/// Owned-row adapter over a batched child, for the merge join (which
-/// buffers groups of right-side rows across batches): a [`RowCursor`]
-/// whose current row is moved out of the buffered batch, not cloned.
-#[derive(Debug, Default)]
-pub(crate) struct BatchCursor(RowCursor);
-
-impl BatchCursor {
-    pub(crate) fn new() -> Self {
-        BatchCursor::default()
+    /// The buffered batch and the current row's physical index in it.
+    pub(crate) fn current(&self) -> Option<(&RowBatch, usize)> {
+        self.batch.as_ref().map(|b| (b, self.at))
     }
 
-    /// Drop any buffered batch (on open/close).
-    pub(crate) fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    /// Pull the next live row from `input`, refilling from `next_batch`
-    /// as needed.
-    pub(crate) fn next_row(
-        &mut self,
-        input: &mut dyn Operator,
-        ctx: &mut ExecCtx,
-    ) -> OpResult<Option<ExecRow>> {
-        if !self.0.advance(input, ctx)? {
-            return Ok(None);
-        }
-        let at = self.0.at;
-        Ok(self.0.batch.as_mut().map(|b| b.take_row_at(at)))
+    /// Ordinal of the current row among the buffered batch's live rows.
+    pub(crate) fn ordinal(&self) -> usize {
+        self.next - 1
     }
 }
 
@@ -194,4 +184,24 @@ pub(crate) fn lineage_key(lineage: &[pop_types::Rid]) -> Vec<pop_types::Rid> {
     let mut k = lineage.to_vec();
     k.sort_unstable();
     k
+}
+
+/// Open `op`, drain it and close it: every live row with its lineage, in
+/// stream order — how the operator tests read results.
+#[cfg(test)]
+pub(crate) fn drain(
+    op: &mut dyn Operator,
+    ctx: &mut ExecCtx,
+) -> Vec<(pop_types::Row, Vec<pop_types::Rid>)> {
+    op.open(ctx).expect("open");
+    let mut out = Vec::new();
+    while let Some(b) = op.next_batch(ctx).expect("next_batch") {
+        assert!(b.live_count() <= ctx.batch_size.max(1), "oversized batch");
+        out.extend(
+            b.live_indices()
+                .map(|i| (b.row_at(i), b.lineage_at(i).to_vec())),
+        );
+    }
+    op.close(ctx);
+    out
 }

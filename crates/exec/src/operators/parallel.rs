@@ -58,7 +58,7 @@ use crate::signal::ExecSignal;
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_plan::PhysNode;
 use pop_storage::Catalog;
-use pop_types::{PopError, PopResult, Value};
+use pop_types::{PopError, PopResult};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -198,11 +198,13 @@ impl ExchangeState {
     }
 }
 
-/// Deterministic hash routing of a row to one of `parts` consumers.
-fn route(values: &[Value], key_pos: &[usize], parts: usize) -> usize {
+/// Deterministic hash routing of row `i` of `b` to one of `parts`
+/// consumers: `Value`'s own hash of the key columns, read through their
+/// typed cells (which hash byte for byte like the values they view).
+fn route(b: &RowBatch, i: usize, key_pos: &[usize], parts: usize) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for p in key_pos {
-        values[*p].hash(&mut h);
+        b.cell(*p, i).hash(&mut h);
     }
     (h.finish() % parts as u64) as usize
 }
@@ -741,8 +743,7 @@ impl Operator for GatherOp {
                             let mut raised = run_chain(op, &mut wctx, shared, |wctx, b| {
                                 wctx.charge(b.live_count() as f64 * wctx.model.exchange_row);
                                 for i in b.live_indices() {
-                                    let c = route(b.values_at(i), keys, parts);
-                                    buckets[c].push_row(b.values_at(i), b.lineage_at(i));
+                                    buckets[route(&b, i, keys, parts)].push_from(&b, i);
                                 }
                                 for (c, bucket) in buckets.iter_mut().enumerate() {
                                     if bucket.len() >= wctx.batch_size {
@@ -1004,6 +1005,7 @@ crate::operators::opaque_debug!(GatherOp, ExchangeSourceOp);
 mod tests {
     use super::*;
     use pop_plan::{CostModel, PlanProps, TableSet};
+    use pop_types::Value;
 
     /// A hand-built region with no base scan to decompose into morsels is
     /// a typed error at `open`, never a silent fallback.
@@ -1075,7 +1077,7 @@ mod tests {
         let mut joined = 0;
         while let Some(b) = gather.next_batch(&mut ctx).unwrap() {
             for i in b.live_indices() {
-                let r = b.values_at(i);
+                let r = b.row_at(i);
                 assert_eq!(r[1], r[2], "build k = probe k in {r:?}");
                 joined += 1;
             }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// `next_batch` call charges and filters one cursor chunk; the predicate
 /// (bound against the table schema) runs over the stored rows of the whole
 /// chunk via a selection vector, and only the output columns of passing
-/// rows are copied out. The cursor is asked for exactly those columns (the
+/// rows are copied out, each into its typed column vector. The cursor is asked for exactly those columns (the
 /// `read_set`), so a paged table decodes nothing else. Chunk boundaries
 /// and logical page touches are identical on either backend, so the charged
 /// work is too.
@@ -146,13 +146,12 @@ impl Operator for TableScanOp {
                     + chunk.new_pages as f64 * ctx.model.page_io,
             );
             ctx.rows_scanned += chunk.rows.len() as u64;
+            let table = self.table.id();
+            let rid = |i: usize| [Rid::new(table, start + i as u64)];
             let out = match &self.pred {
                 None => {
                     let mut out = RowBatch::with_capacity(chunk.rows.len());
-                    for (i, row) in chunk.rows.iter().enumerate() {
-                        let rid = Rid::new(self.table.id(), start + i as u64);
-                        out.push_projected(row, &self.cols, &[rid]);
-                    }
+                    out.extend_stored(chunk.rows, 0..chunk.rows.len(), &self.cols, rid);
                     out
                 }
                 Some(p) => {
@@ -163,13 +162,8 @@ impl Operator for TableScanOp {
                         continue; // whole chunk filtered out: keep scanning
                     }
                     let mut out = RowBatch::with_capacity(self.sel.len());
-                    for &i in &self.sel {
-                        out.push_projected(
-                            &chunk.rows[i as usize],
-                            &self.cols,
-                            &[Rid::new(self.table.id(), start + u64::from(i))],
-                        );
-                    }
+                    let pick = self.sel.iter().map(|i| *i as usize);
+                    out.extend_stored(chunk.rows, pick, &self.cols, rid);
                     out
                 }
             };
@@ -327,6 +321,8 @@ impl Operator for IndexRangeScanOp {
 pub struct MvScanOp {
     table: Arc<Table>,
     lineage: Option<Arc<Vec<Vec<Rid>>>>,
+    /// Every column of the MV, in order.
+    cols: Vec<usize>,
     cursor: Option<TableCursor>,
 }
 
@@ -334,6 +330,7 @@ impl MvScanOp {
     /// Create an MV scan.
     pub fn new(table: Arc<Table>, lineage: Option<Arc<Vec<Vec<Rid>>>>) -> Self {
         MvScanOp {
+            cols: (0..table.schema().len()).collect(),
             table,
             lineage,
             cursor: None,
@@ -361,14 +358,13 @@ impl Operator for MvScanOp {
                 + chunk.new_pages as f64 * ctx.model.page_io,
         );
         let mut out = RowBatch::with_capacity(chunk.rows.len());
-        for (i, row) in chunk.rows.iter().enumerate() {
-            let lineage: &[Rid] = self
-                .lineage
+        let lineage = |i: usize| -> &[Rid] {
+            self.lineage
                 .as_ref()
                 .and_then(|l| l.get(chunk.start as usize + i))
-                .map_or(&[], std::vec::Vec::as_slice);
-            out.push_row(row, lineage);
-        }
+                .map_or(&[], Vec::as_slice)
+        };
+        out.extend_stored(chunk.rows, 0..chunk.rows.len(), &self.cols, lineage);
         Ok(Some(out))
     }
 
@@ -384,7 +380,7 @@ impl Operator for MvScanOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecRow;
+    use crate::operators::drain;
     use pop_expr::{Expr, Params};
     use pop_plan::CostModel;
     use pop_storage::Catalog;
@@ -405,23 +401,13 @@ mod tests {
         (ctx, t)
     }
 
-    fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<ExecRow> {
-        op.open(ctx).unwrap();
-        let mut out = Vec::new();
-        while let Some(b) = op.next_batch(ctx).unwrap() {
-            out.extend(b.into_rows());
-        }
-        op.close(ctx);
-        out
-    }
-
     #[test]
     fn unfiltered_scan_returns_all_with_rids() {
         let (mut ctx, t) = ctx_and_table();
         let mut op = TableScanOp::new(t.clone(), None);
         let rows = drain(&mut op, &mut ctx);
         assert_eq!(rows.len(), 10);
-        assert_eq!(rows[3].lineage, vec![Rid::new(t.id(), 3)]);
+        assert_eq!(rows[3].1, vec![Rid::new(t.id(), 3)]);
         assert_eq!(ctx.work, 10.0 * ctx.model.seq_row);
         assert_eq!(ctx.rows_scanned, 10);
     }
@@ -445,7 +431,7 @@ mod tests {
         let pred = BoundExpr::bind(&Expr::col(0, 1).eq(Expr::lit(0i64)), &schema).unwrap();
         let mut op = TableScanOp::new(t, Some(pred)).with_columns(vec![0]);
         let rows = drain(&mut op, &mut ctx);
-        let a: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
+        let a: Vec<Vec<Value>> = rows.into_iter().map(|(r, _)| r).collect();
         assert_eq!(
             a,
             [0, 3, 6, 9].map(|i| vec![Value::Int(i)]),
@@ -463,12 +449,12 @@ mod tests {
         let mut rows = Vec::new();
         while let Some(b) = op.next_batch(&mut ctx).unwrap() {
             sizes.push(b.live_count());
-            rows.extend(b.into_rows());
+            rows.extend(b.live_indices().map(|i| b.lineage_at(i).to_vec()));
         }
         op.close(&mut ctx);
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert_eq!(rows.len(), 10);
-        assert_eq!(rows[7].lineage, vec![Rid::new(t.id(), 7)]);
+        assert_eq!(rows[7], vec![Rid::new(t.id(), 7)]);
     }
 
     #[test]
@@ -481,7 +467,7 @@ mod tests {
         let mut op = TableScanOp::new(t.clone(), None);
         let rows = drain(&mut op, &mut ctx);
         assert_eq!(rows.len(), 4); // positions 0, 3, 6, 9
-        assert_eq!(rows[1].lineage, vec![Rid::new(t.id(), 3)]);
+        assert_eq!(rows[1].1, vec![Rid::new(t.id(), 3)]);
         assert_eq!(ctx.rows_scanned, 4);
         // Only the sampled rows are charged.
         assert_eq!(ctx.work, 4.0 * ctx.model.seq_row);

@@ -45,12 +45,12 @@ impl Operator for InsertOp {
             if ctx.side_effects_applied.contains(&key) {
                 continue;
             }
-            if b.values_at(i).len() != arity {
-                bad = Some(b.values_at(i).len());
+            if b.width() != arity {
+                bad = Some(b.width());
                 break;
             }
             ctx.charge(ctx.model.temp_write_row);
-            to_insert.push(b.values_at(i).to_vec());
+            to_insert.push(b.row_at(i));
             ctx.side_effects_applied.insert(key);
         }
         // Rows accepted before a bad row stay applied, exactly as when
@@ -138,7 +138,7 @@ impl Operator for AntiJoinRidsOp {
             };
             ctx.charge(b.live_count() as f64 * ctx.model.hash_probe_row);
             let prev = &ctx.prev_returned;
-            b.retain_live(|_, lineage| !prev.contains(&lineage_key(lineage)));
+            b.retain_live(|b, i| !prev.contains(&lineage_key(b.lineage_at(i))));
             if b.live_count() > 0 {
                 return Ok(Some(b));
             }
@@ -153,8 +153,7 @@ impl Operator for AntiJoinRidsOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::TableScanOp;
-    use crate::ExecRow;
+    use crate::operators::{drain, TableScanOp};
     use pop_expr::Params;
     use pop_plan::CostModel;
     use pop_storage::Catalog;
@@ -174,16 +173,6 @@ mod tests {
             .unwrap();
         let ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
         (ctx, src, sink)
-    }
-
-    fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<ExecRow> {
-        op.open(ctx).unwrap();
-        let mut out = Vec::new();
-        while let Some(b) = op.next_batch(ctx).unwrap() {
-            out.extend(b.into_rows());
-        }
-        op.close(ctx);
-        out
     }
 
     #[test]
@@ -222,7 +211,7 @@ mod tests {
         ctx.prev_returned.insert(vec![Rid::new(src.id(), 3)]);
         let mut op = AntiJoinRidsOp::new(Box::new(TableScanOp::new(src, None)));
         let rows = drain(&mut op, &mut ctx);
-        let vals: Vec<&Value> = rows.iter().map(|r| &r.values[0]).collect();
+        let vals: Vec<&Value> = rows.iter().map(|(r, _)| &r[0]).collect();
         assert_eq!(vals, vec![&Value::Int(0), &Value::Int(2), &Value::Int(4)]);
     }
 

@@ -104,10 +104,14 @@ fn sort_by_position_works_end_to_end() {
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
     let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
     match out {
-        RunOutcome::Complete { rows } => {
-            assert_eq!(rows.len(), 50);
-            for w in rows.windows(2) {
-                assert!(w[0].values[1] >= w[1].values[1], "descending order broken");
+        RunOutcome::Complete { batches } => {
+            let keys: Vec<Value> = batches
+                .iter()
+                .flat_map(|b| b.live_indices().map(|i| b.value(1, i)))
+                .collect();
+            assert_eq!(keys.len(), 50);
+            for w in keys.windows(2) {
+                assert!(w[0] >= w[1], "descending order broken");
             }
         }
         other @ RunOutcome::Suspended { .. } => panic!("unexpected {other:?}"),
@@ -144,9 +148,12 @@ fn project_with_aggregate_outputs() {
     };
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
     let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
-    let rows = out.rows();
-    assert_eq!(rows.len(), 5);
-    assert!(rows.iter().all(|r| r.values == vec![Value::Int(10)]));
+    assert_eq!(out.row_count(), 5);
+    for b in out.batches() {
+        assert!(b
+            .live_indices()
+            .all(|i| b.row_at(i) == vec![Value::Int(10)]));
+    }
 }
 
 #[test]
@@ -168,5 +175,5 @@ fn filter_predicate_binds_against_scan_layout() {
     };
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
     let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
-    assert_eq!(out.rows().len(), 10);
+    assert_eq!(out.row_count(), 10);
 }

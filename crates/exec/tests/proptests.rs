@@ -52,7 +52,7 @@ fn drain_in_order(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
     while let Some(b) = op.next_batch(ctx).unwrap() {
         assert!(b.live_count() <= ctx.batch_size);
-        out.extend(b.into_rows().into_iter().map(|r| r.values));
+        out.extend(b.live_indices().map(|i| b.row_at(i)));
     }
     op.close(ctx);
     out
@@ -242,7 +242,7 @@ proptest! {
         sort.open(&mut ctx).unwrap();
         let mut out = Vec::new();
         while let Some(b) = sort.next_batch(&mut ctx).unwrap() {
-            out.extend(b.into_rows().into_iter().map(|r| r.values));
+            out.extend(b.live_indices().map(|i| b.row_at(i)));
         }
         // Permutation check.
         let mut a: Vec<Vec<Value>> = rows

@@ -109,7 +109,7 @@ fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Row> {
     op.open(ctx).unwrap();
     let mut out = Vec::new();
     while let Some(b) = op.next_batch(ctx).unwrap() {
-        out.extend(b.into_rows().into_iter().map(|r| r.values));
+        out.extend(b.live_indices().map(|i| b.row_at(i)));
     }
     op.close(ctx);
     out
