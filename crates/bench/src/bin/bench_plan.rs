@@ -19,8 +19,8 @@
 //!   not depend on validity ranges);
 //! * `extract_us` — the all-clean call minus `bind_us`: snapshot check per
 //!   group, winner extraction and the non-join operators;
-//! * `placement_us` / `parallelize_us` — a fresh memo with CHECK flavors
-//!   (default set) / two threads minus one without.
+//! * `placement_us` — a fresh memo with CHECK flavors (default set) minus
+//!   one without.
 //!
 //! Beside the times, the counts that explain them: connected groups,
 //! two-sided splits the descending-submask loop visits, splits the join
@@ -56,7 +56,6 @@ struct QueryProfile {
     root_search_us: f64,
     extract_us: f64,
     placement_us: f64,
-    parallelize_us: f64,
     groups: usize,
     splits_visited: usize,
     splits_admitted: usize,
@@ -124,7 +123,6 @@ fn profile(env: &Env, name: &str, spec: &QuerySpec, reps: usize) -> QueryProfile
     let pop = PopConfig::default().optimizer;
     let bare = OptimizerConfig {
         flavors: FlavorSet::none(),
-        threads: 1,
         ..pop.clone()
     };
     let (plan_us, _) = fresh(env, spec, &pop, reps);
@@ -143,15 +141,6 @@ fn profile(env: &Env, name: &str, spec: &QuerySpec, reps: usize) -> QueryProfile
         spec,
         &OptimizerConfig {
             flavors: FlavorSet::default(),
-            ..bare.clone()
-        },
-        reps,
-    );
-    let (threaded_us, _) = fresh(
-        env,
-        spec,
-        &OptimizerConfig {
-            threads: 2,
             ..bare.clone()
         },
         reps,
@@ -195,7 +184,6 @@ fn profile(env: &Env, name: &str, spec: &QuerySpec, reps: usize) -> QueryProfile
         root_search_us: (bare_us - flat_us).max(0.0),
         extract_us: (clean_us - bind_us).max(0.0),
         placement_us: (placed_us - bare_us).max(0.0),
-        parallelize_us: (threaded_us - bare_us).max(0.0),
         groups: stats.groups_total,
         splits_visited,
         splits_admitted,
@@ -232,13 +220,13 @@ fn main() {
         .collect();
 
     println!(
-        "{:6} {:>2} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>8} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
-        "query", "n", "plan", "bind", "enumerate", "(root)", "extract", "place", "parallel",
+        "{:6} {:>2} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
+        "query", "n", "plan", "bind", "enumerate", "(root)", "extract", "place",
         "groups", "visited", "admitted", "costed", "cands", "diffs", "sigs"
     );
     for q in &queries {
         println!(
-            "{:6} {:>2} {:>8.0} {:>7.0} {:>9.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
+            "{:6} {:>2} {:>8.0} {:>7.0} {:>9.0} {:>8.0} {:>8.0} {:>8.0} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
             q.name,
             q.tables,
             q.plan_us,
@@ -247,7 +235,6 @@ fn main() {
             q.root_search_us,
             q.extract_us,
             q.placement_us,
-            q.parallelize_us,
             q.groups,
             q.splits_visited,
             q.splits_admitted,
@@ -261,7 +248,7 @@ fn main() {
     let pass_plan_us = total(|q| q.plan_us);
     println!(
         "pass of {} queries (us, min of {reps}): plan {:.0} = bind {:.0} + enumerate {:.0} \
-         (root search {:.0}) + extract {:.0} + placement {:.0}; parallelize at 2 threads {:.0}",
+         (root search {:.0}) + extract {:.0} + placement {:.0}",
         queries.len(),
         pass_plan_us,
         total(|q| q.bind_us),
@@ -269,7 +256,6 @@ fn main() {
         total(|q| q.root_search_us),
         total(|q| q.extract_us),
         total(|q| q.placement_us),
-        total(|q| q.parallelize_us),
     );
 
     let mut failures = Vec::new();

@@ -26,7 +26,7 @@ use pop_expr::Params;
 use pop_plan::QuerySpec;
 use pop_storage::Catalog;
 use pop_tpch::{all_queries, tpch_catalog};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Diagnostic codes the sweep is allowed to emit today. Anything outside
 /// this set fails a `--fail-on-new` run: a change that makes the
@@ -46,7 +46,8 @@ struct Totals {
     plans: usize,
     warns: usize,
     denies: usize,
-    codes: BTreeSet<&'static str>,
+    /// Findings per diagnostic code.
+    codes: BTreeMap<&'static str, usize>,
 }
 
 fn flavor_configs() -> Vec<(&'static str, FlavorSet)> {
@@ -77,29 +78,17 @@ fn lint_workload(
     totals: &mut Totals,
 ) {
     println!(
-        "== {label}: {} queries x {} flavor configs x 2 thread configs",
+        "== {label}: {} queries x {} flavor configs",
         queries.len(),
         flavor_configs().len()
     );
-    for (threads, flavor_name, flavors) in [1usize, 4]
-        .into_iter()
-        .flat_map(|t| flavor_configs().into_iter().map(move |(n, f)| (t, n, f)))
-    {
+    for (flavor_name, flavors) in flavor_configs() {
         let mut config = PopConfig::default();
         config.optimizer.flavors = flavors;
-        config.optimizer.threads = threads;
-        if threads > 1 {
-            // Force parallel regions so the monitor-coverage proof
-            // (PL421) runs against plans with unmonitored worker
-            // subtrees, not just serial spines.
-            config.optimizer.min_parallel_rows = 0.0;
-        }
         config.cost_model.mem_rows = 4000.0;
         let expect_coverage = flavors.lc;
         let risk_threshold = config.lint_risk_threshold;
         let exec = PopExecutor::new(catalog.clone(), config).expect("analyze");
-        let flavor_name = format!("{flavor_name}/t{threads}");
-        let flavor_name = flavor_name.as_str();
         for (name, spec) in queries {
             let plan = match exec.plan(spec, &Params::none()) {
                 Ok(p) => p,
@@ -125,7 +114,7 @@ fn lint_workload(
             println!("{label}/{name} [{flavor_name}]: {} finding(s)", diags.len());
             for d in &diags {
                 println!("  {d}");
-                totals.codes.insert(d.code.as_str());
+                *totals.codes.entry(d.code.as_str()).or_default() += 1;
                 match d.severity {
                     Severity::Deny => totals.denies += 1,
                     Severity::Warn => totals.warns += 1,
@@ -166,7 +155,7 @@ fn main() {
         plans: 0,
         warns: 0,
         denies: 0,
-        codes: BTreeSet::new(),
+        codes: BTreeMap::new(),
     };
     if workload == "dmv" || workload == "all" {
         let queries: Vec<(String, QuerySpec)> = dmv_queries()
@@ -194,13 +183,21 @@ fn main() {
             &mut totals,
         );
     }
+    let by_code: Vec<String> = totals
+        .codes
+        .iter()
+        .map(|(code, n)| format!("{code} x{n}"))
+        .collect();
     println!(
-        "{} plan(s) linted: {} warning(s), {} denial(s)",
-        totals.plans, totals.warns, totals.denies
+        "{} plan(s) linted: {} warning(s), {} denial(s) [{}]",
+        totals.plans,
+        totals.warns,
+        totals.denies,
+        by_code.join(", ")
     );
     let new_codes: Vec<&&str> = totals
         .codes
-        .iter()
+        .keys()
         .filter(|c| !BASELINE_CODES.contains(*c))
         .collect();
     if fail_on_new && !new_codes.is_empty() {

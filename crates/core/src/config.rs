@@ -99,13 +99,6 @@ pub struct PopConfig {
     /// Defaults to [`pop_exec::DEFAULT_BATCH_SIZE`], overridable with the
     /// `POP_BATCH_SIZE` environment variable.
     pub batch_size: usize,
-    /// Rows per morsel in parallel regions. Purely a scheduling
-    /// granularity — results are independent of the value, like
-    /// `batch_size` — trading work-stealing balance (small morsels)
-    /// against per-morsel chain-construction overhead (large morsels).
-    /// Defaults to [`pop_exec::DEFAULT_MORSEL_SIZE`], overridable with
-    /// the `POP_MORSEL_SIZE` environment variable.
-    pub morsel_size: usize,
     /// Per-query resource budget (work units, rows, wall-clock time,
     /// resident operator bytes), enforced at batch boundaries by the
     /// execution governor. Unlimited by default; the `POP_MAX_WORK`,
@@ -174,20 +167,6 @@ pub struct PopConfig {
 fn batch_size_from_env(warnings: &mut Vec<String>) -> usize {
     pop_guard::env_parsed("POP_BATCH_SIZE", |n: &usize| *n > 0, warnings)
         .unwrap_or(pop_exec::DEFAULT_BATCH_SIZE)
-}
-
-/// Morsel size from `POP_MORSEL_SIZE`, falling back to the engine
-/// default. Unparsable or zero values fall back — recording a warning —
-/// rather than erroring.
-fn morsel_size_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_MORSEL_SIZE", |n: &usize| *n > 0, warnings)
-        .unwrap_or(pop_exec::DEFAULT_MORSEL_SIZE)
-}
-
-/// Partition-parallel degree from `POP_THREADS`: `1` keeps everything
-/// serial (the default). Zero/unparsable values fall back with a warning.
-fn threads_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_THREADS", |n: &usize| *n > 0, warnings).unwrap_or(1)
 }
 
 /// Cross-query learning switch from `POP_FEEDBACK_LEARN`.
@@ -273,14 +252,9 @@ impl Default for PopConfig {
     fn default() -> Self {
         let mut env_warnings = Vec::new();
         let batch_size = batch_size_from_env(&mut env_warnings);
-        let morsel_size = morsel_size_from_env(&mut env_warnings);
         let budget = Budget::from_env(&mut env_warnings);
         let faults = FaultPlan::from_env(&mut env_warnings);
         let lint_risk_threshold = lint_risk_threshold_from_env(&mut env_warnings);
-        let optimizer = OptimizerConfig {
-            threads: threads_from_env(&mut env_warnings),
-            ..OptimizerConfig::default()
-        };
         let storage = StorageConfig::from_env(&mut env_warnings);
         // The paged backend plans with the page-aware model; the mem
         // backend keeps the flat model (page terms zeroed). Page counts
@@ -292,7 +266,7 @@ impl Default for PopConfig {
         };
         PopConfig {
             enabled: true,
-            optimizer,
+            optimizer: OptimizerConfig::default(),
             cost_model,
             max_reopts: 3,
             reopt_work: 200.0,
@@ -306,7 +280,6 @@ impl Default for PopConfig {
             lint: LintMode::default(),
             lint_risk_threshold,
             batch_size,
-            morsel_size,
             budget,
             faults,
             monitor: switch_from_env("POP_MONITOR", true, &mut env_warnings),

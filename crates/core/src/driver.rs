@@ -13,8 +13,8 @@ use pop_optimizer::{
     OptimizerContext, PlanCache,
 };
 use pop_plan::{
-    canonical_layout, spec_fingerprint, CheckFlavor, Partitioning, PhysNode, QuerySpec, Signer,
-    TableSet, ValidityRange,
+    canonical_layout, spec_fingerprint, CheckFlavor, PhysNode, QuerySpec, Signer, TableSet,
+    ValidityRange,
 };
 use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
@@ -177,7 +177,6 @@ impl PopExecutor {
             self.config.cost_model.clone(),
         );
         ctx.batch_size = self.config.batch_size.max(1);
-        ctx.morsel_size = self.config.morsel_size.max(1);
         ctx.guard = Governor::new(self.config.budget, cancel);
         ctx.faults = self.config.faults.clone().map(FaultInjector::new);
         if self.config.enabled {
@@ -240,12 +239,6 @@ impl PopExecutor {
         let mut cfg = self.config.optimizer.clone();
         if !self.config.enabled {
             cfg.flavors = FlavorSet::none();
-        }
-        // A forced (dummy) re-optimization targets one specific serial
-        // CHECK's firing point (Figure 12's overhead measurement); keep
-        // those runs serial so the firing point is exactly reproducible.
-        if self.config.force_reopt_at.is_some() {
-            cfg.threads = 1;
         }
         cfg
     }
@@ -408,7 +401,7 @@ impl PopExecutor {
                 mvs_used,
                 rows_emitted: outcome.row_count(),
                 batches_emitted: (ctx.batches_emitted - batches_start) as usize,
-                parallel: std::mem::take(&mut ctx.region_diags),
+                parallel: Vec::new(),
                 lint_warnings: vetting.warnings,
                 certificate: vetting.certificate,
                 monitors: ctx.monitor_signals.clone(),
@@ -607,7 +600,6 @@ impl PopExecutor {
         );
         ctx.checks_enabled = false;
         ctx.batch_size = self.config.batch_size.max(1);
-        ctx.morsel_size = self.config.morsel_size.max(1);
         ctx.guard = Governor::new(self.config.budget, None);
         let signatures = self.collect_signatures(spec, plan, params);
         let _cleanup = MvCleanup {
@@ -633,7 +625,7 @@ impl PopExecutor {
             mvs_used: 0,
             rows_emitted: collected.len(),
             batches_emitted: ctx.batches_emitted as usize,
-            parallel: std::mem::take(&mut ctx.region_diags),
+            parallel: Vec::new(),
             lint_warnings: vetting.warnings,
             certificate: vetting.certificate,
             monitors: vec![],
@@ -651,10 +643,7 @@ impl PopExecutor {
     /// bound derived from the planlint interval envelope and the
     /// optimizer's estimate, except CHECK/BUFCHECK nodes and their
     /// direct children (the check already counts that row stream).
-    /// Nodes inside parallel regions are included — the region
-    /// controller folds their counts into shared cells, so coverage is
-    /// identical to the serial plan's. `None` when monitoring is
-    /// disabled.
+    /// `None` when monitoring is disabled.
     fn monitor_set(
         &self,
         spec: &QuerySpec,
@@ -685,7 +674,7 @@ impl PopExecutor {
     }
 
     /// Sampling pre-validation of a risky plan (vet-then-run): execute the
-    /// plan's serial skeleton over a deterministic stride sample of its
+    /// plan over a deterministic stride sample of its
     /// driving table, scale the observed cardinalities back up, and treat
     /// them as early CHECK observations — feeding them back and requesting
     /// a replan when one escapes its validity range.
@@ -698,10 +687,8 @@ impl PopExecutor {
     /// The sample runs with checks *disabled* (a sample's absolute counts
     /// would violate lower bounds spuriously) but with its own monitor
     /// set whose trip bounds are scaled down by the sampling factor, so a
-    /// runaway join fires early even inside the sample. Because the
-    /// skeleton is serial and the stride deterministic, the vet decision
-    /// and its observations are identical across thread counts and morsel
-    /// sizes.
+    /// runaway join fires early even inside the sample. The stride is
+    /// deterministic, so the vet decision and its observations are too.
     fn sample_vet_plan(
         &self,
         spec: &QuerySpec,
@@ -724,8 +711,7 @@ impl PopExecutor {
         if has_insert {
             return Ok(None);
         }
-        let skeleton = serial_skeleton(plan.clone());
-        let Some(driving) = driving_sample_table(&skeleton, &self.stats) else {
+        let Some(driving) = driving_sample_table(plan, &self.stats) else {
             return Ok(None);
         };
         let rows = self.stats.get(&driving).map_or(0, |s| s.row_count);
@@ -749,11 +735,11 @@ impl PopExecutor {
         // (built even when continuous monitoring is off — the vet relies
         // on them to catch a runaway join inside the sample).
         let lctx = pop_planlint::LintContext::full(&self.catalog, spec).with_stats(&self.stats);
-        let intervals = pop_planlint::plan_intervals(&skeleton, &lctx);
+        let intervals = pop_planlint::plan_intervals(plan, &lctx);
         let mut set = MonitorSet::default();
         let mut idx = 0usize;
         collect_monitor_specs(
-            &skeleton,
+            plan,
             &intervals,
             signatures,
             self.config.monitor_drift,
@@ -774,7 +760,7 @@ impl PopExecutor {
             }
         }
         let sample_monitors = (!set.is_empty()).then(|| Arc::new(set));
-        // Run the skeleton in sampling mode: checks count but never raise,
+        // Run the plan in sampling mode: checks count but never raise,
         // the scaled monitors stay armed, and the driving table's scans
         // read every `stride`-th row.
         let stash_checks = ctx.checks_enabled;
@@ -784,7 +770,7 @@ impl PopExecutor {
             table: driving.clone(),
             stride: usize::try_from(stride).unwrap_or(usize::MAX),
         });
-        let outcome = execute(&skeleton, ctx, signatures);
+        let outcome = execute(plan, ctx, signatures);
         ctx.checks_enabled = stash_checks;
         ctx.monitors = stash_monitors;
         ctx.sample = None;
@@ -960,8 +946,6 @@ fn count_preserving(node: &PhysNode) -> bool {
             | PhysNode::BufCheck { .. }
             | PhysNode::RidSink { .. }
             | PhysNode::Insert { .. }
-            | PhysNode::Exchange { .. }
-            | PhysNode::Gather { .. }
     )
 }
 
@@ -1010,37 +994,9 @@ fn collect_monitor_specs(
             );
         }
     }
-    // Parallel regions (below a `Gather`) are enumerated like any other
-    // subtree: the region controller folds their monitors into shared
-    // per-node cells, so in-region coverage matches the serial plan's.
     let child_counted = is_check || (under_check && count_preserving(node));
     for child in node.children() {
         collect_monitor_specs(child, intervals, signatures, drift, idx, child_counted, set);
-    }
-}
-
-/// Strip the parallel-only wrappers (`Exchange`/`Gather`) from a plan and
-/// reset the marks the parallelize pass left on the spine (partitioning
-/// properties, CHECK fold registration), recovering the serial plan the
-/// optimizer built before parallelization. The sampling pre-validation
-/// always executes this skeleton, so its observations — like the
-/// robustness certificate, which is computed over the same skeleton — are
-/// invariant across thread counts.
-fn serial_skeleton(node: PhysNode) -> PhysNode {
-    match node {
-        PhysNode::Exchange { input, .. } | PhysNode::Gather { input, .. } => {
-            serial_skeleton(*input)
-        }
-        mut other => {
-            other.props_mut().partitioning = Partitioning::Single;
-            if let PhysNode::Check { spec, .. } = &mut other {
-                spec.fold = false;
-            }
-            for child in other.children_mut() {
-                child.replace_with(serial_skeleton);
-            }
-            other
-        }
     }
 }
 
@@ -1347,7 +1303,6 @@ mod tests {
                 est_card: 5.0,
                 signature: "sig".into(),
                 context: pop_plan::CheckContext::Pipeline,
-                fold: false,
             },
         };
         let mut ctx = ExecCtx::new(cat, Params::none(), pop_plan::CostModel::default());

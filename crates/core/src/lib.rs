@@ -67,12 +67,11 @@ mod report;
 
 pub use config::{LintMode, PopConfig};
 pub use driver::PopExecutor;
-pub use report::{QueryResult, RunReport, SampleVet, StepReport};
+pub use report::{QueryResult, RegionDiag, RunReport, SampleVet, StepReport, WorkerDiag};
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use pop_exec::{
-    CheckEvent, CheckOutcome, ObservedCard, RegionDiag, SuboptimalitySignal, Violation, WorkerDiag,
-    MONITOR_TRIP_FLOOR,
+    CheckEvent, CheckOutcome, ObservedCard, SuboptimalitySignal, Violation, MONITOR_TRIP_FLOOR,
 };
 pub use pop_guard::{
     Budget, CancelToken, CleanupRegistry, FaultInjector, FaultKind, FaultPlan, FaultSpec, Governor,

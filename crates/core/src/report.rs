@@ -1,6 +1,6 @@
 //! Query results and execution reports.
 
-use pop_exec::{CheckEvent, RegionDiag, SuboptimalitySignal, Violation};
+use pop_exec::{CheckEvent, SuboptimalitySignal, Violation};
 use pop_optimizer::MemoStats;
 use pop_planlint::RobustnessCertificate;
 use pop_types::Row;
@@ -29,9 +29,8 @@ pub struct StepReport {
     /// Batches the root operator produced during this step (the rows
     /// above arrived in this many `next_batch` calls).
     pub batches_emitted: usize,
-    /// Diagnostics of every parallel region this step executed (empty
-    /// for serial plans): degree of parallelism, scheduling mode, morsel
-    /// count, and per-worker morsel/steal/wait/compute figures.
+    /// Always empty: the engine executes every plan serially (see
+    /// [`RegionDiag`]).
     pub parallel: Vec<RegionDiag>,
     /// Warn-severity findings from static plan verification of this
     /// step's plan (empty when the lint mode is `Off` or the plan is
@@ -40,9 +39,7 @@ pub struct StepReport {
     /// Robustness certificate of this step's plan: what the planlint
     /// dataflow analyzer can prove about its safety net (guarded edges,
     /// uncovered residual risk, worst-case re-optimization depth).
-    /// `None` when the lint mode is `Off`. Computed over the plan's
-    /// serial skeleton, so it is invariant across thread counts and
-    /// morsel sizes.
+    /// `None` when the lint mode is `Off`.
     pub certificate: Option<RobustnessCertificate>,
     /// Alarms raised by the continuous suboptimality monitors during this
     /// step (at most one per step: a raised monitor suspends execution).
@@ -57,6 +54,27 @@ pub struct StepReport {
     /// step's plan did not come out of the optimizer (degraded fallback,
     /// plan-cache hit, or `execute_plan`).
     pub memo: Option<MemoStats>,
+}
+
+/// A parallel region's diagnostics. The engine executes every plan
+/// serially, so [`StepReport::parallel`] is always empty; this type and
+/// [`WorkerDiag`] exist only so the end-to-end benchmark harness, which
+/// still reads them, keeps compiling.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegionDiag {
+    /// One entry per worker.
+    pub workers: Vec<WorkerDiag>,
+}
+
+/// One worker of a [`RegionDiag`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WorkerDiag {
+    /// Tasks claimed outside the worker's own share.
+    pub steals: u64,
+    /// Nanoseconds spent waiting on a queue.
+    pub queue_wait_ns: u64,
+    /// Nanoseconds spent computing.
+    pub compute_ns: u64,
 }
 
 impl StepReport {
@@ -116,8 +134,7 @@ pub struct RunReport {
     /// robustness certificate flagged uncovered risk and the driver ran
     /// the plan over a sample of its driving table before committing.
     /// `None` when vetting is disabled, the plan's certificate is clean,
-    /// or the plan shape does not admit sampling (parallel regions, side
-    /// effects).
+    /// or the plan shape does not admit sampling (side effects).
     pub sample_vet: Option<SampleVet>,
     /// Feedback lookups answered by this query's own overlay (facts
     /// recorded by checks during this very run).
@@ -233,9 +250,6 @@ impl RunReport {
             }
             if let Some(c) = &s.certificate {
                 let _ = writeln!(out, "  {c}");
-            }
-            for d in &s.parallel {
-                let _ = writeln!(out, "  parallel: {}", d.summary());
             }
             for ev in &s.check_events {
                 let _ = writeln!(

@@ -79,8 +79,7 @@ impl RowBatch {
         }
     }
 
-    /// Clear all contents while keeping the allocated capacity — the
-    /// free-list reuse hook of the exchange routing path and the join
+    /// Clear all contents while keeping the allocated capacity — the join
     /// operators' scratch batches.
     pub fn reset(&mut self) {
         self.cols.iter_mut().for_each(Column::clear);

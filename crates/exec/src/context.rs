@@ -144,18 +144,6 @@ pub struct ExecCtx {
     /// Batches handed to the application by the executor loop, cumulative
     /// across execution steps (the driver reports per-step deltas).
     pub batches_emitted: u64,
-    /// Target rows per morsel for parallel regions (`POP_MORSEL_SIZE` at
-    /// the driver level). Purely a scheduling granularity: results are
-    /// independent of the value, like `batch_size`.
-    pub morsel_size: usize,
-    /// Diagnostics of every parallel region executed in this run, in
-    /// region completion order.
-    pub region_diags: Vec<crate::morsel::RegionDiag>,
-    /// Nanoseconds this context's owner spent blocked on exchange queues
-    /// (meaningful in per-worker contexts; folded into [`RegionDiag`]).
-    ///
-    /// [`RegionDiag`]: crate::morsel::RegionDiag
-    pub queue_wait_ns: u64,
     /// Resource governor: per-query budgets plus cooperative cancellation,
     /// checked at batch boundaries. Disabled (one branch per check) unless
     /// a budget limit or a cancel token was supplied.
@@ -208,9 +196,6 @@ impl ExecCtx {
             rows_scanned: 0,
             batch_size: crate::batch::DEFAULT_BATCH_SIZE,
             batches_emitted: 0,
-            morsel_size: crate::morsel::DEFAULT_MORSEL_SIZE,
-            region_diags: Vec::new(),
-            queue_wait_ns: 0,
             guard: Governor::disabled(),
             faults: None,
             monitors: None,
@@ -226,7 +211,6 @@ impl ExecCtx {
     pub fn begin_run(&mut self) {
         self.harvests.clear();
         self.check_events.clear();
-        self.region_diags.clear();
         self.monitor_signals.clear();
     }
 

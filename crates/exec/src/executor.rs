@@ -165,7 +165,6 @@ mod tests {
                 est_card: 5.0,
                 signature: "sig".into(),
                 context: pop_plan::CheckContext::Pipeline,
-                fold: false,
             },
             props,
         };

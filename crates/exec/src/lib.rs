@@ -33,7 +33,6 @@ mod build;
 mod column;
 mod context;
 mod executor;
-mod morsel;
 pub mod operators;
 mod signal;
 
@@ -41,6 +40,5 @@ pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use build::{build_monitored, build_operator, Signatures, Subplan};
 pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest, SampleSpec};
 pub use executor::{execute, RunOutcome};
-pub use morsel::{RegionDiag, WorkerDiag, DEFAULT_MORSEL_SIZE};
 pub use operators::{MonitorSet, MonitorSpec, Operator, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

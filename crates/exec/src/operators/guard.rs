@@ -1,27 +1,24 @@
 //! The runtime cardinality guard: one counting core behind every CHECK,
-//! BUFCHECK (Figure 10) and suboptimality monitor, serial or folded across
-//! the workers of a parallel region.
+//! BUFCHECK (Figure 10) and suboptimality monitor.
 //!
 //! A [`Guard`] describes *what* is enforced — identity, `[lo, hi]` bound,
 //! arming rule, per-row work charge, what a verdict records. CHECKs and
 //! monitors differ only in where the bound comes from (a validity range
 //! vs. a drift bound, see [`super::monitor`]) and in what they record
-//! (`CheckEvent` vs. `SuboptimalitySignal`). A [`Counter`] holds the
-//! running count: a plain `u64` owned by one operator, or a shared
-//! [`FoldCell`] every partition instance of the node adds into, so the
-//! bound is always compared against the node's *global* output.
+//! (`CheckEvent` vs. `SuboptimalitySignal`). The running count is a plain
+//! `u64` owned by the [`GuardOp`].
 //!
 //! Counting is per batch: a batch of `n` rows that cannot cross `hi` is
 //! admitted with one add, one compare and one work charge. When a batch
-//! *would* cross, [`Counter::admit`] names the exact tripping row — the
+//! *would* cross, [`GuardOp::admit`] names the exact tripping row — the
 //! row on which row-at-a-time counting would have fired — and
 //! [`GuardOp`] returns the rows before it as a short batch, raises on the
 //! following call, and keeps the suffix (tripping row included) for
 //! replay, so a run resumed without re-optimizing loses nothing.
 //! Observations and event order are therefore identical at every batch
-//! size, morsel size and thread count. The lower bound is decided on the
-//! exact count ([`Guard::decide_exact`]): at end of stream, or once at
-//! `open` above a materialization point.
+//! size. The lower bound is decided on the exact count
+//! ([`Guard::decide_exact`]): at end of stream, or once at `open` above a
+//! materialization point.
 
 use crate::context::{CheckEvent, CheckOutcome};
 use crate::operators::monitor::{MonitorSpec, SuboptimalitySignal};
@@ -30,14 +27,12 @@ use crate::signal::{ExecSignal, ObservedCard, Violation};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_plan::{CheckContext, CheckFlavor, CheckSpec, ValidityRange};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What one guard enforces. A monitor is a CHECK-shaped guard with no
 /// plan id (`usize::MAX` — the driver dispatches on
 /// [`Violation::monitor`]), flavor ECB and range `[0, trip]`.
 #[derive(Debug)]
-pub(crate) struct Guard {
+struct Guard {
     spec: CheckSpec,
     /// `Some` for a monitor, `None` for a planned CHECK.
     monitor: Option<Monitored>,
@@ -53,7 +48,7 @@ struct Monitored {
 }
 
 impl Guard {
-    pub(crate) fn check(spec: CheckSpec) -> Self {
+    fn check(spec: CheckSpec) -> Self {
         Guard {
             spec,
             monitor: None,
@@ -62,7 +57,7 @@ impl Guard {
 
     /// A monitor at its nominal trip bound; [`Guard::rearm`] applies the
     /// lying-monitor fault hook before each use.
-    pub(crate) fn monitor(m: MonitorSpec) -> Self {
+    fn monitor(m: MonitorSpec) -> Self {
         Guard {
             spec: CheckSpec {
                 id: usize::MAX,
@@ -71,7 +66,6 @@ impl Guard {
                 est_card: m.est_card,
                 signature: m.signature,
                 context: CheckContext::Pipeline,
-                fold: false,
             },
             monitor: Some(Monitored {
                 path: m.path,
@@ -80,14 +74,10 @@ impl Guard {
         }
     }
 
-    pub(crate) fn id(&self) -> usize {
-        self.spec.id
-    }
-
     /// Fault hook: a lying monitor trips immediately. The observation it
     /// reports is still the truthful running count, so the feedback path
     /// stays sound and the run converges like a spurious check.
-    pub(crate) fn rearm(&mut self, ctx: &mut ExecCtx) {
+    fn rearm(&mut self, ctx: &mut ExecCtx) {
         if let Some(m) = &self.monitor {
             let trip = if ctx.fault_monitor_lie() { 0 } else { m.trip };
             self.spec.range.hi = trip as f64;
@@ -126,7 +116,7 @@ impl Guard {
     /// Record a verdict on `ctx`: a [`CheckEvent`] for a CHECK, a
     /// [`SuboptimalitySignal`] (plus the fired-signature latch) for a
     /// monitor.
-    pub(crate) fn record(
+    fn record(
         &self,
         ctx: &mut ExecCtx,
         outcome: CheckOutcome,
@@ -185,12 +175,7 @@ impl Guard {
 
     /// Decide a completed (exact) count against both bounds, recording the
     /// one event of this check.
-    pub(crate) fn decide_exact(
-        &self,
-        total: u64,
-        started_at: f64,
-        ctx: &mut ExecCtx,
-    ) -> OpResult<()> {
+    fn decide_exact(&self, total: u64, started_at: f64, ctx: &mut ExecCtx) -> OpResult<()> {
         let observed = ObservedCard::Exact(total);
         let in_range = self.spec.range.contains(total as f64);
         let forced = ctx.force_reopt_at == Some(self.spec.id) && !ctx.forced_fired;
@@ -221,94 +206,11 @@ fn tripping_row(before: u64, n: u64, hi: f64) -> Option<u64> {
     ((before + n) as f64 > hi).then(|| (hi.floor() as u64).saturating_sub(before))
 }
 
-/// An upper-bound crossing found by [`Counter::admit`].
+/// An upper-bound crossing found by [`GuardOp::admit`].
 struct Trip {
     /// Live rows of the batch admitted before the tripping row.
     row: usize,
     observed: ObservedCard,
-}
-
-/// Shared state of one guarded node inside a parallel region: the global
-/// row count plus a trip-once latch, so exactly one task reports an
-/// upper-bound crossing. The lower bound needs no coordination here: the
-/// region controller decides it on the folded exact count once every task
-/// has reached end of stream.
-pub(crate) struct FoldCell {
-    pub(crate) guard: Guard,
-    count: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl FoldCell {
-    pub(crate) fn new(guard: Guard) -> Self {
-        FoldCell {
-            guard,
-            count: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn total(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
-    }
-}
-
-/// The running count of one guard instance.
-enum Counter {
-    /// Owned by one operator: the serial plan, and the serially-built
-    /// hash-join build sides of a region.
-    Local { guard: Guard, count: u64 },
-    /// One partition instance's handle on the node's shared cell.
-    Shared(Arc<FoldCell>),
-}
-
-impl Counter {
-    fn guard(&self) -> &Guard {
-        match self {
-            Counter::Local { guard, .. } => guard,
-            Counter::Shared(cell) => &cell.guard,
-        }
-    }
-
-    /// Count `n` live rows against the upper bound, charging the guard's
-    /// row charge plus `surcharge` work units per counted row. `None`
-    /// admits the whole batch.
-    ///
-    /// A local counter counts and charges only up to and including the
-    /// tripping row and observes its own count there. A shared cell adds
-    /// the whole batch (rows of other workers interleave, so no row of it
-    /// is "before" the crossing: it trips at row 0); the first crossing
-    /// wins the latch, later tasks pass through, and the observation is
-    /// derived from the bound itself — `floor(hi) + 1`, exactly what
-    /// row-at-a-time counting observes — so it is independent of batch
-    /// shape, thread count and morsel size.
-    fn admit(&mut self, n: u64, surcharge: f64, resolved: bool, ctx: &mut ExecCtx) -> Option<Trip> {
-        let per_row = self.guard().row_charge(ctx) + surcharge;
-        match self {
-            Counter::Local { guard, count } => {
-                let row = tripping_row(*count, n, guard.spec.range.hi)
-                    .filter(|_| !resolved && guard.armed(ctx));
-                let counted = row.map_or(n, |j| j + 1);
-                *count += counted;
-                ctx.charge(counted as f64 * per_row);
-                row.map(|j| Trip {
-                    row: j as usize,
-                    observed: ObservedCard::AtLeast(*count),
-                })
-            }
-            Counter::Shared(cell) => {
-                let hi = cell.guard.spec.range.hi;
-                let before = cell.count.fetch_add(n, Ordering::AcqRel);
-                ctx.charge(n as f64 * per_row);
-                tripping_row(before, n, hi)
-                    .filter(|_| cell.guard.armed(ctx) && !cell.tripped.swap(true, Ordering::AcqRel))
-                    .map(|_| Trip {
-                        row: 0,
-                        observed: ObservedCard::AtLeast(hi.floor() as u64 + 1),
-                    })
-            }
-        }
-    }
 }
 
 /// The guard operator: a transparent pass-through that counts its input
@@ -316,12 +218,10 @@ impl Counter {
 ///
 /// * In a **pipeline** the upper bound fires as soon as it is crossed
 ///   (observation "at least count"); a CHECK's lower bound is evaluated at
-///   end of stream (exact). Inside a parallel region the end-of-stream
-///   evaluation belongs to the region controller, on the folded count.
+///   end of stream (exact).
 /// * Above a **materialization point** a CHECK executes once, right after
 ///   `open`, against the materialized row count (exact observation), and
-///   the stream passes through uncounted. Materialization points end a
-///   parallel region, so this path is always serial.
+///   the stream passes through uncounted.
 /// * As a **BUFCHECK valve** (§3.3, ECB) it first buffers up to
 ///   `capacity` rows until either the count exceeds `hi` (fail
 ///   immediately — *before* any materialization below completes) or the
@@ -339,7 +239,9 @@ impl Counter {
 /// re-optimization budget is exhausted).
 pub struct GuardOp {
     input: Box<dyn Operator>,
-    counter: Counter,
+    guard: Guard,
+    /// Rows counted so far in this run.
+    count: u64,
     above_materialization: bool,
     /// BUFCHECK valve capacity in rows; 0 for a plain streaming guard.
     capacity: usize,
@@ -364,16 +266,12 @@ pub struct GuardOp {
 }
 
 impl GuardOp {
-    fn new(
-        input: Box<dyn Operator>,
-        counter: Counter,
-        above_materialization: bool,
-        capacity: usize,
-    ) -> Self {
+    fn new(input: Box<dyn Operator>, guard: Guard, materialized: bool, capacity: usize) -> Self {
         GuardOp {
             input,
-            counter,
-            above_materialization,
+            guard,
+            count: 0,
+            above_materialization: materialized,
             capacity,
             decided_at_open: false,
             resolved: false,
@@ -386,35 +284,36 @@ impl GuardOp {
         }
     }
 
-    fn local(input: Box<dyn Operator>, guard: Guard, materialized: bool, capacity: usize) -> Self {
-        Self::new(
-            input,
-            Counter::Local { guard, count: 0 },
-            materialized,
-            capacity,
-        )
-    }
-
     /// A CHECK. `materialized_child` marks checks placed directly above
     /// SORT/TEMP/MV operators.
     pub fn check(input: Box<dyn Operator>, spec: CheckSpec, materialized_child: bool) -> Self {
-        Self::local(input, Guard::check(spec), materialized_child, 0)
+        Self::new(input, Guard::check(spec), materialized_child, 0)
     }
 
     /// A BUFCHECK with the given valve capacity.
     pub fn bufcheck(input: Box<dyn Operator>, spec: CheckSpec, capacity: usize) -> Self {
-        Self::local(input, Guard::check(spec), false, capacity.max(1))
+        Self::new(input, Guard::check(spec), false, capacity.max(1))
     }
 
     /// A suboptimality monitor over `input`.
     pub fn monitor(input: Box<dyn Operator>, spec: MonitorSpec) -> Self {
-        Self::local(input, Guard::monitor(spec), false, 0)
+        Self::new(input, Guard::monitor(spec), false, 0)
     }
 
-    /// One partition's instance of a guarded node inside a parallel
-    /// region, counting into the node's shared cell.
-    pub(crate) fn shared(input: Box<dyn Operator>, cell: Arc<FoldCell>) -> Self {
-        Self::new(input, Counter::Shared(cell), false, 0)
+    /// Count `n` live rows against the upper bound, charging the guard's
+    /// row charge plus `surcharge` work units per counted row, up to and
+    /// including the tripping row. `None` admits the whole batch.
+    fn admit(&mut self, n: u64, surcharge: f64, ctx: &mut ExecCtx) -> Option<Trip> {
+        let per_row = self.guard.row_charge(ctx) + surcharge;
+        let row = tripping_row(self.count, n, self.guard.spec.range.hi)
+            .filter(|_| !self.resolved && self.guard.armed(ctx));
+        let counted = row.map_or(n, |j| j + 1);
+        self.count += counted;
+        ctx.charge(counted as f64 * per_row);
+        row.map(|j| Trip {
+            row: j as usize,
+            observed: ObservedCard::AtLeast(self.count),
+        })
     }
 
     /// Count one streamed batch; on a crossing, deliver the pre-violation
@@ -424,7 +323,7 @@ impl GuardOp {
             return Ok(Some(b));
         }
         let n = b.live_count() as u64;
-        let Some(trip) = self.counter.admit(n, 0.0, self.resolved, ctx) else {
+        let Some(trip) = self.admit(n, 0.0, ctx) else {
             return Ok(Some(b));
         };
         let sig = self.raise_upper(ctx, trip.observed);
@@ -439,23 +338,19 @@ impl GuardOp {
 
     fn raise_upper(&mut self, ctx: &mut ExecCtx, observed: ObservedCard) -> ExecSignal {
         self.resolved = true;
-        self.counter
-            .guard()
+        self.guard
             .raise(ctx, CheckOutcome::Violated, observed, self.started_at)
     }
 
-    /// The producer is exhausted: a serial CHECK verifies its exact count
-    /// (lower bound included). Monitors have no lower bound, and a shared
-    /// cell's exact count is the region controller's to evaluate.
+    /// The producer is exhausted: a CHECK verifies its exact count (lower
+    /// bound included). Monitors have no lower bound.
     fn finish(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.eof = true;
-        match &self.counter {
-            Counter::Local { guard, count } if guard.monitor.is_none() && !self.resolved => {
-                self.resolved = true;
-                guard.decide_exact(*count, self.started_at, ctx)
-            }
-            _ => Ok(()),
+        if self.guard.monitor.is_some() || self.resolved {
+            return Ok(());
         }
+        self.resolved = true;
+        self.guard.decide_exact(self.count, self.started_at, ctx)
     }
 
     /// Decide once against the exact materialized count `n` (the Figure 10
@@ -465,7 +360,7 @@ impl GuardOp {
         self.decided_at_open = true;
         self.resolved = true;
         ctx.charge(ctx.model.check_row);
-        self.counter.guard().decide_exact(n, self.started_at, ctx)
+        self.guard.decide_exact(n, self.started_at, ctx)
     }
 
     /// Fill the valve, charging the buffering surcharge per row.
@@ -484,7 +379,7 @@ impl GuardOp {
                 (b, None)
             };
             let n = head.live_count();
-            let trip = self.counter.admit(n as u64, surcharge, self.resolved, ctx);
+            let trip = self.admit(n as u64, surcharge, ctx);
             // The head stays buffered either way, so a resumed
             // (checks-disabled) run replays every row.
             let bytes = head.approx_bytes();
@@ -511,12 +406,8 @@ impl Operator for GuardOp {
         self.eof = false;
         self.pending_signal = None;
         self.started_at = ctx.work;
-        // A shared cell is deliberately not reset: tasks re-open per
-        // morsel while the count is global to the region's step.
-        if let Counter::Local { guard, count } = &mut self.counter {
-            *count = 0;
-            guard.rearm(ctx);
-        }
+        self.count = 0;
+        self.guard.rearm(ctx);
         self.input.open(ctx)?;
         if self.above_materialization {
             if let Some(n) = self.input.materialized_count() {
@@ -564,11 +455,9 @@ impl Operator for GuardOp {
 crate::operators::opaque_debug!(GuardOp);
 
 /// One table drives every guard through the same protocol: each case runs
-/// with a local counter and — streaming cases, the only shape a region
-/// holds — with a shared cell (the harness standing in for the region
-/// controller's end-of-region evaluation), at chunk sizes 1, 7, 64 and
-/// 1024, and must produce the same signal, observation and event — and,
-/// drained past the signal, every input row exactly once.
+/// at chunk sizes 1, 7, 64 and 1024 and must produce the same signal,
+/// observation and event — and, drained past the signal, every input row
+/// exactly once.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,7 +700,6 @@ mod tests {
                 est_card: 1.0,
                 signature: "sig".into(),
                 context: CheckContext::AboveTemp,
-                fold: true,
             }),
             Monitor { trip } => Guard::monitor(MonitorSpec {
                 path: "$".into(),
@@ -832,10 +720,9 @@ mod tests {
         signals: Vec<Violation>,
     }
 
-    /// Build the case's guard over a fresh source, drain it *past* any
-    /// signal (the resume path), and — for a shared cell — evaluate the
-    /// exact count at the end like the region controller does.
-    fn drive(case: &Case, shared: bool, ctx: &mut ExecCtx) -> Run {
+    /// Build the case's guard over a fresh source and drain it *past* any
+    /// signal (the resume path).
+    fn drive(case: &Case, ctx: &mut ExecCtx) -> Run {
         let mut src: Box<dyn Operator> = Box::new(Rows {
             chunk: ctx.batch_size,
             emitted: 0,
@@ -843,19 +730,11 @@ mod tests {
         if case.shape == AboveTemp {
             src = Box::new(TempOp::new(src, None));
         }
-        let mut guard = guard_of(case.bound);
-        let (mut op, cell) = if shared {
-            guard.rearm(ctx);
-            let cell = Arc::new(FoldCell::new(guard));
-            (GuardOp::shared(src, Arc::clone(&cell)), Some(cell))
-        } else {
-            let capacity = match case.shape {
-                Valve(c) => c,
-                _ => 0,
-            };
-            let op = GuardOp::local(src, guard, case.shape == AboveTemp, capacity);
-            (op, None)
+        let capacity = match case.shape {
+            Valve(c) => c,
+            _ => 0,
         };
+        let mut op = GuardOp::new(src, guard_of(case.bound), case.shape == AboveTemp, capacity);
         let mut run = Run {
             values: Vec::new(),
             before: 0,
@@ -890,10 +769,6 @@ mod tests {
                 break;
             }
         }
-        if let Some(cell) = cell.filter(|c| c.guard.monitor.is_none() && run.signals.is_empty()) {
-            let decided = cell.guard.decide_exact(cell.total(), 0.0, ctx);
-            step(decided.map(|()| None), &mut run, ctx);
-        }
         op.close(ctx);
         run
     }
@@ -901,146 +776,71 @@ mod tests {
     #[test]
     fn every_guard_follows_one_protocol() {
         for case in table() {
-            for shared in [false, true] {
-                if shared && case.shape != Stream {
-                    continue; // a region is one pipeline: no TEMP, no BUFCHECK
-                }
-                for chunk in [1usize, 7, 64, 1024] {
-                    let at = format!("{} (shared={shared}, chunk={chunk})", case.name);
-                    let mut ctx = ExecCtx::new(
-                        Catalog::new(),
-                        pop_expr::Params::none(),
-                        CostModel::default(),
-                    );
-                    ctx.batch_size = chunk;
-                    (case.arrange)(&mut ctx);
-                    let run = drive(&case, shared, &mut ctx);
+            for chunk in [1usize, 7, 64, 1024] {
+                let at = format!("{} (chunk={chunk})", case.name);
+                let mut ctx = ExecCtx::new(
+                    Catalog::new(),
+                    pop_expr::Params::none(),
+                    CostModel::default(),
+                );
+                ctx.batch_size = chunk;
+                (case.arrange)(&mut ctx);
+                let run = drive(&case, &mut ctx);
 
-                    // Nothing dropped, nothing duplicated, order kept —
-                    // including the rows held back around the signal.
-                    assert_eq!(run.values, (0..TOTAL as i64).collect::<Vec<_>>(), "{at}");
+                // Nothing dropped, nothing duplicated, order kept —
+                // including the rows held back around the signal.
+                assert_eq!(run.values, (0..TOTAL as i64).collect::<Vec<_>>(), "{at}");
 
-                    // At most one signal, with the expected observation.
-                    let got: Vec<_> = run.signals.iter().map(|v| (v.observed, v.forced)).collect();
-                    assert_eq!(got, case.signal.into_iter().collect::<Vec<_>>(), "{at}");
-                    let mid_stream = matches!(case.signal, Some((ObservedCard::AtLeast(_), _)));
-                    let before = if shared && mid_stream {
-                        // A shared cell holds back the whole tripping batch.
-                        case.before / chunk * chunk
-                    } else {
-                        case.before
-                    };
-                    assert_eq!(run.before, before, "{at}");
-                    assert_eq!(
-                        ctx.forced_fired,
-                        case.signal.is_some_and(|(_, f)| f),
-                        "{at}"
-                    );
+                // At most one signal, with the expected observation.
+                let got: Vec<_> = run.signals.iter().map(|v| (v.observed, v.forced)).collect();
+                assert_eq!(got, case.signal.into_iter().collect::<Vec<_>>(), "{at}");
+                assert_eq!(run.before, case.before, "{at}");
+                assert_eq!(
+                    ctx.forced_fired,
+                    case.signal.is_some_and(|(_, f)| f),
+                    "{at}"
+                );
 
-                    match case.bound {
-                        Check { lo, hi } => {
-                            // Exactly one event: the signal's, or Passed
-                            // on the exact count.
-                            assert!(ctx.monitor_signals.is_empty(), "{at}");
-                            assert_eq!(ctx.check_events.len(), 1, "{at}");
-                            let e = &ctx.check_events[0];
-                            let (observed, outcome) = match case.signal {
-                                Some((o, true)) => (o, CheckOutcome::Forced),
-                                Some((o, false)) => (o, CheckOutcome::Violated),
-                                None => (ObservedCard::Exact(TOTAL as u64), CheckOutcome::Passed),
-                            };
-                            assert_eq!((e.observed, e.outcome), (observed, outcome), "{at}");
-                            for v in &run.signals {
-                                assert!(!v.monitor, "{at}");
-                                assert_eq!((v.check_id, v.flavor), (0, CheckFlavor::Lc), "{at}");
-                                assert_eq!(v.range, ValidityRange::new(lo, hi), "{at}");
-                            }
-                            if let (Some((s, f)), false) = (case.charged, shared) {
-                                let m = &ctx.model;
-                                let want =
-                                    s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
-                                assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
-                            }
+                match case.bound {
+                    Check { lo, hi } => {
+                        // Exactly one event: the signal's, or Passed on
+                        // the exact count.
+                        assert!(ctx.monitor_signals.is_empty(), "{at}");
+                        assert_eq!(ctx.check_events.len(), 1, "{at}");
+                        let e = &ctx.check_events[0];
+                        let (observed, outcome) = match case.signal {
+                            Some((o, true)) => (o, CheckOutcome::Forced),
+                            Some((o, false)) => (o, CheckOutcome::Violated),
+                            None => (ObservedCard::Exact(TOTAL as u64), CheckOutcome::Passed),
+                        };
+                        assert_eq!((e.observed, e.outcome), (observed, outcome), "{at}");
+                        for v in &run.signals {
+                            assert!(!v.monitor, "{at}");
+                            assert_eq!((v.check_id, v.flavor), (0, CheckFlavor::Lc), "{at}");
+                            assert_eq!(v.range, ValidityRange::new(lo, hi), "{at}");
                         }
-                        Monitor { .. } => {
-                            // Monitors record signals, never check events,
-                            // and charge no work.
-                            assert!(ctx.check_events.is_empty(), "{at}");
-                            assert_eq!(ctx.work, 0.0, "{at}");
-                            assert_eq!(ctx.monitor_signals.len(), run.signals.len(), "{at}");
-                            for (v, s) in run.signals.iter().zip(&ctx.monitor_signals) {
-                                assert!(v.monitor && !v.forced, "{at}");
-                                assert_eq!((v.check_id, v.flavor), (usize::MAX, CheckFlavor::Ecb));
-                                assert_eq!(v.range, ValidityRange::new(0.0, s.trip as f64), "{at}");
-                                assert_eq!(ObservedCard::AtLeast(s.observed), v.observed, "{at}");
-                                assert_eq!((s.path.as_str(), s.signature.as_str()), ("$", "sig"));
-                                assert!(ctx.monitor_fired.contains("sig"), "{at}");
-                            }
+                        if let Some((s, f)) = case.charged {
+                            let m = &ctx.model;
+                            let want = s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
+                            assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
+                        }
+                    }
+                    Monitor { .. } => {
+                        // Monitors record signals, never check events, and
+                        // charge no work.
+                        assert!(ctx.check_events.is_empty(), "{at}");
+                        assert_eq!(ctx.work, 0.0, "{at}");
+                        assert_eq!(ctx.monitor_signals.len(), run.signals.len(), "{at}");
+                        for (v, s) in run.signals.iter().zip(&ctx.monitor_signals) {
+                            assert!(v.monitor && !v.forced, "{at}");
+                            assert_eq!((v.check_id, v.flavor), (usize::MAX, CheckFlavor::Ecb));
+                            assert_eq!(v.range, ValidityRange::new(0.0, s.trip as f64), "{at}");
+                            assert_eq!(ObservedCard::AtLeast(s.observed), v.observed, "{at}");
+                            assert_eq!((s.path.as_str(), s.signature.as_str()), ("$", "sig"));
+                            assert!(ctx.monitor_fired.contains("sig"), "{at}");
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Hand-rolled concurrency model check for [`FoldCell`]'s trip-once latch
-/// (no loom/miri in this toolchain): tasks racing from a barrier add their
-/// batches into one cell whose bound the sum crosses. `fetch_add` hands
-/// every task a distinct `before`, and the latch is one atomic `swap`, so
-/// whatever the interleaving exactly one task reports the crossing, with
-/// the bound-derived observation, and the cell ends at the exact total.
-#[cfg(test)]
-mod model_check {
-    use super::*;
-    use pop_plan::CostModel;
-    use pop_storage::Catalog;
-    use std::sync::Barrier;
-
-    #[test]
-    fn fold_cell_trips_exactly_once_under_contention() {
-        const TASKS: u64 = 4;
-        const BATCHES: u64 = 50;
-        const ROWS: u64 = 7;
-        for hi in [0.0, 1.0, 349.5, (TASKS * BATCHES * ROWS - 1) as f64] {
-            for _round in 0..16 {
-                let spec = CheckSpec {
-                    id: 0,
-                    flavor: CheckFlavor::Lc,
-                    range: ValidityRange::new(0.0, hi),
-                    est_card: 0.0,
-                    signature: String::new(),
-                    context: CheckContext::Pipeline,
-                    fold: true,
-                };
-                let cell = Arc::new(FoldCell::new(Guard::check(spec)));
-                let gate = Barrier::new(TASKS as usize);
-                let trips: Vec<ObservedCard> = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..TASKS)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut ctx = ExecCtx::new(
-                                    Catalog::new(),
-                                    pop_expr::Params::none(),
-                                    CostModel::default(),
-                                );
-                                let mut counter = Counter::Shared(Arc::clone(&cell));
-                                gate.wait();
-                                (0..BATCHES)
-                                    .filter_map(|_| counter.admit(ROWS, 0.0, false, &mut ctx))
-                                    .map(|t| t.observed)
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("task panicked"))
-                        .collect()
-                });
-                let want = ObservedCard::AtLeast(hi.floor() as u64 + 1);
-                assert_eq!(trips, vec![want], "hi={hi}");
-                assert_eq!(cell.total(), TASKS * BATCHES * ROWS);
             }
         }
     }

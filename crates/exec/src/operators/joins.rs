@@ -232,11 +232,8 @@ impl Operator for NljnOp {
 
 /// The completed build phase of a hash join: the build rows in one flat
 /// buffer, the chained index over their keys, the simulated spill factor,
-/// and the bytes reserved against the governor. Built once — either
-/// privately by [`HsjnOp::open`] or serially by a parallel region's
-/// controller, which then shares one `Arc<BuildState>` across all
-/// partition probe instances ("build once, probe in parallel").
-pub struct BuildState {
+/// and the bytes reserved against the governor.
+struct BuildState {
     /// Build rows, stored exactly once (shared with the build's harvest).
     rows: Arc<RowBatch>,
     /// Key positions in a build row.
@@ -244,15 +241,15 @@ pub struct BuildState {
     /// Key hash → chain of `rows` indices, in build order.
     index: ChainIndex,
     spill_passes: f64,
-    /// Resident bytes charged to the governor; released by the owner.
-    pub(crate) reserved: u64,
+    /// Resident bytes charged to the governor; released at `close`.
+    reserved: u64,
 }
 
 /// Run the build phase: drain `build` into the row buffer and index it,
 /// hashing the key columns a column at a time, charging `hash_build_row`
 /// per row, reserving the buffer's bytes, and registering the harvest (if
 /// any) with `ctx`. The caller owns the returned state's byte reservation.
-pub(crate) fn run_hash_build(
+fn run_hash_build(
     build: &mut dyn Operator,
     build_key_pos: &[usize],
     build_harvest: Option<&HarvestInfo>,
@@ -300,13 +297,8 @@ pub(crate) fn run_hash_build(
 /// (taken as the walk reaches each row) are the row-at-a-time join's.
 /// Build overflow past the memory budget charges simulated spill passes,
 /// mirroring the cost model's step function.
-///
-/// Inside a parallel region the controller builds once and every
-/// partition's probe instance references the same [`BuildState`] through
-/// [`HsjnOp::with_shared_build`]; such an instance has no build child and
-/// does not own the buffer's byte reservation.
 pub struct HsjnOp {
-    build: Option<Box<dyn Operator>>,
+    build: Box<dyn Operator>,
     probe: Box<dyn Operator>,
     build_key_pos: Vec<usize>,
     probe_key_pos: Vec<usize>,
@@ -314,10 +306,8 @@ pub struct HsjnOp {
     /// intermediate result — the hash-join-build reuse the paper lists as
     /// a planned enhancement of its prototype (§4).
     build_harvest: Option<HarvestInfo>,
-    /// The completed build: this operator's own, populated at `open`, or
-    /// (without a `build` child) the region controller's, shared across
-    /// partitions.
-    state: Option<Arc<BuildState>>,
+    /// The completed build, populated at `open`.
+    state: Option<BuildState>,
     /// The probe stream; its current row is the one being matched.
     probe_rows: RowCursor,
     /// Chain head of each live row of the buffered probe batch, in order.
@@ -341,33 +331,13 @@ impl HsjnOp {
         build_key_pos: Vec<usize>,
         probe_key_pos: Vec<usize>,
     ) -> Self {
-        Self::with_parts(Some(build), probe, build_key_pos, probe_key_pos, None)
-    }
-
-    /// Create a probe-only hash join over a build completed elsewhere.
-    /// The byte reservation stays with the build's owner.
-    pub(crate) fn with_shared_build(
-        probe: Box<dyn Operator>,
-        probe_key_pos: Vec<usize>,
-        build: Arc<BuildState>,
-    ) -> Self {
-        Self::with_parts(None, probe, Vec::new(), probe_key_pos, Some(build))
-    }
-
-    fn with_parts(
-        build: Option<Box<dyn Operator>>,
-        probe: Box<dyn Operator>,
-        build_key_pos: Vec<usize>,
-        probe_key_pos: Vec<usize>,
-        state: Option<Arc<BuildState>>,
-    ) -> Self {
         HsjnOp {
             build,
             probe,
             build_key_pos,
             probe_key_pos,
             build_harvest: None,
-            state,
+            state: None,
             probe_rows: RowCursor::default(),
             heads: Vec::new(),
             chain: NIL,
@@ -406,15 +376,13 @@ fn flush_pairs(
 
 impl Operator for HsjnOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        if let Some(build) = &mut self.build {
-            build.open(ctx)?;
-            self.state = Some(Arc::new(run_hash_build(
-                build.as_mut(),
-                &self.build_key_pos,
-                self.build_harvest.as_ref(),
-                ctx,
-            )?));
-        }
+        self.build.open(ctx)?;
+        self.state = Some(run_hash_build(
+            self.build.as_mut(),
+            &self.build_key_pos,
+            self.build_harvest.as_ref(),
+            ctx,
+        )?);
         self.probe.open(ctx)?;
         self.probe_rows.reset();
         self.heads.clear();
@@ -431,7 +399,7 @@ impl Operator for HsjnOp {
         }
         let state = self
             .state
-            .as_deref()
+            .as_ref()
             .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
         let target = ctx.batch_size.max(1);
         let row_charge = ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row;
@@ -510,13 +478,9 @@ impl Operator for HsjnOp {
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
-        if let Some(b) = &mut self.build {
-            b.close(ctx);
-            // Only a privately-built buffer's reservation is ours to
-            // release; a shared build belongs to the region controller.
-            if let Some(own) = self.state.take() {
-                ctx.guard_release(own.reserved);
-            }
+        self.build.close(ctx);
+        if let Some(state) = self.state.take() {
+            ctx.guard_release(state.reserved);
         }
         self.probe.close(ctx);
         self.probe_rows.reset();
@@ -1048,7 +1012,7 @@ mod tests {
     }
 
     /// Hash-key semantics of the probe path, one table of cases × batch
-    /// sizes 1 / 7 / 1024 × private and shared builds. Rows are
+    /// sizes 1 / 7 / 1024. Rows are
     /// `(key columns.., tag)`; a case expects the joined `(build tag,
     /// probe tag)` pairs in emission order.
     #[test]
@@ -1264,23 +1228,9 @@ mod tests {
                 let scan = |t: &Arc<Table>| -> Box<dyn Operator> {
                     Box::new(TableScanOp::new(t.clone(), None))
                 };
-                let mut private =
-                    HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone());
-                let private_rows = drain(&mut private, &mut ctx);
-                assert_eq!(tags(&private_rows), expect, "{} @ {batch_size}", case.name);
-
-                let mut build_op = scan(&build);
-                build_op.open(&mut ctx).unwrap();
-                let state = run_hash_build(build_op.as_mut(), &keys, None, &mut ctx).unwrap();
-                build_op.close(&mut ctx);
-                let mut shared =
-                    HsjnOp::with_shared_build(scan(&probe), keys.clone(), Arc::new(state));
-                assert_eq!(
-                    drain(&mut shared, &mut ctx),
-                    private_rows,
-                    "{}: shared build @ {batch_size}",
-                    case.name
-                );
+                let mut op = HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone());
+                let rows = drain(&mut op, &mut ctx);
+                assert_eq!(tags(&rows), expect, "{} @ {batch_size}", case.name);
             }
         }
     }

@@ -8,7 +8,6 @@ pub(crate) mod joins;
 mod key;
 pub(crate) mod materialize;
 pub(crate) mod monitor;
-pub(crate) mod parallel;
 mod scan;
 mod side;
 
@@ -17,7 +16,6 @@ pub use guard::GuardOp;
 pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
 pub use materialize::{HarvestInfo, SortOp, TempOp};
 pub use monitor::{MonitorSet, MonitorSpec, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
-pub use parallel::GatherOp;
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
 pub use side::{AntiJoinRidsOp, InsertOp, RidSinkOp};
 

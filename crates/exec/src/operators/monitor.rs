@@ -54,7 +54,7 @@ pub struct MonitorSpec {
 }
 
 /// All monitors for one plan, keyed by the node's pre-order index in the
-/// full plan tree (the same enumeration order `build_with_env` recurses
+/// full plan tree (the same enumeration order the operator builder recurses
 /// in). Nodes without an entry run unmonitored.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorSet {

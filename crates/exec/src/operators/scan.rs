@@ -20,15 +20,8 @@ pub struct TableScanOp {
     pred: Option<BoundExpr>,
     /// Table columns copied into the output, in layout order.
     cols: Vec<usize>,
-    /// Contiguous range partition `(part, parts)`: this instance scans
-    /// only rows `[part*n/parts, (part+1)*n/parts)` of the table.
-    /// `None` scans everything. Contiguous (not round-robin) assignment
-    /// keeps each partition's output a contiguous slice of the serial
-    /// scan order, so concatenating partition outputs in partition order
-    /// reproduces the serial row order exactly.
-    partition: Option<(usize, usize)>,
     /// Active stride sampling (from [`ExecCtx::sample`], bound at `open`):
-    /// read only rows at positions `0 (mod stride)`. Serial scans only.
+    /// read only rows at positions `0 (mod stride)`.
     sample_stride: Option<usize>,
     cursor: Option<TableCursor>,
     /// Selection-vector scratch, reused across chunks.
@@ -43,7 +36,6 @@ impl TableScanOp {
             cols: (0..table.schema().len()).collect(),
             table,
             pred,
-            partition: None,
             sample_stride: None,
             cursor: None,
             sel: Vec::new(),
@@ -54,12 +46,6 @@ impl TableScanOp {
     /// in that order.
     pub fn with_columns(mut self, cols: Vec<usize>) -> Self {
         self.cols = cols;
-        self
-    }
-
-    /// Restrict the scan to range partition `part` of `parts`.
-    pub fn with_partition(mut self, part: usize, parts: usize) -> Self {
-        self.partition = Some((part, parts.max(1)));
         self
     }
 }
@@ -75,25 +61,13 @@ pub(crate) fn read_set(cols: &[usize], pred: Option<&BoundExpr>) -> Vec<usize> {
     set
 }
 
-/// Row range `[lo, hi)` of partition `part` of `parts` over `n` rows.
-pub(crate) fn partition_bounds(n: usize, part: usize, parts: usize) -> (usize, usize) {
-    (part * n / parts, (part + 1) * n / parts)
-}
-
 impl Operator for TableScanOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        let n = self.table.row_count();
-        let (lo, hi) = match self.partition {
-            None => (0, n),
-            Some((part, parts)) => partition_bounds(n, part, parts),
-        };
-        // Sampling pre-validation only runs serial plans, so a sampled
-        // scan is never also partitioned.
-        self.sample_stride = match (self.partition, ctx.sample.as_ref()) {
-            (None, Some(s)) if s.table == self.table.name() => Some(s.stride.max(1)),
+        self.sample_stride = match ctx.sample.as_ref() {
+            Some(s) if s.table == self.table.name() => Some(s.stride.max(1)),
             _ => None,
         };
-        let cursor = self.table.cursor(lo as u64, hi as u64)?;
+        let cursor = self.table.cursor(0, self.table.row_count() as u64)?;
         self.cursor = Some(cursor.project(read_set(&self.cols, self.pred.as_ref())));
         Ok(())
     }
@@ -190,10 +164,6 @@ pub struct IndexRangeScanOp {
     residual: Option<BoundExpr>,
     /// Table columns copied into the output, in layout order.
     cols: Vec<usize>,
-    /// Contiguous range partition over the matching index positions (see
-    /// [`TableScanOp::partition`]); each partition fetches a contiguous
-    /// slice of the index-order position list.
-    partition: Option<(usize, usize)>,
     fetcher: Option<RowFetcher>,
     positions: Vec<u64>,
     pos: usize,
@@ -218,7 +188,6 @@ impl IndexRangeScanOp {
             lo,
             hi,
             residual,
-            partition: None,
             fetcher: None,
             positions: Vec::new(),
             pos: 0,
@@ -232,19 +201,13 @@ impl IndexRangeScanOp {
         self.cols = cols;
         self
     }
-
-    /// Restrict the scan to range partition `part` of `parts`.
-    pub fn with_partition(mut self, part: usize, parts: usize) -> Self {
-        self.partition = Some((part, parts.max(1)));
-        self
-    }
 }
 
 impl Operator for IndexRangeScanOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         let fetcher = self.table.fetcher();
         self.fetcher = Some(fetcher.project(read_set(&self.cols, self.residual.as_ref())));
-        let mut positions = self
+        self.positions = self
             .index
             .range(self.lo.as_ref(), self.hi.as_ref())?
             .ok_or_else(|| {
@@ -254,11 +217,6 @@ impl Operator for IndexRangeScanOp {
                     self.index.column()
                 ))
             })?;
-        if let Some((part, parts)) = self.partition {
-            let (lo, hi) = partition_bounds(positions.len(), part, parts);
-            positions = positions[lo..hi].to_vec();
-        }
-        self.positions = positions;
         ctx.charge(ctx.model.index_probe);
         self.pos = 0;
         self.last_page = None;

@@ -129,7 +129,6 @@ fn project_with_aggregate_outputs() {
         layout: vec![LayoutCol::Base(ColId::new(0, 1)), LayoutCol::Agg(0)],
         sorted_by: None,
         edge_ranges: vec![ValidityRange::unbounded()],
-        partitioning: pop_plan::Partitioning::Single,
     };
     let agg = PhysNode::HashAgg {
         input: Box::new(inner),

@@ -170,27 +170,6 @@ fn table_scan_filters_on_columns_it_does_not_emit() {
 }
 
 #[test]
-fn partitioned_scans_concatenate_to_the_serial_scan() {
-    let n = N as usize;
-    for parts in [2usize, 3, 5] {
-        for part in 0..parts {
-            let (lo, hi) = (part * n / parts, (part + 1) * n / parts);
-            let expect: Vec<Row> = (lo as i64..hi as i64)
-                .filter(|&k| scan_keeps(k))
-                .map(scan_out)
-                .collect();
-            check(&format!("part {part}/{parts}"), &expect, None, |f| {
-                Box::new(
-                    TableScanOp::new(f.t.clone(), Some(bind(&scan_pred(), &f.t)))
-                        .with_columns(vec![0, 3])
-                        .with_partition(part, parts),
-                )
-            });
-        }
-    }
-}
-
-#[test]
 fn stride_sampled_scan_filters_on_columns_it_does_not_emit() {
     // grp = 3 alone: one row in seven, sampled every third position.
     let expect: Vec<Row> = (0..N)

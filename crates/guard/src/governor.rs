@@ -7,13 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Work units are published to the shared ledger in fixed-point
-/// milli-units so the counter can live in an `AtomicU64`.
-const WORK_SCALE: f64 = 1000.0;
-
-/// The shared mutable part of a governor: row, byte and published-work
-/// counters live behind an `Arc` so every [`Governor::clone_shared`]
-/// handle — one per partition worker — charges the *same* global ledger.
+/// The shared mutable part of a governor: row and byte counters live
+/// behind an `Arc` so every [`Governor::clone_shared`] handle — the buffer
+/// pool's, for one — charges the *same* ledger.
 #[derive(Debug, Default)]
 struct Ledger {
     /// Rows delivered to the application so far.
@@ -22,10 +18,6 @@ struct Ledger {
     resident_bytes: AtomicU64,
     /// High-water mark of `resident_bytes` (diagnostics).
     peak_resident_bytes: AtomicU64,
-    /// Work published by parallel workers (milli-units). Added on top of
-    /// the caller-local work counter in [`Governor::tick`] so the work
-    /// budget stays global while each worker context counts from zero.
-    published_work_mu: AtomicU64,
 }
 
 /// Per-query guardrail state.
@@ -38,8 +30,8 @@ struct Ledger {
 /// the "zero cost when disabled" contract the bench suite verifies.
 ///
 /// Counters live in a shared [`Ledger`]; [`Governor::clone_shared`] hands
-/// partition workers a handle onto the same ledger so row, byte and work
-/// budgets stay global across a parallel region.
+/// another component (the buffer pool) a handle onto the same ledger so
+/// its byte reservations count against the query's budget.
 #[derive(Debug)]
 pub struct Governor {
     budget: Budget,
@@ -84,9 +76,9 @@ impl Governor {
         }
     }
 
-    /// A handle onto the *same* ledger (rows, bytes, published work) and
-    /// cancel token, for a partition worker. Budget limits and the
-    /// wall-clock deadline are carried over unchanged.
+    /// A handle onto the *same* ledger (rows, bytes) and cancel token.
+    /// Budget limits and the wall-clock deadline are carried over
+    /// unchanged.
     pub fn clone_shared(&self) -> Governor {
         Governor {
             budget: self.budget,
@@ -125,39 +117,8 @@ impl Governor {
         }
     }
 
-    /// Publish `units` of locally-counted work to the shared ledger so
-    /// other workers' `tick` calls see it. Workers call this with their
-    /// delta at batch boundaries; the region controller withdraws the
-    /// total again (via [`Governor::withdraw_work`]) once it folds worker
-    /// work back into the main context's counter.
-    #[inline]
-    pub fn publish_work(&self, units: f64) {
-        if self.enabled && units > 0.0 {
-            self.ledger
-                .published_work_mu
-                .fetch_add((units * WORK_SCALE) as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Withdraw previously published work (region end: the controller has
-    /// folded worker work into the serial counter it ticks with).
-    #[inline]
-    pub fn withdraw_work(&self, units: f64) {
-        if self.enabled && units > 0.0 {
-            let mu = (units * WORK_SCALE) as u64;
-            // Saturating: concurrent publishes can only make the counter
-            // larger, never smaller than what was published.
-            let _ = self.ledger.published_work_mu.fetch_update(
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-                |v| Some(v.saturating_sub(mu)),
-            );
-        }
-    }
-
     /// Batch-boundary check: cancellation, work, rows and wall-clock.
-    /// `work` is the calling context's cumulative work counter; work
-    /// published by concurrent workers is added on top.
+    /// `work` is the calling context's cumulative work counter.
     #[inline]
     pub fn tick(&self, work: f64) -> Result<(), PopError> {
         if !self.enabled {
@@ -174,9 +135,6 @@ impl Governor {
             }
         }
         if let Some(max) = self.budget.max_work {
-            let published =
-                self.ledger.published_work_mu.load(Ordering::Relaxed) as f64 / WORK_SCALE;
-            let work = work + published;
             if work > max {
                 return Err(PopError::BudgetExceeded(format!(
                     "work {work:.0} exceeds budget {max:.0} units"
@@ -347,23 +305,6 @@ mod tests {
         assert!(b.reserve(500).is_err());
         b.release(500);
         assert_eq!(a.peak_resident_bytes(), 1100);
-    }
-
-    #[test]
-    fn published_work_counts_toward_budget_and_withdraws() {
-        let g = Governor::new(
-            Budget {
-                max_work: Some(100.0),
-                ..Budget::default()
-            },
-            None,
-        );
-        let worker = g.clone_shared();
-        worker.publish_work(60.0);
-        assert!(g.tick(30.0).is_ok());
-        assert!(matches!(g.tick(50.0), Err(PopError::BudgetExceeded(_))));
-        g.withdraw_work(60.0);
-        assert!(g.tick(50.0).is_ok());
     }
 
     #[test]

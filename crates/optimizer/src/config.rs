@@ -141,22 +141,9 @@ pub struct OptimizerConfig {
     /// statistics (most importantly parameter markers). Experiments vary
     /// these to reproduce the paper's default-selectivity regime (§5.1).
     pub selectivity_defaults: SelectivityDefaults,
-    /// Degree of partition parallelism the parallelize post-pass may plan
-    /// for (`Gather`/`Exchange` regions). `1` disables the pass entirely —
-    /// the serial default; the driver sets this from `POP_THREADS`.
+    /// Accepted and ignored: the engine executes every plan serially.
+    /// Kept so configurations that still set a thread count compile.
     pub threads: usize,
-    /// Estimated region cardinality below which parallelization is never
-    /// attempted: for small intermediate results the per-partition launch
-    /// overhead (`CostModel::parallel_startup`) outweighs any speedup.
-    pub min_parallel_rows: f64,
-    /// Rows per morsel the parallelize pass assumes when modeling a
-    /// region's morsel count: the degree of parallelism is capped at the
-    /// estimated morsel count of the region's driving scan (there is no
-    /// point scheduling more workers than morsels), which is what lets
-    /// CHECK feedback widen or narrow the DOP on re-optimization. A
-    /// planning estimate only — the runtime's morsel granularity is the
-    /// driver-level `POP_MORSEL_SIZE` knob.
-    pub morsel_rows: f64,
 }
 
 impl Default for OptimizerConfig {
@@ -175,8 +162,6 @@ impl Default for OptimizerConfig {
             reopt_gain_margin_frac: 0.05,
             selectivity_defaults: SelectivityDefaults::default(),
             threads: 1,
-            min_parallel_rows: 8192.0,
-            morsel_rows: 16384.0,
         }
     }
 }

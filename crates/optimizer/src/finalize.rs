@@ -1,19 +1,17 @@
 //! The optimizer's entry point and top-level plan assembly: join order
 //! (through the [`Memo`]) → extraction of the winning join tree →
 //! aggregation / projection → ordering → side effects → checkpoint
-//! placement → parallelization. The memo holds cost records; this module is
+//! placement. The memo holds cost records; this module is
 //! where the one plan tree of an optimization comes into existence
 //! (`extract`) and is passed, by value and edited in place, through every
 //! later stage.
 
 use crate::enumerate::{combine_local_preds, nljn_probe};
 use crate::memo::Group;
-use crate::parallelize::parallelize;
 use crate::placement::place_checkpoints;
 use crate::{CardEstimator, Memo, MemoStats, OptimizerContext, RootCostSpec};
 use pop_plan::{
-    InnerProbe, LayoutCol, Partitioning, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet,
-    ValidityRange,
+    InnerProbe, LayoutCol, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet, ValidityRange,
 };
 use pop_types::{ColId, PopResult};
 
@@ -74,7 +72,6 @@ fn extract(
         layout,
         sorted_by: cand.order,
         edge_ranges: edges.iter().map(|&e| cand.edge_ranges[e]).collect(),
-        partitioning: Partitioning::Single,
     };
     let concat = |l: &PhysNode, r: &[LayoutCol]| [&l.props().layout, r].concat();
     match cand.root_spec {
@@ -163,7 +160,7 @@ fn extract(
 
 /// Wrap the winning join tree with the query's non-join operators
 /// (EXISTS probes, aggregation/projection, HAVING, ORDER BY, LIMIT, side
-/// effects), then place checkpoints and parallelize.
+/// effects), then place checkpoints.
 fn assemble(
     mut node: PhysNode,
     spec: &QuerySpec,
@@ -207,7 +204,6 @@ fn assemble(
             layout,
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded()],
-            partitioning: Partitioning::Single,
         };
         node = PhysNode::HashAgg {
             input: Box::new(node),
@@ -228,7 +224,6 @@ fn assemble(
             layout: cols.clone(),
             sorted_by: node.props().sorted_by,
             edge_ranges: vec![ValidityRange::unbounded()],
-            partitioning: Partitioning::Single,
         };
         node = PhysNode::Project {
             input: Box::new(node),
@@ -285,7 +280,7 @@ fn assemble(
         };
     }
 
-    parallelize(place_checkpoints(node, est, ctx), ctx)
+    place_checkpoints(node, est, ctx)
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ mod enumerate;
 mod feedback;
 mod finalize;
 mod memo;
-mod parallelize;
 mod placement;
 mod plan_cache;
 mod provenance;

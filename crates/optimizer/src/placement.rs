@@ -66,7 +66,6 @@ impl PlaceState<'_, '_> {
             est_card,
             signature: self.est.signature(below.props().tables).to_string(),
             context,
-            fold: false,
         }
     }
 }

@@ -174,13 +174,6 @@ pub struct CheckSpec {
     pub signature: String,
     /// Placement context.
     pub context: CheckContext,
-    /// Fold registration: true when this check sits inside a parallel
-    /// region (below a `Gather`), where each partition counts locally into
-    /// a shared atomic counter and the violation decision compares the
-    /// *global* cardinality. A check with partitioned input but no fold
-    /// registration would compare per-partition counts against a global
-    /// range — planlint denies such plans (PL306).
-    pub fold: bool,
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub struct CostModel {
     /// Memory budget in rows for hash builds and sorts; exceeding it
     /// triggers extra spill passes.
     pub mem_rows: f64,
-    /// Partitioning fan-out for spilled hash joins / external sorts.
+    /// Spill partition fan-out for spilled hash joins / external sorts.
     pub spill_fanout: f64,
     /// Extra cost per row per additional spill pass (write + re-read).
     pub spill_row: f64,
@@ -66,25 +66,6 @@ pub struct CostModel {
     /// points. The runtime never charges this penalty — it only biases
     /// plan choice.
     pub robustness_penalty: f64,
-    /// Per-row cost of moving a row through an exchange or gather boundary
-    /// (hashing/routing plus channel transfer). Charged by the runtime and
-    /// added to a parallel plan's total work by the parallelize pass.
-    pub exchange_row: f64,
-    /// Fixed cost of launching one partition chain (thread hand-off,
-    /// per-partition operator construction). Planning-side latency input
-    /// to the serial-vs-parallel decision; the runtime does not charge it.
-    pub parallel_startup: f64,
-    /// Fraction of perfect speedup a parallel region achieves (scheduling
-    /// and memory-bandwidth losses). Planning-only, like
-    /// `robustness_penalty`: the modeled latency of a region at `k`
-    /// partitions is `serial / (k * parallel_efficiency) + k * parallel_startup`.
-    pub parallel_efficiency: f64,
-    /// Fixed cost of dispatching one morsel (claiming it from the shared
-    /// queue plus instantiating the chain over its row range).
-    /// Planning-only latency input, charged once per modeled morsel when
-    /// the parallelize pass picks a degree of parallelism; the runtime
-    /// does not charge it.
-    pub morsel_overhead: f64,
     /// Cost of reading one data page sequentially. 0 under the flat
     /// (mem-backend) model — row costs already cover everything; the
     /// paged model ([`CostModel::paged`]) sets it > 0 so access-path
@@ -116,10 +97,6 @@ impl Default for CostModel {
             spill_fanout: 8.0,
             spill_row: 3.0,
             robustness_penalty: 0.0,
-            exchange_row: 0.05,
-            parallel_startup: 50.0,
-            parallel_efficiency: 0.85,
-            morsel_overhead: 2.0,
             page_io: 0.0,
             seq_vs_random: 8.0,
         }

@@ -124,10 +124,6 @@ fn render(node: &PhysNode, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Res
         PhysNode::RidSink { .. } => write!(f, "RIDSINK")?,
         PhysNode::AntiJoinRids { .. } => write!(f, "ANTIJOIN(rid side table)")?,
         PhysNode::Insert { target, .. } => write!(f, "INSERT into {target}")?,
-        PhysNode::Exchange { keys, parts, .. } => {
-            write!(f, "EXCHANGE hash({keys:?}) parts={parts}")?;
-        }
-        PhysNode::Gather { parts, .. } => write!(f, "GATHER parts={parts}")?,
     }
     writeln!(f, "  [card={:.1} cost={:.1}]", p.card, p.cost)?;
     for c in node.children() {

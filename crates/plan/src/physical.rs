@@ -42,54 +42,6 @@ pub enum AggFunc {
 /// Alias kept for API symmetry with the query spec.
 pub type AggSpec = AggFunc;
 
-/// How a node's output rows are distributed over execution partitions.
-///
-/// `Single` is the serial default. The parallelize post-pass marks the
-/// nodes inside a [`PhysNode::Gather`] region with a non-`Single`
-/// partitioning; planlint verifies that partitioned nodes appear only
-/// under a `Gather` boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Partitioning {
-    /// One serial stream (the default everywhere outside parallel regions).
-    #[default]
-    Single,
-    /// Morsel-driven execution at degree `k`: the driving scan is split
-    /// into many batch-sized contiguous morsels on a shared work queue and
-    /// `k` work-stealing workers claim them dynamically. Output is merged
-    /// in morsel order, so it reproduces the serial row order exactly at
-    /// any thread count, and `k` is a *plan property* the re-planner
-    /// revises from CHECK feedback (see DESIGN.md §12).
-    Morsel(usize),
-    /// `k` partitions formed by hashing the given key columns — the
-    /// distribution produced by a [`PhysNode::Exchange`].
-    Hash(Vec<ColId>, usize),
-}
-
-impl Partitioning {
-    /// Number of partitions (1 for `Single`).
-    pub fn parts(&self) -> usize {
-        match self {
-            Partitioning::Single => 1,
-            Partitioning::Morsel(k) | Partitioning::Hash(_, k) => *k,
-        }
-    }
-
-    /// Is this a parallel (non-`Single`) distribution?
-    pub fn is_partitioned(&self) -> bool {
-        !matches!(self, Partitioning::Single)
-    }
-}
-
-impl std::fmt::Display for Partitioning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Partitioning::Single => write!(f, "single"),
-            Partitioning::Morsel(k) => write!(f, "morsel({k})"),
-            Partitioning::Hash(keys, k) => write!(f, "hash({} keys,{k})", keys.len()),
-        }
-    }
-}
-
 /// Estimated properties of a plan node, filled in by the optimizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProps {
@@ -108,8 +60,6 @@ pub struct PlanProps {
     /// analysis during pruning (§2.2); the CHECK placement post-pass copies
     /// them into [`CheckSpec`]s.
     pub edge_ranges: Vec<ValidityRange>,
-    /// Partition distribution of the node's output rows.
-    pub partitioning: Partitioning,
 }
 
 impl PlanProps {
@@ -122,7 +72,6 @@ impl PlanProps {
             layout,
             sorted_by: None,
             edge_ranges: Vec::new(),
-            partitioning: Partitioning::Single,
         }
     }
 
@@ -383,35 +332,6 @@ pub enum PhysNode {
         /// Node properties.
         props: PlanProps,
     },
-    /// Repartition: redistributes the morsels of its input stage into
-    /// `parts` hash partitions on `keys` (all-to-all over
-    /// bounded channels at runtime). Used to parallelize grouped
-    /// aggregation: hashing on the group keys makes every partition's
-    /// groups complete, so per-partition results concatenate without a
-    /// merge phase.
-    Exchange {
-        /// Input (morsel-partitioned).
-        input: Box<PhysNode>,
-        /// Hash partitioning keys.
-        keys: Vec<ColId>,
-        /// Partition count.
-        parts: usize,
-        /// Node properties.
-        props: PlanProps,
-    },
-    /// Merge-to-one: the serial/parallel boundary. The subtree below is
-    /// one pipeline run as per-morsel operator chains by `parts` workers;
-    /// the gather concatenates their outputs in morsel order — which, with
-    /// contiguous morsels, reproduces the serial row order exactly (so an
-    /// input sort order is preserved for free).
-    Gather {
-        /// Input (partitioned).
-        input: Box<PhysNode>,
-        /// Partition count.
-        parts: usize,
-        /// Node properties.
-        props: PlanProps,
-    },
 }
 
 impl PhysNode {
@@ -435,9 +355,7 @@ impl PhysNode {
             | PhysNode::SemiProbe { props, .. }
             | PhysNode::Having { props, .. }
             | PhysNode::Limit { props, .. }
-            | PhysNode::Insert { props, .. }
-            | PhysNode::Exchange { props, .. }
-            | PhysNode::Gather { props, .. } => props,
+            | PhysNode::Insert { props, .. } => props,
         }
     }
 
@@ -461,9 +379,7 @@ impl PhysNode {
             | PhysNode::SemiProbe { props, .. }
             | PhysNode::Having { props, .. }
             | PhysNode::Limit { props, .. }
-            | PhysNode::Insert { props, .. }
-            | PhysNode::Exchange { props, .. }
-            | PhysNode::Gather { props, .. } => props,
+            | PhysNode::Insert { props, .. } => props,
         }
     }
 
@@ -487,9 +403,7 @@ impl PhysNode {
             | PhysNode::SemiProbe { input, .. }
             | PhysNode::Having { input, .. }
             | PhysNode::Limit { input, .. }
-            | PhysNode::Insert { input, .. }
-            | PhysNode::Exchange { input, .. }
-            | PhysNode::Gather { input, .. } => vec![input],
+            | PhysNode::Insert { input, .. } => vec![input],
         }
     }
 
@@ -513,9 +427,7 @@ impl PhysNode {
             | PhysNode::SemiProbe { input, .. }
             | PhysNode::Having { input, .. }
             | PhysNode::Limit { input, .. }
-            | PhysNode::Insert { input, .. }
-            | PhysNode::Exchange { input, .. }
-            | PhysNode::Gather { input, .. } => vec![input],
+            | PhysNode::Insert { input, .. } => vec![input],
         }
     }
 
@@ -560,8 +472,6 @@ impl PhysNode {
             PhysNode::Having { .. } => "HAVING",
             PhysNode::Limit { .. } => "LIMIT",
             PhysNode::Insert { .. } => "INSERT",
-            PhysNode::Exchange { .. } => "EXCHANGE",
-            PhysNode::Gather { .. } => "GATHER",
         }
     }
 
@@ -691,7 +601,6 @@ mod tests {
                 .collect(),
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded(), ValidityRange::unbounded()],
-            partitioning: Partitioning::Single,
         };
         PhysNode::Hsjn {
             build: Box::new(l),
@@ -724,7 +633,6 @@ mod tests {
                 est_card: 10.0,
                 signature: "sig".into(),
                 context: crate::CheckContext::AboveTemp,
-                fold: false,
             },
             props,
         };
@@ -771,7 +679,6 @@ mod tests {
             ],
             sorted_by: None,
             edge_ranges: vec![],
-            partitioning: Partitioning::Single,
         };
         assert_eq!(
             props.base_layout(),

@@ -4,17 +4,7 @@
 //! *prove* about a plan's safety net: how many edges are guarded by
 //! checkpoints, how much estimation risk is left uncovered, and how many
 //! re-optimizations the plan could trigger in the worst case. The driver
-//! attaches one per execution step to the run report, so equivalence and
-//! chaos suites can assert the certificate is **invariant across thread
-//! counts and morsel sizes** — parallelism must never change what the
-//! plan promises.
-//!
-//! To make that invariance hold by construction, the certificate is
-//! computed over the plan's *serial skeleton*: `Exchange`/`Gather`
-//! wrappers (the only nodes the parallelize pass inserts) are skipped
-//! during traversal, partitioning and fold registration are ignored, and
-//! paths are skeleton paths. Everything else — checks, ranges,
-//! intervals — is identical at any degree of parallelism.
+//! attaches one per execution step to the run report.
 
 use crate::domain::{self, AbstractState};
 use crate::LintContext;
@@ -23,10 +13,9 @@ use pop_plan::PhysNode;
 /// What the analyzer can prove about one plan's robustness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessCertificate {
-    /// Hash of the serial skeleton (operator names, tables, check ids —
-    /// no partitioning), stable across thread counts and morsel sizes.
+    /// Hash of the plan's shape (operator names, tables, check ids).
     pub plan_hash: u64,
-    /// Input edges in the serial skeleton.
+    /// Input edges in the plan.
     pub edges: usize,
     /// Checkpoints in the plan.
     pub checks: usize,
@@ -36,7 +25,7 @@ pub struct RobustnessCertificate {
     /// Risky edges dominated by a CHECK or materialization point before
     /// the next pipeline breaker.
     pub guarded_edges: usize,
-    /// Skeleton paths of risky edges with no such dominator (residual
+    /// Paths of risky edges with no such dominator (residual
     /// holes in the safety net).
     pub uncovered: Vec<String>,
     /// Worst escape factor among uncovered risky edges (`1.0` when fully
@@ -104,20 +93,8 @@ impl std::fmt::Display for RobustnessCertificate {
     }
 }
 
-/// Skip the parallel-only wrappers the parallelize pass inserts.
-fn skeleton(mut node: &PhysNode) -> &PhysNode {
-    while let PhysNode::Exchange { input, .. } | PhysNode::Gather { input, .. } = node {
-        node = input;
-    }
-    node
-}
-
-fn skeleton_children(node: &PhysNode) -> Vec<&PhysNode> {
-    node.children().into_iter().map(skeleton).collect()
-}
-
 /// Certify `plan` against the abstract domain: the same interpretation
-/// [`crate::lint_plan`] runs, restricted to the serial skeleton.
+/// [`crate::lint_plan`] runs.
 pub fn certify(plan: &PhysNode, ctx: &LintContext<'_>) -> RobustnessCertificate {
     let mut cert = RobustnessCertificate {
         plan_hash: 0,
@@ -133,8 +110,7 @@ pub fn certify(plan: &PhysNode, ctx: &LintContext<'_>) -> RobustnessCertificate 
     };
     let mut hash: u64 = pop_types::FNV1A_OFFSET;
     let mut path = Vec::new();
-    let root = skeleton(plan);
-    let st = visit(root, ctx, &mut path, &mut cert, &mut hash);
+    let st = visit(plan, ctx, &mut path, &mut cert, &mut hash);
     // Risky edges still open at the root stream to the application: they
     // are uncovered residual risk exactly like breaker-consumed ones.
     for r in &st.open_risks {
@@ -164,7 +140,7 @@ fn visit(
         fnv(hash, table.as_bytes());
     }
 
-    let kids = skeleton_children(node);
+    let kids = node.children();
     let mut states = Vec::with_capacity(kids.len());
     for (i, child) in kids.iter().enumerate() {
         path.push(i);
@@ -220,36 +196,7 @@ fn visit(
 mod tests {
     use super::*;
     use crate::testutil::*;
-    use pop_plan::{CheckContext, CheckFlavor, Partitioning, ValidityRange};
-
-    fn gather(input: PhysNode, parts: usize) -> PhysNode {
-        let mut props = input.props().clone();
-        props.partitioning = Partitioning::Single;
-        props.edge_ranges = vec![ValidityRange::unbounded()];
-        PhysNode::Gather {
-            input: Box::new(input),
-            parts,
-            props,
-        }
-    }
-
-    #[test]
-    fn certificate_ignores_parallel_wrappers() {
-        let serial = check(
-            temp(leaf(0, "t", 2, 100.0)),
-            CheckFlavor::Lc,
-            CheckContext::AboveTemp,
-        );
-        let mut partitioned = serial.clone();
-        partitioned.props_mut().partitioning = Partitioning::Morsel(4);
-        let parallel = gather(partitioned, 4);
-        let ctx = LintContext::bare();
-        let a = certify(&serial, &ctx);
-        let b = certify(&parallel, &ctx);
-        assert_eq!(a, b, "certificate must be thread-count invariant");
-        assert_eq!(a.checks, 1);
-        assert_eq!(a.worst_case_reopts, 1);
-    }
+    use pop_plan::{CheckContext, CheckFlavor};
 
     #[test]
     fn render_and_json_are_stable() {
@@ -259,6 +206,7 @@ mod tests {
             CheckContext::AboveTemp,
         );
         let cert = certify(&plan, &LintContext::bare());
+        assert_eq!(cert.worst_case_reopts, 1);
         let line = cert.render();
         assert!(line.contains("checks=1"), "{line}");
         let json = cert.to_json();

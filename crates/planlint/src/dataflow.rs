@@ -78,7 +78,6 @@ fn fill(
     // transfer from the children's states.
     table.states.push(AbstractState {
         interval: domain::CardInterval::top(),
-        partitioning: pop_plan::Partitioning::Single,
         materialized: false,
         open_risks: Vec::new(),
     });
@@ -147,7 +146,7 @@ fn walk<'p>(
     }
 }
 
-/// Pass 7: the interval analyses of the dataflow framework —
+/// Pass 6: the interval analyses of the dataflow framework —
 /// CHECK-coverage proof (`PL411`) and validity-range reachability
 /// (`PL412` dead checks, `PL413` vacuous checks).
 ///
@@ -256,13 +255,11 @@ pub(crate) fn root_of<'p>(cx: &NodeCx<'_, 'p>) -> &'p PhysNode {
     cx.frames.first().map_or(cx.node, |f| f.node)
 }
 
-/// Pass 8: the monitor-coverage proof (`PL421`), the runtime complement
+/// Pass 7: the monitor-coverage proof (`PL421`), the runtime complement
 /// of the CHECK-coverage proof.
 ///
 /// The driver installs a continuous suboptimality monitor on every node
-/// whose row stream no CHECK already counts — inside parallel regions
-/// the counts fold into shared per-node cells, so coverage does not stop
-/// at a GATHER — and a risky edge that reaches an unguarded pipeline
+/// whose row stream no CHECK already counts, and a risky edge that reaches an unguarded pipeline
 /// breaker or the plan root without a dominator is therefore still
 /// *observed*: the monitor below it trips when the actual cardinality
 /// escapes the interval envelope, and the signal is escalated like a
@@ -284,8 +281,7 @@ impl Pass for MonitorPass {
         }
         let report = |risks: Vec<domain::OpenRisk>, sink: &mut Sink| {
             for r in risks {
-                // Covered: the node below the edge carries a monitor
-                // (folded into a shared cell when it runs partitioned).
+                // Covered: the node below the edge carries a monitor.
                 if r.monitorable {
                     continue;
                 }

@@ -58,9 +58,6 @@ pub enum DiagCode {
     Pl301,
     Pl302,
     Pl303,
-    Pl304,
-    Pl305,
-    Pl306,
     Pl401,
     Pl402,
     Pl403,
@@ -73,7 +70,7 @@ pub enum DiagCode {
 impl DiagCode {
     /// Every code, in code order (the source of truth for the
     /// `planlint --codes` table).
-    pub const ALL: [DiagCode; 29] = [
+    pub const ALL: [DiagCode; 26] = [
         DiagCode::Pl001,
         DiagCode::Pl002,
         DiagCode::Pl003,
@@ -93,9 +90,6 @@ impl DiagCode {
         DiagCode::Pl301,
         DiagCode::Pl302,
         DiagCode::Pl303,
-        DiagCode::Pl304,
-        DiagCode::Pl305,
-        DiagCode::Pl306,
         DiagCode::Pl401,
         DiagCode::Pl402,
         DiagCode::Pl403,
@@ -126,9 +120,6 @@ impl DiagCode {
             DiagCode::Pl301 => "PL301",
             DiagCode::Pl302 => "PL302",
             DiagCode::Pl303 => "PL303",
-            DiagCode::Pl304 => "PL304",
-            DiagCode::Pl305 => "PL305",
-            DiagCode::Pl306 => "PL306",
             DiagCode::Pl401 => "PL401",
             DiagCode::Pl402 => "PL402",
             DiagCode::Pl403 => "PL403",
@@ -165,9 +156,6 @@ impl DiagCode {
             DiagCode::Pl301 => "parent cumulative cost below child cost",
             DiagCode::Pl302 => "non-finite or negative cardinality estimate",
             DiagCode::Pl303 => "non-finite or negative cost estimate",
-            DiagCode::Pl304 => "GATHER is not a well-formed serial/parallel boundary",
-            DiagCode::Pl305 => "EXCHANGE hash keys not covered by the downstream consumer's keys",
-            DiagCode::Pl306 => "CHECK partitioning and fold registration disagree",
             DiagCode::Pl401 => "MV scan signature unknown to the catalog",
             DiagCode::Pl402 => "MV scan layout does not match the recorded MV",
             DiagCode::Pl403 => "MV scan estimate drifts from the MV's exact count",

@@ -17,7 +17,7 @@
 //! silent, so structural linting of hand-built plans is unaffected.
 
 use crate::LintContext;
-use pop_plan::{Partitioning, PhysNode, ValidityRange};
+use pop_plan::{PhysNode, ValidityRange};
 
 /// Interval abstract value for a node's output cardinality.
 ///
@@ -133,10 +133,8 @@ pub struct OpenRisk {
     pub escape: f64,
     /// Can the continuous suboptimality monitor layer observe this edge?
     /// True when the node below the edge is one the driver installs a
-    /// monitor on (any node with a non-empty table set — nodes inside
-    /// parallel regions fold their counts into shared cells, so they are
-    /// covered like serial ones). Consumed by the monitor-coverage proof
-    /// (`PL421`).
+    /// monitor on (any node with a non-empty table set). Consumed by the
+    /// monitor-coverage proof (`PL421`).
     pub monitorable: bool,
 }
 
@@ -145,10 +143,6 @@ pub struct OpenRisk {
 pub struct AbstractState {
     /// Bounds on the node's actual output cardinality.
     pub interval: CardInterval,
-    /// Partition distribution of the node's output (mirrors
-    /// [`pop_plan::PlanProps::partitioning`]; carried in the state so
-    /// passes consume the lattice, not raw props).
-    pub partitioning: Partitioning,
     /// Is the node's output materialized, looking through CHECK
     /// wrappers? (SORT/TEMP/MVSCAN — the LC placement opportunity.)
     pub materialized: bool,
@@ -162,7 +156,6 @@ impl AbstractState {
     fn top() -> Self {
         AbstractState {
             interval: CardInterval::top(),
-            partitioning: Partitioning::Single,
             materialized: false,
             open_risks: Vec::new(),
         }
@@ -192,7 +185,6 @@ pub(crate) fn transfer(
     path: &[usize],
 ) -> AbstractState {
     let mut st = AbstractState::top();
-    st.partitioning = node.props().partitioning.clone();
 
     st.interval = match node {
         PhysNode::TableScan { table, pred, .. } => match table_rows(ctx, table) {
@@ -249,9 +241,7 @@ pub(crate) fn transfer(
         | PhysNode::Check { .. }
         | PhysNode::BufCheck { .. }
         | PhysNode::RidSink { .. }
-        | PhysNode::Insert { .. }
-        | PhysNode::Exchange { .. }
-        | PhysNode::Gather { .. } => inputs[0].interval,
+        | PhysNode::Insert { .. } => inputs[0].interval,
     };
 
     st.materialized = match node {
@@ -347,9 +337,7 @@ pub(crate) fn edge_risk(
     }
     // Mirror the driver's monitor placement: every node with a table set
     // carries a monitor on its output unless a CHECK already counts that
-    // stream (but then the check dominates the risk anyway). Nodes inside
-    // parallel regions count too — the region controller folds their
-    // output into shared monitor cells, restoring serial coverage.
+    // stream (but then the check dominates the risk anyway).
     let monitorable = !child.props().tables.is_empty();
     Some(OpenRisk {
         path: p,

@@ -323,23 +323,7 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
         | PhysNode::RidSink { input, props }
         | PhysNode::AntiJoinRids { input, props }
         | PhysNode::Limit { input, props, .. }
-        | PhysNode::Insert { input, props, .. }
-        | PhysNode::Gather { input, props, .. } => {
-            check_passthrough_layout(node, input.props(), props, path, sink);
-        }
-        PhysNode::Exchange {
-            input, keys, props, ..
-        } => {
-            for k in keys {
-                check_col_resolves(
-                    node,
-                    *k,
-                    &input.props().layout,
-                    "exchange hash key",
-                    path,
-                    sink,
-                );
-            }
+        | PhysNode::Insert { input, props, .. } => {
             check_passthrough_layout(node, input.props(), props, path, sink);
         }
     }

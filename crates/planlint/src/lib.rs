@@ -15,12 +15,12 @@
 //! interpreter ([`dataflow`]) computes, per node, a cardinality interval
 //! (`[lo, hi]` bounds on the *actual* output cardinality, seeded from
 //! live statistics — [`CardInterval`]) together with the
-//! partitioning/materialization property lattice, via a generic
+//! materialization property lattice, via a generic
 //! `transfer(op, inputs) -> AbstractState` function. Every lint pass
 //! runs against those states in one shared pre-order walk; there are no
 //! per-pass traversals.
 //!
-//! Eight passes run over the [`PhysNode`] tree:
+//! Seven passes run over the [`PhysNode`] tree:
 //!
 //! 1. **Schema/layout** (`PL0xx`) — every column reference in filters,
 //!    join keys, aggregates, projections and sort keys resolves against
@@ -36,26 +36,18 @@
 //!    up the tree; estimates are finite and non-negative.
 //! 5. **MV reuse** (`PL4xx`) — every MVSCAN names a registered temp MV
 //!    whose recorded layout matches the scan's output layout.
-//! 6. **Parallel boundaries** (`PL304`–`PL306`) — GATHER is exactly the
-//!    serial/parallel boundary (partitioned input, `Single` output, no
-//!    nesting, no partitioned node leaking above it), EXCHANGE hash keys
-//!    are covered by the downstream consumer's keys, and CHECK
-//!    partitioning agrees with fold registration (a partitioned CHECK
-//!    folds into the shared global counter; BUFCHECK is never
-//!    partitioned).
-//! 7. **Interval analyses** (`PL41x`) — the CHECK-coverage proof (a
+//! 6. **Interval analyses** (`PL41x`) — the CHECK-coverage proof (a
 //!    risky edge must meet a CHECK or materialization point before the
 //!    next pipeline breaker, else `PL411`) and validity-range
 //!    reachability (`PL412` dead checks that can never fire, `PL413`
 //!    vacuous checks that always fire). These require a
 //!    [`pop_stats::StatsRegistry`] in the context; without one the
 //!    intervals are unknown and the pass is silent.
-//! 8. **Monitor coverage** (`PL42x`) — the runtime complement of the
+//! 7. **Monitor coverage** (`PL42x`) — the runtime complement of the
 //!    CHECK-coverage proof: every risky edge must be either
 //!    CHECK-dominated or observed by a continuous suboptimality monitor
-//!    (`PL421` when neither holds — the uncoverable case being a risky
-//!    edge inside a parallel region, whose worker contexts run
-//!    unmonitored). Gated on `LintOptions::expect_monitor_coverage`.
+//!    (`PL421` when neither holds). Gated on
+//!    `LintOptions::expect_monitor_coverage`.
 //!
 //! [`certify`] distils the same interpretation into a per-plan
 //! [`RobustnessCertificate`] — guarded edges, uncovered residual risk,
@@ -82,7 +74,6 @@ mod diag;
 mod domain;
 mod layout;
 mod mv;
-mod parallel;
 mod placement;
 mod validity;
 
@@ -117,9 +108,7 @@ pub struct LintOptions {
     pub risk_threshold: f64,
     /// Expect every risky edge to be either CHECK-dominated or observed
     /// by a continuous suboptimality monitor (`PL421`). The driver
-    /// enables this when the monitor layer is on; the uncoverable case
-    /// is a risky edge inside a parallel region, whose node runs on a
-    /// worker context that carries no monitors.
+    /// enables this when the monitor layer is on.
     pub expect_monitor_coverage: bool,
 }
 
@@ -278,7 +267,7 @@ pub(crate) fn through_checks(mut node: &PhysNode) -> &PhysNode {
     node
 }
 
-/// Run all eight passes over `plan` and return every finding, in tree
+/// Run all seven passes over `plan` and return every finding, in tree
 /// pre-order (whole-plan rules like duplicate-id detection come last).
 ///
 /// Phase 1 abstract-interprets the plan bottom-up ([`dataflow`]); phase 2
@@ -292,16 +281,14 @@ pub fn lint_plan(plan: &PhysNode, ctx: &LintContext<'_>) -> Vec<PlanDiagnostic> 
     let mut placement = placement::PlacementPass::new();
     let mut cost = cost::CostPass;
     let mut mv = mv::MvPass;
-    let mut parallel = parallel::ParallelPass;
     let mut risk = dataflow::RiskPass::new();
     let mut monitor = dataflow::MonitorPass;
-    let mut passes: [&mut dyn dataflow::Pass; 8] = [
+    let mut passes: [&mut dyn dataflow::Pass; 7] = [
         &mut layout,
         &mut validity,
         &mut placement,
         &mut cost,
         &mut mv,
-        &mut parallel,
         &mut risk,
         &mut monitor,
     ];
@@ -392,7 +379,6 @@ pub(crate) mod testutil {
                 .collect(),
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded(), ValidityRange::unbounded()],
-            partitioning: pop_plan::Partitioning::Single,
         };
         PhysNode::Hsjn {
             build: Box::new(build),
@@ -444,7 +430,6 @@ pub(crate) mod testutil {
                 est_card: input.props().card,
                 signature: "sig".into(),
                 context,
-                fold: false,
             },
             input: Box::new(input),
             props,
@@ -539,35 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn real_parallel_plan_lints_clean() {
-        let (cat, stats) = setup();
-        let cfg = OptimizerConfig {
-            threads: 4,
-            min_parallel_rows: 0.0,
-            ..OptimizerConfig::default()
-        };
-        let cost = CostModel::default();
-        let fb = FeedbackCache::new();
-        let mut b = QueryBuilder::new();
-        let c = b.table("customer");
-        let o = b.table("orders");
-        b.join(c, 0, o, 1);
-        b.aggregate(&[(c, 1)], vec![pop_plan::AggFunc::Count]);
-        let q = b.build().unwrap();
-        let params = Params::none();
-        let plan = {
-            let octx = OptimizerContext::new(&cat, &stats, &cfg, &cost, Some(&params), &fb);
-            optimize(&q, &octx, &mut Memo::new()).unwrap().0
-        };
-        let mut has_gather = false;
-        plan.visit(&mut |n| has_gather |= matches!(n, PhysNode::Gather { .. }));
-        assert!(has_gather, "expected a parallel region:\n{plan}");
-        let ctx = LintContext::full(&cat, &q).expect_check_coverage(true);
-        let diags = lint_plan(&plan, &ctx);
-        assert!(diags.is_empty(), "expected no findings, got: {diags:?}");
-    }
-
-    #[test]
     fn well_formed_handbuilt_plan_is_clean() {
         let plan = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0);
         assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
@@ -592,18 +548,7 @@ mod tests {
 
     // ---- PL421: monitor-coverage proof ------------------------------
 
-    use pop_plan::{Partitioning, TableSet, ValidityRange};
-
-    fn gather(input: PhysNode, parts: usize) -> PhysNode {
-        let mut props = input.props().clone();
-        props.partitioning = Partitioning::Single;
-        props.edge_ranges = vec![ValidityRange::unbounded()];
-        PhysNode::Gather {
-            input: Box::new(input),
-            parts,
-            props,
-        }
-    }
+    use pop_plan::{TableSet, ValidityRange};
 
     /// `customer ⋈ orders` where the optimizer lies small about one side:
     /// the edge's validity range brackets the (bad) estimate, but the
@@ -611,26 +556,20 @@ mod tests {
     /// `risky_build` puts the lie on the hash-join build side (consumed
     /// unguarded at the breaker), otherwise on the probe side (the risk
     /// survives to the root).
-    fn risky_hsjn(risky_build: bool, partitioned: bool) -> PhysNode {
+    fn risky_hsjn(risky_build: bool) -> PhysNode {
         let (build_est, probe_est) = if risky_build {
             (5.0, 20_000.0)
         } else {
             (200.0, 5.0)
         };
         let build = leaf(0, "customer", 2, build_est);
-        let mut probe = leaf(1, "orders", 2, probe_est);
-        if partitioned {
-            probe.props_mut().partitioning = Partitioning::Morsel(4);
-        }
+        let probe = leaf(1, "orders", 2, probe_est);
         let mut join = hsjn(build, probe, 20_000.0);
         join.props_mut().edge_ranges = if risky_build {
             vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()]
         } else {
             vec![ValidityRange::unbounded(), ValidityRange::new(0.0, 10.0)]
         };
-        if partitioned {
-            join.props_mut().partitioning = Partitioning::Morsel(4);
-        }
         join
     }
 
@@ -638,23 +577,7 @@ mod tests {
     fn pl421_serial_risky_edges_are_monitor_covered() {
         let (_, stats) = setup();
         for risky_build in [true, false] {
-            let plan = risky_hsjn(risky_build, false);
-            let ctx = LintContext::bare()
-                .with_stats(&stats)
-                .expect_monitor_coverage(true);
-            let diags = lint_plan(&plan, &ctx);
-            assert!(diags.is_empty(), "risky_build={risky_build}: {diags:?}");
-        }
-    }
-
-    #[test]
-    fn pl421_region_risky_edges_are_monitor_covered() {
-        let (_, stats) = setup();
-        // Inside a parallel region the controller folds each monitored
-        // node's counts into a shared cell, so both the breaker-consumed
-        // build edge and the root-surviving probe edge stay covered.
-        for risky_build in [true, false] {
-            let plan = gather(risky_hsjn(risky_build, true), 4);
+            let plan = risky_hsjn(risky_build);
             let ctx = LintContext::bare()
                 .with_stats(&stats)
                 .expect_monitor_coverage(true);
@@ -675,7 +598,7 @@ mod tests {
         // A build side with an empty table set has no feedback signature,
         // so the driver cannot install a monitor on it: the risky edge is
         // neither CHECK-dominated nor monitor-covered.
-        let mut plan = risky_hsjn(true, false);
+        let mut plan = risky_hsjn(true);
         let PhysNode::Hsjn { build, .. } = &mut plan else {
             unreachable!()
         };
@@ -693,20 +616,17 @@ mod tests {
         let (_, stats) = setup();
         // The build side feeds through TEMP+CHECK: the checkpoint
         // observes the cardinality, so the edge is CHECK-dominated and
-        // needs no monitor even inside the region.
+        // needs no monitor.
         let build = check_with_range(
             temp(leaf(0, "customer", 2, 5.0)),
             pop_plan::CheckFlavor::Lc,
             pop_plan::CheckContext::AboveTemp,
             ValidityRange::unbounded(),
         );
-        let mut probe = leaf(1, "orders", 2, 20_000.0);
-        probe.props_mut().partitioning = Partitioning::Morsel(4);
-        let mut join = hsjn(build, probe, 20_000.0);
-        join.props_mut().edge_ranges =
+        let probe = leaf(1, "orders", 2, 20_000.0);
+        let mut plan = hsjn(build, probe, 20_000.0);
+        plan.props_mut().edge_ranges =
             vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()];
-        join.props_mut().partitioning = Partitioning::Morsel(4);
-        let plan = gather(join, 4);
         let ctx = LintContext::bare()
             .with_stats(&stats)
             .expect_monitor_coverage(true);

@@ -243,12 +243,9 @@ fn check_flavor(
 fn on_build_edge(frames: &[Frame<'_>]) -> bool {
     for f in frames.iter().rev() {
         match f.node {
-            // Checkpoint and partition-parallel wrappers are transparent:
-            // the rows crossing them are the same rows the build consumes.
-            PhysNode::Check { .. }
-            | PhysNode::BufCheck { .. }
-            | PhysNode::Exchange { .. }
-            | PhysNode::Gather { .. } => {}
+            // Checkpoint wrappers are transparent: the rows crossing them
+            // are the same rows the build consumes.
+            PhysNode::Check { .. } | PhysNode::BufCheck { .. } => {}
             PhysNode::Hsjn { .. } => return f.child_idx == 0,
             PhysNode::HashAgg { .. } => return true,
             _ => return false,
@@ -445,7 +442,6 @@ mod tests {
                 est_card: 100.0,
                 signature: "sig".into(),
                 context: CheckContext::NljnOuter,
-                fold: false,
             },
             input: Box::new(input),
             buffer: 10, // needs 501

@@ -15,6 +15,9 @@
 //! planning an 11- or 12-table DMV query must allocate for the groups the
 //! join graph connects and the candidates that survive pruning, not per
 //! table subset, per split or per cost evaluation.
+//!
+//! The allocator also tracks live bytes, so repeated passes over the same
+//! executor can show that nothing a query leaves behind accumulates.
 
 // The workspace denies `unsafe_code`; implementing `GlobalAlloc` is the
 // one way to observe allocations from inside the process, and this
@@ -24,7 +27,7 @@
 
 use pop::{PopConfig, PopExecutor};
 use pop_expr::Params;
-use pop_optimizer::{CostModel, OptimizerConfig};
+use pop_optimizer::CostModel;
 use pop_plan::QuerySpec;
 use pop_storage::StorageConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,6 +37,8 @@ thread_local! {
     /// Allocations made by this thread (const-initialised and without a
     /// destructor, so touching it never allocates).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -44,17 +49,23 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches only a `Cell` in
 // thread-local storage.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -62,6 +73,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`, and `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,14 +82,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Mem backend, flat cost model, one thread, default batch size, no
-/// budget, faults or plan cache: independent of the `POP_*` environment.
+/// Mem backend, flat cost model, default batch size, no budget, faults or
+/// plan cache: independent of the `POP_*` environment.
 fn config() -> PopConfig {
     PopConfig {
-        optimizer: OptimizerConfig {
-            threads: 1,
-            ..OptimizerConfig::default()
-        },
         cost_model: CostModel::default(),
         batch_size: 1024,
         budget: pop::Budget::default(),
@@ -269,4 +277,55 @@ fn planning_allocations_stay_under_the_recorded_ceiling() {
         assert_eq!(first.signatures_built, 0, "{name}: {first:?}");
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// Passes of the live-heap test.
+const PASSES: usize = 30;
+
+/// Passes before the live heap is sampled as the baseline: the first ones
+/// bring what an executor keeps across queries on purpose to its
+/// high-water mark.
+const WARM_PASSES: usize = 5;
+
+/// Live bytes a pass may add once warm: room for allocator-visible noise
+/// such as a `HashMap` growing a bucket array, far below one leaked temp
+/// MV (thousands of rows).
+const LIVE_SLACK: i64 = 64 << 10;
+
+#[test]
+fn live_heap_is_flat_across_passes() {
+    let dmv = pop_dmv::dmv_catalog_with(0.004, StorageConfig::default()).unwrap();
+    let dmv = PopExecutor::new(dmv, config()).unwrap();
+    let queries = pop_dmv::dmv_queries();
+    // DMV18 and DMV38 re-optimize and promote temp MVs every run; DMV38
+    // supersedes one of them within a run.
+    let specs: Vec<&QuerySpec> = ["DMV18", "DMV38"]
+        .iter()
+        .map(|name| {
+            &queries
+                .iter()
+                .find(|q| q.name == *name)
+                .expect("query exists")
+                .spec
+        })
+        .collect();
+
+    let mut warm = 0;
+    for pass in 1..=PASSES {
+        for spec in &specs {
+            let result = dmv.run(spec, &Params::none()).expect("query runs");
+            assert!(result.report.reopt_count > 0, "no longer re-optimizes");
+        }
+        assert_eq!(dmv.catalog().temp_mv_count(), 0);
+        if pass == WARM_PASSES {
+            warm = LIVE_BYTES.with(Cell::get);
+        }
+    }
+    let end = LIVE_BYTES.with(Cell::get);
+    println!("live bytes: {warm} after pass {WARM_PASSES}, {end} after pass {PASSES}");
+    assert!(
+        end <= warm + LIVE_SLACK,
+        "live heap grew by {} bytes over passes {WARM_PASSES}..{PASSES}",
+        end - warm
+    );
 }

@@ -8,17 +8,14 @@
 //! * the `LintMode` matrix for the interval diagnostics (`PL411`
 //!   coverage holes, `PL412` dead checks, `PL413` vacuous checks) —
 //!   Off stays silent, Warn/Enforce report, and none of them block
-//!   execution (the interval analyses are Warn severity by design);
-//! * robustness-certificate snapshots — the certificate attached to each
-//!   execution step is pinned and must be invariant across thread
-//!   counts and morsel sizes.
+//!   execution (the interval analyses are Warn severity by design).
 
 use pop::{plan_intervals, LintContext, LintMode, PopConfig, PopExecutor};
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::{Expr, Params};
 use pop_plan::{CheckContext, CheckSpec, PhysNode, QueryBuilder, QuerySpec, ValidityRange};
 use pop_storage::Catalog;
-use pop_tpch::{q10, tpch_catalog};
+use pop_tpch::tpch_catalog;
 use pop_types::{DataType, Schema, Value};
 
 // ---------------------------------------------------------------------
@@ -240,75 +237,4 @@ fn interval_diagnostics_never_block_execution() {
         });
     });
     assert!(!warnings.is_empty());
-}
-
-// ---------------------------------------------------------------------
-// Robustness-certificate snapshots: threads x morsel sizes
-// ---------------------------------------------------------------------
-
-/// Per-step certificates of one run under a given parallel configuration.
-fn certificates(
-    catalog: Catalog,
-    spec: &QuerySpec,
-    params: &Params,
-    threads: usize,
-    morsel_size: usize,
-) -> Vec<String> {
-    let mut config = PopConfig::default();
-    config.optimizer.threads = threads;
-    config.morsel_size = morsel_size;
-    let exec = PopExecutor::new(catalog, config).unwrap();
-    let res = exec.run(spec, params).unwrap();
-    res.report
-        .steps
-        .iter()
-        .map(|s| {
-            s.certificate
-                .as_ref()
-                .expect("every vetted step carries a certificate")
-                .render()
-        })
-        .collect()
-}
-
-fn assert_certificates_invariant(
-    label: &str,
-    catalog: &Catalog,
-    spec: &QuerySpec,
-    params: &Params,
-) {
-    let baseline = certificates(catalog.clone(), spec, params, 1, 1);
-    assert!(!baseline.is_empty(), "{label}: no steps");
-    for cert in &baseline {
-        assert!(cert.starts_with("cert "), "{label}: {cert}");
-    }
-    for (threads, morsel) in [(1, 1024), (4, 1), (4, 1024)] {
-        let got = certificates(catalog.clone(), spec, params, threads, morsel);
-        assert_eq!(
-            got, baseline,
-            "{label}: certificate changed at threads={threads} morsel={morsel}"
-        );
-    }
-}
-
-#[test]
-fn q10_certificates_are_thread_and_morsel_invariant() {
-    let catalog = tpch_catalog(0.005).unwrap();
-    let q = q10();
-    // Quantity 25: mid selectivity, enough rows to form parallel regions.
-    let params = Params::new(vec![Value::Int(25)]);
-    assert_certificates_invariant("tpch/Q10", &catalog, &q, &params);
-}
-
-#[test]
-fn dmv_certificates_are_thread_and_morsel_invariant() {
-    let catalog = dmv_catalog(0.0003).unwrap();
-    for q in dmv_queries() {
-        assert_certificates_invariant(
-            &format!("dmv/{}", q.name),
-            &catalog,
-            &q.spec,
-            &Params::none(),
-        );
-    }
 }

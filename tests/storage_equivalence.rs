@@ -5,8 +5,8 @@
 //! smaller than the working set, so pages are constantly evicted and
 //! re-read — has to produce byte-identical rows *in the same order*, the
 //! same optimize–execute step sequence, the same CHECK and monitor
-//! events, and the same robustness certificates as `MemBackend`, across
-//! thread counts and morsel sizes. Both backends share one page-packing
+//! events, and the same robustness certificates as `MemBackend`, at
+//! every batch size. Both backends share one page-packing
 //! rule, so page counts, page-aware cost estimates and charged work are
 //! identical; only physical I/O (`RunReport::storage`) may differ, and it
 //! is deliberately excluded from the comparison.
@@ -22,8 +22,8 @@ use pop_types::{DataType, Schema, Value};
 
 const DMV_SCALE: f64 = 0.0003;
 const TPCH_SF: f64 = 0.0005;
-/// (threads, morsel size) combinations the comparison sweeps.
-const COMBOS: [(usize, usize); 4] = [(1, 1), (1, 1024), (4, 1), (4, 1024)];
+/// Batch sizes the comparison sweeps.
+const COMBOS: [usize; 2] = [1, 1024];
 
 fn mem_storage() -> StorageConfig {
     StorageConfig {
@@ -44,16 +44,16 @@ fn paged_storage() -> StorageConfig {
     }
 }
 
-fn config(threads: usize, morsel: usize) -> PopConfig {
-    let mut c = PopConfig::default();
-    c.optimizer.threads = threads;
-    c.morsel_size = morsel;
-    // Both backends plan with the page-aware model: page counts are a
-    // deterministic property of table contents, so estimates, plans and
-    // charged work stay identical across backends.
-    c.cost_model = CostModel::paged();
-    c.storage = mem_storage(); // informational; the catalog is prebuilt
-    c
+fn config(batch_size: usize) -> PopConfig {
+    PopConfig {
+        batch_size,
+        // Both backends plan with the page-aware model: page counts are a
+        // deterministic property of table contents, so estimates, plans
+        // and charged work stay identical across backends.
+        cost_model: CostModel::paged(),
+        storage: mem_storage(), // informational; the catalog is prebuilt
+        ..PopConfig::default()
+    }
 }
 
 /// Everything discrete about two run reports: step sequence, plan shapes,
@@ -127,16 +127,15 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
 fn run_workload(
     catalog: &Catalog,
     queries: &[(String, pop::QuerySpec)],
-    threads: usize,
-    morsel: usize,
+    batch_size: usize,
 ) -> Vec<(Vec<Vec<Value>>, RunReport)> {
-    let exec = PopExecutor::new(catalog.clone(), config(threads, morsel)).unwrap();
+    let exec = PopExecutor::new(catalog.clone(), config(batch_size)).unwrap();
     queries
         .iter()
         .map(|(name, q)| {
             let res = exec
                 .run(q, &Params::none())
-                .unwrap_or_else(|e| panic!("{name} @ {threads}x{morsel} failed: {e}"));
+                .unwrap_or_else(|e| panic!("{name} @ batch {batch_size} failed: {e}"));
             (res.rows, res.report)
         })
         .collect()
@@ -148,13 +147,13 @@ fn assert_backends_equivalent(
     queries: &[(String, pop::QuerySpec)],
     label: &str,
 ) {
-    for (threads, morsel) in COMBOS {
-        let a = run_workload(mem, queries, threads, morsel);
-        let b = run_workload(paged, queries, threads, morsel);
+    for batch_size in COMBOS {
+        let a = run_workload(mem, queries, batch_size);
+        let b = run_workload(paged, queries, batch_size);
         for (((rows_a, rep_a), (rows_b, rep_b)), (name, _)) in
             a.iter().zip(b.iter()).zip(queries.iter())
         {
-            let what = format!("{label}/{name} @ {threads} thread(s), morsel {morsel}");
+            let what = format!("{label}/{name} @ batch {batch_size}");
             assert_eq!(rows_a, rows_b, "{what}: rows differ across backends");
             assert_reports_equal(rep_a, rep_b, &what);
         }
