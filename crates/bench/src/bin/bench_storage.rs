@@ -32,6 +32,7 @@
 //! `results/BENCH_storage.json`.
 
 use pop_storage::{Catalog, IoStats, StorageConfig, StorageKind};
+use pop_types::column::Cell;
 use pop_types::{DataType, Schema, Value};
 use serde::Serialize;
 use std::fs;
@@ -128,8 +129,9 @@ fn storage(dir: &std::path::Path, pool_frames: Option<usize>) -> StorageConfig {
 }
 
 /// Full sequential scan through the cursor layer, decoding every column or
-/// only `cols`; returns (rows, checksum) so the compiler cannot elide the
-/// reads and runs are comparable.
+/// only `cols` into the cursor's typed scratch columns; returns (rows,
+/// checksum) so the compiler cannot elide the reads and runs are
+/// comparable.
 fn scan(table: &pop_storage::Table, cols: Option<&[usize]>) -> (usize, i64) {
     let mut cursor = table.cursor(0, table.row_count() as u64).expect("cursor");
     if let Some(cols) = cols {
@@ -139,8 +141,9 @@ fn scan(table: &pop_storage::Table, cols: Option<&[usize]>) -> (usize, i64) {
     let mut sum = 0i64;
     while let Some(chunk) = cursor.next_chunk(1024).expect("chunk") {
         n += chunk.rows.len();
-        for row in chunk.rows {
-            if let Value::Int(v) = row[2] {
+        let c = &chunk.cols[2];
+        for i in chunk.rows {
+            if let Cell::Int(v) = c.cell(i) {
                 sum = sum.wrapping_add(v);
             }
         }

@@ -503,7 +503,7 @@ mod tests {
     fn model_determines_make() {
         let cat = dmv_catalog(0.0005).unwrap();
         let cars = cat.table("car").unwrap();
-        for row in cars.snapshot().iter() {
+        for row in &cars.snapshot() {
             let model = row[2].as_i64().unwrap() as usize;
             let make = row[3].as_i64().unwrap() as usize;
             assert_eq!(model / MODELS_PER_MAKE, make);
@@ -519,7 +519,7 @@ mod tests {
             .iter()
             .map(|r| r[4].as_i64().unwrap())
             .collect();
-        for row in cat.table("car").unwrap().snapshot().iter() {
+        for row in &cat.table("car").unwrap().snapshot() {
             let model = row[2].as_i64().unwrap() as usize;
             let weight = row[5].as_i64().unwrap();
             assert!((weight - model_weight[model]).abs() <= 25);
@@ -532,7 +532,7 @@ mod tests {
         let cat = dmv_catalog(0.001).unwrap();
         use std::collections::{HashMap, HashSet};
         let mut palettes: HashMap<i64, HashSet<String>> = HashMap::new();
-        for row in cat.table("car").unwrap().snapshot().iter() {
+        for row in &cat.table("car").unwrap().snapshot() {
             let model = row[2].as_i64().unwrap();
             let color = row[4].as_str().unwrap().to_string();
             palettes.entry(model).or_default().insert(color);
@@ -558,7 +558,7 @@ mod tests {
             .collect();
         let mut young_band0 = 0u32;
         let mut young_total = 0u32;
-        for row in cat.table("car").unwrap().snapshot().iter() {
+        for row in &cat.table("car").unwrap().snapshot() {
             let owner = row[1].as_i64().unwrap() as usize;
             let make = row[3].as_i64().unwrap();
             if ages[owner] < 33 {

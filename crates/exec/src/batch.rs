@@ -12,7 +12,7 @@
 //! Storage is column-major and typed: one vector per layout position, typed
 //! by the values it holds (`i64`, `f64`, `i32` dates, `bool`, `Arc<str>`,
 //! or `Value` for a column that really mixes types), with a NULL bitmap
-//! allocated on the first NULL (see [`crate::column`]). Lineage is one flat
+//! allocated on the first NULL (see [`pop_types::column`]). Lineage is one flat
 //! `Rid` vector with the same number of rids for every row of a batch. A
 //! batch of 1024 rows costs one allocation per column plus one for
 //! lineage; owned `Row`s exist only at the result boundary
@@ -35,7 +35,7 @@
 //!
 //! [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
 
-use crate::column::{Cell, Column};
+use pop_types::column::{Cell, Column};
 use pop_types::{Rid, Row, Value};
 
 /// Default number of rows per batch (the `POP_BATCH_SIZE` knob and
@@ -118,19 +118,6 @@ impl RowBatch {
         self.rows += 1;
     }
 
-    /// [`RowBatch::push_row`] keeping only the columns `cols` of a stored
-    /// row, in that order — the copy-out of a fetched row (IXSCAN, NLJN
-    /// inner): a column the plan's layout does not carry is never read.
-    pub fn push_projected(&mut self, row: &[Value], cols: &[usize], lineage: &[Rid]) {
-        self.begin(cols.len(), lineage.len());
-        let cap = self.cap;
-        for (c, p) in self.cols.iter_mut().zip(cols) {
-            c.push(&row[*p], cap);
-        }
-        self.lin.extend_from_slice(lineage);
-        self.rows += 1;
-    }
-
     /// Append a live row that concatenates two halves (`a ++ b` values,
     /// `la ++ lb` lineage).
     pub fn push_concat(&mut self, a: &[Value], b: &[Value], la: &[Rid], lb: &[Rid]) {
@@ -144,30 +131,34 @@ impl RowBatch {
         self.rows += 1;
     }
 
-    /// Append the stored rows `rows[i]` for each `i` of `pick`, keeping
-    /// the table columns `cols` in that order, with lineage `lineage(i)` —
-    /// the scans' copy-out, one column at a time.
-    pub(crate) fn extend_stored<L: AsRef<[Rid]>>(
+    /// Append the rows `rows` of the table-width columns `src` (a storage
+    /// chunk or fetch), keeping the table columns `cols` in that order,
+    /// with one `lineage` entry per row, in order — the storage leaves'
+    /// copy-out, one typed gather per column: a column the plan's layout
+    /// does not carry is never read.
+    pub(crate) fn extend_columns<L: AsRef<[Rid]>>(
         &mut self,
-        rows: &[Row],
-        pick: impl Iterator<Item = usize> + Clone,
+        src: &[Column],
         cols: &[usize],
-        lineage: impl Fn(usize) -> L,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+        lineage: impl Iterator<Item = L>,
     ) {
-        let Some(first) = pick.clone().next() else {
+        let n = rows.len();
+        if n == 0 {
             return;
-        };
-        self.begin(cols.len(), lineage(first).as_ref().len());
-        let cap = self.cap;
-        for (c, p) in self.cols.iter_mut().zip(cols) {
-            c.extend_values(pick.clone().map(|i| &rows[i][*p]), cap);
         }
-        for i in pick {
-            let l = lineage(i);
+        let mut lineage = lineage.peekable();
+        let lin_width = lineage.peek().map_or(0, |l| l.as_ref().len());
+        self.begin(cols.len(), lin_width);
+        let cap = self.cap.max(n);
+        for (c, p) in self.cols.iter_mut().zip(cols) {
+            c.extend_gather(&src[*p], rows.clone(), cap);
+        }
+        for (_, l) in rows.zip(lineage) {
             debug_assert_eq!(l.as_ref().len(), self.lin_width, "lineage width");
             self.lin.extend_from_slice(l.as_ref());
-            self.rows += 1;
         }
+        self.rows += n;
     }
 
     /// Append the rows `rows` of `src` (values and lineage), in that
@@ -568,19 +559,24 @@ mod tests {
 
     #[test]
     fn projected_pushes_copy_only_the_named_columns() {
-        let stored = [Value::Int(1), Value::Int(2), Value::Int(3)];
-        let mut b = RowBatch::new();
-        b.push_projected(&stored, &[2, 0], &[Rid::new(0, 4)]);
-        assert_eq!(b.row_at(0), vec![Value::Int(3), Value::Int(1)]);
-        assert_eq!(b.lineage_at(0), &[Rid::new(0, 4)]);
-        // The scans' column-at-a-time copy-out of picked stored rows.
-        let table: Vec<Row> = (0..4)
-            .map(|i| vec![Value::Int(i), Value::str(format!("s{i}")), Value::Null])
-            .collect();
+        // The storage leaves' copy-out of picked rows of table-width
+        // columns: the named columns, in the named order, typed.
+        let mut table = vec![Column::default(); 4];
+        for i in 0..4 {
+            let row = [
+                Value::Int(i),
+                Value::str(format!("s{i}")),
+                Value::Null,
+                Value::Float(0.5),
+            ];
+            for (c, v) in table.iter_mut().zip(&row) {
+                c.push(v, 4);
+            }
+        }
         let mut s = RowBatch::new();
-        s.extend_stored(&table, [3, 1].into_iter(), &[1, 2, 0], |i| {
-            [Rid::new(7, i as u64)]
-        });
+        let pick = [3usize, 1];
+        let rids = pick.map(|i| [Rid::new(7, i as u64)]);
+        s.extend_columns(&table, &[1, 2, 0], pick.into_iter(), rids.into_iter());
         assert_eq!(
             live_rows(&s),
             vec![
@@ -589,6 +585,13 @@ mod tests {
             ]
         );
         assert_eq!(s.lineage_at(1), &[Rid::new(7, 1)]);
+        // 16 B a string, nothing for the all-NULL column, 8 B an int, one
+        // 16-byte rid a row; column 3 is never read.
+        assert_eq!(s.approx_bytes(), 2 * (16 + 8) + 2 * 16);
+        // An empty pick adds nothing, not even a shape.
+        let mut e = RowBatch::new();
+        e.extend_columns(&table, &[0], 0..0, std::iter::empty::<[Rid; 1]>());
+        assert_eq!((e.len(), e.width()), (0, 0));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 
 mod batch;
 mod build;
-mod column;
 mod context;
 mod executor;
 pub mod operators;

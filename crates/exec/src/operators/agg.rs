@@ -1,9 +1,9 @@
 //! Hash aggregation and projection.
 
-use crate::column::{Cell, Data};
 use crate::operators::key::{hash_cells, hash_keys, ChainIndex, NIL};
 use crate::operators::{next_chunk, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
+use pop_types::column::{Cell, Data};
 use pop_types::Value;
 use std::cmp::Ordering;
 

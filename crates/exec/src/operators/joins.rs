@@ -3,9 +3,10 @@
 //! Every join reads its streaming inputs in place through a [`RowCursor`]
 //! — no input row is moved or allocated — and builds its output a column
 //! at a time: matches are collected as row-index pairs and gathered into
-//! a [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call.
+//! a [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call. Index
+//! fetches (NLJN inners, EXISTS probes) read the inner table as typed
+//! columns, filtered and gathered like a scan's.
 
-use crate::column::Cell;
 use crate::context::Harvest;
 use crate::operators::key::{hash_keys, ChainIndex, NIL};
 use crate::operators::materialize::{materialize, HarvestInfo};
@@ -26,8 +27,10 @@ use std::sync::Arc;
 /// `outer_card × (probe + matches × fetch)`, so an outer that is 100×
 /// larger than estimated costs 100× more.
 ///
-/// A fetched inner row is filtered where storage holds it and its output
-/// columns are copied into a scratch batch; the outer half of each output
+/// An outer row's matches are fetched as typed columns — up to the room
+/// left in the output batch at a time — filtered there by the inner
+/// predicate and the residual join conditions, and the survivors' output
+/// columns gathered into a scratch batch; the outer half of each output
 /// row is a gather of the outer row's index, done before the outer batch
 /// is released.
 pub struct NljnOp {
@@ -50,6 +53,8 @@ pub struct NljnOp {
     /// the cursor's batch) and its inner columns plus inner rid.
     pending: Vec<u32>,
     inner_rows: RowBatch,
+    /// Selection-vector scratch over a fetch.
+    sel: Vec<u32>,
     /// Last inner page fetched from, for random-I/O accounting.
     last_page: Option<u64>,
     pending_signal: Option<crate::ExecSignal>,
@@ -80,6 +85,7 @@ impl NljnOp {
             match_pos: 0,
             pending: Vec::new(),
             inner_rows: RowBatch::new(),
+            sel: Vec::new(),
             last_page: None,
             pending_signal: None,
         }
@@ -133,46 +139,49 @@ impl Operator for NljnOp {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        let Some(fetcher) = self.fetcher.as_ref() else {
+        let Some(fetcher) = self.fetcher.as_mut() else {
             return Err(super::protocol_err("NLJN next_batch() before open()"));
         };
         if let Some(sig) = self.pending_signal.take() {
             return Err(sig);
         }
         let target = ctx.batch_size.max(1);
+        let inner_table = self.inner_table.id();
         let mut out = RowBatch::with_capacity(target);
         loop {
-            // Drain pending matches of the current outer row: filter each
-            // fetched inner row where it is stored, copy out its columns.
+            // Drain pending matches of the current outer row, as many at a
+            // time as the output batch has room for: a batch that fills
+            // stops at the same match as one fetched row at a time would.
             while self.match_pos < self.matches.len() {
-                let pos = self.matches[self.match_pos];
-                self.match_pos += 1;
                 let (outer, at) = self
                     .outer_rows
                     .current()
                     .ok_or_else(|| super::protocol_err("NLJN match without an outer row"))?;
-                let rid = [Rid::new(self.inner_table.id(), pos)];
-                let (pred, residual, params) = (&self.inner_pred, &self.residual, &ctx.params);
-                let (pending, inner_rows, inner_cols) =
-                    (&mut self.pending, &mut self.inner_rows, &self.inner_cols);
+                let room = target.saturating_sub(out.len() + self.pending.len()).max(1);
+                let end = (self.match_pos + room).min(self.matches.len());
                 // A position past the opened rows (index briefly ahead of
                 // them) is skipped by the fetcher.
-                fetcher.for_each(&[pos], |_, inner_row| {
-                    let keep = match pred {
-                        Some(p) => p.passes(inner_row, params)?,
-                        None => true,
-                    } && residual.iter().all(|(outer_pos, inner_col)| {
-                        outer
-                            .cell(*outer_pos, at)
-                            .sql_cmp(Cell::of(&inner_row[*inner_col]))
-                            == Some(Ordering::Equal)
-                    });
-                    if keep {
-                        pending.push(at as u32);
-                        inner_rows.push_projected(inner_row, inner_cols, &rid);
-                    }
-                    Ok(true)
-                })?;
+                let got = fetcher.fetch(&self.matches[self.match_pos..end])?;
+                self.match_pos = end;
+                self.sel.clear();
+                self.sel.extend_from_slice(got.rows);
+                if let Some(p) = &self.inner_pred {
+                    p.filter_batch(got.cols, &ctx.params, &mut self.sel)?;
+                }
+                for &(outer_pos, inner_col) in &self.residual {
+                    let key = outer.cell(outer_pos, at);
+                    let inner = &got.cols[inner_col];
+                    self.sel
+                        .retain(|r| key.sql_cmp(inner.cell(*r as usize)) == Some(Ordering::Equal));
+                }
+                self.pending
+                    .extend(std::iter::repeat_n(at as u32, self.sel.len()));
+                let pick = self.sel.iter().map(|r| *r as usize);
+                let rids = got
+                    .positions_of(&self.sel)
+                    .map(|p| [Rid::new(inner_table, p)]);
+                self.inner_rows
+                    .extend_columns(got.cols, &self.inner_cols, pick, rids);
                 if out.len() + self.pending.len() >= target {
                     flush_joined(
                         &mut out,
@@ -503,6 +512,8 @@ pub struct SemiProbeOp {
     fetcher: Option<RowFetcher>,
     /// Index positions of the current input row's key, refilled per probe.
     matches: Vec<u64>,
+    /// Selection-vector scratch over a fetch.
+    sel: Vec<u32>,
     /// Last inner page fetched from, for random-I/O accounting.
     last_page: Option<u64>,
 }
@@ -526,6 +537,7 @@ impl SemiProbeOp {
             negated,
             fetcher: None,
             matches: Vec::new(),
+            sel: Vec::new(),
             last_page: None,
         }
     }
@@ -555,25 +567,30 @@ impl Operator for SemiProbeOp {
                 charge += ctx.model.index_probe;
                 let key = b.value(self.outer_pos, i);
                 self.inner_index.probe_into(&key, &mut self.matches)?;
-                let fetcher = self.fetcher.as_ref().expect("checked above");
+                let fetcher = self.fetcher.as_mut().expect("checked above");
                 let mut found = false;
-                fetcher.for_each(&self.matches, |p, inner| {
+                // Existential: the first qualifying match decides, so the
+                // matches are fetched one at a time and nothing past it is
+                // read.
+                let len = fetcher.len();
+                for &p in self.matches.iter().filter(|p| **p < len) {
                     charge += ctx.model.index_fetch_row;
                     let pg = fetcher.page_of(p);
                     if last_page != Some(pg) {
                         last_page = Some(pg);
                         charge += ctx.model.page_io * ctx.model.seq_vs_random;
                     }
-                    let ok = match &self.pred {
-                        Some(p) => p.passes(inner, &ctx.params)?,
-                        None => true,
-                    };
-                    if ok {
-                        found = true;
+                    let got = fetcher.fetch(&[p])?;
+                    self.sel.clear();
+                    self.sel.extend_from_slice(got.rows);
+                    if let Some(pred) = &self.pred {
+                        pred.filter_batch(got.cols, &ctx.params, &mut self.sel)?;
                     }
-                    // Existential: first qualifying match decides.
-                    Ok(!found)
-                })?;
+                    if !self.sel.is_empty() {
+                        found = true;
+                        break;
+                    }
+                }
                 Ok(found != self.negated)
             });
             self.last_page = last_page;

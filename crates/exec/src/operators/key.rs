@@ -6,8 +6,8 @@
 //! compares keys in place — so building it allocates two arrays, not one
 //! entry per key.
 
-use crate::column::{Cell, Data};
 use crate::RowBatch;
+use pop_types::column::{Cell, Data};
 
 /// End-of-chain / empty-bucket marker.
 pub(crate) const NIL: u32 = u32::MAX;

@@ -8,12 +8,13 @@ use pop_types::Rid;
 use std::sync::Arc;
 
 /// Sequential scan with an optional pushed-down predicate. Each
-/// `next_batch` call charges and filters one cursor chunk; the predicate
-/// (bound against the table schema) runs over the stored rows of the whole
-/// chunk via a selection vector, and only the output columns of passing
-/// rows are copied out, each into its typed column vector. The cursor is asked for exactly those columns (the
-/// `read_set`), so a paged table decodes nothing else. Chunk boundaries
-/// and logical page touches are identical on either backend, so the charged
+/// `next_batch` call charges and filters one cursor chunk: the predicate
+/// (bound against the table schema) refines a selection vector over the
+/// chunk's typed columns — the stored columns themselves on the mem
+/// backend — and only the output columns of passing rows are gathered out.
+/// The cursor is asked for exactly the columns the scan reads (the
+/// `read_set`), so a paged table decodes nothing else. Chunk boundaries and
+/// logical page touches are identical on either backend, so the charged
 /// work is too.
 pub struct TableScanOp {
     table: Arc<Table>,
@@ -52,7 +53,8 @@ impl TableScanOp {
 
 /// The table columns a leaf reads from storage: its output columns plus
 /// every column its predicate (bound against the table schema) touches.
-/// Any other column of a stored row is unspecified and must not be read.
+/// Any other column of a chunk or fetch is unspecified and must not be
+/// read.
 pub(crate) fn read_set(cols: &[usize], pred: Option<&BoundExpr>) -> Vec<usize> {
     let mut set = cols.to_vec();
     if let Some(p) = pred {
@@ -78,6 +80,7 @@ impl Operator for TableScanOp {
             .cursor
             .as_mut()
             .ok_or_else(|| super::protocol_err("table scan next_batch() before open()"))?;
+        let table = self.table.id();
         if let Some(stride) = self.sample_stride {
             // Stride sample: fetch (and charge for) only every stride-th
             // row, row-at-a-time — the sample run's modeled work scales
@@ -93,14 +96,14 @@ impl Operator for TableScanOp {
                     };
                     fetched += 1;
                     pages += chunk.new_pages;
-                    let row = &chunk.rows[0];
-                    let passes = match &self.pred {
-                        Some(pr) => pr.passes(row, &ctx.params)?,
-                        None => true,
-                    };
-                    if passes {
-                        out.push_projected(row, &self.cols, &[Rid::new(self.table.id(), p)]);
+                    self.sel.clear();
+                    self.sel.push(chunk.rows.start as u32);
+                    if let Some(pr) = &self.pred {
+                        pr.filter_batch(chunk.cols, &ctx.params, &mut self.sel)?;
                     }
+                    let rids = self.sel.iter().map(|_| [Rid::new(table, p)]);
+                    let pick = self.sel.iter().map(|i| *i as usize);
+                    out.extend_columns(chunk.cols, &self.cols, pick, rids);
                     cursor.seek(p + stride as u64);
                 }
                 ctx.charge(fetched as f64 * ctx.model.seq_row + pages as f64 * ctx.model.page_io);
@@ -114,30 +117,30 @@ impl Operator for TableScanOp {
             }
         }
         while let Some(chunk) = cursor.next_chunk(ctx.batch_size)? {
-            let start = chunk.start;
-            ctx.charge(
-                chunk.rows.len() as f64 * ctx.model.seq_row
-                    + chunk.new_pages as f64 * ctx.model.page_io,
-            );
-            ctx.rows_scanned += chunk.rows.len() as u64;
-            let table = self.table.id();
-            let rid = |i: usize| [Rid::new(table, start + i as u64)];
+            let n = chunk.rows.len();
+            ctx.charge(n as f64 * ctx.model.seq_row + chunk.new_pages as f64 * ctx.model.page_io);
+            ctx.rows_scanned += n as u64;
+            // Table position of the row at index `i` of the chunk's columns.
+            let base = chunk.start - chunk.rows.start as u64;
+            let rid = |i: usize| [Rid::new(table, base + i as u64)];
             let out = match &self.pred {
                 None => {
-                    let mut out = RowBatch::with_capacity(chunk.rows.len());
-                    out.extend_stored(chunk.rows, 0..chunk.rows.len(), &self.cols, rid);
+                    let mut out = RowBatch::with_capacity(n);
+                    let rows = chunk.rows.clone();
+                    out.extend_columns(chunk.cols, &self.cols, rows.clone(), rows.map(rid));
                     out
                 }
                 Some(p) => {
                     self.sel.clear();
-                    self.sel.extend(0..chunk.rows.len() as u32);
-                    p.filter_batch(chunk.rows, &ctx.params, &mut self.sel)?;
+                    self.sel
+                        .extend(chunk.rows.start as u32..chunk.rows.end as u32);
+                    p.filter_batch(chunk.cols, &ctx.params, &mut self.sel)?;
                     if self.sel.is_empty() {
                         continue; // whole chunk filtered out: keep scanning
                     }
                     let mut out = RowBatch::with_capacity(self.sel.len());
                     let pick = self.sel.iter().map(|i| *i as usize);
-                    out.extend_stored(chunk.rows, pick, &self.cols, rid);
+                    out.extend_columns(chunk.cols, &self.cols, pick.clone(), pick.map(rid));
                     out
                 }
             };
@@ -152,10 +155,10 @@ impl Operator for TableScanOp {
 }
 
 /// Range scan over a sorted index: fetches only the rows whose indexed
-/// column lies in `[lo, hi]`, in index (ascending key) order, then applies
-/// the residual predicate (bound against the table schema) to the stored
-/// row and copies out the output columns — one batch of positions per
-/// call.
+/// column lies in `[lo, hi]`, in index (ascending key) order, then filters
+/// the fetched columns with the residual predicate (bound against the
+/// table schema) and gathers out the output columns — one batch of
+/// positions per call.
 pub struct IndexRangeScanOp {
     table: Arc<Table>,
     index: Arc<pop_storage::Index>,
@@ -170,6 +173,8 @@ pub struct IndexRangeScanOp {
     /// Last page a fetch landed on, for random-I/O accounting: every
     /// page *transition* is charged as a random page read.
     last_page: Option<u64>,
+    /// Selection-vector scratch, reused across fetches.
+    sel: Vec<u32>,
 }
 
 impl IndexRangeScanOp {
@@ -192,6 +197,7 @@ impl IndexRangeScanOp {
             positions: Vec::new(),
             pos: 0,
             last_page: None,
+            sel: Vec::new(),
         }
     }
 
@@ -227,33 +233,32 @@ impl Operator for IndexRangeScanOp {
         ctx.fault_storage_read(self.table.name())?;
         let fetcher = self
             .fetcher
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| super::protocol_err("index range scan next_batch() before open()"))?;
+        let table = self.table.id();
         while self.pos < self.positions.len() {
             let end = (self.pos + ctx.batch_size.max(1)).min(self.positions.len());
             let chunk = &self.positions[self.pos..end];
             self.pos = end;
             ctx.rows_scanned += chunk.len() as u64;
-            let mut out = RowBatch::with_capacity(chunk.len());
-            let mut last_page = self.last_page;
-            let mut new_pages = 0u64;
-            let params = &ctx.params;
-            fetcher.for_each(chunk, |p, row| {
+            let (len, mut new_pages) = (fetcher.len(), 0u64);
+            for &p in chunk.iter().filter(|p| **p < len) {
                 let pg = fetcher.page_of(p);
-                if last_page != Some(pg) {
-                    last_page = Some(pg);
+                if self.last_page != Some(pg) {
+                    self.last_page = Some(pg);
                     new_pages += 1;
                 }
-                let passes = match &self.residual {
-                    Some(r) => r.passes(row, params)?,
-                    None => true,
-                };
-                if passes {
-                    out.push_projected(row, &self.cols, &[Rid::new(self.table.id(), p)]);
-                }
-                Ok(true)
-            })?;
-            self.last_page = last_page;
+            }
+            let got = fetcher.fetch(chunk)?;
+            self.sel.clear();
+            self.sel.extend_from_slice(got.rows);
+            if let Some(r) = &self.residual {
+                r.filter_batch(got.cols, &ctx.params, &mut self.sel)?;
+            }
+            let mut out = RowBatch::with_capacity(self.sel.len());
+            let pick = self.sel.iter().map(|i| *i as usize);
+            let rids = got.positions_of(&self.sel).map(|p| [Rid::new(table, p)]);
+            out.extend_columns(got.cols, &self.cols, pick, rids);
             // Scattered fetches pay the random-read multiplier per page
             // transition — the runtime mirror of the model's Cardenas term.
             ctx.charge(
@@ -311,18 +316,16 @@ impl Operator for MvScanOp {
         let Some(chunk) = cursor.next_chunk(ctx.batch_size)? else {
             return Ok(None);
         };
-        ctx.charge(
-            chunk.rows.len() as f64 * ctx.model.temp_read_row
-                + chunk.new_pages as f64 * ctx.model.page_io,
-        );
-        let mut out = RowBatch::with_capacity(chunk.rows.len());
-        let lineage = |i: usize| -> &[Rid] {
+        let n = chunk.rows.len();
+        ctx.charge(n as f64 * ctx.model.temp_read_row + chunk.new_pages as f64 * ctx.model.page_io);
+        let mut out = RowBatch::with_capacity(n);
+        let lineage = (chunk.start as usize..).take(n).map(|pos| -> &[Rid] {
             self.lineage
                 .as_ref()
-                .and_then(|l| l.get(chunk.start as usize + i))
+                .and_then(|l| l.get(pos))
                 .map_or(&[], Vec::as_slice)
-        };
-        out.extend_stored(chunk.rows, 0..chunk.rows.len(), &self.cols, lineage);
+        });
+        out.extend_columns(chunk.cols, &self.cols, chunk.rows.clone(), lineage);
         Ok(Some(out))
     }
 

@@ -1,60 +1,73 @@
-//! Batched predicate evaluation with selection vectors.
+//! Batched predicate evaluation over typed columns with selection vectors.
 //!
-//! A filtering operator hands [`BoundExpr::filter_batch`] a chunk of rows
-//! and a selection vector of candidate row indices; the vector is refined
-//! in place to the rows that pass. Semantics are identical to calling
-//! [`BoundExpr::passes`] per row (SQL WHERE: NULL does not pass) — the
-//! batch entry points exist so the common shapes avoid the per-row
-//! recursive walk:
+//! A filtering operator hands [`BoundExpr::filter_batch`] the table-width
+//! columns a storage chunk or fetch lives in and a selection vector of
+//! candidate row indices into them; the vector is refined in place to the
+//! rows that pass. Semantics are identical to calling
+//! [`BoundExpr::passes`] on each row (SQL WHERE: NULL does not pass):
 //!
 //! * `AND` filters sequentially, one conjunct over the whole (shrinking)
 //!   selection at a time, stopping when it empties;
 //! * `OR` is the ordered union of its disjuncts' selections: each disjunct
 //!   runs over the rows no earlier one passed, exactly the rows per-row
 //!   evaluation would show it;
-//! * comparisons and BETWEEN over column/literal/parameter operands, LIKE
-//!   and IN over a column, compare in place without building a `Value`;
-//! * everything else, `NOT` included, tests row by row through
-//!   [`BoundExpr::passes`]' three-valued walk.
+//! * `col op lit|param`, `col op col`, `col BETWEEN lit AND lit`, LIKE and
+//!   IN over a column compare the column's typed vector in place: a row
+//!   whose NULL bit is set drops, and a column (or literal) off the fast
+//!   type compares through [`Cell::sql_cmp`], exactly like
+//!   `Value::sql_cmp`;
+//! * everything else — `NOT`, `IS NULL`, arithmetic — evaluates
+//!   [`BoundExpr::passes`] over a scratch row holding the values of the
+//!   columns the expression reads.
 
+use crate::bound::Items;
 use crate::eval::{cmp_holds, like_type_error};
-use crate::{BoundExpr, CmpOp, Params};
-use pop_types::{PopError, PopResult, Row, Value};
+use crate::{BoundExpr, CmpOp, InItems, LikePattern, Params};
+use pop_types::column::{Cell, Column, Data};
+use pop_types::{PopError, PopResult, Value};
 use std::cmp::Ordering;
 
 /// A comparison operand that needs no per-row evaluation.
 enum Operand<'a> {
-    Col(usize),
+    Col(&'a Column),
     Val(&'a Value),
 }
 
 impl<'a> Operand<'a> {
-    fn of(e: &'a BoundExpr, params: &'a Params) -> Option<Operand<'a>> {
-        match e {
-            BoundExpr::Col(i) => Some(Operand::Col(*i)),
+    /// `None` for an operand that needs per-row evaluation; an unbound
+    /// parameter is an error.
+    fn of(e: &'a BoundExpr, cols: &'a [Column], params: &'a Params) -> PopResult<Option<Self>> {
+        Ok(match e {
+            BoundExpr::Col(i) => Some(Operand::Col(column(cols, *i)?)),
             BoundExpr::Lit(v) => Some(Operand::Val(v)),
-            BoundExpr::Param(i) => params.get(*i).ok().map(Operand::Val),
+            BoundExpr::Param(i) => Some(Operand::Val(params.get(*i)?)),
             _ => None,
-        }
+        })
     }
 
-    fn value<'r>(&'r self, row: &'r [Value]) -> PopResult<&'r Value>
-    where
-        'a: 'r,
-    {
+    #[inline]
+    fn cell(&self, i: usize) -> Cell<'_> {
         match self {
-            Operand::Col(i) => row
-                .get(*i)
-                .ok_or_else(|| PopError::Execution(format!("row too short for column {i}"))),
-            Operand::Val(v) => Ok(v),
+            Operand::Col(c) => c.cell(i),
+            Operand::Val(v) => Cell::of(v),
         }
     }
 }
 
+fn column(cols: &[Column], i: usize) -> PopResult<&Column> {
+    cols.get(i)
+        .ok_or_else(|| PopError::Execution(format!("row too short for column {i}")))
+}
+
 impl BoundExpr {
-    /// Refine `sel` (indices into `rows`) to the rows this predicate
-    /// passes. Equivalent to per-row [`BoundExpr::passes`].
-    pub fn filter_batch(&self, rows: &[Row], params: &Params, sel: &mut Vec<u32>) -> PopResult<()> {
+    /// Refine `sel` (row indices into `cols`) to the rows this predicate
+    /// passes. Equivalent to [`BoundExpr::passes`] on each row.
+    pub fn filter_batch(
+        &self,
+        cols: &[Column],
+        params: &Params,
+        sel: &mut Vec<u32>,
+    ) -> PopResult<()> {
         match self {
             BoundExpr::And(parts) => {
                 // SQL WHERE keeps a row iff every conjunct is true, so
@@ -63,91 +76,80 @@ impl BoundExpr {
                     if sel.is_empty() {
                         break;
                     }
-                    p.filter_batch(rows, params, sel)?;
+                    p.filter_batch(cols, params, sel)?;
                 }
                 Ok(())
             }
-            BoundExpr::Or(parts) => filter_any(parts, rows, params, sel),
+            BoundExpr::Or(parts) => filter_any(parts, cols, params, sel),
             BoundExpr::Cmp(op, a, b) => {
-                match (Operand::of(a, params), Operand::of(b, params)) {
+                match (Operand::of(a, cols, params)?, Operand::of(b, cols, params)?) {
                     (Some(Operand::Col(c)), Some(Operand::Val(v))) => {
-                        filter_col_vs_lit(rows, sel, c, *op, v)
+                        filter_col_vs_lit(c, *op, v, sel);
                     }
+                    // Flip `lit op col` into `col op' lit`.
                     (Some(Operand::Val(v)), Some(Operand::Col(c))) => {
-                        // Flip `lit op col` into `col op' lit`.
-                        filter_col_vs_lit(rows, sel, c, op.flip(), v)
+                        filter_col_vs_lit(c, op.flip(), v, sel);
                     }
-                    (Some(lhs), Some(rhs)) => retain(rows, sel, |row| {
-                        Ok(match lhs.value(row)?.sql_cmp(rhs.value(row)?) {
-                            Some(ord) => cmp_holds(*op, ord),
-                            None => false,
-                        })
+                    (Some(Operand::Col(x)), Some(Operand::Col(y))) => {
+                        filter_col_vs_col(x, *op, y, sel);
+                    }
+                    (Some(x), Some(y)) => keep(sel, |i| {
+                        x.cell(i)
+                            .sql_cmp(y.cell(i))
+                            .is_some_and(|ord| cmp_holds(*op, ord))
                     }),
-                    _ => self.filter_fallback(rows, params, sel),
+                    _ => return self.filter_rows(cols, params, sel),
                 }
+                Ok(())
             }
             BoundExpr::Between(e, lo, hi) => {
                 match (
-                    Operand::of(e, params),
-                    Operand::of(lo, params),
-                    Operand::of(hi, params),
+                    Operand::of(e, cols, params)?,
+                    Operand::of(lo, cols, params)?,
+                    Operand::of(hi, cols, params)?,
                 ) {
                     (Some(Operand::Col(c)), Some(Operand::Val(lo)), Some(Operand::Val(hi))) => {
-                        filter_col_between_lits(rows, sel, c, lo, hi)
+                        filter_col_between(c, lo, hi, sel);
                     }
-                    (Some(v), Some(lo), Some(hi)) => retain(rows, sel, |row| {
-                        let x = v.value(row)?;
-                        Ok(
-                            match (x.sql_cmp(lo.value(row)?), x.sql_cmp(hi.value(row)?)) {
-                                (Some(a), Some(b)) => a != Ordering::Less && b != Ordering::Greater,
-                                _ => false,
-                            },
-                        )
-                    }),
-                    _ => self.filter_fallback(rows, params, sel),
+                    (Some(v), Some(lo), Some(hi)) => {
+                        keep(sel, |i| between(v.cell(i), lo.cell(i), hi.cell(i)));
+                    }
+                    _ => return self.filter_rows(cols, params, sel),
                 }
+                Ok(())
             }
             BoundExpr::Like(e, pattern) => match **e {
-                BoundExpr::Col(c) => {
-                    let mut mismatch = None;
-                    filter_col(rows, sel, c, |v| match v {
-                        Value::Str(s) => pattern.matches(s),
-                        Value::Null => false,
-                        other => {
-                            mismatch.get_or_insert_with(|| other.clone());
-                            false
-                        }
-                    })?;
-                    mismatch.map_or(Ok(()), |v| Err(like_type_error(&v)))
-                }
-                _ => self.filter_fallback(rows, params, sel),
+                BoundExpr::Col(c) => filter_like(column(cols, c)?, pattern, sel),
+                _ => self.filter_rows(cols, params, sel),
             },
             BoundExpr::InList(e, items) => match **e {
-                BoundExpr::Col(c) => filter_col(rows, sel, c, |v| items.test(v) == Some(true)),
-                _ => self.filter_fallback(rows, params, sel),
+                BoundExpr::Col(c) => {
+                    filter_in(column(cols, c)?, items, sel);
+                    Ok(())
+                }
+                _ => self.filter_rows(cols, params, sel),
             },
-            _ => self.filter_fallback(rows, params, sel),
+            _ => self.filter_rows(cols, params, sel),
         }
     }
 
-    fn filter_fallback(&self, rows: &[Row], params: &Params, sel: &mut Vec<u32>) -> PopResult<()> {
-        retain(rows, sel, |row| self.passes(row, params))
-    }
-
-    /// Evaluate the expression over every selected row, appending one
-    /// value per selected row to `out`.
-    pub fn eval_batch(
-        &self,
-        rows: &[Row],
-        params: &Params,
-        sel: &[u32],
-        out: &mut Vec<Value>,
-    ) -> PopResult<()> {
-        out.reserve(sel.len());
-        for &i in sel {
-            out.push(self.eval(&rows[i as usize], params)?);
+    /// [`BoundExpr::passes`] on each selected row, over one scratch row
+    /// that holds the values of the columns the expression reads (NULL
+    /// elsewhere).
+    fn filter_rows(&self, cols: &[Column], params: &Params, sel: &mut Vec<u32>) -> PopResult<()> {
+        if sel.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let mut width = 0;
+        self.for_each_col(&mut |c| width = width.max(c + 1));
+        if width > 0 {
+            column(cols, width - 1)?;
+        }
+        let mut row = vec![Value::Null; width];
+        try_keep(sel, |i| {
+            self.for_each_col(&mut |c| row[c] = cols[c].value(i));
+            self.passes(&row, params)
+        })
     }
 }
 
@@ -158,7 +160,7 @@ impl BoundExpr {
 /// `sel` minus what stays open.
 fn filter_any(
     parts: &[BoundExpr],
-    rows: &[Row],
+    cols: &[Column],
     params: &Params,
     sel: &mut Vec<u32>,
 ) -> PopResult<()> {
@@ -170,7 +172,7 @@ fn filter_any(
         }
         hit.clear();
         hit.extend_from_slice(&open);
-        p.filter_batch(rows, params, &mut hit)?;
+        p.filter_batch(cols, params, &mut hit)?;
         remove_subsequence(&mut open, &hit);
     }
     remove_subsequence(sel, &open);
@@ -183,123 +185,157 @@ fn remove_subsequence(from: &mut Vec<u32>, sub: &[u32]) {
     from.retain(|i| next.next_if_eq(&i).is_none());
 }
 
-/// `column op literal`, the single most common predicate shape. The inner
-/// loop carries no `Result` and no operand re-dispatch: the literal's
-/// variant is matched once per chunk, and each same-variant row compares
-/// with a primitive `cmp`. NULLs drop the row and a variant mismatch falls
-/// back to the general `sql_cmp` — bit-for-bit the per-row semantics.
-fn filter_col_vs_lit(
-    rows: &[Row],
-    sel: &mut Vec<u32>,
-    col: usize,
-    op: CmpOp,
-    lit: &Value,
-) -> PopResult<()> {
-    macro_rules! typed {
-        ($variant:ident, $b:expr) => {
-            filter_col(rows, sel, col, |v| match v {
-                Value::$variant(a) => cmp_holds(op, a.cmp($b)),
-                other => match other.sql_cmp(lit) {
-                    Some(ord) => cmp_holds(op, ord),
-                    None => false,
-                },
-            })
-        };
-    }
-    match lit {
-        Value::Int(b) => typed!(Int, b),
-        Value::Date(b) => typed!(Date, b),
-        Value::Bool(b) => typed!(Bool, b),
-        Value::Float(b) => filter_col(rows, sel, col, |v| match v {
-            Value::Float(a) => cmp_holds(op, a.total_cmp(b)),
-            other => match other.sql_cmp(lit) {
-                Some(ord) => cmp_holds(op, ord),
-                None => false,
-            },
-        }),
-        Value::Str(b) => filter_col(rows, sel, col, |v| match v {
-            Value::Str(a) => cmp_holds(op, a.as_ref().cmp(b.as_ref())),
-            other => match other.sql_cmp(lit) {
-                Some(ord) => cmp_holds(op, ord),
-                None => false,
-            },
-        }),
-        // A NULL literal passes nothing.
-        Value::Null => {
-            sel.clear();
-            Ok(())
-        }
-    }
-}
-
-/// `column BETWEEN literal AND literal` with both bounds inclusive —
-/// same-variant rows take a two-comparison primitive path.
-fn filter_col_between_lits(
-    rows: &[Row],
-    sel: &mut Vec<u32>,
-    col: usize,
-    lo: &Value,
-    hi: &Value,
-) -> PopResult<()> {
-    let generic = |v: &Value| match (v.sql_cmp(lo), v.sql_cmp(hi)) {
+/// `x BETWEEN lo AND hi`, both bounds inclusive; NULL anywhere fails.
+fn between(x: Cell<'_>, lo: Cell<'_>, hi: Cell<'_>) -> bool {
+    match (x.sql_cmp(lo), x.sql_cmp(hi)) {
         (Some(a), Some(b)) => a != Ordering::Less && b != Ordering::Greater,
         _ => false,
-    };
-    match (lo, hi) {
-        (Value::Int(lo), Value::Int(hi)) => filter_col(rows, sel, col, |v| match v {
-            Value::Int(a) => lo <= a && a <= hi,
-            other => generic(other),
-        }),
-        (Value::Date(lo), Value::Date(hi)) => filter_col(rows, sel, col, |v| match v {
-            Value::Date(a) => lo <= a && a <= hi,
-            other => generic(other),
-        }),
-        (Value::Float(lo), Value::Float(hi)) => filter_col(rows, sel, col, |v| match v {
-            Value::Float(a) => {
-                a.total_cmp(lo) != Ordering::Less && a.total_cmp(hi) != Ordering::Greater
-            }
-            other => generic(other),
-        }),
-        _ => filter_col(rows, sel, col, generic),
     }
 }
 
-/// Selection-vector refinement against a single column with an infallible
-/// per-value test; the only error is a structurally short row.
-fn filter_col<F: FnMut(&Value) -> bool>(
-    rows: &[Row],
-    sel: &mut Vec<u32>,
-    col: usize,
-    mut test: F,
-) -> PopResult<()> {
-    let mut kept = 0;
-    for r in 0..sel.len() {
-        let i = sel[r];
-        let Some(v) = rows[i as usize].get(col) else {
-            return Err(PopError::Execution(format!(
-                "row too short for column {col}"
-            )));
-        };
-        if test(v) {
-            sel[kept] = i;
-            kept += 1;
+/// `column op literal`, the single most common predicate shape: a
+/// primitive compare per row of a vector of the literal's type, the
+/// general `sql_cmp` on any other column.
+fn filter_col_vs_lit(col: &Column, op: CmpOp, lit: &Value, sel: &mut Vec<u32>) {
+    match (col.data(), lit) {
+        // A NULL literal passes nothing.
+        (_, Value::Null) => sel.clear(),
+        (Data::Int(v), Value::Int(b)) => keep_ord(&[col], sel, op, |i| v[i].cmp(b)),
+        (Data::Date(v), Value::Date(b)) => keep_ord(&[col], sel, op, |i| v[i].cmp(b)),
+        (Data::Float(v), Value::Float(b)) => keep_ord(&[col], sel, op, |i| v[i].total_cmp(b)),
+        (Data::Bool(v), Value::Bool(b)) => keep_ord(&[col], sel, op, |i| v[i].cmp(b)),
+        (Data::Str(v), Value::Str(b)) => {
+            keep_ord(&[col], sel, op, |i| v[i].as_ref().cmp(b.as_ref()));
+        }
+        _ => {
+            let lit = Cell::of(lit);
+            keep(sel, |i| {
+                col.cell(i)
+                    .sql_cmp(lit)
+                    .is_some_and(|ord| cmp_holds(op, ord))
+            });
         }
     }
-    sel.truncate(kept);
-    Ok(())
 }
 
-/// Refine `sel` in place (stable compaction, no allocation): the hot loop
-/// of every conjunct, so it must not churn the allocator per chunk.
-fn retain<F: FnMut(&[Value]) -> PopResult<bool>>(
-    rows: &[Row],
-    sel: &mut Vec<u32>,
-    mut keep: F,
-) -> PopResult<()> {
+/// `column op column` (Q12's date compares): typed when both vectors have
+/// one type.
+fn filter_col_vs_col(x: &Column, op: CmpOp, y: &Column, sel: &mut Vec<u32>) {
+    match (x.data(), y.data()) {
+        (Data::Int(a), Data::Int(b)) => keep_ord(&[x, y], sel, op, |i| a[i].cmp(&b[i])),
+        (Data::Date(a), Data::Date(b)) => keep_ord(&[x, y], sel, op, |i| a[i].cmp(&b[i])),
+        (Data::Float(a), Data::Float(b)) => keep_ord(&[x, y], sel, op, |i| a[i].total_cmp(&b[i])),
+        (Data::Str(a), Data::Str(b)) => {
+            keep_ord(&[x, y], sel, op, |i| a[i].as_ref().cmp(b[i].as_ref()));
+        }
+        _ => keep(sel, |i| {
+            x.cell(i)
+                .sql_cmp(y.cell(i))
+                .is_some_and(|ord| cmp_holds(op, ord))
+        }),
+    }
+}
+
+/// `column BETWEEN literal AND literal`: two primitive compares per row
+/// when the bounds have the column's type.
+fn filter_col_between(col: &Column, lo: &Value, hi: &Value, sel: &mut Vec<u32>) {
+    let cols = [col];
+    match (col.data(), lo, hi) {
+        (Data::Int(v), Value::Int(lo), Value::Int(hi)) => {
+            keep_non_null(&cols, sel, |i| (*lo..=*hi).contains(&v[i]));
+        }
+        (Data::Date(v), Value::Date(lo), Value::Date(hi)) => {
+            keep_non_null(&cols, sel, |i| (*lo..=*hi).contains(&v[i]));
+        }
+        (Data::Float(v), Value::Float(lo), Value::Float(hi)) => keep_non_null(&cols, sel, |i| {
+            v[i].total_cmp(lo) != Ordering::Less && v[i].total_cmp(hi) != Ordering::Greater
+        }),
+        _ => {
+            let (lo, hi) = (Cell::of(lo), Cell::of(hi));
+            keep(sel, |i| between(col.cell(i), lo, hi));
+        }
+    }
+}
+
+/// `column LIKE pattern`. A non-string, non-NULL value is the same type
+/// error `passes` raises (naming the first one in selection order).
+fn filter_like(col: &Column, pattern: &LikePattern, sel: &mut Vec<u32>) -> PopResult<()> {
+    if let Data::Str(v) = col.data() {
+        keep_non_null(&[col], sel, |i| pattern.matches(&v[i]));
+        return Ok(());
+    }
+    let mut mismatch = None;
+    keep(sel, |i| match col.cell(i) {
+        Cell::Str(s) => pattern.matches(s),
+        Cell::Null => false,
+        _ => {
+            mismatch.get_or_insert(i);
+            false
+        }
+    });
+    mismatch.map_or(Ok(()), |i| Err(like_type_error(&col.value(i))))
+}
+
+/// `column IN (items)`: a binary search of the typed vector in a typed
+/// list, the list's three-valued test per value otherwise.
+fn filter_in(col: &Column, items: &InItems, sel: &mut Vec<u32>) {
+    match (col.data(), &items.0) {
+        (Data::Int(v), Items::Ints(ints)) => {
+            keep_non_null(&[col], sel, |i| ints.binary_search(&v[i]).is_ok());
+        }
+        (Data::Str(v), Items::Strs(strs)) => keep_non_null(&[col], sel, |i| {
+            strs.binary_search_by(|s| s.as_ref().cmp(v[i].as_ref()))
+                .is_ok()
+        }),
+        _ => keep(sel, |i| items.test(col.cell(i)) == Some(true)),
+    }
+}
+
+/// Keep the rows where `ord(i)` satisfies `op` and no column of `cols` is
+/// NULL, with the operator matched once per call.
+#[inline]
+fn keep_ord(cols: &[&Column], sel: &mut Vec<u32>, op: CmpOp, ord: impl Fn(usize) -> Ordering) {
+    match op {
+        CmpOp::Eq => keep_non_null(cols, sel, |i| ord(i) == Ordering::Equal),
+        CmpOp::Ne => keep_non_null(cols, sel, |i| ord(i) != Ordering::Equal),
+        CmpOp::Lt => keep_non_null(cols, sel, |i| ord(i) == Ordering::Less),
+        CmpOp::Le => keep_non_null(cols, sel, |i| ord(i) != Ordering::Greater),
+        CmpOp::Gt => keep_non_null(cols, sel, |i| ord(i) == Ordering::Greater),
+        CmpOp::Ge => keep_non_null(cols, sel, |i| ord(i) != Ordering::Less),
+    }
+}
+
+/// Keep the rows where no column of `cols` (typed vectors) is NULL and
+/// `test` holds; the NULL bits are read only where a bitmap exists.
+#[inline]
+fn keep_non_null(cols: &[&Column], sel: &mut Vec<u32>, test: impl Fn(usize) -> bool) {
+    if cols.iter().any(|c| c.has_null_bitmap()) {
+        keep(sel, |i| !cols.iter().any(|c| c.is_null(i)) && test(i));
+    } else {
+        keep(sel, test);
+    }
+}
+
+/// Refine `sel` in place (stable, branch-free compaction, no allocation):
+/// the hot loop of every kernel.
+#[inline]
+fn keep(sel: &mut Vec<u32>, mut test: impl FnMut(usize) -> bool) {
     let mut kept = 0;
     for r in 0..sel.len() {
         let i = sel[r];
-        if keep(&rows[i as usize])? {
+        sel[kept] = i;
+        kept += usize::from(test(i as usize));
+    }
+    sel.truncate(kept);
+}
+
+/// [`keep`] with a fallible test: the first error aborts, leaving `sel`
+/// partially refined (callers propagate the error).
+fn try_keep(sel: &mut Vec<u32>, mut test: impl FnMut(usize) -> PopResult<bool>) -> PopResult<()> {
+    let mut kept = 0;
+    for r in 0..sel.len() {
+        let i = sel[r];
+        if test(i as usize)? {
             sel[kept] = i;
             kept += 1;
         }
@@ -312,7 +348,7 @@ fn retain<F: FnMut(&[Value]) -> PopResult<bool>>(
 mod tests {
     use super::*;
     use crate::Expr;
-    use pop_types::ColId;
+    use pop_types::{ColId, Row};
 
     fn layout() -> Vec<ColId> {
         vec![ColId::new(0, 0), ColId::new(0, 1)]
@@ -328,12 +364,22 @@ mod tests {
         ]
     }
 
+    fn columns(rows: &[Row]) -> Vec<Column> {
+        let mut cols = vec![Column::default(); layout().len()];
+        for row in rows {
+            for (c, v) in cols.iter_mut().zip(row) {
+                c.push(v, rows.len());
+            }
+        }
+        cols
+    }
+
     /// filter_batch must agree with per-row passes() on every expression.
     fn check_equiv(e: &Expr, params: &Params) {
         let b = BoundExpr::bind(e, &layout()).unwrap();
         let rows = rows();
         let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
-        b.filter_batch(&rows, params, &mut sel).unwrap();
+        b.filter_batch(&columns(&rows), params, &mut sel).unwrap();
         let expect: Vec<u32> = (0..rows.len() as u32)
             .filter(|&i| b.passes(&rows[i as usize], params).unwrap())
             .collect();
@@ -347,7 +393,11 @@ mod tests {
             Expr::col(0, 0).lt(Expr::lit(3i64)),
             Expr::lit(3i64).le(Expr::col(0, 0)),
             Expr::col(0, 0).ge(Expr::Param(0)),
+            Expr::col(0, 0).lt(Expr::col(0, 0)),
+            Expr::col(0, 0).ge(Expr::col(0, 1)),
+            Expr::col(0, 0).lt(Expr::lit(2.5)),
             Expr::col(0, 0).between(Expr::lit(1i64), Expr::lit(3i64)),
+            Expr::col(0, 0).between(Expr::lit(0.5), Expr::col(0, 0)),
             Expr::col(0, 1).in_list(vec![Value::str("honda"), Value::Null]),
             Expr::col(0, 1).like("hon%"),
             Expr::col(0, 0)
@@ -398,9 +448,9 @@ mod tests {
             .eq(Expr::lit(4i64))
             .or(Expr::col(0, 1).like("hon%"));
         let b = BoundExpr::bind(&e, &layout()).unwrap();
-        let rows = rows();
         let mut sel = vec![4, 3, 1, 0];
-        b.filter_batch(&rows, &Params::none(), &mut sel).unwrap();
+        b.filter_batch(&columns(&rows()), &Params::none(), &mut sel)
+            .unwrap();
         assert_eq!(sel, vec![4, 3, 0]);
     }
 
@@ -412,7 +462,8 @@ mod tests {
         let b = BoundExpr::bind(&e, &layout()).unwrap();
         let rows = rows();
         let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
-        b.filter_batch(&rows, &Params::none(), &mut sel).unwrap();
+        b.filter_batch(&columns(&rows), &Params::none(), &mut sel)
+            .unwrap();
         assert!(sel.is_empty());
     }
 
@@ -422,17 +473,8 @@ mod tests {
         let b = BoundExpr::bind(&e, &layout()).unwrap();
         let rows = rows();
         let mut sel: Vec<u32> = (0..rows.len() as u32).collect();
-        assert!(b.filter_batch(&rows, &Params::none(), &mut sel).is_err());
-    }
-
-    #[test]
-    fn eval_batch_projects_selected_rows() {
-        let e = Expr::col(0, 0);
-        let b = BoundExpr::bind(&e, &layout()).unwrap();
-        let rows = rows();
-        let mut out = Vec::new();
-        b.eval_batch(&rows, &Params::none(), &[0, 3], &mut out)
-            .unwrap();
-        assert_eq!(out, vec![Value::Int(0), Value::Int(3)]);
+        assert!(b
+            .filter_batch(&columns(&rows), &Params::none(), &mut sel)
+            .is_err());
     }
 }

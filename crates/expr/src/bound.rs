@@ -1,9 +1,10 @@
-//! Bound expressions: column references resolved to flat row offsets, and
-//! LIKE patterns and IN-lists compiled into the typed forms both
-//! evaluation paths ([`BoundExpr::passes`], [`BoundExpr::filter_batch`])
-//! test against.
+//! Bound expressions: column references resolved to flat row offsets (or
+//! column indices), and LIKE patterns and IN-lists compiled into the typed
+//! forms both evaluation paths ([`BoundExpr::passes`],
+//! [`BoundExpr::filter_batch`]) test against.
 
 use crate::{ArithOp, CmpOp, Expr, LikePattern};
+use pop_types::column::Cell;
 use pop_types::{ColId, PopError, PopResult, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -11,10 +12,10 @@ use std::sync::Arc;
 /// An IN-list classified at bind time. The typed forms are sorted, which
 /// their binary searches rely on, so the representation is private.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InItems(Items);
+pub struct InItems(pub(crate) Items);
 
 #[derive(Debug, Clone, PartialEq)]
-enum Items {
+pub(crate) enum Items {
     /// Every item an `Int`: sorted and deduplicated, one binary search per
     /// row.
     Ints(Box<[i64]>),
@@ -47,28 +48,27 @@ impl InItems {
 
     /// `x IN (items)` under three-valued logic: `None` (unknown) when `x`
     /// is NULL, or when no item equals `x` and some item is NULL.
-    pub(crate) fn test(&self, x: &Value) -> Option<bool> {
+    pub(crate) fn test(&self, x: Cell<'_>) -> Option<bool> {
         if x.is_null() {
             return None;
         }
         match &self.0 {
             Items::Ints(ints) => Some(match x {
-                Value::Int(a) => ints.binary_search(a).is_ok(),
-                Value::Date(d) => ints.binary_search(&i64::from(*d)).is_ok(),
+                Cell::Int(a) => ints.binary_search(&a).is_ok(),
+                Cell::Date(d) => ints.binary_search(&i64::from(d)).is_ok(),
                 // Floats compare numerically; other types never equal an int.
                 other => ints
                     .iter()
-                    .any(|&i| other.sql_cmp(&Value::Int(i)) == Some(Ordering::Equal)),
+                    .any(|&i| other.sql_cmp(Cell::Int(i)) == Some(Ordering::Equal)),
             }),
             // No other type ever equals a string.
-            Items::Strs(strs) => Some(
-                x.as_str()
-                    .is_some_and(|s| strs.binary_search_by(|p| (**p).cmp(s)).is_ok()),
-            ),
+            Items::Strs(strs) => {
+                Some(matches!(x, Cell::Str(s) if strs.binary_search_by(|p| (**p).cmp(s)).is_ok()))
+            }
             Items::Values(items) => {
                 let mut saw_null = false;
                 for item in items {
-                    match x.sql_cmp(item) {
+                    match x.sql_cmp(Cell::of(item)) {
                         Some(Ordering::Equal) => return Some(true),
                         None => saw_null = true,
                         _ => {}
@@ -221,12 +221,12 @@ mod tests {
             Items::Values(with_null.to_vec().into())
         );
         // Typed lists answer cross-type probes as `sql_cmp` does.
-        assert_eq!(ints.test(&Value::Float(5.0)), Some(true));
-        assert_eq!(ints.test(&Value::Date(1)), Some(true));
-        assert_eq!(ints.test(&Value::str("5")), Some(false));
-        assert_eq!(strs.test(&Value::Int(1)), Some(false));
-        assert_eq!(strs.test(&Value::Null), None);
-        assert_eq!(InItems::new(&with_null).test(&Value::Int(2)), None);
+        assert_eq!(ints.test(Cell::Float(5.0)), Some(true));
+        assert_eq!(ints.test(Cell::Date(1)), Some(true));
+        assert_eq!(ints.test(Cell::Str("5")), Some(false));
+        assert_eq!(strs.test(Cell::Int(1)), Some(false));
+        assert_eq!(strs.test(Cell::Null), None);
+        assert_eq!(InItems::new(&with_null).test(Cell::Int(2)), None);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! when a value is asked for.
 
 use crate::{ArithOp, BoundExpr, CmpOp, Params};
+use pop_types::column::Cell;
 use pop_types::{PopError, PopResult, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -97,7 +98,7 @@ impl BoundExpr {
                 Value::Str(s) => Some(pattern.matches(s)),
                 other => return Err(like_type_error(other)),
             },
-            BoundExpr::InList(e, items) => items.test(&*e.operand(row, params)?),
+            BoundExpr::InList(e, items) => items.test(Cell::of(&*e.operand(row, params)?)),
             BoundExpr::Between(e, lo, hi) => {
                 let v = e.operand(row, params)?;
                 let lov = lo.operand(row, params)?;
@@ -185,6 +186,7 @@ fn arith(op: ArithOp, a: &Value, b: &Value) -> PopResult<Value> {
 mod tests {
     use super::*;
     use crate::Expr;
+    use pop_types::column::Column;
     use pop_types::ColId;
 
     fn bind1(e: &Expr) -> BoundExpr {
@@ -277,7 +279,15 @@ mod tests {
             assert_eq!(b.eval(&row, &Params::none()), Err(expected.clone()));
             assert_eq!(b.passes(&row, &Params::none()), Err(expected.clone()));
             let mut sel = vec![0];
-            let batch = b.filter_batch(std::slice::from_ref(&row), &Params::none(), &mut sel);
+            let cols: Vec<Column> = row
+                .iter()
+                .map(|v| {
+                    let mut c = Column::default();
+                    c.push(v, 1);
+                    c
+                })
+                .collect();
+            let batch = b.filter_batch(&cols, &Params::none(), &mut sel);
             assert_eq!(batch, Err(expected.clone()), "{pattern:?}");
         }
     }

@@ -11,6 +11,7 @@ mod common;
 
 use common::like_ref;
 use pop_expr::{BoundExpr, CmpOp, Expr, Params};
+use pop_types::column::Column;
 use pop_types::{ColId, Value};
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
@@ -22,6 +23,18 @@ const WIDTH: usize = 3;
 
 fn layout() -> Vec<ColId> {
     (0..WIDTH).map(|c| ColId::new(0, c)).collect()
+}
+
+/// The rows as the typed columns `filter_batch` reads (each typed by its
+/// values, a `Value` vector where they mix).
+fn columns(rows: &[Vec<Value>]) -> Vec<Column> {
+    let mut cols = vec![Column::default(); WIDTH];
+    for row in rows {
+        for (c, v) in cols.iter_mut().zip(row) {
+            c.push(v, rows.len());
+        }
+    }
+    cols
 }
 
 fn truth(v: &Value) -> Option<bool> {
@@ -127,7 +140,9 @@ fn assert_agree(e: &Expr, rows: &[Vec<Value>], sel: &[u32]) -> Result<(), TestCa
         .filter(|&i| bound.passes(&rows[i as usize], &params).unwrap())
         .collect();
     let mut batch = sel.to_vec();
-    bound.filter_batch(rows, &params, &mut batch).unwrap();
+    bound
+        .filter_batch(&columns(rows), &params, &mut batch)
+        .unwrap();
     prop_assert_eq!(&per_row, &reference, "passes vs reference for {}", e);
     prop_assert_eq!(&batch, &reference, "filter_batch vs reference for {}", e);
     for (i, row) in rows.iter().enumerate() {

@@ -20,7 +20,9 @@ impl EquiDepthHistogram {
         if values.is_empty() || buckets == 0 {
             return None;
         }
-        values.sort_by(f64::total_cmp);
+        // Values `total_cmp` calls equal have one bit pattern, so the
+        // unstable sort's order is the stable sort's.
+        values.sort_unstable_by(f64::total_cmp);
         let n = values.len();
         let b = buckets.min(n);
         let mut bounds = Vec::with_capacity(b + 1);

@@ -22,4 +22,4 @@ pub use histogram::EquiDepthHistogram;
 pub use registry::StatsRegistry;
 pub use sampling::{sample_stride, scale_observation};
 pub use selectivity::{estimate_selectivity, join_selectivity, SelectivityDefaults};
-pub use table_stats::{analyze_table, ColumnStats, TableStats};
+pub use table_stats::{analyze_table, ColumnStats, TableStats, HISTOGRAM_BUCKETS};

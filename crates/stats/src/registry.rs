@@ -31,7 +31,7 @@ impl StatsRegistry {
     /// Analyze one table and cache its stats.
     pub fn analyze(&self, catalog: &Catalog, table: &str) -> PopResult<Arc<TableStats>> {
         let t = catalog.table(table)?;
-        let stats = Arc::new(analyze_table(&t));
+        let stats = Arc::new(analyze_table(&t)?);
         self.inner.write().insert(table.to_string(), stats.clone());
         Ok(stats)
     }

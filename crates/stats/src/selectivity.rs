@@ -230,7 +230,7 @@ mod tests {
                 ]
             })
             .collect();
-        crate::analyze_table(&Table::new(0, "t", schema, rows))
+        crate::analyze_table(&Table::new(0, "t", schema, rows)).unwrap()
     }
 
     fn d() -> SelectivityDefaults {
@@ -367,7 +367,7 @@ mod tests {
         let rows = (0..10)
             .map(|i| vec![if i < 3 { Value::Null } else { Value::Int(i) }])
             .collect();
-        let st = crate::analyze_table(&Table::new(0, "t", schema, rows));
+        let st = crate::analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let s = estimate_selectivity(&Expr::IsNull(Box::new(Expr::col(0, 0))), &st, &d(), None);
         assert!((s - 0.3).abs() < 1e-9);
     }

@@ -57,7 +57,7 @@ proptest! {
     ) {
         let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
         let rows = data.iter().map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)]).collect();
-        let stats = analyze_table(&Table::new(0, "t", schema, rows));
+        let stats = analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let d = SelectivityDefaults::default();
         let exprs = vec![
             Expr::col(0, 0).eq(Expr::lit(k)),
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let rows: Vec<Vec<Value>> = (0..n).map(|i| vec![Value::Int((i % 100) as i64)]).collect();
-        let stats = analyze_table(&Table::new(0, "t", schema, rows));
+        let stats = analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let d = SelectivityDefaults::default();
         let est = estimate_selectivity(&Expr::col(0, 0).le(Expr::lit(k)), &stats, &d, None);
         let actual = (0..n).filter(|i| ((i % 100) as i64) <= k).count() as f64 / n as f64;
@@ -95,7 +95,7 @@ proptest! {
     fn complement_rule(data in prop::collection::vec(-20i64..20, 1..100), k in -25i64..25) {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]);
         let rows = data.iter().map(|v| vec![Value::Int(*v)]).collect();
-        let stats = analyze_table(&Table::new(0, "t", schema, rows));
+        let stats = analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let d = SelectivityDefaults::default();
         let p = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)), &stats, &d, None);
         let np = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)).not(), &stats, &d, None);

@@ -4,8 +4,8 @@
 //!
 //! The trait contract that keeps execution byte-identical across
 //! backends: `append` assigns consecutive positions in arrival order,
-//! `read_range`/`row_at` observe exactly the appended rows (on the columns
-//! the reader names — its [`ColumnSet`]), and
+//! `columns` / `read_range` / `read_row` observe exactly the appended rows
+//! (on the columns the reader names — its [`ColumnSet`]), and
 //! `page_count`/`page_of_row` are computed with the shared
 //! [`PageLayout`] packing rule — so page-aware cost estimates and the
 //! runtime's logical page-touch charges depend only on table contents,
@@ -16,6 +16,7 @@ use crate::buffer::{BufferPool, IoCounters, IoStats};
 use crate::page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
 use parking_lot::Mutex;
 use pop_guard::{env_parsed, FaultInjector, Governor};
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +28,7 @@ pub const DEFAULT_BUFFER_POOL_BYTES: u64 = 4 << 20;
 /// Which backend a catalog creates tables on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// In-memory rows (`Arc<Vec<Row>>` snapshots) with a virtual page map.
+    /// In-memory typed columns (`Arc` snapshots) with a virtual page map.
     #[default]
     Mem,
     /// Slotted pages on disk behind the buffer pool, with WAL + B+tree.
@@ -294,19 +295,36 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Append `rows` at the end; returns the position of the first.
     fn append(&self, rows: Vec<Row>) -> PopResult<u64>;
 
-    /// All rows, every column, as one shared vector. Cheap for the mem
-    /// backend; the paged backend materializes (stats analysis).
-    fn snapshot(&self) -> PopResult<Arc<Vec<Row>>>;
+    /// The stored columns, zero-copy, when the backend keeps its rows as
+    /// columns in memory (row `i` at index `i` of each); `None` for a
+    /// backend whose readers decode ([`StorageBackend::read_range`] /
+    /// [`StorageBackend::read_row`]). The snapshot never changes: later
+    /// appends do not show in it.
+    fn columns(&self) -> Option<Arc<Vec<Column>>>;
 
-    /// Read the rows with positions in `[lo, hi)` (clamped) into `out`,
-    /// which is resized to the rows read; the rows already in it are
-    /// reused as decode scratch. Rows keep the table's full width, but
-    /// only the columns in `cols` are specified (see [`ColumnSet`]).
-    fn read_range(&self, lo: u64, hi: u64, cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()>;
+    /// Read the columns `cols` of the rows with positions in `[lo, hi)`
+    /// (clamped) into `out`: each column in the set is refilled with those
+    /// rows, reusing its vector; `out` grows to the table's width, and
+    /// columns outside the set are left as they are (see [`ColumnSet`]).
+    fn read_range(
+        &self,
+        lo: u64,
+        hi: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()>;
 
-    /// Read the single row at `pos` into `row`, in place; only the columns
-    /// in `cols` are specified.
-    fn row_at(&self, pos: u64, cols: &ColumnSet, row: &mut Row) -> PopResult<()>;
+    /// Write the columns `cols` of the row at `pos` as row `row` of a
+    /// refill of `out` (see [`Column::begin_refill`]: rows `0..row` are
+    /// kept, later ones are stale), growing `out` to the table's width;
+    /// columns outside the set are left as they are.
+    fn read_row(
+        &self,
+        pos: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+        row: usize,
+    ) -> PopResult<()>;
 
     /// Logical data-page index (0-based) holding row `pos`.
     fn page_of_row(&self, pos: u64) -> u64;
@@ -318,7 +336,8 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// truncate the WAL). No-op for the mem backend.
     fn checkpoint(&self) -> PopResult<()>;
 
-    /// Downcast support ([`MemBackend`](crate::MemBackend) fast paths).
+    /// Downcast support (the catalog builds a paged table's primary index
+    /// through [`PagedBackend`](crate::PagedBackend)).
     fn as_any(&self) -> &dyn std::any::Any;
 }
 

@@ -1,43 +1,40 @@
 //! Backend-neutral access paths: sequential cursors and positional
-//! fetchers.
+//! fetchers, both yielding typed columns.
 //!
 //! Both backends serve the same two shapes the executor needs — "next
-//! chunk of at most N rows" for scans and "the row at position P" for
-//! index fetches and join probes — with identical chunk boundaries and
-//! identical *logical* page-touch counts (the mem backend counts virtual
-//! pages with the same packing rule the paged backend uses for real
-//! ones). Only the physical behaviour differs: the mem paths are
-//! zero-copy slices, the paged paths read through the buffer pool and
-//! decode, in place into rows they reuse, only the columns the reader
-//! names with `.project(cols)`.
+//! chunk of at most N rows" for scans and "the rows at positions P…" for
+//! index fetches and join probes — as one view: table-width
+//! [`Column`]s plus the indices of the rows asked for. Chunk boundaries
+//! and *logical* page-touch counts are identical across backends (the mem
+//! backend counts virtual pages with the same packing rule the paged
+//! backend uses for real ones). Only where the columns come from differs:
+//! the mem paths hand out the stored columns themselves (a chunk's rows
+//! sit at their table positions), the paged paths read through the buffer
+//! pool and decode, into scratch columns they reuse, only the columns the
+//! reader names with `.project(cols)` (a chunk's rows at `0..n`).
 //!
-//! The read-set contract: rows always have the table's full width, so
+//! The read-set contract: the columns always have the table's width, so
 //! predicates and projections stay bound against the table schema, but
-//! *columns outside the projection are unspecified (NULL on paged, the
-//! stored value on mem) and must not be read*.
+//! *columns outside the projection are unspecified (empty on paged, the
+//! stored values on mem) and must not be read*.
 
 use crate::backend::StorageBackend;
-use crate::mem::MemBackend;
 use crate::page::ColumnSet;
-use pop_types::{PopResult, Row};
-use std::cell::RefCell;
+use pop_types::column::Column;
+use pop_types::PopResult;
+use std::ops::Range;
 use std::sync::Arc;
-
-#[derive(Debug)]
-enum CursorSrc {
-    /// Zero-copy: chunks are sub-slices of the snapshot.
-    Mem(Arc<Vec<Row>>),
-    /// Chunks are decoded from data pages via the buffer pool.
-    Paged(Arc<dyn StorageBackend>),
-}
 
 /// One chunk of a sequential scan.
 #[derive(Debug)]
 pub struct CursorChunk<'a> {
     /// Position of the first row of the chunk.
     pub start: u64,
-    /// The rows (never empty).
-    pub rows: &'a [Row],
+    /// Table-width columns holding the chunk.
+    pub cols: &'a [Column],
+    /// Indices of the chunk's rows in `cols` (never empty): row
+    /// `rows.start + k` is table position `start + k`.
+    pub rows: Range<usize>,
     /// Pages this chunk touched that the cursor had not already counted
     /// — identical across backends for identical contents; multiply by
     /// the cost model's page-I/O weight to charge it.
@@ -50,42 +47,40 @@ pub struct CursorChunk<'a> {
 /// byte-identical whether the table is in memory or on pages.
 #[derive(Debug)]
 pub struct TableCursor {
-    src: CursorSrc,
     backend: Arc<dyn StorageBackend>,
+    /// The stored columns, when the backend keeps them in memory.
+    stored: Option<Arc<Vec<Column>>>,
     pos: u64,
     end: u64,
     /// Last page already counted into `new_pages` (watermark).
     counted: Option<u64>,
-    /// Columns the paged path decodes (all of them until `project`).
+    /// Columns decoded from pages (all of them until `project`).
     cols: ColumnSet,
-    /// Decode scratch for the paged path: the rows are overwritten in
-    /// place chunk after chunk.
-    buf: Vec<Row>,
+    /// Decode scratch of the paged path, refilled chunk after chunk.
+    scratch: Vec<Column>,
 }
 
 impl TableCursor {
     /// Cursor over rows `[lo, hi)` (clamped to the backend's row count)
     /// of `backend`.
     pub fn over(backend: Arc<dyn StorageBackend>, lo: u64, hi: u64) -> PopResult<Self> {
+        // Count first: a snapshot taken after holds at least these rows.
         let n = backend.row_count();
+        let stored = backend.columns();
         let (lo, hi) = (lo.min(n), hi.min(n));
-        let src = match backend.as_any().downcast_ref::<MemBackend>() {
-            Some(mem) => CursorSrc::Mem(mem.rows()),
-            None => CursorSrc::Paged(Arc::clone(&backend)),
-        };
         Ok(TableCursor {
-            src,
             backend,
+            stored,
             pos: lo,
             end: hi,
             counted: None,
             cols: ColumnSet::all(),
-            buf: Vec::new(),
+            scratch: Vec::new(),
         })
     }
 
-    /// Read only the table columns `cols`: every other column of a chunk's
-    /// rows is unspecified and must not be read.
+    /// Read only the table columns `cols`: every other column of a chunk
+    /// is unspecified and must not be read.
     pub fn project(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
         self.cols = ColumnSet::of(cols);
         self
@@ -128,64 +123,90 @@ impl TableCursor {
         };
         self.counted = Some(last_page);
 
-        let rows: &[Row] = match &self.src {
-            CursorSrc::Mem(snap) => &snap[start as usize..(start + take) as usize],
-            CursorSrc::Paged(b) => {
-                b.read_range(start, start + take, &self.cols, &mut self.buf)?;
-                &self.buf
-            }
+        let (cols, first): (&[Column], usize) = if let Some(stored) = &self.stored {
+            (stored, start as usize)
+        } else {
+            self.backend
+                .read_range(start, start + take, &self.cols, &mut self.scratch)?;
+            (&self.scratch, 0)
         };
         Ok(Some(CursorChunk {
             start,
-            rows,
+            cols,
+            rows: first..first + take as usize,
             new_pages,
         }))
     }
 }
 
+/// The rows a [`RowFetcher::fetch`] found, in the order asked for.
 #[derive(Debug)]
-enum FetchSrc {
-    Mem(Arc<Vec<Row>>),
-    Paged(Arc<dyn StorageBackend>),
+pub struct FetchedRows<'a> {
+    /// Table-width columns holding the rows.
+    pub cols: &'a [Column],
+    /// Index in `cols` of each row fetched.
+    pub rows: &'a [u32],
+    /// Table position of each row fetched (`rows[k]` holds position
+    /// `positions[k]`).
+    pub positions: &'a [u64],
+}
+
+impl FetchedRows<'_> {
+    /// Table positions of the rows `kept`, a subsequence of
+    /// [`FetchedRows::rows`] (what a filter left of them), in order.
+    pub fn positions_of<'s>(&'s self, kept: &'s [u32]) -> impl ExactSizeIterator<Item = u64> + 's {
+        let mut k = 0;
+        kept.iter().map(move |row| {
+            while self.rows[k] != *row {
+                k += 1;
+            }
+            k += 1;
+            self.positions[k - 1]
+        })
+    }
 }
 
 /// Positional row access for index fetches and join probes.
 ///
-/// The mem path hands out `&Row` straight from the snapshot; the paged
-/// path decodes the projected columns of the row from its page (through
-/// the buffer pool) into one scratch row it reuses for every fetch. Both
-/// skip positions past the end of the backend — an index can briefly
-/// trail the snapshot it is paired with.
+/// The mem path answers with the stored columns and the positions as row
+/// indices; the paged path decodes the projected columns of each row from
+/// its page (through the buffer pool), in the order asked for, into
+/// scratch columns it reuses for every fetch. Both skip positions past the
+/// end of the backend — an index can briefly trail the snapshot it is
+/// paired with.
 #[derive(Debug)]
 pub struct RowFetcher {
-    src: FetchSrc,
-    len: u64,
     backend: Arc<dyn StorageBackend>,
-    /// Columns the paged path decodes (all of them until `project`).
+    /// The stored columns, when the backend keeps them in memory.
+    stored: Option<Arc<Vec<Column>>>,
+    len: u64,
+    /// Columns decoded from pages (all of them until `project`).
     cols: ColumnSet,
-    /// The paged path's decode scratch, lent to the visitor.
-    scratch: RefCell<Row>,
+    /// Decode scratch of the paged path.
+    scratch: Vec<Column>,
+    /// The last fetch's row indices and positions.
+    rows: Vec<u32>,
+    positions: Vec<u64>,
 }
 
 impl RowFetcher {
     /// A fetcher over the backend's current rows.
     pub fn over(backend: Arc<dyn StorageBackend>) -> Self {
+        // Count first: a snapshot taken after holds at least these rows.
         let len = backend.row_count();
-        let src = match backend.as_any().downcast_ref::<MemBackend>() {
-            Some(mem) => FetchSrc::Mem(mem.rows()),
-            None => FetchSrc::Paged(Arc::clone(&backend)),
-        };
         RowFetcher {
-            src,
+            stored: backend.columns(),
             len,
             backend,
             cols: ColumnSet::all(),
-            scratch: RefCell::default(),
+            scratch: Vec::new(),
+            rows: Vec::new(),
+            positions: Vec::new(),
         }
     }
 
-    /// Read only the table columns `cols`: every other column of a visited
-    /// row is unspecified and must not be read.
+    /// Read only the table columns `cols`: every other column of a fetch
+    /// is unspecified and must not be read.
     pub fn project(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
         self.cols = ColumnSet::of(cols);
         self
@@ -206,40 +227,36 @@ impl RowFetcher {
         self.backend.page_of_row(pos)
     }
 
-    /// Visit the rows at `positions` in order, skipping positions past
-    /// the end. The visitor returns `false` to stop early (semi-join
-    /// probes stop at the first match).
-    pub fn for_each(
-        &self,
-        positions: &[u64],
-        mut visit: impl FnMut(u64, &Row) -> PopResult<bool>,
-    ) -> PopResult<()> {
-        match &self.src {
-            FetchSrc::Mem(snap) => {
-                for &p in positions {
-                    if let Some(row) = snap.get(p as usize) {
-                        if !visit(p, row)? {
-                            return Ok(());
-                        }
-                    }
-                }
+    /// The rows at `positions`, in that order, skipping positions past the
+    /// end. A paged table decodes exactly these rows, so a caller that
+    /// stops early (a semi-join probe at its first match) fetches one
+    /// position at a time.
+    pub fn fetch(&mut self, positions: &[u64]) -> PopResult<FetchedRows<'_>> {
+        let len = self.len;
+        self.positions.clear();
+        self.positions
+            .extend(positions.iter().copied().filter(|p| *p < len));
+        self.rows.clear();
+        let cols: &[Column] = if let Some(stored) = &self.stored {
+            // Stored positions fit a `u32` (the mem backend's limit).
+            self.rows.extend(self.positions.iter().map(|p| *p as u32));
+            stored
+        } else {
+            self.cols.begin_refill_in(&mut self.scratch);
+            for (k, p) in self.positions.iter().enumerate() {
+                self.backend
+                    .read_row(*p, &self.cols, &mut self.scratch, k)?;
+                self.rows.push(k as u32);
             }
-            FetchSrc::Paged(b) => {
-                // A visitor that fetched through this fetcher again would
-                // find the scratch row taken: that is a bug, and panics.
-                let mut row = self.scratch.borrow_mut();
-                for &p in positions {
-                    if p >= self.len {
-                        continue;
-                    }
-                    b.row_at(p, &self.cols, &mut row)?;
-                    if !visit(p, &row)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        Ok(())
+            self.cols
+                .end_refill_in(&mut self.scratch, self.positions.len());
+            &self.scratch
+        };
+        Ok(FetchedRows {
+            cols,
+            rows: &self.rows,
+            positions: &self.positions,
+        })
     }
 }
 
@@ -247,8 +264,9 @@ impl RowFetcher {
 mod tests {
     use super::*;
     use crate::backend::{StorageConfig, StorageEnv};
+    use crate::mem::MemBackend;
     use crate::paged::PagedBackend;
-    use pop_types::Value;
+    use pop_types::{Row, Value};
 
     fn rows(n: i64) -> Vec<Row> {
         (0..n)
@@ -267,10 +285,14 @@ mod tests {
         (Arc::new(mem), Arc::new(paged))
     }
 
-    /// `rows` restricted to `cols`: what a projected reader may compare.
-    fn on_cols(rows: &[Row], cols: &[usize]) -> Vec<Vec<Value>> {
-        rows.iter()
-            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+    /// The values of columns `cols` at row indices `at`: what a projected
+    /// reader may compare.
+    fn on_cols(
+        table: &[Column],
+        at: impl Iterator<Item = usize>,
+        cols: &[usize],
+    ) -> Vec<Vec<Value>> {
+        at.map(|i| cols.iter().map(|&c| table[c].value(i)).collect())
             .collect()
     }
 
@@ -294,9 +316,23 @@ mod tests {
                             let at = format!("cols={cols:?} max={max} start={}", ca.start);
                             assert_eq!(ca.start, cb.start, "{at}");
                             assert_eq!(ca.rows.len(), cb.rows.len(), "{at}");
-                            // Full-width rows on both; equal where projected.
-                            assert!(cb.rows.iter().all(|r| r.len() == 2), "{at}");
-                            assert_eq!(on_cols(ca.rows, &cols), on_cols(cb.rows, &cols), "{at}");
+                            // Stored columns hold the chunk at its table
+                            // positions, scratch columns at 0..n.
+                            assert_eq!(ca.rows.start as u64, ca.start, "{at}");
+                            assert_eq!(cb.rows.start, 0, "{at}");
+                            // Table-width columns on both; equal where
+                            // projected.
+                            assert_eq!((ca.cols.len(), cb.cols.len()), (2, 2), "{at}");
+                            assert_eq!(
+                                on_cols(ca.cols, ca.rows.clone(), &cols),
+                                on_cols(cb.cols, cb.rows.clone(), &cols),
+                                "{at}"
+                            );
+                            for c in 0..2 {
+                                if !cols.contains(&c) {
+                                    assert!(cb.cols[c].is_empty(), "{at}: column {c} decoded");
+                                }
+                            }
                             assert_eq!(ca.new_pages, cb.new_pages, "{at}");
                             total_pages.0 += ca.new_pages;
                             total_pages.1 += cb.new_pages;
@@ -317,51 +353,73 @@ mod tests {
         let positions: Vec<u64> = (0..300).rev().step_by(7).chain([299, 0, 300, 12]).collect();
         for cols in [vec![0, 1], vec![0], vec![1], vec![]] {
             let visit = |b: &Arc<dyn StorageBackend>| {
-                let f = RowFetcher::over(Arc::clone(b)).project(cols.clone());
-                let mut seen = Vec::new();
-                f.for_each(&positions, |p, row| {
-                    assert_eq!(row.len(), 2, "full-width row");
-                    seen.push((p, cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>()));
-                    Ok(true)
-                })
-                .unwrap();
-                seen
+                let mut f = RowFetcher::over(Arc::clone(b)).project(cols.clone());
+                // Two fetches through one fetcher: the second refills it.
+                f.fetch(&positions[..5]).unwrap();
+                let got = f.fetch(&positions).unwrap();
+                assert_eq!(got.cols.len(), 2, "table-width columns");
+                assert_eq!(got.rows.len(), got.positions.len());
+                let rows = got.rows.iter().map(|r| *r as usize);
+                got.positions
+                    .iter()
+                    .copied()
+                    .zip(on_cols(got.cols, rows, &cols))
+                    .collect::<Vec<_>>()
             };
-            assert_eq!(visit(&mem), visit(&paged), "cols={cols:?}");
+            let seen = visit(&mem);
+            assert_eq!(seen.len(), positions.len() - 1, "position 300 skipped");
+            assert_eq!(seen, visit(&paged), "cols={cols:?}");
         }
     }
 
     #[test]
-    fn partition_ranges_cover_without_double_counting_rows() {
-        let (_, paged) = both_backends(100);
-        let mut got = Vec::new();
-        for part in 0..4u64 {
-            let (lo, hi) = (part * 100 / 4, (part + 1) * 100 / 4);
-            let mut c = TableCursor::over(Arc::clone(&paged), lo, hi).unwrap();
-            while let Some(ch) = c.next_chunk(16).unwrap() {
-                got.extend_from_slice(ch.rows);
+    fn sub_ranges_cover_the_table_once() {
+        for backend in [both_backends(100).0, both_backends(100).1] {
+            let mut got = Vec::new();
+            for part in 0..4u64 {
+                let (lo, hi) = (part * 100 / 4, (part + 1) * 100 / 4);
+                let mut c = TableCursor::over(Arc::clone(&backend), lo, hi).unwrap();
+                while let Some(ch) = c.next_chunk(16).unwrap() {
+                    got.extend(on_cols(ch.cols, ch.rows.clone(), &[0, 1]));
+                }
             }
+            assert_eq!(got, rows(100));
         }
-        assert_eq!(got, rows(100));
     }
 
     #[test]
     fn fetcher_visits_and_stops_early() {
         let (mem, paged) = both_backends(50);
         for b in [mem, paged] {
-            let f = RowFetcher::over(b);
+            let mut f = RowFetcher::over(b);
             assert_eq!(f.len(), 50);
+            // A caller that stops at its second visit fetches one position
+            // at a time: nothing past where it stopped is read.
             let mut seen = Vec::new();
-            f.for_each(&[3, 99, 7, 11], |p, row| {
-                seen.push((p, row[0].clone()));
-                Ok(seen.len() < 2) // stop after two visits
-            })
-            .unwrap();
+            for p in [3, 99, 7, 11] {
+                let got = f.fetch(&[p]).unwrap();
+                for (r, p) in got.rows.iter().zip(got.positions) {
+                    seen.push((*p, got.cols[0].value(*r as usize)));
+                }
+                if seen.len() == 2 {
+                    break;
+                }
+            }
             assert_eq!(
                 seen,
                 vec![(3, Value::Int(3)), (7, Value::Int(7))],
                 "out-of-range skipped, early stop honoured"
             );
+            // The positions of the rows a filter keeps, duplicates included.
+            let got = f.fetch(&[3, 99, 7, 11, 7]).unwrap();
+            assert_eq!(got.positions, &[3, 7, 11, 7]);
+            let kept: Vec<u32> = got
+                .rows
+                .iter()
+                .copied()
+                .filter(|r| matches!(got.cols[0].value(*r as usize), Value::Int(v) if v > 5))
+                .collect();
+            assert_eq!(got.positions_of(&kept).collect::<Vec<_>>(), [7, 11, 7]);
         }
     }
 }

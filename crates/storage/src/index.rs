@@ -63,15 +63,16 @@ impl Index {
         let mut entries = 0u64;
         let mut cursor = table.cursor(0, u64::MAX)?.project([column]);
         while let Some(chunk) = cursor.next_chunk(BUILD_CHUNK)? {
-            for (pos, row) in (chunk.start..).zip(chunk.rows) {
-                let v = &row[column];
-                if v.is_null() {
+            let keys = &chunk.cols[column];
+            for (pos, i) in (chunk.start..).zip(chunk.rows) {
+                if keys.is_null(i) {
                     continue; // NULL never matches an equi-join or range probe
                 }
                 entries += 1;
+                let v = keys.value(i);
                 match kind {
-                    IndexKind::Hash => hash.entry(v.clone()).or_insert_with(Vec::new).push(pos),
-                    IndexKind::Sorted => sorted.entry(v.clone()).or_insert_with(Vec::new).push(pos),
+                    IndexKind::Hash => hash.entry(v).or_insert_with(Vec::new).push(pos),
+                    IndexKind::Sorted => sorted.entry(v).or_insert_with(Vec::new).push(pos),
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Storage layer: tables behind pluggable backends, indexes, the catalog,
 //! and temporary materialized views (temp MVs).
 //!
-//! Two backends implement [`StorageBackend`]: [`MemBackend`] (rows behind
-//! an `Arc` snapshot plus a *virtual* page map) and [`PagedBackend`]
+//! Two backends implement [`StorageBackend`]: [`MemBackend`] (one typed
+//! column per stored column behind an `Arc` snapshot, plus a *virtual*
+//! page map) and [`PagedBackend`]
 //! (slotted pages in a file, read through a clock-eviction [`BufferPool`],
 //! fronted by a write-ahead log, optionally indexed by a [`BTree`]).
 //! Both pack rows into pages with the same rule, so page counts — and
@@ -12,13 +13,16 @@
 //! WAL activity) is reported separately in [`IoStats`].
 //!
 //! Readers go through [`TableCursor`] (chunks of a row range) and
-//! [`RowFetcher`] (rows at positions) and name the columns they read with
-//! `.project(cols)` — a [`ColumnSet`]. Rows always have the table's full
-//! width, but *columns outside the projection are unspecified (NULL on
-//! paged, the stored value on mem) and must not be read*: the paged
-//! backend parses each page once and decodes, in place into rows the
-//! reader reuses, only the projected columns, stepping over the rest;
-//! the mem backend hands out zero-copy slices and ignores the set.
+//! [`RowFetcher`] (rows at positions), which both answer with one view:
+//! table-width typed [`Column`]s and the indices of the rows read. They
+//! name the columns they read with `.project(cols)` — a [`ColumnSet`];
+//! *columns outside the projection are unspecified (empty on paged, the
+//! stored values on mem) and must not be read*: the paged backend parses
+//! each page once and decodes only the projected columns, into scratch
+//! columns the reader reuses, stepping over the rest; the mem backend
+//! hands out its stored columns, zero-copy, and ignores the set.
+//!
+//! [`Column`]: pop_types::column::Column
 //!
 //! Temp MVs are the mechanism POP uses to carry intermediate results across
 //! a re-optimization (§2.3 of the paper): when a CHECK fails, completed
@@ -48,7 +52,7 @@ pub use backend::{
 pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
 pub use catalog::{Catalog, BULK_LOAD_CHUNK};
-pub use cursor::{CursorChunk, RowFetcher, TableCursor};
+pub use cursor::{CursorChunk, FetchedRows, RowFetcher, TableCursor};
 pub use index::{Index, IndexKind};
 pub use mem::MemBackend;
 pub use page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};

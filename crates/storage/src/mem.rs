@@ -1,5 +1,5 @@
-//! The in-memory backend: `Arc<Vec<Row>>` snapshots plus a *virtual*
-//! page map.
+//! The in-memory backend: one typed [`Column`] per stored column behind an
+//! `Arc` snapshot, plus a *virtual* page map.
 //!
 //! The map assigns every row to a page with the same greedy packing rule
 //! the paged backend uses for real pages, so `page_count` and
@@ -7,16 +7,28 @@
 //! page-aware cost estimates, the runtime's logical page-touch charges —
 //! are identical across backends for identical contents. Only the bytes
 //! are fictional.
+//!
+//! Readers take the columns as they are stored ([`StorageBackend::columns`]):
+//! a scan filters and gathers from them in place, row `i` of the table at
+//! index `i` of every column. An append moves each row's values into the
+//! columns — a string's `Arc` moves, nothing is cloned — and frees the
+//! row; while a reader still holds the previous snapshot, the append
+//! copies the columns first, so readers never see rows appear.
 
 use crate::backend::StorageBackend;
 use crate::page::{encoded_row_len, ColumnSet, PageLayout};
 use parking_lot::RwLock;
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct MemInner {
-    rows: Arc<Vec<Row>>,
+    /// One column per stored column, each `rows` long.
+    cols: Arc<Vec<Column>>,
+    /// Rows stored (the columns' length; also right for a table without
+    /// columns).
+    rows: usize,
     /// Position of the first row of each virtual page.
     page_starts: Vec<u64>,
     /// Rows on the (virtual) tail page.
@@ -48,17 +60,11 @@ impl MemBackend {
         b.append(rows)?;
         Ok(b)
     }
-
-    /// Zero-copy handle on the current rows (the mem fast path cursors
-    /// slice into this without decoding anything).
-    pub fn rows(&self) -> Arc<Vec<Row>> {
-        Arc::clone(&self.inner.read().rows)
-    }
 }
 
 impl StorageBackend for MemBackend {
     fn row_count(&self) -> u64 {
-        self.inner.read().rows.len() as u64
+        self.inner.read().rows as u64
     }
 
     fn page_count(&self) -> u64 {
@@ -71,9 +77,21 @@ impl StorageBackend for MemBackend {
 
     fn append(&self, rows: Vec<Row>) -> PopResult<u64> {
         let mut inner = self.inner.write();
-        let start = inner.rows.len() as u64;
-        // Extend the virtual page map exactly as DataPage::push would.
-        for (i, row) in rows.iter().enumerate() {
+        let start = inner.rows;
+        // Check every row before changing anything: a rejected batch
+        // leaves the table as it was.
+        let width = match rows.first() {
+            Some(first) if start == 0 => first.len(),
+            _ => inner.cols.len(),
+        };
+        let mut lens = Vec::with_capacity(rows.len());
+        for row in &rows {
+            if row.len() != width {
+                return Err(PopError::Execution(format!(
+                    "row of {} values appended to a table of {width} columns",
+                    row.len()
+                )));
+            }
             let len = encoded_row_len(row);
             if !self.layout.row_fits_page(len) {
                 return Err(PopError::Execution(format!(
@@ -81,44 +99,96 @@ impl StorageBackend for MemBackend {
                     self.layout.page_size
                 )));
             }
+            lens.push(len);
+        }
+        // Readers address stored rows with `u32` selection vectors.
+        if start + rows.len() > u32::MAX as usize {
+            return Err(PopError::Execution(format!(
+                "in-memory table full: {start} + {} rows exceed {}",
+                rows.len(),
+                u32::MAX
+            )));
+        }
+        // Extend the virtual page map exactly as DataPage::push would.
+        for (i, len) in lens.into_iter().enumerate() {
             if inner.page_starts.is_empty()
                 || !self.layout.fits(inner.tail_slots, inner.tail_bytes, len)
             {
-                inner.page_starts.push(start + i as u64);
+                inner.page_starts.push((start + i) as u64);
                 inner.tail_slots = 0;
                 inner.tail_bytes = 0;
             }
             inner.tail_slots += 1;
             inner.tail_bytes += len;
         }
-        Arc::make_mut(&mut inner.rows).extend(rows);
-        Ok(start)
+        let n = rows.len();
+        let cols = Arc::make_mut(&mut inner.cols);
+        if cols.len() < width {
+            cols.resize_with(width, Column::default);
+        }
+        for row in rows {
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push_value(v, n);
+            }
+        }
+        inner.rows += n;
+        Ok(start as u64)
     }
 
-    fn snapshot(&self) -> PopResult<Arc<Vec<Row>>> {
-        Ok(self.rows())
+    fn columns(&self) -> Option<Arc<Vec<Column>>> {
+        Some(Arc::clone(&self.inner.read().cols))
     }
 
-    // The column set is ignored on both reads: whole rows are already in
-    // memory (cursors and fetchers skip these copies and slice `rows()`).
-    fn read_range(&self, lo: u64, hi: u64, _cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()> {
+    // The mem paths read the stored columns directly (`columns`); these
+    // copies serve the trait's other readers.
+    fn read_range(
+        &self,
+        lo: u64,
+        hi: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()> {
         let inner = self.inner.read();
-        let hi = hi.min(inner.rows.len() as u64);
+        let hi = hi.min(inner.rows as u64);
         let (lo, hi) = (lo.min(hi) as usize, hi as usize);
-        out.clear();
-        out.extend_from_slice(&inner.rows[lo..hi]);
+        if out.len() < inner.cols.len() {
+            out.resize_with(inner.cols.len(), Column::default);
+        }
+        for (c, (o, stored)) in out.iter_mut().zip(inner.cols.iter()).enumerate() {
+            if cols.contains(c) {
+                o.clear();
+                o.extend_gather(stored, lo..hi, hi - lo);
+            }
+        }
         Ok(())
     }
 
-    fn row_at(&self, pos: u64, _cols: &ColumnSet, row: &mut Row) -> PopResult<()> {
+    fn read_row(
+        &self,
+        pos: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+        row: usize,
+    ) -> PopResult<()> {
         let inner = self.inner.read();
-        let stored = inner.rows.get(pos as usize).ok_or_else(|| {
-            PopError::Execution(format!(
+        if pos >= inner.rows as u64 {
+            return Err(PopError::Execution(format!(
                 "row {pos} out of range ({} rows)",
-                inner.rows.len()
-            ))
-        })?;
-        row.clone_from(stored);
+                inner.rows
+            )));
+        }
+        for (c, stored) in inner.cols.iter().enumerate() {
+            if c == out.len() {
+                out.push(Column::default());
+                if cols.contains(c) {
+                    (0..row).for_each(|i| out[c].put_null(i));
+                }
+            }
+            if cols.contains(c) {
+                out[c].truncate(row);
+                out[c].push_from(stored, pos as usize, 0);
+            }
+        }
         Ok(())
     }
 
@@ -132,7 +202,12 @@ impl StorageBackend for MemBackend {
         false
     }
 
+    /// Nothing to make durable; a loaded table gives back the spare
+    /// capacity its columns grew while it was appended to.
     fn checkpoint(&self) -> PopResult<()> {
+        if let Some(cols) = Arc::get_mut(&mut self.inner.write().cols) {
+            cols.iter_mut().for_each(Column::shrink_to_fit);
+        }
         Ok(())
     }
 
@@ -151,6 +226,10 @@ mod tests {
         (0..n)
             .map(|i| vec![Value::Int(i), Value::str(format!("payload {i}"))])
             .collect()
+    }
+
+    fn values(cols: &[Column], i: usize) -> Row {
+        cols.iter().map(|c| c.value(i)).collect()
     }
 
     #[test]
@@ -196,16 +275,41 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_stored_as_typed_columns() {
+        let mem = MemBackend::with_rows(PageLayout::default(), rows(20)).unwrap();
+        let cols = mem.columns().unwrap();
+        assert_eq!(cols.len(), 2);
+        assert!(matches!(cols[0].data(), pop_types::column::Data::Int(v) if v.len() == 20));
+        assert!(matches!(cols[1].data(), pop_types::column::Data::Str(v) if v.len() == 20));
+        assert_eq!(values(&cols, 7), rows(20)[7]);
+        // An append after a reader took the columns leaves its snapshot
+        // as it was.
+        mem.append(rows(3)).unwrap();
+        assert_eq!((cols[0].len(), mem.row_count()), (20, 23));
+        assert_eq!(mem.columns().unwrap()[0].value(22), Value::Int(2));
+    }
+
+    #[test]
     fn read_range_and_row_at() {
         let mem = MemBackend::with_rows(PageLayout::default(), rows(20)).unwrap();
         let mut out = Vec::new();
         mem.read_range(5, 9, &ColumnSet::all(), &mut out).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0][0], Value::Int(5));
-        let mut row = Row::new();
-        mem.row_at(19, &ColumnSet::all(), &mut row).unwrap();
-        assert_eq!(row[0], Value::Int(19));
-        assert!(mem.row_at(20, &ColumnSet::all(), &mut row).is_err());
+        assert_eq!(out[0].len(), 4);
+        assert_eq!(values(&out, 0), rows(20)[5]);
+        mem.read_range(18, 99, &ColumnSet::of([1]), &mut out)
+            .unwrap();
+        assert_eq!(
+            (out[1].len(), out[1].value(1)),
+            (2, Value::str("payload 19"))
+        );
+        let mut one = Vec::new();
+        mem.read_row(19, &ColumnSet::all(), &mut one, 0).unwrap();
+        mem.read_row(3, &ColumnSet::all(), &mut one, 1).unwrap();
+        assert_eq!(
+            (values(&one, 0), values(&one, 1)),
+            (rows(20)[19].clone(), rows(20)[3].clone())
+        );
+        assert!(mem.read_row(20, &ColumnSet::all(), &mut one, 2).is_err());
     }
 
     #[test]
@@ -215,5 +319,12 @@ mod tests {
             .append(vec![vec![Value::str("x".repeat(2000))]])
             .unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+        assert_eq!((mem.row_count(), mem.page_count()), (0, 0));
+        mem.append(rows(2)).unwrap();
+        let err = mem
+            .append(vec![vec![Value::Int(1)], vec![Value::Int(2), Value::Null]])
+            .unwrap_err();
+        assert!(err.to_string().contains("2 columns"), "{err}");
+        assert_eq!((mem.row_count(), mem.page_count()), (2, 1));
     }
 }

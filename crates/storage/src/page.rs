@@ -12,11 +12,14 @@
 //! [`MemBackend`]: crate::MemBackend
 //! [`PagedBackend`]: crate::PagedBackend
 //!
-//! The read side is one decoder, [`decode_row_into`]: it writes the columns
-//! of a [`ColumnSet`] into a row the caller reuses and steps over the rest.
+//! The read side walks one encoding two ways: [`decode_row_onto`] writes
+//! the columns of a [`ColumnSet`] into typed [`Column`]s the reader
+//! refills in place (every table read: cursors, fetchers, index builds,
+//! ANALYZE) and steps over the rest; [`decode_row_into`] fills a row in
+//! place (WAL records, B+tree keys and the re-opened tail page, which hold
+//! rows in the same encoding).
 //! A page is parsed — and its header and slot directory validated — once
-//! per visit by [`PageView::new`]; WAL records and B+tree keys hold rows in
-//! the same encoding and decode through the same function.
+//! per visit by [`PageView::new`].
 //!
 //! Data page layout (fixed `page_size` bytes):
 //!
@@ -30,6 +33,7 @@
 //!            page_size - 2*(i+1)
 //! ```
 
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Value};
 use std::sync::Arc;
 
@@ -117,11 +121,11 @@ fn le<const N: usize>(b: &[u8]) -> [u8; N] {
 
 /// The table columns a reader wants decoded.
 ///
-/// The read-set contract of every paged read path: a decoded row keeps the
-/// stored row's full width, so predicates and projections stay bound
-/// against the table schema, but only the columns in the set are written —
-/// *columns outside the projection are unspecified (NULL on paged, the
-/// stored value on mem) and must not be read*.
+/// The read-set contract of every read path: a reader sees table-width
+/// columns, so predicates and projections stay bound against the table
+/// schema, but only the columns in the set are filled — *columns outside
+/// the projection are unspecified (empty on paged, the stored values on
+/// mem) and must not be read*.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSet {
     /// `None` = every column; otherwise `mask[c]` for columns below its
@@ -130,9 +134,7 @@ pub struct ColumnSet {
 }
 
 impl ColumnSet {
-    /// Every column (what [`StorageBackend::snapshot`] reads).
-    ///
-    /// [`StorageBackend::snapshot`]: crate::StorageBackend::snapshot
+    /// Every column.
     pub fn all() -> Self {
         ColumnSet { mask: None }
     }
@@ -156,6 +158,109 @@ impl ColumnSet {
             Some(m) => m.get(col).copied().unwrap_or(false),
         }
     }
+
+    /// Start a refill of every column of `out` in the set (see
+    /// [`Column::begin_refill`]): decoding into reused scratch.
+    pub(crate) fn begin_refill_in(&self, out: &mut [Column]) {
+        for (c, col) in out.iter_mut().enumerate() {
+            if self.contains(c) {
+                col.begin_refill();
+            }
+        }
+    }
+
+    /// End the refill of every column of `out` in the set at `rows` rows.
+    pub(crate) fn end_refill_in(&self, out: &mut [Column], rows: usize) {
+        for (c, col) in out.iter_mut().enumerate() {
+            if self.contains(c) {
+                col.truncate(rows);
+            }
+        }
+    }
+}
+
+/// Decode the row encoded at `data[at..]` into `out` as row `row` of a
+/// refill (see [`Column::begin_refill`]; rows `0..row` are this refill's):
+/// every column in `cols` gets the row's value written (NULL where the
+/// stored row is narrower), every other column is stepped over by its
+/// tag's length without being touched. `out` grows to the stored row's
+/// width; a column it gains that is in `cols` first gets `row` NULLs.
+/// `cap` sizes a vector a value creates. Returns the offset one past the
+/// row.
+pub fn decode_row_onto(
+    data: &[u8],
+    mut at: usize,
+    cols: &ColumnSet,
+    out: &mut Vec<Column>,
+    row: usize,
+    cap: usize,
+) -> PopResult<usize> {
+    let header = take(data, &mut at, 2, "row header")?;
+    let n = usize::from(u16::from_le_bytes(le(header)));
+    if out.len() < n {
+        let from = out.len();
+        out.resize_with(n, Column::default);
+        for (c, col) in out.iter_mut().enumerate().skip(from) {
+            if cols.contains(c) {
+                (0..row).for_each(|i| col.put_null(i));
+            }
+        }
+    }
+    let (stored, past) = out.split_at_mut(n);
+    for (c, col) in past.iter_mut().enumerate() {
+        if cols.contains(n + c) {
+            col.put_null(row);
+        }
+    }
+    for (c, col) in stored.iter_mut().enumerate() {
+        let want = cols.contains(c);
+        match take(data, &mut at, 1, "value tag")?[0] {
+            V_NULL => {
+                if want {
+                    col.put_null(row);
+                }
+            }
+            V_INT => {
+                let x = i64::from_le_bytes(le(take(data, &mut at, 8, "int/float")?));
+                if want {
+                    col.put_int(row, x, cap);
+                }
+            }
+            V_FLOAT => {
+                let b = u64::from_le_bytes(le(take(data, &mut at, 8, "int/float")?));
+                if want {
+                    col.put_float(row, f64::from_bits(b), cap);
+                }
+            }
+            V_STR => {
+                let len = u32::from_le_bytes(le(take(data, &mut at, 4, "str len")?));
+                let bytes = take(data, &mut at, len as usize, "str bytes")?;
+                if want {
+                    let s = std::str::from_utf8(bytes)
+                        .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
+                    col.put_str(row, Arc::from(s), cap);
+                }
+            }
+            V_DATE => {
+                let x = i32::from_le_bytes(le(take(data, &mut at, 4, "date")?));
+                if want {
+                    col.put_date(row, x, cap);
+                }
+            }
+            V_BOOL => {
+                let b = take(data, &mut at, 1, "bool")?[0];
+                if want {
+                    col.put_bool(row, b != 0, cap);
+                }
+            }
+            t => {
+                return Err(PopError::Execution(format!(
+                    "page codec: unknown value tag {t}"
+                )))
+            }
+        }
+    }
+    Ok(at)
 }
 
 /// Decode the row encoded at `data[at..]` into `row`, in place: `row` takes
@@ -432,6 +537,20 @@ impl<'a> PageView<'a> {
         let at = self.slot_offset(slot)?;
         decode_row_into(&self.bytes[..self.dir_start], at, cols, row)
     }
+
+    /// Decode the columns `cols` of the row in `slot` into `out` as row
+    /// `row` of a refill (see [`decode_row_onto`]).
+    pub fn decode_slot_onto(
+        &self,
+        slot: usize,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+        row: usize,
+        cap: usize,
+    ) -> PopResult<()> {
+        let at = self.slot_offset(slot)?;
+        decode_row_onto(&self.bytes[..self.dir_start], at, cols, out, row, cap).map(|_| ())
+    }
 }
 
 #[cfg(test)]
@@ -606,6 +725,14 @@ mod tests {
         ]
     }
 
+    /// Same variant and same value (floats by bit pattern).
+    fn identical(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        }
+    }
+
     proptest! {
         /// One scratch row decodes a run of rows of changing width under
         /// one column set: the wanted slots always equal the stored
@@ -633,6 +760,47 @@ mod tests {
                     let mut partial = scratch.clone();
                     prop_assert!(decode_row_into(&buf[..cut], 0, &cols, &mut partial).is_err());
                     prop_assert!(decode_all(&buf[..cut]).is_err());
+                }
+            }
+        }
+
+        /// The same run decoded into refilled columns, one row per row:
+        /// each wanted column holds exactly the stored values, variant for
+        /// variant (NULL where a row is narrower), whatever it held before,
+        /// and every other column is left as it was.
+        #[test]
+        fn column_decode_matches_row_decode(
+            rows in prop::collection::vec(prop::collection::vec(value(), 0..9), 1..6),
+            wanted in prop::collection::btree_set(0usize..10, 0..10),
+        ) {
+            let cols = ColumnSet::of(wanted.iter().copied());
+            // Refill scratch that holds stale rows of other types first.
+            let mut out: Vec<Column> = (0..3).map(|c| {
+                let mut col = Column::default();
+                for k in 0..5 {
+                    col.push_value([Value::str(format!("stale {k}")), Value::Int(k), Value::Null][c].clone(), 0);
+                }
+                col
+            }).collect();
+            cols.begin_refill_in(&mut out);
+            for (i, row) in rows.iter().enumerate() {
+                let mut buf = Vec::new();
+                encode_row(row, &mut buf);
+                let end = decode_row_onto(&buf, 0, &cols, &mut out, i, 4).unwrap();
+                prop_assert_eq!(end, buf.len());
+            }
+            cols.end_refill_in(&mut out, rows.len());
+            let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+            prop_assert_eq!(out.len(), width.max(3));
+            for (c, col) in out.iter().enumerate() {
+                if !wanted.contains(&c) {
+                    prop_assert_eq!(col.len(), if c < 3 { 5 } else { 0 }, "column {} touched", c);
+                    continue;
+                }
+                prop_assert_eq!(col.len(), rows.len());
+                for (i, row) in rows.iter().enumerate() {
+                    let stored = row.get(c).unwrap_or(&Value::Null);
+                    prop_assert!(identical(&col.value(i), stored), "row {} column {}", i, c);
                 }
             }
         }

@@ -22,6 +22,7 @@ use crate::page::{ColumnSet, DataPage, PageLayout, PageView};
 use crate::pager::PageFile;
 use crate::wal::Wal;
 use parking_lot::Mutex;
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -334,23 +335,25 @@ impl PagedCore {
     }
 
     /// Decode the columns `cols` of rows `[lo, hi)` into `out` by walking
-    /// the covering pages, each parsed once; `out` is resized to the rows
-    /// read and the rows already in it are overwritten in place.
+    /// the covering pages, each parsed once: the columns in the set are
+    /// refilled in place (see [`StorageBackend::read_range`]).
     fn read_range(
         &self,
         b: &PagedBackend,
         lo: u64,
         hi: u64,
         cols: &ColumnSet,
-        out: &mut Vec<Row>,
+        out: &mut Vec<Column>,
     ) -> PopResult<()> {
+        cols.begin_refill_in(out);
         let n = self.n_rows;
         let (lo, hi) = (lo.min(n), hi.min(n));
-        out.resize_with(hi.saturating_sub(lo) as usize, Row::new);
         if lo >= hi {
+            cols.end_refill_in(out, 0);
             return Ok(());
         }
-        let mut rows = out.iter_mut();
+        let cap = (hi - lo) as usize;
+        let mut row = 0;
         for p in self.page_of(lo)..=self.page_of(hi - 1) {
             let first = self.page_starts[p as usize];
             let pid = p + 1; // data pages start at pid 1
@@ -365,10 +368,12 @@ impl PagedCore {
             }
             let lo_slot = lo.saturating_sub(first) as usize;
             let hi_slot = (hi.min(next) - first) as usize;
-            for (slot, row) in (lo_slot..hi_slot).zip(&mut rows) {
-                page.decode_slot(slot, cols, row)?;
+            for slot in lo_slot..hi_slot {
+                page.decode_slot_onto(slot, cols, out, row, cap)?;
+                row += 1;
             }
         }
+        cols.end_refill_in(out, row);
         Ok(())
     }
 
@@ -382,15 +387,15 @@ impl PagedCore {
     fn key_map(&self, b: &PagedBackend, col: u32) -> PopResult<BTreeMap<Value, Vec<u64>>> {
         let (col, cols) = (col as usize, ColumnSet::of([col as usize]));
         let mut map: BTreeMap<Value, Vec<u64>> = BTreeMap::new();
-        let mut rows = Vec::new();
+        let mut scratch = Vec::new();
         for lo in (0..self.n_rows).step_by(KEY_MAP_CHUNK) {
-            self.read_range(b, lo, lo + KEY_MAP_CHUNK as u64, &cols, &mut rows)?;
-            for (pos, row) in (lo..).zip(&rows) {
-                let key = row.get(col).ok_or_else(|| {
-                    PopError::Execution(format!("storage: key column {col} out of range"))
-                })?;
-                if !matches!(key, Value::Null) {
-                    map.entry(key.clone()).or_default().push(pos);
+            self.read_range(b, lo, lo + KEY_MAP_CHUNK as u64, &cols, &mut scratch)?;
+            let keys = scratch.get(col).ok_or_else(|| {
+                PopError::Execution(format!("storage: key column {col} out of range"))
+            })?;
+            for (pos, i) in (lo..).zip(0..keys.len()) {
+                if !keys.is_null(i) {
+                    map.entry(keys.value(i)).or_default().push(pos);
                 }
             }
         }
@@ -451,18 +456,27 @@ impl StorageBackend for PagedBackend {
         Ok(start)
     }
 
-    fn snapshot(&self) -> PopResult<Arc<Vec<Row>>> {
-        let core = self.inner.lock();
-        let mut rows = Vec::new();
-        core.read_range(self, 0, core.n_rows, &ColumnSet::all(), &mut rows)?;
-        Ok(Arc::new(rows))
+    fn columns(&self) -> Option<Arc<Vec<Column>>> {
+        None
     }
 
-    fn read_range(&self, lo: u64, hi: u64, cols: &ColumnSet, out: &mut Vec<Row>) -> PopResult<()> {
+    fn read_range(
+        &self,
+        lo: u64,
+        hi: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()> {
         self.inner.lock().read_range(self, lo, hi, cols, out)
     }
 
-    fn row_at(&self, pos: u64, cols: &ColumnSet, row: &mut Row) -> PopResult<()> {
+    fn read_row(
+        &self,
+        pos: u64,
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+        row: usize,
+    ) -> PopResult<()> {
         let core = self.inner.lock();
         if pos >= core.n_rows {
             return Err(PopError::Execution(format!(
@@ -473,8 +487,7 @@ impl StorageBackend for PagedBackend {
         let p = core.page_of(pos);
         let first = core.page_starts[p as usize];
         let bytes = core.read_data_page(self, p + 1)?;
-        PageView::new(&bytes)?.decode_slot((pos - first) as usize, cols, row)?;
-        Ok(())
+        PageView::new(&bytes)?.decode_slot_onto((pos - first) as usize, cols, out, row, 0)
     }
 
     fn page_of_row(&self, pos: u64) -> u64 {
@@ -531,6 +544,20 @@ mod tests {
             .collect()
     }
 
+    fn to_rows(cols: &[Column], n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| cols.iter().map(|c| c.value(i)).collect())
+            .collect()
+    }
+
+    /// Every row of `b`, every column, through `read_range`.
+    fn stored(b: &dyn StorageBackend) -> Vec<Row> {
+        let mut cols = Vec::new();
+        b.read_range(0, b.row_count(), &ColumnSet::all(), &mut cols)
+            .unwrap();
+        to_rows(&cols, b.row_count() as usize)
+    }
+
     #[test]
     fn append_read_round_trip_and_page_parity_with_mem() {
         let env = env_with(512, None);
@@ -547,24 +574,27 @@ mod tests {
             assert_eq!(paged.page_of_row(pos), mem.page_of_row(pos), "row {pos}");
         }
         // Contents identical.
-        assert_eq!(*paged.snapshot().unwrap(), *mem.snapshot().unwrap());
-        // `out` is resized to the range; the rows in it are overwritten.
-        let mut out = rows(0, 3);
+        assert_eq!(stored(&paged), stored(&mem));
+        assert_eq!(stored(&paged), rows(0, 400));
+        // The columns in the set are refilled with the range.
+        let mut out = Vec::new();
+        paged.read_range(0, 3, &ColumnSet::all(), &mut out).unwrap();
         paged
             .read_range(100, 140, &ColumnSet::all(), &mut out)
             .unwrap();
-        assert_eq!(out, rows(100, 140));
+        assert_eq!(to_rows(&out, 40), rows(100, 140));
         paged
             .read_range(390, 500, &ColumnSet::of([0]), &mut out)
             .unwrap();
-        assert_eq!(out.len(), 10, "clamped to the row count");
-        assert_eq!(out[9][0], Value::Int(399));
+        assert_eq!(out[0].len(), 10, "clamped to the row count");
+        assert_eq!(out[0].value(9), Value::Int(399));
+        assert_eq!(out[1].len(), 40, "outside the set: untouched");
         paged.read_range(7, 7, &ColumnSet::all(), &mut out).unwrap();
-        assert!(out.is_empty());
-        let mut row = Row::new();
-        paged.row_at(399, &ColumnSet::all(), &mut row).unwrap();
-        assert_eq!(row, rows(399, 400)[0]);
-        assert!(paged.row_at(400, &ColumnSet::all(), &mut row).is_err());
+        assert!(out.iter().all(Column::is_empty));
+        paged.read_row(399, &ColumnSet::all(), &mut out, 0).unwrap();
+        paged.read_row(5, &ColumnSet::all(), &mut out, 1).unwrap();
+        assert_eq!(to_rows(&out, 2), [rows(399, 400), rows(5, 6)].concat());
+        assert!(paged.read_row(400, &ColumnSet::all(), &mut out, 2).is_err());
     }
 
     #[test]
@@ -580,7 +610,7 @@ mod tests {
         let env = env_with(512, Some(dir.clone()));
         let b = PagedBackend::open(&env, "t").unwrap();
         assert_eq!(b.row_count(), 100);
-        assert_eq!(*b.snapshot().unwrap(), rows(0, 100));
+        assert_eq!(stored(&b), rows(0, 100));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -600,7 +630,7 @@ mod tests {
         let env = env_with(512, Some(dir.clone()));
         let b = PagedBackend::open(&env, "t").unwrap();
         assert_eq!(b.row_count(), 120, "WAL replay must restore all rows");
-        assert_eq!(*b.snapshot().unwrap(), rows(0, 120));
+        assert_eq!(stored(&b), rows(0, 120));
         assert!(env.io_stats().wal_replayed >= 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -622,7 +652,7 @@ mod tests {
         let b = PagedBackend::open(&env, "t").unwrap();
         // The torn batch is gone; everything logged intact survives.
         assert_eq!(b.row_count(), 50);
-        assert_eq!(*b.snapshot().unwrap(), rows(0, 50));
+        assert_eq!(stored(&b), rows(0, 50));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

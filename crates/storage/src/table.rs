@@ -2,8 +2,9 @@
 //!
 //! Rows are append-only and positions are stable, so scans opened over a
 //! fixed row range see "repeatable read within a query" on either
-//! backend: the mem backend hands out immutable `Arc` snapshots, the
-//! paged backend reads pages whose committed prefix never changes. This
+//! backend: the mem backend hands out immutable `Arc` snapshots of its
+//! columns, the paged backend reads pages whose committed prefix never
+//! changes. This
 //! is the behaviour the POP driver relies on when it re-runs parts of a
 //! query after re-optimization.
 
@@ -16,6 +17,9 @@ use std::sync::Arc;
 
 /// Catalog-assigned table identifier (also the `table` part of a `Rid`).
 pub type TableId = u32;
+
+/// Rows per cursor chunk of [`Table::snapshot`].
+const SNAPSHOT_CHUNK: usize = 4096;
 
 /// A table: identity, schema, and the backend holding its rows.
 #[derive(Debug)]
@@ -85,16 +89,29 @@ impl Table {
         self.backend.page_count()
     }
 
-    /// A materialized snapshot of the rows. Cheap (`Arc` clone) on the
-    /// mem backend; the paged backend decodes every page, so streaming
-    /// consumers should prefer [`Table::cursor`].
+    /// Every row, every column, as owned rows built over a cursor — a
+    /// convenience for tests and small reports: tables are stored as
+    /// columns, and readers go through [`Table::cursor`] /
+    /// [`Table::fetcher`].
     ///
     /// Panics if a page read fails — callers that can surface storage
-    /// errors use [`Table::cursor`] / [`Table::fetcher`] instead.
-    pub fn snapshot(&self) -> Arc<Vec<Row>> {
-        self.backend
-            .snapshot()
+    /// errors use the cursor instead.
+    pub fn snapshot(&self) -> Vec<Row> {
+        let mut cursor = self
+            .cursor(0, u64::MAX)
+            .expect("storage error while opening a table snapshot");
+        let mut rows = Vec::with_capacity(self.row_count());
+        while let Some(chunk) = cursor
+            .next_chunk(SNAPSHOT_CHUNK)
             .expect("storage error while materializing a table snapshot")
+        {
+            rows.extend(
+                chunk
+                    .rows
+                    .map(|i| chunk.cols.iter().map(|c| c.value(i)).collect::<Row>()),
+            );
+        }
+        rows
     }
 
     /// A sequential cursor over rows `[lo, hi)` (clamped).
@@ -188,5 +205,17 @@ mod tests {
         let ch = c.next_chunk(10).unwrap().unwrap();
         assert_eq!(ch.rows.len(), 2);
         assert_eq!(ch.new_pages, 1);
+    }
+
+    #[test]
+    fn snapshot_builds_the_rows() {
+        let t = table();
+        assert_eq!(
+            t.snapshot(),
+            vec![
+                vec![Value::Int(1), Value::str("x")],
+                vec![Value::Int(2), Value::str("y")],
+            ]
+        );
     }
 }

@@ -406,7 +406,7 @@ mod tests {
     fn foreign_keys_in_range() {
         let cat = tpch_catalog(0.0005).unwrap();
         let customers = cat.table("customer").unwrap().row_count() as i64;
-        for row in cat.table("orders").unwrap().snapshot().iter() {
+        for row in &cat.table("orders").unwrap().snapshot() {
             let cust = row[1].as_i64().unwrap();
             assert!((0..customers).contains(&cust));
         }

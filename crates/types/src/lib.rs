@@ -1,6 +1,6 @@
 //! Fundamental types shared by every crate of the Progressive Optimization
-//! (POP) engine: SQL-ish values, rows, schemas, row identifiers and the
-//! common error type.
+//! (POP) engine: SQL-ish values, rows, typed columns, schemas, row
+//! identifiers and the common error type.
 //!
 //! The engine is a single-node, in-memory relational system, so values are
 //! kept simple: 64-bit integers and floats, interned-ish strings
@@ -8,6 +8,7 @@
 //! *total* order (`NULL` sorts first, floats via `total_cmp`) so it can be
 //! used directly as a sort or join key.
 
+pub mod column;
 mod error;
 mod hash;
 mod row;

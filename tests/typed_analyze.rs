@@ -1,0 +1,185 @@
+//! ANALYZE reads a table in one cursor pass, folding each chunk a column
+//! at a time into typed accumulators. Its statistics must be exactly those
+//! of the row-at-a-time analysis it replaced — distinct counts under
+//! `Value` equality, NULL counts, min / max and histogram bounds bit for
+//! bit — on every TPC-H and DMV table, on both backends; and a storage
+//! read error is an `Err`, not a panic.
+
+use pop_stats::{analyze_table, ColumnStats, EquiDepthHistogram, StatsRegistry, TableStats};
+use pop_storage::{Catalog, StorageConfig, Table};
+use pop_types::{DataType, Row, Schema, Value};
+use std::collections::HashSet;
+
+/// The row-at-a-time analysis: every row as owned values, one column at a
+/// time into a `HashSet<Value>` and a numeric vector in row order.
+fn reference(table: &Table) -> TableStats {
+    let rows = table.snapshot();
+    let columns = (0..table.schema().len())
+        .map(|c| {
+            let (mut non_null, mut nulls) = (0u64, 0u64);
+            let mut distinct: HashSet<Value> = HashSet::new();
+            let mut numeric: Vec<f64> = Vec::new();
+            let mut all_numeric = true;
+            for row in &rows {
+                let v = &row[c];
+                if v.is_null() {
+                    nulls += 1;
+                    continue;
+                }
+                non_null += 1;
+                distinct.insert(v.clone());
+                match v.as_f64() {
+                    Some(x) => numeric.push(x),
+                    None => all_numeric = false,
+                }
+            }
+            let (min, max, histogram) = if all_numeric && !numeric.is_empty() {
+                let min = numeric.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = numeric.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let hist = EquiDepthHistogram::build(numeric, pop_stats::HISTOGRAM_BUCKETS);
+                (Some(min), Some(max), hist)
+            } else {
+                (None, None, None)
+            };
+            ColumnStats {
+                non_null,
+                nulls,
+                distinct: distinct.len() as u64,
+                min,
+                max,
+                histogram,
+            }
+        })
+        .collect();
+    TableStats {
+        row_count: rows.len() as u64,
+        pages: table.page_count(),
+        columns,
+    }
+}
+
+/// Every table of `catalog` analyzes to its reference, floats bit for bit
+/// (`{:?}` tells `-0.0` from `0.0` where `==` does not).
+fn assert_matches_reference(catalog: &Catalog, what: &str) {
+    let names = catalog.table_names();
+    assert!(!names.is_empty());
+    for name in names {
+        let table = catalog.table(&name).unwrap();
+        let typed = analyze_table(&table).unwrap();
+        assert_eq!(
+            format!("{typed:?}"),
+            format!("{:?}", reference(&table)),
+            "{what}: {name}"
+        );
+    }
+}
+
+fn paged() -> StorageConfig {
+    StorageConfig {
+        buffer_pool_bytes: 64 << 10,
+        ..StorageConfig::paged()
+    }
+}
+
+#[test]
+fn tpch_stats_equal_the_row_reference_on_both_backends() {
+    for (storage, backend) in [(StorageConfig::default(), "mem"), (paged(), "paged")] {
+        let catalog = pop_tpch::tpch_catalog_with(0.01, storage).unwrap();
+        assert_matches_reference(&catalog, &format!("TPC-H on {backend}"));
+    }
+}
+
+#[test]
+fn dmv_stats_equal_the_row_reference_on_both_backends() {
+    for (storage, backend) in [(StorageConfig::default(), "mem"), (paged(), "paged")] {
+        let catalog = pop_dmv::dmv_catalog_with(0.002, storage).unwrap();
+        assert_matches_reference(&catalog, &format!("DMV on {backend}"));
+    }
+}
+
+#[test]
+fn mixed_types_and_nulls_across_chunks_equal_the_row_reference() {
+    // A column that is all ints for a whole chunk and floats after it (a
+    // paged chunk's scratch column takes each chunk's type, so the typed
+    // distinct set meets a second type mid-table), with `Int(3)` and
+    // `Float(3.0)` one value; NULL-only stretches; strings and booleans
+    // mixed into a column; a column with no value at all.
+    let schema = Schema::from_pairs(&[
+        ("n", DataType::Int),
+        ("s", DataType::Str),
+        ("m", DataType::Int),
+        ("z", DataType::Int),
+    ]);
+    let rows: Vec<Row> = (0..10_000i64)
+        .map(|i| {
+            vec![
+                match i {
+                    0..=4999 => Value::Int(i % 40),
+                    5000..=5999 => Value::Null,
+                    _ => Value::Float((i % 80) as f64 / 2.0),
+                },
+                if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("s{}", i % 13))
+                },
+                match i % 5 {
+                    0 => Value::Bool(i % 2 == 0),
+                    1 => Value::Null,
+                    2 => Value::str("x"),
+                    _ => Value::Date((i % 17) as i32),
+                },
+                Value::Null,
+            ]
+        })
+        .collect();
+    for (storage, backend) in [(StorageConfig::default(), "mem"), (paged(), "paged")] {
+        let catalog = Catalog::with_storage(storage);
+        catalog
+            .create_table("t", schema.clone(), rows.clone())
+            .unwrap();
+        assert_matches_reference(&catalog, backend);
+        let stats = analyze_table(&catalog.table("t").unwrap()).unwrap();
+        // 0..40 as ints and 0.0..=39.5 in halves as floats: the 40 whole
+        // floats are the ints' values.
+        assert_eq!(stats.col(0).distinct, 80, "{backend}");
+        assert!(stats.col(0).histogram.is_some() && stats.col(2).histogram.is_none());
+        assert_eq!((stats.col(3).nulls, stats.col(3).distinct), (10_000, 0));
+    }
+}
+
+#[test]
+fn a_truncated_paged_table_fails_analyze_with_an_error() {
+    let dir = std::env::temp_dir().join(format!("pop-typed-analyze-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = Catalog::with_storage(StorageConfig {
+        page_size: 512,
+        buffer_pool_bytes: 2048,
+        dir: Some(dir.clone()),
+        ..StorageConfig::paged()
+    });
+    let rows: Vec<Row> = (0..2_000i64)
+        .map(|i| vec![Value::Int(i), Value::str(format!("row {i}"))])
+        .collect();
+    let table = catalog
+        .create_table(
+            "t",
+            Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]),
+            rows,
+        )
+        .unwrap();
+    assert!(table.page_count() > 10);
+    let registry = StatsRegistry::new();
+    registry.analyze(&catalog, "t").unwrap();
+    // Cut the data file after its first two data pages.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("t.dat"))
+        .unwrap()
+        .set_len(3 * 512)
+        .unwrap();
+    let err = registry.analyze(&catalog, "t").unwrap_err();
+    assert!(err.to_string().contains("storage io"), "{err}");
+    drop((table, catalog));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
