@@ -8,20 +8,15 @@
 
 use crate::RowBatch;
 use pop_types::column::{Cell, Data};
+use pop_types::hash::{mix, mix_bytes, mix_finish};
 
 /// End-of-chain / empty-bucket marker.
 pub(crate) const NIL: u32 = u32::MAX;
 
-const MUL: u64 = 0x517c_c1b7_2722_0a95;
-
-/// One multiply-xor round. Fixed (unseeded), so hashes are deterministic
-/// across runs; join and group keys are a few machine words, where a
-/// keyed hash's set-up would dominate. No attempt to resist keys crafted
-/// to collide.
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(MUL)
-}
+// Keys hash with the shared fixed `pop_types::hash::mix` (unseeded, so
+// hashes are deterministic across runs): join and group keys are a few
+// machine words, where a keyed hash's set-up would dominate. No attempt
+// to resist keys crafted to collide.
 
 /// Fold in a numeric key value: all numerics go through their `f64` bit
 /// pattern, as in `Value`'s own `Hash`, so `Int(3)`, `Float(3.0)` and
@@ -41,23 +36,8 @@ fn step(h: u64, c: Cell<'_>) -> u64 {
         Cell::Int(i) => num(h, i as f64),
         Cell::Float(f) => num(h, f),
         Cell::Date(d) => num(h, f64::from(d)),
-        Cell::Str(s) => s.as_bytes().chunks(8).fold(mix(h, 5), |h, chunk| {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            mix(h, u64::from_le_bytes(word))
-        }),
+        Cell::Str(s) => mix_bytes(mix(h, 5), s.as_bytes()),
     }
-}
-
-/// Numeric bit patterns have their low ~30 bits zero for small integers,
-/// and a multiply only carries entropy upwards — while the index picks
-/// buckets from the low bits. Fold the high half down (a murmur-style
-/// finalizer) so consecutive integer keys spread.
-#[inline]
-fn finish(mut h: u64) -> u64 {
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ (h >> 29)
 }
 
 /// Hash of one key given value by value, and whether any of it is NULL.
@@ -67,7 +47,7 @@ pub(crate) fn hash_cells<'a>(key: impl Iterator<Item = Cell<'a>>) -> (u64, bool)
         null |= c.is_null();
         step(h, c)
     });
-    (finish(h), null)
+    (mix_finish(h), null)
 }
 
 /// Hash the key columns `positions` of each live row of `batch`, one
@@ -118,7 +98,7 @@ pub(crate) fn hash_keys(
         }
     }
     for h in hashes.iter_mut() {
-        *h = finish(*h);
+        *h = mix_finish(*h);
     }
 }
 

@@ -17,12 +17,18 @@ impl EquiDepthHistogram {
     ///
     /// Returns `None` if the sample is empty.
     pub fn build(mut values: Vec<f64>, buckets: usize) -> Option<Self> {
-        if values.is_empty() || buckets == 0 {
-            return None;
-        }
         // Values `total_cmp` calls equal have one bit pattern, so the
         // unstable sort's order is the stable sort's.
         values.sort_unstable_by(f64::total_cmp);
+        Self::from_sorted(&values, buckets)
+    }
+
+    /// [`EquiDepthHistogram::build`] from values already sorted by
+    /// `f64::total_cmp`.
+    pub fn from_sorted(values: &[f64], buckets: usize) -> Option<Self> {
+        if values.is_empty() || buckets == 0 {
+            return None;
+        }
         let n = values.len();
         let b = buckets.min(n);
         let mut bounds = Vec::with_capacity(b + 1);

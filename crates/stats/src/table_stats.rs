@@ -5,9 +5,10 @@
 use crate::EquiDepthHistogram;
 use pop_storage::Table;
 use pop_types::column::{Column, Data};
+use pop_types::hash::MixHasher;
 use pop_types::{PopResult, Value};
 use std::collections::HashSet;
-use std::hash::Hash;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -113,82 +114,41 @@ pub fn analyze_table(table: &Table) -> PopResult<TableStats> {
     })
 }
 
-/// The distinct non-NULL values of a column: typed while every chunk of
-/// it had one type, `Value`s (under whose equality `Int(3)` and
-/// `Float(3.0)` are one value) once two types met.
+/// The distinct non-NULL values of a column: typed while every value of it
+/// had one type, `Value`s (under whose equality `Int(3)` and `Float(3.0)`
+/// are one value) once two types met. A number column keeps every value
+/// and counts them with one sort at [`ColumnAcc::finish`], which also
+/// orders them for the histogram.
 #[derive(Debug)]
 enum Distinct {
     Empty,
-    Ints(HashSet<i64>),
-    /// Floats by bit pattern: `Value` equality is `total_cmp`'s.
-    Floats(HashSet<u64>),
-    Dates(HashSet<i32>),
-    Bools(HashSet<bool>),
-    Strs(HashSet<Arc<str>>),
+    /// Every non-NULL value, in row order.
+    Ints(Vec<i64>),
+    /// Every non-NULL value, in row order; distinct by bit pattern, as
+    /// `Value` equality (`total_cmp`) tells them.
+    Floats(Vec<f64>),
+    /// Every non-NULL value, in row order.
+    Dates(Vec<i32>),
+    /// Bit 0: `false` seen; bit 1: `true` seen.
+    Bools(u8),
+    /// Hashed with the shared fixed `MixHasher`: SipHash's keyed rounds
+    /// cost more than the insert, and a table whose strings were crafted
+    /// to collide only slows its own ANALYZE.
+    Strs(HashSet<Arc<str>, BuildHasherDefault<MixHasher>>),
     Values(HashSet<Value>),
 }
 
-impl Distinct {
-    fn len(&self) -> usize {
-        match self {
-            Distinct::Empty => 0,
-            Distinct::Ints(s) => s.len(),
-            Distinct::Floats(s) => s.len(),
-            Distinct::Dates(s) => s.len(),
-            Distinct::Bools(s) => s.len(),
-            Distinct::Strs(s) => s.len(),
-            Distinct::Values(s) => s.len(),
-        }
-    }
-
-    /// The set as `Value`s, converting a typed one.
-    fn values(&mut self) -> &mut HashSet<Value> {
-        if !matches!(self, Distinct::Values(_)) {
-            let set = match std::mem::replace(self, Distinct::Empty) {
-                Distinct::Empty | Distinct::Values(_) => HashSet::new(),
-                Distinct::Ints(s) => s.into_iter().map(Value::Int).collect(),
-                Distinct::Floats(s) => s
-                    .into_iter()
-                    .map(|b| Value::Float(f64::from_bits(b)))
-                    .collect(),
-                Distinct::Dates(s) => s.into_iter().map(Value::Date).collect(),
-                Distinct::Bools(s) => s.into_iter().map(Value::Bool).collect(),
-                Distinct::Strs(s) => s.into_iter().map(Value::Str).collect(),
-            };
-            *self = Distinct::Values(set);
-        }
-        match self {
-            Distinct::Values(s) => s,
-            _ => unreachable!("converted above"),
-        }
-    }
+/// Runs of equal keys in sorted `v`.
+fn runs<T, K: PartialEq>(v: &[T], key: impl Fn(&T) -> K) -> u64 {
+    let breaks = v.windows(2).filter(|w| key(&w[0]) != key(&w[1])).count();
+    (v.len().min(1) + breaks) as u64
 }
 
-/// A typed vector's view for [`ColumnAcc::fold_typed`]: its key in a
-/// typed set, its `Value`, its numeric view (if the type has one), and the
-/// picker of its typed set.
-struct Kind<T, K> {
-    key: fn(&T) -> K,
-    value: fn(&T) -> Value,
-    num: Option<fn(&T) -> f64>,
-    /// The typed set, created if the column has had no value yet; `None`
-    /// once it holds values of another type.
-    set: fn(&mut Distinct) -> Option<&mut HashSet<K>>,
-}
-
-/// [`Kind::set`] for `Distinct::$variant`.
-macro_rules! typed_set {
-    ($variant:ident) => {
-        |d| {
-            if matches!(d, Distinct::Empty) {
-                *d = Distinct::$variant(HashSet::new());
-            }
-            match d {
-                Distinct::$variant(s) => Some(s),
-                _ => None,
-            }
-        }
-    };
+/// Minimum and maximum of a column's numeric views, folded in row order.
+fn min_max(values: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    let min = values.clone().fold(f64::INFINITY, f64::min);
+    let max = values.fold(f64::NEG_INFINITY, f64::max);
+    (min, max)
 }
 
 /// One column's running statistics.
@@ -197,8 +157,8 @@ struct ColumnAcc {
     non_null: u64,
     nulls: u64,
     distinct: Distinct,
-    /// Every non-NULL value's numeric view, in row order, while all of
-    /// them have one.
+    /// Once values of two types met: every non-NULL value's numeric view,
+    /// in row order, while all of them have one.
     numeric: Vec<f64>,
     all_numeric: bool,
 }
@@ -218,133 +178,142 @@ impl Default for ColumnAcc {
 impl ColumnAcc {
     /// Fold rows `rows` of one chunk's column.
     fn fold(&mut self, col: &Column, rows: Range<usize>) {
-        let before = self.non_null;
         let total = rows.len() as u64;
-        match col.data() {
-            Data::Null(_) => {}
-            Data::Int(v) => self.fold_typed(
-                col,
-                rows,
-                v,
-                &Kind {
-                    key: |x| *x,
-                    value: |x| Value::Int(*x),
-                    num: Some(|x| *x as f64),
-                    set: typed_set!(Ints),
-                },
-            ),
-            Data::Float(v) => self.fold_typed(
-                col,
-                rows,
-                v,
-                &Kind {
-                    key: |x| x.to_bits(),
-                    value: |x| Value::Float(*x),
-                    num: Some(|x| *x),
-                    set: typed_set!(Floats),
-                },
-            ),
-            Data::Date(v) => self.fold_typed(
-                col,
-                rows,
-                v,
-                &Kind {
-                    key: |x| *x,
-                    value: |x| Value::Date(*x),
-                    num: Some(|x| f64::from(*x)),
-                    set: typed_set!(Dates),
-                },
-            ),
-            Data::Bool(v) => self.fold_typed(
-                col,
-                rows,
-                v,
-                &Kind {
-                    key: |x| *x,
-                    value: |x| Value::Bool(*x),
-                    num: None,
-                    set: typed_set!(Bools),
-                },
-            ),
-            Data::Str(v) => self.fold_typed(
-                col,
-                rows,
-                v,
-                &Kind {
-                    key: Arc::clone,
-                    value: |x| Value::Str(Arc::clone(x)),
-                    num: None,
-                    set: typed_set!(Strs),
-                },
-            ),
-            Data::Mixed(v) => {
-                for x in v[rows].iter().filter(|x| !x.is_null()) {
-                    self.non_null += 1;
-                    self.distinct.values().insert(x.clone());
+        let no_nulls =
+            !col.has_null_bitmap() && !matches!(col.data(), Data::Null(_) | Data::Mixed(_));
+        let live = rows.filter(move |&i| no_nulls || !col.is_null(i));
+        let n = if no_nulls {
+            total
+        } else {
+            live.clone().count() as u64
+        };
+        self.non_null += n;
+        self.nulls += total - n;
+        if n == 0 {
+            return;
+        }
+        if matches!(self.distinct, Distinct::Empty) {
+            self.distinct = match col.data() {
+                Data::Int(_) => Distinct::Ints(Vec::new()),
+                Data::Float(_) => Distinct::Floats(Vec::new()),
+                Data::Date(_) => Distinct::Dates(Vec::new()),
+                Data::Bool(_) => Distinct::Bools(0),
+                Data::Str(_) => Distinct::Strs(HashSet::default()),
+                Data::Null(_) | Data::Mixed(_) => Distinct::Values(HashSet::new()),
+            };
+        }
+        match (col.data(), &mut self.distinct) {
+            (Data::Int(v), Distinct::Ints(d)) => d.extend(live.map(|i| v[i])),
+            (Data::Float(v), Distinct::Floats(d)) => d.extend(live.map(|i| v[i])),
+            (Data::Date(v), Distinct::Dates(d)) => d.extend(live.map(|i| v[i])),
+            (Data::Bool(v), Distinct::Bools(seen)) => {
+                live.for_each(|i| *seen |= 1 << u8::from(v[i]));
+                self.all_numeric = false;
+            }
+            (Data::Str(v), Distinct::Strs(set)) => {
+                for s in live.map(|i| &v[i]) {
+                    if !set.contains(s.as_ref()) {
+                        set.insert(Arc::clone(s));
+                    }
+                }
+                self.all_numeric = false;
+            }
+            _ => {
+                self.mix_types();
+                let Distinct::Values(set) = &mut self.distinct else {
+                    unreachable!("mix_types leaves a Value set")
+                };
+                for x in live.map(|i| col.value(i)) {
                     match x.as_f64() {
                         Some(f) if self.all_numeric => self.numeric.push(f),
                         Some(_) => {}
-                        None => self.not_numeric(),
+                        // No numeric view: no min, max or histogram.
+                        None => {
+                            self.all_numeric = false;
+                            self.numeric = Vec::new();
+                        }
                     }
+                    set.insert(x);
                 }
             }
         }
-        self.nulls += total - (self.non_null - before);
     }
 
-    /// Fold the non-NULL rows `rows` of `col`'s typed vector `v`.
-    fn fold_typed<T, K: Eq + Hash>(
-        &mut self,
-        col: &Column,
-        rows: Range<usize>,
-        v: &[T],
-        kind: &Kind<T, K>,
-    ) {
-        let has_nulls = col.has_null_bitmap();
-        let live = rows.filter(|i| !has_nulls || !col.is_null(*i));
-        let before = self.non_null;
-        if let Some(set) = (kind.set)(&mut self.distinct) {
-            live.clone().for_each(|i| {
-                set.insert((kind.key)(&v[i]));
-                self.non_null += 1;
-            });
-        } else {
-            let set = self.distinct.values();
-            live.clone().for_each(|i| {
-                set.insert((kind.value)(&v[i]));
-                self.non_null += 1;
-            });
-        }
-        match kind.num {
-            Some(num) if self.all_numeric => self.numeric.extend(live.map(|i| num(&v[i]))),
-            None if self.non_null > before => self.not_numeric(),
-            _ => {}
-        }
-    }
-
-    /// A value without a numeric view arrived: no min, max or histogram.
-    fn not_numeric(&mut self) {
-        self.all_numeric = false;
-        self.numeric = Vec::new();
+    /// Values of a second type arrived: turn the typed set into a `Value`
+    /// set, a number vector's values into the numeric views.
+    fn mix_types(&mut self) {
+        let set = match std::mem::replace(&mut self.distinct, Distinct::Empty) {
+            Distinct::Empty => HashSet::new(),
+            Distinct::Values(s) => s,
+            Distinct::Ints(v) => {
+                self.numeric.extend(v.iter().map(|x| *x as f64));
+                v.into_iter().map(Value::Int).collect()
+            }
+            Distinct::Floats(v) => {
+                self.numeric.extend_from_slice(&v);
+                v.into_iter().map(Value::Float).collect()
+            }
+            Distinct::Dates(v) => {
+                self.numeric.extend(v.iter().map(|x| f64::from(*x)));
+                v.into_iter().map(Value::Date).collect()
+            }
+            Distinct::Bools(seen) => [false, true]
+                .into_iter()
+                .filter(|b| seen >> u8::from(*b) & 1 == 1)
+                .map(Value::Bool)
+                .collect(),
+            Distinct::Strs(s) => s.into_iter().map(Value::Str).collect(),
+        };
+        self.distinct = Distinct::Values(set);
     }
 
     fn finish(self) -> ColumnStats {
-        let (min, max, histogram) = if self.all_numeric && !self.numeric.is_empty() {
-            let min = self.numeric.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = self
-                .numeric
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let hist = EquiDepthHistogram::build(self.numeric, HISTOGRAM_BUCKETS);
-            (Some(min), Some(max), hist)
-        } else {
-            (None, None, None)
+        // A number vector: min and max in row order, then one sort gives
+        // the distinct count and, as `f64`s (a monotone conversion), the
+        // histogram's sorted input.
+        let (distinct, numeric) = match self.distinct {
+            Distinct::Empty => (0, None),
+            Distinct::Ints(mut v) => {
+                let range = min_max(v.iter().map(|x| *x as f64));
+                v.sort_unstable();
+                let d = runs(&v, |x| *x);
+                (d, Some((range, v.into_iter().map(|x| x as f64).collect())))
+            }
+            Distinct::Dates(mut v) => {
+                let range = min_max(v.iter().map(|x| f64::from(*x)));
+                v.sort_unstable();
+                let d = runs(&v, |x| *x);
+                (d, Some((range, v.into_iter().map(f64::from).collect())))
+            }
+            Distinct::Floats(mut v) => {
+                let range = min_max(v.iter().copied());
+                v.sort_unstable_by(f64::total_cmp);
+                (runs(&v, |x| x.to_bits()), Some((range, v)))
+            }
+            Distinct::Bools(seen) => (u64::from(seen.count_ones()), None),
+            Distinct::Strs(s) => (s.len() as u64, None),
+            Distinct::Values(s) => {
+                let numeric = (self.all_numeric && !self.numeric.is_empty()).then(|| {
+                    let range = min_max(self.numeric.iter().copied());
+                    let mut v = self.numeric;
+                    v.sort_unstable_by(f64::total_cmp);
+                    (range, v)
+                });
+                (s.len() as u64, numeric)
+            }
+        };
+        let (min, max, histogram) = match numeric {
+            Some(((min, max), sorted)) => (
+                Some(min),
+                Some(max),
+                EquiDepthHistogram::from_sorted(&sorted, HISTOGRAM_BUCKETS),
+            ),
+            None => (None, None, None),
         };
         ColumnStats {
             non_null: self.non_null,
             nulls: self.nulls,
-            distinct: self.distinct.len() as u64,
+            distinct,
             min,
             max,
             histogram,

@@ -6,7 +6,7 @@ use crate::buffer::IoStats;
 use crate::mem::MemBackend;
 use crate::paged::PagedBackend;
 use crate::{Index, IndexKind, Table, TableId, TempMv};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use pop_guard::Governor;
 use pop_types::{PopError, PopResult, Row, Schema};
 use std::collections::HashMap;
@@ -39,6 +39,9 @@ pub const BULK_LOAD_CHUNK: usize = 4096;
 #[derive(Clone)]
 pub struct Catalog {
     inner: Arc<RwLock<Inner>>,
+    /// Serializes [`Catalog::refresh_indexes`] calls, so a rebuild never
+    /// replaces one built from more rows; readers never take it.
+    refresh: Arc<Mutex<()>>,
     env: Arc<StorageEnv>,
 }
 
@@ -73,6 +76,7 @@ impl Catalog {
     pub fn with_storage(config: StorageConfig) -> Self {
         Catalog {
             inner: Arc::new(RwLock::new(Inner::default())),
+            refresh: Arc::default(),
             env: Arc::new(StorageEnv::new(config)),
         }
     }
@@ -297,15 +301,32 @@ impl Catalog {
     /// Rebuild every in-memory index of `table` against its current rows
     /// (after inserts made existing indexes stale). Persistent B+tree
     /// indexes are maintained on append and skipped.
+    ///
+    /// The new indexes are built outside the catalog lock, so readers
+    /// (`table`, `find_index`) are not blocked by the rebuild; each is
+    /// swapped in for the index it rebuilt, unless that one was removed
+    /// meanwhile. Refreshes run one at a time: a later one reads the
+    /// indexes an earlier one swapped in and rebuilds them from at least
+    /// as many rows, so it never loses rows to a slower, staler build.
     pub fn refresh_indexes(&self, table: &str) -> PopResult<()> {
+        let _one_at_a_time = self.refresh.lock();
         let t = self.table(table)?;
+        let stale: Vec<Arc<Index>> = self
+            .indexes(t.id())
+            .into_iter()
+            .filter(|idx| !idx.is_persistent())
+            .collect();
+        let mut rebuilt = Vec::with_capacity(stale.len());
+        for old in stale {
+            let new = Index::build(old.kind(), old.column(), &t)?;
+            rebuilt.push((old, Arc::new(new)));
+        }
         let mut inner = self.inner.write();
         if let Some(list) = inner.indexes.get_mut(&t.id()) {
-            for idx in list.iter_mut() {
-                if idx.is_persistent() {
-                    continue;
+            for (old, new) in rebuilt {
+                if let Some(slot) = list.iter_mut().find(|idx| Arc::ptr_eq(idx, &old)) {
+                    *slot = new;
                 }
-                *idx = Arc::new(Index::build(idx.kind(), idx.column(), &t)?);
             }
         }
         Ok(())
@@ -479,6 +500,32 @@ mod tests {
         let idx = cat.find_index(t.id(), 0, false).unwrap();
         assert_eq!(idx.probe(&Value::Int(2)).unwrap(), vec![1]);
         assert!(cat.refresh_indexes("missing").is_err());
+    }
+
+    #[test]
+    fn concurrent_refreshes_keep_every_row() {
+        // Two threads each append a row, refresh and probe for it, over and
+        // over, so appends and refreshes interleave in every order: once a
+        // refresh returns, its caller's row stays indexed.
+        let cat = Catalog::new();
+        let t = cat.create_table("t", schema(), vec![]).unwrap();
+        cat.create_index("t", "a", IndexKind::Hash).unwrap();
+        std::thread::scope(|s| {
+            for thread in 0..2 {
+                let (cat, t) = (&cat, &t);
+                s.spawn(move || {
+                    for i in 0..300 {
+                        let key = Value::Int(2 * i + thread);
+                        t.insert(vec![vec![key.clone(), Value::str("x")]]).unwrap();
+                        cat.refresh_indexes("t").unwrap();
+                        let idx = cat.find_index(t.id(), 0, false).unwrap();
+                        assert_eq!(idx.probe(&key).unwrap().len(), 1, "{key:?}");
+                    }
+                });
+            }
+        });
+        let idx = cat.find_index(t.id(), 0, false).unwrap();
+        assert_eq!(idx.entries(), 600);
     }
 
     #[test]

@@ -6,44 +6,184 @@
 //! catastrophic when the outer estimate was wrong, which is exactly the
 //! situation POP's CHECK on the NLJN outer guards against (Figure 2).
 //!
-//! Two representations share one probe interface: in-memory maps (built
-//! by scanning the indexed column — and, on a paged table, decoding only
-//! that column — rebuilt by [`crate::Catalog::refresh_indexes`]) and
+//! Two representations share one probe interface: in-memory sorted runs
+//! (built by one sort of the indexed column — on a paged table, decoding
+//! only that column — rebuilt by [`crate::Catalog::refresh_indexes`]) and
 //! the paged backend's persistent [`BTree`] primary index (maintained
 //! incrementally on append, read through the buffer pool). Key semantics
-//! are identical: NULLs are never indexed, probes return row positions
-//! in ascending order per key, range scans return keys in ascending
-//! order.
+//! are identical: NULLs are never indexed, keys compare under `Value`'s
+//! order (`Int(3)`, `Float(3.0)` and `Date(3)` are one key), probes return
+//! row positions in ascending order per key, range scans return keys in
+//! ascending order.
 
 use crate::btree::BTree;
 use crate::table::Table;
-use pop_types::{PopResult, Value};
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use pop_types::column::{Cell, Column, Data};
+use pop_types::{PopError, PopResult, Value};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows read per cursor chunk while building an in-memory index.
-const BUILD_CHUNK: usize = 1024;
-
-/// Kind of index structure.
+/// Kind of index structure. Both kinds are built as the same sorted runs;
+/// the kind tells the planner whether the index answers range probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Hash map: equality probes only.
+    /// Equality probes only.
     Hash,
-    /// Ordered map: equality and range probes.
+    /// Equality and range probes.
     Sorted,
 }
 
 #[derive(Debug)]
 enum Repr {
-    /// In-memory maps over the rows the table held at build time.
-    Mem {
-        hash: HashMap<Value, Vec<u64>>,
-        sorted: BTreeMap<Value, Vec<u64>>,
-        entries: u64,
-    },
+    /// Sorted runs over the rows the table held at build time.
+    Mem(Runs),
     /// Persistent B+tree (paged backend primary index). Always `Sorted`.
     BTree(Arc<BTree>),
+}
+
+/// A column's non-NULL rows sorted by key: the distinct keys in `Value`
+/// order, and the row positions of key `k` at
+/// `positions[starts[k]..starts[k + 1]]`, ascending.
+#[derive(Debug)]
+struct Runs {
+    keys: Column,
+    /// One more entry than `keys`: the last is `positions.len()`.
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+/// `f64::total_cmp`'s order as an `i64` order (the key it compares by).
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// `live` positions sorted by `key` (equal keys in position order) and
+/// the index in them where each run of one key starts. Keys spanning at
+/// most about twice as many values as there are positions — dates, dense
+/// ids — are placed by a counting sort; others by sorting the
+/// `(key, position)` pairs. On 120,000 random `Int` keys (release build,
+/// one core of a 2-vCPU Intel Xeon VM) the counting sort takes 1.4 ms where
+/// the pair sort takes 5.2 (keys spanning n/4 values) and 3.9 ms where it
+/// takes 5.5 (spanning 2n, the cut-off).
+fn runs_by_i64(live: impl Iterator<Item = u32>, key: impl Fn(u32) -> i64) -> (Vec<u32>, Vec<u32>) {
+    let mut pairs: Vec<(i64, u32)> = live.map(|p| (key(p), p)).collect();
+    let (lo, hi) = pairs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), kp| {
+        (lo.min(kp.0), hi.max(kp.0))
+    });
+    let span = hi.wrapping_sub(lo) as u64;
+    if !pairs.is_empty() && span <= 2 * pairs.len() as u64 + 1024 {
+        // `first[k]`: where key `lo + k` starts; the scatter below visits
+        // positions in ascending order, so each run stays ascending.
+        let mut first = vec![0u32; span as usize + 2];
+        for (k, _) in &pairs {
+            first[k.wrapping_sub(lo) as usize + 1] += 1;
+        }
+        for i in 1..first.len() {
+            first[i] += first[i - 1];
+        }
+        let starts = first
+            .windows(2)
+            .filter(|w| w[0] != w[1])
+            .map(|w| w[0])
+            .collect();
+        let mut positions = vec![0u32; pairs.len()];
+        for (k, p) in pairs {
+            let slot = &mut first[k.wrapping_sub(lo) as usize];
+            positions[*slot as usize] = p;
+            *slot += 1;
+        }
+        return (positions, starts);
+    }
+    // Positions are unique, so sorting the pairs is a stable sort by key.
+    pairs.sort_unstable();
+    let starts = (0..pairs.len())
+        .filter(|&k| k == 0 || pairs[k - 1].0 != pairs[k].0)
+        .map(|k| k as u32)
+        .collect();
+    (pairs.into_iter().map(|(_, p)| p).collect(), starts)
+}
+
+impl Runs {
+    /// Sort the non-NULL rows `rows` of `col` (row `rows.start + p` is
+    /// table position `p`) into runs of equal keys.
+    fn build(col: &Column, rows: Range<usize>) -> PopResult<Runs> {
+        let base = rows.start;
+        if u32::try_from(rows.len()).is_err() {
+            return Err(PopError::Execution(format!(
+                "index: {} rows exceed the u32 positions of an in-memory index",
+                rows.len()
+            )));
+        }
+        let live = rows.filter(|&i| !col.is_null(i)).map(|i| (i - base) as u32);
+        let at = |p: u32| base + p as usize;
+        let (positions, mut starts) = match col.data() {
+            Data::Int(v) => runs_by_i64(live, |p| v[at(p)]),
+            Data::Date(v) => runs_by_i64(live, |p| i64::from(v[at(p)])),
+            Data::Float(v) => runs_by_i64(live, |p| total_order_key(v[at(p)])),
+            _ => {
+                let mut positions: Vec<u32> = live.collect();
+                positions.sort_by(|a, b| col.cmp_rows(at(*a), at(*b)));
+                // A run starts wherever the key changes.
+                let starts = (0..positions.len())
+                    .filter(|&k| k == 0 || !col.key_eq(at(positions[k - 1]), col, at(positions[k])))
+                    .map(|k| k as u32)
+                    .collect();
+                (positions, starts)
+            }
+        };
+        let mut keys = Column::default();
+        let firsts = starts.iter().map(|&s| at(positions[s as usize]));
+        keys.extend_gather(col, firsts, starts.len());
+        starts.push(positions.len() as u32);
+        Ok(Runs {
+            keys,
+            starts,
+            positions,
+        })
+    }
+
+    /// The number of keys below `key` or, with `through`, not above it
+    /// (a binary search: the keys are in `cmp_total` order).
+    fn bound(&self, key: Cell<'_>, through: bool) -> usize {
+        let (mut lo, mut hi) = (0, self.keys.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let before = match self.keys.cell(mid).cmp_total(key) {
+                Ordering::Less => true,
+                Ordering::Equal => through,
+                Ordering::Greater => false,
+            };
+            if before {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Positions of the keys `keys` (empty when the range is).
+    fn positions(&self, keys: Range<usize>) -> &[u32] {
+        if keys.start >= keys.end {
+            return &[];
+        }
+        &self.positions[self.starts[keys.start] as usize..self.starts[keys.end] as usize]
+    }
+
+    /// Positions of the keys equal to `key`: one run, or more than one
+    /// where distinct keys of a mixed column both equal it.
+    fn probe(&self, key: Cell<'_>) -> &[u32] {
+        self.positions(self.bound(key, false)..self.bound(key, true))
+    }
+
+    /// Positions of the keys in `[lo, hi]`.
+    fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> &[u32] {
+        let start = lo.map_or(0, |v| self.bound(Cell::of(v), false));
+        let end = hi.map_or(self.keys.len(), |v| self.bound(Cell::of(v), true));
+        self.positions(start..end)
+    }
 }
 
 /// A secondary index mapping a column value to the row positions holding it.
@@ -56,34 +196,18 @@ pub struct Index {
 
 impl Index {
     /// Build an in-memory index of `kind` on `column` over the table's
-    /// current rows, reading that one column through a projected cursor.
+    /// current rows: one projected read of that column (a mem table hands
+    /// out its stored column), one sort of its non-NULL rows.
     pub fn build(kind: IndexKind, column: usize, table: &Table) -> PopResult<Self> {
-        let mut hash = HashMap::new();
-        let mut sorted = BTreeMap::new();
-        let mut entries = 0u64;
         let mut cursor = table.cursor(0, u64::MAX)?.project([column]);
-        while let Some(chunk) = cursor.next_chunk(BUILD_CHUNK)? {
-            let keys = &chunk.cols[column];
-            for (pos, i) in (chunk.start..).zip(chunk.rows) {
-                if keys.is_null(i) {
-                    continue; // NULL never matches an equi-join or range probe
-                }
-                entries += 1;
-                let v = keys.value(i);
-                match kind {
-                    IndexKind::Hash => hash.entry(v).or_insert_with(Vec::new).push(pos),
-                    IndexKind::Sorted => sorted.entry(v).or_insert_with(Vec::new).push(pos),
-                }
-            }
-        }
+        let runs = match cursor.next_chunk(usize::MAX)? {
+            Some(chunk) => Runs::build(&chunk.cols[column], chunk.rows)?,
+            None => Runs::build(&Column::default(), 0..0)?,
+        };
         Ok(Index {
             column,
             kind,
-            repr: Repr::Mem {
-                hash,
-                sorted,
-                entries,
-            },
+            repr: Repr::Mem(runs),
         })
     }
 
@@ -116,7 +240,7 @@ impl Index {
     /// Number of indexed (non-NULL) entries.
     pub fn entries(&self) -> u64 {
         match &self.repr {
-            Repr::Mem { entries, .. } => *entries,
+            Repr::Mem(runs) => runs.positions.len() as u64,
             Repr::BTree(bt) => bt.entry_count(),
         }
     }
@@ -124,10 +248,7 @@ impl Index {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> u64 {
         match &self.repr {
-            Repr::Mem { hash, sorted, .. } => match self.kind {
-                IndexKind::Hash => hash.len() as u64,
-                IndexKind::Sorted => sorted.len() as u64,
-            },
+            Repr::Mem(runs) => runs.keys.len() as u64,
             Repr::BTree(bt) => bt.distinct_keys(),
         }
     }
@@ -149,12 +270,8 @@ impl Index {
             return Ok(());
         }
         match &self.repr {
-            Repr::Mem { hash, sorted, .. } => {
-                let hit = match self.kind {
-                    IndexKind::Hash => hash.get(key),
-                    IndexKind::Sorted => sorted.get(key),
-                };
-                out.extend_from_slice(hit.map_or(&[][..], Vec::as_slice));
+            Repr::Mem(runs) => {
+                out.extend(runs.probe(Cell::of(key)).iter().map(|&p| u64::from(p)));
                 Ok(())
             }
             Repr::BTree(bt) => bt.probe_into(key, out),
@@ -165,19 +282,13 @@ impl Index {
     /// ascending by key. Only supported for sorted indexes; hash indexes
     /// return `Ok(None)`.
     pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> PopResult<Option<Vec<u64>>> {
+        if self.kind != IndexKind::Sorted {
+            return Ok(None);
+        }
         match &self.repr {
-            Repr::Mem { sorted, .. } => {
-                if self.kind != IndexKind::Sorted {
-                    return Ok(None);
-                }
-                let lo_b = lo.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                let hi_b = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                let mut out = Vec::new();
-                for (_, positions) in sorted.range((lo_b, hi_b)) {
-                    out.extend_from_slice(positions);
-                }
-                Ok(Some(out))
-            }
+            Repr::Mem(runs) => Ok(Some(
+                runs.range(lo, hi).iter().map(|&p| u64::from(p)).collect(),
+            )),
             Repr::BTree(bt) => bt.range(lo, hi).map(Some),
         }
     }

@@ -528,9 +528,10 @@ impl Column {
     pub fn truncate(&mut self, n: usize) {
         each_vec!(&mut self.data, |v| v.truncate(n), |k| *k = (*k).min(n));
         if let Some(words) = &mut self.nulls {
-            // Clear the dropped rows' bits: later pushes assume unset.
+            // Clear the dropped rows' bits: later pushes assume unset. A
+            // bitmap that ends before row `n`'s word has no such bits.
             words.truncate(n.div_ceil(64));
-            if let (Some(w), 1..) = (words.last_mut(), n % 64) {
+            if let (Some(w), 1..) = (words.get_mut(n / 64), n % 64) {
                 *w &= (1 << (n % 64)) - 1;
             }
         }
@@ -840,6 +841,12 @@ mod tests {
             &values(&c),
             &[Value::Int(1), Value::Int(2), Value::Int(3)]
         ));
+        // A cut past the bitmap's last word keeps every bit in it (a paged
+        // refill of 65 rows whose NULLs all sit in the first 64).
+        let mut c = column(&[Value::Int(1), Value::Null]);
+        (2..70).for_each(|i| c.push(&Value::Int(i), 0));
+        c.truncate(65);
+        assert!(c.is_null(1) && !c.is_null(0) && !c.is_null(64));
     }
 
     #[test]

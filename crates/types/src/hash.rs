@@ -1,10 +1,69 @@
-//! The one shared FNV-1a implementation.
+//! The shared fixed hashes, so their constants live in exactly one place.
 //!
-//! Several subsystems need a tiny, dependency-free, deterministic 64-bit
-//! hash: the planlint robustness-certificate skeleton hash, the
-//! optimizer's statistics fingerprint, and display-shortened MV
-//! signatures. They all fold bytes through this module so the constants
-//! live in exactly one place and the streams stay comparable.
+//! - FNV-1a, a tiny, deterministic byte hash: the planlint
+//!   robustness-certificate skeleton hash, the optimizer's statistics
+//!   fingerprint, and display-shortened MV signatures fold bytes through
+//!   it so the streams stay comparable.
+//! - A word-at-a-time multiply-rotate hash ([`mix`], [`mix_bytes`],
+//!   [`mix_finish`], and [`MixHasher`] over them) for in-memory hash
+//!   tables over table values: the join and aggregate key hashes and
+//!   ANALYZE's string distinct sets. It is unseeded, so hashes are
+//!   deterministic across runs, and makes no attempt to resist keys
+//!   crafted to collide.
+
+use std::hash::Hasher;
+
+/// Multiplier of [`mix`].
+const MIX_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// One multiply-xor round: fold the word `v` into the running hash `h`.
+#[inline]
+pub fn mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(5) ^ v).wrapping_mul(MIX_MUL)
+}
+
+/// Fold `bytes` into `h` eight at a time, the last word zero-padded.
+#[inline]
+pub fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(h, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix(h, u64::from_le_bytes(word))
+    })
+}
+
+/// Finish a [`mix`] hash. Numeric bit patterns have their low ~30 bits
+/// zero for small integers, and a multiply only carries entropy upwards
+/// — while a hash table picks buckets from the low bits. Fold the high
+/// half down (a murmur-style finalizer) so consecutive keys spread.
+#[inline]
+pub fn mix_finish(mut h: u64) -> u64 {
+    h ^= h >> 32;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 29)
+}
+
+/// A [`Hasher`] over [`mix_bytes`] and [`mix_finish`], for
+/// `HashSet`s of table values (`BuildHasherDefault<MixHasher>`).
+#[derive(Debug, Default)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = mix_bytes(self.0, bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, b: u8) {
+        self.0 = mix(self.0, u64::from(b));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix_finish(self.0)
+    }
+}
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -10,7 +10,7 @@
 
 pub mod column;
 mod error;
-mod hash;
+pub mod hash;
 mod row;
 mod schema;
 mod value;

@@ -149,6 +149,62 @@ fn mixed_types_and_nulls_across_chunks_equal_the_row_reference() {
 }
 
 #[test]
+fn number_edge_cases_equal_the_row_reference() {
+    // Number columns keep their values and count them with one sort: an
+    // `Int` column meeting one `Float` in a late chunk falls back to
+    // `Value` equality; `i64`s above 2^53 that are one `f64` stay distinct
+    // (the histogram sees the `f64`s); `0.0` and `-0.0` are two values by
+    // bit pattern; a NaN is a value; an all-NULL column has none.
+    let schema = Schema::from_pairs(&[
+        ("late_float", DataType::Int),
+        ("big", DataType::Int),
+        ("zeros", DataType::Float),
+        ("nan", DataType::Float),
+        ("none", DataType::Int),
+        ("day", DataType::Date),
+    ]);
+    let big = 1i64 << 53;
+    let rows: Vec<Row> = (0..10_000i64)
+        .map(|i| {
+            vec![
+                if i == 9_500 {
+                    Value::Float(2.5)
+                } else {
+                    Value::Int(i % 7)
+                },
+                Value::Int(big + i % 8),
+                Value::Float(if i % 2 == 0 { 0.0 } else { -0.0 }),
+                match i % 3 {
+                    0 => Value::Float(f64::NAN),
+                    1 => Value::Null,
+                    _ => Value::Float(i as f64 / 3.0),
+                },
+                Value::Null,
+                Value::Date((i % 365) as i32 - 100),
+            ]
+        })
+        .collect();
+    for (storage, backend) in [(StorageConfig::default(), "mem"), (paged(), "paged")] {
+        let catalog = Catalog::with_storage(storage);
+        catalog
+            .create_table("t", schema.clone(), rows.clone())
+            .unwrap();
+        assert_matches_reference(&catalog, backend);
+        let st = analyze_table(&catalog.table("t").unwrap()).unwrap();
+        assert_eq!(st.col(0).distinct, 8, "{backend}: 0..7 and 2.5");
+        assert_eq!(st.col(1).distinct, 8, "{backend}: distinct as i64");
+        let h = st.col(1).histogram.as_ref().unwrap();
+        assert_eq!((h.min(), h.max()), (big as f64, (big + 7) as f64));
+        assert_eq!(st.col(2).distinct, 2, "{backend}: 0.0 and -0.0");
+        assert_eq!(st.col(3).nulls, 3_333, "{backend}");
+        assert!(st.col(3).max.unwrap().is_finite(), "f64::max skips NaN");
+        assert_eq!((st.col(4).nulls, st.col(4).distinct), (10_000, 0));
+        assert!(st.col(4).min.is_none() && st.col(4).histogram.is_none());
+        assert_eq!(st.col(5).distinct, 365, "{backend}");
+    }
+}
+
+#[test]
 fn a_truncated_paged_table_fails_analyze_with_an_error() {
     let dir = std::env::temp_dir().join(format!("pop-typed-analyze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
