@@ -87,7 +87,6 @@ fn lint_workload(
         config.optimizer.flavors = flavors;
         config.cost_model.mem_rows = 4000.0;
         let expect_coverage = flavors.lc;
-        let risk_threshold = config.lint_risk_threshold;
         let exec = PopExecutor::new(catalog.clone(), config).expect("analyze");
         for (name, spec) in queries {
             let plan = match exec.plan(spec, &Params::none()) {
@@ -102,8 +101,7 @@ fn lint_workload(
             let ctx = LintContext::full(exec.catalog(), spec)
                 .expect_check_coverage(expect_coverage)
                 .expect_monitor_coverage(true)
-                .with_stats(exec.stats())
-                .risk_threshold(risk_threshold);
+                .with_stats(exec.stats());
             let diags = lint_plan(&plan, &ctx);
             if diags.is_empty() {
                 if verbose {

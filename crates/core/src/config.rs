@@ -58,12 +58,6 @@ pub struct PopConfig {
     /// re-optimization at all. Overridable with the `POP_FEEDBACK_LEARN`
     /// environment variable (`true`/`false`).
     pub learn_across_queries: bool,
-    /// Maximum number of subplan signatures the cross-query feedback
-    /// store retains (0 = unbounded): once full, new signatures are
-    /// dropped while known ones still strengthen. Defaults to
-    /// [`pop_optimizer::DEFAULT_FEEDBACK_CAPACITY`]; overridable with the
-    /// `POP_FEEDBACK_CAPACITY` environment variable.
-    pub feedback_capacity: usize,
     /// Differential self-check of the incremental memo: re-plan every
     /// step on a fresh memo (which re-derives every group) and fail the
     /// step on any divergence in plan shape or cost from the persistent
@@ -77,22 +71,10 @@ pub struct PopConfig {
     /// reason) and the memo re-derives. Off by default; overridable with
     /// the `POP_PLAN_CACHE` environment variable.
     pub plan_cache: bool,
-    /// Maximum number of cached plans across all query templates
-    /// (0 = unbounded). Defaults to
-    /// [`pop_optimizer::DEFAULT_PLAN_CACHE_CAPACITY`]; overridable with
-    /// the `POP_PLAN_CACHE_CAPACITY` environment variable.
-    pub plan_cache_capacity: usize,
     /// Static plan verification: every plan the optimizer hands to the
     /// executor (initial and re-optimized) is linted against structural
     /// invariants first. See [`LintMode`].
     pub lint: LintMode,
-    /// Risk threshold of the planlint interval analyses: how far a
-    /// node's provable cardinality interval must escape an edge's
-    /// validity range (worst-case ratio) before the edge counts as risky
-    /// for the `PL411` coverage proof and the robustness certificate.
-    /// `1.0` (the default) reports any provable escape; overridable with
-    /// the `POP_LINT_RISK_THRESHOLD` environment variable.
-    pub lint_risk_threshold: f64,
     /// Rows per execution batch. Batch boundaries carry no semantics —
     /// `1` reproduces classic row-at-a-time Volcano execution — so this
     /// only trades per-call overhead against read-ahead granularity.
@@ -120,14 +102,6 @@ pub struct PopConfig {
     /// `POP_MONITOR` environment variable (`on`/`off`/`true`/`false`/
     /// `1`/`0`) overrides.
     pub monitor: bool,
-    /// Drift factor of the monitors' trip bounds: a monitor fires when
-    /// the actual row count exceeds `drift ×` the tighter of the interval
-    /// upper bound and the estimate (floored at
-    /// [`pop_exec::MONITOR_TRIP_FLOOR`] rows). Large enough that ordinary
-    /// estimation noise — including misestimates the planned CHECK layer
-    /// already catches — never trips a monitor. Overridable with the
-    /// `POP_MONITOR_DRIFT` environment variable (finite, > 1.0).
-    pub monitor_drift: f64,
     /// Sampling pre-validation of risky plans: before committing to a
     /// first plan whose robustness certificate carries uncovered risky
     /// edges, execute the plan over a deterministic sample of its driving
@@ -136,12 +110,6 @@ pub struct PopConfig {
     /// fall outside the plan's validity ranges. On by default; the
     /// `POP_SAMPLE_VET` environment variable overrides.
     pub sample_vet: bool,
-    /// Target number of driving-table rows for the sampling
-    /// pre-validation run. The sample is every `ceil(table_rows /
-    /// sample_rows)`-th row, so small tables degenerate to a full (cheap)
-    /// scan. Overridable with the `POP_SAMPLE_ROWS` environment variable
-    /// (> 0).
-    pub sample_rows: usize,
     /// Storage backend for the driver's catalog: in-memory rows (the
     /// default) or the paged backend (pager + buffer pool + B+tree +
     /// WAL). Both produce identical rows, step reports, CHECK events and
@@ -174,33 +142,9 @@ fn learn_from_env(warnings: &mut Vec<String>) -> bool {
     pop_guard::env_parsed("POP_FEEDBACK_LEARN", |_: &bool| true, warnings).unwrap_or(false)
 }
 
-/// Feedback-store capacity from `POP_FEEDBACK_CAPACITY` (0 = unbounded).
-fn feedback_capacity_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_FEEDBACK_CAPACITY", |_: &usize| true, warnings)
-        .unwrap_or(pop_optimizer::DEFAULT_FEEDBACK_CAPACITY)
-}
-
 /// Plan-cache switch from `POP_PLAN_CACHE` (default off).
 fn plan_cache_from_env(warnings: &mut Vec<String>) -> bool {
     pop_guard::env_parsed("POP_PLAN_CACHE", |_: &bool| true, warnings).unwrap_or(false)
-}
-
-/// Plan-cache capacity from `POP_PLAN_CACHE_CAPACITY` (0 = unbounded).
-fn plan_cache_capacity_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_PLAN_CACHE_CAPACITY", |_: &usize| true, warnings)
-        .unwrap_or(pop_optimizer::DEFAULT_PLAN_CACHE_CAPACITY)
-}
-
-/// Lint risk threshold from `POP_LINT_RISK_THRESHOLD`. Values below 1.0
-/// (or non-finite) fall back — recording a warning — since a threshold
-/// under 1.0 is meaningless (no escape factor is below 1.0).
-fn lint_risk_threshold_from_env(warnings: &mut Vec<String>) -> f64 {
-    pop_guard::env_parsed(
-        "POP_LINT_RISK_THRESHOLD",
-        |t: &f64| t.is_finite() && *t >= 1.0,
-        warnings,
-    )
-    .unwrap_or(pop_planlint::DEFAULT_RISK_THRESHOLD)
 }
 
 /// On/off switch from the environment, accepting the natural spellings
@@ -222,30 +166,18 @@ fn switch_from_env(name: &str, default: bool, warnings: &mut Vec<String>) -> boo
     }
 }
 
-/// Monitor drift factor from `POP_MONITOR_DRIFT`. Non-finite values or
-/// values at or below 1.0 fall back — a drift of 1.0 would fire on any
-/// estimate the planned CHECK layer tolerates.
-fn monitor_drift_from_env(warnings: &mut Vec<String>) -> f64 {
-    pop_guard::env_parsed(
-        "POP_MONITOR_DRIFT",
-        |d: &f64| d.is_finite() && *d > 1.0,
-        warnings,
-    )
-    .unwrap_or(DEFAULT_MONITOR_DRIFT)
-}
-
-/// Sample size from `POP_SAMPLE_ROWS` (> 0).
-fn sample_rows_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_SAMPLE_ROWS", |n: &usize| *n > 0, warnings)
-        .unwrap_or(DEFAULT_SAMPLE_ROWS)
-}
-
-/// Default [`PopConfig::monitor_drift`]: wide enough that a 16x
-/// correlated misestimate the CHECK layer already recovers from does not
-/// also trip a monitor, tight enough to catch orders-of-magnitude lies.
+/// Drift factor of the monitors' trip bounds: a monitor fires when the
+/// actual row count exceeds `drift ×` the tighter of the interval upper
+/// bound and the estimate (floored at [`pop_exec::MONITOR_TRIP_FLOOR`]
+/// rows). Wide enough that a 16x correlated misestimate the CHECK layer
+/// already recovers from does not also trip a monitor, tight enough to
+/// catch orders-of-magnitude lies.
 pub const DEFAULT_MONITOR_DRIFT: f64 = 32.0;
 
-/// Default [`PopConfig::sample_rows`].
+/// Target number of driving-table rows for the sampling pre-validation
+/// run ([`PopConfig::sample_vet`]): the sample is every
+/// `ceil(table_rows / DEFAULT_SAMPLE_ROWS)`-th row, so small tables
+/// degenerate to a full (cheap) scan.
 pub const DEFAULT_SAMPLE_ROWS: usize = 4096;
 
 impl Default for PopConfig {
@@ -254,7 +186,6 @@ impl Default for PopConfig {
         let batch_size = batch_size_from_env(&mut env_warnings);
         let budget = Budget::from_env(&mut env_warnings);
         let faults = FaultPlan::from_env(&mut env_warnings);
-        let lint_risk_threshold = lint_risk_threshold_from_env(&mut env_warnings);
         let storage = StorageConfig::from_env(&mut env_warnings);
         // The paged backend plans with the page-aware model; the mem
         // backend keeps the flat model (page terms zeroed). Page counts
@@ -273,19 +204,14 @@ impl Default for PopConfig {
             force_reopt_at: None,
             observe_only: false,
             learn_across_queries: learn_from_env(&mut env_warnings),
-            feedback_capacity: feedback_capacity_from_env(&mut env_warnings),
             verify_memo: false,
             plan_cache: plan_cache_from_env(&mut env_warnings),
-            plan_cache_capacity: plan_cache_capacity_from_env(&mut env_warnings),
             lint: LintMode::default(),
-            lint_risk_threshold,
             batch_size,
             budget,
             faults,
             monitor: switch_from_env("POP_MONITOR", true, &mut env_warnings),
-            monitor_drift: monitor_drift_from_env(&mut env_warnings),
             sample_vet: switch_from_env("POP_SAMPLE_VET", true, &mut env_warnings),
-            sample_rows: sample_rows_from_env(&mut env_warnings),
             storage,
             graceful_degradation: true,
             env_warnings,
@@ -325,9 +251,10 @@ mod tests {
     fn monitor_and_sampling_defaults() {
         let c = PopConfig::default();
         assert!(c.monitor || std::env::var("POP_MONITOR").is_ok());
-        assert_eq!(c.monitor_drift, DEFAULT_MONITOR_DRIFT);
         assert!(c.sample_vet || std::env::var("POP_SAMPLE_VET").is_ok());
-        assert_eq!(c.sample_rows, DEFAULT_SAMPLE_ROWS);
+        // A drift of 1.0 would fire on any estimate the planned CHECK
+        // layer tolerates.
+        const { assert!(DEFAULT_MONITOR_DRIFT > 1.0 && DEFAULT_SAMPLE_ROWS > 0) };
     }
 
     #[test]

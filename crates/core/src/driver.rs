@@ -1,6 +1,7 @@
 //! The POP driver: alternate optimization and execution steps until the
 //! query completes (§2.1, Figure 3 of the paper).
 
+use crate::config::{DEFAULT_MONITOR_DRIFT, DEFAULT_SAMPLE_ROWS};
 use crate::{LintMode, PopConfig, QueryResult, RunReport, SampleVet, StepReport};
 use parking_lot::Mutex;
 use pop_exec::{
@@ -94,15 +95,13 @@ impl PopExecutor {
     /// Create an executor with pre-collected statistics (e.g. deliberately
     /// stale ones, for experiments).
     pub fn with_stats(catalog: Catalog, stats: StatsRegistry, config: PopConfig) -> Self {
-        let learned = FeedbackStore::new(config.feedback_capacity);
-        let plan_cache = PlanCache::new(config.plan_cache_capacity);
         PopExecutor {
             catalog,
             stats,
             config,
-            learned,
+            learned: FeedbackStore::default(),
             memo: Mutex::new(Memo::new()),
-            plan_cache,
+            plan_cache: PlanCache::default(),
         }
     }
 
@@ -549,8 +548,7 @@ impl PopExecutor {
             .expect_check_coverage(expect_coverage)
             .expect_monitor_coverage(self.config.enabled && self.config.monitor)
             .with_cleanups(&cleanups)
-            .with_stats(&self.stats)
-            .risk_threshold(self.config.lint_risk_threshold);
+            .with_stats(&self.stats);
         let diags = pop_planlint::lint_plan(plan, &lctx);
         if self.config.lint == LintMode::Enforce && pop_planlint::has_deny(&diags) {
             return Err(PopError::InvalidPlan(pop_planlint::deny_summary(&diags)));
@@ -657,15 +655,7 @@ impl PopExecutor {
         let intervals = pop_planlint::plan_intervals(plan, &lctx);
         let mut set = MonitorSet::default();
         let mut idx = 0usize;
-        collect_monitor_specs(
-            plan,
-            &intervals,
-            signatures,
-            self.config.monitor_drift,
-            &mut idx,
-            false,
-            &mut set,
-        );
+        collect_monitor_specs(plan, &intervals, signatures, &mut idx, false, &mut set);
         if set.is_empty() {
             None
         } else {
@@ -703,7 +693,7 @@ impl PopExecutor {
         let Some(cert) = certificate else {
             return Ok(None);
         };
-        if cert.uncovered.is_empty() && cert.residual_risk <= self.config.lint_risk_threshold {
+        if cert.uncovered.is_empty() && cert.residual_risk <= pop_planlint::RISK_THRESHOLD {
             return Ok(None);
         }
         let mut has_insert = false;
@@ -715,7 +705,7 @@ impl PopExecutor {
             return Ok(None);
         };
         let rows = self.stats.get(&driving).map_or(0, |s| s.row_count);
-        let stride = sample_stride(rows, self.config.sample_rows);
+        let stride = sample_stride(rows, DEFAULT_SAMPLE_ROWS);
         if stride < 2 {
             return Ok(None);
         }
@@ -738,15 +728,7 @@ impl PopExecutor {
         let intervals = pop_planlint::plan_intervals(plan, &lctx);
         let mut set = MonitorSet::default();
         let mut idx = 0usize;
-        collect_monitor_specs(
-            plan,
-            &intervals,
-            signatures,
-            self.config.monitor_drift,
-            &mut idx,
-            false,
-            &mut set,
-        );
+        collect_monitor_specs(plan, &intervals, signatures, &mut idx, false, &mut set);
         for ms in set.specs.values_mut() {
             let Some(mask) = sig_mask.get(&ms.signature) else {
                 continue;
@@ -906,15 +888,16 @@ impl PopExecutor {
         let name = format!("__pop_mv_{}", *mv_counter);
         *mv_counter += 1;
         let id = self.catalog.allocate_temp_id();
-        // The one copy a harvest makes: canonical-order rows out of the
-        // operator's buffer.
-        let (rows, lineage) = h.to_rows();
-        let actual_card = rows.len() as u64;
+        // The one copy a harvest makes: canonical-order columns out of the
+        // operator's buffer, handed to storage as they are.
+        let (data, lineage) = h.columns();
+        let rows = h.row_count();
+        let actual_card = rows as u64;
         // Under the paged backend the MV spills to temporary pages whose
         // files the catalog's cleanup (table drop) unlinks.
-        let table = self
-            .catalog
-            .create_temp_table(id, name.clone(), Schema::new(cols), rows)?;
+        let table =
+            self.catalog
+                .create_temp_table(id, name.clone(), Schema::new(cols), &data, rows)?;
         // Exact statistics for the re-optimization (the paper: "having the
         // cardinality of the intermediate result in its catalog
         // statistics").
@@ -925,7 +908,7 @@ impl PopExecutor {
             signature: h.signature,
             layout: h.layout,
             actual_card,
-            lineage: Some(Arc::new(lineage)),
+            lineage: Some(lineage),
         });
         Ok(())
     }
@@ -959,13 +942,13 @@ fn count_preserving(node: &PhysNode) -> bool {
 /// *not* observe.
 ///
 /// The trip bound is the tighter of the two alarms, `min(interval.hi,
-/// est) × drift` — the envelope-escape alarm only when the interval's
-/// upper bound is finite — floored at [`MONITOR_TRIP_FLOOR`] rows.
+/// est) × DEFAULT_MONITOR_DRIFT` — the envelope-escape alarm only when
+/// the interval's upper bound is finite — floored at
+/// [`MONITOR_TRIP_FLOOR`] rows.
 fn collect_monitor_specs(
     node: &PhysNode,
     intervals: &[(String, f64, pop_planlint::CardInterval)],
     signatures: &Signatures,
-    drift: f64,
     idx: &mut usize,
     under_check: bool,
     set: &mut MonitorSet,
@@ -977,9 +960,9 @@ fn collect_monitor_specs(
     if monitorable {
         if let Some(Subplan { signature, .. }) = signatures.get(&node.props().tables.mask()) {
             let (path, est, iv) = &intervals[my];
-            let mut bound = est * drift;
+            let mut bound = est * DEFAULT_MONITOR_DRIFT;
             if iv.hi.is_finite() {
-                bound = bound.min(iv.hi * drift);
+                bound = bound.min(iv.hi * DEFAULT_MONITOR_DRIFT);
             }
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let trip = (bound.ceil().max(0.0) as u64).max(MONITOR_TRIP_FLOOR);
@@ -996,7 +979,7 @@ fn collect_monitor_specs(
     }
     let child_counted = is_check || (under_check && count_preserving(node));
     for child in node.children() {
-        collect_monitor_specs(child, intervals, signatures, drift, idx, child_counted, set);
+        collect_monitor_specs(child, intervals, signatures, idx, child_counted, set);
     }
 }
 
@@ -1109,25 +1092,21 @@ mod tests {
                 ("grp_b", DataType::Int),
                 ("grp_c", DataType::Int),
             ]),
-            (0..5000)
-                .map(|i| {
-                    vec![
-                        Value::Int(i),
-                        Value::Int(i % 4),
-                        Value::Int(i % 4),
-                        Value::Int(i % 4),
-                    ]
-                })
-                .collect(),
+            (0..5000).map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 4),
+                    Value::Int(i % 4),
+                    Value::Int(i % 4),
+                ]
+            }),
         )
         .unwrap();
         // Only customers 0..1000 have orders, 50 each.
         cat.create_table(
             "orders",
             Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-            (0..50_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 1000)])
-                .collect(),
+            (0..50_000).map(|i| vec![Value::Int(i), Value::Int(i % 1000)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();
@@ -1279,7 +1258,7 @@ mod tests {
         cat.create_table(
             "t",
             Schema::from_pairs(&[("a", DataType::Int)]),
-            (0..20).map(|i| vec![Value::Int(i)]).collect(),
+            (0..20).map(|i| vec![Value::Int(i)]),
         )
         .unwrap();
         let scan = PhysNode::TableScan {

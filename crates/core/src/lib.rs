@@ -40,12 +40,12 @@
 //! catalog.create_table(
 //!     "orders",
 //!     Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-//!     (0..1000).map(|i| vec![Value::Int(i), Value::Int(i % 100)]).collect(),
+//!     (0..1000).map(|i| vec![Value::Int(i), Value::Int(i % 100)]),
 //! ).unwrap();
 //! catalog.create_table(
 //!     "customer",
 //!     Schema::from_pairs(&[("cid", DataType::Int), ("grp", DataType::Int)]),
-//!     (0..100).map(|i| vec![Value::Int(i), Value::Int(i % 10)]).collect(),
+//!     (0..100).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
 //! ).unwrap();
 //! catalog.create_index("orders", "cust", IndexKind::Hash).unwrap();
 //!

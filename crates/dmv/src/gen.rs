@@ -1,7 +1,7 @@
 //! DMV data generation with deliberate cross-column correlations.
 
 use pop_storage::{Catalog, IndexKind};
-use pop_types::{DataType, PopResult, Row, Schema, Value};
+use pop_types::{DataType, PopResult, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,42 +115,36 @@ impl DmvGen {
                 ("make_name", DataType::Str),
                 ("country", DataType::Str),
             ]),
-            MAKES
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let country = match i % 5 {
-                        0 => "JAPAN",
-                        1 => "USA",
-                        2 => "GERMANY",
-                        3 => "KOREA",
-                        _ => "UK",
-                    };
-                    vec![Value::Int(i as i64), Value::str(*m), Value::str(country)]
-                })
-                .collect(),
+            MAKES.iter().enumerate().map(|(i, m)| {
+                let country = match i % 5 {
+                    0 => "JAPAN",
+                    1 => "USA",
+                    2 => "GERMANY",
+                    3 => "KOREA",
+                    _ => "UK",
+                };
+                vec![Value::Int(i as i64), Value::str(*m), Value::str(country)]
+            }),
         )?;
 
         // MODEL(model_id, make_id, model_name, body_style, base_weight)
         let mut model_weight = Vec::with_capacity(n_models);
         let mut model_colors: Vec<Vec<usize>> = Vec::with_capacity(n_models);
-        let model_rows: Vec<Row> = (0..n_models)
-            .map(|m| {
-                let make = m / MODELS_PER_MAKE;
-                let weight = 900 + 250 * (m % MODELS_PER_MAKE) as i64 + (make as i64 % 7) * 40;
-                model_weight.push(weight);
-                // Each model ships in a palette of 4 colors: COLOR↔MODEL.
-                let first = m % COLORS.len();
-                model_colors.push((0..4).map(|k| (first + k) % COLORS.len()).collect());
-                vec![
-                    Value::Int(m as i64),
-                    Value::Int(make as i64),
-                    Value::str(format!("{}-{}", MAKES[make], m % MODELS_PER_MAKE)),
-                    Value::str(BODY_STYLES[m % BODY_STYLES.len()]),
-                    Value::Int(weight),
-                ]
-            })
-            .collect();
+        let model_rows = (0..n_models).map(|m| {
+            let make = m / MODELS_PER_MAKE;
+            let weight = 900 + 250 * (m % MODELS_PER_MAKE) as i64 + (make as i64 % 7) * 40;
+            model_weight.push(weight);
+            // Each model ships in a palette of 4 colors: COLOR↔MODEL.
+            let first = m % COLORS.len();
+            model_colors.push((0..4).map(|k| (first + k) % COLORS.len()).collect());
+            vec![
+                Value::Int(m as i64),
+                Value::Int(make as i64),
+                Value::str(format!("{}-{}", MAKES[make], m % MODELS_PER_MAKE)),
+                Value::str(BODY_STYLES[m % BODY_STYLES.len()]),
+                Value::Int(weight),
+            ]
+        });
         catalog.create_table(
             "model",
             Schema::from_pairs(&[
@@ -172,15 +166,13 @@ impl DmvGen {
                 ("city_name", DataType::Str),
                 ("zip_base", DataType::Int),
             ]),
-            (0..n_city)
-                .map(|i| {
-                    vec![
-                        Value::Int(i64::from(i)),
-                        Value::str(format!("CITY{i:02}")),
-                        Value::Int(i64::from(10000 + i * 100)),
-                    ]
-                })
-                .collect(),
+            (0..n_city).map(|i| {
+                vec![
+                    Value::Int(i64::from(i)),
+                    Value::str(format!("CITY{i:02}")),
+                    Value::Int(i64::from(10000 + i * 100)),
+                ]
+            }),
         )?;
 
         // OWNER(owner_id, name, age, zip, city_id, license_class)
@@ -188,23 +180,21 @@ impl DmvGen {
         // assigned to owners).
         let mut owner_age = Vec::with_capacity(n_owner);
         let mut owner_zip = Vec::with_capacity(n_owner);
-        let owner_rows: Vec<Row> = (0..n_owner)
-            .map(|i| {
-                let age = rng.gen_range(18..=90i64);
-                let city = i64::from(rng.gen_range(0..n_city));
-                let zip = 10000 + city * 100 + rng.gen_range(0..100i64);
-                owner_age.push(age);
-                owner_zip.push(zip);
-                vec![
-                    Value::Int(i as i64),
-                    Value::str(format!("Owner#{i:08}")),
-                    Value::Int(age),
-                    Value::Int(zip),
-                    Value::Int(city),
-                    Value::str(["A", "B", "C", "CDL"][rng.gen_range(0..4usize)]),
-                ]
-            })
-            .collect();
+        let owner_rows = (0..n_owner).map(|i| {
+            let age = rng.gen_range(18..=90i64);
+            let city = i64::from(rng.gen_range(0..n_city));
+            let zip = 10000 + city * 100 + rng.gen_range(0..100i64);
+            owner_age.push(age);
+            owner_zip.push(zip);
+            vec![
+                Value::Int(i as i64),
+                Value::str(format!("Owner#{i:08}")),
+                Value::Int(age),
+                Value::Int(zip),
+                Value::Int(city),
+                Value::str(["A", "B", "C", "CDL"][rng.gen_range(0..4usize)]),
+            ]
+        });
         catalog.create_table(
             "owner",
             Schema::from_pairs(&[
@@ -228,16 +218,14 @@ impl DmvGen {
                 ("zip", DataType::Int),
                 ("franchise_make", DataType::Int),
             ]),
-            (0..n_dealer)
-                .map(|i| {
-                    vec![
-                        Value::Int(i as i64),
-                        Value::str(format!("Dealer#{i:05}")),
-                        Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
-                        Value::Int((i % MAKES.len()) as i64),
-                    ]
-                })
-                .collect(),
+            (0..n_dealer).map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::str(format!("Dealer#{i:05}")),
+                    Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
+                    Value::Int((i % MAKES.len()) as i64),
+                ]
+            }),
         )?;
 
         // CAR(car_id, owner_id, model_id, make_id, color, weight, year,
@@ -246,35 +234,33 @@ impl DmvGen {
         // palette; weight = model base weight ± noise; the owner's age
         // band biases the make (AGE↔MAKE); zip_reg near the owner's zip,
         // so ZIP↔MAKE inherits the age-make bias per city.
-        let car_rows: Vec<Row> = (0..n_car)
-            .map(|i| {
-                let owner = rng.gen_range(0..n_owner);
-                let age = owner_age[owner];
-                // Age bands prefer different make bands (soft correlation).
-                let band = ((age - 18) / 15).min(4) as usize; // 0..5
-                let make = if rng.gen_bool(0.7) {
-                    (band * 6 + rng.gen_range(0..6usize)) % MAKES.len()
-                } else {
-                    rng.gen_range(0..MAKES.len())
-                };
-                let model = make * MODELS_PER_MAKE + rng.gen_range(0..MODELS_PER_MAKE);
-                let palette = &model_colors[model];
-                let color = COLORS[palette[rng.gen_range(0..palette.len())]];
-                let weight = model_weight[model] + rng.gen_range(-25i64..=25);
-                let zip = owner_zip[owner];
-                vec![
-                    Value::Int(i as i64),
-                    Value::Int(owner as i64),
-                    Value::Int(model as i64),
-                    Value::Int(make as i64),
-                    Value::str(color),
-                    Value::Int(weight),
-                    Value::Int(rng.gen_range(1995..=2004)),
-                    Value::Int(zip),
-                    Value::Int(rng.gen_range(0..n_dealer as i64)),
-                ]
-            })
-            .collect();
+        let car_rows = (0..n_car).map(|i| {
+            let owner = rng.gen_range(0..n_owner);
+            let age = owner_age[owner];
+            // Age bands prefer different make bands (soft correlation).
+            let band = ((age - 18) / 15).min(4) as usize; // 0..5
+            let make = if rng.gen_bool(0.7) {
+                (band * 6 + rng.gen_range(0..6usize)) % MAKES.len()
+            } else {
+                rng.gen_range(0..MAKES.len())
+            };
+            let model = make * MODELS_PER_MAKE + rng.gen_range(0..MODELS_PER_MAKE);
+            let palette = &model_colors[model];
+            let color = COLORS[palette[rng.gen_range(0..palette.len())]];
+            let weight = model_weight[model] + rng.gen_range(-25i64..=25);
+            let zip = owner_zip[owner];
+            vec![
+                Value::Int(i as i64),
+                Value::Int(owner as i64),
+                Value::Int(model as i64),
+                Value::Int(make as i64),
+                Value::str(color),
+                Value::Int(weight),
+                Value::Int(rng.gen_range(1995..=2004)),
+                Value::Int(zip),
+                Value::Int(rng.gen_range(0..n_dealer as i64)),
+            ]
+        });
         catalog.create_table(
             "car",
             Schema::from_pairs(&[
@@ -301,8 +287,7 @@ impl DmvGen {
             PROVIDERS
                 .iter()
                 .enumerate()
-                .map(|(i, p)| vec![Value::Int(i as i64), Value::str(*p)])
-                .collect(),
+                .map(|(i, p)| vec![Value::Int(i as i64), Value::str(*p)]),
         )?;
 
         // INSURANCE(policy_id, car_id, provider_id, premium, start_year)
@@ -316,17 +301,15 @@ impl DmvGen {
                 ("premium", DataType::Float),
                 ("start_year", DataType::Int),
             ]),
-            (0..n_ins)
-                .map(|i| {
-                    vec![
-                        Value::Int(i as i64),
-                        Value::Int(rng.gen_range(0..n_car as i64)),
-                        Value::Int(rng.gen_range(0..PROVIDERS.len() as i64)),
-                        Value::Float(f64::from(rng.gen_range(40_000..300_000)) / 100.0),
-                        Value::Int(rng.gen_range(1995..=2004)),
-                    ]
-                })
-                .collect(),
+            (0..n_ins).map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::Int(rng.gen_range(0..n_car as i64)),
+                    Value::Int(rng.gen_range(0..PROVIDERS.len() as i64)),
+                    Value::Float(f64::from(rng.gen_range(40_000..300_000)) / 100.0),
+                    Value::Int(rng.gen_range(1995..=2004)),
+                ]
+            }),
         )?;
 
         // VIOLATION_TYPE(type_id, description, points)
@@ -340,8 +323,7 @@ impl DmvGen {
             VIOLATION_TYPES
                 .iter()
                 .enumerate()
-                .map(|(i, (d, p))| vec![Value::Int(i as i64), Value::str(*d), Value::Int(*p)])
-                .collect(),
+                .map(|(i, (d, p))| vec![Value::Int(i as i64), Value::str(*d), Value::Int(*p)]),
         )?;
 
         // VIOLATION(violation_id, car_id, type_id, day, fine)
@@ -355,17 +337,15 @@ impl DmvGen {
                 ("day", DataType::Date),
                 ("fine", DataType::Float),
             ]),
-            (0..n_vio)
-                .map(|i| {
-                    vec![
-                        Value::Int(i as i64),
-                        Value::Int(rng.gen_range(0..n_car as i64)),
-                        Value::Int(rng.gen_range(0..VIOLATION_TYPES.len() as i64)),
-                        Value::Date(rng.gen_range(0..1825)),
-                        Value::Float(f64::from(rng.gen_range(2_500..100_000)) / 100.0),
-                    ]
-                })
-                .collect(),
+            (0..n_vio).map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::Int(rng.gen_range(0..n_car as i64)),
+                    Value::Int(rng.gen_range(0..VIOLATION_TYPES.len() as i64)),
+                    Value::Date(rng.gen_range(0..1825)),
+                    Value::Float(f64::from(rng.gen_range(2_500..100_000)) / 100.0),
+                ]
+            }),
         )?;
 
         // STATION(station_id, station_name, zip)
@@ -377,15 +357,13 @@ impl DmvGen {
                 ("station_name", DataType::Str),
                 ("zip", DataType::Int),
             ]),
-            (0..n_station)
-                .map(|i| {
-                    vec![
-                        Value::Int(i64::from(i)),
-                        Value::str(format!("Station#{i:03}")),
-                        Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
-                    ]
-                })
-                .collect(),
+            (0..n_station).map(|i| {
+                vec![
+                    Value::Int(i64::from(i)),
+                    Value::str(format!("Station#{i:03}")),
+                    Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
+                ]
+            }),
         )?;
 
         // INSPECTION(inspection_id, car_id, station_id, day, passed)
@@ -399,17 +377,15 @@ impl DmvGen {
                 ("day", DataType::Date),
                 ("passed", DataType::Bool),
             ]),
-            (0..n_insp)
-                .map(|i| {
-                    vec![
-                        Value::Int(i as i64),
-                        Value::Int(rng.gen_range(0..n_car as i64)),
-                        Value::Int(rng.gen_range(0..i64::from(n_station))),
-                        Value::Date(rng.gen_range(0..1825)),
-                        Value::Bool(rng.gen_bool(0.85)),
-                    ]
-                })
-                .collect(),
+            (0..n_insp).map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::Int(rng.gen_range(0..n_car as i64)),
+                    Value::Int(rng.gen_range(0..i64::from(n_station))),
+                    Value::Date(rng.gen_range(0..1825)),
+                    Value::Bool(rng.gen_bool(0.85)),
+                ]
+            }),
         )?;
 
         // ACCIDENT(accident_id, car_id, day, severity, zip)
@@ -423,17 +399,15 @@ impl DmvGen {
                 ("severity", DataType::Int),
                 ("zip", DataType::Int),
             ]),
-            (0..n_acc)
-                .map(|i| {
-                    vec![
-                        Value::Int(i as i64),
-                        Value::Int(rng.gen_range(0..n_car as i64)),
-                        Value::Date(rng.gen_range(0..1825)),
-                        Value::Int(rng.gen_range(1..=5)),
-                        Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
-                    ]
-                })
-                .collect(),
+            (0..n_acc).map(|i| {
+                vec![
+                    Value::Int(i as i64),
+                    Value::Int(rng.gen_range(0..n_car as i64)),
+                    Value::Date(rng.gen_range(0..1825)),
+                    Value::Int(rng.gen_range(1..=5)),
+                    Value::Int(10000 + rng.gen_range(0..i64::from(n_city)) * 100),
+                ]
+            }),
         )?;
 
         for (table, column) in [

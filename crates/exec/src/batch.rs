@@ -16,7 +16,7 @@
 //! `Rid` vector with the same number of rids for every row of a batch. A
 //! batch of 1024 rows costs one allocation per column plus one for
 //! lineage; owned `Row`s exist only at the result boundary
-//! ([`RowBatch::row_at`]) and at temp-MV promotion.
+//! ([`RowBatch::row_at`]).
 //!
 //! The same container, grown with [`RowBatch::append`], is the buffer
 //! behind every materialization (hash-join build, SORT, TEMP): rows are
@@ -335,9 +335,32 @@ impl RowBatch {
     }
 
     /// The row at physical index `i`, as owned values — the result
-    /// boundary (rows handed to the application, rows inserted by INSERT).
+    /// boundary (rows handed to the application).
     pub fn row_at(&self, i: usize) -> Row {
         self.cols.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// The columns `cols` at the physical rows `rows`, in those orders:
+    /// one typed gather per column (an empty batch has no columns yet;
+    /// its gathers are empty).
+    pub(crate) fn gather_columns(
+        &self,
+        cols: impl Iterator<Item = usize>,
+        rows: &(impl ExactSizeIterator<Item = usize> + Clone),
+    ) -> Vec<Column> {
+        cols.map(|c| {
+            let mut col = Column::default();
+            if let Some(src) = self.cols.get(c) {
+                col.extend_gather(src, rows.clone(), rows.len());
+            }
+            col
+        })
+        .collect()
+    }
+
+    /// Rids of lineage per row.
+    pub fn lineage_width(&self) -> usize {
+        self.lin_width
     }
 
     /// Lineage of the row at physical index `i`.

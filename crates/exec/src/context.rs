@@ -7,8 +7,9 @@ use crate::RowBatch;
 use pop_expr::Params;
 use pop_guard::{FaultInjector, Governor};
 use pop_plan::{CheckContext, CheckFlavor, CostModel, ValidityRange};
-use pop_storage::Catalog;
-use pop_types::{ColId, PopError, Rid, Row};
+use pop_storage::{Catalog, Lineage};
+use pop_types::column::Column;
+use pop_types::{ColId, PopError, Rid};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -16,8 +17,8 @@ use std::sync::Arc;
 /// temporary materialized view if a CHECK fails later in this run (§2.3).
 /// It shares the operator's own buffer; rows in **canonical column order**
 /// (so any re-optimized plan can consume them regardless of the join
-/// order that produced them) are only built by [`Harvest::to_rows`], at
-/// promotion — a run that never re-optimizes copies nothing.
+/// order that produced them) are only gathered by [`Harvest::columns`],
+/// at promotion — a run that never re-optimizes copies nothing.
 #[derive(Debug, Clone)]
 pub struct Harvest {
     /// Subplan signature (tables + applied predicates).
@@ -50,17 +51,23 @@ impl Harvest {
         self.buffer.len()
     }
 
-    /// The rows in canonical column order, with their lineage, in the
-    /// operator's output order.
-    pub fn to_rows(&self) -> (Vec<Row>, Vec<Vec<Rid>>) {
-        let n = self.row_count();
-        let (mut rows, mut lineage) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for k in 0..n {
-            let i = self.order.as_ref().map_or(k, |o| o[k] as usize);
-            rows.push(self.perm.iter().map(|p| self.buffer.value(*p, i)).collect());
-            lineage.push(self.buffer.lineage_at(i).to_vec());
+    /// The rows in the operator's output order, as columns in canonical
+    /// column order — one typed gather per column — and their lineage:
+    /// what a temp MV is loaded from.
+    pub fn columns(&self) -> (Vec<Column>, Lineage) {
+        match &self.order {
+            Some(order) => self.gather(order.iter().map(|i| *i as usize)),
+            None => self.gather(0..self.row_count()),
         }
-        (rows, lineage)
+    }
+
+    fn gather(&self, rows: impl ExactSizeIterator<Item = usize> + Clone) -> (Vec<Column>, Lineage) {
+        let cols = self.buffer.gather_columns(self.perm.iter().copied(), &rows);
+        let rids = rows.flat_map(|i| self.buffer.lineage_at(i).iter().copied());
+        (
+            cols,
+            Lineage::new(rids.collect(), self.buffer.lineage_width()),
+        )
     }
 }
 

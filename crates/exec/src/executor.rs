@@ -118,7 +118,7 @@ mod tests {
         cat.create_table(
             "t",
             Schema::from_pairs(&[("a", DataType::Int)]),
-            (0..20).map(|i| vec![Value::Int(i)]).collect(),
+            (0..20).map(|i| vec![Value::Int(i)]),
         )
         .unwrap();
         let ctx = ExecCtx::new(cat, Params::none(), CostModel::default());

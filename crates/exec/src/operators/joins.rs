@@ -973,7 +973,7 @@ mod tests {
             .create_table(
                 "big",
                 Schema::from_pairs(&[("k", DataType::Int)]),
-                (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
+                (0..n).map(|i| vec![Value::Int(i as i64)]),
             )
             .unwrap();
         let small = cat
@@ -1014,9 +1014,7 @@ mod tests {
                     ("b", DataType::Int),
                     ("c", DataType::Int),
                 ]),
-                (0..n)
-                    .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(-i)])
-                    .collect(),
+                (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(-i)]),
             )
             .unwrap();
         let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());

@@ -276,17 +276,12 @@ mod tests {
         assert_eq!(op.materialized_count(), Some(3));
         // The harvest outlives the operator's own handle on the buffer.
         op.close(&mut ctx);
-        let (rows, lineage) = ctx.harvests[0].to_rows();
-        assert_eq!(
-            rows,
-            vec![
-                vec![Value::Int(3)],
-                vec![Value::Int(1)],
-                vec![Value::Int(2)]
-            ]
-        );
-        assert_eq!(lineage.len(), 3);
-        assert_eq!(lineage[1].len(), 1);
+        let (cols, lineage) = ctx.harvests[0].columns();
+        assert_eq!(cols.len(), 1);
+        let values: Vec<Value> = (0..3).map(|i| cols[0].value(i)).collect();
+        assert_eq!(values, [3, 1, 2].map(Value::Int));
+        assert_eq!(lineage.row(1).len(), 1);
+        assert!(lineage.row(3).is_empty());
     }
 
     #[test]
@@ -314,8 +309,7 @@ mod tests {
                 "kt",
                 Schema::from_pairs(&[("k", DataType::Int), ("t", DataType::Str)]),
                 rows.iter()
-                    .map(|(k, t)| vec![Value::Int(*k), Value::str(t)])
-                    .collect(),
+                    .map(|(k, t)| vec![Value::Int(*k), Value::str(t)]),
             )
             .unwrap();
         let info = HarvestInfo {
@@ -340,13 +334,15 @@ mod tests {
                 }
                 assert_eq!(tags, expect, "desc={desc} @ {batch_size}");
                 op.close(&mut ctx);
-                let (rows, lineage) = ctx.harvests[0].to_rows();
-                let harvested: String = rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+                let (cols, lineage) = ctx.harvests[0].columns();
+                let harvested: String = (0..5)
+                    .map(|i| cols[0].value(i).as_str().unwrap().to_string())
+                    .collect();
                 assert_eq!(harvested, expect, "harvest, desc={desc}");
-                assert!(rows.iter().all(|r| r[1].as_i64().is_some()));
+                assert!((0..5).all(|i| cols[1].value(i).as_i64().is_some()));
                 let pos = |tag: char| expect.find(tag).unwrap();
-                assert_eq!(lineage[pos('a')], vec![pop_types::Rid::new(t.id(), 0)]);
-                assert_eq!(lineage[pos('e')], vec![pop_types::Rid::new(t.id(), 4)]);
+                assert_eq!(lineage.row(pos('a')), &[pop_types::Rid::new(t.id(), 0)]);
+                assert_eq!(lineage.row(pos('e')), &[pop_types::Rid::new(t.id(), 4)]);
             }
         }
     }

@@ -3,7 +3,7 @@
 use crate::operators::Operator;
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_expr::BoundExpr;
-use pop_storage::{RowFetcher, Table, TableCursor};
+use pop_storage::{Lineage, RowFetcher, Table, TableCursor};
 use pop_types::Rid;
 use std::sync::Arc;
 
@@ -283,7 +283,7 @@ impl Operator for IndexRangeScanOp {
 /// deferred compensation keeps working across re-optimizations.
 pub struct MvScanOp {
     table: Arc<Table>,
-    lineage: Option<Arc<Vec<Vec<Rid>>>>,
+    lineage: Option<Lineage>,
     /// Every column of the MV, in order.
     cols: Vec<usize>,
     cursor: Option<TableCursor>,
@@ -291,7 +291,7 @@ pub struct MvScanOp {
 
 impl MvScanOp {
     /// Create an MV scan.
-    pub fn new(table: Arc<Table>, lineage: Option<Arc<Vec<Vec<Rid>>>>) -> Self {
+    pub fn new(table: Arc<Table>, lineage: Option<Lineage>) -> Self {
         MvScanOp {
             cols: (0..table.schema().len()).collect(),
             table,
@@ -319,12 +319,9 @@ impl Operator for MvScanOp {
         let n = chunk.rows.len();
         ctx.charge(n as f64 * ctx.model.temp_read_row + chunk.new_pages as f64 * ctx.model.page_io);
         let mut out = RowBatch::with_capacity(n);
-        let lineage = (chunk.start as usize..).take(n).map(|pos| -> &[Rid] {
-            self.lineage
-                .as_ref()
-                .and_then(|l| l.get(pos))
-                .map_or(&[], Vec::as_slice)
-        });
+        let lineage = (chunk.start as usize..)
+            .take(n)
+            .map(|pos| self.lineage.as_ref().map_or(&[] as &[Rid], |l| l.row(pos)));
         out.extend_columns(chunk.cols, &self.cols, chunk.rows.clone(), lineage);
         Ok(Some(out))
     }
@@ -353,9 +350,7 @@ mod tests {
             .create_table(
                 "t",
                 Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
-                (0..10)
-                    .map(|i| vec![Value::Int(i), Value::Int(i % 3)])
-                    .collect(),
+                (0..10).map(|i| vec![Value::Int(i), Value::Int(i % 3)]),
             )
             .unwrap();
         let ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
@@ -437,8 +432,8 @@ mod tests {
     #[test]
     fn mv_scan_restores_lineage() {
         let (mut ctx, t) = ctx_and_table();
-        let lineage = Arc::new((0..10).map(|i| vec![Rid::new(9, i)]).collect::<Vec<_>>());
-        let mut op = MvScanOp::new(t, Some(lineage));
+        let rids: Arc<[Rid]> = (0..10).map(|i| Rid::new(9, i)).collect();
+        let mut op = MvScanOp::new(t, Some(Lineage::new(rids, 1)));
         op.open(&mut ctx).unwrap();
         assert_eq!(op.materialized_count(), Some(10));
         let b = op.next_batch(&mut ctx).unwrap().unwrap();

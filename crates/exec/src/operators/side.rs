@@ -38,36 +38,29 @@ impl Operator for InsertOp {
             return Ok(None);
         };
         let arity = self.target.schema().len();
-        let mut to_insert: Vec<Vec<pop_types::Value>> = Vec::new();
-        let mut bad: Option<usize> = None;
+        let mut keep = Vec::new();
         for i in b.live_indices() {
             let key = lineage_key(b.lineage_at(i));
             if ctx.side_effects_applied.contains(&key) {
                 continue;
             }
             if b.width() != arity {
-                bad = Some(b.width());
-                break;
+                return Err(PopError::Execution(format!(
+                    "INSERT into {}: row arity {} != schema arity {arity}",
+                    self.target.name(),
+                    b.width(),
+                ))
+                .into());
             }
             ctx.charge(ctx.model.temp_write_row);
-            to_insert.push(b.row_at(i));
             ctx.side_effects_applied.insert(key);
+            keep.push(i);
         }
-        // Rows accepted before a bad row stay applied, exactly as when
-        // inserting one row at a time.
-        if !to_insert.is_empty() {
+        if !keep.is_empty() {
+            let cols = b.gather_columns(0..arity, &keep.iter().copied());
             self.target
-                .insert(to_insert)
+                .append(&cols, keep.len())
                 .map_err(crate::ExecSignal::Error)?;
-        }
-        if let Some(got) = bad {
-            return Err(PopError::Execution(format!(
-                "INSERT into {}: row arity {} != schema arity {}",
-                self.target.name(),
-                got,
-                arity
-            ))
-            .into());
         }
         Ok(Some(b))
     }
@@ -165,7 +158,7 @@ mod tests {
             .create_table(
                 "src",
                 Schema::from_pairs(&[("a", DataType::Int)]),
-                (0..5).map(|i| vec![Value::Int(i)]).collect(),
+                (0..5).map(|i| vec![Value::Int(i)]),
             )
             .unwrap();
         let sink = cat

@@ -14,17 +14,13 @@ fn catalog() -> Catalog {
     cat.create_table(
         "t",
         Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
-        (0..50)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 5)])
-            .collect(),
+        (0..50).map(|i| vec![Value::Int(i), Value::Int(i % 5)]),
     )
     .unwrap();
     cat.create_table(
         "u",
         Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]),
-        (0..25)
-            .map(|i| vec![Value::Int(i % 5), Value::Int(i)])
-            .collect(),
+        (0..25).map(|i| vec![Value::Int(i % 5), Value::Int(i)]),
     )
     .unwrap();
     cat.create_index("u", "k", IndexKind::Hash).unwrap();

@@ -27,19 +27,14 @@ fn setup(
         .create_table(
             "l",
             schema.clone(),
-            left.iter()
-                .map(|(k, v)| vec![opt_int(*k), Value::Int(*v)])
-                .collect(),
+            left.iter().map(|(k, v)| vec![opt_int(*k), Value::Int(*v)]),
         )
         .unwrap();
     let r = cat
         .create_table(
             "r",
             schema,
-            right
-                .iter()
-                .map(|(k, v)| vec![opt_int(*k), Value::Int(*v)])
-                .collect(),
+            right.iter().map(|(k, v)| vec![opt_int(*k), Value::Int(*v)]),
         )
         .unwrap();
     cat.create_index("r", "k", IndexKind::Hash).unwrap();

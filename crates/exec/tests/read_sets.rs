@@ -73,7 +73,7 @@ fn fixtures() -> [Fixture; 2] {
                     ("flag", DataType::Bool),
                     ("pad", DataType::Str),
                 ]),
-                (0..N).map(t_row).collect(),
+                (0..N).map(t_row),
             )
             .unwrap();
         let u = cat

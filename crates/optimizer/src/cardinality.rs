@@ -307,18 +307,14 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..100)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
-                .collect(),
+            (0..100).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
         )
         .unwrap();
         // orders(oid, cust): 1000 rows, cust uniform over 100 customers
         cat.create_table(
             "orders",
             Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-            (0..1000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 100)])
-                .collect(),
+            (0..1000).map(|i| vec![Value::Int(i), Value::Int(i % 100)]),
         )
         .unwrap();
         let stats = StatsRegistry::new();
@@ -394,9 +390,7 @@ mod tests {
         cat.create_table(
             "items",
             Schema::from_pairs(&[("iid", DataType::Int), ("ord", DataType::Int)]),
-            (0..2000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 1000)])
-                .collect(),
+            (0..2000).map(|i| vec![Value::Int(i), Value::Int(i % 1000)]),
         )
         .unwrap();
         stats.analyze(&cat, "items").unwrap();

@@ -494,9 +494,7 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20)])
-                .collect(),
+            (0..200).map(|i| vec![Value::Int(i), Value::Int(i % 20)]),
         )
         .unwrap();
         cat.create_table(
@@ -506,9 +504,7 @@ mod tests {
                 ("cust", DataType::Int),
                 ("amount", DataType::Int),
             ]),
-            (0..20_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)])
-                .collect(),
+            (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();
@@ -643,9 +639,7 @@ mod tests {
         cat.create_table(
             "nation",
             Schema::from_pairs(&[("nid", DataType::Int), ("name", DataType::Str)]),
-            (0..25)
-                .map(|i| vec![Value::Int(i), Value::str(format!("n{i}"))])
-                .collect(),
+            (0..25).map(|i| vec![Value::Int(i), Value::str(format!("n{i}"))]),
         )
         .unwrap();
         cat.create_index("nation", "nid", IndexKind::Hash).unwrap();

@@ -89,7 +89,7 @@ impl std::fmt::Debug for FeedbackStore {
 }
 
 impl FeedbackStore {
-    /// Empty store holding at most `capacity` signatures (0 = unbounded).
+    /// Empty store holding at most `capacity` signatures.
     pub fn new(capacity: usize) -> Self {
         FeedbackStore {
             inner: Arc::default(),
@@ -108,7 +108,7 @@ impl FeedbackStore {
                 map.insert(sig, merged);
             }
             None => {
-                if self.capacity == 0 || map.len() < self.capacity {
+                if map.len() < self.capacity {
                     map.insert(sig, fact);
                 }
             }
@@ -133,11 +133,6 @@ impl FeedbackStore {
     /// Drop all facts.
     pub fn clear(&self) {
         self.inner.write().clear();
-    }
-
-    /// Maximum number of signatures retained (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

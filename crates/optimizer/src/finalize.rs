@@ -298,9 +298,7 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20)])
-                .collect(),
+            (0..200).map(|i| vec![Value::Int(i), Value::Int(i % 20)]),
         )
         .unwrap();
         cat.create_table(
@@ -310,9 +308,7 @@ mod tests {
                 ("cust", DataType::Int),
                 ("amount", DataType::Int),
             ]),
-            (0..20_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)])
-                .collect(),
+            (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();

@@ -284,9 +284,7 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20)])
-                .collect(),
+            (0..200).map(|i| vec![Value::Int(i), Value::Int(i % 20)]),
         )
         .unwrap();
         cat.create_table(
@@ -296,17 +294,13 @@ mod tests {
                 ("cust", DataType::Int),
                 ("amount", DataType::Int),
             ]),
-            (0..20_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)])
-                .collect(),
+            (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 97)]),
         )
         .unwrap();
         cat.create_table(
             "items",
             Schema::from_pairs(&[("iid", DataType::Int), ("ord", DataType::Int)]),
-            (0..40_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20_000)])
-                .collect(),
+            (0..40_000).map(|i| vec![Value::Int(i), Value::Int(i % 20_000)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();
@@ -543,9 +537,7 @@ mod tests {
                     ("key", DataType::Int),
                     ("attr", DataType::Int),
                 ]),
-                (0..rows)
-                    .map(|r| vec![Value::Int(r), Value::Int(r % 8), Value::Int(r % 5)])
-                    .collect(),
+                (0..rows).map(|r| vec![Value::Int(r), Value::Int(r % 8), Value::Int(r % 5)]),
             )
             .unwrap();
             if i % 2 == 0 {

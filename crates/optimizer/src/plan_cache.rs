@@ -58,7 +58,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Empty cache holding at most `capacity` plans (0 = unbounded).
+    /// Empty cache holding at most `capacity` plans.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             entries: Arc::default(),
@@ -133,7 +133,7 @@ impl PlanCache {
         }
         let mut entries = self.entries.lock();
         let total: usize = entries.values().map(Vec::len).sum();
-        if self.capacity != 0 && total >= self.capacity {
+        if total >= self.capacity {
             return;
         }
         entries.entry(key.into()).or_default().push(CachedPlan {
@@ -211,17 +211,13 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20)])
-                .collect(),
+            (0..200).map(|i| vec![Value::Int(i), Value::Int(i % 20)]),
         )
         .unwrap();
         cat.create_table(
             "orders",
             Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-            (0..20_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 200)])
-                .collect(),
+            (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 200)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();

@@ -160,7 +160,7 @@ fn visit(
                 .open_risks
                 .iter()
                 .cloned()
-                .chain(domain::edge_risk(node, i, child, cst, ctx, path))
+                .chain(domain::edge_risk(node, i, child, cst, path))
             {
                 cert.uncovered.push(r.path);
                 cert.residual_risk = cert.residual_risk.max(r.escape);
@@ -175,7 +175,7 @@ fn visit(
             // This node is a dominator (its transfer clears the open
             // set): everything open below edge `i` is guarded here.
             cert.guarded_edges += cst.open_risks.len()
-                + usize::from(domain::edge_risk(node, i, child, cst, ctx, path).is_some());
+                + usize::from(domain::edge_risk(node, i, child, cst, path).is_some());
         }
     }
 

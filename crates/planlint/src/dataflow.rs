@@ -226,7 +226,7 @@ impl Pass for RiskPass {
                 continue;
             }
             let mut risks = cst.open_risks.clone();
-            if let Some(r) = domain::edge_risk(cx.node, i, child, cst, ctx, cx.path) {
+            if let Some(r) = domain::edge_risk(cx.node, i, child, cst, cx.path) {
                 risks.push(r);
             }
             for r in risks {
@@ -311,7 +311,7 @@ impl Pass for MonitorPass {
                 continue;
             }
             let mut risks = cst.open_risks.clone();
-            risks.extend(domain::edge_risk(cx.node, i, child, cst, ctx, cx.path));
+            risks.extend(domain::edge_risk(cx.node, i, child, cst, cx.path));
             report(risks, sink);
         }
         // Root-surviving risks stream to the application with no further

@@ -250,7 +250,7 @@ pub(crate) fn transfer(
         _ => false,
     };
 
-    st.open_risks = open_risks(node, inputs, ctx, path);
+    st.open_risks = open_risks(node, inputs, path);
     st
 }
 
@@ -265,12 +265,7 @@ pub(crate) fn transfer(
 /// re-optimize) clears them; a pipeline breaker that is *not* such an
 /// opportunity (hash aggregation, a hash-join build) consumes them
 /// unguarded — the dataflow pass reports those (`PL411`).
-fn open_risks(
-    node: &PhysNode,
-    inputs: &[&AbstractState],
-    ctx: &LintContext<'_>,
-    path: &[usize],
-) -> Vec<OpenRisk> {
+fn open_risks(node: &PhysNode, inputs: &[&AbstractState], path: &[usize]) -> Vec<OpenRisk> {
     // Dominators: the cardinality is observed (or observable) here, so
     // everything below is guarded.
     if matches!(
@@ -293,7 +288,7 @@ fn open_risks(
             continue;
         }
         open.extend(cst.open_risks.iter().cloned());
-        if let Some(risk) = edge_risk(node, i, child, cst, ctx, path) {
+        if let Some(risk) = edge_risk(node, i, child, cst, path) {
             open.push(risk);
         }
     }
@@ -308,13 +303,12 @@ pub(crate) fn consumed_unguarded(node: &PhysNode, i: usize) -> bool {
 
 /// The [`OpenRisk`] input edge `i` of `node` introduces, if its child's
 /// cardinality interval escapes the edge's validity range by more than
-/// the configured threshold.
+/// [`crate::RISK_THRESHOLD`].
 pub(crate) fn edge_risk(
     node: &PhysNode,
     i: usize,
     child: &PhysNode,
     child_state: &AbstractState,
-    ctx: &LintContext<'_>,
     path: &[usize],
 ) -> Option<OpenRisk> {
     // An edge fed directly by a dominator is guarded by construction:
@@ -327,7 +321,7 @@ pub(crate) fn edge_risk(
     }
     let range = edge_range(node, i);
     let escape = child_state.interval.escape_factor(&range);
-    if escape <= ctx.options.risk_threshold {
+    if escape <= crate::RISK_THRESHOLD {
         return None;
     }
     let mut p = String::from("$");

@@ -86,12 +86,14 @@ use pop_plan::{PhysNode, QuerySpec};
 use pop_stats::StatsRegistry;
 use pop_storage::Catalog;
 
-/// Default [`LintOptions::risk_threshold`]: report an edge as risky as
-/// soon as its cardinality can leave the validity range at all.
-pub const DEFAULT_RISK_THRESHOLD: f64 = 1.0;
+/// How far a cardinality interval must escape an edge's validity range
+/// (max of `interval.hi / range.hi` and `range.lo / interval.lo`) before
+/// the edge counts as *risky* for `PL411` and the robustness certificate:
+/// `1.0` reports any provable escape.
+pub const RISK_THRESHOLD: f64 = 1.0;
 
 /// Tunable behaviour of the analyzer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LintOptions {
     /// Expect every materialization point (SORT/TEMP) to be guarded by a
     /// checkpoint (`PL104`), and every risky edge to be dominated by a
@@ -100,26 +102,10 @@ pub struct LintOptions {
     /// the rules stay quiet on plans with no checks (e.g. below the cost
     /// threshold). The driver enables this when the LC flavor is on.
     pub expect_check_coverage: bool,
-    /// How far a cardinality interval must escape an edge's validity
-    /// range (max of `interval.hi / range.hi` and `range.lo /
-    /// interval.lo`) before the edge counts as *risky* for `PL411` and
-    /// the robustness certificate. `1.0` means any provable escape;
-    /// larger values tolerate proportionally wider excursions.
-    pub risk_threshold: f64,
     /// Expect every risky edge to be either CHECK-dominated or observed
     /// by a continuous suboptimality monitor (`PL421`). The driver
     /// enables this when the monitor layer is on.
     pub expect_monitor_coverage: bool,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            expect_check_coverage: false,
-            risk_threshold: DEFAULT_RISK_THRESHOLD,
-            expect_monitor_coverage: false,
-        }
-    }
 }
 
 /// What the analyzer may consult besides the plan itself. Both references
@@ -195,17 +181,6 @@ impl<'a> LintContext<'a> {
     /// abstract interpreter and enabling the `PL41x` analyses.
     pub fn with_stats(mut self, stats: &'a StatsRegistry) -> Self {
         self.stats = Some(stats);
-        self
-    }
-
-    /// Set [`LintOptions::risk_threshold`]. Non-finite or sub-1.0 values
-    /// are clamped to the default.
-    pub fn risk_threshold(mut self, threshold: f64) -> Self {
-        self.options.risk_threshold = if threshold.is_finite() && threshold >= 1.0 {
-            threshold
-        } else {
-            DEFAULT_RISK_THRESHOLD
-        };
         self
     }
 
@@ -460,17 +435,13 @@ mod tests {
         cat.create_table(
             "customer",
             Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 20)])
-                .collect(),
+            (0..200).map(|i| vec![Value::Int(i), Value::Int(i % 20)]),
         )
         .unwrap();
         cat.create_table(
             "orders",
             Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-            (0..20_000)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 200)])
-                .collect(),
+            (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 200)]),
         )
         .unwrap();
         cat.create_index("orders", "cust", IndexKind::Hash).unwrap();

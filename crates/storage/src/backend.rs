@@ -13,11 +13,13 @@
 //! evictions, WAL bytes) are visible only through [`IoStats`].
 
 use crate::buffer::{BufferPool, IoCounters, IoStats};
-use crate::page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
+use crate::page::{
+    encoded_row_lens, ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
+};
 use parking_lot::Mutex;
 use pop_guard::{env_parsed, FaultInjector, Governor};
 use pop_types::column::Column;
-use pop_types::{PopError, PopResult, Row};
+use pop_types::{PopError, PopResult};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -279,6 +281,36 @@ impl Drop for StorageEnv {
     }
 }
 
+/// The check in front of every append, shared by both backends so they
+/// accept and reject the same batches, before either changes anything:
+/// each of `cols` holds `rows` rows; every row fits a page; and the table
+/// stays addressable by the `u32` positions selection vectors and
+/// in-memory indexes use. `stored` is the table's row count. Returns each
+/// row's encoded length. The batch's width is the caller's to hold to the
+/// table's: [`crate::Table::append`] checks it against the schema.
+pub(crate) fn check_append(
+    layout: PageLayout,
+    stored: u64,
+    cols: &[Column],
+    rows: usize,
+) -> PopResult<Vec<usize>> {
+    if let Some(c) = cols.iter().position(|c| c.len() != rows) {
+        return Err(PopError::Execution(format!(
+            "batch column {c} holds {} rows, the batch {rows}",
+            cols[c].len()
+        )));
+    }
+    if stored + rows as u64 > u64::from(u32::MAX) {
+        return Err(PopError::Execution(format!(
+            "table full: {stored} + {rows} rows exceed {}",
+            u32::MAX
+        )));
+    }
+    let lens = encoded_row_lens(cols, rows);
+    lens.iter().try_for_each(|len| layout.check_row(*len))?;
+    Ok(lens)
+}
+
 /// The operations a table's storage must provide. Positions are dense
 /// (`0..row_count`), assigned by `append` in arrival order.
 pub trait StorageBackend: std::fmt::Debug + Send + Sync {
@@ -292,8 +324,13 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// The page layout in force.
     fn layout(&self) -> PageLayout;
 
-    /// Append `rows` at the end; returns the position of the first.
-    fn append(&self, rows: Vec<Row>) -> PopResult<u64>;
+    /// Append the `rows` rows held in `cols` (one column per stored
+    /// column, each `rows` long; a table without columns still has rows)
+    /// at the end; returns the position of the first. Every batch passes
+    /// the shared `check_append` before anything changes, so a rejected
+    /// batch leaves the table as it was on both backends. The width is not
+    /// checked here: [`crate::Table::append`] holds it to the schema.
+    fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64>;
 
     /// The stored columns, zero-copy, when the backend keeps its rows as
     /// columns in memory (row `i` at index `i` of each); `None` for a

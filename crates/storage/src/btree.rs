@@ -23,7 +23,7 @@
 //! stays cheap because internals are a tiny fraction of the tree.
 
 use crate::backend::StorageEnv;
-use crate::page::{decode_row_into, encode_row, ColumnSet};
+use crate::page::{decode_row_header, decode_value, encode_key};
 use crate::pager::PageFile;
 use parking_lot::Mutex;
 use pop_types::{PopError, PopResult, Value};
@@ -45,18 +45,12 @@ fn corrupt(what: &str) -> PopError {
     PopError::Execution(format!("btree: corrupt page ({what})"))
 }
 
-/// Encode a key as a one-value row (length-prefixed, self-delimiting).
-fn encode_key(key: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_row(std::slice::from_ref(key), &mut out);
-    out
-}
-
 /// Decode a key at `*at`, advancing past it.
 fn decode_key(buf: &[u8], at: &mut usize) -> PopResult<Value> {
-    let mut row = Vec::new();
-    *at = decode_row_into(buf, *at, &ColumnSet::all(), &mut row)?;
-    row.pop().ok_or_else(|| corrupt("empty key"))
+    match decode_row_header(buf, at)? {
+        1 => decode_value(buf, at),
+        n => Err(corrupt(&format!("key of {n} values"))),
+    }
 }
 
 /// One leaf entry: a key and one chunk of its posting list.
@@ -69,7 +63,8 @@ struct LeafEntry {
 
 impl LeafEntry {
     fn new(key: Value, pos: Vec<u64>) -> Self {
-        let keyb = encode_key(&key);
+        let mut keyb = Vec::new();
+        encode_key(&key, &mut keyb);
         LeafEntry { key, keyb, pos }
     }
 

@@ -5,9 +5,11 @@ use crate::backend::{StorageBackend, StorageConfig, StorageEnv, StorageKind};
 use crate::buffer::IoStats;
 use crate::mem::MemBackend;
 use crate::paged::PagedBackend;
+use crate::table::rows_to_columns;
 use crate::{Index, IndexKind, Table, TableId, TempMv};
 use parking_lot::{Mutex, RwLock};
 use pop_guard::Governor;
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -123,16 +125,17 @@ impl Catalog {
         })
     }
 
-    /// Create a base table and return it. Rows stream in
-    /// [`BULK_LOAD_CHUNK`]-sized appends (chunked appends produce the
-    /// same page map as one append — packing is append-associative); on
-    /// the paged backend each chunk is WAL-logged and the load ends with
-    /// a checkpoint.
+    /// Create a base table and return it. The rows are moved into
+    /// columns [`BULK_LOAD_CHUNK`] at a time, and each chunk is one append
+    /// (chunked appends produce the same page map as one append — packing
+    /// is append-associative), so no more than a chunk of the rows is held
+    /// as rows; on the paged backend each chunk is WAL-logged and the load
+    /// ends with a checkpoint.
     pub fn create_table(
         &self,
         name: impl Into<String>,
         schema: Schema,
-        rows: Vec<Row>,
+        rows: impl IntoIterator<Item = Row>,
     ) -> PopResult<Arc<Table>> {
         let name = name.into();
         {
@@ -152,13 +155,21 @@ impl Catalog {
             id
         };
         let table = Arc::new(Table::with_backend(id, name.clone(), schema, backend));
-        let mut iter = rows.into_iter();
+        let (mut rows, mut chunk) = (rows.into_iter(), Vec::new());
+        let cap = rows.size_hint().0.clamp(1, BULK_LOAD_CHUNK);
         loop {
-            let chunk: Vec<Row> = iter.by_ref().take(BULK_LOAD_CHUNK).collect();
-            if chunk.is_empty() {
+            let chunk_rows = rows.by_ref().take(BULK_LOAD_CHUNK);
+            let n = rows_to_columns(
+                table.name(),
+                table.schema().len(),
+                chunk_rows,
+                &mut chunk,
+                cap,
+            )?;
+            if n == 0 {
                 break;
             }
-            table.insert(chunk)?;
+            table.append(&chunk, n)?;
         }
         table.checkpoint()?;
         let mut inner = self.inner.write();
@@ -167,21 +178,22 @@ impl Catalog {
         Ok(table)
     }
 
-    /// Create a *temporary* table (temp-MV spill target): on the paged
-    /// backend it is written without a WAL and its files are unlinked when
-    /// the table is dropped.
+    /// Create a *temporary* table (temp-MV spill target) holding the
+    /// `rows` rows of `cols`: on the paged backend it is written without a
+    /// WAL and its files are unlinked when the table is dropped.
     pub fn create_temp_table(
         &self,
         id: TableId,
         name: impl Into<String>,
         schema: Schema,
-        rows: Vec<Row>,
+        cols: &[Column],
+        rows: usize,
     ) -> PopResult<Arc<Table>> {
         let name = name.into();
         let backend = self.new_backend(&name, true)?;
         let table = Arc::new(Table::with_backend(id, name, schema, backend));
-        if !rows.is_empty() {
-            table.insert(rows)?;
+        if rows > 0 {
+            table.append(cols, rows)?;
         }
         Ok(table)
     }
@@ -430,6 +442,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns_of;
     use pop_types::{ColId, DataType, Value};
 
     fn schema() -> Schema {
@@ -596,9 +609,7 @@ mod tests {
                 .create_table(
                     "t",
                     schema(),
-                    (0..100)
-                        .map(|i| vec![Value::Int(i), Value::str(format!("r{i}"))])
-                        .collect(),
+                    (0..100).map(|i| vec![Value::Int(i), Value::str(format!("r{i}"))]),
                 )
                 .unwrap();
             assert!(t.is_paged());
@@ -652,7 +663,8 @@ mod tests {
                 id,
                 "__mv_spill",
                 schema(),
-                vec![vec![Value::Int(7), Value::str("m")]],
+                &columns_of(&[vec![Value::Int(7), Value::str("m")]]),
+                1,
             )
             .unwrap();
         assert!(table.is_paged());
@@ -684,7 +696,7 @@ mod tests {
         let before = cat.io_stats();
         let id = cat.allocate_temp_id();
         let table = cat
-            .create_temp_table(id, "__mv_nowal", schema(), rows.clone())
+            .create_temp_table(id, "__mv_nowal", schema(), &columns_of(&rows), rows.len())
             .unwrap();
         assert!(table.page_count() > 1, "200 rows span several pages");
         let dir = cat.storage().ensure_dir().unwrap();

@@ -279,9 +279,11 @@ mod tests {
             page_size: 512,
             ..StorageConfig::paged()
         }));
-        let mem = MemBackend::with_rows(env.layout(), rows(n)).unwrap();
+        let mem = MemBackend::new(env.layout());
         let paged = PagedBackend::create(env, "t", true).unwrap();
-        paged.append(rows(n)).unwrap();
+        for b in [&mem as &dyn StorageBackend, &paged] {
+            b.append(&crate::columns_of(&rows(n)), n as usize).unwrap();
+        }
         (Arc::new(mem), Arc::new(paged))
     }
 

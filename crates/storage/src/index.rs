@@ -374,7 +374,7 @@ mod tests {
             ..StorageConfig::paged()
         }));
         let b = PagedBackend::create(Arc::clone(&env), "t", true).unwrap();
-        b.append(rows()).unwrap();
+        b.append(&crate::columns_of(&rows()), rows().len()).unwrap();
         let bt = b.ensure_primary(0).unwrap().unwrap();
         let idx = Index::from_btree(0, bt);
         assert!(idx.is_persistent());

@@ -58,5 +58,14 @@ pub use mem::MemBackend;
 pub use page::{ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE};
 pub use paged::PagedBackend;
 pub use table::{Table, TableId};
-pub use tempmv::TempMv;
+pub use tempmv::{Lineage, TempMv};
 pub use wal::{Wal, WalRecord};
+
+/// `rows`, all of one width, as columns through the row adapter's
+/// converter: the unit tests' way into the column API.
+#[cfg(test)]
+pub(crate) fn columns_of(rows: &[pop_types::Row]) -> Vec<pop_types::column::Column> {
+    let (width, mut cols) = (rows.first().map_or(0, Vec::len), Vec::new());
+    table::rows_to_columns("t", width, rows.to_vec(), &mut cols, 0).expect("rows of one width");
+    cols
+}

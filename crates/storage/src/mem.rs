@@ -10,16 +10,16 @@
 //!
 //! Readers take the columns as they are stored ([`StorageBackend::columns`]):
 //! a scan filters and gathers from them in place, row `i` of the table at
-//! index `i` of every column. An append moves each row's values into the
-//! columns — a string's `Arc` moves, nothing is cloned — and frees the
-//! row; while a reader still holds the previous snapshot, the append
+//! index `i` of every column. An append extends each stored column with
+//! the batch's column, one typed copy (a string's `Arc` is shared, not
+//! copied); while a reader still holds the previous snapshot, the append
 //! copies the columns first, so readers never see rows appear.
 
-use crate::backend::StorageBackend;
-use crate::page::{encoded_row_len, ColumnSet, PageLayout};
+use crate::backend::{check_append, StorageBackend};
+use crate::page::{ColumnSet, PageLayout};
 use parking_lot::RwLock;
 use pop_types::column::Column;
-use pop_types::{PopError, PopResult, Row};
+use pop_types::{PopError, PopResult};
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
@@ -52,14 +52,6 @@ impl MemBackend {
             inner: RwLock::new(MemInner::default()),
         }
     }
-
-    /// A backend holding `rows`. Errors if a single row exceeds the page
-    /// size (the paged backend could not store it either).
-    pub fn with_rows(layout: PageLayout, rows: Vec<Row>) -> PopResult<Self> {
-        let b = MemBackend::new(layout);
-        b.append(rows)?;
-        Ok(b)
-    }
 }
 
 impl StorageBackend for MemBackend {
@@ -75,39 +67,12 @@ impl StorageBackend for MemBackend {
         self.layout
     }
 
-    fn append(&self, rows: Vec<Row>) -> PopResult<u64> {
+    fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
         let mut inner = self.inner.write();
         let start = inner.rows;
-        // Check every row before changing anything: a rejected batch
-        // leaves the table as it was.
-        let width = match rows.first() {
-            Some(first) if start == 0 => first.len(),
-            _ => inner.cols.len(),
-        };
-        let mut lens = Vec::with_capacity(rows.len());
-        for row in &rows {
-            if row.len() != width {
-                return Err(PopError::Execution(format!(
-                    "row of {} values appended to a table of {width} columns",
-                    row.len()
-                )));
-            }
-            let len = encoded_row_len(row);
-            if !self.layout.row_fits_page(len) {
-                return Err(PopError::Execution(format!(
-                    "row of {len} encoded bytes exceeds the {}-byte page size",
-                    self.layout.page_size
-                )));
-            }
-            lens.push(len);
-        }
-        // Readers address stored rows with `u32` selection vectors.
-        if start + rows.len() > u32::MAX as usize {
-            return Err(PopError::Execution(format!(
-                "in-memory table full: {start} + {} rows exceed {}",
-                rows.len(),
-                u32::MAX
-            )));
+        let lens = check_append(self.layout, start as u64, cols, rows)?;
+        if rows == 0 {
+            return Ok(start as u64);
         }
         // Extend the virtual page map exactly as DataPage::push would.
         for (i, len) in lens.into_iter().enumerate() {
@@ -121,17 +86,14 @@ impl StorageBackend for MemBackend {
             inner.tail_slots += 1;
             inner.tail_bytes += len;
         }
-        let n = rows.len();
-        let cols = Arc::make_mut(&mut inner.cols);
-        if cols.len() < width {
-            cols.resize_with(width, Column::default);
+        let stored = Arc::make_mut(&mut inner.cols);
+        if stored.len() < cols.len() {
+            stored.resize_with(cols.len(), Column::default);
         }
-        for row in rows {
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push_value(v, n);
-            }
+        for (s, c) in stored.iter_mut().zip(cols) {
+            s.extend_gather(c, 0..rows, rows);
         }
-        inner.rows += n;
+        inner.rows += rows;
         Ok(start as u64)
     }
 
@@ -219,13 +181,22 @@ impl StorageBackend for MemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::DataPage;
-    use pop_types::Value;
+    use crate::columns_of;
+    use crate::page::{encode_rows, encoded_row_lens, DataPage};
+    use pop_types::{Row, Value};
 
-    fn rows(n: i64) -> Vec<Row> {
-        (0..n)
+    /// Rows `lo..hi` of the `(i, "payload i")` test table, as columns.
+    fn batch(lo: i64, hi: i64) -> Vec<Column> {
+        let rows: Vec<Row> = (lo..hi)
             .map(|i| vec![Value::Int(i), Value::str(format!("payload {i}"))])
-            .collect()
+            .collect();
+        columns_of(&rows)
+    }
+
+    fn loaded(layout: PageLayout, n: i64) -> MemBackend {
+        let mem = MemBackend::new(layout);
+        mem.append(&batch(0, n), n as usize).unwrap();
+        mem
     }
 
     fn values(cols: &[Column], i: usize) -> Row {
@@ -235,18 +206,23 @@ mod tests {
     #[test]
     fn virtual_map_matches_real_page_builder() {
         let layout = PageLayout::new(512);
-        let mem = MemBackend::with_rows(layout, rows(500)).unwrap();
+        let mem = loaded(layout, 500);
         // Pack the same rows into real pages and compare the map.
-        let mut starts = Vec::new();
+        let (cols, mut starts, mut encoded) = (batch(0, 500), Vec::new(), Vec::new());
+        let lens = encoded_row_lens(&cols, 500);
+        encode_rows(&cols, 0..500, &lens, &mut encoded);
         let mut page: Option<DataPage> = None;
-        for (i, row) in rows(500).iter().enumerate() {
+        let mut at = 0;
+        for (i, len) in lens.into_iter().enumerate() {
+            let row = &encoded[at..at + len];
+            at += len;
             let full = match page.as_mut() {
                 None => true,
-                Some(p) => !p.push(row).unwrap(),
+                Some(p) => !p.push(row),
             };
             if full {
                 let mut p = DataPage::new(layout, i as u64);
-                assert!(p.push(row).unwrap());
+                assert!(p.push(row));
                 page = Some(p);
                 starts.push(i as u64);
             }
@@ -263,10 +239,11 @@ mod tests {
     #[test]
     fn incremental_append_equals_bulk_map() {
         let layout = PageLayout::new(512);
-        let bulk = MemBackend::with_rows(layout, rows(300)).unwrap();
+        let bulk = loaded(layout, 300);
         let inc = MemBackend::new(layout);
-        for chunk in rows(300).chunks(7) {
-            inc.append(chunk.to_vec()).unwrap();
+        for lo in (0..300).step_by(7) {
+            let hi = (lo + 7).min(300);
+            inc.append(&batch(lo, hi), (hi - lo) as usize).unwrap();
         }
         assert_eq!(bulk.page_count(), inc.page_count());
         for pos in 0..300u64 {
@@ -276,26 +253,26 @@ mod tests {
 
     #[test]
     fn rows_are_stored_as_typed_columns() {
-        let mem = MemBackend::with_rows(PageLayout::default(), rows(20)).unwrap();
+        let mem = loaded(PageLayout::default(), 20);
         let cols = mem.columns().unwrap();
         assert_eq!(cols.len(), 2);
         assert!(matches!(cols[0].data(), pop_types::column::Data::Int(v) if v.len() == 20));
         assert!(matches!(cols[1].data(), pop_types::column::Data::Str(v) if v.len() == 20));
-        assert_eq!(values(&cols, 7), rows(20)[7]);
+        assert_eq!(values(&cols, 7), values(&batch(7, 8), 0));
         // An append after a reader took the columns leaves its snapshot
         // as it was.
-        mem.append(rows(3)).unwrap();
+        mem.append(&batch(0, 3), 3).unwrap();
         assert_eq!((cols[0].len(), mem.row_count()), (20, 23));
         assert_eq!(mem.columns().unwrap()[0].value(22), Value::Int(2));
     }
 
     #[test]
     fn read_range_and_row_at() {
-        let mem = MemBackend::with_rows(PageLayout::default(), rows(20)).unwrap();
+        let mem = loaded(PageLayout::default(), 20);
         let mut out = Vec::new();
         mem.read_range(5, 9, &ColumnSet::all(), &mut out).unwrap();
         assert_eq!(out[0].len(), 4);
-        assert_eq!(values(&out, 0), rows(20)[5]);
+        assert_eq!(values(&out, 0), values(&batch(5, 6), 0));
         mem.read_range(18, 99, &ColumnSet::of([1]), &mut out)
             .unwrap();
         assert_eq!(
@@ -307,7 +284,7 @@ mod tests {
         mem.read_row(3, &ColumnSet::all(), &mut one, 1).unwrap();
         assert_eq!(
             (values(&one, 0), values(&one, 1)),
-            (rows(20)[19].clone(), rows(20)[3].clone())
+            (values(&batch(19, 20), 0), values(&batch(3, 4), 0))
         );
         assert!(mem.read_row(20, &ColumnSet::all(), &mut one, 2).is_err());
     }
@@ -315,16 +292,18 @@ mod tests {
     #[test]
     fn oversized_row_rejected() {
         let mem = MemBackend::new(PageLayout::new(512));
-        let err = mem
-            .append(vec![vec![Value::str("x".repeat(2000))]])
-            .unwrap_err();
+        let mut big = Column::default();
+        big.push_value(Value::str("x".repeat(2000)), 0);
+        let err = mem.append(&[big], 1).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
         assert_eq!((mem.row_count(), mem.page_count()), (0, 0));
-        mem.append(rows(2)).unwrap();
-        let err = mem
-            .append(vec![vec![Value::Int(1)], vec![Value::Int(2), Value::Null]])
-            .unwrap_err();
-        assert!(err.to_string().contains("2 columns"), "{err}");
+        mem.append(&batch(0, 2), 2).unwrap();
+        let err = mem.append(&batch(0, 1), 2).unwrap_err();
+        assert!(err.to_string().contains("holds 1 rows"), "{err}");
         assert_eq!((mem.row_count(), mem.page_count()), (2, 1));
+        // A table without columns holds rows too.
+        let zero = MemBackend::new(PageLayout::new(512));
+        zero.append(&[], 7).unwrap();
+        assert_eq!((zero.row_count(), zero.page_count()), (7, 1));
     }
 }

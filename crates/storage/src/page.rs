@@ -12,12 +12,12 @@
 //! [`MemBackend`]: crate::MemBackend
 //! [`PagedBackend`]: crate::PagedBackend
 //!
-//! The read side walks one encoding two ways: [`decode_row_onto`] writes
-//! the columns of a [`ColumnSet`] into typed [`Column`]s the reader
-//! refills in place (every table read: cursors, fetchers, index builds,
-//! ANALYZE) and steps over the rest; [`decode_row_into`] fills a row in
-//! place (WAL records, B+tree keys and the re-opened tail page, which hold
-//! rows in the same encoding).
+//! Rows are encoded from columns (`encode_rows`, a column at a time) and
+//! decoded onto columns: [`decode_row_onto`] writes the
+//! columns of a [`ColumnSet`] into typed [`Column`]s the reader refills in
+//! place (every table read: cursors, fetchers, index builds, ANALYZE; WAL
+//! replay; the re-opened tail page) and steps over the rest. A B+tree key
+//! is a one-value row in the same encoding.
 //! A page is parsed — and its header and slot directory validated — once
 //! per visit by [`PageView::new`].
 //!
@@ -33,8 +33,9 @@
 //!            page_size - 2*(i+1)
 //! ```
 
-use pop_types::column::Column;
-use pop_types::{PopError, PopResult, Row, Value};
+use pop_types::column::{Cell, Column, Data};
+use pop_types::{PopError, PopResult, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Bytes of fixed page header before row data.
@@ -57,48 +58,131 @@ const V_DATE: u8 = 4;
 const V_BOOL: u8 = 5;
 
 /// Encoded size of one value in bytes (tag byte included).
-fn value_len(v: &Value) -> usize {
-    1 + match v {
-        Value::Null => 0,
-        Value::Int(_) | Value::Float(_) => 8,
-        Value::Str(s) => 4 + s.len(),
-        Value::Date(_) => 4,
-        Value::Bool(_) => 1,
+fn cell_len(c: Cell<'_>) -> usize {
+    1 + match c {
+        Cell::Null => 0,
+        Cell::Int(_) | Cell::Float(_) => 8,
+        Cell::Str(s) => 4 + s.len(),
+        Cell::Date(_) => 4,
+        Cell::Bool(_) => 1,
     }
 }
 
-/// Encoded size of one row in bytes.
-pub fn encoded_row_len(row: &[Value]) -> usize {
-    2 + row.iter().map(value_len).sum::<usize>()
+/// Encoded size of each of the first `rows` rows of `cols` in bytes — one
+/// pass per column, a fixed-width column without NULLs in one add per row.
+pub(crate) fn encoded_row_lens(cols: &[Column], rows: usize) -> Vec<usize> {
+    let mut lens = vec![2; rows];
+    for col in cols {
+        let fixed = match col.data() {
+            _ if col.has_null_bitmap() => None,
+            Data::Int(_) | Data::Float(_) => Some(9),
+            Data::Date(_) => Some(5),
+            Data::Bool(_) => Some(2),
+            Data::Null(_) => Some(1),
+            Data::Str(_) | Data::Mixed(_) => None,
+        };
+        for (i, l) in lens.iter_mut().enumerate() {
+            *l += fixed.unwrap_or_else(|| cell_len(col.cell(i)));
+        }
+    }
+    lens
 }
 
-/// Append the encoding of `row` to `out`.
-pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(row.len() as u16).to_le_bytes());
-    for v in row {
-        match v {
-            Value::Null => out.push(V_NULL),
-            Value::Int(i) => {
-                out.push(V_INT);
-                out.extend_from_slice(&i.to_le_bytes());
+/// Append the encodings of the rows `rows` of `cols` to `out`, back to
+/// back, given their lengths `lens` ([`encoded_row_lens`]). Written a
+/// column at a time, each row's next value at its own cursor, so a typed
+/// column without NULLs is matched once rather than once a value.
+pub(crate) fn encode_rows(cols: &[Column], rows: Range<usize>, lens: &[usize], out: &mut Vec<u8>) {
+    let base = out.len();
+    out.resize(base + lens.iter().sum::<usize>(), 0);
+    let buf = &mut out[base..];
+    let header = (cols.len() as u16).to_le_bytes();
+    let mut at = Vec::with_capacity(lens.len());
+    let mut row = 0;
+    for len in lens {
+        buf[row..row + 2].copy_from_slice(&header);
+        at.push(row + 2);
+        row += len;
+    }
+    let mut cell = Vec::new();
+    for col in cols {
+        let typed = !col.has_null_bitmap();
+        match col.data() {
+            Data::Int(v) if typed => put(
+                buf,
+                &mut at,
+                V_INT,
+                v[rows.clone()].iter().map(|x| x.to_le_bytes()),
+            ),
+            Data::Float(v) if typed => put(
+                buf,
+                &mut at,
+                V_FLOAT,
+                v[rows.clone()].iter().map(|x| x.to_bits().to_le_bytes()),
+            ),
+            Data::Date(v) if typed => put(
+                buf,
+                &mut at,
+                V_DATE,
+                v[rows.clone()].iter().map(|x| x.to_le_bytes()),
+            ),
+            _ => {
+                for (a, i) in at.iter_mut().zip(rows.clone()) {
+                    cell.clear();
+                    encode_cell(col.cell(i), &mut cell);
+                    buf[*a..*a + cell.len()].copy_from_slice(&cell);
+                    *a += cell.len();
+                }
             }
-            Value::Float(x) => {
-                out.push(V_FLOAT);
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(V_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Date(d) => {
-                out.push(V_DATE);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Value::Bool(b) => {
-                out.push(V_BOOL);
-                out.push(u8::from(*b));
-            }
+        }
+    }
+}
+
+/// Write `tag` and then each fixed-width value at its row's cursor.
+fn put<const N: usize>(
+    buf: &mut [u8],
+    at: &mut [usize],
+    tag: u8,
+    values: impl Iterator<Item = [u8; N]>,
+) {
+    for (a, bytes) in at.iter_mut().zip(values) {
+        buf[*a] = tag;
+        buf[*a + 1..*a + 1 + N].copy_from_slice(&bytes);
+        *a += 1 + N;
+    }
+}
+
+/// Append the encoding of `key` as a one-value row to `out` (B+tree keys;
+/// decoded with [`decode_row_header`] and [`decode_value`]).
+pub(crate) fn encode_key(key: &Value, out: &mut Vec<u8>) {
+    out.extend_from_slice(&1u16.to_le_bytes());
+    encode_cell(Cell::of(key), out);
+}
+
+/// Append the encoding of one value to `out`.
+fn encode_cell(c: Cell<'_>, out: &mut Vec<u8>) {
+    match c {
+        Cell::Null => out.push(V_NULL),
+        Cell::Int(i) => {
+            out.push(V_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Cell::Float(x) => {
+            out.push(V_FLOAT);
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        Cell::Str(s) => {
+            out.push(V_STR);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        Cell::Date(d) => {
+            out.push(V_DATE);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        Cell::Bool(b) => {
+            out.push(V_BOOL);
+            out.push(u8::from(b));
         }
     }
 }
@@ -195,8 +279,7 @@ pub fn decode_row_onto(
     row: usize,
     cap: usize,
 ) -> PopResult<usize> {
-    let header = take(data, &mut at, 2, "row header")?;
-    let n = usize::from(u16::from_le_bytes(le(header)));
+    let n = decode_row_header(data, &mut at)?;
     if out.len() < n {
         let from = out.len();
         out.resize_with(n, Column::default);
@@ -263,71 +346,44 @@ pub fn decode_row_onto(
     Ok(at)
 }
 
-/// Decode the row encoded at `data[at..]` into `row`, in place: `row` takes
-/// the stored row's width (extended with NULLs or truncated), the slots in
-/// `cols` are overwritten with the stored values, and every other column is
-/// stepped over by its tag's length without being written — so a scratch
-/// row reused across calls allocates only for the strings it is asked for.
-/// Returns the offset one past the row.
-pub fn decode_row_into(
-    data: &[u8],
-    mut at: usize,
-    cols: &ColumnSet,
-    row: &mut Row,
-) -> PopResult<usize> {
-    let header = take(data, &mut at, 2, "row header")?;
-    let n = usize::from(u16::from_le_bytes(le(header)));
-    if row.len() != n {
-        row.resize(n, Value::Null);
-    }
-    for (c, slot) in row.iter_mut().enumerate() {
-        let tag = take(data, &mut at, 1, "value tag")?[0];
-        let want = cols.contains(c);
-        match tag {
-            V_NULL => {
-                if want {
-                    *slot = Value::Null;
-                }
-            }
-            V_INT | V_FLOAT => {
-                let b = le(take(data, &mut at, 8, "int/float")?);
-                if want {
-                    *slot = if tag == V_INT {
-                        Value::Int(i64::from_le_bytes(b))
-                    } else {
-                        Value::Float(f64::from_bits(u64::from_le_bytes(b)))
-                    };
-                }
-            }
-            V_STR => {
-                let len = u32::from_le_bytes(le(take(data, &mut at, 4, "str len")?));
-                let bytes = take(data, &mut at, len as usize, "str bytes")?;
-                if want {
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
-                    *slot = Value::Str(Arc::from(s));
-                }
-            }
-            V_DATE => {
-                let b = le(take(data, &mut at, 4, "date")?);
-                if want {
-                    *slot = Value::Date(i32::from_le_bytes(b));
-                }
-            }
-            V_BOOL => {
-                let b = take(data, &mut at, 1, "bool")?[0];
-                if want {
-                    *slot = Value::Bool(b != 0);
-                }
-            }
-            t => {
-                return Err(PopError::Execution(format!(
-                    "page codec: unknown value tag {t}"
-                )))
-            }
+/// Decode one value at `data[*at..]`, advancing past it (B+tree keys; table
+/// rows decode onto columns with [`decode_row_onto`]).
+pub(crate) fn decode_value(data: &[u8], at: &mut usize) -> PopResult<Value> {
+    Ok(match take(data, at, 1, "value tag")?[0] {
+        V_NULL => Value::Null,
+        V_INT => Value::Int(i64::from_le_bytes(le(take(data, at, 8, "int/float")?))),
+        V_FLOAT => Value::Float(f64::from_bits(u64::from_le_bytes(le(take(
+            data,
+            at,
+            8,
+            "int/float",
+        )?)))),
+        V_STR => {
+            let len = u32::from_le_bytes(le(take(data, at, 4, "str len")?));
+            let bytes = take(data, at, len as usize, "str bytes")?;
+            let s = std::str::from_utf8(bytes)
+                .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
+            Value::Str(Arc::from(s))
         }
-    }
-    Ok(at)
+        V_DATE => Value::Date(i32::from_le_bytes(le(take(data, at, 4, "date")?))),
+        V_BOOL => Value::Bool(take(data, at, 1, "bool")?[0] != 0),
+        t => {
+            return Err(PopError::Execution(format!(
+                "page codec: unknown value tag {t}"
+            )))
+        }
+    })
+}
+
+/// Read the value count of the row encoded at `data[*at..]`, advancing past
+/// the header.
+pub(crate) fn decode_row_header(data: &[u8], at: &mut usize) -> PopResult<usize> {
+    Ok(usize::from(u16::from_le_bytes(le(take(
+        data,
+        at,
+        2,
+        "row header",
+    )?))))
 }
 
 /// The deterministic greedy packing rule both backends share.
@@ -363,8 +419,15 @@ impl PageLayout {
     }
 
     /// Does a single row of `row_len` encoded bytes fit a page at all?
-    pub fn row_fits_page(&self, row_len: usize) -> bool {
-        PAGE_HDR + row_len + 2 <= self.page_size
+    /// The error says it does not.
+    pub fn check_row(&self, row_len: usize) -> PopResult<()> {
+        if PAGE_HDR + row_len + 2 <= self.page_size {
+            return Ok(());
+        }
+        Err(PopError::Execution(format!(
+            "row of {row_len} encoded bytes exceeds the {}-byte page size",
+            self.page_size
+        )))
     }
 }
 
@@ -395,22 +458,19 @@ impl DataPage {
         self.slots.is_empty()
     }
 
-    /// Try to append `row`; false when the page is full (per the shared
-    /// packing rule). Errors only when a single row exceeds the page.
-    pub fn push(&mut self, row: &Row) -> PopResult<bool> {
-        let len = encoded_row_len(row);
-        if !self.layout.row_fits_page(len) {
-            return Err(PopError::Execution(format!(
-                "row of {len} encoded bytes exceeds the {}-byte page size",
-                self.layout.page_size
-            )));
-        }
-        if !self.layout.fits(self.slots.len(), self.data.len(), len) {
-            return Ok(false);
+    /// Try to append an encoded row (one [`PageLayout::check_row`]
+    /// accepted); false when the page is full (per the shared packing
+    /// rule). An empty page takes any such row.
+    pub fn push(&mut self, row: &[u8]) -> bool {
+        if !self
+            .layout
+            .fits(self.slots.len(), self.data.len(), row.len())
+        {
+            return false;
         }
         self.slots.push(self.data.len() as u16);
-        encode_row(row, &mut self.data);
-        Ok(true)
+        self.data.extend_from_slice(row);
+        true
     }
 
     /// Serialize to exactly `page_size` bytes.
@@ -435,7 +495,7 @@ impl DataPage {
     /// first read.
     pub fn from_page(layout: PageLayout, page: &PageView<'_>, keep: usize) -> PopResult<Self> {
         let mut out = DataPage::new(layout, page.first_row());
-        let (mut row, mut end) = (Row::new(), PAGE_HDR);
+        let (mut scratch, mut end) = (Vec::new(), PAGE_HDR);
         for slot in 0..keep {
             // Rows are packed front to back with no gaps.
             if page.slot_offset(slot)? != end {
@@ -444,7 +504,14 @@ impl DataPage {
                 )));
             }
             out.slots.push((end - PAGE_HDR) as u16);
-            end = page.decode_slot(slot, &ColumnSet::all(), &mut row)?;
+            end = decode_row_onto(
+                &page.bytes[..page.dir_start],
+                end,
+                &ColumnSet::all(),
+                &mut scratch,
+                0,
+                1,
+            )?;
         }
         out.data.extend_from_slice(&page.bytes[PAGE_HDR..end]);
         Ok(out)
@@ -531,13 +598,6 @@ impl<'a> PageView<'a> {
         Ok(usize::from(u16::from_le_bytes(le(&self.bytes[at..]))))
     }
 
-    /// Decode the columns `cols` of the row in `slot` into `row`, in place
-    /// (see [`decode_row_into`]); returns the offset one past the row.
-    pub fn decode_slot(&self, slot: usize, cols: &ColumnSet, row: &mut Row) -> PopResult<usize> {
-        let at = self.slot_offset(slot)?;
-        decode_row_into(&self.bytes[..self.dir_start], at, cols, row)
-    }
-
     /// Decode the columns `cols` of the row in `slot` into `out` as row
     /// `row` of a refill (see [`decode_row_onto`]).
     pub fn decode_slot_onto(
@@ -556,6 +616,8 @@ impl<'a> PageView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns_of;
+    use pop_types::Row;
     use proptest::prelude::*;
 
     fn sample_row() -> Row {
@@ -569,60 +631,98 @@ mod tests {
         ]
     }
 
+    /// The encoded length of `row`.
+    fn len_of(row: &Row) -> usize {
+        encoded_row_lens(&columns_of(std::slice::from_ref(row)), 1)[0]
+    }
+
+    /// The encoding of `row`.
+    fn encoded(row: &Row) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_rows(
+            &columns_of(std::slice::from_ref(row)),
+            0..1,
+            &[len_of(row)],
+            &mut buf,
+        );
+        buf
+    }
+
     fn decode_all(buf: &[u8]) -> PopResult<(Row, usize)> {
-        let mut row = Row::new();
-        let end = decode_row_into(buf, 0, &ColumnSet::all(), &mut row)?;
-        Ok((row, end))
+        let mut out = Vec::new();
+        let end = decode_row_onto(buf, 0, &ColumnSet::all(), &mut out, 0, 1)?;
+        Ok((out.iter().map(|c| c.value(0)).collect(), end))
     }
 
     #[test]
     fn row_round_trip() {
         let row = sample_row();
-        let mut buf = Vec::new();
-        encode_row(&row, &mut buf);
-        assert_eq!(buf.len(), encoded_row_len(&row));
+        let buf = encoded(&row);
+        assert_eq!(buf.len(), len_of(&row));
         assert_eq!(decode_all(&buf).unwrap(), (row, buf.len()));
+        // Column-wise lengths over NULL bitmaps, a mixed column and an
+        // all-NULL one are each row's encoded length.
+        let rows = [
+            vec![Value::Int(1), Value::Int(2), Value::Null, Value::Null],
+            vec![Value::Null, Value::Float(0.5), Value::str("a"), Value::Null],
+            vec![Value::Int(3), Value::str("xyz"), Value::Null, Value::Null],
+        ];
+        let cols = columns_of(&rows);
+        let lens: Vec<usize> = (0..3).map(|i| encoded(&rows[i]).len()).collect();
+        assert_eq!(encoded_row_lens(&cols, 3), lens);
+        // A row without values is its header.
+        let empty = encoded(&Vec::new());
+        assert_eq!(decode_all(&empty).unwrap(), (Vec::new(), 2));
     }
 
     #[test]
     fn truncated_row_errors() {
-        let mut buf = Vec::new();
-        encode_row(&sample_row(), &mut buf);
+        let mut buf = encoded(&sample_row());
         buf.truncate(buf.len() - 1);
         assert!(decode_all(&buf).is_err());
     }
 
     #[test]
     fn projection_writes_only_the_wanted_slots() {
-        let mut buf = Vec::new();
-        encode_row(&sample_row(), &mut buf);
-        // A scratch row that is too narrow and holds stale values.
-        let mut row = vec![Value::str("stale"), Value::Int(-1)];
-        let end = decode_row_into(&buf, 0, &ColumnSet::of([0, 3, 9]), &mut row).unwrap();
+        let mut buf = encoded(&sample_row());
+        // Scratch that is too narrow and holds stale values.
+        let mut out = columns_of(&[vec![Value::str("stale"), Value::Int(-1)]]);
+        let cols = ColumnSet::of([0, 3, 9]);
+        cols.begin_refill_in(&mut out);
+        let end = decode_row_onto(&buf, 0, &cols, &mut out, 0, 1).unwrap();
+        cols.end_refill_in(&mut out, 1);
         assert_eq!(end, buf.len(), "skipped columns are still stepped over");
-        assert_eq!(row.len(), 6, "the row keeps the stored width");
-        assert_eq!((&row[0], &row[3]), (&Value::Int(42), &Value::Date(7300)));
+        assert_eq!(out.len(), 6, "the scratch grows to the stored width");
         assert_eq!(
-            row[1],
+            (out[0].value(0), out[3].value(0)),
+            (Value::Int(42), Value::Date(7300))
+        );
+        assert_eq!(
+            out[1].value(0),
             Value::Int(-1),
             "column 1 is outside the set: untouched"
         );
-        assert_eq!(row[2], Value::Null, "new slots start out NULL");
+        assert!(
+            out[2].is_empty(),
+            "a new column outside the set stays empty"
+        );
         // Invalid UTF-8 in a string nobody reads is not an error; in one
         // somebody reads, it is.
         let at = buf.windows(5).position(|w| w == b"hello").unwrap();
         buf[at] = 0xFF;
-        assert!(decode_row_into(&buf, 0, &ColumnSet::of([0]), &mut row).is_ok());
-        assert!(decode_row_into(&buf, 0, &ColumnSet::of([1]), &mut row).is_err());
+        assert!(decode_row_onto(&buf, 0, &ColumnSet::of([0]), &mut out, 0, 1).is_ok());
+        assert!(decode_row_onto(&buf, 0, &ColumnSet::of([1]), &mut out, 0, 1).is_err());
+    }
+
+    /// The row `[n, "row-n"]`.
+    fn numbered(n: usize) -> Row {
+        vec![Value::Int(n as i64), Value::str(format!("row-{n}"))]
     }
 
     fn filled_page(layout: PageLayout, first_row: u64) -> (Vec<u8>, usize) {
         let mut page = DataPage::new(layout, first_row);
         let mut n = 0;
-        while page
-            .push(&vec![Value::Int(n as i64), Value::str(format!("row-{n}"))])
-            .unwrap()
-        {
+        while page.push(&encoded(&numbered(n))) {
             n += 1;
         }
         (page.to_bytes(), n)
@@ -636,20 +736,31 @@ mod tests {
         assert_eq!(bytes.len(), 512);
         let page = PageView::new(&bytes).unwrap();
         assert_eq!((page.len(), page.first_row()), (n, 100));
-        let mut row = Row::new();
+        let mut out = Vec::new();
         for i in 0..n {
-            page.decode_slot(i, &ColumnSet::of([0]), &mut row).unwrap();
-            assert_eq!(row, vec![Value::Int(i as i64), Value::Null]);
+            page.decode_slot_onto(i, &ColumnSet::of([0]), &mut out, i, n)
+                .unwrap();
         }
-        assert!(page.decode_slot(n, &ColumnSet::all(), &mut row).is_err());
+        assert_eq!(out[0].len(), n);
+        assert!(out[1].is_empty(), "column 1 is outside the set");
+        assert!((0..n).all(|i| out[0].value(i) == Value::Int(i as i64)));
+        assert!(page
+            .decode_slot_onto(n, &ColumnSet::all(), &mut out, 0, 0)
+            .is_err());
         let reparsed = DataPage::from_page(layout, &page, n).unwrap();
         assert_eq!(reparsed.to_bytes(), bytes);
         // A mid-page checkpoint keeps the prefix only.
         let prefix = DataPage::from_page(layout, &page, 2).unwrap().to_bytes();
         let prefix = PageView::new(&prefix).unwrap();
         assert_eq!((prefix.len(), prefix.first_row()), (2, 100));
-        prefix.decode_slot(1, &ColumnSet::all(), &mut row).unwrap();
-        assert_eq!(row, vec![Value::Int(1), Value::str("row-1")]);
+        let mut out = Vec::new();
+        prefix
+            .decode_slot_onto(1, &ColumnSet::all(), &mut out, 0, 1)
+            .unwrap();
+        assert_eq!(
+            (out[0].value(0), out[1].value(0)),
+            (Value::Int(1), Value::str("row-1"))
+        );
     }
 
     #[test]
@@ -679,35 +790,38 @@ mod tests {
         bad[dir_start - 3..dir_start].copy_from_slice(&[1, 0, V_INT]);
         let page = PageView::new(&bad).unwrap();
         assert!(page
-            .decode_slot(0, &ColumnSet::all(), &mut Row::new())
+            .decode_slot_onto(0, &ColumnSet::all(), &mut Vec::new(), 0, 0)
             .is_err());
     }
 
     #[test]
     fn oversized_row_rejected() {
-        let mut page = DataPage::new(PageLayout::new(512), 0);
-        let big = vec![Value::str("x".repeat(1000))];
-        assert!(page.push(&big).is_err());
+        let layout = PageLayout::new(512);
+        let err = layout.check_row(len_of(&vec![Value::str("x".repeat(1000))]));
+        assert!(err.unwrap_err().to_string().contains("1007 encoded bytes"));
+        assert!(layout.check_row(512 - PAGE_HDR - 2).is_ok());
     }
 
     #[test]
     fn packing_rule_matches_page_builder() {
         // The virtual map (fits) and the real page (push) must agree.
         let layout = PageLayout::new(512);
+        let rows: Vec<Row> = (0..200i64)
+            .map(|i| vec![Value::Int(i), Value::str(format!("payload {i}"))])
+            .collect();
         let mut page = DataPage::new(layout, 0);
         let (mut slots, mut bytes) = (0usize, 0usize);
-        for i in 0..200i64 {
-            let row = vec![Value::Int(i), Value::str(format!("payload {i}"))];
-            let len = encoded_row_len(&row);
+        for (i, row) in rows.iter().enumerate() {
+            let (row, len) = (encoded(row), len_of(row));
             let virt_fits = layout.fits(slots, bytes, len);
-            let real_fits = page.push(&row).unwrap();
+            let real_fits = page.push(&row);
             assert_eq!(virt_fits, real_fits, "row {i}");
             if real_fits {
                 slots += 1;
                 bytes += len;
             } else {
                 page = DataPage::new(layout, i as u64);
-                assert!(page.push(&row).unwrap());
+                assert!(page.push(&row));
                 slots = 1;
                 bytes = len;
             }
@@ -734,37 +848,34 @@ mod tests {
     }
 
     proptest! {
-        /// One scratch row decodes a run of rows of changing width under
-        /// one column set: the wanted slots always equal the stored
-        /// values, nothing else is ever written, and no prefix of an
-        /// encoded row decodes or panics.
+        /// Every row decodes to the values it was encoded from, variant
+        /// for variant, the encoder's length is the decoder's, and no
+        /// prefix of an encoded row decodes or panics, under any column
+        /// set.
         #[test]
         fn projected_decode_matches_full_decode(
             rows in prop::collection::vec(prop::collection::vec(value(), 0..9), 1..6),
             wanted in prop::collection::btree_set(0usize..10, 0..10),
         ) {
             let cols = ColumnSet::of(wanted.iter().copied());
-            let mut scratch = Row::new();
             for row in &rows {
-                let mut buf = Vec::new();
-                encode_row(row, &mut buf);
-                let end = decode_row_into(&buf, 0, &cols, &mut scratch).unwrap();
+                let buf = encoded(row);
+                prop_assert_eq!(buf.len(), len_of(row));
+                let (decoded, end) = decode_all(&buf).unwrap();
                 prop_assert_eq!(end, buf.len());
-                prop_assert_eq!(scratch.len(), row.len());
-                for (c, stored) in row.iter().enumerate() {
-                    let expect = if wanted.contains(&c) { stored } else { &Value::Null };
-                    prop_assert_eq!(&scratch[c], expect, "column {}", c);
+                prop_assert_eq!(decoded.len(), row.len());
+                for (d, stored) in decoded.iter().zip(row) {
+                    prop_assert!(identical(d, stored), "{:?} != {:?}", d, stored);
                 }
-                prop_assert_eq!(&decode_all(&buf).unwrap().0, row);
                 for cut in 0..buf.len() {
-                    let mut partial = scratch.clone();
-                    prop_assert!(decode_row_into(&buf[..cut], 0, &cols, &mut partial).is_err());
+                    let mut scratch = Vec::new();
+                    prop_assert!(decode_row_onto(&buf[..cut], 0, &cols, &mut scratch, 0, 1).is_err());
                     prop_assert!(decode_all(&buf[..cut]).is_err());
                 }
             }
         }
 
-        /// The same run decoded into refilled columns, one row per row:
+        /// A run of rows decoded into refilled columns, one row per row:
         /// each wanted column holds exactly the stored values, variant for
         /// variant (NULL where a row is narrower), whatever it held before,
         /// and every other column is left as it was.
@@ -784,8 +895,7 @@ mod tests {
             }).collect();
             cols.begin_refill_in(&mut out);
             for (i, row) in rows.iter().enumerate() {
-                let mut buf = Vec::new();
-                encode_row(row, &mut buf);
+                let buf = encoded(row);
                 let end = decode_row_onto(&buf, 0, &cols, &mut out, i, 4).unwrap();
                 prop_assert_eq!(end, buf.len());
             }

@@ -9,21 +9,26 @@
 //!   checkpoint (absent when the WAL is disabled);
 //! * `<name>.idx` — the B+tree primary index, once one is created.
 //!
-//! Append protocol: WAL first (flushed), then data pages, then the
-//! B+tree. [`PagedBackend::open`] recovers: it trusts pages only up to
-//! the checkpointed row count, replays intact WAL records past it, and
+//! Append protocol: the shared pre-check (`check_append`) first, so a
+//! rejected batch reaches neither log nor pages; then WAL (flushed), data
+//! pages and the B+tree, each written from the batch's columns (a logged
+//! batch is encoded once, for its frame, and copied onto the pages; an
+//! unlogged one a chunk at a time).
+//! [`PagedBackend::open`] recovers: it trusts pages only up to the
+//! checkpointed row count, replays intact WAL records past it, and
 //! rebuilds the B+tree — so a torn write anywhere past the checkpoint
 //! loses nothing that reached the log. Temporary backends (spilled temp
 //! MVs) write no WAL and unlink their files on drop.
 
-use crate::backend::{StorageBackend, StorageEnv};
+use crate::backend::{check_append, StorageBackend, StorageEnv};
 use crate::btree::BTree;
-use crate::page::{ColumnSet, DataPage, PageLayout, PageView};
+use crate::catalog::BULK_LOAD_CHUNK;
+use crate::page::{encode_rows, ColumnSet, DataPage, PageLayout, PageView};
 use crate::pager::PageFile;
 use crate::wal::Wal;
 use parking_lot::Mutex;
 use pop_types::column::Column;
-use pop_types::{PopError, PopResult, Row, Value};
+use pop_types::{PopError, PopResult, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -218,7 +223,13 @@ impl PagedBackend {
                     break; // gap: everything after is unusable
                 }
                 env.io().wal_replayed.fetch_add(1, Ordering::Relaxed);
-                core.apply(&backend, &rec.rows, rec.start_row)?;
+                let lens = check_append(layout, rec.start_row, &rec.cols, rec.rows)?;
+                let mut encoded = Vec::new();
+                encode_rows(&rec.cols, 0..rec.rows, &lens, &mut encoded);
+                core.apply(&backend, &encoded, &lens, rec.start_row)?;
+                if rec.rows > 0 {
+                    core.write_tail(&backend)?;
+                }
             }
             // Rebuild the primary index from the recovered pages.
             if let Some(col) = core.key_col {
@@ -296,42 +307,46 @@ impl PagedCore {
         })
     }
 
-    /// Pack `rows` (starting at position `start`) into pages, persisting
-    /// full pages and the (partial) tail.
-    fn apply(&mut self, b: &PagedBackend, rows: &[Row], start: u64) -> PopResult<()> {
-        if rows.is_empty() {
-            return Ok(());
-        }
+    /// Pack rows (starting at position `start`), encoded back to back in
+    /// `encoded` with the lengths `check_append` returned as `lens`, into
+    /// pages, persisting each page that fills; [`PagedCore::write_tail`]
+    /// persists the partial tail once the batch is in.
+    fn apply(
+        &mut self,
+        b: &PagedBackend,
+        encoded: &[u8],
+        lens: &[usize],
+        start: u64,
+    ) -> PopResult<()> {
         let layout = b.env.layout();
-        for (i, row) in rows.iter().enumerate() {
-            let pos = start + i as u64;
-            let was_empty = self.tail.is_empty();
-            if was_empty {
+        let mut at = 0;
+        for (i, &len) in lens.iter().enumerate() {
+            let (pos, row) = (start + i as u64, &encoded[at..at + len]);
+            at += len;
+            if self.tail.is_empty() {
                 self.tail = DataPage::new(layout, pos);
+                self.page_starts.push(pos);
             }
-            if self.tail.push(row)? {
-                if was_empty {
-                    self.page_starts.push(pos);
-                }
-            } else {
+            if !self.tail.push(row) {
                 let bytes = self.tail.to_bytes();
                 let pid = self.tail_pid;
                 self.write_data_page(b, pid, &bytes)?;
                 self.tail_pid += 1;
                 self.tail = DataPage::new(layout, pos);
-                if !self.tail.push(row)? {
-                    return Err(PopError::Execution(
-                        "storage: row rejected by an empty page".into(),
-                    ));
-                }
                 self.page_starts.push(pos);
+                // An empty page takes any row that fits a page.
+                self.tail.push(row);
             }
         }
+        self.n_rows = start + lens.len() as u64;
+        Ok(())
+    }
+
+    /// Persist the (partial) tail page after a non-empty batch.
+    fn write_tail(&mut self, b: &PagedBackend) -> PopResult<()> {
         let bytes = self.tail.to_bytes();
         let pid = self.tail_pid;
-        self.write_data_page(b, pid, &bytes)?;
-        self.n_rows = start + rows.len() as u64;
-        Ok(())
+        self.write_data_page(b, pid, &bytes)
     }
 
     /// Decode the columns `cols` of rows `[lo, hi)` into `out` by walking
@@ -429,29 +444,41 @@ impl StorageBackend for PagedBackend {
         self.env.layout()
     }
 
-    fn append(&self, rows: Vec<Row>) -> PopResult<u64> {
+    fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
         let mut core = self.inner.lock();
         let start = core.n_rows;
+        let lens = check_append(self.env.layout(), start, cols, rows)?;
+        let mut encoded = Vec::new();
         if let Some(wal) = core.wal.as_mut() {
+            // Encoded once for the log frame, then copied onto the pages.
+            encode_rows(cols, 0..rows, &lens, &mut encoded);
             let torn = self.env.fault_torn_write();
-            let bytes = wal.append(start, &rows, torn)?;
+            let bytes = wal.append(start, rows, &encoded, torn)?;
             let io = self.env.io();
             io.wal_records.fetch_add(1, Ordering::Relaxed);
             io.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+            core.apply(self, &encoded, &lens, start)?;
+        } else {
+            // No log (a spilled temp MV): encoded a bulk-load chunk at a
+            // time, so the batch is never held a second time, encoded.
+            for lo in (0..rows).step_by(BULK_LOAD_CHUNK) {
+                let hi = rows.min(lo + BULK_LOAD_CHUNK);
+                encoded.clear();
+                encode_rows(cols, lo..hi, &lens[lo..hi], &mut encoded);
+                core.apply(self, &encoded, &lens[lo..hi], start + lo as u64)?;
+            }
         }
-        core.apply(self, &rows, start)?;
-        if let Some(col) = core.key_col {
+        if rows > 0 {
+            core.write_tail(self)?;
+        }
+        if let (Some(col), Some(bt)) = (core.key_col, core.btree.clone()) {
             let mut add: BTreeMap<Value, Vec<u64>> = BTreeMap::new();
-            for (i, row) in rows.iter().enumerate() {
-                if let Some(key) = row.get(col as usize) {
-                    if !matches!(key, Value::Null) {
-                        add.entry(key.clone()).or_default().push(start + i as u64);
-                    }
+            if let Some(keys) = cols.get(col as usize) {
+                for i in (0..rows).filter(|i| !keys.is_null(*i)) {
+                    add.entry(keys.value(i)).or_default().push(start + i as u64);
                 }
             }
-            if let Some(bt) = core.btree.clone() {
-                bt.insert(&add)?;
-            }
+            bt.insert(&add)?;
         }
         Ok(start)
     }
@@ -529,6 +556,7 @@ mod tests {
     use crate::backend::StorageConfig;
     use crate::mem::MemBackend;
     use pop_guard::{FaultInjector, FaultPlan};
+    use pop_types::Row;
 
     fn env_with(page_size: usize, dir: Option<PathBuf>) -> Arc<StorageEnv> {
         Arc::new(StorageEnv::new(StorageConfig {
@@ -542,6 +570,11 @@ mod tests {
         (lo..hi)
             .map(|i| vec![Value::Int(i), Value::str(format!("payload {i}"))])
             .collect()
+    }
+
+    /// Append [`rows`]`(lo, hi)` as columns.
+    fn append(b: &dyn StorageBackend, lo: i64, hi: i64) -> PopResult<u64> {
+        b.append(&crate::columns_of(&rows(lo, hi)), (hi - lo) as usize)
     }
 
     fn to_rows(cols: &[Column], n: usize) -> Vec<Row> {
@@ -563,9 +596,10 @@ mod tests {
         let env = env_with(512, None);
         let paged = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
         let mem = MemBackend::new(env.layout());
-        for chunk in rows(0, 400).chunks(37) {
-            paged.append(chunk.to_vec()).unwrap();
-            mem.append(chunk.to_vec()).unwrap();
+        for lo in (0..400).step_by(37) {
+            let hi = (lo + 37).min(400);
+            append(&paged, lo, hi).unwrap();
+            append(&mem, lo, hi).unwrap();
         }
         assert_eq!(paged.row_count(), 400);
         // Page map identical to the mem backend's virtual map.
@@ -604,7 +638,7 @@ mod tests {
         {
             let env = env_with(512, Some(dir.clone()));
             let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
-            b.append(rows(0, 100)).unwrap();
+            append(&b, 0, 100).unwrap();
             b.checkpoint().unwrap();
         }
         let env = env_with(512, Some(dir.clone()));
@@ -621,11 +655,11 @@ mod tests {
         {
             let env = env_with(512, Some(dir.clone()));
             let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
-            b.append(rows(0, 60)).unwrap();
+            append(&b, 0, 60).unwrap();
             b.checkpoint().unwrap();
             // Two more batches reach WAL + pages but never a checkpoint.
-            b.append(rows(60, 90)).unwrap();
-            b.append(rows(90, 120)).unwrap();
+            append(&b, 60, 90).unwrap();
+            append(&b, 90, 120).unwrap();
         }
         let env = env_with(512, Some(dir.clone()));
         let b = PagedBackend::open(&env, "t").unwrap();
@@ -642,9 +676,9 @@ mod tests {
         {
             let env = env_with(512, Some(dir.clone()));
             let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
-            b.append(rows(0, 50)).unwrap();
+            append(&b, 0, 50).unwrap();
             env.arm_faults(FaultInjector::new(FaultPlan::parse_spec("torn@0").unwrap()));
-            let err = b.append(rows(50, 80)).unwrap_err();
+            let err = append(&b, 50, 80).unwrap_err();
             assert!(err.to_string().contains("torn write"), "{err}");
             env.disarm_faults();
         }
@@ -660,11 +694,11 @@ mod tests {
     fn primary_btree_builds_and_tracks_appends() {
         let env = env_with(512, None);
         let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
-        b.append(rows(0, 100)).unwrap();
+        append(&b, 0, 100).unwrap();
         let bt = b.ensure_primary(0).unwrap().unwrap();
         assert_eq!(bt.entry_count(), 100);
         assert_eq!(bt.probe(&Value::Int(42)).unwrap(), vec![42]);
-        b.append(rows(100, 150)).unwrap();
+        append(&b, 100, 150).unwrap();
         assert_eq!(bt.probe(&Value::Int(120)).unwrap(), vec![120]);
         assert_eq!(bt.entry_count(), 150);
         bt.verify().unwrap();
@@ -673,11 +707,31 @@ mod tests {
         assert!(b.ensure_primary(0).unwrap().is_some());
     }
 
+    /// An unlogged batch is encoded a chunk at a time: across chunk
+    /// boundaries it packs, stores and writes exactly what a logged one does.
+    #[test]
+    fn unlogged_batch_packs_like_a_logged_one() {
+        let n = 2 * BULK_LOAD_CHUNK as i64 + 100;
+        let (logged_env, temp_env) = (env_with(512, None), env_with(512, None));
+        let logged = PagedBackend::create(Arc::clone(&logged_env), "t", false).unwrap();
+        let temp = PagedBackend::create(Arc::clone(&temp_env), "mv", true).unwrap();
+        append(&logged, 0, n).unwrap();
+        append(&temp, 0, n).unwrap();
+        assert_eq!(
+            temp.inner.lock().page_starts,
+            logged.inner.lock().page_starts
+        );
+        assert_eq!(stored(&temp), rows(0, n));
+        let written = temp_env.io_stats().pages_written;
+        assert_eq!(written, logged_env.io_stats().pages_written);
+        assert_eq!(written, temp.page_count(), "each page written once");
+    }
+
     #[test]
     fn temporary_backend_unlinks_files_on_drop() {
         let env = env_with(512, None);
         let b = PagedBackend::create(Arc::clone(&env), "mv", true).unwrap();
-        b.append(rows(0, 10)).unwrap();
+        append(&b, 0, 10).unwrap();
         b.ensure_primary(0).unwrap();
         let dir = env.ensure_dir().unwrap();
         assert!(dir.join("mv.dat").exists());

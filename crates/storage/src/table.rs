@@ -12,6 +12,7 @@ use crate::backend::StorageBackend;
 use crate::cursor::{RowFetcher, TableCursor};
 use crate::mem::MemBackend;
 use crate::page::PageLayout;
+use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Schema};
 use std::sync::Arc;
 
@@ -20,6 +21,35 @@ pub type TableId = u32;
 
 /// Rows per cursor chunk of [`Table::snapshot`].
 const SNAPSHOT_CHUNK: usize = 4096;
+
+/// Move `rows` into `width` columns `cols` of table `name`, refilling them
+/// from empty (a column keeps its vector for values of its type); `cap`
+/// sizes a vector the first value of its type creates. Returns the row
+/// count, or an error at the first row of another width.
+pub(crate) fn rows_to_columns(
+    name: &str,
+    width: usize,
+    rows: impl IntoIterator<Item = Row>,
+    cols: &mut Vec<Column>,
+    cap: usize,
+) -> PopResult<usize> {
+    cols.resize_with(width, Column::default);
+    cols.iter_mut().for_each(Column::clear);
+    let mut n = 0;
+    for row in rows {
+        if row.len() != width {
+            return Err(PopError::Execution(format!(
+                "insert into {name}: row has {} values, schema has {width}",
+                row.len(),
+            )));
+        }
+        for (c, v) in cols.iter_mut().zip(row) {
+            c.push_value(v, cap);
+        }
+        n += 1;
+    }
+    Ok(n)
+}
 
 /// A table: identity, schema, and the backend holding its rows.
 #[derive(Debug)]
@@ -34,11 +64,17 @@ impl Table {
     /// Create an in-memory table with the given rows (the default page
     /// geometry provides the virtual page map).
     ///
-    /// Panics if a single row exceeds the default page size — construct
-    /// through a catalog with a larger [`PageLayout`] for such rows.
+    /// The rows need not match the schema's width (a test builds a temp
+    /// MV of 7 rows without values), only each other's. Panics if they do
+    /// not, or if a row exceeds the default page size — construct through
+    /// a catalog with a larger [`PageLayout`] for such rows.
     pub fn new(id: TableId, name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> Self {
-        let backend = MemBackend::with_rows(PageLayout::default(), rows)
-            .expect("row exceeds the default page size");
+        let name = name.into();
+        let backend = MemBackend::new(PageLayout::default());
+        let (width, n, mut cols) = (rows.first().map_or(0, Vec::len), rows.len(), Vec::new());
+        rows_to_columns(&name, width, rows, &mut cols, n)
+            .and_then(|_| backend.append(&cols, n))
+            .expect("rows of one width, each within the default page size");
         Table::with_backend(id, name, schema, Arc::new(backend))
     }
 
@@ -129,20 +165,29 @@ impl Table {
         self.backend.row_count() as usize
     }
 
-    /// Append rows. Returns the starting row position of the appended
-    /// batch. On the paged backend the batch is WAL-logged first.
+    /// Append rows — the row adapter over [`Table::append`]. Returns the
+    /// starting row position of the appended batch; a row that does not
+    /// match the schema rejects the whole batch.
     pub fn insert(&self, new_rows: Vec<Row>) -> PopResult<u64> {
-        for r in &new_rows {
-            if r.len() != self.schema.len() {
-                return Err(PopError::Execution(format!(
-                    "insert into {}: row has {} values, schema has {}",
-                    self.name,
-                    r.len(),
-                    self.schema.len()
-                )));
-            }
+        let (n, mut cols) = (new_rows.len(), Vec::new());
+        rows_to_columns(&self.name, self.schema.len(), new_rows, &mut cols, n)?;
+        self.append(&cols, n)
+    }
+
+    /// Append the `rows` rows held in `cols`, one column per schema column
+    /// — the one way into a table. Returns the starting row position of
+    /// the appended batch. On the paged backend the batch is WAL-logged
+    /// first.
+    pub fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
+        if cols.len() != self.schema.len() {
+            return Err(PopError::Execution(format!(
+                "insert into {}: batch has {} columns, schema has {}",
+                self.name,
+                cols.len(),
+                self.schema.len()
+            )));
         }
-        self.backend.append(new_rows)
+        self.backend.append(cols, rows)
     }
 
     /// Make the table durable (paged backend: sync + meta + WAL
@@ -193,6 +238,10 @@ mod tests {
     fn insert_wrong_arity_rejected() {
         let t = table();
         assert!(t.insert(vec![vec![Value::Int(3)]]).is_err());
+        let mut one = Column::default();
+        one.push_value(Value::Int(3), 1);
+        let err = t.append(&[one], 1).unwrap_err();
+        assert!(err.to_string().contains("batch has 1 columns"), "{err}");
         assert_eq!(t.row_count(), 2);
     }
 

@@ -1,8 +1,31 @@
 //! Temporary materialized views created from intermediate results.
 
 use crate::Table;
-use pop_types::ColId;
+use pop_types::{ColId, Rid};
 use std::sync::Arc;
+
+/// The base-table rids of a temp MV's rows, flat: every row has `width`
+/// of them, row `i` at `rids[i * width..(i + 1) * width]`.
+#[derive(Debug, Clone)]
+pub struct Lineage {
+    rids: Arc<[Rid]>,
+    width: usize,
+}
+
+impl Lineage {
+    /// Lineage of `rids.len() / width` rows of `width` rids each.
+    pub fn new(rids: Arc<[Rid]>, width: usize) -> Self {
+        debug_assert!(rids.len().is_multiple_of(width), "ragged lineage");
+        Lineage { rids, width }
+    }
+
+    /// The rids of row `i` (none past the last row).
+    pub fn row(&self, i: usize) -> &[Rid] {
+        self.rids
+            .get(i * self.width..(i + 1) * self.width)
+            .unwrap_or(&[])
+    }
+}
 
 /// A temporary materialized view promoted from an intermediate result when
 /// a CHECK fails (§2.3).
@@ -30,7 +53,7 @@ pub struct TempMv {
     /// Actual (exact) cardinality, recorded at materialization time.
     pub actual_card: u64,
     /// Lineage of base-table rids per materialized row, when tracked.
-    pub lineage: Option<Arc<Vec<Vec<pop_types::Rid>>>>,
+    pub lineage: Option<Lineage>,
 }
 
 #[cfg(test)]
@@ -55,5 +78,9 @@ mod tests {
         };
         assert_eq!(mv.signature, "sig");
         assert_eq!(mv.table.row_count(), 0);
+        let rids: Vec<Rid> = (0..6u64).map(|i| Rid::new((i % 2) as u32, i)).collect();
+        let lineage = Lineage::new(Arc::from(rids), 2);
+        assert_eq!(lineage.row(1), &[Rid::new(0, 2), Rid::new(1, 3)]);
+        assert!(lineage.row(3).is_empty());
     }
 }

@@ -15,8 +15,9 @@
 //! [12..]   payload: start_row (u64 LE), n_rows (u32 LE), encoded rows
 //! ```
 
-use crate::page::{decode_row_into, encode_row, ColumnSet};
-use pop_types::{fnv1a, PopError, PopResult, Row};
+use crate::page::{decode_row_onto, ColumnSet};
+use pop_types::column::Column;
+use pop_types::{fnv1a, PopError, PopResult};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -32,8 +33,10 @@ fn io_err(path: &Path, what: &str, e: &std::io::Error) -> PopError {
 pub struct WalRecord {
     /// Table position of the first row in the record.
     pub start_row: u64,
-    /// The rows.
-    pub rows: Vec<Row>,
+    /// The rows, one column per stored column.
+    pub cols: Vec<Column>,
+    /// Rows in the record.
+    pub rows: usize,
 }
 
 /// A per-table write-ahead log.
@@ -64,26 +67,31 @@ impl Wal {
     }
 
     /// Serialize one record frame.
-    fn frame(start_row: u64, rows: &[Row]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&start_row.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-        for row in rows {
-            encode_row(row, &mut payload);
-        }
-        let mut frame = Vec::with_capacity(FRAME_HDR + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+    fn frame(start_row: u64, rows: usize, encoded: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(FRAME_HDR + 12 + encoded.len());
+        frame.resize(FRAME_HDR, 0);
+        frame.extend_from_slice(&start_row.to_le_bytes());
+        frame.extend_from_slice(&(rows as u32).to_le_bytes());
+        frame.extend_from_slice(encoded);
+        let (len, crc) = (frame.len() - FRAME_HDR, fnv1a(&frame[FRAME_HDR..]));
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..FRAME_HDR].copy_from_slice(&crc.to_le_bytes());
         frame
     }
 
-    /// Append and flush one redo record; returns the frame size in bytes.
+    /// Append and flush one redo record: `rows` rows, `encoded` back to
+    /// back in the page codec; returns the frame size in bytes.
     /// With `torn` set (fault injection) only half the frame reaches the
     /// file before an injected-crash error — exactly the on-disk state a
     /// real crash mid-`write` leaves behind.
-    pub fn append(&mut self, start_row: u64, rows: &[Row], torn: bool) -> PopResult<u64> {
-        let frame = Self::frame(start_row, rows);
+    pub fn append(
+        &mut self,
+        start_row: u64,
+        rows: usize,
+        encoded: &[u8],
+        torn: bool,
+    ) -> PopResult<u64> {
+        let frame = Self::frame(start_row, rows, encoded);
         if torn {
             let half = frame.len() / 2;
             self.file
@@ -143,24 +151,23 @@ impl Wal {
             let mut p = 0usize;
             let start_row = u64::from_le_bytes(payload[p..p + 8].try_into().unwrap());
             p += 8;
-            let n = u32::from_le_bytes(payload[p..p + 4].try_into().unwrap());
+            let rows = u32::from_le_bytes(payload[p..p + 4].try_into().unwrap()) as usize;
             p += 4;
-            let mut rows = Vec::with_capacity(n as usize);
-            let mut ok = true;
-            for _ in 0..n {
-                let mut row = Row::new();
-                if let Ok(end) = decode_row_into(payload, p, &ColumnSet::all(), &mut row) {
-                    p = end;
-                    rows.push(row);
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
+            // An encoded row takes at least its 2-byte header.
+            let cap = rows.min(payload.len() / 2);
+            let mut cols = Vec::new();
+            let all = ColumnSet::all();
+            let decoded = (0..rows).try_fold(p, |at, i| {
+                decode_row_onto(payload, at, &all, &mut cols, i, cap)
+            });
+            if decoded.is_err() {
                 break;
             }
-            records.push(WalRecord { start_row, rows });
+            records.push(WalRecord {
+                start_row,
+                cols,
+                rows,
+            });
             at += FRAME_HDR + len;
         }
         Ok(records)
@@ -170,12 +177,27 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pop_types::Value;
+    use pop_types::{Row, Value};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pop-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Rows `lo..hi` of the `(i, "ri")` test table, encoded.
+    fn batch(lo: i64, hi: i64) -> Vec<u8> {
+        let cols = crate::columns_of(&rows(lo, hi));
+        let (n, mut out) = ((hi - lo) as usize, Vec::new());
+        let lens = crate::page::encoded_row_lens(&cols, n);
+        crate::page::encode_rows(&cols, 0..n, &lens, &mut out);
+        out
+    }
+
+    fn rows_of(rec: &WalRecord) -> Vec<Row> {
+        (0..rec.rows)
+            .map(|i| rec.cols.iter().map(|c| c.value(i)).collect())
+            .collect()
     }
 
     fn rows(lo: i64, hi: i64) -> Vec<Row> {
@@ -189,14 +211,17 @@ mod tests {
         let path = tmp("rt.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(path.clone()).unwrap();
-        wal.append(0, &rows(0, 5), false).unwrap();
-        wal.append(5, &rows(5, 8), false).unwrap();
+        wal.append(0, 5, &batch(0, 5), false).unwrap();
+        wal.append(5, 3, &batch(5, 8), false).unwrap();
+        wal.append(8, 4, &[0; 8], false).unwrap();
         drop(wal);
         let recs = Wal::replay(&path).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!((recs[0].start_row, recs[0].rows.len()), (0, 5));
-        assert_eq!((recs[1].start_row, recs[1].rows.len()), (5, 3));
-        assert_eq!(recs[1].rows, rows(5, 8));
+        assert_eq!(recs.len(), 3);
+        assert_eq!((recs[0].start_row, recs[0].rows), (0, 5));
+        assert_eq!((recs[1].start_row, recs[1].rows), (5, 3));
+        assert_eq!(rows_of(&recs[1]), rows(5, 8));
+        // Rows without values replay as a row count.
+        assert_eq!((recs[2].rows, recs[2].cols.len()), (4, 0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -205,14 +230,14 @@ mod tests {
         let path = tmp("torn.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(path.clone()).unwrap();
-        wal.append(0, &rows(0, 4), false).unwrap();
-        let err = wal.append(4, &rows(4, 8), true).unwrap_err();
+        wal.append(0, 4, &batch(0, 4), false).unwrap();
+        let err = wal.append(4, 4, &batch(4, 8), true).unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         drop(wal);
         // The intact first record replays; the torn tail does not.
         let recs = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].rows, rows(0, 4));
+        assert_eq!(rows_of(&recs[0]), rows(0, 4));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -221,9 +246,9 @@ mod tests {
         let path = tmp("trunc.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(path.clone()).unwrap();
-        wal.append(0, &rows(0, 3), false).unwrap();
+        wal.append(0, 3, &batch(0, 3), false).unwrap();
         wal.truncate().unwrap();
-        wal.append(3, &rows(3, 4), false).unwrap();
+        wal.append(3, 1, &batch(3, 4), false).unwrap();
         drop(wal);
         let recs = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 1);

@@ -15,11 +15,7 @@ fn schema() -> Schema {
 fn snapshots_are_immune_to_concurrent_inserts() {
     let cat = Catalog::new();
     let t = cat
-        .create_table(
-            "t",
-            schema(),
-            (0..1000).map(|i| vec![Value::Int(i)]).collect(),
-        )
+        .create_table("t", schema(), (0..1000).map(|i| vec![Value::Int(i)]))
         .unwrap();
     let snap = t.snapshot();
     let handles: Vec<_> = (0..4)

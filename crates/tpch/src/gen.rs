@@ -1,7 +1,7 @@
 //! Deterministic TPC-H-like data generation.
 
 use pop_storage::{Catalog, IndexKind};
-use pop_types::{DataType, PopResult, Row, Schema, Value};
+use pop_types::{DataType, PopResult, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,8 +103,7 @@ impl TpchGen {
             REGIONS
                 .iter()
                 .enumerate()
-                .map(|(i, n)| vec![Value::Int(i as i64), Value::str(*n)])
-                .collect(),
+                .map(|(i, n)| vec![Value::Int(i as i64), Value::str(*n)]),
         )?;
 
         // NATION
@@ -118,21 +117,18 @@ impl TpchGen {
             NATIONS
                 .iter()
                 .enumerate()
-                .map(|(i, (n, r))| vec![Value::Int(i as i64), Value::str(*n), Value::Int(*r)])
-                .collect(),
+                .map(|(i, (n, r))| vec![Value::Int(i as i64), Value::str(*n), Value::Int(*r)]),
         )?;
 
         // SUPPLIER
-        let supplier: Vec<Row> = (0..sz.supplier)
-            .map(|i| {
-                vec![
-                    Value::Int(i as i64),
-                    Value::str(format!("Supplier#{i:09}")),
-                    Value::Int(rng.gen_range(0..25)),
-                    Value::Float(f64::from(rng.gen_range(-99_999..=999_999)) / 100.0),
-                ]
-            })
-            .collect();
+        let supplier = (0..sz.supplier).map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::str(format!("Supplier#{i:09}")),
+                Value::Int(rng.gen_range(0..25)),
+                Value::Float(f64::from(rng.gen_range(-99_999..=999_999)) / 100.0),
+            ]
+        });
         catalog.create_table(
             "supplier",
             Schema::from_pairs(&[
@@ -145,17 +141,15 @@ impl TpchGen {
         )?;
 
         // CUSTOMER
-        let customer: Vec<Row> = (0..sz.customer)
-            .map(|i| {
-                vec![
-                    Value::Int(i as i64),
-                    Value::str(format!("Customer#{i:09}")),
-                    Value::Int(rng.gen_range(0..25)),
-                    Value::Float(f64::from(rng.gen_range(-99_999..=999_999)) / 100.0),
-                    Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
-                ]
-            })
-            .collect();
+        let customer = (0..sz.customer).map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::str(format!("Customer#{i:09}")),
+                Value::Int(rng.gen_range(0..25)),
+                Value::Float(f64::from(rng.gen_range(-99_999..=999_999)) / 100.0),
+                Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
+            ]
+        });
         catalog.create_table(
             "customer",
             Schema::from_pairs(&[
@@ -169,18 +163,16 @@ impl TpchGen {
         )?;
 
         // ORDERS
-        let orders: Vec<Row> = (0..sz.orders)
-            .map(|i| {
-                vec![
-                    Value::Int(i as i64),
-                    Value::Int(rng.gen_range(0..sz.customer as i64)),
-                    Value::str(["F", "O", "P"][rng.gen_range(0..3usize)]),
-                    Value::Float(f64::from(rng.gen_range(1_000..=500_000)) / 100.0),
-                    Value::Date(rng.gen_range(0..DATE_RANGE)),
-                    Value::str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
-                ]
-            })
-            .collect();
+        let orders = (0..sz.orders).map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::Int(rng.gen_range(0..sz.customer as i64)),
+                Value::str(["F", "O", "P"][rng.gen_range(0..3usize)]),
+                Value::Float(f64::from(rng.gen_range(1_000..=500_000)) / 100.0),
+                Value::Date(rng.gen_range(0..DATE_RANGE)),
+                Value::str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
+            ]
+        });
         catalog.create_table(
             "orders",
             Schema::from_pairs(&[
@@ -195,30 +187,28 @@ impl TpchGen {
         )?;
 
         // PART
-        let part: Vec<Row> = (0..sz.part)
-            .map(|i| {
-                let w1 = NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())];
-                let w2 = NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())];
-                let ptype = format!(
-                    "{} {} {}",
-                    TYPE_SYLL1[rng.gen_range(0..TYPE_SYLL1.len())],
-                    TYPE_SYLL2[rng.gen_range(0..TYPE_SYLL2.len())],
-                    TYPE_SYLL3[rng.gen_range(0..TYPE_SYLL3.len())],
-                );
-                vec![
-                    Value::Int(i as i64),
-                    Value::str(format!("{w1} {w2} part")),
-                    Value::str(format!(
-                        "Brand#{}{}",
-                        rng.gen_range(1..=5),
-                        rng.gen_range(1..=5)
-                    )),
-                    Value::str(ptype),
-                    Value::Int(rng.gen_range(1..=50)),
-                    Value::Float(f64::from(rng.gen_range(90_000..=200_000)) / 100.0),
-                ]
-            })
-            .collect();
+        let part = (0..sz.part).map(|i| {
+            let w1 = NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())];
+            let w2 = NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())];
+            let ptype = format!(
+                "{} {} {}",
+                TYPE_SYLL1[rng.gen_range(0..TYPE_SYLL1.len())],
+                TYPE_SYLL2[rng.gen_range(0..TYPE_SYLL2.len())],
+                TYPE_SYLL3[rng.gen_range(0..TYPE_SYLL3.len())],
+            );
+            vec![
+                Value::Int(i as i64),
+                Value::str(format!("{w1} {w2} part")),
+                Value::str(format!(
+                    "Brand#{}{}",
+                    rng.gen_range(1..=5),
+                    rng.gen_range(1..=5)
+                )),
+                Value::str(ptype),
+                Value::Int(rng.gen_range(1..=50)),
+                Value::Float(f64::from(rng.gen_range(90_000..=200_000)) / 100.0),
+            ]
+        });
         catalog.create_table(
             "part",
             Schema::from_pairs(&[
@@ -233,16 +223,14 @@ impl TpchGen {
         )?;
 
         // PARTSUPP: each part supplied by 4 suppliers.
-        let partsupp: Vec<Row> = (0..sz.partsupp)
-            .map(|i| {
-                vec![
-                    Value::Int((i / 4) as i64 % sz.part as i64),
-                    Value::Int(rng.gen_range(0..sz.supplier as i64)),
-                    Value::Int(rng.gen_range(1..=9999)),
-                    Value::Float(f64::from(rng.gen_range(100..=100_000)) / 100.0),
-                ]
-            })
-            .collect();
+        let partsupp = (0..sz.partsupp).map(|i| {
+            vec![
+                Value::Int((i / 4) as i64 % sz.part as i64),
+                Value::Int(rng.gen_range(0..sz.supplier as i64)),
+                Value::Int(rng.gen_range(1..=9999)),
+                Value::Float(f64::from(rng.gen_range(100..=100_000)) / 100.0),
+            ]
+        });
         catalog.create_table(
             "partsupp",
             Schema::from_pairs(&[
@@ -255,31 +243,29 @@ impl TpchGen {
         )?;
 
         // LINEITEM: ~4 lines per order.
-        let lineitem: Vec<Row> = (0..sz.lineitem)
-            .map(|_| {
-                let ship = rng.gen_range(0..DATE_RANGE);
-                let commit = ship + rng.gen_range(-30..60);
-                let receipt = ship + rng.gen_range(1..30);
-                // The paper notes l_returnflag-style flags are skewed.
-                let flag = match rng.gen_range(0..100) {
-                    0..=24 => "R",
-                    25..=49 => "A",
-                    _ => "N",
-                };
-                vec![
-                    Value::Int(rng.gen_range(0..sz.orders as i64)),
-                    Value::Int(rng.gen_range(0..sz.part as i64)),
-                    Value::Int(rng.gen_range(0..sz.supplier as i64)),
-                    Value::Int(rng.gen_range(1..=50)),
-                    Value::Float(f64::from(rng.gen_range(90_000..=10_000_000)) / 100.0),
-                    Value::Float(f64::from(rng.gen_range(0..=10)) / 100.0),
-                    Value::str(flag),
-                    Value::Date(ship),
-                    Value::Date(commit),
-                    Value::Date(receipt),
-                ]
-            })
-            .collect();
+        let lineitem = (0..sz.lineitem).map(|_| {
+            let ship = rng.gen_range(0..DATE_RANGE);
+            let commit = ship + rng.gen_range(-30..60);
+            let receipt = ship + rng.gen_range(1..30);
+            // The paper notes l_returnflag-style flags are skewed.
+            let flag = match rng.gen_range(0..100) {
+                0..=24 => "R",
+                25..=49 => "A",
+                _ => "N",
+            };
+            vec![
+                Value::Int(rng.gen_range(0..sz.orders as i64)),
+                Value::Int(rng.gen_range(0..sz.part as i64)),
+                Value::Int(rng.gen_range(0..sz.supplier as i64)),
+                Value::Int(rng.gen_range(1..=50)),
+                Value::Float(f64::from(rng.gen_range(90_000..=10_000_000)) / 100.0),
+                Value::Float(f64::from(rng.gen_range(0..=10)) / 100.0),
+                Value::str(flag),
+                Value::Date(ship),
+                Value::Date(commit),
+                Value::Date(receipt),
+            ]
+        });
         catalog.create_table(
             "lineitem",
             Schema::from_pairs(&[

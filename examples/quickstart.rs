@@ -21,15 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("region", DataType::Str),
             ("segment", DataType::Int),
         ]),
-        (0..2000)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::str(["NORTH", "SOUTH", "EAST", "WEST"][(i % 4) as usize]),
-                    Value::Int(i % 10),
-                ]
-            })
-            .collect(),
+        (0..2000).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::str(["NORTH", "SOUTH", "EAST", "WEST"][(i % 4) as usize]),
+                Value::Int(i % 10),
+            ]
+        }),
     )?;
     catalog.create_table(
         "orders",
@@ -38,15 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("cust", DataType::Int),
             ("amount", DataType::Float),
         ]),
-        (0..40_000)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Int(i % 2000),
-                    Value::Float(((i * 37) % 500) as f64),
-                ]
-            })
-            .collect(),
+        (0..40_000).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i % 2000),
+                Value::Float(((i * 37) % 500) as f64),
+            ]
+        }),
     )?;
     // Indexes make index nested-loop joins available to the optimizer.
     catalog.create_index("orders", "cust", IndexKind::Hash)?;

@@ -19,24 +19,20 @@ fn correlated_db() -> Catalog {
             ("grp_b", DataType::Int),
             ("grp_c", DataType::Int),
         ]),
-        (0..5000)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Int(i % 4),
-                    Value::Int(i % 4),
-                    Value::Int(i % 4),
-                ]
-            })
-            .collect(),
+        (0..5000).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i % 4),
+                Value::Int(i % 4),
+                Value::Int(i % 4),
+            ]
+        }),
     )
     .unwrap();
     cat.create_table(
         "orders",
         Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-        (0..50_000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 1000)])
-            .collect(),
+        (0..50_000).map(|i| vec![Value::Int(i), Value::Int(i % 1000)]),
     )
     .unwrap();
     cat.create_index("orders", "cust", IndexKind::Hash).unwrap();

@@ -12,17 +12,13 @@ fn two_tables(n_left: usize, n_right: usize) -> Catalog {
     cat.create_table(
         "l",
         Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]),
-        (0..n_left)
-            .map(|i| vec![Value::Int((i % 10) as i64), Value::Int(i as i64)])
-            .collect(),
+        (0..n_left).map(|i| vec![Value::Int((i % 10) as i64), Value::Int(i as i64)]),
     )
     .unwrap();
     cat.create_table(
         "r",
         Schema::from_pairs(&[("k", DataType::Int), ("w", DataType::Int)]),
-        (0..n_right)
-            .map(|i| vec![Value::Int((i % 10) as i64), Value::Int(i as i64)])
-            .collect(),
+        (0..n_right).map(|i| vec![Value::Int((i % 10) as i64), Value::Int(i as i64)]),
     )
     .unwrap();
     cat.create_index("r", "k", IndexKind::Hash).unwrap();

@@ -12,9 +12,7 @@ fn db() -> Catalog {
     cat.create_table(
         "customer",
         Schema::from_pairs(&[("cid", DataType::Int), ("nation", DataType::Int)]),
-        (0..1000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
-            .collect(),
+        (0..1000).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
     )
     .unwrap();
     // Orders exist only for even customers; amount flags some as large.
@@ -25,15 +23,13 @@ fn db() -> Catalog {
             ("cust", DataType::Int),
             ("amount", DataType::Int),
         ]),
-        (0..5000)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Int((i % 500) * 2), // customers 0,2,...,998
-                    Value::Int(i % 100),
-                ]
-            })
-            .collect(),
+        (0..5000).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int((i % 500) * 2), // customers 0,2,...,998
+                Value::Int(i % 100),
+            ]
+        }),
     )
     .unwrap();
     cat.create_index("orders", "cust", IndexKind::Hash).unwrap();

@@ -15,17 +15,13 @@ fn db() -> Catalog {
             ("grp", DataType::Int),
             ("amount", DataType::Int),
         ]),
-        (0..10_000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 10)])
-            .collect(),
+        (0..10_000).map(|i| vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 10)]),
     )
     .unwrap();
     cat.create_table(
         "groups",
         Schema::from_pairs(&[("gid", DataType::Int), ("name", DataType::Str)]),
-        (0..100)
-            .map(|g| vec![Value::Int(g), Value::str(format!("g{g}"))])
-            .collect(),
+        (0..100).map(|g| vec![Value::Int(g), Value::str(format!("g{g}"))]),
     )
     .unwrap();
     cat.create_index("sales", "grp", IndexKind::Hash).unwrap();

@@ -16,23 +16,19 @@ fn db() -> Catalog {
             ("day", DataType::Date),
             ("kind", DataType::Int),
         ]),
-        (0..20_000)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Date((i % 1000) as i32),
-                    Value::Int(i % 7),
-                ]
-            })
-            .collect(),
+        (0..20_000).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Date((i % 1000) as i32),
+                Value::Int(i % 7),
+            ]
+        }),
     )
     .unwrap();
     cat.create_table(
         "kinds",
         Schema::from_pairs(&[("kind", DataType::Int), ("label", DataType::Str)]),
-        (0..7)
-            .map(|k| vec![Value::Int(k), Value::str(format!("k{k}"))])
-            .collect(),
+        (0..7).map(|k| vec![Value::Int(k), Value::str(format!("k{k}"))]),
     )
     .unwrap();
     cat.create_index("events", "day", IndexKind::Sorted)

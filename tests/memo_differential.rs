@@ -31,15 +31,13 @@ fn catalog() -> Catalog {
                 ("key", DataType::Int),
                 ("attr", DataType::Int),
             ]),
-            (0..*rows)
-                .map(|r| {
-                    vec![
-                        Value::Int(r as i64),
-                        Value::Int((r % 50) as i64),
-                        Value::Int((r % 20) as i64),
-                    ]
-                })
-                .collect(),
+            (0..*rows).map(|r| {
+                vec![
+                    Value::Int(r as i64),
+                    Value::Int((r % 50) as i64),
+                    Value::Int((r % 20) as i64),
+                ]
+            }),
         )
         .unwrap();
         cat.create_index(&format!("t{i}"), "key", IndexKind::Hash)

@@ -58,27 +58,23 @@ fn dmv_style_db() -> Catalog {
             ("body", DataType::Int),
             ("owner", DataType::Int),
         ]),
-        (0..VEHICLES)
-            .map(|i| {
-                let g = group(i);
-                vec![
-                    Value::Int(i),
-                    Value::Int(g),
-                    Value::Int(g),
-                    Value::Int(g),
-                    Value::Int(g),
-                    Value::Int(i % OWNERS),
-                ]
-            })
-            .collect(),
+        (0..VEHICLES).map(|i| {
+            let g = group(i);
+            vec![
+                Value::Int(i),
+                Value::Int(g),
+                Value::Int(g),
+                Value::Int(g),
+                Value::Int(g),
+                Value::Int(i % OWNERS),
+            ]
+        }),
     )
     .unwrap();
     cat.create_table(
         "owners",
         Schema::from_pairs(&[("oid", DataType::Int), ("region", DataType::Int)]),
-        (0..OWNERS)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
-            .collect(),
+        (0..OWNERS).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
     )
     .unwrap();
     cat

@@ -74,17 +74,13 @@ fn matrix_db() -> Catalog {
     cat.create_table(
         "customer",
         Schema::from_pairs(&[("cid", DataType::Int), ("grp", DataType::Int)]),
-        (0..500)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
-            .collect(),
+        (0..500).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
     )
     .unwrap();
     cat.create_table(
         "orders",
         Schema::from_pairs(&[("oid", DataType::Int), ("cust", DataType::Int)]),
-        (0..5000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 500)])
-            .collect(),
+        (0..5000).map(|i| vec![Value::Int(i), Value::Int(i % 500)]),
     )
     .unwrap();
     cat

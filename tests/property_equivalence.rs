@@ -78,8 +78,7 @@ fn build_catalog(db: &Db) -> Catalog {
         ]),
         db.left
             .iter()
-            .map(|(p, k, a)| vec![Value::Int(*p), Value::Int(*k), Value::Int(*a)])
-            .collect(),
+            .map(|(p, k, a)| vec![Value::Int(*p), Value::Int(*k), Value::Int(*a)]),
     )
     .unwrap();
     cat.create_table(
@@ -87,8 +86,7 @@ fn build_catalog(db: &Db) -> Catalog {
         Schema::from_pairs(&[("key", DataType::Int), ("attr", DataType::Int)]),
         db.right
             .iter()
-            .map(|(k, a)| vec![Value::Int(*k), Value::Int(*a)])
-            .collect(),
+            .map(|(k, a)| vec![Value::Int(*k), Value::Int(*a)]),
     )
     .unwrap();
     cat.create_index("right", "key", IndexKind::Hash).unwrap();

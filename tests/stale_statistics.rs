@@ -17,17 +17,13 @@ fn stale_setup() -> (Catalog, StatsRegistry) {
     cat.create_table(
         "users",
         Schema::from_pairs(&[("uid", DataType::Int), ("segment", DataType::Int)]),
-        (0..2000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 50)])
-            .collect(),
+        (0..2000).map(|i| vec![Value::Int(i), Value::Int(i % 50)]),
     )
     .unwrap();
     cat.create_table(
         "events",
         Schema::from_pairs(&[("eid", DataType::Int), ("uid", DataType::Int)]),
-        (0..500)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 500)])
-            .collect(),
+        (0..500).map(|i| vec![Value::Int(i), Value::Int(i % 500)]),
     )
     .unwrap();
     cat.create_index("events", "uid", IndexKind::Hash).unwrap();

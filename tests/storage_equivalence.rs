@@ -280,9 +280,7 @@ fn flip_db() -> Catalog {
     cat.create_table(
         "pts",
         Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]),
-        (0..10_000)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 97)])
-            .collect(),
+        (0..10_000).map(|i| vec![Value::Int(i), Value::Int(i % 97)]),
     )
     .unwrap();
     cat.create_index("pts", "id", IndexKind::Sorted).unwrap();
