@@ -17,8 +17,10 @@
 //!
 //!    Both are run twice: reading every column, and *projected* onto the
 //!    three integer columns `a, c, d` of the six (`TableCursor::project`),
-//!    which decodes neither string column. Projection changes what is
-//!    decoded, never what is read: same rows, same checksum, same pages.
+//!    which decodes neither string column; the warm scan runs a third
+//!    time projected onto the one integer column `c`, one run of 8-byte
+//!    values per column page. Projection changes what is decoded, never
+//!    what is read: same rows, same checksum, same pages.
 //! 3. **WAL replay** — append a batch that lives only in the WAL, drop
 //!    the catalog without a checkpoint (simulated crash), and time the
 //!    reopen that replays the log and rebuilds the table.
@@ -57,6 +59,9 @@ struct BenchReport {
     warm_projected_ms: f64,
     warm_projected_mrows_per_s: f64,
     warm_projected_io: IoSnapshot,
+    warm_one_int_ms: f64,
+    warm_one_int_mrows_per_s: f64,
+    warm_one_int_io: IoSnapshot,
     wal_records_replayed: u64,
     wal_replay_ms: f64,
     asserted: bool,
@@ -88,6 +93,8 @@ const COLD_POOL_FRAMES: usize = 32;
 const WARM_POOL_FRAMES: usize = 4096;
 /// The projected scan reads `a`, `c` (the checksum column) and `d`.
 const PROJECTED: [usize; 3] = [0, 2, 3];
+/// The narrowest scan reads the checksum column `c` alone.
+const ONE_INT: [usize; 1] = [2];
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -212,6 +219,7 @@ fn main() {
     };
     let (warm_ms, warm_io) = timed(None);
     let (warm_projected_ms, warm_projected_io) = timed(Some(&PROJECTED));
+    let (warm_one_int_ms, warm_one_int_io) = timed(Some(&ONE_INT));
     drop(warm_table);
     drop(warm_cat);
     let _ = fs::remove_dir_all(&dir);
@@ -235,6 +243,9 @@ fn main() {
         warm_projected_ms,
         warm_projected_mrows_per_s: mrows(warm_projected_ms),
         warm_projected_io: warm_projected_io.into(),
+        warm_one_int_ms,
+        warm_one_int_mrows_per_s: mrows(warm_one_int_ms),
+        warm_one_int_io: warm_one_int_io.into(),
         wal_records_replayed: replayed,
         wal_replay_ms,
         asserted: assert_facts,
@@ -263,6 +274,11 @@ fn main() {
         report.cold_projected_io.pool_misses,
         report.warm_projected_mrows_per_s,
         report.warm_projected_io.pages_read
+    );
+    println!(
+        "  projected onto 1 Int column: warm {warm_one_int_ms:8.2} ms  {:6.2} Mrows/s \
+         ({} physical reads)",
+        report.warm_one_int_mrows_per_s, report.warm_one_int_io.pages_read
     );
     println!("  WAL replay on reopen: {wal_replay_ms:8.2} ms  ({replayed} records)");
     let _ = fs::create_dir_all("results");
@@ -312,7 +328,11 @@ fn main() {
             "projection must not change the pages a cold scan reads"
         );
         assert_eq!(
-            report.warm_projected_io.pages_read, 0,
+            (
+                report.warm_projected_io.pages_read,
+                report.warm_one_int_io.pages_read
+            ),
+            (0, 0),
             "warm projected scans must be served from the pool"
         );
         assert!(replayed > 0, "reopen replayed no WAL records");

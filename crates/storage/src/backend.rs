@@ -33,7 +33,8 @@ pub enum StorageKind {
     /// In-memory typed columns (`Arc` snapshots) with a virtual page map.
     #[default]
     Mem,
-    /// Slotted pages on disk behind the buffer pool, with WAL + B+tree.
+    /// Column-major pages on disk behind the buffer pool, with WAL +
+    /// B+tree.
     Paged,
 }
 
@@ -283,17 +284,24 @@ impl Drop for StorageEnv {
 
 /// The check in front of every append, shared by both backends so they
 /// accept and reject the same batches, before either changes anything:
-/// each of `cols` holds `rows` rows; every row fits a page; and the table
-/// stays addressable by the `u32` positions selection vectors and
-/// in-memory indexes use. `stored` is the table's row count. Returns each
-/// row's encoded length. The batch's width is the caller's to hold to the
-/// table's: [`crate::Table::append`] checks it against the schema.
+/// the batch has the table's width (`width`: `None` until the first rows
+/// fix it); each of `cols` holds `rows` rows; every row fits a page; and
+/// the table stays addressable by the `u32` positions selection vectors
+/// and in-memory indexes use. `stored` is the table's row count. Returns
+/// each row's encoded length.
 pub(crate) fn check_append(
     layout: PageLayout,
     stored: u64,
+    width: Option<usize>,
     cols: &[Column],
     rows: usize,
 ) -> PopResult<Vec<usize>> {
+    if let Some(w) = width.filter(|w| *w != cols.len()) {
+        return Err(PopError::Execution(format!(
+            "batch has {} columns, the table {w}",
+            cols.len()
+        )));
+    }
     if let Some(c) = cols.iter().position(|c| c.len() != rows) {
         return Err(PopError::Execution(format!(
             "batch column {c} holds {} rows, the batch {rows}",
@@ -328,8 +336,9 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// column, each `rows` long; a table without columns still has rows)
     /// at the end; returns the position of the first. Every batch passes
     /// the shared `check_append` before anything changes, so a rejected
-    /// batch leaves the table as it was on both backends. The width is not
-    /// checked here: [`crate::Table::append`] holds it to the schema.
+    /// batch leaves the table as it was on both backends. The first batch
+    /// with rows fixes the table's width; a batch of another width is
+    /// rejected ([`crate::Table::append`] also holds it to the schema).
     fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64>;
 
     /// The stored columns, zero-copy, when the backend keeps its rows as

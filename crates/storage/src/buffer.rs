@@ -228,16 +228,26 @@ impl BufferPool {
     pub fn invalidate(&self, key: PageKey) {
         let mut inner = self.inner.lock();
         if let Some(idx) = inner.map.remove(&key) {
-            Self::remove_frame(&mut inner, idx, &self.io, self.page_size, false);
+            Self::remove_frame(&mut inner, idx, self.page_size);
         }
     }
 
-    /// Drop every resident frame of `file_id` (table dropped / reloaded).
+    /// Drop every resident frame of `file_id` (table dropped / reloaded):
+    /// one `retain` over the map, then each frame swap-removed from the
+    /// highest index down, so every frame that moves into a hole is one
+    /// that stays.
     pub fn invalidate_file(&self, file_id: u64) {
         let mut inner = self.inner.lock();
-        while let Some((&key, _)) = inner.map.iter().find(|((f, _), _)| *f == file_id) {
-            let idx = inner.map.remove(&key).unwrap();
-            Self::remove_frame(&mut inner, idx, &self.io, self.page_size, false);
+        let mut gone = Vec::new();
+        inner.map.retain(|&(f, _), &mut idx| {
+            if f == file_id {
+                gone.push(idx);
+            }
+            f != file_id
+        });
+        gone.sort_unstable();
+        for idx in gone.into_iter().rev() {
+            Self::remove_frame(&mut inner, idx, self.page_size);
         }
     }
 
@@ -248,7 +258,7 @@ impl BufferPool {
             let idx = inner.frames.len() - 1;
             let key = inner.frames[idx].key;
             inner.map.remove(&key);
-            Self::remove_frame(&mut inner, idx, &self.io, self.page_size, false);
+            Self::remove_frame(&mut inner, idx, self.page_size);
         }
     }
 
@@ -266,22 +276,15 @@ impl BufferPool {
                 let key = inner.frames[hand].key;
                 inner.map.remove(&key);
                 io.evictions.fetch_add(1, Ordering::Relaxed);
-                Self::remove_frame(inner, hand, io, page_size, true);
+                Self::remove_frame(inner, hand, page_size);
                 return;
             }
         }
     }
 
-    /// Swap-remove frame `idx`, fixing the displaced frame's map entry and
-    /// releasing the governor reservation. (`counted` distinguishes clock
-    /// evictions, already counted by the caller, from invalidations.)
-    fn remove_frame(
-        inner: &mut PoolInner,
-        idx: usize,
-        _io: &IoCounters,
-        page_size: usize,
-        _counted: bool,
-    ) {
+    /// Swap-remove frame `idx` (its map entry already gone), fixing the
+    /// displaced frame's map entry and releasing the governor reservation.
+    fn remove_frame(inner: &mut PoolInner, idx: usize, page_size: usize) {
         inner.frames.swap_remove(idx);
         if idx < inner.frames.len() {
             let moved_key = inner.frames[idx].key;
@@ -377,6 +380,8 @@ mod tests {
         p.get((2, 0), || Ok(vec![0u8; 64])).unwrap();
         p.invalidate_file(1);
         assert_eq!(p.resident_frames(), 1);
+        p.get((2, 0), || panic!("the other file's frame stays"))
+            .unwrap();
         p.invalidate((2, 0));
         assert_eq!(p.resident_frames(), 0);
     }

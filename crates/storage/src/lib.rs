@@ -4,7 +4,7 @@
 //! Two backends implement [`StorageBackend`]: [`MemBackend`] (one typed
 //! column per stored column behind an `Arc` snapshot, plus a *virtual*
 //! page map) and [`PagedBackend`]
-//! (slotted pages in a file, read through a clock-eviction [`BufferPool`],
+//! (column-major pages in a file, read through a clock-eviction [`BufferPool`],
 //! fronted by a write-ahead log, optionally indexed by a [`BTree`]).
 //! Both pack rows into pages with the same rule, so page counts — and
 //! everything derived from them: statistics, cost estimates, plan
@@ -18,8 +18,8 @@
 //! name the columns they read with `.project(cols)` — a [`ColumnSet`];
 //! *columns outside the projection are unspecified (empty on paged, the
 //! stored values on mem) and must not be read*: the paged backend parses
-//! each page once and decodes only the projected columns, into scratch
-//! columns the reader reuses, stepping over the rest; the mem backend
+//! each page once and decodes only the projected columns, each from its
+//! own block, into scratch columns the reader reuses; the mem backend
 //! hands out its stored columns, zero-copy, and ignores the set.
 //!
 //! [`Column`]: pop_types::column::Column

@@ -16,7 +16,7 @@
 //! copies the columns first, so readers never see rows appear.
 
 use crate::backend::{check_append, StorageBackend};
-use crate::page::{ColumnSet, PageLayout};
+use crate::page::{ColumnSet, PageFill, PageLayout};
 use parking_lot::RwLock;
 use pop_types::column::Column;
 use pop_types::{PopError, PopResult};
@@ -31,10 +31,8 @@ struct MemInner {
     rows: usize,
     /// Position of the first row of each virtual page.
     page_starts: Vec<u64>,
-    /// Rows on the (virtual) tail page.
-    tail_slots: usize,
-    /// Encoded row bytes on the tail page.
-    tail_bytes: usize,
+    /// The (virtual) tail page's fill.
+    fill: PageFill,
 }
 
 /// In-memory table storage.
@@ -70,21 +68,16 @@ impl StorageBackend for MemBackend {
     fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
         let mut inner = self.inner.write();
         let start = inner.rows;
-        let lens = check_append(self.layout, start as u64, cols, rows)?;
+        let width = (start > 0).then_some(inner.cols.len());
+        let lens = check_append(self.layout, start as u64, width, cols, rows)?;
         if rows == 0 {
             return Ok(start as u64);
         }
-        // Extend the virtual page map exactly as DataPage::push would.
+        // Extend the virtual page map by the paged backend's rule.
         for (i, len) in lens.into_iter().enumerate() {
-            if inner.page_starts.is_empty()
-                || !self.layout.fits(inner.tail_slots, inner.tail_bytes, len)
-            {
+            if inner.fill.push(self.layout, len) {
                 inner.page_starts.push((start + i) as u64);
-                inner.tail_slots = 0;
-                inner.tail_bytes = 0;
             }
-            inner.tail_slots += 1;
-            inner.tail_bytes += len;
         }
         let stored = Arc::make_mut(&mut inner.cols);
         if stored.len() < cols.len() {
@@ -182,7 +175,7 @@ impl StorageBackend for MemBackend {
 mod tests {
     use super::*;
     use crate::columns_of;
-    use crate::page::{encode_rows, encoded_row_lens, DataPage};
+    use crate::page::{encoded_row_lens, DataPage};
     use pop_types::{Row, Value};
 
     /// Rows `lo..hi` of the `(i, "payload i")` test table, as columns.
@@ -207,25 +200,23 @@ mod tests {
     fn virtual_map_matches_real_page_builder() {
         let layout = PageLayout::new(512);
         let mem = loaded(layout, 500);
-        // Pack the same rows into real pages and compare the map.
-        let (cols, mut starts, mut encoded) = (batch(0, 500), Vec::new(), Vec::new());
-        let lens = encoded_row_lens(&cols, 500);
-        encode_rows(&cols, 0..500, &lens, &mut encoded);
-        let mut page: Option<DataPage> = None;
-        let mut at = 0;
-        for (i, len) in lens.into_iter().enumerate() {
-            let row = &encoded[at..at + len];
-            at += len;
-            let full = match page.as_mut() {
-                None => true,
-                Some(p) => !p.push(row),
-            };
-            if full {
-                let mut p = DataPage::new(layout, i as u64);
-                assert!(p.push(row));
-                page = Some(p);
+        // The rule spelled out with `fits`; each page it packs is then
+        // built for real and encodes within the page.
+        let (cols, mut starts) = (batch(0, 500), Vec::new());
+        let (mut slots, mut bytes) = (0, 0);
+        for (i, len) in encoded_row_lens(&cols, 500).into_iter().enumerate() {
+            if slots == 0 || !layout.fits(slots, bytes, len) {
                 starts.push(i as u64);
+                (slots, bytes) = (0, 0);
             }
+            slots += 1;
+            bytes += len;
+        }
+        let ends = starts.iter().skip(1).copied().chain([500]);
+        for (lo, hi) in starts.iter().zip(ends) {
+            let mut page = DataPage::new(*lo);
+            page.extend(&cols, *lo as usize..hi as usize);
+            page.to_bytes(layout.page_size).unwrap();
         }
         assert_eq!(mem.page_count(), starts.len() as u64);
         for (p, &s) in starts.iter().enumerate() {

@@ -1,5 +1,5 @@
-//! The paged backend: slotted data pages behind the buffer pool, a WAL
-//! in front of every append, and an optional B+tree primary index.
+//! The paged backend: column-major data pages behind the buffer pool, a
+//! WAL in front of every append, and an optional B+tree primary index.
 //!
 //! Files per table (in the environment's directory):
 //!
@@ -10,10 +10,11 @@
 //! * `<name>.idx` — the B+tree primary index, once one is created.
 //!
 //! Append protocol: the shared pre-check (`check_append`) first, so a
-//! rejected batch reaches neither log nor pages; then WAL (flushed), data
-//! pages and the B+tree, each written from the batch's columns (a logged
-//! batch is encoded once, for its frame, and copied onto the pages; an
-//! unlogged one a chunk at a time).
+//! rejected batch reaches neither log nor pages; then WAL (flushed, the
+//! batch encoded in the row codec), data pages and the B+tree, each
+//! written from the batch's columns: the packing rule cuts the batch into
+//! page runs, each copied onto the tail page's columns, and a page is
+//! encoded into its column blocks when it is written.
 //! [`PagedBackend::open`] recovers: it trusts pages only up to the
 //! checkpointed row count, replays intact WAL records past it, and
 //! rebuilds the B+tree — so a torn write anywhere past the checkpoint
@@ -22,8 +23,7 @@
 
 use crate::backend::{check_append, StorageBackend, StorageEnv};
 use crate::btree::BTree;
-use crate::catalog::BULK_LOAD_CHUNK;
-use crate::page::{encode_rows, ColumnSet, DataPage, PageLayout, PageView};
+use crate::page::{encode_rows, page_bytes, ColumnSet, DataPage, PageFill, PageLayout, PageView};
 use crate::pager::PageFile;
 use crate::wal::Wal;
 use parking_lot::Mutex;
@@ -36,8 +36,9 @@ use std::sync::Arc;
 
 /// Magic number of the table meta page (`"POPD"`).
 const META_MAGIC: u32 = 0x504F_5044;
-/// Meta-page format version.
-const META_VERSION: u16 = 1;
+/// Meta-page format version: 2 since data pages are column-major (a
+/// version-1 file holds slotted row pages this build does not read).
+const META_VERSION: u16 = 2;
 /// Sentinel for "no primary key column".
 const NO_KEY_COL: u32 = u32::MAX;
 /// Rows decoded per step while building the primary key map.
@@ -49,12 +50,16 @@ struct PagedCore {
     wal: Option<Wal>,
     /// The (possibly partial) page being filled; always also on disk.
     tail: DataPage,
+    /// The tail page's fill under the packing rule.
+    fill: PageFill,
     /// Pid the tail page occupies.
     tail_pid: u64,
     /// Position of the first row of each data page (mirrors the mem
     /// backend's virtual map — same packing rule, same counts).
     page_starts: Vec<u64>,
     n_rows: u64,
+    /// Columns of every row, fixed by the first rows stored.
+    width: Option<usize>,
     /// Rows covered by the last checkpoint (meta page).
     durable_rows: u64,
     key_col: Option<u32>,
@@ -112,10 +117,12 @@ impl PagedBackend {
             inner: Mutex::new(PagedCore {
                 data,
                 wal,
-                tail: DataPage::new(layout, 0),
+                tail: DataPage::new(0),
+                fill: PageFill::default(),
                 tail_pid: 1,
                 page_starts: Vec::new(),
                 n_rows: 0,
+                width: None,
                 durable_rows: 0,
                 key_col: None,
                 btree: None,
@@ -135,9 +142,14 @@ impl PagedBackend {
         let magic = u32::from_le_bytes(meta[0..4].try_into().unwrap());
         let version = u16::from_le_bytes(meta[4..6].try_into().unwrap());
         let page_size = u32::from_le_bytes(meta[6..10].try_into().unwrap()) as usize;
-        if magic != META_MAGIC || version != META_VERSION {
+        if magic != META_MAGIC {
             return Err(PopError::Execution(format!(
                 "storage: {name}.dat is not a POP table file"
+            )));
+        }
+        if version != META_VERSION {
+            return Err(PopError::Execution(format!(
+                "storage: {name}.dat has page format version {version}, this build reads {META_VERSION}"
             )));
         }
         if page_size != layout.page_size {
@@ -153,8 +165,9 @@ impl PagedBackend {
         // Rebuild the page map from page headers, up to the checkpoint.
         let mut page_starts = Vec::new();
         let mut rows_seen = 0u64;
-        let mut tail = DataPage::new(layout, 0);
+        let mut tail = DataPage::new(0);
         let mut tail_pid = 1;
+        let mut width = None;
         for pid in 1..data.page_count() {
             if rows_seen >= durable_rows {
                 break;
@@ -165,15 +178,19 @@ impl PagedBackend {
             let Ok(page) = PageView::new(&bytes) else {
                 break;
             };
-            if page.first_row() != rows_seen || page.is_empty() {
+            if page.first_row() != rows_seen
+                || page.is_empty()
+                || width.is_some_and(|w| w != page.width())
+            {
                 break;
             }
             // A checkpoint that landed mid-page keeps only its prefix.
             let keep = (durable_rows - rows_seen).min(page.len() as u64) as usize;
-            let Ok(kept) = DataPage::from_page(layout, &page, keep) else {
+            let Ok(kept) = DataPage::from_page(&page, keep) else {
                 break;
             };
             page_starts.push(rows_seen);
+            width = Some(page.width());
             tail = kept;
             tail_pid = pid;
             rows_seen += keep as u64;
@@ -201,10 +218,12 @@ impl PagedBackend {
             inner: Mutex::new(PagedCore {
                 data,
                 wal,
+                fill: tail.fill(layout),
                 tail,
                 tail_pid,
                 page_starts,
                 n_rows: durable_rows,
+                width,
                 durable_rows,
                 key_col,
                 btree: None,
@@ -223,10 +242,8 @@ impl PagedBackend {
                     break; // gap: everything after is unusable
                 }
                 env.io().wal_replayed.fetch_add(1, Ordering::Relaxed);
-                let lens = check_append(layout, rec.start_row, &rec.cols, rec.rows)?;
-                let mut encoded = Vec::new();
-                encode_rows(&rec.cols, 0..rec.rows, &lens, &mut encoded);
-                core.apply(&backend, &encoded, &lens, rec.start_row)?;
+                let lens = check_append(layout, rec.start_row, core.width, &rec.cols, rec.rows)?;
+                core.apply(&backend, &rec.cols, &lens, rec.start_row)?;
                 if rec.rows > 0 {
                     core.write_tail(&backend)?;
                 }
@@ -307,51 +324,58 @@ impl PagedCore {
         })
     }
 
-    /// Pack rows (starting at position `start`), encoded back to back in
-    /// `encoded` with the lengths `check_append` returned as `lens`, into
-    /// pages, persisting each page that fills; [`PagedCore::write_tail`]
-    /// persists the partial tail once the batch is in.
+    /// Pack the batch `cols` (starting at position `start`, its rows of
+    /// the encoded lengths `check_append` returned as `lens`) into pages,
+    /// persisting each page that fills — encoded straight from the batch
+    /// when it began in the batch, from the tail page's rows otherwise.
+    /// The rows of the last page are copied onto the tail page;
+    /// [`PagedCore::write_tail`] persists it once the batch is in.
     fn apply(
         &mut self,
         b: &PagedBackend,
-        encoded: &[u8],
+        cols: &[Column],
         lens: &[usize],
         start: u64,
     ) -> PopResult<()> {
         let layout = b.env.layout();
-        let mut at = 0;
+        let mut from = 0;
         for (i, &len) in lens.iter().enumerate() {
-            let (pos, row) = (start + i as u64, &encoded[at..at + len]);
-            at += len;
-            if self.tail.is_empty() {
-                self.tail = DataPage::new(layout, pos);
+            if self.fill.push(layout, len) {
+                if self.tail.is_empty() && from < i {
+                    let first = start + from as u64;
+                    let bytes = page_bytes(first, cols, from..i, layout.page_size)?;
+                    self.write_data_page(b, self.tail_pid, &bytes)?;
+                    self.tail_pid += 1;
+                } else if !self.tail.is_empty() {
+                    self.tail.extend(cols, from..i);
+                    self.write_tail(b)?;
+                    self.tail_pid += 1;
+                }
+                let pos = start + i as u64;
+                self.tail = DataPage::new(pos);
                 self.page_starts.push(pos);
+                from = i;
             }
-            if !self.tail.push(row) {
-                let bytes = self.tail.to_bytes();
-                let pid = self.tail_pid;
-                self.write_data_page(b, pid, &bytes)?;
-                self.tail_pid += 1;
-                self.tail = DataPage::new(layout, pos);
-                self.page_starts.push(pos);
-                // An empty page takes any row that fits a page.
-                self.tail.push(row);
-            }
+        }
+        self.tail.extend(cols, from..lens.len());
+        if !lens.is_empty() {
+            self.width = Some(cols.len());
         }
         self.n_rows = start + lens.len() as u64;
         Ok(())
     }
 
-    /// Persist the (partial) tail page after a non-empty batch.
+    /// Persist the (partial) tail page.
     fn write_tail(&mut self, b: &PagedBackend) -> PopResult<()> {
-        let bytes = self.tail.to_bytes();
+        let bytes = self.tail.to_bytes(b.env.config().page_size)?;
         let pid = self.tail_pid;
         self.write_data_page(b, pid, &bytes)
     }
 
-    /// Decode the columns `cols` of rows `[lo, hi)` into `out` by walking
-    /// the covering pages, each parsed once: the columns in the set are
-    /// refilled in place (see [`StorageBackend::read_range`]).
+    /// Decode the columns `cols` of rows `[lo, hi)` into `out` from the
+    /// covering pages, each parsed once and read one run per projected
+    /// column: the columns in the set are refilled in place (see
+    /// [`StorageBackend::read_range`]).
     fn read_range(
         &self,
         b: &PagedBackend,
@@ -383,10 +407,8 @@ impl PagedCore {
             }
             let lo_slot = lo.saturating_sub(first) as usize;
             let hi_slot = (hi.min(next) - first) as usize;
-            for slot in lo_slot..hi_slot {
-                page.decode_slot_onto(slot, cols, out, row, cap)?;
-                row += 1;
-            }
+            page.decode_onto(lo_slot..hi_slot, cols, out, row, cap)?;
+            row += hi_slot - lo_slot;
         }
         cols.end_refill_in(out, row);
         Ok(())
@@ -447,27 +469,17 @@ impl StorageBackend for PagedBackend {
     fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
         let mut core = self.inner.lock();
         let start = core.n_rows;
-        let lens = check_append(self.env.layout(), start, cols, rows)?;
-        let mut encoded = Vec::new();
+        let lens = check_append(self.env.layout(), start, core.width, cols, rows)?;
         if let Some(wal) = core.wal.as_mut() {
-            // Encoded once for the log frame, then copied onto the pages.
+            let mut encoded = Vec::new();
             encode_rows(cols, 0..rows, &lens, &mut encoded);
             let torn = self.env.fault_torn_write();
             let bytes = wal.append(start, rows, &encoded, torn)?;
             let io = self.env.io();
             io.wal_records.fetch_add(1, Ordering::Relaxed);
             io.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-            core.apply(self, &encoded, &lens, start)?;
-        } else {
-            // No log (a spilled temp MV): encoded a bulk-load chunk at a
-            // time, so the batch is never held a second time, encoded.
-            for lo in (0..rows).step_by(BULK_LOAD_CHUNK) {
-                let hi = rows.min(lo + BULK_LOAD_CHUNK);
-                encoded.clear();
-                encode_rows(cols, lo..hi, &lens[lo..hi], &mut encoded);
-                core.apply(self, &encoded, &lens[lo..hi], start + lo as u64)?;
-            }
         }
+        core.apply(self, cols, &lens, start)?;
         if rows > 0 {
             core.write_tail(self)?;
         }
@@ -512,9 +524,9 @@ impl StorageBackend for PagedBackend {
             )));
         }
         let p = core.page_of(pos);
-        let first = core.page_starts[p as usize];
+        let slot = (pos - core.page_starts[p as usize]) as usize;
         let bytes = core.read_data_page(self, p + 1)?;
-        PageView::new(&bytes)?.decode_slot_onto((pos - first) as usize, cols, out, row, 0)
+        PageView::new(&bytes)?.decode_onto(slot..slot + 1, cols, out, row, 0)
     }
 
     fn page_of_row(&self, pos: u64) -> u64 {
@@ -554,6 +566,7 @@ impl Drop for PagedBackend {
 mod tests {
     use super::*;
     use crate::backend::StorageConfig;
+    use crate::catalog::BULK_LOAD_CHUNK;
     use crate::mem::MemBackend;
     use pop_guard::{FaultInjector, FaultPlan};
     use pop_types::Row;
@@ -745,5 +758,64 @@ mod tests {
         assert!(!dir.join("mv.dat").exists());
         assert!(!dir.join("mv.wal").exists());
         assert!(!dir.join("mv.idx").exists());
+    }
+
+    /// Both backends fix a table's width with its first rows and reject a
+    /// batch of another width before anything changes; a reopened paged
+    /// table recovers the width from its pages.
+    #[test]
+    fn a_batch_of_another_width_is_rejected_by_both_backends() {
+        let dir = std::env::temp_dir().join(format!("pop-paged-test-width-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = env_with(512, Some(dir.clone()));
+        let paged = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
+        let (mem, zero) = (MemBackend::new(env.layout()), MemBackend::new(env.layout()));
+        let one = crate::columns_of(&[vec![Value::Int(7)]]);
+        for b in [&paged as &dyn StorageBackend, &mem] {
+            append(b, 0, 3).unwrap();
+            let err = b.append(&one, 1).unwrap_err();
+            assert!(
+                err.to_string().contains("batch has 1 columns, the table 2"),
+                "{err}"
+            );
+            assert_eq!((b.row_count(), b.page_count()), (3, 1));
+            assert_eq!(stored(b), rows(0, 3));
+        }
+        zero.append(&[], 4).unwrap();
+        assert!(zero.append(&one, 1).is_err(), "a table without columns");
+        paged.checkpoint().unwrap();
+        drop(paged);
+        let paged = PagedBackend::open(&env, "t").unwrap();
+        assert!(
+            paged.append(&one, 1).is_err(),
+            "width recovered from the pages"
+        );
+        append(&paged, 3, 5).unwrap();
+        assert_eq!(stored(&paged), rows(0, 5));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file of slotted row pages (meta version 1) is refused by name.
+    #[test]
+    fn column_page_version_1_file_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("pop-paged-test-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = env_with(512, Some(dir.clone()));
+        {
+            let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
+            append(&b, 0, 10).unwrap();
+            b.checkpoint().unwrap();
+        }
+        let path = dir.join("t.dat");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = PagedBackend::open(&env, "t").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("page format version 1, this build reads 2"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -90,6 +90,29 @@ macro_rules! typed_put {
     )*};
 }
 
+/// Typed run writes of a refill: `$name(i, values)` writes the values as
+/// rows `i..` of a vector of `$variant`s in one extend (the rows from `i`
+/// on are stale), and is `$put` per value on any other column.
+macro_rules! typed_put_run {
+    ($($(#[$doc:meta])* $name:ident($t:ty) => $variant:ident, $put:ident;)*) => {$(
+        $(#[$doc])*
+        #[inline]
+        pub fn $name(&mut self, i: usize, values: impl ExactSizeIterator<Item = $t>, cap: usize) {
+            match &mut self.data {
+                Data::$variant(d) if i <= d.len() => {
+                    d.truncate(i);
+                    d.extend(values);
+                }
+                _ => {
+                    for (k, x) in values.enumerate() {
+                        self.$put(i + k, x, cap);
+                    }
+                }
+            }
+        }
+    )*};
+}
+
 /// Apply `$body` to two typed vectors of the same element type, or
 /// evaluate `$other`.
 macro_rules! same_typed {
@@ -386,6 +409,18 @@ impl Column {
         put_bool(bool) => Bool;
         /// Write a `Str` as row `i` of a refill, moving the string in.
         put_str(Arc<str>) => Str;
+    }
+
+    typed_put_run! {
+        /// Write `Int`s as rows `i..` of a refill — a page's run of a
+        /// column without NULLs.
+        put_ints(i64) => Int, put_int;
+        /// Write `Float`s as rows `i..` of a refill.
+        put_floats(f64) => Float, put_float;
+        /// Write `Date`s as rows `i..` of a refill.
+        put_dates(i32) => Date, put_date;
+        /// Write `Bool`s as rows `i..` of a refill.
+        put_bools(bool) => Bool, put_bool;
     }
 
     /// Write a NULL as row `i` of a refill.
@@ -890,6 +925,30 @@ mod tests {
             &values(&c),
             &[Value::Null, Value::Date(4), Value::Bool(true)]
         ));
+        // Runs: over stale rows of their type after a NULL, and over a
+        // column of another type (a value at a time, the stale rows cut).
+        let mut c = column(&[Value::Int(9), Value::Int(9), Value::Int(9), Value::Int(9)]);
+        c.begin_refill();
+        c.put_null(0);
+        c.put_ints(1, [1, 2].into_iter(), 0);
+        c.truncate(3);
+        assert!(identical(
+            &values(&c),
+            &[Value::Null, Value::Int(1), Value::Int(2)]
+        ));
+        let mut c = column(&[Value::Int(9), Value::Int(9)]);
+        c.begin_refill();
+        c.put_floats(0, [0.5].into_iter(), 0);
+        c.put_dates(1, [3, 4].into_iter(), 0);
+        c.put_bools(3, [true].into_iter(), 0);
+        c.truncate(4);
+        let want = [
+            Value::Float(0.5),
+            Value::Date(3),
+            Value::Date(4),
+            Value::Bool(true),
+        ];
+        assert!(identical(&values(&c), &want));
     }
 
     #[test]
