@@ -8,14 +8,13 @@ use pop_exec::{
     execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, SampleSpec, Signatures, Subplan,
     MONITOR_TRIP_FLOOR,
 };
-use pop_guard::{CancelToken, CleanupRegistry, FaultInjector, Governor};
+use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
     optimize, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats,
     OptimizerContext, PlanCache,
 };
 use pop_plan::{
-    canonical_layout, spec_fingerprint, CheckFlavor, PhysNode, QuerySpec, Signer, TableSet,
-    ValidityRange,
+    canonical_layout, spec_fingerprint, PhysNode, QuerySpec, Signer, TableSet, ValidityRange,
 };
 use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
@@ -23,13 +22,28 @@ use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Result of statically vetting one plan: the rendered Warn-severity
-/// findings plus the robustness certificate of the plan's safety net.
-/// Both empty/absent when the lint mode is [`LintMode::Off`].
-#[derive(Debug, Default)]
+/// What one step takes from the planlint analysis of its plan: the
+/// rendered Warn-severity findings and the robustness certificate of the
+/// plan's safety net (both empty/absent when the lint mode is
+/// [`LintMode::Off`] or the step degraded), and every node's cardinality
+/// interval, which the monitor trip bounds derive from.
+#[derive(Debug)]
 struct Vetting {
     warnings: Vec<String>,
     certificate: Option<pop_planlint::RobustnessCertificate>,
+    intervals: Vec<pop_planlint::CardInterval>,
+}
+
+impl Vetting {
+    /// A step that surfaces neither findings nor a certificate: only its
+    /// monitors consume the analysis.
+    fn monitors_only(analysis: pop_planlint::PlanAnalysis) -> Self {
+        Vetting {
+            warnings: Vec::new(),
+            certificate: None,
+            intervals: analysis.intervals,
+        }
+    }
 }
 
 /// RAII guard for the query-scoped temporary MVs (§2.3): dropping it
@@ -344,8 +358,11 @@ impl PopExecutor {
                             ));
                             ctx.checks_enabled = false;
                             // The fallback was vetted when it first ran; the
-                            // only new node is the compensation wrapper.
-                            (wrap_compensation(prev, ctx), Vetting::default(), None)
+                            // only new node is the compensation wrapper. The
+                            // analysis only feeds the monitors.
+                            let plan = wrap_compensation(prev, ctx);
+                            let vetting = Vetting::monitors_only(self.analyze(&plan, spec));
+                            (plan, vetting, None)
                         }
                         _ => return Err(e),
                     },
@@ -354,8 +371,23 @@ impl PopExecutor {
             let signatures = self.collect_signatures(spec, &plan, params);
             // Install the continuous suboptimality monitors for this
             // step's plan (the always-on safety net on edges no CHECK
-            // guards).
-            ctx.monitors = self.monitor_set(spec, &plan, &signatures);
+            // guards). A pending sample vet scales a copy of the same set,
+            // so it is built even when continuous monitoring is off.
+            let monitored = self.config.monitor && self.config.enabled;
+            let monitors = (monitored || !sample_done).then(|| {
+                let mut set = MonitorSet::default();
+                collect_monitor_specs(
+                    &plan,
+                    &vetting.intervals,
+                    &signatures,
+                    &mut 0,
+                    false,
+                    &mut Vec::new(),
+                    &mut set,
+                );
+                Arc::new(set)
+            });
+            ctx.monitors = monitors.clone().filter(|set| monitored && !set.is_empty());
             let monitors_installed = ctx.monitors.as_ref().map_or(0, |m| m.len());
             // Sampling pre-validation (vet-then-run): a first plan whose
             // robustness certificate carries uncovered risk is executed
@@ -369,6 +401,7 @@ impl PopExecutor {
                     spec,
                     &plan,
                     vetting.certificate.as_ref(),
+                    monitors.as_deref().unwrap_or(&MonitorSet::default()),
                     &signatures,
                     ctx,
                     feedback,
@@ -521,41 +554,36 @@ impl PopExecutor {
         Ok((bare, plan, vetting, stats))
     }
 
-    /// Statically verify a plan before execution (the `pop-planlint`
-    /// gate). Returns the findings to surface as step-report warnings
-    /// together with the plan's robustness certificate; under
-    /// [`LintMode::Enforce`], a Deny-severity finding rejects the plan
-    /// with [`PopError::InvalidPlan`].
-    fn vet_plan(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<Vetting> {
-        if self.config.lint == LintMode::Off {
-            return Ok(Vetting::default());
-        }
+    /// The one planlint analysis of a step's plan, under the step's one
+    /// [`pop_planlint::LintContext`].
+    fn analyze(&self, plan: &PhysNode, spec: &QuerySpec) -> pop_planlint::PlanAnalysis {
         // With LC checks on, the placement pass guards every
         // materialization point, so an unguarded one is suspect.
-        let expect_coverage = self.config.enabled && self.config.optimizer.flavors.lc;
-        // Per-query cleanup registry for the PL208 rule: the rid side
-        // table of every ECDC checkpoint lives in the `ExecCtx` and the
-        // temp MVs under the `MvCleanup` RAII guard, so the driver
-        // registers every ECDC signature it is responsible for. A plan
-        // carrying an ECDC check the registry misses is rejected.
-        let mut cleanups = CleanupRegistry::new();
-        for c in plan.checks() {
-            if c.flavor == CheckFlavor::Ecdc {
-                cleanups.register_side_table(&c.signature);
-            }
-        }
         let lctx = pop_planlint::LintContext::full(&self.catalog, spec)
-            .expect_check_coverage(expect_coverage)
+            .expect_check_coverage(self.config.enabled && self.config.optimizer.flavors.lc)
             .expect_monitor_coverage(self.config.enabled && self.config.monitor)
-            .with_cleanups(&cleanups)
             .with_stats(&self.stats);
-        let diags = pop_planlint::lint_plan(plan, &lctx);
+        pop_planlint::analyze(plan, &lctx)
+    }
+
+    /// Statically verify a plan before execution (the `pop-planlint`
+    /// gate). Returns the findings to surface as step-report warnings
+    /// together with the plan's robustness certificate and intervals;
+    /// under [`LintMode::Enforce`], a Deny-severity finding rejects the
+    /// plan with [`PopError::InvalidPlan`].
+    fn vet_plan(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<Vetting> {
+        let analysis = self.analyze(plan, spec);
+        if self.config.lint == LintMode::Off {
+            return Ok(Vetting::monitors_only(analysis));
+        }
+        let diags = analysis.diagnostics;
         if self.config.lint == LintMode::Enforce && pop_planlint::has_deny(&diags) {
             return Err(PopError::InvalidPlan(pop_planlint::deny_summary(&diags)));
         }
         Ok(Vetting {
             warnings: diags.iter().map(std::string::ToString::to_string).collect(),
-            certificate: Some(pop_planlint::certify(plan, &lctx)),
+            certificate: Some(analysis.certificate),
+            intervals: analysis.intervals,
         })
     }
 
@@ -637,32 +665,6 @@ impl PopExecutor {
         })
     }
 
-    /// Build the monitor set for one step's plan: every node gets a trip
-    /// bound derived from the planlint interval envelope and the
-    /// optimizer's estimate, except CHECK/BUFCHECK nodes and their
-    /// direct children (the check already counts that row stream).
-    /// `None` when monitoring is disabled.
-    fn monitor_set(
-        &self,
-        spec: &QuerySpec,
-        plan: &PhysNode,
-        signatures: &Signatures,
-    ) -> Option<std::sync::Arc<MonitorSet>> {
-        if !(self.config.monitor && self.config.enabled) {
-            return None;
-        }
-        let lctx = pop_planlint::LintContext::full(&self.catalog, spec).with_stats(&self.stats);
-        let intervals = pop_planlint::plan_intervals(plan, &lctx);
-        let mut set = MonitorSet::default();
-        let mut idx = 0usize;
-        collect_monitor_specs(plan, &intervals, signatures, &mut idx, false, &mut set);
-        if set.is_empty() {
-            None
-        } else {
-            Some(Arc::new(set))
-        }
-    }
-
     /// Sampling pre-validation of a risky plan (vet-then-run): execute the
     /// plan over a deterministic stride sample of its
     /// driving table, scale the observed cardinalities back up, and treat
@@ -675,15 +677,18 @@ impl PopExecutor {
     /// than the sample target are not worth vetting (stride < 2).
     ///
     /// The sample runs with checks *disabled* (a sample's absolute counts
-    /// would violate lower bounds spuriously) but with its own monitor
-    /// set whose trip bounds are scaled down by the sampling factor, so a
-    /// runaway join fires early even inside the sample. The stride is
-    /// deterministic, so the vet decision and its observations are too.
+    /// would violate lower bounds spuriously) but with `monitors`, the
+    /// step's monitor set, its trip bounds scaled down by the sampling
+    /// factor, so a runaway join fires early even inside the sample. The
+    /// stride is deterministic, so the vet decision and its observations
+    /// are too.
+    #[allow(clippy::too_many_arguments)]
     fn sample_vet_plan(
         &self,
         spec: &QuerySpec,
         plan: &PhysNode,
         certificate: Option<&pop_planlint::RobustnessCertificate>,
+        monitors: &MonitorSet,
         signatures: &Signatures,
         ctx: &mut ExecCtx,
         feedback: &FeedbackCache,
@@ -720,16 +725,11 @@ impl PopExecutor {
         };
         let sig_mask: HashMap<&String, u64> =
             signatures.iter().map(|(m, s)| (&s.signature, *m)).collect();
-        // The sample's own monitors: same envelope-derived trips as the
-        // full run's, scaled down by the sampling factor of each subplan
-        // (built even when continuous monitoring is off — the vet relies
-        // on them to catch a runaway join inside the sample).
-        let lctx = pop_planlint::LintContext::full(&self.catalog, spec).with_stats(&self.stats);
-        let intervals = pop_planlint::plan_intervals(plan, &lctx);
-        let mut set = MonitorSet::default();
-        let mut idx = 0usize;
-        collect_monitor_specs(plan, &intervals, signatures, &mut idx, false, &mut set);
-        for ms in set.specs.values_mut() {
+        // The sample's own monitors: the full run's envelope-derived
+        // trips, scaled down by the sampling factor of each subplan (the
+        // vet relies on them to catch a runaway join inside the sample).
+        let mut monitors = monitors.clone();
+        for ms in monitors.specs.values_mut() {
             let Some(mask) = sig_mask.get(&ms.signature) else {
                 continue;
             };
@@ -741,7 +741,7 @@ impl PopExecutor {
                     .max(SAMPLE_TRIP_FLOOR);
             }
         }
-        let sample_monitors = (!set.is_empty()).then(|| Arc::new(set));
+        let sample_monitors = (!monitors.is_empty()).then(|| Arc::new(monitors));
         // Run the plan in sampling mode: checks count but never raise,
         // the scaled monitors stay armed, and the driving table's scans
         // read every `stride`-th row.
@@ -932,9 +932,11 @@ fn count_preserving(node: &PhysNode) -> bool {
     )
 }
 
-/// The pre-order walk behind [`PopExecutor::monitor_set`]: enumerate the
-/// full plan tree in the same order the operator builder claims monitor
-/// indices, and record a [`MonitorSpec`] for every monitorable node.
+/// One step's monitor set: enumerate the full plan tree pre-order, the
+/// order the operator builder claims monitor indices in (and `intervals`
+/// lists the planlint cardinality intervals in), and record a
+/// [`MonitorSpec`] for every monitorable node. `path` is the walk's
+/// child-index path, rendered only for a node that gets a monitor.
 ///
 /// A node is skipped when a CHECK above it already counts its exact row
 /// stream (`under_check`, propagated down through count-preserving
@@ -947,10 +949,11 @@ fn count_preserving(node: &PhysNode) -> bool {
 /// [`MONITOR_TRIP_FLOOR`] rows.
 fn collect_monitor_specs(
     node: &PhysNode,
-    intervals: &[(String, f64, pop_planlint::CardInterval)],
+    intervals: &[pop_planlint::CardInterval],
     signatures: &Signatures,
     idx: &mut usize,
     under_check: bool,
+    path: &mut Vec<usize>,
     set: &mut MonitorSet,
 ) {
     let my = *idx;
@@ -959,7 +962,8 @@ fn collect_monitor_specs(
     let monitorable = !is_check && !under_check && !node.props().tables.is_empty();
     if monitorable {
         if let Some(Subplan { signature, .. }) = signatures.get(&node.props().tables.mask()) {
-            let (path, est, iv) = &intervals[my];
+            let est = node.props().card;
+            let iv = intervals[my];
             let mut bound = est * DEFAULT_MONITOR_DRIFT;
             if iv.hi.is_finite() {
                 bound = bound.min(iv.hi * DEFAULT_MONITOR_DRIFT);
@@ -969,17 +973,19 @@ fn collect_monitor_specs(
             set.specs.insert(
                 my,
                 MonitorSpec {
-                    path: path.clone(),
+                    path: pop_planlint::render_path(path.iter().copied()),
                     signature: signature.clone(),
-                    est_card: *est,
+                    est_card: est,
                     trip,
                 },
             );
         }
     }
     let child_counted = is_check || (under_check && count_preserving(node));
-    for child in node.children() {
-        collect_monitor_specs(child, intervals, signatures, idx, child_counted, set);
+    for (i, child) in node.children().into_iter().enumerate() {
+        path.push(i);
+        collect_monitor_specs(child, intervals, signatures, idx, child_counted, path, set);
+        path.pop();
     }
 }
 
@@ -1310,7 +1316,7 @@ mod tests {
     #[test]
     fn suspended_ecdc_run_compensates_its_returned_rows() {
         let mut config = PopConfig::default();
-        config.optimizer.flavors = FlavorSet::only(CheckFlavor::Ecdc);
+        config.optimizer.flavors = FlavorSet::only(pop_plan::CheckFlavor::Ecdc);
         let exec = PopExecutor::new(correlated_db(), config).unwrap();
         let mut q = correlated_query();
         q.projection = vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(1, 0)];

@@ -74,7 +74,7 @@ pub use pop_exec::{
     CheckEvent, CheckOutcome, ObservedCard, SuboptimalitySignal, Violation, MONITOR_TRIP_FLOOR,
 };
 pub use pop_guard::{
-    Budget, CancelToken, CleanupRegistry, FaultInjector, FaultKind, FaultPlan, FaultSpec, Governor,
+    Budget, CancelToken, FaultInjector, FaultKind, FaultPlan, FaultSpec, Governor,
 };
 pub use pop_optimizer::{
     CardFact, FeedbackCache, FeedbackStore, FlavorSet, JoinMethods, Memo, MemoStats,
@@ -86,7 +86,7 @@ pub use pop_plan::{
     QuerySpec, ValidityRange,
 };
 pub use pop_planlint::{
-    certify, lint_plan, plan_intervals, CardInterval, DiagCode, LintContext, PlanDiagnostic,
+    analyze, certify, lint_plan, CardInterval, DiagCode, LintContext, PlanAnalysis, PlanDiagnostic,
     RobustnessCertificate, Severity,
 };
 pub use pop_stats::StatsRegistry;

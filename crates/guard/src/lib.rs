@@ -23,11 +23,6 @@
 //!   single `Option` test when disarmed. The same seed always yields the
 //!   same injection sites, so chaos runs are byte-for-byte reproducible.
 //!
-//! [`CleanupRegistry`] is the static complement: the driver records which
-//! per-query side tables (ECDC rid side tables, temp MVs) have cleanup
-//! registered, and `pop-planlint` verifies every ECDC checkpoint in a plan
-//! is covered before the plan may execute.
-//!
 //! [`PopError::BudgetExceeded`]: pop_types::PopError::BudgetExceeded
 //! [`PopError::Cancelled`]: pop_types::PopError::Cancelled
 
@@ -35,12 +30,10 @@
 
 mod budget;
 mod cancel;
-mod cleanup;
 mod fault;
 mod governor;
 
 pub use budget::{env_parsed, Budget};
 pub use cancel::CancelToken;
-pub use cleanup::CleanupRegistry;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use governor::Governor;

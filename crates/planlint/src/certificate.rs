@@ -5,10 +5,15 @@
 //! checkpoints, how much estimation risk is left uncovered, and how many
 //! re-optimizations the plan could trigger in the worst case. The driver
 //! attaches one per execution step to the run report.
+//!
+//! The certificate is not a separate analysis: the coverage pass
+//! ([`crate::dataflow::CoveragePass`]) feeds a [`Tally`] from the same
+//! per-node decisions its `PL41x` / `PL421` findings come from.
 
-use crate::domain::{self, AbstractState};
-use crate::LintContext;
+use crate::dataflow::Reach;
+use crate::domain::OpenRisk;
 use pop_plan::PhysNode;
+use pop_types::fnv1a_extend as fnv;
 
 /// What the analyzer can prove about one plan's robustness.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,9 +38,10 @@ pub struct RobustnessCertificate {
     /// validity range with no checkpoint noticing.
     pub residual_risk: f64,
     /// Checks that can never fire given the reachable cardinality
-    /// intervals of their inputs.
+    /// intervals of their inputs: exactly the checks `PL412` reports, so
+    /// an unbounded `[0, ∞)` observation check is never dead.
     pub dead_checks: usize,
-    /// Checks that always fire.
+    /// Checks that always fire: exactly the checks `PL413` reports.
     pub vacuous_checks: usize,
     /// Upper bound on re-optimizations this plan can trigger over the
     /// whole query (one per distinct checkpoint; the driver additionally
@@ -93,110 +99,93 @@ impl std::fmt::Display for RobustnessCertificate {
     }
 }
 
-/// Certify `plan` against the abstract domain: the same interpretation
-/// [`crate::lint_plan`] runs.
-pub fn certify(plan: &PhysNode, ctx: &LintContext<'_>) -> RobustnessCertificate {
-    let mut cert = RobustnessCertificate {
-        plan_hash: 0,
-        edges: 0,
-        checks: plan.checks().len(),
-        risky_edges: 0,
-        guarded_edges: 0,
-        uncovered: Vec::new(),
-        residual_risk: 1.0,
-        dead_checks: 0,
-        vacuous_checks: 0,
-        worst_case_reopts: plan.checks().len(),
-    };
-    let mut hash: u64 = pop_types::FNV1A_OFFSET;
-    let mut path = Vec::new();
-    let st = visit(plan, ctx, &mut path, &mut cert, &mut hash);
-    // Risky edges still open at the root stream to the application: they
-    // are uncovered residual risk exactly like breaker-consumed ones.
-    for r in &st.open_risks {
-        cert.uncovered.push(r.path.clone());
-        cert.residual_risk = cert.residual_risk.max(r.escape);
-    }
-    cert.risky_edges = cert.guarded_edges + cert.uncovered.len();
-    cert.plan_hash = hash;
-    cert
+/// The certificate under construction, fed node by node by the coverage
+/// pass's pre-order walk ([`crate::dataflow::CoveragePass`]).
+pub(crate) struct Tally {
+    cert: RobustnessCertificate,
+    /// FNV-1a over the pre-order node sequence.
+    hash: u64,
+    /// Uncovered risk paths, keyed by the post-order position of the
+    /// node that consumed them (`usize::MAX`: still open at the root), so
+    /// [`Tally::finish`] lists them bottom-up.
+    uncovered: Vec<(usize, String)>,
 }
 
-use pop_types::fnv1a_extend as fnv;
-
-fn visit(
-    node: &PhysNode,
-    ctx: &LintContext<'_>,
-    path: &mut Vec<usize>,
-    cert: &mut RobustnessCertificate,
-    hash: &mut u64,
-) -> AbstractState {
-    fnv(hash, node.name().as_bytes());
-    if let PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } = node {
-        fnv(hash, &spec.id.to_le_bytes());
-        fnv(hash, spec.signature.as_bytes());
-    }
-    if let PhysNode::TableScan { table, .. } | PhysNode::IndexRangeScan { table, .. } = node {
-        fnv(hash, table.as_bytes());
-    }
-
-    let kids = node.children();
-    let mut states = Vec::with_capacity(kids.len());
-    for (i, child) in kids.iter().enumerate() {
-        path.push(i);
-        states.push(visit(child, ctx, path, cert, hash));
-        path.pop();
-    }
-    cert.edges += kids.len();
-
-    let inputs: Vec<&AbstractState> = states.iter().collect();
-    let st = domain::transfer(node, &inputs, ctx, path);
-
-    // Risky edges consumed unguarded by this node are uncovered; risky
-    // edges cleared by a dominator are guarded.
-    for (i, (child, cst)) in kids.iter().copied().zip(&states).enumerate() {
-        if domain::consumed_unguarded(node, i) {
-            for r in cst
-                .open_risks
-                .iter()
-                .cloned()
-                .chain(domain::edge_risk(node, i, child, cst, path))
-            {
-                cert.uncovered.push(r.path);
-                cert.residual_risk = cert.residual_risk.max(r.escape);
-            }
-        } else if matches!(
-            node,
-            PhysNode::Check { .. }
-                | PhysNode::BufCheck { .. }
-                | PhysNode::Sort { .. }
-                | PhysNode::Temp { .. }
-        ) {
-            // This node is a dominator (its transfer clears the open
-            // set): everything open below edge `i` is guarded here.
-            cert.guarded_edges += cst.open_risks.len()
-                + usize::from(domain::edge_risk(node, i, child, cst, path).is_some());
+impl Tally {
+    pub(crate) fn new() -> Self {
+        Tally {
+            cert: RobustnessCertificate {
+                plan_hash: 0,
+                edges: 0,
+                checks: 0,
+                risky_edges: 0,
+                guarded_edges: 0,
+                uncovered: Vec::new(),
+                residual_risk: 1.0,
+                dead_checks: 0,
+                vacuous_checks: 0,
+                worst_case_reopts: 0,
+            },
+            hash: pop_types::FNV1A_OFFSET,
+            uncovered: Vec::new(),
         }
     }
 
-    if let PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } = node {
-        let input = states[0].interval;
-        if input.is_known() {
-            if input.inside(&spec.range) {
-                cert.dead_checks += 1;
-            } else if input.disjoint(&spec.range) {
-                cert.vacuous_checks += 1;
-            }
+    /// Fold the next node of the pre-order walk, which has `inputs`
+    /// input edges, into the shape hash and the edge and check counts.
+    pub(crate) fn node(&mut self, node: &PhysNode, inputs: usize) {
+        fnv(&mut self.hash, node.name().as_bytes());
+        if let PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } = node {
+            fnv(&mut self.hash, &spec.id.to_le_bytes());
+            fnv(&mut self.hash, spec.signature.as_bytes());
+            self.cert.checks += 1;
+        }
+        if let PhysNode::TableScan { table, .. } | PhysNode::IndexRangeScan { table, .. } = node {
+            fnv(&mut self.hash, table.as_bytes());
+        }
+        self.cert.edges += inputs;
+    }
+
+    /// A CHECK whose reachability the coverage pass decided.
+    pub(crate) fn reach(&mut self, reach: Reach) {
+        match reach {
+            Reach::Dead => self.cert.dead_checks += 1,
+            Reach::Vacuous => self.cert.vacuous_checks += 1,
         }
     }
-    st
+
+    /// Risky edges cleared by a dominator.
+    pub(crate) fn guarded(&mut self, n: usize) {
+        self.cert.guarded_edges += n;
+    }
+
+    /// A risky edge no dominator covers, consumed at post-order position
+    /// `post_order`.
+    pub(crate) fn uncovered(&mut self, post_order: usize, risk: &OpenRisk) {
+        self.uncovered.push((post_order, risk.path.clone()));
+        self.cert.residual_risk = self.cert.residual_risk.max(risk.escape);
+    }
+
+    pub(crate) fn finish(mut self) -> RobustnessCertificate {
+        // Stable: one node's risks keep their edge order.
+        self.uncovered.sort_by_key(|(post_order, _)| *post_order);
+        let mut cert = self.cert;
+        cert.uncovered = self.uncovered.into_iter().map(|(_, p)| p).collect();
+        cert.risky_edges = cert.guarded_edges + cert.uncovered.len();
+        cert.worst_case_reopts = cert.checks;
+        cert.plan_hash = self.hash;
+        cert
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::*;
-    use pop_plan::{CheckContext, CheckFlavor};
+    use crate::{certify, lint_plan, LintContext};
+    use pop_plan::{CheckContext, CheckFlavor, ValidityRange};
+    use pop_stats::StatsRegistry;
+    use pop_storage::Catalog;
+    use pop_types::{DataType, Schema, Value};
 
     #[test]
     fn render_and_json_are_stable() {
@@ -212,5 +201,40 @@ mod tests {
         let json = cert.to_json();
         assert!(json.contains("\"checks\":1"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    /// A CHECK over a TEMP of a 100-row analyzed table, with trigger range
+    /// `range`: `(PL412 findings, certificate dead_checks)`.
+    fn dead_counts(range: ValidityRange) -> (usize, usize) {
+        let cat = Catalog::new();
+        cat.create_table(
+            "t",
+            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
+            (0..100).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
+        )
+        .unwrap();
+        let stats = StatsRegistry::new();
+        stats.analyze_all(&cat).unwrap();
+        let plan = check_with_range(
+            temp(leaf(0, "t", 2, 100.0)),
+            CheckFlavor::Lc,
+            CheckContext::AboveTemp,
+            range,
+        );
+        let ctx = LintContext::bare().with_stats(&stats);
+        let pl412 = lint_plan(&plan, &ctx)
+            .iter()
+            .filter(|d| d.code.as_str() == "PL412")
+            .count();
+        (pl412, certify(&plan, &ctx).dead_checks)
+    }
+
+    #[test]
+    fn an_unbounded_check_is_dead_in_neither_lint_nor_certificate() {
+        // `[0, inf)` is an observation point, exempt from PL412; the
+        // certificate counts the same checks.
+        assert_eq!(dead_counts(ValidityRange::unbounded()), (0, 0));
+        // A bounded range around all 100 reachable rows is dead in both.
+        assert_eq!(dead_counts(ValidityRange::new(0.0, 1000.0)), (1, 1));
     }
 }

@@ -4,16 +4,19 @@
 //!
 //! Phase 1 ([`interpret`]) computes one [`AbstractState`] per node via
 //! [`domain::transfer`], bottom-up, into a table indexed by pre-order
-//! position. Phase 2 ([`drive`]) walks the tree pre-order (so
-//! diagnostics keep the historical parent-before-children order), hands
-//! every [`Pass`] the node *and* its abstract states, then calls each
-//! pass's whole-plan `finish` hook. All six structural passes and the
-//! interval analyses run on this engine; there are no per-pass
+//! position. It is the only tree walk that calls the transfer function.
+//! Phase 2 ([`drive`]) walks the tree pre-order (so diagnostics keep the
+//! historical parent-before-children order), hands every [`Pass`] the
+//! node *and* its abstract states, then calls each pass's whole-plan
+//! `finish` hook. The five structural passes, the coverage pass and the
+//! robustness certificate all run on this engine; there are no per-pass
 //! traversals.
 
-use crate::domain::{self, AbstractState};
+use crate::certificate::{RobustnessCertificate, Tally};
+use crate::domain::{self, AbstractState, CardInterval, OpenRisk};
 use crate::{DiagCode, Frame, LintContext, Sink};
-use pop_plan::PhysNode;
+use pop_plan::{CheckSpec, PhysNode};
+use std::borrow::Cow;
 
 /// Everything a pass sees at one node.
 pub(crate) struct NodeCx<'a, 'p> {
@@ -21,13 +24,33 @@ pub(crate) struct NodeCx<'a, 'p> {
     pub node: &'p PhysNode,
     /// The node's own abstract state.
     pub state: &'a AbstractState,
-    /// Abstract states of the node's inputs, aligned with
-    /// [`PhysNode::children`].
-    pub children: &'a [&'a AbstractState],
     /// Ancestor stack, outermost first.
     pub frames: &'a [Frame<'p>],
     /// Child-index path from the root.
     pub path: &'a [usize],
+    /// The node's position in a post-order (children-first) walk.
+    pub post_order: usize,
+    /// Does the plan contain any checkpoint at all?
+    pub plan_has_checks: bool,
+    /// Pre-order indexes of the node's inputs, aligned with
+    /// [`PhysNode::children`].
+    kids: &'a [usize],
+    table: &'a StateTable<'p>,
+}
+
+impl<'a, 'p> NodeCx<'a, 'p> {
+    /// The node's inputs and their abstract states, aligned with
+    /// [`PhysNode::children`].
+    pub fn inputs(&self) -> impl Iterator<Item = (&'p PhysNode, &'a AbstractState)> + '_ {
+        self.kids
+            .iter()
+            .map(|&k| (self.table.nodes[k], &self.table.states[k]))
+    }
+
+    /// Input `i`'s abstract state.
+    pub fn input_state(&self, i: usize) -> &'a AbstractState {
+        &self.table.states[self.kids[i]]
+    }
 }
 
 /// One lint pass, ported onto the dataflow framework: `check` runs per
@@ -39,57 +62,72 @@ pub(crate) trait Pass {
 }
 
 /// Per-node abstract states, indexed by pre-order position.
-pub(crate) struct StateTable {
+pub(crate) struct StateTable<'p> {
+    /// The plan's nodes, in pre-order.
+    nodes: Vec<&'p PhysNode>,
     states: Vec<AbstractState>,
     /// Pre-order indexes of each node's children, aligned with `states`.
     child_idx: Vec<Vec<usize>>,
+    /// CHECK / BUFCHECK nodes in the plan.
+    checks: usize,
 }
 
-impl StateTable {
-    pub(crate) fn state(&self, pre_order: usize) -> &AbstractState {
-        &self.states[pre_order]
+impl StateTable<'_> {
+    /// Every node's cardinality interval, in pre-order.
+    pub(crate) fn intervals(&self) -> Vec<CardInterval> {
+        self.states.iter().map(|s| s.interval).collect()
     }
 
-    /// All states, in pre-order.
-    pub(crate) fn states(&self) -> &[AbstractState] {
-        &self.states
+    /// Pre-order index of the last node in the subtree rooted at
+    /// `pre_order`: its rightmost descendant.
+    fn subtree_end(&self, mut pre_order: usize) -> usize {
+        while let Some(&last) = self.child_idx[pre_order].last() {
+            pre_order = last;
+        }
+        pre_order
     }
 }
 
 /// Phase 1: abstract-interpret the plan bottom-up.
-pub(crate) fn interpret(plan: &PhysNode, ctx: &LintContext<'_>) -> StateTable {
+pub(crate) fn interpret<'p>(plan: &'p PhysNode, ctx: &LintContext<'_>) -> StateTable<'p> {
+    let n = plan.node_count();
     let mut table = StateTable {
-        states: Vec::with_capacity(plan.node_count()),
-        child_idx: Vec::with_capacity(plan.node_count()),
+        nodes: Vec::with_capacity(n),
+        states: Vec::with_capacity(n),
+        child_idx: Vec::with_capacity(n),
+        checks: 0,
     };
     let mut path = Vec::new();
     fill(plan, ctx, &mut path, &mut table);
     table
 }
 
-fn fill(
-    node: &PhysNode,
+fn fill<'p>(
+    node: &'p PhysNode,
     ctx: &LintContext<'_>,
     path: &mut Vec<usize>,
-    table: &mut StateTable,
+    table: &mut StateTable<'p>,
 ) -> usize {
     let my = table.states.len();
     // Reserve the pre-order slot with a placeholder, recurse, then
     // transfer from the children's states.
+    table.nodes.push(node);
     table.states.push(AbstractState {
-        interval: domain::CardInterval::top(),
+        interval: CardInterval::top(),
         materialized: false,
         open_risks: Vec::new(),
     });
     table.child_idx.push(Vec::new());
-    let mut kids = Vec::new();
-    for (i, child) in node.children().into_iter().enumerate() {
+    table.checks += usize::from(is_check(node));
+    let children = node.children();
+    let mut kids = Vec::with_capacity(children.len());
+    for (i, child) in children.iter().enumerate() {
         path.push(i);
         kids.push(fill(child, ctx, path, table));
         path.pop();
     }
     let inputs: Vec<&AbstractState> = kids.iter().map(|&k| &table.states[k]).collect();
-    let st = domain::transfer(node, &inputs, ctx, path);
+    let st = domain::transfer(node, &children, &inputs, ctx, path);
     table.states[my] = st;
     table.child_idx[my] = kids;
     my
@@ -99,225 +137,257 @@ fn fill(
 pub(crate) fn drive(
     plan: &PhysNode,
     ctx: &LintContext<'_>,
-    table: &StateTable,
+    table: &StateTable<'_>,
     passes: &mut [&mut dyn Pass],
     sink: &mut Sink,
 ) {
     let mut path = Vec::new();
     let mut frames = Vec::new();
-    walk(plan, 0, ctx, table, passes, &mut path, &mut frames, sink);
+    walk(0, ctx, table, passes, &mut path, &mut frames, sink);
     for pass in passes.iter_mut() {
         pass.finish(plan, ctx, sink);
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal recursion carrying walk state
 fn walk<'p>(
-    node: &'p PhysNode,
     pre_order: usize,
     ctx: &LintContext<'_>,
-    table: &StateTable,
+    table: &StateTable<'p>,
     passes: &mut [&mut dyn Pass],
     path: &mut Vec<usize>,
     frames: &mut Vec<Frame<'p>>,
     sink: &mut Sink,
 ) {
-    let children: Vec<&AbstractState> = table.child_idx[pre_order]
-        .iter()
-        .map(|&k| table.state(k))
-        .collect();
+    let node = table.nodes[pre_order];
+    let kids = &table.child_idx[pre_order];
     let cx = NodeCx {
         node,
-        state: table.state(pre_order),
-        children: &children,
+        state: &table.states[pre_order],
         frames,
         path,
+        // Everything before the node in pre-order except its ancestors,
+        // plus its own descendants, comes before it in post-order.
+        post_order: table.subtree_end(pre_order) - frames.len(),
+        plan_has_checks: table.checks > 0,
+        kids,
+        table,
     };
     for pass in passes.iter_mut() {
         pass.check(&cx, ctx, sink);
     }
-    let kids = table.child_idx[pre_order].clone();
-    for (i, (child, k)) in node.children().into_iter().zip(kids).enumerate() {
+    for (i, &k) in kids.iter().enumerate() {
         path.push(i);
         frames.push(Frame { node, child_idx: i });
-        walk(child, k, ctx, table, passes, path, frames, sink);
+        walk(k, ctx, table, passes, path, frames, sink);
         frames.pop();
         path.pop();
     }
 }
 
-/// Pass 6: the interval analyses of the dataflow framework —
-/// CHECK-coverage proof (`PL411`) and validity-range reachability
-/// (`PL412` dead checks, `PL413` vacuous checks).
+fn is_check(node: &PhysNode) -> bool {
+    matches!(node, PhysNode::Check { .. } | PhysNode::BufCheck { .. })
+}
+
+/// What the reachable input cardinalities say about a CHECK's trigger
+/// range.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Reach {
+    /// Every reachable cardinality lies inside the range: it never fires.
+    Dead,
+    /// No reachable cardinality lies inside the range: it always fires.
+    Vacuous,
+}
+
+/// Decide a CHECK's reachability from its input's interval. An unknown
+/// interval decides nothing, and an *unbounded* range is exempt: a
+/// `[0, ∞)` check is a deliberate observation point (its exactly-resolved
+/// count feeds the cardinality feedback cache), not a misconfigured
+/// trigger.
+fn reach(spec: &CheckSpec, input: CardInterval) -> Option<Reach> {
+    if !input.is_known() || spec.range.is_unbounded() {
+        None
+    } else if input.inside(&spec.range) {
+        Some(Reach::Dead)
+    } else if input.disjoint(&spec.range) {
+        Some(Reach::Vacuous)
+    } else {
+        None
+    }
+}
+
+/// Pass 6: the coverage pass — every rule over the interval states
+/// (`PL411`–`PL413`, `PL421`) and the [`RobustnessCertificate`], from one
+/// decision per node.
 ///
-/// All three rules consume the cardinality intervals of [`domain`]; with
-/// no stats registry in the context every interval is unknown and the
-/// pass is silent. `PL411` additionally requires
-/// [`crate::LintOptions::expect_check_coverage`] and a plan that has
-/// checkpoints at all, mirroring `PL104`'s gating: a plan POP chose not
-/// to guard (below the cost threshold, flavors off) is not a coverage
-/// hole.
-pub(crate) struct RiskPass {
-    /// Does the plan contain any checkpoints? (Computed lazily at the
-    /// root, which phase 2 visits first.)
-    has_checks: Option<bool>,
-}
-
-impl RiskPass {
-    pub(crate) fn new() -> Self {
-        RiskPass { has_checks: None }
-    }
-}
-
-impl Pass for RiskPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
-        let has_checks = *self
-            .has_checks
-            .get_or_insert_with(|| !root_of(cx).checks().is_empty());
-
-        // PL412/PL413: a CHECK whose trigger range cannot/must fire given
-        // the reachable cardinalities of its input. An *unbounded* range
-        // is exempt: a `[0, ∞)` check is a deliberate observation point
-        // (its exactly-resolved count feeds the cardinality feedback
-        // cache), not a misconfigured trigger.
-        if let PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } = cx.node {
-            let input = cx.children[0].interval;
-            if input.is_known() && !spec.range.is_unbounded() {
-                if input.inside(&spec.range) {
-                    sink.emit(
-                        DiagCode::Pl412,
-                        cx.node,
-                        cx.path,
-                        format!(
-                            "dead CHECK #{}: reachable cardinalities {} lie inside its \
-                             trigger range {} — it can never fire",
-                            spec.id, input, spec.range
-                        ),
-                    );
-                } else if input.disjoint(&spec.range) {
-                    sink.emit(
-                        DiagCode::Pl413,
-                        cx.node,
-                        cx.path,
-                        format!(
-                            "vacuous CHECK #{}: reachable cardinalities {} are disjoint \
-                             from its trigger range {} — it always fires",
-                            spec.id, input, spec.range
-                        ),
-                    );
-                }
-            }
-        }
-
-        // PL411: risky edges consumed by a pipeline breaker that offers
-        // no re-optimization opportunity, with no dominating CHECK or
-        // materialization point in between.
-        if !ctx.options.expect_check_coverage || !has_checks {
-            return;
-        }
-        for (i, (child, cst)) in cx
-            .node
-            .children()
-            .into_iter()
-            .zip(cx.children.iter().copied())
-            .enumerate()
-        {
-            if !domain::consumed_unguarded(cx.node, i) {
-                continue;
-            }
-            let mut risks = cst.open_risks.clone();
-            if let Some(r) = domain::edge_risk(cx.node, i, child, cst, cx.path) {
-                risks.push(r);
-            }
-            for r in risks {
-                sink.emit(
-                    DiagCode::Pl411,
-                    cx.node,
-                    cx.path,
-                    format!(
-                        "risky edge at {} ({}, cardinality can leave its validity range \
-                         by {:.1}x) reaches this {} with no CHECK or materialization \
-                         point in between",
-                        r.path,
-                        r.node,
-                        r.escape,
-                        cx.node.name()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The plan root: the bottom frame's node, or the current node when the
-/// walk is at the root itself.
-pub(crate) fn root_of<'p>(cx: &NodeCx<'_, 'p>) -> &'p PhysNode {
-    cx.frames.first().map_or(cx.node, |f| f.node)
-}
-
-/// Pass 7: the monitor-coverage proof (`PL421`), the runtime complement
-/// of the CHECK-coverage proof.
+/// * **Check reachability**, once per CHECK: `PL412` dead checks that can
+///   never fire, `PL413` vacuous checks that always fire, and the
+///   certificate's `dead_checks` / `vacuous_checks`.
+/// * **Breaker-consumed risks**, once per node: risky edges that reach a
+///   pipeline breaker offering no re-optimization opportunity (hash
+///   aggregation, a hash-join build) with no dominating CHECK or
+///   materialization point in between. They are the `PL411` findings,
+///   the `PL421` findings where the node below the edge cannot carry a
+///   monitor, and the certificate's `uncovered` paths. Risks still open
+///   at the root stream to the application unobserved by any CHECK; they
+///   are `uncovered` too, and `PL421` where unmonitorable.
+/// * **Dominated risks**: a CHECK, BUFCHECK, SORT or TEMP clears the open
+///   set below it; those risks are the certificate's `guarded_edges`.
 ///
 /// The driver installs a continuous suboptimality monitor on every node
-/// whose row stream no CHECK already counts, and a risky edge that reaches an unguarded pipeline
-/// breaker or the plan root without a dominator is therefore still
-/// *observed*: the monitor below it trips when the actual cardinality
-/// escapes the interval envelope, and the signal is escalated like a
-/// CHECK violation. `PL421` reports the edges where even that last line
-/// fails: risks whose node cannot carry a monitor at all (no table set,
-/// so no feedback signature to report under). Together, a clean
-/// `PL411` and `PL421` sweep proves every risky edge is either
-/// CHECK-dominated or monitor-covered.
+/// whose row stream no CHECK already counts, so a clean `PL411` and
+/// `PL421` sweep proves every risky edge is either CHECK-dominated or
+/// monitor-covered.
 ///
-/// Gated on [`crate::LintOptions::expect_monitor_coverage`]: with the
-/// monitor layer disabled there is nothing to prove. Like every
-/// interval rule, the pass is silent without a stats registry.
-pub(crate) struct MonitorPass;
+/// Gating: every rule consumes the cardinality intervals of [`domain`],
+/// so without a stats registry the pass is silent. `PL411` additionally
+/// requires [`crate::LintOptions::expect_check_coverage`] and a plan that
+/// has checkpoints at all, mirroring `PL104`'s gating: a plan POP chose
+/// not to guard (below the cost threshold, flavors off) is not a coverage
+/// hole. `PL421` requires [`crate::LintOptions::expect_monitor_coverage`]:
+/// with the monitor layer disabled there is nothing to prove. The
+/// certificate ignores both options.
+pub(crate) struct CoveragePass {
+    /// Report the findings (off when only the certificate is wanted).
+    diagnose: bool,
+    /// The certificate under construction.
+    tally: Tally,
+}
 
-impl Pass for MonitorPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
-        if !ctx.options.expect_monitor_coverage {
-            return;
-        }
-        let report = |risks: Vec<domain::OpenRisk>, sink: &mut Sink| {
-            for r in risks {
-                // Covered: the node below the edge carries a monitor.
-                if r.monitorable {
-                    continue;
-                }
-                sink.emit(
-                    DiagCode::Pl421,
-                    cx.node,
-                    cx.path,
-                    format!(
-                        "risky edge at {} ({}, cardinality can leave its validity range \
-                         by {:.1}x) is neither CHECK-dominated nor monitor-covered — \
-                         the node below it runs unmonitored",
-                        r.path, r.node, r.escape
-                    ),
-                );
-            }
-        };
-        // Breaker-consumed risks: same report points as `PL411` and the
-        // certificate's uncovered set.
-        for (i, (child, cst)) in cx
-            .node
-            .children()
-            .into_iter()
-            .zip(cx.children.iter().copied())
-            .enumerate()
-        {
-            if !domain::consumed_unguarded(cx.node, i) {
-                continue;
-            }
-            let mut risks = cst.open_risks.clone();
-            risks.extend(domain::edge_risk(cx.node, i, child, cst, cx.path));
-            report(risks, sink);
-        }
-        // Root-surviving risks stream to the application with no further
-        // observation opportunity.
-        if cx.frames.is_empty() {
-            report(cx.state.open_risks.clone(), sink);
+impl CoveragePass {
+    pub(crate) fn new(diagnose: bool) -> Self {
+        CoveragePass {
+            diagnose,
+            tally: Tally::new(),
         }
     }
+
+    pub(crate) fn certificate(self) -> RobustnessCertificate {
+        self.tally.finish()
+    }
+}
+
+impl Pass for CoveragePass {
+    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
+        self.tally.node(cx.node, cx.kids.len());
+
+        if let PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } = cx.node {
+            let input = cx.input_state(0).interval;
+            if let Some(r) = reach(spec, input) {
+                self.tally.reach(r);
+                if self.diagnose {
+                    emit_reach(cx, spec, input, r, sink);
+                }
+            }
+        }
+
+        let consumed = consumed_risks(cx);
+        if self.diagnose {
+            if ctx.options.expect_check_coverage && cx.plan_has_checks {
+                for r in &consumed {
+                    sink.emit(
+                        DiagCode::Pl411,
+                        cx.node,
+                        cx.path,
+                        format!(
+                            "risky edge at {} ({}, cardinality can leave its validity range \
+                             by {:.1}x) reaches this {} with no CHECK or materialization \
+                             point in between",
+                            r.path,
+                            r.node,
+                            r.escape,
+                            cx.node.name()
+                        ),
+                    );
+                }
+            }
+            if ctx.options.expect_monitor_coverage {
+                let root = if cx.frames.is_empty() {
+                    &cx.state.open_risks[..]
+                } else {
+                    &[]
+                };
+                for r in consumed.iter().map(AsRef::as_ref).chain(root) {
+                    // Covered: the node below the edge carries a monitor.
+                    if r.monitorable {
+                        continue;
+                    }
+                    sink.emit(
+                        DiagCode::Pl421,
+                        cx.node,
+                        cx.path,
+                        format!(
+                            "risky edge at {} ({}, cardinality can leave its validity range \
+                             by {:.1}x) is neither CHECK-dominated nor monitor-covered — \
+                             the node below it runs unmonitored",
+                            r.path, r.node, r.escape
+                        ),
+                    );
+                }
+            }
+        }
+
+        for r in &consumed {
+            self.tally.uncovered(cx.post_order, r);
+        }
+        if domain::dominates(cx.node) {
+            let guarded: usize = cx
+                .inputs()
+                .enumerate()
+                .map(|(i, (child, cst))| {
+                    cst.open_risks.len()
+                        + usize::from(domain::edge_escape(cx.node, i, child, cst).is_some())
+                })
+                .sum();
+            self.tally.guarded(guarded);
+        }
+        if cx.frames.is_empty() {
+            for r in &cx.state.open_risks {
+                self.tally.uncovered(usize::MAX, r);
+            }
+        }
+    }
+}
+
+/// `PL412` / `PL413` for one CHECK whose reachability was decided.
+fn emit_reach(
+    cx: &NodeCx<'_, '_>,
+    spec: &CheckSpec,
+    input: CardInterval,
+    r: Reach,
+    sink: &mut Sink,
+) {
+    let (code, message) = match r {
+        Reach::Dead => (
+            DiagCode::Pl412,
+            format!(
+                "dead CHECK #{}: reachable cardinalities {} lie inside its \
+                 trigger range {} — it can never fire",
+                spec.id, input, spec.range
+            ),
+        ),
+        Reach::Vacuous => (
+            DiagCode::Pl413,
+            format!(
+                "vacuous CHECK #{}: reachable cardinalities {} are disjoint \
+                 from its trigger range {} — it always fires",
+                spec.id, input, spec.range
+            ),
+        ),
+    };
+    sink.emit(code, cx.node, cx.path, message);
+}
+
+/// The risky edges this node consumes unguarded: for each input edge a
+/// breaker consumes, everything still open below it, then the edge's
+/// own risk.
+fn consumed_risks<'a>(cx: &NodeCx<'a, '_>) -> Vec<Cow<'a, OpenRisk>> {
+    let mut out = Vec::new();
+    for (i, (child, cst)) in cx.inputs().enumerate() {
+        if !domain::consumed_unguarded(cx.node, i) {
+            continue;
+        }
+        out.extend(cst.open_risks.iter().map(Cow::Borrowed));
+        out.extend(domain::edge_risk(cx.node, i, child, cst, cx.path).map(Cow::Owned));
+    }
+    out
 }

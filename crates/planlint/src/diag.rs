@@ -54,7 +54,6 @@ pub enum DiagCode {
     Pl205,
     Pl206,
     Pl207,
-    Pl208,
     Pl301,
     Pl302,
     Pl303,
@@ -70,7 +69,7 @@ pub enum DiagCode {
 impl DiagCode {
     /// Every code, in code order (the source of truth for the
     /// `planlint --codes` table).
-    pub const ALL: [DiagCode; 26] = [
+    pub const ALL: [DiagCode; 25] = [
         DiagCode::Pl001,
         DiagCode::Pl002,
         DiagCode::Pl003,
@@ -86,7 +85,6 @@ impl DiagCode {
         DiagCode::Pl205,
         DiagCode::Pl206,
         DiagCode::Pl207,
-        DiagCode::Pl208,
         DiagCode::Pl301,
         DiagCode::Pl302,
         DiagCode::Pl303,
@@ -116,7 +114,6 @@ impl DiagCode {
             DiagCode::Pl205 => "PL205",
             DiagCode::Pl206 => "PL206",
             DiagCode::Pl207 => "PL207",
-            DiagCode::Pl208 => "PL208",
             DiagCode::Pl301 => "PL301",
             DiagCode::Pl302 => "PL302",
             DiagCode::Pl303 => "PL303",
@@ -152,7 +149,6 @@ impl DiagCode {
             DiagCode::Pl205 => "checkpoint flavor does not match operator or context",
             DiagCode::Pl206 => "duplicate checkpoint id",
             DiagCode::Pl207 => "BUFCHECK buffer too small for its range",
-            DiagCode::Pl208 => "ECDC checkpoint side table has no registered cleanup",
             DiagCode::Pl301 => "parent cumulative cost below child cost",
             DiagCode::Pl302 => "non-finite or negative cardinality estimate",
             DiagCode::Pl303 => "non-finite or negative cost estimate",

@@ -170,8 +170,8 @@ fn table_rows(ctx: &LintContext<'_>, name: &str) -> Option<f64> {
     stats.get(name).ok().map(|s| s.row_count as f64)
 }
 
-/// The transfer function: abstract state of `node` from the states of
-/// its inputs (aligned with [`PhysNode::children`]).
+/// The transfer function: abstract state of `node` from its `children`
+/// ([`PhysNode::children`]) and their states, `inputs`.
 ///
 /// Cardinality rules are the sound counterparts of the optimizer's
 /// estimation formulas: where the estimator multiplies by a selectivity
@@ -180,6 +180,7 @@ fn table_rows(ctx: &LintContext<'_>, name: &str) -> Option<f64> {
 /// Count-preserving wrappers pass their input interval through.
 pub(crate) fn transfer(
     node: &PhysNode,
+    children: &[&PhysNode],
     inputs: &[&AbstractState],
     ctx: &LintContext<'_>,
     path: &[usize],
@@ -250,7 +251,7 @@ pub(crate) fn transfer(
         _ => false,
     };
 
-    st.open_risks = open_risks(node, inputs, path);
+    st.open_risks = open_risks(node, children, inputs, path);
     st
 }
 
@@ -264,25 +265,21 @@ pub(crate) fn transfer(
 /// SORT, TEMP — a point where POP can observe the cardinality and
 /// re-optimize) clears them; a pipeline breaker that is *not* such an
 /// opportunity (hash aggregation, a hash-join build) consumes them
-/// unguarded — the dataflow pass reports those (`PL411`).
-fn open_risks(node: &PhysNode, inputs: &[&AbstractState], path: &[usize]) -> Vec<OpenRisk> {
-    // Dominators: the cardinality is observed (or observable) here, so
-    // everything below is guarded.
-    if matches!(
-        node,
-        PhysNode::Check { .. }
-            | PhysNode::BufCheck { .. }
-            | PhysNode::Sort { .. }
-            | PhysNode::Temp { .. }
-    ) {
+/// unguarded — the coverage pass reports those (`PL411`).
+fn open_risks(
+    node: &PhysNode,
+    children: &[&PhysNode],
+    inputs: &[&AbstractState],
+    path: &[usize],
+) -> Vec<OpenRisk> {
+    if dominates(node) {
         return Vec::new();
     }
     let mut open: Vec<OpenRisk> = Vec::new();
-    let children = node.children();
     for (i, (child, cst)) in children.iter().zip(inputs.iter()).enumerate() {
         // Breakers consume their input's open set: the build side of a
         // hash join is materialized into the table, an aggregate's input
-        // is fully consumed before it emits. The risk pass reports those
+        // is fully consumed before it emits. The coverage pass reports those
         // (`PL411`) at the breaker itself; they are not carried further.
         if consumed_unguarded(node, i) {
             continue;
@@ -293,6 +290,18 @@ fn open_risks(node: &PhysNode, inputs: &[&AbstractState], path: &[usize]) -> Vec
         }
     }
     open
+}
+
+/// Is `node` a dominator — a point where the cardinality is observed (or
+/// observable) and POP can re-optimize, so everything below is guarded?
+pub(crate) fn dominates(node: &PhysNode) -> bool {
+    matches!(
+        node,
+        PhysNode::Check { .. }
+            | PhysNode::BufCheck { .. }
+            | PhysNode::Sort { .. }
+            | PhysNode::Temp { .. }
+    )
 }
 
 /// Is input edge `i` of `node` consumed by a pipeline breaker that is
@@ -311,6 +320,27 @@ pub(crate) fn edge_risk(
     child_state: &AbstractState,
     path: &[usize],
 ) -> Option<OpenRisk> {
+    let escape = edge_escape(node, i, child, child_state)?;
+    // Mirror the driver's monitor placement: every node with a table set
+    // carries a monitor on its output unless a CHECK already counts that
+    // stream (but then the check dominates the risk anyway).
+    let monitorable = !child.props().tables.is_empty();
+    Some(OpenRisk {
+        path: crate::render_path(path.iter().copied().chain([i])),
+        node: child.name(),
+        escape,
+        monitorable,
+    })
+}
+
+/// By how much the cardinality crossing input edge `i` of `node` can
+/// escape the edge's validity range, when that makes the edge risky.
+pub(crate) fn edge_escape(
+    node: &PhysNode,
+    i: usize,
+    child: &PhysNode,
+    child_state: &AbstractState,
+) -> Option<f64> {
     // An edge fed directly by a dominator is guarded by construction:
     // the cardinality crossing it was (or will be) observed there, so an
     // escape triggers re-optimization before any damage compounds.
@@ -319,33 +349,8 @@ pub(crate) fn edge_risk(
     {
         return None;
     }
-    let range = edge_range(node, i);
-    let escape = child_state.interval.escape_factor(&range);
-    if escape <= crate::RISK_THRESHOLD {
-        return None;
-    }
-    let mut p = String::from("$");
-    for seg in path.iter().chain(std::iter::once(&i)) {
-        p.push('.');
-        p.push_str(&seg.to_string());
-    }
-    // Mirror the driver's monitor placement: every node with a table set
-    // carries a monitor on its output unless a CHECK already counts that
-    // stream (but then the check dominates the risk anyway).
-    let monitorable = !child.props().tables.is_empty();
-    Some(OpenRisk {
-        path: p,
-        node: child.name(),
-        escape,
-        monitorable,
-    })
-}
-
-/// Validity range of input edge `i` of `node` (see
-/// [`PhysNode::edge_range`]: unbounded when none was recorded or the
-/// recorded ranges are misaligned with the children).
-pub(crate) fn edge_range(node: &PhysNode, i: usize) -> ValidityRange {
-    node.edge_range(i)
+    let escape = child_state.interval.escape_factor(&node.edge_range(i));
+    (escape > crate::RISK_THRESHOLD).then_some(escape)
 }
 
 #[cfg(test)]

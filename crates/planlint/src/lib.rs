@@ -16,11 +16,11 @@
 //! (`[lo, hi]` bounds on the *actual* output cardinality, seeded from
 //! live statistics — [`CardInterval`]) together with the
 //! materialization property lattice, via a generic
-//! `transfer(op, inputs) -> AbstractState` function. Every lint pass
-//! runs against those states in one shared pre-order walk; there are no
+//! `transfer(op, inputs) -> AbstractState` function. Every pass runs
+//! against those states in one shared pre-order walk; there are no
 //! per-pass traversals.
 //!
-//! Seven passes run over the [`PhysNode`] tree:
+//! Six passes run over the [`PhysNode`] tree:
 //!
 //! 1. **Schema/layout** (`PL0xx`) — every column reference in filters,
 //!    join keys, aggregates, projections and sort keys resolves against
@@ -36,23 +36,26 @@
 //!    up the tree; estimates are finite and non-negative.
 //! 5. **MV reuse** (`PL4xx`) — every MVSCAN names a registered temp MV
 //!    whose recorded layout matches the scan's output layout.
-//! 6. **Interval analyses** (`PL41x`) — the CHECK-coverage proof (a
-//!    risky edge must meet a CHECK or materialization point before the
-//!    next pipeline breaker, else `PL411`) and validity-range
-//!    reachability (`PL412` dead checks that can never fire, `PL413`
-//!    vacuous checks that always fire). These require a
+//! 6. **Coverage** (`PL41x`, `PL42x`) — the interval analyses: the
+//!    CHECK-coverage proof (a risky edge must meet a CHECK or
+//!    materialization point before the next pipeline breaker, else
+//!    `PL411`), its runtime complement (such an edge must at least be
+//!    observable by a continuous suboptimality monitor, else `PL421`),
+//!    and validity-range reachability (`PL412` dead checks that can never
+//!    fire, `PL413` vacuous checks that always fire). These require a
 //!    [`pop_stats::StatsRegistry`] in the context; without one the
 //!    intervals are unknown and the pass is silent.
-//! 7. **Monitor coverage** (`PL42x`) — the runtime complement of the
-//!    CHECK-coverage proof: every risky edge must be either
-//!    CHECK-dominated or observed by a continuous suboptimality monitor
-//!    (`PL421` when neither holds). Gated on
-//!    `LintOptions::expect_monitor_coverage`.
 //!
-//! [`certify`] distils the same interpretation into a per-plan
-//! [`RobustnessCertificate`] — guarded edges, uncovered residual risk,
-//! worst-case re-optimization depth — that the driver attaches to its
-//! run report.
+//! The coverage pass also builds the per-plan [`RobustnessCertificate`] —
+//! guarded edges, uncovered residual risk, dead and vacuous checks,
+//! worst-case re-optimization depth — from the very decisions behind its
+//! findings, so the certificate and the lint cannot disagree.
+//!
+//! [`analyze`] is the entry point: one interpretation, one walk, and all
+//! three outputs — findings, certificate and the per-node intervals the
+//! driver derives its monitor trip bounds from. [`lint_plan`] and
+//! [`certify`] are projections of it that run only the passes they
+//! return.
 //!
 //! The analyzer is advisory: it returns a flat [`Vec<PlanDiagnostic>`]
 //! and never mutates the plan. The POP driver decides what to do with
@@ -77,14 +80,14 @@ mod mv;
 mod placement;
 mod validity;
 
-pub use certificate::{certify, RobustnessCertificate};
+pub use certificate::RobustnessCertificate;
 pub use diag::{DiagCode, PlanDiagnostic, Severity};
 pub use domain::CardInterval;
 
-use pop_guard::CleanupRegistry;
 use pop_plan::{PhysNode, QuerySpec};
 use pop_stats::StatsRegistry;
 use pop_storage::Catalog;
+use std::fmt::Write as _;
 
 /// How far a cardinality interval must escape an edge's validity range
 /// (max of `interval.hi / range.hi` and `range.lo / interval.lo`) before
@@ -108,8 +111,8 @@ pub struct LintOptions {
     pub expect_monitor_coverage: bool,
 }
 
-/// What the analyzer may consult besides the plan itself. Both references
-/// are optional: without a catalog the MV pass and type checks are
+/// What the analyzer may consult besides the plan itself. Every reference
+/// is optional: without a catalog the MV pass and type checks are
 /// skipped; without a query spec only layout-internal checks run.
 #[derive(Clone, Copy)]
 pub struct LintContext<'a> {
@@ -117,11 +120,6 @@ pub struct LintContext<'a> {
     pub catalog: Option<&'a Catalog>,
     /// The query spec the plan was compiled from, for type resolution.
     pub spec: Option<&'a QuerySpec>,
-    /// Per-query cleanup registry: which side tables (ECDC rid side
-    /// tables) have cleanup registered. When supplied, every ECDC
-    /// checkpoint's side table must be covered (`PL208`); `None` skips
-    /// the rule (external analysis without a running query).
-    pub cleanups: Option<&'a CleanupRegistry>,
     /// Live table statistics, seeding the leaf cardinality intervals of
     /// the abstract interpreter. Without them every interval is unknown
     /// (`[0, inf)`) and the interval analyses (`PL41x`) stay silent.
@@ -135,7 +133,6 @@ impl std::fmt::Debug for LintContext<'_> {
         f.debug_struct("LintContext")
             .field("catalog", &self.catalog.is_some())
             .field("spec", &self.spec.is_some())
-            .field("cleanups", &self.cleanups.is_some())
             .field("stats", &self.stats.is_some())
             .field("options", &self.options)
             .finish()
@@ -148,7 +145,6 @@ impl<'a> LintContext<'a> {
         LintContext {
             catalog: None,
             spec: None,
-            cleanups: None,
             stats: None,
             options: LintOptions::default(),
         }
@@ -159,7 +155,6 @@ impl<'a> LintContext<'a> {
         LintContext {
             catalog: Some(catalog),
             spec: Some(spec),
-            cleanups: None,
             stats: None,
             options: LintOptions::default(),
         }
@@ -181,14 +176,6 @@ impl<'a> LintContext<'a> {
     /// abstract interpreter and enabling the `PL41x` analyses.
     pub fn with_stats(mut self, stats: &'a StatsRegistry) -> Self {
         self.stats = Some(stats);
-        self
-    }
-
-    /// Supply the per-query [`CleanupRegistry`], enabling the `PL208`
-    /// rule: every ECDC checkpoint's rid side table must have its
-    /// cleanup registered before the plan may execute.
-    pub fn with_cleanups(mut self, cleanups: &'a CleanupRegistry) -> Self {
-        self.cleanups = Some(cleanups);
         self
     }
 }
@@ -218,18 +205,19 @@ impl Sink {
             code,
             severity: code.severity(),
             node: node.name(),
-            path: render_path(path),
+            path: render_path(path.iter().copied()),
             message,
         });
     }
 }
 
-/// Render a child-index path as `$`, `$.0`, `$.0.1`, ...
-fn render_path(path: &[usize]) -> String {
+/// Render a child-index path from the root as `$`, `$.0`, `$.0.1`, ...:
+/// the one spelling of a plan position in diagnostics, certificates and
+/// monitors.
+pub fn render_path(path: impl IntoIterator<Item = usize>) -> String {
     let mut s = String::from("$");
     for i in path {
-        s.push('.');
-        s.push_str(&i.to_string());
+        let _ = write!(s, ".{i}");
     }
     s
 }
@@ -242,56 +230,70 @@ pub(crate) fn through_checks(mut node: &PhysNode) -> &PhysNode {
     node
 }
 
-/// Run all seven passes over `plan` and return every finding, in tree
-/// pre-order (whole-plan rules like duplicate-id detection come last).
+/// Everything the analyzer knows about one plan, from one interpretation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanAnalysis {
+    /// Every finding, in tree pre-order (whole-plan rules like
+    /// duplicate-id detection come last).
+    pub diagnostics: Vec<PlanDiagnostic>,
+    /// What the analysis proves about the plan's safety net.
+    pub certificate: RobustnessCertificate,
+    /// Every node's cardinality interval, in pre-order
+    /// ([`PhysNode::visit`] order).
+    pub intervals: Vec<CardInterval>,
+}
+
+/// Analyze `plan`: all six passes and the robustness certificate.
 ///
 /// Phase 1 abstract-interprets the plan bottom-up ([`dataflow`]); phase 2
 /// walks the tree pre-order handing every pass the node together with its
 /// computed [`dataflow`] states.
-pub fn lint_plan(plan: &PhysNode, ctx: &LintContext<'_>) -> Vec<PlanDiagnostic> {
-    let mut sink = Sink { diags: Vec::new() };
+pub fn analyze(plan: &PhysNode, ctx: &LintContext<'_>) -> PlanAnalysis {
     let states = dataflow::interpret(plan, ctx);
-    let mut layout = layout::LayoutPass;
-    let mut validity = validity::ValidityPass;
-    let mut placement = placement::PlacementPass::new();
-    let mut cost = cost::CostPass;
-    let mut mv = mv::MvPass;
-    let mut risk = dataflow::RiskPass::new();
-    let mut monitor = dataflow::MonitorPass;
-    let mut passes: [&mut dyn dataflow::Pass; 7] = [
-        &mut layout,
-        &mut validity,
-        &mut placement,
-        &mut cost,
-        &mut mv,
-        &mut risk,
-        &mut monitor,
-    ];
-    dataflow::drive(plan, ctx, &states, &mut passes, &mut sink);
-    sink.diags
-}
-
-/// The abstract interpretation itself, exposed for cross-validation: the
-/// path, optimizer estimate and computed cardinality interval of every
-/// node, in pre-order.
-pub fn plan_intervals(plan: &PhysNode, ctx: &LintContext<'_>) -> Vec<(String, f64, CardInterval)> {
-    let states = dataflow::interpret(plan, ctx);
-    let mut meta: Vec<(String, f64)> = Vec::new();
-    let mut path = Vec::new();
-    collect_meta(plan, &mut path, &mut meta);
-    meta.into_iter()
-        .zip(states.states())
-        .map(|((p, est), st)| (p, est, st.interval))
-        .collect()
-}
-
-fn collect_meta(node: &PhysNode, path: &mut Vec<usize>, out: &mut Vec<(String, f64)>) {
-    out.push((render_path(path), node.props().card));
-    for (i, child) in node.children().into_iter().enumerate() {
-        path.push(i);
-        collect_meta(child, path, out);
-        path.pop();
+    let (diagnostics, certificate) = run_passes(plan, ctx, &states, true);
+    PlanAnalysis {
+        diagnostics,
+        certificate,
+        intervals: states.intervals(),
     }
+}
+
+/// The findings of [`analyze`] alone.
+pub fn lint_plan(plan: &PhysNode, ctx: &LintContext<'_>) -> Vec<PlanDiagnostic> {
+    let states = dataflow::interpret(plan, ctx);
+    run_passes(plan, ctx, &states, true).0
+}
+
+/// The certificate of [`analyze`] alone: the coverage pass, silent.
+pub fn certify(plan: &PhysNode, ctx: &LintContext<'_>) -> RobustnessCertificate {
+    let states = dataflow::interpret(plan, ctx);
+    run_passes(plan, ctx, &states, false).1
+}
+
+/// Phase 2 over `states`: every pass when `lint`, else the coverage pass
+/// alone, reporting nothing.
+fn run_passes(
+    plan: &PhysNode,
+    ctx: &LintContext<'_>,
+    states: &dataflow::StateTable,
+    lint: bool,
+) -> (Vec<PlanDiagnostic>, RobustnessCertificate) {
+    let mut sink = Sink { diags: Vec::new() };
+    let mut coverage = dataflow::CoveragePass::new(lint);
+    if lint {
+        let mut passes: [&mut dyn dataflow::Pass; 6] = [
+            &mut layout::LayoutPass,
+            &mut validity::ValidityPass,
+            &mut placement::PlacementPass,
+            &mut cost::CostPass,
+            &mut mv::MvPass,
+            &mut coverage,
+        ];
+        dataflow::drive(plan, ctx, states, &mut passes, &mut sink);
+    } else {
+        dataflow::drive(plan, ctx, states, &mut [&mut coverage], &mut sink);
+    }
+    (sink.diags, coverage.certificate())
 }
 
 /// True iff any finding is `Deny`-severity.
@@ -513,8 +515,8 @@ mod tests {
 
     #[test]
     fn path_rendering() {
-        assert_eq!(render_path(&[]), "$");
-        assert_eq!(render_path(&[0, 1]), "$.0.1");
+        assert_eq!(render_path([]), "$");
+        assert_eq!(render_path([0, 1]), "$.0.1");
     }
 
     // ---- PL421: monitor-coverage proof ------------------------------

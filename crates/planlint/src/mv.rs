@@ -138,7 +138,6 @@ mod tests {
         let ctx = LintContext {
             catalog: Some(cat),
             spec: None,
-            cleanups: None,
             stats: None,
             options: crate::LintOptions::default(),
         };

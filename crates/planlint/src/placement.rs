@@ -1,4 +1,4 @@
-//! Pass 3: CHECK-placement rules (`PL201`–`PL208`, plus `PL104`).
+//! Pass 3: CHECK-placement rules (`PL201`–`PL207`, plus `PL104`).
 //!
 //! Structural encoding of Table 1 of the paper:
 //!
@@ -13,10 +13,7 @@
 //! * **ECWC** forgoes compensation, which is only sound when an ancestor
 //!   blocks output: a materialization point or a hash-join build edge.
 //! * **ECDC** may sit anywhere in a pipelined region, but only if a
-//!   RIDSINK ancestor records returned rows for later compensation —
-//!   and, when the caller supplies a cleanup registry, only if the rid
-//!   side table it feeds has its cleanup registered (`PL208`), so a
-//!   suspended query can never leak side-table state.
+//!   RIDSINK ancestor records returned rows for later compensation.
 //!
 //! Each flavor also carries the [`CheckContext`] it was placed under;
 //! a flavor/context disagreement (`PL205`) means the placement pass and
@@ -27,26 +24,16 @@ use crate::{through_checks, DiagCode, Frame, LintContext, Sink};
 use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode};
 use std::collections::HashMap;
 
-pub(crate) struct PlacementPass {
-    /// Does the plan contain any checkpoints? (Computed lazily at the
-    /// root, which the driver visits first; gates `PL104`.)
-    has_checks: Option<bool>,
-}
-
-impl PlacementPass {
-    pub(crate) fn new() -> Self {
-        PlacementPass { has_checks: None }
-    }
-}
+pub(crate) struct PlacementPass;
 
 impl Pass for PlacementPass {
     fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
         match cx.node {
             PhysNode::Check { input, spec, .. } => {
-                check_flavor(cx, input, spec, false, ctx, sink);
+                check_flavor(cx, input, spec, false, sink);
             }
             PhysNode::BufCheck { input, spec, .. } => {
-                check_flavor(cx, input, spec, true, ctx, sink);
+                check_flavor(cx, input, spec, true, sink);
             }
             _ => {}
         }
@@ -55,26 +42,22 @@ impl Pass for PlacementPass {
         // checkpoint directly above it (the LC rule of Table 1 —
         // materializations are free check opportunities).
         if ctx.options.expect_check_coverage
+            && cx.plan_has_checks
             && cx.node.is_materialization_point()
             && !matches!(
                 cx.frames.last().map(|f| f.node),
                 Some(PhysNode::Check { .. } | PhysNode::BufCheck { .. })
             )
         {
-            let has_checks = *self
-                .has_checks
-                .get_or_insert_with(|| !crate::dataflow::root_of(cx).checks().is_empty());
-            if has_checks {
-                sink.emit(
-                    DiagCode::Pl104,
-                    cx.node,
-                    cx.path,
-                    format!(
-                        "{} materialization point has no checkpoint above it",
-                        cx.node.name()
-                    ),
-                );
-            }
+            sink.emit(
+                DiagCode::Pl104,
+                cx.node,
+                cx.path,
+                format!(
+                    "{} materialization point has no checkpoint above it",
+                    cx.node.name()
+                ),
+            );
         }
     }
 
@@ -88,7 +71,6 @@ fn check_flavor(
     input: &PhysNode,
     spec: &CheckSpec,
     buffered: bool,
-    ctx: &LintContext<'_>,
     sink: &mut Sink,
 ) {
     let (node, frames, path) = (cx.node, cx.frames, cx.path);
@@ -136,7 +118,7 @@ fn check_flavor(
             // The abstract domain already folds "materialization point or
             // MV scan, looking through check wrappers" into the input's
             // `materialized` bit.
-            let guarded = cx.children[0].materialized || on_build_edge(frames);
+            let guarded = cx.input_state(0).materialized || on_build_edge(frames);
             if !guarded {
                 sink.emit(
                     DiagCode::Pl201,
@@ -213,23 +195,6 @@ fn check_flavor(
                         spec.id
                     ),
                 );
-            }
-            // PL208: deferred compensation accumulates rid side-table
-            // state; when the caller supplies the per-query cleanup
-            // registry, the side table (keyed by the check's subplan
-            // signature) must have its cleanup registered.
-            if let Some(reg) = ctx.cleanups {
-                if !reg.covers_side_table(&spec.signature) {
-                    sink.emit(
-                        DiagCode::Pl208,
-                        node,
-                        path,
-                        format!(
-                            "ECDC checkpoint #{} side table {:?} has no registered cleanup",
-                            spec.id, spec.signature
-                        ),
-                    );
-                }
             }
         }
     }
@@ -345,33 +310,6 @@ mod tests {
             props,
         };
         assert!(diags_of(&plan).is_empty(), "{:?}", diags_of(&plan));
-    }
-
-    #[test]
-    fn pl208_ecdc_side_table_without_cleanup() {
-        let checked = check(
-            hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0),
-            CheckFlavor::Ecdc,
-            CheckContext::Pipeline,
-        );
-        let props = checked.props().clone();
-        let plan = PhysNode::RidSink {
-            input: Box::new(checked),
-            props,
-        };
-        // An empty registry covers nothing: PL208 (the testutil check
-        // signature is "sig").
-        let empty = pop_guard::CleanupRegistry::new();
-        let ctx = LintContext::bare().with_cleanups(&empty);
-        let diags = lint_plan(&plan, &ctx);
-        assert!(codes(&diags).contains(&"PL208"), "{diags:?}");
-        // Registering the side table silences the rule.
-        let mut reg = pop_guard::CleanupRegistry::new();
-        reg.register_side_table("sig");
-        let ctx = LintContext::bare().with_cleanups(&reg);
-        assert!(lint_plan(&plan, &ctx).is_empty());
-        // And without a registry the rule does not apply at all.
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! join graph connects and the candidates that survive pruning, not per
 //! table subset, per split or per cost evaluation.
 //!
+//! So does the static analysis every step runs (`RECORDED_BEFORE_VETTING`):
+//! one planlint `analyze` per plan, not three interpretations.
+//!
 //! The allocator also tracks live bytes, so repeated passes over the same
 //! executor can show that nothing a query leaves behind accumulates, and a
 //! loaded catalog's resident size is held under a ceiling of its own.
@@ -317,6 +320,47 @@ fn planning_allocations_stay_under_the_recorded_ceiling() {
         assert_eq!(first.signatures_built, 0, "{name}: {first:?}");
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// Allocations of the static analysis of the 39 DMV first plans (scale
+/// 0.004, default flavors) under the driver's lint contexts, at the commit
+/// where every step ran three analyses: `lint_plan` (17 094), `certify`
+/// with its own interpreter (6 626) and a third interpretation for the
+/// monitors' trip bounds, with a path `String` per node (24 627).
+const RECORDED_BEFORE_VETTING: u64 = 48_347;
+
+/// Share of [`RECORDED_BEFORE_VETTING`] the one `analyze` per plan may
+/// take: `lint_plan` alone was 0.35x of it. `analyze` makes 9 891.
+const VETTING_SHARE: f64 = 0.5;
+
+#[test]
+fn one_analysis_per_step_allocates_under_half_of_three() {
+    let dmv = pop_dmv::dmv_catalog_with(0.004, StorageConfig::default()).unwrap();
+    let dmv = PopExecutor::new(dmv, config()).unwrap();
+    let queries = pop_dmv::dmv_queries();
+    let plans: Vec<_> = queries
+        .iter()
+        .map(|q| dmv.plan(&q.spec, &Params::none()).expect("query plans"))
+        .collect();
+    let start = ALLOCATIONS.with(Cell::get);
+    for (q, plan) in queries.iter().zip(&plans) {
+        // `vet_plan`'s context: LC on, monitors on, live statistics.
+        let ctx = pop::LintContext::full(dmv.catalog(), &q.spec)
+            .expect_check_coverage(true)
+            .expect_monitor_coverage(true)
+            .with_stats(dmv.stats());
+        std::hint::black_box(pop::analyze(plan, &ctx));
+    }
+    let count = ALLOCATIONS.with(Cell::get) - start;
+    let ceiling = (RECORDED_BEFORE_VETTING as f64 * VETTING_SHARE) as u64;
+    println!(
+        "{} DMV first plans: {count} analysis allocation(s), ceiling {ceiling}",
+        plans.len()
+    );
+    assert!(
+        count <= ceiling,
+        "{count} allocations > {ceiling} ({VETTING_SHARE} x {RECORDED_BEFORE_VETTING} recorded before)"
+    );
 }
 
 /// Live bytes of a loaded, indexed and analyzed TPC-H SF 0.01 catalog on

@@ -5,12 +5,20 @@
 //!   DMV and TPC-H scenario plan (the two views are computed from the
 //!   same statistics, so an estimate outside the provable interval means
 //!   one of them is wrong);
+//! * one analysis, three outputs that agree — on the same plans, under
+//!   every flavor configuration the `planlint` sweep uses, the
+//!   certificate's uncovered paths are the `PL411` risks plus the risks
+//!   that reach the root, every `PL421` risk is uncovered, and the dead /
+//!   vacuous counts are the `PL412` / `PL413` findings;
 //! * the `LintMode` matrix for the interval diagnostics (`PL411`
 //!   coverage holes, `PL412` dead checks, `PL413` vacuous checks) —
 //!   Off stays silent, Warn/Enforce report, and none of them block
 //!   execution (the interval analyses are Warn severity by design).
 
-use pop::{plan_intervals, LintContext, LintMode, PopConfig, PopExecutor};
+use pop::{
+    analyze, CheckFlavor, DiagCode, FlavorSet, LintContext, LintMode, PlanAnalysis, PopConfig,
+    PopExecutor,
+};
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::{Expr, Params};
 use pop_plan::{CheckContext, CheckSpec, PhysNode, QueryBuilder, QuerySpec, ValidityRange};
@@ -19,7 +27,7 @@ use pop_tpch::tpch_catalog;
 use pop_types::{DataType, Schema, Value};
 
 // ---------------------------------------------------------------------
-// Cross-validation: intervals vs. optimizer estimates
+// Cross-validation and agreement over every workload plan
 // ---------------------------------------------------------------------
 
 /// Absolute + relative slack: the interpreter and the estimator round
@@ -30,19 +38,113 @@ fn inside_with_slack(est: f64, lo: f64, hi: f64) -> bool {
     est >= lo - eps && est <= hi + eps
 }
 
-fn cross_validate(label: &str, catalog: Catalog, queries: &[(String, QuerySpec)]) {
-    let exec = PopExecutor::new(catalog, PopConfig::default()).unwrap();
-    for (name, spec) in queries {
-        let plan = exec.plan(spec, &Params::none()).unwrap();
-        let ctx = LintContext::full(exec.catalog(), spec).with_stats(exec.stats());
-        let nodes = plan_intervals(&plan, &ctx);
-        assert!(!nodes.is_empty(), "{label}/{name}: empty interval table");
-        for (path, est, interval) in nodes {
-            assert!(
-                inside_with_slack(est, interval.lo, interval.hi),
-                "{label}/{name}: estimate {est} at {path} escapes the provable \
-                 interval {interval}"
-            );
+/// The flavor configurations of the `planlint` sweep: the default, none,
+/// each flavor alone and all five.
+fn flavor_configs() -> Vec<(&'static str, FlavorSet)> {
+    let all = FlavorSet {
+        lc: true,
+        lcem: true,
+        ecb: true,
+        ecwc: true,
+        ecdc: true,
+    };
+    vec![
+        ("default", FlavorSet::default()),
+        ("none", FlavorSet::none()),
+        ("lc", FlavorSet::only(CheckFlavor::Lc)),
+        ("lcem", FlavorSet::only(CheckFlavor::Lcem)),
+        ("ecb", FlavorSet::only(CheckFlavor::Ecb)),
+        ("ecwc", FlavorSet::only(CheckFlavor::Ecwc)),
+        ("ecdc", FlavorSet::only(CheckFlavor::Ecdc)),
+        ("all", all),
+    ]
+}
+
+/// The risky-edge path a `PL411` / `PL421` message names.
+fn risk_path(message: &str) -> &str {
+    let rest = message
+        .strip_prefix("risky edge at ")
+        .unwrap_or_else(|| panic!("not a risk finding: {message}"));
+    &rest[..rest.find(' ').unwrap_or(rest.len())]
+}
+
+/// Does the risk at `path` (`$.0.1`) reach the root: no dominator (CHECK,
+/// BUFCHECK, SORT, TEMP) and no unguarded breaker edge (a hash-join build,
+/// an aggregate input) on the way down to it?
+fn reaches_root(plan: &PhysNode, path: &str) -> bool {
+    let mut node = plan;
+    for seg in path.split('.').skip(1) {
+        let i: usize = seg.parse().expect("a child index");
+        let breaker = matches!(node, PhysNode::HashAgg { .. })
+            || (matches!(node, PhysNode::Hsjn { .. }) && i == 0);
+        let dominator = matches!(
+            node,
+            PhysNode::Check { .. }
+                | PhysNode::BufCheck { .. }
+                | PhysNode::Sort { .. }
+                | PhysNode::Temp { .. }
+        );
+        if breaker || dominator {
+            return false;
+        }
+        node = node.children()[i];
+    }
+    true
+}
+
+fn check_agreement(at: &str, plan: &PhysNode, coverage: bool, a: &PlanAnalysis) {
+    let of = |code: DiagCode| -> Vec<&str> {
+        a.diagnostics
+            .iter()
+            .filter(|d| d.code == code)
+            .map(|d| risk_path(&d.message))
+            .collect()
+    };
+    let count = |code: DiagCode| a.diagnostics.iter().filter(|d| d.code == code).count();
+    let cert = &a.certificate;
+    assert_eq!(cert.dead_checks, count(DiagCode::Pl412), "{at}: dead");
+    assert_eq!(cert.vacuous_checks, count(DiagCode::Pl413), "{at}: vacuous");
+    for p in of(DiagCode::Pl421) {
+        assert!(cert.uncovered.iter().any(|u| u == p), "{at}: PL421 {p}");
+    }
+    if coverage && !plan.checks().is_empty() {
+        // Breaker-consumed risks first (PL411, bottom-up), then the ones
+        // still open at the root.
+        let pl411 = of(DiagCode::Pl411);
+        let (consumed, rest) = cert
+            .uncovered
+            .split_at(pl411.len().min(cert.uncovered.len()));
+        assert_eq!(consumed, &pl411[..], "{at}: uncovered vs PL411");
+        for p in rest {
+            assert!(reaches_root(plan, p), "{at}: {p} does not reach the root");
+        }
+    }
+}
+
+fn cross_validate(label: &str, catalog: &Catalog, queries: &[(String, QuerySpec)]) {
+    for (flavor, flavors) in flavor_configs() {
+        let mut config = PopConfig::default();
+        config.optimizer.flavors = flavors;
+        let exec = PopExecutor::new(catalog.clone(), config).unwrap();
+        for (name, spec) in queries {
+            let at = format!("{label}/{name} [{flavor}]");
+            let plan = exec.plan(spec, &Params::none()).unwrap();
+            let ctx = LintContext::full(exec.catalog(), spec)
+                .expect_check_coverage(flavors.lc)
+                .expect_monitor_coverage(true)
+                .with_stats(exec.stats());
+            let analysis = analyze(&plan, &ctx);
+            let mut estimates = Vec::new();
+            plan.visit(&mut |n| estimates.push((n.name(), n.props().card)));
+            assert_eq!(estimates.len(), analysis.intervals.len(), "{at}");
+            for (i, ((node, est), iv)) in estimates.iter().zip(&analysis.intervals).enumerate() {
+                assert!(
+                    inside_with_slack(*est, iv.lo, iv.hi),
+                    "{at}: estimate {est} at pre-order node {i} ({node}) escapes the \
+                     provable interval {iv}"
+                );
+            }
+            check_agreement(&at, &plan, flavors.lc, &analysis);
         }
     }
 }
@@ -53,7 +155,7 @@ fn intervals_contain_optimizer_estimates_on_dmv() {
         .into_iter()
         .map(|q| (q.name, q.spec))
         .collect();
-    cross_validate("dmv", dmv_catalog(0.0003).unwrap(), &queries);
+    cross_validate("dmv", &dmv_catalog(0.0003).unwrap(), &queries);
 }
 
 #[test]
@@ -62,7 +164,7 @@ fn intervals_contain_optimizer_estimates_on_tpch() {
         .into_iter()
         .map(|(n, spec)| (n.to_string(), spec))
         .collect();
-    cross_validate("tpch", tpch_catalog(0.005).unwrap(), &queries);
+    cross_validate("tpch", &tpch_catalog(0.005).unwrap(), &queries);
 }
 
 // ---------------------------------------------------------------------
@@ -221,6 +323,25 @@ fn lint_mode_matrix_coverage_hole_pl411() {
             "{mode:?}: {warnings:?}"
         );
     }
+    // The certificate of the same analysis lists the hole PL411 proves.
+    let exec = PopExecutor::new(matrix_db(), matrix_config(LintMode::Warn)).unwrap();
+    let q = matrix_query();
+    let mut plan = exec.plan(&q, &Params::none()).unwrap();
+    open_agg_coverage_hole(&mut plan);
+    let ctx = LintContext::full(exec.catalog(), &q)
+        .expect_check_coverage(true)
+        .expect_monitor_coverage(true)
+        .with_stats(exec.stats());
+    let analysis = analyze(&plan, &ctx);
+    assert!(
+        analysis
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::Pl411),
+        "{:?}",
+        analysis.diagnostics
+    );
+    check_agreement("matrix", &plan, true, &analysis);
 }
 
 #[test]
