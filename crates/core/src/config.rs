@@ -1,6 +1,6 @@
 //! POP driver configuration.
 
-use pop_guard::{Budget, FaultPlan};
+use pop_guard::{env_switch, Budget, FaultPlan};
 use pop_optimizer::OptimizerConfig;
 use pop_plan::CostModel;
 use pop_storage::{StorageConfig, StorageKind};
@@ -55,8 +55,8 @@ pub struct PopConfig {
     /// citing [SLM+01]): retain cardinality feedback across queries, so a
     /// repeated (or overlapping) query is planned with the actual
     /// cardinalities learned from earlier executions and usually needs no
-    /// re-optimization at all. Overridable with the `POP_FEEDBACK_LEARN`
-    /// environment variable (`true`/`false`).
+    /// re-optimization at all. Off by default; the `POP_FEEDBACK_LEARN`
+    /// switch (`on`/`off`/`true`/`false`/`1`/`0`) overrides.
     pub learn_across_queries: bool,
     /// Differential self-check of the incremental memo: re-plan every
     /// step on a fresh memo (which re-derives every group) and fail the
@@ -68,8 +68,9 @@ pub struct PopConfig {
     /// the same query template when the current binding's estimated
     /// cardinalities fall inside every validity range the cached plan was
     /// vetted for; outside any range the cache misses (with a recorded
-    /// reason) and the memo re-derives. Off by default; overridable with
-    /// the `POP_PLAN_CACHE` environment variable.
+    /// reason) and the memo re-derives. Off by default; the
+    /// `POP_PLAN_CACHE` switch (`on`/`off`/`true`/`false`/`1`/`0`)
+    /// overrides.
     pub plan_cache: bool,
     /// Static plan verification: every plan the optimizer hands to the
     /// executor (initial and re-optimized) is linted against structural
@@ -99,8 +100,8 @@ pub struct PopConfig {
     /// the bound raises a monitor-flagged violation the driver escalates
     /// exactly like a CHECK violation — catching misestimates on edges no
     /// CHECK guards. On by default (the always-on safety net); the
-    /// `POP_MONITOR` environment variable (`on`/`off`/`true`/`false`/
-    /// `1`/`0`) overrides.
+    /// `POP_MONITOR` switch (`on`/`off`/`true`/`false`/`1`/`0`)
+    /// overrides.
     pub monitor: bool,
     /// Sampling pre-validation of risky plans: before committing to a
     /// first plan whose robustness certificate carries uncovered risky
@@ -108,14 +109,15 @@ pub struct PopConfig {
     /// table, scale the observed cardinalities, and feed them back as
     /// early observations — re-optimizing *before* the full run when they
     /// fall outside the plan's validity ranges. On by default; the
-    /// `POP_SAMPLE_VET` environment variable overrides.
+    /// `POP_SAMPLE_VET` switch (`on`/`off`/`true`/`false`/`1`/`0`)
+    /// overrides.
     pub sample_vet: bool,
-    /// Storage backend for the driver's catalog: in-memory rows (the
-    /// default) or the paged backend (pager + buffer pool + B+tree +
-    /// WAL). Both produce identical rows, step reports, CHECK events and
-    /// certificates; only physical I/O differs. The `POP_STORAGE`,
-    /// `POP_PAGE_SIZE`, `POP_BUFFER_POOL_BYTES` and `POP_WAL` environment
-    /// variables configure it (invalid values fall back with a warning).
+    /// Read from `POP_STORAGE`, `POP_PAGE_SIZE`, `POP_BUFFER_POOL_BYTES`
+    /// and `POP_WAL`; [`PopConfig::default`] picks
+    /// [`PopConfig::cost_model`] from its backend kind. Otherwise accepted
+    /// and ignored: the executor runs on the catalog it is given, whose
+    /// storage is fixed when the catalog is built. Kept so configurations
+    /// that still set it compile.
     pub storage: StorageConfig,
     /// Graceful degradation: when *re*-optimization fails (optimizer
     /// error, lint rejection, injected fault), fall back to the last
@@ -135,35 +137,6 @@ pub struct PopConfig {
 fn batch_size_from_env(warnings: &mut Vec<String>) -> usize {
     pop_guard::env_parsed("POP_BATCH_SIZE", |n: &usize| *n > 0, warnings)
         .unwrap_or(pop_exec::DEFAULT_BATCH_SIZE)
-}
-
-/// Cross-query learning switch from `POP_FEEDBACK_LEARN`.
-fn learn_from_env(warnings: &mut Vec<String>) -> bool {
-    pop_guard::env_parsed("POP_FEEDBACK_LEARN", |_: &bool| true, warnings).unwrap_or(false)
-}
-
-/// Plan-cache switch from `POP_PLAN_CACHE` (default off).
-fn plan_cache_from_env(warnings: &mut Vec<String>) -> bool {
-    pop_guard::env_parsed("POP_PLAN_CACHE", |_: &bool| true, warnings).unwrap_or(false)
-}
-
-/// On/off switch from the environment, accepting the natural spellings
-/// (`on`/`off`/`true`/`false`/`1`/`0`, case-insensitive). Anything else
-/// falls back to `default` — recording a warning — rather than erroring.
-fn switch_from_env(name: &str, default: bool, warnings: &mut Vec<String>) -> bool {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        _ => {
-            warnings.push(format!(
-                "{name}: invalid value {raw:?}; keeping the default ({default})"
-            ));
-            default
-        }
-    }
 }
 
 /// Drift factor of the monitors' trip bounds: a monitor fires when the
@@ -203,15 +176,15 @@ impl Default for PopConfig {
             reopt_work: 200.0,
             force_reopt_at: None,
             observe_only: false,
-            learn_across_queries: learn_from_env(&mut env_warnings),
+            learn_across_queries: env_switch("POP_FEEDBACK_LEARN", false, &mut env_warnings),
             verify_memo: false,
-            plan_cache: plan_cache_from_env(&mut env_warnings),
+            plan_cache: env_switch("POP_PLAN_CACHE", false, &mut env_warnings),
             lint: LintMode::default(),
             batch_size,
             budget,
             faults,
-            monitor: switch_from_env("POP_MONITOR", true, &mut env_warnings),
-            sample_vet: switch_from_env("POP_SAMPLE_VET", true, &mut env_warnings),
+            monitor: env_switch("POP_MONITOR", true, &mut env_warnings),
+            sample_vet: env_switch("POP_SAMPLE_VET", true, &mut env_warnings),
             storage,
             graceful_degradation: true,
             env_warnings,
@@ -259,27 +232,35 @@ mod tests {
 
     #[test]
     fn switch_parser_accepts_natural_spellings() {
-        // Unique variable names, so parallel tests reading the
-        // environment never race with these writes.
+        // The one parser behind every boolean `POP_*` switch, on unique
+        // variable names, so parallel tests reading the environment never
+        // race with these writes.
         let mut w = Vec::new();
-        std::env::set_var("POP_TEST_SWITCH_OFF", "off");
-        assert!(!switch_from_env("POP_TEST_SWITCH_OFF", true, &mut w));
-        std::env::set_var("POP_TEST_SWITCH_ON", "ON");
-        assert!(switch_from_env("POP_TEST_SWITCH_ON", false, &mut w));
-        std::env::set_var("POP_TEST_SWITCH_ONE", "1");
-        assert!(switch_from_env("POP_TEST_SWITCH_ONE", false, &mut w));
-        assert!(w.is_empty());
-        std::env::set_var("POP_TEST_SWITCH_BAD", "maybe");
-        assert!(switch_from_env("POP_TEST_SWITCH_BAD", true, &mut w));
-        assert_eq!(w.len(), 1, "{w:?}");
-        for v in [
-            "POP_TEST_SWITCH_OFF",
-            "POP_TEST_SWITCH_ON",
-            "POP_TEST_SWITCH_ONE",
-            "POP_TEST_SWITCH_BAD",
+        for (name, raw, default, want) in [
+            ("POP_TEST_SWITCH_OFF", "off", true, false),
+            ("POP_TEST_SWITCH_ON", "ON", false, true),
+            ("POP_TEST_SWITCH_ONE", "1", false, true),
+            ("POP_TEST_SWITCH_ZERO", " 0 ", true, false),
+            ("POP_TEST_SWITCH_TRUE", "True", false, true),
+            ("POP_TEST_SWITCH_FALSE", "false", true, false),
         ] {
-            std::env::remove_var(v);
+            std::env::set_var(name, raw);
+            assert_eq!(env_switch(name, default, &mut w), want, "{name}={raw:?}");
+            std::env::remove_var(name);
         }
+        assert!(env_switch("POP_TEST_SWITCH_UNSET", true, &mut w));
+        assert!(w.is_empty(), "{w:?}");
+        std::env::set_var("POP_TEST_SWITCH_BAD", "maybe");
+        assert!(env_switch("POP_TEST_SWITCH_BAD", true, &mut w));
+        assert!(!env_switch("POP_TEST_SWITCH_BAD", false, &mut w));
+        std::env::remove_var("POP_TEST_SWITCH_BAD");
+        assert_eq!(
+            w,
+            [
+                r#"POP_TEST_SWITCH_BAD: invalid value "maybe"; falling back to the default (true)"#,
+                r#"POP_TEST_SWITCH_BAD: invalid value "maybe"; falling back to the default (false)"#,
+            ]
+        );
     }
 
     #[test]

@@ -46,29 +46,22 @@ impl Vetting {
     }
 }
 
-/// RAII guard for the query-scoped temporary MVs (§2.3): dropping it
-/// clears them from the catalog, so *every* exit path — completion,
-/// typed error, injected fault, even a panic unwinding through the
-/// driver — leaves no `__pop_mv_*` table behind.
-struct MvCleanup<'a> {
+/// One query's execution context, with the storage environment held to
+/// the query: buffer-pool frames draw from its resident-byte budget and
+/// the storage layer fires from its fault plan. Built by
+/// [`PopExecutor::session`] for every entry point that executes a plan.
+/// Dropping it — on completion, typed error, injected fault, even a panic
+/// unwinding through the driver — clears the query-scoped temporary MVs
+/// (§2.3), so no `__pop_mv_*` table is left behind, then detaches the
+/// governor (releasing page reservations) and disarms storage faults.
+struct QuerySession<'a> {
     catalog: &'a Catalog,
+    ctx: ExecCtx,
 }
 
-impl Drop for MvCleanup<'_> {
+impl Drop for QuerySession<'_> {
     fn drop(&mut self) {
         self.catalog.clear_temp_mvs();
-    }
-}
-
-/// RAII guard pairing the storage environment with the running query:
-/// detaches the governor (releasing page reservations) and disarms
-/// storage faults on every exit path.
-struct StorageSession<'a> {
-    catalog: &'a Catalog,
-}
-
-impl Drop for StorageSession<'_> {
-    fn drop(&mut self) {
         self.catalog.detach_governor();
         let _ = self.catalog.storage().disarm_faults();
     }
@@ -184,14 +177,8 @@ impl PopExecutor {
         } else {
             FeedbackCache::new()
         };
-        let mut ctx = ExecCtx::new(
-            self.catalog.clone(),
-            params.clone(),
-            self.config.cost_model.clone(),
-        );
-        ctx.batch_size = self.config.batch_size.max(1);
-        ctx.guard = Governor::new(self.config.budget, cancel);
-        ctx.faults = self.config.faults.clone().map(FaultInjector::new);
+        let mut session = self.session(params, cancel)?;
+        let ctx = &mut session.ctx;
         if self.config.enabled {
             ctx.force_reopt_at = self.config.force_reopt_at;
         }
@@ -203,32 +190,8 @@ impl PopExecutor {
             ..Default::default()
         };
         let mut collected: Vec<Row> = Vec::new();
-        // Buffer-pool frames draw from this query's resident-byte budget,
-        // and the storage layer fires from the same fault plan as the
-        // executor. The RAII guard detaches both on every exit path.
-        self.catalog.attach_governor(ctx.guard.clone_shared())?;
-        if let Some(plan) = &self.config.faults {
-            self.catalog
-                .storage()
-                .arm_faults(FaultInjector::new(plan.clone()));
-        }
-        let _storage_session = StorageSession {
-            catalog: &self.catalog,
-        };
         let io_before = self.catalog.io_stats();
-        // Post-query cleanup: the RAII guard drops the temporary MVs
-        // (§2.3) whether the query completes, errors or panics.
-        let _cleanup = MvCleanup {
-            catalog: &self.catalog,
-        };
-        self.run_loop(
-            spec,
-            params,
-            &feedback,
-            &mut ctx,
-            &mut report,
-            &mut collected,
-        )?;
+        self.run_loop(spec, params, &feedback, ctx, &mut report, &mut collected)?;
         // Physical I/O is backend-dependent by design (the mem backend
         // reports all zeros) and never part of result equivalence.
         let io = self.catalog.io_stats().since(&io_before);
@@ -245,6 +208,35 @@ impl PopExecutor {
         Ok(QueryResult {
             rows: collected,
             report,
+        })
+    }
+
+    /// Set up one query's session: an [`ExecCtx`] under this executor's
+    /// batch size, budget, `cancel` token and fault plan, the governor
+    /// attached to the buffer pool and storage faults armed from the same
+    /// plan.
+    fn session(
+        &self,
+        params: &pop_expr::Params,
+        cancel: Option<CancelToken>,
+    ) -> PopResult<QuerySession<'_>> {
+        let mut ctx = ExecCtx::new(
+            self.catalog.clone(),
+            params.clone(),
+            self.config.cost_model.clone(),
+        );
+        ctx.batch_size = self.config.batch_size.max(1);
+        ctx.guard = Governor::new(self.config.budget, cancel);
+        ctx.faults = self.config.faults.clone().map(FaultInjector::new);
+        self.catalog.attach_governor(ctx.guard.clone_shared())?;
+        if let Some(plan) = &self.config.faults {
+            self.catalog
+                .storage()
+                .arm_faults(FaultInjector::new(plan.clone()));
+        }
+        Ok(QuerySession {
+            catalog: &self.catalog,
+            ctx,
         })
     }
 
@@ -619,26 +611,18 @@ impl PopExecutor {
     ) -> PopResult<QueryResult> {
         spec.validate()?;
         let vetting = self.vet_plan(plan, spec)?;
-        let mut ctx = ExecCtx::new(
-            self.catalog.clone(),
-            params.clone(),
-            self.config.cost_model.clone(),
-        );
-        ctx.checks_enabled = false;
-        ctx.batch_size = self.config.batch_size.max(1);
-        ctx.guard = Governor::new(self.config.budget, None);
         let signatures = self.collect_signatures(spec, plan, params);
-        let _cleanup = MvCleanup {
-            catalog: &self.catalog,
-        };
-        let outcome = execute(plan, &mut ctx, &signatures)?;
+        let mut session = self.session(params, None)?;
+        let ctx = &mut session.ctx;
+        ctx.checks_enabled = false;
+        let outcome = execute(plan, ctx, &signatures)?;
         if !outcome.is_complete() {
             return Err(PopError::Execution(
                 "plan suspended although checkpoints were disabled".into(),
             ));
         }
         let mut collected: Vec<Row> = Vec::new();
-        collect_rows(&mut collected, &mut ctx, &outcome);
+        collect_rows(&mut collected, ctx, &outcome);
         let mut report = RunReport::default();
         report.steps.push(StepReport {
             plan: plan.to_string(),
@@ -1390,9 +1374,6 @@ mod tests {
                 canonical_layout: layout,
             };
             pop_exec::Harvest::new(&info, Arc::new(buffer), None)
-        };
-        let _cleanup = MvCleanup {
-            catalog: exec.catalog(),
         };
         let (mut n, mut warnings) = (0, Vec::new());
         exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)

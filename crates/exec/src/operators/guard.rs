@@ -104,7 +104,8 @@ impl Guard {
 
     /// Work units per counted row. Monitors charge nothing: the work
     /// counter measures plan work, monitor overhead is engine overhead
-    /// (wall-clock, `bench_monitor`).
+    /// (wall-clock `dmv.pop` against `dmv.static` in `bench_e2e`; its
+    /// allocations are per plan, never per batch: `tests/alloc_budget.rs`).
     fn row_charge(&self, ctx: &ExecCtx) -> f64 {
         if self.monitor.is_some() {
             0.0

@@ -51,8 +51,8 @@ impl Budget {
 
 /// Parse environment variable `name` as a `T`, requiring `valid`. Returns
 /// `None` (and records a warning) for present-but-invalid values, `None`
-/// silently when unset. Shared by every `POP_*` env knob so none of them
-/// swallows a typo.
+/// silently when unset; the caller falls back to its default either way.
+/// Shared by every valued `POP_*` env knob so none of them swallows a typo.
 pub fn env_parsed<T: FromStr>(
     name: &str,
     valid: impl Fn(&T) -> bool,
@@ -63,9 +63,29 @@ pub fn env_parsed<T: FromStr>(
         Ok(v) if valid(&v) => Some(v),
         _ => {
             warnings.push(format!(
-                "{name}: invalid value {raw:?}; the limit is not applied"
+                "{name}: invalid value {raw:?}; falling back to the default"
             ));
             None
+        }
+    }
+}
+
+/// On/off switch from environment variable `name`, accepting the natural
+/// spellings (`on`/`off`/`true`/`false`/`1`/`0`, case-insensitive);
+/// `default` when unset. Anything else falls back to `default` and records
+/// a warning. Shared by every boolean `POP_*` switch.
+pub fn env_switch(name: &str, default: bool, warnings: &mut Vec<String>) -> bool {
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "on" | "true" | "1" => true,
+        "off" | "false" | "0" => false,
+        _ => {
+            warnings.push(format!(
+                "{name}: invalid value {raw:?}; falling back to the default ({default})"
+            ));
+            default
         }
     }
 }
@@ -104,6 +124,7 @@ mod tests {
         assert_eq!(v, None);
         assert_eq!(w.len(), 1);
         assert!(w[0].contains("POP_TEST_GUARD_BUDGET"), "{w:?}");
+        assert!(w[0].ends_with("falling back to the default"), "{w:?}");
         std::env::remove_var("POP_TEST_GUARD_BUDGET");
     }
 

@@ -26,8 +26,10 @@ struct Ledger {
 /// emission and inside materializing loops) and
 /// [`Governor::reserve`]/[`Governor::release`] around memory-resident
 /// operator state. With no budget and no caller-held token the governor
-/// is *disabled* and every hook reduces to one predictable branch —
-/// the "zero cost when disabled" contract the bench suite verifies.
+/// is *disabled* and every hook reduces to one predictable branch. An
+/// enabled governor whose limits never trip allocates nothing either:
+/// `tests/alloc_budget.rs` counts a generous budget's allocations against no
+/// budget's, query by query.
 ///
 /// Counters live in a shared [`Ledger`]; [`Governor::clone_shared`] hands
 /// another component (the buffer pool) a handle onto the same ledger so

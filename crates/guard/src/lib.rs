@@ -33,7 +33,7 @@ mod cancel;
 mod fault;
 mod governor;
 
-pub use budget::{env_parsed, Budget};
+pub use budget::{env_parsed, env_switch, Budget};
 pub use cancel::CancelToken;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use governor::Governor;

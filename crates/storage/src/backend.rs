@@ -17,7 +17,7 @@ use crate::page::{
     encoded_row_lens, ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use parking_lot::Mutex;
-use pop_guard::{env_parsed, FaultInjector, Governor};
+use pop_guard::{env_parsed, env_switch, FaultInjector, Governor};
 use pop_types::column::Column;
 use pop_types::{PopError, PopResult};
 use std::path::PathBuf;
@@ -110,19 +110,7 @@ impl StorageConfig {
         .unwrap_or(DEFAULT_PAGE_SIZE);
         let buffer_pool_bytes = env_parsed("POP_BUFFER_POOL_BYTES", |v: &u64| *v > 0, warnings)
             .unwrap_or(DEFAULT_BUFFER_POOL_BYTES);
-        let wal = match std::env::var("POP_WAL") {
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "on" | "true" | "1" => true,
-                "off" | "false" | "0" => false,
-                _ => {
-                    warnings.push(format!(
-                        "POP_WAL: invalid value {raw:?}; keeping the default (true)"
-                    ));
-                    true
-                }
-            },
-            Err(_) => true,
-        };
+        let wal = env_switch("POP_WAL", true, warnings);
         StorageConfig {
             kind,
             page_size,
@@ -415,6 +403,7 @@ mod tests {
         assert_eq!(v, None);
         assert_eq!(w.len(), 1);
         assert!(w[0].contains("POP_TEST_STORAGE_PAGE_SIZE"), "{w:?}");
+        assert!(w[0].ends_with("falling back to the default"), "{w:?}");
         std::env::remove_var("POP_TEST_STORAGE_PAGE_SIZE");
     }
 

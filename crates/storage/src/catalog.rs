@@ -69,7 +69,9 @@ impl std::fmt::Debug for Catalog {
 }
 
 impl Catalog {
-    /// Empty catalog over in-memory storage.
+    /// Empty catalog over the storage the `POP_STORAGE` / `POP_PAGE_SIZE`
+    /// / `POP_BUFFER_POOL_BYTES` / `POP_WAL` knobs select: in-memory when
+    /// they are unset (see [`Catalog::default`]).
     pub fn new() -> Self {
         Catalog::default()
     }

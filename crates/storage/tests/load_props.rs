@@ -6,10 +6,12 @@
 //! backend alike, with identical page maps; a paged table reopened from its
 //! WAL alone, without a checkpoint, must read back the same rows. A batch
 //! the shared pre-check rejects must leave a table — and what it recovers
-//! to — as it was.
+//! to — as it was. On a table many times a starved pool, a cold scan
+//! misses on every page, warm scans read none, and a projected scan reads
+//! exactly the pages of the full one.
 
-use pop_storage::{Catalog, StorageConfig, StorageKind, Table};
-use pop_types::column::Column;
+use pop_storage::{Catalog, IoStats, StorageConfig, StorageKind, Table};
+use pop_types::column::{Cell, Column};
 use pop_types::{ColumnDef, DataType, Row, Schema, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -199,4 +201,114 @@ fn rejected_batch_leaves_the_table_unchanged() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Sums column 2 (`Int`) over a scan of `t` decoding `cols` (every column
+/// when `None`): the rows, the checksum and the I/O the scan caused.
+fn scan(catalog: &Catalog, t: &Table, cols: Option<&[usize]>) -> ((usize, i64), IoStats) {
+    let before = catalog.io_stats();
+    let mut cursor = t.cursor(0, t.row_count() as u64).unwrap();
+    if let Some(cols) = cols {
+        cursor = cursor.project(cols.iter().copied());
+    }
+    let (mut n, mut sum) = (0, 0i64);
+    while let Some(chunk) = cursor.next_chunk(1024).unwrap() {
+        n += chunk.rows.len();
+        for i in chunk.rows {
+            if let Cell::Int(v) = chunk.cols[2].cell(i) {
+                sum = sum.wrapping_add(v);
+            }
+        }
+    }
+    ((n, sum), catalog.io_stats().since(&before))
+}
+
+/// A 2 000-row table of six columns on 512-byte pages, its last 200 rows
+/// appended after the load so only the WAL holds them, reopened twice:
+/// - cold, with a 32-frame pool: the reopen replays the WAL; the table has
+///   more pages than the pool; a full scan misses at least once per page
+///   and evicts;
+/// - warm, with a pool that holds the table: after one scan faults the
+///   pages in, scans read no page physically and hit the pool.
+///
+/// Scans projected onto 3 of the 6 columns and onto the one `Int` column
+/// the checksum reads return the full scan's rows and checksum, and read
+/// exactly its pages cold and none warm; both catalogs hold the rows that
+/// were loaded.
+#[test]
+fn paged_scans_miss_every_page_cold_and_read_none_warm() {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+        ("c", DataType::Int),
+        ("d", DataType::Int),
+        ("code", DataType::Str),
+        ("note", DataType::Str),
+    ]);
+    let rows = |ids: std::ops::Range<i64>| -> Vec<Row> {
+        ids.map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i % 97),
+                Value::Int(i * 7 % 1009),
+                Value::Int(-i),
+                Value::str(["open", "held", "done"][(i % 3) as usize]),
+                Value::str(format!("note for row {i}")),
+            ]
+        })
+        .collect()
+    };
+    const COLD_FRAMES: u64 = 32;
+    let projections: [&[usize]; 2] = [&[0, 2, 3], &[2]];
+    let dir = fresh_dir("scans");
+    let open = |frames: u64| {
+        let catalog = Catalog::with_storage(StorageConfig {
+            buffer_pool_bytes: frames * 512,
+            ..storage(StorageKind::Paged, Some(dir.clone()))
+        });
+        let t = catalog.open_table("t", schema.clone()).unwrap();
+        (catalog, t)
+    };
+    {
+        let catalog = Catalog::with_storage(storage(StorageKind::Paged, Some(dir.clone())));
+        let t = catalog
+            .create_table("t", schema.clone(), rows(0..1800))
+            .unwrap();
+        t.insert(rows(1800..2000)).unwrap();
+    }
+
+    let (cold, t) = open(COLD_FRAMES);
+    assert!(
+        cold.io_stats().wal_replayed > 0,
+        "the reopen replayed no WAL record"
+    );
+    let pages = t.page_count();
+    assert!(pages > COLD_FRAMES, "{pages} pages fit the starved pool");
+    let (full, io) = scan(&cold, &t, None);
+    assert_eq!(full.0, 2000);
+    assert!(io.evictions > 0 && io.pool_misses >= pages, "cold: {io:?}");
+    for cols in projections {
+        let (got, projected) = scan(&cold, &t, Some(cols));
+        assert_eq!(got, full, "cold, projected onto {cols:?}");
+        assert_eq!(
+            projected.pages_read, io.pages_read,
+            "cold, projected onto {cols:?}"
+        );
+    }
+    assert_eq!(exact(&t.snapshot()), exact(&rows(0..2000)), "cold");
+    drop((t, cold));
+
+    let (warm, t) = open(4 * pages);
+    scan(&warm, &t, None);
+    for cols in [None].into_iter().chain(projections.map(Some)) {
+        let (got, io) = scan(&warm, &t, cols);
+        assert_eq!(got, full, "warm, projected onto {cols:?}");
+        assert!(
+            io.pages_read == 0 && io.pool_hits > 0,
+            "warm, {cols:?}: {io:?}"
+        );
+    }
+    assert_eq!(exact(&t.snapshot()), exact(&rows(0..2000)), "warm");
+    drop((t, warm));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

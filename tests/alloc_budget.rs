@@ -23,6 +23,11 @@
 //! So does the static analysis every step runs (`RECORDED_BEFORE_VETTING`):
 //! one planlint `analyze` per plan, not three interpretations.
 //!
+//! Two more facts are counts, not times: a governor enforcing budgets that
+//! never trip allocates exactly what no governor does, and the continuous
+//! monitors cost a fixed number of allocations per plan, the same at any
+//! batch size — never any per batch.
+//!
 //! The allocator also tracks live bytes, so repeated passes over the same
 //! executor can show that nothing a query leaves behind accumulates, and a
 //! loaded catalog's resident size is held under a ceiling of its own.
@@ -33,10 +38,10 @@
 // no other test runs under it.
 #![allow(unsafe_code)]
 
-use pop::{PopConfig, PopExecutor};
-use pop_expr::Params;
+use pop::{Budget, FlavorSet, PopConfig, PopExecutor, QueryResult};
+use pop_expr::{Expr, Params};
 use pop_optimizer::CostModel;
-use pop_plan::QuerySpec;
+use pop_plan::{QueryBuilder, QuerySpec};
 use pop_storage::StorageConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,12 +110,147 @@ fn config() -> PopConfig {
 }
 
 /// Allocations of one whole `run` (optimizer, executor, result rows) on
-/// this thread, and the number of re-optimizations it took.
-fn allocations(exec: &PopExecutor, spec: &QuerySpec) -> (u64, usize) {
+/// this thread, and its result.
+fn counted_run(exec: &PopExecutor, spec: &QuerySpec) -> (u64, QueryResult) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = exec.run(spec, &Params::none()).expect("query runs");
-    let after = ALLOCATIONS.with(Cell::get);
-    (after - before, result.report.reopt_count)
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Allocations of one whole `run` on this thread, and the number of
+/// re-optimizations it took.
+fn allocations(exec: &PopExecutor, spec: &QuerySpec) -> (u64, usize) {
+    let (count, result) = counted_run(exec, spec);
+    (count, result.report.reopt_count)
+}
+
+/// Counted second runs of `spec` on `a` and on `b`. Each executor runs it
+/// once first, so what is built once — the memo, process-wide statics —
+/// is where every later run finds it, and the two counts differ only by
+/// what the two configurations do per run.
+fn second_runs(a: &PopExecutor, b: &PopExecutor, spec: &QuerySpec) -> [(u64, QueryResult); 2] {
+    counted_run(a, spec);
+    counted_run(b, spec);
+    [counted_run(a, spec), counted_run(b, spec)]
+}
+
+/// TPC-H Q6, Q1 and Q3 and `lineitem_sel`, a selective LINEITEM scan
+/// projected onto three columns: the scan, aggregate and join paths the
+/// guard and monitor counts are taken over.
+fn scan_path_queries() -> Vec<(&'static str, QuerySpec)> {
+    use pop_tpch::cols::lineitem;
+    let mut b = QueryBuilder::new();
+    let l = b.table("lineitem");
+    b.filter(l, Expr::col(l, lineitem::QUANTITY).le(Expr::lit(25i64)));
+    b.project(&[
+        (l, lineitem::ORDERKEY),
+        (l, lineitem::QUANTITY),
+        (l, lineitem::EXTENDEDPRICE),
+    ]);
+    vec![
+        ("Q6", pop_tpch::q6()),
+        ("Q1", pop_tpch::q1()),
+        ("Q3", pop_tpch::q3()),
+        ("lineitem_sel", b.build().expect("lineitem_sel query")),
+    ]
+}
+
+/// Limits so large no query here trips them: the governor's ledger runs
+/// (row counting, work ticks, byte reservations) but never fires.
+fn generous_budget() -> Budget {
+    Budget {
+        max_work: Some(1e18),
+        max_rows: Some(u64::MAX),
+        max_resident_bytes: Some(u64::MAX),
+        max_wall_ms: None,
+    }
+}
+
+#[test]
+fn a_generous_budget_allocates_exactly_what_no_budget_does() {
+    let tpch = pop_tpch::tpch_catalog_with(0.01, StorageConfig::default()).unwrap();
+    let executor = |budget| {
+        let cfg = PopConfig {
+            enabled: false,
+            budget,
+            ..config()
+        };
+        PopExecutor::new(tpch.clone(), cfg).unwrap()
+    };
+    let (off, on) = (executor(Budget::unlimited()), executor(generous_budget()));
+    for (name, spec) in scan_path_queries() {
+        let [(unlimited, free), (generous, governed)] = second_runs(&off, &on, &spec);
+        println!(
+            "{name}: {unlimited} allocation(s) unbudgeted, {generous} under a generous budget"
+        );
+        assert_eq!(
+            governed.rows, free.rows,
+            "{name}: the budget changed the rows"
+        );
+        assert_eq!(
+            governed.report.total_work.to_bits(),
+            free.report.total_work.to_bits(),
+            "{name}: the budget changed the work"
+        );
+        assert_eq!(
+            generous, unlimited,
+            "{name}: the governor's ledger allocates"
+        );
+    }
+}
+
+/// Monitors on and off over a plan without CHECKs (`FlavorSet::none()`,
+/// sampling vet off), so with them on every eligible node is monitored:
+/// what they add to a run is per plan, so it is the same at batch sizes
+/// 1024 and 64 — where `lineitem_sel` runs about 16 times the batches.
+#[test]
+fn monitors_allocate_per_plan_not_per_batch() {
+    let tpch = pop_tpch::tpch_catalog_with(0.01, StorageConfig::default()).unwrap();
+    let executor = |monitor, batch_size| {
+        let mut cfg = PopConfig {
+            monitor,
+            sample_vet: false,
+            batch_size,
+            ..config()
+        };
+        cfg.optimizer.flavors = FlavorSet::none();
+        PopExecutor::new(tpch.clone(), cfg).unwrap()
+    };
+    for (name, spec) in scan_path_queries() {
+        let mut added = Vec::new();
+        for batch_size in [1024, 64] {
+            let (off, on) = (executor(false, batch_size), executor(true, batch_size));
+            let [(bare, unmonitored), (monitored, watched)] = second_runs(&off, &on, &spec);
+            let installed = |r: &QueryResult| -> usize {
+                r.report.steps.iter().map(|s| s.monitors_installed).sum()
+            };
+            assert_eq!(
+                installed(&unmonitored),
+                0,
+                "{name}: monitors off, yet installed"
+            );
+            assert!(
+                installed(&watched) > 0,
+                "{name}: monitors on, none installed"
+            );
+            assert_eq!(
+                watched.report.reopt_count, 0,
+                "{name}: a monitor tripped on accurate estimates"
+            );
+            assert_eq!(
+                watched.rows, unmonitored.rows,
+                "{name}: monitoring changed the rows"
+            );
+            let batches: usize = watched.report.steps.iter().map(|s| s.batches_emitted).sum();
+            println!(
+                "{name} at batch size {batch_size} ({batches} batches): {bare} allocation(s) \
+                 bare, {monitored} with {} monitor(s)",
+                installed(&watched)
+            );
+            added.push(monitored as i64 - bare as i64);
+        }
+        assert_eq!(added[0], added[1], "{name}: monitors allocate per batch");
+    }
 }
 
 /// `(query, allocations at the parent commit, allowed share of them)`.

@@ -465,6 +465,63 @@ fn resident_byte_budget_covers_aggregate_groups() {
     assert_eq!(few.rows.len(), 1000);
 }
 
+/// `execute_plan` runs a caller's plan under the same query session as
+/// `run`: buffer-pool frames count against the resident-byte budget, and
+/// the storage layer fires from the configured fault plan.
+#[test]
+fn execute_plan_charges_pool_frames_to_the_byte_budget() {
+    let storage = pop_storage::StorageConfig {
+        buffer_pool_bytes: 1 << 20,
+        ..pop_storage::StorageConfig::paged()
+    };
+    let cat = pop_tpch::tpch_catalog_with(0.01, storage).unwrap();
+    let q6 = pop_tpch::q6();
+    let executor = |budget, faults| {
+        let config = PopConfig {
+            budget,
+            faults,
+            ..PopConfig::default()
+        };
+        PopExecutor::new(cat.clone(), config).unwrap()
+    };
+    let tight = Budget {
+        max_resident_bytes: Some(16 << 10),
+        ..Budget::default()
+    };
+    let exec = executor(tight, None);
+    let plan = exec.plan(&q6, &Params::none()).unwrap();
+    for (entry, result) in [
+        ("run", exec.run(&q6, &Params::none())),
+        (
+            "execute_plan",
+            exec.execute_plan(&q6, &plan, &Params::none()),
+        ),
+    ] {
+        let err = result.expect_err("LINEITEM's pages cannot fit in 16 KiB of frames");
+        assert!(matches!(err, PopError::BudgetExceeded(_)), "{entry}: {err}");
+        assert_eq!(exec.catalog().temp_mv_count(), 0, "{entry}");
+    }
+    // The session ended with the failed run: frames are no longer charged.
+    let unlimited = executor(Budget::unlimited(), None);
+    assert_eq!(
+        unlimited
+            .execute_plan(&q6, &plan, &Params::none())
+            .unwrap()
+            .rows
+            .len(),
+        1
+    );
+
+    let faulty = executor(
+        Budget::unlimited(),
+        Some(FaultPlan::single(FaultKind::StorageRead, 0)),
+    );
+    let err = faulty
+        .execute_plan(&q6, &plan, &Params::none())
+        .expect_err("the first storage read fails");
+    assert!(matches!(err, PopError::Execution(_)), "{err}");
+}
+
 #[test]
 fn generous_budget_changes_nothing() {
     let config = PopConfig {
