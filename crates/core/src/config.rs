@@ -101,17 +101,9 @@ pub struct PopConfig {
     /// exactly like a CHECK violation — catching misestimates on edges no
     /// CHECK guards. On by default (the always-on safety net); the
     /// `POP_MONITOR` switch (`on`/`off`/`true`/`false`/`1`/`0`)
-    /// overrides.
+    /// overrides. Monitors are the one runtime net beside the CHECKs:
+    /// no plan is pre-validated over a sample before it runs.
     pub monitor: bool,
-    /// Sampling pre-validation of risky plans: before committing to a
-    /// first plan whose robustness certificate carries uncovered risky
-    /// edges, execute the plan over a deterministic sample of its driving
-    /// table, scale the observed cardinalities, and feed them back as
-    /// early observations — re-optimizing *before* the full run when they
-    /// fall outside the plan's validity ranges. On by default; the
-    /// `POP_SAMPLE_VET` switch (`on`/`off`/`true`/`false`/`1`/`0`)
-    /// overrides.
-    pub sample_vet: bool,
     /// Read from `POP_STORAGE`, `POP_PAGE_SIZE`, `POP_BUFFER_POOL_BYTES`
     /// and `POP_WAL`; [`PopConfig::default`] picks
     /// [`PopConfig::cost_model`] from its backend kind. Otherwise accepted
@@ -147,12 +139,6 @@ fn batch_size_from_env(warnings: &mut Vec<String>) -> usize {
 /// catch orders-of-magnitude lies.
 pub const DEFAULT_MONITOR_DRIFT: f64 = 32.0;
 
-/// Target number of driving-table rows for the sampling pre-validation
-/// run ([`PopConfig::sample_vet`]): the sample is every
-/// `ceil(table_rows / DEFAULT_SAMPLE_ROWS)`-th row, so small tables
-/// degenerate to a full (cheap) scan.
-pub const DEFAULT_SAMPLE_ROWS: usize = 4096;
-
 impl Default for PopConfig {
     fn default() -> Self {
         let mut env_warnings = Vec::new();
@@ -184,7 +170,6 @@ impl Default for PopConfig {
             budget,
             faults,
             monitor: env_switch("POP_MONITOR", true, &mut env_warnings),
-            sample_vet: env_switch("POP_SAMPLE_VET", true, &mut env_warnings),
             storage,
             graceful_degradation: true,
             env_warnings,
@@ -221,13 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn monitor_and_sampling_defaults() {
+    fn monitor_defaults_on_with_a_drift_above_one() {
         let c = PopConfig::default();
         assert!(c.monitor || std::env::var("POP_MONITOR").is_ok());
-        assert!(c.sample_vet || std::env::var("POP_SAMPLE_VET").is_ok());
         // A drift of 1.0 would fire on any estimate the planned CHECK
         // layer tolerates.
-        const { assert!(DEFAULT_MONITOR_DRIFT > 1.0 && DEFAULT_SAMPLE_ROWS > 0) };
+        const { assert!(DEFAULT_MONITOR_DRIFT > 1.0) };
     }
 
     #[test]

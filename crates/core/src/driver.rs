@@ -1,12 +1,11 @@
 //! The POP driver: alternate optimization and execution steps until the
 //! query completes (§2.1, Figure 3 of the paper).
 
-use crate::config::{DEFAULT_MONITOR_DRIFT, DEFAULT_SAMPLE_ROWS};
-use crate::{LintMode, PopConfig, QueryResult, RunReport, SampleVet, StepReport};
+use crate::config::DEFAULT_MONITOR_DRIFT;
+use crate::{LintMode, PopConfig, QueryResult, RunReport, StepReport};
 use parking_lot::Mutex;
 use pop_exec::{
-    execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, SampleSpec, Signatures, Subplan,
-    MONITOR_TRIP_FLOOR,
+    execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, Signatures, Subplan, MONITOR_TRIP_FLOOR,
 };
 use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
@@ -16,10 +15,9 @@ use pop_optimizer::{
 use pop_plan::{
     canonical_layout, spec_fingerprint, PhysNode, QuerySpec, Signer, TableSet, ValidityRange,
 };
-use pop_stats::{sample_stride, scale_observation, StatsRegistry, TableStats};
+use pop_stats::{StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What one step takes from the planlint analysis of its plan: the
@@ -274,14 +272,6 @@ impl PopExecutor {
         };
         let mut cache_hit = false;
         let mut first_step = true;
-        // Sampling pre-validation applies once, to the first plan of a
-        // plain POP run: faults, forced re-optimizations and observe-only
-        // mode all change what the sample observations would mean.
-        let mut sample_done = !(self.config.sample_vet
-            && self.config.enabled
-            && !self.config.observe_only
-            && self.config.faults.is_none()
-            && self.config.force_reopt_at.is_none());
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
         // dirtied.
@@ -363,48 +353,25 @@ impl PopExecutor {
             let signatures = self.collect_signatures(spec, &plan, params);
             // Install the continuous suboptimality monitors for this
             // step's plan (the always-on safety net on edges no CHECK
-            // guards). A pending sample vet scales a copy of the same set,
-            // so it is built even when continuous monitoring is off.
-            let monitored = self.config.monitor && self.config.enabled;
-            let monitors = (monitored || !sample_done).then(|| {
-                let mut set = MonitorSet::default();
-                collect_monitor_specs(
-                    &plan,
-                    &vetting.intervals,
-                    &signatures,
-                    &mut 0,
-                    false,
-                    &mut Vec::new(),
-                    &mut set,
-                );
-                Arc::new(set)
-            });
-            ctx.monitors = monitors.clone().filter(|set| monitored && !set.is_empty());
+            // guards) — none on a step where they could not fire.
+            let monitored = self.config.monitor && self.config.enabled && ctx.monitors_armed();
+            ctx.monitors = monitored
+                .then(|| {
+                    let mut set = MonitorSet::default();
+                    collect_monitor_specs(
+                        &plan,
+                        &vetting.intervals,
+                        &signatures,
+                        &mut 0,
+                        false,
+                        &mut Vec::new(),
+                        &mut set,
+                    );
+                    set
+                })
+                .filter(|set| !set.is_empty())
+                .map(Arc::new);
             let monitors_installed = ctx.monitors.as_ref().map_or(0, |m| m.len());
-            // Sampling pre-validation (vet-then-run): a first plan whose
-            // robustness certificate carries uncovered risk is executed
-            // over a deterministic sample of its driving table first; if
-            // a scaled observation escapes its validity range, the scaled
-            // facts feed back and the plan is rebuilt *before* the full
-            // run (the replan does not count against `max_reopts`).
-            if !sample_done {
-                sample_done = true;
-                if let Some(sv) = self.sample_vet_plan(
-                    spec,
-                    &plan,
-                    vetting.certificate.as_ref(),
-                    monitors.as_deref().unwrap_or(&MonitorSet::default()),
-                    &signatures,
-                    ctx,
-                    feedback,
-                )? {
-                    let replanned = sv.replanned;
-                    report.sample_vet = Some(sv);
-                    if replanned {
-                        continue;
-                    }
-                }
-            }
             let mut mvs_used = 0usize;
             plan.visit(&mut |n| {
                 if matches!(n, PhysNode::MvScan { .. }) {
@@ -649,157 +616,6 @@ impl PopExecutor {
         })
     }
 
-    /// Sampling pre-validation of a risky plan (vet-then-run): execute the
-    /// plan over a deterministic stride sample of its
-    /// driving table, scale the observed cardinalities back up, and treat
-    /// them as early CHECK observations — feeding them back and requesting
-    /// a replan when one escapes its validity range.
-    ///
-    /// Only plans whose robustness certificate leaves risk uncovered are
-    /// vetted; clean plans run directly. Plans with side effects (INSERT)
-    /// are never sampled (exactly-once application), and tables smaller
-    /// than the sample target are not worth vetting (stride < 2).
-    ///
-    /// The sample runs with checks *disabled* (a sample's absolute counts
-    /// would violate lower bounds spuriously) but with `monitors`, the
-    /// step's monitor set, its trip bounds scaled down by the sampling
-    /// factor, so a runaway join fires early even inside the sample. The
-    /// stride is deterministic, so the vet decision and its observations
-    /// are too.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_vet_plan(
-        &self,
-        spec: &QuerySpec,
-        plan: &PhysNode,
-        certificate: Option<&pop_planlint::RobustnessCertificate>,
-        monitors: &MonitorSet,
-        signatures: &Signatures,
-        ctx: &mut ExecCtx,
-        feedback: &FeedbackCache,
-    ) -> PopResult<Option<SampleVet>> {
-        /// Minimum scaled-down monitor trip bound during a sample run.
-        const SAMPLE_TRIP_FLOOR: u64 = 8;
-        let Some(cert) = certificate else {
-            return Ok(None);
-        };
-        if cert.uncovered.is_empty() && cert.residual_risk <= pop_planlint::RISK_THRESHOLD {
-            return Ok(None);
-        }
-        let mut has_insert = false;
-        plan.visit(&mut |n| has_insert |= matches!(n, PhysNode::Insert { .. }));
-        if has_insert {
-            return Ok(None);
-        }
-        let Some(driving) = driving_sample_table(plan, &self.stats) else {
-            return Ok(None);
-        };
-        let rows = self.stats.get(&driving).map_or(0, |s| s.row_count);
-        let stride = sample_stride(rows, DEFAULT_SAMPLE_ROWS);
-        if stride < 2 {
-            return Ok(None);
-        }
-        // How many scans of the driving table feed the subplan behind a
-        // signature — each one scales its observed count by the stride.
-        let occurrences = |mask: u64| -> u32 {
-            #[allow(clippy::cast_possible_truncation)]
-            let k = (0..spec.tables.len())
-                .filter(|q| mask & (1u64 << q) != 0 && spec.tables[*q].table == driving)
-                .count() as u32;
-            k
-        };
-        let sig_mask: HashMap<&String, u64> =
-            signatures.iter().map(|(m, s)| (&s.signature, *m)).collect();
-        // The sample's own monitors: the full run's envelope-derived
-        // trips, scaled down by the sampling factor of each subplan (the
-        // vet relies on them to catch a runaway join inside the sample).
-        let mut monitors = monitors.clone();
-        for ms in monitors.specs.values_mut() {
-            let Some(mask) = sig_mask.get(&ms.signature) else {
-                continue;
-            };
-            let k = occurrences(*mask);
-            if k > 0 {
-                ms.trip = ms
-                    .trip
-                    .div_ceil(stride.saturating_pow(k))
-                    .max(SAMPLE_TRIP_FLOOR);
-            }
-        }
-        let sample_monitors = (!monitors.is_empty()).then(|| Arc::new(monitors));
-        // Run the plan in sampling mode: checks count but never raise,
-        // the scaled monitors stay armed, and the driving table's scans
-        // read every `stride`-th row.
-        let stash_checks = ctx.checks_enabled;
-        let stash_monitors = std::mem::replace(&mut ctx.monitors, sample_monitors);
-        ctx.checks_enabled = false;
-        ctx.sample = Some(SampleSpec {
-            table: driving.clone(),
-            stride: usize::try_from(stride).unwrap_or(usize::MAX),
-        });
-        let outcome = execute(plan, ctx, signatures);
-        ctx.checks_enabled = stash_checks;
-        ctx.monitors = stash_monitors;
-        ctx.sample = None;
-        let _outcome = outcome?;
-        // Sample intermediates are partial data: never promote them.
-        ctx.harvests.clear();
-        // Harvest the observations: every check that drained records an
-        // exact sampled count at EOF; a fired monitor contributes its
-        // tripping count. Scale each by the stride once per driving-table
-        // occurrence. Scaled (k > 0) counts are estimates, so only their
-        // *upper* escapes condemn the plan — a sample missing the rows of
-        // a selective predicate must not fake a lower-bound violation.
-        let mut observations: Vec<(String, u64, bool)> = Vec::new();
-        let mut facts: Vec<(String, CardFact)> = Vec::new();
-        let mut replanned = false;
-        for ev in &ctx.check_events {
-            let pop_exec::ObservedCard::Exact(n) = ev.observed else {
-                continue;
-            };
-            let Some(mask) = sig_mask.get(&ev.signature) else {
-                continue;
-            };
-            let k = occurrences(*mask);
-            let scaled = scale_observation(n, stride, k);
-            #[allow(clippy::cast_precision_loss)]
-            let outside = if k == 0 {
-                !ev.range.contains(scaled as f64)
-            } else {
-                scaled as f64 > ev.range.hi
-            };
-            replanned |= outside;
-            observations.push((ev.signature.clone(), scaled, outside));
-            let fact = if k == 0 {
-                CardFact::Exact(scaled as f64)
-            } else {
-                CardFact::AtLeast(scaled as f64)
-            };
-            facts.push((ev.signature.clone(), fact));
-        }
-        for sig in &ctx.monitor_signals {
-            let k = sig_mask.get(&sig.signature).map_or(0, |m| occurrences(*m));
-            let scaled = scale_observation(sig.observed, stride, k);
-            replanned = true;
-            observations.push((sig.signature.clone(), scaled, true));
-            #[allow(clippy::cast_precision_loss)]
-            facts.push((sig.signature.clone(), CardFact::AtLeast(scaled as f64)));
-        }
-        if replanned {
-            // Feed the scaled facts back only when they change the plan's
-            // fate: a confirmed plan runs under its original estimates.
-            for (sig, fact) in facts {
-                feedback.record(sig, fact);
-            }
-        }
-        Ok(Some(SampleVet {
-            table: driving,
-            sample_rows: rows.div_ceil(stride),
-            scale: stride,
-            observations,
-            replanned,
-        }))
-    }
-
     /// Column count of every query table (`0` for a table the catalog
     /// does not know; planning has already rejected such a spec).
     fn col_counts(&self, spec: &QuerySpec) -> Vec<usize> {
@@ -971,35 +787,6 @@ fn collect_monitor_specs(
         collect_monitor_specs(child, intervals, signatures, idx, child_counted, path, set);
         path.pop();
     }
-}
-
-/// The table the sampling pre-validation strides over: the largest base
-/// table the plan reads through plain sequential scans *only*. A table
-/// also reached through an index (range scan or NLJN inner probe) cannot
-/// be sampled coherently — index reads bypass the stride — so such tables
-/// are disqualified. `None` when no table qualifies.
-fn driving_sample_table(plan: &PhysNode, stats: &StatsRegistry) -> Option<String> {
-    let mut scanned: Vec<String> = Vec::new();
-    let mut unsampled: std::collections::HashSet<String> = std::collections::HashSet::new();
-    plan.visit(&mut |n| match n {
-        PhysNode::TableScan { table, .. } => scanned.push(table.clone()),
-        PhysNode::IndexRangeScan { table, .. } => {
-            unsampled.insert(table.clone());
-        }
-        PhysNode::Nljn { inner, .. } => {
-            unsampled.insert(inner.table.clone());
-        }
-        PhysNode::MvScan { mv_name, .. } => {
-            unsampled.insert(mv_name.clone());
-        }
-        _ => {}
-    });
-    scanned
-        .into_iter()
-        .filter(|t| !unsampled.contains(t))
-        .filter_map(|t| stats.get(&t).ok().map(|s| (s.row_count, t)))
-        .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
-        .map(|(_, t)| t)
 }
 
 /// Re-key every CHECK / BUFCHECK signature of a cached plan for the
@@ -1208,6 +995,9 @@ mod tests {
         // so the plan should not change shape.
         let shapes: Vec<&String> = res.report.steps.iter().map(|s| &s.shape).collect();
         assert_eq!(shapes.len(), 2);
+        // Under a forced re-optimization every other guard only observes:
+        // no step carries monitors that could not fire.
+        assert!(res.report.steps.iter().all(|s| s.monitors_installed == 0));
     }
 
     #[test]
@@ -1222,6 +1012,12 @@ mod tests {
         let res = exec.run(&q, &Params::none()).unwrap();
         assert_eq!(res.rows.len(), CORRELATED_ROWS);
         assert!(res.report.reopt_count <= 1);
+        // The last step runs with checks disabled, where no monitor could
+        // fire: none is installed, though the plan has unguarded edges.
+        assert!(res.report.budget_exhausted);
+        let last = res.report.steps.last().unwrap();
+        assert!(last.violation.is_none());
+        assert_eq!(last.monitors_installed, 0, "{}", res.report.summary());
     }
 
     #[test]

@@ -84,27 +84,6 @@ impl StepReport {
     }
 }
 
-/// Outcome of the sampling pre-validation of a risky plan: the plan was
-/// executed over a deterministic sample of its driving table before the
-/// full run, and the scaled observations were fed back as early CHECK
-/// observations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleVet {
-    /// The driving table the sample was drawn from.
-    pub table: String,
-    /// Rows of the driving table the sample actually visited.
-    pub sample_rows: u64,
-    /// Scale factor from sample to full table (the sampling stride).
-    pub scale: u64,
-    /// Scaled cardinality observations harvested from the sample run
-    /// (subplan signature, scaled rows, whether the observation fell
-    /// outside the plan's validity range at that point).
-    pub observations: Vec<(String, u64, bool)>,
-    /// True when at least one scaled observation fell outside its
-    /// validity range and the driver re-optimized before the full run.
-    pub replanned: bool,
-}
-
 /// Full report of a POP query execution.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -130,12 +109,11 @@ pub struct RunReport {
     /// outside vetted range`). `None` when the plan cache is disabled or
     /// was not consulted (faults, forced re-optimization, observe-only).
     pub plan_cache: Option<String>,
-    /// Sampling pre-validation outcome: `Some` when the first plan's
-    /// robustness certificate flagged uncovered risk and the driver ran
-    /// the plan over a sample of its driving table before committing.
-    /// `None` when vetting is disabled, the plan's certificate is clean,
-    /// or the plan shape does not admit sampling (side effects).
-    pub sample_vet: Option<SampleVet>,
+    /// Always `None`: the driver pre-validates no plan over a sample, so
+    /// the type admits no other value. The field exists only so the
+    /// end-to-end benchmark harness, which still reads it, keeps
+    /// compiling.
+    pub sample_vet: Option<std::convert::Infallible>,
     /// Feedback lookups answered by this query's own overlay (facts
     /// recorded by checks during this very run).
     pub feedback_overlay_hits: u64,
@@ -188,21 +166,6 @@ impl RunReport {
         }
         if let Some(pc) = &self.plan_cache {
             let _ = writeln!(out, "plan cache: {pc}");
-        }
-        if let Some(sv) = &self.sample_vet {
-            let _ = writeln!(
-                out,
-                "sample vet: {} row(s) of {} at stride {}, {} observation(s){}",
-                sv.sample_rows,
-                sv.table,
-                sv.scale,
-                sv.observations.len(),
-                if sv.replanned {
-                    ", re-optimized before the full run"
-                } else {
-                    ", plan confirmed"
-                }
-            );
         }
         if self.feedback_overlay_hits + self.feedback_base_hits > 0 {
             let _ = writeln!(

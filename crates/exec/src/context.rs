@@ -169,20 +169,6 @@ pub struct ExecCtx {
     /// still stale must not re-trip on the same subplan and loop. Survives
     /// `begin_run`, like the compensation state.
     pub monitor_fired: HashSet<String>,
-    /// When set, scans over the named table read only a deterministic
-    /// stride sample of their rows — the sampling pre-validation mode of
-    /// the driver's vet-then-run protocol.
-    pub sample: Option<SampleSpec>,
-}
-
-/// Deterministic stride sample over one base table: keep every
-/// `stride`-th row of the serial scan order, starting at row 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleSpec {
-    /// Base table whose scans are sampled.
-    pub table: String,
-    /// Keep rows whose scan position is `0 (mod stride)`.
-    pub stride: usize,
 }
 
 impl ExecCtx {
@@ -208,7 +194,6 @@ impl ExecCtx {
             monitors: None,
             monitor_signals: Vec::new(),
             monitor_fired: HashSet::new(),
-            sample: None,
         }
     }
 
@@ -219,6 +204,14 @@ impl ExecCtx {
         self.harvests.clear();
         self.check_events.clear();
         self.monitor_signals.clear();
+    }
+
+    /// Can a suboptimality monitor raise in this run? Not with checks
+    /// disabled (the run must complete) nor under a forced
+    /// re-optimization (every other guard only observes, Figure 12). The
+    /// driver installs no monitors on a run where this is false.
+    pub fn monitors_armed(&self) -> bool {
+        self.checks_enabled && self.force_reopt_at.is_none()
     }
 
     /// Charge work units.

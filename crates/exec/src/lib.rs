@@ -37,7 +37,7 @@ mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use build::{build_monitored, build_operator, Signatures, Subplan};
-pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest, SampleSpec};
+pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest};
 pub use executor::{execute, RunOutcome};
 pub use operators::{MonitorSet, MonitorSpec, Operator, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

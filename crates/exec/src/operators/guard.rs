@@ -87,16 +87,13 @@ impl Guard {
     /// May this guard raise right now? When a dummy re-optimization is
     /// forced at one checkpoint, every *other* guard observes without
     /// raising, so the measured cost is pure re-optimization overhead
-    /// (Figure 12). Sample-vet runs disable checks (a sample's absolute
-    /// counts would violate lower bounds spuriously) but rely on their own
-    /// scaled-trip monitors, so a sampling context keeps monitors armed; a
-    /// monitor whose signature already fired in this query stays quiet so
-    /// a re-optimized plan with a still-stale envelope cannot loop.
+    /// (Figure 12). A monitor is armed when [`ExecCtx::monitors_armed`]
+    /// says so, and a monitor whose signature already fired in this query
+    /// stays quiet so a re-optimized plan with a still-stale envelope
+    /// cannot loop.
     fn armed(&self, ctx: &ExecCtx) -> bool {
         if self.monitor.is_some() {
-            (ctx.checks_enabled || ctx.sample.is_some())
-                && ctx.force_reopt_at.is_none()
-                && !ctx.monitor_fired.contains(&self.spec.signature)
+            ctx.monitors_armed() && !ctx.monitor_fired.contains(&self.spec.signature)
         } else {
             ctx.checks_enabled && ctx.force_reopt_at.is_none_or(|id| id == self.spec.id)
         }
@@ -463,7 +460,6 @@ crate::operators::opaque_debug!(GuardOp);
 mod tests {
     use super::*;
     use crate::operators::TempOp;
-    use crate::SampleSpec;
     use pop_plan::CostModel;
     use pop_storage::Catalog;
     use pop_types::{Rid, Value};
@@ -656,15 +652,6 @@ mod tests {
             case("monitor silent at its bound", Monitor { trip: all }, Stream),
             case("monitor disarmed: checks off", Monitor { trip: 10 }, Stream)
                 .arrange(|c| c.checks_enabled = false),
-            case("monitor armed while sampling", Monitor { trip: 10 }, Stream)
-                .arrange(|c| {
-                    c.checks_enabled = false;
-                    c.sample = Some(SampleSpec {
-                        table: "t".into(),
-                        stride: 2,
-                    });
-                })
-                .raises(AtLeast(11), 10),
             case(
                 "monitor disarmed: already fired",
                 Monitor { trip: 10 },

@@ -21,9 +21,6 @@ pub struct TableScanOp {
     pred: Option<BoundExpr>,
     /// Table columns copied into the output, in layout order.
     cols: Vec<usize>,
-    /// Active stride sampling (from [`ExecCtx::sample`], bound at `open`):
-    /// read only rows at positions `0 (mod stride)`.
-    sample_stride: Option<usize>,
     cursor: Option<TableCursor>,
     /// Selection-vector scratch, reused across chunks.
     sel: Vec<u32>,
@@ -37,7 +34,6 @@ impl TableScanOp {
             cols: (0..table.schema().len()).collect(),
             table,
             pred,
-            sample_stride: None,
             cursor: None,
             sel: Vec::new(),
         }
@@ -64,11 +60,7 @@ pub(crate) fn read_set(cols: &[usize], pred: Option<&BoundExpr>) -> Vec<usize> {
 }
 
 impl Operator for TableScanOp {
-    fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        self.sample_stride = match ctx.sample.as_ref() {
-            Some(s) if s.table == self.table.name() => Some(s.stride.max(1)),
-            _ => None,
-        };
+    fn open(&mut self, _ctx: &mut ExecCtx) -> OpResult<()> {
         let cursor = self.table.cursor(0, self.table.row_count() as u64)?;
         self.cursor = Some(cursor.project(read_set(&self.cols, self.pred.as_ref())));
         Ok(())
@@ -81,41 +73,6 @@ impl Operator for TableScanOp {
             .as_mut()
             .ok_or_else(|| super::protocol_err("table scan next_batch() before open()"))?;
         let table = self.table.id();
-        if let Some(stride) = self.sample_stride {
-            // Stride sample: fetch (and charge for) only every stride-th
-            // row, row-at-a-time — the sample run's modeled work scales
-            // with the sample, not the table.
-            loop {
-                let mut out = RowBatch::with_capacity(ctx.batch_size.max(1));
-                let mut fetched = 0u64;
-                let mut pages = 0u64;
-                while cursor.remaining() > 0 && out.len() < ctx.batch_size.max(1) {
-                    let p = cursor.position();
-                    let Some(chunk) = cursor.next_chunk(1)? else {
-                        break;
-                    };
-                    fetched += 1;
-                    pages += chunk.new_pages;
-                    self.sel.clear();
-                    self.sel.push(chunk.rows.start as u32);
-                    if let Some(pr) = &self.pred {
-                        pr.filter_batch(chunk.cols, &ctx.params, &mut self.sel)?;
-                    }
-                    let rids = self.sel.iter().map(|_| [Rid::new(table, p)]);
-                    let pick = self.sel.iter().map(|i| *i as usize);
-                    out.extend_columns(chunk.cols, &self.cols, pick, rids);
-                    cursor.seek(p + stride as u64);
-                }
-                ctx.charge(fetched as f64 * ctx.model.seq_row + pages as f64 * ctx.model.page_io);
-                ctx.rows_scanned += fetched;
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
-                if cursor.remaining() == 0 {
-                    return Ok(None);
-                }
-            }
-        }
         while let Some(chunk) = cursor.next_chunk(ctx.batch_size)? {
             let n = chunk.rows.len();
             ctx.charge(n as f64 * ctx.model.seq_row + chunk.new_pages as f64 * ctx.model.page_io);
@@ -411,22 +368,6 @@ mod tests {
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[7], vec![Rid::new(t.id(), 7)]);
-    }
-
-    #[test]
-    fn stride_sample_reads_every_kth_row() {
-        let (mut ctx, t) = ctx_and_table();
-        ctx.sample = Some(crate::SampleSpec {
-            table: "t".into(),
-            stride: 3,
-        });
-        let mut op = TableScanOp::new(t.clone(), None);
-        let rows = drain(&mut op, &mut ctx);
-        assert_eq!(rows.len(), 4); // positions 0, 3, 6, 9
-        assert_eq!(rows[1].1, vec![Rid::new(t.id(), 3)]);
-        assert_eq!(ctx.rows_scanned, 4);
-        // Only the sampled rows are charged.
-        assert_eq!(ctx.work, 4.0 * ctx.model.seq_row);
     }
 
     #[test]

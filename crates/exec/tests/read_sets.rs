@@ -6,7 +6,7 @@
 //! would see NULLs on pages and diverge.
 
 use pop_exec::operators::{IndexRangeScanOp, NljnOp, SemiProbeOp, TableScanOp};
-use pop_exec::{ExecCtx, Operator, SampleSpec};
+use pop_exec::{ExecCtx, Operator};
 use pop_expr::{BoundExpr, Expr, Params};
 use pop_plan::CostModel;
 use pop_storage::{Catalog, IndexKind, StorageConfig, Table};
@@ -117,12 +117,7 @@ fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Row> {
 
 /// Run `plan` on both backends at several batch sizes; rows and charged
 /// work must agree with each other and the rows with `expect`.
-fn check(
-    name: &str,
-    expect: &[Row],
-    sample: Option<usize>,
-    plan: impl Fn(&Fixture) -> Box<dyn Operator>,
-) {
+fn check(name: &str, expect: &[Row], plan: impl Fn(&Fixture) -> Box<dyn Operator>) {
     assert!(!expect.is_empty(), "{name}: the case must select something");
     for batch_size in [1, 7, 64, 1024] {
         let mut works = Vec::new();
@@ -130,10 +125,6 @@ fn check(
         assert!(!fixtures[0].t.is_paged() && fixtures[1].t.is_paged());
         for mut f in fixtures {
             f.ctx.batch_size = batch_size;
-            f.ctx.sample = sample.map(|stride| SampleSpec {
-                table: "t".into(),
-                stride,
-            });
             let rows = drain(plan(&f).as_mut(), &mut f.ctx);
             let backend = if f.t.is_paged() { "paged" } else { "mem" };
             assert_eq!(rows, expect, "{name} @ {batch_size} on {backend}");
@@ -162,24 +153,10 @@ fn scan_out(k: i64) -> Row {
 #[test]
 fn table_scan_filters_on_columns_it_does_not_emit() {
     let expect: Vec<Row> = (0..N).filter(|&k| scan_keeps(k)).map(scan_out).collect();
-    check("scan", &expect, None, |f| {
+    check("scan", &expect, |f| {
         Box::new(
             TableScanOp::new(f.t.clone(), Some(bind(&scan_pred(), &f.t))).with_columns(vec![0, 3]),
         )
-    });
-}
-
-#[test]
-fn stride_sampled_scan_filters_on_columns_it_does_not_emit() {
-    // grp = 3 alone: one row in seven, sampled every third position.
-    let expect: Vec<Row> = (0..N)
-        .step_by(3)
-        .filter(|k| k % 7 == 3)
-        .map(scan_out)
-        .collect();
-    check("sampled scan", &expect, Some(3), |f| {
-        let pred = bind(&Expr::col(0, 1).eq(Expr::lit(3i64)), &f.t);
-        Box::new(TableScanOp::new(f.t.clone(), Some(pred)).with_columns(vec![0, 3]))
     });
 }
 
@@ -190,7 +167,7 @@ fn index_range_scan_applies_its_residual_to_a_column_it_does_not_emit() {
         .filter(|k| k % 11 != 0 && k % 3 == 0)
         .map(|k| vec![Value::str(format!("n{}", k % 13))])
         .collect();
-    check("index range scan", &expect, None, |f| {
+    check("index range scan", &expect, |f| {
         let index = f.ctx.catalog.find_index(f.t.id(), 0, true).unwrap();
         let residual = bind(&Expr::col(0, 4).eq(Expr::lit(true)), &f.t);
         Box::new(
@@ -221,7 +198,7 @@ fn nljn_reads_predicate_and_residual_columns_it_does_not_emit() {
             ]
         })
         .collect();
-    check("nljn", &expect, None, |f| {
+    check("nljn", &expect, |f| {
         let outer = Box::new(TableScanOp::new(f.t.clone(), None).with_columns(vec![0, 1]));
         let index = f.ctx.catalog.find_index(f.u.id(), 0, false).unwrap();
         let inner_pred = bind(&Expr::col(0, 2).like("a%"), &f.u);
@@ -247,25 +224,20 @@ fn semi_probe_reads_only_its_predicate_columns() {
             .filter(|&k| exists(k) != negated)
             .map(|k| vec![Value::Int(k)])
             .collect();
-        check(
-            &format!("semi probe negated={negated}"),
-            &expect,
-            None,
-            |f| {
-                let input = Box::new(TableScanOp::new(f.t.clone(), None).with_columns(vec![0]));
-                let index = f.ctx.catalog.find_index(f.u.id(), 0, false).unwrap();
-                let pred = Expr::col(0, 1)
-                    .gt(Expr::lit(4i64))
-                    .and(Expr::col(0, 2).eq(Expr::lit("b-tag")));
-                Box::new(SemiProbeOp::new(
-                    input,
-                    0,
-                    f.u.clone(),
-                    index,
-                    Some(bind(&pred, &f.u)),
-                    negated,
-                ))
-            },
-        );
+        check(&format!("semi probe negated={negated}"), &expect, |f| {
+            let input = Box::new(TableScanOp::new(f.t.clone(), None).with_columns(vec![0]));
+            let index = f.ctx.catalog.find_index(f.u.id(), 0, false).unwrap();
+            let pred = Expr::col(0, 1)
+                .gt(Expr::lit(4i64))
+                .and(Expr::col(0, 2).eq(Expr::lit("b-tag")));
+            Box::new(SemiProbeOp::new(
+                input,
+                0,
+                f.u.clone(),
+                index,
+                Some(bind(&pred, &f.u)),
+                negated,
+            ))
+        });
     }
 }

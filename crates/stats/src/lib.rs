@@ -14,12 +14,10 @@
 
 mod histogram;
 mod registry;
-mod sampling;
 mod selectivity;
 mod table_stats;
 
 pub use histogram::EquiDepthHistogram;
 pub use registry::StatsRegistry;
-pub use sampling::{sample_stride, scale_observation};
 pub use selectivity::{estimate_selectivity, join_selectivity, SelectivityDefaults};
 pub use table_stats::{analyze_table, ColumnStats, TableStats, HISTOGRAM_BUCKETS};

@@ -86,22 +86,6 @@ impl TableCursor {
         self
     }
 
-    /// Next position the cursor will read (for stride/sample callers that
-    /// steer the cursor themselves).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Move the cursor to `pos` (clamped to the range end).
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos.min(self.end);
-    }
-
-    /// Rows remaining.
-    pub fn remaining(&self) -> u64 {
-        self.end - self.pos
-    }
-
     /// The next chunk of at most `max` rows (`max` of 0 is treated as 1),
     /// or `None` at the end of the range.
     pub fn next_chunk(&mut self, max: usize) -> PopResult<Option<CursorChunk<'_>>> {

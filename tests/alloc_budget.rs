@@ -199,8 +199,8 @@ fn a_generous_budget_allocates_exactly_what_no_budget_does() {
     }
 }
 
-/// Monitors on and off over a plan without CHECKs (`FlavorSet::none()`,
-/// sampling vet off), so with them on every eligible node is monitored:
+/// Monitors on and off over a plan without CHECKs (`FlavorSet::none()`),
+/// so with them on every eligible node is monitored:
 /// what they add to a run is per plan, so it is the same at batch sizes
 /// 1024 and 64 — where `lineitem_sel` runs about 16 times the batches.
 #[test]
@@ -209,7 +209,6 @@ fn monitors_allocate_per_plan_not_per_batch() {
     let executor = |monitor, batch_size| {
         let mut cfg = PopConfig {
             monitor,
-            sample_vet: false,
             batch_size,
             ..config()
         };

@@ -354,7 +354,6 @@ fn drifting_stats_monitor_flags_drift_and_reopts_early() {
                 at: 0,
             },
         ])),
-        sample_vet: false,
         ..PopConfig::default()
     };
     config.optimizer.flavors = FlavorSet::none();

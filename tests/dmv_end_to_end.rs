@@ -80,7 +80,6 @@ fn correlated_markers_pin_monitor_triggered_recovery() {
     let no_check = || {
         let mut cfg = PopConfig::default();
         cfg.optimizer.flavors = FlavorSet::none();
-        cfg.sample_vet = false;
         cfg
     };
     let q = correlated_marker_query();

@@ -1,22 +1,18 @@
-//! Acceptance scenario for the continuous suboptimality monitors and the
-//! sampling pre-validation of risky plans.
+//! Acceptance scenario for the continuous suboptimality monitors, the one
+//! runtime safety net on edges no CHECK guards.
 //!
 //! A DMV-style predicate over four perfectly correlated columns is
 //! misestimated by **six orders of magnitude** (est `100 000 / 100⁴ =
 //! 0.001`, actual ≈ 1000), and the checkpoint flavors are disabled so
 //! there is **no CHECK between the bad edge and the root** — the planned
 //! safety net of the paper is absent by construction. The misestimate
-//! must still be caught:
+//! must still be caught by a **continuous suboptimality monitor** during
+//! the run, escalated exactly like a CHECK violation.
 //!
-//! * by the **sampling pre-validation**, whose scaled-trip monitors fire
-//!   a few rows into the sample and re-optimize before the full run, or
-//! * by a **continuous suboptimality monitor** during the full run,
-//!   escalated exactly like a CHECK violation.
-//!
-//! The final test pins the counterfactual: with `POP_MONITOR=off` and
-//! `POP_SAMPLE_VET=off` (here via the config fields, to avoid env races)
-//! the lie sails through undetected — every protective assertion of the
-//! other tests fails in that configuration.
+//! The final test pins the counterfactual: with `POP_MONITOR=off` (here
+//! via the config field, to avoid env races) the lie sails through
+//! undetected — every protective assertion of the other tests fails in
+//! that configuration.
 
 use pop::{FlavorSet, PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
@@ -27,9 +23,7 @@ use pop_types::{DataType, Schema, Value};
 const VEHICLES: i64 = 100_000;
 const OWNERS: i64 = 500;
 
-/// splitmix64 finalizer: decorrelates row position from column value, so
-/// the deterministic stride sample sees an unbiased slice of every group
-/// (a group laid out periodically could alias with the sampling stride).
+/// splitmix64 finalizer: decorrelates row position from column value.
 fn mix(i: u64) -> u64 {
     let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
@@ -106,51 +100,25 @@ fn correlated_query() -> QuerySpec {
 }
 
 /// POP enabled but with every checkpoint flavor off: no CHECK is placed
-/// anywhere in the plan, so only monitors and the sampling vet stand
-/// between the misestimate and the root.
-fn no_check_config(monitor: bool, sample_vet: bool) -> PopConfig {
+/// anywhere in the plan, so only the monitors stand between the
+/// misestimate and the root.
+fn no_check_config(monitor: bool) -> PopConfig {
     let mut c = PopConfig::default();
     c.optimizer.flavors = FlavorSet::none();
     c.monitor = monitor;
-    c.sample_vet = sample_vet;
     c
 }
 
-fn run(monitor: bool, sample_vet: bool) -> pop::QueryResult {
-    let exec = PopExecutor::new(dmv_style_db(), no_check_config(monitor, sample_vet)).unwrap();
+fn run(monitor: bool) -> pop::QueryResult {
+    let exec = PopExecutor::new(dmv_style_db(), no_check_config(monitor)).unwrap();
     let res = exec.run(&correlated_query(), &Params::none()).unwrap();
     assert_eq!(res.rows.len(), expected_rows(), "wrong answer");
     res
 }
 
 #[test]
-fn sampling_vet_catches_the_misestimate_before_the_full_run() {
-    let res = run(false, true);
-    let sv = res
-        .report
-        .sample_vet
-        .as_ref()
-        .expect("risky no-CHECK plan must be sample-vetted");
-    assert_eq!(sv.table, "vehicles");
-    assert!(sv.scale >= 2, "sample must be a strict subset: {sv:?}");
-    assert!(
-        sv.replanned,
-        "six-orders misestimate must fail the vet: {sv:?}"
-    );
-    assert!(
-        sv.observations.iter().any(|(_, _, outside)| *outside),
-        "no out-of-range observation recorded: {sv:?}"
-    );
-    // The vet replan happens *before* the full run: it consumes no
-    // re-optimization budget and leaves a single executed step.
-    assert_eq!(res.report.reopt_count, 0, "{:#?}", res.report.steps);
-    assert_eq!(res.report.steps.len(), 1);
-}
-
-#[test]
 fn monitor_catches_the_misestimate_during_the_full_run() {
-    let res = run(true, false);
-    assert!(res.report.sample_vet.is_none());
+    let res = run(true);
     assert!(
         res.report.steps[0].monitors_installed > 0,
         "no monitors installed on a no-CHECK plan"
@@ -189,27 +157,25 @@ fn monitor_catches_the_misestimate_during_the_full_run() {
 
 #[test]
 fn defaults_catch_it_one_way_or_the_other() {
-    let res = run(true, true);
-    let vetted = res
-        .report
-        .sample_vet
-        .as_ref()
-        .is_some_and(|sv| sv.replanned);
-    let monitored = res.report.steps.iter().any(|s| !s.monitors.is_empty());
+    // Monitors are on by default and are the only net left: some step
+    // must end in a monitor-flagged violation.
+    let res = run(true);
     assert!(
-        vetted || monitored,
-        "six-orders misestimate escaped both nets: {:#?}",
+        res.report
+            .steps
+            .iter()
+            .any(|s| s.violation.as_ref().is_some_and(|v| v.monitor)),
+        "six-orders misestimate escaped the monitors: {}",
         res.report.summary()
     );
 }
 
 #[test]
-fn with_both_nets_off_the_lie_sails_through() {
+fn with_monitors_off_the_lie_sails_through() {
     // The counterfactual the other tests protect against: this is what
-    // `POP_MONITOR=off POP_SAMPLE_VET=off` degrades to — no vet, no
-    // signal, no re-optimization, the bad plan runs to the bitter end.
-    let res = run(false, false);
-    assert!(res.report.sample_vet.is_none());
+    // `POP_MONITOR=off` degrades to — no signal, no re-optimization, the
+    // bad plan runs to the bitter end.
+    let res = run(false);
     assert_eq!(res.report.reopt_count, 0);
     assert_eq!(res.report.steps.len(), 1);
     assert!(res.report.steps[0].monitors.is_empty());

@@ -103,7 +103,6 @@ fn drifting_stats_without_checks_are_caught_by_the_monitor() {
         let mut cfg = PopConfig::default();
         cfg.optimizer.flavors = FlavorSet::none();
         cfg.monitor = monitor;
-        cfg.sample_vet = false;
         let exec = PopExecutor::with_stats(cat, stats, cfg);
         exec.run(&query(), &Params::none()).unwrap()
     };
