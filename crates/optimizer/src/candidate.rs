@@ -4,9 +4,11 @@
 //! never operator trees, so that is what a [`Candidate`] stores. A join
 //! candidate refers to its inputs by index into the child groups (as a group
 //! entry does in Liu/Ives/Loo's incremental memo) instead of containing
-//! copies of them.
+//! copies of them, and to the alternatives pruning dropped in its favour by
+//! their slot in the split, instead of carrying ranges solved against them:
+//! only the winners extraction turns into a plan ever need those.
 
-use pop_plan::{PhysNode, TableSet, ValidityRange};
+use pop_plan::{PhysNode, TableSet};
 use pop_types::ColId;
 
 /// Parametric description of a candidate's root operator cost, as a
@@ -82,11 +84,16 @@ impl RootCostSpec {
     }
 }
 
+/// How many join candidates one split of a group can build (see
+/// [`Candidate::slot`]); a `u8` mask holds a winner's pruned siblings.
+pub(crate) const SPLIT_SLOTS: usize = 5;
+
 /// A memo entry: a cost record, not a plan. It holds what pruning and the
 /// sensitivity analysis read — the cost *function* of the root operator over
 /// its canonical edges — plus, per edge, which candidate of the child group
-/// feeds it and the validity range pruning has narrowed so far. The operator
-/// tree is built once, for the winner, by `finalize::extract`.
+/// feeds it, and which structurally-equivalent siblings pruning dropped in
+/// its favour. The operator tree, and the validity ranges solved against
+/// those siblings, are built once, for the winner, by `finalize::extract`.
 ///
 /// A join has exactly two canonical edges, so the per-edge fields are
 /// fixed-size arrays and building a join candidate touches no heap; leaves
@@ -109,9 +116,6 @@ pub struct Candidate {
     pub fixed_cost: f64,
     /// Estimated cards of the canonical edges.
     pub edge_cards: [f64; 2],
-    /// Validity range of each canonical edge, narrowed in place by
-    /// [`crate::validity::narrow_on_prune`].
-    pub edge_ranges: [ValidityRange; 2],
     /// Per canonical edge, the index of the chosen candidate in that
     /// side's group (`None` for the NLJN inner, which is probed through
     /// its index rather than planned). A child group is final before any
@@ -122,11 +126,22 @@ pub struct Candidate {
     /// clones no subtree. `None` for joins; boxed so that joins, which are
     /// nearly all of the memo, do not carry a node's size each.
     pub leaf: Option<Box<PhysNode>>,
+    /// Which construction of its split this join is, below
+    /// `SPLIT_SLOTS` (5): 0 / 1 hash join building on canonical edge 0 / 1,
+    /// 2 / 3 nested loops with outer edge 0 / 1, 4 merge join. 0 for
+    /// leaves and MV scans.
+    pub slot: u8,
+    /// Bit `i` set: pruning dropped the sibling in slot `i` of the same
+    /// split — structurally equivalent, the same partition and order — in
+    /// this candidate's favour. Extraction rebuilds exactly those siblings
+    /// and narrows the validity ranges against them
+    /// ([`crate::validity::narrow_on_prune`]).
+    pub pruned: u8,
 }
 
 // A DMV-sized memo holds thousands of these and pruning moves them around:
-// the record stays within three cache lines.
-const _: () = assert!(std::mem::size_of::<Candidate>() <= 192);
+// the record stays within two and a half cache lines.
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 160);
 
 impl Candidate {
     /// Total cost at perturbed edge cards (used by the sensitivity
@@ -155,9 +170,10 @@ mod tests {
             },
             fixed_cost: 0.0,
             edge_cards: [0.0; 2],
-            edge_ranges: [ValidityRange::unbounded(); 2],
             edge_children: [None; 2],
             leaf: None,
+            slot: 0,
+            pruned: 0,
         };
         let m = CostModel::default();
         assert_eq!(c.cost_at(&m, &[]), 100.0);

@@ -1,5 +1,4 @@
-//! Group builders for the dynamic-programming join enumeration, with
-//! pruning-integrated validity range computation.
+//! Group builders for the dynamic-programming join enumeration.
 //!
 //! Classic System-R DP over table subsets (bushy up to
 //! [`crate::OptimizerConfig::bushy_limit`] tables, left-deep beyond),
@@ -12,40 +11,40 @@
 //! masks before anything is allocated, locked or estimated.
 //! At each pruning decision between candidates over the **same partition
 //! and sort order** (= structurally equivalent plans in the paper's sense,
-//! §2.2), [`crate::validity::narrow_on_prune`] narrows the winner's
-//! per-edge validity ranges — so range computation costs only a few extra
-//! cost-function evaluations, exactly as the paper advertises.
+//! §2.2), the winner records the loser's slot in its split
+//! ([`Candidate::pruned`]). Nothing is solved here: the paper's validity
+//! ranges are read only for the joins of the extracted plan, so
+//! `finalize::extract` rebuilds those joins' pruned siblings with
+//! [`split_candidates`] and runs the root search for them alone.
 //!
 //! A join candidate is a cost record that names its inputs by index in the
 //! child groups; nothing here builds or copies an operator that has
 //! children. `finalize::extract` turns the one winning record into a tree.
 
+use crate::candidate::SPLIT_SLOTS;
 use crate::memo::Group;
-use crate::{validity, Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
+use crate::{Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
-use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, TableSet, ValidityRange};
+use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, TableSet};
 use pop_storage::TempMv;
 use pop_types::{ColId, PopResult};
 
 /// Candidate list for a single base relation: sequential scan, index
 /// range scans, the temp MV registered for it (`mv`, if any) — in that
-/// insertion order (pruning decisions, and so validity-range narrowing,
-/// depend on it).
+/// insertion order (pruning decisions depend on it).
 pub(crate) fn build_singleton_group(
     t: usize,
     mv: Option<TempMv>,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
-    stats: &mut MemoStats,
 ) -> PopResult<Vec<Candidate>> {
     let mut list = Vec::new();
-    insert_candidate(&mut list, scan_candidate(t, est, ctx), ctx, stats);
+    insert_candidate(&mut list, scan_candidate(t, est, ctx));
     for cand in index_range_candidates(t, est, ctx)? {
-        insert_candidate(&mut list, cand, ctx, stats);
+        insert_candidate(&mut list, cand);
     }
     if let Some(mv) = mv {
-        let cand = mv_candidate(TableSet::single(t), &mv, est, ctx);
-        insert_candidate(&mut list, cand, ctx, stats);
+        insert_candidate(&mut list, mv_candidate(TableSet::single(t), &mv, est, ctx));
     }
     Ok(list)
 }
@@ -55,8 +54,8 @@ pub(crate) fn build_singleton_group(
 /// registered for it, reading child groups out of the mask-indexed DP
 /// table. Every connected proper subset of `set` must already be final in
 /// `groups`; splits are visited in the join graph's fixed order, so
-/// pruning sequences — and thus narrowed validity ranges — depend only on
-/// the child groups.
+/// pruning sequences — and thus the siblings a winner records — depend only
+/// on the child groups.
 pub(crate) fn build_join_group(
     set: TableSet,
     card: f64,
@@ -69,30 +68,40 @@ pub(crate) fn build_join_group(
     let bushy = est.spec().tables.len() <= ctx.config.bushy_limit;
     let mut list: Vec<Candidate> = Vec::new();
     if let Some(mv) = mv {
-        insert_candidate(&mut list, mv_candidate(set, &mv, est, ctx), ctx, stats);
+        insert_candidate(&mut list, mv_candidate(set, &mv, est, ctx));
     }
     for (s1, s2) in est.graph().splits(set, bushy) {
-        add_partition_candidates(&mut list, s1, s2, card, groups, est, ctx, stats);
+        // A connected side can still be unplannable (say, NLJN only and no
+        // index): such a split has nothing to cost.
+        let Some(siblings) = split_candidates(s1, s2, card, groups, est, ctx) else {
+            continue;
+        };
+        stats.splits_costed += 1;
+        for cand in siblings.into_iter().flatten() {
+            stats.candidates_built += 1;
+            insert_candidate(&mut list, cand);
+        }
     }
     list
 }
 
-/// Generate and insert all join candidates for one split of a group with
-/// cardinality `out_card` into two connected, adjacent sides. A candidate
-/// is a cost record over the partition's two canonical edges that names
-/// its inputs by index; no operator is built here, and nothing is
-/// allocated unless the split has a multi-predicate NLJN.
-#[allow(clippy::too_many_arguments)]
-fn add_partition_candidates(
-    list: &mut Vec<Candidate>,
+/// The join candidates of one split of a group with cardinality
+/// `out_card` into two connected, adjacent sides, indexed by
+/// [`Candidate::slot`] (`None` where a method is off or does not apply), or
+/// `None` when a side has no plan. Each is a cost record over the
+/// partition's two canonical edges that names its inputs by index; no
+/// operator is built and nothing is allocated unless the split has a
+/// multi-predicate NLJN. Enumeration offers them to pruning in slot order;
+/// extraction calls this again, over the same final child groups, to
+/// rebuild the siblings a winner pruned — bit for bit.
+pub(crate) fn split_candidates(
     s1: TableSet,
     s2: TableSet,
     out_card: f64,
     groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
-    stats: &mut MemoStats,
-) {
+) -> Option<[Option<Candidate>; SPLIT_SLOTS]> {
     let spec = est.spec();
     // Canonical edge order: smaller mask first.
     let (a, b) = if s1.mask() < s2.mask() {
@@ -100,54 +109,47 @@ fn add_partition_candidates(
     } else {
         (s2, s1)
     };
-    // A connected side can still be unplannable (say, NLJN only and no
-    // index): such a split has nothing to cost.
-    let (Some(best_a), Some(best_b)) = (cheapest(groups, a), cheapest(groups, b)) else {
-        return;
-    };
-    stats.splits_costed += 1;
+    let (best_a, best_b) = (cheapest(groups, a)?, cheapest(groups, b)?);
     let preds = || est.graph().preds_between(a, b).map(|i| &spec.join_preds[i]);
     let sides = [a, b];
     let best = [best_a, best_b];
     // The child groups were built for exactly these estimates.
     let edge_cards = [a, b].map(|side| groups[side.mask() as usize].card());
-    let mut push = |root_spec: RootCostSpec,
-                    order: Option<ColId>,
-                    inputs: [Option<(usize, &Candidate)>; 2]| {
+    let join = |slot: u8,
+                root_spec: RootCostSpec,
+                order: Option<ColId>,
+                inputs: [Option<(usize, &Candidate)>; 2]| {
         let fixed: f64 = inputs.iter().flatten().map(|(_, c)| c.cost).sum();
         let cost = fixed + crate::cost::root_local_cost(ctx.cost, &root_spec, &edge_cards);
-        stats.candidates_built += 1;
-        insert_candidate(
-            list,
-            Candidate {
-                cost,
-                card: out_card,
-                order,
-                partition: Some((a, b)),
-                root_spec,
-                fixed_cost: fixed,
-                edge_cards,
-                edge_ranges: [ValidityRange::unbounded(); 2],
-                edge_children: inputs.map(|i| i.map(|(idx, _)| idx)),
-                leaf: None,
-            },
-            ctx,
-            stats,
-        );
+        Candidate {
+            cost,
+            card: out_card,
+            order,
+            partition: Some((a, b)),
+            root_spec,
+            fixed_cost: fixed,
+            edge_cards,
+            edge_children: inputs.map(|i| i.map(|(idx, _)| idx)),
+            leaf: None,
+            slot,
+            pruned: 0,
+        }
     };
+    let mut slots: [Option<Candidate>; SPLIT_SLOTS] = Default::default();
 
     // HSJN (both build orientations); the output keeps the probe's order.
     if ctx.config.joins.hsjn {
         for build_edge in [0, 1] {
             let probe_edge = 1 - build_edge;
-            push(
+            slots[build_edge] = Some(join(
+                build_edge as u8,
                 RootCostSpec::Hsjn {
                     build_edge,
                     probe_edge,
                 },
                 best[probe_edge].1.order,
                 best.map(Some),
-            );
+            ));
         }
     }
 
@@ -165,14 +167,15 @@ fn add_partition_candidates(
             };
             let mut inputs = [None, None];
             inputs[outer_edge] = Some(best[outer_edge]);
-            push(
+            slots[2 + outer_edge] = Some(join(
+                2 + outer_edge as u8,
                 RootCostSpec::Nljn {
                     outer_edge,
                     matches_per_probe: est.matches_per_probe(ColId::new(t, probe.join_col)),
                 },
                 best[outer_edge].1.order,
                 inputs,
-            );
+            ));
         }
     }
 
@@ -180,22 +183,23 @@ fn add_partition_candidates(
     // or NLJN with residuals).
     let mut preds = preds();
     if let (Some(pred), None, true) = (preds.next(), preds.next(), ctx.config.joins.mgjn) {
-        let Some((key_a, key_b)) = pred.split(a) else {
-            return;
-        };
-        let (left, sort_left) = pick_for_order(groups, a, key_a, best_a);
-        let (right, sort_right) = pick_for_order(groups, b, key_b, best_b);
-        push(
-            RootCostSpec::Mgjn {
-                left_edge: 0,
-                right_edge: 1,
-                sort_left,
-                sort_right,
-            },
-            Some(key_a),
-            [Some(left), Some(right)],
-        );
+        if let Some((key_a, key_b)) = pred.split(a) {
+            let (left, sort_left) = pick_for_order(groups, a, key_a, best_a);
+            let (right, sort_right) = pick_for_order(groups, b, key_b, best_b);
+            slots[4] = Some(join(
+                4,
+                RootCostSpec::Mgjn {
+                    left_edge: 0,
+                    right_edge: 1,
+                    sort_left,
+                    sort_right,
+                },
+                Some(key_a),
+                [Some(left), Some(right)],
+            ));
+        }
     }
+    Some(slots)
 }
 
 /// How an NLJN probes its inner table.
@@ -280,9 +284,10 @@ fn leaf_candidate(node: PhysNode, root_spec: RootCostSpec) -> Candidate {
         root_spec,
         fixed_cost: 0.0,
         edge_cards: [0.0; 2],
-        edge_ranges: [ValidityRange::unbounded(); 2],
         edge_children: [None; 2],
         leaf: Some(Box::new(node)),
+        slot: 0,
+        pruned: 0,
     }
 }
 
@@ -435,30 +440,23 @@ fn dominates(a: &Candidate, b: &Candidate) -> bool {
 }
 
 /// Are two candidates structurally equivalent (same partition, same
-/// properties)? Only then may pruning narrow validity ranges (§2.2).
+/// properties)? Only then does pruning narrow validity ranges (§2.2).
 fn structurally_equivalent(a: &Candidate, b: &Candidate) -> bool {
     a.partition.is_some() && a.partition == b.partition && a.order == b.order
 }
 
-/// Insert a candidate with dominance pruning and validity-range narrowing.
-fn insert_candidate(
-    list: &mut Vec<Candidate>,
-    mut new: Candidate,
-    ctx: &OptimizerContext<'_>,
-    stats: &mut MemoStats,
-) {
-    let iters = ctx.config.nr_iterations;
-    let margin = |winner: &Candidate| {
-        ctx.config
-            .reopt_gain_margin_abs
-            .max(ctx.config.reopt_gain_margin_frac * winner.cost)
-    };
+/// Insert a candidate with dominance pruning. A winner over a structurally
+/// equivalent loser records the loser's slot, so extraction can narrow the
+/// winner's validity ranges against it. A split visited twice (left-deep
+/// order offers a two-table set's one partition from both sides) builds
+/// each slot twice, identically: narrowing a plan against its own copy
+/// declares nothing, so a winner never records its own slot.
+fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate) {
     // Is the newcomer pruned by an existing candidate?
     for ex in list.iter_mut() {
         if dominates(ex, &new) {
-            if structurally_equivalent(ex, &new) {
-                let m = margin(ex);
-                stats.diff_evals += validity::narrow_on_prune(ex, &new, ctx.cost, iters, m);
+            if structurally_equivalent(ex, &new) && ex.slot != new.slot {
+                ex.pruned |= 1 << new.slot;
             }
             return;
         }
@@ -468,9 +466,8 @@ fn insert_candidate(
     while i < list.len() {
         if dominates(&new, &list[i]) {
             let old = list.remove(i);
-            if structurally_equivalent(&new, &old) {
-                let m = margin(&new);
-                stats.diff_evals += validity::narrow_on_prune(&mut new, &old, ctx.cost, iters, m);
+            if structurally_equivalent(&new, &old) && old.slot != new.slot {
+                new.pruned |= 1 << old.slot;
             }
         } else {
             i += 1;

@@ -6,10 +6,12 @@
 //! across re-optimizations; a fresh one optimizes from scratch). The
 //! POP-specific parts (paper §2):
 //!
-//! * **Validity ranges** ([`validity`]): while pruning a structurally
-//!   equivalent alternative plan, a modified Newton-Raphson root search on
-//!   the cost difference narrows per-edge cardinality bounds outside of
-//!   which the surviving plan is provably suboptimal (Figure 5).
+//! * **Validity ranges** ([`validity`]): against each structurally
+//!   equivalent alternative pruning dropped, a modified Newton-Raphson root
+//!   search on the cost difference narrows per-edge cardinality bounds
+//!   outside of which the surviving plan is provably suboptimal
+//!   (Figure 5). Pruning only records the alternatives; the search runs
+//!   when the plan is extracted, for its joins alone.
 //! * **Cardinality feedback** ([`FeedbackCache`]): actual cardinalities
 //!   observed during a previous execution step override estimates for
 //!   matching subplans.

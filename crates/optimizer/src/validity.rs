@@ -2,9 +2,12 @@
 //!
 //! When dynamic programming prunes a structurally equivalent alternative
 //! `Palt` in favour of `Popt`, we search for the input cardinality at which
-//! their cost functions cross. Child subtree costs are identical constants
-//! on both sides (the plans share their input edges), so the difference
-//! depends only on the root-operator local costs — see
+//! their cost functions cross. Pruning only records *which* alternatives a
+//! candidate beat ([`Candidate::pruned`]); the search runs in
+//! `finalize::extract`, for the joins of the extracted plan alone — the
+//! only candidates whose ranges anything reads. Child subtree costs are
+//! identical constants on both sides (the plans share their input edges),
+//! so the difference depends only on the root-operator local costs — see
 //! [`crate::Candidate::cost_at`].
 //!
 //! The optimizer cost functions are not smooth (spill steps) and not
@@ -15,6 +18,7 @@
 //! (the alternative really is no worse there), keeping the detection
 //! conservative in the paper's sense.
 
+use crate::candidate::SPLIT_SLOTS;
 use crate::{Candidate, CostModel};
 use pop_plan::ValidityRange;
 
@@ -141,13 +145,31 @@ fn bisect_down(diff: &impl Fn(f64) -> f64, mut good: f64, mut bad: f64) -> f64 {
     bad
 }
 
-/// Narrow `winner`'s per-edge validity ranges against a pruned,
-/// structurally-equivalent alternative. Called from the DP prune step;
+/// The most cost differences one crossing search evaluates: one at the
+/// estimate, two per Newton-Raphson step, one per bisection step.
+pub const fn max_evals_per_search(iters: usize) -> usize {
+    1 + 2 * iters + BISECT_ITERS
+}
+
+/// The most cost differences the validity ranges of one extracted join
+/// cost: a split builds at most five candidates, so a winner
+/// pruned at most four siblings, each searched on both edges in both
+/// directions.
+pub const fn max_evals_per_join(iters: usize) -> usize {
+    (SPLIT_SLOTS - 1) * 2 * 2 * max_evals_per_search(iters)
+}
+
+/// Narrow `ranges`, the validity ranges of `winner`'s canonical edges,
+/// against `loser`, a structurally-equivalent alternative pruning dropped
+/// in its favour. Called from extraction, once per recorded sibling;
 /// repeated calls against different alternatives progressively tighten the
-/// ranges (the iterative narrowing of §2.2). Returns the number of cost
+/// ranges (the iterative narrowing of §2.2). An edge without a planned
+/// input (the NLJN inner, probed through its index) has no physical child
+/// to carry a range and is not searched. Returns the number of cost
 /// differences it evaluated.
 pub fn narrow_on_prune(
-    winner: &mut Candidate,
+    ranges: &mut [ValidityRange; 2],
+    winner: &Candidate,
     loser: &Candidate,
     model: &CostModel,
     iters: usize,
@@ -159,7 +181,7 @@ pub fn narrow_on_prune(
     }
     debug_assert_eq!(winner.partition, loser.partition);
     let evals = std::cell::Cell::new(0);
-    for edge in 0..n_edges {
+    for edge in (0..n_edges).filter(|&e| winner.edge_children[e].is_some()) {
         let est = winner.edge_cards[edge];
         // The bound is declared where the alternative wins *by the gain
         // margin*, so a triggered check guarantees re-optimization is
@@ -172,7 +194,7 @@ pub fn narrow_on_prune(
         };
         let hi = find_upper_crossing(diff, est, iters).unwrap_or(f64::INFINITY);
         let lo = find_lower_crossing(diff, est, iters).unwrap_or(0.0);
-        winner.edge_ranges[edge] = winner.edge_ranges[edge].intersect(&ValidityRange::new(lo, hi));
+        ranges[edge] = ranges[edge].intersect(&ValidityRange::new(lo, hi));
     }
     evals.get()
 }
@@ -239,6 +261,25 @@ mod tests {
         assert_eq!(find_upper_crossing(diff, 0.0, 3), None);
         assert_eq!(find_upper_crossing(diff, f64::NAN, 3), None);
         assert_eq!(find_lower_crossing(diff, -5.0, 3), None);
+    }
+
+    #[test]
+    fn the_eval_cap_counts_every_branch_of_the_search() {
+        // A flat difference up to a step that only the last divergence
+        // jump (121 -> 1331) crosses: every step evaluates twice, then
+        // bisection runs to its cap.
+        let evals = std::cell::Cell::new(0);
+        let diff = |c: f64| {
+            evals.set(evals.get() + 1);
+            if c < 1000.0 {
+                1.0
+            } else {
+                -1.0
+            }
+        };
+        assert!(find_upper_crossing(diff, 1.0, 3).is_some());
+        assert_eq!(evals.get(), max_evals_per_search(3));
+        assert_eq!(max_evals_per_join(3), 432);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   the detection stays conservative even on non-smooth cost functions;
 //! * when the alternative is already no worse at the estimate there is no
 //!   range to declare, and both searches report `None`;
-//! * `narrow_on_prune` only ever **shrinks** a candidate's edge ranges
-//!   (intersection semantics), and never narrows an edge past its own
+//! * `narrow_on_prune` only ever **shrinks** the edge ranges it is handed
+//!   (intersection semantics), and never narrows an edge past the winner's
 //!   estimated cardinality.
 
 use pop_optimizer::validity::{find_lower_crossing, find_upper_crossing, narrow_on_prune};
@@ -29,9 +29,10 @@ fn join_candidate(root_spec: RootCostSpec, fixed_cost: f64, edge_cards: [f64; 2]
         root_spec,
         fixed_cost,
         edge_cards,
-        edge_ranges: [ValidityRange::unbounded(); 2],
         edge_children: [Some(0), Some(0)],
         leaf: None,
+        slot: 0,
+        pruned: 0,
     }
 }
 
@@ -131,23 +132,23 @@ proptest! {
     ) {
         let model = CostModel::default();
         let cards = [build_cards.0, build_cards.1];
-        let mut winner = join_candidate(
+        let winner = join_candidate(
             RootCostSpec::Hsjn { build_edge: 0, probe_edge: 1 },
             winner_fixed,
             cards,
         );
-        // Seed the winner with pre-existing (already narrowed) ranges that
-        // still contain the estimates.
-        winner.edge_ranges = [ValidityRange::new(pre_lo, pre_hi); 2];
+        // Start from pre-existing (already narrowed) ranges that still
+        // contain the estimates.
+        let mut ranges = [ValidityRange::new(pre_lo, pre_hi); 2];
         let loser = join_candidate(
             RootCostSpec::Nljn { outer_edge: 0, matches_per_probe },
             loser_fixed,
             cards,
         );
 
-        let before = winner.edge_ranges;
-        narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
-        let after = &winner.edge_ranges;
+        let before = ranges;
+        narrow_on_prune(&mut ranges, &winner, &loser, &model, 10, 0.0);
+        let after = &ranges;
 
         for edge in 0..2 {
             prop_assert!(
@@ -172,20 +173,21 @@ proptest! {
     ) {
         let model = CostModel::default();
         let cards = [cards.0, cards.1];
-        let mut winner = join_candidate(
+        let winner = join_candidate(
             RootCostSpec::Hsjn { build_edge: 0, probe_edge: 1 },
             fixed,
             cards,
         );
-        let mut prev = winner.edge_ranges;
+        let mut ranges = [ValidityRange::unbounded(); 2];
+        let mut prev = ranges;
         for mpp in probes {
             let loser = join_candidate(
                 RootCostSpec::Nljn { outer_edge: 0, matches_per_probe: mpp },
                 fixed,
                 cards,
             );
-            narrow_on_prune(&mut winner, &loser, &model, 10, 0.0);
-            let curr = winner.edge_ranges;
+            narrow_on_prune(&mut ranges, &winner, &loser, &model, 10, 0.0);
+            let curr = ranges;
             for edge in 0..2 {
                 prop_assert!(
                     curr[edge].lo >= prev[edge].lo && curr[edge].hi <= prev[edge].hi,
