@@ -58,7 +58,7 @@ const CHAIN_TABLES: usize = 7;
 const SPEEDUP_FLOOR: f64 = 5.0;
 /// Incremental medians recorded in `results/BENCH_reopt.json` before the
 /// enumerator consulted the join graph (200 rounds, 2-vCPU sandbox; now
-/// about 13 and 55 us). A ratio floor alone would let both sides get slower
+/// about 12 and 33 us). A ratio floor alone would let both sides get slower
 /// together — and a from-scratch pass that sheds waste narrows the ratio
 /// for the right reason — so `--assert` also holds each scenario's
 /// incremental median to these, times [`NOISE_ALLOWANCE`].

@@ -2,8 +2,10 @@
 
 use crate::OptimizerContext;
 use pop_plan::{JoinGraph, LayoutCol, QuerySpec, Signer, TableSet};
-use pop_stats::{estimate_selectivity, join_selectivity};
+use pop_stats::{estimate_selectivity, join_selectivity, SelectivityDefaults, TableStats};
+use pop_storage::Table;
 use pop_types::{ColId, PopResult};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -23,6 +25,11 @@ pub(crate) struct Binding {
     /// One slot per connected set, at [`JoinGraph::rank`].
     sigs: Vec<OnceLock<String>>,
     sigs_built: AtomicUsize,
+    /// `(hash of the signature, mask)` of every connected set, sorted:
+    /// finds the set a feedback fact's signature names. Built, with every
+    /// signature, on the first fact probe.
+    sig_index: OnceLock<Vec<(u64, u64)>>,
+    sig_hasher: RandomState,
 }
 
 impl Binding {
@@ -39,6 +46,8 @@ impl Binding {
                 .collect(),
             graph,
             sigs_built: AtomicUsize::new(0),
+            sig_index: OnceLock::new(),
+            sig_hasher: RandomState::new(),
         })
     }
 
@@ -79,13 +88,7 @@ struct SetFact {
 #[derive(Debug)]
 pub struct CardEstimator {
     binding: Arc<Binding>,
-    raw_cards: Vec<f64>,
-    base_cards: Vec<f64>,
-    col_counts: Vec<usize>,
-    leaf_layouts: Vec<Vec<LayoutCol>>,
-    distincts: Vec<Vec<f64>>,
-    /// Per query table, its indexed columns (ascending).
-    indexed_cols: Vec<Vec<usize>>,
+    inputs: Arc<TableInputs>,
     facts: Vec<SetFact>,
     /// Signatures the binding had built before this estimator.
     sigs_before: usize,
@@ -94,84 +97,67 @@ pub struct CardEstimator {
 impl CardEstimator {
     /// Build the estimator over a binding of its own.
     pub fn new(spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
-        CardEstimator::bound(Arc::new(Binding::new(spec, ctx.params)?), ctx)
+        CardEstimator::bound(Arc::new(Binding::new(spec, ctx.params)?), None, ctx)
     }
 
     /// Build the estimator of one optimization step over a binding that
-    /// outlives it: resolves tables, statistics and indexes, estimates local
-    /// selectivities and resolves feedback signatures to table sets.
-    pub(crate) fn bound(binding: Arc<Binding>, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
+    /// outlives it: reuses `prev`, the table inputs of an earlier step of
+    /// the same binding, while they are still valid and reads them afresh
+    /// otherwise, then resolves feedback signatures to table sets.
+    pub(crate) fn bound(
+        binding: Arc<Binding>,
+        prev: Option<&Arc<TableInputs>>,
+        ctx: &OptimizerContext<'_>,
+    ) -> PopResult<Self> {
         let spec = &binding.spec;
         let sigs_before = binding.sigs_built.load(Ordering::Relaxed);
-        let params = ctx.estimation_params();
-        let n = spec.tables.len();
-        let mut raw_cards = Vec::with_capacity(n);
-        let mut base_cards = Vec::with_capacity(n);
-        let mut col_counts = Vec::with_capacity(n);
-        let mut leaf_layouts = Vec::with_capacity(n);
-        let mut distincts = Vec::with_capacity(n);
-        let mut indexed_cols = Vec::with_capacity(n);
-        for (qidx, tref) in spec.tables.iter().enumerate() {
-            let table = ctx.catalog.table(&tref.table)?;
-            let stats = ctx.stats.get(&tref.table)?;
-            let raw = stats.row_count as f64;
-            let mut sel = 1.0;
-            for pred in spec.local_preds_of(qidx) {
-                sel *= estimate_selectivity(pred, &stats, &ctx.defaults, params);
-            }
-            raw_cards.push(raw);
-            base_cards.push((raw * sel).max(0.0));
-            col_counts.push(table.schema().len());
-            leaf_layouts.push(
-                spec.required_columns(qidx, table.schema().len())
-                    .into_iter()
-                    .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
-                    .collect(),
-            );
-            distincts.push(
-                (0..table.schema().len())
-                    .map(|c| stats.distinct(c))
-                    .collect(),
-            );
-            let mut cols: Vec<usize> = ctx
-                .catalog
-                .indexes(table.id())
-                .iter()
-                .map(|idx| idx.column())
-                .collect();
-            cols.sort_unstable();
-            cols.dedup();
-            indexed_cols.push(cols);
-        }
+        let inputs = match prev {
+            Some(prev) if prev.still_valid(spec, ctx) => prev.clone(),
+            _ => Arc::new(TableInputs::read(spec, ctx)?),
+        };
         let mut est = CardEstimator {
             binding,
-            raw_cards,
-            base_cards,
-            col_counts,
-            leaf_layouts,
-            distincts,
-            indexed_cols,
+            inputs,
             facts: Vec::new(),
             sigs_before,
         };
         // Facts are recorded for subplans that ran, and a subplan's table
         // set is connected: those are the only signatures worth probing.
         if !ctx.feedback.is_empty() {
-            let mut facts = Vec::new();
-            for set in est.graph().connected_sets() {
-                if let Some(fact) = ctx.feedback.get(est.signature(set)) {
+            let graph = est.graph();
+            let found = ctx.feedback.get_all(
+                graph.num_connected(),
+                || graph.connected_sets().map(|set| (set, est.signature(set))),
+                |sig| est.set_signed(sig),
+            );
+            let mut facts: Vec<SetFact> = found
+                .into_iter()
+                .map(|(set, fact)| {
                     let (value, exact) = match fact {
                         crate::CardFact::Exact(v) => (v, true),
                         crate::CardFact::AtLeast(v) => (v, false),
                     };
-                    facts.push(SetFact { set, value, exact });
-                }
-            }
-            // Largest sets first so greedy coverage prefers them.
-            facts.sort_by_key(|f| std::cmp::Reverse(f.set.len()));
+                    SetFact { set, value, exact }
+                })
+                .collect();
+            // Largest sets first so greedy coverage prefers them; among
+            // equals, ascending mask.
+            facts.sort_by_key(|f| (std::cmp::Reverse(f.set.len()), f.set.mask()));
             est.facts = facts;
         }
         Ok(est)
+    }
+
+    /// The table inputs this estimator reads, for the memo to keep.
+    pub(crate) fn table_inputs(&self) -> &Arc<TableInputs> {
+        &self.inputs
+    }
+
+    /// Fingerprint of the statistics-derived inputs (raw and filtered base
+    /// cardinalities, per-column distinct counts): a change forces the
+    /// memo to rebuild rather than trust its per-group snapshots.
+    pub(crate) fn stats_fingerprint(&self) -> u64 {
+        self.inputs.fingerprint
     }
 
     /// The query spec this estimator serves.
@@ -192,40 +178,40 @@ impl CardEstimator {
 
     /// Unfiltered base cardinality of query table `qidx`.
     pub fn raw_card(&self, qidx: usize) -> f64 {
-        self.raw_cards[qidx]
+        self.inputs.raw_cards[qidx]
     }
 
     /// Filtered (post-local-predicate) cardinality of query table `qidx`.
     pub fn base_card(&self, qidx: usize) -> f64 {
-        self.base_cards[qidx]
+        self.inputs.base_cards[qidx]
     }
 
     /// Column counts per query table (for canonical layouts).
     pub fn col_counts(&self) -> &[usize] {
-        &self.col_counts
+        &self.inputs.col_counts
     }
 
     /// Output layout of every leaf over query table `qidx` (scan, index
     /// range scan, NLJN inner suffix): its
     /// [`QuerySpec::required_columns`], ascending.
     pub fn leaf_layout(&self, qidx: usize) -> &[LayoutCol] {
-        &self.leaf_layouts[qidx]
+        &self.inputs.leaf_layouts[qidx]
     }
 
     /// Distinct count of a column.
     pub fn distinct(&self, col: ColId) -> f64 {
-        self.distincts[col.table][col.col]
+        self.inputs.sources[col.table].1.distinct(col.col)
     }
 
     /// Does column `col` of query table `qidx` have an index (of any kind)
     /// an NLJN could probe?
     pub fn is_indexed(&self, qidx: usize, col: usize) -> bool {
-        self.indexed_cols[qidx].contains(&col)
+        self.inputs.indexed_cols[qidx].contains(&col)
     }
 
     /// Average inner rows fetched per NLJN index probe on `inner_col`.
     pub fn matches_per_probe(&self, inner_col: ColId) -> f64 {
-        let raw = self.raw_cards[inner_col.table];
+        let raw = self.inputs.raw_cards[inner_col.table];
         (raw / self.distinct(inner_col)).max(1e-6)
     }
 
@@ -250,6 +236,27 @@ impl CardEstimator {
         })
     }
 
+    /// The connected set whose signature is `sig`, if any. The first call
+    /// builds every connected set's signature.
+    fn set_signed(&self, sig: &str) -> Option<TableSet> {
+        let b = &*self.binding;
+        let index = b.sig_index.get_or_init(|| {
+            let mut index: Vec<(u64, u64)> = b
+                .graph
+                .connected_sets()
+                .map(|set| (b.sig_hasher.hash_one(self.signature(set)), set.mask()))
+                .collect();
+            index.sort_unstable();
+            index
+        });
+        let hash = b.sig_hasher.hash_one(sig);
+        index[index.partition_point(|&(h, _)| h < hash)..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .map(|&(_, mask)| TableSet::from_mask(mask))
+            .find(|&set| self.signature(set) == sig)
+    }
+
     /// Estimated cardinality of the subplan joining exactly `set`.
     pub fn card(&self, set: TableSet) -> f64 {
         // Greedy cover with disjoint exact facts, largest first.
@@ -264,7 +271,7 @@ impl CardEstimator {
             }
         }
         for t in set.minus(covered_union).iter() {
-            result *= self.base_cards[t];
+            result *= self.inputs.base_cards[t];
         }
         for i in self.graph().preds_within(set) {
             let j = &self.spec().join_preds[i];
@@ -273,7 +280,7 @@ impl CardEstimator {
             if covered.iter().any(|c| endpoints.is_subset_of(*c)) {
                 continue;
             }
-            result *= join_selectivity(self.distinct(j.left), self.distinct(j.right));
+            result *= self.inputs.join_sels[i];
         }
         // Exact/lower-bound fact for the whole set takes priority.
         for f in &self.facts {
@@ -287,6 +294,137 @@ impl CardEstimator {
             }
         }
         result.max(0.0)
+    }
+}
+
+/// What the estimator reads from the catalog and the statistics for each
+/// query table, with the objects it read them from. A [`crate::Memo`]
+/// keeps the last one and [`CardEstimator::bound`] reuses it while every
+/// table, its statistics and its indexed columns are the same and the
+/// selectivity inputs are unchanged ([`TableInputs::still_valid`]): a
+/// re-optimization step then re-estimates no local selectivity and
+/// rebuilds no layout.
+#[derive(Debug)]
+pub(crate) struct TableInputs {
+    /// Per query table, the catalog table and the statistics read.
+    sources: Vec<(Arc<Table>, Arc<TableStats>)>,
+    defaults: SelectivityDefaults,
+    /// Parameter values took part in selectivity estimation.
+    used_params: bool,
+    raw_cards: Vec<f64>,
+    base_cards: Vec<f64>,
+    col_counts: Vec<usize>,
+    leaf_layouts: Vec<Vec<LayoutCol>>,
+    /// Per query table, its indexed columns (ascending).
+    indexed_cols: Vec<Vec<usize>>,
+    /// Per join predicate, its selectivity.
+    join_sels: Vec<f64>,
+    /// FNV-1a over the statistics-derived inputs: raw and filtered base
+    /// cardinalities and per-column distinct counts.
+    fingerprint: u64,
+}
+
+impl TableInputs {
+    /// Resolve tables, statistics and indexes of `spec`'s tables and
+    /// estimate their local selectivities.
+    fn read(spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
+        let params = ctx.estimation_params();
+        let n = spec.tables.len();
+        let mut sources = Vec::with_capacity(n);
+        let mut raw_cards = Vec::with_capacity(n);
+        let mut base_cards = Vec::with_capacity(n);
+        let mut col_counts = Vec::with_capacity(n);
+        let mut leaf_layouts = Vec::with_capacity(n);
+        let mut indexed_cols = Vec::with_capacity(n);
+        for (qidx, tref) in spec.tables.iter().enumerate() {
+            let (table, mut cols) = ctx.catalog.with_table(&tref.table, |table, idxs| {
+                let cols: Vec<usize> = idxs.iter().map(|idx| idx.column()).collect();
+                (table.clone(), cols)
+            })?;
+            let stats = ctx.stats.get(&tref.table)?;
+            let raw = stats.row_count as f64;
+            let mut sel = 1.0;
+            for pred in spec.local_preds_of(qidx) {
+                sel *= estimate_selectivity(pred, &stats, &ctx.defaults, params);
+            }
+            raw_cards.push(raw);
+            base_cards.push((raw * sel).max(0.0));
+            col_counts.push(table.schema().len());
+            leaf_layouts.push(
+                spec.required_columns(qidx, table.schema().len())
+                    .into_iter()
+                    .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
+                    .collect(),
+            );
+            cols.sort_unstable();
+            cols.dedup();
+            indexed_cols.push(cols);
+            sources.push((table, stats));
+        }
+        let join_sels = spec
+            .join_preds
+            .iter()
+            .map(|j| {
+                let distinct = |c: ColId| sources[c.table].1.distinct(c.col);
+                join_selectivity(distinct(j.left), distinct(j.right))
+            })
+            .collect();
+        let mut inputs = TableInputs {
+            sources,
+            defaults: ctx.defaults,
+            used_params: params.is_some(),
+            raw_cards,
+            base_cards,
+            col_counts,
+            leaf_layouts,
+            indexed_cols,
+            join_sels,
+            fingerprint: 0,
+        };
+        inputs.fingerprint = inputs.fingerprint();
+        Ok(inputs)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        let mut h = pop_types::FNV1A_OFFSET;
+        let mix = |h: &mut u64, v: u64| pop_types::fnv1a_extend(h, &v.to_le_bytes());
+        for (t, (_, stats)) in self.sources.iter().enumerate() {
+            mix(&mut h, self.raw_cards[t].to_bits());
+            mix(&mut h, self.base_cards[t].to_bits());
+            for c in 0..self.col_counts[t] {
+                mix(&mut h, stats.distinct(c).to_bits());
+            }
+        }
+        h
+    }
+
+    /// Would [`TableInputs::read`] read the same for `spec` (the spec these
+    /// inputs were read for) under `ctx`? Every table and its statistics
+    /// must be the very objects read before — a re-analysis or a re-created
+    /// table registers new ones — with the same indexed columns, under the
+    /// same selectivity defaults and parameter mode.
+    fn still_valid(&self, spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> bool {
+        self.defaults == ctx.defaults
+            && self.used_params == ctx.estimation_params().is_some()
+            && spec
+                .tables
+                .iter()
+                .zip(&self.sources)
+                .zip(&self.indexed_cols)
+                .all(|((tref, (table, stats)), cols)| {
+                    let same_table = ctx.catalog.with_table(&tref.table, |t, idxs| {
+                        Arc::ptr_eq(t, table)
+                            && idxs.iter().all(|idx| cols.contains(&idx.column()))
+                            && cols
+                                .iter()
+                                .all(|&c| idxs.iter().any(|idx| idx.column() == c))
+                    });
+                    same_table.is_ok_and(|same| same)
+                        && ctx
+                            .stats
+                            .get(&tref.table)
+                            .is_ok_and(|s| Arc::ptr_eq(&s, stats))
+                })
     }
 }
 

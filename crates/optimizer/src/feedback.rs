@@ -207,6 +207,59 @@ impl FeedbackCache {
         None
     }
 
+    /// [`FeedbackCache::get`] for every signature of a set at once, under
+    /// one read lock of each layer, with hits counted as `get` counts
+    /// them; returns the facts found by key, in no particular order. The
+    /// set comes both ways — `each` lists its `len` `(key, signature)`
+    /// pairs, `key_of` finds a signature's key — so each layer walks
+    /// whichever of itself and the set is smaller: with few facts recorded
+    /// the cost follows the facts, not the signatures. `each` and `key_of`
+    /// must not touch this cache.
+    pub(crate) fn get_all<'s, K, I>(
+        &self,
+        len: usize,
+        each: impl Fn() -> I,
+        key_of: impl Fn(&str) -> Option<K>,
+    ) -> Vec<(K, CardFact)>
+    where
+        I: Iterator<Item = (K, &'s str)>,
+    {
+        type Layer = HashMap<String, CardFact>;
+        // Calls `hit` with every signature of the set that `layer` holds.
+        let walk = |layer: &Layer, hit: &mut dyn FnMut(K, &str, CardFact)| {
+            if layer.len() <= len {
+                for (sig, fact) in layer {
+                    if let Some(key) = key_of(sig) {
+                        hit(key, sig, *fact);
+                    }
+                }
+            } else {
+                for (key, sig) in each() {
+                    if let Some(fact) = layer.get(sig) {
+                        hit(key, sig, *fact);
+                    }
+                }
+            }
+        };
+        let overlay = self.overlay.read();
+        let mut found = Vec::new();
+        walk(&overlay, &mut |key, _, fact| found.push((key, fact)));
+        let overlay_hits = found.len();
+        if let Some(base) = &self.base {
+            // The overlay wins: a base fact the overlay shadows is no hit.
+            walk(&base.inner.read(), &mut |key, sig, fact| {
+                if !overlay.contains_key(sig) {
+                    found.push((key, fact));
+                }
+            });
+        }
+        self.overlay_hits
+            .fetch_add(overlay_hits as u64, Ordering::Relaxed);
+        self.base_hits
+            .fetch_add((found.len() - overlay_hits) as u64, Ordering::Relaxed);
+        found
+    }
+
     /// Number of distinct signatures visible (overlay plus base-only).
     pub fn len(&self) -> usize {
         let overlay = self.overlay.read();
@@ -311,6 +364,46 @@ mod tests {
         assert_eq!(base.get("s"), Some(CardFact::AtLeast(250.0)));
         let (overlay_hits, base_hits) = fb.hit_counts();
         assert_eq!((overlay_hits, base_hits), (1, 1));
+    }
+
+    /// `get_all` finds what `get` finds for each signature, and counts the
+    /// same hits, whichever side of each layer it walks.
+    #[test]
+    fn get_all_matches_get() {
+        let base = FeedbackStore::default();
+        for i in 0..6 {
+            base.record(format!("s{i}"), CardFact::Exact(100.0 + f64::from(i)));
+        }
+        let fb = FeedbackCache::with_base(base);
+        fb.record("s1", CardFact::AtLeast(500.0));
+        fb.record("s7", CardFact::Exact(7.0));
+        fb.record("other", CardFact::Exact(1.0));
+        // Four signatures: more than the overlay's three facts, fewer than
+        // the base's six, so the overlay is walked and the base probed.
+        // Twelve: both layers are walked.
+        let few = ["s1", "s3", "s7", "s9"].map(String::from).to_vec();
+        let many = (0..12).map(|i| format!("s{i}")).collect();
+        for sigs in [few, many] {
+            let before = fb.hit_counts();
+            let expected: Vec<(usize, CardFact)> = sigs
+                .iter()
+                .enumerate()
+                .filter_map(|(k, sig)| fb.get(sig).map(|f| (k, f)))
+                .collect();
+            let after_get = fb.hit_counts();
+            let mut got = fb.get_all(
+                sigs.len(),
+                || sigs.iter().map(String::as_str).enumerate(),
+                |sig| sigs.iter().position(|s| s == sig),
+            );
+            got.sort_by_key(|&(k, _)| k);
+            assert_eq!(got, expected);
+            let after_all = fb.hit_counts();
+            assert_eq!(
+                (after_all.0 - after_get.0, after_all.1 - after_get.1),
+                (after_get.0 - before.0, after_get.1 - before.1)
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * **ECDC** above join roots of pipelined SPJ plans, with a rid side
 //!   table (RIDSINK) recording returned rows for later compensation.
 //!
-//! Check ranges come from the validity ranges the optimizer computed
-//! during pruning; ranges propagate through *count-preserving* operators
+//! Check ranges come from the validity ranges the optimizer solved for
+//! the plan's joins at extraction; ranges propagate through *count-preserving* operators
 //! (SORT, TEMP, CHECK, PROJECT, RIDSINK, INSERT) by intersection. Queries
 //! cheaper than [`crate::OptimizerConfig::check_cost_threshold`] get no
 //! checkpoints at all.
@@ -25,7 +25,7 @@
 //! and each node absorbs once what the guards below it added to the cost.
 
 use crate::{CardEstimator, OptimizerContext, ValidityMode};
-use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode, ValidityRange};
+use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode, PlanProps, ValidityRange};
 
 struct PlaceState<'a, 'b> {
     ctx: &'a OptimizerContext<'b>,
@@ -148,6 +148,20 @@ fn count_preserving(node: &PhysNode) -> bool {
     )
 }
 
+/// The props of a node inserted above `node`: `node`'s, with one input
+/// edge carrying `range`.
+fn wrapper_props(node: &PhysNode, range: ValidityRange) -> PlanProps {
+    let p = node.props();
+    PlanProps {
+        tables: p.tables,
+        card: p.card,
+        cost: p.cost,
+        layout: p.layout.clone(),
+        sorted_by: p.sorted_by,
+        edge_ranges: vec![range],
+    }
+}
+
 /// Wrap `node` in a CHECK of the given flavor, in place.
 fn wrap_check(
     node: &mut PhysNode,
@@ -157,9 +171,8 @@ fn wrap_check(
     st: &mut PlaceState,
 ) {
     let spec = st.make_spec(flavor, node, range, context);
-    let mut props = node.props().clone();
+    let mut props = wrapper_props(node, range);
     props.cost += props.card * st.ctx.cost.check_row;
-    props.edge_ranges = vec![range];
     node.replace_with(|input| PhysNode::Check {
         input: Box::new(input),
         spec,
@@ -174,9 +187,8 @@ fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState)
     } else {
         st.ctx.config.ecb_buffer
     };
-    let mut props = node.props().clone();
+    let mut props = wrapper_props(node, range);
     props.cost += props.card * st.ctx.cost.check_row;
-    props.edge_ranges = vec![range];
     node.replace_with(|input| PhysNode::BufCheck {
         input: Box::new(input),
         spec,
@@ -186,9 +198,8 @@ fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState)
 }
 
 fn wrap_temp(node: &mut PhysNode, st: &mut PlaceState) {
-    let mut props = node.props().clone();
+    let mut props = wrapper_props(node, ValidityRange::unbounded());
     props.cost += st.ctx.cost.temp_cost(props.card);
-    props.edge_ranges = vec![ValidityRange::unbounded()];
     node.replace_with(|input| PhysNode::Temp {
         input: Box::new(input),
         props,
@@ -206,13 +217,13 @@ fn place(node: &mut PhysNode, incoming: ValidityRange, st: &mut PlaceState) {
     let passes_count = count_preserving(node);
     let is_nljn = matches!(node, PhysNode::Nljn { .. });
     let mut below_delta = 0.0;
-    for i in 0..node.children().len() {
+    for i in 0..node.arity() {
         let mut range = node.props().edge_range(i);
         if passes_count {
             range = incoming.intersect(&range);
         }
         let rule = edge_rule(node, i, st);
-        let child = node.children_mut().swap_remove(i);
+        let child = node.child_mut(i);
         let cost_before = child.props().cost;
         place(child, range, st);
         if is_nljn {

@@ -57,8 +57,8 @@ pub struct PlanProps {
     pub sorted_by: Option<ColId>,
     /// Validity ranges of the node's input edges, aligned with
     /// [`PhysNode::children`]. Computed by the optimizer's sensitivity
-    /// analysis during pruning (§2.2); the CHECK placement post-pass copies
-    /// them into [`CheckSpec`]s.
+    /// analysis (§2.2) against the alternatives pruning dropped; the CHECK
+    /// placement post-pass copies them into [`CheckSpec`]s.
     pub edge_ranges: Vec<ValidityRange>,
 }
 
@@ -407,6 +407,59 @@ impl PhysNode {
         }
     }
 
+    /// Number of children: `children().len()` without building the list.
+    pub fn arity(&self) -> usize {
+        match self {
+            PhysNode::TableScan { .. }
+            | PhysNode::IndexRangeScan { .. }
+            | PhysNode::MvScan { .. } => 0,
+            PhysNode::Hsjn { .. } | PhysNode::Mgjn { .. } => 2,
+            PhysNode::Nljn { .. }
+            | PhysNode::Sort { .. }
+            | PhysNode::Temp { .. }
+            | PhysNode::Project { .. }
+            | PhysNode::HashAgg { .. }
+            | PhysNode::Check { .. }
+            | PhysNode::BufCheck { .. }
+            | PhysNode::RidSink { .. }
+            | PhysNode::AntiJoinRids { .. }
+            | PhysNode::SemiProbe { .. }
+            | PhysNode::Having { .. }
+            | PhysNode::Limit { .. }
+            | PhysNode::Insert { .. } => 1,
+        }
+    }
+
+    /// Mutable child `i` in edge order: `children_mut()[i]` without
+    /// building the list.
+    ///
+    /// # Panics
+    /// If `i >= self.arity()`.
+    pub fn child_mut(&mut self, i: usize) -> &mut PhysNode {
+        match (self, i) {
+            (
+                PhysNode::Hsjn { build: c, .. }
+                | PhysNode::Mgjn { left: c, .. }
+                | PhysNode::Nljn { outer: c, .. }
+                | PhysNode::Sort { input: c, .. }
+                | PhysNode::Temp { input: c, .. }
+                | PhysNode::Project { input: c, .. }
+                | PhysNode::HashAgg { input: c, .. }
+                | PhysNode::Check { input: c, .. }
+                | PhysNode::BufCheck { input: c, .. }
+                | PhysNode::RidSink { input: c, .. }
+                | PhysNode::AntiJoinRids { input: c, .. }
+                | PhysNode::SemiProbe { input: c, .. }
+                | PhysNode::Having { input: c, .. }
+                | PhysNode::Limit { input: c, .. }
+                | PhysNode::Insert { input: c, .. },
+                0,
+            )
+            | (PhysNode::Hsjn { probe: c, .. } | PhysNode::Mgjn { right: c, .. }, 1) => c,
+            (node, i) => panic!("{} has no child {i}", node.name()),
+        }
+    }
+
     /// Mutable children in edge order.
     pub fn children_mut(&mut self) -> Vec<&mut PhysNode> {
         match self {
@@ -487,7 +540,7 @@ impl PhysNode {
     /// stale extra entries), in which case alignment is not guaranteed
     /// and every edge answers unbounded.
     pub fn edge_range(&self, i: usize) -> ValidityRange {
-        if self.props().edge_ranges.len() == self.children().len() {
+        if self.props().edge_ranges.len() == self.arity() {
             self.props().edge_range(i)
         } else {
             ValidityRange::unbounded()
@@ -615,9 +668,26 @@ mod tests {
     fn children_and_props() {
         let p = join(leaf(0, "a", 5.0), leaf(1, "b", 7.0));
         assert_eq!(p.children().len(), 2);
+        assert_eq!(p.arity(), 2);
         assert_eq!(p.props().tables, TableSet::from_iter([0, 1]));
         assert_eq!(p.props().layout.len(), 2);
         assert_eq!(p.node_count(), 3);
+    }
+
+    #[test]
+    fn child_access_follows_edge_order() {
+        let mut p = PhysNode::Limit {
+            props: PlanProps::leaf(TableSet::from_iter([0, 1]), 5.0, 1.0, vec![]),
+            input: Box::new(join(leaf(0, "a", 5.0), leaf(1, "b", 7.0))),
+            n: 5,
+        };
+        for node in [&p, p.children()[0], p.children()[0].children()[1]] {
+            assert_eq!(node.arity(), node.children().len(), "{}", node.name());
+        }
+        let join = p.child_mut(0);
+        assert_eq!(join.name(), "HSJN");
+        assert_eq!(join.child_mut(0).props().card, 5.0);
+        assert_eq!(join.child_mut(1).props().card, 7.0);
     }
 
     #[test]

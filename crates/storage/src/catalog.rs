@@ -257,6 +257,25 @@ impl Catalog {
             .ok_or_else(|| PopError::UnknownTable(name.to_string()))
     }
 
+    /// Call `f` with table `name` and its indexes, under one read lock of
+    /// the catalog and without copying either (keep `f` short: writers
+    /// wait for it).
+    pub fn with_table<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&Arc<Table>, &[Arc<Index>]) -> R,
+    ) -> PopResult<R> {
+        let inner = self.inner.read();
+        let table = inner
+            .tables
+            .get(name)
+            .ok_or_else(|| PopError::UnknownTable(name.to_string()))?;
+        Ok(f(
+            table,
+            inner.indexes.get(&table.id()).map_or(&[], Vec::as_slice),
+        ))
+    }
+
     /// Resolve a table by id.
     pub fn table_by_id(&self, id: TableId) -> PopResult<Arc<Table>> {
         self.inner
@@ -487,6 +506,13 @@ mod tests {
         cat.create_index("t", "a", IndexKind::Hash).unwrap();
         cat.create_index("t", "a", IndexKind::Sorted).unwrap();
         assert_eq!(cat.indexes(t.id()).len(), 2);
+        let (id, cols) = cat
+            .with_table("t", |t, idxs| {
+                (t.id(), idxs.iter().map(|i| i.column()).collect::<Vec<_>>())
+            })
+            .unwrap();
+        assert_eq!((id, cols), (t.id(), vec![0, 0]));
+        assert!(cat.with_table("missing", |_, _| ()).is_err());
         // Equality lookup prefers hash.
         let idx = cat.find_index(t.id(), 0, false).unwrap();
         assert_eq!(idx.kind(), IndexKind::Hash);

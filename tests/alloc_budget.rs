@@ -18,7 +18,10 @@
 //! The same floor sits under the optimizer (`RECORDED_BEFORE_PLANNING`):
 //! planning an 11- or 12-table DMV query must allocate for the groups the
 //! join graph connects and the candidates that survive pruning, not per
-//! table subset, per split or per cost evaluation.
+//! table subset, per split or per cost evaluation. A re-plan over a
+//! persistent memo has its own (`RECORDED_BEFORE_REPLANNING`): re-deriving
+//! one group allocates for that group and the plan handed out, not for
+//! re-reading every table or re-hashing every connected set's signature.
 //!
 //! So does the static analysis every step runs (`RECORDED_BEFORE_VETTING`):
 //! one planlint `analyze` per plan, not three interpretations.
@@ -459,6 +462,90 @@ fn planning_allocations_stay_under_the_recorded_ceiling() {
         assert_eq!(first.signatures_built, 0, "{name}: {first:?}");
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// Allocations of one re-optimization over a persistent memo after a
+/// violation above the final join of a 7-table chain (the `root_check`
+/// scenario of `bench_reopt`: the fact dirties only the all-tables group),
+/// at the commit before the memo kept the estimator's table inputs and
+/// before fact resolution walked the facts instead of the connected sets.
+/// Every such re-plan made the same count.
+const RECORDED_BEFORE_REPLANNING: u64 = 150;
+
+/// Share of [`RECORDED_BEFORE_REPLANNING`] such a re-plan may take: what
+/// is left is the plan tree itself, its CHECKs and one group's candidates
+/// (80 allocations).
+const REPLANNING_SHARE: f64 = 0.6;
+
+/// A re-plan that re-derives one group pays for that group and the plan
+/// it hands out — not for re-reading every table's statistics, indexes
+/// and layouts, nor for hashing every connected set's signature to find
+/// one recorded fact.
+#[test]
+fn replanning_a_root_violation_allocates_for_the_plan_only() {
+    let cat = pop_storage::Catalog::with_storage(StorageConfig::default());
+    let sizes = [400usize, 2000, 120, 2600, 80, 1700, 900];
+    for (i, rows) in sizes.iter().enumerate() {
+        cat.create_table(
+            format!("t{i}"),
+            pop_types::Schema::from_pairs(&[
+                ("pk", pop_types::DataType::Int),
+                ("key", pop_types::DataType::Int),
+                ("attr", pop_types::DataType::Int),
+            ]),
+            (0..*rows).map(|r| {
+                [r, r % 64, r % 20]
+                    .map(|v| pop_types::Value::Int(v as i64))
+                    .to_vec()
+            }),
+        )
+        .unwrap();
+        cat.create_index(&format!("t{i}"), "key", pop_storage::IndexKind::Hash)
+            .unwrap();
+    }
+    let stats = pop_stats::StatsRegistry::new();
+    stats.analyze_all(&cat).unwrap();
+    let mut b = QueryBuilder::new();
+    let ids: Vec<usize> = (0..sizes.len()).map(|i| b.table(format!("t{i}"))).collect();
+    for w in ids.windows(2) {
+        b.join(w[0], 1, w[1], 1);
+    }
+    b.filter(ids[0], Expr::col(ids[0], 2).le(Expr::lit(7i64)));
+    let spec = b.build().unwrap();
+
+    let cfg = pop_optimizer::OptimizerConfig::default();
+    let cost = CostModel::default();
+    let feedback = pop_optimizer::FeedbackCache::new();
+    let ctx = pop_optimizer::OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &feedback);
+    let mut memo = pop_optimizer::Memo::new();
+    let ceiling = (RECORDED_BEFORE_REPLANNING as f64 * REPLANNING_SHARE) as u64;
+    for round in 0..9 {
+        // A fresh value every round, so every round really re-plans.
+        feedback.record(
+            pop_plan::subplan_signature(&spec, spec.all_tables()),
+            pop_optimizer::CardFact::Exact(f64::from(500 + 137 * round)),
+        );
+        // The first pass derives every group and, with a fact to resolve,
+        // builds the binding's signatures, once.
+        if round == 0 {
+            pop_optimizer::optimize(&spec, &ctx, &mut memo).unwrap();
+            continue;
+        }
+        let start = ALLOCATIONS.with(Cell::get);
+        let (plan, memo_stats) = pop_optimizer::optimize(&spec, &ctx, &mut memo).unwrap();
+        let count = ALLOCATIONS.with(Cell::get) - start;
+        drop(plan);
+        assert_eq!(
+            memo_stats.groups_rederived, 1,
+            "round {round}: {memo_stats:?}"
+        );
+        println!("re-plan round {round}: {count} allocation(s), ceiling {ceiling}");
+        assert!(
+            count <= ceiling,
+            "round {round}: {count} allocations > {ceiling} \
+             ({REPLANNING_SHARE} x {RECORDED_BEFORE_REPLANNING} recorded before)"
+        );
+    }
 }
 
 /// Allocations of the static analysis of the 39 DMV first plans (scale
