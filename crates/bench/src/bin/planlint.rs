@@ -100,7 +100,6 @@ fn lint_workload(
             totals.plans += 1;
             let ctx = LintContext::full(exec.catalog(), spec)
                 .expect_check_coverage(expect_coverage)
-                .expect_monitor_coverage(true)
                 .with_stats(exec.stats());
             let diags = lint_plan(&plan, &ctx);
             if diags.is_empty() {

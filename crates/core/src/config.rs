@@ -92,18 +92,6 @@ pub struct PopConfig {
     /// default) leaves every hook disarmed. The `POP_FAULT_PLAN` /
     /// `POP_FAULT_SEED` environment variables set it.
     pub faults: Option<FaultPlan>,
-    /// Continuous suboptimality monitors: every operator of a POP plan
-    /// that no CHECK already counts is wrapped with a cheap per-batch row
-    /// counter whose trip bound derives from the planlint interval
-    /// envelope and the optimizer's estimate (a monitor-bound
-    /// [`pop_exec::operators::GuardOp`]). A count crossing
-    /// the bound raises a monitor-flagged violation the driver escalates
-    /// exactly like a CHECK violation — catching misestimates on edges no
-    /// CHECK guards. On by default (the always-on safety net); the
-    /// `POP_MONITOR` switch (`on`/`off`/`true`/`false`/`1`/`0`)
-    /// overrides. Monitors are the one runtime net beside the CHECKs:
-    /// no plan is pre-validated over a sample before it runs.
-    pub monitor: bool,
     /// Read from `POP_STORAGE`, `POP_PAGE_SIZE`, `POP_BUFFER_POOL_BYTES`
     /// and `POP_WAL`; [`PopConfig::default`] picks
     /// [`PopConfig::cost_model`] from its backend kind. Otherwise accepted
@@ -130,14 +118,6 @@ fn batch_size_from_env(warnings: &mut Vec<String>) -> usize {
     pop_guard::env_parsed("POP_BATCH_SIZE", |n: &usize| *n > 0, warnings)
         .unwrap_or(pop_exec::DEFAULT_BATCH_SIZE)
 }
-
-/// Drift factor of the monitors' trip bounds: a monitor fires when the
-/// actual row count exceeds `drift ×` the tighter of the interval upper
-/// bound and the estimate (floored at [`pop_exec::MONITOR_TRIP_FLOOR`]
-/// rows). Wide enough that a 16x correlated misestimate the CHECK layer
-/// already recovers from does not also trip a monitor, tight enough to
-/// catch orders-of-magnitude lies.
-pub const DEFAULT_MONITOR_DRIFT: f64 = 32.0;
 
 impl Default for PopConfig {
     fn default() -> Self {
@@ -169,7 +149,6 @@ impl Default for PopConfig {
             batch_size,
             budget,
             faults,
-            monitor: env_switch("POP_MONITOR", true, &mut env_warnings),
             storage,
             graceful_degradation: true,
             env_warnings,
@@ -203,15 +182,6 @@ mod tests {
         // Guardrails are off unless configured: zero-cost default path.
         assert!(!c.budget.is_limited());
         assert!(c.faults.is_none() || std::env::var("POP_FAULT_SEED").is_ok());
-    }
-
-    #[test]
-    fn monitor_defaults_on_with_a_drift_above_one() {
-        let c = PopConfig::default();
-        assert!(c.monitor || std::env::var("POP_MONITOR").is_ok());
-        // A drift of 1.0 would fire on any estimate the planned CHECK
-        // layer tolerates.
-        const { assert!(DEFAULT_MONITOR_DRIFT > 1.0) };
     }
 
     #[test]

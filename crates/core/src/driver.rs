@@ -1,12 +1,9 @@
 //! The POP driver: alternate optimization and execution steps until the
 //! query completes (§2.1, Figure 3 of the paper).
 
-use crate::config::DEFAULT_MONITOR_DRIFT;
 use crate::{LintMode, PopConfig, QueryResult, RunReport, StepReport};
 use parking_lot::Mutex;
-use pop_exec::{
-    execute, ExecCtx, MonitorSet, MonitorSpec, RunOutcome, Signatures, Subplan, MONITOR_TRIP_FLOOR,
-};
+use pop_exec::{execute, ExecCtx, RunOutcome, Signatures, Subplan};
 use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
     optimize, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats,
@@ -18,30 +15,15 @@ use pop_plan::{
 use pop_stats::{StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
-use std::sync::Arc;
 
 /// What one step takes from the planlint analysis of its plan: the
 /// rendered Warn-severity findings and the robustness certificate of the
 /// plan's safety net (both empty/absent when the lint mode is
-/// [`LintMode::Off`] or the step degraded), and every node's cardinality
-/// interval, which the monitor trip bounds derive from.
-#[derive(Debug)]
+/// [`LintMode::Off`] or the step degraded).
+#[derive(Debug, Default)]
 struct Vetting {
     warnings: Vec<String>,
     certificate: Option<pop_planlint::RobustnessCertificate>,
-    intervals: Vec<pop_planlint::CardInterval>,
-}
-
-impl Vetting {
-    /// A step that surfaces neither findings nor a certificate: only its
-    /// monitors consume the analysis.
-    fn monitors_only(analysis: pop_planlint::PlanAnalysis) -> Self {
-        Vetting {
-            warnings: Vec::new(),
-            certificate: None,
-            intervals: analysis.intervals,
-        }
-    }
 }
 
 /// One query's execution context, with the storage environment held to
@@ -340,38 +322,14 @@ impl PopExecutor {
                             ));
                             ctx.checks_enabled = false;
                             // The fallback was vetted when it first ran; the
-                            // only new node is the compensation wrapper. The
-                            // analysis only feeds the monitors.
-                            let plan = wrap_compensation(prev, ctx);
-                            let vetting = Vetting::monitors_only(self.analyze(&plan, spec));
-                            (plan, vetting, None)
+                            // only new node is the compensation wrapper.
+                            (wrap_compensation(prev, ctx), Vetting::default(), None)
                         }
                         _ => return Err(e),
                     },
                 }
             };
             let signatures = self.collect_signatures(spec, &plan, params);
-            // Install the continuous suboptimality monitors for this
-            // step's plan (the always-on safety net on edges no CHECK
-            // guards) — none on a step where they could not fire.
-            let monitored = self.config.monitor && self.config.enabled && ctx.monitors_armed();
-            ctx.monitors = monitored
-                .then(|| {
-                    let mut set = MonitorSet::default();
-                    collect_monitor_specs(
-                        &plan,
-                        &vetting.intervals,
-                        &signatures,
-                        &mut 0,
-                        false,
-                        &mut Vec::new(),
-                        &mut set,
-                    );
-                    set
-                })
-                .filter(|set| !set.is_empty())
-                .map(Arc::new);
-            let monitors_installed = ctx.monitors.as_ref().map_or(0, |m| m.len());
             let mut mvs_used = 0usize;
             plan.visit(&mut |n| {
                 if matches!(n, PhysNode::MvScan { .. }) {
@@ -395,8 +353,7 @@ impl PopExecutor {
                 parallel: Vec::new(),
                 lint_warnings: vetting.warnings,
                 certificate: vetting.certificate,
-                monitors: ctx.monitor_signals.clone(),
-                monitors_installed,
+                monitors_installed: 0,
                 memo: memo_stats,
             };
             collect_rows(collected, ctx, &outcome);
@@ -513,28 +470,22 @@ impl PopExecutor {
         Ok((bare, plan, vetting, stats))
     }
 
-    /// The one planlint analysis of a step's plan, under the step's one
-    /// [`pop_planlint::LintContext`].
-    fn analyze(&self, plan: &PhysNode, spec: &QuerySpec) -> pop_planlint::PlanAnalysis {
+    /// Statically verify a plan before execution (the `pop-planlint`
+    /// gate): one analysis under the step's one
+    /// [`pop_planlint::LintContext`]. Returns the findings to surface as
+    /// step-report warnings together with the plan's robustness
+    /// certificate; under [`LintMode::Enforce`], a Deny-severity finding
+    /// rejects the plan with [`PopError::InvalidPlan`].
+    fn vet_plan(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<Vetting> {
+        if self.config.lint == LintMode::Off {
+            return Ok(Vetting::default());
+        }
         // With LC checks on, the placement pass guards every
         // materialization point, so an unguarded one is suspect.
         let lctx = pop_planlint::LintContext::full(&self.catalog, spec)
             .expect_check_coverage(self.config.enabled && self.config.optimizer.flavors.lc)
-            .expect_monitor_coverage(self.config.enabled && self.config.monitor)
             .with_stats(&self.stats);
-        pop_planlint::analyze(plan, &lctx)
-    }
-
-    /// Statically verify a plan before execution (the `pop-planlint`
-    /// gate). Returns the findings to surface as step-report warnings
-    /// together with the plan's robustness certificate and intervals;
-    /// under [`LintMode::Enforce`], a Deny-severity finding rejects the
-    /// plan with [`PopError::InvalidPlan`].
-    fn vet_plan(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<Vetting> {
-        let analysis = self.analyze(plan, spec);
-        if self.config.lint == LintMode::Off {
-            return Ok(Vetting::monitors_only(analysis));
-        }
+        let analysis = pop_planlint::analyze(plan, &lctx);
         let diags = analysis.diagnostics;
         if self.config.lint == LintMode::Enforce && pop_planlint::has_deny(&diags) {
             return Err(PopError::InvalidPlan(pop_planlint::deny_summary(&diags)));
@@ -542,7 +493,6 @@ impl PopExecutor {
         Ok(Vetting {
             warnings: diags.iter().map(std::string::ToString::to_string).collect(),
             certificate: Some(analysis.certificate),
-            intervals: analysis.intervals,
         })
     }
 
@@ -605,7 +555,6 @@ impl PopExecutor {
             parallel: Vec::new(),
             lint_warnings: vetting.warnings,
             certificate: vetting.certificate,
-            monitors: vec![],
             monitors_installed: 0,
             memo: None,
         });
@@ -711,81 +660,6 @@ impl PopExecutor {
             lineage: Some(lineage),
         });
         Ok(())
-    }
-}
-
-/// Does `node` emit exactly the row count of its (single) input? Those
-/// wrappers carry the same stream a CHECK above them already counts, so
-/// monitoring them under a check is pure redundancy — and worse, the
-/// monitor's cruder trip bound can fire *before* the check resolves an
-/// exact observation.
-fn count_preserving(node: &PhysNode) -> bool {
-    matches!(
-        node,
-        PhysNode::Sort { .. }
-            | PhysNode::Temp { .. }
-            | PhysNode::Project { .. }
-            | PhysNode::Check { .. }
-            | PhysNode::BufCheck { .. }
-            | PhysNode::RidSink { .. }
-            | PhysNode::Insert { .. }
-    )
-}
-
-/// One step's monitor set: enumerate the full plan tree pre-order, the
-/// order the operator builder claims monitor indices in (and `intervals`
-/// lists the planlint cardinality intervals in), and record a
-/// [`MonitorSpec`] for every monitorable node. `path` is the walk's
-/// child-index path, rendered only for a node that gets a monitor.
-///
-/// A node is skipped when a CHECK above it already counts its exact row
-/// stream (`under_check`, propagated down through count-preserving
-/// wrappers) — monitors exist for the edges the planned CHECK layer does
-/// *not* observe.
-///
-/// The trip bound is the tighter of the two alarms, `min(interval.hi,
-/// est) × DEFAULT_MONITOR_DRIFT` — the envelope-escape alarm only when
-/// the interval's upper bound is finite — floored at
-/// [`MONITOR_TRIP_FLOOR`] rows.
-fn collect_monitor_specs(
-    node: &PhysNode,
-    intervals: &[pop_planlint::CardInterval],
-    signatures: &Signatures,
-    idx: &mut usize,
-    under_check: bool,
-    path: &mut Vec<usize>,
-    set: &mut MonitorSet,
-) {
-    let my = *idx;
-    *idx += 1;
-    let is_check = matches!(node, PhysNode::Check { .. } | PhysNode::BufCheck { .. });
-    let monitorable = !is_check && !under_check && !node.props().tables.is_empty();
-    if monitorable {
-        if let Some(Subplan { signature, .. }) = signatures.get(&node.props().tables.mask()) {
-            let est = node.props().card;
-            let iv = intervals[my];
-            let mut bound = est * DEFAULT_MONITOR_DRIFT;
-            if iv.hi.is_finite() {
-                bound = bound.min(iv.hi * DEFAULT_MONITOR_DRIFT);
-            }
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let trip = (bound.ceil().max(0.0) as u64).max(MONITOR_TRIP_FLOOR);
-            set.specs.insert(
-                my,
-                MonitorSpec {
-                    path: pop_planlint::render_path(path.iter().copied()),
-                    signature: signature.clone(),
-                    est_card: est,
-                    trip,
-                },
-            );
-        }
-    }
-    let child_counted = is_check || (under_check && count_preserving(node));
-    for (i, child) in node.children().into_iter().enumerate() {
-        path.push(i);
-        collect_monitor_specs(child, intervals, signatures, idx, child_counted, path, set);
-        path.pop();
     }
 }
 
@@ -995,9 +869,6 @@ mod tests {
         // so the plan should not change shape.
         let shapes: Vec<&String> = res.report.steps.iter().map(|s| &s.shape).collect();
         assert_eq!(shapes.len(), 2);
-        // Under a forced re-optimization every other guard only observes:
-        // no step carries monitors that could not fire.
-        assert!(res.report.steps.iter().all(|s| s.monitors_installed == 0));
     }
 
     #[test]
@@ -1012,12 +883,10 @@ mod tests {
         let res = exec.run(&q, &Params::none()).unwrap();
         assert_eq!(res.rows.len(), CORRELATED_ROWS);
         assert!(res.report.reopt_count <= 1);
-        // The last step runs with checks disabled, where no monitor could
-        // fire: none is installed, though the plan has unguarded edges.
+        // The last step runs with checks disabled and completes.
         assert!(res.report.budget_exhausted);
         let last = res.report.steps.last().unwrap();
         assert!(last.violation.is_none());
-        assert_eq!(last.monitors_installed, 0, "{}", res.report.summary());
     }
 
     #[test]
@@ -1169,7 +1038,7 @@ mod tests {
                 perm: (0..layout.len()).collect(),
                 canonical_layout: layout,
             };
-            pop_exec::Harvest::new(&info, Arc::new(buffer), None)
+            pop_exec::Harvest::new(&info, std::sync::Arc::new(buffer), None)
         };
         let (mut n, mut warnings) = (0, Vec::new());
         exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)

@@ -70,9 +70,7 @@ pub use driver::PopExecutor;
 pub use report::{QueryResult, RegionDiag, RunReport, StepReport, WorkerDiag};
 
 // Re-export the crates a downstream user needs to drive the API.
-pub use pop_exec::{
-    CheckEvent, CheckOutcome, ObservedCard, SuboptimalitySignal, Violation, MONITOR_TRIP_FLOOR,
-};
+pub use pop_exec::{CheckEvent, CheckOutcome, ObservedCard, Violation};
 pub use pop_guard::{
     Budget, CancelToken, FaultInjector, FaultKind, FaultPlan, FaultSpec, Governor,
 };

@@ -1,6 +1,6 @@
 //! Query results and execution reports.
 
-use pop_exec::{CheckEvent, SuboptimalitySignal, Violation};
+use pop_exec::{CheckEvent, Violation};
 use pop_optimizer::MemoStats;
 use pop_planlint::RobustnessCertificate;
 use pop_types::Row;
@@ -41,13 +41,9 @@ pub struct StepReport {
     /// uncovered residual risk, worst-case re-optimization depth).
     /// `None` when the lint mode is `Off`.
     pub certificate: Option<RobustnessCertificate>,
-    /// Alarms raised by the continuous suboptimality monitors during this
-    /// step (at most one per step: a raised monitor suspends execution).
-    /// Empty when monitoring is disabled or every count stayed within its
-    /// trip bound.
-    pub monitors: Vec<SuboptimalitySignal>,
-    /// Number of suboptimality monitors installed on this step's plan
-    /// (0 when monitoring is disabled).
+    /// Always 0: a CHECK is the only runtime guard, there is no monitor
+    /// layer to install. The field exists only so the end-to-end
+    /// benchmark harness, which still reads it, keeps compiling.
     pub monitors_installed: usize,
     /// Memo maintenance statistics for this step's optimization: how many
     /// join-order groups were reused versus re-derived. `None` when the
@@ -227,27 +223,12 @@ impl RunReport {
                     ev.observed
                 );
             }
-            for m in &s.monitors {
+            if let Some(v) = &s.violation {
                 let _ = writeln!(
                     out,
-                    "  monitor {} fired: {} row(s) against trip {} (est {:.0})",
-                    m.path, m.observed, m.trip, m.est_card
+                    "  suspended by check #{} ({}): observed {:?}, est {:.0}, range {}",
+                    v.check_id, v.flavor, v.observed, v.est_card, v.range
                 );
-            }
-            if let Some(v) = &s.violation {
-                if v.monitor {
-                    let _ = writeln!(
-                        out,
-                        "  suspended by monitor: observed {:?}, est {:.0}, trip bound {:.0}",
-                        v.observed, v.est_card, v.range.hi
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "  suspended by check #{} ({}): observed {:?}, est {:.0}, range {}",
-                        v.check_id, v.flavor, v.observed, v.est_card, v.range
-                    );
-                }
             }
         }
         out
@@ -283,7 +264,6 @@ mod tests {
             parallel: vec![],
             lint_warnings: vec![],
             certificate: None,
-            monitors: vec![],
             monitors_installed: 0,
             memo: None,
         }

@@ -5,21 +5,20 @@ use crate::operators::agg::AggKind;
 use crate::operators::materialize::HarvestInfo;
 use crate::operators::{
     AntiJoinRidsOp, GuardOp, HashAggOp, HavingOp, HsjnOp, IndexRangeScanOp, InsertOp, LimitOp,
-    MgjnOp, MonitorSet, MonitorSpec, MvScanOp, NljnOp, Operator, ProjectOp, RidSinkOp, SemiProbeOp,
-    SortOp, TableScanOp, TempOp,
+    MgjnOp, MvScanOp, NljnOp, Operator, ProjectOp, RidSinkOp, SemiProbeOp, SortOp, TableScanOp,
+    TempOp,
 };
 use pop_expr::{BoundExpr, Expr};
 use pop_plan::{AggFunc, LayoutCol, PhysNode, SortKeyRef};
 use pop_storage::{Catalog, Table};
 use pop_types::{ColId, PopError, PopResult};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// What the driver knows about one table set of the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subplan {
-    /// Subplan signature: labels harvested materializations, CHECK and
-    /// monitor observations so re-optimization can match them to the query.
+    /// Subplan signature: labels harvested materializations, CHECK
+    /// observations so re-optimization can match them to the query.
     pub signature: String,
     /// [`pop_plan::canonical_layout`] of the set — the column order a
     /// harvested materialization is stored in.
@@ -28,36 +27,6 @@ pub struct Subplan {
 
 /// Subplans by table-set mask.
 pub type Signatures = HashMap<u64, Subplan>;
-
-/// Pre-order position in the plan during operator construction, plus the
-/// monitors to install along the way. The builder recurses in the plan's
-/// `children()` pre-order, so advancing one index per built node keeps the
-/// cursor aligned with the driver's pre-order enumeration.
-struct NodeCursor<'a> {
-    monitors: Option<&'a MonitorSet>,
-    next: Cell<usize>,
-}
-
-impl<'a> NodeCursor<'a> {
-    /// Cursor at the plan root, installing the monitors of `monitors`.
-    fn new(monitors: Option<&'a MonitorSet>) -> Self {
-        NodeCursor {
-            monitors,
-            next: Cell::new(0),
-        }
-    }
-
-    /// Claim the current node's pre-order index.
-    fn take(&self) -> usize {
-        let i = self.next.get();
-        self.next.set(i + 1);
-        i
-    }
-
-    fn monitor_at(&self, idx: usize) -> Option<&'a MonitorSpec> {
-        self.monitors.and_then(|m| m.specs.get(&idx))
-    }
-}
 
 /// Position of a base column within a layout.
 pub(crate) fn pos_of(layout: &[LayoutCol], col: ColId) -> PopResult<usize> {
@@ -130,31 +99,7 @@ pub fn build_operator(
     catalog: &Catalog,
     signatures: &Signatures,
 ) -> PopResult<Box<dyn Operator>> {
-    build_node(node, catalog, signatures, &NodeCursor::new(None))
-}
-
-/// [`build_operator`] with suboptimality monitors: every node whose
-/// pre-order index appears in `monitors` is wrapped in a monitor guard.
-pub fn build_monitored(
-    node: &PhysNode,
-    catalog: &Catalog,
-    signatures: &Signatures,
-    monitors: &MonitorSet,
-) -> PopResult<Box<dyn Operator>> {
-    build_node(node, catalog, signatures, &NodeCursor::new(Some(monitors)))
-}
-
-fn build_node(
-    node: &PhysNode,
-    catalog: &Catalog,
-    signatures: &Signatures,
-    cur: &NodeCursor,
-) -> PopResult<Box<dyn Operator>> {
-    // Claim this node's pre-order index up front, before any child
-    // recursion, so the cursor walks the exact enumeration order the
-    // driver used when computing the monitor set.
-    let idx = cur.take();
-    let op: Box<dyn Operator> = match node {
+    Ok(match node {
         PhysNode::TableScan {
             qidx,
             table,
@@ -206,7 +151,7 @@ fn build_node(
             inner,
             props,
         } => {
-            let outer_op = build_node(outer, catalog, signatures, cur)?;
+            let outer_op = build_operator(outer, catalog, signatures)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
             let inner_table = catalog.table(&inner.table)?;
             let index = catalog
@@ -248,8 +193,8 @@ fn build_node(
                 .iter()
                 .map(|k| pos_of(&probe.props().layout, *k))
                 .collect::<PopResult<Vec<_>>>()?;
-            let build_op = build_node(build, catalog, signatures, cur)?;
-            let probe_op = build_node(probe, catalog, signatures, cur)?;
+            let build_op = build_operator(build, catalog, signatures)?;
+            let probe_op = build_operator(probe, catalog, signatures)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -267,8 +212,8 @@ fn build_node(
             right_keys,
             ..
         } => {
-            let left_op = build_node(left, catalog, signatures, cur)?;
-            let right_op = build_node(right, catalog, signatures, cur)?;
+            let left_op = build_operator(left, catalog, signatures)?;
+            let right_op = build_operator(right, catalog, signatures)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
                 return Err(PopError::Planning(
                     "MGJN requires at least one join key per side".into(),
@@ -281,7 +226,7 @@ fn build_node(
         PhysNode::Sort {
             input, key, desc, ..
         } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             let pos = match key {
                 SortKeyRef::Col(c) => pos_of(&input.props().layout, *c)?,
                 SortKeyRef::Pos(p) => *p,
@@ -294,11 +239,11 @@ fn build_node(
             ))
         }
         PhysNode::Temp { input, .. } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             Box::new(TempOp::new(child, harvest_info(node, signatures)))
         }
         PhysNode::Project { input, cols, .. } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             let positions = cols
                 .iter()
                 .map(|c| match c {
@@ -321,7 +266,7 @@ fn build_node(
             aggs,
             ..
         } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             let keys = group_by
                 .iter()
                 .map(|k| pos_of(&input.props().layout, *k))
@@ -342,7 +287,7 @@ fn build_node(
         }
         PhysNode::Check { input, spec, .. } => {
             let materialized = is_materializing(input);
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             Box::new(GuardOp::check(child, spec.clone(), materialized))
         }
         PhysNode::BufCheck {
@@ -351,11 +296,11 @@ fn build_node(
             buffer,
             ..
         } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             Box::new(GuardOp::bufcheck(child, spec.clone(), *buffer))
         }
         PhysNode::SemiProbe { input, clause, .. } => {
-            let child = build_node(input, catalog, signatures, cur)?;
+            let child = build_operator(input, catalog, signatures)?;
             let outer_pos = pos_of(&input.props().layout, clause.outer_col)?;
             let inner_table = catalog.table(&clause.table)?;
             let index = catalog
@@ -381,29 +326,25 @@ fn build_node(
             ))
         }
         PhysNode::Having { input, preds, .. } => Box::new(HavingOp::new(
-            build_node(input, catalog, signatures, cur)?,
+            build_operator(input, catalog, signatures)?,
             preds.clone(),
         )),
         PhysNode::Limit { input, n, .. } => Box::new(LimitOp::new(
-            build_node(input, catalog, signatures, cur)?,
+            build_operator(input, catalog, signatures)?,
             *n,
         )),
         PhysNode::RidSink { input, .. } => {
-            Box::new(RidSinkOp::new(build_node(input, catalog, signatures, cur)?))
+            Box::new(RidSinkOp::new(build_operator(input, catalog, signatures)?))
         }
-        PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_node(
-            input, catalog, signatures, cur,
+        PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_operator(
+            input, catalog, signatures,
         )?)),
         PhysNode::Insert { input, target, .. } => {
             let t = catalog.table(target)?;
             Box::new(InsertOp::new(
-                build_node(input, catalog, signatures, cur)?,
+                build_operator(input, catalog, signatures)?,
                 t,
             ))
         }
-    };
-    Ok(match cur.monitor_at(idx) {
-        Some(spec) => Box::new(GuardOp::monitor(op, spec.clone())),
-        None => op,
     })
 }

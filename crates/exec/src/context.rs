@@ -158,17 +158,6 @@ pub struct ExecCtx {
     /// Deterministic fault injector for chaos runs; `None` (one branch per
     /// hook site) in normal operation.
     pub faults: Option<FaultInjector>,
-    /// Suboptimality monitors for the plan being executed, keyed by
-    /// pre-order node index; `None` runs unmonitored. Installed by the
-    /// driver before each step, consumed by the operator builder.
-    pub monitors: Option<std::sync::Arc<crate::operators::MonitorSet>>,
-    /// Monitor alarms raised during this run, in firing order.
-    pub monitor_signals: Vec<crate::operators::SuboptimalitySignal>,
-    /// Signatures whose monitor has fired at some point in this *query*
-    /// (not just this run): a re-optimized plan whose interval envelope is
-    /// still stale must not re-trip on the same subplan and loop. Survives
-    /// `begin_run`, like the compensation state.
-    pub monitor_fired: HashSet<String>,
 }
 
 impl ExecCtx {
@@ -191,27 +180,15 @@ impl ExecCtx {
             batches_emitted: 0,
             guard: Governor::disabled(),
             faults: None,
-            monitors: None,
-            monitor_signals: Vec::new(),
-            monitor_fired: HashSet::new(),
         }
     }
 
     /// Reset per-run state while keeping cross-run compensation state
-    /// (returned rids, applied side effects, fired monitors) and
+    /// (returned rids, applied side effects) and
     /// accumulated work.
     pub fn begin_run(&mut self) {
         self.harvests.clear();
         self.check_events.clear();
-        self.monitor_signals.clear();
-    }
-
-    /// Can a suboptimality monitor raise in this run? Not with checks
-    /// disabled (the run must complete) nor under a forced
-    /// re-optimization (every other guard only observes, Figure 12). The
-    /// driver installs no monitors on a run where this is false.
-    pub fn monitors_armed(&self) -> bool {
-        self.checks_enabled && self.force_reopt_at.is_none()
     }
 
     /// Charge work units.
@@ -262,15 +239,6 @@ impl ExecCtx {
         match &mut self.faults {
             None => false,
             Some(inj) => inj.spurious_check(),
-        }
-    }
-
-    /// Fault hook: should this monitor lie and trip immediately?
-    #[inline]
-    pub fn fault_monitor_lie(&mut self) -> bool {
-        match &mut self.faults {
-            None => false,
-            Some(inj) => inj.monitor_lie(),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! CHECK violation.
 
 use crate::build::Signatures;
-use crate::{build_monitored, build_operator, ExecCtx, ExecSignal, RowBatch, Violation};
+use crate::{build_operator, ExecCtx, ExecSignal, RowBatch, Violation};
 use pop_plan::PhysNode;
 use pop_types::PopResult;
 
@@ -53,10 +53,7 @@ pub fn execute(
     signatures: &Signatures,
 ) -> PopResult<RunOutcome> {
     ctx.begin_run();
-    let mut op = match ctx.monitors.clone() {
-        Some(m) => build_monitored(plan, &ctx.catalog, signatures, &m)?,
-        None => build_operator(plan, &ctx.catalog, signatures)?,
-    };
+    let mut op = build_operator(plan, &ctx.catalog, signatures)?;
     let mut batches = Vec::new();
     match op.open(ctx) {
         Ok(()) => {}

@@ -8,9 +8,8 @@
 //!
 //! POP-specific runtime behaviour (paper §2.1, §3):
 //!
-//! * **Cardinality guards** — CHECK, BUFCHECK (Figure 10) and the
-//!   always-on suboptimality monitors are one operator
-//!   ([`operators::GuardOp`]) over one counting core: it counts rows
+//! * **Cardinality guards** — CHECK and BUFCHECK (Figure 10) are one
+//!   operator ([`operators::GuardOp`]) over one counting core: it counts rows
 //!   against a bound and raises an [`ExecSignal::Reopt`] control signal
 //!   on violation — not an error: the POP driver catches it, harvests
 //!   intermediate results and re-optimizes.
@@ -36,8 +35,8 @@ pub mod operators;
 mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
-pub use build::{build_monitored, build_operator, Signatures, Subplan};
+pub use build::{build_operator, Signatures, Subplan};
 pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest};
 pub use executor::{execute, RunOutcome};
-pub use operators::{MonitorSet, MonitorSpec, Operator, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
+pub use operators::Operator;
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

@@ -1,12 +1,8 @@
-//! The runtime cardinality guard: one counting core behind every CHECK,
-//! BUFCHECK (Figure 10) and suboptimality monitor.
+//! The runtime cardinality guard: one counting core behind every CHECK and
+//! BUFCHECK (Figure 10).
 //!
-//! A [`Guard`] describes *what* is enforced — identity, `[lo, hi]` bound,
-//! arming rule, per-row work charge, what a verdict records. CHECKs and
-//! monitors differ only in where the bound comes from (a validity range
-//! vs. a drift bound, see [`super::monitor`]) and in what they record
-//! (`CheckEvent` vs. `SuboptimalitySignal`). The running count is a plain
-//! `u64` owned by the [`GuardOp`].
+//! A [`GuardOp`] enforces one [`CheckSpec`] — identity, `[lo, hi]` bound,
+//! what a verdict records — with a plain `u64` running count.
 //!
 //! Counting is per batch: a batch of `n` rows that cannot cross `hi` is
 //! admitted with one add, one compare and one work charge. When a batch
@@ -17,185 +13,15 @@
 //! replay, so a run resumed without re-optimizing loses nothing.
 //! Observations and event order are therefore identical at every batch
 //! size. The lower bound is decided on the exact count
-//! ([`Guard::decide_exact`]): at end of stream, or once at `open` above a
+//! ([`GuardOp::decide_exact`]): at end of stream, or once at `open` above a
 //! materialization point.
 
 use crate::context::{CheckEvent, CheckOutcome};
-use crate::operators::monitor::{MonitorSpec, SuboptimalitySignal};
 use crate::operators::Operator;
 use crate::signal::{ExecSignal, ObservedCard, Violation};
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::{CheckContext, CheckFlavor, CheckSpec, ValidityRange};
+use pop_plan::CheckSpec;
 use std::collections::VecDeque;
-
-/// What one guard enforces. A monitor is a CHECK-shaped guard with no
-/// plan id (`usize::MAX` — the driver dispatches on
-/// [`Violation::monitor`]), flavor ECB and range `[0, trip]`.
-#[derive(Debug)]
-struct Guard {
-    spec: CheckSpec,
-    /// `Some` for a monitor, `None` for a planned CHECK.
-    monitor: Option<Monitored>,
-}
-
-/// What a monitor carries beyond its CHECK-shaped spec.
-#[derive(Debug)]
-struct Monitored {
-    /// Path of the monitored node, reported on the signal.
-    path: String,
-    /// The nominal trip bound ([`Guard::rearm`] restores it).
-    trip: u64,
-}
-
-impl Guard {
-    fn check(spec: CheckSpec) -> Self {
-        Guard {
-            spec,
-            monitor: None,
-        }
-    }
-
-    /// A monitor at its nominal trip bound; [`Guard::rearm`] applies the
-    /// lying-monitor fault hook before each use.
-    fn monitor(m: MonitorSpec) -> Self {
-        Guard {
-            spec: CheckSpec {
-                id: usize::MAX,
-                flavor: CheckFlavor::Ecb,
-                range: ValidityRange::new(0.0, m.trip as f64),
-                est_card: m.est_card,
-                signature: m.signature,
-                context: CheckContext::Pipeline,
-            },
-            monitor: Some(Monitored {
-                path: m.path,
-                trip: m.trip,
-            }),
-        }
-    }
-
-    /// Fault hook: a lying monitor trips immediately. The observation it
-    /// reports is still the truthful running count, so the feedback path
-    /// stays sound and the run converges like a spurious check.
-    fn rearm(&mut self, ctx: &mut ExecCtx) {
-        if let Some(m) = &self.monitor {
-            let trip = if ctx.fault_monitor_lie() { 0 } else { m.trip };
-            self.spec.range.hi = trip as f64;
-        }
-    }
-
-    /// May this guard raise right now? When a dummy re-optimization is
-    /// forced at one checkpoint, every *other* guard observes without
-    /// raising, so the measured cost is pure re-optimization overhead
-    /// (Figure 12). A monitor is armed when [`ExecCtx::monitors_armed`]
-    /// says so, and a monitor whose signature already fired in this query
-    /// stays quiet so a re-optimized plan with a still-stale envelope
-    /// cannot loop.
-    fn armed(&self, ctx: &ExecCtx) -> bool {
-        if self.monitor.is_some() {
-            ctx.monitors_armed() && !ctx.monitor_fired.contains(&self.spec.signature)
-        } else {
-            ctx.checks_enabled && ctx.force_reopt_at.is_none_or(|id| id == self.spec.id)
-        }
-    }
-
-    /// Work units per counted row. Monitors charge nothing: the work
-    /// counter measures plan work, monitor overhead is engine overhead
-    /// (wall-clock `dmv.pop` against `dmv.static` in `bench_e2e`; its
-    /// allocations are per plan, never per batch: `tests/alloc_budget.rs`).
-    fn row_charge(&self, ctx: &ExecCtx) -> f64 {
-        if self.monitor.is_some() {
-            0.0
-        } else {
-            ctx.model.check_row
-        }
-    }
-
-    /// Record a verdict on `ctx`: a [`CheckEvent`] for a CHECK, a
-    /// [`SuboptimalitySignal`] (plus the fired-signature latch) for a
-    /// monitor.
-    fn record(
-        &self,
-        ctx: &mut ExecCtx,
-        outcome: CheckOutcome,
-        observed: ObservedCard,
-        started_at: f64,
-    ) {
-        let s = &self.spec;
-        match &self.monitor {
-            Some(m) => {
-                ctx.monitor_fired.insert(s.signature.clone());
-                ctx.monitor_signals.push(SuboptimalitySignal {
-                    path: m.path.clone(),
-                    signature: s.signature.clone(),
-                    est_card: s.est_card,
-                    trip: s.range.hi as u64,
-                    observed: observed.count(),
-                    at_work: ctx.work,
-                });
-            }
-            None => ctx.check_events.push(CheckEvent {
-                check_id: s.id,
-                flavor: s.flavor,
-                context: s.context,
-                outcome,
-                at_work: ctx.work,
-                started_at,
-                observed,
-                est_card: s.est_card,
-                range: s.range,
-                signature: s.signature.clone(),
-            }),
-        }
-    }
-
-    /// Record the verdict and build the re-optimization signal for it.
-    fn raise(
-        &self,
-        ctx: &mut ExecCtx,
-        outcome: CheckOutcome,
-        observed: ObservedCard,
-        started_at: f64,
-    ) -> ExecSignal {
-        self.record(ctx, outcome, observed, started_at);
-        let s = &self.spec;
-        ExecSignal::Reopt(Box::new(Violation {
-            check_id: s.id,
-            flavor: s.flavor,
-            signature: s.signature.clone(),
-            observed,
-            est_card: s.est_card,
-            range: s.range,
-            forced: outcome == CheckOutcome::Forced,
-            monitor: self.monitor.is_some(),
-        }))
-    }
-
-    /// Decide a completed (exact) count against both bounds, recording the
-    /// one event of this check.
-    fn decide_exact(&self, total: u64, started_at: f64, ctx: &mut ExecCtx) -> OpResult<()> {
-        let observed = ObservedCard::Exact(total);
-        let in_range = self.spec.range.contains(total as f64);
-        let forced = ctx.force_reopt_at == Some(self.spec.id) && !ctx.forced_fired;
-        let may_raise = self.armed(ctx);
-        // Fault hook: an armed, in-range check may be ordered to report a
-        // spurious violation. The observation it carries stays truthful,
-        // so the driver's feedback/re-optimization path runs with correct
-        // cardinalities and must converge.
-        let spurious = may_raise && in_range && !forced && ctx.fault_spurious_check();
-        if may_raise && (!in_range || forced || spurious) {
-            let outcome = if in_range && !spurious {
-                ctx.forced_fired = true;
-                CheckOutcome::Forced
-            } else {
-                CheckOutcome::Violated
-            };
-            return Err(self.raise(ctx, outcome, observed, started_at));
-        }
-        self.record(ctx, CheckOutcome::Passed, observed, started_at);
-        Ok(())
-    }
-}
 
 /// Index of the first live row of an `n`-row batch that pushes a count of
 /// `before` past `hi` — the row row-at-a-time counting fires on — or
@@ -212,7 +38,7 @@ struct Trip {
 }
 
 /// The guard operator: a transparent pass-through that counts its input
-/// against a [`Guard`].
+/// against a [`CheckSpec`].
 ///
 /// * In a **pipeline** the upper bound fires as soon as it is crossed
 ///   (observation "at least count"); a CHECK's lower bound is evaluated at
@@ -237,7 +63,7 @@ struct Trip {
 /// re-optimization budget is exhausted).
 pub struct GuardOp {
     input: Box<dyn Operator>,
-    guard: Guard,
+    spec: CheckSpec,
     /// Rows counted so far in this run.
     count: u64,
     above_materialization: bool,
@@ -264,10 +90,10 @@ pub struct GuardOp {
 }
 
 impl GuardOp {
-    fn new(input: Box<dyn Operator>, guard: Guard, materialized: bool, capacity: usize) -> Self {
+    fn new(input: Box<dyn Operator>, spec: CheckSpec, materialized: bool, capacity: usize) -> Self {
         GuardOp {
             input,
-            guard,
+            spec,
             count: 0,
             above_materialization: materialized,
             capacity,
@@ -285,26 +111,91 @@ impl GuardOp {
     /// A CHECK. `materialized_child` marks checks placed directly above
     /// SORT/TEMP/MV operators.
     pub fn check(input: Box<dyn Operator>, spec: CheckSpec, materialized_child: bool) -> Self {
-        Self::new(input, Guard::check(spec), materialized_child, 0)
+        Self::new(input, spec, materialized_child, 0)
     }
 
     /// A BUFCHECK with the given valve capacity.
     pub fn bufcheck(input: Box<dyn Operator>, spec: CheckSpec, capacity: usize) -> Self {
-        Self::new(input, Guard::check(spec), false, capacity.max(1))
+        Self::new(input, spec, false, capacity.max(1))
     }
 
-    /// A suboptimality monitor over `input`.
-    pub fn monitor(input: Box<dyn Operator>, spec: MonitorSpec) -> Self {
-        Self::new(input, Guard::monitor(spec), false, 0)
+    /// May this guard raise right now? When a dummy re-optimization is
+    /// forced at one checkpoint, every *other* guard observes without
+    /// raising, so the measured cost is pure re-optimization overhead
+    /// (Figure 12).
+    fn armed(&self, ctx: &ExecCtx) -> bool {
+        ctx.checks_enabled && ctx.force_reopt_at.is_none_or(|id| id == self.spec.id)
     }
 
-    /// Count `n` live rows against the upper bound, charging the guard's
+    /// Record a verdict on `ctx` as a [`CheckEvent`].
+    fn record(&self, ctx: &mut ExecCtx, outcome: CheckOutcome, observed: ObservedCard) {
+        let s = &self.spec;
+        ctx.check_events.push(CheckEvent {
+            check_id: s.id,
+            flavor: s.flavor,
+            context: s.context,
+            outcome,
+            at_work: ctx.work,
+            started_at: self.started_at,
+            observed,
+            est_card: s.est_card,
+            range: s.range,
+            signature: s.signature.clone(),
+        });
+    }
+
+    /// Record the verdict and build the re-optimization signal for it.
+    fn raise(
+        &self,
+        ctx: &mut ExecCtx,
+        outcome: CheckOutcome,
+        observed: ObservedCard,
+    ) -> ExecSignal {
+        self.record(ctx, outcome, observed);
+        let s = &self.spec;
+        ExecSignal::Reopt(Box::new(Violation {
+            check_id: s.id,
+            flavor: s.flavor,
+            signature: s.signature.clone(),
+            observed,
+            est_card: s.est_card,
+            range: s.range,
+            forced: outcome == CheckOutcome::Forced,
+        }))
+    }
+
+    /// Decide a completed (exact) count against both bounds, recording the
+    /// one event of this check.
+    fn decide_exact(&self, total: u64, ctx: &mut ExecCtx) -> OpResult<()> {
+        let observed = ObservedCard::Exact(total);
+        let in_range = self.spec.range.contains(total as f64);
+        let forced = ctx.force_reopt_at == Some(self.spec.id) && !ctx.forced_fired;
+        let may_raise = self.armed(ctx);
+        // Fault hook: an armed, in-range check may be ordered to report a
+        // spurious violation. The observation it carries stays truthful,
+        // so the driver's feedback/re-optimization path runs with correct
+        // cardinalities and must converge.
+        let spurious = may_raise && in_range && !forced && ctx.fault_spurious_check();
+        if may_raise && (!in_range || forced || spurious) {
+            let outcome = if in_range && !spurious {
+                ctx.forced_fired = true;
+                CheckOutcome::Forced
+            } else {
+                CheckOutcome::Violated
+            };
+            return Err(self.raise(ctx, outcome, observed));
+        }
+        self.record(ctx, CheckOutcome::Passed, observed);
+        Ok(())
+    }
+
+    /// Count `n` live rows against the upper bound, charging the check's
     /// row charge plus `surcharge` work units per counted row, up to and
     /// including the tripping row. `None` admits the whole batch.
     fn admit(&mut self, n: u64, surcharge: f64, ctx: &mut ExecCtx) -> Option<Trip> {
-        let per_row = self.guard.row_charge(ctx) + surcharge;
-        let row = tripping_row(self.count, n, self.guard.spec.range.hi)
-            .filter(|_| !self.resolved && self.guard.armed(ctx));
+        let per_row = ctx.model.check_row + surcharge;
+        let row = tripping_row(self.count, n, self.spec.range.hi)
+            .filter(|_| !self.resolved && self.armed(ctx));
         let counted = row.map_or(n, |j| j + 1);
         self.count += counted;
         ctx.charge(counted as f64 * per_row);
@@ -336,19 +227,18 @@ impl GuardOp {
 
     fn raise_upper(&mut self, ctx: &mut ExecCtx, observed: ObservedCard) -> ExecSignal {
         self.resolved = true;
-        self.guard
-            .raise(ctx, CheckOutcome::Violated, observed, self.started_at)
+        self.raise(ctx, CheckOutcome::Violated, observed)
     }
 
-    /// The producer is exhausted: a CHECK verifies its exact count (lower
-    /// bound included). Monitors have no lower bound.
+    /// The producer is exhausted: the CHECK verifies its exact count (lower
+    /// bound included).
     fn finish(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.eof = true;
-        if self.guard.monitor.is_some() || self.resolved {
+        if self.resolved {
             return Ok(());
         }
         self.resolved = true;
-        self.guard.decide_exact(self.count, self.started_at, ctx)
+        self.decide_exact(self.count, ctx)
     }
 
     /// Decide once against the exact materialized count `n` (the Figure 10
@@ -358,7 +248,7 @@ impl GuardOp {
         self.decided_at_open = true;
         self.resolved = true;
         ctx.charge(ctx.model.check_row);
-        self.guard.decide_exact(n, self.started_at, ctx)
+        self.decide_exact(n, ctx)
     }
 
     /// Fill the valve, charging the buffering surcharge per row.
@@ -405,7 +295,6 @@ impl Operator for GuardOp {
         self.pending_signal = None;
         self.started_at = ctx.work;
         self.count = 0;
-        self.guard.rearm(ctx);
         self.input.open(ctx)?;
         if self.above_materialization {
             if let Some(n) = self.input.materialized_count() {
@@ -460,7 +349,7 @@ crate::operators::opaque_debug!(GuardOp);
 mod tests {
     use super::*;
     use crate::operators::TempOp;
-    use pop_plan::CostModel;
+    use pop_plan::{CheckContext, CheckFlavor, CostModel, ValidityRange};
     use pop_storage::Catalog;
     use pop_types::{Rid, Value};
 
@@ -497,12 +386,12 @@ mod tests {
 
     crate::operators::opaque_debug!(Rows);
 
+    /// A CHECK's `[lo, hi]` range.
     #[derive(Clone, Copy)]
-    enum Bound {
-        Check { lo: f64, hi: f64 },
-        Monitor { trip: u64 },
+    struct Check {
+        lo: f64,
+        hi: f64,
     }
-    use Bound::{Check, Monitor};
 
     #[derive(Clone, Copy, PartialEq)]
     enum Shape {
@@ -517,7 +406,7 @@ mod tests {
 
     struct Case {
         name: &'static str,
-        bound: Bound,
+        bound: Check,
         shape: Shape,
         arrange: fn(&mut ExecCtx),
         /// The one signal expected: observation and `forced` flag.
@@ -529,7 +418,7 @@ mod tests {
         charged: Option<(f64, f64)>,
     }
 
-    fn case(name: &'static str, bound: Bound, shape: Shape) -> Case {
+    fn case(name: &'static str, bound: Check, shape: Shape) -> Case {
         Case {
             name,
             bound,
@@ -647,54 +536,17 @@ mod tests {
             )
             .raises(Exact(all), 0)
             .charged(0.0, 100.0),
-            case("monitor trips on exact row", Monitor { trip: 10 }, Stream)
-                .raises(AtLeast(11), 10),
-            case("monitor silent at its bound", Monitor { trip: all }, Stream),
-            case("monitor disarmed: checks off", Monitor { trip: 10 }, Stream)
-                .arrange(|c| c.checks_enabled = false),
-            case(
-                "monitor disarmed: already fired",
-                Monitor { trip: 10 },
-                Stream,
-            )
-            .arrange(|c| {
-                c.monitor_fired.insert("sig".into());
-            }),
-            case(
-                "monitor disarmed: forced reopt",
-                Monitor { trip: 10 },
-                Stream,
-            )
-            .arrange(|c| c.force_reopt_at = Some(0)),
-            case(
-                "lying monitor trips at once",
-                Monitor { trip: 1000 },
-                Stream,
-            )
-            .arrange(|c| {
-                let plan = pop_guard::FaultPlan::single(pop_guard::FaultKind::MonitorLie, 0);
-                c.faults = Some(pop_guard::FaultInjector::new(plan));
-            })
-            .raises(AtLeast(1), 0),
         ]
     }
 
-    fn guard_of(bound: Bound) -> Guard {
-        match bound {
-            Check { lo, hi } => Guard::check(CheckSpec {
-                id: 0,
-                flavor: CheckFlavor::Lc,
-                range: ValidityRange::new(lo, hi),
-                est_card: 1.0,
-                signature: "sig".into(),
-                context: CheckContext::AboveTemp,
-            }),
-            Monitor { trip } => Guard::monitor(MonitorSpec {
-                path: "$".into(),
-                signature: "sig".into(),
-                est_card: 1.0,
-                trip,
-            }),
+    fn spec_of(Check { lo, hi }: Check) -> CheckSpec {
+        CheckSpec {
+            id: 0,
+            flavor: CheckFlavor::Lc,
+            range: ValidityRange::new(lo, hi),
+            est_card: 1.0,
+            signature: "sig".into(),
+            context: CheckContext::AboveTemp,
         }
     }
 
@@ -722,7 +574,7 @@ mod tests {
             Valve(c) => c,
             _ => 0,
         };
-        let mut op = GuardOp::new(src, guard_of(case.bound), case.shape == AboveTemp, capacity);
+        let mut op = GuardOp::new(src, spec_of(case.bound), case.shape == AboveTemp, capacity);
         let mut run = Run {
             values: Vec::new(),
             before: 0,
@@ -789,45 +641,25 @@ mod tests {
                     "{at}"
                 );
 
-                match case.bound {
-                    Check { lo, hi } => {
-                        // Exactly one event: the signal's, or Passed on
-                        // the exact count.
-                        assert!(ctx.monitor_signals.is_empty(), "{at}");
-                        assert_eq!(ctx.check_events.len(), 1, "{at}");
-                        let e = &ctx.check_events[0];
-                        let (observed, outcome) = match case.signal {
-                            Some((o, true)) => (o, CheckOutcome::Forced),
-                            Some((o, false)) => (o, CheckOutcome::Violated),
-                            None => (ObservedCard::Exact(TOTAL as u64), CheckOutcome::Passed),
-                        };
-                        assert_eq!((e.observed, e.outcome), (observed, outcome), "{at}");
-                        for v in &run.signals {
-                            assert!(!v.monitor, "{at}");
-                            assert_eq!((v.check_id, v.flavor), (0, CheckFlavor::Lc), "{at}");
-                            assert_eq!(v.range, ValidityRange::new(lo, hi), "{at}");
-                        }
-                        if let Some((s, f)) = case.charged {
-                            let m = &ctx.model;
-                            let want = s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
-                            assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
-                        }
-                    }
-                    Monitor { .. } => {
-                        // Monitors record signals, never check events, and
-                        // charge no work.
-                        assert!(ctx.check_events.is_empty(), "{at}");
-                        assert_eq!(ctx.work, 0.0, "{at}");
-                        assert_eq!(ctx.monitor_signals.len(), run.signals.len(), "{at}");
-                        for (v, s) in run.signals.iter().zip(&ctx.monitor_signals) {
-                            assert!(v.monitor && !v.forced, "{at}");
-                            assert_eq!((v.check_id, v.flavor), (usize::MAX, CheckFlavor::Ecb));
-                            assert_eq!(v.range, ValidityRange::new(0.0, s.trip as f64), "{at}");
-                            assert_eq!(ObservedCard::AtLeast(s.observed), v.observed, "{at}");
-                            assert_eq!((s.path.as_str(), s.signature.as_str()), ("$", "sig"));
-                            assert!(ctx.monitor_fired.contains("sig"), "{at}");
-                        }
-                    }
+                // Exactly one event: the signal's, or Passed on the exact
+                // count.
+                assert_eq!(ctx.check_events.len(), 1, "{at}");
+                let e = &ctx.check_events[0];
+                let (observed, outcome) = match case.signal {
+                    Some((o, true)) => (o, CheckOutcome::Forced),
+                    Some((o, false)) => (o, CheckOutcome::Violated),
+                    None => (ObservedCard::Exact(TOTAL as u64), CheckOutcome::Passed),
+                };
+                assert_eq!((e.observed, e.outcome), (observed, outcome), "{at}");
+                let Check { lo, hi } = case.bound;
+                for v in &run.signals {
+                    assert_eq!((v.check_id, v.flavor), (0, CheckFlavor::Lc), "{at}");
+                    assert_eq!(v.range, ValidityRange::new(lo, hi), "{at}");
+                }
+                if let Some((s, f)) = case.charged {
+                    let m = &ctx.model;
+                    let want = s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
+                    assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
                 }
             }
         }

@@ -7,7 +7,6 @@ pub(crate) mod guard;
 pub(crate) mod joins;
 mod key;
 pub(crate) mod materialize;
-pub(crate) mod monitor;
 mod scan;
 mod side;
 
@@ -15,7 +14,6 @@ pub use agg::{AggKind, HashAggOp, HavingOp, LimitOp, ProjectOp};
 pub use guard::GuardOp;
 pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
 pub use materialize::{HarvestInfo, SortOp, TempOp};
-pub use monitor::{MonitorSet, MonitorSpec, SuboptimalitySignal, MONITOR_TRIP_FLOOR};
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
 pub use side::{AntiJoinRidsOp, InsertOp, RidSinkOp};
 
@@ -42,7 +40,7 @@ pub(crate) use opaque_debug;
 /// equivalent, and [`crate::ExecCtx::batch_size`] of 1 reproduces classic
 /// row-at-a-time execution exactly. All three calls may raise an
 /// [`crate::ExecSignal`] — either a genuine error or a re-optimization
-/// request from a cardinality guard ([`guard`]: CHECK, BUFCHECK, monitor);
+/// request from a cardinality guard ([`guard`]: CHECK, BUFCHECK);
 /// a guard that fires mid-batch first emits the rows counted before the
 /// violation as a short batch, then raises.
 pub trait Operator {

@@ -14,13 +14,6 @@ pub enum ObservedCard {
 }
 
 impl ObservedCard {
-    /// The observed row count, regardless of exactness.
-    pub fn count(&self) -> u64 {
-        match self {
-            ObservedCard::Exact(n) | ObservedCard::AtLeast(n) => *n,
-        }
-    }
-
     /// Is the observation exact?
     pub fn is_exact(&self) -> bool {
         matches!(self, ObservedCard::Exact(_))
@@ -47,11 +40,6 @@ pub struct Violation {
     /// True when this was a forced (dummy) re-optimization used by the
     /// overhead experiments (Figure 12), not a genuine range violation.
     pub forced: bool,
-    /// True when the signal came from a continuous suboptimality monitor
-    /// rather than a planned CHECK ([`check_id`] is meaningless then).
-    ///
-    /// [`check_id`]: Violation::check_id
-    pub monitor: bool,
 }
 
 /// Control signal propagated up the operator tree.
@@ -78,8 +66,6 @@ mod tests {
 
     #[test]
     fn observed_card_views() {
-        assert_eq!(ObservedCard::Exact(5).count(), 5);
-        assert_eq!(ObservedCard::AtLeast(9).count(), 9);
         assert!(ObservedCard::Exact(5).is_exact());
         assert!(!ObservedCard::AtLeast(5).is_exact());
     }

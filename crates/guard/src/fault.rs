@@ -25,10 +25,6 @@ pub enum FaultKind {
     /// A CHECK node reports a spurious violation even though the
     /// observed cardinality is inside its validity range.
     SpuriousCheck,
-    /// A suboptimality monitor lies: it trips immediately regardless of
-    /// the actual cardinality (the observation it reports stays truthful,
-    /// so the feedback path must converge like a spurious check).
-    MonitorLie,
     /// A WAL append is torn mid-frame: half the record reaches disk, then
     /// the write errors — the on-disk state a crash mid-write leaves.
     /// Exercises the redo-recovery path of the paged backend.
@@ -40,27 +36,24 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in hook-counter order.
-    pub const ALL: [FaultKind; 7] = [
+    pub const ALL: [FaultKind; 6] = [
         FaultKind::StorageRead,
         FaultKind::OptimizerFail,
         FaultKind::CorruptStats,
         FaultKind::SpuriousCheck,
-        FaultKind::MonitorLie,
         FaultKind::TornWrite,
         FaultKind::ShortRead,
     ];
 
-    /// The kinds [`FaultPlan::from_seed`] samples from. Deliberately the
-    /// original five: seeded chaos plans are pinned by CI (fixed
-    /// `POP_FAULT_SEED` runs must stay byte-identical across releases),
-    /// so new kinds join `ALL` — and explicit `POP_FAULT_PLAN` specs —
-    /// without perturbing the seed→plan mapping.
-    const SEEDED: [FaultKind; 5] = [
+    /// The kinds [`FaultPlan::from_seed`] samples from: the four
+    /// engine-level kinds. Seeded chaos plans are pinned by CI (fixed
+    /// `POP_FAULT_SEED` runs), so new kinds join `ALL` — and explicit
+    /// `POP_FAULT_PLAN` specs — without perturbing the seed→plan mapping.
+    const SEEDED: [FaultKind; 4] = [
         FaultKind::StorageRead,
         FaultKind::OptimizerFail,
         FaultKind::CorruptStats,
         FaultKind::SpuriousCheck,
-        FaultKind::MonitorLie,
     ];
 
     /// Stable short name, used in `POP_FAULT_PLAN` specs and messages.
@@ -70,7 +63,6 @@ impl FaultKind {
             FaultKind::OptimizerFail => "optfail",
             FaultKind::CorruptStats => "stats",
             FaultKind::SpuriousCheck => "check",
-            FaultKind::MonitorLie => "monitor",
             FaultKind::TornWrite => "torn",
             FaultKind::ShortRead => "shortread",
         }
@@ -86,9 +78,8 @@ impl FaultKind {
             FaultKind::OptimizerFail => 1,
             FaultKind::CorruptStats => 2,
             FaultKind::SpuriousCheck => 3,
-            FaultKind::MonitorLie => 4,
-            FaultKind::TornWrite => 5,
-            FaultKind::ShortRead => 6,
+            FaultKind::TornWrite => 4,
+            FaultKind::ShortRead => 5,
         }
     }
 }
@@ -195,7 +186,7 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Times each kind's hook site has been reached, indexed by
     /// [`FaultKind::index`].
-    counters: [u64; 7],
+    counters: [u64; FaultKind::ALL.len()],
     /// Faults actually fired, for reporting.
     fired: Vec<FaultSpec>,
 }
@@ -205,7 +196,7 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
-            counters: [0; 7],
+            counters: [0; FaultKind::ALL.len()],
             fired: Vec::new(),
         }
     }
@@ -255,12 +246,6 @@ impl FaultInjector {
     /// if it should report a spurious violation anyway.
     pub fn spurious_check(&mut self) -> bool {
         self.hit(FaultKind::SpuriousCheck)
-    }
-
-    /// Hook site: a suboptimality monitor is opening. True if it should
-    /// lie and trip immediately.
-    pub fn monitor_lie(&mut self) -> bool {
-        self.hit(FaultKind::MonitorLie)
     }
 
     /// Hook site: a WAL record is about to be appended. True if the write
@@ -376,8 +361,7 @@ mod tests {
                 },
             ]
         );
-        let plan = FaultPlan::parse_spec("monitor@1").unwrap();
-        assert_eq!(plan, FaultPlan::single(FaultKind::MonitorLie, 1));
+        assert!(FaultPlan::parse_spec("monitor@1").is_none());
         assert!(FaultPlan::parse_spec("bogus@1").is_none());
         assert!(FaultPlan::parse_spec("storage").is_none());
         assert!(FaultPlan::parse_spec("storage@x").is_none());

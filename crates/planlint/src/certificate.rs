@@ -8,7 +8,7 @@
 //!
 //! The certificate is not a separate analysis: the coverage pass
 //! ([`crate::dataflow::CoveragePass`]) feeds a [`Tally`] from the same
-//! per-node decisions its `PL41x` / `PL421` findings come from.
+//! per-node decisions its `PL41x` findings come from.
 
 use crate::dataflow::Reach;
 use crate::domain::OpenRisk;

@@ -216,7 +216,7 @@ fn reach(spec: &CheckSpec, input: CardInterval) -> Option<Reach> {
 }
 
 /// Pass 6: the coverage pass — every rule over the interval states
-/// (`PL411`–`PL413`, `PL421`) and the [`RobustnessCertificate`], from one
+/// (`PL411`–`PL413`) and the [`RobustnessCertificate`], from one
 /// decision per node.
 ///
 /// * **Check reachability**, once per CHECK: `PL412` dead checks that can
@@ -225,27 +225,19 @@ fn reach(spec: &CheckSpec, input: CardInterval) -> Option<Reach> {
 /// * **Breaker-consumed risks**, once per node: risky edges that reach a
 ///   pipeline breaker offering no re-optimization opportunity (hash
 ///   aggregation, a hash-join build) with no dominating CHECK or
-///   materialization point in between. They are the `PL411` findings,
-///   the `PL421` findings where the node below the edge cannot carry a
-///   monitor, and the certificate's `uncovered` paths. Risks still open
-///   at the root stream to the application unobserved by any CHECK; they
-///   are `uncovered` too, and `PL421` where unmonitorable.
+///   materialization point in between. They are the `PL411` findings
+///   and the certificate's `uncovered` paths. Risks still open at the
+///   root stream to the application unobserved by any CHECK; they are
+///   `uncovered` too.
 /// * **Dominated risks**: a CHECK, BUFCHECK, SORT or TEMP clears the open
 ///   set below it; those risks are the certificate's `guarded_edges`.
-///
-/// The driver installs a continuous suboptimality monitor on every node
-/// whose row stream no CHECK already counts, so a clean `PL411` and
-/// `PL421` sweep proves every risky edge is either CHECK-dominated or
-/// monitor-covered.
 ///
 /// Gating: every rule consumes the cardinality intervals of [`domain`],
 /// so without a stats registry the pass is silent. `PL411` additionally
 /// requires [`crate::LintOptions::expect_check_coverage`] and a plan that
 /// has checkpoints at all, mirroring `PL104`'s gating: a plan POP chose
 /// not to guard (below the cost threshold, flavors off) is not a coverage
-/// hole. `PL421` requires [`crate::LintOptions::expect_monitor_coverage`]:
-/// with the monitor layer disabled there is nothing to prove. The
-/// certificate ignores both options.
+/// hole. The certificate ignores the option.
 pub(crate) struct CoveragePass {
     /// Report the findings (off when only the certificate is wanted).
     diagnose: bool,
@@ -281,48 +273,22 @@ impl Pass for CoveragePass {
         }
 
         let consumed = consumed_risks(cx);
-        if self.diagnose {
-            if ctx.options.expect_check_coverage && cx.plan_has_checks {
-                for r in &consumed {
-                    sink.emit(
-                        DiagCode::Pl411,
-                        cx.node,
-                        cx.path,
-                        format!(
-                            "risky edge at {} ({}, cardinality can leave its validity range \
-                             by {:.1}x) reaches this {} with no CHECK or materialization \
-                             point in between",
-                            r.path,
-                            r.node,
-                            r.escape,
-                            cx.node.name()
-                        ),
-                    );
-                }
-            }
-            if ctx.options.expect_monitor_coverage {
-                let root = if cx.frames.is_empty() {
-                    &cx.state.open_risks[..]
-                } else {
-                    &[]
-                };
-                for r in consumed.iter().map(AsRef::as_ref).chain(root) {
-                    // Covered: the node below the edge carries a monitor.
-                    if r.monitorable {
-                        continue;
-                    }
-                    sink.emit(
-                        DiagCode::Pl421,
-                        cx.node,
-                        cx.path,
-                        format!(
-                            "risky edge at {} ({}, cardinality can leave its validity range \
-                             by {:.1}x) is neither CHECK-dominated nor monitor-covered — \
-                             the node below it runs unmonitored",
-                            r.path, r.node, r.escape
-                        ),
-                    );
-                }
+        if self.diagnose && ctx.options.expect_check_coverage && cx.plan_has_checks {
+            for r in &consumed {
+                sink.emit(
+                    DiagCode::Pl411,
+                    cx.node,
+                    cx.path,
+                    format!(
+                        "risky edge at {} ({}, cardinality can leave its validity range \
+                         by {:.1}x) reaches this {} with no CHECK or materialization \
+                         point in between",
+                        r.path,
+                        r.node,
+                        r.escape,
+                        cx.node.name()
+                    ),
+                );
             }
         }
 

@@ -34,8 +34,6 @@ impl fmt::Display for Severity {
 /// * `PL40x` — temp-MV reuse soundness
 /// * `PL41x` — interval dataflow analyses (coverage proof, check
 ///   reachability)
-/// * `PL42x` — monitor-coverage proof (risky edges the runtime
-///   suboptimality monitors cannot observe)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // each variant is documented by `title()`
 pub enum DiagCode {
@@ -63,13 +61,12 @@ pub enum DiagCode {
     Pl411,
     Pl412,
     Pl413,
-    Pl421,
 }
 
 impl DiagCode {
     /// Every code, in code order (the source of truth for the
     /// `planlint --codes` table).
-    pub const ALL: [DiagCode; 25] = [
+    pub const ALL: [DiagCode; 24] = [
         DiagCode::Pl001,
         DiagCode::Pl002,
         DiagCode::Pl003,
@@ -94,7 +91,6 @@ impl DiagCode {
         DiagCode::Pl411,
         DiagCode::Pl412,
         DiagCode::Pl413,
-        DiagCode::Pl421,
     ];
     /// The stable code string, e.g. `"PL001"`.
     pub fn as_str(&self) -> &'static str {
@@ -123,7 +119,6 @@ impl DiagCode {
             DiagCode::Pl411 => "PL411",
             DiagCode::Pl412 => "PL412",
             DiagCode::Pl413 => "PL413",
-            DiagCode::Pl421 => "PL421",
         }
     }
 
@@ -158,7 +153,6 @@ impl DiagCode {
             DiagCode::Pl411 => "risky edge reaches a pipeline breaker unguarded",
             DiagCode::Pl412 => "dead checkpoint: its trigger range can never fire",
             DiagCode::Pl413 => "vacuous checkpoint: its trigger range always fires",
-            DiagCode::Pl421 => "risky edge neither CHECK-dominated nor monitor-covered",
         }
     }
 
@@ -177,8 +171,7 @@ impl DiagCode {
             | DiagCode::Pl403
             | DiagCode::Pl411
             | DiagCode::Pl412
-            | DiagCode::Pl413
-            | DiagCode::Pl421 => Severity::Warn,
+            | DiagCode::Pl413 => Severity::Warn,
             _ => Severity::Deny,
         }
     }

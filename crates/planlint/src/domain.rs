@@ -131,11 +131,6 @@ pub struct OpenRisk {
     /// Worst-case factor by which the actual cardinality can leave the
     /// edge's validity range.
     pub escape: f64,
-    /// Can the continuous suboptimality monitor layer observe this edge?
-    /// True when the node below the edge is one the driver installs a
-    /// monitor on (any node with a non-empty table set). Consumed by the
-    /// monitor-coverage proof (`PL421`).
-    pub monitorable: bool,
 }
 
 /// The abstract state the interpreter computes per node, bottom-up.
@@ -321,15 +316,10 @@ pub(crate) fn edge_risk(
     path: &[usize],
 ) -> Option<OpenRisk> {
     let escape = edge_escape(node, i, child, child_state)?;
-    // Mirror the driver's monitor placement: every node with a table set
-    // carries a monitor on its output unless a CHECK already counts that
-    // stream (but then the check dominates the risk anyway).
-    let monitorable = !child.props().tables.is_empty();
     Some(OpenRisk {
         path: crate::render_path(path.iter().copied().chain([i])),
         node: child.name(),
         escape,
-        monitorable,
     })
 }
 

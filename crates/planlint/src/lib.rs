@@ -36,12 +36,10 @@
 //!    up the tree; estimates are finite and non-negative.
 //! 5. **MV reuse** (`PL4xx`) — every MVSCAN names a registered temp MV
 //!    whose recorded layout matches the scan's output layout.
-//! 6. **Coverage** (`PL41x`, `PL42x`) — the interval analyses: the
+//! 6. **Coverage** (`PL41x`) — the interval analyses: the
 //!    CHECK-coverage proof (a risky edge must meet a CHECK or
 //!    materialization point before the next pipeline breaker, else
-//!    `PL411`), its runtime complement (such an edge must at least be
-//!    observable by a continuous suboptimality monitor, else `PL421`),
-//!    and validity-range reachability (`PL412` dead checks that can never
+//!    `PL411`) and validity-range reachability (`PL412` dead checks that can never
 //!    fire, `PL413` vacuous checks that always fire). These require a
 //!    [`pop_stats::StatsRegistry`] in the context; without one the
 //!    intervals are unknown and the pass is silent.
@@ -52,8 +50,8 @@
 //! findings, so the certificate and the lint cannot disagree.
 //!
 //! [`analyze`] is the entry point: one interpretation, one walk, and all
-//! three outputs — findings, certificate and the per-node intervals the
-//! driver derives its monitor trip bounds from. [`lint_plan`] and
+//! three outputs — findings, certificate and the per-node cardinality
+//! intervals. [`lint_plan`] and
 //! [`certify`] are projections of it that run only the passes they
 //! return.
 //!
@@ -105,10 +103,6 @@ pub struct LintOptions {
     /// the rules stay quiet on plans with no checks (e.g. below the cost
     /// threshold). The driver enables this when the LC flavor is on.
     pub expect_check_coverage: bool,
-    /// Expect every risky edge to be either CHECK-dominated or observed
-    /// by a continuous suboptimality monitor (`PL421`). The driver
-    /// enables this when the monitor layer is on.
-    pub expect_monitor_coverage: bool,
 }
 
 /// What the analyzer may consult besides the plan itself. Every reference
@@ -166,12 +160,6 @@ impl<'a> LintContext<'a> {
         self
     }
 
-    /// Set [`LintOptions::expect_monitor_coverage`].
-    pub fn expect_monitor_coverage(mut self, on: bool) -> Self {
-        self.options.expect_monitor_coverage = on;
-        self
-    }
-
     /// Supply live table statistics, seeding the leaf intervals of the
     /// abstract interpreter and enabling the `PL41x` analyses.
     pub fn with_stats(mut self, stats: &'a StatsRegistry) -> Self {
@@ -212,8 +200,7 @@ impl Sink {
 }
 
 /// Render a child-index path from the root as `$`, `$.0`, `$.0.1`, ...:
-/// the one spelling of a plan position in diagnostics, certificates and
-/// monitors.
+/// the one spelling of a plan position in diagnostics and certificates.
 pub fn render_path(path: impl IntoIterator<Item = usize>) -> String {
     let mut s = String::from("$");
     for i in path {
@@ -519,81 +506,74 @@ mod tests {
         assert_eq!(render_path([0, 1]), "$.0.1");
     }
 
-    // ---- PL421: monitor-coverage proof ------------------------------
+    // ---- PL411: CHECK-coverage proof --------------------------------
 
-    use pop_plan::{TableSet, ValidityRange};
+    use pop_plan::{CheckContext, CheckFlavor, ValidityRange};
 
-    /// `customer ⋈ orders` where the optimizer lies small about one side:
-    /// the edge's validity range brackets the (bad) estimate, but the
-    /// stats-seeded interval proves the actual cardinality escapes it.
-    /// `risky_build` puts the lie on the hash-join build side (consumed
-    /// unguarded at the breaker), otherwise on the probe side (the risk
-    /// survives to the root).
-    fn risky_hsjn(risky_build: bool) -> PhysNode {
-        let (build_est, probe_est) = if risky_build {
-            (5.0, 20_000.0)
-        } else {
-            (200.0, 5.0)
-        };
-        let build = leaf(0, "customer", 2, build_est);
-        let probe = leaf(1, "orders", 2, probe_est);
+    /// `customer ⋈ orders` where the optimizer lies small about the
+    /// hash-join build side: the edge's validity range brackets the (bad)
+    /// estimate, but the stats-seeded interval proves the actual
+    /// cardinality escapes it, and the breaker consumes the risk.
+    /// `probe_check` puts an always-passing CHECK on the probe side, so
+    /// the plan is one POP chose to guard.
+    fn risky_build_hsjn(probe_check: bool) -> PhysNode {
+        let build = leaf(0, "customer", 2, 5.0);
+        let mut probe = leaf(1, "orders", 2, 20_000.0);
+        if probe_check {
+            probe = check_with_range(
+                temp(probe),
+                CheckFlavor::Lc,
+                CheckContext::AboveTemp,
+                ValidityRange::unbounded(),
+            );
+        }
         let mut join = hsjn(build, probe, 20_000.0);
-        join.props_mut().edge_ranges = if risky_build {
-            vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()]
-        } else {
-            vec![ValidityRange::unbounded(), ValidityRange::new(0.0, 10.0)]
-        };
+        join.props_mut().edge_ranges =
+            vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()];
         join
     }
 
     #[test]
-    fn pl421_serial_risky_edges_are_monitor_covered() {
+    fn pl411_reports_an_unguarded_risky_build_edge() {
         let (_, stats) = setup();
-        for risky_build in [true, false] {
-            let plan = risky_hsjn(risky_build);
-            let ctx = LintContext::bare()
-                .with_stats(&stats)
-                .expect_monitor_coverage(true);
-            let diags = lint_plan(&plan, &ctx);
-            assert!(diags.is_empty(), "risky_build={risky_build}: {diags:?}");
-            // Without the option the pass is silent.
-            let off = LintContext::bare().with_stats(&stats);
-            assert!(lint_plan(&plan, &off).is_empty());
-            // Without stats nothing is provable.
-            let blind = LintContext::bare().expect_monitor_coverage(true);
-            assert!(lint_plan(&plan, &blind).is_empty());
-        }
-    }
-
-    #[test]
-    fn pl421_reports_edge_with_no_feedback_signature() {
-        let (_, stats) = setup();
-        // A build side with an empty table set has no feedback signature,
-        // so the driver cannot install a monitor on it: the risky edge is
-        // neither CHECK-dominated nor monitor-covered.
-        let mut plan = risky_hsjn(true);
-        let PhysNode::Hsjn { build, .. } = &mut plan else {
-            unreachable!()
-        };
-        build.props_mut().tables = TableSet::EMPTY;
+        let plan = risky_build_hsjn(true);
         let ctx = LintContext::bare()
             .with_stats(&stats)
-            .expect_monitor_coverage(true);
+            .expect_check_coverage(true);
         let diags = lint_plan(&plan, &ctx);
-        assert_eq!(codes(&diags), vec!["PL421"], "{diags:?}");
-        assert!(diags[0].message.contains("monitor"), "{}", diags[0].message);
+        assert_eq!(codes(&diags), vec!["PL411"], "{diags:?}");
+        assert_eq!(diags[0].path, "$", "{diags:?}");
+        // Without the option the pass is silent.
+        let off = LintContext::bare().with_stats(&stats);
+        assert!(lint_plan(&plan, &off).is_empty());
+        // Without stats nothing is provable.
+        let blind = LintContext::bare().expect_check_coverage(true);
+        assert!(lint_plan(&plan, &blind).is_empty());
     }
 
     #[test]
-    fn pl421_checked_build_edge_is_dominated() {
+    fn pl411_is_quiet_on_a_plan_without_checks() {
+        let (_, stats) = setup();
+        // POP placed no checkpoint (below the cost threshold, flavors
+        // off): an unguarded plan is not a coverage hole.
+        let plan = risky_build_hsjn(false);
+        let ctx = LintContext::bare()
+            .with_stats(&stats)
+            .expect_check_coverage(true);
+        assert!(lint_plan(&plan, &ctx).is_empty());
+        // The certificate still records the residual risk.
+        assert_eq!(certify(&plan, &ctx).uncovered.len(), 1);
+    }
+
+    #[test]
+    fn pl411_checked_build_edge_is_dominated() {
         let (_, stats) = setup();
         // The build side feeds through TEMP+CHECK: the checkpoint
-        // observes the cardinality, so the edge is CHECK-dominated and
-        // needs no monitor.
+        // observes the cardinality, so the edge is CHECK-dominated.
         let build = check_with_range(
             temp(leaf(0, "customer", 2, 5.0)),
-            pop_plan::CheckFlavor::Lc,
-            pop_plan::CheckContext::AboveTemp,
+            CheckFlavor::Lc,
+            CheckContext::AboveTemp,
             ValidityRange::unbounded(),
         );
         let probe = leaf(1, "orders", 2, 20_000.0);
@@ -602,7 +582,7 @@ mod tests {
             vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()];
         let ctx = LintContext::bare()
             .with_stats(&stats)
-            .expect_monitor_coverage(true);
+            .expect_check_coverage(true);
         let diags = lint_plan(&plan, &ctx);
         assert!(diags.is_empty(), "{diags:?}");
     }

@@ -26,10 +26,8 @@
 //! So does the static analysis every step runs (`RECORDED_BEFORE_VETTING`):
 //! one planlint `analyze` per plan, not three interpretations.
 //!
-//! Two more facts are counts, not times: a governor enforcing budgets that
-//! never trip allocates exactly what no governor does, and the continuous
-//! monitors cost a fixed number of allocations per plan, the same at any
-//! batch size — never any per batch.
+//! One more fact is a count, not a time: a governor enforcing budgets that
+//! never trip allocates exactly what no governor does.
 //!
 //! The allocator also tracks live bytes, so repeated passes over the same
 //! executor can show that nothing a query leaves behind accumulates, and a
@@ -41,7 +39,7 @@
 // no other test runs under it.
 #![allow(unsafe_code)]
 
-use pop::{Budget, FlavorSet, PopConfig, PopExecutor, QueryResult};
+use pop::{Budget, PopConfig, PopExecutor, QueryResult};
 use pop_expr::{Expr, Params};
 use pop_optimizer::CostModel;
 use pop_plan::{QueryBuilder, QuerySpec};
@@ -139,7 +137,7 @@ fn second_runs(a: &PopExecutor, b: &PopExecutor, spec: &QuerySpec) -> [(u64, Que
 
 /// TPC-H Q6, Q1 and Q3 and `lineitem_sel`, a selective LINEITEM scan
 /// projected onto three columns: the scan, aggregate and join paths the
-/// guard and monitor counts are taken over.
+/// guard counts are taken over.
 fn scan_path_queries() -> Vec<(&'static str, QuerySpec)> {
     use pop_tpch::cols::lineitem;
     let mut b = QueryBuilder::new();
@@ -199,59 +197,6 @@ fn a_generous_budget_allocates_exactly_what_no_budget_does() {
             generous, unlimited,
             "{name}: the governor's ledger allocates"
         );
-    }
-}
-
-/// Monitors on and off over a plan without CHECKs (`FlavorSet::none()`),
-/// so with them on every eligible node is monitored:
-/// what they add to a run is per plan, so it is the same at batch sizes
-/// 1024 and 64 — where `lineitem_sel` runs about 16 times the batches.
-#[test]
-fn monitors_allocate_per_plan_not_per_batch() {
-    let tpch = pop_tpch::tpch_catalog_with(0.01, StorageConfig::default()).unwrap();
-    let executor = |monitor, batch_size| {
-        let mut cfg = PopConfig {
-            monitor,
-            batch_size,
-            ..config()
-        };
-        cfg.optimizer.flavors = FlavorSet::none();
-        PopExecutor::new(tpch.clone(), cfg).unwrap()
-    };
-    for (name, spec) in scan_path_queries() {
-        let mut added = Vec::new();
-        for batch_size in [1024, 64] {
-            let (off, on) = (executor(false, batch_size), executor(true, batch_size));
-            let [(bare, unmonitored), (monitored, watched)] = second_runs(&off, &on, &spec);
-            let installed = |r: &QueryResult| -> usize {
-                r.report.steps.iter().map(|s| s.monitors_installed).sum()
-            };
-            assert_eq!(
-                installed(&unmonitored),
-                0,
-                "{name}: monitors off, yet installed"
-            );
-            assert!(
-                installed(&watched) > 0,
-                "{name}: monitors on, none installed"
-            );
-            assert_eq!(
-                watched.report.reopt_count, 0,
-                "{name}: a monitor tripped on accurate estimates"
-            );
-            assert_eq!(
-                watched.rows, unmonitored.rows,
-                "{name}: monitoring changed the rows"
-            );
-            let batches: usize = watched.report.steps.iter().map(|s| s.batches_emitted).sum();
-            println!(
-                "{name} at batch size {batch_size} ({batches} batches): {bare} allocation(s) \
-                 bare, {monitored} with {} monitor(s)",
-                installed(&watched)
-            );
-            added.push(monitored as i64 - bare as i64);
-        }
-        assert_eq!(added[0], added[1], "{name}: monitors allocate per batch");
     }
 }
 
@@ -570,10 +515,9 @@ fn one_analysis_per_step_allocates_under_half_of_three() {
         .collect();
     let start = ALLOCATIONS.with(Cell::get);
     for (q, plan) in queries.iter().zip(&plans) {
-        // `vet_plan`'s context: LC on, monitors on, live statistics.
+        // `vet_plan`'s context: LC on, live statistics.
         let ctx = pop::LintContext::full(dmv.catalog(), &q.spec)
             .expect_check_coverage(true)
-            .expect_monitor_coverage(true)
             .with_stats(dmv.stats());
         std::hint::black_box(pop::analyze(plan, &ctx));
     }

@@ -11,9 +11,7 @@
 //!   duplicate anything;
 //! * a fixed fault seed reproduces the identical outcome, byte for byte.
 
-use pop::{
-    Budget, CancelToken, FaultKind, FaultPlan, FaultSpec, FlavorSet, PopConfig, PopExecutor,
-};
+use pop::{Budget, CancelToken, FaultKind, FaultPlan, FaultSpec, PopConfig, PopExecutor};
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::Params;
 use pop_plan::QuerySpec;
@@ -333,20 +331,17 @@ fn spurious_check_violation_preserves_results() {
     assert_eq!(exec.catalog().temp_mv_count(), 0);
 }
 
-/// The drifting-stats scenario: every CHECK flavor is off, so only the
-/// continuous suboptimality monitors stand between the optimizer and the
-/// correlated misestimate. The injected monitor fault makes the first
-/// monitor trip immediately — simulating statistics drifting out from
-/// under a running query — and the stats fault corrupts the cardinality
-/// feedback recorded for the re-optimization. The loop must still flag
-/// the drift as a monitor violation, re-optimize early and converge to
-/// the exact answer.
+/// Corrupted feedback on a re-plan: the injected check fault makes the
+/// first CHECK report a spurious violation, and the stats fault records
+/// an absurd cardinality for its subplan before the re-optimization. The
+/// loop must plan on the lie, still converge to the exact answer, and
+/// leave no temp MV behind.
 #[test]
-fn drifting_stats_monitor_flags_drift_and_reopts_early() {
-    let mut config = PopConfig {
+fn spurious_check_with_corrupt_feedback_converges() {
+    let config = PopConfig {
         faults: Some(FaultPlan::new(vec![
             FaultSpec {
-                kind: FaultKind::MonitorLie,
+                kind: FaultKind::SpuriousCheck,
                 at: 0,
             },
             FaultSpec {
@@ -356,30 +351,30 @@ fn drifting_stats_monitor_flags_drift_and_reopts_early() {
         ])),
         ..PopConfig::default()
     };
-    config.optimizer.flavors = FlavorSet::none();
     let exec = PopExecutor::new(correlated_db(), config).unwrap();
     let res = exec.run(&correlated_query(), &Params::none()).unwrap();
     assert_eq!(res.rows.len(), CORRELATED_ROWS);
     assert!(
         res.report.reopt_count >= 1,
-        "drift must force an early re-optimization: {:#?}",
-        res.report.steps
+        "the spurious violation must force a re-optimization:\n{}",
+        res.report.summary()
     );
-    let first = &res.report.steps[0];
     assert!(
-        !first.monitors.is_empty(),
-        "no suboptimality signal recorded: {:#?}",
-        res.report.steps
+        res.report.steps[0].violation.is_some(),
+        "first step must suspend:\n{}",
+        res.report.summary()
     );
-    let v = first.violation.as_ref().expect("first step must suspend");
-    assert!(v.monitor, "violation must be monitor-flagged: {v:?}");
     assert_eq!(exec.catalog().temp_mv_count(), 0);
     // Corrupted feedback may cost extra iterations, never correctness.
     let mut rows = res.rows;
     rows.sort();
     let n = rows.len();
     rows.dedup();
-    assert_eq!(rows.len(), n, "monitor-driven reopt duplicated rows");
+    assert_eq!(
+        rows.len(),
+        n,
+        "re-optimization on corrupt feedback duplicated rows"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration: the 39-query DMV workload (§6 of the paper)
 //! with and without POP.
 
-use pop::{FlavorSet, PopConfig, PopExecutor};
+use pop::{PopConfig, PopExecutor};
 use pop_dmv::{
     correlated_marker_params, correlated_marker_query, dmv_catalog, dmv_queries,
     uncorrelated_marker_params,
@@ -70,23 +70,18 @@ fn dmv_workload_runs_and_pop_preserves_semantics() {
 /// The adversarial correlated-parameter-markers scenario (§5.1): the
 /// marker predicate is opaque at optimization time, so the plan is built
 /// on default selectivities; the adversarial bindings make the actual
-/// cardinality two orders larger. With every CHECK flavor off, only the
-/// continuous suboptimality monitor observes the escape — it must flag
-/// the drift, force a re-optimization, and still return the exact rows.
-/// The control bindings hit the *same* plan with a near-empty actual:
-/// no drift, no signal, no re-optimization.
+/// cardinality two orders larger. At the default flavors a CHECK observes
+/// the escape: it must force a re-optimization, return the exact rows,
+/// and recover a plan that does less work than the static one. The
+/// control bindings hit the *same* plan with an empty actual: no
+/// violation, no re-optimization.
 #[test]
-fn correlated_markers_pin_monitor_triggered_recovery() {
-    let no_check = || {
-        let mut cfg = PopConfig::default();
-        cfg.optimizer.flavors = FlavorSet::none();
-        cfg
-    };
+fn correlated_markers_pin_check_triggered_recovery() {
     let q = correlated_marker_query();
-    let exec = PopExecutor::new(dmv_catalog(SCALE).unwrap(), no_check()).unwrap();
+    let exec = PopExecutor::new(dmv_catalog(SCALE).unwrap(), PopConfig::default()).unwrap();
     let baseline = PopExecutor::new(dmv_catalog(SCALE).unwrap(), PopConfig::without_pop()).unwrap();
 
-    // Adversarial bindings: monitor-triggered recovery.
+    // Adversarial bindings: CHECK-triggered recovery.
     let params = correlated_marker_params();
     let res = exec.run(&q.spec, &params).unwrap();
     let base = baseline.run(&q.spec, &params).unwrap();
@@ -98,18 +93,20 @@ fn correlated_markers_pin_monitor_triggered_recovery() {
     assert_rows_equal(res.rows.clone(), base.rows.clone(), &q.name);
     assert!(
         res.report.reopt_count >= 1,
-        "monitor should flag the marker-induced drift:\n{}",
-        res.report.summary()
-    );
-    let first = &res.report.steps[0];
-    assert!(
-        first.violation.as_ref().is_some_and(|v| v.monitor),
-        "recovery must be monitor-triggered, not CHECK-triggered:\n{}",
+        "a CHECK should catch the marker-induced drift:\n{}",
         res.report.summary()
     );
     assert!(
-        !first.monitors.is_empty(),
-        "no suboptimality signal recorded"
+        res.report.steps[0].violation.is_some(),
+        "the first step must suspend on a CHECK:\n{}",
+        res.report.summary()
+    );
+    assert!(
+        res.report.total_work < base.report.total_work,
+        "POP {:.0} work units vs static {:.0}:\n{}",
+        res.report.total_work,
+        base.report.total_work,
+        res.report.summary()
     );
 
     // Control bindings: same plan, nothing to recover from.

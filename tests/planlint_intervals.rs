@@ -8,8 +8,8 @@
 //! * one analysis, three outputs that agree — on the same plans, under
 //!   every flavor configuration the `planlint` sweep uses, the
 //!   certificate's uncovered paths are the `PL411` risks plus the risks
-//!   that reach the root, every `PL421` risk is uncovered, and the dead /
-//!   vacuous counts are the `PL412` / `PL413` findings;
+//!   that reach the root, and the dead / vacuous counts are the `PL412` /
+//!   `PL413` findings;
 //! * the `LintMode` matrix for the interval diagnostics (`PL411`
 //!   coverage holes, `PL412` dead checks, `PL413` vacuous checks) —
 //!   Off stays silent, Warn/Enforce report, and none of them block
@@ -60,7 +60,7 @@ fn flavor_configs() -> Vec<(&'static str, FlavorSet)> {
     ]
 }
 
-/// The risky-edge path a `PL411` / `PL421` message names.
+/// The risky-edge path a `PL411` message names.
 fn risk_path(message: &str) -> &str {
     let rest = message
         .strip_prefix("risky edge at ")
@@ -104,9 +104,6 @@ fn check_agreement(at: &str, plan: &PhysNode, coverage: bool, a: &PlanAnalysis) 
     let cert = &a.certificate;
     assert_eq!(cert.dead_checks, count(DiagCode::Pl412), "{at}: dead");
     assert_eq!(cert.vacuous_checks, count(DiagCode::Pl413), "{at}: vacuous");
-    for p in of(DiagCode::Pl421) {
-        assert!(cert.uncovered.iter().any(|u| u == p), "{at}: PL421 {p}");
-    }
     if coverage && !plan.checks().is_empty() {
         // Breaker-consumed risks first (PL411, bottom-up), then the ones
         // still open at the root.
@@ -131,7 +128,6 @@ fn cross_validate(label: &str, catalog: &Catalog, queries: &[(String, QuerySpec)
             let plan = exec.plan(spec, &Params::none()).unwrap();
             let ctx = LintContext::full(exec.catalog(), spec)
                 .expect_check_coverage(flavors.lc)
-                .expect_monitor_coverage(true)
                 .with_stats(exec.stats());
             let analysis = analyze(&plan, &ctx);
             let mut estimates = Vec::new();
@@ -330,7 +326,6 @@ fn lint_mode_matrix_coverage_hole_pl411() {
     open_agg_coverage_hole(&mut plan);
     let ctx = LintContext::full(exec.catalog(), &q)
         .expect_check_coverage(true)
-        .expect_monitor_coverage(true)
         .with_stats(exec.stats());
     let analysis = analyze(&plan, &ctx);
     assert!(

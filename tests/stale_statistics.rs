@@ -3,7 +3,7 @@
 //! the data grew; POP's checkpoints catch the resulting misestimates at
 //! runtime.
 
-use pop::{FlavorSet, PopConfig, PopExecutor, StatsRegistry};
+use pop::{PopConfig, PopExecutor, StatsRegistry};
 use pop_expr::Params;
 use pop_plan::QueryBuilder;
 use pop_storage::{Catalog, IndexKind};
@@ -90,47 +90,42 @@ fn stale_and_fresh_stats_agree_on_results() {
     assert_eq!(a, b, "statistics must never affect results");
 }
 
-/// The drift scenario with the paper's safety net absent: every CHECK
-/// flavor is off, so no checkpoint can catch the 41x growth. The
-/// continuous suboptimality monitor still counts the drifted stream
-/// against its stale envelope, flags the drift mid-run and forces the
-/// early re-optimization — and switching the monitor off too is the
-/// counterfactual where the stale plan runs blind to the end.
+/// The drift scenario at the default configuration: the build-edge CHECK
+/// resolves the 41x growth with one re-optimization, and the recovered
+/// plan does less than half the work of the stale static plan (about
+/// 57 k against 135 k work units). A CHECK is the only runtime guard:
+/// nothing may trip on the drifted stream before it resolves and turn
+/// the one re-optimization into several.
 #[test]
-fn drifting_stats_without_checks_are_caught_by_the_monitor() {
-    let run = |monitor: bool| {
+fn default_pop_does_less_work_than_static_on_stale_statistics() {
+    let run = |cfg: PopConfig| {
         let (cat, stats) = stale_setup();
-        let mut cfg = PopConfig::default();
-        cfg.optimizer.flavors = FlavorSet::none();
-        cfg.monitor = monitor;
         let exec = PopExecutor::with_stats(cat, stats, cfg);
         exec.run(&query(), &Params::none()).unwrap()
     };
-
-    let res = run(true);
-    assert_eq!(res.rows.len(), 20_500, "drift must never cost rows");
-    assert!(
-        res.report.reopt_count >= 1,
-        "monitor should flag the drift and re-optimize early:\n{}",
-        res.report.summary()
-    );
-    let first = &res.report.steps[0];
-    assert!(
-        !first.monitors.is_empty(),
-        "no suboptimality signal recorded:\n{}",
-        res.report.summary()
-    );
-    let v = first.violation.as_ref().expect("first step must suspend");
-    assert!(v.monitor, "violation must be monitor-flagged: {v:?}");
-
-    // Counterfactual: no checks, no monitor — the drift goes unnoticed.
-    let blind = run(false);
-    assert_eq!(blind.rows.len(), 20_500);
+    let pop = run(PopConfig::default());
+    let fixed = run(PopConfig::without_pop());
+    assert_eq!(pop.rows.len(), 20_500, "drift must never cost rows");
+    assert_eq!(fixed.rows.len(), 20_500);
+    assert_eq!(fixed.report.reopt_count, 0);
     assert_eq!(
-        blind.report.reopt_count,
-        0,
-        "nothing should observe the drift with both nets off:\n{}",
-        blind.report.summary()
+        pop.report.reopt_count,
+        1,
+        "one CHECK violation should recover the plan:\n{}",
+        pop.report.summary()
+    );
+    let first = &pop.report.steps[0];
+    assert!(
+        first.violation.is_some(),
+        "first step must suspend:\n{}",
+        pop.report.summary()
+    );
+    assert!(
+        pop.report.total_work < fixed.report.total_work,
+        "POP {:.0} work units vs static {:.0}:\n{}",
+        pop.report.total_work,
+        fixed.report.total_work,
+        pop.report.summary()
     );
 }
 

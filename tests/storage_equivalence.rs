@@ -4,8 +4,8 @@
 //! Running any workload on `PagedBackend` — even with a buffer pool far
 //! smaller than the working set, so pages are constantly evicted and
 //! re-read — has to produce byte-identical rows *in the same order*, the
-//! same optimize–execute step sequence, the same CHECK and monitor
-//! events, and the same robustness certificates as `MemBackend`, at
+//! same optimize–execute step sequence, the same CHECK events, and the
+//! same robustness certificates as `MemBackend`, at
 //! every batch size. Both backends share one page-packing
 //! rule, so page counts, page-aware cost estimates and charged work are
 //! identical; only physical I/O (`RunReport::storage`) may differ, and it
@@ -57,7 +57,7 @@ fn config(batch_size: usize) -> PopConfig {
 }
 
 /// Everything discrete about two run reports: step sequence, plan shapes,
-/// check events, monitor signals and certificates. `RunReport::storage`
+/// check events and certificates. `RunReport::storage`
 /// (physical I/O) is the one field allowed to differ.
 fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.steps.len(), b.steps.len(), "{what}: step count differs");
@@ -91,20 +91,6 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
             );
             assert_eq!(ea.signature, eb.signature, "{what} step {i}: signature");
         }
-        assert_eq!(
-            sa.monitors.len(),
-            sb.monitors.len(),
-            "{what} step {i}: monitor signal count differs"
-        );
-        for (ma, mb) in sa.monitors.iter().zip(sb.monitors.iter()) {
-            assert_eq!(ma.path, mb.path, "{what} step {i}: monitor path");
-            assert_eq!(ma.observed, mb.observed, "{what} step {i}: monitor rows");
-            assert_eq!(ma.trip, mb.trip, "{what} step {i}: monitor trip");
-        }
-        assert_eq!(
-            sa.monitors_installed, sb.monitors_installed,
-            "{what} step {i}: monitors installed"
-        );
         // Certificates render every proved property; string equality is
         // the certificate-hash comparison.
         let ca = sa.certificate.as_ref().map(ToString::to_string);
@@ -115,7 +101,6 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
             (Some(va), Some(vb)) => {
                 assert_eq!(va.check_id, vb.check_id, "{what} step {i}: viol check");
                 assert_eq!(va.observed, vb.observed, "{what} step {i}: viol observed");
-                assert_eq!(va.monitor, vb.monitor, "{what} step {i}: viol monitor");
             }
             (x, y) => panic!("{what} step {i}: violation mismatch {x:?} vs {y:?}"),
         }
