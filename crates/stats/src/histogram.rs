@@ -26,20 +26,26 @@ impl EquiDepthHistogram {
     /// [`EquiDepthHistogram::build`] from values already sorted by
     /// `f64::total_cmp`.
     pub fn from_sorted(values: &[f64], buckets: usize) -> Option<Self> {
-        if values.is_empty() || buckets == 0 {
+        Self::from_ranks(values.len(), buckets, |r| values[r])
+    }
+
+    /// [`EquiDepthHistogram::from_sorted`] of `n` sorted values read by
+    /// rank: `at(r)` is the value at rank `r`. It reads one value per
+    /// bucket bound, so a column sorted as keys needs no `f64` copy.
+    pub fn from_ranks(n: usize, buckets: usize, at: impl Fn(usize) -> f64) -> Option<Self> {
+        if n == 0 || buckets == 0 {
             return None;
         }
-        let n = values.len();
         let b = buckets.min(n);
         let mut bounds = Vec::with_capacity(b + 1);
         let mut depth = Vec::with_capacity(b);
-        bounds.push(values[0]);
+        bounds.push(at(0));
         let mut start = 0usize;
         for i in 0..b {
             // Rounded-even split of n into b buckets.
             let end = ((i + 1) * n) / b;
             let end = end.max(start + 1).min(n);
-            bounds.push(values[end - 1]);
+            bounds.push(at(end - 1));
             depth.push((end - start) as u64);
             start = end;
         }

@@ -8,7 +8,9 @@
 //!
 //! Two representations share one probe interface: in-memory sorted runs
 //! (built by one sort of the indexed column — on a paged table, decoding
-//! only that column — rebuilt by [`crate::Catalog::refresh_indexes`]) and
+//! only that column; a number column through the key sort ANALYZE uses,
+//! [`pop_types::sort::sort_runs`] — rebuilt by
+//! [`crate::Catalog::refresh_indexes`]) and
 //! the paged backend's persistent [`BTree`] primary index (maintained
 //! incrementally on append, read through the buffer pool). Key semantics
 //! are identical: NULLs are never indexed, keys compare under `Value`'s
@@ -19,6 +21,7 @@
 use crate::btree::BTree;
 use crate::table::Table;
 use pop_types::column::{Cell, Column, Data};
+use pop_types::sort::{sort_runs, total_order_key};
 use pop_types::{PopError, PopResult, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -53,58 +56,6 @@ struct Runs {
     positions: Vec<u32>,
 }
 
-/// `f64::total_cmp`'s order as an `i64` order (the key it compares by).
-fn total_order_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
-}
-
-/// `live` positions sorted by `key` (equal keys in position order) and
-/// the index in them where each run of one key starts. Keys spanning at
-/// most about twice as many values as there are positions — dates, dense
-/// ids — are placed by a counting sort; others by sorting the
-/// `(key, position)` pairs. On 120,000 random `Int` keys (release build,
-/// one core of a 2-vCPU Intel Xeon VM) the counting sort takes 1.4 ms where
-/// the pair sort takes 5.2 (keys spanning n/4 values) and 3.9 ms where it
-/// takes 5.5 (spanning 2n, the cut-off).
-fn runs_by_i64(live: impl Iterator<Item = u32>, key: impl Fn(u32) -> i64) -> (Vec<u32>, Vec<u32>) {
-    let mut pairs: Vec<(i64, u32)> = live.map(|p| (key(p), p)).collect();
-    let (lo, hi) = pairs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), kp| {
-        (lo.min(kp.0), hi.max(kp.0))
-    });
-    let span = hi.wrapping_sub(lo) as u64;
-    if !pairs.is_empty() && span <= 2 * pairs.len() as u64 + 1024 {
-        // `first[k]`: where key `lo + k` starts; the scatter below visits
-        // positions in ascending order, so each run stays ascending.
-        let mut first = vec![0u32; span as usize + 2];
-        for (k, _) in &pairs {
-            first[k.wrapping_sub(lo) as usize + 1] += 1;
-        }
-        for i in 1..first.len() {
-            first[i] += first[i - 1];
-        }
-        let starts = first
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .map(|w| w[0])
-            .collect();
-        let mut positions = vec![0u32; pairs.len()];
-        for (k, p) in pairs {
-            let slot = &mut first[k.wrapping_sub(lo) as usize];
-            positions[*slot as usize] = p;
-            *slot += 1;
-        }
-        return (positions, starts);
-    }
-    // Positions are unique, so sorting the pairs is a stable sort by key.
-    pairs.sort_unstable();
-    let starts = (0..pairs.len())
-        .filter(|&k| k == 0 || pairs[k - 1].0 != pairs[k].0)
-        .map(|k| k as u32)
-        .collect();
-    (pairs.into_iter().map(|(_, p)| p).collect(), starts)
-}
-
 impl Runs {
     /// Sort the non-NULL rows `rows` of `col` (row `rows.start + p` is
     /// table position `p`) into runs of equal keys.
@@ -119,9 +70,9 @@ impl Runs {
         let live = rows.filter(|&i| !col.is_null(i)).map(|i| (i - base) as u32);
         let at = |p: u32| base + p as usize;
         let (positions, mut starts) = match col.data() {
-            Data::Int(v) => runs_by_i64(live, |p| v[at(p)]),
-            Data::Date(v) => runs_by_i64(live, |p| i64::from(v[at(p)])),
-            Data::Float(v) => runs_by_i64(live, |p| total_order_key(v[at(p)])),
+            Data::Int(v) => sort_runs(live.map(|p| (v[at(p)], p))).into_runs(),
+            Data::Date(v) => sort_runs(live.map(|p| (i64::from(v[at(p)]), p))).into_runs(),
+            Data::Float(v) => sort_runs(live.map(|p| (total_order_key(v[at(p)]), p))).into_runs(),
             _ => {
                 let mut positions: Vec<u32> = live.collect();
                 positions.sort_by(|a, b| col.cmp_rows(at(*a), at(*b)));

@@ -51,7 +51,7 @@ pub use backend::{
 };
 pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
-pub use catalog::{Catalog, BULK_LOAD_CHUNK};
+pub use catalog::{Catalog, RowWriter, BULK_LOAD_CHUNK};
 pub use cursor::{CursorChunk, FetchedRows, RowFetcher, TableCursor};
 pub use index::{Index, IndexKind};
 pub use mem::MemBackend;

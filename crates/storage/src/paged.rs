@@ -94,13 +94,7 @@ impl PagedBackend {
     /// same name. A temporary backend opens no WAL: its files are unlinked
     /// on drop and never reopened, so a redo log could never be replayed.
     pub fn create(env: Arc<StorageEnv>, name: &str, temporary: bool) -> PopResult<Self> {
-        for p in [
-            Self::dat_path(&env, name)?,
-            Self::wal_path(&env, name)?,
-            Self::idx_path(&env, name)?,
-        ] {
-            let _ = std::fs::remove_file(p);
-        }
+        Self::remove_files(&env, name);
         let layout = env.layout();
         let data = PageFile::open(Self::dat_path(&env, name)?, layout.page_size)?;
         let wal = if env.config().wal && !temporary {
@@ -130,6 +124,14 @@ impl PagedBackend {
         };
         backend.inner.lock().write_meta_page(&backend)?;
         Ok(backend)
+    }
+
+    /// Remove table `name`'s data, WAL and index files, those that exist.
+    pub(crate) fn remove_files(env: &StorageEnv, name: &str) {
+        let paths = [Self::dat_path, Self::wal_path, Self::idx_path].map(|path| path(env, name));
+        for p in paths.into_iter().flatten() {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     /// Reopen an existing table with redo recovery: trust pages up to the

@@ -1,14 +1,15 @@
 //! Differential test of the one way into a table: `Table::append` of
 //! columns and a row count. Random `Int` / `Float` / `Date` / `Str` /
 //! `Bool` columns with NULLs, zero-width tables included, appended in
-//! random chunk sizes must store exactly what the row adapter
-//! (`Catalog::create_table` over rows) stores, on the mem and the paged
-//! backend alike, with identical page maps; a paged table reopened from its
-//! WAL alone, without a checkpoint, must read back the same rows. A batch
-//! the shared pre-check rejects must leave a table — and what it recovers
-//! to — as it was. On a table many times a starved pool, a cold scan
-//! misses on every page, warm scans read none, and a projected scan reads
-//! exactly the pages of the full one.
+//! random chunk sizes — one `Table::append` each, or one chunk each of a
+//! `Catalog::create_table_from_chunks` load — must store exactly what the
+//! row adapter (`Catalog::create_table` over rows) stores, on the mem and
+//! the paged backend alike, with identical page maps; a paged table
+//! reopened from its WAL alone, without a checkpoint, must read back the
+//! same rows. A batch the shared pre-check rejects must leave a table —
+//! and what it recovers to — as it was. On a table many times a starved
+//! pool, a cold scan misses on every page, warm scans read none, and a
+//! projected scan reads exactly the pages of the full one.
 
 use pop_storage::{Catalog, IoStats, StorageConfig, StorageKind, Table};
 use pop_types::column::{Cell, Column};
@@ -141,11 +142,22 @@ proptest! {
             let by_rows = catalog.create_table("by_rows", schema.clone(), rows.clone()).unwrap();
             let by_cols = catalog.create_table("by_cols", schema.clone(), Vec::new()).unwrap();
             append_chunks(&by_cols);
+            let mut next = chunks.iter();
+            let by_chunks = catalog
+                .create_table_from_chunks("by_chunks", schema.clone(), |cols| {
+                    Ok(next.next().map_or(0, |r| {
+                        *cols = columns(&rows[r.clone()], width);
+                        r.len()
+                    }))
+                })
+                .unwrap();
             prop_assert_eq!(by_cols.row_count(), n);
             prop_assert_eq!(exact(&by_rows.snapshot()), exact(&rows), "{:?} row adapter", kind);
             prop_assert_eq!(exact(&by_cols.snapshot()), exact(&rows), "{:?} column appends", kind);
+            prop_assert_eq!(exact(&by_chunks.snapshot()), exact(&rows), "{:?} column chunks", kind);
             let map = page_map(&by_cols);
             prop_assert_eq!(&page_map(&by_rows), &map, "{:?}", kind);
+            prop_assert_eq!(&page_map(&by_chunks), &map, "{:?}", kind);
             maps.push(map);
         }
         prop_assert_eq!(&maps[0], &maps[1], "mem and paged page maps");

@@ -13,6 +13,7 @@ mod error;
 pub mod hash;
 mod row;
 mod schema;
+pub mod sort;
 mod value;
 
 pub use error::{PopError, PopResult};

@@ -2,12 +2,13 @@
 //! at a time into typed accumulators. Its statistics must be exactly those
 //! of the row-at-a-time analysis it replaced — distinct counts under
 //! `Value` equality, NULL counts, min / max and histogram bounds bit for
-//! bit — on every TPC-H and DMV table, on both backends; and a storage
-//! read error is an `Err`, not a panic.
+//! bit — on every TPC-H and DMV table and on random number columns, on
+//! both backends; and a storage read error is an `Err`, not a panic.
 
 use pop_stats::{analyze_table, ColumnStats, EquiDepthHistogram, StatsRegistry, TableStats};
 use pop_storage::{Catalog, StorageConfig, Table};
 use pop_types::{DataType, Row, Schema, Value};
+use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// The row-at-a-time analysis: every row as owned values, one column at a
@@ -238,4 +239,114 @@ fn a_truncated_paged_table_fails_analyze_with_an_error() {
     assert!(err.to_string().contains("storage io"), "{err}");
     drop((table, catalog));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// splitmix64: everything one case draws, from one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+}
+
+/// The rows' whole numbers span `lo..=lo + span`: both ends occur, the
+/// rest are drawn between them.
+fn spanning(rng: &mut Rng, i: usize, lo: i64, span: u64) -> i64 {
+    match i {
+        0 => lo,
+        1 => lo.wrapping_add(span as i64),
+        _ => lo.wrapping_add(rng.below(span.saturating_add(1)) as i64),
+    }
+}
+
+/// Floats of every kind the number kernel must keep apart: both zeros,
+/// NaNs with other payloads and signs, infinities, whole numbers and
+/// halves (a few distinct values, so runs repeat).
+fn float(rng: &mut Rng) -> f64 {
+    match rng.below(10) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => f64::from_bits(0x7ff8_0000_0000_0001),
+        4 => f64::from_bits(0xfff8_0000_0000_0000),
+        5 => [f64::INFINITY, f64::NEG_INFINITY][rng.below(2) as usize],
+        6 => rng.below(9) as f64 + 0.5,
+        _ => rng.below(50) as f64 - 25.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random `Int`, `Date` and `Float` columns, with NULLs or without
+    /// (a mem column without them is sorted where it lies): keys spanning
+    /// just below, at and above the counting sort's cut-off (2n + 1024
+    /// values for n keys) and far beyond it, `i64::MIN` with `i64::MAX`,
+    /// both zeros and NaN payloads, a single-value column and an all-NULL
+    /// one — on both backends, equal to the row reference.
+    #[test]
+    fn number_columns_equal_the_row_reference(
+        seed in any::<u64>(),
+        n in 1usize..1500,
+        null_every in 2u64..12,
+        with_nulls in any::<bool>(),
+        offset in 0u64..7,
+        sparse in any::<bool>(),
+    ) {
+        let mut rng = Rng(seed);
+        let null: Vec<bool> = (0..n).map(|_| with_nulls && rng.below(null_every) == 0).collect();
+        // A column's keys are its non-NULL rows: span them around the
+        // cut-off for that many keys, or far beyond it.
+        let cut = 2 * null.iter().filter(|x| !**x).count() as u64 + 1024;
+        let span = if sparse { cut * 1_000 } else { cut + offset - 3 };
+        let lo = rng.below(1 << 20) as i64 - (1 << 19);
+        let single = Value::Int(rng.below(100) as i64);
+        let schema = Schema::from_pairs(&[
+            ("int", DataType::Int),
+            ("date", DataType::Date),
+            ("float", DataType::Float),
+            ("extremes", DataType::Int),
+            ("single", DataType::Int),
+            ("none", DataType::Int),
+        ]);
+        let mut k = 0;
+        let rows: Vec<Row> = null
+            .iter()
+            .map(|&null| {
+                let or_null = |v: Value| if null { Value::Null } else { v };
+                let extreme = match k % 4 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.next() as i64,
+                };
+                let row = vec![
+                    or_null(Value::Int(spanning(&mut rng, k, lo, span))),
+                    or_null(Value::Date(spanning(&mut rng, k, lo, span.min(1 << 30)) as i32)),
+                    or_null(Value::Float(float(&mut rng))),
+                    or_null(Value::Int(extreme)),
+                    or_null(single.clone()),
+                    Value::Null,
+                ];
+                k += usize::from(!null);
+                row
+            })
+            .collect();
+        for (storage, backend) in [(StorageConfig::default(), "mem"), (paged(), "paged")] {
+            let catalog = Catalog::with_storage(storage);
+            catalog.create_table("t", schema.clone(), rows.clone()).unwrap();
+            assert_matches_reference(&catalog, &format!("{backend}, n={n} span={span}"));
+            let st = analyze_table(&catalog.table("t").unwrap()).unwrap();
+            prop_assert!(st.col(4).distinct <= 1);
+            prop_assert_eq!((st.col(5).nulls, st.col(5).distinct), (n as u64, 0));
+        }
+    }
 }
