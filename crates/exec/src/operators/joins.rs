@@ -27,12 +27,17 @@ use std::sync::Arc;
 /// `outer_card × (probe + matches × fetch)`, so an outer that is 100×
 /// larger than estimated costs 100× more.
 ///
-/// An outer row's matches are fetched as typed columns — up to the room
-/// left in the output batch at a time — filtered there by the inner
-/// predicate and the residual join conditions, and the survivors' output
-/// columns gathered into a scratch batch; the outer half of each output
-/// row is a gather of the outer row's index, done before the outer batch
-/// is released.
+/// Each new outer batch is probed once, every live row into one match
+/// list with per-row bounds, and the list is prefetched (list prefetch:
+/// each inner page the batch needs is read once, in page order, and the
+/// decoded rows are reserved against the byte budget until the next
+/// batch's replace them). An outer row's matches are then fetched from
+/// those rows as typed columns — up to the room left in the output batch
+/// at a time — filtered there by the inner predicate and the residual join
+/// conditions, and the survivors' output columns gathered into a scratch
+/// batch; the outer half of each output row is a gather of the outer row's
+/// index, done before the outer batch is released. The work charge stays
+/// per outer row, taken as the cursor steps onto it.
 pub struct NljnOp {
     outer: Box<dyn Operator>,
     outer_key_pos: usize,
@@ -45,10 +50,17 @@ pub struct NljnOp {
     /// Inner table columns appended to the outer row, in layout order.
     inner_cols: Vec<usize>,
     fetcher: Option<RowFetcher>,
-    /// The outer stream; its current row is the one being probed.
+    /// The outer stream; its current row is the one being joined.
     outer_rows: RowCursor,
+    /// The matches of every live row of the outer batch, in row order:
+    /// live row `k`'s are `matches[bounds[k]..bounds[k + 1]]`.
     matches: Vec<u64>,
+    bounds: Vec<usize>,
+    /// The current row's matches not yet fetched.
     match_pos: usize,
+    match_end: usize,
+    /// Bytes of prefetched inner rows reserved against the governor.
+    reserved: u64,
     /// Joined rows not yet copied out: the outer row index of each (into
     /// the cursor's batch) and its inner columns plus inner rid.
     pending: Vec<u32>,
@@ -82,7 +94,10 @@ impl NljnOp {
             fetcher: None,
             outer_rows: RowCursor::default(),
             matches: Vec::new(),
+            bounds: Vec::new(),
             match_pos: 0,
+            match_end: 0,
+            reserved: 0,
             pending: Vec::new(),
             inner_rows: RowBatch::new(),
             sel: Vec::new(),
@@ -130,7 +145,8 @@ impl Operator for NljnOp {
         self.fetcher = Some(self.inner_table.fetcher().project(inner_read));
         self.outer_rows.reset();
         self.matches.clear();
-        self.match_pos = 0;
+        self.bounds.clear();
+        (self.match_pos, self.match_end) = (0, 0);
         self.pending.clear();
         self.inner_rows = RowBatch::with_capacity(ctx.batch_size.max(1));
         self.last_page = None;
@@ -152,13 +168,13 @@ impl Operator for NljnOp {
             // Drain pending matches of the current outer row, as many at a
             // time as the output batch has room for: a batch that fills
             // stops at the same match as one fetched row at a time would.
-            while self.match_pos < self.matches.len() {
+            while self.match_pos < self.match_end {
                 let (outer, at) = self
                     .outer_rows
                     .current()
                     .ok_or_else(|| super::protocol_err("NLJN match without an outer row"))?;
                 let room = target.saturating_sub(out.len() + self.pending.len()).max(1);
-                let end = (self.match_pos + room).min(self.matches.len());
+                let end = (self.match_pos + room).min(self.match_end);
                 // A position past the opened rows (index briefly ahead of
                 // them) is skipped by the fetcher.
                 let got = fetcher.fetch(&self.matches[self.match_pos..end])?;
@@ -192,15 +208,14 @@ impl Operator for NljnOp {
                     return Ok(Some(out));
                 }
             }
-            // Advance the outer; fetch charges for the whole match list
-            // (rows and page transitions) are taken up front at probe time.
+            // Advance the outer; the row's probe and fetch charges (its
+            // rows and page transitions) are taken up front, as it is
+            // stepped onto.
             if self.outer_rows.step() {
-                let (outer, at) = self.outer_rows.current().expect("stepped onto a row");
-                let key = outer.value(self.outer_key_pos, at);
-                self.inner_index.probe_into(&key, &mut self.matches)?;
-                self.match_pos = 0;
+                let k = self.outer_rows.ordinal();
+                (self.match_pos, self.match_end) = (self.bounds[k], self.bounds[k + 1]);
                 let mut new_pages = 0u64;
-                for &p in &self.matches {
+                for &p in &self.matches[self.match_pos..self.match_end] {
                     let pg = fetcher.page_of(p);
                     if self.last_page != Some(pg) {
                         self.last_page = Some(pg);
@@ -209,7 +224,7 @@ impl Operator for NljnOp {
                 }
                 ctx.charge(
                     ctx.model.index_probe
-                        + self.matches.len() as f64 * ctx.model.index_fetch_row
+                        + (self.match_end - self.match_pos) as f64 * ctx.model.index_fetch_row
                         + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
                 );
                 continue;
@@ -227,11 +242,27 @@ impl Operator for NljnOp {
                 Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
                 Ok(true) => {}
             }
+            // Probe the new batch's live rows and prefetch their matches;
+            // the previous batch's rows give their reservation back.
+            let (outer, _) = self.outer_rows.current().expect("refilled");
+            self.matches.clear();
+            self.bounds.clear();
+            self.bounds.push(0);
+            for i in outer.live_indices() {
+                let key = outer.value(self.outer_key_pos, i);
+                self.inner_index.probe_append(&key, &mut self.matches)?;
+                self.bounds.push(self.matches.len());
+            }
+            fetcher.prefetch(&self.matches)?;
+            ctx.guard_release(self.reserved);
+            self.reserved = fetcher.prefetched_bytes();
+            ctx.guard_reserve(self.reserved)?;
         }
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
         self.outer.close(ctx);
+        ctx.guard_release(std::mem::take(&mut self.reserved));
         self.fetcher = None;
         self.outer_rows.reset();
         self.pending.clear();

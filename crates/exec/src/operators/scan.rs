@@ -206,6 +206,9 @@ impl Operator for IndexRangeScanOp {
                     new_pages += 1;
                 }
             }
+            // The chunk is in key order: read its pages once, in page
+            // order, before taking its rows in key order.
+            fetcher.prefetch(chunk)?;
             let got = fetcher.fetch(chunk)?;
             self.sel.clear();
             self.sel.extend_from_slice(got.rows);

@@ -4,12 +4,12 @@
 //!
 //! The trait contract that keeps execution byte-identical across
 //! backends: `append` assigns consecutive positions in arrival order,
-//! `columns` / `read_range` / `read_row` observe exactly the appended rows
-//! (on the columns the reader names — its [`ColumnSet`]), and
-//! `page_count`/`page_of_row` are computed with the shared
-//! [`PageLayout`] packing rule — so page-aware cost estimates and the
-//! runtime's logical page-touch charges depend only on table contents,
-//! never on which backend holds them. Physical effects (pool hits,
+//! `columns` / `read_range` / `read_row` / `read_rows` observe exactly
+//! the appended rows (on the columns the reader names — its
+//! [`ColumnSet`]), and `page_count`/`page_of_row` are computed with the
+//! shared [`PageLayout`] packing rule — so page-aware cost estimates and
+//! the runtime's logical page-touch charges depend only on table
+//! contents, never on which backend holds them. Physical effects (pool hits,
 //! evictions, WAL bytes) are visible only through [`IoStats`].
 
 use crate::buffer::{BufferPool, IoCounters, IoStats};
@@ -359,6 +359,25 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
         out: &mut Vec<Column>,
         row: usize,
     ) -> PopResult<()>;
+
+    /// Write the columns `cols` of the rows at `positions` (ascending,
+    /// distinct, each below the row count) as rows `0..positions.len()` of
+    /// a refill of `out`, growing `out` to the table's width; columns
+    /// outside the set are left as they are. The default reads row after
+    /// row; the paged backend reads each page the positions fall on once.
+    fn read_rows(
+        &self,
+        positions: &[u64],
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()> {
+        cols.begin_refill_in(out);
+        for (row, pos) in positions.iter().enumerate() {
+            self.read_row(*pos, cols, out, row)?;
+        }
+        cols.end_refill_in(out, positions.len());
+        Ok(())
+    }
 
     /// Logical data-page index (0-based) holding row `pos`.
     fn page_of_row(&self, pos: u64) -> u64;

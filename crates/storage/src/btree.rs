@@ -550,10 +550,10 @@ impl BTree {
     fn read_page(&self, inner: &mut BTreeInner, pid: u64) -> PopResult<Arc<Vec<u8>>> {
         let env = &self.env;
         let file = &inner.file;
-        env.pool().get((self.file_id, pid), || {
+        env.pool().get((self.file_id, pid), |buf| {
             let trunc = env.fault_short_read();
             env.io().pages_read.fetch_add(1, Ordering::Relaxed);
-            file.read_page(pid, trunc)
+            file.read_page_into(pid, trunc, buf)
         })
     }
 

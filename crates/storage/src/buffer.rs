@@ -9,11 +9,18 @@
 //! the pool first tries to evict its own frames; only if nothing can be
 //! freed does the typed budget error propagate to the scan that needed
 //! the page.
+//!
+//! A miss evicts before it loads: when no reader still holds the victim's
+//! bytes, the page that replaces it is read into the victim's allocation
+//! (its `Arc` and its page buffer), so a miss in a full pool allocates
+//! nothing and zero-fills nothing.
 
 use parking_lot::Mutex;
 use pop_guard::Governor;
+use pop_types::hash::MixHasher;
 use pop_types::PopResult;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,7 +112,7 @@ struct Frame {
 #[derive(Debug, Default)]
 struct PoolInner {
     frames: Vec<Frame>,
-    map: HashMap<PageKey, usize>,
+    map: HashMap<PageKey, usize, BuildHasherDefault<MixHasher>>,
     hand: usize,
     /// The query's governor handle, attached for the duration of a run.
     gov: Option<Governor>,
@@ -178,13 +185,16 @@ impl BufferPool {
         }
     }
 
-    /// Fetch page `key`, loading it via `load` on a miss (evicting by
-    /// clock when the pool is full). The returned bytes stay valid even
-    /// if the frame is evicted afterwards.
+    /// Fetch page `key`, loading it on a miss with `load`, which fills
+    /// the buffer it is handed with the page. When the pool is full the
+    /// clock evicts first, and a victim whose bytes no reader holds hands
+    /// its buffer (page-sized, not zeroed) to `load`; otherwise the buffer
+    /// is a new, empty one. The returned bytes stay valid even if the
+    /// frame is evicted afterwards.
     pub fn get(
         &self,
         key: PageKey,
-        load: impl FnOnce() -> PopResult<Vec<u8>>,
+        load: impl FnOnce(&mut Vec<u8>) -> PopResult<()>,
     ) -> PopResult<Arc<Vec<u8>>> {
         let mut inner = self.inner.lock();
         if let Some(&idx) = inner.map.get(&key) {
@@ -193,10 +203,16 @@ impl BufferPool {
             return Ok(Arc::clone(&inner.frames[idx].data));
         }
         self.io.pool_misses.fetch_add(1, Ordering::Relaxed);
-        let data = Arc::new(load()?);
+        let mut victim = None;
         while inner.frames.len() >= self.max_frames {
-            Self::evict_one(&mut inner, &self.io, self.page_size);
+            victim = Self::evict_one(&mut inner, &self.io, self.page_size);
         }
+        let mut data = victim.unwrap_or_default();
+        if Arc::get_mut(&mut data).is_none() {
+            // A reader still holds the victim's bytes: they stay its.
+            data = Arc::default();
+        }
+        load(Arc::get_mut(&mut data).expect("a frame no reader holds"))?;
         // Charge the new frame to the governor; shed other frames first
         // if the reservation would cross the resident-byte budget.
         if inner.gov.is_some() {
@@ -262,10 +278,11 @@ impl BufferPool {
         }
     }
 
-    /// Advance the clock hand to a victim and remove it.
-    fn evict_one(inner: &mut PoolInner, io: &IoCounters, page_size: usize) {
+    /// Advance the clock hand to a victim and remove it, returning its
+    /// bytes (`None` when the pool is empty).
+    fn evict_one(inner: &mut PoolInner, io: &IoCounters, page_size: usize) -> Option<Arc<Vec<u8>>> {
         if inner.frames.is_empty() {
-            return;
+            return None;
         }
         loop {
             let hand = inner.hand % inner.frames.len();
@@ -276,16 +293,16 @@ impl BufferPool {
                 let key = inner.frames[hand].key;
                 inner.map.remove(&key);
                 io.evictions.fetch_add(1, Ordering::Relaxed);
-                Self::remove_frame(inner, hand, page_size);
-                return;
+                return Some(Self::remove_frame(inner, hand, page_size));
             }
         }
     }
 
     /// Swap-remove frame `idx` (its map entry already gone), fixing the
-    /// displaced frame's map entry and releasing the governor reservation.
-    fn remove_frame(inner: &mut PoolInner, idx: usize, page_size: usize) {
-        inner.frames.swap_remove(idx);
+    /// displaced frame's map entry and releasing the governor reservation;
+    /// returns the frame's bytes.
+    fn remove_frame(inner: &mut PoolInner, idx: usize, page_size: usize) -> Arc<Vec<u8>> {
+        let frame = inner.frames.swap_remove(idx);
         if idx < inner.frames.len() {
             let moved_key = inner.frames[idx].key;
             inner.map.insert(moved_key, idx);
@@ -293,6 +310,7 @@ impl BufferPool {
         if let Some(gov) = inner.gov.as_mut() {
             gov.release(page_size as u64);
         }
+        frame.data
     }
 }
 
@@ -306,11 +324,20 @@ mod tests {
         (BufferPool::new(frames * 64, 64, Arc::clone(&io)), io)
     }
 
+    /// A loader that fills the frame with 64 bytes of `b`.
+    fn fill(b: u8) -> impl FnOnce(&mut Vec<u8>) -> PopResult<()> {
+        move |buf| {
+            buf.clear();
+            buf.resize(64, b);
+            Ok(())
+        }
+    }
+
     #[test]
     fn hit_after_load() {
         let (p, io) = pool(4);
-        let a = p.get((0, 1), || Ok(vec![1u8; 64])).unwrap();
-        let b = p.get((0, 1), || panic!("must not reload")).unwrap();
+        let a = p.get((0, 1), fill(1u8)).unwrap();
+        let b = p.get((0, 1), |_| panic!("must not reload")).unwrap();
         assert_eq!(a, b);
         let s = io.snapshot();
         assert_eq!((s.pool_hits, s.pool_misses), (1, 1));
@@ -320,13 +347,53 @@ mod tests {
     fn clock_evicts_at_capacity() {
         let (p, io) = pool(2);
         for pid in 0..4u64 {
-            p.get((0, pid), || Ok(vec![pid as u8; 64])).unwrap();
+            p.get((0, pid), fill(pid as u8)).unwrap();
         }
         assert_eq!(p.resident_frames(), 2);
         assert_eq!(io.snapshot().evictions, 2);
         // Evicted pages reload (a miss, not a hit).
-        p.get((0, 0), || Ok(vec![0u8; 64])).unwrap();
+        p.get((0, 0), fill(0u8)).unwrap();
         assert_eq!(io.snapshot().pool_misses, 5);
+    }
+
+    /// A miss in a full pool whose victim no reader holds reads the new
+    /// page into the victim's allocation: same buffer, not zeroed.
+    #[test]
+    fn a_miss_at_capacity_reuses_the_victims_buffer() {
+        let (p, io) = pool(1);
+        let first = p.get((0, 0), fill(1)).unwrap().as_ptr();
+        let second = p
+            .get((0, 1), |buf| {
+                assert_eq!(
+                    (buf.as_ptr(), buf.len()),
+                    (first, 64),
+                    "the victim's buffer"
+                );
+                assert!(buf.iter().all(|b| *b == 1), "handed over as it was");
+                buf.fill(2);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(second.as_ptr(), first);
+        assert_eq!(*second, vec![2u8; 64]);
+        assert_eq!(io.snapshot().evictions, 1);
+    }
+
+    /// A reader that still holds an evicted frame's bytes keeps them: the
+    /// misses after the eviction load into buffers of their own.
+    #[test]
+    fn a_held_frame_keeps_its_bytes_after_eviction() {
+        let (p, io) = pool(2);
+        let held = p.get((0, 0), fill(7)).unwrap();
+        for pid in 1..6u64 {
+            p.get((0, pid), fill(pid as u8)).unwrap();
+        }
+        assert!(io.snapshot().evictions >= 4);
+        assert_eq!(*held, vec![7u8; 64]);
+        let again = p.get((0, 0), fill(9)).unwrap();
+        assert_eq!(*again, vec![9u8; 64], "page 0 was evicted and reloaded");
+        assert_ne!(again.as_ptr(), held.as_ptr());
+        assert_eq!(*held, vec![7u8; 64]);
     }
 
     #[test]
@@ -341,7 +408,7 @@ mod tests {
         );
         p.attach_governor(gov.clone_shared()).unwrap();
         for pid in 0..10u64 {
-            p.get((0, pid), || Ok(vec![0u8; 64])).unwrap();
+            p.get((0, pid), fill(0u8)).unwrap();
         }
         // The pool held itself to the byte budget by self-evicting. (The
         // peak can overshoot by one transient failed reservation.)
@@ -365,7 +432,7 @@ mod tests {
         gov.reserve(8 * 64).unwrap();
         p.attach_governor(gov.clone_shared()).unwrap();
         for pid in 0..6u64 {
-            p.get((0, pid), || Ok(vec![0u8; 64])).unwrap();
+            p.get((0, pid), fill(0u8)).unwrap();
         }
         assert!(p.resident_frames() <= 2, "{}", p.resident_frames());
         p.detach_governor();
@@ -375,12 +442,12 @@ mod tests {
     #[test]
     fn invalidate_file_sheds_only_that_file() {
         let (p, _io) = pool(8);
-        p.get((1, 0), || Ok(vec![0u8; 64])).unwrap();
-        p.get((1, 1), || Ok(vec![0u8; 64])).unwrap();
-        p.get((2, 0), || Ok(vec![0u8; 64])).unwrap();
+        p.get((1, 0), fill(0u8)).unwrap();
+        p.get((1, 1), fill(0u8)).unwrap();
+        p.get((2, 0), fill(0u8)).unwrap();
         p.invalidate_file(1);
         assert_eq!(p.resident_frames(), 1);
-        p.get((2, 0), || panic!("the other file's frame stays"))
+        p.get((2, 0), |_| panic!("the other file's frame stays"))
             .unwrap();
         p.invalidate((2, 0));
         assert_eq!(p.resident_frames(), 0);

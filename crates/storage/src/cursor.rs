@@ -153,11 +153,13 @@ impl FetchedRows<'_> {
 /// Positional row access for index fetches and join probes.
 ///
 /// The mem path answers with the stored columns and the positions as row
-/// indices; the paged path decodes the projected columns of each row from
-/// its page (through the buffer pool), in the order asked for, into
-/// scratch columns it reuses for every fetch. Both skip positions past the
-/// end of the backend — an index can briefly trail the snapshot it is
-/// paired with.
+/// indices. The paged path decodes the projected columns of each row from
+/// its page (through the buffer pool) into scratch columns it reuses for
+/// every fetch — unless a [`RowFetcher::prefetch`] already decoded the
+/// positions asked for: list prefetch, a page read once for all the rows
+/// a batch of probes wants from it, in page order. Both skip positions
+/// past the end of the backend — an index can briefly trail the snapshot
+/// it is paired with.
 #[derive(Debug)]
 pub struct RowFetcher {
     backend: Arc<dyn StorageBackend>,
@@ -171,6 +173,10 @@ pub struct RowFetcher {
     /// The last fetch's row indices and positions.
     rows: Vec<u32>,
     positions: Vec<u64>,
+    /// The last prefetch's positions, ascending and distinct; row `k` of
+    /// `window` holds `window_pos[k]`.
+    window_pos: Vec<u64>,
+    window: Vec<Column>,
 }
 
 impl RowFetcher {
@@ -186,6 +192,8 @@ impl RowFetcher {
             scratch: Vec::new(),
             rows: Vec::new(),
             positions: Vec::new(),
+            window_pos: Vec::new(),
+            window: Vec::new(),
         }
     }
 
@@ -211,10 +219,43 @@ impl RowFetcher {
         self.backend.page_of_row(pos)
     }
 
+    /// Decode the rows at `positions` (any order, duplicates allowed,
+    /// positions past the end dropped) for the fetches that follow: the
+    /// positions are sorted and each page they fall on is read once, in
+    /// page order ([`StorageBackend::read_rows`]). The decoded rows stay
+    /// until the next prefetch replaces them. A no-op on a backend that
+    /// keeps its columns in memory.
+    pub fn prefetch(&mut self, positions: &[u64]) -> PopResult<()> {
+        if self.stored.is_some() {
+            return Ok(());
+        }
+        let len = self.len;
+        self.window_pos.clear();
+        self.window_pos
+            .extend(positions.iter().copied().filter(|p| *p < len));
+        self.window_pos.sort_unstable();
+        self.window_pos.dedup();
+        let read = self
+            .backend
+            .read_rows(&self.window_pos, &self.cols, &mut self.window);
+        if read.is_err() {
+            // A failed prefetch serves nothing.
+            self.window_pos.clear();
+        }
+        read
+    }
+
+    /// Bytes the prefetched rows' decoded columns hold: what a caller
+    /// keeping them resident reserves against its memory budget.
+    pub fn prefetched_bytes(&self) -> u64 {
+        self.window.iter().map(|c| c.bytes() as u64).sum()
+    }
+
     /// The rows at `positions`, in that order, skipping positions past the
-    /// end. A paged table decodes exactly these rows, so a caller that
-    /// stops early (a semi-join probe at its first match) fetches one
-    /// position at a time.
+    /// end. When the last [`RowFetcher::prefetch`] covered every one of
+    /// them, they are served from its rows without I/O; otherwise a paged
+    /// table decodes exactly these rows, so a caller that stops early (a
+    /// semi-join probe at its first match) fetches one position at a time.
     pub fn fetch(&mut self, positions: &[u64]) -> PopResult<FetchedRows<'_>> {
         let len = self.len;
         self.positions.clear();
@@ -225,7 +266,10 @@ impl RowFetcher {
             // Stored positions fit a `u32` (the mem backend's limit).
             self.rows.extend(self.positions.iter().map(|p| *p as u32));
             stored
+        } else if window_rows(&self.window_pos, &self.positions, &mut self.rows) {
+            &self.window
         } else {
+            self.rows.clear();
             self.cols.begin_refill_in(&mut self.scratch);
             for (k, p) in self.positions.iter().enumerate() {
                 self.backend
@@ -242,6 +286,19 @@ impl RowFetcher {
             positions: &self.positions,
         })
     }
+}
+
+/// The rows of a prefetch window (`window`: its positions, ascending) that
+/// hold `positions`, pushed onto `rows`; `false` as soon as a position is
+/// not in the window.
+fn window_rows(window: &[u64], positions: &[u64], rows: &mut Vec<u32>) -> bool {
+    positions.iter().all(|p| match window.binary_search(p) {
+        Ok(k) => {
+            rows.push(k as u32);
+            true
+        }
+        Err(_) => false,
+    })
 }
 
 #[cfg(test)]

@@ -217,6 +217,12 @@ impl Index {
     /// refilled, so a join probing once per outer row reuses one buffer.
     pub fn probe_into(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
         out.clear();
+        self.probe_append(key, out)
+    }
+
+    /// [`Index::probe`] appended to `out`: a join probing a batch of outer
+    /// rows collects every row's matches into one list.
+    pub fn probe_append(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
         if key.is_null() {
             return Ok(());
         }

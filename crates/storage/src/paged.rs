@@ -319,10 +319,10 @@ impl PagedCore {
     /// Read one data page through the buffer pool.
     fn read_data_page(&self, b: &PagedBackend, pid: u64) -> PopResult<Arc<Vec<u8>>> {
         let env = &b.env;
-        env.pool().get((b.file_id, pid), || {
+        env.pool().get((b.file_id, pid), |buf| {
             let trunc = env.fault_short_read();
             env.io().pages_read.fetch_add(1, Ordering::Relaxed);
-            self.data.read_page(pid, trunc)
+            self.data.read_page_into(pid, trunc, buf)
         })
     }
 
@@ -396,17 +396,8 @@ impl PagedCore {
         let cap = (hi - lo) as usize;
         let mut row = 0;
         for p in self.page_of(lo)..=self.page_of(hi - 1) {
-            let first = self.page_starts[p as usize];
-            let pid = p + 1; // data pages start at pid 1
-            let bytes = self.read_data_page(b, pid)?;
-            let page = PageView::new(&bytes)?;
-            let next = self.page_starts.get(p as usize + 1).map_or(n, |&s| s);
-            if page.first_row() != first || (page.len() as u64) < next - first {
-                return Err(PopError::Execution(format!(
-                    "storage: {}.dat page {pid} disagrees with the page map",
-                    b.name
-                )));
-            }
+            let bytes = self.read_data_page(b, p + 1)?;
+            let (page, first, next) = self.view(b, p, &bytes)?;
             let lo_slot = lo.saturating_sub(first) as usize;
             let hi_slot = (hi.min(next) - first) as usize;
             page.decode_onto(lo_slot..hi_slot, cols, out, row, cap)?;
@@ -414,6 +405,72 @@ impl PagedCore {
         }
         cols.end_refill_in(out, row);
         Ok(())
+    }
+
+    /// Decode the columns `cols` of the rows at `positions` (ascending,
+    /// distinct) into `out` (see [`StorageBackend::read_rows`]): each page
+    /// the positions fall on is read through the pool and parsed once, in
+    /// page order, and each run of adjacent positions on it is decoded as
+    /// one slot range.
+    fn read_rows(
+        &self,
+        b: &PagedBackend,
+        positions: &[u64],
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()> {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending");
+        cols.begin_refill_in(out);
+        let cap = positions.len();
+        let mut row = 0;
+        while let Some(&pos) = positions.get(row) {
+            if pos >= self.n_rows {
+                return Err(PopError::Execution(format!(
+                    "row {pos} out of range ({} rows)",
+                    self.n_rows
+                )));
+            }
+            let p = self.page_of(pos);
+            let bytes = self.read_data_page(b, p + 1)?;
+            let (page, first, next) = self.view(b, p, &bytes)?;
+            let on_page = row + positions[row..].partition_point(|&q| q < next);
+            while row < on_page {
+                let mut end = row + 1;
+                while end < on_page && positions[end] == positions[end - 1] + 1 {
+                    end += 1;
+                }
+                let slot = (positions[row] - first) as usize;
+                page.decode_onto(slot..slot + (end - row), cols, out, row, cap)?;
+                row = end;
+            }
+        }
+        cols.end_refill_in(out, row);
+        Ok(())
+    }
+
+    /// Parse data page `p` (logical index) from `bytes`, checked against
+    /// the page map; returns it with the positions of its first row and of
+    /// the first row past it.
+    fn view<'a>(
+        &self,
+        b: &PagedBackend,
+        p: u64,
+        bytes: &'a [u8],
+    ) -> PopResult<(PageView<'a>, u64, u64)> {
+        let page = PageView::new(bytes)?;
+        let first = self.page_starts[p as usize];
+        let next = self
+            .page_starts
+            .get(p as usize + 1)
+            .map_or(self.n_rows, |&s| s);
+        if page.first_row() != first || (page.len() as u64) < next - first {
+            return Err(PopError::Execution(format!(
+                "storage: {}.dat page {} disagrees with the page map",
+                b.name,
+                p + 1
+            )));
+        }
+        Ok((page, first, next))
     }
 
     /// Logical page index of row `pos`.
@@ -529,6 +586,15 @@ impl StorageBackend for PagedBackend {
         let slot = (pos - core.page_starts[p as usize]) as usize;
         let bytes = core.read_data_page(self, p + 1)?;
         PageView::new(&bytes)?.decode_onto(slot..slot + 1, cols, out, row, 0)
+    }
+
+    fn read_rows(
+        &self,
+        positions: &[u64],
+        cols: &ColumnSet,
+        out: &mut Vec<Column>,
+    ) -> PopResult<()> {
+        self.inner.lock().read_rows(self, positions, cols, out)
     }
 
     fn page_of_row(&self, pos: u64) -> u64 {

@@ -64,6 +64,20 @@ impl PageFile {
     /// injection) cuts the read short to simulate a torn page, which
     /// surfaces as a typed error.
     pub fn read_page(&self, pid: u64, truncate_to: Option<usize>) -> PopResult<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_page_into(pid, truncate_to, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`PageFile::read_page`] into `buf`, which ends up one page long: a
+    /// buffer that already is (a recycled pool frame) is overwritten
+    /// without being zeroed first.
+    pub fn read_page_into(
+        &self,
+        pid: u64,
+        truncate_to: Option<usize>,
+        buf: &mut Vec<u8>,
+    ) -> PopResult<()> {
         if pid >= self.pages {
             return Err(PopError::Execution(format!(
                 "storage io: page {pid} out of range ({} pages) in {}",
@@ -72,9 +86,9 @@ impl PageFile {
             )));
         }
         let want = truncate_to.map_or(self.page_size, |t| t.min(self.page_size));
-        let mut buf = vec![0u8; want];
+        buf.resize(self.page_size, 0);
         self.file
-            .read_exact_at(&mut buf, pid * self.page_size as u64)
+            .read_exact_at(&mut buf[..want], pid * self.page_size as u64)
             .map_err(|e| io_err(&self.path, "read", &e))?;
         if want < self.page_size {
             return Err(PopError::Execution(format!(
@@ -83,7 +97,7 @@ impl PageFile {
                 self.path.display()
             )));
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Write page `pid` (extending the file when `pid` is the next page).

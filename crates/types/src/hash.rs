@@ -6,10 +6,10 @@
 //!   it so the streams stay comparable.
 //! - A word-at-a-time multiply-rotate hash ([`mix`], [`mix_bytes`],
 //!   [`mix_finish`], and [`MixHasher`] over them) for in-memory hash
-//!   tables over table values: the join and aggregate key hashes and
-//!   ANALYZE's string distinct sets. It is unseeded, so hashes are
-//!   deterministic across runs, and makes no attempt to resist keys
-//!   crafted to collide.
+//!   tables over table values: the join and aggregate key hashes,
+//!   ANALYZE's string distinct sets and the buffer pool's frame map. It
+//!   is unseeded, so hashes are deterministic across runs, and makes no
+//!   attempt to resist keys crafted to collide.
 
 use std::hash::Hasher;
 

@@ -223,17 +223,21 @@ const RECORDED_BEFORE: [(&str, u64, f64); 4] = [
 /// (62 735 in all: 0.515 of before), and is held to 0.55.
 const RECORDED_BEFORE_PAGED: [(&str, u64, f64); 2] = [("Q6", 121_645, 0.1), ("Q1", 121_716, 0.55)];
 
-#[test]
-fn paged_scans_allocate_for_the_columns_they_read_only() {
-    // A pool of 32 pages: every scan of LINEITEM (about 1 000 pages at
-    // SF 0.01) reads and decodes each page again.
+/// TPC-H SF 0.01 on pages behind a pool of 32 pages: every scan of
+/// LINEITEM (about 1 000 pages) reads and decodes each page again.
+fn paged_tpch() -> pop_storage::Catalog {
     let storage = StorageConfig {
         buffer_pool_bytes: 256 << 10,
         ..StorageConfig::paged()
     };
     let tpch = pop_tpch::tpch_catalog_with(0.01, storage).unwrap();
     assert!(tpch.table("lineitem").unwrap().is_paged());
-    let tpch = PopExecutor::new(tpch, config()).unwrap();
+    tpch
+}
+
+#[test]
+fn paged_scans_allocate_for_the_columns_they_read_only() {
+    let tpch = PopExecutor::new(paged_tpch(), config()).unwrap();
     let queries = pop_tpch::extended_queries();
 
     let mut failures = Vec::new();
@@ -252,6 +256,47 @@ fn paged_scans_allocate_for_the_columns_they_read_only() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// Paged Q14 at the commit before list prefetch: `(query, allocations,
+/// pages read)`. Its PART → LINEITEM index nested-loop join fetched each
+/// LINEITEM match a row at a time, so a match whose page had left the
+/// pool read it again (a zero-filled buffer and an `Arc` per miss).
+const RECORDED_BEFORE_PREFETCH: (&str, u64, u64) = ("Q14", 31_015, 9_345);
+
+/// An NLJN outer batch prefetches its matches: each LINEITEM page it needs
+/// is read once per batch, into recycled pool frames. Q14's one outer
+/// batch (337 PART rows) reads each page of PART and LINEITEM at most once
+/// (606 pages against 9 345 before) and allocates under 0.15 of what it
+/// did.
+#[test]
+fn nljn_prefetch_reads_each_inner_page_once_into_recycled_frames() {
+    let tpch = paged_tpch();
+    let lineitem_pages = tpch.table("lineitem").unwrap().page_count();
+    let part_pages = tpch.table("part").unwrap().page_count();
+    let tpch = PopExecutor::new(tpch, config()).unwrap();
+    let (name, before, pages_before) = RECORDED_BEFORE_PREFETCH;
+    let queries = pop_tpch::extended_queries();
+    let (_, spec) = queries
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("query exists");
+    let (count, result) = counted_run(&tpch, spec);
+    let pages = result.report.storage.expect("a paged run").pages_read;
+    let ceiling = (before as f64 * 0.15) as u64;
+    let table_pages = lineitem_pages + part_pages;
+    println!(
+        "{name} (paged): {count} allocation(s), ceiling {ceiling}; {pages} page(s) read \
+         ({pages_before} before), LINEITEM + PART have {table_pages}"
+    );
+    assert!(
+        count <= ceiling,
+        "{name}: {count} allocations > {ceiling} (0.15 x {before} recorded before)"
+    );
+    assert!(
+        pages <= table_pages,
+        "{name}: {pages} pages read > LINEITEM's and PART's {table_pages}"
+    );
 }
 
 #[test]

@@ -516,6 +516,74 @@ fn execute_plan_charges_pool_frames_to_the_byte_budget() {
     assert!(matches!(err, PopError::Execution(_)), "{err}");
 }
 
+/// Q14 on paged TPC-H SF 0.01 behind a pool of eight 8 KiB frames: an
+/// index nested-loop join whose one outer batch of 337 PART rows
+/// prefetches about 10 000 LINEITEM rows (≈ 200 KB decoded). LINEITEM is
+/// read through that prefetch only (its `l_partkey` index is in memory).
+fn paged_q14(budget: Budget, faults: Option<FaultPlan>) -> (PopExecutor, QuerySpec) {
+    let storage = pop_storage::StorageConfig {
+        buffer_pool_bytes: 64 << 10,
+        ..pop_storage::StorageConfig::paged()
+    };
+    let cat = pop_tpch::tpch_catalog_with(0.01, storage).unwrap();
+    let config = PopConfig {
+        budget,
+        faults,
+        ..PopConfig::default()
+    };
+    (PopExecutor::new(cat, config).unwrap(), pop_tpch::q14())
+}
+
+/// The NLJN's prefetched inner rows are resident operator state, like a
+/// hash build's: a byte budget that holds the pool's frames and the rest
+/// of the plan's state (a CHECK valve) but not the prefetch window fails
+/// typed, and one that holds the window runs.
+#[test]
+fn nljn_prefetch_window_is_charged_to_the_byte_budget() {
+    let limit = |kib: u64| Budget {
+        max_resident_bytes: Some(kib << 10),
+        ..Budget::default()
+    };
+    let (exec, q14) = paged_q14(limit(128), None);
+    let err = exec
+        .run(&q14, &Params::none())
+        .expect_err("10 000 prefetched LINEITEM rows cannot fit in 128 KiB");
+    assert!(matches!(err, PopError::BudgetExceeded(_)), "{err}");
+    assert_eq!(exec.catalog().temp_mv_count(), 0);
+
+    let (exec, q14) = paged_q14(limit(384), None);
+    let fits = exec.run(&q14, &Params::none()).unwrap();
+    let summary = fits.report.summary();
+    assert!(summary.contains("NLJN(->lineitem"), "{summary}");
+    let (exec, q14) = paged_q14(Budget::unlimited(), None);
+    assert_eq!(exec.run(&q14, &Params::none()).unwrap().rows, fits.rows);
+}
+
+/// A short read inside a prefetch surfaces as the pager's typed
+/// short-read error. The fault lands on the run's last page read, which
+/// the error names as a LINEITEM page: a prefetch read.
+#[test]
+fn short_read_inside_a_prefetch_is_a_typed_error() {
+    let (exec, q14) = paged_q14(Budget::unlimited(), None);
+    let reads = exec
+        .run(&q14, &Params::none())
+        .unwrap()
+        .report
+        .storage
+        .expect("a paged run")
+        .pages_read;
+    let last = FaultPlan::single(FaultKind::ShortRead, reads - 1);
+    let (exec, q14) = paged_q14(Budget::unlimited(), Some(last));
+    let err = exec
+        .run(&q14, &Params::none())
+        .expect_err("the last page read comes back short");
+    assert!(matches!(err, PopError::Execution(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("injected fault: short read of page"), "{msg}");
+    assert!(msg.contains("lineitem.dat"), "{msg}");
+    assert_eq!(exec.catalog().temp_mv_count(), 0);
+}
+
 #[test]
 fn generous_budget_changes_nothing() {
     let config = PopConfig {
