@@ -20,7 +20,8 @@
 //!   code table is produced by this subcommand).
 
 use pop::DiagCode;
-use pop::{lint_plan, FlavorSet, LintContext, PopConfig, PopExecutor, Severity};
+use pop::{lint_plan, LintContext, PopConfig, PopExecutor, Severity};
+use pop_bench::flavor_configs;
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::Params;
 use pop_plan::QuerySpec;
@@ -48,26 +49,6 @@ struct Totals {
     denies: usize,
     /// Findings per diagnostic code.
     codes: BTreeMap<&'static str, usize>,
-}
-
-fn flavor_configs() -> Vec<(&'static str, FlavorSet)> {
-    let all = FlavorSet {
-        lc: true,
-        lcem: true,
-        ecb: true,
-        ecwc: true,
-        ecdc: true,
-    };
-    vec![
-        ("default", FlavorSet::default()),
-        ("none", FlavorSet::none()),
-        ("lc", FlavorSet::only(pop::CheckFlavor::Lc)),
-        ("lcem", FlavorSet::only(pop::CheckFlavor::Lcem)),
-        ("ecb", FlavorSet::only(pop::CheckFlavor::Ecb)),
-        ("ecwc", FlavorSet::only(pop::CheckFlavor::Ecwc)),
-        ("ecdc", FlavorSet::only(pop::CheckFlavor::Ecdc)),
-        ("all", all),
-    ]
 }
 
 fn lint_workload(

@@ -5,21 +5,6 @@ use pop_optimizer::OptimizerConfig;
 use pop_plan::CostModel;
 use pop_storage::{StorageConfig, StorageKind};
 
-/// How the driver reacts to static plan-verification findings
-/// (`pop-planlint`) on each plan produced by the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintMode {
-    /// Skip plan verification entirely.
-    Off,
-    /// Run the analyzer and report every finding as a warning on the
-    /// step report, but never reject a plan.
-    Warn,
-    /// Reject any plan with a Deny-severity finding before execution;
-    /// Warn-severity findings are reported on the step report.
-    #[default]
-    Enforce,
-}
-
 /// Configuration of the full POP loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopConfig {
@@ -72,10 +57,6 @@ pub struct PopConfig {
     /// `POP_PLAN_CACHE` switch (`on`/`off`/`true`/`false`/`1`/`0`)
     /// overrides.
     pub plan_cache: bool,
-    /// Static plan verification: every plan the optimizer hands to the
-    /// executor (initial and re-optimized) is linted against structural
-    /// invariants first. See [`LintMode`].
-    pub lint: LintMode,
     /// Rows per execution batch. Batch boundaries carry no semantics —
     /// `1` reproduces classic row-at-a-time Volcano execution — so this
     /// only trades per-call overhead against read-ahead granularity.
@@ -100,10 +81,10 @@ pub struct PopConfig {
     /// that still set it compile.
     pub storage: StorageConfig,
     /// Graceful degradation: when *re*-optimization fails (optimizer
-    /// error, lint rejection, injected fault), fall back to the last
-    /// successfully vetted plan and run it to completion with checks
-    /// disabled, instead of aborting a query that already has a working
-    /// plan. A failure of the *initial* optimization is always an error.
+    /// error, injected fault), fall back to the last plan the optimizer
+    /// produced and run it to completion with checks disabled, instead of
+    /// aborting a query that already has a working plan. A failure of the
+    /// *initial* optimization is always an error.
     pub graceful_degradation: bool,
     /// Warnings produced while reading `POP_*` environment variables
     /// (invalid values fall back to defaults but are never silently
@@ -145,7 +126,6 @@ impl Default for PopConfig {
             learn_across_queries: env_switch("POP_FEEDBACK_LEARN", false, &mut env_warnings),
             verify_memo: false,
             plan_cache: env_switch("POP_PLAN_CACHE", false, &mut env_warnings),
-            lint: LintMode::default(),
             batch_size,
             budget,
             faults,
@@ -176,7 +156,6 @@ mod tests {
         assert!(c.enabled);
         assert_eq!(c.max_reopts, 3);
         assert!(!PopConfig::without_pop().enabled);
-        assert_eq!(c.lint, LintMode::Enforce);
         assert!(c.batch_size >= 1);
         assert!(c.graceful_degradation);
         // Guardrails are off unless configured: zero-cost default path.

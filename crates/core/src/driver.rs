@@ -1,7 +1,7 @@
 //! The POP driver: alternate optimization and execution steps until the
 //! query completes (§2.1, Figure 3 of the paper).
 
-use crate::{LintMode, PopConfig, QueryResult, RunReport, StepReport};
+use crate::{PopConfig, QueryResult, RunReport, StepReport};
 use parking_lot::Mutex;
 use pop_exec::{execute, ExecCtx, RunOutcome, Signatures, Subplan};
 use pop_guard::{CancelToken, FaultInjector, Governor};
@@ -15,16 +15,6 @@ use pop_plan::{
 use pop_stats::{StatsRegistry, TableStats};
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
-
-/// What one step takes from the planlint analysis of its plan: the
-/// rendered Warn-severity findings and the robustness certificate of the
-/// plan's safety net (both empty/absent when the lint mode is
-/// [`LintMode::Off`] or the step degraded).
-#[derive(Debug, Default)]
-struct Vetting {
-    warnings: Vec<String>,
-    certificate: Option<pop_planlint::RobustnessCertificate>,
-}
 
 /// One query's execution context, with the storage environment held to
 /// the query: buffer-pool frames draw from its resident-byte budget and
@@ -241,7 +231,7 @@ impl PopExecutor {
         let mut mv_counter = 0usize;
         // The validity-range plan cache only applies to plain POP runs:
         // fault injection, forced re-optimizations and observe-only mode
-        // all change what a "vetted" plan means.
+        // all change what a cached plan's validity ranges mean.
         let cache_key = if self.config.plan_cache
             && self.config.enabled
             && !self.config.observe_only
@@ -258,7 +248,7 @@ impl PopExecutor {
         // re-optimization step re-derives only the groups its new facts
         // dirtied.
         let mut memo = self.memo.lock();
-        // The last successfully vetted plan (unwrapped), kept as the
+        // The last plan the optimizer produced (unwrapped), kept as the
         // graceful-degradation fallback when a *re*-optimization fails.
         let mut fallback: Option<PhysNode> = None;
         loop {
@@ -272,10 +262,10 @@ impl PopExecutor {
                 Some(params),
                 feedback,
             );
-            // Plan-cache probe, first step only: reuse a previously vetted
-            // plan for this template when the current binding's estimates
-            // fall inside every validity guard the plan carries.
-            let mut cached_step: Option<(PhysNode, Vetting)> = None;
+            // Plan-cache probe, first step only: reuse a cached plan for
+            // this template when the current binding's estimates fall
+            // inside every validity guard the plan carries.
+            let mut cached_plan: Option<PhysNode> = None;
             if first_step {
                 if let Some(key) = cache_key.as_deref() {
                     let est = CardEstimator::new(spec, &octx)?;
@@ -285,35 +275,32 @@ impl PopExecutor {
                         // Signatures fold parameter bindings in; re-key the
                         // cached plan's checks for the current binding.
                         rebind_check_signatures(&mut plan, &Signer::new(spec, Some(params)));
-                        match self.vet_plan(&plan, spec) {
-                            Ok(vetting) => {
-                                fallback = Some(plan.clone());
-                                cache_hit = true;
-                                cached_step = Some((plan, vetting));
-                            }
-                            Err(e) => {
-                                report.plan_cache =
-                                    Some(format!("miss: cached plan failed verification ({e})"));
-                            }
-                        }
+                        debug_assert_eq!(
+                            self.deny_gate(&plan, spec),
+                            Ok(()),
+                            "rebound cached plan"
+                        );
+                        fallback = Some(plan.clone());
+                        cache_hit = true;
+                        cached_plan = Some(plan);
                     }
                 }
             }
             first_step = false;
-            let (plan, vetting, memo_stats) = if let Some((plan, vetting)) = cached_step {
-                (plan, vetting, None)
+            let (plan, memo_stats) = if let Some(plan) = cached_plan {
+                (plan, None)
             } else {
                 match self.plan_step(spec, &octx, ctx, &mut memo) {
-                    Ok((bare, plan, vetting, stats)) => {
+                    Ok((bare, plan, stats)) => {
                         fallback = Some(bare);
-                        (plan, vetting, Some(stats))
+                        (plan, Some(stats))
                     }
                     // Graceful degradation: a query that already has a working
                     // plan should not abort because *re*-planning failed
-                    // (optimizer error, lint rejection, injected fault). Keep
-                    // the previous plan and run it to completion with checks
-                    // disabled. A first-optimization failure stays fatal —
-                    // there is nothing to fall back to.
+                    // (optimizer error, injected fault). Keep the previous
+                    // plan and run it to completion with checks disabled. A
+                    // first-optimization failure stays fatal — there is
+                    // nothing to fall back to.
                     Err(e) => match fallback.take() {
                         Some(prev) if self.config.graceful_degradation => {
                             report.degraded = true;
@@ -321,9 +308,7 @@ impl PopExecutor {
                                 "re-optimization failed ({e}); continuing with the previous plan, checks disabled"
                             ));
                             ctx.checks_enabled = false;
-                            // The fallback was vetted when it first ran; the
-                            // only new node is the compensation wrapper.
-                            (wrap_compensation(prev, ctx), Vetting::default(), None)
+                            (wrap_compensation(prev, ctx), None)
                         }
                         _ => return Err(e),
                     },
@@ -351,8 +336,6 @@ impl PopExecutor {
                 rows_emitted: outcome.row_count(),
                 batches_emitted: (ctx.batches_emitted - batches_start) as usize,
                 parallel: Vec::new(),
-                lint_warnings: vetting.warnings,
-                certificate: vetting.certificate,
                 monitors_installed: 0,
                 memo: memo_stats,
             };
@@ -360,7 +343,7 @@ impl PopExecutor {
             match outcome {
                 RunOutcome::Complete { .. } => {
                     report.steps.push(step);
-                    // Cache the completed run's final vetted plan for
+                    // Cache the completed run's final plan for
                     // future bindings of the same template (insert refuses
                     // MV-bearing or guard-less plans itself). Degraded or
                     // budget-exhausted runs ran with checks off — their
@@ -431,17 +414,17 @@ impl PopExecutor {
     }
 
     /// One planning step of the loop: the optimizer-failure fault hook,
-    /// optimization through the persistent memo, compensation wrapping
-    /// and static verification. Returns the bare (unwrapped) plan for the
-    /// degradation fallback alongside the executable plan, its lint
-    /// warnings, and the pass's memo statistics.
+    /// optimization through the persistent memo and compensation
+    /// wrapping; debug builds also pass the plan through the deny gate.
+    /// Returns the bare (unwrapped) plan for the degradation fallback
+    /// alongside the executable plan and the pass's memo statistics.
     fn plan_step(
         &self,
         spec: &QuerySpec,
         octx: &OptimizerContext<'_>,
         ctx: &mut ExecCtx,
         memo: &mut Memo,
-    ) -> PopResult<(PhysNode, PhysNode, Vetting, MemoStats)> {
+    ) -> PopResult<(PhysNode, PhysNode, MemoStats)> {
         if let Some(inj) = ctx.faults.as_mut() {
             if let Some(err) = inj.optimizer_fail() {
                 return Err(err);
@@ -466,34 +449,27 @@ impl PopExecutor {
             }
         }
         let plan = wrap_compensation(bare.clone(), ctx);
-        let vetting = self.vet_plan(&plan, spec)?;
-        Ok((bare, plan, vetting, stats))
+        debug_assert_eq!(self.deny_gate(&plan, spec), Ok(()), "optimizer plan");
+        Ok((bare, plan, stats))
     }
 
-    /// Statically verify a plan before execution (the `pop-planlint`
-    /// gate): one analysis under the step's one
-    /// [`pop_planlint::LintContext`]. Returns the findings to surface as
-    /// step-report warnings together with the plan's robustness
-    /// certificate; under [`LintMode::Enforce`], a Deny-severity finding
-    /// rejects the plan with [`PopError::InvalidPlan`].
-    fn vet_plan(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<Vetting> {
-        if self.config.lint == LintMode::Off {
-            return Ok(Vetting::default());
-        }
+    /// Static plan verification (`pop-planlint`): rejects a plan with any
+    /// Deny-severity finding with [`PopError::InvalidPlan`]. A
+    /// caller-supplied plan meets it in every build
+    /// ([`PopExecutor::execute_plan`]); the driver's own plans — first
+    /// plans, re-plans and rebound cache hits — only in debug builds, as
+    /// an invariant check on the optimizer.
+    fn deny_gate(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<()> {
         // With LC checks on, the placement pass guards every
         // materialization point, so an unguarded one is suspect.
         let lctx = pop_planlint::LintContext::full(&self.catalog, spec)
             .expect_check_coverage(self.config.enabled && self.config.optimizer.flavors.lc)
             .with_stats(&self.stats);
-        let analysis = pop_planlint::analyze(plan, &lctx);
-        let diags = analysis.diagnostics;
-        if self.config.lint == LintMode::Enforce && pop_planlint::has_deny(&diags) {
+        let diags = pop_planlint::lint_plan(plan, &lctx);
+        if pop_planlint::has_deny(&diags) {
             return Err(PopError::InvalidPlan(pop_planlint::deny_summary(&diags)));
         }
-        Ok(Vetting {
-            warnings: diags.iter().map(std::string::ToString::to_string).collect(),
-            certificate: Some(analysis.certificate),
-        })
+        Ok(())
     }
 
     /// Optimize without executing; returns the physical plan the driver
@@ -517,9 +493,11 @@ impl PopExecutor {
     }
 
     /// Execute a caller-supplied plan for `spec` after passing it through
-    /// the same static verification gate the driver applies to its own
-    /// plans. The plan runs exactly once with checkpoints disabled — no
-    /// re-optimization loop — so the result reflects that plan alone.
+    /// the static verification gate: a plan with a Deny-severity planlint
+    /// finding is rejected with [`PopError::InvalidPlan`] before a row is
+    /// read, in every build. The plan runs exactly once with checkpoints
+    /// disabled — no re-optimization loop — so the result reflects that
+    /// plan alone.
     pub fn execute_plan(
         &self,
         spec: &QuerySpec,
@@ -527,7 +505,7 @@ impl PopExecutor {
         params: &pop_expr::Params,
     ) -> PopResult<QueryResult> {
         spec.validate()?;
-        let vetting = self.vet_plan(plan, spec)?;
+        self.deny_gate(plan, spec)?;
         let signatures = self.collect_signatures(spec, plan, params);
         let mut session = self.session(params, None)?;
         let ctx = &mut session.ctx;
@@ -553,8 +531,6 @@ impl PopExecutor {
             rows_emitted: collected.len(),
             batches_emitted: ctx.batches_emitted as usize,
             parallel: Vec::new(),
-            lint_warnings: vetting.warnings,
-            certificate: vetting.certificate,
             monitors_installed: 0,
             memo: None,
         });
@@ -891,16 +867,21 @@ mod tests {
 
     #[test]
     fn plans_pass_static_verification_cleanly() {
-        // Default config is LintMode::Enforce: the run would fail on any
-        // Deny finding, and a clean plan must not produce warnings either
-        // — across the initial plan AND every re-optimized plan (which
-        // carry MVSCAN and ANTIJOIN-RIDS wrappers).
+        // Debug builds pass every plan the driver runs through the deny
+        // gate — the initial plan AND every re-optimized plan (which
+        // carry MVSCAN and ANTIJOIN-RIDS wrappers) — so the run
+        // completing is the assertion. The first plan draws no warning
+        // either.
         let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
-        let res = exec.run(&correlated_query(), &Params::none()).unwrap();
+        let q = correlated_query();
+        let res = exec.run(&q, &Params::none()).unwrap();
         assert!(res.report.reopt_count >= 1);
-        for s in &res.report.steps {
-            assert!(s.lint_warnings.is_empty(), "{:?}", s.lint_warnings);
-        }
+        let plan = exec.plan(&q, &Params::none()).unwrap();
+        let lctx = pop_planlint::LintContext::full(exec.catalog(), &q)
+            .expect_check_coverage(true)
+            .with_stats(exec.stats());
+        let diags = pop_planlint::lint_plan(&plan, &lctx);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     /// Only a suspended step feeds the rid side table: its rows were

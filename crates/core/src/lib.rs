@@ -65,7 +65,7 @@ mod config;
 mod driver;
 mod report;
 
-pub use config::{LintMode, PopConfig};
+pub use config::PopConfig;
 pub use driver::PopExecutor;
 pub use report::{QueryResult, RegionDiag, RunReport, StepReport, WorkerDiag};
 

@@ -2,7 +2,6 @@
 
 use pop_exec::{CheckEvent, Violation};
 use pop_optimizer::MemoStats;
-use pop_planlint::RobustnessCertificate;
 use pop_types::Row;
 
 /// One optimize-execute step of the POP loop.
@@ -32,15 +31,6 @@ pub struct StepReport {
     /// Always empty: the engine executes every plan serially (see
     /// [`RegionDiag`]).
     pub parallel: Vec<RegionDiag>,
-    /// Warn-severity findings from static plan verification of this
-    /// step's plan (empty when the lint mode is `Off` or the plan is
-    /// clean; Deny-severity findings abort the query instead).
-    pub lint_warnings: Vec<String>,
-    /// Robustness certificate of this step's plan: what the planlint
-    /// dataflow analyzer can prove about its safety net (guarded edges,
-    /// uncovered residual risk, worst-case re-optimization depth).
-    /// `None` when the lint mode is `Off`.
-    pub certificate: Option<RobustnessCertificate>,
     /// Always 0: a CHECK is the only runtime guard, there is no monitor
     /// layer to install. The field exists only so the end-to-end
     /// benchmark harness, which still reads it, keeps compiling.
@@ -119,8 +109,8 @@ pub struct RunReport {
     /// Physical storage I/O this query performed (buffer-pool hits and
     /// misses, evictions, WAL activity). `None` on the in-memory backend,
     /// which performs none. Backend-dependent by design — rows, steps,
-    /// check events and certificates stay identical across backends, this
-    /// field alone differs, so equivalence comparisons must exclude it.
+    /// plans and check events stay identical across backends, this field
+    /// alone differs, so equivalence comparisons must exclude it.
     pub storage: Option<pop_storage::IoStats>,
 }
 
@@ -204,12 +194,6 @@ impl RunReport {
                     if m.rebuilt { ", full rebuild" } else { "" }
                 );
             }
-            for w in &s.lint_warnings {
-                let _ = writeln!(out, "  lint: {w}");
-            }
-            if let Some(c) = &s.certificate {
-                let _ = writeln!(out, "  {c}");
-            }
             for ev in &s.check_events {
                 let _ = writeln!(
                     out,
@@ -262,8 +246,6 @@ mod tests {
             rows_emitted: 0,
             batches_emitted: 0,
             parallel: vec![],
-            lint_warnings: vec![],
-            certificate: None,
             monitors_installed: 0,
             memo: None,
         }

@@ -16,8 +16,8 @@ pub enum FaultKind {
     /// A storage-layer read error: a scan's `next_batch` fails with a
     /// typed execution error mid-stream.
     StorageRead,
-    /// The re-optimization step fails (optimizer error or lint
-    /// rejection); exercises the graceful-degradation path.
+    /// The re-optimization step fails with an optimizer error;
+    /// exercises the graceful-degradation path.
     OptimizerFail,
     /// Cardinality feedback is corrupted with an absurd estimate before
     /// re-optimization, simulating bad statistics.

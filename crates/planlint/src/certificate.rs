@@ -3,8 +3,7 @@
 //! A [`RobustnessCertificate`] summarizes what the dataflow analyzer can
 //! *prove* about a plan's safety net: how many edges are guarded by
 //! checkpoints, how much estimation risk is left uncovered, and how many
-//! re-optimizations the plan could trigger in the worst case. The driver
-//! attaches one per execution step to the run report.
+//! re-optimizations the plan could trigger in the worst case.
 //!
 //! The certificate is not a separate analysis: the coverage pass
 //! ([`crate::dataflow::CoveragePass`]) feeds a [`Tally`] from the same
@@ -50,7 +49,7 @@ pub struct RobustnessCertificate {
 }
 
 impl RobustnessCertificate {
-    /// One-line rendering for report summaries.
+    /// One-line rendering (also its `Display`).
     pub fn render(&self) -> String {
         format!(
             "cert {:016x}: edges={} checks={} risky={} guarded={} uncovered={} \
@@ -61,30 +60,6 @@ impl RobustnessCertificate {
             self.risky_edges,
             self.guarded_edges,
             self.uncovered.len(),
-            self.residual_risk,
-            self.dead_checks,
-            self.vacuous_checks,
-            self.worst_case_reopts,
-        )
-    }
-
-    /// JSON rendering (hand-built; the certificate is flat).
-    pub fn to_json(&self) -> String {
-        let uncovered: Vec<String> = self
-            .uncovered
-            .iter()
-            .map(|p| format!("\"{}\"", p.replace('"', "\\\"")))
-            .collect();
-        format!(
-            "{{\"plan_hash\":\"{:016x}\",\"edges\":{},\"checks\":{},\"risky_edges\":{},\
-             \"guarded_edges\":{},\"uncovered\":[{}],\"residual_risk\":{:.3},\
-             \"dead_checks\":{},\"vacuous_checks\":{},\"worst_case_reopts\":{}}}",
-            self.plan_hash,
-            self.edges,
-            self.checks,
-            self.risky_edges,
-            self.guarded_edges,
-            uncovered.join(","),
             self.residual_risk,
             self.dead_checks,
             self.vacuous_checks,
@@ -188,7 +163,7 @@ mod tests {
     use pop_types::{DataType, Schema, Value};
 
     #[test]
-    fn render_and_json_are_stable() {
+    fn render_is_stable() {
         let plan = check(
             temp(leaf(0, "t", 2, 100.0)),
             CheckFlavor::Lc,
@@ -198,9 +173,6 @@ mod tests {
         assert_eq!(cert.worst_case_reopts, 1);
         let line = cert.render();
         assert!(line.contains("checks=1"), "{line}");
-        let json = cert.to_json();
-        assert!(json.contains("\"checks\":1"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     /// A CHECK over a TEMP of a 100-row analyzed table, with trigger range

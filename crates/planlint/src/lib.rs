@@ -56,8 +56,9 @@
 //! return.
 //!
 //! The analyzer is advisory: it returns a flat [`Vec<PlanDiagnostic>`]
-//! and never mutates the plan. The POP driver decides what to do with
-//! `Deny` findings (see `pop::LintMode`).
+//! and never mutates the plan. `pop::PopExecutor::execute_plan` rejects
+//! a caller-supplied plan with a `Deny` finding; debug builds hold the
+//! driver's own plans to the same gate.
 //!
 //! The analyzer is independent of the executor's data-flow granularity:
 //! the runtime moves rows in batches (`pop_exec::RowBatch`, selection

@@ -23,8 +23,8 @@
 //! one group allocates for that group and the plan handed out, not for
 //! re-reading every table or re-hashing every connected set's signature.
 //!
-//! So does the static analysis every step runs (`RECORDED_BEFORE_VETTING`):
-//! one planlint `analyze` per plan, not three interpretations.
+//! So does the static plan analysis (`RECORDED_BEFORE_VETTING`): one
+//! planlint `analyze` per plan, not three interpretations.
 //!
 //! And set-up (`RECORDED_BEFORE_SETUP`): generating, indexing and
 //! analyzing TPC-H allocates per chunk and per column, plus one string
@@ -564,7 +564,7 @@ fn one_analysis_per_step_allocates_under_half_of_three() {
         .collect();
     let start = ALLOCATIONS.with(Cell::get);
     for (q, plan) in queries.iter().zip(&plans) {
-        // `vet_plan`'s context: LC on, live statistics.
+        // The driver's deny-gate context: LC on, live statistics.
         let ctx = pop::LintContext::full(dmv.catalog(), &q.spec)
             .expect_check_coverage(true)
             .with_stats(dmv.stats());

@@ -1,9 +1,12 @@
-//! End-to-end: the driver's static plan verification (`pop-planlint`)
-//! gates the optimizer -> executor boundary. A Deny-severity finding
-//! rejects the plan before a single row is read; `LintMode` controls
-//! whether findings reject, warn, or are skipped.
+//! End-to-end: static plan verification (`pop-planlint`) at the
+//! optimizer -> executor boundary. `execute_plan` rejects a
+//! caller-supplied plan with a Deny-severity finding before a single row
+//! is read, in every build. The driver's own plans meet the same gate in
+//! debug builds only, as an invariant check on the optimizer: the sweep
+//! at the end runs every workload plan, first plans and re-plans, through
+//! it.
 
-use pop::{LintMode, PopConfig, PopExecutor, ValidityRange};
+use pop::{lint_plan, LintContext, PopConfig, PopExecutor, ValidityRange};
 use pop_expr::{Expr, Params};
 use pop_plan::{PhysNode, QueryBuilder, QuerySpec};
 use pop_storage::{Catalog, IndexKind};
@@ -59,52 +62,112 @@ fn enforce_rejects_malformed_plan_before_execution() {
 }
 
 #[test]
-fn lint_off_executes_the_same_plan() {
-    let config = PopConfig {
-        lint: LintMode::Off,
-        ..PopConfig::default()
-    };
-    let exec = PopExecutor::new(db(), config).unwrap();
-    let q = query();
-    let plan = corrupted_plan(&exec, &q);
-    let res = exec.execute_plan(&q, &plan, &Params::none()).unwrap();
-    assert_eq!(res.rows.len(), 500); // 50 matching customers x 10 orders
-    assert!(res.report.steps[0].lint_warnings.is_empty());
-}
-
-#[test]
-fn warn_mode_reports_but_executes() {
-    let config = PopConfig {
-        lint: LintMode::Warn,
-        ..PopConfig::default()
-    };
-    let exec = PopExecutor::new(db(), config).unwrap();
-    let q = query();
-    let plan = corrupted_plan(&exec, &q);
-    let res = exec.execute_plan(&q, &plan, &Params::none()).unwrap();
-    assert_eq!(res.rows.len(), 500);
-    let warnings = &res.report.steps[0].lint_warnings;
-    assert!(warnings.iter().any(|w| w.contains("PL101")), "{warnings:?}");
-}
-
-#[test]
 fn valid_plan_passes_the_gate() {
     let exec = PopExecutor::new(db(), PopConfig::default()).unwrap();
     let q = query();
     let plan = exec.plan(&q, &Params::none()).unwrap();
     let res = exec.execute_plan(&q, &plan, &Params::none()).unwrap();
-    assert_eq!(res.rows.len(), 500);
-    assert!(res.report.steps[0].lint_warnings.is_empty());
+    assert_eq!(res.rows.len(), 500); // 50 matching customers x 10 orders
 }
 
 #[test]
 fn full_pop_run_is_lint_clean_under_enforce() {
-    // The normal POP loop (default config enforces) completes: every
-    // plan the optimizer produces passes its own verification.
+    // The normal POP loop completes (in debug builds every plan it runs
+    // passed the deny gate), and its first plan draws no finding at all.
     let exec = PopExecutor::new(db(), PopConfig::default()).unwrap();
-    let res = exec.run(&query(), &Params::none()).unwrap();
+    let q = query();
+    let res = exec.run(&q, &Params::none()).unwrap();
     assert_eq!(res.rows.len(), 500);
-    for s in &res.report.steps {
-        assert!(s.lint_warnings.is_empty(), "{:?}", s.lint_warnings);
+    let plan = exec.plan(&q, &Params::none()).unwrap();
+    let ctx = LintContext::full(exec.catalog(), &q)
+        .expect_check_coverage(true)
+        .with_stats(exec.stats());
+    let diags = lint_plan(&plan, &ctx);
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// Runs every DMV (scale 0.0003) and TPC-H (SF 0.0005) query on one
+/// backend under the `planlint` sweep's 8 flavor configurations, each
+/// without and with a forced re-optimization at the first checkpoint.
+/// Returns `(runs, re-optimizations, steps that reused a temp MV)`.
+#[cfg(debug_assertions)]
+fn sweep(
+    storage: pop_storage::StorageConfig,
+    cost_model: &pop::CostModel,
+) -> (usize, usize, usize) {
+    let dmv: Vec<(String, QuerySpec)> = pop_dmv::dmv_queries()
+        .into_iter()
+        .map(|q| (q.name, q.spec))
+        .collect();
+    let tpch: Vec<(String, QuerySpec)> = pop_tpch::all_queries()
+        .into_iter()
+        .map(|(name, spec)| (name.to_string(), spec))
+        .collect();
+    let kind = storage.kind;
+    let workloads = [
+        (
+            pop_dmv::dmv_catalog_with(0.0003, storage.clone()).unwrap(),
+            dmv,
+        ),
+        (pop_tpch::tpch_catalog_with(0.0005, storage).unwrap(), tpch),
+    ];
+    let (mut runs, mut reopts, mut mv_steps) = (0, 0, 0);
+    for (catalog, queries) in workloads {
+        let mut exec = PopExecutor::new(catalog, PopConfig::default()).unwrap();
+        for (flavor, flavors) in pop_bench::flavor_configs() {
+            for force_reopt_at in [None, Some(0)] {
+                let config = exec.config_mut();
+                config.optimizer.flavors = flavors;
+                // The `planlint` bin's memory budget.
+                config.cost_model = cost_model.clone();
+                config.cost_model.mem_rows = 4000.0;
+                config.force_reopt_at = force_reopt_at;
+                config.plan_cache = false;
+                config.learn_across_queries = false;
+                config.faults = None;
+                for (name, spec) in &queries {
+                    let res = exec.run(spec, &Params::none()).unwrap_or_else(|e| {
+                        panic!("{kind:?} {name} [{flavor}] forced {force_reopt_at:?}: {e}")
+                    });
+                    runs += 1;
+                    reopts += res.report.reopt_count;
+                    mv_steps += res.report.steps.iter().filter(|s| s.mvs_used > 0).count();
+                }
+            }
+        }
+    }
+    (runs, reopts, mv_steps)
+}
+
+/// Every plan `PopExecutor::run` executes over the DMV and TPC-H
+/// workloads ([`sweep`]), on the mem backend and on pages (1 KiB pages,
+/// a 16-frame pool), one backend a thread. Debug builds pass each first
+/// plan and each re-plan — MV-bearing ones included — through the deny
+/// gate, which panics on a Deny finding: the runs completing is the
+/// assertion.
+#[cfg(debug_assertions)]
+#[test]
+fn every_plan_the_driver_runs_passes_the_deny_gate() {
+    use pop::CostModel;
+    use pop_storage::{StorageConfig, StorageKind};
+
+    let paged = StorageConfig {
+        kind: StorageKind::Paged,
+        page_size: 1024,
+        buffer_pool_bytes: 16 * 1024,
+        ..StorageConfig::default()
+    };
+    let (mem, paged) = std::thread::scope(|s| {
+        let mem = s.spawn(|| sweep(StorageConfig::default(), &CostModel::default()));
+        let paged = sweep(paged, &CostModel::paged());
+        (mem.join().expect("the mem sweep"), paged)
+    });
+    let queries = pop_dmv::dmv_queries().len() + pop_tpch::all_queries().len();
+    for (kind, (runs, reopts, mv_steps)) in [("mem", mem), ("paged", paged)] {
+        assert_eq!(runs, 8 * 2 * queries, "{kind}");
+        assert!(
+            reopts > 0 && mv_steps > 0,
+            "{kind}: {reopts} re-opt(s), {mv_steps} MV-bearing step(s)"
+        );
     }
 }

@@ -10,15 +10,14 @@
 //!   certificate's uncovered paths are the `PL411` risks plus the risks
 //!   that reach the root, and the dead / vacuous counts are the `PL412` /
 //!   `PL413` findings;
-//! * the `LintMode` matrix for the interval diagnostics (`PL411`
-//!   coverage holes, `PL412` dead checks, `PL413` vacuous checks) —
-//!   Off stays silent, Warn/Enforce report, and none of them block
-//!   execution (the interval analyses are Warn severity by design).
+//! * the mutation matrix for the interval diagnostics (`PL411`
+//!   coverage holes, `PL412` dead checks, `PL413` vacuous checks) — each
+//!   mutated plan draws its finding from `analyze`, and none of them
+//!   blocks `execute_plan` (the interval analyses are Warn severity by
+//!   design).
 
-use pop::{
-    analyze, CheckFlavor, DiagCode, FlavorSet, LintContext, LintMode, PlanAnalysis, PopConfig,
-    PopExecutor,
-};
+use pop::{analyze, DiagCode, LintContext, PlanAnalysis, PopConfig, PopExecutor, Severity};
+use pop_bench::flavor_configs;
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::{Expr, Params};
 use pop_plan::{CheckContext, CheckSpec, PhysNode, QueryBuilder, QuerySpec, ValidityRange};
@@ -36,28 +35,6 @@ use pop_types::{DataType, Schema, Value};
 fn inside_with_slack(est: f64, lo: f64, hi: f64) -> bool {
     let eps = 1e-6 + est.abs() * 1e-9;
     est >= lo - eps && est <= hi + eps
-}
-
-/// The flavor configurations of the `planlint` sweep: the default, none,
-/// each flavor alone and all five.
-fn flavor_configs() -> Vec<(&'static str, FlavorSet)> {
-    let all = FlavorSet {
-        lc: true,
-        lcem: true,
-        ecb: true,
-        ecwc: true,
-        ecdc: true,
-    };
-    vec![
-        ("default", FlavorSet::default()),
-        ("none", FlavorSet::none()),
-        ("lc", FlavorSet::only(CheckFlavor::Lc)),
-        ("lcem", FlavorSet::only(CheckFlavor::Lcem)),
-        ("ecb", FlavorSet::only(CheckFlavor::Ecb)),
-        ("ecwc", FlavorSet::only(CheckFlavor::Ecwc)),
-        ("ecdc", FlavorSet::only(CheckFlavor::Ecdc)),
-        ("all", all),
-    ]
 }
 
 /// The risky-edge path a `PL411` message names.
@@ -164,7 +141,7 @@ fn intervals_contain_optimizer_estimates_on_tpch() {
 }
 
 // ---------------------------------------------------------------------
-// LintMode matrix for the PL41x diagnostics
+// Mutation matrix for the PL41x diagnostics
 // ---------------------------------------------------------------------
 
 fn matrix_db() -> Catalog {
@@ -197,9 +174,8 @@ fn matrix_query() -> QuerySpec {
     b.build().unwrap()
 }
 
-fn matrix_config(mode: LintMode) -> PopConfig {
+fn matrix_config() -> PopConfig {
     let mut config = PopConfig {
-        lint: mode,
         // Checks only count here: the fixtures rewrite trigger ranges
         // into deliberately absurd ones, and a runtime trip would tangle
         // the matrix with re-optimization behaviour.
@@ -245,9 +221,11 @@ fn open_agg_coverage_hole(node: &mut PhysNode) {
     }
 }
 
-/// Run one mutated plan under one lint mode; return the step-0 warnings.
-fn lint_warnings_for(mode: LintMode, mutate: impl Fn(&mut PhysNode)) -> Vec<String> {
-    let exec = PopExecutor::new(matrix_db(), matrix_config(mode)).unwrap();
+/// The fixture query's plan with one mutation applied, and its analysis
+/// under the driver's context (LC coverage expected, live statistics).
+/// The findings agree with the certificate of the same analysis.
+fn mutated(mutate: impl Fn(&mut PhysNode)) -> (PopExecutor, QuerySpec, PhysNode, PlanAnalysis) {
+    let exec = PopExecutor::new(matrix_db(), matrix_config()).unwrap();
     let q = matrix_query();
     let mut plan = exec.plan(&q, &Params::none()).unwrap();
     assert!(
@@ -255,98 +233,73 @@ fn lint_warnings_for(mode: LintMode, mutate: impl Fn(&mut PhysNode)) -> Vec<Stri
         "fixture plan lost its checkpoints; the matrix needs them"
     );
     mutate(&mut plan);
-    let res = exec.execute_plan(&q, &plan, &Params::none()).unwrap();
-    assert_eq!(res.rows.len(), 1, "one group survives the filter");
-    let step = &res.report.steps[0];
-    match mode {
-        LintMode::Off => assert!(step.certificate.is_none(), "Off must not certify"),
-        _ => assert!(
-            step.certificate.is_some(),
-            "vetted steps carry a certificate"
-        ),
-    }
-    step.lint_warnings.clone()
-}
-
-#[test]
-fn lint_mode_matrix_dead_check_pl412() {
-    // A bounded trigger range wide enough to swallow any reachable
-    // cardinality: the check can never fire.
-    let dead = |plan: &mut PhysNode| {
-        for_each_check_spec(plan, &mut |spec| {
-            spec.range = ValidityRange::new(0.0, 1e300);
-        });
-    };
-    assert!(lint_warnings_for(LintMode::Off, dead).is_empty());
-    for mode in [LintMode::Warn, LintMode::Enforce] {
-        let warnings = lint_warnings_for(mode, dead);
-        assert!(
-            warnings.iter().any(|w| w.contains("PL412")),
-            "{mode:?}: {warnings:?}"
-        );
-    }
-}
-
-#[test]
-fn lint_mode_matrix_vacuous_check_pl413() {
-    // A trigger range disjoint from every reachable cardinality: the
-    // check always fires.
-    let vacuous = |plan: &mut PhysNode| {
-        for_each_check_spec(plan, &mut |spec| {
-            spec.range = ValidityRange::new(1e300, 2e300);
-            // Keep the estimate inside the rewritten range: the fixture
-            // targets PL413 (reachability), not PL102 (self-consistency).
-            spec.est_card = 1.5e300;
-        });
-    };
-    assert!(lint_warnings_for(LintMode::Off, vacuous).is_empty());
-    for mode in [LintMode::Warn, LintMode::Enforce] {
-        let warnings = lint_warnings_for(mode, vacuous);
-        assert!(
-            warnings.iter().any(|w| w.contains("PL413")),
-            "{mode:?}: {warnings:?}"
-        );
-    }
-}
-
-#[test]
-fn lint_mode_matrix_coverage_hole_pl411() {
-    assert!(lint_warnings_for(LintMode::Off, open_agg_coverage_hole).is_empty());
-    for mode in [LintMode::Warn, LintMode::Enforce] {
-        let warnings = lint_warnings_for(mode, open_agg_coverage_hole);
-        assert!(
-            warnings.iter().any(|w| w.contains("PL411")),
-            "{mode:?}: {warnings:?}"
-        );
-    }
-    // The certificate of the same analysis lists the hole PL411 proves.
-    let exec = PopExecutor::new(matrix_db(), matrix_config(LintMode::Warn)).unwrap();
-    let q = matrix_query();
-    let mut plan = exec.plan(&q, &Params::none()).unwrap();
-    open_agg_coverage_hole(&mut plan);
     let ctx = LintContext::full(exec.catalog(), &q)
         .expect_check_coverage(true)
         .with_stats(exec.stats());
     let analysis = analyze(&plan, &ctx);
-    assert!(
-        analysis
-            .diagnostics
-            .iter()
-            .any(|d| d.code == DiagCode::Pl411),
-        "{:?}",
-        analysis.diagnostics
-    );
     check_agreement("matrix", &plan, true, &analysis);
+    (exec, q, plan, analysis)
+}
+
+/// Does the analysis report `code`?
+fn reports(a: &PlanAnalysis, code: DiagCode) -> bool {
+    a.diagnostics.iter().any(|d| d.code == code)
+}
+
+/// A bounded trigger range wide enough to swallow any reachable
+/// cardinality: the check can never fire.
+fn dead(plan: &mut PhysNode) {
+    for_each_check_spec(plan, &mut |spec| {
+        spec.range = ValidityRange::new(0.0, 1e300);
+    });
+}
+
+/// A trigger range disjoint from every reachable cardinality: the check
+/// always fires.
+fn vacuous(plan: &mut PhysNode) {
+    for_each_check_spec(plan, &mut |spec| {
+        spec.range = ValidityRange::new(1e300, 2e300);
+        // Keep the estimate inside the rewritten range: the fixture
+        // targets PL413 (reachability), not PL102 (self-consistency).
+        spec.est_card = 1.5e300;
+    });
+}
+
+#[test]
+fn lint_mode_matrix_dead_check_pl412() {
+    let (.., a) = mutated(dead);
+    assert!(reports(&a, DiagCode::Pl412), "{:?}", a.diagnostics);
+    assert!(a.certificate.dead_checks > 0, "{}", a.certificate);
+}
+
+#[test]
+fn lint_mode_matrix_vacuous_check_pl413() {
+    let (.., a) = mutated(vacuous);
+    assert!(reports(&a, DiagCode::Pl413), "{:?}", a.diagnostics);
+    assert!(a.certificate.vacuous_checks > 0, "{}", a.certificate);
+}
+
+#[test]
+fn lint_mode_matrix_coverage_hole_pl411() {
+    let (.., a) = mutated(open_agg_coverage_hole);
+    assert!(reports(&a, DiagCode::Pl411), "{:?}", a.diagnostics);
+    // The certificate of the same analysis lists the hole PL411 proves.
+    assert!(!a.certificate.uncovered.is_empty(), "{}", a.certificate);
 }
 
 #[test]
 fn interval_diagnostics_never_block_execution() {
-    // PL41x findings are Warn severity by design: even Enforce mode must
-    // execute a plan whose only findings are interval advisories.
-    let warnings = lint_warnings_for(LintMode::Enforce, |p| {
-        for_each_check_spec(p, &mut |spec| {
-            spec.range = ValidityRange::new(0.0, 1e300);
-        });
-    });
-    assert!(!warnings.is_empty());
+    // PL41x findings are Warn severity by design: `execute_plan`'s deny
+    // gate runs a plan whose only findings are interval advisories.
+    for mutate in [dead as fn(&mut PhysNode), vacuous, open_agg_coverage_hole] {
+        let (exec, q, plan, a) = mutated(mutate);
+        assert!(!a.diagnostics.is_empty());
+        assert!(
+            a.diagnostics.iter().all(|d| d.severity == Severity::Warn),
+            "{:?}",
+            a.diagnostics
+        );
+        let res = exec.execute_plan(&q, &plan, &Params::none()).unwrap();
+        assert_eq!(res.rows.len(), 1, "one group survives the filter");
+    }
 }

@@ -5,13 +5,13 @@
 //! smaller than the working set, so pages are constantly evicted and
 //! re-read — has to produce byte-identical rows *in the same order*, the
 //! same optimize–execute step sequence, the same CHECK events, and the
-//! same robustness certificates as `MemBackend`, at
+//! same robustness certificate of every first plan as `MemBackend`, at
 //! every batch size. Both backends share one page-packing
 //! rule, so page counts, page-aware cost estimates and charged work are
 //! identical; only physical I/O (`RunReport::storage`) may differ, and it
 //! is deliberately excluded from the comparison.
 
-use pop::{PopConfig, PopExecutor, RunReport};
+use pop::{certify, LintContext, PopConfig, PopExecutor, RunReport};
 use pop_dmv::{dmv_catalog_with, dmv_queries};
 use pop_expr::{Expr, Params};
 use pop_guard::{FaultInjector, FaultPlan};
@@ -56,9 +56,9 @@ fn config(batch_size: usize) -> PopConfig {
     }
 }
 
-/// Everything discrete about two run reports: step sequence, plan shapes,
-/// check events and certificates. `RunReport::storage`
-/// (physical I/O) is the one field allowed to differ.
+/// Everything discrete about two run reports: step sequence, plan shapes
+/// and check events. `RunReport::storage` (physical I/O) is the one field
+/// allowed to differ.
 fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.steps.len(), b.steps.len(), "{what}: step count differs");
     assert_eq!(a.reopt_count, b.reopt_count, "{what}: reopt count differs");
@@ -91,11 +91,6 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
             );
             assert_eq!(ea.signature, eb.signature, "{what} step {i}: signature");
         }
-        // Certificates render every proved property; string equality is
-        // the certificate-hash comparison.
-        let ca = sa.certificate.as_ref().map(ToString::to_string);
-        let cb = sb.certificate.as_ref().map(ToString::to_string);
-        assert_eq!(ca, cb, "{what} step {i}: certificate differs");
         match (&sa.violation, &sb.violation) {
             (None, None) => {}
             (Some(va), Some(vb)) => {
@@ -107,21 +102,34 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     }
 }
 
+/// One query's run on one backend: its rows, its report, and the
+/// rendered robustness certificate of its first plan.
+type Run = (Vec<Vec<Value>>, RunReport, String);
+
 /// Run a workload; rows are kept in emission order (NOT sorted) so
-/// ordering differences fail the comparison.
+/// ordering differences fail the comparison. Each first plan is certified
+/// under the driver's context (coverage expected under LC, live
+/// statistics);
+/// the certificate renders every proved property, so string equality is
+/// the certificate-hash comparison.
 fn run_workload(
     catalog: &Catalog,
     queries: &[(String, pop::QuerySpec)],
     batch_size: usize,
-) -> Vec<(Vec<Vec<Value>>, RunReport)> {
+) -> Vec<Run> {
     let exec = PopExecutor::new(catalog.clone(), config(batch_size)).unwrap();
     queries
         .iter()
         .map(|(name, q)| {
+            let plan = exec.plan(q, &Params::none()).unwrap();
+            let ctx = LintContext::full(exec.catalog(), q)
+                .expect_check_coverage(exec.config().optimizer.flavors.lc)
+                .with_stats(exec.stats());
+            let cert = certify(&plan, &ctx).to_string();
             let res = exec
                 .run(q, &Params::none())
                 .unwrap_or_else(|e| panic!("{name} @ batch {batch_size} failed: {e}"));
-            (res.rows, res.report)
+            (res.rows, res.report, cert)
         })
         .collect()
 }
@@ -135,12 +143,13 @@ fn assert_backends_equivalent(
     for batch_size in COMBOS {
         let a = run_workload(mem, queries, batch_size);
         let b = run_workload(paged, queries, batch_size);
-        for (((rows_a, rep_a), (rows_b, rep_b)), (name, _)) in
+        for (((rows_a, rep_a, cert_a), (rows_b, rep_b, cert_b)), (name, _)) in
             a.iter().zip(b.iter()).zip(queries.iter())
         {
             let what = format!("{label}/{name} @ batch {batch_size}");
             assert_eq!(rows_a, rows_b, "{what}: rows differ across backends");
             assert_reports_equal(rep_a, rep_b, &what);
+            assert_eq!(cert_a, cert_b, "{what}: first-plan certificate differs");
         }
     }
     // The tiny pool cannot hold the working set: eviction must have been
