@@ -5,7 +5,7 @@
 //! bench_reopt [--quick] [--assert]
 //! ```
 //!
-//! Two experiments:
+//! Three experiments:
 //!
 //! 1. **Re-opt latency on a 6-join chain** (7 tables, 28 join-order
 //!    groups: the connected subsets of a chain are its intervals), in two
@@ -39,14 +39,26 @@
 //!    and the validity-range plan cache serves the third run without
 //!    optimizing at all. `--assert` fails on any deviation.
 //!
+//! 3. **One re-optimization step of each re-optimizing DMV query** (scale
+//!    0.004, the `dmv.pop` benchmark's queries). The first step's facts —
+//!    the violation and every exactly resolved check, each with the table
+//!    set it was observed on, as the driver records them — go into a
+//!    `FeedbackCache`; the re-plan on the query's first-plan memo is timed
+//!    against the first plan and against a fresh-memo plan with the same
+//!    facts, each side in its own loop as above. Recorded per query: the
+//!    re-plan / first-plan ratio, groups re-derived and signatures built.
+//!    `--assert` checks counts, not times: the re-plan costs the fresh
+//!    plan's bits, rebuilds nothing, and builds at most one signature per
+//!    fact it resolves.
+//!
 //! Raw data goes to `results/BENCH_reopt.json`.
 
-use pop::{PopConfig, PopExecutor};
+use pop::{ObservedCard, PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
 use pop_optimizer::{optimize, CardFact, FeedbackCache, Memo, OptimizerContext};
 use pop_plan::{subplan_signature, QueryBuilder, QuerySpec, TableSet};
 use pop_stats::StatsRegistry;
-use pop_storage::{Catalog, IndexKind};
+use pop_storage::{Catalog, IndexKind, StorageConfig};
 use pop_tpch::{q10, tpch_catalog};
 use pop_types::{DataType, Schema, Value};
 use serde::Serialize;
@@ -69,6 +81,7 @@ const DEEP_CHECK_CEILING_US: f64 = 136.292;
 /// hardware needs room too.
 const NOISE_ALLOWANCE: f64 = 1.5;
 const TPCH_SF: f64 = 0.002;
+const DMV_SCALE: f64 = 0.004;
 
 #[derive(Debug, Clone, Serialize)]
 struct ReoptScenario {
@@ -107,12 +120,51 @@ struct RepeatedQ10 {
     third_run_plan_cache: String,
 }
 
+/// One re-optimization step of a DMV query, from its first step's facts.
+#[derive(Debug, Clone, Serialize)]
+struct DmvReplan {
+    name: String,
+    tables: usize,
+    groups_total: usize,
+    /// Facts fed back: the violation and every exactly resolved check.
+    facts: usize,
+    /// Median fresh-memo plan without facts (the query's first plan).
+    first_plan_us: f64,
+    /// Median re-plan on the first plan's memo, with the facts.
+    replan_us: f64,
+    /// Median fresh-memo plan with the facts.
+    fresh_replan_us: f64,
+    replan_over_first: f64,
+    replan_over_fresh: f64,
+    groups_rederived: usize,
+    dirty_seeds: usize,
+    /// Signature strings the re-plan built.
+    signatures_built: usize,
+}
+
+#[derive(Debug, Clone, Serialize)]
+struct DmvReplans {
+    scale: f64,
+    rounds: usize,
+    queries: Vec<DmvReplan>,
+    /// Medians over the queries.
+    median_replan_over_first: f64,
+    median_replan_over_fresh: f64,
+    /// Sums over the queries: groups re-derived of groups held, and
+    /// signatures built for facts resolved.
+    groups_rederived: usize,
+    groups_total: usize,
+    signatures_built: usize,
+    facts: usize,
+}
+
 #[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     speedup_floor: f64,
     assertion_ran: bool,
     reopt_latency: ReoptLatency,
     repeated_q10: RepeatedQ10,
+    dmv_replans: DmvReplans,
 }
 
 /// A 7-table chain with alternating sizes, so join-order choices are
@@ -314,6 +366,147 @@ fn repeated_q10() -> RepeatedQ10 {
     }
 }
 
+/// The facts a query's first step feeds back when a CHECK suspends it:
+/// the violation's observation and every exactly resolved check, each
+/// with the table set it was observed on. `None` when the first step
+/// completed.
+fn first_step_facts(
+    exec: &PopExecutor,
+    spec: &QuerySpec,
+) -> Option<Vec<(String, TableSet, CardFact)>> {
+    let result = exec.run(spec, &Params::none()).expect("query runs");
+    let step = result.report.steps.first()?;
+    let violation = step.violation.as_ref()?;
+    let fact = |observed: ObservedCard| match observed {
+        ObservedCard::Exact(n) => CardFact::Exact(n as f64),
+        ObservedCard::AtLeast(n) => CardFact::AtLeast(n as f64),
+    };
+    let mut facts = vec![(
+        violation.signature.clone(),
+        violation.tables,
+        fact(violation.observed),
+    )];
+    for ev in &step.check_events {
+        if ev.observed.is_exact() {
+            facts.push((ev.signature.clone(), ev.tables, fact(ev.observed)));
+        }
+    }
+    Some(facts)
+}
+
+/// Experiment 3: one re-optimization step of every re-optimizing DMV
+/// query, timed on its first-plan memo against its first plan and a
+/// fresh-memo plan with the same facts.
+fn dmv_replans(rounds: usize) -> DmvReplans {
+    let config = PopConfig {
+        faults: None,
+        plan_cache: false,
+        learn_across_queries: false,
+        budget: pop::Budget::default(),
+        force_reopt_at: None,
+        ..PopConfig::default()
+    };
+    let catalog = pop_dmv::dmv_catalog_with(DMV_SCALE, StorageConfig::default()).unwrap();
+    let exec = PopExecutor::new(catalog, config).unwrap();
+    let opt_cfg = exec.config().optimizer.clone();
+    let cost = exec.config().cost_model.clone();
+    let params = Params::none();
+    let mut queries = Vec::new();
+    for q in pop_dmv::dmv_queries() {
+        let Some(facts) = first_step_facts(&exec, &q.spec) else {
+            continue;
+        };
+        let none = FeedbackCache::new();
+        let fed = FeedbackCache::new();
+        for (sig, set, fact) in &facts {
+            fed.record_at(sig.clone(), *set, *fact);
+        }
+        let ctx = |fb| {
+            OptimizerContext::new(
+                exec.catalog(),
+                exec.stats(),
+                &opt_cfg,
+                &cost,
+                Some(&params),
+                fb,
+            )
+        };
+        let (first_ctx, fed_ctx) = (ctx(&none), ctx(&fed));
+        let timed = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        };
+        let (mut first_us, mut replan_us, mut fresh_us) = (Vec::new(), Vec::new(), Vec::new());
+        let mut replan = None;
+        for _ in 0..rounds {
+            first_us.push(timed(&mut || {
+                optimize(&q.spec, &first_ctx, &mut Memo::new()).unwrap();
+            }));
+        }
+        for _ in 0..rounds {
+            let mut memo = Memo::new();
+            optimize(&q.spec, &first_ctx, &mut memo).unwrap();
+            replan_us.push(timed(&mut || {
+                replan = Some(optimize(&q.spec, &fed_ctx, &mut memo).unwrap());
+            }));
+        }
+        let mut fresh = None;
+        for _ in 0..rounds {
+            fresh_us.push(timed(&mut || {
+                fresh = Some(optimize(&q.spec, &fed_ctx, &mut Memo::new()).unwrap());
+            }));
+        }
+        let ((inc, stats), (fresh, _)) = (replan.unwrap(), fresh.unwrap());
+        assert_eq!(
+            inc.props().cost.to_bits(),
+            fresh.props().cost.to_bits(),
+            "{}: re-plan and fresh-memo plan diverged",
+            q.name
+        );
+        let (first, re, fr) = (
+            median(&mut first_us),
+            median(&mut replan_us),
+            median(&mut fresh_us),
+        );
+        queries.push((
+            DmvReplan {
+                name: q.name.clone(),
+                tables: q.spec.tables.len(),
+                groups_total: stats.groups_total,
+                facts: facts.len(),
+                first_plan_us: first,
+                replan_us: re,
+                fresh_replan_us: fr,
+                replan_over_first: re / first,
+                replan_over_fresh: re / fr,
+                groups_rederived: stats.groups_rederived,
+                dirty_seeds: stats.dirty_seeds,
+                signatures_built: stats.signatures_built,
+            },
+            stats.rebuilt,
+        ));
+    }
+    let mut over_first: Vec<f64> = queries.iter().map(|(q, _)| q.replan_over_first).collect();
+    let mut over_fresh: Vec<f64> = queries.iter().map(|(q, _)| q.replan_over_fresh).collect();
+    assert!(
+        queries.iter().all(|(_, rebuilt)| !rebuilt),
+        "a re-plan rebuilt its memo"
+    );
+    let queries: Vec<DmvReplan> = queries.into_iter().map(|(q, _)| q).collect();
+    DmvReplans {
+        scale: DMV_SCALE,
+        rounds,
+        median_replan_over_first: median(&mut over_first),
+        median_replan_over_fresh: median(&mut over_fresh),
+        groups_rederived: queries.iter().map(|q| q.groups_rederived).sum(),
+        groups_total: queries.iter().map(|q| q.groups_total).sum(),
+        signatures_built: queries.iter().map(|q| q.signatures_built).sum(),
+        facts: queries.iter().map(|q| q.facts).sum(),
+        queries,
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let assert_floor = std::env::args().any(|a| a == "--assert");
@@ -348,8 +541,53 @@ fn main() {
         q10_line.third_run_plan_cache
     );
 
+    let dmv = dmv_replans(if quick { 15 } else { 61 });
+    println!(
+        "DMV re-plans ({} queries, scale {}): re-plan / first plan median {:.2}, \
+         re-plan / fresh-memo plan median {:.2}; {} of {} groups re-derived, \
+         {} signature(s) built for {} fact(s)",
+        dmv.queries.len(),
+        dmv.scale,
+        dmv.median_replan_over_first,
+        dmv.median_replan_over_fresh,
+        dmv.groups_rederived,
+        dmv.groups_total,
+        dmv.signatures_built,
+        dmv.facts
+    );
+    for q in &dmv.queries {
+        println!(
+            "  {:6} {:2} tables  first {:7.1} us  re-plan {:7.1} us ({:.2}x)  fresh {:7.1} us  \
+             {:3} of {:3} groups re-derived, {} signature(s) for {} fact(s)",
+            q.name,
+            q.tables,
+            q.first_plan_us,
+            q.replan_us,
+            q.replan_over_first,
+            q.fresh_replan_us,
+            q.groups_rederived,
+            q.groups_total,
+            q.signatures_built,
+            q.facts
+        );
+    }
+
     let mut failures = Vec::new();
     if assert_floor {
+        if dmv.queries.is_empty() {
+            failures.push("no DMV query re-optimized".into());
+        }
+        for q in &dmv.queries {
+            if q.groups_rederived == 0 {
+                failures.push(format!("{}: the facts re-derived no group", q.name));
+            }
+            if q.signatures_built > q.facts {
+                failures.push(format!(
+                    "{}: the re-plan built {} signatures for {} facts",
+                    q.name, q.signatures_built, q.facts
+                ));
+            }
+        }
         for s in &latency.scenarios {
             if s.speedup < s.asserted_floor {
                 failures.push(format!(
@@ -397,6 +635,7 @@ fn main() {
         assertion_ran: assert_floor,
         reopt_latency: latency,
         repeated_q10: q10_line,
+        dmv_replans: dmv,
     };
     let _ = fs::create_dir_all("results");
     match serde_json::to_string_pretty(&report) {

@@ -1,18 +1,17 @@
 //! The POP driver: alternate optimization and execution steps until the
 //! query completes (§2.1, Figure 3 of the paper).
 
+use crate::report::PlanText;
 use crate::{PopConfig, QueryResult, RunReport, StepReport};
 use parking_lot::Mutex;
-use pop_exec::{execute, ExecCtx, RunOutcome, Signatures, Subplan};
+use pop_exec::{execute, ExecCtx, RunOutcome, Subplan, Subplans};
 use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
     optimize, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats,
     OptimizerContext, PlanCache,
 };
-use pop_plan::{
-    canonical_layout, spec_fingerprint, PhysNode, QuerySpec, Signer, TableSet, ValidityRange,
-};
-use pop_stats::{StatsRegistry, TableStats};
+use pop_plan::{canonical_layout, spec_fingerprint, PhysNode, QuerySpec, Signer, ValidityRange};
+use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
 
@@ -246,11 +245,8 @@ impl PopExecutor {
         let mut first_step = true;
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
-        // dirtied.
+        // dirtied, and its binding signs what a step promotes.
         let mut memo = self.memo.lock();
-        // The last plan the optimizer produced (unwrapped), kept as the
-        // graceful-degradation fallback when a *re*-optimization fails.
-        let mut fallback: Option<PhysNode> = None;
         loop {
             // (Re-)optimize with everything learned so far: feedback facts
             // and temp MVs both enter through the optimizer context.
@@ -266,6 +262,9 @@ impl PopExecutor {
             // this template when the current binding's estimates fall
             // inside every validity guard the plan carries.
             let mut cached_plan: Option<PhysNode> = None;
+            // A cached plan's step is signed by the signer that rebound it:
+            // the memo is bound to whatever it planned last.
+            let mut cache_signer: Option<Signer> = None;
             if first_step {
                 if let Some(key) = cache_key.as_deref() {
                     let est = CardEstimator::new(spec, &octx)?;
@@ -274,14 +273,15 @@ impl PopExecutor {
                     if let Some(mut plan) = found {
                         // Signatures fold parameter bindings in; re-key the
                         // cached plan's checks for the current binding.
-                        rebind_check_signatures(&mut plan, &Signer::new(spec, Some(params)));
+                        let signer = Signer::new(spec, Some(params));
+                        rebind_check_signatures(&mut plan, &signer);
                         debug_assert_eq!(
                             self.deny_gate(&plan, spec),
                             Ok(()),
                             "rebound cached plan"
                         );
-                        fallback = Some(plan.clone());
                         cache_hit = true;
+                        cache_signer = Some(signer);
                         cached_plan = Some(plan);
                     }
                 }
@@ -291,18 +291,16 @@ impl PopExecutor {
                 (plan, None)
             } else {
                 match self.plan_step(spec, &octx, ctx, &mut memo) {
-                    Ok((bare, plan, stats)) => {
-                        fallback = Some(bare);
-                        (plan, Some(stats))
-                    }
+                    Ok((plan, stats)) => (plan, Some(stats)),
                     // Graceful degradation: a query that already has a working
                     // plan should not abort because *re*-planning failed
                     // (optimizer error, injected fault). Keep the previous
                     // plan and run it to completion with checks disabled. A
                     // first-optimization failure stays fatal — there is
                     // nothing to fall back to.
-                    Err(e) => match fallback.take() {
+                    Err(e) => match report.steps.last() {
                         Some(prev) if self.config.graceful_degradation => {
+                            let prev = bare_plan(prev.plan.tree()).clone();
                             report.degraded = true;
                             report.warnings.push(format!(
                                 "re-optimization failed ({e}); continuing with the previous plan, checks disabled"
@@ -314,7 +312,7 @@ impl PopExecutor {
                     },
                 }
             };
-            let signatures = self.collect_signatures(spec, &plan, params);
+            let subplans = self.subplans(spec, &plan);
             let mut mvs_used = 0usize;
             plan.visit(&mut |n| {
                 if matches!(n, PhysNode::MvScan { .. }) {
@@ -323,14 +321,14 @@ impl PopExecutor {
             });
             let work_start = ctx.work;
             let batches_start = ctx.batches_emitted;
-            let outcome = execute(&plan, ctx, &signatures)?;
+            let outcome = execute(&plan, ctx, &subplans)?;
             let mut step = StepReport {
-                plan: plan.to_string(),
                 shape: plan.join_shape(),
                 est_cost: plan.props().cost,
+                plan: PlanText::new(plan),
                 work_start,
                 work_end: ctx.work,
-                check_events: ctx.check_events.clone(),
+                check_events: std::mem::take(&mut ctx.check_events),
                 violation: None,
                 mvs_used,
                 rows_emitted: outcome.row_count(),
@@ -342,17 +340,17 @@ impl PopExecutor {
             collect_rows(collected, ctx, &outcome);
             match outcome {
                 RunOutcome::Complete { .. } => {
-                    report.steps.push(step);
                     // Cache the completed run's final plan for
                     // future bindings of the same template (insert refuses
                     // MV-bearing or guard-less plans itself). Degraded or
                     // budget-exhausted runs ran with checks off — their
                     // plans are not evidence of anything.
                     if !cache_hit && !report.degraded && !report.budget_exhausted {
-                        if let (Some(key), Some(bare)) = (cache_key, fallback.as_ref()) {
-                            self.plan_cache.insert(key, bare);
+                        if let Some(key) = cache_key {
+                            self.plan_cache.insert(key, bare_plan(step.plan.tree()));
                         }
                     }
+                    report.steps.push(step);
                     return Ok(());
                 }
                 RunOutcome::Suspended { violation, .. } => {
@@ -366,23 +364,43 @@ impl PopExecutor {
                             pop_exec::ObservedCard::Exact(n) => CardFact::Exact(n as f64),
                             pop_exec::ObservedCard::AtLeast(n) => CardFact::AtLeast(n as f64),
                         };
-                        feedback.record(violation.signature.clone(), fact);
+                        let (sig, set) = (violation.signature.clone(), violation.tables);
+                        feedback.record_at(sig, set, fact);
                         // Every exactly-resolved check is a free exact fact.
-                        for ev in &ctx.check_events {
+                        for ev in &step.check_events {
                             if let pop_exec::ObservedCard::Exact(n) = ev.observed {
-                                feedback.record(ev.signature.clone(), CardFact::Exact(n as f64));
+                                let fact = CardFact::Exact(n as f64);
+                                feedback.record_at(ev.signature.clone(), ev.tables, fact);
                             }
                         }
                     }
                     // Promote completed materializations to temp MVs with
-                    // exact statistics (§2.3).
+                    // exact statistics (§2.3). A harvest is signed only
+                    // here, from the binding the step's plan came from.
                     let harvests = std::mem::take(&mut ctx.harvests);
                     for h in harvests {
+                        let signature = if let Some(signer) = &cache_signer {
+                            signer.sign(h.tables)
+                        } else if let Some(sig) = memo.signature(h.tables) {
+                            sig.to_string()
+                        } else {
+                            report.warnings.push(format!(
+                                "harvest over {} not promoted: no subplan of the planned query",
+                                h.tables
+                            ));
+                            continue;
+                        };
                         if !violation.forced {
                             let card = CardFact::Exact(h.row_count() as f64);
-                            feedback.record(h.signature.clone(), card);
+                            feedback.record_at(signature.clone(), h.tables, card);
                         }
-                        self.promote_harvest(spec, h, &mut mv_counter, &mut report.warnings)?;
+                        self.promote_harvest(
+                            spec,
+                            h,
+                            signature,
+                            &mut mv_counter,
+                            &mut report.warnings,
+                        )?;
                     }
                     // Injected corrupted statistics: poison the violated
                     // signature's fed-back cardinality with an absurd
@@ -393,7 +411,8 @@ impl PopExecutor {
                     if !self.config.learn_across_queries {
                         if let Some(inj) = ctx.faults.as_mut() {
                             if inj.corrupt_stats() {
-                                feedback.record(violation.signature.clone(), CardFact::Exact(1e12));
+                                let (sig, set) = (violation.signature.clone(), violation.tables);
+                                feedback.record_at(sig, set, CardFact::Exact(1e12));
                             }
                         }
                     }
@@ -416,15 +435,14 @@ impl PopExecutor {
     /// One planning step of the loop: the optimizer-failure fault hook,
     /// optimization through the persistent memo and compensation
     /// wrapping; debug builds also pass the plan through the deny gate.
-    /// Returns the bare (unwrapped) plan for the degradation fallback
-    /// alongside the executable plan and the pass's memo statistics.
+    /// Returns the executable plan and the pass's memo statistics.
     fn plan_step(
         &self,
         spec: &QuerySpec,
         octx: &OptimizerContext<'_>,
         ctx: &mut ExecCtx,
         memo: &mut Memo,
-    ) -> PopResult<(PhysNode, PhysNode, MemoStats)> {
+    ) -> PopResult<(PhysNode, MemoStats)> {
         if let Some(inj) = ctx.faults.as_mut() {
             if let Some(err) = inj.optimizer_fail() {
                 return Err(err);
@@ -448,9 +466,9 @@ impl PopExecutor {
                 )));
             }
         }
-        let plan = wrap_compensation(bare.clone(), ctx);
+        let plan = wrap_compensation(bare, ctx);
         debug_assert_eq!(self.deny_gate(&plan, spec), Ok(()), "optimizer plan");
-        Ok((bare, plan, stats))
+        Ok((plan, stats))
     }
 
     /// Static plan verification (`pop-planlint`): rejects a plan with any
@@ -506,11 +524,11 @@ impl PopExecutor {
     ) -> PopResult<QueryResult> {
         spec.validate()?;
         self.deny_gate(plan, spec)?;
-        let signatures = self.collect_signatures(spec, plan, params);
         let mut session = self.session(params, None)?;
         let ctx = &mut session.ctx;
         ctx.checks_enabled = false;
-        let outcome = execute(plan, ctx, &signatures)?;
+        // Nothing is promoted without a re-optimization: harvest nothing.
+        let outcome = execute(plan, ctx, &Subplans::new())?;
         if !outcome.is_complete() {
             return Err(PopError::Execution(
                 "plan suspended although checkpoints were disabled".into(),
@@ -520,12 +538,12 @@ impl PopExecutor {
         collect_rows(&mut collected, ctx, &outcome);
         let mut report = RunReport::default();
         report.steps.push(StepReport {
-            plan: plan.to_string(),
+            plan: PlanText::new(plan.clone()),
             shape: plan.join_shape(),
             est_cost: plan.props().cost,
             work_start: 0.0,
             work_end: ctx.work,
-            check_events: ctx.check_events.clone(),
+            check_events: std::mem::take(&mut ctx.check_events),
             violation: None,
             mvs_used: 0,
             rows_emitted: collected.len(),
@@ -554,24 +572,24 @@ impl PopExecutor {
             .collect()
     }
 
-    /// Signature and canonical layout for every table set appearing in
-    /// the plan (labels observations and harvested materializations).
-    /// Parameter bindings are folded into the signatures so facts and MVs
-    /// never leak across different bindings.
-    fn collect_signatures(
-        &self,
-        spec: &QuerySpec,
-        plan: &PhysNode,
-        params: &pop_expr::Params,
-    ) -> Signatures {
+    /// The canonical layout of every table set appearing in the plan,
+    /// for the executor to harvest their materializations in — when the
+    /// plan can suspend at all: a plan without a CHECK runs to completion,
+    /// so nothing it materializes is ever promoted.
+    fn subplans(&self, spec: &QuerySpec, plan: &PhysNode) -> Subplans {
+        let mut guarded = false;
+        plan.visit(&mut |n| {
+            guarded |= matches!(n, PhysNode::Check { .. } | PhysNode::BufCheck { .. });
+        });
+        let mut map = Subplans::new();
+        if !guarded {
+            return map;
+        }
         let col_counts = self.col_counts(spec);
-        let signer = Signer::new(spec, Some(params));
-        let mut map = Signatures::new();
         plan.visit(&mut |n| {
             let set = n.props().tables;
             if !set.is_empty() {
                 map.entry(set.mask()).or_insert_with(|| Subplan {
-                    signature: signer.sign(set),
                     layout: canonical_layout(spec, set, &col_counts),
                 });
             }
@@ -579,24 +597,25 @@ impl PopExecutor {
         map
     }
 
-    /// Promote one harvested materialization to a temp MV. The operator
-    /// builder only harvests nodes whose output is the canonical layout of
-    /// their table set — the contract MV matching relies on — so a harvest
-    /// that disagrees with it is a bug: it is dropped and reported on
-    /// `warnings` instead of silently turning MV reuse off.
+    /// Promote one harvested materialization, signed `signature`, to a
+    /// temp MV. The operator builder only harvests nodes whose output is
+    /// the canonical layout of their table set — the contract MV matching
+    /// relies on — so a harvest that disagrees with it is a bug: it is
+    /// dropped and reported on `warnings` instead of silently turning MV
+    /// reuse off.
     fn promote_harvest(
         &self,
         spec: &QuerySpec,
-        h: pop_exec::Harvest,
+        mut h: pop_exec::Harvest,
+        signature: String,
         mv_counter: &mut usize,
         warnings: &mut Vec<String>,
     ) -> PopResult<()> {
-        let set = TableSet::from_iter(h.layout.iter().map(|c| c.table));
-        let canonical = canonical_layout(spec, set, &self.col_counts(spec));
+        let canonical = canonical_layout(spec, h.tables, &self.col_counts(spec));
         if h.layout != canonical {
             warnings.push(format!(
-                "harvest {} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
-                h.signature, h.layout
+                "harvest {signature} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
+                h.layout
             ));
             return Ok(());
         }
@@ -613,29 +632,36 @@ impl PopExecutor {
         let name = format!("__pop_mv_{}", *mv_counter);
         *mv_counter += 1;
         let id = self.catalog.allocate_temp_id();
-        // The one copy a harvest makes: canonical-order columns out of the
-        // operator's buffer, handed to storage as they are.
-        let (data, lineage) = h.columns();
-        let rows = h.row_count();
-        let actual_card = rows as u64;
+        let (tables, layout, rows) = (h.tables, std::mem::take(&mut h.layout), h.row_count());
+        // The operator's buffer, its columns moved into canonical order
+        // (gathered only when a SORT reordered the rows), handed to storage
+        // to keep. The MV's exact cardinality (the paper: "having the
+        // cardinality of the intermediate result in its catalog
+        // statistics") is `actual_card`, which MV-scan costing reads.
+        let (data, lineage) = h.into_columns();
         // Under the paged backend the MV spills to temporary pages whose
         // files the catalog's cleanup (table drop) unlinks.
-        let table =
-            self.catalog
-                .create_temp_table(id, name.clone(), Schema::new(cols), &data, rows)?;
-        // Exact statistics for the re-optimization (the paper: "having the
-        // cardinality of the intermediate result in its catalog
-        // statistics").
-        self.stats
-            .put(&name, TableStats::derived(actual_card, h.layout.len()));
+        let table = self
+            .catalog
+            .create_temp_table(id, name, Schema::new(cols), data, rows)?;
         self.catalog.register_temp_mv(TempMv {
             table,
-            signature: h.signature,
-            layout: h.layout,
-            actual_card,
+            signature,
+            tables: tables.mask(),
+            layout,
+            actual_card: rows as u64,
             lineage: Some(lineage),
         });
         Ok(())
+    }
+}
+
+/// The plan the optimizer produced for a step: its executed plan without
+/// the compensation wrapper the driver may have put around it.
+fn bare_plan(plan: &PhysNode) -> &PhysNode {
+    match plan {
+        PhysNode::AntiJoinRids { input, .. } => input,
+        plan => plan,
     }
 }
 
@@ -699,7 +725,7 @@ fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, outcome: &RunOutcom
 mod tests {
     use super::*;
     use pop_expr::{Expr, Params};
-    use pop_plan::QueryBuilder;
+    use pop_plan::{QueryBuilder, TableSet};
     use pop_storage::IndexKind;
     use pop_types::{DataType, Value};
 
@@ -921,16 +947,16 @@ mod tests {
             },
         };
         let mut ctx = ExecCtx::new(cat, Params::none(), pop_plan::CostModel::default());
-        let signatures = Signatures::new();
+        let subplans = Subplans::new();
         let mut collected = Vec::new();
 
-        let suspended = execute(&checked, &mut ctx, &signatures).unwrap();
+        let suspended = execute(&checked, &mut ctx, &subplans).unwrap();
         assert!(!suspended.is_complete());
         collect_rows(&mut collected, &mut ctx, &suspended);
         assert_eq!(collected.len(), 7);
         assert_eq!(ctx.prev_returned.len(), 7);
 
-        let complete = execute(&scan, &mut ctx, &signatures).unwrap();
+        let complete = execute(&scan, &mut ctx, &subplans).unwrap();
         assert!(complete.is_complete());
         collect_rows(&mut collected, &mut ctx, &complete);
         assert_eq!(collected.len(), 27);
@@ -999,6 +1025,26 @@ mod tests {
         }
     }
 
+    /// A promoted MV lives in the catalog alone: MV-scan costing reads its
+    /// `TempMv`, so promotion writes no `__pop_mv_*` statistics — which
+    /// nothing would remove once the query's MVs are cleared.
+    #[test]
+    fn promotion_leaves_no_mv_statistics() {
+        let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
+        let res = exec.run(&correlated_query(), &Params::none()).unwrap();
+        let reused: usize = res.report.steps.iter().map(|s| s.mvs_used).sum();
+        assert!(
+            res.report.reopt_count >= 1 && reused >= 1,
+            "{}",
+            res.report.summary()
+        );
+        assert_eq!(exec.catalog().temp_mv_count(), 0);
+        for i in 0..16 {
+            let name = format!("__pop_mv_{i}");
+            assert!(exec.stats().get(&name).is_err(), "{name} has statistics");
+        }
+    }
+
     #[test]
     fn non_canonical_harvest_is_reported_not_silently_dropped() {
         let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
@@ -1015,20 +1061,20 @@ mod tests {
             let mut buffer = pop_exec::RowBatch::new();
             buffer.push_row(&vec![Value::Int(1); layout.len()], &[]);
             let info = pop_exec::operators::HarvestInfo {
-                signature: "sig".into(),
+                tables: TableSet::single(0),
                 perm: (0..layout.len()).collect(),
                 canonical_layout: layout,
             };
             pop_exec::Harvest::new(&info, std::sync::Arc::new(buffer), None)
         };
         let (mut n, mut warnings) = (0, Vec::new());
-        exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(canonical), "sig".into(), &mut n, &mut warnings)
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         // The same table set at another width breaks the MV contract.
         let narrow = vec![pop_types::ColId::new(0, 0)];
-        exec.promote_harvest(&q, harvest(narrow), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(narrow), "sig".into(), &mut n, &mut warnings)
             .unwrap();
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         assert_eq!(warnings.len(), 1);

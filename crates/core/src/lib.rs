@@ -67,7 +67,7 @@ mod report;
 
 pub use config::PopConfig;
 pub use driver::PopExecutor;
-pub use report::{QueryResult, RegionDiag, RunReport, StepReport, WorkerDiag};
+pub use report::{PlanText, QueryResult, RegionDiag, RunReport, StepReport, WorkerDiag};
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use pop_exec::{CheckEvent, CheckOutcome, ObservedCard, Violation};

@@ -2,13 +2,79 @@
 
 use pop_exec::{CheckEvent, Violation};
 use pop_optimizer::MemoStats;
+use pop_plan::PhysNode;
 use pop_types::Row;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
+
+/// The plan a step executed, rendered (EXPLAIN-style) on first read: it
+/// reads as the `&str` of [`PhysNode`]'s `Display` (`contains`, `lines`,
+/// `==`, formatting), and a step whose text nobody reads never renders it.
+#[derive(Clone)]
+pub struct PlanText {
+    tree: PhysNode,
+    text: OnceLock<String>,
+}
+
+impl PlanText {
+    /// The text of `tree`, rendered when first read.
+    pub fn new(tree: PhysNode) -> Self {
+        PlanText {
+            tree,
+            text: OnceLock::new(),
+        }
+    }
+
+    /// The executed plan itself.
+    pub fn tree(&self) -> &PhysNode {
+        &self.tree
+    }
+
+    /// The rendered plan.
+    pub fn as_str(&self) -> &str {
+        self.text.get_or_init(|| self.tree.to_string())
+    }
+}
+
+impl Deref for PlanText {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for PlanText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Formats as the rendered text's `Debug`, as the plan's `String` did.
+impl fmt::Debug for PlanText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq for PlanText {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl PartialEq<&str> for PlanText {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
 
 /// One optimize-execute step of the POP loop.
 #[derive(Debug, Clone)]
 pub struct StepReport {
-    /// Rendered plan (EXPLAIN-style).
-    pub plan: String,
+    /// The executed plan, rendered (EXPLAIN-style) when first read.
+    pub plan: PlanText,
     /// Compact bottom-up join shape, for detecting plan changes.
     pub shape: String,
     /// Optimizer's estimated cost of the plan.
@@ -235,7 +301,12 @@ mod tests {
 
     fn step(shape: &str) -> StepReport {
         StepReport {
-            plan: String::new(),
+            plan: PlanText::new(PhysNode::TableScan {
+                qidx: 0,
+                table: "t".into(),
+                pred: None,
+                props: pop_plan::PlanProps::leaf(pop_plan::TableSet::single(0), 1.0, 1.0, vec![]),
+            }),
             shape: shape.to_string(),
             est_cost: 0.0,
             work_start: 10.0,
@@ -264,6 +335,19 @@ mod tests {
         let s = r.summary();
         assert!(s.contains("1 step(s)"));
         assert!(s.contains("a b HSJN"));
+    }
+
+    /// The text renders once, on first read, as the tree's `Display`.
+    #[test]
+    fn plan_text_renders_the_tree_on_first_read() {
+        let s = step("x");
+        assert!(s.plan.text.get().is_none());
+        let expected = s.plan.tree().to_string();
+        assert!(s.plan.contains("SCAN"), "{expected}");
+        assert!(s.plan.text.get().is_some());
+        assert_eq!(s.plan, expected.as_str());
+        assert_eq!(format!("{}", s.plan), expected);
+        assert_eq!(format!("{:?}", s.plan), format!("{expected:?}"));
     }
 
     #[test]

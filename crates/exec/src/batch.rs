@@ -358,6 +358,13 @@ impl RowBatch {
         .collect()
     }
 
+    /// The batch's columns (one per layout position) and its flat lineage,
+    /// moved out. The batch must have no selection.
+    pub(crate) fn into_columns(self) -> (Vec<Column>, Vec<Rid>) {
+        debug_assert!(self.sel.is_none(), "moving the columns of a filtered batch");
+        (self.cols, self.lin)
+    }
+
     /// Rids of lineage per row.
     pub fn lineage_width(&self) -> usize {
         self.lin_width

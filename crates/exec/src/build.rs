@@ -17,16 +17,15 @@ use std::collections::HashMap;
 /// What the driver knows about one table set of the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subplan {
-    /// Subplan signature: labels harvested materializations, CHECK
-    /// observations so re-optimization can match them to the query.
-    pub signature: String,
     /// [`pop_plan::canonical_layout`] of the set — the column order a
     /// harvested materialization is stored in.
     pub layout: Vec<ColId>,
 }
 
-/// Subplans by table-set mask.
-pub type Signatures = HashMap<u64, Subplan>;
+/// Subplans by table-set mask: the materializations of these sets are
+/// harvested, labelled with their table set (the driver signs the ones
+/// it promotes). An empty map harvests nothing.
+pub type Subplans = HashMap<u64, Subplan>;
 
 /// Position of a base column within a layout.
 pub(crate) fn pos_of(layout: &[LayoutCol], col: ColId) -> PopResult<usize> {
@@ -66,9 +65,9 @@ fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<V
 /// canonical layout of its table set in some order. A node above the
 /// final projection or aggregate carries other columns and is not the
 /// subplan's materialization.
-pub(crate) fn harvest_info(node: &PhysNode, signatures: &Signatures) -> Option<HarvestInfo> {
+pub(crate) fn harvest_info(node: &PhysNode, subplans: &Subplans) -> Option<HarvestInfo> {
     let props = node.props();
-    let subplan = signatures.get(&props.tables.mask())?;
+    let subplan = subplans.get(&props.tables.mask())?;
     if props.layout.len() != subplan.layout.len() {
         return None;
     }
@@ -78,7 +77,7 @@ pub(crate) fn harvest_info(node: &PhysNode, signatures: &Signatures) -> Option<H
         .map(|c| props.layout.iter().position(|l| *l == LayoutCol::Base(*c)))
         .collect::<Option<Vec<_>>>()?;
     Some(HarvestInfo {
-        signature: subplan.signature.clone(),
+        tables: props.tables,
         canonical_layout: subplan.layout.clone(),
         perm,
     })
@@ -97,7 +96,7 @@ pub(crate) fn is_materializing(node: &PhysNode) -> bool {
 pub fn build_operator(
     node: &PhysNode,
     catalog: &Catalog,
-    signatures: &Signatures,
+    subplans: &Subplans,
 ) -> PopResult<Box<dyn Operator>> {
     Ok(match node {
         PhysNode::TableScan {
@@ -151,7 +150,7 @@ pub fn build_operator(
             inner,
             props,
         } => {
-            let outer_op = build_operator(outer, catalog, signatures)?;
+            let outer_op = build_operator(outer, catalog, subplans)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
             let inner_table = catalog.table(&inner.table)?;
             let index = catalog
@@ -193,8 +192,8 @@ pub fn build_operator(
                 .iter()
                 .map(|k| pos_of(&probe.props().layout, *k))
                 .collect::<PopResult<Vec<_>>>()?;
-            let build_op = build_operator(build, catalog, signatures)?;
-            let probe_op = build_operator(probe, catalog, signatures)?;
+            let build_op = build_operator(build, catalog, subplans)?;
+            let probe_op = build_operator(probe, catalog, subplans)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -202,7 +201,7 @@ pub fn build_operator(
             // Hash-join builds are materializations too: harvest them for
             // potential reuse after a CHECK failure (the enhancement the
             // paper's prototype planned, §4).
-            let build_harvest = harvest_info(build, signatures);
+            let build_harvest = harvest_info(build, subplans);
             Box::new(HsjnOp::new(build_op, probe_op, bpos, ppos).with_build_harvest(build_harvest))
         }
         PhysNode::Mgjn {
@@ -212,8 +211,8 @@ pub fn build_operator(
             right_keys,
             ..
         } => {
-            let left_op = build_operator(left, catalog, signatures)?;
-            let right_op = build_operator(right, catalog, signatures)?;
+            let left_op = build_operator(left, catalog, subplans)?;
+            let right_op = build_operator(right, catalog, subplans)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
                 return Err(PopError::Planning(
                     "MGJN requires at least one join key per side".into(),
@@ -226,24 +225,19 @@ pub fn build_operator(
         PhysNode::Sort {
             input, key, desc, ..
         } => {
-            let child = build_operator(input, catalog, signatures)?;
+            let child = build_operator(input, catalog, subplans)?;
             let pos = match key {
                 SortKeyRef::Col(c) => pos_of(&input.props().layout, *c)?,
                 SortKeyRef::Pos(p) => *p,
             };
-            Box::new(SortOp::new(
-                child,
-                pos,
-                *desc,
-                harvest_info(node, signatures),
-            ))
+            Box::new(SortOp::new(child, pos, *desc, harvest_info(node, subplans)))
         }
         PhysNode::Temp { input, .. } => {
-            let child = build_operator(input, catalog, signatures)?;
-            Box::new(TempOp::new(child, harvest_info(node, signatures)))
+            let child = build_operator(input, catalog, subplans)?;
+            Box::new(TempOp::new(child, harvest_info(node, subplans)))
         }
         PhysNode::Project { input, cols, .. } => {
-            let child = build_operator(input, catalog, signatures)?;
+            let child = build_operator(input, catalog, subplans)?;
             let positions = cols
                 .iter()
                 .map(|c| match c {
@@ -266,7 +260,7 @@ pub fn build_operator(
             aggs,
             ..
         } => {
-            let child = build_operator(input, catalog, signatures)?;
+            let child = build_operator(input, catalog, subplans)?;
             let keys = group_by
                 .iter()
                 .map(|k| pos_of(&input.props().layout, *k))
@@ -287,8 +281,9 @@ pub fn build_operator(
         }
         PhysNode::Check { input, spec, .. } => {
             let materialized = is_materializing(input);
-            let child = build_operator(input, catalog, signatures)?;
-            Box::new(GuardOp::check(child, spec.clone(), materialized))
+            let child = build_operator(input, catalog, subplans)?;
+            let tables = input.props().tables;
+            Box::new(GuardOp::check(child, spec.clone(), tables, materialized))
         }
         PhysNode::BufCheck {
             input,
@@ -296,11 +291,12 @@ pub fn build_operator(
             buffer,
             ..
         } => {
-            let child = build_operator(input, catalog, signatures)?;
-            Box::new(GuardOp::bufcheck(child, spec.clone(), *buffer))
+            let child = build_operator(input, catalog, subplans)?;
+            let tables = input.props().tables;
+            Box::new(GuardOp::bufcheck(child, spec.clone(), tables, *buffer))
         }
         PhysNode::SemiProbe { input, clause, .. } => {
-            let child = build_operator(input, catalog, signatures)?;
+            let child = build_operator(input, catalog, subplans)?;
             let outer_pos = pos_of(&input.props().layout, clause.outer_col)?;
             let inner_table = catalog.table(&clause.table)?;
             let index = catalog
@@ -326,25 +322,21 @@ pub fn build_operator(
             ))
         }
         PhysNode::Having { input, preds, .. } => Box::new(HavingOp::new(
-            build_operator(input, catalog, signatures)?,
+            build_operator(input, catalog, subplans)?,
             preds.clone(),
         )),
-        PhysNode::Limit { input, n, .. } => Box::new(LimitOp::new(
-            build_operator(input, catalog, signatures)?,
-            *n,
-        )),
+        PhysNode::Limit { input, n, .. } => {
+            Box::new(LimitOp::new(build_operator(input, catalog, subplans)?, *n))
+        }
         PhysNode::RidSink { input, .. } => {
-            Box::new(RidSinkOp::new(build_operator(input, catalog, signatures)?))
+            Box::new(RidSinkOp::new(build_operator(input, catalog, subplans)?))
         }
         PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_operator(
-            input, catalog, signatures,
+            input, catalog, subplans,
         )?)),
         PhysNode::Insert { input, target, .. } => {
             let t = catalog.table(target)?;
-            Box::new(InsertOp::new(
-                build_operator(input, catalog, signatures)?,
-                t,
-            ))
+            Box::new(InsertOp::new(build_operator(input, catalog, subplans)?, t))
         }
     })
 }

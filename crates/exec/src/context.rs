@@ -6,7 +6,7 @@ use crate::signal::ObservedCard;
 use crate::RowBatch;
 use pop_expr::Params;
 use pop_guard::{FaultInjector, Governor};
-use pop_plan::{CheckContext, CheckFlavor, CostModel, ValidityRange};
+use pop_plan::{CheckContext, CheckFlavor, CostModel, TableSet, ValidityRange};
 use pop_storage::{Catalog, Lineage};
 use pop_types::column::Column;
 use pop_types::{ColId, PopError, Rid};
@@ -15,14 +15,17 @@ use std::sync::Arc;
 
 /// A completed materialization, kept for potential promotion to a
 /// temporary materialized view if a CHECK fails later in this run (§2.3).
-/// It shares the operator's own buffer; rows in **canonical column order**
-/// (so any re-optimized plan can consume them regardless of the join
-/// order that produced them) are only gathered by [`Harvest::columns`],
-/// at promotion — a run that never re-optimizes copies nothing.
+/// It shares the operator's own buffer and costs nothing until promoted:
+/// [`Harvest::into_columns`] then hands over the rows as columns in
+/// **canonical column order** (so any re-optimized plan can consume them
+/// regardless of the join order that produced them) — by moving the
+/// buffer's columns when the rows are in buffer order, by a gather only
+/// when a SORT reordered them.
 #[derive(Debug, Clone)]
 pub struct Harvest {
-    /// Subplan signature (tables + applied predicates).
-    pub signature: String,
+    /// The query tables the materialized subplan joins; the driver signs
+    /// the set when it promotes the harvest.
+    pub tables: TableSet,
     /// Canonical column layout of the harvested rows.
     pub layout: Vec<ColId>,
     /// `perm[i]` = position in a buffer row of canonical column `i`.
@@ -38,7 +41,7 @@ impl Harvest {
     pub fn new(info: &HarvestInfo, buffer: Arc<RowBatch>, order: Option<Arc<[u32]>>) -> Self {
         debug_assert!(buffer.sel().is_none(), "harvest of a filtered batch");
         Harvest {
-            signature: info.signature.clone(),
+            tables: info.tables,
             layout: info.canonical_layout.clone(),
             perm: info.perm.clone(),
             buffer,
@@ -52,8 +55,37 @@ impl Harvest {
     }
 
     /// The rows in the operator's output order, as columns in canonical
-    /// column order — one typed gather per column — and their lineage:
-    /// what a temp MV is loaded from.
+    /// column order, and their lineage: what a temp MV is loaded from. In
+    /// buffer order the buffer's columns are permuted into place and its
+    /// lineage taken as it is — no value is copied, unless the buffer is
+    /// still shared (then it is cloned once). A SORT's rows are gathered in
+    /// sorted order, as [`Harvest::columns`] gathers them.
+    pub fn into_columns(self) -> (Vec<Column>, Lineage) {
+        if self.order.is_some() {
+            return self.columns();
+        }
+        let width = self.buffer.lineage_width();
+        let (mut cols, mut rids) = Arc::unwrap_or_clone(self.buffer).into_columns();
+        // `perm` is a permutation of the layout positions (a harvest's node
+        // emits exactly the canonical columns): each column moves once. A
+        // buffer grew by doubling; the MV keeps its rows, not that slack.
+        let cols = self
+            .perm
+            .iter()
+            .map(|&p| {
+                let mut col = cols.get_mut(p).map(std::mem::take).unwrap_or_default();
+                col.shrink_to_fit();
+                col
+            })
+            .collect();
+        rids.shrink_to_fit();
+        (cols, Lineage::new(rids, width))
+    }
+
+    /// The rows in the operator's output order, gathered — one typed copy
+    /// per column — into columns in canonical column order, with their
+    /// lineage. [`Harvest::into_columns`] moves instead wherever the order
+    /// allows; this is the reference it is tested against.
     pub fn columns(&self) -> (Vec<Column>, Lineage) {
         match &self.order {
             Some(order) => self.gather(order.iter().map(|i| *i as usize)),
@@ -109,6 +141,8 @@ pub struct CheckEvent {
     pub range: ValidityRange,
     /// Signature of the checked subplan.
     pub signature: String,
+    /// The query tables the checked subplan joins.
+    pub tables: TableSet,
 }
 
 /// Mutable execution state threaded through every operator call.
@@ -253,7 +287,7 @@ mod tests {
         ctx.work = 10.0;
         ctx.prev_returned.insert(vec![Rid::new(0, 1)]);
         let info = HarvestInfo {
-            signature: "s".into(),
+            tables: TableSet::EMPTY,
             canonical_layout: vec![],
             perm: vec![],
         };

@@ -1,7 +1,7 @@
 //! The top-level execution loop: build, open, drain — or suspend on a
 //! CHECK violation.
 
-use crate::build::Signatures;
+use crate::build::Subplans;
 use crate::{build_operator, ExecCtx, ExecSignal, RowBatch, Violation};
 use pop_plan::PhysNode;
 use pop_types::PopResult;
@@ -47,13 +47,9 @@ impl RunOutcome {
 
 /// Execute one step of a plan. Per-run instrumentation in `ctx` is reset;
 /// cross-run compensation state is preserved.
-pub fn execute(
-    plan: &PhysNode,
-    ctx: &mut ExecCtx,
-    signatures: &Signatures,
-) -> PopResult<RunOutcome> {
+pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx, subplans: &Subplans) -> PopResult<RunOutcome> {
     ctx.begin_run();
-    let mut op = build_operator(plan, &ctx.catalog, signatures)?;
+    let mut op = build_operator(plan, &ctx.catalog, subplans)?;
     let mut batches = Vec::new();
     match op.open(ctx) {
         Ok(()) => {}

@@ -35,7 +35,7 @@ pub mod operators;
 mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
-pub use build::{build_operator, Signatures, Subplan};
+pub use build::{build_operator, Subplan, Subplans};
 pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest};
 pub use executor::{execute, RunOutcome};
 pub use operators::Operator;

@@ -20,7 +20,7 @@ use crate::context::{CheckEvent, CheckOutcome};
 use crate::operators::Operator;
 use crate::signal::{ExecSignal, ObservedCard, Violation};
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::CheckSpec;
+use pop_plan::{CheckSpec, TableSet};
 use std::collections::VecDeque;
 
 /// Index of the first live row of an `n`-row batch that pushes a count of
@@ -64,6 +64,8 @@ struct Trip {
 pub struct GuardOp {
     input: Box<dyn Operator>,
     spec: CheckSpec,
+    /// The query tables of the guarded input, reported with every verdict.
+    tables: TableSet,
     /// Rows counted so far in this run.
     count: u64,
     above_materialization: bool,
@@ -90,10 +92,17 @@ pub struct GuardOp {
 }
 
 impl GuardOp {
-    fn new(input: Box<dyn Operator>, spec: CheckSpec, materialized: bool, capacity: usize) -> Self {
+    fn new(
+        input: Box<dyn Operator>,
+        spec: CheckSpec,
+        tables: TableSet,
+        materialized: bool,
+        capacity: usize,
+    ) -> Self {
         GuardOp {
             input,
             spec,
+            tables,
             count: 0,
             above_materialization: materialized,
             capacity,
@@ -108,15 +117,27 @@ impl GuardOp {
         }
     }
 
-    /// A CHECK. `materialized_child` marks checks placed directly above
-    /// SORT/TEMP/MV operators.
-    pub fn check(input: Box<dyn Operator>, spec: CheckSpec, materialized_child: bool) -> Self {
-        Self::new(input, spec, materialized_child, 0)
+    /// A CHECK of `input`, which joins the query tables `tables`.
+    /// `materialized_child` marks checks placed directly above SORT/TEMP/MV
+    /// operators.
+    pub fn check(
+        input: Box<dyn Operator>,
+        spec: CheckSpec,
+        tables: TableSet,
+        materialized_child: bool,
+    ) -> Self {
+        Self::new(input, spec, tables, materialized_child, 0)
     }
 
-    /// A BUFCHECK with the given valve capacity.
-    pub fn bufcheck(input: Box<dyn Operator>, spec: CheckSpec, capacity: usize) -> Self {
-        Self::new(input, spec, false, capacity.max(1))
+    /// A BUFCHECK of `input` (query tables `tables`) with the given valve
+    /// capacity.
+    pub fn bufcheck(
+        input: Box<dyn Operator>,
+        spec: CheckSpec,
+        tables: TableSet,
+        capacity: usize,
+    ) -> Self {
+        Self::new(input, spec, tables, false, capacity.max(1))
     }
 
     /// May this guard raise right now? When a dummy re-optimization is
@@ -141,6 +162,7 @@ impl GuardOp {
             est_card: s.est_card,
             range: s.range,
             signature: s.signature.clone(),
+            tables: self.tables,
         });
     }
 
@@ -157,6 +179,7 @@ impl GuardOp {
             check_id: s.id,
             flavor: s.flavor,
             signature: s.signature.clone(),
+            tables: self.tables,
             observed,
             est_card: s.est_card,
             range: s.range,
@@ -574,7 +597,9 @@ mod tests {
             Valve(c) => c,
             _ => 0,
         };
-        let mut op = GuardOp::new(src, spec_of(case.bound), case.shape == AboveTemp, capacity);
+        let tables = TableSet::single(0);
+        let materialized = case.shape == AboveTemp;
+        let mut op = GuardOp::new(src, spec_of(case.bound), tables, materialized, capacity);
         let mut run = Run {
             values: Vec::new(),
             before: 0,

@@ -7,16 +7,17 @@
 use crate::context::Harvest;
 use crate::operators::{next_chunk, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
+use pop_plan::TableSet;
 use pop_types::ColId;
 use std::sync::Arc;
 
 /// Harvest descriptor attached to a materializing operator at build time:
-/// the subplan signature plus the permutation that reorders the node's
+/// the subplan's table set plus the permutation that reorders the node's
 /// layout into canonical column order.
 #[derive(Debug, Clone)]
 pub struct HarvestInfo {
-    /// Subplan signature.
-    pub signature: String,
+    /// The query tables the materialized subplan joins.
+    pub tables: TableSet,
     /// Canonical layout (sorted ColIds).
     pub canonical_layout: Vec<ColId>,
     /// `perm[i]` = position in the node layout of canonical column `i`.
@@ -263,7 +264,7 @@ mod tests {
     fn temp_harvest_shares_the_buffer() {
         let (mut ctx, scan) = ctx_and_scan();
         let info = HarvestInfo {
-            signature: "sig-t".into(),
+            tables: TableSet::single(0),
             canonical_layout: vec![ColId::new(0, 0)],
             perm: vec![0],
         };
@@ -271,7 +272,7 @@ mod tests {
         op.open(&mut ctx).unwrap();
         assert_eq!(ctx.harvests.len(), 1);
         let h = &ctx.harvests[0];
-        assert_eq!(h.signature, "sig-t");
+        assert_eq!(h.tables, TableSet::single(0));
         assert_eq!(h.row_count(), 3);
         assert_eq!(op.materialized_count(), Some(3));
         // The harvest outlives the operator's own handle on the buffer.
@@ -282,6 +283,11 @@ mod tests {
         assert_eq!(values, [3, 1, 2].map(Value::Int));
         assert_eq!(lineage.row(1).len(), 1);
         assert!(lineage.row(3).is_empty());
+        // Promotion moves the same rows out of the (now unshared) buffer.
+        let (moved, moved_lineage) = ctx.harvests.pop().unwrap().into_columns();
+        let moved_values: Vec<Value> = (0..3).map(|i| moved[0].value(i)).collect();
+        assert_eq!(moved_values, values);
+        assert_eq!(moved_lineage.row(1), lineage.row(1));
     }
 
     #[test]
@@ -313,7 +319,7 @@ mod tests {
             )
             .unwrap();
         let info = HarvestInfo {
-            signature: "s".into(),
+            tables: TableSet::single(0),
             canonical_layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             perm: vec![1, 0], // canonical col 0 lives at layout pos 1
         };

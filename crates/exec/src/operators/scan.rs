@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn mv_scan_restores_lineage() {
         let (mut ctx, t) = ctx_and_table();
-        let rids: Arc<[Rid]> = (0..10).map(|i| Rid::new(9, i)).collect();
+        let rids: Vec<Rid> = (0..10).map(|i| Rid::new(9, i)).collect();
         let mut op = MvScanOp::new(t, Some(Lineage::new(rids, 1)));
         op.open(&mut ctx).unwrap();
         assert_eq!(op.materialized_count(), Some(10));

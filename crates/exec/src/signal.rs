@@ -1,6 +1,6 @@
 //! Execution control signals.
 
-use pop_plan::{CheckFlavor, ValidityRange};
+use pop_plan::{CheckFlavor, TableSet, ValidityRange};
 use pop_types::PopError;
 
 /// What a violated CHECK learned about the actual cardinality.
@@ -31,6 +31,8 @@ pub struct Violation {
     pub flavor: CheckFlavor,
     /// Signature of the subplan whose cardinality was checked.
     pub signature: String,
+    /// The query tables that subplan joins.
+    pub tables: TableSet,
     /// What was observed.
     pub observed: ObservedCard,
     /// The optimizer's estimate at this edge.

@@ -62,6 +62,19 @@ impl Binding {
     pub(crate) fn signatures_built(&self) -> usize {
         self.sigs_built.load(Ordering::Relaxed)
     }
+
+    /// Signature of the subplan over the connected `set` (see
+    /// [`CardEstimator::signature`]), or `None` for a set no subplan
+    /// computes.
+    pub(crate) fn signature(&self, set: TableSet) -> Option<&str> {
+        let slot = self.graph.rank(set)?;
+        Some(self.sigs[slot].get_or_init(|| {
+            self.sigs_built.fetch_add(1, Ordering::Relaxed);
+            self.signer
+                .get_or_init(|| Signer::new(&self.spec, self.params.as_ref()))
+                .sign(set)
+        }))
+    }
 }
 
 /// Resolved feedback fact for a table set.
@@ -122,13 +135,16 @@ impl CardEstimator {
             sigs_before,
         };
         // Facts are recorded for subplans that ran, and a subplan's table
-        // set is connected: those are the only signatures worth probing.
+        // set is connected: those are the only signatures worth probing. A
+        // fact the driver observed names its table set, and is resolved by
+        // building that set's signature alone.
         if !ctx.feedback.is_empty() {
             let graph = est.graph();
             let found = ctx.feedback.get_all(
                 graph.num_connected(),
                 || graph.connected_sets().map(|set| (set, est.signature(set))),
                 |sig| est.set_signed(sig),
+                |set, sig| (est.binding.signature(set) == Some(sig)).then_some(set),
             );
             let mut facts: Vec<SetFact> = found
                 .into_iter()
@@ -223,21 +239,14 @@ impl CardEstimator {
     /// If `set` is not connected under the join predicates: no subplan
     /// computes it, so nothing is ever keyed by it.
     pub fn signature(&self, set: TableSet) -> &str {
-        let b = &*self.binding;
-        let slot = b
-            .graph
-            .rank(set)
-            .expect("only a connected table set is a subplan with a signature");
-        b.sigs[slot].get_or_init(|| {
-            b.sigs_built.fetch_add(1, Ordering::Relaxed);
-            b.signer
-                .get_or_init(|| Signer::new(&b.spec, b.params.as_ref()))
-                .sign(set)
-        })
+        self.binding
+            .signature(set)
+            .expect("only a connected table set is a subplan with a signature")
     }
 
-    /// The connected set whose signature is `sig`, if any. The first call
-    /// builds every connected set's signature.
+    /// The connected set whose signature is `sig`, if any — for a fact
+    /// known by its signature alone (one of the cross-query store's). The
+    /// first call builds every connected set's signature.
     fn set_signed(&self, sig: &str) -> Option<TableSet> {
         let b = &*self.binding;
         let index = b.sig_index.get_or_init(|| {
@@ -259,17 +268,21 @@ impl CardEstimator {
 
     /// Estimated cardinality of the subplan joining exactly `set`.
     pub fn card(&self, set: TableSet) -> f64 {
-        // Greedy cover with disjoint exact facts, largest first.
-        let mut covered: Vec<TableSet> = Vec::new();
+        // Greedy cover with disjoint exact facts, largest first. Disjoint
+        // non-empty subsets of a DP-sized set: at most one per table.
+        let mut cover = [TableSet::EMPTY; crate::MAX_DP_TABLES];
+        let mut n_covered = 0;
         let mut covered_union = TableSet::EMPTY;
         let mut result = 1.0f64;
         for f in &self.facts {
             if f.exact && f.set.is_subset_of(set) && !f.set.intersects(covered_union) {
                 result *= f.value.max(0.0);
-                covered.push(f.set);
+                cover[n_covered] = f.set;
+                n_covered += 1;
                 covered_union = covered_union.union(f.set);
             }
         }
+        let covered = &cover[..n_covered];
         for t in set.minus(covered_union).iter() {
             result *= self.inputs.base_cards[t];
         }

@@ -21,7 +21,6 @@
 //! child groups; nothing here builds or copies an operator that has
 //! children. `finalize::extract` turns the one winning record into a tree.
 
-use crate::candidate::SPLIT_SLOTS;
 use crate::memo::Group;
 use crate::{Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
@@ -29,71 +28,70 @@ use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, TableSet};
 use pop_storage::TempMv;
 use pop_types::{ColId, PopResult};
 
-/// Candidate list for a single base relation: sequential scan, index
-/// range scans, the temp MV registered for it (`mv`, if any) — in that
-/// insertion order (pruning decisions depend on it).
+/// Candidate list for a single base relation, into `list`: sequential
+/// scan, index range scans, the temp MV registered for it (`mv`, if any)
+/// — in that insertion order (pruning decisions depend on it).
 pub(crate) fn build_singleton_group(
+    list: &mut Vec<Candidate>,
     t: usize,
-    mv: Option<TempMv>,
+    mv: Option<&TempMv>,
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
-) -> PopResult<Vec<Candidate>> {
-    let mut list = Vec::new();
-    insert_candidate(&mut list, scan_candidate(t, est, ctx));
+) -> PopResult<()> {
+    insert_candidate(list, scan_candidate(t, est, ctx));
     for cand in index_range_candidates(t, est, ctx)? {
-        insert_candidate(&mut list, cand);
+        insert_candidate(list, cand);
     }
     if let Some(mv) = mv {
-        insert_candidate(&mut list, mv_candidate(TableSet::single(t), &mv, est, ctx));
+        insert_candidate(list, mv_candidate(TableSet::single(t), mv, est, ctx));
     }
-    Ok(list)
+    Ok(())
 }
 
-/// Candidate list for a join group: a connected `set` of two or more
-/// tables with estimated cardinality `card` and, possibly, a temp MV
-/// registered for it, reading child groups out of the mask-indexed DP
+/// Candidate list for a join group, into `list`: a connected `set` of two
+/// or more tables with estimated cardinality `card` and, possibly, a temp
+/// MV registered for it, reading child groups out of the mask-indexed DP
 /// table. Every connected proper subset of `set` must already be final in
 /// `groups`; splits are visited in the join graph's fixed order, so
 /// pruning sequences — and thus the siblings a winner records — depend only
 /// on the child groups.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_join_group(
+    list: &mut Vec<Candidate>,
     set: TableSet,
     card: f64,
-    mv: Option<TempMv>,
+    mv: Option<&TempMv>,
     groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
     stats: &mut MemoStats,
-) -> Vec<Candidate> {
+) {
     let bushy = est.spec().tables.len() <= ctx.config.bushy_limit;
-    let mut list: Vec<Candidate> = Vec::new();
     if let Some(mv) = mv {
-        insert_candidate(&mut list, mv_candidate(set, &mv, est, ctx));
+        insert_candidate(list, mv_candidate(set, mv, est, ctx));
     }
     for (s1, s2) in est.graph().splits(set, bushy) {
         // A connected side can still be unplannable (say, NLJN only and no
         // index): such a split has nothing to cost.
-        let Some(siblings) = split_candidates(s1, s2, card, groups, est, ctx) else {
-            continue;
-        };
-        stats.splits_costed += 1;
-        for cand in siblings.into_iter().flatten() {
+        let planned = split_candidates(s1, s2, card, groups, est, ctx, |cand| {
             stats.candidates_built += 1;
-            insert_candidate(&mut list, cand);
+            insert_candidate(list, cand);
+        });
+        if planned {
+            stats.splits_costed += 1;
         }
     }
-    list
 }
 
 /// The join candidates of one split of a group with cardinality
-/// `out_card` into two connected, adjacent sides, indexed by
-/// [`Candidate::slot`] (`None` where a method is off or does not apply), or
-/// `None` when a side has no plan. Each is a cost record over the
-/// partition's two canonical edges that names its inputs by index; no
-/// operator is built and nothing is allocated unless the split has a
-/// multi-predicate NLJN. Enumeration offers them to pruning in slot order;
-/// extraction calls this again, over the same final child groups, to
-/// rebuild the siblings a winner pruned — bit for bit.
+/// `out_card` into two connected, adjacent sides, handed to `emit` in
+/// [`Candidate::slot`] order (a slot whose method is off or does not apply
+/// is skipped); `false`, with nothing emitted, when a side has no plan.
+/// Each is a cost record over the partition's two canonical edges that
+/// names its inputs by index; no operator is built and nothing is allocated
+/// unless the split has a multi-predicate NLJN. Enumeration offers them to
+/// pruning as they come; extraction calls this again, over the same final
+/// child groups, to rebuild the siblings a winner pruned — bit for bit.
 pub(crate) fn split_candidates(
     s1: TableSet,
     s2: TableSet,
@@ -101,7 +99,8 @@ pub(crate) fn split_candidates(
     groups: &[Group],
     est: &CardEstimator,
     ctx: &OptimizerContext<'_>,
-) -> Option<[Option<Candidate>; SPLIT_SLOTS]> {
+    mut emit: impl FnMut(Candidate),
+) -> bool {
     let spec = est.spec();
     // Canonical edge order: smaller mask first.
     let (a, b) = if s1.mask() < s2.mask() {
@@ -109,12 +108,15 @@ pub(crate) fn split_candidates(
     } else {
         (s2, s1)
     };
-    let (best_a, best_b) = (cheapest(groups, a)?, cheapest(groups, b)?);
+    let [ga, gb] = [a, b].map(|side| &groups[side.mask() as usize]);
+    let (Some(best_a), Some(best_b)) = (ga.cheapest(), gb.cheapest()) else {
+        return false;
+    };
     let preds = || est.graph().preds_between(a, b).map(|i| &spec.join_preds[i]);
     let sides = [a, b];
     let best = [best_a, best_b];
     // The child groups were built for exactly these estimates.
-    let edge_cards = [a, b].map(|side| groups[side.mask() as usize].card());
+    let edge_cards = [ga.card(), gb.card()];
     let join = |slot: u8,
                 root_spec: RootCostSpec,
                 order: Option<ColId>,
@@ -135,13 +137,12 @@ pub(crate) fn split_candidates(
             pruned: 0,
         }
     };
-    let mut slots: [Option<Candidate>; SPLIT_SLOTS] = Default::default();
 
     // HSJN (both build orientations); the output keeps the probe's order.
     if ctx.config.joins.hsjn {
         for build_edge in [0, 1] {
             let probe_edge = 1 - build_edge;
-            slots[build_edge] = Some(join(
+            emit(join(
                 build_edge as u8,
                 RootCostSpec::Hsjn {
                     build_edge,
@@ -167,7 +168,7 @@ pub(crate) fn split_candidates(
             };
             let mut inputs = [None, None];
             inputs[outer_edge] = Some(best[outer_edge]);
-            slots[2 + outer_edge] = Some(join(
+            emit(join(
                 2 + outer_edge as u8,
                 RootCostSpec::Nljn {
                     outer_edge,
@@ -184,9 +185,9 @@ pub(crate) fn split_candidates(
     let mut preds = preds();
     if let (Some(pred), None, true) = (preds.next(), preds.next(), ctx.config.joins.mgjn) {
         if let Some((key_a, key_b)) = pred.split(a) {
-            let (left, sort_left) = pick_for_order(groups, a, key_a, best_a);
-            let (right, sort_right) = pick_for_order(groups, b, key_b, best_b);
-            slots[4] = Some(join(
+            let (left, sort_left) = pick_for_order(&ga.cands, key_a, best_a);
+            let (right, sort_right) = pick_for_order(&gb.cands, key_b, best_b);
+            emit(join(
                 4,
                 RootCostSpec::Mgjn {
                     left_edge: 0,
@@ -199,7 +200,7 @@ pub(crate) fn split_candidates(
             ));
         }
     }
-    Some(slots)
+    true
 }
 
 /// How an NLJN probes its inner table.
@@ -405,28 +406,15 @@ pub(crate) fn combine_local_preds(preds: Vec<&Expr>) -> Option<Expr> {
     Some(it.fold(first, pop_expr::Expr::and))
 }
 
-/// The finished candidate list of a table subset.
-fn candidates(groups: &[Group], set: TableSet) -> &[Candidate] {
-    &groups[set.mask() as usize].cands
-}
-
-/// Cheapest candidate for a set, any order, with its index in the group.
-pub(crate) fn cheapest(groups: &[Group], set: TableSet) -> Option<(usize, &Candidate)> {
-    candidates(groups, set)
-        .iter()
-        .enumerate()
-        .min_by(|(_, x), (_, y)| x.cost.total_cmp(&y.cost))
-}
-
-/// Candidate to feed a merge join needing order on `key`: prefer one that
-/// is already sorted (no enforcer), else the group's cheapest plus a sort.
+/// Candidate to feed a merge join needing order on `key`, out of a child
+/// group's `cands`: prefer one that is already sorted (no enforcer), else
+/// the group's cheapest plus a sort.
 fn pick_for_order<'g>(
-    groups: &'g [Group],
-    set: TableSet,
+    cands: &'g [Candidate],
     key: ColId,
     cheapest: (usize, &'g Candidate),
 ) -> ((usize, &'g Candidate), bool) {
-    candidates(groups, set)
+    cands
         .iter()
         .enumerate()
         .filter(|(_, c)| c.order == Some(key))
@@ -461,18 +449,17 @@ fn insert_candidate(list: &mut Vec<Candidate>, mut new: Candidate) {
             return;
         }
     }
-    // The newcomer survives: evict candidates it dominates.
-    let mut i = 0;
-    while i < list.len() {
-        if dominates(&new, &list[i]) {
-            let old = list.remove(i);
-            if structurally_equivalent(&new, &old) && old.slot != new.slot {
-                new.pruned |= 1 << old.slot;
-            }
-        } else {
-            i += 1;
+    // The newcomer survives: evict candidates it dominates, keeping the
+    // order of the rest.
+    let mut pruned = new.pruned;
+    list.retain(|old| {
+        let evicted = dominates(&new, old);
+        if evicted && structurally_equivalent(&new, old) && old.slot != new.slot {
+            pruned |= 1 << old.slot;
         }
-    }
+        !evicted
+    });
+    new.pruned = pruned;
     list.push(new);
 }
 
@@ -683,6 +670,7 @@ mod tests {
         cat.register_temp_mv(pop_storage::TempMv {
             table: mv_table,
             signature: sig.clone(),
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 10,
             lineage: None,
@@ -719,6 +707,7 @@ mod tests {
                 vec![],
             )),
             signature: sig,
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 0,
             lineage: None,

@@ -13,9 +13,14 @@
 //!   query is *seeded* with everything past CHECKs observed; the overlay
 //!   is published into the base only when the query completes (and
 //!   learning is enabled), so facts from abandoned or poisoned runs never
-//!   contaminate the fleet.
+//!   contaminate the fleet. A fact the driver observes also carries the
+//!   table set of the subplan it was observed on
+//!   ([`FeedbackCache::record_at`]): a re-plan of the same query resolves
+//!   it by that set, building one signature instead of every connected
+//!   set's.
 
 use parking_lot::RwLock;
+use pop_plan::TableSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,10 +148,18 @@ impl FeedbackStore {
 /// during (re-)optimization.
 #[derive(Clone, Default)]
 pub struct FeedbackCache {
-    overlay: Arc<RwLock<HashMap<String, CardFact>>>,
+    overlay: Arc<RwLock<HashMap<String, Observed>>>,
     base: Option<FeedbackStore>,
     overlay_hits: Arc<AtomicU64>,
     base_hits: Arc<AtomicU64>,
+}
+
+/// One overlay fact: what was observed and, when the recorder knew it,
+/// the table set of the subplan it was observed on.
+#[derive(Debug, Clone, Copy)]
+struct Observed {
+    fact: CardFact,
+    set: Option<TableSet>,
 }
 
 impl std::fmt::Debug for FeedbackCache {
@@ -181,24 +194,38 @@ impl FeedbackCache {
     /// for the previous value (so strengthening rules see the strongest
     /// known fact) but never written until [`FeedbackCache::publish`].
     pub fn record(&self, signature: impl Into<String>, fact: CardFact) {
+        self.observe(signature.into(), None, fact);
+    }
+
+    /// [`FeedbackCache::record`] a fact observed on the running query's
+    /// subplan over `set` (a CHECK's input, a harvested materialization).
+    /// The optimizer resolves it by that set, checking the one signature
+    /// against it; a fact whose set signs differently under the binding
+    /// being planned is resolved by its signature alone, as
+    /// [`FeedbackCache::record`]'s are.
+    pub fn record_at(&self, signature: impl Into<String>, set: TableSet, fact: CardFact) {
+        self.observe(signature.into(), Some(set), fact);
+    }
+
+    fn observe(&self, sig: String, set: Option<TableSet>, fact: CardFact) {
         let mut map = self.overlay.write();
-        let sig = signature.into();
-        let prev = map
-            .get(&sig)
-            .copied()
-            .or_else(|| self.base.as_ref().and_then(|b| b.get(&sig)));
-        let merged = match prev {
+        let (prev, prev_set) = match map.get(&sig) {
+            Some(o) => (Some(o.fact), o.set),
+            None => (self.base.as_ref().and_then(|b| b.get(&sig)), None),
+        };
+        let fact = match prev {
             Some(prev) => prev.merge(fact),
             None => fact,
         };
-        map.insert(sig, merged);
+        let set = set.or(prev_set);
+        map.insert(sig, Observed { fact, set });
     }
 
     /// Look up the fact for a signature: the overlay wins, the base seeds.
     pub fn get(&self, signature: &str) -> Option<CardFact> {
-        if let Some(fact) = self.overlay.read().get(signature).copied() {
+        if let Some(o) = self.overlay.read().get(signature) {
             self.overlay_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(fact);
+            return Some(o.fact);
         }
         if let Some(fact) = self.base.as_ref().and_then(|b| b.get(signature)) {
             self.base_hits.fetch_add(1, Ordering::Relaxed);
@@ -210,48 +237,65 @@ impl FeedbackCache {
     /// [`FeedbackCache::get`] for every signature of a set at once, under
     /// one read lock of each layer, with hits counted as `get` counts
     /// them; returns the facts found by key, in no particular order. The
-    /// set comes both ways — `each` lists its `len` `(key, signature)`
-    /// pairs, `key_of` finds a signature's key — so each layer walks
-    /// whichever of itself and the set is smaller: with few facts recorded
-    /// the cost follows the facts, not the signatures. `each` and `key_of`
-    /// must not touch this cache.
+    /// set comes three ways — `each` lists its `len` `(key, signature)`
+    /// pairs, `key_of` finds a signature's key, `key_at` the key of a
+    /// recorded table set if that set has the given signature — so each
+    /// layer walks whichever of itself and the set is smaller: with few
+    /// facts recorded the cost follows the facts, not the signatures, and
+    /// a fact recorded with its table set ([`FeedbackCache::record_at`])
+    /// costs one `key_at`. `each`, `key_of` and `key_at` must not touch
+    /// this cache.
     pub(crate) fn get_all<'s, K, I>(
         &self,
         len: usize,
         each: impl Fn() -> I,
         key_of: impl Fn(&str) -> Option<K>,
+        key_at: impl Fn(TableSet, &str) -> Option<K>,
     ) -> Vec<(K, CardFact)>
     where
         I: Iterator<Item = (K, &'s str)>,
     {
-        type Layer = HashMap<String, CardFact>;
-        // Calls `hit` with every signature of the set that `layer` holds.
-        let walk = |layer: &Layer, hit: &mut dyn FnMut(K, &str, CardFact)| {
-            if layer.len() <= len {
-                for (sig, fact) in layer {
+        let overlay = self.overlay.read();
+        let mut found = Vec::new();
+        if overlay.len() <= len {
+            for (sig, o) in overlay.iter() {
+                let key = o
+                    .set
+                    .and_then(|set| key_at(set, sig))
+                    .or_else(|| key_of(sig));
+                if let Some(key) = key {
+                    found.push((key, o.fact));
+                }
+            }
+        } else {
+            for (key, sig) in each() {
+                if let Some(o) = overlay.get(sig) {
+                    found.push((key, o.fact));
+                }
+            }
+        }
+        let overlay_hits = found.len();
+        if let Some(base) = &self.base {
+            // The overlay wins: a base fact the overlay shadows is no hit.
+            let base = base.inner.read();
+            let mut hit = |key, sig: &str, fact: CardFact| {
+                if !overlay.contains_key(sig) {
+                    found.push((key, fact));
+                }
+            };
+            if base.len() <= len {
+                for (sig, fact) in base.iter() {
                     if let Some(key) = key_of(sig) {
                         hit(key, sig, *fact);
                     }
                 }
             } else {
                 for (key, sig) in each() {
-                    if let Some(fact) = layer.get(sig) {
+                    if let Some(fact) = base.get(sig) {
                         hit(key, sig, *fact);
                     }
                 }
             }
-        };
-        let overlay = self.overlay.read();
-        let mut found = Vec::new();
-        walk(&overlay, &mut |key, _, fact| found.push((key, fact)));
-        let overlay_hits = found.len();
-        if let Some(base) = &self.base {
-            // The overlay wins: a base fact the overlay shadows is no hit.
-            walk(&base.inner.read(), &mut |key, sig, fact| {
-                if !overlay.contains_key(sig) {
-                    found.push((key, fact));
-                }
-            });
         }
         self.overlay_hits
             .fetch_add(overlay_hits as u64, Ordering::Relaxed);
@@ -290,8 +334,8 @@ impl FeedbackCache {
         let Some(base) = &self.base else {
             return;
         };
-        for (sig, fact) in self.overlay.read().iter() {
-            base.record(sig.clone(), *fact);
+        for (sig, o) in self.overlay.read().iter() {
+            base.record(sig.clone(), o.fact);
         }
     }
 
@@ -395,6 +439,7 @@ mod tests {
                 sigs.len(),
                 || sigs.iter().map(String::as_str).enumerate(),
                 |sig| sigs.iter().position(|s| s == sig),
+                |_, _| unreachable!("no fact was recorded with its set"),
             );
             got.sort_by_key(|&(k, _)| k);
             assert_eq!(got, expected);
@@ -404,6 +449,35 @@ mod tests {
                 (after_get.0 - before.0, after_get.1 - before.1)
             );
         }
+    }
+
+    /// A fact recorded with its table set is found through that set when
+    /// the set signs as recorded, without looking its signature up, and
+    /// through its signature when it does not; merging keeps the set.
+    #[test]
+    fn a_fact_recorded_at_its_set_resolves_by_the_set() {
+        let fb = FeedbackCache::new();
+        let set = TableSet::from_iter([0, 2]);
+        fb.record_at("s02", set, CardFact::AtLeast(5.0));
+        fb.record("s02", CardFact::Exact(9.0));
+        fb.record_at("s1", TableSet::single(1), CardFact::Exact(1.0));
+        let sigs = ["s02", "s1"];
+        let by_set = |s: TableSet, sig: &str| (s == set && sig == "s02").then_some(s.mask());
+        let mut got = fb.get_all(
+            sigs.len(),
+            std::iter::empty,
+            |sig| (sig == "s1").then_some(99),
+            by_set,
+        );
+        got.sort_by_key(|&(k, _)| k);
+        assert_eq!(
+            got,
+            [
+                (set.mask(), CardFact::Exact(9.0)),
+                (99, CardFact::Exact(1.0))
+            ]
+        );
+        assert_eq!(fb.hit_counts(), (2, 0));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! (`extract`) and is passed, by value and edited in place, through every
 //! later stage.
 
+use crate::candidate::SPLIT_SLOTS;
 use crate::enumerate::{combine_local_preds, nljn_probe, split_candidates};
 use crate::memo::{Group, SolvedRanges};
 use crate::placement::place_checkpoints;
@@ -193,8 +194,12 @@ fn edge_ranges(
         return ranges;
     }
     let (a, b) = cand.partition.expect("only joins prune siblings");
-    let siblings =
-        split_candidates(a, b, cand.card, groups, est, ctx).expect("the winner's split has a plan");
+    let mut siblings: [Option<Candidate>; SPLIT_SLOTS] = Default::default();
+    let planned = split_candidates(a, b, cand.card, groups, est, ctx, |sibling| {
+        let slot = usize::from(sibling.slot);
+        siblings[slot] = Some(sibling);
+    });
+    assert!(planned, "the winner's split has a plan");
     let cfg = ctx.config;
     let margin = cfg
         .reopt_gain_margin_abs
@@ -401,9 +406,9 @@ mod tests {
         let nljn = matches!(root_spec, RootCostSpec::Nljn { .. });
         let mut groups: Vec<Group> = (0..4).map(|_| Group::default()).collect();
         for t in 0..2 {
-            groups[1 << t].cands = vec![crate::enumerate::scan_candidate(t, &est, &ctx)];
+            groups[1 << t] = Group::of(vec![crate::enumerate::scan_candidate(t, &est, &ctx)]);
         }
-        groups[3].cands = vec![Candidate {
+        groups[3] = Group::of(vec![Candidate {
             cost: 1234.5,
             card: 77.0,
             order,
@@ -415,7 +420,7 @@ mod tests {
             leaf: None,
             slot,
             pruned,
-        }];
+        }]);
         let mut searched = 0;
         let ranges = edge_ranges(&groups, &groups[3].cands[0], &est, &ctx, &mut searched);
         let mut evals = 0;

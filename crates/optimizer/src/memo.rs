@@ -45,10 +45,10 @@
 //! step on a fresh memo and rejects any divergence.
 
 use crate::cardinality::{Binding, TableInputs};
-use crate::enumerate::{build_join_group, build_singleton_group, cheapest};
+use crate::enumerate::{build_join_group, build_singleton_group};
 use crate::{Candidate, CardEstimator, OptimizerContext};
 use pop_plan::{QuerySpec, TableSet, ValidityRange};
-use pop_storage::TableId;
+use pop_storage::{TableId, TempMv};
 use pop_types::{PopError, PopResult};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,15 +116,34 @@ struct GroupMeta {
 }
 
 /// One entry of the DP table: the surviving candidates of a connected
-/// table subset and what they were derived from.
-#[derive(Debug, Default)]
+/// table subset, the cheapest of them, and what they were derived from.
+/// A re-derivation refills the same candidate list, so a memo that plans
+/// query after query reuses its allocations.
+#[derive(Debug)]
 pub(crate) struct Group {
     pub(crate) cands: Vec<Candidate>,
     meta: GroupMeta,
+    /// Index in `cands` of the cheapest candidate (the first of equals),
+    /// fixed when the group is derived; [`NO_PLAN`] for an empty list.
+    best: u32,
     /// Re-derived by the pass in progress. Written when the pass visits
     /// the group and read only by its (later-visited) supersets, so it
     /// needs no reset between passes.
     dirty: bool,
+}
+
+/// [`Group::best`] of a group without candidates.
+const NO_PLAN: u32 = u32::MAX;
+
+impl Default for Group {
+    fn default() -> Self {
+        Group {
+            cands: Vec::new(),
+            meta: GroupMeta::default(),
+            best: NO_PLAN,
+            dirty: false,
+        }
+    }
 }
 
 impl Group {
@@ -132,7 +151,41 @@ impl Group {
     pub(crate) fn card(&self) -> f64 {
         f64::from_bits(self.meta.card_bits)
     }
+
+    /// The cheapest candidate, any order, with its index in the group.
+    pub(crate) fn cheapest(&self) -> Option<(usize, &Candidate)> {
+        let best = self.best as usize;
+        self.cands.get(best).map(|c| (best, c))
+    }
+
+    /// A group derived from `cands`, for tests that hand-write candidates.
+    #[cfg(test)]
+    pub(crate) fn of(cands: Vec<Candidate>) -> Group {
+        let mut group = Group::default();
+        group.derive(cands, GroupMeta::default());
+        group
+    }
+
+    /// Refill the group from `cands` (its own list, taken out while it was
+    /// built) and fix the cheapest candidate: the first minimum, as
+    /// `Iterator::min_by` picks it.
+    fn derive(&mut self, cands: Vec<Candidate>, meta: GroupMeta) {
+        let best = cands
+            .iter()
+            .enumerate()
+            .min_by(|(_, x), (_, y)| x.cost.total_cmp(&y.cost))
+            .map_or(NO_PLAN, |(i, _)| i as u32);
+        *self = Group {
+            cands,
+            meta,
+            best,
+            dirty: true,
+        };
+    }
 }
+
+// The slot size fixes `MAX_DP_TABLES`: a wider group shrinks the horizon.
+const _: () = assert!(std::mem::size_of::<Group>() == 64);
 
 /// Persistent join-order memo with dirty-propagation maintenance.
 #[derive(Debug, Default)]
@@ -149,8 +202,12 @@ pub struct Memo {
     inputs: Option<Arc<TableInputs>>,
     /// The DP table, indexed by table-set mask; only the slots of
     /// connected masks are ever derived, read or dirty. Empty until the
-    /// first pass.
+    /// first pass; it keeps its slots, and their candidate lists'
+    /// allocations, from query to query, growing to the widest query.
     groups: Vec<Group>,
+    /// `groups` holds the bound query's groups (cleared by a binding
+    /// change, or a pass that failed half-way).
+    valid: bool,
     /// Ranges `finalize::extract` solved for candidates of these groups.
     solved: SolvedRanges,
 }
@@ -178,7 +235,7 @@ impl Memo {
             Some(b) if b.binds(spec, ctx.params) => b.clone(),
             _ => {
                 spec.validate()?;
-                self.groups.clear();
+                self.valid = false;
                 self.inputs = None;
                 let fresh = Arc::new(Binding::new(spec, ctx.params)?);
                 self.bound.insert(fresh).clone()
@@ -208,13 +265,19 @@ impl Memo {
             .as_ref()
             .is_some_and(|(cfg, cost)| cfg == ctx.config && cost == ctx.cost);
         let stats_fp = est.stats_fingerprint();
-        let rebuilt = self.groups.len() != 1 << n || !same_env || self.stats_fp != stats_fp;
+        let rebuilt = !self.valid || !same_env || self.stats_fp != stats_fp;
         if rebuilt {
-            self.groups.clear();
-            self.groups.resize_with(1 << n, Group::default);
+            if self.groups.len() < 1 << n {
+                self.groups.resize_with(1 << n, Group::default);
+            }
+            for g in &mut self.groups {
+                g.cands.clear();
+                g.best = NO_PLAN;
+            }
             self.solved.clear();
             self.env = Some((ctx.config.clone(), ctx.cost.clone()));
             self.stats_fp = stats_fp;
+            self.valid = true;
         }
 
         let mut stats = MemoStats {
@@ -222,10 +285,7 @@ impl Memo {
             groups_total: graph.num_connected(),
             ..MemoStats::default()
         };
-        // One lock acquisition per pass, not one per group: when no temp
-        // MVs exist (the common case between violations) no signature is
-        // built and no MV looked up below.
-        let any_mvs = ctx.config.use_temp_mvs && ctx.catalog.temp_mv_count() > 0;
+        let mvs = query_mvs(est, ctx);
         // Ascending mask order: every subset of a group is final before the
         // group itself is visited, so the candidate indices a join records
         // for its inputs (and the siblings extraction rebuilds from them to
@@ -234,14 +294,10 @@ impl Memo {
             let mask = set.mask() as usize;
             let old = &self.groups[mask];
             let card = est.card(set);
-            let mv = if any_mvs {
-                ctx.catalog.temp_mv(est.signature(set))
-            } else {
-                None
-            };
+            let mv = mvs.iter().find(|mv| mv.tables == set.mask());
             let current = GroupMeta {
                 card_bits: card.to_bits(),
-                mv: mv.as_ref().map(|mv| (mv.table.id(), mv.actual_card)),
+                mv: mv.map(|mv| (mv.table.id(), mv.actual_card)),
             };
             let seed = rebuilt || old.meta != current;
             if seed && !rebuilt {
@@ -253,20 +309,29 @@ impl Memo {
                     graph.is_connected(rest) && self.groups[rest.mask() as usize].dirty
                 });
             if dirty {
-                let cands = if mask.is_power_of_two() {
+                // The group's own list, refilled: no subset reads it.
+                let mut cands = std::mem::take(&mut self.groups[mask].cands);
+                cands.clear();
+                if mask.is_power_of_two() {
                     let t = set.iter().next().expect("singleton");
                     // A pass that stops half-way leaves supersets derived
                     // from superseded subsets: drop the table, so the next
                     // pass rebuilds instead of trusting it.
-                    build_singleton_group(t, mv, est, ctx).inspect_err(|_| self.groups.clear())?
+                    build_singleton_group(&mut cands, t, mv, est, ctx)
+                        .inspect_err(|_| self.valid = false)?;
                 } else {
-                    build_join_group(set, card, mv, &self.groups, est, ctx, &mut stats)
-                };
-                self.groups[mask] = Group {
-                    cands,
-                    meta: current,
-                    dirty: true,
-                };
+                    build_join_group(
+                        &mut cands,
+                        set,
+                        card,
+                        mv,
+                        &self.groups,
+                        est,
+                        ctx,
+                        &mut stats,
+                    );
+                }
+                self.groups[mask].derive(cands, current);
                 stats.groups_rederived += 1;
             } else {
                 self.groups[mask].dirty = false;
@@ -277,11 +342,38 @@ impl Memo {
         let groups = &self.groups;
         self.solved.retain(|&(mask, _), _| !groups[mask].dirty);
 
-        let (best, _) = cheapest(&self.groups, est.spec().all_tables()).ok_or_else(|| {
-            PopError::Planning("no feasible join plan (check join methods and indexes)".into())
-        })?;
+        let (best, _) = self.groups[est.spec().all_tables().mask() as usize]
+            .cheapest()
+            .ok_or_else(|| {
+                PopError::Planning("no feasible join plan (check join methods and indexes)".into())
+            })?;
         Ok((&self.groups, &mut self.solved, best, stats))
     }
+
+    /// Signature of the subplan over `set` of the bound query, built on
+    /// first use and kept with the binding: what the driver labels a
+    /// harvested materialization with when it promotes it. `None` before
+    /// the first optimization, or for a set no subplan computes.
+    pub fn signature(&self, set: TableSet) -> Option<&str> {
+        self.bound.as_ref()?.signature(set)
+    }
+}
+
+/// The temp MVs the memo may plan with: the catalog's, read once per pass
+/// (none when the config turns MVs off), each kept only if its table set is
+/// a subplan of the bound query with the MV's signature — one signature
+/// per MV, built once per binding. A group finds its MV by mask.
+fn query_mvs(est: &CardEstimator, ctx: &OptimizerContext<'_>) -> Vec<TempMv> {
+    if !ctx.config.use_temp_mvs || ctx.catalog.temp_mv_count() == 0 {
+        return Vec::new();
+    }
+    let graph = est.graph();
+    let mut mvs = ctx.catalog.temp_mvs();
+    mvs.retain(|mv| {
+        let set = TableSet::from_mask(mv.tables);
+        graph.is_connected(set) && est.signature(set) == mv.signature
+    });
+    mvs
 }
 
 #[cfg(test)]
@@ -348,6 +440,7 @@ mod tests {
                     .collect(),
             )),
             signature: pop_plan::subplan_signature(q, TableSet::single(0)),
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 10,
             lineage: None,

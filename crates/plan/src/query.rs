@@ -422,16 +422,31 @@ impl JoinGraph {
     /// adjacent sides, in enumeration order: bushy, every unordered
     /// partition once, smaller mask first, by descending mask of that
     /// side; left-deep (`bushy == false`), each member table split off the
-    /// rest, by ascending table.
+    /// rest, by ascending table. A disconnected `set` has none.
+    ///
+    /// Only the sides' connectivity is tested: some join predicate crosses
+    /// every partition of a connected set, so two connected sides are
+    /// adjacent. The smaller-mask side is the one without `set`'s highest
+    /// table, so the bushy loop walks the submasks of the rest of `set` —
+    /// the same descending sequence, without the half it would discard.
     pub fn splits(
         &self,
         set: TableSet,
         bushy: bool,
     ) -> impl Iterator<Item = (TableSet, TableSet)> + '_ {
+        let set = if self.is_connected(set) {
+            set
+        } else {
+            TableSet::EMPTY
+        };
+        let rest = set.mask().checked_ilog2().map_or(TableSet::EMPTY, |top| {
+            set.minus(TableSet::single(top as usize))
+        });
         let partitions = bushy.then(|| {
-            set.proper_subsets()
+            std::iter::once(rest)
+                .filter(|r| !r.is_empty())
+                .chain(rest.proper_subsets())
                 .map(move |s1| (s1, set.minus(s1)))
-                .filter(|(s1, s2)| s1.mask() < s2.mask())
         });
         let extensions = (!bushy).then(|| {
             set.iter()
@@ -442,7 +457,9 @@ impl JoinGraph {
             .flatten()
             .chain(extensions.into_iter().flatten())
             .filter(|&(s1, s2)| {
-                self.is_connected(s1) && self.is_connected(s2) && self.adjacent(s1, s2)
+                let sides = self.is_connected(s1) && self.is_connected(s2);
+                debug_assert!(!sides || self.adjacent(s1, s2), "{s1} | {s2} do not join");
+                sides
             })
     }
 

@@ -112,6 +112,7 @@ mod tests {
         cat.register_temp_mv(TempMv {
             table,
             signature: sig.into(),
+            tables: 1,
             layout: (0..cols).map(|c| ColId::new(0, c)).collect(),
             actual_card: 7,
             lineage: None,

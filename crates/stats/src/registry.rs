@@ -8,7 +8,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Caches `TableStats` per table name; the optimizer reads estimates from
-/// here. Temp MVs get *exact* derived stats registered by the POP driver.
+/// here. A temp MV has no entry: its exact cardinality travels with the
+/// catalog's `TempMv`, which MV-scan costing reads.
 #[derive(Clone, Default)]
 pub struct StatsRegistry {
     inner: Arc<RwLock<HashMap<String, Arc<TableStats>>>>,
@@ -44,7 +45,8 @@ impl StatsRegistry {
         Ok(())
     }
 
-    /// Insert explicit stats (used for temp MVs with exact cardinalities).
+    /// Insert explicit stats (e.g. deliberately stale ones, for
+    /// experiments).
     pub fn put(&self, table: impl Into<String>, stats: TableStats) {
         self.inner.write().insert(table.into(), Arc::new(stats));
     }
@@ -58,7 +60,7 @@ impl StatsRegistry {
             .ok_or_else(|| PopError::Planning(format!("no statistics for table {table}")))
     }
 
-    /// Remove stats for a table (temp MV cleanup).
+    /// Remove stats for a table.
     pub fn remove(&self, table: &str) {
         self.inner.write().remove(table);
     }
@@ -87,9 +89,14 @@ mod tests {
     #[test]
     fn put_and_remove() {
         let reg = StatsRegistry::new();
-        reg.put("mv", TableStats::derived(42, 3));
-        assert_eq!(reg.get("mv").unwrap().row_count, 42);
-        reg.remove("mv");
-        assert!(reg.get("mv").is_err());
+        let stats = TableStats {
+            row_count: 42,
+            pages: 1,
+            columns: Vec::new(),
+        };
+        reg.put("stale", stats);
+        assert_eq!(reg.get("stale").unwrap().row_count, 42);
+        reg.remove("stale");
+        assert!(reg.get("stale").is_err());
     }
 }

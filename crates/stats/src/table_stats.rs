@@ -72,26 +72,6 @@ impl TableStats {
     pub fn distinct(&self, i: usize) -> f64 {
         (self.columns[i].distinct as f64).max(1.0)
     }
-
-    /// Synthesize stats for a derived result of `rows` rows where per-column
-    /// detail is unknown (used for temp MVs): distinct counts are capped at
-    /// the row count, no histograms.
-    pub fn derived(rows: u64, num_cols: usize) -> TableStats {
-        TableStats {
-            row_count: rows,
-            pages: 0,
-            columns: (0..num_cols)
-                .map(|_| ColumnStats {
-                    non_null: rows,
-                    nulls: 0,
-                    distinct: rows.max(1),
-                    min: None,
-                    max: None,
-                    histogram: None,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Scan a table and collect full statistics: one cursor pass over every
@@ -435,7 +415,9 @@ mod tests {
 
     #[test]
     fn distinct_floor() {
-        let st = TableStats::derived(0, 2);
+        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
+        let st = analyze_table(&Table::new(0, "e", schema, vec![])).unwrap();
+        assert_eq!(st.col(0).distinct, 0);
         assert_eq!(st.distinct(0), 1.0);
         assert_eq!(st.row_count, 0);
         assert_eq!(st.columns.len(), 2);

@@ -329,6 +329,14 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// rejected ([`crate::Table::append`] also holds it to the schema).
     fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64>;
 
+    /// [`StorageBackend::append`] of columns the caller gives up: a
+    /// backend that stores columns as they are may keep them instead of
+    /// copying (a promoted temp MV's rows are moved into its table this
+    /// way). The default appends a copy.
+    fn append_owned(&self, cols: Vec<Column>, rows: usize) -> PopResult<u64> {
+        self.append(&cols, rows)
+    }
+
     /// The stored columns, zero-copy, when the backend keeps its rows as
     /// columns in memory (row `i` at index `i` of each); `None` for a
     /// backend whose readers decode ([`StorageBackend::read_range`] /

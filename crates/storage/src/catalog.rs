@@ -366,21 +366,22 @@ impl Catalog {
     }
 
     /// Create a *temporary* table (temp-MV spill target) holding the
-    /// `rows` rows of `cols`: on the paged backend it is written without a
-    /// WAL and its files are unlinked when the table is dropped.
+    /// `rows` rows of `cols`, which it takes: the mem backend keeps them as
+    /// its columns; on the paged backend they are written to pages without
+    /// a WAL, and the files are unlinked when the table is dropped.
     pub fn create_temp_table(
         &self,
         id: TableId,
         name: impl Into<String>,
         schema: Schema,
-        cols: &[Column],
+        cols: Vec<Column>,
         rows: usize,
     ) -> PopResult<Arc<Table>> {
         let name = name.into();
         let backend = self.new_backend(&name, true)?;
         let table = Arc::new(Table::with_backend(id, name, schema, backend));
         if rows > 0 {
-            table.append(cols, rows)?;
+            table.append_owned(cols, rows)?;
         }
         Ok(table)
     }
@@ -753,6 +754,7 @@ mod tests {
         cat.register_temp_mv(TempMv {
             table,
             signature: "sig-a".into(),
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 0,
             lineage: None,
@@ -775,6 +777,7 @@ mod tests {
             cat.register_temp_mv(TempMv {
                 table,
                 signature: "sig".into(),
+                tables: 1,
                 layout: vec![],
                 actual_card: n,
                 lineage: None,
@@ -867,7 +870,7 @@ mod tests {
                 id,
                 "__mv_spill",
                 schema(),
-                &columns_of(&[vec![Value::Int(7), Value::str("m")]]),
+                columns_of(&[vec![Value::Int(7), Value::str("m")]]),
                 1,
             )
             .unwrap();
@@ -877,6 +880,7 @@ mod tests {
         cat.register_temp_mv(TempMv {
             table,
             signature: "sig".into(),
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 1,
             lineage: None,
@@ -900,7 +904,7 @@ mod tests {
         let before = cat.io_stats();
         let id = cat.allocate_temp_id();
         let table = cat
-            .create_temp_table(id, "__mv_nowal", schema(), &columns_of(&rows), rows.len())
+            .create_temp_table(id, "__mv_nowal", schema(), columns_of(&rows), rows.len())
             .unwrap();
         assert!(table.page_count() > 1, "200 rows span several pages");
         let dir = cat.storage().ensure_dir().unwrap();
@@ -915,6 +919,7 @@ mod tests {
         cat.register_temp_mv(TempMv {
             table,
             signature: "sig".into(),
+            tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 200,
             lineage: None,

@@ -13,7 +13,9 @@
 //! index `i` of every column. An append extends each stored column with
 //! the batch's column, one typed copy (a string's `Arc` is shared, not
 //! copied); while a reader still holds the previous snapshot, the append
-//! copies the columns first, so readers never see rows appear.
+//! copies the columns first, so readers never see rows appear. The first
+//! owned batch of an empty table ([`StorageBackend::append_owned`], a
+//! promoted temp MV) is stored as it comes, without a copy.
 
 use crate::backend::{check_append, StorageBackend};
 use crate::page::{ColumnSet, PageFill, PageLayout};
@@ -88,6 +90,26 @@ impl StorageBackend for MemBackend {
         }
         inner.rows += rows;
         Ok(start as u64)
+    }
+
+    /// An empty table keeps the columns: the first batch becomes the
+    /// stored columns, moved, not copied.
+    fn append_owned(&self, cols: Vec<Column>, rows: usize) -> PopResult<u64> {
+        {
+            let mut inner = self.inner.write();
+            if inner.rows == 0 && rows > 0 {
+                let lens = check_append(self.layout, 0, None, &cols, rows)?;
+                for (i, len) in lens.into_iter().enumerate() {
+                    if inner.fill.push(self.layout, len) {
+                        inner.page_starts.push(i as u64);
+                    }
+                }
+                inner.cols = Arc::new(cols);
+                inner.rows = rows;
+                return Ok(0);
+            }
+        }
+        self.append(&cols, rows)
     }
 
     fn columns(&self) -> Option<Arc<Vec<Column>>> {

@@ -179,6 +179,18 @@ impl Table {
     /// the appended batch. On the paged backend the batch is WAL-logged
     /// first.
     pub fn append(&self, cols: &[Column], rows: usize) -> PopResult<u64> {
+        self.check_width(cols)?;
+        self.backend.append(cols, rows)
+    }
+
+    /// [`Table::append`] of columns the caller gives up, which a backend
+    /// that stores columns as they are keeps without a copy.
+    pub fn append_owned(&self, cols: Vec<Column>, rows: usize) -> PopResult<u64> {
+        self.check_width(&cols)?;
+        self.backend.append_owned(cols, rows)
+    }
+
+    fn check_width(&self, cols: &[Column]) -> PopResult<()> {
         if cols.len() != self.schema.len() {
             return Err(PopError::Execution(format!(
                 "insert into {}: batch has {} columns, schema has {}",
@@ -187,7 +199,7 @@ impl Table {
                 self.schema.len()
             )));
         }
-        self.backend.append(cols, rows)
+        Ok(())
     }
 
     /// Make the table durable (paged backend: sync + meta + WAL

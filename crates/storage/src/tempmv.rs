@@ -5,18 +5,23 @@ use pop_types::{ColId, Rid};
 use std::sync::Arc;
 
 /// The base-table rids of a temp MV's rows, flat: every row has `width`
-/// of them, row `i` at `rids[i * width..(i + 1) * width]`.
+/// of them, row `i` at `rids[i * width..(i + 1) * width]`. Shared, so a
+/// catalog lookup clones no rid.
 #[derive(Debug, Clone)]
 pub struct Lineage {
-    rids: Arc<[Rid]>,
+    rids: Arc<Vec<Rid>>,
     width: usize,
 }
 
 impl Lineage {
-    /// Lineage of `rids.len() / width` rows of `width` rids each.
-    pub fn new(rids: Arc<[Rid]>, width: usize) -> Self {
+    /// Lineage of `rids.len() / width` rows of `width` rids each, taking
+    /// the vector as it is.
+    pub fn new(rids: Vec<Rid>, width: usize) -> Self {
         debug_assert!(rids.len().is_multiple_of(width), "ragged lineage");
-        Lineage { rids, width }
+        Lineage {
+            rids: Arc::new(rids),
+            width,
+        }
     }
 
     /// The rids of row `i` (none past the last row).
@@ -48,6 +53,10 @@ pub struct TempMv {
     pub table: Arc<Table>,
     /// Canonical signature of the subplan that produced the rows.
     pub signature: String,
+    /// Mask of the query tables the subplan joins (bit `i`: query table
+    /// `i`), the set `signature` was built for: a re-plan finds the MV's
+    /// group by it and checks the signature once.
+    pub tables: u64,
     /// Column layout of the materialized rows (query-table/column ids).
     pub layout: Vec<ColId>,
     /// Actual (exact) cardinality, recorded at materialization time.
@@ -72,6 +81,7 @@ mod tests {
         let mv = TempMv {
             table: t,
             signature: "sig".into(),
+            tables: 1,
             layout: vec![ColId::new(0, 0)],
             actual_card: 0,
             lineage: None,
@@ -79,7 +89,7 @@ mod tests {
         assert_eq!(mv.signature, "sig");
         assert_eq!(mv.table.row_count(), 0);
         let rids: Vec<Rid> = (0..6u64).map(|i| Rid::new((i % 2) as u32, i)).collect();
-        let lineage = Lineage::new(Arc::from(rids), 2);
+        let lineage = Lineage::new(rids, 2);
         assert_eq!(lineage.row(1), &[Rid::new(0, 2), Rid::new(1, 3)]);
         assert!(lineage.row(3).is_empty());
     }

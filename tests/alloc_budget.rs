@@ -683,3 +683,128 @@ fn live_heap_is_flat_across_passes() {
         end - warm
     );
 }
+
+/// The DMV queries (scale 0.004) that re-optimize under [`config()`]:
+/// 19 re-optimizations per pass.
+const REOPTIMIZING_DMV: [&str; 17] = [
+    "DMV01", "DMV02", "DMV06", "DMV08", "DMV11", "DMV13", "DMV15", "DMV16", "DMV18", "DMV20",
+    "DMV21", "DMV25", "DMV31", "DMV36", "DMV37", "DMV38", "DMV39",
+];
+
+/// Allocations of one warm pass (the executor ran the pass once before)
+/// over [`REOPTIMIZING_DMV`] under [`config()`], and over all 39 DMV
+/// queries with POP off (`enabled: false`, as `PopConfig::without_pop()`
+/// sets it), at the commit where every step rendered its plan, cloned its
+/// check events, signed every table set of its plan with a fresh
+/// `Signer`, and a re-plan resolved its facts through an index of every
+/// connected set's signature; promotion gathered a harvest's rows and
+/// storage copied them again.
+///
+/// `(pass, release count, debug count, allowed share)`: a debug build also
+/// runs every plan through the deny gate, which allocates for the lint.
+/// Now the two passes make 38 178 / 32 965 allocations in release and
+/// 45 729 / 38 317 in debug.
+const RECORDED_BEFORE_STEPS: [(&str, u64, u64, f64); 2] = [
+    ("re-optimizing", 58_027, 65_578, 0.75),
+    ("static", 51_236, 56_588, 0.75),
+];
+
+/// Subplan signatures the re-plans of one such re-optimizing pass built
+/// at that commit: fact resolution signed every connected set.
+const RECORDED_BEFORE_REPLAN_SIGNATURES: usize = 2_165;
+
+/// Queries of the DMV suite by name.
+fn dmv_specs(names: &[&str]) -> Vec<QuerySpec> {
+    let queries = pop_dmv::dmv_queries();
+    names
+        .iter()
+        .map(|name| {
+            queries
+                .iter()
+                .find(|q| q.name == *name)
+                .expect("query exists")
+                .spec
+                .clone()
+        })
+        .collect()
+}
+
+/// Allocations of the second of two passes over `specs` on `exec`, and
+/// that pass's results.
+fn warm_pass(exec: &PopExecutor, specs: &[QuerySpec]) -> (u64, Vec<QueryResult>) {
+    for spec in specs {
+        counted_run(exec, spec);
+    }
+    let mut total = 0;
+    let results = specs
+        .iter()
+        .map(|spec| {
+            let (count, result) = counted_run(exec, spec);
+            total += count;
+            result
+        })
+        .collect();
+    (total, results)
+}
+
+/// A POP step pays for what it learns: a re-plan signs only the subplans
+/// its facts and temp MVs name (at most one signature per fact it
+/// resolves), and neither a re-optimizing nor a static step renders,
+/// clones or re-signs a plan nobody reads.
+#[test]
+fn a_pop_step_allocates_for_what_it_learns() {
+    let catalog = pop_dmv::dmv_catalog_with(0.004, StorageConfig::default()).unwrap();
+    let pop = PopExecutor::new(catalog.clone(), config()).unwrap();
+    let (reopt_count, results) = warm_pass(&pop, &dmv_specs(&REOPTIMIZING_DMV));
+    let reopts: usize = results.iter().map(|r| r.report.reopt_count).sum();
+    assert_eq!(
+        reopts, 19,
+        "the re-optimizing DMV queries changed: re-record"
+    );
+    // Facts the re-plans resolved: the per-query overlay is empty at a
+    // query's first plan, so its hits are the re-plans'.
+    let resolved: u64 = results.iter().map(|r| r.report.feedback_overlay_hits).sum();
+    let signed: usize = results
+        .iter()
+        .flat_map(|r| r.report.steps.iter().skip(1))
+        .filter_map(|s| s.memo.map(|m| m.signatures_built))
+        .sum();
+    println!(
+        "re-plans: {signed} signature(s) built for {resolved} resolved fact(s) \
+         ({RECORDED_BEFORE_REPLAN_SIGNATURES} recorded before)"
+    );
+    assert!(
+        signed as u64 <= resolved,
+        "re-plans built {signed} signatures for {resolved} resolved facts"
+    );
+
+    let all = pop_dmv::dmv_queries();
+    let names: Vec<&str> = all.iter().map(|q| q.name.as_str()).collect();
+    let static_config = PopConfig {
+        enabled: false,
+        ..config()
+    };
+    let off = PopExecutor::new(catalog, static_config).unwrap();
+    let (static_count, results) = warm_pass(&off, &dmv_specs(&names));
+    assert!(results.iter().all(|r| r.report.reopt_count == 0));
+
+    let mut failures = Vec::new();
+    for ((name, release, debug, share), count) in RECORDED_BEFORE_STEPS
+        .into_iter()
+        .zip([reopt_count, static_count])
+    {
+        let before = if cfg!(debug_assertions) {
+            debug
+        } else {
+            release
+        };
+        let ceiling = (before as f64 * share) as u64;
+        println!("{name} DMV pass: {count} allocation(s), ceiling {ceiling}");
+        if count > ceiling {
+            failures.push(format!(
+                "{name}: {count} allocations > {ceiling} ({share} x {before} recorded before)"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}

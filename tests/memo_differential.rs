@@ -99,6 +99,7 @@ fn register_mv(cat: &Catalog, spec: &QuerySpec, set: TableSet, rows: u64, serial
             data,
         )),
         signature: subplan_signature(spec, set),
+        tables: set.mask(),
         layout,
         actual_card: rows,
         lineage: None,
