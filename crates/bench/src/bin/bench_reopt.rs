@@ -36,8 +36,8 @@
 //! 2. **Repeated parameterized Q10.** Under cross-query learning the
 //!    first run pays for its misestimate with a re-optimization; the
 //!    facts it publishes seed the second run's first plan (zero reopts),
-//!    and the validity-range plan cache serves the third run without
-//!    optimizing at all. `--assert` fails on any deviation.
+//!    and the third run plans from the same facts: zero reopts and the
+//!    second run's work to the bit. `--assert` fails on any deviation.
 //!
 //! 3. **One re-optimization step of each re-optimizing DMV query** (scale
 //!    0.004, the `dmv.pop` benchmark's queries). The first step's facts —
@@ -117,7 +117,8 @@ struct RepeatedQ10 {
     second_run_reopts: usize,
     third_run_reopts: usize,
     second_run_feedback_base_hits: u64,
-    third_run_plan_cache: String,
+    second_run_work: f64,
+    third_run_work: f64,
 }
 
 /// One re-optimization step of a DMV query, from its first step's facts.
@@ -343,7 +344,6 @@ fn repeated_q10() -> RepeatedQ10 {
     // parameter-marker default, so binding 50 misestimates 67x.
     let mut cfg = PopConfig {
         learn_across_queries: true,
-        plan_cache: true,
         ..PopConfig::default()
     };
     cfg.cost_model.mem_rows = 4000.0;
@@ -359,10 +359,8 @@ fn repeated_q10() -> RepeatedQ10 {
         second_run_reopts: second.report.reopt_count,
         third_run_reopts: third.report.reopt_count,
         second_run_feedback_base_hits: second.report.feedback_base_hits,
-        third_run_plan_cache: third
-            .report
-            .plan_cache
-            .unwrap_or_else(|| "not consulted".into()),
+        second_run_work: second.report.total_work,
+        third_run_work: third.report.total_work,
     }
 }
 
@@ -400,7 +398,6 @@ fn first_step_facts(
 fn dmv_replans(rounds: usize) -> DmvReplans {
     let config = PopConfig {
         faults: None,
-        plan_cache: false,
         learn_across_queries: false,
         budget: pop::Budget::default(),
         force_reopt_at: None,
@@ -533,12 +530,13 @@ fn main() {
     let q10_line = repeated_q10();
     println!(
         "repeated Q10: reopts {} -> {} -> {}, second-run cross-query hits {}, \
-         third-run plan cache: {}",
+         work second {:.0} / third {:.0}",
         q10_line.first_run_reopts,
         q10_line.second_run_reopts,
         q10_line.third_run_reopts,
         q10_line.second_run_feedback_base_hits,
-        q10_line.third_run_plan_cache
+        q10_line.second_run_work,
+        q10_line.third_run_work
     );
 
     let dmv = dmv_replans(if quick { 15 } else { 61 });
@@ -622,10 +620,16 @@ fn main() {
         if q10_line.second_run_feedback_base_hits == 0 {
             failures.push("second Q10 run never consulted the cross-query store".into());
         }
-        if !q10_line.third_run_plan_cache.starts_with("hit") {
+        if q10_line.third_run_reopts != 0 {
             failures.push(format!(
-                "third Q10 run did not hit the plan cache: {}",
-                q10_line.third_run_plan_cache
+                "third Q10 run re-optimized {} time(s) despite learned facts",
+                q10_line.third_run_reopts
+            ));
+        }
+        if q10_line.third_run_work.to_bits() != q10_line.second_run_work.to_bits() {
+            failures.push(format!(
+                "third Q10 run did {} work, the second {}",
+                q10_line.third_run_work, q10_line.second_run_work
             ));
         }
     }

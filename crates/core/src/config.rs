@@ -49,14 +49,6 @@ pub struct PopConfig {
     /// memo's answer. Expensive (defeats the point of the memo) — meant
     /// for tests and debugging; off by default, no environment variable.
     pub verify_memo: bool,
-    /// Validity-range plan cache: reuse a previously finalized plan for
-    /// the same query template when the current binding's estimated
-    /// cardinalities fall inside every validity range the cached plan was
-    /// vetted for; outside any range the cache misses (with a recorded
-    /// reason) and the memo re-derives. Off by default; the
-    /// `POP_PLAN_CACHE` switch (`on`/`off`/`true`/`false`/`1`/`0`)
-    /// overrides.
-    pub plan_cache: bool,
     /// Rows per execution batch. Batch boundaries carry no semantics —
     /// `1` reproduces classic row-at-a-time Volcano execution — so this
     /// only trades per-call overhead against read-ahead granularity.
@@ -125,7 +117,6 @@ impl Default for PopConfig {
             observe_only: false,
             learn_across_queries: env_switch("POP_FEEDBACK_LEARN", false, &mut env_warnings),
             verify_memo: false,
-            plan_cache: env_switch("POP_PLAN_CACHE", false, &mut env_warnings),
             batch_size,
             budget,
             faults,
@@ -160,7 +151,10 @@ mod tests {
         assert!(c.graceful_degradation);
         // Guardrails are off unless configured: zero-cost default path.
         assert!(!c.budget.is_limited());
-        assert!(c.faults.is_none() || std::env::var("POP_FAULT_SEED").is_ok());
+        let fault_env = ["POP_FAULT_PLAN", "POP_FAULT_SEED"]
+            .iter()
+            .any(|v| std::env::var_os(v).is_some());
+        assert!(c.faults.is_none() || fault_env);
     }
 
     #[test]

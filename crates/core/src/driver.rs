@@ -7,10 +7,9 @@ use parking_lot::Mutex;
 use pop_exec::{execute, ExecCtx, RunOutcome, Subplan, Subplans};
 use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
-    optimize, CardEstimator, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats,
-    OptimizerContext, PlanCache,
+    optimize, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats, OptimizerContext,
 };
-use pop_plan::{canonical_layout, spec_fingerprint, PhysNode, QuerySpec, Signer, ValidityRange};
+use pop_plan::{canonical_layout, PhysNode, QuerySpec, ValidityRange};
 use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
@@ -54,9 +53,6 @@ pub struct PopExecutor {
     /// re-optimization steps of one query and across queries (it clears
     /// itself whenever the bound query changes).
     memo: Mutex<Memo>,
-    /// Validity-range plan cache (consulted only under
-    /// [`PopConfig::plan_cache`]).
-    plan_cache: PlanCache,
 }
 
 impl PopExecutor {
@@ -77,7 +73,6 @@ impl PopExecutor {
             config,
             learned: FeedbackStore::default(),
             memo: Mutex::new(Memo::new()),
-            plan_cache: PlanCache::default(),
         }
     }
 
@@ -111,13 +106,6 @@ impl PopExecutor {
     /// publish their per-query overlays here).
     pub fn learned_facts(&self) -> &FeedbackStore {
         &self.learned
-    }
-
-    /// The validity-range plan cache (consulted only under
-    /// [`PopConfig::plan_cache`]). Exposed for inspection: hit/miss
-    /// counters and entry counts.
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
     }
 
     /// Execute a query under POP.
@@ -228,21 +216,6 @@ impl PopExecutor {
     ) -> PopResult<()> {
         let opt_config = self.effective_optimizer_config();
         let mut mv_counter = 0usize;
-        // The validity-range plan cache only applies to plain POP runs:
-        // fault injection, forced re-optimizations and observe-only mode
-        // all change what a cached plan's validity ranges mean.
-        let cache_key = if self.config.plan_cache
-            && self.config.enabled
-            && !self.config.observe_only
-            && self.config.faults.is_none()
-            && self.config.force_reopt_at.is_none()
-        {
-            Some(spec_fingerprint(spec))
-        } else {
-            None
-        };
-        let mut cache_hit = false;
-        let mut first_step = true;
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
         // dirtied, and its binding signs what a step promotes.
@@ -258,59 +231,26 @@ impl PopExecutor {
                 Some(params),
                 feedback,
             );
-            // Plan-cache probe, first step only: reuse a cached plan for
-            // this template when the current binding's estimates fall
-            // inside every validity guard the plan carries.
-            let mut cached_plan: Option<PhysNode> = None;
-            // A cached plan's step is signed by the signer that rebound it:
-            // the memo is bound to whatever it planned last.
-            let mut cache_signer: Option<Signer> = None;
-            if first_step {
-                if let Some(key) = cache_key.as_deref() {
-                    let est = CardEstimator::new(spec, &octx)?;
-                    let (found, reason) = self.plan_cache.lookup(key, &est);
-                    report.plan_cache = Some(reason);
-                    if let Some(mut plan) = found {
-                        // Signatures fold parameter bindings in; re-key the
-                        // cached plan's checks for the current binding.
-                        let signer = Signer::new(spec, Some(params));
-                        rebind_check_signatures(&mut plan, &signer);
-                        debug_assert_eq!(
-                            self.deny_gate(&plan, spec),
-                            Ok(()),
-                            "rebound cached plan"
-                        );
-                        cache_hit = true;
-                        cache_signer = Some(signer);
-                        cached_plan = Some(plan);
+            let (plan, memo_stats) = match self.plan_step(spec, &octx, ctx, &mut memo) {
+                Ok((plan, stats)) => (plan, Some(stats)),
+                // Graceful degradation: a query that already has a working
+                // plan should not abort because *re*-planning failed
+                // (optimizer error, injected fault). Keep the previous
+                // plan and run it to completion with checks disabled. A
+                // first-optimization failure stays fatal — there is
+                // nothing to fall back to.
+                Err(e) => match report.steps.last() {
+                    Some(prev) if self.config.graceful_degradation => {
+                        let prev = bare_plan(prev.plan.tree()).clone();
+                        report.degraded = true;
+                        report.warnings.push(format!(
+                            "re-optimization failed ({e}); continuing with the previous plan, checks disabled"
+                        ));
+                        ctx.checks_enabled = false;
+                        (wrap_compensation(prev, ctx), None)
                     }
-                }
-            }
-            first_step = false;
-            let (plan, memo_stats) = if let Some(plan) = cached_plan {
-                (plan, None)
-            } else {
-                match self.plan_step(spec, &octx, ctx, &mut memo) {
-                    Ok((plan, stats)) => (plan, Some(stats)),
-                    // Graceful degradation: a query that already has a working
-                    // plan should not abort because *re*-planning failed
-                    // (optimizer error, injected fault). Keep the previous
-                    // plan and run it to completion with checks disabled. A
-                    // first-optimization failure stays fatal — there is
-                    // nothing to fall back to.
-                    Err(e) => match report.steps.last() {
-                        Some(prev) if self.config.graceful_degradation => {
-                            let prev = bare_plan(prev.plan.tree()).clone();
-                            report.degraded = true;
-                            report.warnings.push(format!(
-                                "re-optimization failed ({e}); continuing with the previous plan, checks disabled"
-                            ));
-                            ctx.checks_enabled = false;
-                            (wrap_compensation(prev, ctx), None)
-                        }
-                        _ => return Err(e),
-                    },
-                }
+                    _ => return Err(e),
+                },
             };
             let subplans = self.subplans(spec, &plan);
             let mut mvs_used = 0usize;
@@ -340,16 +280,6 @@ impl PopExecutor {
             collect_rows(collected, ctx, &outcome);
             match outcome {
                 RunOutcome::Complete { .. } => {
-                    // Cache the completed run's final plan for
-                    // future bindings of the same template (insert refuses
-                    // MV-bearing or guard-less plans itself). Degraded or
-                    // budget-exhausted runs ran with checks off — their
-                    // plans are not evidence of anything.
-                    if !cache_hit && !report.degraded && !report.budget_exhausted {
-                        if let Some(key) = cache_key {
-                            self.plan_cache.insert(key, bare_plan(step.plan.tree()));
-                        }
-                    }
                     report.steps.push(step);
                     return Ok(());
                 }
@@ -379,11 +309,7 @@ impl PopExecutor {
                     // here, from the binding the step's plan came from.
                     let harvests = std::mem::take(&mut ctx.harvests);
                     for h in harvests {
-                        let signature = if let Some(signer) = &cache_signer {
-                            signer.sign(h.tables)
-                        } else if let Some(sig) = memo.signature(h.tables) {
-                            sig.to_string()
-                        } else {
+                        let Some(signature) = memo.signature(h.tables).map(str::to_string) else {
                             report.warnings.push(format!(
                                 "harvest over {} not promoted: no subplan of the planned query",
                                 h.tables
@@ -475,8 +401,8 @@ impl PopExecutor {
     /// Deny-severity finding with [`PopError::InvalidPlan`]. A
     /// caller-supplied plan meets it in every build
     /// ([`PopExecutor::execute_plan`]); the driver's own plans — first
-    /// plans, re-plans and rebound cache hits — only in debug builds, as
-    /// an invariant check on the optimizer.
+    /// plans and re-plans — only in debug builds, as an invariant check on
+    /// the optimizer.
     fn deny_gate(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<()> {
         // With LC checks on, the placement pass guards every
         // materialization point, so an unguarded one is suspect.
@@ -662,25 +588,6 @@ fn bare_plan(plan: &PhysNode) -> &PhysNode {
     match plan {
         PhysNode::AntiJoinRids { input, .. } => input,
         plan => plan,
-    }
-}
-
-/// Re-key every CHECK / BUFCHECK signature of a cached plan for the
-/// current parameter binding. Subplan signatures fold bindings in (so
-/// feedback facts and temp MVs never leak across bindings); a cached plan
-/// still carries the signatures of the binding that first produced it.
-fn rebind_check_signatures(plan: &mut PhysNode, signer: &Signer) {
-    if let PhysNode::Check {
-        input, spec: cs, ..
-    }
-    | PhysNode::BufCheck {
-        input, spec: cs, ..
-    } = plan
-    {
-        cs.signature = signer.sign(input.props().tables);
-    }
-    for child in plan.children_mut() {
-        rebind_check_signatures(child, signer);
     }
 }
 

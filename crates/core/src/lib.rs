@@ -76,12 +76,10 @@ pub use pop_guard::{
 };
 pub use pop_optimizer::{
     CardFact, FeedbackCache, FeedbackStore, FlavorSet, JoinMethods, Memo, MemoStats,
-    OptimizerConfig, PlanCache, ValidityMode, DEFAULT_FEEDBACK_CAPACITY,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    OptimizerConfig, ValidityMode, DEFAULT_FEEDBACK_CAPACITY,
 };
 pub use pop_plan::{
-    spec_fingerprint, AggFunc, CheckContext, CheckFlavor, CostModel, PhysNode, QueryBuilder,
-    QuerySpec, ValidityRange,
+    AggFunc, CheckContext, CheckFlavor, CostModel, PhysNode, QueryBuilder, QuerySpec, ValidityRange,
 };
 pub use pop_planlint::{
     analyze, certify, lint_plan, CardInterval, DiagCode, LintContext, PlanAnalysis, PlanDiagnostic,

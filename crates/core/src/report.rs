@@ -103,8 +103,8 @@ pub struct StepReport {
     pub monitors_installed: usize,
     /// Memo maintenance statistics for this step's optimization: how many
     /// join-order groups were reused versus re-derived. `None` when the
-    /// step's plan did not come out of the optimizer (degraded fallback,
-    /// plan-cache hit, or `execute_plan`).
+    /// step's plan did not come out of the optimizer (degraded fallback
+    /// or `execute_plan`).
     pub memo: Option<MemoStats>,
 }
 
@@ -156,11 +156,6 @@ pub struct RunReport {
     /// back to defaults, degradation notices, and similar conditions the
     /// caller should see but that do not fail the query.
     pub warnings: Vec<String>,
-    /// Plan-cache decision for this query, with its reason (e.g.
-    /// `hit: all 3 validity guards admit the binding` or `miss: estimate
-    /// outside vetted range`). `None` when the plan cache is disabled or
-    /// was not consulted (faults, forced re-optimization, observe-only).
-    pub plan_cache: Option<String>,
     /// Always `None`: the driver pre-validates no plan over a sample, so
     /// the type admits no other value. The field exists only so the
     /// end-to-end benchmark harness, which still reads it, keeps
@@ -215,9 +210,6 @@ impl RunReport {
         );
         for w in &self.warnings {
             let _ = writeln!(out, "warning: {w}");
-        }
-        if let Some(pc) = &self.plan_cache {
-            let _ = writeln!(out, "plan cache: {pc}");
         }
         if self.feedback_overlay_hits + self.feedback_base_hits > 0 {
             let _ = writeln!(

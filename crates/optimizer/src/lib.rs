@@ -32,7 +32,6 @@ mod feedback;
 mod finalize;
 mod memo;
 mod placement;
-mod plan_cache;
 mod provenance;
 pub mod validity;
 
@@ -44,5 +43,4 @@ pub use cost::CostModel;
 pub use feedback::{CardFact, FeedbackCache, FeedbackStore, DEFAULT_FEEDBACK_CAPACITY};
 pub use finalize::optimize;
 pub use memo::{Memo, MemoStats, MAX_DP_TABLES};
-pub use plan_cache::{PlanCache, PlanGuard, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use provenance::{plan_provenance, EstimateProvenance, EstimateSource};

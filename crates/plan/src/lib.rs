@@ -31,7 +31,5 @@ pub use query::{
     node_count, Aggregate, ExistsClause, HavingPred, JoinGraph, JoinPred, OrderKey, QueryBuilder,
     QuerySpec, TableRef,
 };
-pub use signature::{
-    canonical_layout, params_fingerprint, spec_fingerprint, subplan_signature, Signer,
-};
+pub use signature::{canonical_layout, params_fingerprint, subplan_signature, Signer};
 pub use table_set::TableSet;

@@ -124,27 +124,6 @@ pub fn subplan_signature(spec: &QuerySpec, set: TableSet) -> String {
     Signer::new(spec, None).sign(set)
 }
 
-/// Parameter-independent fingerprint of a whole query *template*: the
-/// join-graph signature over all tables plus every non-join clause.
-/// Unlike a [`Signer`] built with params, this never incorporates bound
-/// parameter values — two executions of the same prepared statement with
-/// different bindings share one fingerprint, which is exactly what a
-/// parameterized plan cache keys on (validity-range guards, not the key,
-/// decide whether a cached plan fits a binding).
-pub fn spec_fingerprint(spec: &QuerySpec) -> String {
-    format!(
-        "{}||proj:{:?}|agg:{:?}|exists:{:?}|having:{:?}|order:{:?}|limit:{:?}|sink:{:?}",
-        subplan_signature(spec, spec.all_tables()),
-        spec.projection,
-        spec.aggregate,
-        spec.exists,
-        spec.having,
-        spec.order_by,
-        spec.limit,
-        spec.side_effect,
-    )
-}
-
 /// The canonical column layout of a materialized subplan over `set` — the
 /// one contract temp-MV producers (harvests) and consumers (MV scans)
 /// share: the [`QuerySpec::required_columns`] of the member tables,

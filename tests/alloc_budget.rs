@@ -101,14 +101,13 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Mem backend, flat cost model, default batch size, no budget, faults or
-/// plan cache: independent of the `POP_*` environment.
+/// learning: independent of the `POP_*` environment.
 fn config() -> PopConfig {
     PopConfig {
         cost_model: CostModel::default(),
         batch_size: 1024,
         budget: pop::Budget::default(),
         faults: None,
-        plan_cache: false,
         learn_across_queries: false,
         ..PopConfig::default()
     }

@@ -85,7 +85,6 @@ fn check_suite(suite: &str, catalog: &Catalog, queries: &[(String, QuerySpec)]) 
         let config = PopConfig {
             force_reopt_at: forced,
             faults: None,
-            plan_cache: false,
             learn_across_queries: false,
             budget: pop::Budget::default(),
             ..PopConfig::default()

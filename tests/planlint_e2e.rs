@@ -122,7 +122,6 @@ fn sweep(
                 config.cost_model = cost_model.clone();
                 config.cost_model.mem_rows = 4000.0;
                 config.force_reopt_at = force_reopt_at;
-                config.plan_cache = false;
                 config.learn_across_queries = false;
                 config.faults = None;
                 for (name, spec) in &queries {
