@@ -83,15 +83,6 @@ pub(crate) fn harvest_info(node: &PhysNode, subplans: &Subplans) -> Option<Harve
     })
 }
 
-/// Is the node a materializing operator (for the Figure 10 "check once
-/// after materialization" optimization)?
-pub(crate) fn is_materializing(node: &PhysNode) -> bool {
-    matches!(
-        node,
-        PhysNode::Sort { .. } | PhysNode::Temp { .. } | PhysNode::MvScan { .. }
-    )
-}
-
 /// Build the operator tree for a plan.
 pub fn build_operator(
     node: &PhysNode,
@@ -280,7 +271,7 @@ pub fn build_operator(
             Box::new(HashAggOp::new(child, keys, kinds))
         }
         PhysNode::Check { input, spec, .. } => {
-            let materialized = is_materializing(input);
+            let materialized = input.counted_at_open();
             let child = build_operator(input, catalog, subplans)?;
             let tables = input.props().tables;
             Box::new(GuardOp::check(child, spec.clone(), tables, materialized))

@@ -152,7 +152,8 @@ pub struct ExecCtx {
     pub catalog: Catalog,
     /// Parameter-marker bindings.
     pub params: Params,
-    /// Work-unit coefficients (mirrors the optimizer's cost model).
+    /// The optimizer's cost model: operators charge its unit functions at
+    /// the counts they observe (the cost identity of `pop_plan::cost`).
     pub model: CostModel,
     /// Work units consumed so far in this run.
     pub work: f64,

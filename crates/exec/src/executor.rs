@@ -69,7 +69,7 @@ pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx, subplans: &Subplans) -> PopRe
         match op.next_batch(ctx) {
             Ok(Some(b)) => {
                 ctx.batches_emitted += 1;
-                ctx.charge(b.live_count() as f64 * ctx.model.output_row);
+                ctx.charge(ctx.model.output(b.live_count() as f64));
                 ctx.guard.add_rows(b.live_count() as u64);
                 if let Err(e) = ctx.guard_tick() {
                     op.close(ctx);

@@ -18,11 +18,10 @@
 //!   execution context, so a later CHECK failure can promote it (in
 //!   canonical column order) to a temporary materialized view with exact
 //!   cardinality (§2.3).
-//! * **Work accounting**: operators charge the same
-//!   [`pop_plan::CostModel`] coefficients the optimizer estimates with
-//!   (including simulated spill passes for oversized hash builds and
-//!   sorts), giving a deterministic, machine-independent "execution time"
-//!   for the experiments.
+//! * **Work accounting**: operators charge the [`pop_plan::CostModel`]
+//!   unit functions the optimizer estimates with, at the counts they
+//!   observe (spill passes of oversized builds and sorts included): a
+//!   deterministic, machine-independent "execution time".
 //! * **Lineage**: rows carry the rids of the base rows that produced them,
 //!   enabling ECDC's deferred compensation (anti-join against already
 //!   returned rows, Figure 9) and exactly-once side effects.

@@ -279,7 +279,7 @@ impl Operator for HashAggOp {
         let (mut rows, mut gids, mut hashes, mut nulls) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         while let Some(b) = self.input.next_batch(ctx)? {
-            ctx.charge(b.live_count() as f64 * ctx.model.agg_row);
+            ctx.charge(ctx.model.agg_cost(b.live_count() as f64));
             ctx.guard_tick()?;
             // Phase 1: every live row's group id.
             rows.clear();

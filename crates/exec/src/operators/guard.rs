@@ -17,10 +17,10 @@
 //! materialization point.
 
 use crate::context::{CheckEvent, CheckOutcome};
-use crate::operators::Operator;
+use crate::operators::{CostUnit, Operator};
 use crate::signal::{ExecSignal, ObservedCard, Violation};
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::{CheckSpec, TableSet};
+use pop_plan::{CheckSpec, CostModel, TableSet};
 use std::collections::VecDeque;
 
 /// Index of the first live row of an `n`-row batch that pushes a count of
@@ -212,16 +212,15 @@ impl GuardOp {
         Ok(())
     }
 
-    /// Count `n` live rows against the upper bound, charging the check's
-    /// row charge plus `surcharge` work units per counted row, up to and
-    /// including the tripping row. `None` admits the whole batch.
-    fn admit(&mut self, n: u64, surcharge: f64, ctx: &mut ExecCtx) -> Option<Trip> {
-        let per_row = ctx.model.check_row + surcharge;
+    /// Count `n` live rows against the upper bound, charging the counted
+    /// rows — up to and including the tripping row — at the cost unit
+    /// `unit`. `None` admits the whole batch.
+    fn admit(&mut self, n: u64, unit: CostUnit, ctx: &mut ExecCtx) -> Option<Trip> {
         let row = tripping_row(self.count, n, self.spec.range.hi)
             .filter(|_| !self.resolved && self.armed(ctx));
         let counted = row.map_or(n, |j| j + 1);
         self.count += counted;
-        ctx.charge(counted as f64 * per_row);
+        ctx.charge(unit(&ctx.model, counted as f64));
         row.map(|j| Trip {
             row: j as usize,
             observed: ObservedCard::AtLeast(self.count),
@@ -235,7 +234,7 @@ impl GuardOp {
             return Ok(Some(b));
         }
         let n = b.live_count() as u64;
-        let Some(trip) = self.admit(n, 0.0, ctx) else {
+        let Some(trip) = self.admit(n, |m, rows| m.check_cost(rows, false), ctx) else {
             return Ok(Some(b));
         };
         let sig = self.raise_upper(ctx, trip.observed);
@@ -270,13 +269,12 @@ impl GuardOp {
     fn decide_materialized(&mut self, n: u64, ctx: &mut ExecCtx) -> OpResult<()> {
         self.decided_at_open = true;
         self.resolved = true;
-        ctx.charge(ctx.model.check_row);
+        ctx.charge(ctx.model.check_cost(n as f64, true));
         self.decide_exact(n, ctx)
     }
 
-    /// Fill the valve, charging the buffering surcharge per row.
+    /// Fill the valve, charging its rows at the buffering rate.
     fn fill_valve(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
-        let surcharge = ctx.model.temp_write_row * 0.5;
         let mut buffered = 0usize;
         while buffered < self.capacity {
             let Some(b) = self.input.next_batch(ctx)? else {
@@ -290,7 +288,7 @@ impl GuardOp {
                 (b, None)
             };
             let n = head.live_count();
-            let trip = self.admit(n as u64, surcharge, ctx);
+            let trip = self.admit(n as u64, CostModel::bufcheck_rows, ctx);
             // The head stays buffered either way, so a resumed
             // (checks-disabled) run replays every row.
             let bytes = head.approx_bytes();
@@ -683,7 +681,7 @@ mod tests {
                 }
                 if let Some((s, f)) = case.charged {
                     let m = &ctx.model;
-                    let want = s * m.check_row + f * (m.check_row + 0.5 * m.temp_write_row);
+                    let want = m.check_cost(s, false) + m.bufcheck_rows(f);
                     assert!((run.work_at_signal - want).abs() < 1e-9, "{at}");
                 }
             }

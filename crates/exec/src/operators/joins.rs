@@ -10,10 +10,11 @@
 use crate::context::Harvest;
 use crate::operators::key::{hash_keys, ChainIndex, NIL};
 use crate::operators::materialize::{materialize, HarvestInfo};
-use crate::operators::scan::read_set;
+use crate::operators::scan::{page_transitions, read_set};
 use crate::operators::{Operator, RowCursor};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_expr::BoundExpr;
+use pop_plan::CostModel;
 use pop_storage::{Index, RowFetcher, Table};
 use pop_types::{Rid, Value};
 use std::cmp::Ordering;
@@ -214,19 +215,10 @@ impl Operator for NljnOp {
             if self.outer_rows.step() {
                 let k = self.outer_rows.ordinal();
                 (self.match_pos, self.match_end) = (self.bounds[k], self.bounds[k + 1]);
-                let mut new_pages = 0u64;
-                for &p in &self.matches[self.match_pos..self.match_end] {
-                    let pg = fetcher.page_of(p);
-                    if self.last_page != Some(pg) {
-                        self.last_page = Some(pg);
-                        new_pages += 1;
-                    }
-                }
-                ctx.charge(
-                    ctx.model.index_probe
-                        + (self.match_end - self.match_pos) as f64 * ctx.model.index_fetch_row
-                        + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
-                );
+                let matches = self.matches[self.match_pos..self.match_end].iter().copied();
+                let new_pages = page_transitions(fetcher, &mut self.last_page, matches);
+                let fetched = (self.match_end - self.match_pos) as f64;
+                ctx.charge(ctx.model.index_access(1.0, fetched, new_pages));
                 continue;
             }
             // The outer batch is done: copy out what joined against it
@@ -286,9 +278,9 @@ struct BuildState {
 }
 
 /// Run the build phase: drain `build` into the row buffer and index it,
-/// hashing the key columns a column at a time, charging `hash_build_row`
-/// per row, reserving the buffer's bytes, and registering the harvest (if
-/// any) with `ctx`. The caller owns the returned state's byte reservation.
+/// hashing the key columns a column at a time, charging the hash build
+/// per batch and its spill step at the end, reserving the buffer's bytes,
+/// and registering the harvest (if any) with `ctx`. The caller owns the returned state's byte reservation.
 fn run_hash_build(
     build: &mut dyn Operator,
     build_key_pos: &[usize],
@@ -296,8 +288,7 @@ fn run_hash_build(
     ctx: &mut ExecCtx,
 ) -> OpResult<BuildState> {
     let mut reserved = 0;
-    let row_charge = ctx.model.hash_build_row;
-    let rows = materialize(build, row_charge, &mut reserved, ctx)?;
+    let rows = materialize(build, CostModel::hash_build, &mut reserved, ctx)?;
     let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
     hash_keys(&rows, build_key_pos, &mut hashes, &mut nulls);
     // NULL keys never join: such rows stay out of the index.
@@ -306,12 +297,10 @@ fn run_hash_build(
         ctx.harvests
             .push(Harvest::new(info, Arc::clone(&rows), None));
     }
-    // Simulated grace-hash spill: the same step function the optimizer
-    // models, so misestimated builds really do cost what the model says.
+    // Simulated grace-hash spill: misestimated builds really do cost what
+    // the model says.
     let spill_passes = ctx.model.spill_passes(rows.len() as f64);
-    if spill_passes > 0.0 {
-        ctx.charge(spill_passes * rows.len() as f64 * ctx.model.spill_row);
-    }
+    ctx.charge(ctx.model.hash_build_spill(rows.len() as f64));
     Ok(BuildState {
         rows,
         key_pos: build_key_pos.to_vec(),
@@ -335,8 +324,7 @@ fn run_hash_build(
 /// order, and step 3 stops as soon as the output batch is full — so the
 /// output order, the batch boundaries and the per-probe-row work charges
 /// (taken as the walk reaches each row) are the row-at-a-time join's.
-/// Build overflow past the memory budget charges simulated spill passes,
-/// mirroring the cost model's step function.
+/// Build overflow past the memory budget charges simulated spill passes.
 pub struct HsjnOp {
     build: Box<dyn Operator>,
     probe: Box<dyn Operator>,
@@ -442,7 +430,7 @@ impl Operator for HsjnOp {
             .as_ref()
             .ok_or_else(|| super::protocol_err("HSJN next_batch() before open()"))?;
         let target = ctx.batch_size.max(1);
-        let row_charge = ctx.model.hash_probe_row + state.spill_passes * ctx.model.spill_row;
+        let row_charge = ctx.model.hash_probe(1.0, state.spill_passes);
         let mut out = RowBatch::with_capacity(target);
         loop {
             // Phase 3: walk the current probe row's chain.
@@ -595,22 +583,17 @@ impl Operator for SemiProbeOp {
             let mut charge = 0.0;
             let mut last_page = self.last_page;
             let result: OpResult<()> = b.try_retain_live(|b, i| {
-                charge += ctx.model.index_probe;
                 let key = b.value(self.outer_pos, i);
                 self.inner_index.probe_into(&key, &mut self.matches)?;
                 let fetcher = self.fetcher.as_mut().expect("checked above");
-                let mut found = false;
+                let (mut found, mut fetched, mut new_pages) = (false, 0.0, 0.0);
                 // Existential: the first qualifying match decides, so the
                 // matches are fetched one at a time and nothing past it is
                 // read.
                 let len = fetcher.len();
                 for &p in self.matches.iter().filter(|p| **p < len) {
-                    charge += ctx.model.index_fetch_row;
-                    let pg = fetcher.page_of(p);
-                    if last_page != Some(pg) {
-                        last_page = Some(pg);
-                        charge += ctx.model.page_io * ctx.model.seq_vs_random;
-                    }
+                    fetched += 1.0;
+                    new_pages += page_transitions(fetcher, &mut last_page, [p]);
                     let got = fetcher.fetch(&[p])?;
                     self.sel.clear();
                     self.sel.extend_from_slice(got.rows);
@@ -622,6 +605,7 @@ impl Operator for SemiProbeOp {
                         break;
                     }
                 }
+                charge += ctx.model.index_access(1.0, fetched, new_pages);
                 Ok(found != self.negated)
             });
             self.last_page = last_page;
@@ -699,7 +683,7 @@ impl MgjnOp {
         loop {
             self.left_live = self.left_rows.advance(self.left.as_mut(), ctx)?;
             if self.left_live {
-                ctx.charge(ctx.model.merge_row);
+                ctx.charge(ctx.model.merge(1.0));
                 if Self::key(&self.left_rows, self.left_key_pos).is_null() {
                     continue; // NULL keys never join
                 }
@@ -722,7 +706,7 @@ impl MgjnOp {
                 self.right_eof = true;
                 return Ok(false);
             }
-            ctx.charge(ctx.model.merge_row);
+            ctx.charge(ctx.model.merge(1.0));
             if !Self::key(&self.right_rows, self.right_key_pos).is_null() {
                 return Ok(true);
             }
@@ -1015,16 +999,18 @@ mod tests {
             )
             .unwrap();
         let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
+        let pages = big.page_count() as f64;
         let b = Box::new(TableScanOp::new(big, None));
         let p = Box::new(TableScanOp::new(small, None));
         let mut op = HsjnOp::new(b, p, vec![0], vec![0]);
         op.open(&mut ctx).unwrap();
-        // Work includes scan + build + one spill pass over 12k rows.
-        let expected_spill = 1.0 * n as f64 * ctx.model.spill_row;
-        assert!(
-            ctx.work >= n as f64 * (ctx.model.seq_row + ctx.model.hash_build_row) + expected_spill,
-            "work {} lacks spill charge",
-            ctx.work
+        // Work after the build is exactly scan + build + one spill pass
+        // over the 12k rows.
+        let (m, n) = (&ctx.model, n as f64);
+        assert_eq!(m.spill_passes(n), 1.0);
+        assert_eq!(
+            ctx.work,
+            m.scan_cost(n, pages) + m.hash_build(n) + m.hash_build_spill(n)
         );
         op.close(&mut ctx);
     }

@@ -5,9 +5,9 @@
 //! buffer with its harvest.
 
 use crate::context::Harvest;
-use crate::operators::{next_chunk, Operator};
+use crate::operators::{next_chunk, CostUnit, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
-use pop_plan::TableSet;
+use pop_plan::{CostModel, TableSet};
 use pop_types::ColId;
 use std::sync::Arc;
 
@@ -26,18 +26,18 @@ pub struct HarvestInfo {
 
 /// Drain `input` into one flat buffer (behind an `Arc`, to be shared with
 /// a harvest) — the one loop behind SORT, TEMP and the hash-join build —
-/// charging `row_charge` work units per row and reserving each batch's
-/// bytes against the governor (added to `reserved`, which the caller
-/// releases).
+/// charging each batch's rows at the cost unit `unit` and reserving each
+/// batch's bytes against the governor (added to `reserved`, which the
+/// caller releases).
 pub(crate) fn materialize(
     input: &mut dyn Operator,
-    row_charge: f64,
+    unit: CostUnit,
     reserved: &mut u64,
     ctx: &mut ExecCtx,
 ) -> OpResult<Arc<RowBatch>> {
     let mut buf = RowBatch::new();
     while let Some(b) = input.next_batch(ctx)? {
-        ctx.charge(b.live_count() as f64 * row_charge);
+        ctx.charge(unit(&ctx.model, b.live_count() as f64));
         let bytes = b.approx_bytes();
         *reserved += bytes;
         ctx.guard_reserve(bytes)?;
@@ -89,7 +89,8 @@ impl Operator for SortOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
         self.pos = 0;
-        let buf = materialize(self.input.as_mut(), 0.0, &mut self.reserved, ctx)?;
+        // The sort is charged whole, once its input is in.
+        let buf = materialize(self.input.as_mut(), |_, _| 0.0, &mut self.reserved, ctx)?;
         let mut order: Vec<u32> = (0..buf.len() as u32).collect();
         // Stable sort on the typed key column: chained sorts implement
         // multi-key ORDER BY.
@@ -161,8 +162,8 @@ impl Operator for TempOp {
     fn open(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         self.input.open(ctx)?;
         self.pos = 0;
-        let row_charge = ctx.model.temp_write_row;
-        let buf = materialize(self.input.as_mut(), row_charge, &mut self.reserved, ctx)?;
+        let write = CostModel::temp_write;
+        let buf = materialize(self.input.as_mut(), write, &mut self.reserved, ctx)?;
         if let Some(info) = &self.harvest {
             ctx.harvests
                 .push(Harvest::new(info, Arc::clone(&buf), None));
@@ -177,7 +178,7 @@ impl Operator for TempOp {
         };
         let out = next_chunk(&mut self.pos, buf.len(), ctx).map(|chunk| buf.copy_rows(chunk));
         if let Some(b) = &out {
-            ctx.charge(b.live_count() as f64 * ctx.model.temp_read_row);
+            ctx.charge(ctx.model.temp_read(b.live_count() as f64));
         }
         Ok(out)
     }
@@ -298,7 +299,7 @@ mod tests {
         let n = drain_values(&mut op, &mut ctx).len();
         assert_eq!(n, 3);
         // write+read charged on top of the scan
-        let expect = 3.0 * (ctx.model.seq_row + ctx.model.temp_write_row + ctx.model.temp_read_row);
+        let expect = ctx.model.scan_cost(3.0, 0.0) + ctx.model.temp_cost(3.0);
         assert!((ctx.work - expect).abs() < 1e-9, "work={}", ctx.work);
     }
 

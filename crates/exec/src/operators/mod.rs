@@ -1,6 +1,7 @@
 //! The operator trait and the physical operator implementations.
 
 use crate::{ExecCtx, OpResult, RowBatch};
+use pop_plan::CostModel;
 
 pub(crate) mod agg;
 pub(crate) mod guard;
@@ -16,6 +17,9 @@ pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
 pub use materialize::{HarvestInfo, SortOp, TempOp};
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
 pub use side::{AntiJoinRidsOp, InsertOp, RidSinkOp};
+
+/// A [`CostModel`] unit function of a row count, charged per batch.
+pub(crate) type CostUnit = fn(&CostModel, f64) -> f64;
 
 /// Operators hold `Box<dyn Operator>` children and table handles with no
 /// useful `Debug` rendering; show them opaquely by type name.

@@ -75,7 +75,7 @@ impl Operator for TableScanOp {
         let table = self.table.id();
         while let Some(chunk) = cursor.next_chunk(ctx.batch_size)? {
             let n = chunk.rows.len();
-            ctx.charge(n as f64 * ctx.model.seq_row + chunk.new_pages as f64 * ctx.model.page_io);
+            ctx.charge(ctx.model.scan_cost(n as f64, chunk.new_pages as f64));
             ctx.rows_scanned += n as u64;
             // Table position of the row at index `i` of the chunk's columns.
             let base = chunk.start - chunk.rows.start as u64;
@@ -109,6 +109,19 @@ impl Operator for TableScanOp {
     fn close(&mut self, _ctx: &mut ExecCtx) {
         self.cursor = None;
     }
+}
+
+/// Page transitions of fetching `positions` in order from the page of the
+/// previous fetch (`last_page`, kept up to date): the random page reads.
+pub(crate) fn page_transitions(
+    fetcher: &RowFetcher,
+    last_page: &mut Option<u64>,
+    positions: impl IntoIterator<Item = u64>,
+) -> f64 {
+    let pages = positions.into_iter().map(|p| fetcher.page_of(p));
+    pages
+        .filter(|&pg| last_page.replace(pg) != Some(pg))
+        .count() as f64
 }
 
 /// Range scan over a sorted index: fetches only the rows whose indexed
@@ -180,7 +193,7 @@ impl Operator for IndexRangeScanOp {
                     self.index.column()
                 ))
             })?;
-        ctx.charge(ctx.model.index_probe);
+        ctx.charge(ctx.model.index_access(1.0, 0.0, 0.0));
         self.pos = 0;
         self.last_page = None;
         Ok(())
@@ -198,14 +211,9 @@ impl Operator for IndexRangeScanOp {
             let chunk = &self.positions[self.pos..end];
             self.pos = end;
             ctx.rows_scanned += chunk.len() as u64;
-            let (len, mut new_pages) = (fetcher.len(), 0u64);
-            for &p in chunk.iter().filter(|p| **p < len) {
-                let pg = fetcher.page_of(p);
-                if self.last_page != Some(pg) {
-                    self.last_page = Some(pg);
-                    new_pages += 1;
-                }
-            }
+            let len = fetcher.len();
+            let in_table = chunk.iter().copied().filter(|p| *p < len);
+            let new_pages = page_transitions(fetcher, &mut self.last_page, in_table);
             // The chunk is in key order: read its pages once, in page
             // order, before taking its rows in key order.
             fetcher.prefetch(chunk)?;
@@ -219,12 +227,7 @@ impl Operator for IndexRangeScanOp {
             let pick = self.sel.iter().map(|i| *i as usize);
             let rids = got.positions_of(&self.sel).map(|p| [Rid::new(table, p)]);
             out.extend_columns(got.cols, &self.cols, pick, rids);
-            // Scattered fetches pay the random-read multiplier per page
-            // transition — the runtime mirror of the model's Cardenas term.
-            ctx.charge(
-                chunk.len() as f64 * ctx.model.index_fetch_row
-                    + new_pages as f64 * ctx.model.page_io * ctx.model.seq_vs_random,
-            );
+            ctx.charge(ctx.model.index_access(0.0, chunk.len() as f64, new_pages));
             if !out.is_empty() {
                 return Ok(Some(out));
             }
@@ -277,7 +280,7 @@ impl Operator for MvScanOp {
             return Ok(None);
         };
         let n = chunk.rows.len();
-        ctx.charge(n as f64 * ctx.model.temp_read_row + chunk.new_pages as f64 * ctx.model.page_io);
+        ctx.charge(ctx.model.mv_scan_cost(n as f64, chunk.new_pages as f64));
         let mut out = RowBatch::with_capacity(n);
         let lineage = (chunk.start as usize..)
             .take(n)

@@ -52,7 +52,7 @@ impl Operator for InsertOp {
                 ))
                 .into());
             }
-            ctx.charge(ctx.model.temp_write_row);
+            ctx.charge(ctx.model.insert(1.0));
             ctx.side_effects_applied.insert(key);
             keep.push(i);
         }
@@ -94,7 +94,7 @@ impl Operator for RidSinkOp {
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
         let b = self.input.next_batch(ctx)?;
         if let Some(b) = &b {
-            ctx.charge(b.live_count() as f64 * ctx.model.check_row);
+            ctx.charge(ctx.model.rid_sink(b.live_count() as f64));
         }
         Ok(b)
     }
@@ -129,7 +129,7 @@ impl Operator for AntiJoinRidsOp {
             let Some(mut b) = self.input.next_batch(ctx)? else {
                 return Ok(None);
             };
-            ctx.charge(b.live_count() as f64 * ctx.model.hash_probe_row);
+            ctx.charge(ctx.model.anti_join(b.live_count() as f64));
             let prev = &ctx.prev_returned;
             b.retain_live(|b, i| !prev.contains(&lineage_key(b.lineage_at(i))));
             if b.live_count() > 0 {

@@ -8,7 +8,7 @@
 //! their slot in the split, instead of carrying ranges solved against them:
 //! only the winners extraction turns into a plan ever need those.
 
-use pop_plan::{PhysNode, TableSet};
+use pop_plan::{CostModel, PhysNode, TableSet};
 use pop_types::ColId;
 
 /// Parametric description of a candidate's root operator cost, as a
@@ -22,22 +22,8 @@ use pop_types::ColId;
 /// that cancel in the difference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RootCostSpec {
-    /// Base-table scan; no input edges.
-    Leaf {
-        /// Unfiltered base table rows (the scan reads them all).
-        base_rows: f64,
-        /// Base table pages (the scan reads them all, sequentially).
-        base_pages: f64,
-    },
-    /// Temp-MV scan; no input edges.
-    MvScan {
-        /// Materialized row count (exact).
-        rows: f64,
-        /// Materialized page count (exact).
-        pages: f64,
-    },
-    /// Any access path with a fixed cost and no input edges (e.g. an
-    /// index range scan).
+    /// An access path (table scan, index range scan, MV scan): no input
+    /// edges, so its cost is a constant.
     Fixed {
         /// The access cost.
         cost: f64,
@@ -76,10 +62,43 @@ impl RootCostSpec {
     /// Number of canonical input edges.
     pub fn num_edges(&self) -> usize {
         match self {
-            RootCostSpec::Leaf { .. }
-            | RootCostSpec::MvScan { .. }
-            | RootCostSpec::Fixed { .. } => 0,
+            RootCostSpec::Fixed { .. } => 0,
             _ => 2,
+        }
+    }
+}
+
+/// Local (root-operator-only) cost of a join/scan root at the given
+/// canonical input-edge cardinalities: the operator's runtime charges
+/// (NLJN a lookup per outer row; HSJN the build, the probe rows and the
+/// build's spill passes over both sides; MGJN a merge step per row plus
+/// its enforcer sorts), with the planning-only robustness penalty on the
+/// two pipelined joins.
+pub fn root_local_cost(model: &CostModel, spec: &RootCostSpec, cards: &[f64]) -> f64 {
+    let card = |edge: &usize| cards[*edge].max(0.0);
+    match spec {
+        RootCostSpec::Fixed { cost } => *cost,
+        RootCostSpec::Nljn {
+            outer_edge,
+            matches_per_probe,
+        } => model.robust(model.index_lookups(card(outer_edge), *matches_per_probe)),
+        RootCostSpec::Hsjn {
+            build_edge,
+            probe_edge,
+        } => {
+            let (build, probe) = (card(build_edge), card(probe_edge));
+            let spill = model.spill_rows(model.spill_passes(build) * (build + probe));
+            model.robust(model.hash_build(build) + model.hash_probe(probe, 0.0) + spill)
+        }
+        RootCostSpec::Mgjn {
+            left_edge,
+            right_edge,
+            sort_left,
+            sort_right,
+        } => {
+            let sort = |rows, sorted: bool| if sorted { model.sort_cost(rows) } else { 0.0 };
+            let (l, r) = (card(left_edge), card(right_edge));
+            model.merge(l + r) + sort(l, *sort_left) + sort(r, *sort_right)
         }
     }
 }
@@ -147,15 +166,14 @@ impl Candidate {
     /// Total cost at perturbed edge cards (used by the sensitivity
     /// analysis; at `edge_cards` this equals `self.cost` up to enforcer
     /// bookkeeping).
-    pub fn cost_at(&self, model: &crate::CostModel, cards: &[f64]) -> f64 {
-        self.fixed_cost + crate::cost::root_local_cost(model, &self.root_spec, cards)
+    pub fn cost_at(&self, model: &CostModel, cards: &[f64]) -> f64 {
+        self.fixed_cost + root_local_cost(model, &self.root_spec, cards)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostModel;
 
     #[test]
     fn cost_at_leaf_is_constant() {
@@ -164,10 +182,7 @@ mod tests {
             card: 50.0,
             order: None,
             partition: None,
-            root_spec: RootCostSpec::Leaf {
-                base_rows: 100.0,
-                base_pages: 1.0,
-            },
+            root_spec: RootCostSpec::Fixed { cost: 100.0 },
             fixed_cost: 0.0,
             edge_cards: [0.0; 2],
             edge_children: [None; 2],
@@ -181,14 +196,7 @@ mod tests {
 
     #[test]
     fn num_edges() {
-        assert_eq!(
-            RootCostSpec::Leaf {
-                base_rows: 1.0,
-                base_pages: 1.0
-            }
-            .num_edges(),
-            0
-        );
+        assert_eq!(RootCostSpec::Fixed { cost: 1.0 }.num_edges(), 0);
         assert_eq!(
             RootCostSpec::Hsjn {
                 build_edge: 0,

@@ -24,7 +24,7 @@
 use crate::memo::Group;
 use crate::{Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
-use pop_plan::{JoinPred, LayoutCol, PhysNode, PlanProps, TableSet};
+use pop_plan::{CostModel, JoinPred, LayoutCol, PhysNode, PlanProps, TableSet};
 use pop_storage::TempMv;
 use pop_types::{ColId, PopResult};
 
@@ -122,7 +122,7 @@ pub(crate) fn split_candidates(
                 order: Option<ColId>,
                 inputs: [Option<(usize, &Candidate)>; 2]| {
         let fixed: f64 = inputs.iter().flatten().map(|(_, c)| c.cost).sum();
-        let cost = fixed + crate::cost::root_local_cost(ctx.cost, &root_spec, &edge_cards);
+        let cost = fixed + crate::root_local_cost(ctx.cost, &root_spec, &edge_cards);
         Candidate {
             cost,
             card: out_card,
@@ -259,30 +259,24 @@ pub(crate) fn scan_candidate(
         .map_or(0.0, |s| s.pages as f64);
     let cost = ctx.cost.scan_cost(raw, pages);
     let layout = est.leaf_layout(qidx).to_vec();
-    leaf_candidate(
-        PhysNode::TableScan {
-            qidx,
-            table: spec.tables[qidx].table.clone(),
-            pred,
-            props: PlanProps::leaf(TableSet::single(qidx), card, cost, layout),
-        },
-        RootCostSpec::Leaf {
-            base_rows: raw,
-            base_pages: pages,
-        },
-    )
+    leaf_candidate(PhysNode::TableScan {
+        qidx,
+        table: spec.tables[qidx].table.clone(),
+        pred,
+        props: PlanProps::leaf(TableSet::single(qidx), card, cost, layout),
+    })
 }
 
 /// The cost record of a finished childless node (scan, index range scan,
 /// MV scan), which reads cost, cardinality and order off the node.
-fn leaf_candidate(node: PhysNode, root_spec: RootCostSpec) -> Candidate {
+fn leaf_candidate(node: PhysNode) -> Candidate {
     let props = node.props();
     Candidate {
         cost: props.cost,
         card: props.card,
         order: props.sorted_by,
         partition: None,
-        root_spec,
+        root_spec: RootCostSpec::Fixed { cost: props.cost },
         fixed_cost: 0.0,
         edge_cards: [0.0; 2],
         edge_children: [None; 2],
@@ -355,22 +349,20 @@ fn index_range_candidates(
             ctx.estimation_params(),
         );
         let matching = sel * raw;
-        let cost = ctx.cost.index_range_scan_cost(matching, stats.pages as f64);
+        let pages = CostModel::touched_pages(matching, stats.pages as f64);
+        let cost = ctx.cost.index_access(1.0, matching.max(0.0), pages);
         let layout = est.leaf_layout(qidx).to_vec();
         let mut props = PlanProps::leaf(TableSet::single(qidx), card, cost, layout);
         props.sorted_by = Some(ColId::new(qidx, col));
-        out.push(leaf_candidate(
-            PhysNode::IndexRangeScan {
-                qidx,
-                table: spec.tables[qidx].table.clone(),
-                column: col,
-                lo,
-                hi,
-                residual: Some(full_pred.clone()),
-                props,
-            },
-            RootCostSpec::Fixed { cost },
-        ));
+        out.push(leaf_candidate(PhysNode::IndexRangeScan {
+            qidx,
+            table: spec.tables[qidx].table.clone(),
+            column: col,
+            lo,
+            hi,
+            residual: Some(full_pred.clone()),
+            props,
+        }));
     }
     Ok(out)
 }
@@ -389,14 +381,11 @@ fn mv_candidate(
     let pages = mv.table.page_count() as f64;
     let cost = ctx.cost.mv_scan_cost(rows, pages);
     let layout = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
-    leaf_candidate(
-        PhysNode::MvScan {
-            mv_name: mv.table.name().to_string(),
-            signature: est.signature(set).to_string(),
-            props: PlanProps::leaf(set, rows, cost, layout),
-        },
-        RootCostSpec::MvScan { rows, pages },
-    )
+    leaf_candidate(PhysNode::MvScan {
+        mv_name: mv.table.name().to_string(),
+        signature: est.signature(set).to_string(),
+        props: PlanProps::leaf(set, rows, cost, layout),
+    })
 }
 
 /// AND together a table's local predicates.

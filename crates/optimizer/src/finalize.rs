@@ -168,7 +168,7 @@ fn extract(
                 right_keys: vec![key_b],
             }
         }
-        RootCostSpec::Leaf { .. } | RootCostSpec::MvScan { .. } | RootCostSpec::Fixed { .. } => {
+        RootCostSpec::Fixed { .. } => {
             unreachable!("edge-less candidates carry their node")
         }
     }
@@ -232,9 +232,10 @@ fn assemble(
     // Correlated EXISTS clauses: semi/anti probes above the join tree.
     for clause in &spec.exists {
         let mut props = node.props().clone();
-        // Existential selectivity default: half the rows qualify.
+        // One probe and one fetch per input row; by the existential
+        // selectivity default, half the rows qualify.
+        props.cost += ctx.cost.index_lookups(props.card, 1.0);
         props.card = (props.card * 0.5).max(0.0);
-        props.cost += props.card * (ctx.cost.index_probe + ctx.cost.index_fetch_row);
         props.edge_ranges = vec![ValidityRange::unbounded()];
         node = PhysNode::SemiProbe {
             input: Box::new(node),

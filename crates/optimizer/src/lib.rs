@@ -26,7 +26,6 @@ mod candidate;
 mod cardinality;
 mod config;
 mod context;
-pub mod cost;
 mod enumerate;
 mod feedback;
 mod finalize;
@@ -35,12 +34,12 @@ mod placement;
 mod provenance;
 pub mod validity;
 
-pub use candidate::{Candidate, RootCostSpec};
+pub use candidate::{root_local_cost, Candidate, RootCostSpec};
 pub use cardinality::CardEstimator;
 pub use config::{FlavorSet, JoinMethods, OptimizerConfig, ValidityMode};
 pub use context::OptimizerContext;
-pub use cost::CostModel;
 pub use feedback::{CardFact, FeedbackCache, FeedbackStore, DEFAULT_FEEDBACK_CAPACITY};
 pub use finalize::optimize;
 pub use memo::{Memo, MemoStats, MAX_DP_TABLES};
+pub use pop_plan::CostModel;
 pub use provenance::{plan_provenance, EstimateProvenance, EstimateSource};

@@ -91,7 +91,8 @@ pub(crate) fn place_checkpoints(
     // ECDC needs the rid side table: record every returned row's lineage.
     if ctx.config.flavors.ecdc && is_spj {
         plan.replace_with(|root| {
-            let props = root.props().clone();
+            let mut props = root.props().clone();
+            props.cost += ctx.cost.rid_sink(props.card);
             PhysNode::RidSink {
                 input: Box::new(root),
                 props,
@@ -107,8 +108,7 @@ fn materialized_through_checks(node: &PhysNode) -> bool {
         PhysNode::Check { input, .. } | PhysNode::BufCheck { input, .. } => {
             materialized_through_checks(input)
         }
-        PhysNode::Sort { .. } | PhysNode::Temp { .. } | PhysNode::MvScan { .. } => true,
-        _ => false,
+        _ => node.counted_at_open(),
     }
 }
 
@@ -149,13 +149,14 @@ fn count_preserving(node: &PhysNode) -> bool {
 }
 
 /// The props of a node inserted above `node`: `node`'s, with one input
-/// edge carrying `range`.
-fn wrapper_props(node: &PhysNode, range: ValidityRange) -> PlanProps {
+/// edge carrying `range`, and on top of `node`'s cost the inserted node's
+/// `own` cost: the runtime's charge for it at `node`'s estimated card.
+fn wrapper_props(node: &PhysNode, range: ValidityRange, own: impl Fn(f64) -> f64) -> PlanProps {
     let p = node.props();
     PlanProps {
         tables: p.tables,
         card: p.card,
-        cost: p.cost,
+        cost: p.cost + own(p.card),
         layout: p.layout.clone(),
         sorted_by: p.sorted_by,
         edge_ranges: vec![range],
@@ -171,8 +172,8 @@ fn wrap_check(
     st: &mut PlaceState,
 ) {
     let spec = st.make_spec(flavor, node, range, context);
-    let mut props = wrapper_props(node, range);
-    props.cost += props.card * st.ctx.cost.check_row;
+    let (m, exact) = (st.ctx.cost, node.counted_at_open());
+    let props = wrapper_props(node, range, |card| m.check_cost(card, exact));
     node.replace_with(|input| PhysNode::Check {
         input: Box::new(input),
         spec,
@@ -187,8 +188,8 @@ fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState)
     } else {
         st.ctx.config.ecb_buffer
     };
-    let mut props = wrapper_props(node, range);
-    props.cost += props.card * st.ctx.cost.check_row;
+    let m = st.ctx.cost;
+    let props = wrapper_props(node, range, |card| m.bufcheck_cost(card, buffer as f64));
     node.replace_with(|input| PhysNode::BufCheck {
         input: Box::new(input),
         spec,
@@ -198,8 +199,8 @@ fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState)
 }
 
 fn wrap_temp(node: &mut PhysNode, st: &mut PlaceState) {
-    let mut props = wrapper_props(node, ValidityRange::unbounded());
-    props.cost += st.ctx.cost.temp_cost(props.card);
+    let m = st.ctx.cost;
+    let props = wrapper_props(node, ValidityRange::unbounded(), |card| m.temp_cost(card));
     node.replace_with(|input| PhysNode::Temp {
         input: Box::new(input),
         props,

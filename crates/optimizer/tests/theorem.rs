@@ -2,10 +2,13 @@
 //! validity range, the chosen root operator is within the re-optimization
 //! gain margin of every structurally equivalent alternative; outside it
 //! (at the bound), some alternative is verifiably at least as good.
+//!
+//! The root costs both properties are evaluated over are the runtime's
+//! charges: `root_local_cost` is composed of the `CostModel` unit functions
+//! the operators charge, which the first property here pins.
 
-use pop_optimizer::cost::root_local_cost;
 use pop_optimizer::validity::{find_lower_crossing, find_upper_crossing};
-use pop_optimizer::{CostModel, RootCostSpec};
+use pop_optimizer::{root_local_cost, CostModel, RootCostSpec};
 use proptest::prelude::*;
 
 /// All structurally-equivalent join alternatives over a canonical
@@ -39,6 +42,30 @@ fn alternatives(matches_a: f64, matches_b: f64) -> Vec<RootCostSpec> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Each join root costs what its operator charges at those edge
+    /// cardinalities: NLJN a probe and its fetches per outer row, HSJN the
+    /// build, its spill step and the probe rows at the build's spill
+    /// passes, MGJN a merge step per input row plus its enforcer sorts.
+    #[test]
+    fn root_costs_are_the_runtime_charges(
+        a in 0.0f64..100_000.0,
+        b in 0.0f64..100_000.0,
+        matches in 0.0f64..20.0,
+    ) {
+        let m = CostModel::default();
+        let cards = [a, b];
+        let [hsjn, _, nljn, _, mgjn] = alternatives(matches, matches).try_into().unwrap();
+        let charged = [
+            (nljn, m.index_access(a, a * matches, 0.0)),
+            (hsjn, m.hash_build(a) + m.hash_build_spill(a) + m.hash_probe(b, m.spill_passes(a))),
+            (mgjn, m.merge(a) + m.merge(b) + m.sort_cost(a) + m.sort_cost(b)),
+        ];
+        for (spec, want) in charged {
+            let got = root_local_cost(&m, &spec, &cards);
+            prop_assert!((got - want).abs() <= 1e-9 * want.max(1.0), "{spec:?}: {got} vs {want}");
+        }
+    }
 
     #[test]
     fn within_range_no_alternative_wins_by_more_than_margin(

@@ -534,6 +534,12 @@ impl PhysNode {
         matches!(self, PhysNode::Sort { .. } | PhysNode::Temp { .. })
     }
 
+    /// Is the exact row count known once the node is open (SORT, TEMP, MV
+    /// scan)? A CHECK right above it is decided once, on that count.
+    pub fn counted_at_open(&self) -> bool {
+        self.is_materialization_point() || matches!(self, PhysNode::MvScan { .. })
+    }
+
     /// Validity range of input edge `i`, unbounded when the optimizer
     /// recorded none — or when the recorded ranges are misaligned with
     /// the children (wrappers cloned from a child's props may carry

@@ -374,11 +374,6 @@ impl JoinGraph {
         })
     }
 
-    /// Number of query tables.
-    pub fn num_tables(&self) -> usize {
-        self.adjacency.len()
-    }
-
     /// Is `set` non-empty and connected under the join predicates?
     pub fn is_connected(&self, set: TableSet) -> bool {
         let m = set.mask();

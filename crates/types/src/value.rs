@@ -106,14 +106,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if the value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Rank used to order values of different types deterministically.
     fn type_rank(&self) -> u8 {
         match self {

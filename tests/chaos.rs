@@ -11,6 +11,9 @@
 //!   duplicate anything;
 //! * a fixed fault seed reproduces the identical outcome, byte for byte.
 
+mod common;
+
+use common::assert_rows_equal;
 use pop::{Budget, CancelToken, FaultKind, FaultPlan, FaultSpec, PopConfig, PopExecutor};
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::Params;
@@ -94,7 +97,7 @@ fn sweep(cat: &Catalog, queries: &[(String, QuerySpec)]) {
                 match exec.run(q, &Params::none()) {
                     // Completed despite the fault: the answer must be
                     // exactly the baseline (no drops, no duplicates).
-                    Ok(res) => assert_eq!(sorted(res.rows), *expected, "{what}: wrong rows"),
+                    Ok(res) => assert_rows_equal(res.rows, expected.clone(), &what),
                     // Failed: a typed error is acceptable; a panic would
                     // have aborted the test already.
                     Err(e) => assert!(
@@ -155,7 +158,7 @@ fn env_seeded_sweep_upholds_invariants() {
             exec.config().faults.as_ref().map(|p| &p.specs)
         );
         match exec.run(q, &Params::none()) {
-            Ok(res) => assert_eq!(sorted(res.rows), *expected, "{what}: wrong rows"),
+            Ok(res) => assert_rows_equal(res.rows, expected.clone(), &what),
             Err(e) => assert!(
                 matches!(e, PopError::Execution(_) | PopError::Planning(_)),
                 "{what}: unexpected error kind: {e}"

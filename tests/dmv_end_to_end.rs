@@ -1,32 +1,17 @@
 //! End-to-end integration: the 39-query DMV workload (§6 of the paper)
 //! with and without POP.
 
+mod common;
+
+use common::assert_rows_equal;
 use pop::{PopConfig, PopExecutor};
 use pop_dmv::{
     correlated_marker_params, correlated_marker_query, dmv_catalog, dmv_queries,
     uncorrelated_marker_params,
 };
 use pop_expr::Params;
-use pop_types::Value;
 
 const SCALE: f64 = 0.0003; // 2400 cars / 1800 owners: fast CI scale
-
-fn assert_rows_equal(mut a: Vec<Vec<Value>>, mut b: Vec<Vec<Value>>, what: &str) {
-    a.sort();
-    b.sort();
-    assert_eq!(a.len(), b.len(), "{what}: row count differs");
-    for (ra, rb) in a.iter().zip(b.iter()) {
-        for (va, vb) in ra.iter().zip(rb.iter()) {
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let tol = 1e-6 * (1.0 + x.abs().max(y.abs()));
-                    assert!((x - y).abs() <= tol, "{what}: {x} vs {y}");
-                }
-                _ => assert_eq!(va, vb, "{what}: value differs"),
-            }
-        }
-    }
-}
 
 #[test]
 fn dmv_workload_runs_and_pop_preserves_semantics() {

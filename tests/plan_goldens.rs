@@ -81,12 +81,12 @@ fn tpch_plans_are_pinned() {
         PopExecutor::new(cat, config(FlavorSet::none())).unwrap(),
         &queries,
         [
-            0xbd46_1f4b_48d6_c590,
-            0x190a_c80d_ac79_3fdc,
-            0x6409_66f0_93d8_73c3,
-            0x7fac_460a_08a1_ec9d,
-            0x619c_3a38_13bc_49b5,
-            0xebfb_a0c4_636d_45ec,
+            0x967d_ce20_a135_db5f,
+            0x61d1_3260_f8ae_752b,
+            0xd861_6dda_a56c_03b5,
+            0x12ab_aac4_acb4_f632,
+            0xe98e_a572_eeee_8c1c,
+            0x52be_0f8d_1816_6f20,
         ],
     );
 }
@@ -104,12 +104,12 @@ fn dmv_plans_are_pinned() {
         PopExecutor::new(cat, config(FlavorSet::none())).unwrap(),
         &queries,
         [
-            0xbcb9_571d_3869_7f3d,
-            0x80a1_3459_1993_2114,
-            0xbf95_5dd4_6aed_933c,
-            0xd2a8_864d_e190_e9a5,
+            0xc7a0_dd49_a42e_e375,
+            0x8aa3_a791_6adf_75ce,
+            0x03bd_4c00_0649_bc0d,
+            0x5e7b_10b4_c5a9_009d,
             0x40f5_6f62_bfc5_79e9,
-            0x0ea6_2326_0f41_8efd,
+            0xf66a_d3b1_3475_afba,
         ],
     );
 }

@@ -2,6 +2,9 @@
 //! executor, with and without POP, checking result equivalence and
 //! robustness behaviour.
 
+mod common;
+
+use common::assert_rows_equal;
 use pop::{PopConfig, PopExecutor};
 use pop_expr::Params;
 use pop_tpch::{all_queries, extended_queries, q10, q10_selectivity_literal, tpch_catalog};
@@ -11,26 +14,6 @@ const SF: f64 = 0.0005; // 3000 lineitems: fast but structurally rich
 
 fn executor(config: PopConfig) -> PopExecutor {
     PopExecutor::new(tpch_catalog(SF).unwrap(), config).unwrap()
-}
-
-/// Compare sorted result sets, tolerating float accumulation-order noise
-/// (different plans sum in different orders).
-fn assert_rows_equal(mut a: Vec<Vec<Value>>, mut b: Vec<Vec<Value>>, what: &str) {
-    a.sort();
-    b.sort();
-    assert_eq!(a.len(), b.len(), "{what}: row count differs");
-    for (ra, rb) in a.iter().zip(b.iter()) {
-        assert_eq!(ra.len(), rb.len(), "{what}: arity differs");
-        for (va, vb) in ra.iter().zip(rb.iter()) {
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let tol = 1e-6 * (1.0 + x.abs().max(y.abs()));
-                    assert!((x - y).abs() <= tol, "{what}: {x} vs {y}");
-                }
-                _ => assert_eq!(va, vb, "{what}: value differs"),
-            }
-        }
-    }
 }
 
 #[test]
