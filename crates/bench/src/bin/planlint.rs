@@ -3,24 +3,19 @@
 //!
 //! For each query the optimizer plans under several checkpoint-flavor
 //! configurations (none, each single flavor, all five) and the resulting
-//! physical plan is linted with full catalog/query/statistics context —
-//! the same context the driver uses, so the interval analyses (PL41x)
-//! are active. Exits non-zero if any Deny-severity finding is produced —
-//! wired into CI as a smoke test that the optimizer only emits
-//! invariant-clean plans.
+//! physical plan is linted in the context the driver's deny gate uses.
+//! Every finding denies, so the bin exits non-zero on any finding or
+//! planning failure — wired into CI as a smoke test that the optimizer
+//! only emits invariant-clean plans.
 //!
-//! Usage: `planlint [dmv|tpch|all] [--verbose] [--fail-on-new]`
+//! Usage: `planlint [dmv|tpch|all] [--verbose]`
 //!
-//! * `--fail-on-new` additionally exits non-zero when the sweep emits a
-//!   diagnostic code outside the pinned baseline below — CI uses this to
-//!   catch regressions that introduce *new* classes of findings even at
-//!   Warn severity.
-//! * `planlint --codes` prints the table of every diagnostic code
-//!   (generated from [`pop_planlint::DiagCode::ALL`]; the README's PL
-//!   code table is produced by this subcommand).
+//! `planlint --codes` prints the table of every diagnostic code
+//! (generated from [`pop_planlint::DiagCode::ALL`]; the README's PL code
+//! table is produced by this subcommand).
 
 use pop::DiagCode;
-use pop::{lint_plan, LintContext, PopConfig, PopExecutor, Severity};
+use pop::{lint_plan, LintContext, PopConfig, PopExecutor};
 use pop_bench::flavor_configs;
 use pop_dmv::{dmv_catalog, dmv_queries};
 use pop_expr::Params;
@@ -29,24 +24,10 @@ use pop_storage::Catalog;
 use pop_tpch::{all_queries, tpch_catalog};
 use std::collections::BTreeMap;
 
-/// Diagnostic codes the sweep is allowed to emit today. Anything outside
-/// this set fails a `--fail-on-new` run: a change that makes the
-/// workloads trip a new lint class must either fix the plans or
-/// consciously extend this baseline.
-///
-/// `PL412` is baselined deliberately: the remaining dead-check findings
-/// are checks on edges bounded by tiny dimension tables (region/nation),
-/// dead only *if the statistics hold* — and distrusting exactly that
-/// assumption is why POP places them. Removing them would blind the
-/// engine to stale-stats growth on those edges, so the Warn-severity
-/// advisory is accepted. Genuinely dead checks (temp-MV edges whose
-/// counts are runtime facts) are no longer placed at all.
-const BASELINE_CODES: &[&str] = &["PL412"];
-
 struct Totals {
     plans: usize,
-    warns: usize,
-    denies: usize,
+    /// Plans that failed to plan.
+    failures: usize,
     /// Findings per diagnostic code.
     codes: BTreeMap<&'static str, usize>,
 }
@@ -67,22 +48,18 @@ fn lint_workload(
         let mut config = PopConfig::default();
         config.optimizer.flavors = flavors;
         config.cost_model.mem_rows = 4000.0;
-        let expect_coverage = flavors.lc;
         let exec = PopExecutor::new(catalog.clone(), config).expect("analyze");
         for (name, spec) in queries {
             let plan = match exec.plan(spec, &Params::none()) {
                 Ok(p) => p,
                 Err(e) => {
                     println!("{label}/{name} [{flavor_name}]: PLANNING FAILED: {e}");
-                    totals.denies += 1;
+                    totals.failures += 1;
                     continue;
                 }
             };
             totals.plans += 1;
-            let ctx = LintContext::full(exec.catalog(), spec)
-                .expect_check_coverage(expect_coverage)
-                .with_stats(exec.stats());
-            let diags = lint_plan(&plan, &ctx);
+            let diags = lint_plan(&plan, &LintContext::full(exec.catalog(), spec));
             if diags.is_empty() {
                 if verbose {
                     println!("{label}/{name} [{flavor_name}]: ok");
@@ -93,10 +70,6 @@ fn lint_workload(
             for d in &diags {
                 println!("  {d}");
                 *totals.codes.entry(d.code.as_str()).or_default() += 1;
-                match d.severity {
-                    Severity::Deny => totals.denies += 1,
-                    Severity::Warn => totals.warns += 1,
-                }
             }
         }
     }
@@ -105,14 +78,10 @@ fn lint_workload(
 /// Print the diagnostic-code table (markdown) from the single source of
 /// truth, [`DiagCode::ALL`].
 fn print_codes() {
-    println!("| Code | Severity | Description |");
-    println!("|------|----------|-------------|");
+    println!("| Code | Description |");
+    println!("|------|-------------|");
     for code in DiagCode::ALL {
-        let sev = match code.severity() {
-            Severity::Deny => "Deny",
-            Severity::Warn => "Warn",
-        };
-        println!("| {} | {} | {} |", code.as_str(), sev, code.title());
+        println!("| {} | {} |", code.as_str(), code.title());
     }
 }
 
@@ -123,7 +92,6 @@ fn main() {
         return;
     }
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    let fail_on_new = args.iter().any(|a| a == "--fail-on-new");
     let workload = args
         .iter()
         .find(|a| !a.starts_with('-'))
@@ -131,8 +99,7 @@ fn main() {
 
     let mut totals = Totals {
         plans: 0,
-        warns: 0,
-        denies: 0,
+        failures: 0,
         codes: BTreeMap::new(),
     };
     if workload == "dmv" || workload == "all" {
@@ -166,23 +133,14 @@ fn main() {
         .iter()
         .map(|(code, n)| format!("{code} x{n}"))
         .collect();
+    let findings: usize = totals.codes.values().sum();
     println!(
-        "{} plan(s) linted: {} warning(s), {} denial(s) [{}]",
+        "{} plan(s) linted: {findings} finding(s) [{}], {} planning failure(s)",
         totals.plans,
-        totals.warns,
-        totals.denies,
-        by_code.join(", ")
+        by_code.join(", "),
+        totals.failures
     );
-    let new_codes: Vec<&&str> = totals
-        .codes
-        .keys()
-        .filter(|c| !BASELINE_CODES.contains(*c))
-        .collect();
-    if fail_on_new && !new_codes.is_empty() {
-        println!("new diagnostic code(s) outside the baseline: {new_codes:?}");
-        std::process::exit(1);
-    }
-    if totals.denies > 0 {
+    if findings + totals.failures > 0 {
         std::process::exit(1);
     }
 }

@@ -398,19 +398,14 @@ impl PopExecutor {
     }
 
     /// Static plan verification (`pop-planlint`): rejects a plan with any
-    /// Deny-severity finding with [`PopError::InvalidPlan`]. A
-    /// caller-supplied plan meets it in every build
-    /// ([`PopExecutor::execute_plan`]); the driver's own plans — first
-    /// plans and re-plans — only in debug builds, as an invariant check on
-    /// the optimizer.
+    /// finding with [`PopError::InvalidPlan`]. A caller-supplied plan
+    /// meets it in every build ([`PopExecutor::execute_plan`]); the
+    /// driver's own plans — first plans and re-plans — only in debug
+    /// builds, as an invariant check on the optimizer.
     fn deny_gate(&self, plan: &PhysNode, spec: &QuerySpec) -> PopResult<()> {
-        // With LC checks on, the placement pass guards every
-        // materialization point, so an unguarded one is suspect.
-        let lctx = pop_planlint::LintContext::full(&self.catalog, spec)
-            .expect_check_coverage(self.config.enabled && self.config.optimizer.flavors.lc)
-            .with_stats(&self.stats);
+        let lctx = pop_planlint::LintContext::full(&self.catalog, spec);
         let diags = pop_planlint::lint_plan(plan, &lctx);
-        if pop_planlint::has_deny(&diags) {
+        if !diags.is_empty() {
             return Err(PopError::InvalidPlan(pop_planlint::deny_summary(&diags)));
         }
         Ok(())
@@ -437,7 +432,7 @@ impl PopExecutor {
     }
 
     /// Execute a caller-supplied plan for `spec` after passing it through
-    /// the static verification gate: a plan with a Deny-severity planlint
+    /// the static verification gate: a plan with any planlint
     /// finding is rejected with [`PopError::InvalidPlan`] before a row is
     /// read, in every build. The plan runs exactly once with checkpoints
     /// disabled — no re-optimization loop — so the result reflects that
@@ -803,16 +798,14 @@ mod tests {
         // Debug builds pass every plan the driver runs through the deny
         // gate — the initial plan AND every re-optimized plan (which
         // carry MVSCAN and ANTIJOIN-RIDS wrappers) — so the run
-        // completing is the assertion. The first plan draws no warning
-        // either.
+        // completing is the assertion. The first plan is also linted
+        // here, so a release build checks it too.
         let exec = PopExecutor::new(correlated_db(), PopConfig::default()).unwrap();
         let q = correlated_query();
         let res = exec.run(&q, &Params::none()).unwrap();
         assert!(res.report.reopt_count >= 1);
         let plan = exec.plan(&q, &Params::none()).unwrap();
-        let lctx = pop_planlint::LintContext::full(exec.catalog(), &q)
-            .expect_check_coverage(true)
-            .with_stats(exec.stats());
+        let lctx = pop_planlint::LintContext::full(exec.catalog(), &q);
         let diags = pop_planlint::lint_plan(&plan, &lctx);
         assert!(diags.is_empty(), "{diags:?}");
     }

@@ -81,9 +81,6 @@ pub use pop_optimizer::{
 pub use pop_plan::{
     AggFunc, CheckContext, CheckFlavor, CostModel, PhysNode, QueryBuilder, QuerySpec, ValidityRange,
 };
-pub use pop_planlint::{
-    analyze, certify, lint_plan, CardInterval, DiagCode, LintContext, PlanAnalysis, PlanDiagnostic,
-    RobustnessCertificate, Severity,
-};
+pub use pop_planlint::{certify, lint_plan, DiagCode, LintContext, PlanDiagnostic};
 pub use pop_stats::StatsRegistry;
 pub use pop_storage::{Catalog, IndexKind};

@@ -93,6 +93,9 @@ pub(crate) fn place_checkpoints(
         plan.replace_with(|root| {
             let mut props = root.props().clone();
             props.cost += ctx.cost.rid_sink(props.card);
+            // One pass-through input: the root's own edge ranges describe
+            // no edge of the sink.
+            props.edge_ranges = vec![ValidityRange::unbounded()];
             PhysNode::RidSink {
                 input: Box::new(root),
                 props,
@@ -117,9 +120,11 @@ fn materialized_through_checks(node: &PhysNode) -> bool {
 /// very query, so its count is a physical fact, not an estimate;
 /// count-preserving wrappers keep the exactness. Checkpoints guard
 /// against estimation error, so one placed on such an edge can provably
-/// never fire (the planlint PL412 dead-check analysis) — placement skips
-/// it. Base-table scans do NOT qualify, even without a predicate:
-/// statistics can be stale, and catching exactly that is POP's job.
+/// never fire — placement skips it. Base-table scans do NOT qualify, even
+/// without a predicate: statistics can be stale, and catching exactly
+/// that is POP's job. So a CHECK on an edge bounded by a tiny dimension
+/// table (region, nation) stays, though it is dead while the statistics
+/// hold: it is the only guard against their going stale there.
 fn provably_exact(node: &PhysNode) -> bool {
     match node {
         PhysNode::MvScan { .. } => true,
@@ -293,9 +298,8 @@ fn edge_rule(
         }
         // The aggregate's hash table is a materialization point that fully
         // consumes its input before emitting: a pipelined input reaching it
-        // unobserved is the last chance to catch a cardinality error (the
-        // planlint PL411 coverage proof). LC guards the edge like any other
-        // materialization point.
+        // unobserved is the last chance to catch a cardinality error. LC
+        // guards the edge like any other materialization point.
         (PhysNode::HashAgg { .. }, _) if flavors.lc => {
             Some((CheckFlavor::Lc, CheckContext::AggBuild))
         }
@@ -488,6 +492,8 @@ mod tests {
             "ECDC plans record returned rids at the root:\n{plan}"
         );
         assert!(plan.checks().iter().any(|c| c.flavor == CheckFlavor::Ecdc));
+        // The sink has one input edge, whatever the root below it had.
+        assert_eq!(plan.props().edge_ranges, [ValidityRange::unbounded()]);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! overridden by an exact count observed when a CHECK fired and its
 //! subplan was materialized, may only be clamped from below by an eager
 //! check that aborted early (§3.4), or may be the exact row count of a
-//! temp MV the plan reuses. Downstream consumers — the planlint interval
-//! analyzer cross-validating its bounds, report rendering, tests pinning
-//! re-optimization behaviour — need to know which, per node.
+//! temp MV the plan reuses. Downstream consumers — report rendering,
+//! tests pinning re-optimization behaviour — need to know which, per
+//! node.
 
 use crate::feedback::{CardFact, FeedbackCache};
 use pop_expr::Params;

@@ -540,33 +540,11 @@ impl PhysNode {
         self.is_materialization_point() || matches!(self, PhysNode::MvScan { .. })
     }
 
-    /// Validity range of input edge `i`, unbounded when the optimizer
-    /// recorded none — or when the recorded ranges are misaligned with
-    /// the children (wrappers cloned from a child's props may carry
-    /// stale extra entries), in which case alignment is not guaranteed
-    /// and every edge answers unbounded.
-    pub fn edge_range(&self, i: usize) -> ValidityRange {
-        if self.props().edge_ranges.len() == self.arity() {
-            self.props().edge_range(i)
-        } else {
-            ValidityRange::unbounded()
-        }
-    }
-
     /// Visit every node of the tree (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&PhysNode)) {
         f(self);
         for c in self.children() {
             c.visit(f);
-        }
-    }
-
-    /// Visit every input edge of the tree (pre-order): the consumer, the
-    /// edge index, the producing child, and the edge's validity range.
-    pub fn visit_edges(&self, f: &mut impl FnMut(&PhysNode, usize, &PhysNode, ValidityRange)) {
-        for (i, c) in self.children().into_iter().enumerate() {
-            f(self, i, c, self.edge_range(i));
-            c.visit_edges(f);
         }
     }
 

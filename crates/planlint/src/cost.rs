@@ -6,24 +6,15 @@
 //! work accounting of the driver, plan comparison during pruning — is
 //! reasoning over garbage.
 
-use crate::dataflow::{NodeCx, Pass};
-use crate::{DiagCode, LintContext, Sink};
-use pop_plan::PhysNode;
+use crate::{DiagCode, NodeCx, Sink};
 
 /// Relative + absolute slack for the monotonicity comparison: cumulative
 /// costs are sums of floats accumulated in different orders.
 const REL_EPS: f64 = 1e-9;
 const ABS_EPS: f64 = 1e-6;
 
-pub(crate) struct CostPass;
-
-impl Pass for CostPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, _ctx: &LintContext<'_>, sink: &mut Sink) {
-        check_node(cx.node, cx.path, sink);
-    }
-}
-
-fn check_node(node: &PhysNode, path: &[usize], sink: &mut Sink) {
+pub(crate) fn check(cx: &NodeCx<'_, '_>, sink: &mut Sink) {
+    let (node, path) = (cx.node, cx.path);
     let props = node.props();
     if props.card.is_nan() || props.card.is_infinite() || props.card < 0.0 {
         sink.emit(
@@ -49,7 +40,7 @@ fn check_node(node: &PhysNode, path: &[usize], sink: &mut Sink) {
     }
     // LIMIT stops its child early, so the cost model legitimately
     // discounts its cumulative cost below the child's full-run cost.
-    if matches!(node, PhysNode::Limit { .. }) {
+    if matches!(node, pop_plan::PhysNode::Limit { .. }) {
         return;
     }
     for (i, child) in node.children().into_iter().enumerate() {

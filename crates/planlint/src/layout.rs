@@ -1,4 +1,4 @@
-//! Pass 1: schema/layout checking (`PL001`–`PL004`).
+//! Pass 1: schema/layout checking (`PL001`–`PL003`).
 //!
 //! The executor's `build_operator` binds every expression positionally:
 //! leaf-level predicates (scan filters, index residuals, NLJN inner
@@ -8,29 +8,20 @@
 //! Leaves emit only the columns the query reads above them, so a column
 //! used higher up but pruned at the leaf shows here as `PL001` at its
 //! first consumer. This pass proves, per node, that (a) every column
-//! reference resolves in what it will be bound against, (b) the node's
+//! reference resolves in what it will be bound against and (b) the node's
 //! own output layout is exactly what its operator produces — for a leaf, a
 //! strictly ascending subset of its table's columns; for the rest, a
-//! function of the children — and (c) types agree where the catalog makes
-//! them knowable.
+//! function of the children.
 
-use crate::dataflow::{NodeCx, Pass};
-use crate::{DiagCode, LintContext, Sink};
+use crate::{DiagCode, LintContext, NodeCx, Sink};
 use pop_expr::Expr;
 use pop_plan::{AggFunc, LayoutCol, PhysNode, PlanProps, SortKeyRef};
-use pop_storage::Catalog;
-use pop_types::{ColId, DataType, Value};
+use pop_types::ColId;
 
-pub(crate) struct LayoutPass;
-
-impl Pass for LayoutPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
-        check_node(cx.node, ctx, cx.path, sink);
-    }
-}
-
-fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut Sink) {
-    let env = TypeEnv::new(ctx);
+pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
+    let (node, path) = (cx.node, cx.path);
+    // A table's width, when the catalog is known.
+    let schema_len = |table: &str| Some(ctx.catalog?.table(table).ok()?.schema().len());
     match node {
         PhysNode::TableScan {
             qidx,
@@ -38,11 +29,10 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             pred,
             props,
         } => {
-            let ncols = env.schema_len(table);
+            let ncols = schema_len(table);
             check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
             if let Some(p) = pred {
                 check_expr_in_schema(node, p, *qidx, ncols, "scan predicate", path, sink);
-                env.check_expr(node, p, path, sink);
             }
         }
         PhysNode::IndexRangeScan {
@@ -53,7 +43,7 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             props,
             ..
         } => {
-            let ncols = env.schema_len(table);
+            let ncols = schema_len(table);
             check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
             if let Some(n) = ncols {
                 if *column >= n {
@@ -67,7 +57,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             }
             if let Some(r) = residual {
                 check_expr_in_schema(node, r, *qidx, ncols, "index residual", path, sink);
-                env.check_expr(node, r, path, sink);
             }
         }
         PhysNode::MvScan { props, .. } => {
@@ -87,10 +76,11 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             props,
         } => {
             let ol = &outer.props().layout;
+            let ncols = schema_len(&inner.table);
             check_col_resolves(node, *outer_key, ol, "NLJN outer key", path, sink);
             for (ocol, icol) in &inner.residual_joins {
                 check_col_resolves(node, *ocol, ol, "NLJN residual join", path, sink);
-                if let Some(n) = env.schema_len(&inner.table) {
+                if let Some(n) = ncols {
                     if *icol >= n {
                         sink.emit(
                             DiagCode::Pl001,
@@ -104,7 +94,7 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                     }
                 }
             }
-            if let Some(n) = env.schema_len(&inner.table) {
+            if let Some(n) = ncols {
                 if inner.join_col >= n {
                     sink.emit(
                         DiagCode::Pl001,
@@ -117,7 +107,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                     );
                 }
             }
-            let ncols = env.schema_len(&inner.table);
             if let Some(p) = &inner.pred {
                 check_expr_in_schema(
                     node,
@@ -137,12 +126,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                     path,
                     "NLJN layout must start with its outer layout".into(),
                 ),
-            }
-            if let (Some(a), Some(b)) = (
-                env.dtype(*outer_key),
-                env.table_col_dtype(&inner.table, inner.join_col),
-            ) {
-                TypeEnv::check_join_key_types(node, *outer_key, a, b, path, sink);
             }
         }
         PhysNode::Hsjn {
@@ -174,7 +157,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                 );
             }
             check_concat_layout(node, build.props(), probe.props(), props, path, sink);
-            env.check_key_pair_types(node, build_keys, probe_keys, path, sink);
         }
         PhysNode::Mgjn {
             left,
@@ -198,7 +180,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
                 );
             }
             check_concat_layout(node, left.props(), right.props(), props, path, sink);
-            env.check_key_pair_types(node, left_keys, right_keys, path, sink);
         }
         PhysNode::Sort {
             input, key, props, ..
@@ -478,140 +459,10 @@ fn check_expr_in_schema(
     }
 }
 
-/// Resolves column types through the query spec and catalog; both must be
-/// present, otherwise every lookup answers `None` and the type rules stay
-/// quiet.
-struct TypeEnv<'a> {
-    catalog: Option<&'a Catalog>,
-    spec: Option<&'a pop_plan::QuerySpec>,
-}
-
-impl<'a> TypeEnv<'a> {
-    fn new(ctx: &LintContext<'a>) -> Self {
-        TypeEnv {
-            catalog: ctx.catalog,
-            spec: ctx.spec,
-        }
-    }
-
-    fn schema_len(&self, table: &str) -> Option<usize> {
-        Some(self.catalog?.table(table).ok()?.schema().len())
-    }
-
-    fn table_col_dtype(&self, table: &str, col: usize) -> Option<DataType> {
-        let t = self.catalog?.table(table).ok()?;
-        (col < t.schema().len()).then(|| t.schema().col(col).dtype)
-    }
-
-    fn dtype(&self, c: ColId) -> Option<DataType> {
-        let tref = self.spec?.tables.get(c.table)?;
-        self.table_col_dtype(&tref.table, c.col)
-    }
-
-    /// Text/non-text class: the only mismatch certain enough to report
-    /// (ints, floats and day-number dates intermix legitimately).
-    fn is_text(dt: DataType) -> bool {
-        dt == DataType::Str
-    }
-
-    fn value_is_text(v: &Value) -> Option<bool> {
-        match v {
-            Value::Null => None,
-            Value::Str(_) => Some(true),
-            _ => Some(false),
-        }
-    }
-
-    fn expr_is_text(&self, e: &Expr) -> Option<bool> {
-        match e {
-            Expr::Col(c) => self.dtype(*c).map(Self::is_text),
-            Expr::Lit(v) => Self::value_is_text(v),
-            _ => None,
-        }
-    }
-
-    fn check_join_key_types(
-        node: &PhysNode,
-        key: ColId,
-        a: DataType,
-        b: DataType,
-        path: &[usize],
-        sink: &mut Sink,
-    ) {
-        if Self::is_text(a) != Self::is_text(b) {
-            sink.emit(
-                DiagCode::Pl004,
-                node,
-                path,
-                format!("join key {key} compares {a} with {b}"),
-            );
-        }
-    }
-
-    fn check_key_pair_types(
-        &self,
-        node: &PhysNode,
-        a: &[ColId],
-        b: &[ColId],
-        path: &[usize],
-        sink: &mut Sink,
-    ) {
-        for (ka, kb) in a.iter().zip(b.iter()) {
-            if let (Some(ta), Some(tb)) = (self.dtype(*ka), self.dtype(*kb)) {
-                Self::check_join_key_types(node, *ka, ta, tb, path, sink);
-            }
-        }
-    }
-
-    /// Walk a predicate flagging text/non-text comparisons and LIKE over
-    /// non-text columns.
-    fn check_expr(&self, node: &PhysNode, expr: &Expr, path: &[usize], sink: &mut Sink) {
-        if self.catalog.is_none() || self.spec.is_none() {
-            return;
-        }
-        let mut findings: Vec<String> = Vec::new();
-        expr.visit(&mut |e| match e {
-            Expr::Cmp(op, a, b) => {
-                if let (Some(ta), Some(tb)) = (self.expr_is_text(a), self.expr_is_text(b)) {
-                    if ta != tb {
-                        findings.push(format!("comparison ({a} {op} {b}) mixes text and non-text"));
-                    }
-                }
-            }
-            Expr::Between(x, lo, hi) => {
-                if let Some(tx) = self.expr_is_text(x) {
-                    for bound in [lo, hi] {
-                        if self.expr_is_text(bound).is_some_and(|tb| tb != tx) {
-                            findings.push(format!("BETWEEN bound {bound} mismatches {x}"));
-                        }
-                    }
-                }
-            }
-            Expr::InList(x, vs) => {
-                if let Some(tx) = self.expr_is_text(x) {
-                    if vs
-                        .iter()
-                        .any(|v| Self::value_is_text(v).is_some_and(|tv| tv != tx))
-                    {
-                        findings.push(format!("IN list for {x} mixes text and non-text"));
-                    }
-                }
-            }
-            Expr::Like(x, _) if self.expr_is_text(x) == Some(false) => {
-                findings.push(format!("LIKE applied to non-text expression {x}"));
-            }
-            _ => {}
-        });
-        for msg in findings {
-            sink.emit(DiagCode::Pl004, node, path, msg);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::testutil::*;
-    use crate::{lint_plan, DiagCode, LintContext};
+    use crate::{lint_plan, LintContext};
     use pop_expr::Expr;
     use pop_plan::{LayoutCol, PhysNode, QueryBuilder, SortKeyRef};
     use pop_storage::Catalog;
@@ -810,28 +661,6 @@ mod tests {
             props,
         };
         assert!(diag_codes(&h).contains(&"PL003"));
-    }
-
-    #[test]
-    fn pl004_text_vs_int_comparison() {
-        let cat = Catalog::new();
-        cat.create_table(
-            "a",
-            Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]),
-            vec![],
-        )
-        .unwrap();
-        let mut b = QueryBuilder::new();
-        let t = b.table("a");
-        b.filter(t, Expr::col(t, 1).eq(Expr::lit(5i64)));
-        let q = b.build().unwrap();
-        let mut plan = leaf(0, "a", 2, 10.0);
-        if let PhysNode::TableScan { pred, .. } = &mut plan {
-            *pred = Some(Expr::col(0, 1).eq(Expr::lit(5i64))); // name = 5
-        }
-        let diags = lint_plan(&plan, &LintContext::full(&cat, &q));
-        assert!(codes(&diags).contains(&"PL004"), "{diags:?}");
-        assert!(diags.iter().all(|d| d.code != DiagCode::Pl001));
     }
 
     #[test]

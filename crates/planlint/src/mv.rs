@@ -1,4 +1,4 @@
-//! Pass 5: temp-MV reuse soundness (`PL401`–`PL403`).
+//! Pass 5: temp-MV reuse soundness (`PL401`, `PL402`).
 //!
 //! Re-optimization substitutes MVSCAN nodes for subplans whose results
 //! were materialized in an earlier execution step (§2.3). The scan is only
@@ -8,19 +8,11 @@
 //!
 //! Requires a catalog in the [`LintContext`]; skipped without one.
 
-use crate::dataflow::{NodeCx, Pass};
-use crate::{DiagCode, LintContext, Sink};
+use crate::{DiagCode, LintContext, NodeCx, Sink};
 use pop_plan::{LayoutCol, PhysNode};
 
-pub(crate) struct MvPass;
-
-impl Pass for MvPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
-        check_node(cx.node, ctx, cx.path, sink);
-    }
-}
-
-fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut Sink) {
+pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
+    let (node, path) = (cx.node, cx.path);
     let (
         PhysNode::MvScan {
             mv_name,
@@ -77,18 +69,6 @@ fn check_node(node: &PhysNode, ctx: &LintContext<'_>, path: &[usize], sink: &mut
             ),
         );
     }
-    let actual = mv.actual_card as f64;
-    if props.card.is_finite() && (props.card - actual).abs() > 0.5 + 1e-6 * actual {
-        sink.emit(
-            DiagCode::Pl403,
-            node,
-            path,
-            format!(
-                "MV scan estimates {:.0} rows but the MV holds exactly {actual:.0}",
-                props.card
-            ),
-        );
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +116,7 @@ mod tests {
     }
 
     fn lint_against(cat: &Catalog, plan: &PhysNode) -> Vec<&'static str> {
-        let ctx = LintContext {
-            catalog: Some(cat),
-            spec: None,
-            stats: None,
-            options: crate::LintOptions::default(),
-        };
+        let ctx = LintContext { catalog: Some(cat) };
         codes(&lint_plan(plan, &ctx))
     }
 
@@ -164,14 +139,6 @@ mod tests {
         let cat = catalog_with_mv("sig", 2);
         let plan = mvscan("some_other_table", "sig", 2, 7.0);
         assert!(lint_against(&cat, &plan).contains(&"PL402"));
-    }
-
-    #[test]
-    fn pl403_cardinality_drift() {
-        let cat = catalog_with_mv("sig", 2);
-        let plan = mvscan("__pop_mv_0", "sig", 2, 900.0); // MV holds exactly 7
-        let diags = lint_against(&cat, &plan);
-        assert!(diags.contains(&"PL403"), "{diags:?}");
     }
 
     #[test]

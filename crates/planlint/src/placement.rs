@@ -1,4 +1,4 @@
-//! Pass 3: CHECK-placement rules (`PL201`–`PL207`, plus `PL104`).
+//! Pass 3: CHECK-placement rules (`PL201`–`PL206`).
 //!
 //! Structural encoding of Table 1 of the paper:
 //!
@@ -19,50 +19,15 @@
 //! a flavor/context disagreement (`PL205`) means the placement pass and
 //! the opportunity analysis would report different things.
 
-use crate::dataflow::{NodeCx, Pass};
-use crate::{through_checks, DiagCode, Frame, LintContext, Sink};
+use crate::{through_checks, DiagCode, Frame, NodeCx, Sink};
 use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode};
 use std::collections::HashMap;
 
-pub(crate) struct PlacementPass;
-
-impl Pass for PlacementPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
-        match cx.node {
-            PhysNode::Check { input, spec, .. } => {
-                check_flavor(cx, input, spec, false, sink);
-            }
-            PhysNode::BufCheck { input, spec, .. } => {
-                check_flavor(cx, input, spec, true, sink);
-            }
-            _ => {}
-        }
-        // `PL104`: when POP placed checkpoints and the caller expects
-        // coverage, every materialization point should be guarded by a
-        // checkpoint directly above it (the LC rule of Table 1 —
-        // materializations are free check opportunities).
-        if ctx.options.expect_check_coverage
-            && cx.plan_has_checks
-            && cx.node.is_materialization_point()
-            && !matches!(
-                cx.frames.last().map(|f| f.node),
-                Some(PhysNode::Check { .. } | PhysNode::BufCheck { .. })
-            )
-        {
-            sink.emit(
-                DiagCode::Pl104,
-                cx.node,
-                cx.path,
-                format!(
-                    "{} materialization point has no checkpoint above it",
-                    cx.node.name()
-                ),
-            );
-        }
-    }
-
-    fn finish(&mut self, plan: &PhysNode, _ctx: &LintContext<'_>, sink: &mut Sink) {
-        check_unique_ids(plan, sink);
+pub(crate) fn check(cx: &NodeCx<'_, '_>, sink: &mut Sink) {
+    match cx.node {
+        PhysNode::Check { input, spec, .. } => check_flavor(cx, input, spec, false, sink),
+        PhysNode::BufCheck { input, spec, .. } => check_flavor(cx, input, spec, true, sink),
+        _ => {}
     }
 }
 
@@ -115,10 +80,9 @@ fn check_flavor(
     }
     match spec.flavor {
         CheckFlavor::Lc => {
-            // The abstract domain already folds "materialization point or
-            // MV scan, looking through check wrappers" into the input's
-            // `materialized` bit.
-            let guarded = cx.input_state(0).materialized || on_build_edge(frames);
+            // Materialized: a SORT, TEMP or MV scan, looking through
+            // other checkpoint wrappers.
+            let guarded = through_checks(input).counted_at_open() || on_build_edge(frames);
             if !guarded {
                 sink.emit(
                     DiagCode::Pl201,
@@ -146,24 +110,8 @@ fn check_flavor(
                 );
             }
         }
-        CheckFlavor::Ecb => {
-            if let PhysNode::BufCheck { buffer, .. } = node {
-                // The first violating row count is floor(hi)+1; the buffer
-                // must hold that many rows to observe the crossing.
-                let needed = spec.range.hi.floor() + 1.0;
-                if spec.range.hi.is_finite() && (*buffer as f64) < needed {
-                    sink.emit(
-                        DiagCode::Pl207,
-                        node,
-                        path,
-                        format!(
-                            "BUFCHECK #{} buffer {} cannot hold {needed:.0} rows (range bound {:.1})",
-                            spec.id, buffer, spec.range.hi
-                        ),
-                    );
-                }
-            }
-        }
+        // BUFCHECK and only BUFCHECK is ECB: checked above.
+        CheckFlavor::Ecb => {}
         CheckFlavor::Ecwc => {
             let blocked = frames.iter().any(|f| {
                 f.node.is_materialization_point()
@@ -221,7 +169,7 @@ fn on_build_edge(frames: &[Frame<'_>]) -> bool {
 
 /// `PL206`: checkpoint ids must be unique within a plan — the executor
 /// keys observed cardinalities and re-optimization events by id.
-fn check_unique_ids(plan: &PhysNode, sink: &mut Sink) {
+pub(crate) fn check_unique_ids(plan: &PhysNode, sink: &mut Sink) {
     let mut seen: HashMap<usize, usize> = HashMap::new();
     for spec in plan.checks() {
         *seen.entry(spec.id).or_insert(0) += 1;
@@ -242,7 +190,7 @@ fn check_unique_ids(plan: &PhysNode, sink: &mut Sink) {
 mod tests {
     use crate::testutil::*;
     use crate::{lint_plan, LintContext};
-    use pop_plan::{CheckContext, CheckFlavor, PhysNode, ValidityRange};
+    use pop_plan::{CheckContext, CheckFlavor, PhysNode};
 
     fn diags_of(plan: &PhysNode) -> Vec<&'static str> {
         codes(&lint_plan(plan, &LintContext::bare()))
@@ -364,43 +312,5 @@ mod tests {
         );
         let plan = check(temp(inner), CheckFlavor::Lc, CheckContext::AboveTemp);
         assert!(diags_of(&plan).contains(&"PL206"));
-    }
-
-    #[test]
-    fn pl207_bufcheck_buffer_too_small() {
-        let input = leaf(0, "a", 2, 100.0);
-        let range = ValidityRange::new(0.0, 500.0);
-        let mut props = input.props().clone();
-        props.edge_ranges = vec![range];
-        let plan = PhysNode::BufCheck {
-            spec: pop_plan::CheckSpec {
-                id: 0,
-                flavor: CheckFlavor::Ecb,
-                range,
-                est_card: 100.0,
-                signature: "sig".into(),
-                context: CheckContext::NljnOuter,
-            },
-            input: Box::new(input),
-            buffer: 10, // needs 501
-            props,
-        };
-        assert!(diags_of(&plan).contains(&"PL207"));
-    }
-
-    #[test]
-    fn pl104_unguarded_materialization() {
-        // Plan HAS a checkpoint, but a second TEMP is unguarded.
-        let guarded = check(
-            temp(leaf(0, "a", 2, 100.0)),
-            CheckFlavor::Lc,
-            CheckContext::AboveTemp,
-        );
-        let plan = temp(guarded); // outer TEMP has no check above it
-        let ctx = LintContext::bare().expect_check_coverage(true);
-        let diags = lint_plan(&plan, &ctx);
-        assert!(codes(&diags).contains(&"PL104"), "{diags:?}");
-        // Without the option, silence.
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
     }
 }

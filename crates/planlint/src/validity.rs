@@ -8,32 +8,19 @@
 //! means a CHECK would fire unconditionally on a plan the optimizer just
 //! chose: a contradiction worth rejecting before execution.
 //!
-//! `PL104` (unguarded materialization points) lives in the placement pass
-//! where the ancestor context is available.
+//! A node records either no edge ranges or one per child, in
+//! [`PhysNode::children`] order.
 
-use crate::dataflow::{NodeCx, Pass};
-use crate::{DiagCode, LintContext, Sink};
+use crate::{DiagCode, NodeCx, Sink};
 use pop_plan::{PhysNode, ValidityRange};
 
-pub(crate) struct ValidityPass;
-
-impl Pass for ValidityPass {
-    fn check(&mut self, cx: &NodeCx<'_, '_>, _ctx: &LintContext<'_>, sink: &mut Sink) {
-        check_node(cx.node, cx.path, sink);
-    }
-}
-
-fn check_node(node: &PhysNode, path: &[usize], sink: &mut Sink) {
-    // Edge ranges, aligned with children. Alignment is only guaranteed
-    // when the counts match (wrappers cloned from a child's props may
-    // carry stale extra entries); the contains-check is skipped otherwise.
+pub(crate) fn check(cx: &NodeCx<'_, '_>, sink: &mut Sink) {
+    let (node, path) = (cx.node, cx.path);
     let children = node.children();
-    let props = node.props();
-    let aligned = props.edge_ranges.len() == children.len();
-    for (i, r) in props.edge_ranges.iter().enumerate() {
+    for (i, (child, r)) in children.iter().zip(&node.props().edge_ranges).enumerate() {
         check_range_shape(node, r, &format!("edge {i} range"), path, sink);
-        if aligned && range_well_formed(r) {
-            let child_card = children[i].props().card;
+        if range_well_formed(r) {
+            let child_card = child.props().card;
             if child_card.is_finite() && !r.contains(child_card) {
                 sink.emit(
                     DiagCode::Pl102,
@@ -144,24 +131,6 @@ mod tests {
         plan.props_mut().edge_ranges[0] = ValidityRange::new(0.0, 10.0); // build est is 100
         let diags = lint_plan(&plan, &LintContext::bare());
         assert!(codes(&diags).contains(&"PL102"), "{diags:?}");
-    }
-
-    #[test]
-    fn misaligned_edge_ranges_are_tolerated() {
-        // A wrapper that cloned a join's props carries two ranges but has
-        // one child; the contains-check must not misfire.
-        let join = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 50.0);
-        let mut props = join.props().clone();
-        props.edge_ranges = vec![ValidityRange::new(0.0, 10.0), ValidityRange::unbounded()];
-        let plan = PhysNode::AntiJoinRids {
-            input: Box::new(join),
-            props,
-        };
-        let diags = lint_plan(&plan, &LintContext::bare());
-        assert!(
-            !codes(&diags).contains(&"PL102"),
-            "misaligned ranges must be skipped: {diags:?}"
-        );
     }
 
     #[test]

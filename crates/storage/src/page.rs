@@ -6,7 +6,7 @@
 //! [`PagedBackend`] materializes the bytes. Page counts — and therefore
 //! the optimizer's page-aware cost estimates and the runtime's page-I/O
 //! work charges — are a deterministic property of table contents alone,
-//! which is what keeps plans, validity ranges and certificates identical
+//! which is what keeps plans and validity ranges identical
 //! across backends.
 //!
 //! [`MemBackend`]: crate::MemBackend

@@ -1,9 +1,9 @@
 //! The shared fixed hashes, so their constants live in exactly one place.
 //!
-//! - FNV-1a, a tiny, deterministic byte hash: the planlint
-//!   robustness-certificate skeleton hash, the optimizer's statistics
-//!   fingerprint, and display-shortened MV signatures fold bytes through
-//!   it so the streams stay comparable.
+//! - FNV-1a, a tiny, deterministic byte hash: the optimizer's statistics
+//!   fingerprint, display-shortened MV signatures, WAL frame checksums
+//!   and the plan goldens fold bytes through it so the streams stay
+//!   comparable.
 //! - A word-at-a-time multiply-rotate hash ([`mix`], [`mix_bytes`],
 //!   [`mix_finish`], and [`MixHasher`] over them) for in-memory hash
 //!   tables over table values: the join and aggregate key hashes,

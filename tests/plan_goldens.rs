@@ -4,7 +4,9 @@
 //! themselves — join order, operators, costs, CHECK ids, flavors and ranges
 //! — so a refactor of how plans are *built* cannot silently change *which*
 //! plans are built. Each `FlavorSet::only(..)` runs beside the default set
-//! so every arm of CHECK placement is exercised.
+//! so every arm of CHECK placement is exercised. Every node of every plan
+//! records either no edge ranges or one per child, so a range always
+//! describes an edge of its own node.
 //!
 //! A legitimate plan change re-records the constants from the failure
 //! message (which prints the new hash).
@@ -57,6 +59,15 @@ fn check_suite(
             let plan = exec
                 .plan(spec, &Params::none())
                 .unwrap_or_else(|e| panic!("{suite} {name} [{label}]: {e}"));
+            plan.visit(&mut |n| {
+                let ranges = n.props().edge_ranges.len();
+                assert!(
+                    ranges == 0 || ranges == n.arity(),
+                    "{suite} {name} [{label}]: {} has {ranges} edge range(s) for {} input(s)",
+                    n.name(),
+                    n.arity()
+                );
+            });
             pop_types::fnv1a_extend(&mut h, plan.to_string().as_bytes());
         }
         if h != want {

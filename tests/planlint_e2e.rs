@@ -1,7 +1,7 @@
 //! End-to-end: static plan verification (`pop-planlint`) at the
 //! optimizer -> executor boundary. `execute_plan` rejects a
-//! caller-supplied plan with a Deny-severity finding before a single row
-//! is read, in every build. The driver's own plans meet the same gate in
+//! caller-supplied plan with any finding before a single row is read, in
+//! every build. The driver's own plans meet the same gate in
 //! debug builds only, as an invariant check on the optimizer: the sweep
 //! at the end runs every workload plan, first plans and re-plans, through
 //! it.
@@ -79,10 +79,7 @@ fn full_pop_run_is_lint_clean_under_enforce() {
     let res = exec.run(&q, &Params::none()).unwrap();
     assert_eq!(res.rows.len(), 500);
     let plan = exec.plan(&q, &Params::none()).unwrap();
-    let ctx = LintContext::full(exec.catalog(), &q)
-        .expect_check_coverage(true)
-        .with_stats(exec.stats());
-    let diags = lint_plan(&plan, &ctx);
+    let diags = lint_plan(&plan, &LintContext::full(exec.catalog(), &q));
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -142,7 +139,7 @@ fn sweep(
 /// workloads ([`sweep`]), on the mem backend and on pages (1 KiB pages,
 /// a 16-frame pool), one backend a thread. Debug builds pass each first
 /// plan and each re-plan — MV-bearing ones included — through the deny
-/// gate, which panics on a Deny finding: the runs completing is the
+/// gate, which panics on any finding: the runs completing is the
 /// assertion.
 #[cfg(debug_assertions)]
 #[test]
