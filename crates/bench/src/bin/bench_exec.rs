@@ -1,8 +1,19 @@
-//! Executor throughput: row-at-a-time vs vectorized batch execution.
+//! Executor throughput: row-at-a-time vs vectorized batch execution, and
+//! a per-operator profile.
 //!
 //! ```text
 //! bench_exec [--quick]
+//! bench_exec --profile [--passes N]
 //! ```
+//!
+//! `--profile` plans every TPC-H query (`extended_queries()`, SF 0.02) and
+//! every DMV query (scale 0.004) with `PopExecutor::plan` under
+//! `PopConfig::without_pop()`, runs each plan through
+//! `pop_exec::execute_profiled` (the same operator tree with a self-time
+//! wrapper around every operator) once per pass, and prints each query's
+//! self milliseconds per operator kind — the minimum over `N` passes
+//! (default 5), after one warm-up pass — and each suite's sums. Nothing is
+//! written to `results/`.
 //!
 //! Runs five representative queries — a scan-heavy half-selectivity
 //! selection over LINEITEM, a low-selectivity predicate scan (TPC-H Q6),
@@ -22,6 +33,7 @@ use pop_expr::{Expr, Params};
 use pop_plan::QueryBuilder;
 use pop_tpch::{cols::lineitem, q1, q18, q3, q6, tpch_catalog};
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::fs;
 use std::time::Instant;
 
@@ -103,8 +115,104 @@ fn time_both(cat: &pop::Catalog, q: &QuerySpec, reps: usize) -> (f64, f64, usize
     (row_best, batch_best, rows)
 }
 
+/// Self ms per operator kind (`PhysNode::name`) of one profiled run of
+/// `plan`.
+fn profile_once(
+    cat: &pop::Catalog,
+    exec: &PopExecutor,
+    plan: &pop_plan::PhysNode,
+) -> BTreeMap<&'static str, f64> {
+    let mut ctx = pop_exec::ExecCtx::new(
+        cat.clone(),
+        Params::none(),
+        exec.config().cost_model.clone(),
+    );
+    ctx.checks_enabled = false;
+    ctx.batch_size = exec.config().batch_size.max(1);
+    let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx, &pop_exec::Subplans::new())
+        .expect("profiled run");
+    let mut ms = BTreeMap::new();
+    for n in nodes {
+        *ms.entry(n.name).or_insert(0.0) += n.self_time.as_secs_f64() * 1e3;
+    }
+    ms
+}
+
+/// Profile one suite: per query, each kind's minimum over `passes`, after
+/// one warm-up pass; then the suite's sums.
+fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)], passes: usize) {
+    let exec = PopExecutor::new(cat.clone(), PopConfig::without_pop()).expect("executor");
+    let plans: Vec<_> = queries
+        .iter()
+        .map(|(name, q)| (name, exec.plan(q, &Params::none()).expect("plan")))
+        .collect();
+    let mut best: Vec<BTreeMap<&'static str, f64>> = vec![BTreeMap::new(); plans.len()];
+    for pass in 0..=passes {
+        for ((_, plan), best) in plans.iter().zip(&mut best) {
+            let ms = profile_once(cat, &exec, plan);
+            if pass > 0 {
+                for (kind, m) in ms {
+                    let b = best.entry(kind).or_insert(f64::INFINITY);
+                    *b = b.min(m);
+                }
+            }
+        }
+    }
+    let mut suite: BTreeMap<&'static str, f64> = BTreeMap::new();
+    for (kind, m) in best.iter().flatten() {
+        *suite.entry(kind).or_insert(0.0) += m;
+    }
+    suite.retain(|_, m| *m >= 0.005);
+    println!("{title}: self ms per operator (min of {passes} passes)");
+    print!("  {:8}", "query");
+    for kind in suite.keys() {
+        print!("{kind:>10}");
+    }
+    println!("{:>10}", "total");
+    let line = |label: &str, row: &BTreeMap<&'static str, f64>| {
+        print!("  {label:8}");
+        for kind in suite.keys() {
+            print!("{:>10.2}", row.get(kind).copied().unwrap_or(0.0));
+        }
+        println!("{:>10.2}", row.values().sum::<f64>());
+    };
+    for ((name, _), row) in plans.iter().zip(&best) {
+        line(name, row);
+    }
+    line("suite", &suite);
+}
+
+fn profile(passes: usize) {
+    let tpch: Vec<(String, QuerySpec)> = pop_tpch::extended_queries()
+        .into_iter()
+        .map(|(name, q)| (name.to_string(), q))
+        .collect();
+    let cat = tpch_catalog(0.02).expect("TPC-H catalog");
+    profile_suite("TPC-H SF 0.02", &cat, &tpch, passes);
+    let dmv: Vec<(String, QuerySpec)> = pop_dmv::dmv_queries()
+        .into_iter()
+        .map(|q| (q.name, q.spec))
+        .collect();
+    let cat = pop_dmv::dmv_catalog(0.004).expect("DMV catalog");
+    profile_suite("DMV 0.004", &cat, &dmv, passes);
+}
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--profile") {
+        let passes = args
+            .iter()
+            .position(|a| a == "--passes")
+            .and_then(|i| args.get(i + 1))
+            .map_or(Ok(5), |n| n.parse::<usize>())
+            .unwrap_or_else(|_| {
+                eprintln!("usage: bench_exec --profile [--passes N]");
+                std::process::exit(2)
+            });
+        profile(passes.max(1));
+        return;
+    }
+    let quick = args.iter().any(|a| a == "--quick");
     let (sf, reps) = if quick { (0.002, 1) } else { (0.1, 7) };
     let cat = tpch_catalog(sf).expect("catalog");
     let lineitem_rows = cat.table("lineitem").expect("lineitem").row_count();

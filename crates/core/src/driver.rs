@@ -142,8 +142,14 @@ impl PopExecutor {
         if self.config.observe_only {
             ctx.checks_enabled = false;
         }
+        // A cap of zero re-optimizations leaves no budget for the first
+        // violation: the query runs its first plan with CHECKs disabled.
+        if self.config.max_reopts == 0 {
+            ctx.checks_enabled = false;
+        }
         let mut report = RunReport {
             warnings: self.config.env_warnings.clone(),
+            budget_exhausted: self.config.max_reopts == 0,
             ..Default::default()
         };
         let mut collected: Vec<Row> = Vec::new();
@@ -777,7 +783,7 @@ mod tests {
 
     #[test]
     fn max_reopts_bounds_the_loop() {
-        // max_reopts = 0: any violation immediately disables checks.
+        // max_reopts = 0: the query starts with checks disabled.
         let config = PopConfig {
             max_reopts: 0,
             ..PopConfig::default()
@@ -786,7 +792,7 @@ mod tests {
         let q = correlated_query();
         let res = exec.run(&q, &Params::none()).unwrap();
         assert_eq!(res.rows.len(), CORRELATED_ROWS);
-        assert!(res.report.reopt_count <= 1);
+        assert_eq!(res.report.reopt_count, 0);
         // The last step runs with checks disabled and completes.
         assert!(res.report.budget_exhausted);
         let last = res.report.steps.last().unwrap();

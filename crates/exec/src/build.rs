@@ -89,7 +89,22 @@ pub fn build_operator(
     catalog: &Catalog,
     subplans: &Subplans,
 ) -> PopResult<Box<dyn Operator>> {
-    Ok(match node {
+    build_wrapped(node, catalog, subplans, &mut |_, op| op)
+}
+
+/// [`build_operator`], passing every node's operator through `wrap` (with
+/// its plan node) before its parent takes it: the profiler's hook. The
+/// query path's `wrap` is the identity.
+pub(crate) fn build_wrapped<W>(
+    node: &PhysNode,
+    catalog: &Catalog,
+    subplans: &Subplans,
+    wrap: &mut W,
+) -> PopResult<Box<dyn Operator>>
+where
+    W: FnMut(&PhysNode, Box<dyn Operator>) -> Box<dyn Operator>,
+{
+    let op: Box<dyn Operator> = match node {
         PhysNode::TableScan {
             qidx,
             table,
@@ -141,7 +156,7 @@ pub fn build_operator(
             inner,
             props,
         } => {
-            let outer_op = build_operator(outer, catalog, subplans)?;
+            let outer_op = build_wrapped(outer, catalog, subplans, wrap)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
             let inner_table = catalog.table(&inner.table)?;
             let index = catalog
@@ -183,8 +198,8 @@ pub fn build_operator(
                 .iter()
                 .map(|k| pos_of(&probe.props().layout, *k))
                 .collect::<PopResult<Vec<_>>>()?;
-            let build_op = build_operator(build, catalog, subplans)?;
-            let probe_op = build_operator(probe, catalog, subplans)?;
+            let build_op = build_wrapped(build, catalog, subplans, wrap)?;
+            let probe_op = build_wrapped(probe, catalog, subplans, wrap)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -202,8 +217,8 @@ pub fn build_operator(
             right_keys,
             ..
         } => {
-            let left_op = build_operator(left, catalog, subplans)?;
-            let right_op = build_operator(right, catalog, subplans)?;
+            let left_op = build_wrapped(left, catalog, subplans, wrap)?;
+            let right_op = build_wrapped(right, catalog, subplans, wrap)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
                 return Err(PopError::Planning(
                     "MGJN requires at least one join key per side".into(),
@@ -216,7 +231,7 @@ pub fn build_operator(
         PhysNode::Sort {
             input, key, desc, ..
         } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let pos = match key {
                 SortKeyRef::Col(c) => pos_of(&input.props().layout, *c)?,
                 SortKeyRef::Pos(p) => *p,
@@ -224,11 +239,11 @@ pub fn build_operator(
             Box::new(SortOp::new(child, pos, *desc, harvest_info(node, subplans)))
         }
         PhysNode::Temp { input, .. } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             Box::new(TempOp::new(child, harvest_info(node, subplans)))
         }
         PhysNode::Project { input, cols, .. } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let positions = cols
                 .iter()
                 .map(|c| match c {
@@ -251,7 +266,7 @@ pub fn build_operator(
             aggs,
             ..
         } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let keys = group_by
                 .iter()
                 .map(|k| pos_of(&input.props().layout, *k))
@@ -272,7 +287,7 @@ pub fn build_operator(
         }
         PhysNode::Check { input, spec, .. } => {
             let materialized = input.counted_at_open();
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let tables = input.props().tables;
             Box::new(GuardOp::check(child, spec.clone(), tables, materialized))
         }
@@ -282,12 +297,12 @@ pub fn build_operator(
             buffer,
             ..
         } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let tables = input.props().tables;
             Box::new(GuardOp::bufcheck(child, spec.clone(), tables, *buffer))
         }
         PhysNode::SemiProbe { input, clause, .. } => {
-            let child = build_operator(input, catalog, subplans)?;
+            let child = build_wrapped(input, catalog, subplans, wrap)?;
             let outer_pos = pos_of(&input.props().layout, clause.outer_col)?;
             let inner_table = catalog.table(&clause.table)?;
             let index = catalog
@@ -313,21 +328,26 @@ pub fn build_operator(
             ))
         }
         PhysNode::Having { input, preds, .. } => Box::new(HavingOp::new(
-            build_operator(input, catalog, subplans)?,
+            build_wrapped(input, catalog, subplans, wrap)?,
             preds.clone(),
         )),
-        PhysNode::Limit { input, n, .. } => {
-            Box::new(LimitOp::new(build_operator(input, catalog, subplans)?, *n))
-        }
-        PhysNode::RidSink { input, .. } => {
-            Box::new(RidSinkOp::new(build_operator(input, catalog, subplans)?))
-        }
-        PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_operator(
-            input, catalog, subplans,
+        PhysNode::Limit { input, n, .. } => Box::new(LimitOp::new(
+            build_wrapped(input, catalog, subplans, wrap)?,
+            *n,
+        )),
+        PhysNode::RidSink { input, .. } => Box::new(RidSinkOp::new(build_wrapped(
+            input, catalog, subplans, wrap,
+        )?)),
+        PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_wrapped(
+            input, catalog, subplans, wrap,
         )?)),
         PhysNode::Insert { input, target, .. } => {
             let t = catalog.table(target)?;
-            Box::new(InsertOp::new(build_operator(input, catalog, subplans)?, t))
+            Box::new(InsertOp::new(
+                build_wrapped(input, catalog, subplans, wrap)?,
+                t,
+            ))
         }
-    })
+    };
+    Ok(wrap(node, op))
 }

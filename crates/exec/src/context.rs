@@ -9,7 +9,7 @@ use pop_guard::{FaultInjector, Governor};
 use pop_plan::{CheckContext, CheckFlavor, CostModel, TableSet, ValidityRange};
 use pop_storage::{Catalog, Lineage};
 use pop_types::column::Column;
-use pop_types::{ColId, PopError, Rid};
+use pop_types::{ColId, PopError, Rid, Row};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -145,6 +145,18 @@ pub struct CheckEvent {
     pub tables: TableSet,
 }
 
+/// The identity of a row whose side effect (INSERT) was applied: its
+/// canonical lineage, or — for a row that carries none, an aggregate's
+/// output — its values (an aggregate emits one row per group, so its rows
+/// are distinct by value).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum EffectKey {
+    /// The sorted rids of the base rows the row came from.
+    Lineage(Vec<Rid>),
+    /// The row's values.
+    Values(Row),
+}
+
 /// Mutable execution state threaded through every operator call.
 #[derive(Debug)]
 pub struct ExecCtx {
@@ -174,9 +186,9 @@ pub struct ExecCtx {
     /// steps — the rid side table `S` of Figure 9. The driver inserts an
     /// anti-join against this set into re-optimized plans.
     pub prev_returned: HashSet<Vec<Rid>>,
-    /// Lineage of source rows whose side effect (INSERT) was already
-    /// applied in a previous step; guarantees exactly-once application.
-    pub side_effects_applied: HashSet<Vec<Rid>>,
+    /// Source rows whose side effect (INSERT) was already applied in a
+    /// previous step; guarantees exactly-once application.
+    pub side_effects_applied: HashSet<EffectKey>,
     /// Rows fetched from base tables (diagnostics).
     pub rows_scanned: u64,
     /// Target rows per batch for every operator in this run. `1` degrades

@@ -2,7 +2,7 @@
 //! CHECK violation.
 
 use crate::build::Subplans;
-use crate::{build_operator, ExecCtx, ExecSignal, RowBatch, Violation};
+use crate::{build_operator, ExecCtx, ExecSignal, Operator, RowBatch, Violation};
 use pop_plan::PhysNode;
 use pop_types::PopResult;
 
@@ -49,7 +49,13 @@ impl RunOutcome {
 /// cross-run compensation state is preserved.
 pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx, subplans: &Subplans) -> PopResult<RunOutcome> {
     ctx.begin_run();
-    let mut op = build_operator(plan, &ctx.catalog, subplans)?;
+    let op = build_operator(plan, &ctx.catalog, subplans)?;
+    drain_root(op, ctx)
+}
+
+/// Open the operator tree `op`, drain its root and close it: the body of
+/// [`execute`] once the tree is built.
+pub(crate) fn drain_root(mut op: Box<dyn Operator>, ctx: &mut ExecCtx) -> PopResult<RunOutcome> {
     let mut batches = Vec::new();
     match op.open(ctx) {
         Ok(()) => {}

@@ -31,11 +31,13 @@ mod build;
 mod context;
 mod executor;
 pub mod operators;
+mod profile;
 mod signal;
 
 pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use build::{build_operator, Subplan, Subplans};
-pub use context::{CheckEvent, CheckOutcome, ExecCtx, Harvest};
+pub use context::{CheckEvent, CheckOutcome, EffectKey, ExecCtx, Harvest};
 pub use executor::{execute, RunOutcome};
 pub use operators::Operator;
+pub use profile::{execute_profiled, OpTime};
 pub use signal::{ExecSignal, ObservedCard, OpResult, Violation};

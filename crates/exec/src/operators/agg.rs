@@ -1,6 +1,6 @@
 //! Hash aggregation and projection.
 
-use crate::operators::key::{hash_cells, hash_keys, ChainIndex, NIL};
+use crate::operators::key::{hash_keys, key_order, ChainIndex, KeyShape, NIL};
 use crate::operators::{next_chunk, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_types::column::{Cell, Data};
@@ -232,12 +232,15 @@ impl Acc {
 ///
 /// Groups are dense ids in first-seen order: group `g`'s key is row `g` of
 /// a key buffer (a [`RowBatch`] of typed key columns, holding each key as
-/// first seen) and its state slot `g` of one typed array per aggregate.
-/// Each input batch is aggregated in two phases: every live row's group id
-/// is resolved — its key columns hashed a column at a time, its chain in a
-/// [`ChainIndex`] walked comparing typed keys against the key buffer, a
-/// new group appended on a miss — and then each aggregate folds the batch
-/// into its array in one loop, rows in order.
+/// first seen), its key hash entry `g` of a hash list, and its state slot
+/// `g` of one typed array per aggregate. Each input batch is aggregated in
+/// two phases: every live row's group id is resolved — its key columns
+/// hashed a column at a time, its chain in a [`ChainIndex`] walked
+/// comparing keys against the key buffer (in machine words where the
+/// batch's [`KeyShape`] allows), a new group appended on a miss — and then
+/// each aggregate folds the batch into its array in one loop, rows in
+/// order. Growing the index re-threads the stored hashes; nothing is
+/// hashed twice.
 pub struct HashAggOp {
     input: Box<dyn Operator>,
     key_pos: Vec<usize>,
@@ -275,9 +278,10 @@ impl Operator for HashAggOp {
         *keys = RowBatch::new();
         *accs = self.aggs.iter().map(|kind| Acc::new(*kind)).collect();
         let slot_bytes: usize = accs.iter().map(Acc::slot_bytes).sum();
+        let key_cols: Vec<usize> = (0..k).collect();
         let mut index = ChainIndex::build(0, 0, |_| None);
-        let (mut rows, mut gids, mut hashes, mut nulls) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut rows, mut gids, mut hashes, mut nulls, mut group_hashes) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         while let Some(b) = self.input.next_batch(ctx)? {
             ctx.charge(ctx.model.agg_cost(b.live_count() as f64));
             ctx.guard_tick()?;
@@ -286,20 +290,28 @@ impl Operator for HashAggOp {
             rows.extend(b.live_indices().map(|i| i as u32));
             hash_keys(&b, &self.key_pos, &mut hashes, &mut nulls);
             gids.clear();
+            // Groups added from this batch keep the key buffer's shape;
+            // an empty buffer takes its first group's. A new group may
+            // move the key vectors, so the compare is bound again after it.
+            let shape_of = |keys: &RowBatch| KeyShape::of(keys, &key_cols, &b, &self.key_pos);
+            let mut shape = (!keys.is_empty()).then(|| shape_of(keys));
+            let mut eq = shape.map(|s| s.bind(keys, &key_cols, &b, &self.key_pos));
             for (i, h) in rows.iter().zip(&hashes) {
                 let i = *i as usize;
                 let mut g = index.first(*h);
-                while g != NIL
-                    && !(self.key_pos.iter().enumerate())
-                        .all(|(c, p)| keys.col(c).key_eq(g as usize, b.col(*p), i))
-                {
-                    g = index.next_of(g);
+                if let Some(eq) = &eq {
+                    while g != NIL && !eq.eq(g as usize, i) {
+                        g = index.next_of(g);
+                    }
                 }
                 if g == NIL {
                     g = keys.len() as u32;
                     keys.push_cols_from(&b, i, &self.key_pos);
                     accs.iter_mut().for_each(Acc::push_group);
-                    index.push(*h, |g| hash_cells((0..k).map(|c| keys.cell(c, g))).0);
+                    index.push(*h, &group_hashes);
+                    group_hashes.push(*h);
+                    let s = *shape.get_or_insert_with(|| shape_of(keys));
+                    eq = Some(s.bind(keys, &key_cols, &b, &self.key_pos));
                 }
                 gids.push(g);
             }
@@ -317,15 +329,7 @@ impl Operator for HashAggOp {
             keys.push_row(&[], &[]);
             accs.iter_mut().for_each(Acc::push_group);
         }
-        self.order = (0..keys.len() as u32).collect();
-        // Distinct groups never compare equal, so an unstable sort is
-        // deterministic.
-        self.order.sort_unstable_by(|x, y| {
-            (0..k)
-                .map(|c| keys.col(c).cmp_rows(*x as usize, *y as usize))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
+        self.order = key_order(keys, k);
         self.pos = 0;
         Ok(())
     }

@@ -2,7 +2,7 @@
 //! rid-side-table anti-join (Figure 9 of the paper).
 
 use crate::operators::{lineage_key, Operator};
-use crate::{ExecCtx, OpResult, RowBatch};
+use crate::{EffectKey, ExecCtx, OpResult, RowBatch};
 use pop_storage::Table;
 use pop_types::PopError;
 use std::sync::Arc;
@@ -15,7 +15,8 @@ use std::sync::Arc;
 /// would be applied twice." This engine enforces the same guarantee
 /// mechanically: each source row's lineage is remembered in
 /// [`ExecCtx::side_effects_applied`], and a re-execution skips rows whose
-/// effect was already applied.
+/// effect was already applied. A row without lineage (an aggregate's) is
+/// remembered by its values.
 pub struct InsertOp {
     input: Box<dyn Operator>,
     target: Arc<Table>,
@@ -40,7 +41,10 @@ impl Operator for InsertOp {
         let arity = self.target.schema().len();
         let mut keep = Vec::new();
         for i in b.live_indices() {
-            let key = lineage_key(b.lineage_at(i));
+            let key = match b.lineage_at(i) {
+                [] => EffectKey::Values(b.row_at(i)),
+                lineage => EffectKey::Lineage(lineage_key(lineage)),
+            };
             if ctx.side_effects_applied.contains(&key) {
                 continue;
             }

@@ -368,7 +368,12 @@ fn index_range_candidates(
 }
 
 /// Scan candidate of the temp MV `mv` the catalog holds for `set` (§2.3:
-/// the MV competes with recomputation on cost).
+/// the MV competes with recomputation on cost). It is costed at the MV's
+/// rows but carries the group's cardinality, as every candidate of the
+/// group does and as its parents' costs and validity ranges assume: after
+/// a violation the driver feeds the MV's exact count back, so the two
+/// agree; a forced re-optimization feeds nothing back and plans under the
+/// estimates it had.
 fn mv_candidate(
     set: TableSet,
     mv: &TempMv,
@@ -384,7 +389,7 @@ fn mv_candidate(
     leaf_candidate(PhysNode::MvScan {
         mv_name: mv.table.name().to_string(),
         signature: est.signature(set).to_string(),
-        props: PlanProps::leaf(set, rows, cost, layout),
+        props: PlanProps::leaf(set, est.card(set), cost, layout),
     })
 }
 

@@ -129,6 +129,54 @@ impl Runs {
         self.positions(self.bound(key, false)..self.bound(key, true))
     }
 
+    /// Append the positions of row `i` of `col` for each of `rows` to
+    /// `out`, and `out`'s length after each row to `bounds`. Where the
+    /// keys and the probe column are the same NULL-free `Int` or `Date`
+    /// vector, a binary search over the words; per [`Cell`] otherwise.
+    fn probe_rows(
+        &self,
+        col: &Column,
+        rows: impl Iterator<Item = usize>,
+        out: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) {
+        let typed = !col.has_null_bitmap() && !self.keys.has_null_bitmap();
+        match (self.keys.data(), col.data()) {
+            (Data::Int(keys), Data::Int(probe)) if typed => {
+                self.probe_words(keys, rows.map(|i| probe[i]), out, bounds);
+            }
+            (Data::Date(keys), Data::Date(probe)) if typed => {
+                self.probe_words(keys, rows.map(|i| probe[i]), out, bounds);
+            }
+            _ => {
+                for i in rows {
+                    let key = col.cell(i);
+                    if !key.is_null() {
+                        out.extend(self.probe(key).iter().map(|&p| u64::from(p)));
+                    }
+                    bounds.push(out.len());
+                }
+            }
+        }
+    }
+
+    /// [`Runs::probe_rows`] over keys of one machine type: distinct keys,
+    /// so a key matches at most one run.
+    fn probe_words<T: Ord>(
+        &self,
+        keys: &[T],
+        probe: impl Iterator<Item = T>,
+        out: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) {
+        for key in probe {
+            if let Ok(k) = keys.binary_search(&key) {
+                out.extend(self.positions(k..k + 1).iter().map(|&p| u64::from(p)));
+            }
+            bounds.push(out.len());
+        }
+    }
+
     /// Positions of the keys in `[lo, hi]`.
     fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> &[u32] {
         let start = lo.map_or(0, |v| self.bound(Cell::of(v), false));
@@ -214,15 +262,9 @@ impl Index {
     }
 
     /// [`Index::probe`] into a caller-owned buffer: `out` is cleared and
-    /// refilled, so a join probing once per outer row reuses one buffer.
+    /// refilled, so repeated probes reuse one buffer.
     pub fn probe_into(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
         out.clear();
-        self.probe_append(key, out)
-    }
-
-    /// [`Index::probe`] appended to `out`: a join probing a batch of outer
-    /// rows collects every row's matches into one list.
-    pub fn probe_append(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
         if key.is_null() {
             return Ok(());
         }
@@ -233,6 +275,37 @@ impl Index {
             }
             Repr::BTree(bt) => bt.probe_into(key, out),
         }
+    }
+
+    /// Probe row `i` of `col` for each of `rows`, in order: `out` is
+    /// cleared and refilled with every row's positions (each row's
+    /// ascending, as [`Index::probe`] returns them), and `bounds` with
+    /// `0` and then `out`'s length after each row, so row `k`'s are
+    /// `out[bounds[k]..bounds[k + 1]]`. A NULL key matches nothing. The
+    /// join probing a batch of outer rows calls this once per batch.
+    pub fn probe_batch(
+        &self,
+        col: &Column,
+        rows: impl Iterator<Item = usize>,
+        out: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) -> PopResult<()> {
+        out.clear();
+        bounds.clear();
+        bounds.push(0);
+        match &self.repr {
+            Repr::Mem(runs) => runs.probe_rows(col, rows, out, bounds),
+            Repr::BTree(bt) => {
+                for i in rows {
+                    let key = col.value(i);
+                    if !key.is_null() {
+                        bt.probe_into(&key, out)?;
+                    }
+                    bounds.push(out.len());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Row positions with column in `[lo, hi]` (either bound optional),
@@ -306,6 +379,26 @@ mod tests {
                 assert_eq!(buf, idx.probe(&key).unwrap(), "{kind:?} {key:?}");
             }
         }
+    }
+
+    /// The runs of a typed column with NULLs keep a NULL-free typed key
+    /// vector (what the batch probe's word search needs), and the batch
+    /// probe returns each row's positions.
+    #[test]
+    fn batch_probe_over_typed_keys() {
+        let idx = build(IndexKind::Hash, 0);
+        let Repr::Mem(runs) = &idx.repr else {
+            panic!("an in-memory index")
+        };
+        assert!(matches!(runs.keys.data(), Data::Int(_)) && !runs.keys.has_null_bitmap());
+        let mut col = Column::default();
+        for v in [5, 9, 3, 5] {
+            col.push(&Value::Int(v), 4);
+        }
+        let (mut out, mut bounds) = (vec![1], vec![1]);
+        idx.probe_batch(&col, [3, 1, 2].into_iter(), &mut out, &mut bounds)
+            .unwrap();
+        assert_eq!((out, bounds), (vec![0, 2, 1], vec![0, 2, 2, 3]));
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! mixing `Int` and `Float`, both index kinds, mem and paged tables. Every
 //! probe — present and absent keys, cross-type numerics, NULL — and every
 //! range — open bounds, `lo > hi`, bounds of another numeric type — must
-//! return the reference's positions in the reference's order.
+//! return the reference's positions in the reference's order. A batch
+//! probe of a random key column (any type against any index, NULLs,
+//! selections; sorted runs and the paged backend's B+tree) must return
+//! each row's per-key probe, in row order, with its bounds.
 
 use pop_storage::{Catalog, Index, IndexKind, StorageConfig, Table};
+use pop_types::column::Column;
 use pop_types::{DataType, Row, Schema, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -232,6 +236,92 @@ proptest! {
                         ),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The paged backend's B+tree primary index on column 0 of a table
+/// holding `keys` (with the catalog that owns its files).
+fn build_btree(keys: &[Value]) -> (Catalog, std::sync::Arc<Index>) {
+    let catalog = Catalog::with_storage(StorageConfig {
+        page_size: 512,
+        ..StorageConfig::paged()
+    });
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("pad", DataType::Int)]);
+    let rows: Vec<Row> = keys
+        .iter()
+        .map(|k| vec![k.clone(), Value::Int(1)])
+        .collect();
+    let table = catalog.create_table("t", schema, rows).unwrap();
+    catalog.create_index("t", "k", IndexKind::Sorted).unwrap();
+    let idx = catalog.find_index(table.id(), 0, true).unwrap();
+    assert!(idx.is_persistent());
+    (catalog, idx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Index::probe_batch` over rows of a key column = `Index::probe` of
+    /// each row's value (the reference's positions for sorted runs), row
+    /// by row: typed `Int` / `Date` columns against indexes of their own
+    /// type and of `Float` / `IntFloat` keys, NULL-bearing and mixed
+    /// columns, every row or a selection of them.
+    #[test]
+    fn batch_probes_match_per_key_probes(
+        seed in any::<u64>(),
+        n in 0usize..300,
+        m in 0usize..200,
+        spread in 1usize..60,
+        sparse in any::<bool>(),
+        null_every in 2usize..12,
+        paged in any::<bool>(),
+        select in any::<bool>(),
+    ) {
+        let mut rng = Rng(seed);
+        let column = KINDS[rng.below(KINDS.len())];
+        // Half the cases probe with the indexed column's own type.
+        let probed = if rng.below(2) == 0 { column } else { KINDS[rng.below(KINDS.len())] };
+        let d = Draw { spread, scale: if sparse { 1_000_003 } else { 1 }, null_every };
+        let keys: Vec<Value> = (0..n).map(|_| value(column, &mut rng, d)).collect();
+        let map = reference(&keys);
+        // Half the probe columns are NULL-free (the typed search's case).
+        let nulls = if rng.below(2) == 0 { usize::MAX } else { null_every };
+        let pd = Draw { null_every: nulls, ..d };
+        let probe_values: Vec<Value> = (0..m).map(|_| value(probed, &mut rng, pd)).collect();
+        let mut col = Column::default();
+        for v in &probe_values {
+            col.push(v, m);
+        }
+        let rows: Vec<usize> = (0..m).filter(|_| !select || rng.below(3) > 0).collect();
+        let mut indexes = vec![
+            (std::sync::Arc::new(build(IndexKind::Hash, &keys, paged)), true),
+            (std::sync::Arc::new(build(IndexKind::Sorted, &keys, paged)), true),
+        ];
+        let btree = paged.then(|| build_btree(&keys));
+        if let Some((_, bt)) = &btree {
+            indexes.push((std::sync::Arc::clone(bt), false));
+        }
+        for (idx, runs) in &indexes {
+            let at = format!(
+                "{column:?} index, {probed:?} probes {:?}, persistent={} {d:?}",
+                col.data().clone(),
+                idx.is_persistent(),
+            );
+            let (mut out, mut bounds) = (vec![7, 7], vec![9]);
+            idx.probe_batch(&col, rows.iter().copied(), &mut out, &mut bounds).unwrap();
+            prop_assert_eq!(bounds.len(), rows.len() + 1, "{}", at);
+            prop_assert_eq!(bounds[0], 0, "{}", at);
+            prop_assert_eq!(*bounds.last().unwrap(), out.len(), "{}", at);
+            for (k, &r) in rows.iter().enumerate() {
+                let key = &probe_values[r];
+                let want = idx.probe(key).unwrap();
+                if *runs && !key.is_null() {
+                    let reference = map.get(key).cloned().unwrap_or_default();
+                    prop_assert_eq!(&want, &reference, "{} ref {:?}", at, key);
+                }
+                prop_assert_eq!(&out[bounds[k]..bounds[k + 1]], &want[..], "{} row {} {:?}", at, r, key);
             }
         }
     }

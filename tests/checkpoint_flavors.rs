@@ -3,7 +3,7 @@
 
 use pop::{CheckFlavor, FlavorSet, PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
-use pop_plan::QueryBuilder;
+use pop_plan::{AggFunc, PhysNode, QueryBuilder};
 use pop_storage::{Catalog, IndexKind};
 use pop_types::{DataType, Schema, Value};
 
@@ -242,4 +242,84 @@ fn fixed_threshold_mode_fires_on_large_errors() {
     // 16x misestimate > 4x threshold: must fire.
     assert!(res.report.reopt_count >= 1);
     assert_eq!(res.rows.len(), EXPECTED_ROWS);
+}
+
+/// Every CHECK id of the plan `exec` starts `q` with.
+fn check_ids(exec: &PopExecutor, q: &pop::QuerySpec) -> Vec<usize> {
+    let plan = exec.plan(q, &Params::none()).unwrap();
+    let mut ids = Vec::new();
+    plan.visit(&mut |n| match n {
+        PhysNode::Check { spec, .. } | PhysNode::BufCheck { spec, .. } => ids.push(spec.id),
+        _ => {}
+    });
+    ids
+}
+
+/// An INSERT above an aggregate inserts each group exactly once. The
+/// aggregate's rows carry no lineage; keyed by lineage, every row after
+/// the first shared the empty key and was skipped.
+#[test]
+fn grouped_insert_applies_each_group_once() {
+    // 30 rows in 3 groups.
+    let cat = Catalog::new();
+    cat.create_table(
+        "t",
+        Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]),
+        (0..30).map(|i| vec![Value::Int(i % 3), Value::Int(i)]),
+    )
+    .unwrap();
+    let sink = Schema::from_pairs(&[("g", DataType::Int), ("n", DataType::Int)]);
+    cat.create_table("sink", sink.clone(), vec![]).unwrap();
+    let exec = PopExecutor::new(cat, PopConfig::default()).unwrap();
+    let mut b = QueryBuilder::new();
+    let t = b.table("t");
+    b.aggregate(&[(t, 0)], vec![AggFunc::Count]);
+    b.insert_into("sink");
+    let res = exec.run(&b.build().unwrap(), &Params::none()).unwrap();
+    assert_eq!(res.rows.len(), 3);
+    assert_eq!(exec.catalog().table("sink").unwrap().row_count(), 3);
+
+    // The correlated join grouped by customer (250 groups of 50 orders),
+    // as planned and with a forced re-optimization at each of its CHECKs.
+    let grouped = || {
+        let mut b = QueryBuilder::new();
+        let c = b.table("customer");
+        let o = b.table("orders");
+        b.join(c, 0, o, 1);
+        b.filter(
+            c,
+            Expr::col(c, 1)
+                .eq(Expr::lit(3i64))
+                .and(Expr::col(c, 2).eq(Expr::lit(3i64)))
+                .and(Expr::col(c, 3).eq(Expr::lit(3i64))),
+        );
+        b.aggregate(&[(c, 0)], vec![AggFunc::Count]);
+        b.insert_into("sink");
+        b.build().unwrap()
+    };
+    let want: Vec<Vec<Value>> = (3..1000)
+        .step_by(4)
+        .map(|c| vec![Value::Int(c), Value::Int(50)])
+        .collect();
+    let executor = |force: Option<usize>| {
+        let cat = correlated_db();
+        cat.create_table("sink", sink.clone(), vec![]).unwrap();
+        let cfg = PopConfig {
+            force_reopt_at: force,
+            ..PopConfig::default()
+        };
+        PopExecutor::new(cat, cfg).unwrap()
+    };
+    let ids = check_ids(&executor(None), &grouped());
+    assert!(!ids.is_empty(), "the grouped query places CHECKs");
+    for force in std::iter::once(None).chain(ids.into_iter().map(Some)) {
+        let exec = executor(force);
+        let res = exec.run(&grouped(), &Params::none()).unwrap();
+        let mut inserted = exec.catalog().table("sink").unwrap().snapshot();
+        inserted.sort();
+        assert_eq!(inserted, want, "force_reopt_at {force:?}");
+        let mut rows = res.rows;
+        rows.sort();
+        assert_eq!(rows, want, "force_reopt_at {force:?}");
+    }
 }

@@ -115,7 +115,7 @@ fn dmv_reopt_count_is_bounded_by_config() {
     for q in dmv_queries().into_iter().take(10) {
         let res = exec.run(&q.spec, &Params::none()).unwrap();
         assert!(
-            res.report.reopt_count <= exec.config().max_reopts + 1,
+            res.report.reopt_count <= exec.config().max_reopts,
             "{}: {} reopts",
             q.name,
             res.report.reopt_count
