@@ -28,13 +28,11 @@
 //!
 //! Beside the times, the counts that explain them: connected groups,
 //! two-sided splits the descending-submask loop visits, splits the join
-//! graph admits, splits costed, candidates built, cost-difference
-//! evaluations of the root search and signature strings built. `--assert`
-//! checks the identities that hold on any box: every admitted split is
-//! costed (with hash join on, every connected set has a plan), the memo
-//! holds exactly the connected sets, a first optimization with no temp
-//! MV and no recorded fact builds no signature, and the root search stays
-//! within `validity::max_evals_per_join` (432 at three iterations) per join
+//! graph admits, splits costed, candidates built and cost-difference
+//! evaluations of the root search. `--assert` checks the identities that
+//! hold on any box: every admitted split is costed (with hash join on,
+//! every connected set has a plan), the memo holds exactly the connected
+//! sets, and the root search stays within `validity::max_evals_per_join` (432 at three iterations) per join
 //! of the plan — it runs for the extracted plan only, never per prune.
 //!
 //! Raw data goes to `results/BENCH_plan.json`.
@@ -69,7 +67,6 @@ struct QueryProfile {
     splits_costed: usize,
     candidates_built: usize,
     diff_evals: usize,
-    signatures_built: usize,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -197,7 +194,6 @@ fn profile(env: &Env, name: &str, spec: &QuerySpec, reps: usize) -> QueryProfile
         splits_costed: stats.splits_costed,
         candidates_built: stats.candidates_built,
         diff_evals: stats.diff_evals,
-        signatures_built: stats.signatures_built,
     }
 }
 
@@ -227,13 +223,25 @@ fn main() {
         .collect();
 
     println!(
-        "{:6} {:>2} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
-        "query", "n", "plan", "bind", "enumerate", "(root)", "extract", "place",
-        "groups", "visited", "admitted", "costed", "cands", "diffs", "sigs"
+        "{:6} {:>2} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7}",
+        "query",
+        "n",
+        "plan",
+        "bind",
+        "enumerate",
+        "(root)",
+        "extract",
+        "place",
+        "groups",
+        "visited",
+        "admitted",
+        "costed",
+        "cands",
+        "diffs"
     );
     for q in &queries {
         println!(
-            "{:6} {:>2} {:>8.0} {:>7.0} {:>9.0} {:>8.0} {:>8.0} {:>8.0} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>4}",
+            "{:6} {:>2} {:>8.0} {:>7.0} {:>9.0} {:>8.0} {:>8.0} {:>8.0} | {:>6} {:>8} {:>8} {:>6} {:>6} {:>7}",
             q.name,
             q.tables,
             q.plan_us,
@@ -247,8 +255,7 @@ fn main() {
             q.splits_admitted,
             q.splits_costed,
             q.candidates_built,
-            q.diff_evals,
-            q.signatures_built
+            q.diff_evals
         );
     }
     let total = |f: fn(&QueryProfile) -> f64| queries.iter().map(f).sum::<f64>();
@@ -273,12 +280,6 @@ fn main() {
                 failures.push(format!(
                     "{}: the join graph admits {} split(s), {} were costed",
                     q.name, q.splits_admitted, q.splits_costed
-                ));
-            }
-            if q.signatures_built != 0 {
-                failures.push(format!(
-                    "{}: {} signature(s) built with no temp MV and no recorded fact",
-                    q.name, q.signatures_built
                 ));
             }
             let cap = max_evals_per_join(iters) * (q.tables - 1);

@@ -46,17 +46,16 @@
 //!    `FeedbackCache`; the re-plan on the query's first-plan memo is timed
 //!    against the first plan and against a fresh-memo plan with the same
 //!    facts, each side in its own loop as above. Recorded per query: the
-//!    re-plan / first-plan ratio, groups re-derived and signatures built.
-//!    `--assert` checks counts, not times: the re-plan costs the fresh
-//!    plan's bits, rebuilds nothing, and builds at most one signature per
-//!    fact it resolves.
+//!    re-plan / first-plan ratio and the groups re-derived. `--assert`
+//!    checks counts, not times: the re-plan costs the fresh plan's bits,
+//!    rebuilds nothing, and re-derives at least one group.
 //!
 //! Raw data goes to `results/BENCH_reopt.json`.
 
 use pop::{ObservedCard, PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
 use pop_optimizer::{optimize, CardFact, FeedbackCache, Memo, OptimizerContext};
-use pop_plan::{subplan_signature, QueryBuilder, QuerySpec, TableSet};
+use pop_plan::{QueryBuilder, QuerySpec, TableSet};
 use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, IndexKind, StorageConfig};
 use pop_tpch::{q10, tpch_catalog};
@@ -139,8 +138,6 @@ struct DmvReplan {
     replan_over_fresh: f64,
     groups_rederived: usize,
     dirty_seeds: usize,
-    /// Signature strings the re-plan built.
-    signatures_built: usize,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -151,11 +148,10 @@ struct DmvReplans {
     /// Medians over the queries.
     median_replan_over_first: f64,
     median_replan_over_fresh: f64,
-    /// Sums over the queries: groups re-derived of groups held, and
-    /// signatures built for facts resolved.
+    /// Sums over the queries: groups re-derived of groups held, and the
+    /// facts fed back.
     groups_rederived: usize,
     groups_total: usize,
-    signatures_built: usize,
     facts: usize,
 }
 
@@ -233,24 +229,22 @@ fn run_scenario(
     let spec = chain_query();
     let opt_cfg = pop_optimizer::OptimizerConfig::default();
     let cost = PopConfig::default().cost_model;
-    let inject = |feedback: &FeedbackCache, round: usize| {
+    let inject = |feedback: &mut FeedbackCache, round: usize| {
         // A fresh value every round so each round really re-plans.
         let observed = (500 + 137 * round) as f64;
-        feedback.record(
-            subplan_signature(&spec, fact_set(round, &spec)),
-            CardFact::Exact(observed),
-        );
+        feedback.record(fact_set(round, &spec), CardFact::Exact(observed));
     };
 
     // Phase 1: from scratch — a fresh memo per re-optimization.
-    let feedback = FeedbackCache::new();
+    let mut feedback = FeedbackCache::new();
     let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
     let (warm, _) = optimize(&spec, &octx, &mut Memo::new()).unwrap();
     assert!(warm.props().cost.is_finite());
     let mut scratch_us = Vec::with_capacity(rounds);
     let mut scratch_cost_bits = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        inject(&feedback, round);
+        inject(&mut feedback, round);
+        let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
         let t0 = Instant::now();
         let (plan, _) = optimize(&spec, &octx, &mut Memo::new()).unwrap();
         scratch_us.push(t0.elapsed().as_secs_f64() * 1e6);
@@ -258,7 +252,7 @@ fn run_scenario(
     }
 
     // Phase 2: one persistent memo, same fact sequence.
-    let feedback = FeedbackCache::new();
+    let mut feedback = FeedbackCache::new();
     let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
     let mut memo = Memo::new();
     // Warm: the first optimization builds every group (a query's initial
@@ -269,7 +263,8 @@ fn run_scenario(
     let mut rederived_total = 0usize;
     let mut groups_total = 0usize;
     for (round, scratch_bits) in scratch_cost_bits.iter().enumerate() {
-        inject(&feedback, round);
+        inject(&mut feedback, round);
+        let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
         let t1 = Instant::now();
         let (inc, stats_rep) = optimize(&spec, &octx, &mut memo).unwrap();
         inc_us.push(t1.elapsed().as_secs_f64() * 1e6);
@@ -368,10 +363,7 @@ fn repeated_q10() -> RepeatedQ10 {
 /// the violation's observation and every exactly resolved check, each
 /// with the table set it was observed on. `None` when the first step
 /// completed.
-fn first_step_facts(
-    exec: &PopExecutor,
-    spec: &QuerySpec,
-) -> Option<Vec<(String, TableSet, CardFact)>> {
+fn first_step_facts(exec: &PopExecutor, spec: &QuerySpec) -> Option<Vec<(TableSet, CardFact)>> {
     let result = exec.run(spec, &Params::none()).expect("query runs");
     let step = result.report.steps.first()?;
     let violation = step.violation.as_ref()?;
@@ -379,14 +371,10 @@ fn first_step_facts(
         ObservedCard::Exact(n) => CardFact::Exact(n as f64),
         ObservedCard::AtLeast(n) => CardFact::AtLeast(n as f64),
     };
-    let mut facts = vec![(
-        violation.signature.clone(),
-        violation.tables,
-        fact(violation.observed),
-    )];
+    let mut facts = vec![(violation.tables, fact(violation.observed))];
     for ev in &step.check_events {
         if ev.observed.is_exact() {
-            facts.push((ev.signature.clone(), ev.tables, fact(ev.observed)));
+            facts.push((ev.tables, fact(ev.observed)));
         }
     }
     Some(facts)
@@ -414,9 +402,9 @@ fn dmv_replans(rounds: usize) -> DmvReplans {
             continue;
         };
         let none = FeedbackCache::new();
-        let fed = FeedbackCache::new();
-        for (sig, set, fact) in &facts {
-            fed.record_at(sig.clone(), *set, *fact);
+        let mut fed = FeedbackCache::new();
+        for (set, fact) in &facts {
+            fed.record(*set, *fact);
         }
         let ctx = |fb| {
             OptimizerContext::new(
@@ -479,7 +467,6 @@ fn dmv_replans(rounds: usize) -> DmvReplans {
                 replan_over_fresh: re / fr,
                 groups_rederived: stats.groups_rederived,
                 dirty_seeds: stats.dirty_seeds,
-                signatures_built: stats.signatures_built,
             },
             stats.rebuilt,
         ));
@@ -498,7 +485,6 @@ fn dmv_replans(rounds: usize) -> DmvReplans {
         median_replan_over_fresh: median(&mut over_fresh),
         groups_rederived: queries.iter().map(|q| q.groups_rederived).sum(),
         groups_total: queries.iter().map(|q| q.groups_total).sum(),
-        signatures_built: queries.iter().map(|q| q.signatures_built).sum(),
         facts: queries.iter().map(|q| q.facts).sum(),
         queries,
     }
@@ -542,21 +528,20 @@ fn main() {
     let dmv = dmv_replans(if quick { 15 } else { 61 });
     println!(
         "DMV re-plans ({} queries, scale {}): re-plan / first plan median {:.2}, \
-         re-plan / fresh-memo plan median {:.2}; {} of {} groups re-derived, \
-         {} signature(s) built for {} fact(s)",
+         re-plan / fresh-memo plan median {:.2}; {} of {} groups re-derived \
+         for {} fact(s)",
         dmv.queries.len(),
         dmv.scale,
         dmv.median_replan_over_first,
         dmv.median_replan_over_fresh,
         dmv.groups_rederived,
         dmv.groups_total,
-        dmv.signatures_built,
         dmv.facts
     );
     for q in &dmv.queries {
         println!(
             "  {:6} {:2} tables  first {:7.1} us  re-plan {:7.1} us ({:.2}x)  fresh {:7.1} us  \
-             {:3} of {:3} groups re-derived, {} signature(s) for {} fact(s)",
+             {:3} of {:3} groups re-derived for {} fact(s)",
             q.name,
             q.tables,
             q.first_plan_us,
@@ -565,7 +550,6 @@ fn main() {
             q.fresh_replan_us,
             q.groups_rederived,
             q.groups_total,
-            q.signatures_built,
             q.facts
         );
     }
@@ -578,12 +562,6 @@ fn main() {
         for q in &dmv.queries {
             if q.groups_rederived == 0 {
                 failures.push(format!("{}: the facts re-derived no group", q.name));
-            }
-            if q.signatures_built > q.facts {
-                failures.push(format!(
-                    "{}: the re-plan built {} signatures for {} facts",
-                    q.name, q.signatures_built, q.facts
-                ));
             }
         }
         for s in &latency.scenarios {

@@ -84,18 +84,18 @@ pub struct PopConfig {
     pub env_warnings: Vec<String>,
 }
 
-/// Batch size from `POP_BATCH_SIZE`, falling back to the engine default.
-/// Unparsable or zero values fall back — recording a warning — rather
-/// than erroring.
-fn batch_size_from_env(warnings: &mut Vec<String>) -> usize {
-    pop_guard::env_parsed("POP_BATCH_SIZE", |n: &usize| *n > 0, warnings)
+/// Batch size from environment variable `name` (`POP_BATCH_SIZE`),
+/// falling back to the engine default. Unparsable or zero values fall
+/// back — recording a warning — rather than erroring.
+fn batch_size_from_env(name: &str, warnings: &mut Vec<String>) -> usize {
+    pop_guard::env_parsed(name, |n: &usize| *n > 0, warnings)
         .unwrap_or(pop_exec::DEFAULT_BATCH_SIZE)
 }
 
 impl Default for PopConfig {
     fn default() -> Self {
         let mut env_warnings = Vec::new();
-        let batch_size = batch_size_from_env(&mut env_warnings);
+        let batch_size = batch_size_from_env("POP_BATCH_SIZE", &mut env_warnings);
         let budget = Budget::from_env(&mut env_warnings);
         let faults = FaultPlan::from_env(&mut env_warnings);
         let storage = StorageConfig::from_env(&mut env_warnings);
@@ -192,12 +192,26 @@ mod tests {
 
     #[test]
     fn invalid_batch_size_env_is_warned_not_swallowed() {
-        // Exercise the parser directly (not via set_var + Default, which
-        // would race with parallel tests reading the environment).
+        // On a variable of its own, not `POP_BATCH_SIZE`: parallel tests
+        // read that one through `PopConfig::default`.
+        const NAME: &str = "POP_TEST_BATCH_SIZE_INVALID";
+        for raw in ["0", "banana"] {
+            let mut w = Vec::new();
+            std::env::set_var(NAME, raw);
+            let n = batch_size_from_env(NAME, &mut w);
+            std::env::remove_var(NAME);
+            assert_eq!(n, pop_exec::DEFAULT_BATCH_SIZE, "{NAME}={raw:?}");
+            assert_eq!(
+                w,
+                [format!(
+                    "{NAME}: invalid value {raw:?}; falling back to the default"
+                )]
+            );
+        }
         let mut w = Vec::new();
-        let n = pop_guard::env_parsed("POP_BATCH_SIZE_ABSENT_FOR_TEST", |n: &usize| *n > 0, &mut w)
-            .unwrap_or(pop_exec::DEFAULT_BATCH_SIZE);
-        assert_eq!(n, pop_exec::DEFAULT_BATCH_SIZE);
-        assert!(w.is_empty());
+        std::env::set_var(NAME, "64");
+        assert_eq!(batch_size_from_env(NAME, &mut w), 64);
+        std::env::remove_var(NAME);
+        assert!(w.is_empty(), "{w:?}");
     }
 }

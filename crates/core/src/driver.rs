@@ -123,14 +123,14 @@ impl PopExecutor {
         cancel: Option<CancelToken>,
     ) -> PopResult<QueryResult> {
         spec.validate()?;
-        // With learning enabled the per-query overlay reads through to the
-        // shared store (subplan signatures include tables and predicates,
-        // so facts transfer exactly to repeated or overlapping subplans).
-        // Facts observed by this run stay in the overlay until the query
-        // *completes*, then publish — a failed or poisoned run never
-        // contaminates the store other queries plan against.
-        let feedback = if self.config.learn_across_queries {
-            FeedbackCache::with_base(self.learned.clone())
+        // With learning enabled the query's facts are seeded from the
+        // shared store (subplan signatures include tables, predicates and
+        // parameter values, so facts transfer exactly to repeated or
+        // overlapping subplans). Facts observed by this run stay with the
+        // query until it *completes*, then publish — a failed or poisoned
+        // run never contaminates the store other queries plan against.
+        let mut feedback = if self.config.learn_across_queries {
+            FeedbackCache::seeded(&self.learned, spec, Some(params))
         } else {
             FeedbackCache::new()
         };
@@ -154,7 +154,14 @@ impl PopExecutor {
         };
         let mut collected: Vec<Row> = Vec::new();
         let io_before = self.catalog.io_stats();
-        self.run_loop(spec, params, &feedback, ctx, &mut report, &mut collected)?;
+        self.run_loop(
+            spec,
+            params,
+            &mut feedback,
+            ctx,
+            &mut report,
+            &mut collected,
+        )?;
         // Physical I/O is backend-dependent by design (the mem backend
         // reports all zeros) and never part of result equivalence.
         let io = self.catalog.io_stats().since(&io_before);
@@ -165,7 +172,7 @@ impl PopExecutor {
         report.feedback_overlay_hits = overlay_hits;
         report.feedback_base_hits = base_hits;
         if self.config.learn_across_queries {
-            feedback.publish();
+            feedback.publish(&self.learned, spec, Some(params));
         }
         report.total_work = ctx.work;
         Ok(QueryResult {
@@ -215,7 +222,7 @@ impl PopExecutor {
         &self,
         spec: &QuerySpec,
         params: &pop_expr::Params,
-        feedback: &FeedbackCache,
+        feedback: &mut FeedbackCache,
         ctx: &mut ExecCtx,
         report: &mut RunReport,
         collected: &mut Vec<Row>,
@@ -224,7 +231,7 @@ impl PopExecutor {
         let mut mv_counter = 0usize;
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
-        // dirtied, and its binding signs what a step promotes.
+        // dirtied.
         let mut memo = self.memo.lock();
         loop {
             // (Re-)optimize with everything learned so far: feedback facts
@@ -300,42 +307,33 @@ impl PopExecutor {
                             pop_exec::ObservedCard::Exact(n) => CardFact::Exact(n as f64),
                             pop_exec::ObservedCard::AtLeast(n) => CardFact::AtLeast(n as f64),
                         };
-                        let (sig, set) = (violation.signature.clone(), violation.tables);
-                        feedback.record_at(sig, set, fact);
+                        feedback.record(violation.tables, fact);
                         // Every exactly-resolved check is a free exact fact.
                         for ev in &step.check_events {
                             if let pop_exec::ObservedCard::Exact(n) = ev.observed {
-                                let fact = CardFact::Exact(n as f64);
-                                feedback.record_at(ev.signature.clone(), ev.tables, fact);
+                                feedback.record(ev.tables, CardFact::Exact(n as f64));
                             }
                         }
                     }
                     // Promote completed materializations to temp MVs with
-                    // exact statistics (§2.3). A harvest is signed only
-                    // here, from the binding the step's plan came from.
+                    // exact statistics (§2.3).
                     let harvests = std::mem::take(&mut ctx.harvests);
                     for h in harvests {
-                        let Some(signature) = memo.signature(h.tables).map(str::to_string) else {
+                        if !memo.is_subplan(h.tables) {
                             report.warnings.push(format!(
                                 "harvest over {} not promoted: no subplan of the planned query",
                                 h.tables
                             ));
                             continue;
-                        };
+                        }
                         if !violation.forced {
                             let card = CardFact::Exact(h.row_count() as f64);
-                            feedback.record_at(signature.clone(), h.tables, card);
+                            feedback.record(h.tables, card);
                         }
-                        self.promote_harvest(
-                            spec,
-                            h,
-                            signature,
-                            &mut mv_counter,
-                            &mut report.warnings,
-                        )?;
+                        self.promote_harvest(spec, h, &mut mv_counter, &mut report.warnings)?;
                     }
                     // Injected corrupted statistics: poison the violated
-                    // signature's fed-back cardinality with an absurd
+                    // subplan's fed-back cardinality with an absurd
                     // value, after all truthful facts, so the poison wins.
                     // The re-optimizer may now pick a bad plan; the chaos
                     // suite asserts the *answer* stays correct regardless.
@@ -343,8 +341,7 @@ impl PopExecutor {
                     if !self.config.learn_across_queries {
                         if let Some(inj) = ctx.faults.as_mut() {
                             if inj.corrupt_stats() {
-                                let (sig, set) = (violation.signature.clone(), violation.tables);
-                                feedback.record_at(sig, set, CardFact::Exact(1e12));
+                                feedback.record(violation.tables, CardFact::Exact(1e12));
                             }
                         }
                     }
@@ -524,8 +521,8 @@ impl PopExecutor {
         map
     }
 
-    /// Promote one harvested materialization, signed `signature`, to a
-    /// temp MV. The operator builder only harvests nodes whose output is
+    /// Promote one harvested materialization to a temp MV over its table
+    /// set. The operator builder only harvests nodes whose output is
     /// the canonical layout of their table set — the contract MV matching
     /// relies on — so a harvest that disagrees with it is a bug: it is
     /// dropped and reported on `warnings` instead of silently turning MV
@@ -534,15 +531,14 @@ impl PopExecutor {
         &self,
         spec: &QuerySpec,
         mut h: pop_exec::Harvest,
-        signature: String,
         mv_counter: &mut usize,
         warnings: &mut Vec<String>,
     ) -> PopResult<()> {
         let canonical = canonical_layout(spec, h.tables, &self.col_counts(spec));
         if h.layout != canonical {
             warnings.push(format!(
-                "harvest {signature} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
-                h.layout
+                "harvest over {} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
+                h.tables, h.layout
             ));
             return Ok(());
         }
@@ -573,7 +569,6 @@ impl PopExecutor {
             .create_temp_table(id, name, Schema::new(cols), data, rows)?;
         self.catalog.register_temp_mv(TempMv {
             table,
-            signature,
             tables: tables.mask(),
             layout,
             actual_card: rows as u64,
@@ -848,7 +843,6 @@ mod tests {
                 flavor: CheckFlavor::Ecdc,
                 range: ValidityRange::new(0.0, 7.0),
                 est_card: 5.0,
-                signature: "sig".into(),
                 context: pop_plan::CheckContext::Pipeline,
             },
         };
@@ -974,13 +968,13 @@ mod tests {
             pop_exec::Harvest::new(&info, std::sync::Arc::new(buffer), None)
         };
         let (mut n, mut warnings) = (0, Vec::new());
-        exec.promote_harvest(&q, harvest(canonical), "sig".into(), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         // The same table set at another width breaks the MV contract.
         let narrow = vec![pop_types::ColId::new(0, 0)];
-        exec.promote_harvest(&q, harvest(narrow), "sig".into(), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(narrow), &mut n, &mut warnings)
             .unwrap();
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         assert_eq!(warnings.len(), 1);

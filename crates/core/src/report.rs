@@ -161,11 +161,12 @@ pub struct RunReport {
     /// end-to-end benchmark harness, which still reads it, keeps
     /// compiling.
     pub sample_vet: Option<std::convert::Infallible>,
-    /// Feedback lookups answered by this query's own overlay (facts
-    /// recorded by checks during this very run).
+    /// Feedback lookups answered by facts this query recorded (checks and
+    /// materializations during this very run).
     pub feedback_overlay_hits: u64,
-    /// Feedback lookups answered by the cross-query store (facts earlier
-    /// queries paid for) — nonzero only with `learn_across_queries`.
+    /// Feedback lookups answered by facts seeded from the cross-query
+    /// store (facts earlier queries paid for) that this query has not
+    /// recorded on since — nonzero only with `learn_across_queries`.
     pub feedback_base_hits: u64,
     /// Physical storage I/O this query performed (buffer-pool hits and
     /// misses, evictions, WAL activity). `None` on the in-memory backend,

@@ -23,8 +23,8 @@ pub struct Subplan {
 }
 
 /// Subplans by table-set mask: the materializations of these sets are
-/// harvested, labelled with their table set (the driver signs the ones
-/// it promotes). An empty map harvests nothing.
+/// harvested, labelled with their table set (the driver promotes them to
+/// temp MVs over that set). An empty map harvests nothing.
 pub type Subplans = HashMap<u64, Subplan>;
 
 /// Position of a base column within a layout.
@@ -143,11 +143,11 @@ where
                 IndexRangeScanOp::new(t, index, lo.clone(), hi.clone(), bound).with_columns(cols),
             )
         }
-        PhysNode::MvScan {
-            mv_name, signature, ..
-        } => {
+        PhysNode::MvScan { mv_name, props } => {
             let t = catalog.table(mv_name)?;
-            let lineage = catalog.temp_mv(signature).and_then(|mv| mv.lineage);
+            let lineage = catalog
+                .temp_mv(props.tables.mask())
+                .and_then(|mv| mv.lineage);
             Box::new(MvScanOp::new(t, lineage))
         }
         PhysNode::Nljn {

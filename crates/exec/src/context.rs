@@ -23,8 +23,8 @@ use std::sync::Arc;
 /// when a SORT reordered them.
 #[derive(Debug, Clone)]
 pub struct Harvest {
-    /// The query tables the materialized subplan joins; the driver signs
-    /// the set when it promotes the harvest.
+    /// The query tables the materialized subplan joins: the key the
+    /// driver promotes the harvest under.
     pub tables: TableSet,
     /// Canonical column layout of the harvested rows.
     pub layout: Vec<ColId>,
@@ -139,8 +139,6 @@ pub struct CheckEvent {
     pub est_card: f64,
     /// The check range in force.
     pub range: ValidityRange,
-    /// Signature of the checked subplan.
-    pub signature: String,
     /// The query tables the checked subplan joins.
     pub tables: TableSet,
 }

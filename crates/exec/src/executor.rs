@@ -162,7 +162,6 @@ mod tests {
                 flavor: CheckFlavor::Ecdc,
                 range: ValidityRange::new(0.0, 7.0),
                 est_card: 5.0,
-                signature: "sig".into(),
                 context: pop_plan::CheckContext::Pipeline,
             },
             props,

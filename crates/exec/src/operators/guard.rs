@@ -161,7 +161,6 @@ impl GuardOp {
             observed,
             est_card: s.est_card,
             range: s.range,
-            signature: s.signature.clone(),
             tables: self.tables,
         });
     }
@@ -178,7 +177,6 @@ impl GuardOp {
         ExecSignal::Reopt(Box::new(Violation {
             check_id: s.id,
             flavor: s.flavor,
-            signature: s.signature.clone(),
             tables: self.tables,
             observed,
             est_card: s.est_card,
@@ -566,7 +564,6 @@ mod tests {
             flavor: CheckFlavor::Lc,
             range: ValidityRange::new(lo, hi),
             est_card: 1.0,
-            signature: "sig".into(),
             context: CheckContext::AboveTemp,
         }
     }

@@ -159,7 +159,6 @@ mod tests {
                 flavor: CheckFlavor::Lc,
                 range: ValidityRange::new(0.0, hi),
                 est_card: 50.0,
-                signature: "sig".into(),
                 context: CheckContext::Pipeline,
             },
             props: props.clone(),

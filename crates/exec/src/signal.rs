@@ -29,9 +29,7 @@ pub struct Violation {
     pub check_id: usize,
     /// Its flavor.
     pub flavor: CheckFlavor,
-    /// Signature of the subplan whose cardinality was checked.
-    pub signature: String,
-    /// The query tables that subplan joins.
+    /// The query tables of the subplan whose cardinality was checked.
     pub tables: TableSet,
     /// What was observed.
     pub observed: ObservedCard,

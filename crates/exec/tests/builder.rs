@@ -80,7 +80,6 @@ fn unknown_mv_is_an_error() {
     let cat = catalog();
     let plan = PhysNode::MvScan {
         mv_name: "__missing".into(),
-        signature: "sig".into(),
         props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
     };
     assert!(build_operator(&plan, &cat, &HashMap::new()).is_err());

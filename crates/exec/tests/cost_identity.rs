@@ -178,7 +178,6 @@ fn spec(range: ValidityRange) -> CheckSpec {
         flavor: CheckFlavor::Lc,
         range,
         est_card: 1.0,
-        signature: String::new(),
         context: CheckContext::Pipeline,
     }
 }

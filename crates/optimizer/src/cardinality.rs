@@ -1,35 +1,22 @@
 //! Per-query cardinality estimation with feedback overrides.
 
 use crate::OptimizerContext;
-use pop_plan::{JoinGraph, LayoutCol, QuerySpec, Signer, TableSet};
+use pop_plan::{JoinGraph, LayoutCol, QuerySpec, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity, SelectivityDefaults, TableStats};
 use pop_storage::Table;
 use pop_types::{ColId, PopResult};
-use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What a (spec, parameter binding) pair fixes for every optimization of
-/// it: the join graph, and the subplan signature of each connected table
-/// set. Each signature is built at most once per binding, and only when
-/// something could be keyed by it (a recorded feedback fact, a temp MV, a
-/// placed CHECK), by one [`Signer`] that formats the spec's fragments on
-/// the first such need. The [`crate::Memo`] keeps the binding across
-/// re-optimization steps; every step's [`CardEstimator`] shares it.
+/// it: the join graph, whose connected table sets are the subplans that
+/// feedback facts, temp MVs and CHECKs are keyed by. The [`crate::Memo`]
+/// keeps the binding across re-optimization steps; every step's
+/// [`CardEstimator`] shares it.
 #[derive(Debug)]
 pub(crate) struct Binding {
     spec: QuerySpec,
     params: Option<pop_expr::Params>,
     graph: JoinGraph,
-    signer: OnceLock<Signer>,
-    /// One slot per connected set, at [`JoinGraph::rank`].
-    sigs: Vec<OnceLock<String>>,
-    sigs_built: AtomicUsize,
-    /// `(hash of the signature, mask)` of every connected set, sorted:
-    /// finds the set a feedback fact's signature names. Built, with every
-    /// signature, on the first fact probe.
-    sig_index: OnceLock<Vec<(u64, u64)>>,
-    sig_hasher: RandomState,
 }
 
 impl Binding {
@@ -40,40 +27,19 @@ impl Binding {
         Ok(Binding {
             spec: spec.clone(),
             params: params.cloned(),
-            signer: OnceLock::new(),
-            sigs: (0..graph.num_connected())
-                .map(|_| OnceLock::new())
-                .collect(),
             graph,
-            sigs_built: AtomicUsize::new(0),
-            sig_index: OnceLock::new(),
-            sig_hasher: RandomState::new(),
         })
     }
 
     /// Is this the binding of `spec` to `params`? Compared structurally
-    /// (both derive `PartialEq`): a field-wise compare, no signature string.
+    /// (both derive `PartialEq`).
     pub(crate) fn binds(&self, spec: &QuerySpec, params: Option<&pop_expr::Params>) -> bool {
         self.spec == *spec && self.params.as_ref() == params
     }
 
-    /// Signature strings built under this binding so far.
-    #[cfg(test)]
-    pub(crate) fn signatures_built(&self) -> usize {
-        self.sigs_built.load(Ordering::Relaxed)
-    }
-
-    /// Signature of the subplan over the connected `set` (see
-    /// [`CardEstimator::signature`]), or `None` for a set no subplan
-    /// computes.
-    pub(crate) fn signature(&self, set: TableSet) -> Option<&str> {
-        let slot = self.graph.rank(set)?;
-        Some(self.sigs[slot].get_or_init(|| {
-            self.sigs_built.fetch_add(1, Ordering::Relaxed);
-            self.signer
-                .get_or_init(|| Signer::new(&self.spec, self.params.as_ref()))
-                .sign(set)
-        }))
+    /// The binding's join graph.
+    pub(crate) fn graph(&self) -> &JoinGraph {
+        &self.graph
     }
 }
 
@@ -103,8 +69,6 @@ pub struct CardEstimator {
     binding: Arc<Binding>,
     inputs: Arc<TableInputs>,
     facts: Vec<SetFact>,
-    /// Signatures the binding had built before this estimator.
-    sigs_before: usize,
 }
 
 impl CardEstimator {
@@ -116,14 +80,13 @@ impl CardEstimator {
     /// Build the estimator of one optimization step over a binding that
     /// outlives it: reuses `prev`, the table inputs of an earlier step of
     /// the same binding, while they are still valid and reads them afresh
-    /// otherwise, then resolves feedback signatures to table sets.
+    /// otherwise, then takes the feedback facts on the binding's subplans.
     pub(crate) fn bound(
         binding: Arc<Binding>,
         prev: Option<&Arc<TableInputs>>,
         ctx: &OptimizerContext<'_>,
     ) -> PopResult<Self> {
         let spec = &binding.spec;
-        let sigs_before = binding.sigs_built.load(Ordering::Relaxed);
         let inputs = match prev {
             Some(prev) if prev.still_valid(spec, ctx) => prev.clone(),
             _ => Arc::new(TableInputs::read(spec, ctx)?),
@@ -132,21 +95,13 @@ impl CardEstimator {
             binding,
             inputs,
             facts: Vec::new(),
-            sigs_before,
         };
         // Facts are recorded for subplans that ran, and a subplan's table
-        // set is connected: those are the only signatures worth probing. A
-        // fact the driver observed names its table set, and is resolved by
-        // building that set's signature alone.
+        // set is connected: a fact on any other set names no subplan here.
         if !ctx.feedback.is_empty() {
-            let graph = est.graph();
-            let found = ctx.feedback.get_all(
-                graph.num_connected(),
-                || graph.connected_sets().map(|set| (set, est.signature(set))),
-                |sig| est.set_signed(sig),
-                |set, sig| (est.binding.signature(set) == Some(sig)).then_some(set),
-            );
-            let mut facts: Vec<SetFact> = found
+            let mut facts: Vec<SetFact> = ctx
+                .feedback
+                .facts_on(est.graph())
                 .into_iter()
                 .map(|(set, fact)| {
                     let (value, exact) = match fact {
@@ -186,12 +141,6 @@ impl CardEstimator {
         &self.binding.graph
     }
 
-    /// Signature strings built since this estimator was (its own fact
-    /// resolution included).
-    pub(crate) fn signatures_built(&self) -> usize {
-        self.binding.sigs_built.load(Ordering::Relaxed) - self.sigs_before
-    }
-
     /// Unfiltered base cardinality of query table `qidx`.
     pub fn raw_card(&self, qidx: usize) -> f64 {
         self.inputs.raw_cards[qidx]
@@ -229,41 +178,6 @@ impl CardEstimator {
     pub fn matches_per_probe(&self, inner_col: ColId) -> f64 {
         let raw = self.inputs.raw_cards[inner_col.table];
         (raw / self.distinct(inner_col)).max(1e-6)
-    }
-
-    /// Signature of the subplan over `set`, incorporating the query's
-    /// bound parameter values; built on first use and kept for as long as
-    /// the memo stays bound to this (spec, params) pair.
-    ///
-    /// # Panics
-    /// If `set` is not connected under the join predicates: no subplan
-    /// computes it, so nothing is ever keyed by it.
-    pub fn signature(&self, set: TableSet) -> &str {
-        self.binding
-            .signature(set)
-            .expect("only a connected table set is a subplan with a signature")
-    }
-
-    /// The connected set whose signature is `sig`, if any — for a fact
-    /// known by its signature alone (one of the cross-query store's). The
-    /// first call builds every connected set's signature.
-    fn set_signed(&self, sig: &str) -> Option<TableSet> {
-        let b = &*self.binding;
-        let index = b.sig_index.get_or_init(|| {
-            let mut index: Vec<(u64, u64)> = b
-                .graph
-                .connected_sets()
-                .map(|set| (b.sig_hasher.hash_one(self.signature(set)), set.mask()))
-                .collect();
-            index.sort_unstable();
-            index
-        });
-        let hash = b.sig_hasher.hash_one(sig);
-        index[index.partition_point(|&(h, _)| h < hash)..]
-            .iter()
-            .take_while(|&&(h, _)| h == hash)
-            .map(|&(_, mask)| TableSet::from_mask(mask))
-            .find(|&set| self.signature(set) == sig)
     }
 
     /// Estimated cardinality of the subplan joining exactly `set`.
@@ -446,7 +360,6 @@ mod tests {
     use super::*;
     use crate::{CardFact, CostModel, FeedbackCache, OptimizerConfig};
     use pop_expr::Expr;
-    use pop_plan::subplan_signature;
     use pop_plan::QueryBuilder;
     use pop_stats::StatsRegistry;
     use pop_storage::Catalog;
@@ -504,12 +417,11 @@ mod tests {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         let q = query();
         // Record that the filtered customer subplan actually had 40 rows
         // (i.e. the grp=3 predicate was 4x less selective than estimated).
-        let sig = subplan_signature(&q, TableSet::single(0));
-        fb.record(sig, CardFact::Exact(40.0));
+        fb.record(TableSet::single(0), CardFact::Exact(40.0));
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let est = CardEstimator::new(&q, &ctx).unwrap();
         // Set-level estimate uses the actual 40 instead of 10.
@@ -524,10 +436,9 @@ mod tests {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         let q = query();
-        let sig = subplan_signature(&q, TableSet::single(0));
-        fb.record(sig, CardFact::AtLeast(25.0));
+        fb.record(TableSet::single(0), CardFact::AtLeast(25.0));
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let est = CardEstimator::new(&q, &ctx).unwrap();
         assert_eq!(est.card(TableSet::single(0)), 25.0);
@@ -547,7 +458,7 @@ mod tests {
         stats.analyze(&cat, "items").unwrap();
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         let mut b = QueryBuilder::new();
         let c = b.table("customer");
         let o = b.table("orders");
@@ -556,14 +467,8 @@ mod tests {
         b.join(o, 0, it, 1);
         b.filter(c, Expr::col(c, 1).eq(Expr::lit(3i64)));
         let q = b.build().unwrap();
-        fb.record(
-            subplan_signature(&q, TableSet::single(0)),
-            CardFact::Exact(40.0),
-        );
-        fb.record(
-            subplan_signature(&q, TableSet::single(1)),
-            CardFact::Exact(500.0),
-        );
+        fb.record(TableSet::single(0), CardFact::Exact(40.0));
+        fb.record(TableSet::single(1), CardFact::Exact(500.0));
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let est = CardEstimator::new(&q, &ctx).unwrap();
         // card({0,1}) = 40 * 500 / max(d) = 40*500/1000... distinct of
@@ -571,10 +476,8 @@ mod tests {
         let c01 = est.card(TableSet::from_iter([0, 1]));
         assert!((c01 - 200.0).abs() < 10.0, "got {c01}");
         // A fact for the pair beats the composition.
-        fb.record(
-            subplan_signature(&q, TableSet::from_iter([0, 1])),
-            CardFact::Exact(123.0),
-        );
+        fb.record(TableSet::from_iter([0, 1]), CardFact::Exact(123.0));
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let est = CardEstimator::new(&q, &ctx).unwrap();
         assert_eq!(est.card(TableSet::from_iter([0, 1])), 123.0);
         // The larger fact covers; the singleton facts apply elsewhere.

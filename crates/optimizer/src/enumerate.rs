@@ -388,7 +388,6 @@ fn mv_candidate(
     let layout = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
     leaf_candidate(PhysNode::MvScan {
         mv_name: mv.table.name().to_string(),
-        signature: est.signature(set).to_string(),
         props: PlanProps::leaf(set, est.card(set), cost, layout),
     })
 }
@@ -651,7 +650,6 @@ mod tests {
         b.join(c, 0, o, 1);
         b.filter(c, pop_expr::Expr::col(c, 1).eq(pop_expr::Expr::lit(3i64)));
         let q = b.build().unwrap();
-        let sig = pop_plan::subplan_signature(&q, TableSet::single(0));
         let id = cat.allocate_temp_id();
         let mv_table = std::sync::Arc::new(pop_storage::Table::new(
             id,
@@ -663,7 +661,6 @@ mod tests {
         ));
         cat.register_temp_mv(pop_storage::TempMv {
             table: mv_table,
-            signature: sig.clone(),
             tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 10,
@@ -691,7 +688,6 @@ mod tests {
         let o = b.table("orders");
         b.join(c, 0, o, 1);
         let q = b.build().unwrap();
-        let sig = pop_plan::subplan_signature(&q, TableSet::single(0));
         let id = cat.allocate_temp_id();
         cat.register_temp_mv(pop_storage::TempMv {
             table: std::sync::Arc::new(pop_storage::Table::new(
@@ -700,7 +696,6 @@ mod tests {
                 Schema::from_pairs(&[("id", DataType::Int), ("grp", DataType::Int)]),
                 vec![],
             )),
-            signature: sig,
             tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 0,

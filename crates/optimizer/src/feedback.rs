@@ -3,25 +3,26 @@
 //!
 //! Two layers (LEO-style, the paper's §7 "Learning for the Future"):
 //!
+//! * [`FeedbackCache`] — the per-query map the driver records into while
+//!   a query runs, keyed by the table set of each subplan: within one
+//!   query (one spec, one parameter binding) the set names the subplan.
 //! * [`FeedbackStore`] — a process-wide base of facts keyed by subplan
-//!   signature, owned by the executor and surviving across queries. It is
+//!   signature ([`pop_plan::Signer`]: tables, predicates and parameter
+//!   values), owned by the executor and surviving across queries. It is
 //!   capacity-bounded: once full, new signatures are dropped (existing
 //!   ones still strengthen), so a fleet of ad-hoc queries cannot grow it
 //!   without bound.
-//! * [`FeedbackCache`] — the per-query overlay the driver records into
-//!   while a query runs. Lookups fall through to the base, so a fresh
-//!   query is *seeded* with everything past CHECKs observed; the overlay
-//!   is published into the base only when the query completes (and
-//!   learning is enabled), so facts from abandoned or poisoned runs never
-//!   contaminate the fleet. A fact the driver observes also carries the
-//!   table set of the subplan it was observed on
-//!   ([`FeedbackCache::record_at`]): a re-plan of the same query resolves
-//!   it by that set, building one signature instead of every connected
-//!   set's.
+//!
+//! The two meet in this module alone: a query's map is *seeded* from the
+//! store by signing its connected table sets once, and its own facts are
+//! published — signed again — only when the query completes (and learning
+//! is enabled), so facts from abandoned or poisoned runs never
+//! contaminate the fleet.
 
 use parking_lot::RwLock;
-use pop_plan::TableSet;
-use std::collections::HashMap;
+use pop_expr::Params;
+use pop_plan::{JoinGraph, QuerySpec, Signer, TableSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,8 +74,8 @@ impl CardFact {
 pub const DEFAULT_FEEDBACK_CAPACITY: usize = 4096;
 
 /// The process-wide feedback base: cardinality facts keyed by subplan
-/// signature ([`pop_plan::Signer`]), shared by
-/// every query an executor runs. Cloning shares the underlying map.
+/// signature ([`pop_plan::Signer`]), shared by every query an executor
+/// runs. Cloning shares the underlying map.
 #[derive(Clone)]
 pub struct FeedbackStore {
     inner: Arc<RwLock<HashMap<String, CardFact>>>,
@@ -141,205 +142,129 @@ impl FeedbackStore {
     }
 }
 
-/// Per-query cardinality feedback: an overlay the POP driver records into
-/// when checks fire, over an optional cross-query [`FeedbackStore`] base
-/// that seeds estimates for signatures observed by *earlier* queries.
-/// The optimizer prefers these facts over statistics-derived estimates
-/// during (re-)optimization.
-#[derive(Clone, Default)]
+/// Per-query cardinality feedback: the fact known about each subplan of
+/// the running query, keyed by the table set the subplan joins — within
+/// one query that set names the subplan. The POP driver records into it
+/// when checks fire and materializations complete; the optimizer prefers
+/// these facts over statistics-derived estimates during re-optimization.
+///
+/// With cross-query learning, [`FeedbackCache::seeded`] starts the map
+/// from a [`FeedbackStore`] and [`FeedbackCache::publish`] hands the
+/// query's own facts back to it; those two are the only places a
+/// signature is built.
+#[derive(Debug, Default)]
 pub struct FeedbackCache {
-    overlay: Arc<RwLock<HashMap<String, Observed>>>,
-    base: Option<FeedbackStore>,
-    overlay_hits: Arc<AtomicU64>,
-    base_hits: Arc<AtomicU64>,
+    facts: BTreeMap<TableSet, Known>,
+    overlay_hits: AtomicU64,
+    base_hits: AtomicU64,
 }
 
-/// One overlay fact: what was observed and, when the recorder knew it,
-/// the table set of the subplan it was observed on.
+/// One fact of the map, and where it came from.
 #[derive(Debug, Clone, Copy)]
-struct Observed {
+struct Known {
     fact: CardFact,
-    set: Option<TableSet>,
-}
-
-impl std::fmt::Debug for FeedbackCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FeedbackCache")
-            .field("overlay", &*self.overlay.read())
-            .field("base", &self.base)
-            .field("overlay_hits", &self.overlay_hits)
-            .field("base_hits", &self.base_hits)
-            .finish()
-    }
+    /// Recorded by this query; `false` for a fact only seeded from the
+    /// store, which counts as a base hit.
+    recorded: bool,
 }
 
 impl FeedbackCache {
-    /// Empty cache with no cross-query base.
+    /// Empty cache.
     pub fn new() -> Self {
         FeedbackCache::default()
     }
 
-    /// Empty overlay over a shared cross-query base: lookups fall through
-    /// to `base`, records stay in the overlay until [`publish`] is called.
-    ///
-    /// [`publish`]: FeedbackCache::publish
-    pub fn with_base(base: FeedbackStore) -> Self {
-        FeedbackCache {
-            base: Some(base),
-            ..FeedbackCache::default()
+    /// A cache seeded with what `store` knows about the subplans of `spec`
+    /// under `params`: each connected table set is signed once and looked
+    /// up. Empty for an empty store, or a spec too wide to plan.
+    pub fn seeded(store: &FeedbackStore, spec: &QuerySpec, params: Option<&Params>) -> Self {
+        let mut cache = FeedbackCache::new();
+        if store.is_empty() {
+            return cache;
         }
-    }
-
-    /// Record (or strengthen) a fact in the overlay. The base is consulted
-    /// for the previous value (so strengthening rules see the strongest
-    /// known fact) but never written until [`FeedbackCache::publish`].
-    pub fn record(&self, signature: impl Into<String>, fact: CardFact) {
-        self.observe(signature.into(), None, fact);
-    }
-
-    /// [`FeedbackCache::record`] a fact observed on the running query's
-    /// subplan over `set` (a CHECK's input, a harvested materialization).
-    /// The optimizer resolves it by that set, checking the one signature
-    /// against it; a fact whose set signs differently under the binding
-    /// being planned is resolved by its signature alone, as
-    /// [`FeedbackCache::record`]'s are.
-    pub fn record_at(&self, signature: impl Into<String>, set: TableSet, fact: CardFact) {
-        self.observe(signature.into(), Some(set), fact);
-    }
-
-    fn observe(&self, sig: String, set: Option<TableSet>, fact: CardFact) {
-        let mut map = self.overlay.write();
-        let (prev, prev_set) = match map.get(&sig) {
-            Some(o) => (Some(o.fact), o.set),
-            None => (self.base.as_ref().and_then(|b| b.get(&sig)), None),
+        let Ok(graph) = JoinGraph::new(spec, crate::MAX_DP_TABLES) else {
+            return cache;
         };
-        let fact = match prev {
-            Some(prev) => prev.merge(fact),
+        let signer = Signer::new(spec, params);
+        let map = store.inner.read();
+        for set in graph.connected_sets() {
+            if let Some(&fact) = map.get(&signer.sign(set)) {
+                let known = Known {
+                    fact,
+                    recorded: false,
+                };
+                cache.facts.insert(set, known);
+            }
+        }
+        cache
+    }
+
+    /// Record (or strengthen) a fact observed on the subplan over `set`.
+    /// A seeded fact is merged in, so strengthening rules see the
+    /// strongest known fact.
+    pub fn record(&mut self, set: TableSet, fact: CardFact) {
+        let fact = match self.facts.get(&set) {
+            Some(prev) => prev.fact.merge(fact),
             None => fact,
         };
-        let set = set.or(prev_set);
-        map.insert(sig, Observed { fact, set });
+        self.facts.insert(
+            set,
+            Known {
+                fact,
+                recorded: true,
+            },
+        );
     }
 
-    /// Look up the fact for a signature: the overlay wins, the base seeds.
-    pub fn get(&self, signature: &str) -> Option<CardFact> {
-        if let Some(o) = self.overlay.read().get(signature) {
-            self.overlay_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(o.fact);
-        }
-        if let Some(fact) = self.base.as_ref().and_then(|b| b.get(signature)) {
-            self.base_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(fact);
-        }
-        None
+    /// Look up the fact for the subplan over `set`, counting the hit.
+    pub fn get(&self, set: TableSet) -> Option<CardFact> {
+        let known = self.facts.get(&set)?;
+        self.count_hit(known);
+        Some(known.fact)
     }
 
-    /// [`FeedbackCache::get`] for every signature of a set at once, under
-    /// one read lock of each layer, with hits counted as `get` counts
-    /// them; returns the facts found by key, in no particular order. The
-    /// set comes three ways — `each` lists its `len` `(key, signature)`
-    /// pairs, `key_of` finds a signature's key, `key_at` the key of a
-    /// recorded table set if that set has the given signature — so each
-    /// layer walks whichever of itself and the set is smaller: with few
-    /// facts recorded the cost follows the facts, not the signatures, and
-    /// a fact recorded with its table set ([`FeedbackCache::record_at`])
-    /// costs one `key_at`. `each`, `key_of` and `key_at` must not touch
-    /// this cache.
-    pub(crate) fn get_all<'s, K, I>(
-        &self,
-        len: usize,
-        each: impl Fn() -> I,
-        key_of: impl Fn(&str) -> Option<K>,
-        key_at: impl Fn(TableSet, &str) -> Option<K>,
-    ) -> Vec<(K, CardFact)>
-    where
-        I: Iterator<Item = (K, &'s str)>,
-    {
-        let overlay = self.overlay.read();
-        let mut found = Vec::new();
-        if overlay.len() <= len {
-            for (sig, o) in overlay.iter() {
-                let key = o
-                    .set
-                    .and_then(|set| key_at(set, sig))
-                    .or_else(|| key_of(sig));
-                if let Some(key) = key {
-                    found.push((key, o.fact));
-                }
-            }
+    /// Every fact on a subplan `graph` plans (a connected set), in no
+    /// particular order, each counted as [`FeedbackCache::get`] counts it.
+    pub(crate) fn facts_on(&self, graph: &JoinGraph) -> Vec<(TableSet, CardFact)> {
+        self.facts
+            .iter()
+            .filter(|(set, _)| graph.is_connected(**set))
+            .map(|(set, known)| {
+                self.count_hit(known);
+                (*set, known.fact)
+            })
+            .collect()
+    }
+
+    fn count_hit(&self, known: &Known) {
+        let hits = if known.recorded {
+            &self.overlay_hits
         } else {
-            for (key, sig) in each() {
-                if let Some(o) = overlay.get(sig) {
-                    found.push((key, o.fact));
-                }
-            }
-        }
-        let overlay_hits = found.len();
-        if let Some(base) = &self.base {
-            // The overlay wins: a base fact the overlay shadows is no hit.
-            let base = base.inner.read();
-            let mut hit = |key, sig: &str, fact: CardFact| {
-                if !overlay.contains_key(sig) {
-                    found.push((key, fact));
-                }
-            };
-            if base.len() <= len {
-                for (sig, fact) in base.iter() {
-                    if let Some(key) = key_of(sig) {
-                        hit(key, sig, *fact);
-                    }
-                }
-            } else {
-                for (key, sig) in each() {
-                    if let Some(fact) = base.get(sig) {
-                        hit(key, sig, *fact);
-                    }
-                }
-            }
-        }
-        self.overlay_hits
-            .fetch_add(overlay_hits as u64, Ordering::Relaxed);
-        self.base_hits
-            .fetch_add((found.len() - overlay_hits) as u64, Ordering::Relaxed);
-        found
-    }
-
-    /// Number of distinct signatures visible (overlay plus base-only).
-    pub fn len(&self) -> usize {
-        let overlay = self.overlay.read();
-        let base_only = self.base.as_ref().map_or(0, |b| {
-            b.inner
-                .read()
-                .keys()
-                .filter(|k| !overlay.contains_key(*k))
-                .count()
-        });
-        overlay.len() + base_only
-    }
-
-    /// Is the cache empty (no overlay facts and no base facts)?
-    pub fn is_empty(&self) -> bool {
-        self.overlay.read().is_empty() && self.base.as_ref().is_none_or(FeedbackStore::is_empty)
-    }
-
-    /// Drop all overlay facts (end of query). The base is untouched.
-    pub fn clear(&self) {
-        self.overlay.write().clear();
-    }
-
-    /// Publish every overlay fact into the base store (no-op without a
-    /// base). Called by the driver when a query completes successfully and
-    /// cross-query learning is enabled — never for abandoned runs.
-    pub fn publish(&self) {
-        let Some(base) = &self.base else {
-            return;
+            &self.base_hits
         };
-        for (sig, o) in self.overlay.read().iter() {
-            base.record(sig.clone(), o.fact);
+        hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Is the cache empty?
+    pub fn is_empty(&self) -> bool {
+        self.facts.is_empty()
+    }
+
+    /// Publish every fact this query recorded into `store`, signed for
+    /// `spec` under `params`. Called by the driver when a query completes
+    /// successfully and cross-query learning is enabled — never for
+    /// abandoned runs.
+    pub fn publish(&self, store: &FeedbackStore, spec: &QuerySpec, params: Option<&Params>) {
+        let signer = Signer::new(spec, params);
+        for (set, known) in &self.facts {
+            if known.recorded {
+                store.record(signer.sign(*set), known.fact);
+            }
         }
     }
 
-    /// How many lookups were answered by the overlay / the base so far.
+    /// How many lookups were answered by facts this query recorded / by
+    /// facts seeded from the store so far.
     pub fn hit_counts(&self) -> (u64, u64) {
         (
             self.overlay_hits.load(Ordering::Relaxed),
@@ -351,17 +276,25 @@ impl FeedbackCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pop_plan::{subplan_signature, QueryBuilder};
+
+    /// A chain `t0 - t1 - t2`: `{0, 2}` is no subplan of it.
+    fn chain() -> QuerySpec {
+        let mut b = QueryBuilder::new();
+        let t: Vec<usize> = (0..3).map(|i| b.table(format!("t{i}"))).collect();
+        b.join(t[0], 0, t[1], 0);
+        b.join(t[1], 1, t[2], 0);
+        b.build().unwrap()
+    }
 
     #[test]
     fn record_and_get() {
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         assert!(fb.is_empty());
-        fb.record("s1", CardFact::Exact(100.0));
-        assert_eq!(fb.get("s1"), Some(CardFact::Exact(100.0)));
-        assert_eq!(fb.get("s2"), None);
-        assert_eq!(fb.len(), 1);
-        fb.clear();
-        assert!(fb.is_empty());
+        fb.record(TableSet::single(1), CardFact::Exact(100.0));
+        assert_eq!(fb.get(TableSet::single(1)), Some(CardFact::Exact(100.0)));
+        assert_eq!(fb.get(TableSet::single(2)), None);
+        assert!(!fb.is_empty());
     }
 
     #[test]
@@ -382,114 +315,118 @@ mod tests {
 
     #[test]
     fn record_strengthens() {
-        let fb = FeedbackCache::new();
-        fb.record("s", CardFact::AtLeast(10.0));
-        fb.record("s", CardFact::AtLeast(30.0));
-        assert_eq!(fb.get("s"), Some(CardFact::AtLeast(30.0)));
-        fb.record("s", CardFact::Exact(50.0));
-        assert_eq!(fb.get("s"), Some(CardFact::Exact(50.0)));
+        let mut fb = FeedbackCache::new();
+        let s = TableSet::from_iter([0, 1]);
+        fb.record(s, CardFact::AtLeast(10.0));
+        fb.record(s, CardFact::AtLeast(30.0));
+        assert_eq!(fb.get(s), Some(CardFact::AtLeast(30.0)));
+        fb.record(s, CardFact::Exact(50.0));
+        assert_eq!(fb.get(s), Some(CardFact::Exact(50.0)));
     }
 
     #[test]
     fn base_seeds_and_overlay_wins() {
+        let q = chain();
+        let s = TableSet::from_iter([0, 1]);
         let base = FeedbackStore::default();
-        base.record("s", CardFact::Exact(100.0));
-        let fb = FeedbackCache::with_base(base.clone());
+        base.record(subplan_signature(&q, s), CardFact::Exact(100.0));
+        let mut fb = FeedbackCache::seeded(&base, &q, None);
         assert!(!fb.is_empty());
-        assert_eq!(fb.len(), 1);
         // Base seeds the lookup...
-        assert_eq!(fb.get("s"), Some(CardFact::Exact(100.0)));
-        // ...the overlay strengthens locally without touching the base...
-        fb.record("s", CardFact::AtLeast(250.0));
-        assert_eq!(fb.get("s"), Some(CardFact::AtLeast(250.0)));
-        assert_eq!(base.get("s"), Some(CardFact::Exact(100.0)));
+        assert_eq!(fb.get(s), Some(CardFact::Exact(100.0)));
+        // ...the query strengthens locally without touching the base...
+        fb.record(s, CardFact::AtLeast(250.0));
+        assert_eq!(fb.get(s), Some(CardFact::AtLeast(250.0)));
+        assert_eq!(
+            base.get(&subplan_signature(&q, s)),
+            Some(CardFact::Exact(100.0))
+        );
         // ...until published.
-        fb.publish();
-        assert_eq!(base.get("s"), Some(CardFact::AtLeast(250.0)));
+        fb.publish(&base, &q, None);
+        assert_eq!(
+            base.get(&subplan_signature(&q, s)),
+            Some(CardFact::AtLeast(250.0))
+        );
+        assert_eq!(base.len(), 1);
         let (overlay_hits, base_hits) = fb.hit_counts();
         assert_eq!((overlay_hits, base_hits), (1, 1));
     }
 
-    /// `get_all` finds what `get` finds for each signature, and counts the
-    /// same hits, whichever side of each layer it walks.
+    /// `facts_on` finds what `get` finds for each subplan, and counts the
+    /// same hits: a seeded fact is a base hit until the query records on
+    /// its set.
     #[test]
-    fn get_all_matches_get() {
+    fn facts_on_matches_get() {
+        let q = chain();
+        let graph = JoinGraph::new(&q, crate::MAX_DP_TABLES).unwrap();
         let base = FeedbackStore::default();
-        for i in 0..6 {
-            base.record(format!("s{i}"), CardFact::Exact(100.0 + f64::from(i)));
+        for t in 0..3 {
+            let fact = CardFact::Exact(100.0 + f64::from(t));
+            base.record(subplan_signature(&q, TableSet::single(t as usize)), fact);
         }
-        let fb = FeedbackCache::with_base(base);
-        fb.record("s1", CardFact::AtLeast(500.0));
-        fb.record("s7", CardFact::Exact(7.0));
-        fb.record("other", CardFact::Exact(1.0));
-        // Four signatures: more than the overlay's three facts, fewer than
-        // the base's six, so the overlay is walked and the base probed.
-        // Twelve: both layers are walked.
-        let few = ["s1", "s3", "s7", "s9"].map(String::from).to_vec();
-        let many = (0..12).map(|i| format!("s{i}")).collect();
-        for sigs in [few, many] {
-            let before = fb.hit_counts();
-            let expected: Vec<(usize, CardFact)> = sigs
-                .iter()
-                .enumerate()
-                .filter_map(|(k, sig)| fb.get(sig).map(|f| (k, f)))
-                .collect();
-            let after_get = fb.hit_counts();
-            let mut got = fb.get_all(
-                sigs.len(),
-                || sigs.iter().map(String::as_str).enumerate(),
-                |sig| sigs.iter().position(|s| s == sig),
-                |_, _| unreachable!("no fact was recorded with its set"),
-            );
-            got.sort_by_key(|&(k, _)| k);
-            assert_eq!(got, expected);
-            let after_all = fb.hit_counts();
-            assert_eq!(
-                (after_all.0 - after_get.0, after_all.1 - after_get.1),
-                (after_get.0 - before.0, after_get.1 - before.1)
-            );
-        }
+        let mut fb = FeedbackCache::seeded(&base, &q, None);
+        fb.record(TableSet::single(1), CardFact::AtLeast(500.0));
+        fb.record(TableSet::from_iter([0, 1]), CardFact::Exact(7.0));
+        let before = fb.hit_counts();
+        let expected: Vec<(TableSet, CardFact)> = graph
+            .connected_sets()
+            .filter_map(|set| fb.get(set).map(|f| (set, f)))
+            .collect();
+        let after_get = fb.hit_counts();
+        assert_eq!(
+            (after_get.0 - before.0, after_get.1 - before.1),
+            (2, 2),
+            "{expected:?}"
+        );
+        let mut got = fb.facts_on(&graph);
+        got.sort_by_key(|&(set, _)| set.mask());
+        assert_eq!(got, expected);
+        let after_all = fb.hit_counts();
+        assert_eq!(
+            (after_all.0 - after_get.0, after_all.1 - after_get.1),
+            (2, 2)
+        );
     }
 
-    /// A fact recorded with its table set is found through that set when
-    /// the set signs as recorded, without looking its signature up, and
-    /// through its signature when it does not; merging keeps the set.
+    /// A fact is resolved by the set it was recorded at, and only while
+    /// that set is a subplan of the graph being planned.
     #[test]
     fn a_fact_recorded_at_its_set_resolves_by_the_set() {
-        let fb = FeedbackCache::new();
-        let set = TableSet::from_iter([0, 2]);
-        fb.record_at("s02", set, CardFact::AtLeast(5.0));
-        fb.record("s02", CardFact::Exact(9.0));
-        fb.record_at("s1", TableSet::single(1), CardFact::Exact(1.0));
-        let sigs = ["s02", "s1"];
-        let by_set = |s: TableSet, sig: &str| (s == set && sig == "s02").then_some(s.mask());
-        let mut got = fb.get_all(
-            sigs.len(),
-            std::iter::empty,
-            |sig| (sig == "s1").then_some(99),
-            by_set,
-        );
-        got.sort_by_key(|&(k, _)| k);
-        assert_eq!(
-            got,
-            [
-                (set.mask(), CardFact::Exact(9.0)),
-                (99, CardFact::Exact(1.0))
-            ]
-        );
-        assert_eq!(fb.hit_counts(), (2, 0));
+        let q = chain();
+        let graph = JoinGraph::new(&q, crate::MAX_DP_TABLES).unwrap();
+        let mut fb = FeedbackCache::new();
+        let set = TableSet::from_iter([1, 2]);
+        fb.record(set, CardFact::AtLeast(5.0));
+        fb.record(set, CardFact::Exact(9.0));
+        fb.record(TableSet::from_iter([0, 2]), CardFact::Exact(1.0));
+        fb.record(TableSet::single(3), CardFact::Exact(1.0));
+        assert_eq!(fb.facts_on(&graph), [(set, CardFact::Exact(9.0))]);
+        assert_eq!(fb.hit_counts(), (1, 0));
     }
 
+    /// A query's facts reach the store only through `publish`: seeding
+    /// reads it, recording and dropping the cache leave it untouched, and
+    /// publishing adds the recorded facts alone, not the seeded ones.
     #[test]
     fn clear_leaves_base_untouched() {
+        let q = chain();
         let base = FeedbackStore::default();
-        base.record("kept", CardFact::Exact(5.0));
-        let fb = FeedbackCache::with_base(base.clone());
-        fb.record("dropped", CardFact::Exact(7.0));
-        fb.clear();
-        assert_eq!(fb.get("kept"), Some(CardFact::Exact(5.0)));
-        assert_eq!(fb.get("dropped"), None);
+        let kept = subplan_signature(&q, TableSet::single(0));
+        base.record(kept.clone(), CardFact::Exact(5.0));
+        let mut fb = FeedbackCache::seeded(&base, &q, None);
+        fb.record(TableSet::single(2), CardFact::Exact(7.0));
+        drop(fb);
         assert_eq!(base.len(), 1);
+        let mut fb = FeedbackCache::seeded(&base, &q, None);
+        assert_eq!(fb.get(TableSet::single(2)), None);
+        fb.record(TableSet::single(2), CardFact::Exact(7.0));
+        fb.publish(&base, &q, None);
+        assert_eq!(base.len(), 2);
+        assert_eq!(base.get(&kept), Some(CardFact::Exact(5.0)));
+        assert_eq!(
+            base.get(&subplan_signature(&q, TableSet::single(2))),
+            Some(CardFact::Exact(7.0))
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   (Figure 5). Pruning only records the alternatives; the search runs
 //!   when the plan is extracted, for its joins alone.
 //! * **Cardinality feedback** ([`FeedbackCache`]): actual cardinalities
-//!   observed during a previous execution step override estimates for
-//!   matching subplans.
+//!   observed during a previous execution step override estimates for the
+//!   subplans over the same table sets.
 //! * **Temp-MV alternatives**: intermediate results materialized before a
 //!   CHECK failure enter enumeration as [`pop_plan::PhysNode::MvScan`]
 //!   candidates with exact cardinalities, competing on cost with
@@ -31,7 +31,6 @@ mod feedback;
 mod finalize;
 mod memo;
 mod placement;
-mod provenance;
 pub mod validity;
 
 pub use candidate::{root_local_cost, Candidate, RootCostSpec};
@@ -42,4 +41,3 @@ pub use feedback::{CardFact, FeedbackCache, FeedbackStore, DEFAULT_FEEDBACK_CAPA
 pub use finalize::optimize;
 pub use memo::{Memo, MemoStats, MAX_DP_TABLES};
 pub use pop_plan::CostModel;
-pub use provenance::{plan_provenance, EstimateProvenance, EstimateSource};

@@ -95,10 +95,6 @@ pub struct MemoStats {
     /// so [`crate::optimize`] fills this in after the memo pass; it does
     /// not depend on how many groups the pass re-derived.
     pub diff_evals: usize,
-    /// Subplan signature strings built by the pass (feedback-fact
-    /// resolution and temp-MV probes; CHECK placement builds its own
-    /// afterwards). Zero while no fact is recorded and no temp MV exists.
-    pub signatures_built: usize,
 }
 
 /// Snapshot of the estimator inputs a group was last built from.
@@ -109,8 +105,8 @@ struct GroupMeta {
     card_bits: u64,
     /// Catalog table id and actual cardinality of a matching temp MV at
     /// build time, if any — changes when a violation promotes (or cleanup
-    /// drops) an MV, and also when a later harvest *replaces* it under the
-    /// same signature: the candidate names the MV's table, so an equal
+    /// drops) an MV, and also when a later harvest *replaces* it over the
+    /// same table set: the candidate names the MV's table, so an equal
     /// row count alone does not make the old candidate reusable.
     mv: Option<(TableId, u64)>,
 }
@@ -190,8 +186,7 @@ const _: () = assert!(std::mem::size_of::<Group>() == 64);
 /// Persistent join-order memo with dirty-propagation maintenance.
 #[derive(Debug, Default)]
 pub struct Memo {
-    /// The (spec, params) pair the groups belong to, with its join graph
-    /// and signatures.
+    /// The (spec, params) pair the groups belong to, with its join graph.
     bound: Option<Arc<Binding>>,
     /// Optimizer config + cost model the groups were built under.
     env: Option<(crate::OptimizerConfig, pop_plan::CostModel)>,
@@ -219,9 +214,9 @@ impl Memo {
     }
 
     /// Bind the memo to the context's (spec, params) pair and build the
-    /// step's estimator over the binding, so the join graph and signature
-    /// strings are shared between estimator fact probing, MV lookups, CHECK
-    /// placement and the memo's own dirty detection, across steps. When
+    /// step's estimator over the binding, so the join graph is shared
+    /// between estimator fact probing, MV lookups and the memo's own dirty
+    /// detection, across steps. When
     /// the pair differs from the previous binding, all groups are dropped
     /// with it — incremental maintenance only ever spans re-optimizations
     /// of one bound query. A spec is validated when it is bound: one equal
@@ -338,7 +333,6 @@ impl Memo {
                 stats.groups_reused += 1;
             }
         }
-        stats.signatures_built = est.signatures_built();
         let groups = &self.groups;
         self.solved.retain(|&(mask, _), _| !groups[mask].dirty);
 
@@ -350,29 +344,26 @@ impl Memo {
         Ok((&self.groups, &mut self.solved, best, stats))
     }
 
-    /// Signature of the subplan over `set` of the bound query, built on
-    /// first use and kept with the binding: what the driver labels a
-    /// harvested materialization with when it promotes it. `None` before
-    /// the first optimization, or for a set no subplan computes.
-    pub fn signature(&self, set: TableSet) -> Option<&str> {
-        self.bound.as_ref()?.signature(set)
+    /// Is `set` a subplan of the bound query (a connected table set)? What
+    /// the driver asks before it promotes a harvested materialization.
+    /// `false` before the first optimization.
+    pub fn is_subplan(&self, set: TableSet) -> bool {
+        self.bound
+            .as_ref()
+            .is_some_and(|b| b.graph().is_connected(set))
     }
 }
 
 /// The temp MVs the memo may plan with: the catalog's, read once per pass
 /// (none when the config turns MVs off), each kept only if its table set is
-/// a subplan of the bound query with the MV's signature — one signature
-/// per MV, built once per binding. A group finds its MV by mask.
+/// a subplan of the bound query. A group finds its MV by mask.
 fn query_mvs(est: &CardEstimator, ctx: &OptimizerContext<'_>) -> Vec<TempMv> {
     if !ctx.config.use_temp_mvs || ctx.catalog.temp_mv_count() == 0 {
         return Vec::new();
     }
     let graph = est.graph();
     let mut mvs = ctx.catalog.temp_mvs();
-    mvs.retain(|mv| {
-        let set = TableSet::from_mask(mv.tables);
-        graph.is_connected(set) && est.signature(set) == mv.signature
-    });
+    mvs.retain(|mv| graph.is_connected(TableSet::from_mask(mv.tables)));
     mvs
 }
 
@@ -429,7 +420,7 @@ mod tests {
 
     /// Register a 10-row temp MV over the filtered customer subplan of
     /// [`chain_query`], backed by a fresh table called `name`.
-    fn register_customer_mv(cat: &Catalog, q: &pop_plan::QuerySpec, name: &str) {
+    fn register_customer_mv(cat: &Catalog, name: &str) {
         cat.register_temp_mv(pop_storage::TempMv {
             table: std::sync::Arc::new(pop_storage::Table::new(
                 cat.allocate_temp_id(),
@@ -439,7 +430,6 @@ mod tests {
                     .map(|i| vec![Value::Int(i), Value::Int(3)])
                     .collect(),
             )),
-            signature: pop_plan::subplan_signature(q, TableSet::single(0)),
             tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 10,
@@ -533,7 +523,7 @@ mod tests {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
@@ -541,10 +531,8 @@ mod tests {
         // A fact on {customer} dirties {c}, {c,o}, {c,o,i} — its connected
         // supersets ({c,i} is no group: nothing joins c to i) — and leaves
         // {o}, {i}, {o,i} untouched.
-        fb.record(
-            pop_plan::subplan_signature(&q, TableSet::single(0)),
-            CardFact::Exact(55.0),
-        );
+        fb.record(TableSet::single(0), CardFact::Exact(55.0));
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt, "a CardFact must not force a full rebuild");
         assert_eq!(s.groups_total, 6, "{s:?}");
@@ -589,7 +577,7 @@ mod tests {
         let q = chain_query();
         let mut memo = Memo::new();
         optimize(&q, &ctx, &mut memo).unwrap();
-        register_customer_mv(&cat, &q, "__mv_memo");
+        register_customer_mv(&cat, "__mv_memo");
         let (inc, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt);
         assert!(s.dirty_seeds >= 1, "{s:?}");
@@ -601,7 +589,7 @@ mod tests {
         );
     }
 
-    /// A later harvest re-registers an MV under the same signature with
+    /// A later harvest re-registers an MV over the same table set with
     /// the same row count but a new backing table. The group's candidate
     /// names the table, so the group must be re-derived — a snapshot of the
     /// cardinality alone kept the stale `MVSCAN` (planlint `PL402`).
@@ -614,11 +602,11 @@ mod tests {
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
-        register_customer_mv(&cat, &q, "__mv_old");
+        register_customer_mv(&cat, "__mv_old");
         let (first, _) = optimize(&q, &ctx, &mut memo).unwrap();
         assert_eq!(mv_scans(&first), ["__mv_old"]);
 
-        register_customer_mv(&cat, &q, "__mv_new");
+        register_customer_mv(&cat, "__mv_new");
         let (second, s) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!s.rebuilt);
         assert_eq!(s.dirty_seeds, 1, "{s:?}");
@@ -639,7 +627,7 @@ mod tests {
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = chain_query();
         let mut memo = Memo::new();
-        register_customer_mv(&cat, &q, "__mv_gone");
+        register_customer_mv(&cat, "__mv_gone");
         let (with_mv, _) = optimize(&q, &ctx, &mut memo).unwrap();
         assert_eq!(mv_scans(&with_mv), ["__mv_gone"]);
         cat.clear_temp_mvs();
@@ -740,7 +728,7 @@ mod tests {
         let (cat, stats) = numbered_tables(n);
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
-        let fb = FeedbackCache::new();
+        let mut fb = FeedbackCache::new();
         let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
         let q = graph_query(n, &chain_edges(n));
         let mut memo = Memo::new();
@@ -749,29 +737,22 @@ mod tests {
         assert_eq!(first.groups_total, 153);
         assert_eq!(first.groups_rederived, 153);
         assert_eq!(first.splits_costed, 2 * (153 - n));
-        assert_eq!(first.signatures_built, 0);
 
         let pair = TableSet::from_iter([3, 4]);
         let before = memo.bind(&q, &ctx).unwrap().card(pair);
         assert_ne!(before, 4321.0);
-        fb.record(
-            pop_plan::subplan_signature(&q, pair),
-            CardFact::Exact(4321.0),
-        );
+        fb.record(pair, CardFact::Exact(4321.0));
+        let ctx = OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &fb);
 
-        // Resolving the fact builds every group's signature that CHECK
-        // placement has not built already, once; the intervals [i, j] with
-        // i <= 3 and j >= 4 are re-derived.
+        // The intervals [i, j] with i <= 3 and j >= 4 are re-derived.
         let (inc, second) = optimize(&q, &ctx, &mut memo).unwrap();
         assert!(!second.rebuilt);
         assert_eq!(second.groups_rederived, 4 * 13, "{second:?}");
-        assert!(second.signatures_built > 100, "{second:?}");
-        assert_eq!(memo.bound.as_ref().unwrap().signatures_built(), 153);
         assert_matches_fresh(&inc, &q, &ctx);
         let est = memo.bind(&q, &ctx).unwrap();
         assert_eq!(est.card(pair), 4321.0);
         assert!(est.card(TableSet::from_iter([2, 3, 4])) > before);
-        assert_eq!(optimize(&q, &ctx, &mut memo).unwrap().1.signatures_built, 0);
+        assert_eq!(optimize(&q, &ctx, &mut memo).unwrap().1.groups_rederived, 0);
     }
 
     use proptest::prelude::*;

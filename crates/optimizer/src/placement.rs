@@ -29,7 +29,6 @@ use pop_plan::{CheckContext, CheckFlavor, CheckSpec, PhysNode, PlanProps, Validi
 
 struct PlaceState<'a, 'b> {
     ctx: &'a OptimizerContext<'b>,
-    est: &'a CardEstimator,
     next_id: usize,
     is_spj: bool,
 }
@@ -64,7 +63,6 @@ impl PlaceState<'_, '_> {
             flavor,
             range,
             est_card,
-            signature: self.est.signature(below.props().tables).to_string(),
             context,
         }
     }
@@ -83,7 +81,6 @@ pub(crate) fn place_checkpoints(
     let is_spj = est.spec().aggregate.is_none() && est.spec().side_effect.is_none();
     let mut st = PlaceState {
         ctx,
-        est,
         next_id: 0,
         is_spj,
     };

@@ -169,9 +169,6 @@ pub struct CheckSpec {
     pub range: ValidityRange,
     /// The optimizer's cardinality estimate at this edge.
     pub est_card: f64,
-    /// Signature of the subplan below the check (for cardinality feedback
-    /// and temp-MV matching).
-    pub signature: String,
     /// Placement context.
     pub context: CheckContext,
 }

@@ -1,6 +1,5 @@
 //! EXPLAIN-style plan rendering.
 
-use crate::physical::short_hash;
 use crate::PhysNode;
 use std::fmt;
 
@@ -48,10 +47,8 @@ fn render(node: &PhysNode, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Res
                 write!(f, " residual={e}")?;
             }
         }
-        PhysNode::MvScan {
-            signature, mv_name, ..
-        } => {
-            write!(f, "MVSCAN {mv_name} sig={}", short_hash(signature))?;
+        PhysNode::MvScan { mv_name, .. } => {
+            write!(f, "MVSCAN {mv_name} tables={}", p.tables)?;
         }
         PhysNode::Nljn {
             outer_key, inner, ..

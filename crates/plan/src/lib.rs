@@ -12,9 +12,12 @@
 //!   CHECK, BUFCHECK, rid side-table insert and anti-join compensation.
 //! * [`ValidityRange`] — per-edge cardinality bounds computed by the
 //!   optimizer's sensitivity analysis (§2.2), consumed by CHECK.
+//! * [`TableSet`] — the query tables a subplan joins. Within one query
+//!   it names the subplan: CHECKs, cardinality facts and temp MVs are
+//!   keyed by it.
 //! * [`subplan_signature`] / [`Signer`] — the canonical identity of an
-//!   intermediate result, used to match temp MVs during re-optimization
-//!   (§2.3).
+//!   intermediate result across queries (tables, predicates, parameter
+//!   values): the key of the cross-query feedback store alone.
 
 mod check;
 mod cost;

@@ -168,8 +168,6 @@ pub enum PhysNode {
     MvScan {
         /// Catalog name of the MV's backing table.
         mv_name: String,
-        /// Subplan signature the MV covers.
-        signature: String,
         /// Node properties.
         props: PlanProps,
     },
@@ -587,9 +585,7 @@ impl PhysNode {
         match self {
             PhysNode::TableScan { table, qidx, .. } => out.push(format!("{table}#{qidx}")),
             PhysNode::IndexRangeScan { table, qidx, .. } => out.push(format!("ix:{table}#{qidx}")),
-            PhysNode::MvScan { signature, .. } => {
-                out.push(format!("MV[{}]", short_hash(signature)));
-            }
+            PhysNode::MvScan { props, .. } => out.push(format!("MV{}", props.tables)),
             PhysNode::Nljn { inner, .. } => {
                 out.push(format!("NLJN(->{}#{})", inner.table, inner.qidx));
             }
@@ -598,12 +594,6 @@ impl PhysNode {
             _ => {}
         }
     }
-}
-
-/// Short stable hash used in display output.
-pub(crate) fn short_hash(s: &str) -> String {
-    let h = pop_types::fnv1a(s.as_bytes());
-    format!("{:08x}", (h >> 32) as u32)
 }
 
 #[cfg(test)]
@@ -685,7 +675,6 @@ mod tests {
                 flavor: crate::CheckFlavor::Lc,
                 range: ValidityRange::new(1.0, 100.0),
                 est_card: 10.0,
-                signature: "sig".into(),
                 context: crate::CheckContext::AboveTemp,
             },
             props,

@@ -319,8 +319,6 @@ pub struct JoinGraph {
     pred_ends: Vec<TableSet>,
     /// Bit `m` is set iff the table set with mask `m` is connected.
     connected: Vec<u64>,
-    /// Connected sets with a mask below `64 * w`, per bitmap word `w`.
-    rank_base: Vec<usize>,
 }
 
 impl JoinGraph {
@@ -358,19 +356,10 @@ impl JoinGraph {
                 connected[(m / 64) as usize] |= 1 << (m % 64);
             }
         }
-        let rank_base = connected
-            .iter()
-            .scan(0usize, |below, word| {
-                let base = *below;
-                *below += word.count_ones() as usize;
-                Some(base)
-            })
-            .collect();
         Ok(JoinGraph {
             adjacency,
             pred_ends,
             connected,
-            rank_base,
         })
     }
 
@@ -390,18 +379,6 @@ impl JoinGraph {
     /// Number of connected sets.
     pub fn num_connected(&self) -> usize {
         self.connected.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Position of `set` among the connected sets in ascending mask order
-    /// (a dense index for per-subplan side tables), `None` if `set` is not
-    /// connected.
-    pub fn rank(&self, set: TableSet) -> Option<usize> {
-        if !self.is_connected(set) {
-            return None;
-        }
-        let (word, bit) = ((set.mask() / 64) as usize, set.mask() % 64);
-        let below = self.connected[word] & ((1u64 << bit) - 1);
-        Some(self.rank_base[word] + below.count_ones() as usize)
     }
 
     /// The connected sets, in ascending mask order.
@@ -723,10 +700,6 @@ mod tests {
                 let g = JoinGraph::new(&graph_spec(n, &edges), 16).unwrap();
                 assert_eq!(graph_counts(&g), (sets, pairs), "{shape} of {n}");
                 assert!(g.is_connected(TableSet::first_n(n)), "{shape} of {n}");
-                // `rank` numbers the connected sets in `connected_sets` order.
-                for (i, set) in g.connected_sets().enumerate() {
-                    assert_eq!(g.rank(set), Some(i), "{shape} of {n}: {set}");
-                }
             }
         }
     }
@@ -738,7 +711,7 @@ mod tests {
         assert_eq!(graph_counts(&g), (9, 5));
         assert!(!g.is_connected(TableSet::first_n(5)));
         assert!(!g.is_connected(TableSet::EMPTY));
-        assert_eq!(g.rank(TableSet::from_iter([0, 2])), None);
+        assert!(!g.is_connected(TableSet::from_iter([0, 2])));
         assert!(!g.adjacent(TableSet::from_iter([0, 1, 2]), TableSet::from_iter([3, 4])));
         // Both sides connected is not enough: they must also join.
         assert_eq!(g.splits(TableSet::first_n(5), true).count(), 0);

@@ -9,8 +9,11 @@
 //! two subplans with the same signature produce identical multisets of
 //! rows in identical layouts — regardless of join order or join method.
 //!
-//! Signatures drive both temp-MV matching and cardinality feedback during
-//! re-optimization (§2.3).
+//! Within one query the table set alone names a subplan (its predicates
+//! and parameter values are fixed), so temp MVs and the query's own
+//! cardinality facts are keyed by [`TableSet`]. A signature is the key
+//! that outlives the query: the cross-query feedback store (§7) files
+//! facts under it.
 
 use crate::{QuerySpec, TableSet};
 use pop_expr::Params;

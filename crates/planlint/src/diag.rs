@@ -101,7 +101,7 @@ impl DiagCode {
             DiagCode::Pl301 => "parent cumulative cost below child cost",
             DiagCode::Pl302 => "non-finite or negative cardinality estimate",
             DiagCode::Pl303 => "non-finite or negative cost estimate",
-            DiagCode::Pl401 => "MV scan signature unknown to the catalog",
+            DiagCode::Pl401 => "MV scan table set unknown to the catalog",
             DiagCode::Pl402 => "MV scan layout does not match the recorded MV",
         }
     }

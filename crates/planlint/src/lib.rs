@@ -291,7 +291,6 @@ pub(crate) mod testutil {
                 flavor,
                 range,
                 est_card: input.props().card,
-                signature: "sig".into(),
                 context,
             },
             input: Box::new(input),

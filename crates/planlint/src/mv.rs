@@ -2,9 +2,9 @@
 //!
 //! Re-optimization substitutes MVSCAN nodes for subplans whose results
 //! were materialized in an earlier execution step (§2.3). The scan is only
-//! sound if the catalog actually holds a temp MV under that signature and
-//! its recorded layout matches the scan's output layout — otherwise the
-//! executor would read rows under the wrong column interpretation.
+//! sound if the catalog actually holds a temp MV over the scan's table set
+//! and its recorded layout matches the scan's output layout — otherwise
+//! the executor would read rows under the wrong column interpretation.
 //!
 //! Requires a catalog in the [`LintContext`]; skipped without one.
 
@@ -13,23 +13,15 @@ use pop_plan::{LayoutCol, PhysNode};
 
 pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
     let (node, path) = (cx.node, cx.path);
-    let (
-        PhysNode::MvScan {
-            mv_name,
-            signature,
-            props,
-        },
-        Some(catalog),
-    ) = (node, ctx.catalog)
-    else {
+    let (PhysNode::MvScan { mv_name, props }, Some(catalog)) = (node, ctx.catalog) else {
         return;
     };
-    let Some(mv) = catalog.temp_mv(signature) else {
+    let Some(mv) = catalog.temp_mv(props.tables.mask()) else {
         sink.emit(
             DiagCode::Pl401,
             node,
             path,
-            format!("no temp MV registered for signature '{signature}'"),
+            format!("no temp MV registered over tables {}", props.tables),
         );
         return;
     };
@@ -39,7 +31,7 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
             node,
             path,
             format!(
-                "MV scan names table '{mv_name}' but signature resolves to '{}'",
+                "MV scan names table '{mv_name}' but its table set resolves to '{}'",
                 mv.table.name()
             ),
         );
@@ -80,7 +72,8 @@ mod tests {
     use pop_types::{ColId, ColumnDef, DataType, Schema};
     use std::sync::Arc;
 
-    fn catalog_with_mv(sig: &str, cols: usize) -> Catalog {
+    /// A catalog holding one 7-row MV over query table 0.
+    fn catalog_with_mv(cols: usize) -> Catalog {
         let cat = Catalog::new();
         let schema = Schema::new(
             (0..cols)
@@ -91,7 +84,6 @@ mod tests {
         let table = Arc::new(Table::new(id, "__pop_mv_0", schema, vec![vec![]; 7]));
         cat.register_temp_mv(TempMv {
             table,
-            signature: sig.into(),
             tables: 1,
             layout: (0..cols).map(|c| ColId::new(0, c)).collect(),
             actual_card: 7,
@@ -100,16 +92,16 @@ mod tests {
         cat
     }
 
-    fn mvscan(name: &str, sig: &str, cols: usize, card: f64) -> PhysNode {
+    /// An MV scan over query table `t`.
+    fn mvscan(name: &str, t: usize, cols: usize, card: f64) -> PhysNode {
         PhysNode::MvScan {
             mv_name: name.into(),
-            signature: sig.into(),
             props: PlanProps::leaf(
-                TableSet::single(0),
+                TableSet::single(t),
                 card,
                 card,
                 (0..cols)
-                    .map(|c| LayoutCol::Base(ColId::new(0, c)))
+                    .map(|c| LayoutCol::Base(ColId::new(t, c)))
                     .collect(),
             ),
         }
@@ -122,35 +114,35 @@ mod tests {
 
     #[test]
     fn pl401_unknown_signature() {
-        let cat = catalog_with_mv("known", 2);
-        let plan = mvscan("__pop_mv_0", "unknown", 2, 7.0);
+        let cat = catalog_with_mv(2);
+        let plan = mvscan("__pop_mv_0", 1, 2, 7.0);
         assert!(lint_against(&cat, &plan).contains(&"PL401"));
     }
 
     #[test]
     fn pl402_layout_width_mismatch() {
-        let cat = catalog_with_mv("sig", 3);
-        let plan = mvscan("__pop_mv_0", "sig", 2, 7.0); // 2 cols vs recorded 3
+        let cat = catalog_with_mv(3);
+        let plan = mvscan("__pop_mv_0", 0, 2, 7.0); // 2 cols vs recorded 3
         assert!(lint_against(&cat, &plan).contains(&"PL402"));
     }
 
     #[test]
     fn pl402_name_mismatch() {
-        let cat = catalog_with_mv("sig", 2);
-        let plan = mvscan("some_other_table", "sig", 2, 7.0);
+        let cat = catalog_with_mv(2);
+        let plan = mvscan("some_other_table", 0, 2, 7.0);
         assert!(lint_against(&cat, &plan).contains(&"PL402"));
     }
 
     #[test]
     fn matching_mv_scan_is_clean() {
-        let cat = catalog_with_mv("sig", 2);
-        let plan = mvscan("__pop_mv_0", "sig", 2, 7.0);
+        let cat = catalog_with_mv(2);
+        let plan = mvscan("__pop_mv_0", 0, 2, 7.0);
         assert!(lint_against(&cat, &plan).is_empty());
     }
 
     #[test]
     fn no_catalog_no_mv_findings() {
-        let plan = mvscan("__pop_mv_0", "sig", 2, 7.0);
+        let plan = mvscan("__pop_mv_0", 0, 2, 7.0);
         assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
     }
 }

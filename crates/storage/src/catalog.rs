@@ -11,7 +11,7 @@ use parking_lot::{Mutex, RwLock};
 use pop_guard::Governor;
 use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Schema};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -20,8 +20,9 @@ struct Inner {
     tables: HashMap<String, Arc<Table>>,
     by_id: HashMap<TableId, Arc<Table>>,
     indexes: HashMap<TableId, Vec<Arc<Index>>>,
-    temp_mvs: HashMap<String, TempMv>, // keyed by signature
-    /// Tables of temp MVs replaced under their signature since the last
+    /// Temp MVs by the mask of the query tables they join.
+    temp_mvs: BTreeMap<u64, TempMv>,
+    /// Tables of temp MVs replaced under their table set since the last
     /// [`Catalog::clear_temp_mvs`]: a plan built before the replacement may
     /// still scan one by name, so they stay registered until then.
     superseded_mvs: Vec<Arc<Table>>,
@@ -582,7 +583,7 @@ impl Catalog {
         best
     }
 
-    /// Register a temp MV (replacing any prior MV with the same signature —
+    /// Register a temp MV (replacing any prior MV over the same table set —
     /// the newest materialization of a subplan wins).
     pub fn register_temp_mv(&self, mv: TempMv) {
         let mut inner = self.inner.write();
@@ -590,7 +591,7 @@ impl Catalog {
         let id = mv.table.id();
         inner.tables.insert(name, mv.table.clone());
         inner.by_id.insert(id, mv.table.clone());
-        if let Some(old) = inner.temp_mvs.insert(mv.signature.clone(), mv) {
+        if let Some(old) = inner.temp_mvs.insert(mv.tables, mv) {
             inner.superseded_mvs.push(old.table);
         }
     }
@@ -603,16 +604,14 @@ impl Catalog {
         id
     }
 
-    /// Look up a temp MV by subplan signature.
-    pub fn temp_mv(&self, signature: &str) -> Option<TempMv> {
-        self.inner.read().temp_mvs.get(signature).cloned()
+    /// Look up the temp MV over the query tables of mask `tables`.
+    pub fn temp_mv(&self, tables: u64) -> Option<TempMv> {
+        self.inner.read().temp_mvs.get(&tables).cloned()
     }
 
-    /// All currently registered temp MVs.
+    /// All currently registered temp MVs, by ascending table-set mask.
     pub fn temp_mvs(&self) -> Vec<TempMv> {
-        let mut v: Vec<TempMv> = self.inner.read().temp_mvs.values().cloned().collect();
-        v.sort_by(|a, b| a.signature.cmp(&b.signature));
-        v
+        self.inner.read().temp_mvs.values().cloned().collect()
     }
 
     /// Remove every temp MV: the paper's post-query cleanup step ("the
@@ -623,7 +622,11 @@ impl Catalog {
     pub fn clear_temp_mvs(&self) {
         let mut inner = self.inner.write();
         let mut tables = std::mem::take(&mut inner.superseded_mvs);
-        tables.extend(inner.temp_mvs.drain().map(|(_, mv)| mv.table));
+        tables.extend(
+            std::mem::take(&mut inner.temp_mvs)
+                .into_values()
+                .map(|mv| mv.table),
+        );
         for table in tables {
             inner.tables.remove(table.name());
             inner.by_id.remove(&table.id());
@@ -753,14 +756,13 @@ mod tests {
         let table = Arc::new(Table::new(id, "__mv_0", schema(), vec![]));
         cat.register_temp_mv(TempMv {
             table,
-            signature: "sig-a".into(),
-            tables: 1,
+            tables: 0b101,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 0,
             lineage: None,
         });
-        assert!(cat.temp_mv("sig-a").is_some());
-        assert!(cat.temp_mv("sig-b").is_none());
+        assert!(cat.temp_mv(0b101).is_some());
+        assert!(cat.temp_mv(0b001).is_none());
         assert!(cat.table("__mv_0").is_ok());
         assert_eq!(cat.temp_mv_count(), 1);
         cat.clear_temp_mvs();
@@ -769,14 +771,13 @@ mod tests {
     }
 
     #[test]
-    fn temp_mv_same_signature_replaces() {
+    fn temp_mv_over_the_same_tables_replaces() {
         let cat = Catalog::new();
         for n in 0..2 {
             let id = cat.allocate_temp_id();
             let table = Arc::new(Table::new(id, format!("__mv_{n}"), schema(), vec![]));
             cat.register_temp_mv(TempMv {
                 table,
-                signature: "sig".into(),
                 tables: 1,
                 layout: vec![],
                 actual_card: n,
@@ -784,7 +785,7 @@ mod tests {
             });
         }
         assert_eq!(cat.temp_mv_count(), 1);
-        assert_eq!(cat.temp_mv("sig").unwrap().actual_card, 1);
+        assert_eq!(cat.temp_mv(1).unwrap().actual_card, 1);
         // The replaced MV's table serves plans built before the
         // replacement, and goes with the rest at cleanup instead of
         // staying registered by id for good.
@@ -879,7 +880,6 @@ mod tests {
         assert!(dir.join("__mv_spill.dat").exists());
         cat.register_temp_mv(TempMv {
             table,
-            signature: "sig".into(),
             tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 1,
@@ -918,14 +918,13 @@ mod tests {
         assert_eq!(io.wal_bytes, before.wal_bytes);
         cat.register_temp_mv(TempMv {
             table,
-            signature: "sig".into(),
             tables: 1,
             layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
             actual_card: 200,
             lineage: None,
         });
         // The MV scans back exactly what was promoted.
-        let scanned = cat.temp_mv("sig").unwrap().table.snapshot();
+        let scanned = cat.temp_mv(1).unwrap().table.snapshot();
         assert_eq!(*scanned, rows);
         cat.clear_temp_mvs();
         assert!(

@@ -35,12 +35,14 @@ impl Lineage {
 /// A temporary materialized view promoted from an intermediate result when
 /// a CHECK fails (§2.3).
 ///
-/// The `signature` is an opaque canonical string identifying *which part of
-/// the query* the rows compute: the set of query tables joined, the
-/// fingerprints of all predicates applied, and the column layout. During
-/// re-optimization, the optimizer offers an `MvScan` alternative for any
-/// subplan whose signature matches, carrying the **actual** cardinality —
-/// the optimizer then makes a cost-based decision whether to reuse it.
+/// `tables` names *which part of the query* the rows compute: the query
+/// tables the subplan joins. Temp MVs live only as long as the query that
+/// promoted them, whose predicates and parameter values are fixed, so the
+/// table set identifies the subplan; the rows are in the set's canonical
+/// layout. During re-optimization, the optimizer offers an `MvScan`
+/// alternative for the subplan over the same set, carrying the **actual**
+/// cardinality — the optimizer then makes a cost-based decision whether
+/// to reuse it.
 ///
 /// On the paged backend the backing table is a *temporary* backend: its
 /// rows spill to pages (so promotion cannot OOM) but skip the WAL and
@@ -51,11 +53,9 @@ impl Lineage {
 pub struct TempMv {
     /// Backing storage for the materialized rows.
     pub table: Arc<Table>,
-    /// Canonical signature of the subplan that produced the rows.
-    pub signature: String,
     /// Mask of the query tables the subplan joins (bit `i`: query table
-    /// `i`), the set `signature` was built for: a re-plan finds the MV's
-    /// group by it and checks the signature once.
+    /// `i`): the catalog registers the MV under it, and a re-plan finds
+    /// the MV's group by it.
     pub tables: u64,
     /// Column layout of the materialized rows (query-table/column ids).
     pub layout: Vec<ColId>,
@@ -80,13 +80,12 @@ mod tests {
         ));
         let mv = TempMv {
             table: t,
-            signature: "sig".into(),
             tables: 1,
             layout: vec![ColId::new(0, 0)],
             actual_card: 0,
             lineage: None,
         };
-        assert_eq!(mv.signature, "sig");
+        assert_eq!(mv.tables, 1);
         assert_eq!(mv.table.row_count(), 0);
         let rids: Vec<Rid> = (0..6u64).map(|i| Rid::new((i % 2) as u32, i)).collect();
         let lineage = Lineage::new(rids, 2);

@@ -53,8 +53,7 @@ fn concurrent_temp_mv_registration_and_lookup() {
                     ));
                     cat.register_temp_mv(TempMv {
                         table,
-                        signature: format!("sig_{k}_{i}"),
-                        tables: 1,
+                        tables: (k * 50 + i + 1) as u64,
                         layout: vec![ColId::new(0, 0)],
                         actual_card: 1,
                         lineage: None,

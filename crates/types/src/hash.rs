@@ -1,7 +1,7 @@
 //! The shared fixed hashes, so their constants live in exactly one place.
 //!
 //! - FNV-1a, a tiny, deterministic byte hash: the optimizer's statistics
-//!   fingerprint, display-shortened MV signatures, WAL frame checksums
+//!   fingerprint, WAL frame checksums
 //!   and the plan goldens fold bytes through it so the streams stay
 //!   comparable.
 //! - A word-at-a-time multiply-rotate hash ([`mix`], [`mix_bytes`],

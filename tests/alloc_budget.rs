@@ -447,12 +447,9 @@ fn planning_allocations_stay_under_the_recorded_ceiling() {
                 "{name}: {count} allocations > {ceiling} ({share} x {before} recorded before)"
             ));
         }
-        // No temp MV yet and no fact recorded: nothing could match a
-        // signature, so the first optimization builds none.
         let result = dmv.run(&q.spec, &Params::none()).expect("query runs");
         let first = result.report.steps[0].memo.expect("a planned step");
         assert!(first.rebuilt && first.groups_total > 0, "{name}: {first:?}");
-        assert_eq!(first.signatures_built, 0, "{name}: {first:?}");
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
@@ -472,8 +469,8 @@ const REPLANNING_SHARE: f64 = 0.6;
 
 /// A re-plan that re-derives one group pays for that group and the plan
 /// it hands out — not for re-reading every table's statistics, indexes
-/// and layouts, nor for hashing every connected set's signature to find
-/// one recorded fact.
+/// and layouts, nor for walking every connected set to find one recorded
+/// fact.
 #[test]
 fn replanning_a_root_violation_allocates_for_the_plan_only() {
     let cat = pop_storage::Catalog::with_storage(StorageConfig::default());
@@ -508,18 +505,17 @@ fn replanning_a_root_violation_allocates_for_the_plan_only() {
 
     let cfg = pop_optimizer::OptimizerConfig::default();
     let cost = CostModel::default();
-    let feedback = pop_optimizer::FeedbackCache::new();
-    let ctx = pop_optimizer::OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &feedback);
+    let mut feedback = pop_optimizer::FeedbackCache::new();
     let mut memo = pop_optimizer::Memo::new();
     let ceiling = (RECORDED_BEFORE_REPLANNING as f64 * REPLANNING_SHARE) as u64;
     for round in 0..9 {
         // A fresh value every round, so every round really re-plans.
         feedback.record(
-            pop_plan::subplan_signature(&spec, spec.all_tables()),
+            spec.all_tables(),
             pop_optimizer::CardFact::Exact(f64::from(500 + 137 * round)),
         );
-        // The first pass derives every group and, with a fact to resolve,
-        // builds the binding's signatures, once.
+        let ctx = pop_optimizer::OptimizerContext::new(&cat, &stats, &cfg, &cost, None, &feedback);
+        // The first pass derives every group.
         if round == 0 {
             pop_optimizer::optimize(&spec, &ctx, &mut memo).unwrap();
             continue;
@@ -707,10 +703,6 @@ const RECORDED_BEFORE_STEPS: [(&str, u64, u64, f64); 2] = [
     ("static", 51_236, 56_588, 0.75),
 ];
 
-/// Subplan signatures the re-plans of one such re-optimizing pass built
-/// at that commit: fact resolution signed every connected set.
-const RECORDED_BEFORE_REPLAN_SIGNATURES: usize = 2_165;
-
 /// Queries of the DMV suite by name.
 fn dmv_specs(names: &[&str]) -> Vec<QuerySpec> {
     let queries = pop_dmv::dmv_queries();
@@ -745,10 +737,9 @@ fn warm_pass(exec: &PopExecutor, specs: &[QuerySpec]) -> (u64, Vec<QueryResult>)
     (total, results)
 }
 
-/// A POP step pays for what it learns: a re-plan signs only the subplans
-/// its facts and temp MVs name (at most one signature per fact it
-/// resolves), and neither a re-optimizing nor a static step renders,
-/// clones or re-signs a plan nobody reads.
+/// A POP step pays for what it learns: a re-plan resolves its facts and
+/// temp MVs by table set, and neither a re-optimizing nor a static step
+/// renders, clones or signs a plan nobody reads.
 #[test]
 fn a_pop_step_allocates_for_what_it_learns() {
     let catalog = pop_dmv::dmv_catalog_with(0.004, StorageConfig::default()).unwrap();
@@ -758,22 +749,6 @@ fn a_pop_step_allocates_for_what_it_learns() {
     assert_eq!(
         reopts, 19,
         "the re-optimizing DMV queries changed: re-record"
-    );
-    // Facts the re-plans resolved: the per-query overlay is empty at a
-    // query's first plan, so its hits are the re-plans'.
-    let resolved: u64 = results.iter().map(|r| r.report.feedback_overlay_hits).sum();
-    let signed: usize = results
-        .iter()
-        .flat_map(|r| r.report.steps.iter().skip(1))
-        .filter_map(|s| s.memo.map(|m| m.signatures_built))
-        .sum();
-    println!(
-        "re-plans: {signed} signature(s) built for {resolved} resolved fact(s) \
-         ({RECORDED_BEFORE_REPLAN_SIGNATURES} recorded before)"
-    );
-    assert!(
-        signed as u64 <= resolved,
-        "re-plans built {signed} signatures for {resolved} resolved facts"
     );
 
     let all = pop_dmv::dmv_queries();

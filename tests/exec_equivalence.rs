@@ -57,7 +57,7 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
                 "{what} step {i}: observed cardinality differs at check #{}",
                 ea.check_id
             );
-            assert_eq!(ea.signature, eb.signature, "{what} step {i}: signature");
+            assert_eq!(ea.tables, eb.tables, "{what} step {i}: tables");
         }
         match (&sa.violation, &sb.violation) {
             (None, None) => {}
@@ -66,10 +66,7 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
                 assert_eq!(va.flavor, vb.flavor, "{what} step {i}: viol flavor");
                 assert_eq!(va.observed, vb.observed, "{what} step {i}: viol observed");
                 assert_eq!(va.forced, vb.forced, "{what} step {i}: viol forced");
-                assert_eq!(
-                    va.signature, vb.signature,
-                    "{what} step {i}: viol signature"
-                );
+                assert_eq!(va.tables, vb.tables, "{what} step {i}: viol tables");
             }
             (x, y) => panic!("{what} step {i}: violation mismatch {x:?} vs {y:?}"),
         }

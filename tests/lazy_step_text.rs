@@ -4,7 +4,7 @@
 //! first check: each step's text is `PhysNode::to_string()` of its tree,
 //! and the tree is the plan the step ran — its join shape, cost and MV
 //! scans are the step's, every check event and the violation name a guard
-//! of the tree over the same tables and signature, and the first step's
+//! of the tree over the same tables, and the first step's
 //! tree is the first plan `PopExecutor::plan` returns.
 //!
 //! Release builds run the scales the benchmark runs (TPC-H SF 0.02, DMV
@@ -32,12 +32,12 @@ fn storage(kind: StorageKind) -> StorageConfig {
     }
 }
 
-/// `(check id, tables, signature)` of every guard in `plan`.
-fn guards(plan: &PhysNode) -> Vec<(usize, TableSet, String)> {
+/// `(check id, tables)` of every guard in `plan`.
+fn guards(plan: &PhysNode) -> Vec<(usize, TableSet)> {
     let mut out = Vec::new();
     plan.visit(&mut |n| {
         if let PhysNode::Check { input, spec, .. } | PhysNode::BufCheck { input, spec, .. } = n {
-            out.push((spec.id, input.props().tables, spec.signature.clone()));
+            out.push((spec.id, input.props().tables));
         }
     });
     out
@@ -58,21 +58,17 @@ fn check_step(what: &str, step: &StepReport) {
     tree.visit(&mut |n| mv_scans += usize::from(matches!(n, PhysNode::MvScan { .. })));
     assert_eq!(step.mvs_used, mv_scans, "{what}: MV scans");
     let guards = guards(tree);
-    let names_a_guard = |id: usize, tables: TableSet, signature: &str| {
-        guards
-            .iter()
-            .any(|(g, t, s)| *g == id && *t == tables && s == signature)
-    };
+    let names_a_guard = |id: usize, tables: TableSet| guards.contains(&(id, tables));
     for ev in &step.check_events {
         assert!(
-            names_a_guard(ev.check_id, ev.tables, &ev.signature),
+            names_a_guard(ev.check_id, ev.tables),
             "{what}: event of check #{} is no guard of the plan:\n{text}",
             ev.check_id
         );
     }
     if let Some(v) = &step.violation {
         assert!(
-            names_a_guard(v.check_id, v.tables, &v.signature),
+            names_a_guard(v.check_id, v.tables),
             "{what}: violated check #{} is no guard of the plan:\n{text}",
             v.check_id
         );

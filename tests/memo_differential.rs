@@ -1,7 +1,7 @@
 //! Property-based differential test of the incremental memo: for random
 //! join specs and random sequences of the events a re-optimization can
-//! see — injected cardinality facts, temp MVs registered, replaced under
-//! the same signature, and dropped — optimizing through one persistent
+//! see — injected cardinality facts, temp MVs registered, replaced over
+//! the same table set, and dropped — optimizing through one persistent
 //! [`pop_optimizer::Memo`] must produce exactly the plan a fresh memo
 //! produces after every event: same cost (bit-identical) and same
 //! rendered plan.
@@ -9,7 +9,7 @@
 use pop::PopConfig;
 use pop_expr::Expr;
 use pop_optimizer::{optimize, CardFact, FeedbackCache, Memo, OptimizerContext};
-use pop_plan::{canonical_layout, subplan_signature, QueryBuilder, QuerySpec, TableSet};
+use pop_plan::{canonical_layout, QueryBuilder, QuerySpec, TableSet};
 use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, IndexKind, Table, TempMv};
 use pop_types::{ColumnDef, DataType, Schema, Value};
@@ -59,7 +59,7 @@ enum Event {
     /// mask (superseding the subset's MV, if it has one).
     Mv { raw_mask: u64, rows: u64 },
     /// A later harvest supersedes an existing MV — picked by index — with
-    /// the same signature and row count but a new table. Nothing happens
+    /// the same table set and row count but a new table. Nothing happens
     /// while no MV exists.
     SupersedeMv { pick: usize },
     /// Cleanup drops every temp MV.
@@ -80,7 +80,7 @@ fn event() -> impl Strategy<Value = Event> {
 }
 
 /// Register a temp MV of `rows` rows for `set` in its canonical layout,
-/// backed by a new table — superseding any MV of the same signature, the
+/// backed by a new table — superseding any MV over the same set, the
 /// way `PopExecutor::promote_harvest` does.
 fn register_mv(cat: &Catalog, spec: &QuerySpec, set: TableSet, rows: u64, serial: usize) {
     let layout = canonical_layout(spec, set, &vec![COLS; spec.tables.len()]);
@@ -98,7 +98,6 @@ fn register_mv(cat: &Catalog, spec: &QuerySpec, set: TableSet, rows: u64, serial
             schema,
             data,
         )),
-        signature: subplan_signature(spec, set),
         tables: set.mask(),
         layout,
         actual_card: rows,
@@ -135,8 +134,7 @@ proptest! {
         let spec = build_spec(n, &filters);
         let opt_cfg = pop_optimizer::OptimizerConfig::default();
         let cost = PopConfig::default().cost_model;
-        let feedback = FeedbackCache::new();
-        let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
+        let mut feedback = FeedbackCache::new();
         let mut memo = Memo::new();
 
         // Step 0 (nothing happened yet), then one step after every event:
@@ -148,6 +146,7 @@ proptest! {
             TableSet::from_iter((0..n).filter(|t| mask & (1 << t) != 0))
         };
         for step in 0..=events.len() {
+            let octx = OptimizerContext::new(&cat, &stats, &opt_cfg, &cost, None, &feedback);
             let (fresh, _) = optimize(&spec, &octx, &mut Memo::new()).unwrap();
             let (inc, stats_rep) = optimize(&spec, &octx, &mut memo).unwrap();
             prop_assert_eq!(
@@ -169,7 +168,7 @@ proptest! {
                     } else {
                         CardFact::AtLeast(*val as f64)
                     };
-                    feedback.record(subplan_signature(&spec, subset(*raw_mask)), fact);
+                    feedback.record(subset(*raw_mask), fact);
                 }
                 Some(Event::Mv { raw_mask, rows }) => {
                     register_mv(&cat, &spec, subset(*raw_mask), *rows, step);

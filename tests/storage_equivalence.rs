@@ -89,7 +89,7 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
                 "{what} step {i}: observed cardinality differs at check #{}",
                 ea.check_id
             );
-            assert_eq!(ea.signature, eb.signature, "{what} step {i}: signature");
+            assert_eq!(ea.tables, eb.tables, "{what} step {i}: tables");
         }
         match (&sa.violation, &sb.violation) {
             (None, None) => {}
