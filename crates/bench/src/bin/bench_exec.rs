@@ -2,7 +2,7 @@
 //! a per-operator profile.
 //!
 //! ```text
-//! bench_exec [--quick]
+//! bench_exec [--quick] [--write]
 //! bench_exec --profile [--passes N]
 //! ```
 //!
@@ -10,7 +10,9 @@
 //! every DMV query (scale 0.004) with `PopExecutor::plan` under
 //! `PopConfig::without_pop()`, runs each plan through
 //! `pop_exec::execute_profiled` (the same operator tree with a self-time
-//! wrapper around every operator) once per pass, and prints each query's
+//! wrapper around every operator, carrying row lineage only where
+//! `PopExecutor::carries_lineage` says a run would) once per pass, and
+//! prints each query's
 //! self milliseconds per operator kind — the minimum over `N` passes
 //! (default 5), after one warm-up pass — and each suite's sums. Nothing is
 //! written to `results/`.
@@ -25,7 +27,8 @@
 //! query's dominant input table. POP checks are disabled so the numbers
 //! isolate raw executor throughput from re-optimization policy.
 //!
-//! Text goes to stdout; raw data is written to `results/BENCH_exec.json`.
+//! Text goes to stdout; with `--write`, the raw data also goes to
+//! `results/BENCH_exec.json` (without it nothing is written).
 
 use pop::{PopConfig, PopExecutor, QuerySpec};
 use pop_exec::DEFAULT_BATCH_SIZE;
@@ -34,7 +37,6 @@ use pop_plan::QueryBuilder;
 use pop_tpch::{cols::lineitem, q1, q18, q3, q6, tpch_catalog};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fs;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
@@ -116,11 +118,12 @@ fn time_both(cat: &pop::Catalog, q: &QuerySpec, reps: usize) -> (f64, f64, usize
 }
 
 /// Self ms per operator kind (`PhysNode::name`) of one profiled run of
-/// `plan`.
+/// `plan`, carrying lineage only if `exec.run` would (`lineage`).
 fn profile_once(
     cat: &pop::Catalog,
     exec: &PopExecutor,
     plan: &pop_plan::PhysNode,
+    lineage: bool,
 ) -> BTreeMap<&'static str, f64> {
     let mut ctx = pop_exec::ExecCtx::new(
         cat.clone(),
@@ -128,6 +131,7 @@ fn profile_once(
         exec.config().cost_model.clone(),
     );
     ctx.checks_enabled = false;
+    ctx.lineage = lineage;
     ctx.batch_size = exec.config().batch_size.max(1);
     let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx, &pop_exec::Subplans::new())
         .expect("profiled run");
@@ -144,12 +148,15 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
     let exec = PopExecutor::new(cat.clone(), PopConfig::without_pop()).expect("executor");
     let plans: Vec<_> = queries
         .iter()
-        .map(|(name, q)| (name, exec.plan(q, &Params::none()).expect("plan")))
+        .map(|(name, q)| {
+            let plan = exec.plan(q, &Params::none()).expect("plan");
+            (name, plan, exec.carries_lineage(q))
+        })
         .collect();
     let mut best: Vec<BTreeMap<&'static str, f64>> = vec![BTreeMap::new(); plans.len()];
     for pass in 0..=passes {
-        for ((_, plan), best) in plans.iter().zip(&mut best) {
-            let ms = profile_once(cat, &exec, plan);
+        for ((_, plan, lineage), best) in plans.iter().zip(&mut best) {
+            let ms = profile_once(cat, &exec, plan, *lineage);
             if pass > 0 {
                 for (kind, m) in ms {
                     let b = best.entry(kind).or_insert(f64::INFINITY);
@@ -176,7 +183,7 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
         }
         println!("{:>10.2}", row.values().sum::<f64>());
     };
-    for ((name, _), row) in plans.iter().zip(&best) {
+    for ((name, ..), row) in plans.iter().zip(&best) {
         line(name, row);
     }
     line("suite", &suite);
@@ -213,6 +220,7 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
+    let write = args.iter().any(|a| a == "--write");
     let (sf, reps) = if quick { (0.002, 1) } else { (0.1, 7) };
     let cat = tpch_catalog(sf).expect("catalog");
     let lineitem_rows = cat.table("lineitem").expect("lineitem").row_count();
@@ -256,15 +264,9 @@ fn main() {
             speedup,
         });
     }
-    let _ = fs::create_dir_all("results");
-    match serde_json::to_string_pretty(&report) {
-        Ok(s) => {
-            if let Err(e) = fs::write("results/BENCH_exec.json", s) {
-                eprintln!("warning: could not write results/BENCH_exec.json: {e}");
-            } else {
-                println!("wrote results/BENCH_exec.json");
-            }
+    if write {
+        if let Some(path) = pop_bench::save_json("BENCH_exec", &report) {
+            println!("wrote {path}");
         }
-        Err(e) => eprintln!("warning: could not serialize report: {e}"),
     }
 }

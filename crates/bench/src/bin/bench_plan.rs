@@ -2,7 +2,7 @@
 //! asks for before anything else in the optimizer is touched.
 //!
 //! ```text
-//! bench_plan [--quick] [--assert] [scale]
+//! bench_plan [--quick] [--assert] [--write] [scale]
 //! ```
 //!
 //! `pop_optimizer::optimize` is the only way to get a plan, so the stages
@@ -35,7 +35,9 @@
 //! sets, and the root search stays within `validity::max_evals_per_join` (432 at three iterations) per join
 //! of the plan — it runs for the extracted plan only, never per prune.
 //!
-//! Raw data goes to `results/BENCH_plan.json`.
+//! With `--write`, the raw data goes to `results/BENCH_plan.json`; without
+//! it nothing is written, so a `--quick --assert` check leaves the tree as
+//! it was.
 
 use pop::PopConfig;
 use pop_optimizer::validity::max_evals_per_join;
@@ -47,7 +49,6 @@ use pop_plan::{JoinGraph, QuerySpec};
 use pop_stats::StatsRegistry;
 use pop_storage::Catalog;
 use serde::Serialize;
-use std::fs;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
@@ -201,6 +202,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let assert_counts = args.iter().any(|a| a == "--assert");
+    let write = args.iter().any(|a| a == "--write");
     let scale: f64 = args
         .iter()
         .find_map(|a| a.parse().ok())
@@ -308,16 +310,10 @@ fn main() {
         pass_plan_us,
         queries,
     };
-    let _ = fs::create_dir_all("results");
-    match serde_json::to_string_pretty(&report) {
-        Ok(s) => {
-            if let Err(e) = fs::write("results/BENCH_plan.json", s) {
-                eprintln!("warning: could not write results/BENCH_plan.json: {e}");
-            } else {
-                println!("wrote results/BENCH_plan.json");
-            }
+    if write {
+        if let Some(path) = pop_bench::save_json("BENCH_plan", &report) {
+            println!("wrote {path}");
         }
-        Err(e) => eprintln!("warning: could not serialize report: {e}"),
     }
 
     if !failures.is_empty() {

@@ -2,7 +2,7 @@
 //! memo per re-optimization — from-scratch planning.
 //!
 //! ```text
-//! bench_reopt [--quick] [--assert]
+//! bench_reopt [--quick] [--assert] [--write]
 //! ```
 //!
 //! Three experiments:
@@ -50,7 +50,9 @@
 //!    checks counts, not times: the re-plan costs the fresh plan's bits,
 //!    rebuilds nothing, and re-derives at least one group.
 //!
-//! Raw data goes to `results/BENCH_reopt.json`.
+//! With `--write`, the raw data goes to `results/BENCH_reopt.json`; without
+//! it nothing is written, so a `--quick --assert` check leaves the tree as
+//! it was.
 
 use pop::{ObservedCard, PopConfig, PopExecutor};
 use pop_expr::{Expr, Params};
@@ -61,7 +63,6 @@ use pop_storage::{Catalog, IndexKind, StorageConfig};
 use pop_tpch::{q10, tpch_catalog};
 use pop_types::{DataType, Schema, Value};
 use serde::Serialize;
-use std::fs;
 use std::time::Instant;
 
 /// Seven tables make a 6-join chain.
@@ -493,6 +494,7 @@ fn dmv_replans(rounds: usize) -> DmvReplans {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let assert_floor = std::env::args().any(|a| a == "--assert");
+    let write = std::env::args().any(|a| a == "--write");
     let rounds = if quick { 40 } else { 200 };
 
     let latency = reopt_latency(rounds);
@@ -619,16 +621,10 @@ fn main() {
         repeated_q10: q10_line,
         dmv_replans: dmv,
     };
-    let _ = fs::create_dir_all("results");
-    match serde_json::to_string_pretty(&report) {
-        Ok(s) => {
-            if let Err(e) = fs::write("results/BENCH_reopt.json", s) {
-                eprintln!("warning: could not write results/BENCH_reopt.json: {e}");
-            } else {
-                println!("wrote results/BENCH_reopt.json");
-            }
+    if write {
+        if let Some(path) = pop_bench::save_json("BENCH_reopt", &report) {
+            println!("wrote {path}");
         }
-        Err(e) => eprintln!("warning: could not serialize report: {e}"),
     }
 
     if !failures.is_empty() {

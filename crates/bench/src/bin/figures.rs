@@ -10,21 +10,7 @@
 use pop_bench::experiments::{
     ablation, extensions, fig11, fig12, fig13, fig14, fig15, table1, validity,
 };
-use serde::Serialize;
-use std::fs;
-
-fn save_json<T: Serialize>(name: &str, value: &T) {
-    let _ = fs::create_dir_all("results");
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            let path = format!("results/{name}.json");
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
+use pop_bench::save_json;
 
 fn run(which: &str) {
     match which {

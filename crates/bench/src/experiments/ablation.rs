@@ -7,7 +7,8 @@
 //!    reusing (§2.3: reuse is usually, but not always, right).
 //! 3. **Re-optimization budget** — the termination heuristic (§7).
 //! 4. **Checkpoint flavor mix** — LC-only vs. the default LC+LCEM vs.
-//!    adding ECB.
+//!    adding ECB, and ECB or ECDC alone (ECDC places checks in the SPJ
+//!    queries only, and is the one flavor whose rows carry lineage).
 
 use crate::experiments::{dmv_config, dmv_executor};
 use pop::{PopConfig, ValidityMode};
@@ -142,21 +143,26 @@ pub fn max_reopts() -> PopResult<Ablation> {
 pub fn flavors() -> PopResult<Ablation> {
     let base = static_baseline()?;
     let mut rows = Vec::new();
-    let mk = |lc: bool, lcem: bool, ecb: bool| {
+    let mk = |lc: bool, lcem: bool, ecb: bool, ecdc: bool| {
         let mut cfg = dmv_config(true);
         cfg.optimizer.flavors = pop::FlavorSet {
             lc,
             lcem,
             ecb,
             ecwc: false,
-            ecdc: false,
+            ecdc,
         };
         cfg
     };
-    rows.push(measure("lc only", mk(true, false, false), &base)?);
-    rows.push(measure("lc+lcem (default)", mk(true, true, false), &base)?);
-    rows.push(measure("lc+lcem+ecb", mk(true, true, true), &base)?);
-    rows.push(measure("ecb only", mk(false, false, true), &base)?);
+    rows.push(measure("lc only", mk(true, false, false, false), &base)?);
+    rows.push(measure(
+        "lc+lcem (default)",
+        mk(true, true, false, false),
+        &base,
+    )?);
+    rows.push(measure("lc+lcem+ecb", mk(true, true, true, false), &base)?);
+    rows.push(measure("ecb only", mk(false, false, true, false), &base)?);
+    rows.push(measure("ecdc only", mk(false, false, false, true), &base)?);
     Ok(Ablation {
         name: "flavors".into(),
         rows,

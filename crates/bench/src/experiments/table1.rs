@@ -4,10 +4,12 @@
 //! measurements: for each flavor alone, the TPC-H suite runs observe-only
 //! and we report the placement overhead (risk proxy: normalized work with
 //! checks but no re-optimization) and the opportunity (checkpoints per
-//! query and their mean position in execution).
+//! query and their mean position in execution). TPC-H is all-aggregate and
+//! ECDC goes only into SPJ plans, so the ECDC row adds the DMV queries
+//! that have no aggregate.
 
-use crate::experiments::tpch_config;
-use pop::CheckFlavor;
+use crate::experiments::{dmv_executor, tpch_config, tpch_executor};
+use pop::{CheckFlavor, PopConfig, PopExecutor, QuerySpec};
 use pop_expr::Params;
 use pop_types::PopResult;
 use serde::Serialize;
@@ -17,6 +19,8 @@ use serde::Serialize;
 pub struct Table1Row {
     /// Flavor name.
     pub flavor: String,
+    /// The queries the row is measured over.
+    pub workload: String,
     /// Paper's placement rule (qualitative).
     pub placement: &'static str,
     /// Paper's risk assessment (qualitative).
@@ -36,14 +40,71 @@ pub struct Table1 {
     pub rows: Vec<Table1Row>,
 }
 
+/// Queries of one suite with their work without checkpoints.
+struct Workload {
+    name: String,
+    executor: fn(PopConfig) -> PopResult<PopExecutor>,
+    queries: Vec<QuerySpec>,
+    base_work: Vec<f64>,
+}
+
+impl Workload {
+    fn new(
+        name: &str,
+        executor: fn(PopConfig) -> PopResult<PopExecutor>,
+        queries: Vec<QuerySpec>,
+    ) -> PopResult<Self> {
+        let plain = executor(tpch_config(false))?;
+        let base_work = queries
+            .iter()
+            .map(|q| Ok(plain.run(q, &Params::none())?.report.total_work))
+            .collect::<PopResult<_>>()?;
+        Ok(Workload {
+            name: format!("{name} ({})", queries.len()),
+            executor,
+            queries,
+            base_work,
+        })
+    }
+}
+
+/// Sums over the queries a row is measured on.
+#[derive(Default)]
+struct Tally {
+    queries: usize,
+    ratio: f64,
+    checks: usize,
+    position: f64,
+}
+
+/// Run `w` observe-only with `flavor` alone, adding to `t`.
+fn observe(w: &Workload, flavor: CheckFlavor, t: &mut Tally) -> PopResult<()> {
+    let mut cfg = tpch_config(true);
+    cfg.observe_only = true;
+    cfg.optimizer.flavors = pop::FlavorSet::only(flavor);
+    let exec = (w.executor)(cfg)?;
+    for (q, w0) in w.queries.iter().zip(&w.base_work) {
+        let res = exec.run(q, &Params::none())?;
+        t.queries += 1;
+        t.ratio += res.report.total_work / w0;
+        let total = res.report.total_work.max(1.0);
+        for ev in &res.report.steps[0].check_events {
+            t.checks += 1;
+            t.position += ev.at_work / total;
+        }
+    }
+    Ok(())
+}
+
 /// Run the Table 1 measurement.
 pub fn run() -> PopResult<Table1> {
-    let queries = pop_tpch::all_queries();
-    let plain = crate::experiments::tpch_executor(tpch_config(false))?;
-    let mut base_work = Vec::new();
-    for (_, q) in &queries {
-        base_work.push(plain.run(q, &Params::none())?.report.total_work);
-    }
+    let tpch_queries = pop_tpch::all_queries().into_iter().map(|(_, q)| q);
+    let tpch = Workload::new("TPC-H", tpch_executor, tpch_queries.collect())?;
+    let spj = pop_dmv::dmv_queries()
+        .into_iter()
+        .map(|q| q.spec)
+        .filter(|q| q.aggregate.is_none());
+    let dmv_spj = Workload::new("DMV SPJ", dmv_executor, spj.collect())?;
     let flavors = [
         (
             CheckFlavor::Lc,
@@ -73,34 +134,27 @@ pub fn run() -> PopResult<Table1> {
     ];
     let mut rows = Vec::new();
     for (flavor, placement, paper_risk) in flavors {
-        let mut cfg = tpch_config(true);
-        cfg.observe_only = true;
-        cfg.optimizer.flavors = pop::FlavorSet::only(flavor);
-        let exec = crate::experiments::tpch_executor(cfg)?;
-        let mut total_ratio = 0.0;
-        let mut n_checks = 0usize;
-        let mut pos_sum = 0.0;
-        let mut pos_n = 0usize;
-        for ((_, q), w0) in queries.iter().zip(base_work.iter()) {
-            let res = exec.run(q, &Params::none())?;
-            total_ratio += res.report.total_work / w0;
-            let total = res.report.total_work.max(1.0);
-            for ev in &res.report.steps[0].check_events {
-                n_checks += 1;
-                pos_sum += ev.at_work / total;
-                pos_n += 1;
-            }
+        let workloads: &[&Workload] = if flavor == CheckFlavor::Ecdc {
+            &[&tpch, &dmv_spj]
+        } else {
+            &[&tpch]
+        };
+        let mut t = Tally::default();
+        for w in workloads {
+            observe(w, flavor, &mut t)?;
         }
+        let names: Vec<&str> = workloads.iter().map(|w| w.name.as_str()).collect();
         rows.push(Table1Row {
             flavor: format!("{flavor}"),
+            workload: names.join(" + "),
             placement,
             paper_risk,
-            overhead: total_ratio / queries.len() as f64,
-            opportunities_per_query: n_checks as f64 / queries.len() as f64,
-            mean_position: if pos_n == 0 {
+            overhead: t.ratio / t.queries as f64,
+            opportunities_per_query: t.checks as f64 / t.queries as f64,
+            mean_position: if t.checks == 0 {
                 0.0
             } else {
-                pos_sum / pos_n as f64
+                t.position / t.checks as f64
             },
         });
     }
@@ -112,16 +166,17 @@ pub fn render(r: &Table1) -> String {
     let mut out = String::new();
     out.push_str("Table 1 — Placement, measured risk (overhead) and opportunity per flavor\n");
     out.push_str(&format!(
-        "{:>6} {:>10} {:>8} {:>9}  {}\n",
-        "flavor", "overhead", "opps/q", "mean-pos", "placement"
+        "{:>6} {:>10} {:>8} {:>9}  {:<22} {}\n",
+        "flavor", "overhead", "opps/q", "mean-pos", "workload", "placement"
     ));
     for row in &r.rows {
         out.push_str(&format!(
-            "{:>6} {:>10.4} {:>8.1} {:>9.3}  {}  (paper risk: {})\n",
+            "{:>6} {:>10.4} {:>8.1} {:>9.3}  {:<22} {}  (paper risk: {})\n",
             row.flavor,
             row.overhead,
             row.opportunities_per_query,
             row.mean_position,
+            row.workload,
             row.placement,
             row.paper_risk
         ));

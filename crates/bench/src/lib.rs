@@ -9,6 +9,29 @@
 pub mod experiments;
 
 use pop::{CheckFlavor, FlavorSet};
+use serde::Serialize;
+use std::fs;
+
+/// Write `value` as pretty JSON to `results/{name}.json` (relative to the
+/// working directory), warning on stderr when it cannot. Returns the path
+/// written.
+pub fn save_json<T: Serialize>(name: &str, value: &T) -> Option<String> {
+    let _ = fs::create_dir_all("results");
+    let path = format!("results/{name}.json");
+    match serde_json::to_string_pretty(value) {
+        Ok(s) => match fs::write(&path, s) {
+            Ok(()) => Some(path),
+            Err(e) => {
+                eprintln!("warning: could not write {path}: {e}");
+                None
+            }
+        },
+        Err(e) => {
+            eprintln!("warning: could not serialize {name}: {e}");
+            None
+        }
+    }
+}
 
 /// The checkpoint-flavor configurations the `planlint` sweep plans every
 /// workload query under: the default, none, each flavor alone and all

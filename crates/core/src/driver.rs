@@ -218,6 +218,19 @@ impl PopExecutor {
         cfg
     }
 
+    /// Do `spec`'s rows carry lineage (base-table rids) under this
+    /// executor's configuration? Lineage has two readers: ECDC's deferred
+    /// compensation, the only flavor that lets a step return rows before
+    /// it re-optimizes, and INSERT's exactly-once application of its side
+    /// effect. Neither can run without ECDC in the flavor set or a side
+    /// effect in the spec; the flavor set does not change between steps,
+    /// so an MV promoted without lineage is never scanned by a step that
+    /// needs it. [`ExecCtx::lineage`] takes the answer once per query,
+    /// before the first plan.
+    pub fn carries_lineage(&self, spec: &QuerySpec) -> bool {
+        self.effective_optimizer_config().flavors.ecdc || spec.side_effect.is_some()
+    }
+
     fn run_loop(
         &self,
         spec: &QuerySpec,
@@ -228,6 +241,7 @@ impl PopExecutor {
         collected: &mut Vec<Row>,
     ) -> PopResult<()> {
         let opt_config = self.effective_optimizer_config();
+        ctx.lineage = self.carries_lineage(spec);
         let mut mv_counter = 0usize;
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
@@ -286,11 +300,12 @@ impl PopExecutor {
                 mvs_used,
                 rows_emitted: outcome.row_count(),
                 batches_emitted: (ctx.batches_emitted - batches_start) as usize,
+                lineage_width: lineage_width(&outcome, &ctx.harvests),
                 parallel: Vec::new(),
                 monitors_installed: 0,
                 memo: memo_stats,
             };
-            collect_rows(collected, ctx, &outcome);
+            collect_rows(collected, ctx, &outcome)?;
             match outcome {
                 RunOutcome::Complete { .. } => {
                     report.steps.push(step);
@@ -451,6 +466,7 @@ impl PopExecutor {
         let mut session = self.session(params, None)?;
         let ctx = &mut session.ctx;
         ctx.checks_enabled = false;
+        ctx.lineage = self.carries_lineage(spec);
         // Nothing is promoted without a re-optimization: harvest nothing.
         let outcome = execute(plan, ctx, &Subplans::new())?;
         if !outcome.is_complete() {
@@ -459,7 +475,7 @@ impl PopExecutor {
             ));
         }
         let mut collected: Vec<Row> = Vec::new();
-        collect_rows(&mut collected, ctx, &outcome);
+        collect_rows(&mut collected, ctx, &outcome)?;
         let mut report = RunReport::default();
         report.steps.push(StepReport {
             plan: PlanText::new(plan.clone()),
@@ -472,6 +488,7 @@ impl PopExecutor {
             mvs_used: 0,
             rows_emitted: collected.len(),
             batches_emitted: ctx.batches_emitted as usize,
+            lineage_width: lineage_width(&outcome, &[]),
             parallel: Vec::new(),
             monitors_installed: 0,
             memo: None,
@@ -572,7 +589,7 @@ impl PopExecutor {
             tables: tables.mask(),
             layout,
             actual_card: rows as u64,
-            lineage: Some(lineage),
+            lineage,
         });
         Ok(())
     }
@@ -608,13 +625,27 @@ fn wrap_compensation(plan: PhysNode, ctx: &ExecCtx) -> PhysNode {
 /// batches, go to the application buffer. A step cut short by a violation
 /// also records each row's lineage in the rid side table, which the next
 /// plan's anti-join compensates against (deferred compensation); a
-/// completed step is the query's last, so nothing would read it.
-fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, outcome: &RunOutcome) {
+/// completed step is the query's last, so nothing would read it. A
+/// suspended step's returned row without lineage could not be compensated
+/// — the next plan would return it again — so it is a typed error, never
+/// a silent duplicate.
+fn collect_rows(
+    collected: &mut Vec<Row>,
+    ctx: &mut ExecCtx,
+    outcome: &RunOutcome,
+) -> PopResult<()> {
     let record = !outcome.is_complete();
     for b in outcome.batches() {
         for i in b.live_indices() {
-            let lineage = b.lineage_at(i);
-            if record && !lineage.is_empty() {
+            if record {
+                let lineage = b.lineage_at(i);
+                if lineage.is_empty() {
+                    return Err(PopError::Execution(format!(
+                        "a step suspended after returning {} row(s) without lineage: \
+                         the next plan cannot compensate for them",
+                        outcome.row_count()
+                    )));
+                }
                 let mut key = lineage.to_vec();
                 key.sort_unstable();
                 ctx.prev_returned.insert(key);
@@ -622,6 +653,17 @@ fn collect_rows(collected: &mut Vec<Row>, ctx: &mut ExecCtx, outcome: &RunOutcom
             collected.push(b.row_at(i));
         }
     }
+    Ok(())
+}
+
+/// The widest lineage a step's returned batches and harvests carry.
+fn lineage_width(outcome: &RunOutcome, harvests: &[pop_exec::Harvest]) -> usize {
+    let batches = outcome
+        .batches()
+        .iter()
+        .map(pop_exec::RowBatch::lineage_width);
+    let harvests = harvests.iter().map(pop_exec::Harvest::lineage_width);
+    batches.chain(harvests).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -852,19 +894,31 @@ mod tests {
 
         let suspended = execute(&checked, &mut ctx, &subplans).unwrap();
         assert!(!suspended.is_complete());
-        collect_rows(&mut collected, &mut ctx, &suspended);
+        collect_rows(&mut collected, &mut ctx, &suspended).unwrap();
         assert_eq!(collected.len(), 7);
         assert_eq!(ctx.prev_returned.len(), 7);
 
         let complete = execute(&scan, &mut ctx, &subplans).unwrap();
         assert!(complete.is_complete());
-        collect_rows(&mut collected, &mut ctx, &complete);
+        collect_rows(&mut collected, &mut ctx, &complete).unwrap();
         assert_eq!(collected.len(), 27);
         assert_eq!(
             ctx.prev_returned.len(),
             7,
             "a completed step records nothing"
         );
+
+        // Without lineage the same returned rows could not be compensated:
+        // a typed error, not seven duplicates in the next step.
+        ctx.lineage = false;
+        ctx.prev_returned.clear();
+        let suspended = execute(&checked, &mut ctx, &subplans).unwrap();
+        assert_eq!(suspended.batches()[0].lineage_width(), 0);
+        match collect_rows(&mut collected, &mut ctx, &suspended) {
+            Err(PopError::Execution(msg)) => assert!(msg.contains("7 row(s)"), "{msg}"),
+            other => panic!("expected a typed execution error, got {other:?}"),
+        }
+        assert!(ctx.prev_returned.is_empty());
     }
 
     /// An ECDC step that returned rows before its violation is followed by
@@ -972,6 +1026,11 @@ mod tests {
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(exec.catalog().temp_mv_count(), 1);
+        let mv = exec.catalog().temp_mv(TableSet::single(0).mask());
+        assert!(
+            mv.expect("promoted").lineage.is_none(),
+            "rows without lineage promote to an MV without lineage"
+        );
         // The same table set at another width breaks the MV contract.
         let narrow = vec![pop_types::ColId::new(0, 0)];
         exec.promote_harvest(&q, harvest(narrow), &mut n, &mut warnings)

@@ -94,6 +94,10 @@ pub struct StepReport {
     /// Batches the root operator produced during this step (the rows
     /// above arrived in this many `next_batch` calls).
     pub batches_emitted: usize,
+    /// Rids of lineage per row in the widest of the step's returned
+    /// batches and harvested materializations: 0 when the query carries
+    /// no lineage ([`crate::PopExecutor::carries_lineage`]).
+    pub lineage_width: usize,
     /// Always empty: the engine executes every plan serially (see
     /// [`RegionDiag`]).
     pub parallel: Vec<RegionDiag>,
@@ -309,6 +313,7 @@ mod tests {
             mvs_used: 0,
             rows_emitted: 0,
             batches_emitted: 0,
+            lineage_width: 0,
             parallel: vec![],
             monitors_installed: 0,
             memo: None,

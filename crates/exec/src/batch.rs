@@ -2,8 +2,9 @@
 //!
 //! The engine moves data in chunks of up to [`ExecCtx::batch_size`]
 //! (default [`DEFAULT_BATCH_SIZE`]) rows instead of one row per `next()`
-//! call. A [`RowBatch`] carries the column values and the base-row lineage
-//! of every row, plus an optional **selection vector**: filtering
+//! call. A [`RowBatch`] carries the column values and, when the run
+//! carries lineage, the base-row rids of every row, plus an optional
+//! **selection vector**: filtering
 //! operators (predicates, HAVING, the ECDC anti-join) drop rows by
 //! shrinking the selection instead of copying the survivors, so a batch
 //! flows through a pipeline with zero per-row allocation until something
@@ -17,6 +18,12 @@
 //! batch of 1024 rows costs one allocation per column plus one for
 //! lineage; owned `Row`s exist only at the result boundary
 //! ([`RowBatch::row_at`]).
+//!
+//! Lineage exists only where something reads it — ECDC's deferred
+//! compensation and INSERT's exactly-once side effect. The driver decides
+//! once per query ([`ExecCtx::lineage`]); without it the storage leaves
+//! emit lineage width 0, and joins, appends, copies and harvests then
+//! carry no rids and allocate no lineage vector.
 //!
 //! The same container, grown with [`RowBatch::append`], is the buffer
 //! behind every materialization (hash-join build, SORT, TEMP): rows are
@@ -34,6 +41,7 @@
 //!   suite, which runs every query at several batch sizes).
 //!
 //! [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
+//! [`ExecCtx::lineage`]: crate::ExecCtx::lineage
 
 use pop_types::column::{Cell, Column};
 use pop_types::{Rid, Row, Value};
@@ -133,28 +141,31 @@ impl RowBatch {
 
     /// Append the rows `rows` of the table-width columns `src` (a storage
     /// chunk or fetch), keeping the table columns `cols` in that order,
-    /// with one `lineage` entry per row, in order — the storage leaves'
-    /// copy-out, one typed gather per column: a column the plan's layout
-    /// does not carry is never read.
+    /// with one `lineage` entry per row, in order, or none when the run
+    /// carries no lineage — the storage leaves' copy-out, one typed gather
+    /// per column: a column the plan's layout does not carry is never read.
     pub(crate) fn extend_columns<L: AsRef<[Rid]>>(
         &mut self,
         src: &[Column],
         cols: &[usize],
         rows: impl ExactSizeIterator<Item = usize> + Clone,
-        lineage: impl Iterator<Item = L>,
+        lineage: Option<impl Iterator<Item = L>>,
     ) {
         let n = rows.len();
         if n == 0 {
             return;
         }
-        let mut lineage = lineage.peekable();
-        let lin_width = lineage.peek().map_or(0, |l| l.as_ref().len());
+        let mut lineage = lineage.map(Iterator::peekable);
+        let lin_width = lineage
+            .as_mut()
+            .and_then(|l| l.peek().map(|l| l.as_ref().len()))
+            .unwrap_or(0);
         self.begin(cols.len(), lin_width);
         let cap = self.cap.max(n);
         for (c, p) in self.cols.iter_mut().zip(cols) {
             c.extend_gather(&src[*p], rows.clone(), cap);
         }
-        for (_, l) in rows.zip(lineage) {
+        for (_, l) in rows.zip(lineage.into_iter().flatten()) {
             debug_assert_eq!(l.as_ref().len(), self.lin_width, "lineage width");
             self.lin.extend_from_slice(l.as_ref());
         }
@@ -177,8 +188,10 @@ impl RowBatch {
         for (c, s) in self.cols.iter_mut().zip(&src.cols) {
             c.extend_gather(s, rows.clone(), cap);
         }
-        for i in rows {
-            self.lin.extend_from_slice(src.lineage_at(i));
+        if src.lin_width > 0 {
+            for i in rows {
+                self.lin.extend_from_slice(src.lineage_at(i));
+            }
         }
         self.rows += n;
     }
@@ -230,9 +243,11 @@ impl RowBatch {
         for (c, s) in rcols.iter_mut().zip(&right.cols) {
             c.extend_gather(s, right_rows.clone(), cap);
         }
-        for (l, r) in left_rows.zip(right_rows) {
-            self.lin.extend_from_slice(left.lineage_at(l));
-            self.lin.extend_from_slice(right.lineage_at(r));
+        if self.lin_width > 0 {
+            for (l, r) in left_rows.zip(right_rows) {
+                self.lin.extend_from_slice(left.lineage_at(l));
+                self.lin.extend_from_slice(right.lineage_at(r));
+            }
         }
         self.rows += n;
     }
@@ -606,7 +621,7 @@ mod tests {
         let mut s = RowBatch::new();
         let pick = [3usize, 1];
         let rids = pick.map(|i| [Rid::new(7, i as u64)]);
-        s.extend_columns(&table, &[1, 2, 0], pick.into_iter(), rids.into_iter());
+        s.extend_columns(&table, &[1, 2, 0], pick.into_iter(), Some(rids.into_iter()));
         assert_eq!(
             live_rows(&s),
             vec![
@@ -620,7 +635,7 @@ mod tests {
         assert_eq!(s.approx_bytes(), 2 * (16 + 8) + 2 * 16);
         // An empty pick adds nothing, not even a shape.
         let mut e = RowBatch::new();
-        e.extend_columns(&table, &[0], 0..0, std::iter::empty::<[Rid; 1]>());
+        e.extend_columns(&table, &[0], 0..0, Some(std::iter::empty::<[Rid; 1]>()));
         assert_eq!((e.len(), e.width()), (0, 0));
     }
 

@@ -54,13 +54,19 @@ impl Harvest {
         self.buffer.len()
     }
 
+    /// Rids of lineage per harvested row (0 in a run without lineage).
+    pub fn lineage_width(&self) -> usize {
+        self.buffer.lineage_width()
+    }
+
     /// The rows in the operator's output order, as columns in canonical
-    /// column order, and their lineage: what a temp MV is loaded from. In
-    /// buffer order the buffer's columns are permuted into place and its
-    /// lineage taken as it is — no value is copied, unless the buffer is
-    /// still shared (then it is cloned once). A SORT's rows are gathered in
-    /// sorted order, as [`Harvest::columns`] gathers them.
-    pub fn into_columns(self) -> (Vec<Column>, Lineage) {
+    /// column order, and their lineage (`None` when the run carried none):
+    /// what a temp MV is loaded from. In buffer order the buffer's columns
+    /// are permuted into place and its lineage taken as it is — no value is
+    /// copied, unless the buffer is still shared (then it is cloned once).
+    /// A SORT's rows are gathered in sorted order, as [`Harvest::columns`]
+    /// gathers them.
+    pub fn into_columns(self) -> (Vec<Column>, Option<Lineage>) {
         if self.order.is_some() {
             return self.columns();
         }
@@ -79,28 +85,33 @@ impl Harvest {
             })
             .collect();
         rids.shrink_to_fit();
-        (cols, Lineage::new(rids, width))
+        (cols, lineage(rids, width))
     }
 
     /// The rows in the operator's output order, gathered — one typed copy
     /// per column — into columns in canonical column order, with their
     /// lineage. [`Harvest::into_columns`] moves instead wherever the order
     /// allows; this is the reference it is tested against.
-    pub fn columns(&self) -> (Vec<Column>, Lineage) {
+    pub fn columns(&self) -> (Vec<Column>, Option<Lineage>) {
         match &self.order {
             Some(order) => self.gather(order.iter().map(|i| *i as usize)),
             None => self.gather(0..self.row_count()),
         }
     }
 
-    fn gather(&self, rows: impl ExactSizeIterator<Item = usize> + Clone) -> (Vec<Column>, Lineage) {
+    fn gather(
+        &self,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+    ) -> (Vec<Column>, Option<Lineage>) {
         let cols = self.buffer.gather_columns(self.perm.iter().copied(), &rows);
         let rids = rows.flat_map(|i| self.buffer.lineage_at(i).iter().copied());
-        (
-            cols,
-            Lineage::new(rids.collect(), self.buffer.lineage_width()),
-        )
+        (cols, lineage(rids.collect(), self.buffer.lineage_width()))
     }
+}
+
+/// A harvest's lineage: `width` rids a row, or none for rows without any.
+fn lineage(rids: Vec<Rid>, width: usize) -> Option<Lineage> {
+    (width > 0).then(|| Lineage::new(rids, width))
 }
 
 /// Outcome of one CHECK evaluation.
@@ -174,6 +185,12 @@ pub struct ExecCtx {
     /// Force a dummy re-optimization at the check with this id (Figure 12
     /// overhead experiments).
     pub force_reopt_at: Option<usize>,
+    /// Do rows carry lineage (one base-table [`Rid`] per joined table)?
+    /// Only ECDC compensation and INSERT's exactly-once dedup read it, so
+    /// the driver turns it off, once per query before the first plan, when
+    /// neither can run; the storage leaves then emit none, and nothing
+    /// above them copies any. On by default, for direct executor users.
+    pub lineage: bool,
     /// Set once the forced re-optimization fired (it fires only once).
     pub forced_fired: bool,
     /// Completed materializations of this run.
@@ -215,6 +232,7 @@ impl ExecCtx {
             work: 0.0,
             checks_enabled: true,
             force_reopt_at: None,
+            lineage: true,
             forced_fired: false,
             harvests: Vec::new(),
             check_events: Vec::new(),

@@ -195,9 +195,10 @@ impl Operator for NljnOp {
                 self.pending
                     .extend(std::iter::repeat_n(at as u32, self.sel.len()));
                 let pick = self.sel.iter().map(|r| *r as usize);
-                let rids = got
-                    .positions_of(&self.sel)
-                    .map(|p| [Rid::new(inner_table, p)]);
+                let rids = ctx.lineage.then(|| {
+                    got.positions_of(&self.sel)
+                        .map(|p| [Rid::new(inner_table, p)])
+                });
                 self.inner_rows
                     .extend_columns(got.cols, &self.inner_cols, pick, rids);
                 if out.len() + self.pending.len() >= target {

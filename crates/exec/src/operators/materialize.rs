@@ -279,6 +279,7 @@ mod tests {
         // The harvest outlives the operator's own handle on the buffer.
         op.close(&mut ctx);
         let (cols, lineage) = ctx.harvests[0].columns();
+        let lineage = lineage.expect("a scan's rows carry lineage");
         assert_eq!(cols.len(), 1);
         let values: Vec<Value> = (0..3).map(|i| cols[0].value(i)).collect();
         assert_eq!(values, [3, 1, 2].map(Value::Int));
@@ -288,7 +289,10 @@ mod tests {
         let (moved, moved_lineage) = ctx.harvests.pop().unwrap().into_columns();
         let moved_values: Vec<Value> = (0..3).map(|i| moved[0].value(i)).collect();
         assert_eq!(moved_values, values);
-        assert_eq!(moved_lineage.row(1), lineage.row(1));
+        assert_eq!(
+            moved_lineage.expect("moved with the rows").row(1),
+            lineage.row(1)
+        );
     }
 
     #[test]
@@ -342,6 +346,7 @@ mod tests {
                 assert_eq!(tags, expect, "desc={desc} @ {batch_size}");
                 op.close(&mut ctx);
                 let (cols, lineage) = ctx.harvests[0].columns();
+                let lineage = lineage.expect("a scan's rows carry lineage");
                 let harvested: String = (0..5)
                     .map(|i| cols[0].value(i).as_str().unwrap().to_string())
                     .collect();

@@ -84,7 +84,8 @@ impl Operator for TableScanOp {
                 None => {
                     let mut out = RowBatch::with_capacity(n);
                     let rows = chunk.rows.clone();
-                    out.extend_columns(chunk.cols, &self.cols, rows.clone(), rows.map(rid));
+                    let rids = ctx.lineage.then(|| rows.clone().map(rid));
+                    out.extend_columns(chunk.cols, &self.cols, rows, rids);
                     out
                 }
                 Some(p) => {
@@ -97,7 +98,8 @@ impl Operator for TableScanOp {
                     }
                     let mut out = RowBatch::with_capacity(self.sel.len());
                     let pick = self.sel.iter().map(|i| *i as usize);
-                    out.extend_columns(chunk.cols, &self.cols, pick.clone(), pick.map(rid));
+                    let rids = ctx.lineage.then(|| pick.clone().map(rid));
+                    out.extend_columns(chunk.cols, &self.cols, pick, rids);
                     out
                 }
             };
@@ -225,7 +227,9 @@ impl Operator for IndexRangeScanOp {
             }
             let mut out = RowBatch::with_capacity(self.sel.len());
             let pick = self.sel.iter().map(|i| *i as usize);
-            let rids = got.positions_of(&self.sel).map(|p| [Rid::new(table, p)]);
+            let rids = ctx
+                .lineage
+                .then(|| got.positions_of(&self.sel).map(|p| [Rid::new(table, p)]));
             out.extend_columns(got.cols, &self.cols, pick, rids);
             ctx.charge(ctx.model.index_access(0.0, chunk.len() as f64, new_pages));
             if !out.is_empty() {
@@ -242,8 +246,9 @@ impl Operator for IndexRangeScanOp {
 }
 
 /// Scan of a temporary materialized view (an intermediate result from a
-/// previous execution step, §2.3). Lineage is restored from the harvest so
-/// deferred compensation keeps working across re-optimizations.
+/// previous execution step, §2.3). In a run that carries lineage it is
+/// restored from the harvest, so deferred compensation keeps working across
+/// re-optimizations; an MV promoted without lineage emits none.
 pub struct MvScanOp {
     table: Arc<Table>,
     lineage: Option<Lineage>,
@@ -282,9 +287,10 @@ impl Operator for MvScanOp {
         let n = chunk.rows.len();
         ctx.charge(ctx.model.mv_scan_cost(n as f64, chunk.new_pages as f64));
         let mut out = RowBatch::with_capacity(n);
-        let lineage = (chunk.start as usize..)
-            .take(n)
-            .map(|pos| self.lineage.as_ref().map_or(&[] as &[Rid], |l| l.row(pos)));
+        let start = chunk.start as usize;
+        let lineage = (self.lineage.as_ref())
+            .filter(|_| ctx.lineage)
+            .map(|l| (start..start + n).map(|pos| l.row(pos)));
         out.extend_columns(chunk.cols, &self.cols, chunk.rows.clone(), lineage);
         Ok(Some(out))
     }
@@ -374,6 +380,22 @@ mod tests {
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[7], vec![Rid::new(t.id(), 7)]);
+    }
+
+    /// A run without lineage: the scans emit rows of lineage width 0, and
+    /// an MV scan ignores the lineage its MV was promoted with.
+    #[test]
+    fn scans_without_lineage_emit_no_rids() {
+        let (mut ctx, t) = ctx_and_table();
+        ctx.lineage = false;
+        let rows = drain(&mut TableScanOp::new(t.clone(), None), &mut ctx);
+        assert_eq!(rows.len(), 10);
+        assert!(rows.iter().all(|(_, rids)| rids.is_empty()));
+        let rids: Vec<Rid> = (0..10).map(|i| Rid::new(9, i)).collect();
+        let mut op = MvScanOp::new(t, Some(Lineage::new(rids, 1)));
+        op.open(&mut ctx).unwrap();
+        let b = op.next_batch(&mut ctx).unwrap().unwrap();
+        assert_eq!((b.len(), b.lineage_width()), (10, 0));
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn dtype(kind: Kind) -> DataType {
 fn promoted(
     catalog: &Catalog,
     schema: &Schema,
-    (cols, lineage): (Vec<Column>, Lineage),
+    (cols, lineage): (Vec<Column>, Option<Lineage>),
     rows: usize,
 ) -> (Vec<String>, Vec<Vec<Rid>>, u64, u64) {
     let table = catalog
@@ -116,7 +116,9 @@ fn promoted(
     let snapshot: Vec<Row> = table.snapshot();
     (
         snapshot.iter().map(|r| format!("{r:?}")).collect(),
-        (0..rows).map(|i| lineage.row(i).to_vec()).collect(),
+        (0..rows)
+            .map(|i| lineage.as_ref().map_or(&[][..], |l| l.row(i)).to_vec())
+            .collect(),
         pages,
         cost.to_bits(),
     )

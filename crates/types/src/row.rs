@@ -16,6 +16,11 @@ pub type Row = Vec<Value>;
 ///   application are remembered in a side table, and the re-optimized plan
 ///   anti-joins against it so no duplicates are returned, and
 /// * exactly-once application of side effects across re-optimizations.
+///
+/// Rows carry rids only when one of these can read them: the driver turns
+/// lineage on, once per query, if and only if the flavor set includes ECDC
+/// or the query inserts (`PopExecutor::carries_lineage`). Otherwise no
+/// operator builds one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rid {
     /// Identifier of the base table within the catalog.

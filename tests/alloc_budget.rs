@@ -10,6 +10,9 @@
 //! row table (`RECORDED_BEFORE`; with it: Q18 2 375, Q3 3 172, Q1 541,
 //! DMV18 96 468): Q18 — two hash joins under a 15 k-group aggregate — must
 //! stay below a tenth of its old count, the others at or below theirs.
+//! Q18, Q1 and DMV18 are also held under the counts they had while every
+//! row carried lineage (`RECORDED_WITH_LINEAGE`): a default-flavor run
+//! builds none.
 //!
 //! The re-optimization path has one too (`RECORDED_BEFORE_REOPT`):
 //! promoting a harvest to a temp MV copies a column at a time into
@@ -213,6 +216,23 @@ const RECORDED_BEFORE: [(&str, u64, f64); 4] = [
     ("DMV18", 188_821, 1.0),
 ];
 
+/// Three of the same queries at the commit before lineage became a
+/// per-query switch, when every scanned row carried a rid into every
+/// batch, join output and materialization: `(query, allocations in a
+/// release build, allowed share)`. Under the default flavors nothing reads
+/// lineage, so none is built: Q18 1 261, Q1 473 and DMV18 3 183 allocations
+/// in release; a debug build, which also runs each plan through the deny
+/// gate, counts 1 328, 501 and 3 421. A run that carries lineage again
+/// allocates its flat rid vector per batch and per buffer once more and
+/// lands above these ceilings. Q3 saves 84 allocations (2 066 → 1 982),
+/// too few to stay clear of the deny gate's 59 in a debug build, so it
+/// keeps only its ceiling above.
+const RECORDED_WITH_LINEAGE: [(&str, u64, f64); 3] = [
+    ("Q18", 1_416, 0.97),
+    ("Q1", 532, 0.97),
+    ("DMV18", 3_509, 0.985),
+];
+
 /// The paged read path at the commit before the projected in-place row
 /// decoder: one `Vec` per stored row plus one `Arc<str>` for LINEITEM's
 /// one string column (`l_returnflag`), whatever the plan read — two heap
@@ -325,12 +345,23 @@ fn allocations_per_query_stay_under_the_recorded_ceilings() {
             reopts > 0 || name != "DMV18",
             "DMV18 no longer re-optimizes: pick another"
         );
-        let ceiling = (before as f64 * share) as u64;
-        println!("{name}: {count} allocation(s), {reopts} re-optimization(s), ceiling {ceiling}");
-        if count > ceiling {
-            failures.push(format!(
-                "{name}: {count} allocations > {ceiling} ({share} x {before} recorded before)"
-            ));
+        let with_lineage = RECORDED_WITH_LINEAGE
+            .into_iter()
+            .find(|(n, ..)| *n == name)
+            .map(|(_, recorded, share)| (recorded, share, "with lineage"));
+        for (recorded, share, when) in
+            std::iter::once((before, share, "before")).chain(with_lineage)
+        {
+            let ceiling = (recorded as f64 * share) as u64;
+            println!(
+                "{name}: {count} allocation(s), {reopts} re-optimization(s), ceiling {ceiling} \
+                 ({when})"
+            );
+            if count > ceiling {
+                failures.push(format!(
+                    "{name}: {count} allocations > {ceiling} ({share} x {recorded} recorded {when})"
+                ));
+            }
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));

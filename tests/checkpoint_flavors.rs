@@ -323,3 +323,60 @@ fn grouped_insert_applies_each_group_once() {
         assert_eq!(rows, want, "force_reopt_at {force:?}");
     }
 }
+
+/// Rows carry lineage only where something reads it: ECDC's deferred
+/// compensation and INSERT's exactly-once dedup. Under the default flavors
+/// a TPC-H query (Q3: hash joins, a sort) and a re-optimizing DMV query
+/// return, harvest and so promote rows with no lineage; with ECDC in the
+/// flavor set the same queries' harvests carry a rid per table, and so do
+/// an INSERT's rows under the default flavors.
+#[test]
+fn lineage_is_carried_only_where_ecdc_or_insert_reads_it() {
+    let storage = pop_storage::StorageConfig::default();
+    let tpch = pop_tpch::tpch_catalog_with(0.0005, storage.clone()).unwrap();
+    let dmv = pop_dmv::dmv_catalog_with(0.0003, storage).unwrap();
+    let mut tpch = PopExecutor::new(tpch, PopConfig::default()).unwrap();
+    let mut dmv = PopExecutor::new(dmv, PopConfig::default()).unwrap();
+    let reopt = pop_dmv::dmv_queries()
+        .into_iter()
+        .find(|q| {
+            let res = dmv.run(&q.spec, &Params::none()).unwrap();
+            res.report.reopt_count > 0
+        })
+        .expect("a DMV query re-optimizes under the default flavors");
+    let with_ecdc = FlavorSet {
+        ecdc: true,
+        ..FlavorSet::default()
+    };
+    let widths = |exec: &PopExecutor, q: &pop::QuerySpec| -> Vec<usize> {
+        let res = exec.run(q, &Params::none()).unwrap();
+        res.report.steps.iter().map(|s| s.lineage_width).collect()
+    };
+    for (name, exec, q) in [
+        ("Q3", &mut tpch, pop_tpch::q3()),
+        (reopt.name.as_str(), &mut dmv, reopt.spec.clone()),
+    ] {
+        exec.config_mut().optimizer.flavors = FlavorSet::default();
+        assert!(!exec.carries_lineage(&q), "{name}");
+        let off = widths(exec, &q);
+        assert!(off.iter().all(|w| *w == 0), "{name} default: {off:?}");
+        exec.config_mut().optimizer.flavors = with_ecdc;
+        assert!(exec.carries_lineage(&q), "{name}");
+        let on = widths(exec, &q);
+        assert!(on.iter().any(|w| *w >= 1), "{name} with ECDC: {on:?}");
+    }
+
+    let cat = correlated_db();
+    cat.create_table(
+        "sink",
+        Schema::from_pairs(&[("cid", DataType::Int), ("oid", DataType::Int)]),
+        vec![],
+    )
+    .unwrap();
+    let exec = PopExecutor::new(cat, PopConfig::default()).unwrap();
+    let mut q = spj_query();
+    q.side_effect = Some("sink".into());
+    assert!(exec.carries_lineage(&q));
+    let insert = widths(&exec, &q);
+    assert!(insert.iter().all(|w| *w >= 1), "INSERT: {insert:?}");
+}
