@@ -244,7 +244,7 @@ impl Operator for NljnOp {
                 outer.live_indices(),
                 &mut self.matches,
                 &mut self.bounds,
-            )?;
+            );
             fetcher.prefetch(&self.matches)?;
             ctx.guard_release(self.reserved);
             self.reserved = fetcher.prefetched_bytes();
@@ -590,7 +590,7 @@ impl Operator for SemiProbeOp {
                 b.live_indices(),
                 &mut self.matches,
                 &mut self.bounds,
-            )?;
+            );
             let mut charge = 0.0;
             let mut last_page = self.last_page;
             let mut k = 0;

@@ -187,7 +187,7 @@ impl Operator for IndexRangeScanOp {
         self.fetcher = Some(fetcher.project(read_set(&self.cols, self.residual.as_ref())));
         self.positions = self
             .index
-            .range(self.lo.as_ref(), self.hi.as_ref())?
+            .range(self.lo.as_ref(), self.hi.as_ref())
             .ok_or_else(|| {
                 pop_types::PopError::Execution(format!(
                     "index on {} column {} does not support range probes",

@@ -87,12 +87,6 @@ fn transitions(t: &Table, positions: impl IntoIterator<Item = u64>) -> f64 {
         .count() as f64
 }
 
-fn probe(index: &Index, key: i64) -> Vec<u64> {
-    let mut out = Vec::new();
-    index.probe_into(&Value::Int(key), &mut out).unwrap();
-    out
-}
-
 /// The flat model, and the paged model with a 100-row memory budget.
 fn models() -> [CostModel; 2] {
     [
@@ -223,7 +217,7 @@ fn index_range_scan_charges_one_descent_its_fetches_and_page_transitions() {
             ))
         },
         |f| {
-            let positions = f.t_k.range(Some(&lo), Some(&hi)).unwrap().unwrap();
+            let positions = f.t_k.range(Some(&lo), Some(&hi)).unwrap();
             let pages = transitions(&f.t, positions.iter().copied());
             f.m().index_access(1.0, positions.len() as f64, pages)
         },
@@ -239,7 +233,7 @@ fn nljn_charges_a_probe_per_outer_row_and_every_match() {
             Box::new(NljnOp::new(scan(&f.t), 0, u, u_k, None, Vec::new()))
         },
         |f| {
-            let matches: Vec<u64> = (0..N).flat_map(|k| probe(&f.u_k, k)).collect();
+            let matches: Vec<u64> = (0..N).flat_map(|k| f.u_k.probe(&Value::Int(k))).collect();
             let pages = transitions(&f.u, matches.iter().copied());
             f.scan_cost(&f.t) + f.m().index_access(N as f64, matches.len() as f64, pages)
         },
@@ -261,7 +255,7 @@ fn semi_probe_stops_at_its_first_qualifying_match() {
             |f| {
                 let fetched: Vec<u64> = (0..N)
                     .flat_map(|k| {
-                        let matches = probe(&f.u_k, k);
+                        let matches = f.u_k.probe(&Value::Int(k));
                         let first = matches.iter().position(|p| *p % 3 == w as u64);
                         let upto = first.map_or(matches.len(), |i| i + 1);
                         matches.into_iter().take(upto)

@@ -88,8 +88,8 @@ fn fixtures() -> [Fixture; 2] {
                 u_rows(),
             )
             .unwrap();
-        // Sorted on t.k (the B+tree primary on pages); hash on u.k, built
-        // in memory through the projected cursor on either backend.
+        // Sorted on t.k, hash on u.k: both built in memory through the
+        // projected cursor on either backend.
         cat.create_index("t", "k", IndexKind::Sorted).unwrap();
         cat.create_index("u", "k", IndexKind::Hash).unwrap();
         let ctx = ExecCtx::new(cat, Params::none(), CostModel::default());

@@ -33,8 +33,7 @@ pub enum StorageKind {
     /// In-memory typed columns (`Arc` snapshots) with a virtual page map.
     #[default]
     Mem,
-    /// Column-major pages on disk behind the buffer pool, with WAL +
-    /// B+tree.
+    /// Column-major pages on disk behind the buffer pool, with a WAL.
     Paged,
 }
 
@@ -396,10 +395,6 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Make all appended rows durable (paged: flush tail page + meta,
     /// truncate the WAL). No-op for the mem backend.
     fn checkpoint(&self) -> PopResult<()>;
-
-    /// Downcast support (the catalog builds a paged table's primary index
-    /// through [`PagedBackend`](crate::PagedBackend)).
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 #[cfg(test)]

@@ -471,35 +471,19 @@ impl Catalog {
         names
     }
 
-    /// Build an index on `table.column`.
-    ///
-    /// On the paged backend, the first `Sorted` index of a table becomes
-    /// its persistent B+tree primary index (maintained on append); any
-    /// other index is an in-memory map over the rows the table holds at
-    /// creation time (built by reading just the indexed column) — after
-    /// inserting rows, call [`Catalog::refresh_indexes`] so those see the
-    /// new data.
+    /// Build an index on `table.column`: on either backend, in-memory
+    /// sorted runs over the rows the table holds at creation time (built
+    /// by reading just the indexed column). After inserting rows, call
+    /// [`Catalog::refresh_indexes`] so the index sees the new data. The
+    /// runs hold `u32` row positions, so a table of more than `u32::MAX`
+    /// rows is a typed error.
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> PopResult<()> {
         let t = self.table(table)?;
         let col = t
             .schema()
             .index_of(column)
             .ok_or_else(|| PopError::UnknownColumn(format!("{table}.{column}")))?;
-        let idx = if kind == IndexKind::Sorted {
-            match t
-                .backend()
-                .as_any()
-                .downcast_ref::<PagedBackend>()
-                .map(|p| p.ensure_primary(col as u32))
-                .transpose()?
-                .flatten()
-            {
-                Some(bt) => Arc::new(Index::from_btree(col, bt)),
-                None => Arc::new(Index::build(kind, col, &t)?),
-            }
-        } else {
-            Arc::new(Index::build(kind, col, &t)?)
-        };
+        let idx = Arc::new(Index::build(kind, col, &t)?);
         self.inner
             .write()
             .indexes
@@ -509,9 +493,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Rebuild every in-memory index of `table` against its current rows
-    /// (after inserts made existing indexes stale). Persistent B+tree
-    /// indexes are maintained on append and skipped.
+    /// Rebuild every index of `table` against its current rows (after
+    /// inserts made existing indexes stale).
     ///
     /// The new indexes are built outside the catalog lock, so readers
     /// (`table`, `find_index`) are not blocked by the rebuild; each is
@@ -522,11 +505,7 @@ impl Catalog {
     pub fn refresh_indexes(&self, table: &str) -> PopResult<()> {
         let _one_at_a_time = self.refresh.lock();
         let t = self.table(table)?;
-        let stale: Vec<Arc<Index>> = self
-            .indexes(t.id())
-            .into_iter()
-            .filter(|idx| !idx.is_persistent())
-            .collect();
+        let stale = self.indexes(t.id());
         let mut rebuilt = Vec::with_capacity(stale.len());
         for old in stale {
             let new = Index::build(old.kind(), old.column(), &t)?;
@@ -705,22 +684,43 @@ mod tests {
         assert!(cat.create_index("t", "zz", IndexKind::Hash).is_err());
     }
 
+    /// One index contract on both backends: a `Hash` and a `Sorted`
+    /// index see the rows of their build, not a later insert's, until
+    /// `refresh_indexes` rebuilds them.
     #[test]
     fn refresh_indexes_sees_new_rows() {
-        let cat = Catalog::new();
-        let t = cat
-            .create_table("t", schema(), vec![vec![Value::Int(1), Value::str("x")]])
-            .unwrap();
-        cat.create_index("t", "a", IndexKind::Hash).unwrap();
-        t.insert(vec![vec![Value::Int(2), Value::str("y")]])
-            .unwrap();
-        // Stale: the new row is invisible to the old index.
-        let idx = cat.find_index(t.id(), 0, false).unwrap();
-        assert!(idx.probe(&Value::Int(2)).unwrap().is_empty());
-        cat.refresh_indexes("t").unwrap();
-        let idx = cat.find_index(t.id(), 0, false).unwrap();
-        assert_eq!(idx.probe(&Value::Int(2)).unwrap(), vec![1]);
-        assert!(cat.refresh_indexes("missing").is_err());
+        let paged = StorageConfig {
+            page_size: 512,
+            ..StorageConfig::paged()
+        };
+        for config in [StorageConfig::default(), paged] {
+            let cat = Catalog::with_storage(config.clone());
+            let t = cat
+                .create_table("t", schema(), vec![vec![Value::Int(1), Value::str("x")]])
+                .unwrap();
+            cat.create_index("t", "a", IndexKind::Hash).unwrap();
+            cat.create_index("t", "b", IndexKind::Sorted).unwrap();
+            t.insert(vec![vec![Value::Int(2), Value::str("y")]])
+                .unwrap();
+            let (y, from_a) = (Value::str("y"), Some(&Value::str("a")));
+            for current in [false, true] {
+                if current {
+                    cat.refresh_indexes("t").unwrap();
+                }
+                let hash = cat.find_index(t.id(), 0, false).unwrap();
+                let sorted = cat.find_index(t.id(), 1, true).unwrap();
+                let (probe, range) = if current {
+                    (vec![1], vec![0, 1])
+                } else {
+                    (vec![], vec![0])
+                };
+                assert_eq!(hash.probe(&Value::Int(2)), probe, "{config:?}");
+                assert_eq!(sorted.probe(&y), probe, "{config:?}");
+                assert_eq!(sorted.range(from_a, None), Some(range), "{config:?}");
+                assert_eq!(hash.range(from_a, None), None, "{config:?}");
+            }
+            assert!(cat.refresh_indexes("missing").is_err());
+        }
     }
 
     #[test]
@@ -740,7 +740,7 @@ mod tests {
                         t.insert(vec![vec![key.clone(), Value::str("x")]]).unwrap();
                         cat.refresh_indexes("t").unwrap();
                         let idx = cat.find_index(t.id(), 0, false).unwrap();
-                        assert_eq!(idx.probe(&key).unwrap().len(), 1, "{key:?}");
+                        assert_eq!(idx.probe(&key).len(), 1, "{key:?}");
                     }
                 });
             }
@@ -828,35 +828,6 @@ mod tests {
         assert_eq!(t.row_count(), 100);
         assert_eq!(t.snapshot()[42][0], Value::Int(42));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn paged_sorted_index_is_persistent_and_tracks_appends() {
-        let cat = Catalog::with_storage(StorageConfig {
-            page_size: 512,
-            ..StorageConfig::paged()
-        });
-        let t = cat
-            .create_table(
-                "t",
-                schema(),
-                vec![
-                    vec![Value::Int(1), Value::str("x")],
-                    vec![Value::Int(2), Value::str("y")],
-                ],
-            )
-            .unwrap();
-        cat.create_index("t", "a", IndexKind::Sorted).unwrap();
-        let idx = cat.find_index(t.id(), 0, true).unwrap();
-        assert!(idx.is_persistent());
-        // No refresh needed: the B+tree is maintained on append.
-        t.insert(vec![vec![Value::Int(3), Value::str("z")]])
-            .unwrap();
-        assert_eq!(idx.probe(&Value::Int(3)).unwrap(), vec![2]);
-        // A second Sorted index on another column falls back to memory.
-        cat.create_index("t", "b", IndexKind::Sorted).unwrap();
-        let idx_b = cat.find_index(t.id(), 1, true).unwrap();
-        assert!(!idx_b.is_persistent());
     }
 
     #[test]

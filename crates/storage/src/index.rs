@@ -6,26 +6,22 @@
 //! catastrophic when the outer estimate was wrong, which is exactly the
 //! situation POP's CHECK on the NLJN outer guards against (Figure 2).
 //!
-//! Two representations share one probe interface: in-memory sorted runs
-//! (built by one sort of the indexed column — on a paged table, decoding
-//! only that column; a number column through the key sort ANALYZE uses,
-//! [`pop_types::sort::sort_runs`] — rebuilt by
-//! [`crate::Catalog::refresh_indexes`]) and
-//! the paged backend's persistent [`BTree`] primary index (maintained
-//! incrementally on append, read through the buffer pool). Key semantics
-//! are identical: NULLs are never indexed, keys compare under `Value`'s
-//! order (`Int(3)`, `Float(3.0)` and `Date(3)` are one key), probes return
-//! row positions in ascending order per key, range scans return keys in
-//! ascending order.
+//! Every index, on either backend, is one representation: in-memory
+//! sorted runs, built by one sort of the indexed column (on a paged table,
+//! decoding only that column; a number column through the key sort
+//! ANALYZE uses, [`pop_types::sort::sort_runs`]) over the rows the table
+//! held at build time, and rebuilt by [`crate::Catalog::refresh_indexes`].
+//! NULLs are never indexed, keys compare under `Value`'s order (`Int(3)`,
+//! `Float(3.0)` and `Date(3)` are one key), probes return row positions in
+//! ascending order per key, range scans return keys in ascending order.
+//! Probes read no pages, so they cannot fail.
 
-use crate::btree::BTree;
 use crate::table::Table;
 use pop_types::column::{Cell, Column, Data};
 use pop_types::sort::{sort_runs, total_order_key};
 use pop_types::{PopError, PopResult, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Kind of index structure. Both kinds are built as the same sorted runs;
 /// the kind tells the planner whether the index answers range probes.
@@ -35,14 +31,6 @@ pub enum IndexKind {
     Hash,
     /// Equality and range probes.
     Sorted,
-}
-
-#[derive(Debug)]
-enum Repr {
-    /// Sorted runs over the rows the table held at build time.
-    Mem(Runs),
-    /// Persistent B+tree (paged backend primary index). Always `Sorted`.
-    BTree(Arc<BTree>),
 }
 
 /// A column's non-NULL rows sorted by key: the distinct keys in `Value`
@@ -185,45 +173,27 @@ impl Runs {
     }
 }
 
-/// A secondary index mapping a column value to the row positions holding it.
+/// A secondary index mapping a column value to the row positions holding
+/// it: sorted runs over the rows the table held at build time.
 #[derive(Debug)]
 pub struct Index {
     column: usize,
     kind: IndexKind,
-    repr: Repr,
+    runs: Runs,
 }
 
 impl Index {
-    /// Build an in-memory index of `kind` on `column` over the table's
-    /// current rows: one projected read of that column (a mem table hands
-    /// out its stored column), one sort of its non-NULL rows.
+    /// Build an index of `kind` on `column` over the table's current rows:
+    /// one projected read of that column (a mem table hands out its stored
+    /// column), one sort of its non-NULL rows. A table of more than
+    /// `u32::MAX` rows is a typed error.
     pub fn build(kind: IndexKind, column: usize, table: &Table) -> PopResult<Self> {
         let mut cursor = table.cursor(0, u64::MAX)?.project([column]);
         let runs = match cursor.next_chunk(usize::MAX)? {
             Some(chunk) => Runs::build(&chunk.cols[column], chunk.rows)?,
             None => Runs::build(&Column::default(), 0..0)?,
         };
-        Ok(Index {
-            column,
-            kind,
-            repr: Repr::Mem(runs),
-        })
-    }
-
-    /// Wrap a paged backend's persistent B+tree primary index. Always
-    /// `Sorted`; stays current with appends without a rebuild.
-    pub fn from_btree(column: usize, btree: Arc<BTree>) -> Self {
-        Index {
-            column,
-            kind: IndexKind::Sorted,
-            repr: Repr::BTree(btree),
-        }
-    }
-
-    /// True for the persistent B+tree representation (maintained on
-    /// append — [`crate::Catalog::refresh_indexes`] skips it).
-    pub fn is_persistent(&self) -> bool {
-        matches!(self.repr, Repr::BTree(_))
+        Ok(Index { column, kind, runs })
     }
 
     /// Indexed column position.
@@ -238,43 +208,20 @@ impl Index {
 
     /// Number of indexed (non-NULL) entries.
     pub fn entries(&self) -> u64 {
-        match &self.repr {
-            Repr::Mem(runs) => runs.positions.len() as u64,
-            Repr::BTree(bt) => bt.entry_count(),
-        }
+        self.runs.positions.len() as u64
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> u64 {
-        match &self.repr {
-            Repr::Mem(runs) => runs.keys.len() as u64,
-            Repr::BTree(bt) => bt.distinct_keys(),
-        }
+        self.runs.keys.len() as u64
     }
 
-    /// Row positions with column equal to `key` (ascending). The B+tree
-    /// representation reads pages, so probes can fail with a storage
-    /// error.
-    pub fn probe(&self, key: &Value) -> PopResult<Vec<u64>> {
-        let mut out = Vec::new();
-        self.probe_into(key, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Index::probe`] into a caller-owned buffer: `out` is cleared and
-    /// refilled, so repeated probes reuse one buffer.
-    pub fn probe_into(&self, key: &Value, out: &mut Vec<u64>) -> PopResult<()> {
-        out.clear();
+    /// Row positions with column equal to `key` (ascending); none for NULL.
+    pub fn probe(&self, key: &Value) -> Vec<u64> {
         if key.is_null() {
-            return Ok(());
+            return Vec::new();
         }
-        match &self.repr {
-            Repr::Mem(runs) => {
-                out.extend(runs.probe(Cell::of(key)).iter().map(|&p| u64::from(p)));
-                Ok(())
-            }
-            Repr::BTree(bt) => bt.probe_into(key, out),
-        }
+        widen(self.runs.probe(Cell::of(key)))
     }
 
     /// Probe row `i` of `col` for each of `rows`, in order: `out` is
@@ -289,39 +236,24 @@ impl Index {
         rows: impl Iterator<Item = usize>,
         out: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
-    ) -> PopResult<()> {
+    ) {
         out.clear();
         bounds.clear();
         bounds.push(0);
-        match &self.repr {
-            Repr::Mem(runs) => runs.probe_rows(col, rows, out, bounds),
-            Repr::BTree(bt) => {
-                for i in rows {
-                    let key = col.value(i);
-                    if !key.is_null() {
-                        bt.probe_into(&key, out)?;
-                    }
-                    bounds.push(out.len());
-                }
-            }
-        }
-        Ok(())
+        self.runs.probe_rows(col, rows, out, bounds);
     }
 
     /// Row positions with column in `[lo, hi]` (either bound optional),
     /// ascending by key. Only supported for sorted indexes; hash indexes
-    /// return `Ok(None)`.
-    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> PopResult<Option<Vec<u64>>> {
-        if self.kind != IndexKind::Sorted {
-            return Ok(None);
-        }
-        match &self.repr {
-            Repr::Mem(runs) => Ok(Some(
-                runs.range(lo, hi).iter().map(|&p| u64::from(p)).collect(),
-            )),
-            Repr::BTree(bt) => bt.range(lo, hi).map(Some),
-        }
+    /// return `None`.
+    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Option<Vec<u64>> {
+        (self.kind == IndexKind::Sorted).then(|| widen(self.runs.range(lo, hi)))
     }
+}
+
+/// `positions` as the `u64` table positions callers take.
+fn widen(positions: &[u32]) -> Vec<u64> {
+    positions.iter().map(|&p| u64::from(p)).collect()
 }
 
 #[cfg(test)]
@@ -346,39 +278,25 @@ mod tests {
     #[test]
     fn hash_probe() {
         let idx = build(IndexKind::Hash, 0);
-        assert_eq!(idx.probe(&Value::Int(5)).unwrap(), vec![0, 2]);
-        assert!(idx.probe(&Value::Int(9)).unwrap().is_empty());
-        assert!(idx.probe(&Value::Null).unwrap().is_empty());
+        assert_eq!(idx.probe(&Value::Int(5)), vec![0, 2]);
+        assert!(idx.probe(&Value::Int(9)).is_empty());
+        assert!(idx.probe(&Value::Null).is_empty());
         assert_eq!(idx.entries(), 3);
         assert_eq!(idx.distinct_keys(), 2);
-        assert!(!idx.is_persistent());
     }
 
     #[test]
     fn sorted_probe_and_range() {
         let idx = build(IndexKind::Sorted, 0);
-        assert_eq!(idx.probe(&Value::Int(3)).unwrap(), vec![1]);
+        assert_eq!(idx.probe(&Value::Int(3)), vec![1]);
         let r = idx
             .range(Some(&Value::Int(3)), Some(&Value::Int(5)))
-            .unwrap()
             .unwrap();
         assert_eq!(r, vec![1, 0, 2]);
-        let r = idx.range(None, Some(&Value::Int(4))).unwrap().unwrap();
+        let r = idx.range(None, Some(&Value::Int(4))).unwrap();
         assert_eq!(r, vec![1]);
-        let r = idx.range(Some(&Value::Int(4)), None).unwrap().unwrap();
+        let r = idx.range(Some(&Value::Int(4)), None).unwrap();
         assert_eq!(r, vec![0, 2]);
-    }
-
-    #[test]
-    fn probe_into_refills_the_buffer() {
-        for kind in [IndexKind::Hash, IndexKind::Sorted] {
-            let idx = build(kind, 0);
-            let mut buf = vec![99];
-            for key in [Value::Int(5), Value::Int(9), Value::Int(3), Value::Null] {
-                idx.probe_into(&key, &mut buf).unwrap();
-                assert_eq!(buf, idx.probe(&key).unwrap(), "{kind:?} {key:?}");
-            }
-        }
     }
 
     /// The runs of a typed column with NULLs keep a NULL-free typed key
@@ -387,68 +305,27 @@ mod tests {
     #[test]
     fn batch_probe_over_typed_keys() {
         let idx = build(IndexKind::Hash, 0);
-        let Repr::Mem(runs) = &idx.repr else {
-            panic!("an in-memory index")
-        };
+        let runs = &idx.runs;
         assert!(matches!(runs.keys.data(), Data::Int(_)) && !runs.keys.has_null_bitmap());
         let mut col = Column::default();
         for v in [5, 9, 3, 5] {
             col.push(&Value::Int(v), 4);
         }
         let (mut out, mut bounds) = (vec![1], vec![1]);
-        idx.probe_batch(&col, [3, 1, 2].into_iter(), &mut out, &mut bounds)
-            .unwrap();
+        idx.probe_batch(&col, [3, 1, 2].into_iter(), &mut out, &mut bounds);
         assert_eq!((out, bounds), (vec![0, 2, 1], vec![0, 2, 2, 3]));
     }
 
     #[test]
     fn hash_has_no_range() {
         let idx = build(IndexKind::Hash, 0);
-        assert!(idx.range(None, None).unwrap().is_none());
+        assert!(idx.range(None, None).is_none());
     }
 
     #[test]
     fn string_keys() {
         let idx = build(IndexKind::Hash, 1);
-        assert_eq!(idx.probe(&Value::str("c")).unwrap(), vec![2]);
+        assert_eq!(idx.probe(&Value::str("c")), vec![2]);
         assert_eq!(idx.distinct_keys(), 4);
-    }
-
-    #[test]
-    fn btree_repr_matches_mem_semantics() {
-        use crate::backend::{StorageBackend, StorageConfig, StorageEnv};
-        use crate::paged::PagedBackend;
-
-        let env = Arc::new(StorageEnv::new(StorageConfig {
-            page_size: 512,
-            ..StorageConfig::paged()
-        }));
-        let b = PagedBackend::create(Arc::clone(&env), "t", true).unwrap();
-        b.append(&crate::columns_of(&rows()), rows().len()).unwrap();
-        let bt = b.ensure_primary(0).unwrap().unwrap();
-        let idx = Index::from_btree(0, bt);
-        assert!(idx.is_persistent());
-        assert_eq!(idx.kind(), IndexKind::Sorted);
-        let mem = build(IndexKind::Sorted, 0);
-        // NULL skipped, positions ascending, ranges by ascending key —
-        // exactly the in-memory Sorted semantics.
-        assert_eq!(idx.entries(), mem.entries());
-        assert_eq!(idx.distinct_keys(), mem.distinct_keys());
-        let mut buf = vec![99];
-        for key in [Value::Int(5), Value::Int(3), Value::Int(9), Value::Null] {
-            assert_eq!(
-                idx.probe(&key).unwrap(),
-                mem.probe(&key).unwrap(),
-                "{key:?}"
-            );
-            idx.probe_into(&key, &mut buf).unwrap();
-            assert_eq!(buf, mem.probe(&key).unwrap(), "{key:?}");
-        }
-        assert_eq!(
-            idx.range(Some(&Value::Int(3)), Some(&Value::Int(5)))
-                .unwrap(),
-            mem.range(Some(&Value::Int(3)), Some(&Value::Int(5)))
-                .unwrap()
-        );
     }
 }

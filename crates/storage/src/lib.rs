@@ -5,7 +5,8 @@
 //! column per stored column behind an `Arc` snapshot, plus a *virtual*
 //! page map) and [`PagedBackend`]
 //! (column-major pages in a file, read through a clock-eviction [`BufferPool`],
-//! fronted by a write-ahead log, optionally indexed by a [`BTree`]).
+//! fronted by a write-ahead log). Indexes are the same in-memory sorted
+//! runs over either backend ([`Index`]).
 //! Both pack rows into pages with the same rule, so page counts — and
 //! everything derived from them: statistics, cost estimates, plan
 //! choices, logical page-touch charges — are identical across backends
@@ -33,7 +34,6 @@
 //! pages and their files are unlinked when the MV is dropped.
 
 mod backend;
-mod btree;
 mod buffer;
 mod catalog;
 mod cursor;
@@ -49,7 +49,6 @@ mod wal;
 pub use backend::{
     StorageBackend, StorageConfig, StorageEnv, StorageKind, DEFAULT_BUFFER_POOL_BYTES,
 };
-pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
 pub use catalog::{Catalog, RowWriter, BULK_LOAD_CHUNK};
 pub use cursor::{CursorChunk, FetchedRows, RowFetcher, TableCursor};

@@ -187,10 +187,6 @@ impl StorageBackend for MemBackend {
         }
         Ok(())
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -67,12 +67,11 @@
 //! count are the row format's, and [`DataPage::to_bytes`] errors rather
 //! than overflow should the argument ever fail.
 //!
-//! The row codec stays for what is written a row at a time: WAL frames
-//! (`encode_rows`, a column at a time; replayed with [`decode_row_onto`])
-//! and B+tree keys, a one-value row (`encode_key`, `decode_value`).
+//! The row codec stays for one use only, WAL frames: `encode_rows` writes
+//! them a column at a time and replay reads them with [`decode_row_onto`].
 
 use pop_types::column::{Cell, Column, Data};
-use pop_types::{PopError, PopResult, Value};
+use pop_types::{PopError, PopResult};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -195,13 +194,6 @@ fn put<const N: usize>(
         buf[*a + 1..*a + 1 + N].copy_from_slice(&bytes);
         *a += 1 + N;
     }
-}
-
-/// Append the encoding of `key` as a one-value row to `out` (B+tree keys;
-/// decoded with [`decode_row_header`] and [`decode_value`]).
-pub(crate) fn encode_key(key: &Value, out: &mut Vec<u8>) {
-    out.extend_from_slice(&1u16.to_le_bytes());
-    encode_cell(Cell::of(key), out);
 }
 
 /// The column page of the rows `rows` of `cols`, slot 0 at table position
@@ -438,37 +430,9 @@ pub fn decode_row_onto(
     Ok(at)
 }
 
-/// Decode one value at `data[*at..]`, advancing past it (B+tree keys).
-pub(crate) fn decode_value(data: &[u8], at: &mut usize) -> PopResult<Value> {
-    Ok(match take(data, at, 1, "value tag")?[0] {
-        V_NULL => Value::Null,
-        V_INT => Value::Int(i64::from_le_bytes(le(take(data, at, 8, "int/float")?))),
-        V_FLOAT => Value::Float(f64::from_bits(u64::from_le_bytes(le(take(
-            data,
-            at,
-            8,
-            "int/float",
-        )?)))),
-        V_STR => {
-            let len = u32::from_le_bytes(le(take(data, at, 4, "str len")?));
-            let bytes = take(data, at, len as usize, "str bytes")?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| PopError::Execution("page codec: invalid utf8".into()))?;
-            Value::Str(Arc::from(s))
-        }
-        V_DATE => Value::Date(i32::from_le_bytes(le(take(data, at, 4, "date")?))),
-        V_BOOL => Value::Bool(take(data, at, 1, "bool")?[0] != 0),
-        t => {
-            return Err(PopError::Execution(format!(
-                "page codec: unknown value tag {t}"
-            )))
-        }
-    })
-}
-
 /// Read the value count of the row encoded at `data[*at..]`, advancing past
 /// the header.
-pub(crate) fn decode_row_header(data: &[u8], at: &mut usize) -> PopResult<usize> {
+fn decode_row_header(data: &[u8], at: &mut usize) -> PopResult<usize> {
     Ok(usize::from(u16::from_le_bytes(le(take(
         data,
         at,
@@ -1040,7 +1004,7 @@ fn put_cell(col: &mut Column, i: usize, tag: u8, v: &[u8], cap: usize) -> PopRes
 mod tests {
     use super::*;
     use crate::columns_of;
-    use pop_types::Row;
+    use pop_types::{Row, Value};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 

@@ -1,48 +1,45 @@
-//! The paged backend: column-major data pages behind the buffer pool, a
-//! WAL in front of every append, and an optional B+tree primary index.
+//! The paged backend: column-major data pages behind the buffer pool and
+//! a WAL in front of every append. It stores rows only: a paged table's
+//! indexes are the same in-memory sorted runs as a mem table's
+//! ([`crate::Index`]).
 //!
 //! Files per table (in the environment's directory):
 //!
-//! * `<name>.dat` — page 0 is table meta (magic, page size, checkpointed
-//!   row count, primary key column), data pages follow;
+//! * `<name>.dat` — page 0 is table meta (magic, format version, page
+//!   size, checkpointed row count), data pages follow;
 //! * `<name>.wal` — redo records for rows appended since the last
-//!   checkpoint (absent when the WAL is disabled);
-//! * `<name>.idx` — the B+tree primary index, once one is created.
+//!   checkpoint (absent when the WAL is disabled).
 //!
 //! Append protocol: the shared pre-check (`check_append`) first, so a
 //! rejected batch reaches neither log nor pages; then WAL (flushed, the
-//! batch encoded in the row codec), data pages and the B+tree, each
-//! written from the batch's columns: the packing rule cuts the batch into
-//! page runs, each copied onto the tail page's columns, and a page is
-//! encoded into its column blocks when it is written.
+//! batch encoded in the row codec) and data pages, written from the
+//! batch's columns: the packing rule cuts the batch into page runs, each
+//! copied onto the tail page's columns, and a page is encoded into its
+//! column blocks when it is written.
 //! [`PagedBackend::open`] recovers: it trusts pages only up to the
 //! checkpointed row count, replays intact WAL records past it, and
-//! rebuilds the B+tree — so a torn write anywhere past the checkpoint
-//! loses nothing that reached the log. Temporary backends (spilled temp
-//! MVs) write no WAL and unlink their files on drop.
+//! checkpoints — so a torn write anywhere past the checkpoint loses
+//! nothing that reached the log. It builds no index: the caller creates
+//! the indexes it needs over the recovered rows. Temporary backends
+//! (spilled temp MVs) write no WAL and unlink their files on drop.
 
 use crate::backend::{check_append, StorageBackend, StorageEnv};
-use crate::btree::BTree;
 use crate::page::{encode_rows, page_bytes, ColumnSet, DataPage, PageFill, PageLayout, PageView};
 use crate::pager::PageFile;
 use crate::wal::Wal;
 use parking_lot::Mutex;
 use pop_types::column::Column;
-use pop_types::{PopError, PopResult, Value};
-use std::collections::BTreeMap;
+use pop_types::{PopError, PopResult};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Magic number of the table meta page (`"POPD"`).
 const META_MAGIC: u32 = 0x504F_5044;
-/// Meta-page format version: 2 since data pages are column-major (a
-/// version-1 file holds slotted row pages this build does not read).
-const META_VERSION: u16 = 2;
-/// Sentinel for "no primary key column".
-const NO_KEY_COL: u32 = u32::MAX;
-/// Rows decoded per step while building the primary key map.
-const KEY_MAP_CHUNK: usize = 1024;
+/// Meta-page format version: 3 since the meta page holds no key column
+/// (version 2 named a B+tree primary index column; version 1 files hold
+/// slotted row pages). This build reads no other version.
+const META_VERSION: u16 = 3;
 
 #[derive(Debug)]
 struct PagedCore {
@@ -62,8 +59,6 @@ struct PagedCore {
     width: Option<usize>,
     /// Rows covered by the last checkpoint (meta page).
     durable_rows: u64,
-    key_col: Option<u32>,
-    btree: Option<Arc<BTree>>,
 }
 
 /// On-disk table storage.
@@ -84,10 +79,6 @@ impl PagedBackend {
 
     fn wal_path(env: &StorageEnv, name: &str) -> PopResult<PathBuf> {
         Ok(env.ensure_dir()?.join(format!("{name}.wal")))
-    }
-
-    fn idx_path(env: &StorageEnv, name: &str) -> PopResult<PathBuf> {
-        Ok(env.ensure_dir()?.join(format!("{name}.idx")))
     }
 
     /// Create a fresh (empty) backend, truncating any prior files of the
@@ -118,25 +109,24 @@ impl PagedBackend {
                 n_rows: 0,
                 width: None,
                 durable_rows: 0,
-                key_col: None,
-                btree: None,
             }),
         };
         backend.inner.lock().write_meta_page(&backend)?;
         Ok(backend)
     }
 
-    /// Remove table `name`'s data, WAL and index files, those that exist.
+    /// Remove table `name`'s data and WAL files, those that exist.
     pub(crate) fn remove_files(env: &StorageEnv, name: &str) {
-        let paths = [Self::dat_path, Self::wal_path, Self::idx_path].map(|path| path(env, name));
+        let paths = [Self::dat_path, Self::wal_path].map(|path| path(env, name));
         for p in paths.into_iter().flatten() {
             let _ = std::fs::remove_file(p);
         }
     }
 
     /// Reopen an existing table with redo recovery: trust pages up to the
-    /// checkpointed row count, replay intact WAL records past it, rebuild
-    /// the B+tree if a primary key column was set, then checkpoint.
+    /// checkpointed row count, replay intact WAL records past it, then
+    /// checkpoint. No index is built: the caller creates its indexes over
+    /// the recovered rows.
     pub fn open(env: &Arc<StorageEnv>, name: &str) -> PopResult<Self> {
         let layout = env.layout();
         let data = PageFile::open(Self::dat_path(env, name)?, layout.page_size)?;
@@ -161,8 +151,6 @@ impl PagedBackend {
             )));
         }
         let durable_rows = u64::from_le_bytes(meta[10..18].try_into().unwrap());
-        let key_col_raw = u32::from_le_bytes(meta[18..22].try_into().unwrap());
-        let key_col = (key_col_raw != NO_KEY_COL).then_some(key_col_raw);
 
         // Rebuild the page map from page headers, up to the checkpoint.
         let mut page_starts = Vec::new();
@@ -227,8 +215,6 @@ impl PagedBackend {
                 n_rows: durable_rows,
                 width,
                 durable_rows,
-                key_col,
-                btree: None,
             }),
         };
 
@@ -250,15 +236,6 @@ impl PagedBackend {
                     core.write_tail(&backend)?;
                 }
             }
-            // Rebuild the primary index from the recovered pages.
-            if let Some(col) = core.key_col {
-                let map = core.key_map(&backend, col)?;
-                core.btree = Some(Arc::new(BTree::create(
-                    Arc::clone(env),
-                    Self::idx_path(env, name)?,
-                    &map,
-                )?));
-            }
             core.checkpoint(&backend)?;
         }
         Ok(backend)
@@ -268,33 +245,10 @@ impl PagedBackend {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The primary B+tree, building it over `col` on first call. A
-    /// second call for a different column yields `None` (one primary per
-    /// table; further indexes stay in memory).
-    pub fn ensure_primary(&self, col: u32) -> PopResult<Option<Arc<BTree>>> {
-        let mut core = self.inner.lock();
-        match core.key_col {
-            Some(c) if c == col => Ok(core.btree.clone()),
-            Some(_) => Ok(None),
-            None => {
-                let map = core.key_map(self, col)?;
-                let bt = Arc::new(BTree::create(
-                    Arc::clone(&self.env),
-                    Self::idx_path(&self.env, &self.name)?,
-                    &map,
-                )?);
-                core.key_col = Some(col);
-                core.btree = Some(Arc::clone(&bt));
-                core.write_meta_page(self)?;
-                Ok(Some(bt))
-            }
-        }
-    }
 }
 
 impl PagedCore {
-    /// Write the meta page (checkpointed row count + key column).
+    /// Write the meta page (checkpointed row count).
     fn write_meta_page(&mut self, b: &PagedBackend) -> PopResult<()> {
         let ps = b.env.config().page_size;
         let mut buf = vec![0u8; ps];
@@ -302,7 +256,6 @@ impl PagedCore {
         buf[4..6].copy_from_slice(&META_VERSION.to_le_bytes());
         buf[6..10].copy_from_slice(&(ps as u32).to_le_bytes());
         buf[10..18].copy_from_slice(&self.durable_rows.to_le_bytes());
-        buf[18..22].copy_from_slice(&self.key_col.unwrap_or(NO_KEY_COL).to_le_bytes());
         self.data.write_page(0, &buf)?;
         b.env.pool().invalidate((b.file_id, 0));
         Ok(())
@@ -478,26 +431,6 @@ impl PagedCore {
         (self.page_starts.partition_point(|&s| s <= pos).max(1) - 1) as u64
     }
 
-    /// Full key→positions map of column `col` (NULLs skipped), read one
-    /// chunk and that one column at a time.
-    fn key_map(&self, b: &PagedBackend, col: u32) -> PopResult<BTreeMap<Value, Vec<u64>>> {
-        let (col, cols) = (col as usize, ColumnSet::of([col as usize]));
-        let mut map: BTreeMap<Value, Vec<u64>> = BTreeMap::new();
-        let mut scratch = Vec::new();
-        for lo in (0..self.n_rows).step_by(KEY_MAP_CHUNK) {
-            self.read_range(b, lo, lo + KEY_MAP_CHUNK as u64, &cols, &mut scratch)?;
-            let keys = scratch.get(col).ok_or_else(|| {
-                PopError::Execution(format!("storage: key column {col} out of range"))
-            })?;
-            for (pos, i) in (lo..).zip(0..keys.len()) {
-                if !keys.is_null(i) {
-                    map.entry(keys.value(i)).or_default().push(pos);
-                }
-            }
-        }
-        Ok(map)
-    }
-
     /// Make everything durable: sync data, persist the meta page, and
     /// truncate the WAL.
     fn checkpoint(&mut self, b: &PagedBackend) -> PopResult<()> {
@@ -541,15 +474,6 @@ impl StorageBackend for PagedBackend {
         core.apply(self, cols, &lens, start)?;
         if rows > 0 {
             core.write_tail(self)?;
-        }
-        if let (Some(col), Some(bt)) = (core.key_col, core.btree.clone()) {
-            let mut add: BTreeMap<Value, Vec<u64>> = BTreeMap::new();
-            if let Some(keys) = cols.get(col as usize) {
-                for i in (0..rows).filter(|i| !keys.is_null(*i)) {
-                    add.entry(keys.value(i)).or_default().push(start + i as u64);
-                }
-            }
-            bt.insert(&add)?;
         }
         Ok(start)
     }
@@ -608,10 +532,6 @@ impl StorageBackend for PagedBackend {
     fn checkpoint(&self) -> PopResult<()> {
         self.inner.lock().checkpoint(self)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl Drop for PagedBackend {
@@ -619,9 +539,6 @@ impl Drop for PagedBackend {
         self.env.pool().invalidate_file(self.file_id);
         if self.temporary {
             let core = self.inner.get_mut();
-            if let Some(bt) = &core.btree {
-                bt.unlink();
-            }
             let _ = std::fs::remove_file(core.data.path());
             if let Some(wal) = &core.wal {
                 let _ = std::fs::remove_file(wal.path());
@@ -637,7 +554,7 @@ mod tests {
     use crate::catalog::BULK_LOAD_CHUNK;
     use crate::mem::MemBackend;
     use pop_guard::{FaultInjector, FaultPlan};
-    use pop_types::Row;
+    use pop_types::{Row, Value};
 
     fn env_with(page_size: usize, dir: Option<PathBuf>) -> Arc<StorageEnv> {
         Arc::new(StorageEnv::new(StorageConfig {
@@ -771,23 +688,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn primary_btree_builds_and_tracks_appends() {
-        let env = env_with(512, None);
-        let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
-        append(&b, 0, 100).unwrap();
-        let bt = b.ensure_primary(0).unwrap().unwrap();
-        assert_eq!(bt.entry_count(), 100);
-        assert_eq!(bt.probe(&Value::Int(42)).unwrap(), vec![42]);
-        append(&b, 100, 150).unwrap();
-        assert_eq!(bt.probe(&Value::Int(120)).unwrap(), vec![120]);
-        assert_eq!(bt.entry_count(), 150);
-        bt.verify().unwrap();
-        // One primary per table: a different column declines.
-        assert!(b.ensure_primary(1).unwrap().is_none());
-        assert!(b.ensure_primary(0).unwrap().is_some());
-    }
-
     /// An unlogged batch is encoded a chunk at a time: across chunk
     /// boundaries it packs, stores and writes exactly what a logged one does.
     #[test]
@@ -813,10 +713,8 @@ mod tests {
         let env = env_with(512, None);
         let b = PagedBackend::create(Arc::clone(&env), "mv", true).unwrap();
         append(&b, 0, 10).unwrap();
-        b.ensure_primary(0).unwrap();
         let dir = env.ensure_dir().unwrap();
         assert!(dir.join("mv.dat").exists());
-        assert!(dir.join("mv.idx").exists());
         assert!(
             !dir.join("mv.wal").exists(),
             "a temporary table logs nothing"
@@ -825,7 +723,6 @@ mod tests {
         drop(b);
         assert!(!dir.join("mv.dat").exists());
         assert!(!dir.join("mv.wal").exists());
-        assert!(!dir.join("mv.idx").exists());
     }
 
     /// Both backends fix a table's width with its first rows and reject a
@@ -863,7 +760,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A file of slotted row pages (meta version 1) is refused by name.
+    /// A file of an older meta version is refused by name: version 1
+    /// (slotted row pages) and version 2 (a key column for a B+tree).
     #[test]
     fn column_page_version_1_file_is_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("pop-paged-test-v1-{}", std::process::id()));
@@ -875,15 +773,17 @@ mod tests {
             b.checkpoint().unwrap();
         }
         let path = dir.join("t.dat");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = PagedBackend::open(&env, "t").unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("page format version 1, this build reads 2"),
-            "{err}"
-        );
+        let current = std::fs::read(&path).unwrap();
+        for version in [1u16, 2] {
+            let mut bytes = current.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedBackend::open(&env, "t").unwrap_err();
+            let want = format!("page format version {version}, this build reads 3");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+        std::fs::write(&path, &current).unwrap();
+        assert_eq!(stored(&PagedBackend::open(&env, "t").unwrap()), rows(0, 10));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,8 +6,8 @@
 //! range — open bounds, `lo > hi`, bounds of another numeric type — must
 //! return the reference's positions in the reference's order. A batch
 //! probe of a random key column (any type against any index, NULLs,
-//! selections; sorted runs and the paged backend's B+tree) must return
-//! each row's per-key probe, in row order, with its bounds.
+//! selections; mem and paged tables) must return each row's per-key
+//! probe, in row order, with its bounds.
 
 use pop_storage::{Catalog, Index, IndexKind, StorageConfig, Table};
 use pop_types::column::Column;
@@ -201,16 +201,12 @@ proptest! {
             let idx = build(kind, &keys, paged);
             let at = format!("{column:?} {kind:?} {d:?} paged={paged}");
             prop_assert_eq!(idx.kind(), kind);
-            prop_assert!(!idx.is_persistent());
             prop_assert_eq!(idx.entries(), map.values().map(|p| p.len() as u64).sum::<u64>(), "{}", at);
             prop_assert_eq!(idx.distinct_keys(), map.len() as u64, "{}", at);
 
-            let mut buf = vec![99, 98];
             for key in &probe_keys {
                 let want = if key.is_null() { Vec::new() } else { map.get(key).cloned().unwrap_or_default() };
-                prop_assert_eq!(idx.probe(key).unwrap(), want.clone(), "{} probe {:?}", at, key);
-                idx.probe_into(key, &mut buf).unwrap();
-                prop_assert_eq!(&buf, &want, "{} probe_into {:?}", at, key);
+                prop_assert_eq!(idx.probe(key), want, "{} probe {:?}", at, key);
             }
 
             let mut bounds: Vec<Option<Value>> = vec![None];
@@ -223,7 +219,7 @@ proptest! {
             ]);
             for lo in &bounds {
                 for hi in &bounds {
-                    let got = idx.range(lo.as_ref(), hi.as_ref()).unwrap();
+                    let got = idx.range(lo.as_ref(), hi.as_ref());
                     match kind {
                         IndexKind::Hash => prop_assert!(got.is_none(), "{}", at),
                         IndexKind::Sorted => prop_assert_eq!(
@@ -241,31 +237,11 @@ proptest! {
     }
 }
 
-/// The paged backend's B+tree primary index on column 0 of a table
-/// holding `keys` (with the catalog that owns its files).
-fn build_btree(keys: &[Value]) -> (Catalog, std::sync::Arc<Index>) {
-    let catalog = Catalog::with_storage(StorageConfig {
-        page_size: 512,
-        ..StorageConfig::paged()
-    });
-    let schema = Schema::from_pairs(&[("k", DataType::Int), ("pad", DataType::Int)]);
-    let rows: Vec<Row> = keys
-        .iter()
-        .map(|k| vec![k.clone(), Value::Int(1)])
-        .collect();
-    let table = catalog.create_table("t", schema, rows).unwrap();
-    catalog.create_index("t", "k", IndexKind::Sorted).unwrap();
-    let idx = catalog.find_index(table.id(), 0, true).unwrap();
-    assert!(idx.is_persistent());
-    (catalog, idx)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `Index::probe_batch` over rows of a key column = `Index::probe` of
-    /// each row's value (the reference's positions for sorted runs), row
-    /// by row: typed `Int` / `Date` columns against indexes of their own
+    /// each row's value (the reference's positions), row by row: typed `Int` / `Date` columns against indexes of their own
     /// type and of `Float` / `IntFloat` keys, NULL-bearing and mixed
     /// columns, every row or a selection of them.
     #[test]
@@ -295,29 +271,21 @@ proptest! {
             col.push(v, m);
         }
         let rows: Vec<usize> = (0..m).filter(|_| !select || rng.below(3) > 0).collect();
-        let mut indexes = vec![
-            (std::sync::Arc::new(build(IndexKind::Hash, &keys, paged)), true),
-            (std::sync::Arc::new(build(IndexKind::Sorted, &keys, paged)), true),
-        ];
-        let btree = paged.then(|| build_btree(&keys));
-        if let Some((_, bt)) = &btree {
-            indexes.push((std::sync::Arc::clone(bt), false));
-        }
-        for (idx, runs) in &indexes {
+        for kind in [IndexKind::Hash, IndexKind::Sorted] {
+            let idx = build(kind, &keys, paged);
             let at = format!(
-                "{column:?} index, {probed:?} probes {:?}, persistent={} {d:?}",
+                "{column:?} {kind:?} index, {probed:?} probes {:?}, paged={paged} {d:?}",
                 col.data().clone(),
-                idx.is_persistent(),
             );
             let (mut out, mut bounds) = (vec![7, 7], vec![9]);
-            idx.probe_batch(&col, rows.iter().copied(), &mut out, &mut bounds).unwrap();
+            idx.probe_batch(&col, rows.iter().copied(), &mut out, &mut bounds);
             prop_assert_eq!(bounds.len(), rows.len() + 1, "{}", at);
             prop_assert_eq!(bounds[0], 0, "{}", at);
             prop_assert_eq!(*bounds.last().unwrap(), out.len(), "{}", at);
             for (k, &r) in rows.iter().enumerate() {
                 let key = &probe_values[r];
-                let want = idx.probe(key).unwrap();
-                if *runs && !key.is_null() {
+                let want = idx.probe(key);
+                if !key.is_null() {
                     let reference = map.get(key).cloned().unwrap_or_default();
                     prop_assert_eq!(&want, &reference, "{} ref {:?}", at, key);
                 }
@@ -334,22 +302,19 @@ fn cross_type_probes_and_inverted_ranges() {
     keys.insert(5, Value::Null);
     let idx = build(IndexKind::Sorted, &keys, false);
     let pos_of_3 = vec![3, 14];
-    assert_eq!(idx.probe(&Value::Int(3)).unwrap(), pos_of_3);
-    assert_eq!(idx.probe(&Value::Float(3.0)).unwrap(), pos_of_3);
-    assert_eq!(idx.probe(&Value::Date(3)).unwrap(), pos_of_3);
-    assert!(idx.probe(&Value::Float(3.5)).unwrap().is_empty());
-    assert!(idx.probe(&Value::Null).unwrap().is_empty());
+    assert_eq!(idx.probe(&Value::Int(3)), pos_of_3);
+    assert_eq!(idx.probe(&Value::Float(3.0)), pos_of_3);
+    assert_eq!(idx.probe(&Value::Date(3)), pos_of_3);
+    assert!(idx.probe(&Value::Float(3.5)).is_empty());
+    assert!(idx.probe(&Value::Null).is_empty());
     assert_eq!((idx.entries(), idx.distinct_keys()), (20, 10));
     // lo > hi is empty, not a panic.
     let r = idx.range(Some(&Value::Int(7)), Some(&Value::Int(2)));
-    assert_eq!(r.unwrap(), Some(vec![]));
+    assert_eq!(r, Some(vec![]));
     // Bounds of another numeric type.
-    let r = idx
-        .range(Some(&Value::Float(7.5)), Some(&Value::Date(9)))
-        .unwrap();
+    let r = idx.range(Some(&Value::Float(7.5)), Some(&Value::Date(9)));
     assert_eq!(r, Some(vec![9, 19, 10, 20]));
     assert!(build(IndexKind::Hash, &keys, false)
         .range(None, None)
-        .unwrap()
         .is_none());
 }

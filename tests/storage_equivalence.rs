@@ -1,5 +1,5 @@
-//! Backend equivalence: the paged backend (pager + buffer pool + B+tree +
-//! WAL) must be invisible to query semantics.
+//! Backend equivalence: the paged backend (pager + buffer pool + WAL)
+//! must be invisible to query semantics.
 //!
 //! Running any workload on `PagedBackend` — even with a buffer pool far
 //! smaller than the working set, so pages are constantly evicted and
@@ -16,7 +16,7 @@ use pop_dmv::{dmv_catalog_with, dmv_queries};
 use pop_expr::{Expr, Params};
 use pop_guard::{FaultInjector, FaultPlan};
 use pop_plan::{CostModel, QueryBuilder};
-use pop_storage::{Catalog, IndexKind, StorageConfig, StorageKind};
+use pop_storage::{Catalog, IndexKind, StorageConfig, StorageKind, BULK_LOAD_CHUNK};
 use pop_tpch::{all_queries, tpch_catalog_with};
 use pop_types::{DataType, Schema, Value};
 
@@ -184,9 +184,12 @@ fn tpch_suite_matches_across_backends() {
 }
 
 // ---------------------------------------------------------------------
-// WAL crash recovery through the catalog: a load torn mid-WAL-append
-// loses exactly the torn batch; reopening replays the WAL, rebuilds the
-// primary B+tree, and serves queries over the recovered prefix.
+// WAL crash recovery through the catalog, at every append: a load of
+// three chunks and two inserts, each one in turn torn mid-WAL-frame and
+// the catalog dropped without a checkpoint. A torn load leaves no table;
+// a torn insert loses exactly its batch, and reopening replays the WAL
+// past the load's checkpoint. Indexes built over the recovered rows
+// answer as a mem catalog's over the same rows.
 // ---------------------------------------------------------------------
 
 fn kv_schema() -> Schema {
@@ -201,53 +204,97 @@ fn kv_rows(range: std::ops::Range<i64>) -> Vec<Vec<Value>> {
 
 #[test]
 fn wal_crash_recovery_reopens_with_replayed_rows_and_index() {
+    const LOAD_CHUNKS: usize = 3;
     let dir = std::env::temp_dir().join(format!("pop-eqv-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let storage = StorageConfig {
         kind: StorageKind::Paged,
         page_size: 512,
         dir: Some(dir.clone()),
         ..StorageConfig::default()
     };
-    {
+    let loaded = ((LOAD_CHUNKS - 1) * BULK_LOAD_CHUNK + 100) as i64;
+    // The rows after each append: the load's chunks, then two inserts.
+    let mut ends: Vec<i64> = (1..LOAD_CHUNKS as i64)
+        .map(|c| c * BULK_LOAD_CHUNK as i64)
+        .collect();
+    ends.extend([loaded, loaded + 50, loaded + 120]);
+    for torn in 0..ends.len() {
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let cat = Catalog::with_storage(storage.clone());
+            cat.storage().arm_faults(FaultInjector::new(
+                FaultPlan::parse_spec(&format!("torn@{torn}")).unwrap(),
+            ));
+            let load = cat.create_table("t", kv_schema(), kv_rows(0..loaded));
+            if torn < LOAD_CHUNKS {
+                let err = load.unwrap_err();
+                assert!(err.to_string().contains("torn write"), "torn@{torn}: {err}");
+            } else {
+                // The inserts up to the torn one, which fails: the crash.
+                let t = load.unwrap();
+                let inserts = ends.windows(2).enumerate().skip(LOAD_CHUNKS - 1);
+                for (k, w) in inserts.take(torn + 1 - LOAD_CHUNKS) {
+                    let res = t.insert(kv_rows(w[0]..w[1]));
+                    assert_eq!(res.is_err(), k + 1 == torn, "torn@{torn}, append {}", k + 1);
+                }
+                assert_eq!(
+                    t.row_count() as i64,
+                    ends[torn - 1],
+                    "torn batch must not become visible"
+                );
+            }
+            // The catalog drops without a checkpoint: a simulated crash.
+        }
         let cat = Catalog::with_storage(storage.clone());
-        // 100 checkpointed rows, with a persistent primary index.
-        let t = cat.create_table("t", kv_schema(), kv_rows(0..100)).unwrap();
-        cat.create_index("t", "a", IndexKind::Sorted).unwrap();
-        // 50 more rows that live only in pages + WAL (no checkpoint).
-        t.insert(kv_rows(100..150)).unwrap();
-        // The next append tears mid-WAL-frame: the batch must fail...
-        cat.storage()
-            .arm_faults(FaultInjector::new(FaultPlan::parse_spec("torn@0").unwrap()));
-        let err = t.insert(kv_rows(150..200)).unwrap_err();
-        assert!(err.to_string().contains("torn write"), "{err}");
-        assert_eq!(t.row_count(), 150, "torn batch must not become visible");
-        // ...and the catalog drops without a checkpoint: simulated crash.
+        let reopened = cat.open_table("t", kv_schema());
+        if torn < LOAD_CHUNKS {
+            assert!(
+                reopened.is_err(),
+                "torn@{torn}: a failed load leaves no table"
+            );
+            continue;
+        }
+        // Every append before the torn one survives: the load through its
+        // checkpoint, the inserts through WAL replay.
+        let t = reopened.unwrap();
+        let n = ends[torn - 1];
+        assert_eq!(t.snapshot(), kv_rows(0..n), "torn@{torn}");
+        let mem = Catalog::with_storage(mem_storage());
+        mem.create_table("t", kv_schema(), kv_rows(0..n)).unwrap();
+        for c in [&cat, &mem] {
+            c.create_index("t", "a", IndexKind::Sorted).unwrap();
+            c.create_index("t", "b", IndexKind::Hash).unwrap();
+        }
+        let indexes = |c: &Catalog| {
+            let id = c.table("t").unwrap().id();
+            (
+                c.find_index(id, 0, true).unwrap(),
+                c.find_index(id, 1, false).unwrap(),
+            )
+        };
+        let ((sorted, hash), (mem_sorted, mem_hash)) = (indexes(&cat), indexes(&mem));
+        for key in [0, 7, loaded - 1, loaded, n - 1, n, n + 1] {
+            let at = format!("torn@{torn} key {key}");
+            let name = Value::str(format!("row {key}"));
+            assert_eq!(
+                sorted.probe(&Value::Int(key)),
+                mem_sorted.probe(&Value::Int(key)),
+                "{at}"
+            );
+            assert_eq!(hash.probe(&name), mem_hash.probe(&name), "{at}");
+            let lo = Some(&Value::Int(key - 60));
+            assert_eq!(sorted.range(lo, None), mem_sorted.range(lo, None), "{at}");
+            assert_eq!(hash.range(lo, None), None, "{at}");
+        }
+        assert_eq!(sorted.probe(&Value::Int(n - 1)), vec![n as u64 - 1]);
+        assert!(sorted.probe(&Value::Int(n)).is_empty());
+        // A table is its data pages and its log: no index file.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let ext = path.extension().and_then(|e| e.to_str());
+            assert!(matches!(ext, Some("dat" | "wal")), "{}", path.display());
+        }
     }
-    let cat = Catalog::with_storage(storage);
-    let t = cat.open_table("t", kv_schema()).unwrap();
-    assert_eq!(
-        t.row_count(),
-        150,
-        "recovery keeps the durable prefix plus the WAL-replayed batch"
-    );
-    assert_eq!(t.snapshot()[149][0], Value::Int(149));
-    // The primary B+tree was rebuilt during recovery; a Sorted index on
-    // the same column reuses it and sees every recovered row.
-    cat.create_index("t", "a", IndexKind::Sorted).unwrap();
-    let idx = cat.find_index(t.id(), 0, true).unwrap();
-    assert!(idx.is_persistent());
-    assert_eq!(idx.probe(&Value::Int(149)).unwrap(), vec![149]);
-    assert!(idx.probe(&Value::Int(150)).unwrap().is_empty());
-    assert_eq!(
-        idx.range(Some(&Value::Int(100)), None)
-            .unwrap()
-            .unwrap()
-            .len(),
-        50
-    );
-    drop(t);
-    drop(cat);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
