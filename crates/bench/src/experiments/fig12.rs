@@ -108,7 +108,7 @@ pub fn run() -> PopResult<Fig12> {
                 checkpoint: ["a", "b"][k].to_string(),
                 check_id: *id,
                 before_frac: before / w0,
-                opt_frac: cfg.reopt_work / w0,
+                opt_frac: pop::REOPT_WORK / w0,
                 after_frac: after / w0,
                 total: res.report.total_work / w0,
                 plan_changed: res.report.plan_changed(),

@@ -14,6 +14,10 @@ use pop_stats::StatsRegistry;
 use pop_storage::{Catalog, TempMv};
 use pop_types::{ColumnDef, PopError, PopResult, Row, Schema};
 
+/// Work units charged per re-optimization (context switch plus optimizer
+/// invocation — the small gap in Figure 12).
+pub const REOPT_WORK: f64 = 200.0;
+
 /// One query's execution context, with the storage environment held to
 /// the query: buffer-pool frames draw from its resident-byte budget and
 /// the storage layer fires from its fault plan. Built by
@@ -148,7 +152,6 @@ impl PopExecutor {
             ctx.checks_enabled = false;
         }
         let mut report = RunReport {
-            warnings: self.config.env_warnings.clone(),
             budget_exhausted: self.config.max_reopts == 0,
             ..Default::default()
         };
@@ -364,7 +367,7 @@ impl PopExecutor {
                     step.violation = Some(violation);
                     report.steps.push(step);
                     report.reopt_count += 1;
-                    ctx.charge(self.config.reopt_work);
+                    ctx.charge(REOPT_WORK);
                     if report.reopt_count >= self.config.max_reopts {
                         // Termination heuristic (§7): the next plan runs to
                         // completion with checks disabled.

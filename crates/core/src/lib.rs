@@ -66,7 +66,7 @@ mod driver;
 mod report;
 
 pub use config::PopConfig;
-pub use driver::PopExecutor;
+pub use driver::{PopExecutor, REOPT_WORK};
 pub use report::{PlanText, QueryResult, RegionDiag, RunReport, StepReport, WorkerDiag};
 
 // Re-export the crates a downstream user needs to drive the API.

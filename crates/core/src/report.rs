@@ -156,9 +156,9 @@ pub struct RunReport {
     /// True if a re-optimization failed and the driver fell back to the
     /// previous plan (graceful degradation) instead of aborting.
     pub degraded: bool,
-    /// Non-fatal warnings: invalid `POP_*` environment values that fell
-    /// back to defaults, degradation notices, and similar conditions the
-    /// caller should see but that do not fail the query.
+    /// Non-fatal warnings: degradation notices, harvests not promoted to
+    /// a temp MV, and similar conditions the caller should see but that
+    /// do not fail the query.
     pub warnings: Vec<String>,
     /// Always `None`: the driver pre-validates no plan over a sample, so
     /// the type admits no other value. The field exists only so the

@@ -46,8 +46,8 @@
 use pop_types::column::{Cell, Column};
 use pop_types::{Rid, Row, Value};
 
-/// Default number of rows per batch (the `POP_BATCH_SIZE` knob and
-/// [`ExecCtx::batch_size`] override it per run).
+/// Default number of rows per batch ([`ExecCtx::batch_size`] overrides it
+/// per run; the driver sets it from `PopConfig::batch_size`).
 ///
 /// [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
 pub const DEFAULT_BATCH_SIZE: usize = 1024;

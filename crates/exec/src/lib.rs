@@ -1,8 +1,8 @@
 //! The Volcano-style execution engine with POP runtime support,
 //! vectorized: operators implement `open`/`next_batch`/`close` and move
 //! data in [`RowBatch`] chunks of up to [`ExecCtx::batch_size`] rows
-//! (default [`DEFAULT_BATCH_SIZE`], `POP_BATCH_SIZE` at the driver
-//! level). Batch boundaries carry no semantics — running with
+//! (default [`DEFAULT_BATCH_SIZE`], `PopConfig::batch_size` at the
+//! driver level). Batch boundaries carry no semantics — running with
 //! `batch_size = 1` reproduces classic row-at-a-time Volcano behaviour
 //! bit for bit, which the equivalence suite exploits.
 //!

@@ -7,7 +7,6 @@
 //! chaos runs are byte-for-byte reproducible, and a failing seed is a
 //! complete repro.
 
-use crate::budget::env_parsed;
 use pop_types::PopError;
 
 /// The kinds of fault the engine knows how to inject.
@@ -46,9 +45,10 @@ impl FaultKind {
     ];
 
     /// The kinds [`FaultPlan::from_seed`] samples from: the four
-    /// engine-level kinds. Seeded chaos plans are pinned by CI (fixed
-    /// `POP_FAULT_SEED` runs), so new kinds join `ALL` — and explicit
-    /// `POP_FAULT_PLAN` specs — without perturbing the seed→plan mapping.
+    /// engine-level kinds. Seeded chaos plans are pinned by tests (the
+    /// fixed-seed sweep in `tests/chaos.rs`), so new kinds join `ALL` —
+    /// and explicit [`FaultPlan::parse_spec`] specs — without perturbing
+    /// the seed→plan mapping.
     const SEEDED: [FaultKind; 4] = [
         FaultKind::StorageRead,
         FaultKind::OptimizerFail,
@@ -56,7 +56,8 @@ impl FaultKind {
         FaultKind::SpuriousCheck,
     ];
 
-    /// Stable short name, used in `POP_FAULT_PLAN` specs and messages.
+    /// Stable short name, used in [`FaultPlan::parse_spec`] specs and
+    /// messages.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::StorageRead => "storage",
@@ -141,22 +142,6 @@ impl FaultPlan {
             })
             .collect();
         FaultPlan { specs }
-    }
-
-    /// Plan from the environment: `POP_FAULT_PLAN` (explicit spec string,
-    /// e.g. `"storage@2,optfail@0"`) wins over `POP_FAULT_SEED` (a `u64`
-    /// fed to [`FaultPlan::from_seed`]). Returns `None` when neither is
-    /// set; malformed values push a warning and are ignored.
-    pub fn from_env(warnings: &mut Vec<String>) -> Option<Self> {
-        if let Ok(raw) = std::env::var("POP_FAULT_PLAN") {
-            match Self::parse_spec(&raw) {
-                Some(plan) => return Some(plan),
-                None => warnings.push(format!(
-                    "POP_FAULT_PLAN: invalid spec {raw:?} (want e.g. \"storage@2,optfail@0\"); ignored"
-                )),
-            }
-        }
-        env_parsed("POP_FAULT_SEED", |_: &u64| true, warnings).map(Self::from_seed)
     }
 
     /// Parse a `"kind@idx,kind@idx"` spec string.
@@ -365,29 +350,5 @@ mod tests {
         assert!(FaultPlan::parse_spec("bogus@1").is_none());
         assert!(FaultPlan::parse_spec("storage").is_none());
         assert!(FaultPlan::parse_spec("storage@x").is_none());
-    }
-
-    // Single test for everything touching POP_FAULT_* so parallel test
-    // threads never race on the shared process environment.
-    #[test]
-    fn from_env_prefers_explicit_plan() {
-        std::env::set_var("POP_FAULT_PLAN", "stats@0");
-        std::env::set_var("POP_FAULT_SEED", "7");
-        let mut w = Vec::new();
-        let plan = FaultPlan::from_env(&mut w).unwrap();
-        assert_eq!(plan, FaultPlan::single(FaultKind::CorruptStats, 0));
-        assert!(w.is_empty());
-        std::env::remove_var("POP_FAULT_PLAN");
-        let plan = FaultPlan::from_env(&mut w).unwrap();
-        assert_eq!(plan, FaultPlan::from_seed(7));
-        std::env::remove_var("POP_FAULT_SEED");
-        assert!(FaultPlan::from_env(&mut w).is_none());
-        assert!(w.is_empty());
-
-        std::env::set_var("POP_FAULT_PLAN", "nonsense");
-        assert!(FaultPlan::from_env(&mut w).is_none());
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains("POP_FAULT_PLAN"), "{w:?}");
-        std::env::remove_var("POP_FAULT_PLAN");
     }
 }

@@ -236,8 +236,6 @@ pub(crate) struct TableInputs {
     /// Per query table, the catalog table and the statistics read.
     sources: Vec<(Arc<Table>, Arc<TableStats>)>,
     defaults: SelectivityDefaults,
-    /// Parameter values took part in selectivity estimation.
-    used_params: bool,
     raw_cards: Vec<f64>,
     base_cards: Vec<f64>,
     col_counts: Vec<usize>,
@@ -255,7 +253,6 @@ impl TableInputs {
     /// Resolve tables, statistics and indexes of `spec`'s tables and
     /// estimate their local selectivities.
     fn read(spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> PopResult<Self> {
-        let params = ctx.estimation_params();
         let n = spec.tables.len();
         let mut sources = Vec::with_capacity(n);
         let mut raw_cards = Vec::with_capacity(n);
@@ -272,7 +269,7 @@ impl TableInputs {
             let raw = stats.row_count as f64;
             let mut sel = 1.0;
             for pred in spec.local_preds_of(qidx) {
-                sel *= estimate_selectivity(pred, &stats, &ctx.defaults, params);
+                sel *= estimate_selectivity(pred, &stats, &ctx.defaults, None);
             }
             raw_cards.push(raw);
             base_cards.push((raw * sel).max(0.0));
@@ -299,7 +296,6 @@ impl TableInputs {
         let mut inputs = TableInputs {
             sources,
             defaults: ctx.defaults,
-            used_params: params.is_some(),
             raw_cards,
             base_cards,
             col_counts,
@@ -329,10 +325,9 @@ impl TableInputs {
     /// inputs were read for) under `ctx`? Every table and its statistics
     /// must be the very objects read before — a re-analysis or a re-created
     /// table registers new ones — with the same indexed columns, under the
-    /// same selectivity defaults and parameter mode.
+    /// same selectivity defaults.
     fn still_valid(&self, spec: &QuerySpec, ctx: &OptimizerContext<'_>) -> bool {
         self.defaults == ctx.defaults
-            && self.used_params == ctx.estimation_params().is_some()
             && spec
                 .tables
                 .iter()

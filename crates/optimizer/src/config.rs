@@ -114,11 +114,6 @@ pub struct OptimizerConfig {
     /// place CHECK operators in simple queries with an estimated cost
     /// below a certain threshold").
     pub check_cost_threshold: f64,
-    /// ECB buffer size (rows) when ECB placement is enabled.
-    pub ecb_buffer: usize,
-    /// Use bound parameter-marker values for selectivity estimation (the
-    /// "correct selectivity estimate" reference mode of Figure 11).
-    pub correct_param_estimates: bool,
     /// Consider temp MVs registered in the catalog as scan alternatives.
     pub use_temp_mvs: bool,
     /// Maximum table count for bushy DP; larger queries use left-deep
@@ -126,23 +121,12 @@ pub struct OptimizerConfig {
     pub bushy_limit: usize,
     /// Newton-Raphson iteration cap (the paper uses 3).
     pub nr_iterations: usize,
-    /// Minimum absolute cost advantage (work units) the alternative plan
-    /// must have before a validity bound is declared: the check range is
-    /// the region where the chosen plan is within this margin of optimal.
-    /// This prices in the fixed overhead of a re-optimization, preventing
-    /// hair-trigger checks from firing on estimation noise (the paper
-    /// observes exactly this failure mode in §6: "a generous cost model
-    /// for reoptimization ... leads to over-eager re-optimizations").
-    pub reopt_gain_margin_abs: f64,
-    /// Additional margin as a fraction of the guarded subplan's cost — a
-    /// proxy for the work a re-optimization would throw away.
-    pub reopt_gain_margin_frac: f64,
     /// Default selectivities for predicates that cannot be estimated from
     /// statistics (most importantly parameter markers). Experiments vary
     /// these to reproduce the paper's default-selectivity regime (§5.1).
     pub selectivity_defaults: SelectivityDefaults,
     /// Accepted and ignored: the engine executes every plan serially.
-    /// Kept so configurations that still set a thread count compile.
+    /// Kept because the frozen benchmark harness still sets it.
     pub threads: usize,
 }
 
@@ -153,13 +137,9 @@ impl Default for OptimizerConfig {
             flavors: FlavorSet::default(),
             validity_mode: ValidityMode::Ranges,
             check_cost_threshold: 1_000.0,
-            ecb_buffer: 1_000,
-            correct_param_estimates: false,
             use_temp_mvs: true,
             bushy_limit: 11,
             nr_iterations: 3,
-            reopt_gain_margin_abs: 200.0,
-            reopt_gain_margin_frac: 0.05,
             selectivity_defaults: SelectivityDefaults::default(),
             threads: 1,
         }

@@ -16,9 +16,9 @@ pub struct OptimizerContext<'a> {
     pub config: &'a OptimizerConfig,
     /// Cost model.
     pub cost: &'a CostModel,
-    /// Parameter bindings — only consulted for selectivity estimation when
-    /// `config.correct_param_estimates` is set (the paper's "correct
-    /// selectivity estimate" reference mode of Figure 11).
+    /// Parameter bindings. They key the memo's binding and never enter
+    /// selectivity estimation: a parameter-marker predicate is estimated
+    /// with the default selectivities, as the paper's optimizer does.
     pub params: Option<&'a Params>,
     /// Actual-cardinality feedback from previous execution steps.
     pub feedback: &'a FeedbackCache,
@@ -44,16 +44,6 @@ impl<'a> OptimizerContext<'a> {
             params,
             feedback,
             defaults: config.selectivity_defaults,
-        }
-    }
-
-    /// The parameter bindings visible to selectivity estimation (None
-    /// unless `correct_param_estimates` is enabled).
-    pub fn estimation_params(&self) -> Option<&'a Params> {
-        if self.config.correct_param_estimates {
-            self.params
-        } else {
-            None
         }
     }
 }

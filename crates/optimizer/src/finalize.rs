@@ -174,6 +174,18 @@ fn extract(
     }
 }
 
+/// Minimum absolute cost advantage (work units) a pruned sibling must have
+/// before a validity bound is declared: an edge's range is the region
+/// where the chosen plan is within this margin of optimal. This prices in
+/// the fixed overhead of a re-optimization, so checks do not fire on
+/// estimation noise (the paper observes exactly this failure mode in §6:
+/// "a generous cost model for reoptimization ... leads to over-eager
+/// re-optimizations").
+const REOPT_GAIN_MARGIN_ABS: f64 = 200.0;
+/// Additional margin as a fraction of the guarded subplan's cost — a proxy
+/// for the work a re-optimization would throw away.
+const REOPT_GAIN_MARGIN_FRAC: f64 = 0.05;
+
 /// The validity ranges of join candidate `cand`'s canonical edges (§2.2):
 /// each narrowed against every structurally-equivalent sibling pruning
 /// dropped in its favour ([`Candidate::pruned`]). The siblings are rebuilt
@@ -200,10 +212,7 @@ fn edge_ranges(
         siblings[slot] = Some(sibling);
     });
     assert!(planned, "the winner's split has a plan");
-    let cfg = ctx.config;
-    let margin = cfg
-        .reopt_gain_margin_abs
-        .max(cfg.reopt_gain_margin_frac * cand.cost);
+    let margin = REOPT_GAIN_MARGIN_ABS.max(REOPT_GAIN_MARGIN_FRAC * cand.cost);
     for (slot, sibling) in siblings.iter().enumerate() {
         if cand.pruned & (1 << slot) != 0 {
             let sibling = sibling.as_ref().expect("a pruned sibling was built");
@@ -212,7 +221,7 @@ fn edge_ranges(
                 cand,
                 sibling,
                 ctx.cost,
-                cfg.nr_iterations,
+                ctx.config.nr_iterations,
                 margin,
             );
         }

@@ -183,12 +183,16 @@ fn wrap_check(
     });
 }
 
+/// BUFCHECK buffer (rows) when the validity range has no finite upper
+/// bound to size it by.
+const ECB_BUFFER_ROWS: usize = 1_000;
+
 fn wrap_bufcheck(node: &mut PhysNode, range: ValidityRange, st: &mut PlaceState) {
     let spec = st.make_spec(CheckFlavor::Ecb, node, range, CheckContext::NljnOuter);
     let buffer = if spec.range.hi.is_finite() {
         (spec.range.hi as usize).saturating_add(1)
     } else {
-        st.ctx.config.ecb_buffer
+        ECB_BUFFER_ROWS
     };
     let m = st.ctx.cost;
     let props = wrapper_props(node, range, |card| m.bufcheck_cost(card, buffer as f64));

@@ -17,7 +17,7 @@ use crate::page::{
     encoded_row_lens, ColumnSet, PageLayout, DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use parking_lot::Mutex;
-use pop_guard::{env_parsed, env_switch, FaultInjector, Governor};
+use pop_guard::{FaultInjector, Governor};
 use pop_types::column::Column;
 use pop_types::{PopError, PopResult};
 use std::path::PathBuf;
@@ -37,22 +37,21 @@ pub enum StorageKind {
     Paged,
 }
 
-/// Storage-layer configuration, normally read from the environment.
+/// Storage-layer configuration of one catalog.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageConfig {
-    /// Backend for newly created tables. Env: `POP_STORAGE`
-    /// (`mem`/`paged`).
+    /// Backend for newly created tables.
     pub kind: StorageKind,
-    /// Page size in bytes, [`MIN_PAGE_SIZE`]..=[`MAX_PAGE_SIZE`]. Env:
-    /// `POP_PAGE_SIZE`. Shared by both backends (the mem backend's
-    /// virtual page map uses it too), so changing it changes page-aware
-    /// cost estimates — identically — everywhere.
+    /// Page size in bytes, [`MIN_PAGE_SIZE`]..=[`MAX_PAGE_SIZE`]; any other
+    /// value is refused at the first table create or open
+    /// (a typed `PopError::Catalog`). Shared by both backends (the mem
+    /// backend's virtual page map uses it too), so changing it changes
+    /// page-aware cost estimates — identically — everywhere.
     pub page_size: usize,
-    /// Buffer-pool capacity in bytes. Env: `POP_BUFFER_POOL_BYTES`.
+    /// Buffer-pool capacity in bytes.
     pub buffer_pool_bytes: u64,
-    /// Write-ahead logging for paged tables. Env: `POP_WAL`
-    /// (`on`/`off`/`true`/`false`/`1`/`0`). With the WAL off, rows
-    /// appended since the last checkpoint are lost on a crash.
+    /// Accepted and ignored: every paged base table is write-ahead
+    /// logged. Kept because the frozen benchmark harness still sets it.
     pub wal: bool,
     /// Directory for paged table files. `None` (the default) uses a
     /// process-unique temporary directory that is removed when the
@@ -82,40 +81,17 @@ impl StorageConfig {
         }
     }
 
-    /// Configuration from the `POP_STORAGE`, `POP_PAGE_SIZE`,
-    /// `POP_BUFFER_POOL_BYTES` and `POP_WAL` environment variables.
-    /// Invalid values fall back to the defaults and push a warning
-    /// (surfaced on `RunReport`) — the same convention as every other
-    /// `POP_*` knob.
-    pub fn from_env(warnings: &mut Vec<String>) -> Self {
-        let kind = match std::env::var("POP_STORAGE") {
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "mem" => StorageKind::Mem,
-                "paged" => StorageKind::Paged,
-                _ => {
-                    warnings.push(format!(
-                        "POP_STORAGE: invalid value {raw:?} (want \"mem\" or \"paged\"); keeping \"mem\""
-                    ));
-                    StorageKind::Mem
-                }
-            },
-            Err(_) => StorageKind::Mem,
-        };
-        let page_size = env_parsed(
-            "POP_PAGE_SIZE",
-            |v: &usize| (MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(v),
-            warnings,
-        )
-        .unwrap_or(DEFAULT_PAGE_SIZE);
-        let buffer_pool_bytes = env_parsed("POP_BUFFER_POOL_BYTES", |v: &u64| *v > 0, warnings)
-            .unwrap_or(DEFAULT_BUFFER_POOL_BYTES);
-        let wal = env_switch("POP_WAL", true, warnings);
-        StorageConfig {
-            kind,
-            page_size,
-            buffer_pool_bytes,
-            wal,
-            dir: None,
+    /// Refuse a page size outside [`MIN_PAGE_SIZE`]..=[`MAX_PAGE_SIZE`]:
+    /// a page stores its counts and string-heap offsets as `u16`, and the
+    /// buffer pool divides its capacity by the page size.
+    pub(crate) fn check(&self) -> PopResult<()> {
+        if (MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(&self.page_size) {
+            Ok(())
+        } else {
+            Err(PopError::Catalog(format!(
+                "page size {} is outside {MIN_PAGE_SIZE}..={MAX_PAGE_SIZE}",
+                self.page_size
+            )))
         }
     }
 
@@ -408,60 +384,6 @@ mod tests {
         assert_eq!(c.page_size, DEFAULT_PAGE_SIZE);
         assert!(c.wal);
         assert_eq!(StorageConfig::paged().kind, StorageKind::Paged);
-    }
-
-    #[test]
-    fn invalid_page_size_env_warns_and_falls_back() {
-        // Unique variable names so parallel tests never race on the
-        // shared process environment; exercised via the same parser
-        // from_env uses.
-        let mut w = Vec::new();
-        std::env::set_var("POP_TEST_STORAGE_PAGE_SIZE", "64");
-        let v = env_parsed(
-            "POP_TEST_STORAGE_PAGE_SIZE",
-            |v: &usize| (MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(v),
-            &mut w,
-        );
-        assert_eq!(v, None);
-        assert_eq!(w.len(), 1);
-        assert!(w[0].contains("POP_TEST_STORAGE_PAGE_SIZE"), "{w:?}");
-        assert!(w[0].ends_with("falling back to the default"), "{w:?}");
-        std::env::remove_var("POP_TEST_STORAGE_PAGE_SIZE");
-    }
-
-    #[test]
-    fn env_round_trip_all_knobs() {
-        // One test touches all four POP storage variables (serially) so
-        // parallel test threads never observe a half-set environment.
-        let mut w = Vec::new();
-        std::env::set_var("POP_STORAGE", "paged");
-        std::env::set_var("POP_PAGE_SIZE", "1024");
-        std::env::set_var("POP_BUFFER_POOL_BYTES", "65536");
-        std::env::set_var("POP_WAL", "off");
-        let c = StorageConfig::from_env(&mut w);
-        assert_eq!(c.kind, StorageKind::Paged);
-        assert_eq!(c.page_size, 1024);
-        assert_eq!(c.buffer_pool_bytes, 65536);
-        assert!(!c.wal);
-        assert!(w.is_empty(), "{w:?}");
-
-        std::env::set_var("POP_STORAGE", "flash");
-        std::env::set_var("POP_WAL", "maybe");
-        let c = StorageConfig::from_env(&mut w);
-        assert_eq!(c.kind, StorageKind::Mem);
-        assert!(c.wal);
-        assert_eq!(w.len(), 2, "{w:?}");
-
-        for v in [
-            "POP_STORAGE",
-            "POP_PAGE_SIZE",
-            "POP_BUFFER_POOL_BYTES",
-            "POP_WAL",
-        ] {
-            std::env::remove_var(v);
-        }
-        let c = StorageConfig::from_env(&mut Vec::new());
-        assert_eq!(c, StorageConfig::default());
     }
 
     #[test]

@@ -129,9 +129,14 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `capacity_bytes / page_size` frames (minimum 1).
+    /// A pool of `capacity_bytes / page_size` frames (minimum 1). A page
+    /// size of 0 builds a one-frame pool; the catalog refuses it at its
+    /// first table create or open (`StorageConfig::check`).
     pub fn new(capacity_bytes: u64, page_size: usize, io: Arc<IoCounters>) -> Self {
-        let max_frames = ((capacity_bytes / page_size as u64).max(1)) as usize;
+        let max_frames = capacity_bytes
+            .checked_div(page_size as u64)
+            .unwrap_or(0)
+            .max(1) as usize;
         BufferPool {
             inner: Mutex::new(PoolInner::default()),
             page_size,

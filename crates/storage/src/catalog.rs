@@ -143,13 +143,9 @@ pub struct Catalog {
 }
 
 impl Default for Catalog {
-    /// Honors the `POP_STORAGE` / `POP_PAGE_SIZE` / `POP_BUFFER_POOL_BYTES` /
-    /// `POP_WAL` knobs, so `POP_STORAGE=paged cargo test` runs every
-    /// default-constructed catalog on the paged backend. Invalid values
-    /// fall back silently here; [`Catalog::from_env`] collects the
-    /// warnings (and `PopConfig::default` surfaces them on the report).
+    /// An in-memory catalog ([`StorageConfig::default`]).
     fn default() -> Self {
-        Catalog::with_storage(StorageConfig::from_env(&mut Vec::new()))
+        Catalog::with_storage(StorageConfig::default())
     }
 }
 
@@ -164,27 +160,20 @@ impl std::fmt::Debug for Catalog {
 }
 
 impl Catalog {
-    /// Empty catalog over the storage the `POP_STORAGE` / `POP_PAGE_SIZE`
-    /// / `POP_BUFFER_POOL_BYTES` / `POP_WAL` knobs select: in-memory when
-    /// they are unset (see [`Catalog::default`]).
+    /// Empty in-memory catalog (see [`Catalog::default`]).
     pub fn new() -> Self {
         Catalog::default()
     }
 
-    /// Empty catalog over the given storage configuration.
+    /// Empty catalog over the given storage configuration. A page size
+    /// outside [`crate::MIN_PAGE_SIZE`]..=[`crate::MAX_PAGE_SIZE`] is a
+    /// typed error at the first table create or open.
     pub fn with_storage(config: StorageConfig) -> Self {
         Catalog {
             inner: Arc::new(RwLock::new(Inner::default())),
             refresh: Arc::default(),
             env: Arc::new(StorageEnv::new(config)),
         }
-    }
-
-    /// Empty catalog configured from `POP_STORAGE` / `POP_PAGE_SIZE` /
-    /// `POP_BUFFER_POOL_BYTES` / `POP_WAL`, appending a warning per
-    /// invalid value.
-    pub fn from_env(warnings: &mut Vec<String>) -> Self {
-        Catalog::with_storage(StorageConfig::from_env(warnings))
     }
 
     /// The storage environment shared by this catalog's tables.
@@ -223,8 +212,11 @@ impl Catalog {
     }
 
     /// Hold `name` for a base table being created or opened, and pick its
-    /// id; fails if a table of that name exists or is being loaded.
+    /// id; fails if the storage configuration is refused
+    /// (`StorageConfig::check`), or a table of that name exists or is
+    /// being loaded.
     fn reserve(&self, name: &str) -> PopResult<Reservation<'_>> {
+        self.env.config().check()?;
         let mut inner = self.inner.write();
         if inner.tables.contains_key(name) || inner.loading.contains(name) {
             return Err(PopError::Catalog(format!("table {name} already exists")));
@@ -378,6 +370,7 @@ impl Catalog {
         cols: Vec<Column>,
         rows: usize,
     ) -> PopResult<Arc<Table>> {
+        self.env.config().check()?;
         let name = name.into();
         let backend = self.new_backend(&name, true)?;
         let table = Arc::new(Table::with_backend(id, name, schema, backend));
@@ -389,7 +382,8 @@ impl Catalog {
 
     /// Reopen a table whose files already exist in the storage directory
     /// (paged backend only), running WAL redo recovery. The recovered
-    /// table is registered under `name`.
+    /// table is registered under `name`. A name with no data file is
+    /// [`PopError::UnknownTable`], and creates no file.
     pub fn open_table(&self, name: &str, schema: Schema) -> PopResult<Arc<Table>> {
         if self.env.config().kind != StorageKind::Paged {
             return Err(PopError::Catalog(
@@ -1045,5 +1039,54 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
         assert!(cat.table("t").is_err());
+    }
+
+    #[test]
+    fn a_page_size_outside_the_range_is_refused_at_create_and_open() {
+        for page_size in [0, 511, 65_537] {
+            for (config, dir) in both_backends(&format!("page-size-{page_size}")) {
+                let config = StorageConfig {
+                    page_size,
+                    ..config
+                };
+                let cat = Catalog::with_storage(config.clone());
+                let refused = |r: PopResult<Arc<Table>>| {
+                    let err = r.unwrap_err();
+                    assert!(
+                        matches!(&err, PopError::Catalog(m) if m.contains("page size")),
+                        "{page_size}: {err}"
+                    );
+                };
+                refused(cat.create_table("t", schema(), (0..3).map(row)));
+                refused(cat.create_temp_table(
+                    cat.allocate_temp_id(),
+                    "__mv",
+                    schema(),
+                    Vec::new(),
+                    0,
+                ));
+                if config.kind == StorageKind::Paged {
+                    refused(cat.open_table("t", schema()));
+                }
+                assert!(cat.table_names().is_empty());
+                if let Some(dir) = dir {
+                    assert!(!dir.exists(), "{page_size}: no file written");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn opening_a_name_with_no_files_is_an_unknown_table() {
+        let [_, (config, dir)] = both_backends("open-missing");
+        let dir = dir.unwrap();
+        let cat = Catalog::with_storage(config);
+        let err = cat.open_table("t", schema()).unwrap_err();
+        assert_eq!(err, PopError::UnknownTable("t".into()));
+        assert!(!dir.join("t.dat").exists(), "a failed open creates no file");
+        // The name is free again.
+        cat.create_table("t", schema(), (0..3).map(row)).unwrap();
+        drop(cat);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

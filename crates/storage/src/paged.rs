@@ -8,7 +8,7 @@
 //! * `<name>.dat` — page 0 is table meta (magic, format version, page
 //!   size, checkpointed row count), data pages follow;
 //! * `<name>.wal` — redo records for rows appended since the last
-//!   checkpoint (absent when the WAL is disabled).
+//!   checkpoint (absent for a temporary table).
 //!
 //! Append protocol: the shared pre-check (`check_append`) first, so a
 //! rejected batch reaches neither log nor pages; then WAL (flushed, the
@@ -88,10 +88,10 @@ impl PagedBackend {
         Self::remove_files(&env, name);
         let layout = env.layout();
         let data = PageFile::open(Self::dat_path(&env, name)?, layout.page_size)?;
-        let wal = if env.config().wal && !temporary {
-            Some(Wal::open(Self::wal_path(&env, name)?)?)
-        } else {
+        let wal = if temporary {
             None
+        } else {
+            Some(Wal::open(Self::wal_path(&env, name)?)?)
         };
         let file_id = env.alloc_file_id();
         let backend = PagedBackend {
@@ -129,7 +129,11 @@ impl PagedBackend {
     /// the recovered rows.
     pub fn open(env: &Arc<StorageEnv>, name: &str) -> PopResult<Self> {
         let layout = env.layout();
-        let data = PageFile::open(Self::dat_path(env, name)?, layout.page_size)?;
+        let path = Self::dat_path(env, name)?;
+        if !path.is_file() {
+            return Err(PopError::UnknownTable(name.to_string()));
+        }
+        let data = PageFile::open(path, layout.page_size)?;
         let meta = data.read_page(0, None)?;
         let magic = u32::from_le_bytes(meta[0..4].try_into().unwrap());
         let version = u16::from_le_bytes(meta[4..6].try_into().unwrap());
@@ -194,11 +198,7 @@ impl PagedBackend {
             tail_pid = 1;
         }
 
-        let wal = if env.config().wal {
-            Some(Wal::open(Self::wal_path(env, name)?)?)
-        } else {
-            None
-        };
+        let wal = Some(Wal::open(Self::wal_path(env, name)?)?);
         let file_id = env.alloc_file_id();
         let backend = PagedBackend {
             env: Arc::clone(env),

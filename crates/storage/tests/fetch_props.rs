@@ -3,15 +3,18 @@
 //! `RowFetcher::prefetch` sorts the positions a batch of probes produced
 //! and reads each page they fall on once, in page order; `fetch` then
 //! serves those positions from the decoded rows. Over random typed tables
-//! with NULLs, page sizes from 256 to 4096 bytes and pools of 1 to 8
-//! frames, random position lists (unsorted, duplicated, some past the
-//! end) fetched in random slices after one prefetch must return, on every
-//! projected column, exactly what the per-row path returns and what the
-//! mem backend returns; the prefetch looks each distinct page up in the
-//! pool once (so reads it at most once), and fetches of prefetched positions read no page at all, also
-//! after fetches of positions that were not prefetched.
+//! with NULLs, page sizes from 512 (the smallest a catalog accepts) to
+//! 4096 bytes and pools of 1 to 8 frames, random position lists
+//! (unsorted, duplicated, some past the end) fetched in random slices
+//! after one prefetch must return, on every projected column, exactly
+//! what the per-row path returns and what the mem backend returns; the
+//! prefetch looks each distinct page up in the pool once (so reads it at
+//! most once), and fetches of prefetched positions read no page at all,
+//! also after fetches of positions that were not prefetched.
 
-use pop_storage::{Catalog, FetchedRows, RowFetcher, StorageConfig, StorageKind, Table};
+use pop_storage::{
+    Catalog, FetchedRows, RowFetcher, StorageConfig, StorageKind, Table, MIN_PAGE_SIZE,
+};
 use pop_types::{ColumnDef, DataType, Row, Schema, Value};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -105,7 +108,7 @@ proptest! {
         n in 1usize..400,
         width in 1usize..5,
         null_every in 2usize..10,
-        page_size in 256usize..=4096,
+        page_size in MIN_PAGE_SIZE..=4096,
         frames in 1u64..=8,
     ) {
         let mut rng = Rng(seed);

@@ -104,7 +104,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Mem backend, flat cost model, default batch size, no budget, faults or
-/// learning: independent of the `POP_*` environment.
+/// learning.
 fn config() -> PopConfig {
     PopConfig {
         cost_model: CostModel::default(),

@@ -55,20 +55,9 @@ fn tpch_workload() -> (Catalog, Vec<(String, QuerySpec)>) {
     (cat, queries)
 }
 
-/// Baseline configuration: no POP, and faults/budget pinned off so the
-/// baseline stays correct even when CI exports `POP_FAULT_SEED` (the
-/// fixed-seed chaos job) or a `POP_MAX_*` limit.
-fn baseline_config() -> PopConfig {
-    PopConfig {
-        faults: None,
-        budget: Budget::unlimited(),
-        ..PopConfig::without_pop()
-    }
-}
-
 /// Baseline rows for each query, computed without POP and without faults.
 fn baselines(cat: &Catalog, queries: &[(String, QuerySpec)]) -> Vec<Vec<Vec<Value>>> {
-    let exec = PopExecutor::new(cat.clone(), baseline_config()).unwrap();
+    let exec = PopExecutor::new(cat.clone(), PopConfig::without_pop()).unwrap();
     queries
         .iter()
         .map(|(name, q)| {
@@ -143,28 +132,31 @@ fn fingerprint(exec: &PopExecutor, q: &QuerySpec) -> String {
     }
 }
 
-/// The hook CI's fixed-seed chaos job drives: `POP_FAULT_SEED` flows
-/// through `PopConfig::default()` into the injector, and the seeded
-/// workload must uphold every invariant. Without the variable the config
-/// carries no faults and this is a plain correctness pass.
+/// Seeded fault plans ([`FaultPlan::from_seed`]) at two fixed seeds: the
+/// workload must uphold every invariant under each.
 #[test]
-fn env_seeded_sweep_upholds_invariants() {
+fn fixed_seed_sweep_upholds_invariants() {
     let (cat, queries) = workload();
     let base = baselines(&cat, &queries);
-    let exec = PopExecutor::new(cat, PopConfig::default()).unwrap();
-    for ((name, q), expected) in queries.iter().zip(&base) {
-        let what = format!(
-            "{name} under env faults {:?}",
-            exec.config().faults.as_ref().map(|p| &p.specs)
-        );
-        match exec.run(q, &Params::none()) {
-            Ok(res) => assert_rows_equal(res.rows, expected.clone(), &what),
-            Err(e) => assert!(
-                matches!(e, PopError::Execution(_) | PopError::Planning(_)),
-                "{what}: unexpected error kind: {e}"
-            ),
+    for seed in [7, 1337] {
+        let plan = FaultPlan::from_seed(seed);
+        let what = format!("seed {seed} ({:?})", plan.specs);
+        let config = PopConfig {
+            faults: Some(plan),
+            ..PopConfig::default()
+        };
+        let exec = PopExecutor::new(cat.clone(), config).unwrap();
+        for ((name, q), expected) in queries.iter().zip(&base) {
+            let what = format!("{name} under {what}");
+            match exec.run(q, &Params::none()) {
+                Ok(res) => assert_rows_equal(res.rows, expected.clone(), &what),
+                Err(e) => assert!(
+                    matches!(e, PopError::Execution(_) | PopError::Planning(_)),
+                    "{what}: unexpected error kind: {e}"
+                ),
+            }
+            assert_eq!(exec.catalog().temp_mv_count(), 0, "{what}: leaked temp MV");
         }
-        assert_eq!(exec.catalog().temp_mv_count(), 0, "{what}: leaked temp MV");
     }
 }
 

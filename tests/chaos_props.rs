@@ -41,14 +41,8 @@ fn fixture() -> &'static Fixture {
             .take(4)
             .map(|q| (q.name, q.spec))
             .collect();
-        // Faults/budget pinned off so the baseline stays correct even
-        // under CI's `POP_FAULT_SEED` environment.
-        let baseline_config = PopConfig {
-            faults: None,
-            budget: pop::Budget::unlimited(),
-            ..PopConfig::without_pop()
-        };
-        let exec = PopExecutor::new(dmv_catalog(DMV_SCALE).unwrap(), baseline_config).unwrap();
+        let exec =
+            PopExecutor::new(dmv_catalog(DMV_SCALE).unwrap(), PopConfig::without_pop()).unwrap();
         let baselines = queries
             .iter()
             .map(|(name, q)| {

@@ -41,8 +41,8 @@ fn flavor_sets() -> [(&'static str, FlavorSet); 5] {
     ]
 }
 
-/// Independent of the `POP_*` environment: flat cost model, default batch
-/// size, no budget, faults or cross-query learning.
+/// Flat cost model, default batch size, no budget, faults or cross-query
+/// learning.
 fn config(flavors: FlavorSet, force_reopt_at: Option<usize>) -> PopConfig {
     PopConfig {
         optimizer: OptimizerConfig {

@@ -18,7 +18,7 @@ use pop_guard::{FaultInjector, FaultPlan};
 use pop_plan::{CostModel, QueryBuilder};
 use pop_storage::{Catalog, IndexKind, StorageConfig, StorageKind, BULK_LOAD_CHUNK};
 use pop_tpch::{all_queries, tpch_catalog_with};
-use pop_types::{DataType, Schema, Value};
+use pop_types::{DataType, PopError, Schema, Value};
 
 const DMV_SCALE: f64 = 0.0003;
 const TPCH_SF: f64 = 0.0005;
@@ -51,7 +51,6 @@ fn config(batch_size: usize) -> PopConfig {
         // deterministic property of table contents, so estimates, plans
         // and charged work stay identical across backends.
         cost_model: CostModel::paged(),
-        storage: mem_storage(), // informational; the catalog is prebuilt
         ..PopConfig::default()
     }
 }
@@ -248,10 +247,12 @@ fn wal_crash_recovery_reopens_with_replayed_rows_and_index() {
         let cat = Catalog::with_storage(storage.clone());
         let reopened = cat.open_table("t", kv_schema());
         if torn < LOAD_CHUNKS {
-            assert!(
-                reopened.is_err(),
+            assert_eq!(
+                reopened.unwrap_err(),
+                PopError::UnknownTable("t".into()),
                 "torn@{torn}: a failed load leaves no table"
             );
+            assert!(!dir.join("t.dat").exists(), "torn@{torn}: no file left");
             continue;
         }
         // Every append before the torn one survives: the load through its
