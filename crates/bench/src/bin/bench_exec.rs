@@ -14,8 +14,9 @@
 //! `PopExecutor::carries_lineage` says a run would) once per pass, and
 //! prints each query's
 //! self milliseconds per operator kind — the minimum over `N` passes
-//! (default 5), after one warm-up pass — and each suite's sums. Nothing is
-//! written to `results/`.
+//! (default 5), after one warm-up pass — and each suite's sums, then the
+//! suite's live rows and cells (rows × layout width) per kind in one pass.
+//! Nothing is written to `results/`.
 //!
 //! Runs five representative queries — a scan-heavy half-selectivity
 //! selection over LINEITEM, a low-selectivity predicate scan (TPC-H Q6),
@@ -117,14 +118,24 @@ fn time_both(cat: &pop::Catalog, q: &QuerySpec, reps: usize) -> (f64, f64, usize
     (row_best, batch_best, rows)
 }
 
-/// Self ms per operator kind (`PhysNode::name`) of one profiled run of
-/// `plan`, carrying lineage only if `exec.run` would (`lineage`).
+/// What one operator kind did in one profiled run: self ms, live rows
+/// returned, and cells (rows × layout width).
+#[derive(Debug, Clone, Copy, Default)]
+struct KindProfile {
+    ms: f64,
+    rows: u64,
+    cells: u64,
+}
+
+/// Self ms, rows and cells per operator kind (`PhysNode::name`) of one
+/// profiled run of `plan`, carrying lineage only if `exec.run` would
+/// (`lineage`).
 fn profile_once(
     cat: &pop::Catalog,
     exec: &PopExecutor,
     plan: &pop_plan::PhysNode,
     lineage: bool,
-) -> BTreeMap<&'static str, f64> {
+) -> BTreeMap<&'static str, KindProfile> {
     let mut ctx = pop_exec::ExecCtx::new(
         cat.clone(),
         Params::none(),
@@ -135,11 +146,14 @@ fn profile_once(
     ctx.batch_size = exec.config().batch_size.max(1);
     let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx, &pop_exec::Subplans::new())
         .expect("profiled run");
-    let mut ms = BTreeMap::new();
+    let mut kinds: BTreeMap<&'static str, KindProfile> = BTreeMap::new();
     for n in nodes {
-        *ms.entry(n.name).or_insert(0.0) += n.self_time.as_secs_f64() * 1e3;
+        let k = kinds.entry(n.name).or_default();
+        k.ms += n.self_time.as_secs_f64() * 1e3;
+        k.rows += n.rows;
+        k.cells += n.cells();
     }
-    ms
+    kinds
 }
 
 /// Profile one suite: per query, each kind's minimum over `passes`, after
@@ -153,40 +167,61 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
             (name, plan, exec.carries_lineage(q))
         })
         .collect();
-    let mut best: Vec<BTreeMap<&'static str, f64>> = vec![BTreeMap::new(); plans.len()];
+    let mut best: Vec<BTreeMap<&'static str, KindProfile>> = vec![BTreeMap::new(); plans.len()];
     for pass in 0..=passes {
         for ((_, plan, lineage), best) in plans.iter().zip(&mut best) {
-            let ms = profile_once(cat, &exec, plan, *lineage);
+            let kinds = profile_once(cat, &exec, plan, *lineage);
             if pass > 0 {
-                for (kind, m) in ms {
-                    let b = best.entry(kind).or_insert(f64::INFINITY);
-                    *b = b.min(m);
+                for (kind, k) in kinds {
+                    let b = best.entry(kind).or_insert(KindProfile {
+                        ms: f64::INFINITY,
+                        ..k
+                    });
+                    b.ms = b.ms.min(k.ms);
                 }
             }
         }
     }
-    let mut suite: BTreeMap<&'static str, f64> = BTreeMap::new();
-    for (kind, m) in best.iter().flatten() {
-        *suite.entry(kind).or_insert(0.0) += m;
+    let mut suite: BTreeMap<&'static str, KindProfile> = BTreeMap::new();
+    for (kind, k) in best.iter().flatten() {
+        let s = suite.entry(kind).or_default();
+        s.ms += k.ms;
+        s.rows += k.rows;
+        s.cells += k.cells;
     }
-    suite.retain(|_, m| *m >= 0.005);
+    suite.retain(|_, k| k.ms >= 0.005 || k.rows > 0);
     println!("{title}: self ms per operator (min of {passes} passes)");
     print!("  {:8}", "query");
     for kind in suite.keys() {
         print!("{kind:>10}");
     }
     println!("{:>10}", "total");
-    let line = |label: &str, row: &BTreeMap<&'static str, f64>| {
+    let line = |label: &str, row: &BTreeMap<&'static str, KindProfile>| {
         print!("  {label:8}");
         for kind in suite.keys() {
-            print!("{:>10.2}", row.get(kind).copied().unwrap_or(0.0));
+            print!("{:>10.2}", row.get(kind).map_or(0.0, |k| k.ms));
         }
-        println!("{:>10.2}", row.values().sum::<f64>());
+        println!("{:>10.2}", row.values().map(|k| k.ms).sum::<f64>());
     };
     for ((name, ..), row) in plans.iter().zip(&best) {
         line(name, row);
     }
     line("suite", &suite);
+    // What each kind moved in one pass: live rows returned, and cells
+    // (rows × layout width).
+    for (label, count) in [
+        (
+            "rows",
+            (|k: &KindProfile| k.rows) as fn(&KindProfile) -> u64,
+        ),
+        ("cells", |k| k.cells),
+    ] {
+        print!("  {label:8}");
+        for k in suite.values() {
+            print!("{:>10}", count(k));
+        }
+        println!("{:>10}", suite.values().map(count).sum::<u64>());
+    }
 }
 
 fn profile(passes: usize) {

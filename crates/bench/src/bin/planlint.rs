@@ -11,7 +11,7 @@
 //! Usage: `planlint [dmv|tpch|all] [--verbose]`
 //!
 //! `planlint --codes` prints the table of every diagnostic code
-//! (generated from [`pop_planlint::DiagCode::ALL`]; the README's PL code
+//! (generated from [`pop::DiagCode::ALL`]; the README's PL code
 //! table is produced by this subcommand).
 
 use pop::DiagCode;

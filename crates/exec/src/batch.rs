@@ -52,6 +52,24 @@ use pop_types::{Rid, Row, Value};
 /// [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
+/// One input of a join's output gather ([`RowBatch::extend_joined`]).
+pub(crate) struct JoinSide<'a, I> {
+    /// The input's columns: a batch's, or a table's as fetched.
+    pub(crate) cols: &'a [Column],
+    /// The positions in `cols` the output keeps, in output order.
+    pub(crate) keep: &'a [usize],
+    /// The input row each output row reads.
+    pub(crate) rows: I,
+}
+
+impl<'a, I: Iterator<Item = usize> + Clone + 'a> JoinSide<'a, I> {
+    /// Each kept column with the rows to gather from it.
+    fn gathers(self) -> impl Iterator<Item = (&'a Column, I)> {
+        let JoinSide { cols, keep, rows } = self;
+        keep.iter().map(move |p| (&cols[*p], rows.clone()))
+    }
+}
+
 /// A chunk of rows with lineage and an optional selection vector.
 ///
 /// Rows at positions absent from the selection are *dead*: they are
@@ -218,36 +236,44 @@ impl RowBatch {
         self.rows += 1;
     }
 
-    /// Append one joined row per index pair: the columns of `left` at
-    /// `left_rows` followed by those of `right` at `right_rows`, lineage
-    /// likewise concatenated — the join operators' output, gathered a
-    /// column at a time.
-    pub(crate) fn extend_joined(
+    /// Append one joined row per pair of input rows: the kept columns of
+    /// `left` at its rows, then those of `right` at its rows, one typed
+    /// gather per kept column, and — when `lineage` is given — each row's
+    /// two lineage halves concatenated: the join operators' output. A join
+    /// keeps only the columns read above it, so a column no one reads is
+    /// never copied.
+    pub(crate) fn extend_joined<'l, L, R>(
         &mut self,
-        left: &RowBatch,
-        left_rows: impl Iterator<Item = usize> + Clone,
-        right: &RowBatch,
-        right_rows: impl Iterator<Item = usize> + Clone,
-    ) {
-        let n = left_rows.clone().count();
+        left: JoinSide<'_, L>,
+        right: JoinSide<'_, R>,
+        lineage: Option<impl Iterator<Item = [&'l [Rid]; 2]>>,
+    ) where
+        L: ExactSizeIterator<Item = usize> + Clone,
+        R: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let n = left.rows.len();
+        debug_assert_eq!(n, right.rows.len(), "one right row per left row");
         if n == 0 {
             return;
         }
-        let lw = left.cols.len();
-        self.begin(lw + right.cols.len(), left.lin_width + right.lin_width);
+        let mut lineage = lineage.map(Iterator::peekable);
+        let lin_width = lineage
+            .as_mut()
+            .and_then(|l| l.peek().map(|[a, b]| a.len() + b.len()))
+            .unwrap_or(0);
+        self.begin(left.keep.len() + right.keep.len(), lin_width);
         let cap = self.cap.max(n);
-        let (lcols, rcols) = self.cols.split_at_mut(lw);
-        for (c, s) in lcols.iter_mut().zip(&left.cols) {
-            c.extend_gather(s, left_rows.clone(), cap);
+        let (lcols, rcols) = self.cols.split_at_mut(left.keep.len());
+        for (c, (src, rows)) in lcols.iter_mut().zip(left.gathers()) {
+            c.extend_gather(src, rows, cap);
         }
-        for (c, s) in rcols.iter_mut().zip(&right.cols) {
-            c.extend_gather(s, right_rows.clone(), cap);
+        for (c, (src, rows)) in rcols.iter_mut().zip(right.gathers()) {
+            c.extend_gather(src, rows, cap);
         }
-        if self.lin_width > 0 {
-            for (l, r) in left_rows.zip(right_rows) {
-                self.lin.extend_from_slice(left.lineage_at(l));
-                self.lin.extend_from_slice(right.lineage_at(r));
-            }
+        for [a, b] in lineage.into_iter().flatten() {
+            debug_assert_eq!(a.len() + b.len(), self.lin_width, "lineage width");
+            self.lin.extend_from_slice(a);
+            self.lin.extend_from_slice(b);
         }
         self.rows += n;
     }
@@ -392,6 +418,11 @@ impl RowBatch {
 
     pub(crate) fn col(&self, col: usize) -> &Column {
         &self.cols[col]
+    }
+
+    /// Every column, in layout order.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.cols
     }
 
     /// Column `col` at physical row `i`, borrowed.
@@ -656,7 +687,37 @@ mod tests {
         // The join operators' gathered form of the same rows.
         let mut j = RowBatch::new();
         let left = batch(3);
-        j.extend_joined(&left, [2, 0].into_iter(), &b, [0, 0].into_iter());
+        let lineage = [(2, 0), (0, 0)].map(|(l, r)| [left.lineage_at(l), b.lineage_at(r)]);
+        j.extend_joined(
+            JoinSide {
+                cols: left.columns(),
+                keep: &[0],
+                rows: [2, 0].into_iter(),
+            },
+            JoinSide {
+                cols: b.columns(),
+                keep: &[0, 1, 2],
+                rows: [0, 0].into_iter(),
+            },
+            Some(lineage.into_iter()),
+        );
+        // A join keeps some columns of each side, in any order.
+        let mut narrow = RowBatch::new();
+        narrow.extend_joined(
+            JoinSide {
+                cols: left.columns(),
+                keep: &[],
+                rows: [2].into_iter(),
+            },
+            JoinSide {
+                cols: b.columns(),
+                keep: &[2, 0],
+                rows: [0].into_iter(),
+            },
+            None::<std::iter::Empty<[&[Rid]; 2]>>,
+        );
+        assert_eq!(live_rows(&narrow), vec![vec![Value::Int(3), Value::Int(1)]]);
+        assert_eq!(narrow.lineage_width(), 0);
         assert_eq!(
             live_rows(&j),
             vec![

@@ -9,7 +9,7 @@ use crate::operators::{
     TempOp,
 };
 use pop_expr::{BoundExpr, Expr};
-use pop_plan::{AggFunc, LayoutCol, PhysNode, SortKeyRef};
+use pop_plan::{kept_positions, AggFunc, LayoutCol, PhysNode, SortKeyRef};
 use pop_storage::{Catalog, Table};
 use pop_types::{ColId, PopError, PopResult};
 use std::collections::HashMap;
@@ -46,8 +46,8 @@ fn bind_to_schema(expr: &Expr, qidx: usize, table: &Table) -> PopResult<BoundExp
 }
 
 /// The table columns a leaf over query table `qidx` copies out: its
-/// layout (for an NLJN, the suffix after the outer layout), each entry a
-/// column of `table`.
+/// layout (for an NLJN, the suffix after the outer columns it keeps), each
+/// entry a column of `table`.
 fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<Vec<usize>> {
     layout
         .iter()
@@ -59,6 +59,20 @@ fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<V
             ))),
         })
         .collect()
+}
+
+/// The input positions a join's output keeps, per input, in output
+/// order: its layout is an ordered subsequence of its inputs' concatenated
+/// layouts (the columns read above its table set).
+fn join_keep(layout: &[LayoutCol], inputs: [&PhysNode; 2]) -> PopResult<[Vec<usize>; 2]> {
+    let left = kept_positions(layout, &inputs[0].props().layout);
+    let right = kept_positions(&layout[left.len()..], &inputs[1].props().layout);
+    if left.len() + right.len() != layout.len() {
+        return Err(PopError::Planning(format!(
+            "join layout {layout:?} is not an ordered subsequence of its inputs' layouts"
+        )));
+    }
+    Ok([left, right])
 }
 
 /// Harvest descriptor for a materializing node, when its output is the
@@ -172,28 +186,33 @@ where
                 .as_ref()
                 .map(|p| bind_to_schema(p, inner.qidx, &inner_table))
                 .transpose()?;
-            let suffix = props
-                .layout
-                .get(outer.props().layout.len()..)
-                .unwrap_or_default();
+            // The outer columns kept, then the inner table's.
+            let outer_keep = kept_positions(&props.layout, &outer.props().layout);
+            let suffix = &props.layout[outer_keep.len()..];
             let inner_cols = leaf_columns(suffix, inner.qidx, &inner_table)?;
             let residual = inner
                 .residual_joins
                 .iter()
                 .map(|(ocol, icol)| Ok((pos_of(&outer.props().layout, *ocol)?, *icol)))
                 .collect::<PopResult<Vec<_>>>()?;
-            Box::new(
-                NljnOp::new(outer_op, outer_pos, inner_table, index, pred, residual)
-                    .with_inner_columns(inner_cols),
-            )
+            Box::new(NljnOp::new(
+                outer_op,
+                outer_pos,
+                inner_table,
+                index,
+                pred,
+                residual,
+                [outer_keep, inner_cols],
+            ))
         }
         PhysNode::Hsjn {
             build,
             probe,
             build_keys,
             probe_keys,
-            ..
+            props,
         } => {
+            let keep = join_keep(&props.layout, [build, probe])?;
             let ppos = probe_keys
                 .iter()
                 .map(|k| pos_of(&probe.props().layout, *k))
@@ -208,15 +227,18 @@ where
             // potential reuse after a CHECK failure (the enhancement the
             // paper's prototype planned, §4).
             let build_harvest = harvest_info(build, subplans);
-            Box::new(HsjnOp::new(build_op, probe_op, bpos, ppos).with_build_harvest(build_harvest))
+            Box::new(
+                HsjnOp::new(build_op, probe_op, bpos, ppos, keep).with_build_harvest(build_harvest),
+            )
         }
         PhysNode::Mgjn {
             left,
             right,
             left_keys,
             right_keys,
-            ..
+            props,
         } => {
+            let keep = join_keep(&props.layout, [left, right])?;
             let left_op = build_wrapped(left, catalog, subplans, wrap)?;
             let right_op = build_wrapped(right, catalog, subplans, wrap)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
@@ -226,7 +248,7 @@ where
             };
             let lpos = pos_of(&left.props().layout, *lk)?;
             let rpos = pos_of(&right.props().layout, *rk)?;
-            Box::new(MgjnOp::new(left_op, right_op, lpos, rpos))
+            Box::new(MgjnOp::new(left_op, right_op, lpos, rpos, keep))
         }
         PhysNode::Sort {
             input, key, desc, ..

@@ -235,9 +235,9 @@ impl Acc {
 /// first seen), its key hash entry `g` of a hash list, and its state slot
 /// `g` of one typed array per aggregate. Each input batch is aggregated in
 /// two phases: every live row's group id is resolved — its key columns
-/// hashed a column at a time, its chain in a [`ChainIndex`] walked
+/// hashed a column at a time, its chain in a `ChainIndex` walked
 /// comparing keys against the key buffer (in machine words where the
-/// batch's [`KeyShape`] allows), a new group appended on a miss — and then
+/// batch's `KeyShape` allows), a new group appended on a miss — and then
 /// each aggregate folds the batch into its array in one loop, rows in
 /// order. Growing the index re-threads the stored hashes; nothing is
 /// hashed twice.

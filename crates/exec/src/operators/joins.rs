@@ -7,6 +7,7 @@
 //! fetches (NLJN inners, EXISTS probes) read the inner table as typed
 //! columns, filtered and gathered like a scan's.
 
+use crate::batch::JoinSide;
 use crate::context::Harvest;
 use crate::operators::key::{hash_keys, ChainIndex, NIL};
 use crate::operators::materialize::{materialize, HarvestInfo};
@@ -28,18 +29,24 @@ use std::sync::Arc;
 /// `outer_card × (probe + matches × fetch)`, so an outer that is 100×
 /// larger than estimated costs 100× more.
 ///
-/// Each new outer batch is probed once ([`Index::probe_batch`]), every
-/// live row into one match list with per-row bounds, and the list is
-/// prefetched (list prefetch: each inner page the batch needs is read
-/// once, in page order, and the decoded rows are reserved against the
-/// byte budget until the next batch's replace them). An outer row's
-/// matches are then fetched from those rows as typed columns — up to the
-/// room left in the output batch at a time — filtered there by the inner
-/// predicate and the residual join conditions, and the survivors' output
-/// columns gathered into a scratch batch; the outer half of each output
-/// row is a gather of the outer row's index, done before the outer batch
-/// is released. The work charge stays per outer row, taken as the cursor
-/// steps onto it.
+/// The join works a whole outer batch per call into the storage layer:
+/// every live row is probed at once ([`Index::probe_batch`]) into one
+/// match list with per-row bounds; the list is prefetched (list prefetch:
+/// each inner page the batch needs is read once, in page order) and then
+/// fetched in one call, filtered in one pass of the inner predicate, and
+/// checked in one pass of the residual join conditions. What survives is
+/// a list of joined rows — outer row, fetched inner row and inner rid —
+/// in output order. The fetched rows and the lists are reserved against
+/// the byte budget until the next batch's replace them.
+///
+/// Emission walks the outer rows: the work charge stays per outer row
+/// (its probe, its matches and their page transitions), taken as the
+/// walk steps onto it, and an output batch closes after exactly
+/// `batch_size` joined rows — so rows, batch boundaries and the work at
+/// each boundary are those of a join that fetched each outer row's
+/// matches on its own. Each output batch is gathered straight from the
+/// outer batch and the fetched columns, keeping only the columns read
+/// above the join.
 pub struct NljnOp {
     outer: Box<dyn Operator>,
     outer_key_pos: usize,
@@ -49,24 +56,26 @@ pub struct NljnOp {
     inner_pred: Option<BoundExpr>,
     /// `(outer position, inner column)` residual equi-join conditions.
     residual: Vec<(usize, usize)>,
-    /// Inner table columns appended to the outer row, in layout order.
-    inner_cols: Vec<usize>,
+    /// The outer positions, then the inner table columns, the output
+    /// keeps, in output order.
+    keep: [Vec<usize>; 2],
     fetcher: Option<RowFetcher>,
-    /// The outer stream; its current row is the one being joined.
+    /// The outer stream; its current row is the one being emitted.
     outer_rows: RowCursor,
     /// The matches of every live row of the outer batch, in row order:
     /// live row `k`'s are `matches[bounds[k]..bounds[k + 1]]`.
     matches: Vec<u64>,
     bounds: Vec<usize>,
-    /// The current row's matches not yet fetched.
-    match_pos: usize,
-    match_end: usize,
-    /// Bytes of prefetched inner rows reserved against the governor.
+    /// The outer batch's joined rows, in output order.
+    joined: Joined,
+    /// The current outer row's joined rows not yet emitted: `next..end`.
+    next: usize,
+    end: usize,
+    /// First joined row not yet copied into an output batch.
+    flushed: usize,
+    /// Bytes of fetched inner rows and lists reserved against the
+    /// governor.
     reserved: u64,
-    /// Joined rows not yet copied out: the outer row index of each (into
-    /// the cursor's batch) and its inner columns plus inner rid.
-    pending: Vec<u32>,
-    inner_rows: RowBatch,
     /// Selection-vector scratch over a fetch.
     sel: Vec<u32>,
     /// Last inner page fetched from, for random-I/O accounting.
@@ -74,9 +83,33 @@ pub struct NljnOp {
     pending_signal: Option<crate::ExecSignal>,
 }
 
+/// The joined rows of one outer batch: row `j` joins the outer batch's
+/// physical row `outer[j]` with the fetched row `inner[j]` (an index
+/// into the fetch's columns), whose rid is `rid[j]` when the run carries
+/// `lineage`. Live outer row `k` owns `bounds[k]..bounds[k + 1]`.
+#[derive(Debug, Default)]
+struct Joined {
+    outer: Vec<u32>,
+    inner: Vec<u32>,
+    rid: Vec<Rid>,
+    bounds: Vec<usize>,
+    lineage: bool,
+}
+
+impl Joined {
+    /// Bytes the lists hold.
+    fn bytes(&self) -> u64 {
+        (std::mem::size_of_val(self.outer.as_slice())
+            + std::mem::size_of_val(self.inner.as_slice())
+            + std::mem::size_of_val(self.rid.as_slice())
+            + std::mem::size_of_val(self.bounds.as_slice())) as u64
+    }
+}
+
 impl NljnOp {
-    /// Create an index NLJN emitting the outer row followed by every
-    /// inner column.
+    /// Create an index NLJN emitting the outer positions `keep[0]`
+    /// followed by the inner table columns `keep[1]` (each below the inner
+    /// schema width).
     pub fn new(
         outer: Box<dyn Operator>,
         outer_key_pos: usize,
@@ -84,56 +117,134 @@ impl NljnOp {
         inner_index: Arc<Index>,
         inner_pred: Option<BoundExpr>,
         residual: Vec<(usize, usize)>,
+        keep: [Vec<usize>; 2],
     ) -> Self {
         NljnOp {
             outer,
             outer_key_pos,
-            inner_cols: (0..inner_table.schema().len()).collect(),
             inner_table,
             inner_index,
             inner_pred,
             residual,
+            keep,
             fetcher: None,
             outer_rows: RowCursor::default(),
             matches: Vec::new(),
             bounds: Vec::new(),
-            match_pos: 0,
-            match_end: 0,
+            joined: Joined::default(),
+            next: 0,
+            end: 0,
+            flushed: 0,
             reserved: 0,
-            pending: Vec::new(),
-            inner_rows: RowBatch::new(),
             sel: Vec::new(),
             last_page: None,
             pending_signal: None,
         }
     }
 
-    /// Append only the inner table columns `cols` (each below the inner
-    /// schema width), in that order.
-    pub fn with_inner_columns(mut self, cols: Vec<usize>) -> Self {
-        self.inner_cols = cols;
-        self
+    /// Probe, fetch, filter and residual-check the live rows of the outer
+    /// batch just refilled, into `self.joined`.
+    fn join_batch(&mut self, ctx: &ExecCtx) -> OpResult<()> {
+        let fetcher = self.fetcher.as_mut().expect("opened");
+        let (outer, _) = self.outer_rows.current().expect("refilled");
+        self.inner_index.probe_batch(
+            outer.col(self.outer_key_pos),
+            outer.live_indices(),
+            &mut self.matches,
+            &mut self.bounds,
+        );
+        fetcher.prefetch(&self.matches)?;
+        let len = fetcher.len();
+        let got = fetcher.fetch(&self.matches)?;
+        self.sel.clear();
+        self.sel.extend_from_slice(got.rows);
+        // An empty fetch (no matches, or an empty inner table) has no
+        // columns to evaluate against.
+        if let (Some(p), false) = (&self.inner_pred, self.sel.is_empty()) {
+            p.filter_batch(got.cols, &ctx.params, &mut self.sel)?;
+        }
+        let j = &mut self.joined;
+        j.outer.clear();
+        j.inner.clear();
+        j.rid.clear();
+        j.bounds.clear();
+        j.bounds.push(0);
+        j.lineage = ctx.lineage;
+        let inner_table = self.inner_table.id();
+        // `sel` is the subsequence of the fetched rows the predicate
+        // passed; the fetch skipped matches past the end of the table.
+        let mut passed = self.sel.iter().copied().peekable();
+        let mut fetched = got.rows.iter().zip(got.positions);
+        for (k, at) in outer.live_indices().enumerate() {
+            for _ in self.matches[self.bounds[k]..self.bounds[k + 1]]
+                .iter()
+                .filter(|p| **p < len)
+            {
+                let (&row, &pos) = fetched.next().expect("one fetched row per match");
+                if passed.next_if_eq(&row).is_none() {
+                    continue;
+                }
+                let r = row as usize;
+                let joins = self.residual.iter().all(|&(outer_pos, inner_col)| {
+                    outer
+                        .cell(outer_pos, at)
+                        .sql_cmp(got.cols[inner_col].cell(r))
+                        == Some(Ordering::Equal)
+                });
+                if joins {
+                    j.outer.push(at as u32);
+                    j.inner.push(row);
+                    if ctx.lineage {
+                        j.rid.push(Rid::new(inner_table, pos));
+                    }
+                }
+            }
+            j.bounds.push(j.outer.len());
+        }
+        (self.next, self.end, self.flushed) = (0, 0, 0);
+        Ok(())
     }
-}
 
-/// Copy out the NLJN rows joined against the cursor's batch: outer
-/// columns gathered by row index, inner columns as fetched.
-fn flush_joined(
-    out: &mut RowBatch,
-    outer: &RowCursor,
-    pending: &mut Vec<u32>,
-    inner: &mut RowBatch,
-) {
-    if let (false, Some((batch, _))) = (pending.is_empty(), outer.current()) {
+    /// Copy the joined rows `flushed..next` into `out`: the kept outer
+    /// columns gathered from the outer batch, the kept inner columns
+    /// straight from the fetched ones.
+    fn flush(&mut self, out: &mut RowBatch) {
+        let (Some(fetcher), Some((outer, _))) = (&self.fetcher, self.outer_rows.current()) else {
+            return;
+        };
+        let range = self.flushed..self.next;
+        self.flushed = self.next;
+        if range.is_empty() {
+            return;
+        }
+        let got = fetcher.fetched();
+        let j = &self.joined;
+        let inner_rid = |i: usize| {
+            if j.lineage {
+                std::slice::from_ref(&j.rid[i])
+            } else {
+                &[]
+            }
+        };
+        let lineage = (outer.lineage_width() > 0 || j.lineage).then(|| {
+            range
+                .clone()
+                .map(|i| [outer.lineage_at(j.outer[i] as usize), inner_rid(i)])
+        });
         out.extend_joined(
-            batch,
-            pending.iter().map(|i| *i as usize),
-            inner,
-            0..pending.len(),
+            JoinSide {
+                cols: outer.columns(),
+                keep: &self.keep[0],
+                rows: j.outer[range.clone()].iter().map(|o| *o as usize),
+            },
+            JoinSide {
+                cols: got.cols,
+                keep: &self.keep[1],
+                rows: j.inner[range].iter().map(|r| *r as usize),
+            },
+            lineage,
         );
     }
-    pending.clear();
-    inner.reset();
 }
 
 impl Operator for NljnOp {
@@ -141,113 +252,68 @@ impl Operator for NljnOp {
         self.outer.open(ctx)?;
         // The inner row is read for its output columns, the predicate and
         // the residual join columns — nothing else is decoded.
-        let inner_read = read_set(&self.inner_cols, self.inner_pred.as_ref())
+        let inner_read = read_set(&self.keep[1], self.inner_pred.as_ref())
             .into_iter()
             .chain(self.residual.iter().map(|&(_, inner_col)| inner_col));
         self.fetcher = Some(self.inner_table.fetcher().project(inner_read));
         self.outer_rows.reset();
         self.matches.clear();
         self.bounds.clear();
-        (self.match_pos, self.match_end) = (0, 0);
-        self.pending.clear();
-        self.inner_rows = RowBatch::with_capacity(ctx.batch_size.max(1));
+        self.joined = Joined::default();
+        (self.next, self.end, self.flushed) = (0, 0, 0);
         self.last_page = None;
         self.pending_signal = None;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        let Some(fetcher) = self.fetcher.as_mut() else {
+        if self.fetcher.is_none() {
             return Err(super::protocol_err("NLJN next_batch() before open()"));
-        };
+        }
         if let Some(sig) = self.pending_signal.take() {
             return Err(sig);
         }
         let target = ctx.batch_size.max(1);
-        let inner_table = self.inner_table.id();
         let mut out = RowBatch::with_capacity(target);
         loop {
-            // Drain pending matches of the current outer row, as many at a
-            // time as the output batch has room for: a batch that fills
-            // stops at the same match as one fetched row at a time would.
-            while self.match_pos < self.match_end {
-                let (outer, at) = self
-                    .outer_rows
-                    .current()
-                    .ok_or_else(|| super::protocol_err("NLJN match without an outer row"))?;
-                let room = target.saturating_sub(out.len() + self.pending.len()).max(1);
-                let end = (self.match_pos + room).min(self.match_end);
-                // A position past the opened rows (index briefly ahead of
-                // them) is skipped by the fetcher.
-                let got = fetcher.fetch(&self.matches[self.match_pos..end])?;
-                self.match_pos = end;
-                self.sel.clear();
-                self.sel.extend_from_slice(got.rows);
-                if let Some(p) = &self.inner_pred {
-                    p.filter_batch(got.cols, &ctx.params, &mut self.sel)?;
-                }
-                for &(outer_pos, inner_col) in &self.residual {
-                    let key = outer.cell(outer_pos, at);
-                    let inner = &got.cols[inner_col];
-                    self.sel
-                        .retain(|r| key.sql_cmp(inner.cell(*r as usize)) == Some(Ordering::Equal));
-                }
-                self.pending
-                    .extend(std::iter::repeat_n(at as u32, self.sel.len()));
-                let pick = self.sel.iter().map(|r| *r as usize);
-                let rids = ctx.lineage.then(|| {
-                    got.positions_of(&self.sel)
-                        .map(|p| [Rid::new(inner_table, p)])
-                });
-                self.inner_rows
-                    .extend_columns(got.cols, &self.inner_cols, pick, rids);
-                if out.len() + self.pending.len() >= target {
-                    flush_joined(
-                        &mut out,
-                        &self.outer_rows,
-                        &mut self.pending,
-                        &mut self.inner_rows,
-                    );
+            // Emit the current outer row's joined rows, as many as the
+            // output batch has room for.
+            if self.next < self.end {
+                let room = target - (out.len() + self.next - self.flushed);
+                self.next = (self.next + room).min(self.end);
+                if out.len() + self.next - self.flushed == target {
+                    self.flush(&mut out);
                     return Ok(Some(out));
                 }
             }
-            // Advance the outer; the row's probe and fetch charges (its
-            // rows and page transitions) are taken up front, as it is
-            // stepped onto.
+            // Step onto the next outer row; its probe and fetch charges
+            // (its matches and their page transitions) are taken here.
             if self.outer_rows.step() {
                 let k = self.outer_rows.ordinal();
-                (self.match_pos, self.match_end) = (self.bounds[k], self.bounds[k + 1]);
-                let matches = self.matches[self.match_pos..self.match_end].iter().copied();
-                let new_pages = page_transitions(fetcher, &mut self.last_page, matches);
-                let fetched = (self.match_end - self.match_pos) as f64;
-                ctx.charge(ctx.model.index_access(1.0, fetched, new_pages));
+                let matches = &self.matches[self.bounds[k]..self.bounds[k + 1]];
+                let fetcher = self.fetcher.as_ref().expect("opened");
+                let new_pages =
+                    page_transitions(fetcher, &mut self.last_page, matches.iter().copied());
+                ctx.charge(ctx.model.index_access(1.0, matches.len() as f64, new_pages));
+                (self.next, self.end) = (self.joined.bounds[k], self.joined.bounds[k + 1]);
                 continue;
             }
             // The outer batch is done: copy out what joined against it
             // before it is released.
-            flush_joined(
-                &mut out,
-                &self.outer_rows,
-                &mut self.pending,
-                &mut self.inner_rows,
-            );
+            self.flush(&mut out);
             match self.outer_rows.refill(self.outer.as_mut(), ctx) {
                 Err(sig) => return super::stash_or_raise(sig, out, &mut self.pending_signal),
                 Ok(false) => return Ok(if out.is_empty() { None } else { Some(out) }),
                 Ok(true) => {}
             }
-            // Probe the new batch's live rows and prefetch their matches;
-            // the previous batch's rows give their reservation back.
-            let (outer, _) = self.outer_rows.current().expect("refilled");
-            self.inner_index.probe_batch(
-                outer.col(self.outer_key_pos),
-                outer.live_indices(),
-                &mut self.matches,
-                &mut self.bounds,
-            );
-            fetcher.prefetch(&self.matches)?;
+            self.join_batch(ctx)?;
+            // The previous batch's fetched rows and lists give their
+            // reservation back.
             ctx.guard_release(self.reserved);
-            self.reserved = fetcher.prefetched_bytes();
+            let fetched = self.fetcher.as_ref().expect("opened").prefetched_bytes();
+            let lists = std::mem::size_of_val(self.matches.as_slice())
+                + std::mem::size_of_val(self.bounds.as_slice());
+            self.reserved = fetched + lists as u64 + self.joined.bytes();
             ctx.guard_reserve(self.reserved)?;
         }
     }
@@ -257,8 +323,8 @@ impl Operator for NljnOp {
         ctx.guard_release(std::mem::take(&mut self.reserved));
         self.fetcher = None;
         self.outer_rows.reset();
-        self.pending.clear();
-        self.inner_rows = RowBatch::new();
+        self.joined = Joined::default();
+        (self.next, self.end, self.flushed) = (0, 0, 0);
     }
 }
 
@@ -330,6 +396,9 @@ pub struct HsjnOp {
     probe: Box<dyn Operator>,
     build_key_pos: Vec<usize>,
     probe_key_pos: Vec<usize>,
+    /// The build positions, then the probe positions, the output keeps,
+    /// in output order.
+    keep: [Vec<usize>; 2],
     /// When set, the completed build is snapshotted as a reusable
     /// intermediate result — the hash-join-build reuse the paper lists as
     /// a planned enhancement of its prototype (§4).
@@ -352,18 +421,21 @@ pub struct HsjnOp {
 }
 
 impl HsjnOp {
-    /// Create a hash join.
+    /// Create a hash join emitting the build positions `keep[0]` followed
+    /// by the probe positions `keep[1]`.
     pub fn new(
         build: Box<dyn Operator>,
         probe: Box<dyn Operator>,
         build_key_pos: Vec<usize>,
         probe_key_pos: Vec<usize>,
+        keep: [Vec<usize>; 2],
     ) -> Self {
         HsjnOp {
             build,
             probe,
             build_key_pos,
             probe_key_pos,
+            keep,
             build_harvest: None,
             state: None,
             probe_rows: RowCursor::default(),
@@ -384,22 +456,38 @@ impl HsjnOp {
     }
 }
 
-/// Gather the output rows of the collected pairs (phase 4).
+/// Gather the kept output columns of the collected pairs (phase 4).
 fn flush_pairs(
     out: &mut RowBatch,
+    keep: &[Vec<usize>; 2],
     build: &RowBatch,
     probe: &RowBatch,
     pair_build: &mut Vec<u32>,
     pair_probe: &mut Vec<u32>,
 ) {
     out.extend_joined(
-        build,
-        pair_build.iter().map(|r| *r as usize),
-        probe,
-        pair_probe.iter().map(|p| *p as usize),
+        joined_side(build, &keep[0], pair_build),
+        joined_side(probe, &keep[1], pair_probe),
+        (build.lineage_width() + probe.lineage_width() > 0).then(|| {
+            (pair_build.iter().zip(pair_probe.iter()))
+                .map(|(b, p)| [build.lineage_at(*b as usize), probe.lineage_at(*p as usize)])
+        }),
     );
     pair_build.clear();
     pair_probe.clear();
+}
+
+/// The rows `rows` of a batch input, keeping its positions `keep`.
+fn joined_side<'a>(
+    batch: &'a RowBatch,
+    keep: &'a [usize],
+    rows: &'a [u32],
+) -> JoinSide<'a, impl ExactSizeIterator<Item = usize> + Clone + 'a> {
+    JoinSide {
+        cols: batch.columns(),
+        keep,
+        rows: rows.iter().map(|r| *r as usize),
+    }
 }
 
 impl Operator for HsjnOp {
@@ -454,6 +542,7 @@ impl Operator for HsjnOp {
                         if out.len() + self.pair_build.len() >= target {
                             flush_pairs(
                                 &mut out,
+                                &self.keep,
                                 &state.rows,
                                 probe,
                                 &mut self.pair_build,
@@ -473,6 +562,7 @@ impl Operator for HsjnOp {
             if let Some((probe, _)) = self.probe_rows.current() {
                 flush_pairs(
                     &mut out,
+                    &self.keep,
                     &state.rows,
                     probe,
                     &mut self.pair_build,
@@ -645,6 +735,9 @@ pub struct MgjnOp {
     right: Box<dyn Operator>,
     left_key_pos: usize,
     right_key_pos: usize,
+    /// The left positions, then the right positions, the output keeps,
+    /// in output order.
+    keep: [Vec<usize>; 2],
     /// The left stream; its current row (while `left_live`) is merging.
     left_rows: RowCursor,
     left_live: bool,
@@ -661,18 +754,21 @@ pub struct MgjnOp {
 }
 
 impl MgjnOp {
-    /// Create a merge join.
+    /// Create a merge join emitting the left positions `keep[0]` followed
+    /// by the right positions `keep[1]`.
     pub fn new(
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
         left_key_pos: usize,
         right_key_pos: usize,
+        keep: [Vec<usize>; 2],
     ) -> Self {
         MgjnOp {
             left,
             right,
             left_key_pos,
             right_key_pos,
+            keep,
             left_rows: RowCursor::default(),
             left_live: false,
             right_rows: RowCursor::default(),
@@ -843,7 +939,21 @@ impl Operator for MgjnOp {
                 Ok(None) => break,
                 Ok(Some(g)) => {
                     let (left, at) = self.left_rows.current().expect("left cursor on a row");
-                    out.extend_joined(left, std::iter::once(at), &self.group, std::iter::once(g));
+                    let lineage = [left.lineage_at(at), self.group.lineage_at(g)];
+                    out.extend_joined(
+                        JoinSide {
+                            cols: left.columns(),
+                            keep: &self.keep[0],
+                            rows: std::iter::once(at),
+                        },
+                        JoinSide {
+                            cols: self.group.columns(),
+                            keep: &self.keep[1],
+                            rows: std::iter::once(g),
+                        },
+                        (lineage[0].len() + lineage[1].len() > 0)
+                            .then_some(std::iter::once(lineage)),
+                    );
                 }
             }
         }
@@ -906,6 +1016,11 @@ mod tests {
         out
     }
 
+    /// Both columns of each `setup` table, the full width of a join of two.
+    fn both_columns() -> [Vec<usize>; 2] {
+        [vec![0, 1], vec![0, 1]]
+    }
+
     fn expected_join() -> Vec<Row> {
         // l.k = r.k: rows with k=2 on both sides -> 2x2 = 4 rows.
         let mut v = vec![
@@ -943,7 +1058,7 @@ mod tests {
         let (mut ctx, left, right) = setup();
         let idx = ctx.catalog.find_index(right.id(), 0, false).unwrap();
         let outer = Box::new(TableScanOp::new(left, None));
-        let mut op = NljnOp::new(outer, 0, right, idx, None, vec![]);
+        let mut op = NljnOp::new(outer, 0, right, idx, None, vec![], both_columns());
         assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
@@ -952,7 +1067,7 @@ mod tests {
         let (mut ctx, left, right) = setup();
         let b = Box::new(TableScanOp::new(left, None));
         let p = Box::new(TableScanOp::new(right, None));
-        let mut op = HsjnOp::new(b, p, vec![0], vec![0]);
+        let mut op = HsjnOp::new(b, p, vec![0], vec![0], both_columns());
         assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
@@ -962,7 +1077,7 @@ mod tests {
         ctx.batch_size = 3;
         let b = Box::new(TableScanOp::new(left, None));
         let p = Box::new(TableScanOp::new(right, None));
-        let mut op = HsjnOp::new(b, p, vec![0], vec![0]);
+        let mut op = HsjnOp::new(b, p, vec![0], vec![0], both_columns());
         op.open(&mut ctx).unwrap();
         let first = op.next_batch(&mut ctx).unwrap().unwrap();
         assert_eq!(first.live_count(), 3);
@@ -988,7 +1103,7 @@ mod tests {
             false,
             None,
         ));
-        let mut op = MgjnOp::new(l, r, 0, 0);
+        let mut op = MgjnOp::new(l, r, 0, 0, both_columns());
         assert_eq!(sorted_rows(&mut op, &mut ctx), expected_join());
     }
 
@@ -1014,7 +1129,7 @@ mod tests {
         let pages = big.page_count() as f64;
         let b = Box::new(TableScanOp::new(big, None));
         let p = Box::new(TableScanOp::new(small, None));
-        let mut op = HsjnOp::new(b, p, vec![0], vec![0]);
+        let mut op = HsjnOp::new(b, p, vec![0], vec![0], [vec![0], vec![0]]);
         op.open(&mut ctx).unwrap();
         // Work after the build is exactly scan + build + one spill pass
         // over the 12k rows.
@@ -1272,10 +1387,52 @@ mod tests {
                 let scan = |t: &Arc<Table>| -> Box<dyn Operator> {
                     Box::new(TableScanOp::new(t.clone(), None))
                 };
-                let mut op = HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone());
+                let all: Vec<usize> = (0..=case.key_cols).collect();
+                let keep = [all.clone(), all];
+                let mut op =
+                    HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone(), keep);
                 let rows = drain(&mut op, &mut ctx);
                 assert_eq!(tags(&rows), expect, "{} @ {batch_size}", case.name);
             }
+        }
+    }
+
+    /// The NLJN's per-batch lists are charged to the byte budget while the
+    /// batch is joined. `l`'s keys 1, 2, 2, NULL find 0 + 2 + 2 + 0 rows of
+    /// `r`: 4 matches (8 B each) and 5 bounds (8 B each); 4 joined rows
+    /// (an outer row, a fetched row, a 16 B rid) and their 5 bounds. The
+    /// mem backend prefetches nothing.
+    #[test]
+    fn nljn_match_lists_are_charged_to_the_byte_budget() {
+        use pop_guard::{Budget, Governor};
+        let lists = 4 * 8 + 5 * 8 + 4 * (4 + 4 + 16) + 5 * 8;
+        let budget = |max| Budget {
+            max_resident_bytes: Some(max),
+            ..Budget::unlimited()
+        };
+        let nljn = |ctx: &ExecCtx, left: Arc<Table>, right: Arc<Table>| {
+            let idx = ctx.catalog.find_index(right.id(), 0, false).unwrap();
+            let outer = Box::new(TableScanOp::new(left, None));
+            NljnOp::new(outer, 0, right, idx, None, vec![], both_columns())
+        };
+        let (mut ctx, left, right) = setup();
+        ctx.guard = Governor::new(budget(lists), None);
+        let mut op = nljn(&ctx, left, right);
+        assert_eq!(drain(&mut op, &mut ctx).len(), 4);
+        assert_eq!(ctx.guard.peak_resident_bytes(), lists);
+
+        let (mut ctx, left, right) = setup();
+        ctx.guard = Governor::new(budget(lists - 1), None);
+        let mut op = nljn(&ctx, left, right);
+        op.open(&mut ctx).unwrap();
+        match op.next_batch(&mut ctx) {
+            Err(crate::ExecSignal::Error(pop_types::PopError::BudgetExceeded(msg))) => {
+                assert!(msg.contains("resident"), "{msg}");
+            }
+            other => panic!(
+                "expected a byte-budget error, got {:?}",
+                other.map(|b| b.map(|b| b.len()))
+            ),
         }
     }
 
@@ -1285,7 +1442,7 @@ mod tests {
         let idx = ctx.catalog.find_index(right.id(), 0, false).unwrap();
         let outer = Box::new(TableScanOp::new(left, None));
         // Residual: l.v (pos 1) must equal r.w (col 1) — never true here.
-        let mut op = NljnOp::new(outer, 0, right, idx, None, vec![(1, 1)]);
+        let mut op = NljnOp::new(outer, 0, right, idx, None, vec![(1, 1)], both_columns());
         assert!(drain(&mut op, &mut ctx).is_empty());
     }
 
@@ -1302,6 +1459,235 @@ mod tests {
         let input = Box::new(TableScanOp::new(left, None));
         let mut op = SemiProbeOp::new(input, 0, right, idx, None, true);
         assert_eq!(drain(&mut op, &mut ctx).len(), 2);
+    }
+    /// An index NLJN over the inner table `inner` (keyed on column 0)
+    /// emitting every outer and inner column.
+    fn full_width_nljn(
+        outer: Box<dyn Operator>,
+        inner: &Arc<Table>,
+        ctx: &ExecCtx,
+        pred: Option<BoundExpr>,
+        residual: Vec<(usize, usize)>,
+    ) -> NljnOp {
+        let idx = ctx.catalog.find_index(inner.id(), 0, false).unwrap();
+        let all = vec![0, 1, 2];
+        NljnOp::new(
+            outer,
+            0,
+            inner.clone(),
+            idx,
+            pred,
+            residual,
+            [all.clone(), all],
+        )
+    }
+
+    /// Everything one NLJN run shows its consumer, as text: each output
+    /// batch's rows (with lineage) and the work counter when it was
+    /// returned, the signal that ended the run, and the CHECK events.
+    fn nljn_trace(op: &mut dyn Operator, ctx: &mut ExecCtx) -> String {
+        let mut trace = String::new();
+        op.open(ctx).expect("open");
+        loop {
+            match op.next_batch(ctx) {
+                Ok(Some(b)) => {
+                    trace.push_str(&format!("batch @{:x}:", ctx.work.to_bits()));
+                    for i in b.live_indices() {
+                        trace.push_str(&format!(" {:?}{:?}", b.row_at(i), b.lineage_at(i)));
+                    }
+                    trace.push('\n');
+                }
+                Ok(None) => break,
+                Err(sig) => {
+                    trace.push_str(&format!("signal @{:x}: {sig:?}\n", ctx.work.to_bits()));
+                    break;
+                }
+            }
+        }
+        op.close(ctx);
+        for e in &ctx.check_events {
+            trace.push_str(&format!(
+                "event {:?} {:?} {:x} {:x}\n",
+                e.outcome,
+                e.observed,
+                e.started_at.to_bits(),
+                e.at_work.to_bits()
+            ));
+        }
+        trace
+    }
+
+    /// FNV-1a, for pinning a long trace by one number.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The index NLJN's output, work charges at every batch boundary and
+    /// CHECK events, against the trace of the per-row NLJN (each outer
+    /// row's matches fetched, filtered and copied in calls of their own),
+    /// recorded before the join went batch-at-a-time: a fan-out inner with
+    /// duplicate keys, a residual join, an inner predicate, an empty inner
+    /// table and NULL outer keys, each at batch sizes 1 / 7 / 1024, with
+    /// and without lineage, bare, under a pipelined CHECK that trips on
+    /// the join's output and over one that trips on its outer.
+    #[test]
+    fn nljn_equals_the_per_row_nljn() {
+        let cat = Catalog::new();
+        let schema = |p: &str| {
+            Schema::from_pairs(&[
+                (&format!("{p}k"), DataType::Int),
+                (&format!("{p}v"), DataType::Int),
+                (&format!("{p}tag"), DataType::Str),
+            ])
+        };
+        let key = |i: i64, null_every: i64, modulo: i64| {
+            if i % null_every == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % modulo)
+            }
+        };
+        let outer = cat
+            .create_table(
+                "o",
+                schema("o"),
+                (0..40i64)
+                    .map(|i| vec![key(i, 7, 9), Value::Int(i % 4), Value::str(format!("o{i}"))]),
+            )
+            .unwrap();
+        let null_outer = cat
+            .create_table(
+                "n",
+                schema("n"),
+                (0..10i64).map(|i| vec![Value::Null, Value::Int(i), Value::str(format!("n{i}"))]),
+            )
+            .unwrap();
+        // Key j (0..7) has j % 4 rows, duplicates spread over the table;
+        // keys 7 and 8 have none; a few rows have a NULL key.
+        let inner_data: Vec<Row> = (0..4i64)
+            .flat_map(|copy| {
+                (0..7i64).filter(move |j| j % 4 > copy).map(move |j| {
+                    vec![
+                        Value::Int(j),
+                        Value::Int((j + copy) % 4),
+                        Value::str(format!("i{j}.{copy}")),
+                    ]
+                })
+            })
+            .chain(
+                (0..3i64)
+                    .map(|i| vec![Value::Null, Value::Int(i), Value::str(format!("i-null{i}"))]),
+            )
+            .collect();
+        let inner = cat.create_table("i", schema("i"), inner_data).unwrap();
+        let empty = cat
+            .create_table("e", schema("e"), Vec::<Row>::new())
+            .unwrap();
+        for t in ["i", "e"] {
+            cat.create_index(t, &format!("{t}k"), IndexKind::Hash)
+                .unwrap();
+        }
+        let inner_schema: Vec<pop_types::ColId> =
+            (0..3).map(|c| pop_types::ColId::new(1, c)).collect();
+        let w_at_least_2 = || {
+            BoundExpr::bind(
+                &pop_expr::Expr::col(1, 1).ge(pop_expr::Expr::lit(2i64)),
+                &inner_schema,
+            )
+            .unwrap()
+        };
+        let outer_schema: Vec<pop_types::ColId> =
+            (0..3).map(|c| pop_types::ColId::new(0, c)).collect();
+        let v_not_1 = || {
+            BoundExpr::bind(
+                &pop_expr::Expr::col(0, 1).ne(pop_expr::Expr::lit(1i64)),
+                &outer_schema,
+            )
+            .unwrap()
+        };
+        type Case<'a> = (
+            &'a str,
+            &'a Arc<Table>,
+            Option<BoundExpr>,
+            &'a Arc<Table>,
+            Option<BoundExpr>,
+            Vec<(usize, usize)>,
+        );
+        let cases: Vec<Case<'_>> = vec![
+            ("fan-out", &outer, None, &inner, None, vec![]),
+            (
+                "filtered outer",
+                &outer,
+                Some(v_not_1()),
+                &inner,
+                None,
+                vec![],
+            ),
+            ("residual", &outer, None, &inner, None, vec![(1, 1)]),
+            (
+                "inner predicate",
+                &outer,
+                None,
+                &inner,
+                Some(w_at_least_2()),
+                vec![],
+            ),
+            (
+                "empty inner",
+                &outer,
+                None,
+                &empty,
+                Some(w_at_least_2()),
+                vec![],
+            ),
+            ("NULL outer keys", &null_outer, None, &inner, None, vec![]),
+        ];
+        let check = |hi: f64, context: pop_plan::CheckContext| pop_plan::CheckSpec {
+            id: 0,
+            flavor: pop_plan::CheckFlavor::Ecwc,
+            range: pop_plan::ValidityRange::new(0.0, hi),
+            est_card: 1.0,
+            context,
+        };
+        let mut traces = String::new();
+        for &(name, o, ref opred, i, ref ipred, ref residual) in &cases {
+            for batch_size in [1, 7, 1024] {
+                for lineage in [true, false] {
+                    for shape in ["bare", "check above", "check on outer"] {
+                        let mut ctx =
+                            ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
+                        ctx.batch_size = batch_size;
+                        ctx.lineage = lineage;
+                        let mut scan: Box<dyn Operator> =
+                            Box::new(TableScanOp::new(Arc::clone(o), opred.clone()));
+                        if shape == "check on outer" {
+                            let spec = check(9.0, pop_plan::CheckContext::NljnOuter);
+                            scan = Box::new(crate::operators::GuardOp::check(
+                                scan,
+                                spec,
+                                pop_plan::TableSet::single(0),
+                                false,
+                            ));
+                        }
+                        let join = full_width_nljn(scan, i, &ctx, ipred.clone(), residual.clone());
+                        let mut op: Box<dyn Operator> = Box::new(join);
+                        if shape == "check above" {
+                            let spec = check(11.0, pop_plan::CheckContext::Pipeline);
+                            let tables = pop_plan::TableSet::from_iter([0, 1]);
+                            op =
+                                Box::new(crate::operators::GuardOp::check(op, spec, tables, false));
+                        }
+                        let trace = nljn_trace(op.as_mut(), &mut ctx);
+                        traces.push_str(&format!(
+                            "== {name} @ {batch_size} lineage {lineage} {shape}\n{trace}"
+                        ));
+                    }
+                }
+            }
+        }
+        assert_eq!(fnv(&traces), 1_177_361_136_308_050_911, "{traces}");
     }
 }
 

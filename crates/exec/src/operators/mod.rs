@@ -44,7 +44,7 @@ pub(crate) use opaque_debug;
 /// equivalent, and [`crate::ExecCtx::batch_size`] of 1 reproduces classic
 /// row-at-a-time execution exactly. All three calls may raise an
 /// [`crate::ExecSignal`] — either a genuine error or a re-optimization
-/// request from a cardinality guard ([`guard`]: CHECK, BUFCHECK);
+/// request from a cardinality guard ([`GuardOp`]: CHECK, BUFCHECK);
 /// a guard that fires mid-batch first emits the rows counted before the
 /// violation as a short batch, then raises.
 pub trait Operator {

@@ -5,8 +5,9 @@
 //! wrapper around every operator, runs it once and reports each plan
 //! node's self time: the wall time spent inside its `open` /
 //! `next_batch` / `close` calls minus the time spent inside its
-//! children's. The query path never builds the wrappers; only profiling
-//! tools (`bench_exec --profile`) call this.
+//! children's — and what it moved: the live rows it returned, each as
+//! wide as its layout. The query path never builds the wrappers; only
+//! profiling tools (`bench_exec --profile`) and tests call this.
 
 use crate::build::{build_wrapped, Subplans};
 use crate::executor::{drain_root, RunOutcome};
@@ -24,6 +25,18 @@ pub struct OpTime {
     pub name: &'static str,
     /// Time inside the node's own calls, its children's excluded.
     pub self_time: Duration,
+    /// Live rows the node returned.
+    pub rows: u64,
+    /// The node's layout width: each row returned carries this many
+    /// values.
+    pub width: usize,
+}
+
+impl OpTime {
+    /// Values the node built or passed on: rows × layout width.
+    pub fn cells(&self) -> u64 {
+        self.rows * self.width as u64
+    }
 }
 
 /// The clock every wrapper of one tree shares: the self time of each node
@@ -68,7 +81,11 @@ impl Operator for Timed {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
-        self.time(ctx, |op, ctx| op.next_batch(ctx))
+        let out = self.time(ctx, |op, ctx| op.next_batch(ctx));
+        if let Ok(Some(b)) = &out {
+            self.clock.borrow_mut().nodes[self.id].rows += b.live_count() as u64;
+        }
+        out
     }
 
     fn close(&mut self, ctx: &mut ExecCtx) {
@@ -81,7 +98,8 @@ impl Operator for Timed {
 }
 
 /// [`execute`](crate::execute) with every operator timed: the step's
-/// outcome, and each plan node's self time, children before parents.
+/// outcome, and each plan node's self time and output, children before
+/// parents.
 /// Rows, work charges, CHECK events and harvests are those of `execute`.
 pub fn execute_profiled(
     plan: &PhysNode,
@@ -95,6 +113,8 @@ pub fn execute_profiled(
         c.nodes.push(OpTime {
             name: node.name(),
             self_time: Duration::ZERO,
+            rows: 0,
+            width: node.props().layout.len(),
         });
         Box::new(Timed {
             inner,
@@ -182,20 +202,24 @@ mod tests {
             let events: Vec<String> = (ctx.check_events.iter())
                 .map(|e| format!("{:?} {:?} {}", e.outcome, e.started_at, e.at_work))
                 .collect();
-            let names: Vec<&str> = nodes.iter().map(|n| n.name).collect();
+            let names: Vec<(&str, u64, u64)> =
+                nodes.iter().map(|n| (n.name, n.rows, n.cells())).collect();
             ((rows, ctx.work.to_bits(), events), names)
         };
         let (plain, _) = run(&limit, false);
         let (profiled, names) = run(&limit, true);
         assert_eq!(profiled.0.len(), 20);
         assert_eq!(profiled, plain);
-        assert_eq!(names, ["SCAN", "LIMIT"]);
+        // The LIMIT pulled three 8-row batches from the scan and returned
+        // 20 rows, each one column wide.
+        assert_eq!(names, [("SCAN", 24, 24), ("LIMIT", 20, 20)]);
         // A passing and a violated CHECK above the TEMP.
         for hi in [100.0, 10.0] {
             let (plain, _) = run(&check(hi), false);
             let (profiled, names) = run(&check(hi), true);
             assert_eq!(plain.2.len(), 1, "the CHECK resolves once");
             assert_eq!(profiled, plain, "range 0..{hi}");
+            let names: Vec<&str> = names.iter().map(|n| n.0).collect();
             assert_eq!(names, ["SCAN", "TEMP", "CHECK"]);
         }
     }

@@ -230,7 +230,8 @@ fn nljn_charges_a_probe_per_outer_row_and_every_match() {
         "NLJN",
         |f| {
             let (u, u_k) = (Arc::clone(&f.u), Arc::clone(&f.u_k));
-            Box::new(NljnOp::new(scan(&f.t), 0, u, u_k, None, Vec::new()))
+            let keep = [vec![0, 1, 2], vec![0, 1]];
+            Box::new(NljnOp::new(scan(&f.t), 0, u, u_k, None, Vec::new(), keep))
         },
         |f| {
             let matches: Vec<u64> = (0..N).flat_map(|k| f.u_k.probe(&Value::Int(k))).collect();
@@ -282,18 +283,33 @@ fn hash_join_charges_build_spill_and_probe() {
     // Built on `t`: 300 rows, past the spill model's 100-row budget.
     identity(
         "HSJN, spilled build",
-        |f| Box::new(HsjnOp::new(scan(&f.t), scan(&f.u), vec![0], vec![0])),
+        |f| {
+            let keep = [vec![0, 1, 2], vec![0, 1]];
+            Box::new(HsjnOp::new(scan(&f.t), scan(&f.u), vec![0], vec![0], keep))
+        },
         |f| join(f, &f.t, &f.u),
     );
     // Built on `u`: its NULL keys are charged but never indexed.
     identity(
         "HSJN, NULL build keys",
-        |f| Box::new(HsjnOp::new(scan(&f.u), scan(&f.t), vec![0], vec![0])),
+        |f| {
+            let keep = [vec![0, 1], vec![0, 1, 2]];
+            Box::new(HsjnOp::new(scan(&f.u), scan(&f.t), vec![0], vec![0], keep))
+        },
         |f| join(f, &f.u, &f.t),
     );
     identity(
         "HSJN, empty build",
-        |f| Box::new(HsjnOp::new(scan(&f.empty), scan(&f.t), vec![0], vec![0])),
+        |f| {
+            let keep = [vec![0, 1, 2], vec![0, 1, 2]];
+            Box::new(HsjnOp::new(
+                scan(&f.empty),
+                scan(&f.t),
+                vec![0],
+                vec![0],
+                keep,
+            ))
+        },
         |f| join(f, &f.empty, &f.t),
     );
 }
@@ -305,7 +321,10 @@ fn merge_join_charges_every_row_it_pulls() {
     let sorted = |f: &Fixture| Box::new(SortOp::new(scan(&f.u), 0, false, None));
     identity(
         "MGJN",
-        |f| Box::new(MgjnOp::new(sorted(f), sorted(f), 0, 0)),
+        |f| {
+            let keep = [vec![0, 1], vec![0, 1]];
+            Box::new(MgjnOp::new(sorted(f), sorted(f), 0, 0, keep))
+        },
         |f| {
             let sort = f.scan_cost(&f.u) + f.m().sort_cost(u_len());
             2.0 * sort + f.m().merge(2.0 * u_len())

@@ -189,6 +189,7 @@ proptest! {
             keyed_scan(&cat, "p", &probe),
             vec![0, 1],
             vec![0, 1],
+            [vec![0, 1, 2], vec![0, 1, 2]],
         );
         prop_assert_eq!(drain_in_order(&mut join, &mut ctx), expected);
     }
@@ -244,7 +245,8 @@ proptest! {
         ctx.batch_size = batch_size;
         let idx = ctx.catalog.find_index(r.id(), 0, false).unwrap();
         let outer = Box::new(TableScanOp::new(l.clone(), None));
-        let mut nljn = NljnOp::new(outer, 0, r.clone(), idx, None, vec![]);
+        let keep = || [vec![0, 1], vec![0, 1]];
+        let mut nljn = NljnOp::new(outer, 0, r.clone(), idx, None, vec![], keep());
         prop_assert_eq!(drain(&mut nljn, &mut ctx), expected.clone());
 
         // HSJN.
@@ -255,6 +257,7 @@ proptest! {
             Box::new(TableScanOp::new(r.clone(), None)),
             vec![0],
             vec![0],
+            keep(),
         );
         prop_assert_eq!(drain(&mut hsjn, &mut ctx), expected.clone());
 
@@ -263,7 +266,7 @@ proptest! {
         ctx.batch_size = batch_size;
         let sl = SortOp::new(Box::new(TableScanOp::new(l, None)), 0, false, None);
         let sr = SortOp::new(Box::new(TableScanOp::new(r, None)), 0, false, None);
-        let mut mgjn = MgjnOp::new(Box::new(sl), Box::new(sr), 0, 0);
+        let mut mgjn = MgjnOp::new(Box::new(sl), Box::new(sr), 0, 0, keep());
         prop_assert_eq!(drain(&mut mgjn, &mut ctx), expected);
     }
 
@@ -349,6 +352,7 @@ proptest! {
             keyed_scan(&cat, "p", &probe),
             keys.clone(),
             keys.clone(),
+            [vec![0, 1, 2], vec![0, 1, 2]],
         );
         prop_assert_eq!(drain_in_order(&mut join, &mut ctx), joined);
 

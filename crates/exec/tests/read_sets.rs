@@ -202,10 +202,16 @@ fn nljn_reads_predicate_and_residual_columns_it_does_not_emit() {
         let outer = Box::new(TableScanOp::new(f.t.clone(), None).with_columns(vec![0, 1]));
         let index = f.ctx.catalog.find_index(f.u.id(), 0, false).unwrap();
         let inner_pred = bind(&Expr::col(0, 2).like("a%"), &f.u);
-        Box::new(
-            NljnOp::new(outer, 0, f.u.clone(), index, Some(inner_pred), vec![(1, 1)])
-                .with_inner_columns(vec![3]),
-        )
+        let keep = [vec![0, 1], vec![3]];
+        Box::new(NljnOp::new(
+            outer,
+            0,
+            f.u.clone(),
+            index,
+            Some(inner_pred),
+            vec![(1, 1)],
+            keep,
+        ))
     });
 }
 

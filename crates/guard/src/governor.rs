@@ -31,7 +31,7 @@ struct Ledger {
 /// `tests/alloc_budget.rs` counts a generous budget's allocations against no
 /// budget's, query by query.
 ///
-/// Counters live in a shared [`Ledger`]; [`Governor::clone_shared`] hands
+/// Counters live in a shared ledger; [`Governor::clone_shared`] hands
 /// another component (the buffer pool) a handle onto the same ledger so
 /// its byte reservations count against the query's budget.
 #[derive(Debug)]

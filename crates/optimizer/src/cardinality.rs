@@ -1,7 +1,7 @@
 //! Per-query cardinality estimation with feedback overrides.
 
 use crate::OptimizerContext;
-use pop_plan::{JoinGraph, LayoutCol, QuerySpec, TableSet};
+use pop_plan::{canonical_layout, JoinGraph, LayoutCol, QuerySpec, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity, SelectivityDefaults, TableStats};
 use pop_storage::Table;
 use pop_types::{ColId, PopResult};
@@ -157,8 +157,8 @@ impl CardEstimator {
     }
 
     /// Output layout of every leaf over query table `qidx` (scan, index
-    /// range scan, NLJN inner suffix): its
-    /// [`QuerySpec::required_columns`], ascending.
+    /// range scan, the inner half an NLJN starts from): the
+    /// [`canonical_layout`] of `{qidx}`, the columns read above it.
     pub fn leaf_layout(&self, qidx: usize) -> &[LayoutCol] {
         &self.inputs.leaf_layouts[qidx]
     }
@@ -269,15 +269,15 @@ impl TableInputs {
             let raw = stats.row_count as f64;
             let mut sel = 1.0;
             for pred in spec.local_preds_of(qidx) {
-                sel *= estimate_selectivity(pred, &stats, &ctx.defaults, None);
+                sel *= estimate_selectivity(pred, &stats, &ctx.defaults);
             }
             raw_cards.push(raw);
             base_cards.push((raw * sel).max(0.0));
             col_counts.push(table.schema().len());
             leaf_layouts.push(
-                spec.required_columns(qidx, table.schema().len())
+                canonical_layout(spec, TableSet::single(qidx), &col_counts)
                     .into_iter()
-                    .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
+                    .map(LayoutCol::Base)
                     .collect(),
             );
             cols.sort_unstable();

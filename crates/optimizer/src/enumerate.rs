@@ -342,7 +342,7 @@ fn index_range_candidates(
             continue;
         }
         // Cost: one descent plus a fetch per row matching *this conjunct*.
-        let sel = pop_stats::estimate_selectivity(conjunct, &stats, &ctx.defaults, None);
+        let sel = pop_stats::estimate_selectivity(conjunct, &stats, &ctx.defaults);
         let matching = sel * raw;
         let pages = CostModel::touched_pages(matching, stats.pages as f64);
         let cost = ctx.cost.index_access(1.0, matching.max(0.0), pages);

@@ -89,7 +89,14 @@ fn extract(
         sorted_by: cand.order,
         edge_ranges: edges.iter().map(|&e| ranges[e]).collect(),
     };
-    let concat = |l: &PhysNode, r: &[LayoutCol]| [&l.props().layout, r].concat();
+    // A join's output: its inputs' columns, in order, that something above
+    // its table set reads.
+    let concat = |l: &PhysNode, r: &[LayoutCol]| -> Vec<LayoutCol> {
+        (l.props().layout.iter().chain(r))
+            .copied()
+            .filter(|c| c.as_base().is_some_and(|b| spec.read_above(set, b)))
+            .collect()
+    };
     match cand.root_spec {
         RootCostSpec::Hsjn {
             build_edge,

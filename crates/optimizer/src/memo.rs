@@ -54,8 +54,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The DP horizon: the largest number of tables a query may join. The DP
-/// table is indexed by table-set mask, `2^n` [`Group`] slots for `n`
-/// tables, and is allowed [`DP_TABLE_BYTES`]; the bound follows from the
+/// table is indexed by table-set mask, `2^n` group slots for `n`
+/// tables, and is allowed `DP_TABLE_BYTES`; the bound follows from the
 /// slot size (20 tables at 64 bytes a slot). Beyond it `optimize` returns
 /// [`PopError::Planning`] instead of asking the allocator for the
 /// impossible. [`crate::OptimizerConfig::bushy_limit`] is the lower, tunable

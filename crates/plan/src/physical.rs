@@ -24,6 +24,24 @@ impl LayoutCol {
     }
 }
 
+/// The positions in `input` of the longest prefix of `layout` that is an
+/// ordered subsequence of `input`, matched greedily. A join's layout is an
+/// ordered subsequence of its inputs' concatenated layouts, and inputs
+/// share no column, so this splits it: the first input's kept positions,
+/// then the rest of `layout` over the second input.
+pub fn kept_positions(layout: &[LayoutCol], input: &[LayoutCol]) -> Vec<usize> {
+    let mut kept = Vec::with_capacity(layout.len().min(input.len()));
+    let mut from = 0;
+    for c in layout {
+        let Some(p) = input[from..].iter().position(|i| i == c) else {
+            break;
+        };
+        kept.push(from + p);
+        from += p + 1;
+    }
+    kept
+}
+
 /// Aggregate function with its argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
@@ -81,9 +99,7 @@ impl PlanProps {
     }
 
     /// Validity range of input edge `i`, unbounded when none was
-    /// recorded. Callers that can see the node itself should prefer
-    /// [`PhysNode::edge_range`], which additionally guards against
-    /// ranges misaligned with the children.
+    /// recorded.
     pub fn edge_range(&self, i: usize) -> ValidityRange {
         self.edge_ranges
             .get(i)

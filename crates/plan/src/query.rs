@@ -172,38 +172,37 @@ impl QuerySpec {
         !self.join_preds_between(left, right).is_empty()
     }
 
-    /// The columns of query table `t` (which has `ncols` columns) that any
-    /// operator above `t`'s leaf reads, ascending: join keys (both sides,
-    /// which covers NLJN probe keys and residuals), the projection, GROUP
-    /// BY keys, aggregate arguments and EXISTS outer columns. This is the
-    /// leaf's output layout, so every layout in a plan is a function of
-    /// the spec alone. Columns used only by local predicates are absent:
+    /// Is column `c` of the subplan over `set` read by an operator above
+    /// that subplan? The output columns are: the projection, GROUP BY
+    /// keys, aggregate arguments and EXISTS outer columns; so is a join
+    /// key of a predicate with one endpoint outside `set` (an NLJN probe
+    /// key or residual, a hash or merge key above). A key whose predicate
+    /// has both endpoints in `set` was consumed below and is not read
+    /// again. Columns used only by local predicates are never read above:
     /// scans and NLJN inner filters evaluate those on the stored row. A
     /// spec with neither aggregate nor projection outputs every column.
-    pub fn required_columns(&self, t: usize, ncols: usize) -> Vec<usize> {
+    ///
+    /// This is the one definition of every layout in a plan: a leaf over
+    /// `t` emits the columns of `{t}` it keeps, a join the columns of its
+    /// inputs' layouts it keeps for its own set, and a materialized
+    /// subplan is stored in [`canonical_layout`](crate::canonical_layout)
+    /// order — all functions of the spec alone.
+    pub fn read_above(&self, set: TableSet, c: ColId) -> bool {
         if self.aggregate.is_none() && self.projection.is_empty() {
-            return (0..ncols).collect();
+            return true;
         }
-        let agg = self.aggregate.iter().flat_map(|a| {
-            let args = a.aggs.iter().filter_map(|f| match f {
-                AggFunc::Count => None,
-                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) | AggFunc::Avg(c) => Some(*c),
-            });
-            a.group_by.iter().copied().chain(args)
-        });
-        let mut cols: Vec<usize> = self
-            .join_preds
-            .iter()
-            .flat_map(|j| [j.left, j.right])
-            .chain(self.projection.iter().copied())
-            .chain(agg)
-            .chain(self.exists.iter().map(|e| e.outer_col))
-            .filter(|c| c.table == t)
-            .map(|c| c.col)
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
+        let agg_arg = |f: &AggFunc| match f {
+            AggFunc::Count => false,
+            AggFunc::Sum(a) | AggFunc::Min(a) | AggFunc::Max(a) | AggFunc::Avg(a) => *a == c,
+        };
+        self.projection.contains(&c)
+            || (self.aggregate.iter())
+                .any(|a| a.group_by.contains(&c) || a.aggs.iter().any(agg_arg))
+            || self.exists.iter().any(|e| e.outer_col == c)
+            || self.join_preds.iter().any(|j| {
+                (j.left == c && !set.contains(j.right.table))
+                    || (j.right == c && !set.contains(j.left.table))
+            })
     }
 
     /// Structural validation: table count, predicate column scoping, join
@@ -810,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn required_columns_table() {
+    fn read_above_table() {
         // c(0) ⋈ o(1) on c.0 = o.1 and c.4 = o.5 (a second predicate: an
         // NLJN residual or a multi-column hash key), o ⋈ l(2) on o.0 = l.0.
         let base = || {
@@ -826,8 +825,13 @@ mod tests {
             b.filter(l, Expr::col(l, 3).gt(Expr::lit(0i64)));
             b
         };
+        let read = |q: &QuerySpec, set: TableSet, t: usize| -> Vec<usize> {
+            (0..8)
+                .filter(|&c| q.read_above(set, ColId::new(t, c)))
+                .collect()
+        };
         let cols = |q: &QuerySpec| -> Vec<Vec<usize>> {
-            (0..3).map(|t| q.required_columns(t, 8)).collect()
+            (0..3).map(|t| read(q, TableSet::single(t), t)).collect()
         };
 
         // `SELECT *`: no aggregate and no projection keeps every column.
@@ -850,6 +854,19 @@ mod tests {
         b.exists("supplier", (2, 6), 0, None);
         let q = b.build().unwrap();
         assert_eq!(cols(&q), vec![vec![0, 4], vec![0, 1, 2, 5], vec![0, 4, 6]]);
+
+        // Above c ⋈ o, the keys of both c–o predicates were consumed:
+        // o.0 stays for the join with l, o.2 as the GROUP BY key; c keeps
+        // nothing. Above all three tables only the outputs remain.
+        let co = TableSet::from_iter([0, 1]);
+        assert_eq!(read(&q, co, 0), Vec::<usize>::new());
+        assert_eq!(read(&q, co, 1), vec![0, 2]);
+        let all = q.all_tables();
+        assert_eq!(read(&q, all, 1), vec![2]);
+        assert_eq!(read(&q, all, 2), vec![4, 6]);
+        // `SELECT *` reads every column above every set.
+        let q = base().build().unwrap();
+        assert_eq!(read(&q, all, 0), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -129,16 +129,14 @@ pub fn subplan_signature(spec: &QuerySpec, set: TableSet) -> String {
 
 /// The canonical column layout of a materialized subplan over `set` — the
 /// one contract temp-MV producers (harvests) and consumers (MV scans)
-/// share: the [`QuerySpec::required_columns`] of the member tables,
-/// ascending by query-table index then column index. `col_counts[t]` is
-/// the column count of query table `t`.
+/// share: the columns of the member tables that are
+/// [`QuerySpec::read_above`] `set`, ascending by query-table index then
+/// column index. For a single table it is the layout of every leaf over
+/// that table. `col_counts[t]` is the column count of query table `t`.
 pub fn canonical_layout(spec: &QuerySpec, set: TableSet, col_counts: &[usize]) -> Vec<ColId> {
     set.iter()
-        .flat_map(|t| {
-            spec.required_columns(t, col_counts[t])
-                .into_iter()
-                .map(move |c| ColId::new(t, c))
-        })
+        .flat_map(|t| (0..col_counts[t]).map(move |c| ColId::new(t, c)))
+        .filter(|&c| spec.read_above(set, c))
         .collect()
 }
 

@@ -86,7 +86,7 @@ impl DiagCode {
                 "column reference does not resolve (leaf predicate: table schema; else: input layout)"
             }
             DiagCode::Pl002 => {
-                "output layout is not what the operator produces (leaf: ascending subset of its table's columns)"
+                "output layout is not what the operator produces (leaf: ascending subset of its table's columns; join: ordered subsequence of its inputs' layouts)"
             }
             DiagCode::Pl003 => "malformed operator arguments",
             DiagCode::Pl101 => "empty validity range (lo > hi)",

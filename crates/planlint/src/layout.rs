@@ -5,17 +5,19 @@
 //! filters) against the stored row's table schema, everything above
 //! against the child's layout. A reference that does not resolve there is
 //! either a runtime error or — worse — a silent bind to the wrong column.
-//! Leaves emit only the columns the query reads above them, so a column
-//! used higher up but pruned at the leaf shows here as `PL001` at its
-//! first consumer. This pass proves, per node, that (a) every column
-//! reference resolves in what it will be bound against and (b) the node's
-//! own output layout is exactly what its operator produces — for a leaf, a
-//! strictly ascending subset of its table's columns; for the rest, a
-//! function of the children.
+//! Leaves and joins emit only the columns the query reads above their
+//! table set, so a column used higher up but pruned below shows here as
+//! `PL001` at its first consumer. This pass proves, per node, that (a)
+//! every column reference resolves in what it will be bound against and
+//! (b) the node's own output layout is one its operator can produce — for
+//! a leaf, a strictly ascending subset of its table's columns; for a join,
+//! an ordered subsequence of its inputs' concatenated layouts (an NLJN's
+//! inner part a leaf layout of its inner table); for the rest, a function
+//! of the children.
 
 use crate::{DiagCode, LintContext, NodeCx, Sink};
 use pop_expr::Expr;
-use pop_plan::{AggFunc, LayoutCol, PhysNode, PlanProps, SortKeyRef};
+use pop_plan::{kept_positions, AggFunc, LayoutCol, PhysNode, PlanProps, SortKeyRef};
 use pop_types::ColId;
 
 pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
@@ -118,15 +120,11 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
                     sink,
                 );
             }
-            match props.layout.strip_prefix(ol.as_slice()) {
-                Some(suffix) => check_leaf_layout(node, suffix, inner.qidx, ncols, path, sink),
-                None => sink.emit(
-                    DiagCode::Pl002,
-                    node,
-                    path,
-                    "NLJN layout must start with its outer layout".into(),
-                ),
-            }
+            // The outer columns the join keeps, in order, then the inner
+            // leaf's: whatever does not continue the outer part must be a
+            // leaf layout of the inner table.
+            let kept = kept_positions(&props.layout, ol).len();
+            check_leaf_layout(node, &props.layout[kept..], inner.qidx, ncols, path, sink);
         }
         PhysNode::Hsjn {
             build,
@@ -378,6 +376,10 @@ fn check_join_keys(
     }
 }
 
+/// A join keeps the columns read above it: its layout must be an ordered
+/// subsequence of its inputs' concatenated layouts. Whether it dropped a
+/// column something above still reads is not this node's to say: that
+/// shows as `PL001` where the column is read.
 fn check_concat_layout(
     node: &PhysNode,
     a: &PlanProps,
@@ -386,13 +388,14 @@ fn check_concat_layout(
     path: &[usize],
     sink: &mut Sink,
 ) {
-    let expected: Vec<LayoutCol> = a.layout.iter().chain(b.layout.iter()).copied().collect();
-    if props.layout != expected {
+    let left = kept_positions(&props.layout, &a.layout).len();
+    let right = kept_positions(&props.layout[left..], &b.layout).len();
+    if left + right != props.layout.len() {
         sink.emit(
             DiagCode::Pl002,
             node,
             path,
-            "join output layout is not the concatenation of its inputs".into(),
+            "join output layout is not an ordered subsequence of its inputs' layouts".into(),
         );
     }
 }
@@ -625,9 +628,74 @@ mod tests {
 
     #[test]
     fn pl002_join_layout_not_concatenation() {
+        // A reordered column (probe before build, or within one input) and
+        // a column of neither input: not an ordered subsequence of
+        // build ++ probe.
+        for layout in [
+            base(&[(1, 0), (0, 0)]),
+            base(&[(0, 1), (0, 0), (1, 0)]),
+            base(&[(0, 0), (2, 0), (1, 1)]),
+        ] {
+            let mut plan = hsjn(leaf(0, "a", 2, 10.0), leaf(1, "b", 2, 10.0), 5.0);
+            plan.props_mut().layout = layout.clone();
+            assert_eq!(diag_codes(&plan), vec!["PL002"], "{layout:?}");
+        }
+        // Dropping columns in order is how a join keeps only what is read
+        // above it.
         let mut plan = hsjn(leaf(0, "a", 2, 10.0), leaf(1, "b", 2, 10.0), 5.0);
-        plan.props_mut().layout.pop(); // drop a column: no longer build++probe
-        assert!(diag_codes(&plan).contains(&"PL002"));
+        plan.props_mut().layout = base(&[(0, 1), (1, 1)]);
+        assert!(diag_codes(&plan).is_empty(), "{:?}", diag_codes(&plan));
+    }
+
+    #[test]
+    fn pl001_join_dropped_a_column_read_above() {
+        // The join keeps b.1 only; a projection above reads a.1.
+        let mut join = hsjn(leaf(0, "a", 2, 10.0), leaf(1, "b", 2, 10.0), 5.0);
+        join.props_mut().layout = base(&[(1, 1)]);
+        let mut props = join.props().clone();
+        props.layout = base(&[(0, 1)]);
+        props.edge_ranges = vec![pop_plan::ValidityRange::unbounded()];
+        let plan = PhysNode::Project {
+            input: Box::new(join),
+            cols: base(&[(0, 1)]),
+            props,
+        };
+        assert_eq!(diag_codes(&plan), vec!["PL001"]);
+    }
+
+    #[test]
+    fn pl002_nljn_outer_part_not_a_subsequence() {
+        // Outer a(id, name); the NLJN keeps outer columns, then b's.
+        let nljn = |layout: &[(usize, usize)]| {
+            let outer = leaf(0, "a", 2, 10.0);
+            let mut props = outer.props().clone();
+            props.tables = pop_plan::TableSet::from_iter([0, 1]);
+            props.layout = base(layout);
+            props.edge_ranges = vec![pop_plan::ValidityRange::unbounded()];
+            PhysNode::Nljn {
+                outer: Box::new(outer),
+                outer_key: ColId::new(0, 0),
+                inner: pop_plan::InnerProbe {
+                    qidx: 1,
+                    table: "b".into(),
+                    join_col: 0,
+                    pred: None,
+                    residual_joins: vec![],
+                    inner_card: 10.0,
+                },
+                props,
+            }
+        };
+        for clean in [&[(0, 1), (1, 1)][..], &[(1, 0)][..], &[(0, 0), (0, 1)][..]] {
+            assert!(diag_codes(&nljn(clean)).is_empty(), "{clean:?}");
+        }
+        for broken in [
+            &[(0, 1), (0, 0), (1, 1)][..], // reordered outer columns
+            &[(0, 0), (2, 0), (1, 1)][..], // a foreign column
+            &[(1, 1), (0, 0)][..],         // an outer column after the inner's
+        ] {
+            assert_eq!(diag_codes(&nljn(broken)), vec!["PL002"], "{broken:?}");
+        }
     }
 
     #[test]

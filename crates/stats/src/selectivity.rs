@@ -1,7 +1,7 @@
 //! Predicate selectivity estimation under the independence assumption.
 
 use crate::TableStats;
-use pop_expr::{CmpOp, Expr, Params};
+use pop_expr::{CmpOp, Expr};
 use pop_types::Value;
 
 /// Default selectivities used when a predicate cannot be estimated from
@@ -41,22 +41,17 @@ fn clamp01(s: f64) -> f64 {
     s.clamp(0.0, 1.0)
 }
 
-/// Resolve the comparand of a predicate: a literal is always known; a
-/// parameter marker is known only when `params` carries its binding.
-fn comparand<'a>(e: &'a Expr, params: Option<&'a Params>) -> Option<&'a Value> {
+/// The comparand of a predicate, when it is known at optimization time:
+/// a literal. A parameter marker is not (§5.1), so it takes the default
+/// selectivities.
+fn comparand(e: &Expr) -> Option<&Value> {
     match e {
         Expr::Lit(v) => Some(v),
-        Expr::Param(i) => params.and_then(|p| p.get(*i).ok()),
         _ => None,
     }
 }
 
 /// Estimate the selectivity of `expr` against a single table's stats.
-///
-/// `params == None` models optimization-time estimation where parameter
-/// markers are unknown (default selectivities); `params == Some(..)` models
-/// the "correct estimate" reference the paper uses as its baseline curve in
-/// Figure 11.
 ///
 /// Conjunctions multiply factor selectivities — the independence
 /// assumption, the dominant estimation-error source in the DMV case study
@@ -65,32 +60,23 @@ pub fn estimate_selectivity(
     expr: &Expr,
     stats: &TableStats,
     defaults: &SelectivityDefaults,
-    params: Option<&Params>,
 ) -> f64 {
-    clamp01(estimate(expr, stats, defaults, params))
+    clamp01(estimate(expr, stats, defaults))
 }
 
-fn estimate(
-    expr: &Expr,
-    stats: &TableStats,
-    defaults: &SelectivityDefaults,
-    params: Option<&Params>,
-) -> f64 {
+fn estimate(expr: &Expr, stats: &TableStats, defaults: &SelectivityDefaults) -> f64 {
     match expr {
-        Expr::And(parts) => parts
-            .iter()
-            .map(|p| estimate(p, stats, defaults, params))
-            .product(),
+        Expr::And(parts) => parts.iter().map(|p| estimate(p, stats, defaults)).product(),
         Expr::Or(parts) => {
             // Independent union: 1 - prod(1 - s_i).
             let inv: f64 = parts
                 .iter()
-                .map(|p| 1.0 - clamp01(estimate(p, stats, defaults, params)))
+                .map(|p| 1.0 - clamp01(estimate(p, stats, defaults)))
                 .product();
             1.0 - inv
         }
-        Expr::Not(e) => 1.0 - clamp01(estimate(e, stats, defaults, params)),
-        Expr::Cmp(op, a, b) => estimate_cmp(*op, a, b, stats, defaults, params),
+        Expr::Not(e) => 1.0 - clamp01(estimate(e, stats, defaults)),
+        Expr::Cmp(op, a, b) => estimate_cmp(*op, a, b, stats, defaults),
         Expr::Like(e, pattern) => {
             // A leading literal prefix narrows the match; otherwise default.
             let _ = e;
@@ -115,8 +101,8 @@ fn estimate(
         Expr::Between(e, lo, hi) => {
             if let Expr::Col(c) = e.as_ref() {
                 let cs = stats.col(c.col);
-                let lo_v = comparand(lo, params).and_then(pop_types::Value::as_f64);
-                let hi_v = comparand(hi, params).and_then(pop_types::Value::as_f64);
+                let lo_v = comparand(lo).and_then(pop_types::Value::as_f64);
+                let hi_v = comparand(hi).and_then(pop_types::Value::as_f64);
                 if let (Some(h), Some(lo_f), Some(hi_f)) = (&cs.histogram, lo_v, hi_v) {
                     return h.frac_range(Some(lo_f), Some(hi_f)) * (1.0 - cs.null_frac());
                 }
@@ -141,7 +127,6 @@ fn estimate_cmp(
     b: &Expr,
     stats: &TableStats,
     defaults: &SelectivityDefaults,
-    params: Option<&Params>,
 ) -> f64 {
     // Normalize to (col OP comparand).
     let (col, op, other) = match (a, b) {
@@ -154,7 +139,7 @@ fn estimate_cmp(
     };
     let cs = stats.col(col.col);
     let not_null = 1.0 - cs.null_frac();
-    let known = comparand(other, params);
+    let known = comparand(other);
 
     match op {
         CmpOp::Eq => match known {
@@ -240,38 +225,30 @@ mod tests {
     #[test]
     fn eq_uses_distinct() {
         let st = stats();
-        let s = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(5i64)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(5i64)), &st, &d());
         assert!((s - 0.01).abs() < 1e-9, "got {s}");
     }
 
     #[test]
     fn eq_param_unknown_uses_default() {
         let st = stats();
-        let s = estimate_selectivity(&Expr::col(0, 0).eq(Expr::Param(0)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::col(0, 0).eq(Expr::Param(0)), &st, &d());
         assert_eq!(s, d().eq);
-    }
-
-    #[test]
-    fn eq_param_bound_uses_stats() {
-        let st = stats();
-        let p = Params::new(vec![Value::Int(5)]);
-        let s = estimate_selectivity(&Expr::col(0, 0).eq(Expr::Param(0)), &st, &d(), Some(&p));
-        assert!((s - 0.01).abs() < 1e-9);
     }
 
     #[test]
     fn range_via_histogram() {
         let st = stats();
-        let s = estimate_selectivity(&Expr::col(0, 0).le(Expr::lit(49i64)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::col(0, 0).le(Expr::lit(49i64)), &st, &d());
         assert!((s - 0.5).abs() < 0.06, "got {s}");
-        let s = estimate_selectivity(&Expr::col(0, 0).gt(Expr::lit(49i64)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::col(0, 0).gt(Expr::lit(49i64)), &st, &d());
         assert!((s - 0.5).abs() < 0.06, "got {s}");
     }
 
     #[test]
     fn range_param_unknown_uses_default() {
         let st = stats();
-        let s = estimate_selectivity(&Expr::col(0, 0).le(Expr::Param(0)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::col(0, 0).le(Expr::Param(0)), &st, &d());
         assert_eq!(s, d().range);
     }
 
@@ -279,7 +256,7 @@ mod tests {
     fn flipped_comparison() {
         let st = stats();
         // 49 >= col  ==  col <= 49
-        let s = estimate_selectivity(&Expr::lit(49i64).ge(Expr::col(0, 0)), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::lit(49i64).ge(Expr::col(0, 0)), &st, &d());
         assert!((s - 0.5).abs() < 0.06, "got {s}");
     }
 
@@ -289,7 +266,7 @@ mod tests {
         let e = Expr::col(0, 0)
             .eq(Expr::lit(5i64))
             .and(Expr::col(0, 1).eq(Expr::lit(3i64)));
-        let s = estimate_selectivity(&e, &st, &d(), None);
+        let s = estimate_selectivity(&e, &st, &d());
         assert!((s - 0.001).abs() < 1e-9, "got {s}");
     }
 
@@ -299,7 +276,7 @@ mod tests {
         let e = Expr::col(0, 1)
             .eq(Expr::lit(3i64))
             .or(Expr::col(0, 1).eq(Expr::lit(4i64)));
-        let s = estimate_selectivity(&e, &st, &d(), None);
+        let s = estimate_selectivity(&e, &st, &d());
         assert!((s - 0.19).abs() < 0.01, "got {s}");
     }
 
@@ -307,7 +284,7 @@ mod tests {
     fn not_complements() {
         let st = stats();
         let e = Expr::col(0, 0).eq(Expr::lit(5i64)).not();
-        let s = estimate_selectivity(&e, &st, &d(), None);
+        let s = estimate_selectivity(&e, &st, &d());
         assert!((s - 0.99).abs() < 1e-9);
     }
 
@@ -315,7 +292,7 @@ mod tests {
     fn in_list_uses_distinct() {
         let st = stats();
         let e = Expr::col(0, 2).in_list(vec![Value::str("v0"), Value::str("v1")]);
-        let s = estimate_selectivity(&e, &st, &d(), None);
+        let s = estimate_selectivity(&e, &st, &d());
         assert!((s - 0.5).abs() < 1e-9, "got {s}");
     }
 
@@ -323,15 +300,15 @@ mod tests {
     fn between_via_histogram() {
         let st = stats();
         let e = Expr::col(0, 0).between(Expr::lit(10i64), Expr::lit(29i64));
-        let s = estimate_selectivity(&e, &st, &d(), None);
+        let s = estimate_selectivity(&e, &st, &d());
         assert!((s - 0.2).abs() < 0.07, "got {s}");
     }
 
     #[test]
     fn like_prefix_narrows() {
         let st = stats();
-        let s0 = estimate_selectivity(&Expr::col(0, 2).like("%x%"), &st, &d(), None);
-        let s3 = estimate_selectivity(&Expr::col(0, 2).like("abc%"), &st, &d(), None);
+        let s0 = estimate_selectivity(&Expr::col(0, 2).like("%x%"), &st, &d());
+        let s3 = estimate_selectivity(&Expr::col(0, 2).like("abc%"), &st, &d());
         assert!(s3 < s0);
         assert_eq!(s0, d().like);
     }
@@ -350,7 +327,7 @@ mod tests {
                 .and(Expr::col(0, 2).eq(Expr::lit("v1"))),
         ];
         for e in exprs {
-            let s = estimate_selectivity(&e, &st, &d(), None);
+            let s = estimate_selectivity(&e, &st, &d());
             assert!((0.0..=1.0).contains(&s), "{e} -> {s}");
         }
     }
@@ -368,7 +345,7 @@ mod tests {
             .map(|i| vec![if i < 3 { Value::Null } else { Value::Int(i) }])
             .collect();
         let st = crate::analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
-        let s = estimate_selectivity(&Expr::IsNull(Box::new(Expr::col(0, 0))), &st, &d(), None);
+        let s = estimate_selectivity(&Expr::IsNull(Box::new(Expr::col(0, 0))), &st, &d());
         assert!((s - 0.3).abs() < 1e-9);
     }
 }

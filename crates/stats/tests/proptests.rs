@@ -70,7 +70,7 @@ proptest! {
             Expr::col(0, 0).in_list(vec![Value::Int(k), Value::Int(k2)]),
         ];
         for e in exprs {
-            let s = estimate_selectivity(&e, &stats, &d, None);
+            let s = estimate_selectivity(&e, &stats, &d);
             prop_assert!((0.0..=1.0).contains(&s), "{e} -> {s}");
         }
     }
@@ -85,7 +85,7 @@ proptest! {
         let rows: Vec<Vec<Value>> = (0..n).map(|i| vec![Value::Int((i % 100) as i64)]).collect();
         let stats = analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let d = SelectivityDefaults::default();
-        let est = estimate_selectivity(&Expr::col(0, 0).le(Expr::lit(k)), &stats, &d, None);
+        let est = estimate_selectivity(&Expr::col(0, 0).le(Expr::lit(k)), &stats, &d);
         let actual = (0..n).filter(|i| ((i % 100) as i64) <= k).count() as f64 / n as f64;
         prop_assert!((est - actual).abs() < 0.15, "est {est} vs actual {actual}");
     }
@@ -97,8 +97,8 @@ proptest! {
         let rows = data.iter().map(|v| vec![Value::Int(*v)]).collect();
         let stats = analyze_table(&Table::new(0, "t", schema, rows)).unwrap();
         let d = SelectivityDefaults::default();
-        let p = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)), &stats, &d, None);
-        let np = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)).not(), &stats, &d, None);
+        let p = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)), &stats, &d);
+        let np = estimate_selectivity(&Expr::col(0, 0).eq(Expr::lit(k)).not(), &stats, &d);
         prop_assert!((p + np - 1.0).abs() < 1e-9);
     }
 }

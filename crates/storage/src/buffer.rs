@@ -46,7 +46,7 @@ pub struct IoCounters {
     pub wal_replayed: AtomicU64,
 }
 
-/// A point-in-time copy of [`IoCounters`].
+/// A point-in-time copy of the buffer pool's I/O counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Physical page reads from disk.

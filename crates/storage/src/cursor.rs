@@ -177,6 +177,19 @@ pub struct RowFetcher {
     /// `window` holds `window_pos[k]`.
     window_pos: Vec<u64>,
     window: Vec<Column>,
+    /// Where the last fetch's rows are.
+    source: Source,
+}
+
+/// The columns a [`RowFetcher`]'s last fetch served its rows from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The backend's stored columns.
+    Stored,
+    /// The last prefetch's decoded rows.
+    Window,
+    /// Rows decoded for that fetch alone.
+    Scratch,
 }
 
 impl RowFetcher {
@@ -194,6 +207,7 @@ impl RowFetcher {
             positions: Vec::new(),
             window_pos: Vec::new(),
             window: Vec::new(),
+            source: Source::Scratch,
         }
     }
 
@@ -262,12 +276,12 @@ impl RowFetcher {
         self.positions
             .extend(positions.iter().copied().filter(|p| *p < len));
         self.rows.clear();
-        let cols: &[Column] = if let Some(stored) = &self.stored {
+        self.source = if self.stored.is_some() {
             // Stored positions fit a `u32` (the mem backend's limit).
             self.rows.extend(self.positions.iter().map(|p| *p as u32));
-            stored
+            Source::Stored
         } else if window_rows(&self.window_pos, &self.positions, &mut self.rows) {
-            &self.window
+            Source::Window
         } else {
             self.rows.clear();
             self.cols.begin_refill_in(&mut self.scratch);
@@ -278,13 +292,25 @@ impl RowFetcher {
             }
             self.cols
                 .end_refill_in(&mut self.scratch, self.positions.len());
-            &self.scratch
+            Source::Scratch
         };
-        Ok(FetchedRows {
+        Ok(self.fetched())
+    }
+
+    /// The rows of the last [`RowFetcher::fetch`] again, without I/O: they
+    /// stay readable until the next fetch or prefetch. An NLJN fetches an
+    /// outer batch's matches once and gathers them over several calls.
+    pub fn fetched(&self) -> FetchedRows<'_> {
+        let cols: &[Column] = match (self.source, &self.stored) {
+            (Source::Stored, Some(stored)) => stored,
+            (Source::Window, _) => &self.window,
+            _ => &self.scratch,
+        };
+        FetchedRows {
             cols,
             rows: &self.rows,
             positions: &self.positions,
-        })
+        }
     }
 }
 

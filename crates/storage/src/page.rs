@@ -464,7 +464,7 @@ impl PageLayout {
 
     /// Can a page already holding `slots` rows and `data_bytes` of encoded
     /// rows accept another row of `row_len` encoded bytes? The rule counts
-    /// the row format's page: [`PAGE_HDR`], the encoded rows and a 2-byte
+    /// the row format's page: its `PAGE_HDR`-byte header, the encoded rows and a 2-byte
     /// slot per row (a column page of the same rows is never larger; see
     /// the module docs). The first row of an empty page always "fits" —
     /// oversized rows are rejected at append time instead, so both
