@@ -204,7 +204,7 @@ fn dmv_paged_runs_are_pinned() {
         &[(
             "default",
             config(CostModel::paged(), None),
-            0xf373_efee_59d8_c8c8,
+            0xcbd7_c3bb_59ff_5cd4,
         )],
     );
 }
