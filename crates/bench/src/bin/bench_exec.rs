@@ -209,19 +209,15 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
     line("suite", &suite);
     // What each kind moved in one pass: live rows returned, and cells
     // (rows × layout width).
-    for (label, count) in [
-        (
-            "rows",
-            (|k: &KindProfile| k.rows) as fn(&KindProfile) -> u64,
-        ),
-        ("cells", |k| k.cells),
-    ] {
+    let counts = |label: &str, count: fn(&KindProfile) -> u64| {
         print!("  {label:8}");
         for k in suite.values() {
             print!("{:>10}", count(k));
         }
         println!("{:>10}", suite.values().map(count).sum::<u64>());
-    }
+    };
+    counts("rows", |k| k.rows);
+    counts("cells", |k| k.cells);
 }
 
 fn profile(passes: usize) {

@@ -2,8 +2,9 @@
 //!
 //! Every join reads its streaming inputs in place through a [`RowCursor`]
 //! — no input row is moved or allocated — and builds its output a column
-//! at a time: matches are collected as row-index pairs and gathered into
-//! a [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call. Index
+//! at a time: matches are collected as row-index pairs and the columns
+//! the plan keeps (those read above the join) gathered into a
+//! [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call. Index
 //! fetches (NLJN inners, EXISTS probes) read the inner table as typed
 //! columns, filtered and gathered like a scan's.
 

@@ -297,8 +297,8 @@ impl RowFetcher {
         Ok(self.fetched())
     }
 
-    /// The rows of the last [`RowFetcher::fetch`] again, without I/O: they
-    /// stay readable until the next fetch or prefetch. An NLJN fetches an
+    /// The rows of the last successful [`RowFetcher::fetch`] again, without
+    /// I/O: they stay readable until the next fetch or prefetch. An NLJN fetches an
     /// outer batch's matches once and gathers them over several calls.
     pub fn fetched(&self) -> FetchedRows<'_> {
         let cols: &[Column] = match (self.source, &self.stored) {
