@@ -144,8 +144,7 @@ fn profile_once(
     ctx.checks_enabled = false;
     ctx.lineage = lineage;
     ctx.batch_size = exec.config().batch_size.max(1);
-    let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx, &pop_exec::Subplans::new())
-        .expect("profiled run");
+    let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx).expect("profiled run");
     let mut kinds: BTreeMap<&'static str, KindProfile> = BTreeMap::new();
     for n in nodes {
         let k = kinds.entry(n.name).or_default();

@@ -68,7 +68,7 @@ pub fn run() -> PopResult<Fig12> {
     for (name, q) in &queries {
         // Baseline: observe-only, to measure W0 and enumerate checkpoints.
         let mut base_cfg = lc_only_config(true);
-        base_cfg.observe_only = true;
+        base_cfg.max_reopts = 0;
         let base_exec = crate::experiments::tpch_executor(base_cfg)?;
         let base = base_exec.run(q, &Params::none())?;
         let w0 = base.report.total_work;

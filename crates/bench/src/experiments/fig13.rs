@@ -42,7 +42,7 @@ pub fn run() -> PopResult<Fig13> {
         ("Q9", pop_tpch::q9()),
     ];
     let mut lcem_cfg = tpch_config(true);
-    lcem_cfg.observe_only = true;
+    lcem_cfg.max_reopts = 0;
     lcem_cfg.optimizer.flavors = pop::FlavorSet {
         lc: false,
         lcem: true,

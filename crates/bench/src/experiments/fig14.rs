@@ -55,7 +55,7 @@ pub fn run() -> PopResult<Fig14> {
     let mut points = Vec::new();
     for ecb in [false, true] {
         let mut cfg = tpch_config(true);
-        cfg.observe_only = true;
+        cfg.max_reopts = 0;
         cfg.optimizer.flavors = pop::FlavorSet {
             lc: !ecb,
             lcem: !ecb,

@@ -80,7 +80,7 @@ struct Tally {
 /// Run `w` observe-only with `flavor` alone, adding to `t`.
 fn observe(w: &Workload, flavor: CheckFlavor, t: &mut Tally) -> PopResult<()> {
     let mut cfg = tpch_config(true);
-    cfg.observe_only = true;
+    cfg.max_reopts = 0;
     cfg.optimizer.flavors = pop::FlavorSet::only(flavor);
     let exec = (w.executor)(cfg)?;
     for (q, w0) in w.queries.iter().zip(&w.base_work) {

@@ -80,7 +80,7 @@ fn ranges_of(exec: &PopExecutor, name: &str, q: &pop::QuerySpec) -> PopResult<Ve
 /// Run the validity-range report.
 pub fn run() -> PopResult<ValidityReport> {
     let mut cfg = tpch_config(true);
-    cfg.observe_only = true;
+    cfg.max_reopts = 0;
     let exec = PopExecutor::new(tpch_catalog(crate::experiments::TPCH_SF)?, cfg)?;
     let mut ranges = Vec::new();
     for (name, q) in [

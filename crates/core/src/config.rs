@@ -19,20 +19,18 @@ pub struct PopConfig {
     pub cost_model: CostModel,
     /// Maximum number of re-optimizations before the current plan is
     /// forced to run to completion (the paper's termination heuristic
-    /// limits this to 3, §7).
+    /// limits this to 3, §7). `0` is the observe-only run of §5.2: the
+    /// first plan runs with its checkpoints placed, counting rows and
+    /// recording events, but disarmed — "the actual re-optimization
+    /// disabled so that the entire query is executed and all checkpoints
+    /// are encountered" (the overhead and opportunity instrumentation of
+    /// Figures 13 and 14).
     pub max_reopts: usize,
     /// Force a dummy re-optimization at the n-th checkpoint encountered
     /// (by check id), even if its range holds. Used by the overhead
     /// experiments of Figure 12; the fed-back cardinalities are exact, so
     /// the re-optimized plan is normally identical.
     pub force_reopt_at: Option<usize>,
-    /// Observe-only mode: checkpoints count rows and record events but
-    /// never trigger re-optimization. Used by the overhead and
-    /// opportunity instrumentation (Figures 13 and 14), which measure
-    /// checkpoint behaviour with "the actual re-optimization disabled so
-    /// that the entire query is executed and all checkpoints are
-    /// encountered" (§5.2).
-    pub observe_only: bool,
     /// LEO-style learning (the paper's §7 "Learning for the Future",
     /// citing [SLM+01]): retain cardinality feedback across queries, so a
     /// repeated (or overlapping) query is planned with the actual
@@ -80,7 +78,6 @@ impl Default for PopConfig {
             cost_model: CostModel::default(),
             max_reopts: 3,
             force_reopt_at: None,
-            observe_only: false,
             learn_across_queries: false,
             verify_memo: false,
             batch_size: pop_exec::DEFAULT_BATCH_SIZE,

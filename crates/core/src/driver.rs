@@ -4,7 +4,7 @@
 use crate::report::PlanText;
 use crate::{PopConfig, QueryResult, RunReport, StepReport};
 use parking_lot::Mutex;
-use pop_exec::{execute, ExecCtx, RunOutcome, Subplan, Subplans};
+use pop_exec::{execute, ExecCtx, RunOutcome};
 use pop_guard::{CancelToken, FaultInjector, Governor};
 use pop_optimizer::{
     optimize, CardFact, FeedbackCache, FeedbackStore, FlavorSet, Memo, MemoStats, OptimizerContext,
@@ -143,9 +143,6 @@ impl PopExecutor {
         if self.config.enabled {
             ctx.force_reopt_at = self.config.force_reopt_at;
         }
-        if self.config.observe_only {
-            ctx.checks_enabled = false;
-        }
         // A cap of zero re-optimizations leaves no budget for the first
         // violation: the query runs its first plan with CHECKs disabled.
         if self.config.max_reopts == 0 {
@@ -282,7 +279,6 @@ impl PopExecutor {
                     _ => return Err(e),
                 },
             };
-            let subplans = self.subplans(spec, &plan);
             let mut mvs_used = 0usize;
             plan.visit(&mut |n| {
                 if matches!(n, PhysNode::MvScan { .. }) {
@@ -291,7 +287,7 @@ impl PopExecutor {
             });
             let work_start = ctx.work;
             let batches_start = ctx.batches_emitted;
-            let outcome = execute(&plan, ctx, &subplans)?;
+            let outcome = execute(&plan, ctx)?;
             let mut step = StepReport {
                 shape: plan.join_shape(),
                 est_cost: plan.props().cost,
@@ -470,8 +466,9 @@ impl PopExecutor {
         let ctx = &mut session.ctx;
         ctx.checks_enabled = false;
         ctx.lineage = self.carries_lineage(spec);
-        // Nothing is promoted without a re-optimization: harvest nothing.
-        let outcome = execute(plan, ctx, &Subplans::new())?;
+        // With checks disabled nothing is harvested: nothing is promoted
+        // without a re-optimization.
+        let outcome = execute(plan, ctx)?;
         if !outcome.is_complete() {
             return Err(PopError::Execution(
                 "plan suspended although checkpoints were disabled".into(),
@@ -516,55 +513,31 @@ impl PopExecutor {
             .collect()
     }
 
-    /// The canonical layout of every table set appearing in the plan,
-    /// for the executor to harvest their materializations in — when the
-    /// plan can suspend at all: a plan without a CHECK runs to completion,
-    /// so nothing it materializes is ever promoted.
-    fn subplans(&self, spec: &QuerySpec, plan: &PhysNode) -> Subplans {
-        let mut guarded = false;
-        plan.visit(&mut |n| {
-            guarded |= matches!(n, PhysNode::Check { .. } | PhysNode::BufCheck { .. });
-        });
-        let mut map = Subplans::new();
-        if !guarded {
-            return map;
-        }
-        let col_counts = self.col_counts(spec);
-        plan.visit(&mut |n| {
-            let set = n.props().tables;
-            if !set.is_empty() {
-                map.entry(set.mask()).or_insert_with(|| Subplan {
-                    layout: canonical_layout(spec, set, &col_counts),
-                });
-            }
-        });
-        map
-    }
-
     /// Promote one harvested materialization to a temp MV over its table
-    /// set. The operator builder only harvests nodes whose output is
-    /// the canonical layout of their table set — the contract MV matching
-    /// relies on — so a harvest that disagrees with it is a bug: it is
-    /// dropped and reported on `warnings` instead of silently turning MV
-    /// reuse off.
+    /// set. Every node over a table set emits its canonical layout — the
+    /// contract MV matching relies on — so a harvest of another width is a
+    /// bug: it is dropped and reported on `warnings` instead of silently
+    /// turning MV reuse off. (A buffer no row reached has no columns.)
     fn promote_harvest(
         &self,
         spec: &QuerySpec,
-        mut h: pop_exec::Harvest,
+        h: pop_exec::Harvest,
         mv_counter: &mut usize,
         warnings: &mut Vec<String>,
     ) -> PopResult<()> {
-        let canonical = canonical_layout(spec, h.tables, &self.col_counts(spec));
-        if h.layout != canonical {
+        let layout = canonical_layout(spec, h.tables, &self.col_counts(spec));
+        if h.row_count() > 0 && h.width() != layout.len() {
             warnings.push(format!(
-                "harvest over {} not promoted to a temp MV: its layout {:?} is not the canonical layout {canonical:?}",
-                h.tables, h.layout
+                "harvest over {} not promoted to a temp MV: {} column(s), but its canonical layout {layout:?} has {}",
+                h.tables,
+                h.width(),
+                layout.len()
             ));
             return Ok(());
         }
         // Build the MV schema from the base tables' column definitions.
-        let mut cols = Vec::with_capacity(h.layout.len());
-        for c in &h.layout {
+        let mut cols = Vec::with_capacity(layout.len());
+        for c in &layout {
             let base = self.catalog.table(&spec.tables[c.table].table)?;
             let def = base.schema().col(c.col);
             cols.push(ColumnDef::new(
@@ -575,12 +548,12 @@ impl PopExecutor {
         let name = format!("__pop_mv_{}", *mv_counter);
         *mv_counter += 1;
         let id = self.catalog.allocate_temp_id();
-        let (tables, layout, rows) = (h.tables, std::mem::take(&mut h.layout), h.row_count());
-        // The operator's buffer, its columns moved into canonical order
-        // (gathered only when a SORT reordered the rows), handed to storage
-        // to keep. The MV's exact cardinality (the paper: "having the
-        // cardinality of the intermediate result in its catalog
-        // statistics") is `actual_card`, which MV-scan costing reads.
+        let (tables, rows) = (h.tables, h.row_count());
+        // The operator's buffer, its columns moved (gathered only when a
+        // SORT reordered the rows), handed to storage to keep. The MV's
+        // exact cardinality (the paper: "having the cardinality of the
+        // intermediate result in its catalog statistics") is
+        // `actual_card`, which MV-scan costing reads.
         let (data, lineage) = h.into_columns();
         // Under the paged backend the MV spills to temporary pages whose
         // files the catalog's cleanup (table drop) unlinks.
@@ -892,16 +865,15 @@ mod tests {
             },
         };
         let mut ctx = ExecCtx::new(cat, Params::none(), pop_plan::CostModel::default());
-        let subplans = Subplans::new();
         let mut collected = Vec::new();
 
-        let suspended = execute(&checked, &mut ctx, &subplans).unwrap();
+        let suspended = execute(&checked, &mut ctx).unwrap();
         assert!(!suspended.is_complete());
         collect_rows(&mut collected, &mut ctx, &suspended).unwrap();
         assert_eq!(collected.len(), 7);
         assert_eq!(ctx.prev_returned.len(), 7);
 
-        let complete = execute(&scan, &mut ctx, &subplans).unwrap();
+        let complete = execute(&scan, &mut ctx).unwrap();
         assert!(complete.is_complete());
         collect_rows(&mut collected, &mut ctx, &complete).unwrap();
         assert_eq!(collected.len(), 27);
@@ -915,7 +887,7 @@ mod tests {
         // a typed error, not seven duplicates in the next step.
         ctx.lineage = false;
         ctx.prev_returned.clear();
-        let suspended = execute(&checked, &mut ctx, &subplans).unwrap();
+        let suspended = execute(&checked, &mut ctx).unwrap();
         assert_eq!(suspended.batches()[0].lineage_width(), 0);
         match collect_rows(&mut collected, &mut ctx, &suspended) {
             Err(PopError::Execution(msg)) => assert!(msg.contains("7 row(s)"), "{msg}"),
@@ -1014,18 +986,13 @@ mod tests {
             canonical,
             vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(0, 1)]
         );
-        let harvest = |layout: Vec<pop_types::ColId>| {
+        let harvest = |width: usize| {
             let mut buffer = pop_exec::RowBatch::new();
-            buffer.push_row(&vec![Value::Int(1); layout.len()], &[]);
-            let info = pop_exec::operators::HarvestInfo {
-                tables: TableSet::single(0),
-                perm: (0..layout.len()).collect(),
-                canonical_layout: layout,
-            };
-            pop_exec::Harvest::new(&info, std::sync::Arc::new(buffer), None)
+            buffer.push_row(&vec![Value::Int(1); width], &[]);
+            pop_exec::Harvest::new(TableSet::single(0), std::sync::Arc::new(buffer), None)
         };
         let (mut n, mut warnings) = (0, Vec::new());
-        exec.promote_harvest(&q, harvest(canonical), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(canonical.len()), &mut n, &mut warnings)
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(exec.catalog().temp_mv_count(), 1);
@@ -1035,8 +1002,7 @@ mod tests {
             "rows without lineage promote to an MV without lineage"
         );
         // The same table set at another width breaks the MV contract.
-        let narrow = vec![pop_types::ColId::new(0, 0)];
-        exec.promote_harvest(&q, harvest(narrow), &mut n, &mut warnings)
+        exec.promote_harvest(&q, harvest(1), &mut n, &mut warnings)
             .unwrap();
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         assert_eq!(warnings.len(), 1);

@@ -52,22 +52,23 @@ use pop_types::{Rid, Row, Value};
 /// [`ExecCtx::batch_size`]: crate::ExecCtx::batch_size
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// One input of a join's output gather ([`RowBatch::extend_joined`]).
-pub(crate) struct JoinSide<'a, I> {
-    /// The input's columns: a batch's, or a table's as fetched.
-    pub(crate) cols: &'a [Column],
-    /// The positions in `cols` the output keeps, in output order.
-    pub(crate) keep: &'a [usize],
-    /// The input row each output row reads.
-    pub(crate) rows: I,
+/// The input of a join an output column is gathered from: a join's
+/// output column list pairs each column with its side and its position
+/// in that input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSide {
+    /// An HSJN's build, an NLJN's outer, an MGJN's left input.
+    Left,
+    /// An HSJN's probe, an NLJN's inner table, an MGJN's right input.
+    Right,
 }
 
-impl<'a, I: Iterator<Item = usize> + Clone + 'a> JoinSide<'a, I> {
-    /// Each kept column with the rows to gather from it.
-    fn gathers(self) -> impl Iterator<Item = (&'a Column, I)> {
-        let JoinSide { cols, keep, rows } = self;
-        keep.iter().map(move |p| (&cols[*p], rows.clone()))
-    }
+/// One input of a join's output gather ([`RowBatch::extend_joined`]).
+pub(crate) struct JoinInput<'a, I> {
+    /// The input's columns: a batch's, or a table's as fetched.
+    pub(crate) cols: &'a [Column],
+    /// The input row each output row reads.
+    pub(crate) rows: I,
 }
 
 /// A chunk of rows with lineage and an optional selection vector.
@@ -236,23 +237,34 @@ impl RowBatch {
         self.rows += 1;
     }
 
-    /// Append one joined row per pair of input rows: the kept columns of
-    /// `left` at its rows, then those of `right` at its rows, one typed
-    /// gather per kept column, and — when `lineage` is given — each row's
-    /// two lineage halves concatenated: the join operators' output. A join
-    /// keeps only the columns read above it, so a column no one reads is
-    /// never copied.
+    /// Append one joined row per pair of input rows: output column `k`
+    /// gathered from the input and position `out[k]` names, at that
+    /// input's rows, one typed gather per column, and — when `lineage` is
+    /// given — each row's two lineage halves concatenated: the join
+    /// operators' output. A join gathers only the columns read above it,
+    /// so a column no one reads is never copied.
     pub(crate) fn extend_joined<'l, L, R>(
         &mut self,
-        left: JoinSide<'_, L>,
-        right: JoinSide<'_, R>,
+        out: &[(JoinSide, usize)],
+        left: JoinInput<'_, L>,
+        right: JoinInput<'_, R>,
         lineage: Option<impl Iterator<Item = [&'l [Rid]; 2]>>,
     ) where
         L: ExactSizeIterator<Item = usize> + Clone,
         R: ExactSizeIterator<Item = usize> + Clone,
     {
-        let n = left.rows.len();
-        debug_assert_eq!(n, right.rows.len(), "one right row per left row");
+        let (
+            JoinInput {
+                cols: lcols,
+                rows: lrows,
+            },
+            JoinInput {
+                cols: rcols,
+                rows: rrows,
+            },
+        ) = (left, right);
+        let n = lrows.len();
+        debug_assert_eq!(n, rrows.len(), "one right row per left row");
         if n == 0 {
             return;
         }
@@ -261,14 +273,13 @@ impl RowBatch {
             .as_mut()
             .and_then(|l| l.peek().map(|[a, b]| a.len() + b.len()))
             .unwrap_or(0);
-        self.begin(left.keep.len() + right.keep.len(), lin_width);
+        self.begin(out.len(), lin_width);
         let cap = self.cap.max(n);
-        let (lcols, rcols) = self.cols.split_at_mut(left.keep.len());
-        for (c, (src, rows)) in lcols.iter_mut().zip(left.gathers()) {
-            c.extend_gather(src, rows, cap);
-        }
-        for (c, (src, rows)) in rcols.iter_mut().zip(right.gathers()) {
-            c.extend_gather(src, rows, cap);
+        for (c, &(side, p)) in self.cols.iter_mut().zip(out) {
+            match side {
+                JoinSide::Left => c.extend_gather(&lcols[p], lrows.clone(), cap),
+                JoinSide::Right => c.extend_gather(&rcols[p], rrows.clone(), cap),
+            }
         }
         for [a, b] in lineage.into_iter().flatten() {
             debug_assert_eq!(a.len() + b.len(), self.lin_width, "lineage width");
@@ -688,35 +699,38 @@ mod tests {
         let mut j = RowBatch::new();
         let left = batch(3);
         let lineage = [(2, 0), (0, 0)].map(|(l, r)| [left.lineage_at(l), b.lineage_at(r)]);
+        use JoinSide::{Left, Right};
         j.extend_joined(
-            JoinSide {
+            &[(Left, 0), (Right, 0), (Right, 1), (Right, 2)],
+            JoinInput {
                 cols: left.columns(),
-                keep: &[0],
                 rows: [2, 0].into_iter(),
             },
-            JoinSide {
+            JoinInput {
                 cols: b.columns(),
-                keep: &[0, 1, 2],
                 rows: [0, 0].into_iter(),
             },
             Some(lineage.into_iter()),
         );
-        // A join keeps some columns of each side, in any order.
+        // A join keeps some columns of each side, in any order, and
+        // interleaves the sides as its output list says.
         let mut narrow = RowBatch::new();
         narrow.extend_joined(
-            JoinSide {
+            &[(Right, 2), (Left, 0), (Right, 0)],
+            JoinInput {
                 cols: left.columns(),
-                keep: &[],
                 rows: [2].into_iter(),
             },
-            JoinSide {
+            JoinInput {
                 cols: b.columns(),
-                keep: &[2, 0],
                 rows: [0].into_iter(),
             },
             None::<std::iter::Empty<[&[Rid]; 2]>>,
         );
-        assert_eq!(live_rows(&narrow), vec![vec![Value::Int(3), Value::Int(1)]]);
+        assert_eq!(
+            live_rows(&narrow),
+            vec![vec![Value::Int(3), Value::Int(2), Value::Int(1)]]
+        );
         assert_eq!(narrow.lineage_width(), 0);
         assert_eq!(
             live_rows(&j),

@@ -1,31 +1,17 @@
 //! Translate a physical plan ([`PhysNode`]) into an executable operator
 //! tree — the "code generator" of the paper's architecture diagram.
 
+use crate::batch::JoinSide;
 use crate::operators::agg::AggKind;
-use crate::operators::materialize::HarvestInfo;
 use crate::operators::{
     AntiJoinRidsOp, GuardOp, HashAggOp, HavingOp, HsjnOp, IndexRangeScanOp, InsertOp, LimitOp,
     MgjnOp, MvScanOp, NljnOp, Operator, ProjectOp, RidSinkOp, SemiProbeOp, SortOp, TableScanOp,
     TempOp,
 };
 use pop_expr::{BoundExpr, Expr};
-use pop_plan::{kept_positions, AggFunc, LayoutCol, PhysNode, SortKeyRef};
+use pop_plan::{AggFunc, LayoutCol, PhysNode, SortKeyRef};
 use pop_storage::{Catalog, Table};
 use pop_types::{ColId, PopError, PopResult};
-use std::collections::HashMap;
-
-/// What the driver knows about one table set of the plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Subplan {
-    /// [`pop_plan::canonical_layout`] of the set — the column order a
-    /// harvested materialization is stored in.
-    pub layout: Vec<ColId>,
-}
-
-/// Subplans by table-set mask: the materializations of these sets are
-/// harvested, labelled with their table set (the driver promotes them to
-/// temp MVs over that set). An empty map harvests nothing.
-pub type Subplans = HashMap<u64, Subplan>;
 
 /// Position of a base column within a layout.
 pub(crate) fn pos_of(layout: &[LayoutCol], col: ColId) -> PopResult<usize> {
@@ -46,8 +32,7 @@ fn bind_to_schema(expr: &Expr, qidx: usize, table: &Table) -> PopResult<BoundExp
 }
 
 /// The table columns a leaf over query table `qidx` copies out: its
-/// layout (for an NLJN, the suffix after the outer columns it keeps), each
-/// entry a column of `table`.
+/// layout, each entry a column of `table`.
 fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<Vec<usize>> {
     layout
         .iter()
@@ -61,49 +46,50 @@ fn leaf_columns(layout: &[LayoutCol], qidx: usize, table: &Table) -> PopResult<V
         .collect()
 }
 
-/// The input positions a join's output keeps, per input, in output
-/// order: its layout is an ordered subsequence of its inputs' concatenated
-/// layouts (the columns read above its table set).
-fn join_keep(layout: &[LayoutCol], inputs: [&PhysNode; 2]) -> PopResult<[Vec<usize>; 2]> {
-    let left = kept_positions(layout, &inputs[0].props().layout);
-    let right = kept_positions(&layout[left.len()..], &inputs[1].props().layout);
-    if left.len() + right.len() != layout.len() {
-        return Err(PopError::Planning(format!(
-            "join layout {layout:?} is not an ordered subsequence of its inputs' layouts"
-        )));
-    }
-    Ok([left, right])
-}
-
-/// Harvest descriptor for a materializing node, when its output is the
-/// canonical layout of its table set in some order. A node above the
-/// final projection or aggregate carries other columns and is not the
-/// subplan's materialization.
-pub(crate) fn harvest_info(node: &PhysNode, subplans: &Subplans) -> Option<HarvestInfo> {
-    let props = node.props();
-    let subplan = subplans.get(&props.tables.mask())?;
-    if props.layout.len() != subplan.layout.len() {
-        return None;
-    }
-    let perm = subplan
-        .layout
+/// Where each column of a join's output `layout` comes from: the input
+/// whose layout holds it, and its position there. A join emits its table
+/// set's canonical layout, so the sides interleave by table.
+fn join_columns(
+    layout: &[LayoutCol],
+    inputs: [&[LayoutCol]; 2],
+) -> PopResult<Vec<(JoinSide, usize)>> {
+    let find = |side: JoinSide, input: &[LayoutCol], c: &LayoutCol| {
+        input.iter().position(|i| i == c).map(|p| (side, p))
+    };
+    layout
         .iter()
-        .map(|c| props.layout.iter().position(|l| *l == LayoutCol::Base(*c)))
-        .collect::<Option<Vec<_>>>()?;
-    Some(HarvestInfo {
-        tables: props.tables,
-        canonical_layout: subplan.layout.clone(),
-        perm,
-    })
+        .map(|c| {
+            find(JoinSide::Left, inputs[0], c)
+                .or_else(|| find(JoinSide::Right, inputs[1], c))
+                .ok_or_else(|| {
+                    PopError::Planning(format!("join output column {c:?} is in neither input"))
+                })
+        })
+        .collect()
 }
 
-/// Build the operator tree for a plan.
+/// Does this run harvest its materializations? Only a plan that can
+/// suspend — checks armed and a CHECK in the plan — ever promotes one.
+pub(crate) fn harvests(plan: &PhysNode, checks_enabled: bool) -> bool {
+    let mut guarded = false;
+    if checks_enabled {
+        plan.visit(&mut |n| {
+            guarded |= matches!(n, PhysNode::Check { .. } | PhysNode::BufCheck { .. });
+        });
+    }
+    guarded
+}
+
+/// Build the operator tree for a plan. With `harvest`, each TEMP, hash-join
+/// build and enforcer SORT registers its completed materialization,
+/// labelled with its table set, for the driver to promote to a temp MV
+/// (§2.3); an ORDER BY sort never does.
 pub fn build_operator(
     node: &PhysNode,
     catalog: &Catalog,
-    subplans: &Subplans,
+    harvest: bool,
 ) -> PopResult<Box<dyn Operator>> {
-    build_wrapped(node, catalog, subplans, &mut |_, op| op)
+    build_wrapped(node, catalog, harvest, &mut |_, op| op)
 }
 
 /// [`build_operator`], passing every node's operator through `wrap` (with
@@ -112,7 +98,7 @@ pub fn build_operator(
 pub(crate) fn build_wrapped<W>(
     node: &PhysNode,
     catalog: &Catalog,
-    subplans: &Subplans,
+    harvest: bool,
     wrap: &mut W,
 ) -> PopResult<Box<dyn Operator>>
 where
@@ -170,7 +156,7 @@ where
             inner,
             props,
         } => {
-            let outer_op = build_wrapped(outer, catalog, subplans, wrap)?;
+            let outer_op = build_wrapped(outer, catalog, harvest, wrap)?;
             let outer_pos = pos_of(&outer.props().layout, *outer_key)?;
             let inner_table = catalog.table(&inner.table)?;
             let index = catalog
@@ -186,10 +172,11 @@ where
                 .as_ref()
                 .map(|p| bind_to_schema(p, inner.qidx, &inner_table))
                 .transpose()?;
-            // The outer columns kept, then the inner table's.
-            let outer_keep = kept_positions(&props.layout, &outer.props().layout);
-            let suffix = &props.layout[outer_keep.len()..];
-            let inner_cols = leaf_columns(suffix, inner.qidx, &inner_table)?;
+            // The inner side is the table itself: its columns by position.
+            let inner_layout: Vec<LayoutCol> = (0..inner_table.schema().len())
+                .map(|c| LayoutCol::Base(ColId::new(inner.qidx, c)))
+                .collect();
+            let cols = join_columns(&props.layout, [&outer.props().layout, &inner_layout])?;
             let residual = inner
                 .residual_joins
                 .iter()
@@ -202,7 +189,7 @@ where
                 index,
                 pred,
                 residual,
-                [outer_keep, inner_cols],
+                cols,
             ))
         }
         PhysNode::Hsjn {
@@ -212,13 +199,16 @@ where
             probe_keys,
             props,
         } => {
-            let keep = join_keep(&props.layout, [build, probe])?;
+            let cols = join_columns(
+                &props.layout,
+                [&build.props().layout, &probe.props().layout],
+            )?;
             let ppos = probe_keys
                 .iter()
                 .map(|k| pos_of(&probe.props().layout, *k))
                 .collect::<PopResult<Vec<_>>>()?;
-            let build_op = build_wrapped(build, catalog, subplans, wrap)?;
-            let probe_op = build_wrapped(probe, catalog, subplans, wrap)?;
+            let build_op = build_wrapped(build, catalog, harvest, wrap)?;
+            let probe_op = build_wrapped(probe, catalog, harvest, wrap)?;
             let bpos = build_keys
                 .iter()
                 .map(|k| pos_of(&build.props().layout, *k))
@@ -226,9 +216,9 @@ where
             // Hash-join builds are materializations too: harvest them for
             // potential reuse after a CHECK failure (the enhancement the
             // paper's prototype planned, §4).
-            let build_harvest = harvest_info(build, subplans);
+            let build_harvest = harvest.then_some(build.props().tables);
             Box::new(
-                HsjnOp::new(build_op, probe_op, bpos, ppos, keep).with_build_harvest(build_harvest),
+                HsjnOp::new(build_op, probe_op, bpos, ppos, cols).with_build_harvest(build_harvest),
             )
         }
         PhysNode::Mgjn {
@@ -238,9 +228,9 @@ where
             right_keys,
             props,
         } => {
-            let keep = join_keep(&props.layout, [left, right])?;
-            let left_op = build_wrapped(left, catalog, subplans, wrap)?;
-            let right_op = build_wrapped(right, catalog, subplans, wrap)?;
+            let cols = join_columns(&props.layout, [&left.props().layout, &right.props().layout])?;
+            let left_op = build_wrapped(left, catalog, harvest, wrap)?;
+            let right_op = build_wrapped(right, catalog, harvest, wrap)?;
             let (Some(lk), Some(rk)) = (left_keys.first(), right_keys.first()) else {
                 return Err(PopError::Planning(
                     "MGJN requires at least one join key per side".into(),
@@ -248,24 +238,30 @@ where
             };
             let lpos = pos_of(&left.props().layout, *lk)?;
             let rpos = pos_of(&right.props().layout, *rk)?;
-            Box::new(MgjnOp::new(left_op, right_op, lpos, rpos, keep))
+            Box::new(MgjnOp::new(left_op, right_op, lpos, rpos, cols))
         }
         PhysNode::Sort {
-            input, key, desc, ..
+            input,
+            key,
+            desc,
+            props,
         } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
-            let pos = match key {
-                SortKeyRef::Col(c) => pos_of(&input.props().layout, *c)?,
-                SortKeyRef::Pos(p) => *p,
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
+            // An enforcer sort orders a subplan; an ORDER BY sort the
+            // query's output, which no violation can follow.
+            let (pos, sorts_a_subplan) = match key {
+                SortKeyRef::Col(c) => (pos_of(&input.props().layout, *c)?, true),
+                SortKeyRef::Pos(p) => (*p, false),
             };
-            Box::new(SortOp::new(child, pos, *desc, harvest_info(node, subplans)))
+            let tables = (harvest && sorts_a_subplan).then_some(props.tables);
+            Box::new(SortOp::new(child, pos, *desc, tables))
         }
-        PhysNode::Temp { input, .. } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
-            Box::new(TempOp::new(child, harvest_info(node, subplans)))
+        PhysNode::Temp { input, props } => {
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
+            Box::new(TempOp::new(child, harvest.then_some(props.tables)))
         }
         PhysNode::Project { input, cols, .. } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
             let positions = cols
                 .iter()
                 .map(|c| match c {
@@ -288,7 +284,7 @@ where
             aggs,
             ..
         } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
             let keys = group_by
                 .iter()
                 .map(|k| pos_of(&input.props().layout, *k))
@@ -309,7 +305,7 @@ where
         }
         PhysNode::Check { input, spec, .. } => {
             let materialized = input.counted_at_open();
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
             let tables = input.props().tables;
             Box::new(GuardOp::check(child, spec.clone(), tables, materialized))
         }
@@ -319,12 +315,12 @@ where
             buffer,
             ..
         } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
             let tables = input.props().tables;
             Box::new(GuardOp::bufcheck(child, spec.clone(), tables, *buffer))
         }
         PhysNode::SemiProbe { input, clause, .. } => {
-            let child = build_wrapped(input, catalog, subplans, wrap)?;
+            let child = build_wrapped(input, catalog, harvest, wrap)?;
             let outer_pos = pos_of(&input.props().layout, clause.outer_col)?;
             let inner_table = catalog.table(&clause.table)?;
             let index = catalog
@@ -350,23 +346,23 @@ where
             ))
         }
         PhysNode::Having { input, preds, .. } => Box::new(HavingOp::new(
-            build_wrapped(input, catalog, subplans, wrap)?,
+            build_wrapped(input, catalog, harvest, wrap)?,
             preds.clone(),
         )),
         PhysNode::Limit { input, n, .. } => Box::new(LimitOp::new(
-            build_wrapped(input, catalog, subplans, wrap)?,
+            build_wrapped(input, catalog, harvest, wrap)?,
             *n,
         )),
         PhysNode::RidSink { input, .. } => Box::new(RidSinkOp::new(build_wrapped(
-            input, catalog, subplans, wrap,
+            input, catalog, harvest, wrap,
         )?)),
         PhysNode::AntiJoinRids { input, .. } => Box::new(AntiJoinRidsOp::new(build_wrapped(
-            input, catalog, subplans, wrap,
+            input, catalog, harvest, wrap,
         )?)),
         PhysNode::Insert { input, target, .. } => {
             let t = catalog.table(target)?;
             Box::new(InsertOp::new(
-                build_wrapped(input, catalog, subplans, wrap)?,
+                build_wrapped(input, catalog, harvest, wrap)?,
                 t,
             ))
         }

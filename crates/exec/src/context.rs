@@ -1,7 +1,6 @@
 //! The execution context: catalog handle, parameters, instrumentation,
 //! harvested materializations, and cross-run compensation state.
 
-use crate::operators::HarvestInfo;
 use crate::signal::ObservedCard;
 use crate::RowBatch;
 use pop_expr::Params;
@@ -9,27 +8,23 @@ use pop_guard::{FaultInjector, Governor};
 use pop_plan::{CheckContext, CheckFlavor, CostModel, TableSet, ValidityRange};
 use pop_storage::{Catalog, Lineage};
 use pop_types::column::Column;
-use pop_types::{ColId, PopError, Rid, Row};
+use pop_types::{PopError, Rid, Row};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A completed materialization, kept for potential promotion to a
 /// temporary materialized view if a CHECK fails later in this run (§2.3).
 /// It shares the operator's own buffer and costs nothing until promoted:
-/// [`Harvest::into_columns`] then hands over the rows as columns in
-/// **canonical column order** (so any re-optimized plan can consume them
-/// regardless of the join order that produced them) — by moving the
-/// buffer's columns when the rows are in buffer order, by a gather only
-/// when a SORT reordered them.
+/// [`Harvest::into_columns`] then hands over the rows as the node's own
+/// columns, which are its table set's **canonical column order** (so any
+/// re-optimized plan can consume them regardless of the join order that
+/// produced them) — by moving the buffer's columns when the rows are in
+/// buffer order, by a gather only when a SORT reordered them.
 #[derive(Debug, Clone)]
 pub struct Harvest {
     /// The query tables the materialized subplan joins: the key the
     /// driver promotes the harvest under.
     pub tables: TableSet,
-    /// Canonical column layout of the harvested rows.
-    pub layout: Vec<ColId>,
-    /// `perm[i]` = position in a buffer row of canonical column `i`.
-    perm: Vec<usize>,
     /// The materializing operator's buffer (all rows live).
     buffer: Arc<RowBatch>,
     /// Buffer indices in output order (SORT); `None` = buffer order.
@@ -37,13 +32,12 @@ pub struct Harvest {
 }
 
 impl Harvest {
-    /// Harvest of `buffer`, read in `order` if given.
-    pub fn new(info: &HarvestInfo, buffer: Arc<RowBatch>, order: Option<Arc<[u32]>>) -> Self {
+    /// Harvest of `buffer`, the materialization of `tables`, read in
+    /// `order` if given.
+    pub fn new(tables: TableSet, buffer: Arc<RowBatch>, order: Option<Arc<[u32]>>) -> Self {
         debug_assert!(buffer.sel().is_none(), "harvest of a filtered batch");
         Harvest {
-            tables: info.tables,
-            layout: info.canonical_layout.clone(),
-            perm: info.perm.clone(),
+            tables,
             buffer,
             order,
         }
@@ -54,43 +48,36 @@ impl Harvest {
         self.buffer.len()
     }
 
+    /// Columns per harvested row.
+    pub fn width(&self) -> usize {
+        self.buffer.columns().len()
+    }
+
     /// Rids of lineage per harvested row (0 in a run without lineage).
     pub fn lineage_width(&self) -> usize {
         self.buffer.lineage_width()
     }
 
-    /// The rows in the operator's output order, as columns in canonical
-    /// column order, and their lineage (`None` when the run carried none):
-    /// what a temp MV is loaded from. In buffer order the buffer's columns
-    /// are permuted into place and its lineage taken as it is — no value is
-    /// copied, unless the buffer is still shared (then it is cloned once).
-    /// A SORT's rows are gathered in sorted order, as [`Harvest::columns`]
-    /// gathers them.
+    /// The rows in the operator's output order, as its columns, and their
+    /// lineage (`None` when the run carried none): what a temp MV is
+    /// loaded from. In buffer order the buffer's columns and lineage are
+    /// taken as they are — no value is copied, unless the buffer is still
+    /// shared (then it is cloned once). A SORT's rows are gathered in
+    /// sorted order, as [`Harvest::columns`] gathers them.
     pub fn into_columns(self) -> (Vec<Column>, Option<Lineage>) {
         if self.order.is_some() {
             return self.columns();
         }
         let width = self.buffer.lineage_width();
         let (mut cols, mut rids) = Arc::unwrap_or_clone(self.buffer).into_columns();
-        // `perm` is a permutation of the layout positions (a harvest's node
-        // emits exactly the canonical columns): each column moves once. A
-        // buffer grew by doubling; the MV keeps its rows, not that slack.
-        let cols = self
-            .perm
-            .iter()
-            .map(|&p| {
-                let mut col = cols.get_mut(p).map(std::mem::take).unwrap_or_default();
-                col.shrink_to_fit();
-                col
-            })
-            .collect();
+        // A buffer grew by doubling; the MV keeps its rows, not that slack.
+        cols.iter_mut().for_each(Column::shrink_to_fit);
         rids.shrink_to_fit();
         (cols, lineage(rids, width))
     }
 
     /// The rows in the operator's output order, gathered — one typed copy
-    /// per column — into columns in canonical column order, with their
-    /// lineage. [`Harvest::into_columns`] moves instead wherever the order
+    /// per column — into its columns, with their lineage. [`Harvest::into_columns`] moves instead wherever the order
     /// allows; this is the reference it is tested against.
     pub fn columns(&self) -> (Vec<Column>, Option<Lineage>) {
         match &self.order {
@@ -103,7 +90,7 @@ impl Harvest {
         &self,
         rows: impl ExactSizeIterator<Item = usize> + Clone,
     ) -> (Vec<Column>, Option<Lineage>) {
-        let cols = self.buffer.gather_columns(self.perm.iter().copied(), &rows);
+        let cols = self.buffer.gather_columns(0..self.width(), &rows);
         let rids = rows.flat_map(|i| self.buffer.lineage_at(i).iter().copied());
         (cols, lineage(rids.collect(), self.buffer.lineage_width()))
     }
@@ -315,13 +302,11 @@ mod tests {
         let mut ctx = ExecCtx::new(Catalog::new(), Params::none(), CostModel::default());
         ctx.work = 10.0;
         ctx.prev_returned.insert(vec![Rid::new(0, 1)]);
-        let info = HarvestInfo {
-            tables: TableSet::EMPTY,
-            canonical_layout: vec![],
-            perm: vec![],
-        };
-        ctx.harvests
-            .push(Harvest::new(&info, Arc::new(RowBatch::new()), None));
+        ctx.harvests.push(Harvest::new(
+            TableSet::EMPTY,
+            Arc::new(RowBatch::new()),
+            None,
+        ));
         ctx.begin_run();
         assert_eq!(ctx.work, 10.0);
         assert_eq!(ctx.prev_returned.len(), 1);

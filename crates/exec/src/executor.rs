@@ -1,7 +1,7 @@
 //! The top-level execution loop: build, open, drain — or suspend on a
 //! CHECK violation.
 
-use crate::build::Subplans;
+use crate::build::harvests;
 use crate::{build_operator, ExecCtx, ExecSignal, Operator, RowBatch, Violation};
 use pop_plan::PhysNode;
 use pop_types::PopResult;
@@ -46,10 +46,12 @@ impl RunOutcome {
 }
 
 /// Execute one step of a plan. Per-run instrumentation in `ctx` is reset;
-/// cross-run compensation state is preserved.
-pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx, subplans: &Subplans) -> PopResult<RunOutcome> {
+/// cross-run compensation state is preserved. A plan that can suspend
+/// (checks armed, a CHECK in the plan) leaves its completed
+/// materializations on [`ExecCtx::harvests`].
+pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx) -> PopResult<RunOutcome> {
     ctx.begin_run();
-    let op = build_operator(plan, &ctx.catalog, subplans)?;
+    let op = build_operator(plan, &ctx.catalog, harvests(plan, ctx.checks_enabled))?;
     drain_root(op, ctx)
 }
 
@@ -110,7 +112,6 @@ mod tests {
     };
     use pop_storage::Catalog;
     use pop_types::{ColId, DataType, Schema, Value};
-    use std::collections::HashMap;
 
     fn scan_plan(pred: Option<Expr>) -> (ExecCtx, PhysNode) {
         let cat = Catalog::new();
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn simple_scan_completes() {
         let (mut ctx, plan) = scan_plan(None);
-        let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+        let out = execute(&plan, &mut ctx).unwrap();
         assert!(out.is_complete());
         assert_eq!(out.row_count(), 20);
         assert!(ctx.work > 0.0);
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn filtered_scan() {
         let (mut ctx, plan) = scan_plan(Some(Expr::col(0, 0).lt(Expr::lit(5i64))));
-        let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+        let out = execute(&plan, &mut ctx).unwrap();
         assert_eq!(out.row_count(), 5);
     }
 
@@ -166,7 +167,7 @@ mod tests {
             },
             props,
         };
-        let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+        let out = execute(&plan, &mut ctx).unwrap();
         assert_eq!(out.row_count(), 7);
         match out {
             RunOutcome::Suspended { violation, .. } => {
@@ -186,6 +187,6 @@ mod tests {
             pred: None,
             props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
         };
-        assert!(execute(&plan, &mut ctx, &HashMap::new()).is_err());
+        assert!(execute(&plan, &mut ctx).is_err());
     }
 }

@@ -34,8 +34,8 @@ pub mod operators;
 mod profile;
 mod signal;
 
-pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
-pub use build::{build_operator, Subplan, Subplans};
+pub use batch::{JoinSide, RowBatch, DEFAULT_BATCH_SIZE};
+pub use build::build_operator;
 pub use context::{CheckEvent, CheckOutcome, EffectKey, ExecCtx, Harvest};
 pub use executor::{execute, RunOutcome};
 pub use operators::Operator;

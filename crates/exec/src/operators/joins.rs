@@ -3,20 +3,21 @@
 //! Every join reads its streaming inputs in place through a [`RowCursor`]
 //! — no input row is moved or allocated — and builds its output a column
 //! at a time: matches are collected as row-index pairs and the columns
-//! the plan keeps (those read above the join) gathered into a
+//! of its output layout (those read above the join, in its table set's
+//! canonical order) gathered from either input into a
 //! [`RowBatch`] of up to [`ExecCtx::batch_size`] rows per call. Index
 //! fetches (NLJN inners, EXISTS probes) read the inner table as typed
 //! columns, filtered and gathered like a scan's.
 
-use crate::batch::JoinSide;
+use crate::batch::{JoinInput, JoinSide};
 use crate::context::Harvest;
 use crate::operators::key::{hash_keys, ChainIndex, NIL};
-use crate::operators::materialize::{materialize, HarvestInfo};
+use crate::operators::materialize::materialize;
 use crate::operators::scan::{page_transitions, read_set};
 use crate::operators::{Operator, RowCursor};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_expr::BoundExpr;
-use pop_plan::CostModel;
+use pop_plan::{CostModel, TableSet};
 use pop_storage::{Index, RowFetcher, Table};
 use pop_types::{Rid, Value};
 use std::cmp::Ordering;
@@ -57,9 +58,8 @@ pub struct NljnOp {
     inner_pred: Option<BoundExpr>,
     /// `(outer position, inner column)` residual equi-join conditions.
     residual: Vec<(usize, usize)>,
-    /// The outer positions, then the inner table columns, the output
-    /// keeps, in output order.
-    keep: [Vec<usize>; 2],
+    /// Each output column: an outer position or an inner table column.
+    cols: Vec<(JoinSide, usize)>,
     fetcher: Option<RowFetcher>,
     /// The outer stream; its current row is the one being emitted.
     outer_rows: RowCursor,
@@ -108,9 +108,9 @@ impl Joined {
 }
 
 impl NljnOp {
-    /// Create an index NLJN emitting the outer positions `keep[0]`
-    /// followed by the inner table columns `keep[1]` (each below the inner
-    /// schema width).
+    /// Create an index NLJN emitting `cols`: [`JoinSide::Left`] outer
+    /// positions and [`JoinSide::Right`] inner table columns (each below
+    /// the inner schema width), in output order.
     pub fn new(
         outer: Box<dyn Operator>,
         outer_key_pos: usize,
@@ -118,7 +118,7 @@ impl NljnOp {
         inner_index: Arc<Index>,
         inner_pred: Option<BoundExpr>,
         residual: Vec<(usize, usize)>,
-        keep: [Vec<usize>; 2],
+        cols: Vec<(JoinSide, usize)>,
     ) -> Self {
         NljnOp {
             outer,
@@ -127,7 +127,7 @@ impl NljnOp {
             inner_index,
             inner_pred,
             residual,
-            keep,
+            cols,
             fetcher: None,
             outer_rows: RowCursor::default(),
             matches: Vec::new(),
@@ -206,9 +206,9 @@ impl NljnOp {
         Ok(())
     }
 
-    /// Copy the joined rows `flushed..next` into `out`: the kept outer
-    /// columns gathered from the outer batch, the kept inner columns
-    /// straight from the fetched ones.
+    /// Copy the joined rows `flushed..next` into `out`: the output's outer
+    /// columns gathered from the outer batch, its inner columns straight
+    /// from the fetched ones.
     fn flush(&mut self, out: &mut RowBatch) {
         let (Some(fetcher), Some((outer, _))) = (&self.fetcher, self.outer_rows.current()) else {
             return;
@@ -233,14 +233,13 @@ impl NljnOp {
                 .map(|i| [outer.lineage_at(j.outer[i] as usize), inner_rid(i)])
         });
         out.extend_joined(
-            JoinSide {
+            &self.cols,
+            JoinInput {
                 cols: outer.columns(),
-                keep: &self.keep[0],
                 rows: j.outer[range.clone()].iter().map(|o| *o as usize),
             },
-            JoinSide {
+            JoinInput {
                 cols: got.cols,
-                keep: &self.keep[1],
                 rows: j.inner[range].iter().map(|r| *r as usize),
             },
             lineage,
@@ -253,7 +252,11 @@ impl Operator for NljnOp {
         self.outer.open(ctx)?;
         // The inner row is read for its output columns, the predicate and
         // the residual join columns — nothing else is decoded.
-        let inner_read = read_set(&self.keep[1], self.inner_pred.as_ref())
+        let inner_cols: Vec<usize> = (self.cols.iter())
+            .filter(|(side, _)| *side == JoinSide::Right)
+            .map(|(_, c)| *c)
+            .collect();
+        let inner_read = read_set(&inner_cols, self.inner_pred.as_ref())
             .into_iter()
             .chain(self.residual.iter().map(|&(_, inner_col)| inner_col));
         self.fetcher = Some(self.inner_table.fetcher().project(inner_read));
@@ -351,7 +354,7 @@ struct BuildState {
 fn run_hash_build(
     build: &mut dyn Operator,
     build_key_pos: &[usize],
-    build_harvest: Option<&HarvestInfo>,
+    build_harvest: Option<TableSet>,
     ctx: &mut ExecCtx,
 ) -> OpResult<BuildState> {
     let mut reserved = 0;
@@ -360,9 +363,9 @@ fn run_hash_build(
     hash_keys(&rows, build_key_pos, &mut hashes, &mut nulls);
     // NULL keys never join: such rows stay out of the index.
     let index = ChainIndex::build(rows.len(), rows.len(), |r| (!nulls[r]).then_some(hashes[r]));
-    if let Some(info) = build_harvest {
+    if let Some(tables) = build_harvest {
         ctx.harvests
-            .push(Harvest::new(info, Arc::clone(&rows), None));
+            .push(Harvest::new(tables, Arc::clone(&rows), None));
     }
     // Simulated grace-hash spill: misestimated builds really do cost what
     // the model says.
@@ -397,13 +400,13 @@ pub struct HsjnOp {
     probe: Box<dyn Operator>,
     build_key_pos: Vec<usize>,
     probe_key_pos: Vec<usize>,
-    /// The build positions, then the probe positions, the output keeps,
-    /// in output order.
-    keep: [Vec<usize>; 2],
+    /// Each output column: a build or a probe position.
+    cols: Vec<(JoinSide, usize)>,
     /// When set, the completed build is snapshotted as a reusable
-    /// intermediate result — the hash-join-build reuse the paper lists as
-    /// a planned enhancement of its prototype (§4).
-    build_harvest: Option<HarvestInfo>,
+    /// intermediate result over this table set — the hash-join-build
+    /// reuse the paper lists as a planned enhancement of its prototype
+    /// (§4).
+    build_harvest: Option<TableSet>,
     /// The completed build, populated at `open`.
     state: Option<BuildState>,
     /// The probe stream; its current row is the one being matched.
@@ -422,21 +425,21 @@ pub struct HsjnOp {
 }
 
 impl HsjnOp {
-    /// Create a hash join emitting the build positions `keep[0]` followed
-    /// by the probe positions `keep[1]`.
+    /// Create a hash join emitting `cols`: [`JoinSide::Left`] build
+    /// positions and [`JoinSide::Right`] probe positions, in output order.
     pub fn new(
         build: Box<dyn Operator>,
         probe: Box<dyn Operator>,
         build_key_pos: Vec<usize>,
         probe_key_pos: Vec<usize>,
-        keep: [Vec<usize>; 2],
+        cols: Vec<(JoinSide, usize)>,
     ) -> Self {
         HsjnOp {
             build,
             probe,
             build_key_pos,
             probe_key_pos,
-            keep,
+            cols,
             build_harvest: None,
             state: None,
             probe_rows: RowCursor::default(),
@@ -450,25 +453,26 @@ impl HsjnOp {
         }
     }
 
-    /// Enable build-side harvesting.
-    pub fn with_build_harvest(mut self, harvest: Option<HarvestInfo>) -> Self {
+    /// Harvest the completed build as the materialization of `harvest`.
+    pub fn with_build_harvest(mut self, harvest: Option<TableSet>) -> Self {
         self.build_harvest = harvest;
         self
     }
 }
 
-/// Gather the kept output columns of the collected pairs (phase 4).
+/// Gather the output columns of the collected pairs (phase 4).
 fn flush_pairs(
     out: &mut RowBatch,
-    keep: &[Vec<usize>; 2],
+    cols: &[(JoinSide, usize)],
     build: &RowBatch,
     probe: &RowBatch,
     pair_build: &mut Vec<u32>,
     pair_probe: &mut Vec<u32>,
 ) {
     out.extend_joined(
-        joined_side(build, &keep[0], pair_build),
-        joined_side(probe, &keep[1], pair_probe),
+        cols,
+        joined_input(build, pair_build),
+        joined_input(probe, pair_probe),
         (build.lineage_width() + probe.lineage_width() > 0).then(|| {
             (pair_build.iter().zip(pair_probe.iter()))
                 .map(|(b, p)| [build.lineage_at(*b as usize), probe.lineage_at(*p as usize)])
@@ -478,15 +482,13 @@ fn flush_pairs(
     pair_probe.clear();
 }
 
-/// The rows `rows` of a batch input, keeping its positions `keep`.
-fn joined_side<'a>(
+/// The rows `rows` of a batch input.
+fn joined_input<'a>(
     batch: &'a RowBatch,
-    keep: &'a [usize],
     rows: &'a [u32],
-) -> JoinSide<'a, impl ExactSizeIterator<Item = usize> + Clone + 'a> {
-    JoinSide {
+) -> JoinInput<'a, impl ExactSizeIterator<Item = usize> + Clone + 'a> {
+    JoinInput {
         cols: batch.columns(),
-        keep,
         rows: rows.iter().map(|r| *r as usize),
     }
 }
@@ -497,7 +499,7 @@ impl Operator for HsjnOp {
         self.state = Some(run_hash_build(
             self.build.as_mut(),
             &self.build_key_pos,
-            self.build_harvest.as_ref(),
+            self.build_harvest,
             ctx,
         )?);
         self.probe.open(ctx)?;
@@ -543,7 +545,7 @@ impl Operator for HsjnOp {
                         if out.len() + self.pair_build.len() >= target {
                             flush_pairs(
                                 &mut out,
-                                &self.keep,
+                                &self.cols,
                                 &state.rows,
                                 probe,
                                 &mut self.pair_build,
@@ -563,7 +565,7 @@ impl Operator for HsjnOp {
             if let Some((probe, _)) = self.probe_rows.current() {
                 flush_pairs(
                     &mut out,
-                    &self.keep,
+                    &self.cols,
                     &state.rows,
                     probe,
                     &mut self.pair_build,
@@ -736,9 +738,8 @@ pub struct MgjnOp {
     right: Box<dyn Operator>,
     left_key_pos: usize,
     right_key_pos: usize,
-    /// The left positions, then the right positions, the output keeps,
-    /// in output order.
-    keep: [Vec<usize>; 2],
+    /// Each output column: a left or a right position.
+    cols: Vec<(JoinSide, usize)>,
     /// The left stream; its current row (while `left_live`) is merging.
     left_rows: RowCursor,
     left_live: bool,
@@ -755,21 +756,21 @@ pub struct MgjnOp {
 }
 
 impl MgjnOp {
-    /// Create a merge join emitting the left positions `keep[0]` followed
-    /// by the right positions `keep[1]`.
+    /// Create a merge join emitting `cols`: [`JoinSide::Left`] and
+    /// [`JoinSide::Right`] positions, in output order.
     pub fn new(
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
         left_key_pos: usize,
         right_key_pos: usize,
-        keep: [Vec<usize>; 2],
+        cols: Vec<(JoinSide, usize)>,
     ) -> Self {
         MgjnOp {
             left,
             right,
             left_key_pos,
             right_key_pos,
-            keep,
+            cols,
             left_rows: RowCursor::default(),
             left_live: false,
             right_rows: RowCursor::default(),
@@ -942,14 +943,13 @@ impl Operator for MgjnOp {
                     let (left, at) = self.left_rows.current().expect("left cursor on a row");
                     let lineage = [left.lineage_at(at), self.group.lineage_at(g)];
                     out.extend_joined(
-                        JoinSide {
+                        &self.cols,
+                        JoinInput {
                             cols: left.columns(),
-                            keep: &self.keep[0],
                             rows: std::iter::once(at),
                         },
-                        JoinSide {
+                        JoinInput {
                             cols: self.group.columns(),
-                            keep: &self.keep[1],
                             rows: std::iter::once(g),
                         },
                         (lineage[0].len() + lineage[1].len() > 0)
@@ -1017,9 +1017,16 @@ mod tests {
         out
     }
 
+    /// Output columns: the left positions `left`, then the right's.
+    fn side_by_side(left: &[usize], right: &[usize]) -> Vec<(JoinSide, usize)> {
+        (left.iter().map(|p| (JoinSide::Left, *p)))
+            .chain(right.iter().map(|p| (JoinSide::Right, *p)))
+            .collect()
+    }
+
     /// Both columns of each `setup` table, the full width of a join of two.
-    fn both_columns() -> [Vec<usize>; 2] {
-        [vec![0, 1], vec![0, 1]]
+    fn both_columns() -> Vec<(JoinSide, usize)> {
+        side_by_side(&[0, 1], &[0, 1])
     }
 
     fn expected_join() -> Vec<Row> {
@@ -1130,7 +1137,7 @@ mod tests {
         let pages = big.page_count() as f64;
         let b = Box::new(TableScanOp::new(big, None));
         let p = Box::new(TableScanOp::new(small, None));
-        let mut op = HsjnOp::new(b, p, vec![0], vec![0], [vec![0], vec![0]]);
+        let mut op = HsjnOp::new(b, p, vec![0], vec![0], side_by_side(&[0], &[0]));
         op.open(&mut ctx).unwrap();
         // Work after the build is exactly scan + build + one spill pass
         // over the 12k rows.
@@ -1389,9 +1396,9 @@ mod tests {
                     Box::new(TableScanOp::new(t.clone(), None))
                 };
                 let all: Vec<usize> = (0..=case.key_cols).collect();
-                let keep = [all.clone(), all];
+                let cols = side_by_side(&all, &all);
                 let mut op =
-                    HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone(), keep);
+                    HsjnOp::new(scan(&build), scan(&probe), keys.clone(), keys.clone(), cols);
                 let rows = drain(&mut op, &mut ctx);
                 assert_eq!(tags(&rows), expect, "{} @ {batch_size}", case.name);
             }
@@ -1479,7 +1486,7 @@ mod tests {
             idx,
             pred,
             residual,
-            [all.clone(), all],
+            side_by_side(&all, &all),
         )
     }
 

@@ -8,21 +8,7 @@ use crate::context::Harvest;
 use crate::operators::{next_chunk, CostUnit, Operator};
 use crate::{ExecCtx, OpResult, RowBatch};
 use pop_plan::{CostModel, TableSet};
-use pop_types::ColId;
 use std::sync::Arc;
-
-/// Harvest descriptor attached to a materializing operator at build time:
-/// the subplan's table set plus the permutation that reorders the node's
-/// layout into canonical column order.
-#[derive(Debug, Clone)]
-pub struct HarvestInfo {
-    /// The query tables the materialized subplan joins.
-    pub tables: TableSet,
-    /// Canonical layout (sorted ColIds).
-    pub canonical_layout: Vec<ColId>,
-    /// `perm[i]` = position in the node layout of canonical column `i`.
-    pub perm: Vec<usize>,
-}
 
 /// Drain `input` into one flat buffer (behind an `Arc`, to be shared with
 /// a harvest) — the one loop behind SORT, TEMP and the hash-join build —
@@ -48,13 +34,13 @@ pub(crate) fn materialize(
 }
 
 /// Materializing sort. The entire input is consumed at `open`; the sorted
-/// result is registered as a harvest for potential reuse after a CHECK
-/// failure, then re-emitted in batches.
+/// result is registered as a harvest of its table set (when given one)
+/// for potential reuse after a CHECK failure, then re-emitted in batches.
 pub struct SortOp {
     input: Box<dyn Operator>,
     key_pos: usize,
     desc: bool,
-    harvest: Option<HarvestInfo>,
+    harvest: Option<TableSet>,
     /// The input, in arrival order; `None` until `open`.
     buf: Option<Arc<RowBatch>>,
     /// Indices into `buf`, in sorted order.
@@ -70,7 +56,7 @@ impl SortOp {
         input: Box<dyn Operator>,
         key_pos: usize,
         desc: bool,
-        harvest: Option<HarvestInfo>,
+        harvest: Option<TableSet>,
     ) -> Self {
         SortOp {
             input,
@@ -103,10 +89,10 @@ impl Operator for SortOp {
         }
         self.order = Arc::from(order);
         ctx.charge(ctx.model.sort_cost(buf.len() as f64));
-        if let Some(info) = &self.harvest {
+        if let Some(tables) = self.harvest {
             let order = Some(Arc::clone(&self.order));
             ctx.harvests
-                .push(Harvest::new(info, Arc::clone(&buf), order));
+                .push(Harvest::new(tables, Arc::clone(&buf), order));
         }
         self.buf = Some(buf);
         Ok(())
@@ -137,7 +123,7 @@ impl Operator for SortOp {
 /// NLJN outers, and usable as a blocking buffer anywhere.
 pub struct TempOp {
     input: Box<dyn Operator>,
-    harvest: Option<HarvestInfo>,
+    harvest: Option<TableSet>,
     /// The input, in arrival order; `None` until `open`.
     buf: Option<Arc<RowBatch>>,
     pos: usize,
@@ -146,8 +132,8 @@ pub struct TempOp {
 }
 
 impl TempOp {
-    /// Create a TEMP.
-    pub fn new(input: Box<dyn Operator>, harvest: Option<HarvestInfo>) -> Self {
+    /// Create a TEMP, harvested as the materialization of `harvest`.
+    pub fn new(input: Box<dyn Operator>, harvest: Option<TableSet>) -> Self {
         TempOp {
             input,
             harvest,
@@ -164,9 +150,9 @@ impl Operator for TempOp {
         self.pos = 0;
         let write = CostModel::temp_write;
         let buf = materialize(self.input.as_mut(), write, &mut self.reserved, ctx)?;
-        if let Some(info) = &self.harvest {
+        if let Some(tables) = self.harvest {
             ctx.harvests
-                .push(Harvest::new(info, Arc::clone(&buf), None));
+                .push(Harvest::new(tables, Arc::clone(&buf), None));
         }
         self.buf = Some(buf);
         Ok(())
@@ -264,12 +250,7 @@ mod tests {
     #[test]
     fn temp_harvest_shares_the_buffer() {
         let (mut ctx, scan) = ctx_and_scan();
-        let info = HarvestInfo {
-            tables: TableSet::single(0),
-            canonical_layout: vec![ColId::new(0, 0)],
-            perm: vec![0],
-        };
-        let mut op = TempOp::new(scan, Some(info));
+        let mut op = TempOp::new(scan, Some(TableSet::single(0)));
         op.open(&mut ctx).unwrap();
         assert_eq!(ctx.harvests.len(), 1);
         let h = &ctx.harvests[0];
@@ -309,8 +290,8 @@ mod tests {
 
     /// `(key, tag)` rows with duplicate keys: a descending sort is the
     /// stable ascending sort reversed (equal keys come out in reverse
-    /// input order), and the harvest reads the buffer in sorted order with
-    /// its columns permuted into canonical order.
+    /// input order), and the harvest reads the buffer in sorted order,
+    /// its columns in the node's own order.
     #[test]
     fn sort_desc_is_the_reversed_stable_sort_and_harvests_in_sorted_order() {
         let cat = Catalog::new();
@@ -323,17 +304,12 @@ mod tests {
                     .map(|(k, t)| vec![Value::Int(*k), Value::str(t)]),
             )
             .unwrap();
-        let info = HarvestInfo {
-            tables: TableSet::single(0),
-            canonical_layout: vec![ColId::new(0, 0), ColId::new(0, 1)],
-            perm: vec![1, 0], // canonical col 0 lives at layout pos 1
-        };
         for (desc, expect) in [(false, "bdace"), (true, "ecadb")] {
             for batch_size in [1, 2, 1024] {
                 let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
                 ctx.batch_size = batch_size;
                 let scan = Box::new(TableScanOp::new(t.clone(), None));
-                let mut op = SortOp::new(scan, 0, desc, Some(info.clone()));
+                let mut op = SortOp::new(scan, 0, desc, Some(TableSet::single(0)));
                 op.open(&mut ctx).unwrap();
                 let mut tags = String::new();
                 while let Some(b) = op.next_batch(&mut ctx).unwrap() {
@@ -348,10 +324,10 @@ mod tests {
                 let (cols, lineage) = ctx.harvests[0].columns();
                 let lineage = lineage.expect("a scan's rows carry lineage");
                 let harvested: String = (0..5)
-                    .map(|i| cols[0].value(i).as_str().unwrap().to_string())
+                    .map(|i| cols[1].value(i).as_str().unwrap().to_string())
                     .collect();
                 assert_eq!(harvested, expect, "harvest, desc={desc}");
-                assert!((0..5).all(|i| cols[1].value(i).as_i64().is_some()));
+                assert!((0..5).all(|i| cols[0].value(i).as_i64().is_some()));
                 let pos = |tag: char| expect.find(tag).unwrap();
                 assert_eq!(lineage.row(pos('a')), &[pop_types::Rid::new(t.id(), 0)]);
                 assert_eq!(lineage.row(pos('e')), &[pop_types::Rid::new(t.id(), 4)]);

@@ -14,7 +14,7 @@ mod side;
 pub use agg::{AggKind, HashAggOp, HavingOp, LimitOp, ProjectOp};
 pub use guard::GuardOp;
 pub use joins::{HsjnOp, MgjnOp, NljnOp, SemiProbeOp};
-pub use materialize::{HarvestInfo, SortOp, TempOp};
+pub use materialize::{SortOp, TempOp};
 pub use scan::{IndexRangeScanOp, MvScanOp, TableScanOp};
 pub use side::{AntiJoinRidsOp, InsertOp, RidSinkOp};
 

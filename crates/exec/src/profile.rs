@@ -9,7 +9,7 @@
 //! wide as its layout. The query path never builds the wrappers; only
 //! profiling tools (`bench_exec --profile`) and tests call this.
 
-use crate::build::{build_wrapped, Subplans};
+use crate::build::{build_wrapped, harvests};
 use crate::executor::{drain_root, RunOutcome};
 use crate::{ExecCtx, OpResult, Operator, RowBatch};
 use pop_plan::PhysNode;
@@ -104,11 +104,11 @@ impl Operator for Timed {
 pub fn execute_profiled(
     plan: &PhysNode,
     ctx: &mut ExecCtx,
-    subplans: &Subplans,
 ) -> PopResult<(RunOutcome, Vec<OpTime>)> {
     ctx.begin_run();
     let clock = Rc::new(RefCell::new(Clock::default()));
-    let op = build_wrapped(plan, &ctx.catalog, subplans, &mut |node, inner| {
+    let harvest = harvests(plan, ctx.checks_enabled);
+    let op = build_wrapped(plan, &ctx.catalog, harvest, &mut |node, inner| {
         let mut c = clock.borrow_mut();
         c.nodes.push(OpTime {
             name: node.name(),
@@ -187,12 +187,9 @@ mod tests {
             let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
             ctx.batch_size = 8;
             let (outcome, nodes) = if profiled {
-                execute_profiled(plan, &mut ctx, &Subplans::new()).unwrap()
+                execute_profiled(plan, &mut ctx).unwrap()
             } else {
-                (
-                    execute(plan, &mut ctx, &Subplans::new()).unwrap(),
-                    Vec::new(),
-                )
+                (execute(plan, &mut ctx).unwrap(), Vec::new())
             };
             let rows: Vec<Vec<Value>> = outcome
                 .batches()

@@ -7,7 +7,6 @@ use pop_plan::{
 };
 use pop_storage::{Catalog, IndexKind};
 use pop_types::{ColId, DataType, Schema, Value};
-use std::collections::HashMap;
 
 fn catalog() -> Catalog {
     let cat = Catalog::new();
@@ -59,7 +58,7 @@ fn nljn_without_index_is_a_planning_error() {
         },
         props: PlanProps::leaf(TableSet::from_iter([0, 1]), 10.0, 10.0, vec![]),
     };
-    assert!(build_operator(&plan, &cat, &HashMap::new()).is_err());
+    assert!(build_operator(&plan, &cat, false).is_err());
 }
 
 #[test]
@@ -72,7 +71,7 @@ fn join_key_not_in_layout_is_a_planning_error() {
         probe_keys: vec![ColId::new(1, 0)],
         props: PlanProps::leaf(TableSet::from_iter([0, 1]), 10.0, 10.0, vec![]),
     };
-    assert!(build_operator(&plan, &cat, &HashMap::new()).is_err());
+    assert!(build_operator(&plan, &cat, false).is_err());
 }
 
 #[test]
@@ -82,7 +81,7 @@ fn unknown_mv_is_an_error() {
         mv_name: "__missing".into(),
         props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
     };
-    assert!(build_operator(&plan, &cat, &HashMap::new()).is_err());
+    assert!(build_operator(&plan, &cat, false).is_err());
 }
 
 #[test]
@@ -97,7 +96,7 @@ fn sort_by_position_works_end_to_end() {
         props,
     };
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+    let out = execute(&plan, &mut ctx).unwrap();
     match out {
         RunOutcome::Complete { batches } => {
             let keys: Vec<Value> = batches
@@ -141,7 +140,7 @@ fn project_with_aggregate_outputs() {
         },
     };
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+    let out = execute(&plan, &mut ctx).unwrap();
     assert_eq!(out.row_count(), 5);
     for b in out.batches() {
         assert!(b
@@ -168,6 +167,6 @@ fn filter_predicate_binds_against_scan_layout() {
         ),
     };
     let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx, &HashMap::new()).unwrap();
+    let out = execute(&plan, &mut ctx).unwrap();
     assert_eq!(out.row_count(), 10);
 }

@@ -14,7 +14,7 @@ use pop_exec::operators::{
     AggKind, AntiJoinRidsOp, GuardOp, HashAggOp, HsjnOp, IndexRangeScanOp, InsertOp, MgjnOp,
     MvScanOp, NljnOp, RidSinkOp, SemiProbeOp, SortOp, TableScanOp, TempOp,
 };
-use pop_exec::{execute, ExecCtx, Operator, Subplans};
+use pop_exec::{execute, ExecCtx, JoinSide, Operator};
 use pop_expr::{BoundExpr, Expr, Params};
 use pop_plan::{
     CheckContext, CheckFlavor, CheckSpec, CostModel, LayoutCol, PhysNode, PlanProps, TableSet,
@@ -23,6 +23,13 @@ use pop_plan::{
 use pop_storage::{Catalog, Index, IndexKind, StorageConfig, Table};
 use pop_types::{ColId, DataType, Schema, Value};
 use std::sync::Arc;
+
+/// Join output columns: the left positions `left`, then the right's.
+fn side_by_side(left: &[usize], right: &[usize]) -> Vec<(JoinSide, usize)> {
+    (left.iter().map(|p| (JoinSide::Left, *p)))
+        .chain(right.iter().map(|p| (JoinSide::Right, *p)))
+        .collect()
+}
 
 /// Rows of `t`; `u` has three rows per key below `N / 4` plus `NULLS`
 /// rows with a NULL key.
@@ -230,8 +237,8 @@ fn nljn_charges_a_probe_per_outer_row_and_every_match() {
         "NLJN",
         |f| {
             let (u, u_k) = (Arc::clone(&f.u), Arc::clone(&f.u_k));
-            let keep = [vec![0, 1, 2], vec![0, 1]];
-            Box::new(NljnOp::new(scan(&f.t), 0, u, u_k, None, Vec::new(), keep))
+            let cols = side_by_side(&[0, 1, 2], &[0, 1]);
+            Box::new(NljnOp::new(scan(&f.t), 0, u, u_k, None, Vec::new(), cols))
         },
         |f| {
             let matches: Vec<u64> = (0..N).flat_map(|k| f.u_k.probe(&Value::Int(k))).collect();
@@ -284,8 +291,8 @@ fn hash_join_charges_build_spill_and_probe() {
     identity(
         "HSJN, spilled build",
         |f| {
-            let keep = [vec![0, 1, 2], vec![0, 1]];
-            Box::new(HsjnOp::new(scan(&f.t), scan(&f.u), vec![0], vec![0], keep))
+            let cols = side_by_side(&[0, 1, 2], &[0, 1]);
+            Box::new(HsjnOp::new(scan(&f.t), scan(&f.u), vec![0], vec![0], cols))
         },
         |f| join(f, &f.t, &f.u),
     );
@@ -293,21 +300,21 @@ fn hash_join_charges_build_spill_and_probe() {
     identity(
         "HSJN, NULL build keys",
         |f| {
-            let keep = [vec![0, 1], vec![0, 1, 2]];
-            Box::new(HsjnOp::new(scan(&f.u), scan(&f.t), vec![0], vec![0], keep))
+            let cols = side_by_side(&[0, 1], &[0, 1, 2]);
+            Box::new(HsjnOp::new(scan(&f.u), scan(&f.t), vec![0], vec![0], cols))
         },
         |f| join(f, &f.u, &f.t),
     );
     identity(
         "HSJN, empty build",
         |f| {
-            let keep = [vec![0, 1, 2], vec![0, 1, 2]];
+            let cols = side_by_side(&[0, 1, 2], &[0, 1, 2]);
             Box::new(HsjnOp::new(
                 scan(&f.empty),
                 scan(&f.t),
                 vec![0],
                 vec![0],
-                keep,
+                cols,
             ))
         },
         |f| join(f, &f.empty, &f.t),
@@ -322,8 +329,8 @@ fn merge_join_charges_every_row_it_pulls() {
     identity(
         "MGJN",
         |f| {
-            let keep = [vec![0, 1], vec![0, 1]];
-            Box::new(MgjnOp::new(sorted(f), sorted(f), 0, 0, keep))
+            let cols = side_by_side(&[0, 1], &[0, 1]);
+            Box::new(MgjnOp::new(sorted(f), sorted(f), 0, 0, cols))
         },
         |f| {
             let sort = f.scan_cost(&f.u) + f.m().sort_cost(u_len());
@@ -421,7 +428,7 @@ fn execution_charges_the_result_rows() {
                 pred: None,
                 props: PlanProps::leaf(TableSet::single(0), N as f64, 0.0, layout),
             };
-            execute(&plan, &mut f.ctx, &Subplans::new()).unwrap();
+            execute(&plan, &mut f.ctx).unwrap();
             let want = f.scan_cost(&f.t) + f.m().output(N as f64);
             assert!(
                 (f.ctx.work - want).abs() <= 1e-9 * want,

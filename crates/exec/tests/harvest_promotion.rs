@@ -1,19 +1,17 @@
 //! Promotion moves a harvest's columns; the gather it replaced is the
 //! reference. Random buffers over `Int` / `Float` / `Date` / `Bool` /
 //! `Str` columns, with NULLs, all-NULL columns and columns that mix types,
-//! grown batch by batch as a materializing operator grows them, under a
-//! random canonical column permutation, in buffer order or a random SORT
-//! order: the temp table built from `Harvest::into_columns` must hold the
+//! grown batch by batch as a materializing operator grows them, in buffer
+//! order or a random SORT order: the temp table built from `Harvest::into_columns` must hold the
 //! rows (values with their variants, in output order), lineage, page count
 //! and MV-scan cost of the one built from `Harvest::columns`, on the mem
 //! and the paged backend.
 
-use pop_exec::operators::HarvestInfo;
 use pop_exec::{Harvest, RowBatch};
 use pop_plan::{CostModel, TableSet};
 use pop_storage::{Catalog, Lineage, StorageConfig, StorageKind};
 use pop_types::column::Column;
-use pop_types::{ColId, ColumnDef, DataType, Rid, Row, Schema, Value};
+use pop_types::{ColumnDef, DataType, Rid, Row, Schema, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
@@ -144,34 +142,27 @@ fn check(seed: u64, width: usize, rows: usize, sorted: bool) -> Result<(), TestC
         }
         buffer.append(batch);
     }
-    // Canonical column `i` lives at buffer position `perm[i]`.
-    let perm = rng.permutation(width);
     let order = sorted.then(|| {
         rng.permutation(rows)
             .into_iter()
             .map(|i| i as u32)
             .collect::<Arc<[u32]>>()
     });
-    let info = HarvestInfo {
-        tables: TableSet::single(0),
-        canonical_layout: (0..width).map(|c| ColId::new(0, c)).collect(),
-        perm: perm.clone(),
-    };
+    let tables = TableSet::single(0);
     let schema = Schema::new(
-        perm.iter()
-            .map(|&p| ColumnDef::new(format!("c{p}"), dtype(kinds[p])))
+        (kinds.iter().enumerate())
+            .map(|(c, k)| ColumnDef::new(format!("c{c}"), dtype(*k)))
             .collect(),
     );
     // The gather reads a buffer the operator still shares; each move gets
     // a buffer of its own, as promotion does once the plan is dropped.
     let shared = Arc::new(buffer.clone());
-    let reference = Harvest::new(&info, Arc::clone(&shared), order.clone());
+    let reference = Harvest::new(tables, Arc::clone(&shared), order.clone());
 
     let expected: Vec<String> = (0..rows)
         .map(|r| {
             let src = order.as_ref().map_or(r, |o| o[r] as usize);
-            let row: Row = perm.iter().map(|&p| values[src].0[p].clone()).collect();
-            format!("{row:?}")
+            format!("{:?}", values[src].0)
         })
         .collect();
     let expected_lineage: Vec<Vec<Rid>> = (0..rows)
@@ -190,7 +181,7 @@ fn check(seed: u64, width: usize, rows: usize, sorted: bool) -> Result<(), TestC
             ..StorageConfig::default()
         });
         let gathered = promoted(&catalog, &schema, reference.columns(), rows);
-        let own = Harvest::new(&info, Arc::new(buffer.clone()), order.clone());
+        let own = Harvest::new(tables, Arc::new(buffer.clone()), order.clone());
         let moved = promoted(&catalog, &schema, own.into_columns(), rows);
         prop_assert_eq!(&gathered.0, &expected, "{:?}: gathered rows", kind);
         prop_assert_eq!(

@@ -3,7 +3,7 @@
 //! implementation on arbitrary data, including duplicates and NULLs.
 
 use pop_exec::operators::{AggKind, HashAggOp, HsjnOp, MgjnOp, NljnOp, SortOp, TableScanOp};
-use pop_exec::{ExecCtx, Operator};
+use pop_exec::{ExecCtx, JoinSide, Operator};
 use pop_expr::Params;
 use pop_plan::CostModel;
 use pop_storage::{Catalog, IndexKind};
@@ -11,6 +11,13 @@ use pop_types::{DataType, Schema, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Join output columns: the left positions `left`, then the right's.
+fn side_by_side(left: &[usize], right: &[usize]) -> Vec<(JoinSide, usize)> {
+    (left.iter().map(|p| (JoinSide::Left, *p)))
+        .chain(right.iter().map(|p| (JoinSide::Right, *p)))
+        .collect()
+}
 
 fn opt_int(v: Option<i64>) -> Value {
     v.map_or(Value::Null, Value::Int)
@@ -189,7 +196,7 @@ proptest! {
             keyed_scan(&cat, "p", &probe),
             vec![0, 1],
             vec![0, 1],
-            [vec![0, 1, 2], vec![0, 1, 2]],
+            side_by_side(&[0, 1, 2], &[0, 1, 2]),
         );
         prop_assert_eq!(drain_in_order(&mut join, &mut ctx), expected);
     }
@@ -245,8 +252,8 @@ proptest! {
         ctx.batch_size = batch_size;
         let idx = ctx.catalog.find_index(r.id(), 0, false).unwrap();
         let outer = Box::new(TableScanOp::new(l.clone(), None));
-        let keep = || [vec![0, 1], vec![0, 1]];
-        let mut nljn = NljnOp::new(outer, 0, r.clone(), idx, None, vec![], keep());
+        let cols = || side_by_side(&[0, 1], &[0, 1]);
+        let mut nljn = NljnOp::new(outer, 0, r.clone(), idx, None, vec![], cols());
         prop_assert_eq!(drain(&mut nljn, &mut ctx), expected.clone());
 
         // HSJN.
@@ -257,7 +264,7 @@ proptest! {
             Box::new(TableScanOp::new(r.clone(), None)),
             vec![0],
             vec![0],
-            keep(),
+            cols(),
         );
         prop_assert_eq!(drain(&mut hsjn, &mut ctx), expected.clone());
 
@@ -266,7 +273,7 @@ proptest! {
         ctx.batch_size = batch_size;
         let sl = SortOp::new(Box::new(TableScanOp::new(l, None)), 0, false, None);
         let sr = SortOp::new(Box::new(TableScanOp::new(r, None)), 0, false, None);
-        let mut mgjn = MgjnOp::new(Box::new(sl), Box::new(sr), 0, 0, keep());
+        let mut mgjn = MgjnOp::new(Box::new(sl), Box::new(sr), 0, 0, cols());
         prop_assert_eq!(drain(&mut mgjn, &mut ctx), expected);
     }
 
@@ -352,7 +359,7 @@ proptest! {
             keyed_scan(&cat, "p", &probe),
             keys.clone(),
             keys.clone(),
-            [vec![0, 1, 2], vec![0, 1, 2]],
+            side_by_side(&[0, 1, 2], &[0, 1, 2]),
         );
         prop_assert_eq!(drain_in_order(&mut join, &mut ctx), joined);
 

@@ -6,7 +6,7 @@
 //! would see NULLs on pages and diverge.
 
 use pop_exec::operators::{IndexRangeScanOp, NljnOp, SemiProbeOp, TableScanOp};
-use pop_exec::{ExecCtx, Operator};
+use pop_exec::{ExecCtx, JoinSide, Operator};
 use pop_expr::{BoundExpr, Expr, Params};
 use pop_plan::CostModel;
 use pop_storage::{Catalog, IndexKind, StorageConfig, Table};
@@ -202,7 +202,12 @@ fn nljn_reads_predicate_and_residual_columns_it_does_not_emit() {
         let outer = Box::new(TableScanOp::new(f.t.clone(), None).with_columns(vec![0, 1]));
         let index = f.ctx.catalog.find_index(f.u.id(), 0, false).unwrap();
         let inner_pred = bind(&Expr::col(0, 2).like("a%"), &f.u);
-        let keep = [vec![0, 1], vec![3]];
+        // t's two columns, then u's tag.
+        let cols = vec![
+            (JoinSide::Left, 0),
+            (JoinSide::Left, 1),
+            (JoinSide::Right, 3),
+        ];
         Box::new(NljnOp::new(
             outer,
             0,
@@ -210,7 +215,7 @@ fn nljn_reads_predicate_and_residual_columns_it_does_not_emit() {
             index,
             Some(inner_pred),
             vec![(1, 1)],
-            keep,
+            cols,
         ))
     });
 }

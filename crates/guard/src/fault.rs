@@ -47,31 +47,14 @@ impl FaultKind {
     /// The kinds [`FaultPlan::from_seed`] samples from: the four
     /// engine-level kinds. Seeded chaos plans are pinned by tests (the
     /// fixed-seed sweep in `tests/chaos.rs`), so new kinds join `ALL` —
-    /// and explicit [`FaultPlan::parse_spec`] specs — without perturbing
-    /// the seed→plan mapping.
+    /// and explicit [`FaultPlan::new`] plans — without perturbing the
+    /// seed→plan mapping.
     const SEEDED: [FaultKind; 4] = [
         FaultKind::StorageRead,
         FaultKind::OptimizerFail,
         FaultKind::CorruptStats,
         FaultKind::SpuriousCheck,
     ];
-
-    /// Stable short name, used in [`FaultPlan::parse_spec`] specs and
-    /// messages.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::StorageRead => "storage",
-            FaultKind::OptimizerFail => "optfail",
-            FaultKind::CorruptStats => "stats",
-            FaultKind::SpuriousCheck => "check",
-            FaultKind::TornWrite => "torn",
-            FaultKind::ShortRead => "shortread",
-        }
-    }
-
-    fn parse(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
 
     fn index(self) -> usize {
         match self {
@@ -142,23 +125,6 @@ impl FaultPlan {
             })
             .collect();
         FaultPlan { specs }
-    }
-
-    /// Parse a `"kind@idx,kind@idx"` spec string.
-    pub fn parse_spec(raw: &str) -> Option<Self> {
-        let mut specs = Vec::new();
-        for part in raw.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (kind, at) = part.split_once('@')?;
-            specs.push(FaultSpec {
-                kind: FaultKind::parse(kind.trim())?,
-                at: at.trim().parse().ok()?,
-            });
-        }
-        Some(FaultPlan { specs })
     }
 }
 
@@ -284,8 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn storage_fault_hooks_fire_and_parse() {
-        let plan = FaultPlan::parse_spec("torn@1,shortread@0").unwrap();
+    fn storage_fault_hooks_fire() {
+        let plan = FaultPlan::new(vec![
+            FaultSpec {
+                kind: FaultKind::TornWrite,
+                at: 1,
+            },
+            FaultSpec {
+                kind: FaultKind::ShortRead,
+                at: 0,
+            },
+        ]);
         let mut inj = FaultInjector::new(plan);
         assert!(inj.short_read());
         assert!(!inj.short_read());
@@ -324,31 +299,5 @@ mod tests {
         assert!(!inj.spurious_check());
         assert!(inj.spurious_check());
         assert!(!inj.corrupt_stats());
-    }
-
-    #[test]
-    fn spec_string_round_trip() {
-        let plan = FaultPlan::parse_spec("storage@2, optfail@0,check@5").unwrap();
-        assert_eq!(
-            plan.specs,
-            vec![
-                FaultSpec {
-                    kind: FaultKind::StorageRead,
-                    at: 2
-                },
-                FaultSpec {
-                    kind: FaultKind::OptimizerFail,
-                    at: 0
-                },
-                FaultSpec {
-                    kind: FaultKind::SpuriousCheck,
-                    at: 5
-                },
-            ]
-        );
-        assert!(FaultPlan::parse_spec("monitor@1").is_none());
-        assert!(FaultPlan::parse_spec("bogus@1").is_none());
-        assert!(FaultPlan::parse_spec("storage").is_none());
-        assert!(FaultPlan::parse_spec("storage@x").is_none());
     }
 }

@@ -12,7 +12,8 @@ use crate::memo::{Group, SolvedRanges};
 use crate::placement::place_checkpoints;
 use crate::{validity, Candidate, CardEstimator, Memo, MemoStats, OptimizerContext, RootCostSpec};
 use pop_plan::{
-    InnerProbe, LayoutCol, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet, ValidityRange,
+    canonical_layout, InnerProbe, LayoutCol, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet,
+    ValidityRange,
 };
 use pop_types::{ColId, PopResult};
 
@@ -80,22 +81,19 @@ fn extract(
         let idx = cand.edge_children[edge].expect("a planned input names its candidate");
         extract(groups, solved, sides[edge], idx, est, ctx, evals)
     };
-    // `edges`: the canonical edge behind each physical child, in child order.
-    let props = |layout: Vec<LayoutCol>, edges: &[usize]| PlanProps {
+    // `edges`: the canonical edge behind each physical child, in child
+    // order. A join emits its table set's canonical layout, whatever the
+    // order of its inputs.
+    let props = |edges: &[usize]| PlanProps {
         tables: set,
         card: cand.card,
         cost: cand.cost,
-        layout,
+        layout: canonical_layout(spec, set, est.col_counts())
+            .into_iter()
+            .map(LayoutCol::Base)
+            .collect(),
         sorted_by: cand.order,
         edge_ranges: edges.iter().map(|&e| ranges[e]).collect(),
-    };
-    // A join's output: its inputs' columns, in order, that something above
-    // its table set reads.
-    let concat = |l: &PhysNode, r: &[LayoutCol]| -> Vec<LayoutCol> {
-        (l.props().layout.iter().chain(r))
-            .copied()
-            .filter(|c| c.as_base().is_some_and(|b| spec.read_above(set, b)))
-            .collect()
     };
     match cand.root_spec {
         RootCostSpec::Hsjn {
@@ -106,10 +104,7 @@ fn extract(
             let (build_keys, probe_keys) =
                 preds().filter_map(|j| j.split(sides[build_edge])).unzip();
             PhysNode::Hsjn {
-                props: props(
-                    concat(&build, &probe.props().layout),
-                    &[build_edge, probe_edge],
-                ),
+                props: props(&[build_edge, probe_edge]),
                 build: Box::new(build),
                 probe: Box::new(probe),
                 build_keys,
@@ -126,7 +121,7 @@ fn extract(
                 .expect("singleton inner");
             let probe = nljn_probe(preds(), t, est).expect("enumerated with this probe");
             PhysNode::Nljn {
-                props: props(concat(&outer, est.leaf_layout(t)), &[outer_edge]),
+                props: props(&[outer_edge]),
                 outer: Box::new(outer),
                 outer_key: probe.outer_key,
                 inner: InnerProbe {
@@ -168,7 +163,7 @@ fn extract(
             let left = sorted(input(0), key_a, sort_left);
             let right = sorted(input(1), key_b, sort_right);
             PhysNode::Mgjn {
-                props: props(concat(&left, &right.props().layout), &[0, 1]),
+                props: props(&[0, 1]),
                 left: Box::new(left),
                 right: Box::new(right),
                 left_keys: vec![key_a],
@@ -502,7 +497,8 @@ mod tests {
         assert_eq!(build.props().tables, TableSet::single(1));
         assert_eq!(probe.props().tables, TableSet::single(0));
         assert_eq!(props.edge_ranges, [ranges[1], ranges[0]]);
-        assert_eq!(props.layout, [&layouts[1][..], &layouts[0][..]].concat());
+        // The join emits its set's canonical layout, not build ++ probe.
+        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
         assert_eq!(build_keys, &[ColId::new(1, 1)]);
         assert_eq!(probe_keys, &[ColId::new(0, 0)]);
     }

@@ -24,24 +24,6 @@ impl LayoutCol {
     }
 }
 
-/// The positions in `input` of the longest prefix of `layout` that is an
-/// ordered subsequence of `input`, matched greedily. A join's layout is an
-/// ordered subsequence of its inputs' concatenated layouts, and inputs
-/// share no column, so this splits it: the first input's kept positions,
-/// then the rest of `layout` over the second input.
-pub fn kept_positions(layout: &[LayoutCol], input: &[LayoutCol]) -> Vec<usize> {
-    let mut kept = Vec::with_capacity(layout.len().min(input.len()));
-    let mut from = 0;
-    for c in layout {
-        let Some(p) = input[from..].iter().position(|i| i == c) else {
-            break;
-        };
-        kept.push(from + p);
-        from += p + 1;
-    }
-    kept
-}
-
 /// Aggregate function with its argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {

@@ -115,7 +115,8 @@ pub struct QuerySpec {
     /// Equi-join predicates.
     pub join_preds: Vec<JoinPred>,
     /// Output columns (before aggregation). Empty means "all columns of
-    /// all tables".
+    /// all tables" (`SELECT *`), in query-table order, each table's in
+    /// schema order — whatever the join order of the plan.
     pub projection: Vec<ColId>,
     /// Optional aggregation; its keys/args reference base columns.
     pub aggregate: Option<Aggregate>,
@@ -182,11 +183,11 @@ impl QuerySpec {
     /// scans and NLJN inner filters evaluate those on the stored row. A
     /// spec with neither aggregate nor projection outputs every column.
     ///
-    /// This is the one definition of every layout in a plan: a leaf over
-    /// `t` emits the columns of `{t}` it keeps, a join the columns of its
-    /// inputs' layouts it keeps for its own set, and a materialized
-    /// subplan is stored in [`canonical_layout`](crate::canonical_layout)
-    /// order — all functions of the spec alone.
+    /// This is the one definition of every layout in a plan: every node
+    /// over a table set (leaf, join, and the wrappers of the join tree)
+    /// emits [`canonical_layout`](crate::canonical_layout) of its set, and
+    /// a materialized subplan is stored in that order — a function of the
+    /// spec alone, whatever the join order.
     pub fn read_above(&self, set: TableSet, c: ColId) -> bool {
         if self.aggregate.is_none() && self.projection.is_empty() {
             return true;

@@ -3,9 +3,10 @@
 //! A signature identifies *what an intermediate result computes*: the set
 //! of query tables joined and the predicates applied (all local predicates
 //! of the member tables plus all join predicates fully inside the set).
-//! Materialized intermediate results are stored in **canonical column
-//! order** ([`canonical_layout`]: the columns the query reads above the
-//! leaves, ascending query-table index, then ascending column index), so
+//! Every subplan emits, and every materialized intermediate result is
+//! stored in, **canonical column order** ([`canonical_layout`]: the
+//! columns the query reads above the set, ascending query-table index,
+//! then ascending column index), so
 //! two subplans with the same signature produce identical multisets of
 //! rows in identical layouts — regardless of join order or join method.
 //!
@@ -127,12 +128,12 @@ pub fn subplan_signature(spec: &QuerySpec, set: TableSet) -> String {
     Signer::new(spec, None).sign(set)
 }
 
-/// The canonical column layout of a materialized subplan over `set` — the
-/// one contract temp-MV producers (harvests) and consumers (MV scans)
-/// share: the columns of the member tables that are
-/// [`QuerySpec::read_above`] `set`, ascending by query-table index then
-/// column index. For a single table it is the layout of every leaf over
-/// that table. `col_counts[t]` is the column count of query table `t`.
+/// The column layout of every subplan over `set` — what its leaves,
+/// joins and their wrappers emit, and so the one contract temp-MV
+/// producers (harvests) and consumers (MV scans) share: the columns of
+/// the member tables that are [`QuerySpec::read_above`] `set`, ascending
+/// by query-table index then column index. `col_counts[t]` is the column
+/// count of query table `t`.
 pub fn canonical_layout(spec: &QuerySpec, set: TableSet, col_counts: &[usize]) -> Vec<ColId> {
     set.iter()
         .flat_map(|t| (0..col_counts[t]).map(move |c| ColId::new(t, c)))

@@ -10,14 +10,14 @@
 //! `PL001` at its first consumer. This pass proves, per node, that (a)
 //! every column reference resolves in what it will be bound against and
 //! (b) the node's own output layout is one its operator can produce — for
-//! a leaf, a strictly ascending subset of its table's columns; for a join,
-//! an ordered subsequence of its inputs' concatenated layouts (an NLJN's
-//! inner part a leaf layout of its inner table); for the rest, a function
-//! of the children.
+//! a node over a table set (leaf, MV scan, join), its set's canonical
+//! order: a strictly ascending list of `(table, column)`, each column
+//! from an input (for a leaf, from its table; for an NLJN's inner, from
+//! the inner table); for the rest, a function of the children.
 
 use crate::{DiagCode, LintContext, NodeCx, Sink};
 use pop_expr::Expr;
-use pop_plan::{kept_positions, AggFunc, LayoutCol, PhysNode, PlanProps, SortKeyRef};
+use pop_plan::{AggFunc, LayoutCol, PhysNode, PlanProps, SortKeyRef};
 use pop_types::ColId;
 
 pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
@@ -32,7 +32,7 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
             props,
         } => {
             let ncols = schema_len(table);
-            check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
+            check_set_layout(node, &props.layout, of_table(*qidx, ncols), path, sink);
             if let Some(p) = pred {
                 check_expr_in_schema(node, p, *qidx, ncols, "scan predicate", path, sink);
             }
@@ -46,7 +46,7 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
             ..
         } => {
             let ncols = schema_len(table);
-            check_leaf_layout(node, &props.layout, *qidx, ncols, path, sink);
+            check_set_layout(node, &props.layout, of_table(*qidx, ncols), path, sink);
             if let Some(n) = ncols {
                 if *column >= n {
                     sink.emit(
@@ -62,14 +62,8 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
             }
         }
         PhysNode::MvScan { props, .. } => {
-            if props.layout.iter().any(|c| c.as_base().is_none()) {
-                sink.emit(
-                    DiagCode::Pl002,
-                    node,
-                    path,
-                    "MV scan layout contains aggregate columns".into(),
-                );
-            }
+            let set = props.tables;
+            check_set_layout(node, &props.layout, |c| set.contains(c.table), path, sink);
         }
         PhysNode::Nljn {
             outer,
@@ -120,11 +114,9 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
                     sink,
                 );
             }
-            // The outer columns the join keeps, in order, then the inner
-            // leaf's: whatever does not continue the outer part must be a
-            // leaf layout of the inner table.
-            let kept = kept_positions(&props.layout, ol).len();
-            check_leaf_layout(node, &props.layout[kept..], inner.qidx, ncols, path, sink);
+            let inner_col = of_table(inner.qidx, ncols);
+            let from = |c: ColId| ol.contains(&LayoutCol::Base(c)) || inner_col(c);
+            check_set_layout(node, &props.layout, from, path, sink);
         }
         PhysNode::Hsjn {
             build,
@@ -154,7 +146,7 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
                     sink,
                 );
             }
-            check_concat_layout(node, build.props(), probe.props(), props, path, sink);
+            check_join_layout(node, build.props(), probe.props(), props, path, sink);
         }
         PhysNode::Mgjn {
             left,
@@ -177,7 +169,7 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
                     sink,
                 );
             }
-            check_concat_layout(node, left.props(), right.props(), props, path, sink);
+            check_join_layout(node, left.props(), right.props(), props, path, sink);
         }
         PhysNode::Sort {
             input, key, props, ..
@@ -308,42 +300,46 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
     }
 }
 
-/// A leaf's output (a scan's layout, an NLJN's suffix after the outer
-/// layout) must be a strictly ascending subset of its own table's columns:
-/// that is what the leaf operators copy out of the stored row, and the
-/// order every canonical layout is built from.
-fn check_leaf_layout(
+/// The columns of query table `qidx`, within its schema when known: what
+/// a leaf can copy out of the stored row.
+fn of_table(qidx: usize, ncols: Option<usize>) -> impl Fn(ColId) -> bool {
+    move |c| c.table == qidx && ncols.is_none_or(|n| c.col < n)
+}
+
+/// A node over a table set emits its set's canonical layout: a strictly
+/// ascending list of `(table, column)`, each column one `from` supplies —
+/// an input's, or for a leaf its table's. Whether it dropped a column
+/// something above still reads is not this node's to say: that shows as
+/// `PL001` where the column is read.
+fn check_set_layout(
     node: &PhysNode,
     layout: &[LayoutCol],
-    qidx: usize,
-    ncols: Option<usize>,
+    from: impl Fn(ColId) -> bool,
     path: &[usize],
     sink: &mut Sink,
 ) {
-    let mut prev: Option<usize> = None;
+    let mut prev: Option<ColId> = None;
     for c in layout {
-        let problem = match c {
-            LayoutCol::Base(b) if b.table == qidx => {
-                if ncols.is_some_and(|n| b.col >= n) {
-                    Some("a column beyond the table schema")
-                } else if prev.is_some_and(|p| b.col <= p) {
-                    Some("columns out of ascending order or repeated")
-                } else {
-                    prev = Some(b.col);
-                    None
-                }
+        let problem = match c.as_base() {
+            None => "an aggregate column",
+            Some(b) if !from(b) => "a column none of its inputs supplies",
+            Some(b) if prev.is_some_and(|p| b <= p) => "columns out of ascending order or repeated",
+            Some(b) => {
+                prev = Some(b);
+                continue;
             }
-            _ => Some("a foreign layout column"),
         };
-        if let Some(what) = problem {
-            sink.emit(
-                DiagCode::Pl002,
-                node,
-                path,
-                format!("leaf over t{qidx} emits {what}: {c:?}"),
-            );
-            return;
-        }
+        sink.emit(
+            DiagCode::Pl002,
+            node,
+            path,
+            format!(
+                "{} over {} emits {problem}: {c:?}",
+                node.name(),
+                node.props().tables
+            ),
+        );
+        return;
     }
 }
 
@@ -376,11 +372,8 @@ fn check_join_keys(
     }
 }
 
-/// A join keeps the columns read above it: its layout must be an ordered
-/// subsequence of its inputs' concatenated layouts. Whether it dropped a
-/// column something above still reads is not this node's to say: that
-/// shows as `PL001` where the column is read.
-fn check_concat_layout(
+/// A hash or merge join's layout: its set's, gathered from its inputs.
+fn check_join_layout(
     node: &PhysNode,
     a: &PlanProps,
     b: &PlanProps,
@@ -388,16 +381,12 @@ fn check_concat_layout(
     path: &[usize],
     sink: &mut Sink,
 ) {
-    let left = kept_positions(&props.layout, &a.layout).len();
-    let right = kept_positions(&props.layout[left..], &b.layout).len();
-    if left + right != props.layout.len() {
-        sink.emit(
-            DiagCode::Pl002,
-            node,
-            path,
-            "join output layout is not an ordered subsequence of its inputs' layouts".into(),
-        );
-    }
+    let from = |c: ColId| {
+        [a, b]
+            .iter()
+            .any(|i| i.layout.contains(&LayoutCol::Base(c)))
+    };
+    check_set_layout(node, &props.layout, from, path, sink);
 }
 
 fn check_passthrough_layout(
@@ -584,11 +573,12 @@ mod tests {
 
     #[test]
     fn pl002_nljn_suffix_not_ascending_or_repeated() {
+        // The inner table b is t1, so its columns end the layout.
         let (cat, q) = pruned_setup();
         for suffix in [
             &[(1, 1), (1, 0)][..],
             &[(1, 0), (1, 1), (1, 1)][..],
-            &[(1, 0), (1, 1), (0, 1)][..], // foreign table
+            &[(1, 0), (1, 1), (0, 1)][..], // an outer column out of order
             &[(1, 0), (1, 1), (1, 2)][..], // beyond b's schema
         ] {
             let plan = pruned_plan(suffix);
@@ -627,24 +617,43 @@ mod tests {
     }
 
     #[test]
-    fn pl002_join_layout_not_concatenation() {
-        // A reordered column (probe before build, or within one input) and
-        // a column of neither input: not an ordered subsequence of
-        // build ++ probe.
+    fn pl002_join_layout_not_ascending_or_not_from_its_inputs() {
+        // Columns out of (table, column) order, across or within a table,
+        // a repeated one, a column of neither input, an aggregate slot.
         for layout in [
             base(&[(1, 0), (0, 0)]),
             base(&[(0, 1), (0, 0), (1, 0)]),
-            base(&[(0, 0), (2, 0), (1, 1)]),
+            base(&[(0, 0), (0, 0), (1, 0)]),
+            base(&[(0, 0), (1, 1), (2, 0)]),
+            vec![LayoutCol::Base(ColId::new(0, 0)), LayoutCol::Agg(0)],
         ] {
             let mut plan = hsjn(leaf(0, "a", 2, 10.0), leaf(1, "b", 2, 10.0), 5.0);
             plan.props_mut().layout = layout.clone();
             assert_eq!(diag_codes(&plan), vec!["PL002"], "{layout:?}");
         }
-        // Dropping columns in order is how a join keeps only what is read
-        // above it.
+        // Dropping columns is how a join keeps only what is read above it;
+        // the order is its set's whichever input is the build.
         let mut plan = hsjn(leaf(0, "a", 2, 10.0), leaf(1, "b", 2, 10.0), 5.0);
         plan.props_mut().layout = base(&[(0, 1), (1, 1)]);
         assert!(diag_codes(&plan).is_empty(), "{:?}", diag_codes(&plan));
+        let mut swapped = hsjn(leaf(1, "b", 2, 10.0), leaf(0, "a", 2, 10.0), 5.0);
+        if let PhysNode::Hsjn {
+            build_keys,
+            probe_keys,
+            ..
+        } = &mut swapped
+        {
+            std::mem::swap(build_keys, probe_keys);
+        }
+        assert_eq!(
+            swapped.props().layout,
+            base(&[(0, 0), (0, 1), (1, 0), (1, 1)])
+        );
+        assert!(
+            diag_codes(&swapped).is_empty(),
+            "{:?}",
+            diag_codes(&swapped)
+        );
     }
 
     #[test]
@@ -664,17 +673,18 @@ mod tests {
     }
 
     #[test]
-    fn pl002_nljn_outer_part_not_a_subsequence() {
-        // Outer a(id, name); the NLJN keeps outer columns, then b's.
-        let nljn = |layout: &[(usize, usize)]| {
-            let outer = leaf(0, "a", 2, 10.0);
+    fn pl002_nljn_layout_interleaves_outer_and_inner_by_table() {
+        // Outer a(id, name) or c(id) as t2; the NLJN's inner is b, t1: its
+        // columns go between a's and c's.
+        let nljn = |outer_table: usize, layout: &[(usize, usize)]| {
+            let outer = leaf(outer_table, "a", 2, 10.0);
             let mut props = outer.props().clone();
-            props.tables = pop_plan::TableSet::from_iter([0, 1]);
+            props.tables = pop_plan::TableSet::from_iter([outer_table, 1]);
             props.layout = base(layout);
             props.edge_ranges = vec![pop_plan::ValidityRange::unbounded()];
             PhysNode::Nljn {
                 outer: Box::new(outer),
-                outer_key: ColId::new(0, 0),
+                outer_key: ColId::new(outer_table, 0),
                 inner: pop_plan::InnerProbe {
                     qidx: 1,
                     table: "b".into(),
@@ -687,15 +697,20 @@ mod tests {
             }
         };
         for clean in [&[(0, 1), (1, 1)][..], &[(1, 0)][..], &[(0, 0), (0, 1)][..]] {
-            assert!(diag_codes(&nljn(clean)).is_empty(), "{clean:?}");
+            assert!(diag_codes(&nljn(0, clean)).is_empty(), "{clean:?}");
         }
+        let clean = &[(1, 0), (1, 1), (2, 0), (2, 1)][..];
+        assert!(diag_codes(&nljn(2, clean)).is_empty(), "{clean:?}");
         for broken in [
             &[(0, 1), (0, 0), (1, 1)][..], // reordered outer columns
-            &[(0, 0), (2, 0), (1, 1)][..], // a foreign column
+            &[(0, 0), (1, 1), (2, 0)][..], // a foreign column
             &[(1, 1), (0, 0)][..],         // an outer column after the inner's
         ] {
-            assert_eq!(diag_codes(&nljn(broken)), vec!["PL002"], "{broken:?}");
+            assert_eq!(diag_codes(&nljn(0, broken)), vec!["PL002"], "{broken:?}");
         }
+        // The outer's columns first, as a concatenation puts them.
+        let broken = &[(2, 0), (2, 1), (1, 0)][..];
+        assert_eq!(diag_codes(&nljn(2, broken)), vec!["PL002"], "{broken:?}");
     }
 
     #[test]

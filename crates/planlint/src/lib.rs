@@ -226,20 +226,19 @@ pub(crate) mod testutil {
         }
     }
 
-    /// Hash join of two subplans on `(0,0) = (1,0)` with a correctly
-    /// composed layout.
+    /// Hash join of two subplans on `(0,0) = (1,0)` emitting its set's
+    /// canonical layout: every input column, ascending.
     pub fn hsjn(build: PhysNode, probe: PhysNode, card: f64) -> PhysNode {
+        let mut layout: Vec<LayoutCol> = (build.props().layout.iter())
+            .chain(&probe.props().layout)
+            .copied()
+            .collect();
+        layout.sort_by_key(LayoutCol::as_base);
         let props = PlanProps {
             tables: build.props().tables.union(probe.props().tables),
             card,
             cost: build.props().cost + probe.props().cost + card,
-            layout: build
-                .props()
-                .layout
-                .iter()
-                .chain(probe.props().layout.iter())
-                .copied()
-                .collect(),
+            layout,
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded(), ValidityRange::unbounded()],
         };

@@ -553,7 +553,7 @@ mod tests {
     use crate::backend::StorageConfig;
     use crate::catalog::BULK_LOAD_CHUNK;
     use crate::mem::MemBackend;
-    use pop_guard::{FaultInjector, FaultPlan};
+    use pop_guard::{FaultInjector, FaultKind, FaultPlan};
     use pop_types::{Row, Value};
 
     fn env_with(page_size: usize, dir: Option<PathBuf>) -> Arc<StorageEnv> {
@@ -675,7 +675,10 @@ mod tests {
             let env = env_with(512, Some(dir.clone()));
             let b = PagedBackend::create(Arc::clone(&env), "t", false).unwrap();
             append(&b, 0, 50).unwrap();
-            env.arm_faults(FaultInjector::new(FaultPlan::parse_spec("torn@0").unwrap()));
+            env.arm_faults(FaultInjector::new(FaultPlan::single(
+                FaultKind::TornWrite,
+                0,
+            )));
             let err = append(&b, 50, 80).unwrap_err();
             assert!(err.to_string().contains("torn write"), "{err}");
             env.disarm_faults();

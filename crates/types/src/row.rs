@@ -3,9 +3,8 @@
 use crate::Value;
 use std::fmt;
 
-/// A row is a flat vector of values. Operators concatenate rows when
-/// joining; a node's *column map* (see `pop-plan`) says which (table,
-/// column) each position corresponds to.
+/// A row is a flat vector of values; a node's layout (see `pop-plan`)
+/// says which (table, column) each position corresponds to.
 pub type Row = Vec<Value>;
 
 /// A row identifier: which base table a row came from and its position.

@@ -82,7 +82,7 @@ fn sweep(cat: &Catalog, queries: &[(String, QuerySpec)]) {
             };
             let exec = PopExecutor::new(cat.clone(), config).unwrap();
             for ((name, q), expected) in queries.iter().zip(&base) {
-                let what = format!("{name} under {}@{at}", kind.as_str());
+                let what = format!("{name} under {kind:?}@{at}");
                 match exec.run(q, &Params::none()) {
                     // Completed despite the fault: the answer must be
                     // exactly the baseline (no drops, no duplicates).

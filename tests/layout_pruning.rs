@@ -1,16 +1,20 @@
-//! Per-table-set layouts end to end: every node of every TPC-H and DMV
-//! plan — first plans and every re-plan — carries exactly the columns the
-//! query reads above its table set (`pop_plan::canonical_layout`, built on
-//! `QuerySpec::read_above`), in some order; leaves emit them ascending;
-//! layouts stay narrow; joins gather no column nothing reads; and pruning
-//! did not cost the engine its temp-MV reuse (the MV contract moved with
-//! the layouts).
+//! Per-table-set layouts end to end: every node over a table set of every
+//! TPC-H and DMV plan — first plans and every re-plan — emits exactly the
+//! columns the query reads above its table set, in one order
+//! (`pop_plan::canonical_layout`, built on `QuerySpec::read_above`);
+//! layouts stay narrow; joins gather no column nothing reads; pruning did
+//! not cost the engine its temp-MV reuse (the MV contract moved with the
+//! layouts); and a `SELECT *` returns its columns in query-table order,
+//! whatever the plan or the re-plans.
 
-use pop::{PopConfig, PopExecutor};
+use pop::{Catalog, FlavorSet, PopConfig, PopExecutor};
 use pop_dmv::{dmv_catalog, dmv_queries};
-use pop_expr::Params;
-use pop_plan::{canonical_layout, LayoutCol, PhysNode, QuerySpec, TableSet};
+use pop_expr::{Expr, Params};
+use pop_plan::{
+    canonical_layout, CheckFlavor, LayoutCol, PhysNode, QueryBuilder, QuerySpec, TableSet,
+};
 use pop_tpch::{extended_queries, q7, tpch_catalog};
+use pop_types::{DataType, Row, Schema, Value};
 
 /// `promote_harvest` reports a harvest it refuses (layout not canonical) on
 /// `RunReport::warnings`; nothing else in these runs may be refused.
@@ -35,10 +39,8 @@ fn read_above(exec: &PopExecutor, spec: &QuerySpec, set: TableSet) -> Vec<Layout
 
 /// Check every node of `plan` against the spec; returns the widest layout
 /// of any node. Below the query's output operator (aggregate or
-/// projection; with neither, everywhere), a node's layout is a
-/// permutation of the columns read above its table set; a leaf's is that
-/// list itself, and an NLJN's inner part is the inner leaf's columns that
-/// are read above the join.
+/// projection; with neither, everywhere), a node's layout is the list of
+/// columns read above its table set, ascending.
 fn check_plan(exec: &PopExecutor, name: &str, spec: &QuerySpec, plan: &PhysNode) -> usize {
     let no_output = spec.aggregate.is_none() && spec.projection.is_empty();
     let mut widest = 0;
@@ -59,38 +61,12 @@ fn check_node(
     *widest = (*widest).max(layout.len());
     let set = n.props().tables;
     if below_output {
-        let mut sorted = layout.clone();
-        sorted.sort_by_key(|c| c.as_base().map(|b| (b.table, b.col)));
         assert_eq!(
-            sorted,
+            *layout,
             read_above(exec, spec, set),
             "{name}: {} over {set:?}\n{plan}",
             n.name()
         );
-    }
-    match n {
-        PhysNode::TableScan { qidx, .. } | PhysNode::IndexRangeScan { qidx, .. } => {
-            let leaf = read_above(exec, spec, TableSet::single(*qidx));
-            assert_eq!(*layout, leaf, "{name}: leaf over t{qidx}\n{plan}");
-        }
-        PhysNode::Nljn { inner, .. } if below_output => {
-            let inner_part: Vec<LayoutCol> = (layout.iter())
-                .filter(|c| c.as_base().is_some_and(|b| b.table == inner.qidx))
-                .copied()
-                .collect();
-            let leaf = read_above(exec, spec, TableSet::single(inner.qidx));
-            let kept: Vec<LayoutCol> = leaf
-                .into_iter()
-                .filter(|c| read_above(exec, spec, set).contains(c))
-                .collect();
-            assert_eq!(
-                inner_part, kept,
-                "{name}: NLJN inner t{}\n{plan}",
-                inner.qidx
-            );
-            assert!(layout.ends_with(&inner_part), "{name}: NLJN suffix\n{plan}");
-        }
-        _ => {}
     }
     let below = below_output || matches!(n, PhysNode::HashAgg { .. } | PhysNode::Project { .. });
     for c in n.children() {
@@ -175,8 +151,7 @@ fn join_cells(exec: &PopExecutor, specs: &[QuerySpec]) -> u64 {
         );
         ctx.checks_enabled = false;
         ctx.lineage = exec.carries_lineage(spec);
-        let (_, nodes) =
-            pop_exec::execute_profiled(&plan, &mut ctx, &pop_exec::Subplans::new()).unwrap();
+        let (_, nodes) = pop_exec::execute_profiled(&plan, &mut ctx).unwrap();
         cells += (nodes.iter())
             .filter(|n| matches!(n.name, "HSJN" | "NLJN" | "MGJN"))
             .map(pop_exec::OpTime::cells)
@@ -237,4 +212,120 @@ fn dmv_suite_reuses_as_many_mvs_as_with_full_width_layouts() {
         reused += report.steps.iter().map(|s| s.mvs_used).sum::<usize>();
     }
     assert_eq!(reused, MVS_REUSED_AT_FULL_WIDTH);
+}
+
+/// `big(id, k, tb)`, 20 000 rows with `k = id % 500`, and `small(k, ts)`,
+/// 500 rows with `ts = k + 7`; no index, so joins are HSJN or MGJN.
+fn big_and_small() -> Catalog {
+    let cat = Catalog::new();
+    let int = |names: &[&'static str]| {
+        Schema::from_pairs(
+            &names
+                .iter()
+                .map(|n| (*n, DataType::Int))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let big = (0..20_000).map(|i| vec![Value::Int(i), Value::Int(i % 500), Value::Int(-1)]);
+    cat.create_table("big", int(&["id", "k", "tb"]), big)
+        .unwrap();
+    let small = (0..500).map(|k| vec![Value::Int(k), Value::Int(k + 7)]);
+    cat.create_table("small", int(&["k", "ts"]), small).unwrap();
+    cat
+}
+
+/// `SELECT * FROM <tables> ON big.k = small.k WHERE small.k < 3`, the
+/// tables in the order given; returns the spec and `small`'s index.
+fn select_star(tables: [&str; 2]) -> (QuerySpec, usize) {
+    let mut b = QueryBuilder::new();
+    let [t0, t1] = tables.map(|t| b.table(t));
+    let (big, small) = if tables[0] == "big" {
+        (t0, t1)
+    } else {
+        (t1, t0)
+    };
+    b.join(big, 1, small, 0);
+    b.filter(small, Expr::col(small, 0).lt(Expr::lit(3i64)));
+    (b.build().unwrap(), small)
+}
+
+/// A `SELECT *` returns every table's columns in query-table order — the
+/// order of the FROM clause — though the plan builds its hash join on
+/// `small`, whichever table is listed first.
+#[test]
+fn select_star_returns_columns_in_from_order() {
+    let exec = PopExecutor::new(big_and_small(), PopConfig::default()).unwrap();
+    for tables in [["big", "small"], ["small", "big"]] {
+        let (q, small) = select_star(tables);
+        let plan = exec.plan(&q, &Params::none()).unwrap();
+        let mut build = None;
+        plan.visit(&mut |n| {
+            if let PhysNode::Hsjn { build: b, .. } = n {
+                build = Some(b.props().tables);
+            }
+        });
+        assert_eq!(build, Some(TableSet::single(small)), "{tables:?}\n{plan}");
+        let res = exec.run(&q, &Params::none()).unwrap();
+        assert_eq!(res.rows.len(), 120, "{tables:?}");
+        for row in &res.rows {
+            let id = row[if small == 0 { 2 } else { 0 }].as_i64().unwrap();
+            let (b, s) = (&[id, id % 500, -1][..], &[id % 500, id % 500 + 7][..]);
+            let want = if small == 0 { [s, b] } else { [b, s] }.concat();
+            let want: Row = want.into_iter().map(Value::Int).collect();
+            assert_eq!(*row, want, "{tables:?}");
+        }
+    }
+}
+
+/// `ORDER BY` position 0 of a `SELECT *` is the first column of the first
+/// table: `big.id`, not the first column of the hash join's build.
+#[test]
+fn order_by_position_sorts_on_the_select_star_column() {
+    let exec = PopExecutor::new(big_and_small(), PopConfig::default()).unwrap();
+    let (mut q, _) = select_star(["big", "small"]);
+    q.order_by = vec![pop_plan::OrderKey { pos: 0, desc: true }];
+    q.limit = Some(2);
+    let rows = exec.run(&q, &Params::none()).unwrap().rows;
+    let want = [[19_502, 2, -1, 2, 9], [19_501, 1, -1, 1, 8]];
+    assert_eq!(rows, want.map(|r| r.map(Value::Int).to_vec()).to_vec());
+}
+
+/// The TPC-H queries as `SELECT *` (no projection, aggregate, HAVING,
+/// ORDER BY or LIMIT) return the same rows, column for column, under the
+/// default POP configuration, ECDC alone (whose steps return rows before
+/// a re-optimization), a re-optimization forced at the first CHECK (whose
+/// re-plans read temp MVs) and without POP.
+#[test]
+fn select_star_rows_are_the_same_under_every_configuration() {
+    let catalog = tpch_catalog(0.0005).unwrap();
+    let mut ecdc = PopConfig::default();
+    ecdc.optimizer.flavors = FlavorSet::only(CheckFlavor::Ecdc);
+    let forced = PopConfig {
+        force_reopt_at: Some(0),
+        ..PopConfig::default()
+    };
+    let configs = [PopConfig::default(), ecdc, forced, PopConfig::without_pop()];
+    let execs: Vec<PopExecutor> = (configs.into_iter())
+        .map(|c| PopExecutor::new(catalog.clone(), c).unwrap())
+        .collect();
+    for (name, mut q) in extended_queries() {
+        q.projection.clear();
+        (q.aggregate, q.limit) = (None, None);
+        q.having.clear();
+        q.order_by.clear();
+        let rows: Vec<Vec<Row>> = (execs.iter())
+            .map(|e| {
+                let mut rows = e.run(&q, &Params::none()).unwrap().rows;
+                rows.sort();
+                rows
+            })
+            .collect();
+        let width: usize = (q.tables.iter())
+            .map(|t| catalog.table(&t.table).unwrap().schema().len())
+            .sum();
+        assert!(rows[0].iter().all(|r| r.len() == width), "{name}");
+        for (i, other) in rows.iter().enumerate().skip(1) {
+            assert_eq!(&rows[0], other, "{name}: configuration {i}");
+        }
+    }
 }

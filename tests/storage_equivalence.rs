@@ -14,7 +14,7 @@
 use pop::{PopConfig, PopExecutor, RunReport};
 use pop_dmv::{dmv_catalog_with, dmv_queries};
 use pop_expr::{Expr, Params};
-use pop_guard::{FaultInjector, FaultPlan};
+use pop_guard::{FaultInjector, FaultKind, FaultPlan};
 use pop_plan::{CostModel, QueryBuilder};
 use pop_storage::{Catalog, IndexKind, StorageConfig, StorageKind, BULK_LOAD_CHUNK};
 use pop_tpch::{all_queries, tpch_catalog_with};
@@ -221,9 +221,11 @@ fn wal_crash_recovery_reopens_with_replayed_rows_and_index() {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cat = Catalog::with_storage(storage.clone());
-            cat.storage().arm_faults(FaultInjector::new(
-                FaultPlan::parse_spec(&format!("torn@{torn}")).unwrap(),
-            ));
+            cat.storage()
+                .arm_faults(FaultInjector::new(FaultPlan::single(
+                    FaultKind::TornWrite,
+                    torn as u64,
+                )));
             let load = cat.create_table("t", kv_schema(), kv_rows(0..loaded));
             if torn < LOAD_CHUNKS {
                 let err = load.unwrap_err();
