@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bench_exec [--quick] [--write]
-//! bench_exec --profile [--passes N]
+//! bench_exec --profile [--passes N] [--paged]
 //! ```
 //!
 //! `--profile` plans every TPC-H query (`extended_queries()`, SF 0.02) and
@@ -17,6 +17,13 @@
 //! (default 5), after one warm-up pass — and each suite's sums, then the
 //! suite's live rows and cells (rows × layout width) per kind in one pass.
 //! Nothing is written to `results/`.
+//!
+//! With `--paged` the catalogs are paged with the end-to-end benchmark's
+//! geometry — 4 KiB pages, a 384 KiB buffer pool for TPC-H and 512 KiB for
+//! DMV — and planned under `CostModel::paged()`, as `tpch.paged` and
+//! `dmv.paged` run them; each suite also prints its pool misses in one
+//! pass. The self time of the storage leaves then includes their page
+//! reads and decodes.
 //!
 //! Runs five representative queries — a scan-heavy half-selectivity
 //! selection over LINEITEM, a low-selectivity predicate scan (TPC-H Q6),
@@ -34,7 +41,9 @@
 use pop::{PopConfig, PopExecutor, QuerySpec};
 use pop_exec::DEFAULT_BATCH_SIZE;
 use pop_expr::{Expr, Params};
+use pop_plan::CostModel;
 use pop_plan::QueryBuilder;
+use pop_storage::{StorageConfig, StorageKind};
 use pop_tpch::{cols::lineitem, q1, q18, q3, q6, tpch_catalog};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -156,9 +165,20 @@ fn profile_once(
 }
 
 /// Profile one suite: per query, each kind's minimum over `passes`, after
-/// one warm-up pass; then the suite's sums.
-fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)], passes: usize) {
-    let exec = PopExecutor::new(cat.clone(), PopConfig::without_pop()).expect("executor");
+/// one warm-up pass; then the suite's sums, and on a paged catalog the
+/// pool misses of the last pass.
+fn profile_suite(
+    title: &str,
+    cat: &pop::Catalog,
+    queries: &[(String, QuerySpec)],
+    passes: usize,
+    paged: bool,
+) {
+    let mut config = PopConfig::without_pop();
+    if paged {
+        config.cost_model = CostModel::paged();
+    }
+    let exec = PopExecutor::new(cat.clone(), config).expect("executor");
     let plans: Vec<_> = queries
         .iter()
         .map(|(name, q)| {
@@ -167,7 +187,9 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
         })
         .collect();
     let mut best: Vec<BTreeMap<&'static str, KindProfile>> = vec![BTreeMap::new(); plans.len()];
+    let mut pass_io = pop_storage::IoStats::default();
     for pass in 0..=passes {
+        let io = cat.io_stats();
         for ((_, plan, lineage), best) in plans.iter().zip(&mut best) {
             let kinds = profile_once(cat, &exec, plan, *lineage);
             if pass > 0 {
@@ -180,6 +202,7 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
                 }
             }
         }
+        pass_io = cat.io_stats().since(&io);
     }
     let mut suite: BTreeMap<&'static str, KindProfile> = BTreeMap::new();
     for (kind, k) in best.iter().flatten() {
@@ -217,21 +240,52 @@ fn profile_suite(title: &str, cat: &pop::Catalog, queries: &[(String, QuerySpec)
     };
     counts("rows", |k| k.rows);
     counts("cells", |k| k.cells);
+    if paged {
+        println!(
+            "  pool misses in one pass: {} ({} hits)",
+            pass_io.pool_misses, pass_io.pool_hits
+        );
+    }
 }
 
-fn profile(passes: usize) {
+/// The end-to-end benchmark's paged geometry: 4 KiB pages, a pool of
+/// `pool_bytes`, files in a temporary directory.
+fn paged_storage(pool_bytes: u64) -> StorageConfig {
+    StorageConfig {
+        kind: StorageKind::Paged,
+        page_size: 4096,
+        buffer_pool_bytes: pool_bytes,
+        ..StorageConfig::default()
+    }
+}
+
+fn profile(passes: usize, paged: bool) {
+    let storage = |pool_bytes| {
+        if paged {
+            paged_storage(pool_bytes)
+        } else {
+            StorageConfig::default()
+        }
+    };
+    let backend = if paged { " paged" } else { "" };
     let tpch: Vec<(String, QuerySpec)> = pop_tpch::extended_queries()
         .into_iter()
         .map(|(name, q)| (name.to_string(), q))
         .collect();
-    let cat = tpch_catalog(0.02).expect("TPC-H catalog");
-    profile_suite("TPC-H SF 0.02", &cat, &tpch, passes);
+    let cat = pop_tpch::tpch_catalog_with(0.02, storage(384 << 10)).expect("TPC-H catalog");
+    profile_suite(
+        &format!("TPC-H SF 0.02{backend}"),
+        &cat,
+        &tpch,
+        passes,
+        paged,
+    );
     let dmv: Vec<(String, QuerySpec)> = pop_dmv::dmv_queries()
         .into_iter()
         .map(|q| (q.name, q.spec))
         .collect();
-    let cat = pop_dmv::dmv_catalog(0.004).expect("DMV catalog");
-    profile_suite("DMV 0.004", &cat, &dmv, passes);
+    let cat = pop_dmv::dmv_catalog_with(0.004, storage(512 << 10)).expect("DMV catalog");
+    profile_suite(&format!("DMV 0.004{backend}"), &cat, &dmv, passes, paged);
 }
 
 fn main() {
@@ -243,10 +297,10 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .map_or(Ok(5), |n| n.parse::<usize>())
             .unwrap_or_else(|_| {
-                eprintln!("usage: bench_exec --profile [--passes N]");
+                eprintln!("usage: bench_exec --profile [--passes N] [--paged]");
                 std::process::exit(2)
             });
-        profile(passes.max(1));
+        profile(passes.max(1), args.iter().any(|a| a == "--paged"));
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");

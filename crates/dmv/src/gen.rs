@@ -4,7 +4,6 @@ use pop_storage::{Catalog, IndexKind};
 use pop_types::{DataType, PopResult, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Car makes (30, as in "the CAR table contains major correlations").
 pub const MAKES: [&str; 30] = [
@@ -102,19 +101,16 @@ impl DmvGen {
     }
 
     /// Generate all tables and indexes into `catalog`. Each table is
-    /// written straight into typed columns, a chunk at a time; a string
-    /// drawn from a fixed list is one shared `Arc<str>` per list entry,
-    /// cloned into every row that draws it.
+    /// written straight into typed columns, a chunk at a time, each string
+    /// copied onto its column's buffer.
     pub fn generate(&self, catalog: &Catalog) -> PopResult<()> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n_owner = self.n(6_000_000.0);
         let n_car = self.n(8_000_000.0);
         let n_models = MAKES.len() * MODELS_PER_MAKE;
-        let shared =
-            |names: &[&str]| -> Vec<Arc<str>> { names.iter().map(|n| Arc::from(*n)).collect() };
 
         // MAKE(make_id, name, country)
-        let countries = shared(&["JAPAN", "USA", "GERMANY", "KOREA", "UK"]);
+        let countries = ["JAPAN", "USA", "GERMANY", "KOREA", "UK"];
         catalog.generate_table(
             "make",
             Schema::from_pairs(&[
@@ -126,14 +122,13 @@ impl DmvGen {
             |i, w| {
                 w.int(i as i64)
                     .fmt(format_args!("{}", MAKES[i]))
-                    .str(&countries[i % 5]);
+                    .str(countries[i % 5]);
             },
         )?;
 
         // MODEL(model_id, make_id, model_name, body_style, base_weight)
         let mut model_weight = Vec::with_capacity(n_models);
         let mut model_colors: Vec<Vec<usize>> = Vec::with_capacity(n_models);
-        let body_styles = shared(&BODY_STYLES);
         catalog.generate_table(
             "model",
             Schema::from_pairs(&[
@@ -154,7 +149,7 @@ impl DmvGen {
                 w.int(m as i64)
                     .int(make as i64)
                     .fmt(format_args!("{}-{}", MAKES[make], m % MODELS_PER_MAKE))
-                    .str(&body_styles[m % BODY_STYLES.len()])
+                    .str(BODY_STYLES[m % BODY_STYLES.len()])
                     .int(weight);
             },
         )?;
@@ -181,7 +176,7 @@ impl DmvGen {
         // assigned to owners).
         let mut owner_age = Vec::with_capacity(n_owner);
         let mut owner_zip = Vec::with_capacity(n_owner);
-        let classes = shared(&["A", "B", "C", "CDL"]);
+        let classes = ["A", "B", "C", "CDL"];
         catalog.generate_table(
             "owner",
             Schema::from_pairs(&[
@@ -204,7 +199,7 @@ impl DmvGen {
                     .int(age)
                     .int(zip)
                     .int(city)
-                    .str(&classes[rng.gen_range(0..4usize)]);
+                    .str(classes[rng.gen_range(0..4usize)]);
             },
         )?;
 
@@ -233,7 +228,6 @@ impl DmvGen {
         // palette; weight = model base weight ± noise; the owner's age
         // band biases the make (AGE↔MAKE); zip_reg near the owner's zip,
         // so ZIP↔MAKE inherits the age-make bias per city.
-        let colors = shared(&COLORS);
         catalog.generate_table(
             "car",
             Schema::from_pairs(&[
@@ -260,7 +254,7 @@ impl DmvGen {
                 };
                 let model = make * MODELS_PER_MAKE + rng.gen_range(0..MODELS_PER_MAKE);
                 let palette = &model_colors[model];
-                let color = &colors[palette[rng.gen_range(0..palette.len())]];
+                let color = COLORS[palette[rng.gen_range(0..palette.len())]];
                 let weight = model_weight[model] + rng.gen_range(-25i64..=25);
                 w.int(i as i64)
                     .int(owner as i64)

@@ -11,12 +11,13 @@
 //! actually needs to restructure it.
 //!
 //! Storage is column-major and typed: one vector per layout position, typed
-//! by the values it holds (`i64`, `f64`, `i32` dates, `bool`, `Arc<str>`,
-//! or `Value` for a column that really mixes types), with a NULL bitmap
-//! allocated on the first NULL (see [`pop_types::column`]). Lineage is one flat
-//! `Rid` vector with the same number of rids for every row of a batch. A
-//! batch of 1024 rows costs one allocation per column plus one for
-//! lineage; owned `Row`s exist only at the result boundary
+//! by the values it holds (`i64`, `f64`, `i32` dates, `bool`, strings as
+//! offsets into one byte buffer, or `Value` for a column that really mixes
+//! types), with a NULL bitmap allocated on the first NULL (see
+//! [`pop_types::column`]). Lineage is one flat `Rid` vector with the same
+//! number of rids for every row of a batch. A batch of 1024 rows costs one
+//! allocation per column (two for a string column) plus one for lineage;
+//! owned `Row`s exist only at the result boundary
 //! ([`RowBatch::row_at`]).
 //!
 //! Lineage exists only where something reads it — ECDC's deferred
@@ -106,6 +107,13 @@ impl RowBatch {
         }
     }
 
+    /// The same batch, sizing column vectors it creates for `n` rows (a
+    /// recycled batch: see [`crate::ExecCtx::recycle`]).
+    pub(crate) fn with_cap(mut self, n: usize) -> Self {
+        self.cap = n;
+        self
+    }
+
     /// Clear all contents while keeping the allocated capacity — the join
     /// operators' scratch batches.
     pub fn reset(&mut self) {
@@ -142,19 +150,6 @@ impl RowBatch {
             c.push(v, cap);
         }
         self.lin.extend_from_slice(lineage);
-        self.rows += 1;
-    }
-
-    /// Append a live row that concatenates two halves (`a ++ b` values,
-    /// `la ++ lb` lineage).
-    pub fn push_concat(&mut self, a: &[Value], b: &[Value], la: &[Rid], lb: &[Rid]) {
-        self.begin(a.len() + b.len(), la.len() + lb.len());
-        let cap = self.cap;
-        for (c, v) in self.cols.iter_mut().zip(a.iter().chain(b)) {
-            c.push(v, cap);
-        }
-        self.lin.extend_from_slice(la);
-        self.lin.extend_from_slice(lb);
         self.rows += 1;
     }
 
@@ -672,9 +667,10 @@ mod tests {
             ]
         );
         assert_eq!(s.lineage_at(1), &[Rid::new(7, 1)]);
-        // 16 B a string, nothing for the all-NULL column, 8 B an int, one
-        // 16-byte rid a row; column 3 is never read.
-        assert_eq!(s.approx_bytes(), 2 * (16 + 8) + 2 * 16);
+        // Two strings of 2 B and their three 4-byte offsets, nothing for
+        // the all-NULL column, 8 B an int, one 16-byte rid a row; column 3
+        // is never read.
+        assert_eq!(s.approx_bytes(), (3 * 4 + 2 * 2) + 2 * 8 + 2 * 16);
         // An empty pick adds nothing, not even a shape.
         let mut e = RowBatch::new();
         e.extend_columns(&table, &[0], 0..0, Some(std::iter::empty::<[Rid; 1]>()));
@@ -682,20 +678,13 @@ mod tests {
     }
 
     #[test]
-    fn push_concat_joins_values_and_lineage() {
+    fn extend_joined_interleaves_the_sides() {
         let mut b = RowBatch::new();
-        b.push_concat(
-            &[Value::Int(1)],
-            &[Value::Int(2), Value::Int(3)],
-            &[Rid::new(0, 4)],
-            &[Rid::new(1, 5)],
+        b.push_row(
+            &[Value::Int(1), Value::Int(2), Value::Int(3)],
+            &[Rid::new(0, 4), Rid::new(1, 5)],
         );
-        assert_eq!(
-            b.row_at(0),
-            vec![Value::Int(1), Value::Int(2), Value::Int(3)]
-        );
-        assert_eq!(b.lineage_at(0), &[Rid::new(0, 4), Rid::new(1, 5)]);
-        // The join operators' gathered form of the same rows.
+        // The join operators' gathered form of rows of both sides.
         let mut j = RowBatch::new();
         let left = batch(3);
         let lineage = [(2, 0), (0, 0)].map(|(l, r)| [left.lineage_at(l), b.lineage_at(r)]);
@@ -788,8 +777,9 @@ mod tests {
         }
         let grown: Vec<usize> = b.cols.iter().map(Column::capacity).collect();
         assert_eq!(grown, caps, "grew while filling");
-        // 8 B per Int and Float, 16 B per string: typed, not 24 B values.
-        assert_eq!(b.approx_bytes(), 100 * (8 + 8 + 16));
+        // 8 B per Int and Float, a string its byte and a 4-byte offset
+        // (one more offset than strings): typed, not 24 B values.
+        assert_eq!(b.approx_bytes(), 100 * (8 + 8 + 1 + 4) + 4);
         // `reset` keeps the vectors for the next fill of the same types.
         b.reset();
         b.push_row(&row, &[]);

@@ -323,6 +323,7 @@ impl Operator for HashAggOp {
             let bytes = held.saturating_sub(self.reserved);
             self.reserved += bytes;
             ctx.guard_reserve(bytes)?;
+            ctx.recycle(b);
         }
         // Scalar aggregate over an empty input still yields one row.
         if keys.is_empty() && k == 0 {

@@ -19,7 +19,8 @@ use crate::{ExecCtx, OpResult, RowBatch};
 use pop_expr::BoundExpr;
 use pop_plan::{CostModel, TableSet};
 use pop_storage::{Index, RowFetcher, Table};
-use pop_types::{Rid, Value};
+use pop_types::column::Cell;
+use pop_types::Rid;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -748,9 +749,8 @@ pub struct MgjnOp {
     right_rows: RowCursor,
     right_pending: bool,
     right_eof: bool,
-    /// The current group of equal-keyed right rows.
+    /// The current group of equal-keyed right rows (empty: none loaded).
     group: RowBatch,
-    group_key: Option<Value>,
     group_pos: usize,
     pending_signal: Option<crate::ExecSignal>,
 }
@@ -777,16 +777,20 @@ impl MgjnOp {
             right_pending: false,
             right_eof: false,
             group: RowBatch::new(),
-            group_key: None,
             group_pos: 0,
             pending_signal: None,
         }
     }
 
-    /// Key of the cursor's current row.
-    fn key(cursor: &RowCursor, pos: usize) -> Value {
+    /// Key of the cursor's current row, borrowed.
+    fn key(cursor: &RowCursor, pos: usize) -> Cell<'_> {
         let (b, at) = cursor.current().expect("cursor on a row");
-        b.value(pos, at)
+        b.cell(pos, at)
+    }
+
+    /// Key of the current group (its first row's; the group is not empty).
+    fn group_key(&self) -> Cell<'_> {
+        self.group.cell(self.right_key_pos, 0)
     }
 
     fn advance_left(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
@@ -829,33 +833,32 @@ impl MgjnOp {
         self.group.push_from(b, at);
     }
 
-    /// Load the group of right rows with key >= left key; returns when the
-    /// group matches the left key or is positioned beyond it.
-    fn load_group(&mut self, ctx: &mut ExecCtx, left_key: &Value) -> OpResult<()> {
+    /// Load the group of right rows with key >= the left key; returns when
+    /// the group matches the left key or is positioned beyond it, or with
+    /// an empty group once the right input is exhausted.
+    fn load_group(&mut self, ctx: &mut ExecCtx) -> OpResult<()> {
         // Skip right rows below the left key.
         loop {
             if !self.pull_right(ctx)? {
                 self.group.reset();
-                self.group_key = None;
                 return Ok(());
             }
-            let k = Self::key(&self.right_rows, self.right_key_pos);
-            if k.cmp_total(left_key) == Ordering::Less {
+            let right = Self::key(&self.right_rows, self.right_key_pos);
+            if right.cmp_total(Self::key(&self.left_rows, self.left_key_pos)) == Ordering::Less {
                 continue;
             }
-            // Collect the full group of rows with key k.
+            // Collect the full group of rows with the right row's key.
             self.group.reset();
             self.take_right();
             while self.pull_right(ctx)? {
-                if Self::key(&self.right_rows, self.right_key_pos).cmp_total(&k) == Ordering::Equal
-                {
+                let next = Self::key(&self.right_rows, self.right_key_pos);
+                if next.cmp_total(self.group_key()) == Ordering::Equal {
                     self.take_right();
                 } else {
                     self.right_pending = true;
                     break;
                 }
             }
-            self.group_key = Some(k);
             return Ok(());
         }
     }
@@ -867,45 +870,43 @@ impl MgjnOp {
             if !self.left_live {
                 return Ok(None);
             }
-            let left_key = Self::key(&self.left_rows, self.left_key_pos);
-            if let Some(gk) = self.group_key.clone() {
-                match left_key.cmp_total(&gk) {
-                    Ordering::Equal => {
-                        if self.group_pos < self.group.len() {
-                            self.group_pos += 1;
-                            return Ok(Some(self.group_pos - 1));
-                        }
-                        // Group exhausted for this left row: advance left;
-                        // an equal next left key replays the group.
-                        self.advance_left(ctx)?;
-                        self.group_pos = 0;
-                        if self.left_live
-                            && Self::key(&self.left_rows, self.left_key_pos).cmp_total(&gk)
-                                != Ordering::Equal
-                        {
-                            self.group.reset();
-                            self.group_key = None;
-                        }
-                    }
-                    Ordering::Less => {
-                        // Left key below the group: advance left.
-                        self.advance_left(ctx)?;
-                    }
-                    Ordering::Greater => {
-                        // Left moved past the group: reload.
-                        self.group.reset();
-                        self.group_key = None;
-                        self.group_pos = 0;
-                    }
-                }
-            } else {
+            if self.group.is_empty() {
                 if self.right_eof && !self.right_pending {
                     return Ok(None);
                 }
-                self.load_group(ctx, &left_key)?;
+                self.load_group(ctx)?;
                 self.group_pos = 0;
-                if self.group_key.is_none() {
+                if self.group.is_empty() {
                     return Ok(None); // right exhausted
+                }
+                continue;
+            }
+            let left_key = Self::key(&self.left_rows, self.left_key_pos);
+            match left_key.cmp_total(self.group_key()) {
+                Ordering::Equal => {
+                    if self.group_pos < self.group.len() {
+                        self.group_pos += 1;
+                        return Ok(Some(self.group_pos - 1));
+                    }
+                    // Group exhausted for this left row: advance left;
+                    // an equal next left key replays the group.
+                    self.advance_left(ctx)?;
+                    self.group_pos = 0;
+                    if self.left_live
+                        && Self::key(&self.left_rows, self.left_key_pos).cmp_total(self.group_key())
+                            != Ordering::Equal
+                    {
+                        self.group.reset();
+                    }
+                }
+                Ordering::Less => {
+                    // Left key below the group: advance left.
+                    self.advance_left(ctx)?;
+                }
+                Ordering::Greater => {
+                    // Left moved past the group: reload.
+                    self.group.reset();
+                    self.group_pos = 0;
                 }
             }
         }
@@ -920,7 +921,6 @@ impl Operator for MgjnOp {
         self.right_rows.reset();
         self.left_live = false;
         self.group.reset();
-        self.group_key = None;
         self.group_pos = 0;
         self.right_pending = false;
         self.right_eof = false;
@@ -977,7 +977,7 @@ mod tests {
     use pop_expr::Params;
     use pop_plan::CostModel;
     use pop_storage::{Catalog, IndexKind};
-    use pop_types::{DataType, Row, Schema};
+    use pop_types::{DataType, Row, Schema, Value};
 
     fn setup() -> (ExecCtx, Arc<Table>, Arc<Table>) {
         let cat = Catalog::new();

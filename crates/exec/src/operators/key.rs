@@ -102,7 +102,7 @@ pub(crate) fn hash_keys(
             }
             Data::Str(v) if !col.has_null_bitmap() => {
                 for (h, i) in hashes.iter_mut().zip(rows) {
-                    *h = mix_bytes(mix(*h, 5), v[i].as_bytes());
+                    *h = mix_bytes(mix(*h, 5), v.bytes_at(i));
                 }
             }
             _ => {

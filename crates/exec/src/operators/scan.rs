@@ -82,7 +82,7 @@ impl Operator for TableScanOp {
             let rid = |i: usize| [Rid::new(table, base + i as u64)];
             let out = match &self.pred {
                 None => {
-                    let mut out = RowBatch::with_capacity(n);
+                    let mut out = ctx.batch_with_capacity(n);
                     let rows = chunk.rows.clone();
                     let rids = ctx.lineage.then(|| rows.clone().map(rid));
                     out.extend_columns(chunk.cols, &self.cols, rows, rids);
@@ -96,7 +96,7 @@ impl Operator for TableScanOp {
                     if self.sel.is_empty() {
                         continue; // whole chunk filtered out: keep scanning
                     }
-                    let mut out = RowBatch::with_capacity(self.sel.len());
+                    let mut out = ctx.batch_with_capacity(self.sel.len());
                     let pick = self.sel.iter().map(|i| *i as usize);
                     let rids = ctx.lineage.then(|| pick.clone().map(rid));
                     out.extend_columns(chunk.cols, &self.cols, pick, rids);

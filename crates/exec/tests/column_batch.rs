@@ -1,8 +1,8 @@
 //! Differential test of the column-major `RowBatch` against a plain row
 //! model: random schemas over `Int` / `Float` / `Date` / `Bool` / `Str`
 //! columns, with NULLs and columns that mix types, under random sequences
-//! of every operation that builds or reshapes a batch — push, push_concat,
-//! append (with and without a selection), retain, truncate, split_live,
+//! of every operation that builds or reshapes a batch — push, append
+//! (with and without a selection), retain, truncate, split_live,
 //! project, copy_rows, compact. After every operation the live rows —
 //! values with their variants, lineage and order — must equal the model's.
 
@@ -123,7 +123,7 @@ fn live(batch: &RowBatch) -> Model {
 
 /// Apply one random operation to batch and model alike; returns its name.
 fn step(case: &mut Case, rng: &mut Rng) -> &'static str {
-    match rng.below(9) {
+    match rng.below(8) {
         0 => {
             case.unfiltered();
             let (row, lineage) = case.row(rng);
@@ -132,15 +132,6 @@ fn step(case: &mut Case, rng: &mut Rng) -> &'static str {
             "push"
         }
         1 => {
-            case.unfiltered();
-            let (row, lineage) = case.row(rng);
-            let (k, j) = (rng.below(row.len() + 1), rng.below(lineage.len() + 1));
-            case.batch
-                .push_concat(&row[..k], &row[k..], &lineage[..j], &lineage[j..]);
-            case.model.push((row, lineage));
-            "push_concat"
-        }
-        2 => {
             case.unfiltered();
             let mut other = RowBatch::new();
             let mut rows = Vec::new();
@@ -158,20 +149,20 @@ fn step(case: &mut Case, rng: &mut Rng) -> &'static str {
             case.model.extend(rows);
             "append"
         }
-        3 => {
+        2 => {
             let salt = rng.next();
             case.batch
                 .retain_live(|b, i| keep(&b.row_at(i), b.lineage_at(i), salt));
             case.model.retain(|(r, l)| keep(r, l, salt));
             "retain"
         }
-        4 => {
+        3 => {
             let n = rng.below(case.model.len() + 2);
             case.batch.truncate_live(n);
             case.model.truncate(n);
             "truncate"
         }
-        5 => {
+        4 => {
             let k = rng.below(case.model.len() + 2);
             let batch = std::mem::take(&mut case.batch);
             let (head, tail) = batch.split_live(k);
@@ -184,7 +175,7 @@ fn step(case: &mut Case, rng: &mut Rng) -> &'static str {
             }
             "split_live"
         }
-        6 if case.batch.width() == case.kinds.len() => {
+        5 if case.batch.width() == case.kinds.len() => {
             let positions: Vec<usize> = (0..=rng.below(4))
                 .map(|_| rng.below(case.kinds.len()))
                 .collect();
@@ -195,7 +186,7 @@ fn step(case: &mut Case, rng: &mut Rng) -> &'static str {
             }
             "project"
         }
-        7 => {
+        6 => {
             let physical: Vec<usize> = case.batch.live_indices().collect();
             let picks: Vec<usize> = (0..rng.below(10))
                 .map(|_| rng.below(physical.len()))

@@ -21,7 +21,7 @@
 //!   columns the expression reads.
 
 use crate::bound::Items;
-use crate::eval::{cmp_holds, like_type_error};
+use crate::eval::{cmp_holds, like_type_error, ColumnsRow};
 use crate::{BoundExpr, CmpOp, InItems, LikePattern, Params};
 use pop_types::column::{Cell, Column, Data};
 use pop_types::{PopError, PopResult, Value};
@@ -133,9 +133,8 @@ impl BoundExpr {
         }
     }
 
-    /// [`BoundExpr::passes`] on each selected row, over one scratch row
-    /// that holds the values of the columns the expression reads (NULL
-    /// elsewhere).
+    /// [`BoundExpr::passes`] on each selected row, reading its cells in
+    /// place in the columns (no `Value` per cell).
     fn filter_rows(&self, cols: &[Column], params: &Params, sel: &mut Vec<u32>) -> PopResult<()> {
         if sel.is_empty() {
             return Ok(());
@@ -145,10 +144,8 @@ impl BoundExpr {
         if width > 0 {
             column(cols, width - 1)?;
         }
-        let mut row = vec![Value::Null; width];
-        try_keep(sel, |i| {
-            self.for_each_col(&mut |c| row[c] = cols[c].value(i));
-            self.passes(&row, params)
+        try_keep(sel, |row| {
+            Ok(self.test(&ColumnsRow { cols, row }, params)? == Some(true))
         })
     }
 }
@@ -205,7 +202,7 @@ fn filter_col_vs_lit(col: &Column, op: CmpOp, lit: &Value, sel: &mut Vec<u32>) {
         (Data::Float(v), Value::Float(b)) => keep_ord(&[col], sel, op, |i| v[i].total_cmp(b)),
         (Data::Bool(v), Value::Bool(b)) => keep_ord(&[col], sel, op, |i| v[i].cmp(b)),
         (Data::Str(v), Value::Str(b)) => {
-            keep_ord(&[col], sel, op, |i| v[i].as_ref().cmp(b.as_ref()));
+            keep_ord(&[col], sel, op, |i| v.bytes_at(i).cmp(b.as_bytes()));
         }
         _ => {
             let lit = Cell::of(lit);
@@ -226,7 +223,7 @@ fn filter_col_vs_col(x: &Column, op: CmpOp, y: &Column, sel: &mut Vec<u32>) {
         (Data::Date(a), Data::Date(b)) => keep_ord(&[x, y], sel, op, |i| a[i].cmp(&b[i])),
         (Data::Float(a), Data::Float(b)) => keep_ord(&[x, y], sel, op, |i| a[i].total_cmp(&b[i])),
         (Data::Str(a), Data::Str(b)) => {
-            keep_ord(&[x, y], sel, op, |i| a[i].as_ref().cmp(b[i].as_ref()));
+            keep_ord(&[x, y], sel, op, |i| a.bytes_at(i).cmp(b.bytes_at(i)));
         }
         _ => keep(sel, |i| {
             x.cell(i)
@@ -261,7 +258,7 @@ fn filter_col_between(col: &Column, lo: &Value, hi: &Value, sel: &mut Vec<u32>) 
 /// error `passes` raises (naming the first one in selection order).
 fn filter_like(col: &Column, pattern: &LikePattern, sel: &mut Vec<u32>) -> PopResult<()> {
     if let Data::Str(v) = col.data() {
-        keep_non_null(&[col], sel, |i| pattern.matches(&v[i]));
+        keep_non_null(&[col], sel, |i| pattern.matches(v.get(i)));
         return Ok(());
     }
     let mut mismatch = None;
@@ -284,7 +281,7 @@ fn filter_in(col: &Column, items: &InItems, sel: &mut Vec<u32>) {
             keep_non_null(&[col], sel, |i| ints.binary_search(&v[i]).is_ok());
         }
         (Data::Str(v), Items::Strs(strs)) => keep_non_null(&[col], sel, |i| {
-            strs.binary_search_by(|s| s.as_ref().cmp(v[i].as_ref()))
+            strs.binary_search_by(|s| s.as_bytes().cmp(v.bytes_at(i)))
                 .is_ok()
         }),
         _ => keep(sel, |i| items.test(col.cell(i)) == Some(true)),

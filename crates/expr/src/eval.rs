@@ -8,9 +8,8 @@
 //! when a value is asked for.
 
 use crate::{ArithOp, BoundExpr, CmpOp, Params};
-use pop_types::column::Cell;
+use pop_types::column::{Cell, Column};
 use pop_types::{PopError, PopResult, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Truth of a value under SQL three-valued logic: `Some(true)`,
@@ -23,20 +22,75 @@ pub fn truth(v: &Value) -> Option<bool> {
     }
 }
 
+/// A row an expression reads its columns from.
+pub(crate) trait RowRef {
+    /// Column `i`, or `None` past the row's end.
+    fn get(&self, i: usize) -> Option<Scalar<'_>>;
+}
+
+impl RowRef for [Value] {
+    fn get(&self, i: usize) -> Option<Scalar<'_>> {
+        <[Value]>::get(self, i).map(|v| Scalar::Cell(Cell::of(v)))
+    }
+}
+
+/// Row `row` of table-width columns, read in place: a string is a borrowed
+/// slice of its column, never a `Value`.
+pub(crate) struct ColumnsRow<'a> {
+    pub(crate) cols: &'a [Column],
+    pub(crate) row: usize,
+}
+
+impl RowRef for ColumnsRow<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> Option<Scalar<'_>> {
+        self.cols.get(i).map(|c| Scalar::Cell(c.cell(self.row)))
+    }
+}
+
+/// An operand: borrowed from the row, a literal or a parameter, or a
+/// computed value.
+pub(crate) enum Scalar<'a> {
+    Cell(Cell<'a>),
+    Owned(Value),
+}
+
+impl Scalar<'_> {
+    #[inline]
+    fn cell(&self) -> Cell<'_> {
+        match self {
+            Scalar::Cell(c) => *c,
+            Scalar::Owned(v) => Cell::of(v),
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Scalar::Cell(c) => c.to_value(),
+            Scalar::Owned(v) => v,
+        }
+    }
+}
+
 impl BoundExpr {
     /// Evaluate against a row and parameter bindings.
     pub fn eval(&self, row: &[Value], params: &Params) -> PopResult<Value> {
+        self.eval_in(row, params)
+    }
+
+    fn eval_in<R: RowRef + ?Sized>(&self, row: &R, params: &Params) -> PopResult<Value> {
         Ok(match self {
             BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param(_) => {
-                self.operand(row, params)?.into_owned()
+                self.operand(row, params)?.into_value()
             }
             BoundExpr::Arith(op, a, b) => {
                 let av = a.operand(row, params)?;
                 let bv = b.operand(row, params)?;
+                let (av, bv) = (av.cell(), bv.cell());
                 if av.is_null() || bv.is_null() {
                     return Ok(Value::Null);
                 }
-                arith(*op, &av, &bv)?
+                arith(*op, av, bv)?
             }
             BoundExpr::Cmp(..)
             | BoundExpr::And(_)
@@ -61,12 +115,16 @@ impl BoundExpr {
     /// Truth of the expression over `row` in three-valued logic: `Some`
     /// true or false, `None` for unknown (NULL, or a non-boolean value).
     /// Operands are read in place; only arithmetic computes a value.
-    pub(crate) fn test(&self, row: &[Value], params: &Params) -> PopResult<Option<bool>> {
+    pub(crate) fn test<R: RowRef + ?Sized>(
+        &self,
+        row: &R,
+        params: &Params,
+    ) -> PopResult<Option<bool>> {
         Ok(match self {
             BoundExpr::Cmp(op, a, b) => {
                 let av = a.operand(row, params)?;
                 let bv = b.operand(row, params)?;
-                av.sql_cmp(&bv).map(|ord| cmp_holds(*op, ord))
+                av.cell().sql_cmp(bv.cell()).map(|ord| cmp_holds(*op, ord))
             }
             BoundExpr::And(parts) => {
                 // SQL AND: false dominates, then null, then true.
@@ -93,39 +151,45 @@ impl BoundExpr {
                 (!saw_null).then_some(false)
             }
             BoundExpr::Not(e) => e.test(row, params)?.map(|b| !b),
-            BoundExpr::Like(e, pattern) => match &*e.operand(row, params)? {
-                Value::Null => None,
-                Value::Str(s) => Some(pattern.matches(s)),
-                other => return Err(like_type_error(other)),
+            BoundExpr::Like(e, pattern) => match e.operand(row, params)?.cell() {
+                Cell::Null => None,
+                Cell::Str(s) => Some(pattern.matches(s)),
+                other => return Err(like_type_error(&other.to_value())),
             },
-            BoundExpr::InList(e, items) => items.test(Cell::of(&*e.operand(row, params)?)),
+            BoundExpr::InList(e, items) => items.test(e.operand(row, params)?.cell()),
             BoundExpr::Between(e, lo, hi) => {
                 let v = e.operand(row, params)?;
                 let lov = lo.operand(row, params)?;
                 let hiv = hi.operand(row, params)?;
-                match (v.sql_cmp(&lov), v.sql_cmp(&hiv)) {
+                match (v.cell().sql_cmp(lov.cell()), v.cell().sql_cmp(hiv.cell())) {
                     (Some(a), Some(b)) => Some(a != Ordering::Less && b != Ordering::Greater),
                     _ => None,
                 }
             }
-            BoundExpr::IsNull(e) => Some(e.operand(row, params)?.is_null()),
+            BoundExpr::IsNull(e) => Some(e.operand(row, params)?.cell().is_null()),
             BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param(_) | BoundExpr::Arith(..) => {
-                truth(&*self.operand(row, params)?)
+                match self.operand(row, params)?.cell() {
+                    Cell::Bool(b) => Some(b),
+                    _ => None,
+                }
             }
         })
     }
 
     /// The expression's value over `row`: borrowed for a column, literal or
     /// parameter, computed otherwise.
-    fn operand<'a>(&'a self, row: &'a [Value], params: &'a Params) -> PopResult<Cow<'a, Value>> {
+    fn operand<'a, R: RowRef + ?Sized>(
+        &'a self,
+        row: &'a R,
+        params: &'a Params,
+    ) -> PopResult<Scalar<'a>> {
         Ok(match self {
-            BoundExpr::Col(i) => Cow::Borrowed(
-                row.get(*i)
-                    .ok_or_else(|| PopError::Execution(format!("row too short for column {i}")))?,
-            ),
-            BoundExpr::Lit(v) => Cow::Borrowed(v),
-            BoundExpr::Param(i) => Cow::Borrowed(params.get(*i)?),
-            _ => Cow::Owned(self.eval(row, params)?),
+            BoundExpr::Col(i) => row
+                .get(*i)
+                .ok_or_else(|| PopError::Execution(format!("row too short for column {i}")))?,
+            BoundExpr::Lit(v) => Scalar::Cell(Cell::of(v)),
+            BoundExpr::Param(i) => Scalar::Cell(Cell::of(params.get(*i)?)),
+            _ => Scalar::Owned(self.eval_in(row, params)?),
         })
     }
 }
@@ -146,26 +210,28 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-fn arith(op: ArithOp, a: &Value, b: &Value) -> PopResult<Value> {
+fn arith(op: ArithOp, a: Cell<'_>, b: Cell<'_>) -> PopResult<Value> {
     // Integer arithmetic when both sides are ints (except division, which
     // promotes to float to avoid surprising truncation); float otherwise.
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+    if let (Cell::Int(x), Cell::Int(y)) = (a, b) {
         return Ok(match op {
-            ArithOp::Add => Value::Int(x.wrapping_add(*y)),
-            ArithOp::Sub => Value::Int(x.wrapping_sub(*y)),
-            ArithOp::Mul => Value::Int(x.wrapping_mul(*y)),
+            ArithOp::Add => Value::Int(x.wrapping_add(y)),
+            ArithOp::Sub => Value::Int(x.wrapping_sub(y)),
+            ArithOp::Mul => Value::Int(x.wrapping_mul(y)),
             ArithOp::Div => {
-                if *y == 0 {
+                if y == 0 {
                     Value::Null
                 } else {
-                    Value::Float(*x as f64 / *y as f64)
+                    Value::Float(x as f64 / y as f64)
                 }
             }
         });
     }
     let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
         return Err(PopError::TypeMismatch(format!(
-            "arithmetic on non-numeric values {a} {op} {b}"
+            "arithmetic on non-numeric values {} {op} {}",
+            a.to_value(),
+            b.to_value()
         )));
     };
     Ok(match op {

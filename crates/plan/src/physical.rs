@@ -75,11 +75,6 @@ impl PlanProps {
         }
     }
 
-    /// Positions of base columns in the layout.
-    pub fn base_layout(&self) -> Vec<ColId> {
-        self.layout.iter().filter_map(LayoutCol::as_base).collect()
-    }
-
     /// Validity range of input edge `i`, unbounded when none was
     /// recorded.
     pub fn edge_range(&self, i: usize) -> ValidityRange {
@@ -705,25 +700,5 @@ mod tests {
         };
         assert!(temp.is_materialization_point());
         assert!(!leaf(0, "a", 1.0).is_materialization_point());
-    }
-
-    #[test]
-    fn base_layout_filters_aggs() {
-        let props = PlanProps {
-            tables: TableSet::single(0),
-            card: 1.0,
-            cost: 1.0,
-            layout: vec![
-                LayoutCol::Base(ColId::new(0, 0)),
-                LayoutCol::Agg(0),
-                LayoutCol::Base(ColId::new(0, 2)),
-            ],
-            sorted_by: None,
-            edge_ranges: vec![],
-        };
-        assert_eq!(
-            props.base_layout(),
-            vec![ColId::new(0, 0), ColId::new(0, 2)]
-        );
     }
 }

@@ -6,7 +6,7 @@
 use crate::EquiDepthHistogram;
 use pop_storage::Table;
 use pop_types::column::{Column, Data};
-use pop_types::hash::MixHasher;
+use pop_types::hash::{short_key, MixHasher};
 use pop_types::sort::{from_total_order_key, sort_runs, total_order_key, KeyRuns};
 use pop_types::{PopResult, Value};
 use std::collections::HashSet;
@@ -114,7 +114,7 @@ enum Distinct {
     Dates(Vec<i32>),
     /// Bit 0: `false` seen; bit 1: `true` seen.
     Bools(u8),
-    Strs(StrSet),
+    Strs(Box<StrSet>),
     Values(HashSet<Value>),
 }
 
@@ -124,30 +124,40 @@ const RECENT: usize = 16;
 /// The distinct strings of a column, hashed with the shared fixed
 /// `MixHasher`: SipHash's keyed rounds cost more than the insert, and a
 /// table whose strings were crafted to collide only slows its own ANALYZE.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StrSet {
     set: HashSet<Arc<str>, BuildHasherDefault<MixHasher>>,
-    /// Addresses of strings the set holds, each in a slot picked by its
-    /// address: a row holding one of these very strings — a column whose
-    /// rows share a few literals — is counted without a hash probe. The
-    /// set keeps the strings alive, so an address is never another
-    /// string's.
-    recent: [usize; RECENT],
+    /// [`short_key`]s of strings the set holds, each in the slot its key
+    /// picks: a row holding one of them — a column whose rows share a few
+    /// short literals — is counted without a hash probe.
+    recent: [u128; RECENT],
+}
+
+impl Default for StrSet {
+    fn default() -> Self {
+        StrSet {
+            set: HashSet::default(),
+            // A length byte of 255 is no string's key.
+            recent: [u128::MAX; RECENT],
+        }
+    }
 }
 
 impl StrSet {
-    fn insert(&mut self, s: &Arc<str>) {
-        let addr = Arc::as_ptr(s).cast::<u8>() as usize;
-        let slot = (addr >> 4) % RECENT;
-        if self.recent[slot] == addr {
-            return;
+    /// Count `s`, probed where the column holds it: a string is copied
+    /// into the set the first time it is seen only, so a fold allocates
+    /// once per distinct value, not once per row.
+    fn insert(&mut self, s: &str) {
+        if let Some((key, slot)) = short_key(s, RECENT) {
+            let slot = &mut self.recent[slot];
+            if *slot == key {
+                return;
+            }
+            *slot = key;
         }
-        self.recent[slot] = if let Some(kept) = self.set.get(s.as_ref()) {
-            Arc::as_ptr(kept).cast::<u8>() as usize
-        } else {
-            self.set.insert(Arc::clone(s));
-            addr
-        };
+        if !self.set.contains(s) {
+            self.set.insert(Arc::from(s));
+        }
     }
 }
 
@@ -250,7 +260,7 @@ impl ColumnAcc {
                 Data::Float(_) => Distinct::Floats(Vec::with_capacity(cap)),
                 Data::Date(_) => Distinct::Dates(Vec::with_capacity(cap)),
                 Data::Bool(_) => Distinct::Bools(0),
-                Data::Str(_) => Distinct::Strs(StrSet::default()),
+                Data::Str(_) => Distinct::Strs(Box::default()),
                 Data::Null(_) | Data::Mixed(_) => Distinct::Values(HashSet::new()),
             };
         }
@@ -263,7 +273,7 @@ impl ColumnAcc {
                 self.all_numeric = false;
             }
             (Data::Str(v), Distinct::Strs(set)) => {
-                live.for_each(|i| set.insert(&v[i]));
+                live.for_each(|i| set.insert(v.get(i)));
                 self.all_numeric = false;
             }
             _ => {

@@ -12,7 +12,6 @@ use pop_guard::Governor;
 use pop_types::column::Column;
 use pop_types::{PopError, PopResult, Row, Schema};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -69,8 +68,6 @@ pub struct RowWriter<'a> {
     col: usize,
     /// Capacity of a column vector the first chunk creates.
     cap: usize,
-    /// Scratch for [`RowWriter::fmt`].
-    text: &'a mut String,
 }
 
 impl RowWriter<'_> {
@@ -104,21 +101,14 @@ impl RowWriter<'_> {
         self.put(|c, i, cap| c.put_bool(i, x, cap))
     }
 
-    /// Write a shared string: the column holds another reference to `s`,
-    /// so a literal repeated over many rows is stored once.
-    pub fn str(&mut self, s: &Arc<str>) -> &mut Self {
-        self.put(|c, i, cap| c.put_str(i, Arc::clone(s), cap))
+    /// Write a string: its bytes are copied onto the column's buffer.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.put(|c, i, cap| c.put_str(i, s, cap))
     }
 
-    /// Write a string of its own, formatted into a scratch buffer first so
-    /// the one allocation is the string's.
+    /// Write the string `args` formats, straight into the column's buffer.
     pub fn fmt(&mut self, args: std::fmt::Arguments<'_>) -> &mut Self {
-        self.text.clear();
-        self.text
-            .write_fmt(args)
-            .expect("formatting into a String does not fail");
-        let s: Arc<str> = Arc::from(self.text.as_str());
-        self.put(|c, i, cap| c.put_str(i, s, cap))
+        self.put(|c, i, cap| c.put_fmt(i, args, cap))
     }
 }
 
@@ -327,7 +317,7 @@ impl Catalog {
     ) -> PopResult<Arc<Table>> {
         let name = name.into();
         let width = schema.len();
-        let (mut next, mut text) = (0, String::new());
+        let mut next = 0;
         let table = name.clone();
         self.create_table_from_chunks(name, schema, |cols| {
             let end = rows.min(next + BULK_LOAD_CHUNK);
@@ -340,7 +330,6 @@ impl Catalog {
                     row: k,
                     col: 0,
                     cap: n,
-                    text: &mut text,
                 };
                 row(i, &mut w);
                 if w.col != width {

@@ -575,6 +575,54 @@ mod tests {
         b.append(&crate::columns_of(&rows(lo, hi)), (hi - lo) as usize)
     }
 
+    /// The row of seed `(kind, len)` at position `i`: its position, a
+    /// string of `len` characters cycling through one- to four-byte ones
+    /// (empty at 0), and the same string or, for kind 0, NULL.
+    fn string_row(i: usize, (kind, len): (u8, usize)) -> Row {
+        let s: String = (0..len)
+            .map(|k| ['a', 'é', '€', '😀'][(usize::from(kind) + k) % 4])
+            .collect();
+        let nullable = if kind == 0 {
+            Value::Null
+        } else {
+            Value::str(&s)
+        };
+        vec![Value::Int(i as i64), Value::str(s), nullable]
+    }
+
+    proptest::proptest! {
+        /// String columns of multi-byte, empty and NULL cells on 512-byte
+        /// pages: every range `read_range` cuts (two-row windows at every
+        /// position, so every page boundary, and random ones) and every
+        /// position set `read_rows` takes decodes to the stored rows.
+        #[test]
+        fn string_columns_read_back_through_ranges_and_positions(
+            seeds in proptest::collection::vec((0u8..4, 0usize..7), 1..160),
+            cuts in proptest::collection::vec((0usize..200, 0usize..200), 1..6),
+            picks in proptest::collection::btree_set(0usize..200, 0..40),
+        ) {
+            let env = env_with(512, None);
+            let b = PagedBackend::create(env, "t", false).unwrap();
+            let rows: Vec<Row> = seeds.iter().enumerate().map(|(i, s)| string_row(i, *s)).collect();
+            let n = rows.len();
+            b.append(&crate::columns_of(&rows), n).unwrap();
+            let windows = (0..n).map(|lo| (lo, lo + 2));
+            let random = cuts.iter().map(|&(x, y)| (x.min(y) % (n + 1), x.max(y) % (n + 1)));
+            let mut out = Vec::new();
+            for (lo, hi) in windows.chain(random) {
+                let hi = hi.clamp(lo, n);
+                b.read_range(lo as u64, hi as u64, &ColumnSet::all(), &mut out).unwrap();
+                proptest::prop_assert_eq!(to_rows(&out, hi - lo), rows[lo..hi].to_vec(), "{}..{}", lo, hi);
+            }
+            let positions: Vec<u64> = picks.iter().filter(|&&p| p < n).map(|&p| p as u64).collect();
+            b.read_rows(&positions, &ColumnSet::of([1, 2]), &mut out).unwrap();
+            for (k, p) in positions.iter().enumerate() {
+                let row = &rows[*p as usize];
+                proptest::prop_assert_eq!((out[1].value(k), out[2].value(k)), (row[1].clone(), row[2].clone()));
+            }
+        }
+    }
+
     fn to_rows(cols: &[Column], n: usize) -> Vec<Row> {
         (0..n)
             .map(|i| cols.iter().map(|c| c.value(i)).collect())

@@ -4,7 +4,6 @@ use pop_storage::{Catalog, IndexKind};
 use pop_types::{DataType, PopResult, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Days covered by the date columns (7 years, like TPC-H's 1992–1998).
 pub const DATE_RANGE: i32 = 2556;
@@ -93,14 +92,11 @@ impl TpchGen {
     }
 
     /// Generate all eight tables plus key indexes into `catalog`. Each
-    /// table is written straight into typed columns, a chunk at a time; a
-    /// string drawn from a fixed list is one shared `Arc<str>` per list
-    /// entry, cloned into every row that draws it.
+    /// table is written straight into typed columns, a chunk at a time,
+    /// each string copied onto its column's buffer.
     pub fn generate(&self, catalog: &Catalog) -> PopResult<()> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let sz = self.sizes();
-        let shared =
-            |names: &[&str]| -> Vec<Arc<str>> { names.iter().map(|n| Arc::from(*n)).collect() };
 
         // REGION
         catalog.generate_table(
@@ -146,7 +142,6 @@ impl TpchGen {
         )?;
 
         // CUSTOMER
-        let segments = shared(&SEGMENTS);
         catalog.generate_table(
             "customer",
             Schema::from_pairs(&[
@@ -162,12 +157,12 @@ impl TpchGen {
                     .fmt(format_args!("Customer#{i:09}"))
                     .int(rng.gen_range(0..25))
                     .float(f64::from(rng.gen_range(-99_999..=999_999)) / 100.0)
-                    .str(&segments[rng.gen_range(0..SEGMENTS.len())]);
+                    .str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]);
             },
         )?;
 
         // ORDERS
-        let (statuses, priorities) = (shared(&["F", "O", "P"]), shared(&PRIORITIES));
+        let statuses = ["F", "O", "P"];
         catalog.generate_table(
             "orders",
             Schema::from_pairs(&[
@@ -182,29 +177,26 @@ impl TpchGen {
             |i, w| {
                 w.int(i as i64)
                     .int(rng.gen_range(0..sz.customer as i64))
-                    .str(&statuses[rng.gen_range(0..3usize)])
+                    .str(statuses[rng.gen_range(0..3usize)])
                     .float(f64::from(rng.gen_range(1_000..=500_000)) / 100.0)
                     .date(rng.gen_range(0..DATE_RANGE))
-                    .str(&priorities[rng.gen_range(0..PRIORITIES.len())]);
+                    .str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
             },
         )?;
 
-        // PART: names, brands and types are drawn from small grids, one
-        // shared string per cell.
-        let names: Vec<Arc<str>> = NAME_WORDS
+        // PART: names, brands and types are drawn from small grids,
+        // formatted once per cell of the grid.
+        let names: Vec<String> = NAME_WORDS
             .iter()
             .flat_map(|w1| NAME_WORDS.iter().map(move |w2| format!("{w1} {w2} part")))
-            .map(Arc::from)
             .collect();
-        let brands: Vec<Arc<str>> = (1..=5)
+        let brands: Vec<String> = (1..=5)
             .flat_map(|b1| (1..=5).map(move |b2| format!("Brand#{b1}{b2}")))
-            .map(Arc::from)
             .collect();
-        let types: Vec<Arc<str>> = TYPE_SYLL1
+        let types: Vec<String> = TYPE_SYLL1
             .iter()
             .flat_map(|s1| TYPE_SYLL2.iter().map(move |s2| (s1, s2)))
             .flat_map(|(s1, s2)| TYPE_SYLL3.iter().map(move |s3| format!("{s1} {s2} {s3}")))
-            .map(Arc::from)
             .collect();
         catalog.generate_table(
             "part",
@@ -251,7 +243,7 @@ impl TpchGen {
         )?;
 
         // LINEITEM: ~4 lines per order.
-        let flags = shared(&["R", "A", "N"]);
+        let flags = ["R", "A", "N"];
         catalog.generate_table(
             "lineitem",
             Schema::from_pairs(&[
@@ -273,9 +265,9 @@ impl TpchGen {
                 let receipt = ship + rng.gen_range(1..30);
                 // The paper notes l_returnflag-style flags are skewed.
                 let flag = match rng.gen_range(0..100) {
-                    0..=24 => &flags[0],
-                    25..=49 => &flags[1],
-                    _ => &flags[2],
+                    0..=24 => flags[0],
+                    25..=49 => flags[1],
+                    _ => flags[2],
                 };
                 w.int(rng.gen_range(0..sz.orders as i64))
                     .int(rng.gen_range(0..sz.part as i64))

@@ -7,7 +7,8 @@
 //!
 //! A column starts untyped — every row so far NULL, nothing stored — and
 //! takes the type of its first non-NULL value: `Int` → `i64`, `Float` →
-//! `f64`, `Date` → `i32`, `Bool` → `bool`, `Str` → `Arc<str>`. A push of
+//! `f64`, `Date` → `i32`, `Bool` → `bool`, `Str` → one [`StrVec`] (every
+//! string's bytes in one buffer, Arrow's layout). A push of
 //! another type turns it into a `Value` vector for good (a SUM column can
 //! hold `Int` and `Float` groups), so any sequence of values round-trips,
 //! variant included. A column that is empty again (`clear`, `truncate(0)`)
@@ -23,10 +24,6 @@
 use crate::Value;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, LazyLock};
-
-/// What a NULL slot of a string vector holds (shared, never read).
-static NULL_STR: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
 
 /// The values of one column.
 #[derive(Debug, Clone)]
@@ -42,7 +39,7 @@ pub enum Data {
     /// `Value::Bool`s.
     Bool(Vec<bool>),
     /// `Value::Str`s.
-    Str(Vec<Arc<str>>),
+    Str(StrVec),
     /// Values of more than one type; NULLs are `Value::Null`.
     Mixed(Vec<Value>),
 }
@@ -147,18 +144,23 @@ impl Data {
             Kind::Float => Data::Float(Vec::with_capacity(cap)),
             Kind::Date => Data::Date(Vec::with_capacity(cap)),
             Kind::Bool => Data::Bool(Vec::with_capacity(cap)),
-            Kind::Str => Data::Str(Vec::with_capacity(cap)),
+            Kind::Str => Data::Str(StrVec::with_capacity(cap)),
         }
     }
 
-    /// Overwrite row `i` of a typed vector with the slot a NULL occupies.
+    /// Overwrite row `i` of a typed vector with the slot a NULL occupies
+    /// (a refill's write: a string vector cuts its rows from `i` on,
+    /// stale, and pushes an empty string).
     fn set_placeholder(&mut self, i: usize) {
         match self {
             Data::Int(v) => v[i] = 0,
             Data::Float(v) => v[i] = 0.0,
             Data::Date(v) => v[i] = 0,
             Data::Bool(v) => v[i] = false,
-            Data::Str(v) => v[i] = Arc::clone(&NULL_STR),
+            Data::Str(v) => {
+                v.truncate(i);
+                v.push("");
+            }
             Data::Null(_) => {}
             Data::Mixed(v) => v[i] = Value::Null,
         }
@@ -171,7 +173,7 @@ impl Data {
             Data::Float(v) => v.push(0.0),
             Data::Date(v) => v.push(0),
             Data::Bool(v) => v.push(false),
-            Data::Str(v) => v.push(Arc::clone(&NULL_STR)),
+            Data::Str(v) => v.push(""),
             Data::Null(n) => *n += 1,
             Data::Mixed(v) => v.push(Value::Null),
         }
@@ -203,9 +205,215 @@ fn set_bit(bits: &mut Option<Vec<u64>>, i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// Extend `dst` with `src[i]` for every `i` of `idx`.
-fn gather<T: Clone>(dst: &mut Vec<T>, src: &[T], idx: impl Iterator<Item = usize>) {
-    dst.extend(idx.map(|i| src[i].clone()));
+/// Strings in Arrow's layout: value `i` is `bytes[offsets[i]..offsets[i +
+/// 1]]`. A push copies the string's bytes onto the end of one buffer, so a
+/// column of strings is two allocations however many rows it holds, and a
+/// refill that writes as many bytes as the last one allocates nothing.
+///
+/// Offsets are `u32`: one vector holds at most 4 GiB of string bytes.
+#[derive(Debug, Clone)]
+pub struct StrVec {
+    /// One more than the values, from 0, never decreasing, each on a char
+    /// boundary of `bytes`.
+    offsets: Vec<u32>,
+    /// Every value's UTF-8, back to back.
+    bytes: String,
+}
+
+impl Default for StrVec {
+    fn default() -> Self {
+        StrVec::with_capacity(0)
+    }
+}
+
+/// A byte offset as a `u32` offset.
+#[inline]
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a string vector holds at most 4 GiB of bytes")
+}
+
+impl StrVec {
+    /// An empty vector with room for `values` offsets.
+    pub fn with_capacity(values: usize) -> Self {
+        let mut offsets = Vec::with_capacity(values + 1);
+        offsets.push(0);
+        StrVec {
+            offsets,
+            bytes: String::new(),
+        }
+    }
+
+    /// Values held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when no value is held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `i`, borrowed.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Value `i`'s bytes: what equality, hashing and the order (UTF-8
+    /// orders as its bytes do) read, without the char-boundary checks of
+    /// [`StrVec::get`].
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        &self.bytes.as_bytes()[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The offsets: one more than the values, from 0.
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every value's bytes, back to back.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        &self.bytes
+    }
+
+    /// Append a copy of `s`.
+    #[inline]
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.offsets.push(offset(self.bytes.len()));
+    }
+
+    /// Append one value written by `write` onto the end of the buffer (a
+    /// formatted string goes straight in, with no string of its own).
+    #[inline]
+    fn push_with(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.bytes);
+        self.offsets.push(offset(self.bytes.len()));
+    }
+
+    /// Append the values `run` holds, value `k` ending at byte `ends[k]`
+    /// of it and starting where value `k - 1` ends (value 0 at 0): one
+    /// copy of the run and one offset per value. Each end must be on a
+    /// char boundary of `run`, at or past the one before and at most its
+    /// length; on the first that is not, nothing is appended and its
+    /// index is the error.
+    pub fn extend_run(
+        &mut self,
+        run: &str,
+        ends: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<(), usize> {
+        let (values, base) = (self.offsets.len(), self.bytes.len());
+        self.offsets.reserve(ends.len());
+        let mut last = 0;
+        for (k, end) in ends.enumerate() {
+            if end < last || !run.is_char_boundary(end) {
+                self.offsets.truncate(values);
+                return Err(k);
+            }
+            self.offsets.push(offset(base + end));
+            last = end;
+        }
+        self.bytes.push_str(&run[..last]);
+        Ok(())
+    }
+
+    /// Keep the first `n` values.
+    #[inline]
+    pub fn truncate(&mut self, n: usize) {
+        if n < self.len() {
+            self.offsets.truncate(n + 1);
+            self.bytes.truncate(self.offsets[n] as usize);
+        }
+    }
+
+    /// Drop every value, keeping both buffers.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Split off the values `at..` into a vector of their own.
+    pub fn split_off(&mut self, at: usize) -> StrVec {
+        let from = self.offsets[at];
+        let tail = StrVec {
+            offsets: self.offsets[at..].iter().map(|o| o - from).collect(),
+            bytes: self.bytes[from as usize..].to_string(),
+        };
+        self.truncate(at);
+        tail
+    }
+
+    /// Offsets held room for, less the leading 0.
+    pub fn capacity(&self) -> usize {
+        self.offsets.capacity() - 1
+    }
+
+    /// Bytes the buffer has room for.
+    pub fn byte_capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Release both buffers' spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.offsets.shrink_to_fit();
+        self.bytes.shrink_to_fit();
+    }
+}
+
+/// What [`Column`] does alike to the vector of any variant.
+trait Vector {
+    /// Bytes held (lengths, not capacities).
+    fn held_bytes(&self) -> usize;
+    /// Append `src`'s values at `idx`, in that order.
+    fn gather_from(&mut self, src: &Self, idx: impl Iterator<Item = usize> + Clone);
+    /// Move every value of `other` onto the end.
+    fn append_from(&mut self, other: &mut Self);
+}
+
+impl<T: Clone> Vector for Vec<T> {
+    fn held_bytes(&self) -> usize {
+        std::mem::size_of_val(self.as_slice())
+    }
+
+    #[inline]
+    fn gather_from(&mut self, src: &Self, idx: impl Iterator<Item = usize> + Clone) {
+        self.extend(idx.map(|i| src[i].clone()));
+    }
+
+    fn append_from(&mut self, other: &mut Self) {
+        self.append(other);
+    }
+}
+
+impl Vector for StrVec {
+    /// Four bytes per offset plus the string bytes.
+    fn held_bytes(&self) -> usize {
+        4 * self.offsets.len() + self.bytes.len()
+    }
+
+    /// One pass sizes the buffer for the gathered bytes, so a gather into
+    /// a new batch column allocates its buffer once.
+    #[inline]
+    fn gather_from(&mut self, src: &Self, idx: impl Iterator<Item = usize> + Clone) {
+        let o = &src.offsets;
+        let bytes = idx.clone().map(|i| (o[i + 1] - o[i]) as usize).sum();
+        self.bytes.reserve(bytes);
+        for i in idx {
+            self.push(src.get(i));
+        }
+    }
+
+    fn append_from(&mut self, other: &mut Self) {
+        let base = offset(self.bytes.len());
+        self.bytes.push_str(&other.bytes);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|o| base + o));
+        other.clear();
+    }
 }
 
 /// One column (see the module docs).
@@ -253,9 +461,10 @@ impl Column {
         self.nulls.is_some()
     }
 
-    /// Bytes the column's vectors hold (lengths, not capacities).
+    /// Bytes the column's vectors hold (lengths, not capacities): a string
+    /// vector's offsets and string bytes.
     pub fn bytes(&self) -> usize {
-        each_vec!(&self.data, |v| std::mem::size_of_val(v.as_slice()), |_n| 0)
+        each_vec!(&self.data, |v| v.held_bytes(), |_n| 0)
             + self.nulls.as_ref().map_or(0, |b| b.len() * 8)
     }
 
@@ -281,12 +490,14 @@ impl Column {
             Data::Float(v) => Cell::Float(v[i]),
             Data::Date(v) => Cell::Date(v[i]),
             Data::Bool(v) => Cell::Bool(v[i]),
-            Data::Str(v) => Cell::Str(&v[i]),
+            Data::Str(v) => Cell::Str(v.get(i)),
             Data::Mixed(v) => Cell::of(&v[i]),
         }
     }
 
-    /// Row `i` as an owned value (a string is shared, not copied).
+    /// Row `i` as an owned value: a string is copied into a new `Arc<str>`,
+    /// so a loop over rows reads [`Column::cell`] and builds a value only
+    /// where it keeps one.
     #[inline]
     pub fn value(&self, i: usize) -> Value {
         if bit(self.nulls.as_ref(), i) {
@@ -298,7 +509,7 @@ impl Column {
             Data::Float(v) => Value::Float(v[i]),
             Data::Date(v) => Value::Date(v[i]),
             Data::Bool(v) => Value::Bool(v[i]),
-            Data::Str(v) => Value::Str(Arc::clone(&v[i])),
+            Data::Str(v) => Value::str(v.get(i)),
             Data::Mixed(v) => v[i].clone(),
         }
     }
@@ -349,8 +560,7 @@ impl Column {
         }
     }
 
-    /// Append one owned value, moving it in (a string is not cloned);
-    /// `cap` sizes a vector created by this push.
+    /// Append one owned value; `cap` sizes a vector created by this push.
     #[inline]
     pub fn push_value(&mut self, v: Value, cap: usize) {
         match (&mut self.data, v) {
@@ -358,7 +568,7 @@ impl Column {
             (Data::Float(d), Value::Float(x)) => d.push(x),
             (Data::Date(d), Value::Date(x)) => d.push(x),
             (Data::Bool(d), Value::Bool(x)) => d.push(x),
-            (Data::Str(d), Value::Str(x)) => d.push(x),
+            (Data::Str(d), Value::Str(x)) => d.push(&x),
             (Data::Mixed(d), v) => d.push(v),
             (_, v) => self.push_value_slow(v, cap),
         }
@@ -384,14 +594,9 @@ impl Column {
     /// one row at a time and in order: the rows stay, to be overwritten in
     /// place, and the NULL bitmap goes. A [`Column::truncate`] to the rows
     /// written ends the refill (until then the rows past the last one
-    /// written are stale).
-    ///
-    /// A paged read's scratch columns are refilled chunk after chunk this
-    /// way: a string overwritten in place releases its block right after
-    /// the new one is made, so the allocator serves every row from the
-    /// block it just got back — emptying the vector first would free a
-    /// chunk's strings in one batch and allocate the next chunk's in
-    /// another, which costs more than the decode.
+    /// written are stale). A write at row `i` of a string vector cuts the
+    /// stale rows from `i` on first, then appends, so the vector's buffers
+    /// are reused.
     #[inline]
     pub fn begin_refill(&mut self) {
         self.nulls = None;
@@ -407,8 +612,62 @@ impl Column {
         put_date(i32) => Date;
         /// Write a `Bool` as row `i` of a refill.
         put_bool(bool) => Bool;
-        /// Write a `Str` as row `i` of a refill, moving the string in.
-        put_str(Arc<str>) => Str;
+    }
+
+    /// Write a copy of `s` as row `i` of a refill.
+    #[inline]
+    pub fn put_str(&mut self, i: usize, s: &str, cap: usize) {
+        match &mut self.data {
+            Data::Str(d) if i <= d.len() => {
+                d.truncate(i);
+                d.push(s);
+            }
+            _ => self.put_slow(i, Value::str(s), cap),
+        }
+    }
+
+    /// Write the string `args` formats as row `i` of a refill: straight
+    /// into a string vector's buffer.
+    pub fn put_fmt(&mut self, i: usize, args: std::fmt::Arguments<'_>, cap: usize) {
+        use std::fmt::Write;
+        match &mut self.data {
+            Data::Str(d) if i <= d.len() => {
+                d.truncate(i);
+                d.push_with(|buf| {
+                    buf.write_fmt(args)
+                        .expect("formatting into a String does not fail");
+                });
+            }
+            _ => self.put_slow(i, Value::str(args.to_string()), cap),
+        }
+    }
+
+    /// Write the strings of `run` as rows `i..` of a refill, value `k`
+    /// ending at byte `ends[k]` of it (see [`StrVec::extend_run`]): one
+    /// copy of the run into a string vector, a value at a time into any
+    /// other column. An end off a char boundary, before the one before it
+    /// or past the run is the error (its index); the rows from `i` on are
+    /// then stale.
+    pub fn put_str_run(
+        &mut self,
+        i: usize,
+        run: &str,
+        ends: impl ExactSizeIterator<Item = usize>,
+        cap: usize,
+    ) -> Result<(), usize> {
+        if let Data::Str(d) = &mut self.data {
+            if i <= d.len() {
+                d.truncate(i);
+                return d.extend_run(run, ends);
+            }
+        }
+        let mut start = 0;
+        for (k, end) in ends.enumerate() {
+            let s = run.get(start..end).ok_or(k)?;
+            self.put_str(i + k, s, cap);
+            start = end;
+        }
+        Ok(())
     }
 
     typed_put_run! {
@@ -458,7 +717,7 @@ impl Column {
             (Data::Float(d), Value::Float(x)) => d.push(*x),
             (Data::Date(d), Value::Date(x)) => d.push(*x),
             (Data::Bool(d), Value::Bool(x)) => d.push(*x),
-            (Data::Str(d), Value::Str(x)) => d.push(Arc::clone(x)),
+            (Data::Str(d), Value::Str(x)) => d.push(x),
             (Data::Mixed(d), v) => d.push(v.clone()),
             (_, v) => self.push_slow(v, cap),
         }
@@ -484,7 +743,7 @@ impl Column {
         same_typed!(
             &mut self.data,
             &src.data,
-            |d, s| gather(d, s, std::iter::once(i)),
+            |d, s| d.gather_from(s, std::iter::once(i)),
             self.push(&src.value(i), cap)
         );
     }
@@ -500,7 +759,7 @@ impl Column {
         if let Data::Null(_) = src.data {
             return idx.for_each(|_| self.push_null());
         }
-        let fits = matches!(self.data, Data::Mixed(_))
+        let fits = (matches!(self.data, Data::Mixed(_)) && !self.is_empty())
             || (self.data.kind().is_some() && self.data.kind() == src.data.kind());
         if !fits {
             self.retype(src.data.kind(), cap);
@@ -510,7 +769,7 @@ impl Column {
             &mut self.data,
             &src.data,
             |d, s| {
-                gather(d, s, idx.clone());
+                d.gather_from(s, idx.clone());
                 true
             },
             false
@@ -542,7 +801,7 @@ impl Column {
             &mut self.data,
             &mut other.data,
             |d, s| {
-                d.append(s);
+                d.append_from(s);
                 true
             },
             false
@@ -615,7 +874,7 @@ impl Column {
                 (Data::Int(x), Data::Int(y)) => return x[i] == y[j],
                 (Data::Date(x), Data::Date(y)) => return x[i] == y[j],
                 (Data::Float(x), Data::Float(y)) => return x[i].to_bits() == y[j].to_bits(),
-                (Data::Str(x), Data::Str(y)) => return x[i] == y[j],
+                (Data::Str(x), Data::Str(y)) => return x.bytes_at(i) == y.bytes_at(j),
                 _ => {}
             }
         }
@@ -631,14 +890,14 @@ impl Column {
                 Data::Int(v) => return v[i].cmp(&v[j]),
                 Data::Date(v) => return v[i].cmp(&v[j]),
                 Data::Float(v) => return v[i].total_cmp(&v[j]),
-                Data::Str(v) => return v[i].as_ref().cmp(v[j].as_ref()),
+                Data::Str(v) => return v.bytes_at(i).cmp(v.bytes_at(j)),
                 _ => {}
             }
         }
         self.cell(i).cmp_total(self.cell(j))
     }
 
-    /// Vector capacity (0 while the column is untyped).
+    /// Vector capacity in values (0 while the column is untyped).
     pub fn capacity(&self) -> usize {
         each_vec!(&self.data, |v| v.capacity(), |_n| 0)
     }
@@ -680,6 +939,18 @@ impl<'a> Cell<'a> {
     #[inline]
     pub fn is_null(self) -> bool {
         matches!(self, Cell::Null)
+    }
+
+    /// The owned value (a string is copied into a new `Arc<str>`).
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Date(d) => Value::Date(d),
+            Cell::Str(s) => Value::str(s),
+        }
     }
 
     /// `Value::as_f64`.
@@ -840,6 +1111,32 @@ mod tests {
     }
 
     #[test]
+    fn a_string_column_counts_its_offsets_and_bytes() {
+        // n strings of b bytes in all: 4 (n + 1) offset bytes plus b.
+        let strs = ["", "a", "héllo", "€€", ""];
+        let c = column(&strs.map(Value::str));
+        let b: usize = strs.iter().map(|s| s.len()).sum();
+        assert!(!c.has_null_bitmap());
+        assert_eq!(c.bytes(), 4 * (strs.len() + 1) + b);
+        // A NULL adds an empty string's offset and the bitmap's word.
+        let c = column(&[Value::str("abc"), Value::Null, Value::str("de")]);
+        assert_eq!(c.bytes(), 4 * 4 + 5 + 8);
+        // A gather, an append and a split copy the bytes they move.
+        let mut g = Column::default();
+        g.extend_gather(&c, [2, 0, 2].into_iter(), 0);
+        assert_eq!(g.bytes(), 4 * 4 + 7);
+        let mut a = column(&[Value::str("xy")]);
+        a.append(g, 0);
+        assert_eq!(a.bytes(), 4 * 5 + 9);
+        let tail = a.split_off(2);
+        assert_eq!((a.bytes(), tail.bytes()), (4 * 3 + 4, 4 * 3 + 5));
+        assert!(identical(
+            &values(&tail),
+            &[Value::str("abc"), Value::str("de")]
+        ));
+    }
+
+    #[test]
     fn gather_append_split_and_truncate_keep_values_and_nulls() {
         let src = column(&samples());
         let idx = [9usize, 0, 2, 0, 11];
@@ -891,19 +1188,56 @@ mod tests {
         // from this refill only, the stale tail cut.
         let mut c = column(&[s("a"), Value::Null, s("c"), s("d"), s("e")]);
         let cap = c.capacity();
+        let bytes = |c: &Column| match c.data() {
+            Data::Str(v) => v.byte_capacity(),
+            _ => unreachable!("a string column"),
+        };
+        let heap = bytes(&c);
         c.begin_refill();
-        c.put_str(0, Arc::from("x"), 0);
+        c.put_str(0, "x", 0);
         c.put_null(1);
-        c.put_str(2, Arc::from("y"), 0);
+        c.put_str(2, "y", 0);
         c.truncate(3);
         assert!(identical(&values(&c), &[s("x"), Value::Null, s("y")]));
         assert_eq!(c.capacity(), cap, "the vector was reused");
         c.begin_refill();
-        c.put_str(0, Arc::from("z"), 0);
-        c.put_str(1, Arc::from("w"), 0);
+        c.put_str(0, "z", 0);
+        c.put_fmt(1, format_args!("w{}", 1), 0);
         c.truncate(2);
-        assert!(identical(&values(&c), &[s("z"), s("w")]));
+        assert!(identical(&values(&c), &[s("z"), s("w1")]));
         assert!(!c.has_null_bitmap(), "no NULL in this refill");
+        assert_eq!(
+            (c.capacity(), bytes(&c)),
+            (cap, heap),
+            "both buffers were reused"
+        );
+        // A run of strings: one copy onto the rows written so far, each end
+        // checked; a bad end is its index.
+        c.begin_refill();
+        c.put_str(0, "é", 0);
+        assert_eq!(c.put_str_run(1, "ab€", [1, 1, 5].into_iter(), 0), Ok(()));
+        c.truncate(4);
+        assert!(identical(&values(&c), &[s("é"), s("a"), s(""), s("b€")]));
+        c.begin_refill();
+        assert_eq!(
+            c.put_str_run(0, "ab€", [1, 3].into_iter(), 0),
+            Err(1),
+            "inside the €"
+        );
+        assert_eq!(
+            c.put_str_run(0, "ab€", [2, 1].into_iter(), 0),
+            Err(1),
+            "backwards"
+        );
+        assert_eq!(
+            c.put_str_run(0, "ab", [3].into_iter(), 0),
+            Err(0),
+            "past the run"
+        );
+        let mut ints = column(&[Value::Int(1)]);
+        ints.begin_refill();
+        assert_eq!(ints.put_str_run(0, "ab", [1, 2].into_iter(), 0), Ok(()));
+        assert!(identical(&values(&ints), &[s("a"), s("b")]));
         // A value of another type mid-refill, and rows past the stale ones.
         let mut c = column(&[Value::Int(7), Value::Int(8)]);
         c.begin_refill();

@@ -65,6 +65,23 @@ impl Hasher for MixHasher {
     }
 }
 
+/// A string of at most 15 bytes as one word — its bytes, then its length
+/// in the top byte, so no two strings share one — and the slot of a
+/// `slots`-entry cache it takes: the key of a small cache that recognises
+/// a short string it has seen (a column's fixed-list literals) without a
+/// hash-set probe or a new `Arc<str>`.
+#[inline]
+pub fn short_key(s: &str, slots: usize) -> Option<(u128, usize)> {
+    (s.len() < 16).then(|| {
+        let bytes = s.bytes().enumerate();
+        let key = bytes.fold((s.len() as u128) << 120, |k, (i, b)| {
+            k | u128::from(b) << (8 * i)
+        });
+        let slot = mix_finish(key as u64 ^ (key >> 64) as u64) as usize % slots;
+        (key, slot)
+    })
+}
+
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
