@@ -128,7 +128,7 @@ fn time_both(cat: &pop::Catalog, q: &QuerySpec, reps: usize) -> (f64, f64, usize
 }
 
 /// What one operator kind did in one profiled run: self ms, live rows
-/// returned, and cells (rows × layout width).
+/// returned, and cells (rows × the width of the batches returned).
 #[derive(Debug, Clone, Copy, Default)]
 struct KindProfile {
     ms: f64,
@@ -137,11 +137,12 @@ struct KindProfile {
 }
 
 /// Self ms, rows and cells per operator kind (`PhysNode::name`) of one
-/// profiled run of `plan`, carrying lineage only if `exec.run` would
-/// (`lineage`).
+/// profiled run of `plan`, `spec`'s plan, carrying lineage only if
+/// `exec.run` would (`lineage`).
 fn profile_once(
     cat: &pop::Catalog,
     exec: &PopExecutor,
+    spec: &QuerySpec,
     plan: &pop_plan::PhysNode,
     lineage: bool,
 ) -> BTreeMap<&'static str, KindProfile> {
@@ -153,7 +154,9 @@ fn profile_once(
     ctx.checks_enabled = false;
     ctx.lineage = lineage;
     ctx.batch_size = exec.config().batch_size.max(1);
-    let (_, nodes) = pop_exec::execute_profiled(plan, &mut ctx).expect("profiled run");
+    let counts = exec.col_counts(spec);
+    let (_, nodes) =
+        pop_exec::execute_profiled(plan, spec, &counts, &mut ctx).expect("profiled run");
     let mut kinds: BTreeMap<&'static str, KindProfile> = BTreeMap::new();
     for n in nodes {
         let k = kinds.entry(n.name).or_default();
@@ -183,15 +186,15 @@ fn profile_suite(
         .iter()
         .map(|(name, q)| {
             let plan = exec.plan(q, &Params::none()).expect("plan");
-            (name, plan, exec.carries_lineage(q))
+            (name, q, plan, exec.carries_lineage(q))
         })
         .collect();
     let mut best: Vec<BTreeMap<&'static str, KindProfile>> = vec![BTreeMap::new(); plans.len()];
     let mut pass_io = pop_storage::IoStats::default();
     for pass in 0..=passes {
         let io = cat.io_stats();
-        for ((_, plan, lineage), best) in plans.iter().zip(&mut best) {
-            let kinds = profile_once(cat, &exec, plan, *lineage);
+        for ((_, q, plan, lineage), best) in plans.iter().zip(&mut best) {
+            let kinds = profile_once(cat, &exec, q, plan, *lineage);
             if pass > 0 {
                 for (kind, k) in kinds {
                     let b = best.entry(kind).or_insert(KindProfile {

@@ -242,6 +242,7 @@ impl PopExecutor {
     ) -> PopResult<()> {
         let opt_config = self.effective_optimizer_config();
         ctx.lineage = self.carries_lineage(spec);
+        let col_counts = self.col_counts(spec);
         let mut mv_counter = 0usize;
         // The persistent memo is held for the whole loop: each
         // re-optimization step re-derives only the groups its new facts
@@ -287,7 +288,7 @@ impl PopExecutor {
             });
             let work_start = ctx.work;
             let batches_start = ctx.batches_emitted;
-            let outcome = execute(&plan, ctx)?;
+            let outcome = execute(&plan, spec, &col_counts, ctx)?;
             let mut step = StepReport {
                 shape: plan.join_shape(),
                 est_cost: plan.props().cost,
@@ -344,7 +345,13 @@ impl PopExecutor {
                             let card = CardFact::Exact(h.row_count() as f64);
                             feedback.record(h.tables, card);
                         }
-                        self.promote_harvest(spec, h, &mut mv_counter, &mut report.warnings)?;
+                        self.promote_harvest(
+                            spec,
+                            &col_counts,
+                            h,
+                            &mut mv_counter,
+                            &mut report.warnings,
+                        )?;
                     }
                     // Injected corrupted statistics: poison the violated
                     // subplan's fed-back cardinality with an absurd
@@ -468,7 +475,7 @@ impl PopExecutor {
         ctx.lineage = self.carries_lineage(spec);
         // With checks disabled nothing is harvested: nothing is promoted
         // without a re-optimization.
-        let outcome = execute(plan, ctx)?;
+        let outcome = execute(plan, spec, &self.col_counts(spec), ctx)?;
         if !outcome.is_complete() {
             return Err(PopError::Execution(
                 "plan suspended although checkpoints were disabled".into(),
@@ -501,8 +508,9 @@ impl PopExecutor {
     }
 
     /// Column count of every query table (`0` for a table the catalog
-    /// does not know; planning has already rejected such a spec).
-    fn col_counts(&self, spec: &QuerySpec) -> Vec<usize> {
+    /// does not know; planning has already rejected such a spec): what
+    /// [`PhysNode::columns`] derives a plan's layouts from, with the spec.
+    pub fn col_counts(&self, spec: &QuerySpec) -> Vec<usize> {
         spec.tables
             .iter()
             .map(|t| {
@@ -514,18 +522,20 @@ impl PopExecutor {
     }
 
     /// Promote one harvested materialization to a temp MV over its table
-    /// set. Every node over a table set emits its canonical layout — the
-    /// contract MV matching relies on — so a harvest of another width is a
-    /// bug: it is dropped and reported on `warnings` instead of silently
-    /// turning MV reuse off. (A buffer no row reached has no columns.)
+    /// set. Every node over a table set emits its canonical layout
+    /// ([`PhysNode::columns`]) — the contract MV matching relies on — so a
+    /// harvest of another width is a bug: it is dropped and reported on
+    /// `warnings` instead of silently turning MV reuse off. (A buffer no
+    /// row reached has no columns.)
     fn promote_harvest(
         &self,
         spec: &QuerySpec,
+        col_counts: &[usize],
         h: pop_exec::Harvest,
         mv_counter: &mut usize,
         warnings: &mut Vec<String>,
     ) -> PopResult<()> {
-        let layout = canonical_layout(spec, h.tables, &self.col_counts(spec));
+        let layout = canonical_layout(spec, h.tables, col_counts);
         if h.row_count() > 0 && h.width() != layout.len() {
             warnings.push(format!(
                 "harvest over {} not promoted to a temp MV: {} column(s), but its canonical layout {layout:?} has {}",
@@ -834,7 +844,7 @@ mod tests {
     /// for. A completed step's lineage would never be read.
     #[test]
     fn only_a_suspended_step_records_returned_lineage() {
-        use pop_plan::{CheckFlavor, CheckSpec, LayoutCol, PlanProps};
+        use pop_plan::{CheckFlavor, CheckSpec, PlanProps, QueryBuilder};
         let cat = Catalog::new();
         cat.create_table(
             "t",
@@ -846,13 +856,11 @@ mod tests {
             qidx: 0,
             table: "t".into(),
             pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(0),
-                20.0,
-                20.0,
-                vec![LayoutCol::Base(pop_types::ColId::new(0, 0))],
-            ),
+            props: PlanProps::leaf(TableSet::single(0), 20.0, 20.0),
         };
+        let mut b = QueryBuilder::new();
+        b.table("t");
+        let q = b.build().unwrap();
         let checked = PhysNode::Check {
             props: scan.props().clone(),
             input: Box::new(scan.clone()),
@@ -867,13 +875,13 @@ mod tests {
         let mut ctx = ExecCtx::new(cat, Params::none(), pop_plan::CostModel::default());
         let mut collected = Vec::new();
 
-        let suspended = execute(&checked, &mut ctx).unwrap();
+        let suspended = execute(&checked, &q, &[1], &mut ctx).unwrap();
         assert!(!suspended.is_complete());
         collect_rows(&mut collected, &mut ctx, &suspended).unwrap();
         assert_eq!(collected.len(), 7);
         assert_eq!(ctx.prev_returned.len(), 7);
 
-        let complete = execute(&scan, &mut ctx).unwrap();
+        let complete = execute(&scan, &q, &[1], &mut ctx).unwrap();
         assert!(complete.is_complete());
         collect_rows(&mut collected, &mut ctx, &complete).unwrap();
         assert_eq!(collected.len(), 27);
@@ -887,7 +895,7 @@ mod tests {
         // a typed error, not seven duplicates in the next step.
         ctx.lineage = false;
         ctx.prev_returned.clear();
-        let suspended = execute(&checked, &mut ctx).unwrap();
+        let suspended = execute(&checked, &q, &[1], &mut ctx).unwrap();
         assert_eq!(suspended.batches()[0].lineage_width(), 0);
         match collect_rows(&mut collected, &mut ctx, &suspended) {
             Err(PopError::Execution(msg)) => assert!(msg.contains("7 row(s)"), "{msg}"),
@@ -981,7 +989,8 @@ mod tests {
         // With a projection the canonical layout of {customer} is its join
         // key plus the projected column — not the table's full width.
         q.projection = vec![pop_types::ColId::new(0, 1)];
-        let canonical = canonical_layout(&q, TableSet::single(0), &exec.col_counts(&q));
+        let counts = exec.col_counts(&q);
+        let canonical = canonical_layout(&q, TableSet::single(0), &counts);
         assert_eq!(
             canonical,
             vec![pop_types::ColId::new(0, 0), pop_types::ColId::new(0, 1)]
@@ -992,7 +1001,7 @@ mod tests {
             pop_exec::Harvest::new(TableSet::single(0), std::sync::Arc::new(buffer), None)
         };
         let (mut n, mut warnings) = (0, Vec::new());
-        exec.promote_harvest(&q, harvest(canonical.len()), &mut n, &mut warnings)
+        exec.promote_harvest(&q, &counts, harvest(canonical.len()), &mut n, &mut warnings)
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(exec.catalog().temp_mv_count(), 1);
@@ -1002,7 +1011,7 @@ mod tests {
             "rows without lineage promote to an MV without lineage"
         );
         // The same table set at another width breaks the MV contract.
-        exec.promote_harvest(&q, harvest(1), &mut n, &mut warnings)
+        exec.promote_harvest(&q, &counts, harvest(1), &mut n, &mut warnings)
             .unwrap();
         assert_eq!(exec.catalog().temp_mv_count(), 1);
         assert_eq!(warnings.len(), 1);

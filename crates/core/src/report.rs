@@ -302,7 +302,7 @@ mod tests {
                 qidx: 0,
                 table: "t".into(),
                 pred: None,
-                props: pop_plan::PlanProps::leaf(pop_plan::TableSet::single(0), 1.0, 1.0, vec![]),
+                props: pop_plan::PlanProps::leaf(pop_plan::TableSet::single(0), 1.0, 1.0),
             }),
             shape: shape.to_string(),
             est_cost: 0.0,

@@ -3,7 +3,7 @@
 
 use crate::build::harvests;
 use crate::{build_operator, ExecCtx, ExecSignal, Operator, RowBatch, Violation};
-use pop_plan::PhysNode;
+use pop_plan::{PhysNode, QuerySpec};
 use pop_types::PopResult;
 
 /// Result of one execution step: the root's output batches, as emitted
@@ -45,13 +45,20 @@ impl RunOutcome {
     }
 }
 
-/// Execute one step of a plan. Per-run instrumentation in `ctx` is reset;
+/// Execute one step of `plan`, a plan for `spec` whose query table `t`
+/// has `col_counts[t]` columns. Per-run instrumentation in `ctx` is reset;
 /// cross-run compensation state is preserved. A plan that can suspend
 /// (checks armed, a CHECK in the plan) leaves its completed
 /// materializations on [`ExecCtx::harvests`].
-pub fn execute(plan: &PhysNode, ctx: &mut ExecCtx) -> PopResult<RunOutcome> {
+pub fn execute(
+    plan: &PhysNode,
+    spec: &QuerySpec,
+    col_counts: &[usize],
+    ctx: &mut ExecCtx,
+) -> PopResult<RunOutcome> {
     ctx.begin_run();
-    let op = build_operator(plan, &ctx.catalog, harvests(plan, ctx.checks_enabled))?;
+    let harvest = harvests(plan, ctx.checks_enabled);
+    let op = build_operator(plan, spec, col_counts, &ctx.catalog, harvest)?;
     drain_root(op, ctx)
 }
 
@@ -108,10 +115,17 @@ mod tests {
     use super::*;
     use pop_expr::{Expr, Params};
     use pop_plan::{
-        CheckFlavor, CheckSpec, CostModel, LayoutCol, PlanProps, TableSet, ValidityRange,
+        CheckFlavor, CheckSpec, CostModel, PlanProps, QueryBuilder, TableSet, ValidityRange,
     };
     use pop_storage::Catalog;
-    use pop_types::{ColId, DataType, Schema, Value};
+    use pop_types::{DataType, Schema, Value};
+
+    /// `SELECT * FROM t`, `t` one column wide.
+    fn run(plan: &PhysNode, ctx: &mut ExecCtx) -> PopResult<RunOutcome> {
+        let mut b = QueryBuilder::new();
+        b.table("t");
+        execute(plan, &b.build().unwrap(), &[1], ctx)
+    }
 
     fn scan_plan(pred: Option<Expr>) -> (ExecCtx, PhysNode) {
         let cat = Catalog::new();
@@ -126,12 +140,7 @@ mod tests {
             qidx: 0,
             table: "t".into(),
             pred,
-            props: PlanProps::leaf(
-                TableSet::single(0),
-                20.0,
-                20.0,
-                vec![LayoutCol::Base(ColId::new(0, 0))],
-            ),
+            props: PlanProps::leaf(TableSet::single(0), 20.0, 20.0),
         };
         (ctx, plan)
     }
@@ -139,7 +148,7 @@ mod tests {
     #[test]
     fn simple_scan_completes() {
         let (mut ctx, plan) = scan_plan(None);
-        let out = execute(&plan, &mut ctx).unwrap();
+        let out = run(&plan, &mut ctx).unwrap();
         assert!(out.is_complete());
         assert_eq!(out.row_count(), 20);
         assert!(ctx.work > 0.0);
@@ -148,7 +157,7 @@ mod tests {
     #[test]
     fn filtered_scan() {
         let (mut ctx, plan) = scan_plan(Some(Expr::col(0, 0).lt(Expr::lit(5i64))));
-        let out = execute(&plan, &mut ctx).unwrap();
+        let out = run(&plan, &mut ctx).unwrap();
         assert_eq!(out.row_count(), 5);
     }
 
@@ -167,7 +176,7 @@ mod tests {
             },
             props,
         };
-        let out = execute(&plan, &mut ctx).unwrap();
+        let out = run(&plan, &mut ctx).unwrap();
         assert_eq!(out.row_count(), 7);
         match out {
             RunOutcome::Suspended { violation, .. } => {
@@ -185,8 +194,8 @@ mod tests {
             qidx: 0,
             table: "missing".into(),
             pred: None,
-            props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
+            props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0),
         };
-        assert!(execute(&plan, &mut ctx).is_err());
+        assert!(run(&plan, &mut ctx).is_err());
     }
 }

@@ -5,14 +5,15 @@
 //! wrapper around every operator, runs it once and reports each plan
 //! node's self time: the wall time spent inside its `open` /
 //! `next_batch` / `close` calls minus the time spent inside its
-//! children's — and what it moved: the live rows it returned, each as
-//! wide as its layout. The query path never builds the wrappers; only
-//! profiling tools (`bench_exec --profile`) and tests call this.
+//! children's — and what it moved: the live rows it returned, and the
+//! width of the batches that carried them. The query path never builds
+//! the wrappers; only profiling tools (`bench_exec --profile`) and tests
+//! call this.
 
-use crate::build::{build_wrapped, harvests};
+use crate::build::{harvests, Builder};
 use crate::executor::{drain_root, RunOutcome};
 use crate::{ExecCtx, OpResult, Operator, RowBatch};
-use pop_plan::PhysNode;
+use pop_plan::{PhysNode, QuerySpec};
 use pop_types::PopResult;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,13 +28,13 @@ pub struct OpTime {
     pub self_time: Duration,
     /// Live rows the node returned.
     pub rows: u64,
-    /// The node's layout width: each row returned carries this many
-    /// values.
+    /// The width of the batches the node returned (0 if it returned
+    /// none): each row carries this many values.
     pub width: usize,
 }
 
 impl OpTime {
-    /// Values the node built or passed on: rows × layout width.
+    /// Values the node built or passed on: rows × width.
     pub fn cells(&self) -> u64 {
         self.rows * self.width as u64
     }
@@ -83,7 +84,9 @@ impl Operator for Timed {
     fn next_batch(&mut self, ctx: &mut ExecCtx) -> OpResult<Option<RowBatch>> {
         let out = self.time(ctx, |op, ctx| op.next_batch(ctx));
         if let Ok(Some(b)) = &out {
-            self.clock.borrow_mut().nodes[self.id].rows += b.live_count() as u64;
+            let node = &mut self.clock.borrow_mut().nodes[self.id];
+            node.rows += b.live_count() as u64;
+            node.width = b.width();
         }
         out
     }
@@ -103,18 +106,25 @@ impl Operator for Timed {
 /// Rows, work charges, CHECK events and harvests are those of `execute`.
 pub fn execute_profiled(
     plan: &PhysNode,
+    spec: &QuerySpec,
+    col_counts: &[usize],
     ctx: &mut ExecCtx,
 ) -> PopResult<(RunOutcome, Vec<OpTime>)> {
     ctx.begin_run();
     let clock = Rc::new(RefCell::new(Clock::default()));
-    let harvest = harvests(plan, ctx.checks_enabled);
-    let op = build_wrapped(plan, &ctx.catalog, harvest, &mut |node, inner| {
+    let builder = Builder {
+        spec,
+        col_counts,
+        catalog: &ctx.catalog,
+        harvest: harvests(plan, ctx.checks_enabled),
+    };
+    let (op, _) = builder.build(plan, &mut |node, inner| {
         let mut c = clock.borrow_mut();
         c.nodes.push(OpTime {
             name: node.name(),
             self_time: Duration::ZERO,
             rows: 0,
-            width: node.props().layout.len(),
+            width: 0,
         });
         Box::new(Timed {
             inner,
@@ -133,11 +143,11 @@ mod tests {
     use crate::execute;
     use pop_expr::Params;
     use pop_plan::{
-        CheckContext, CheckFlavor, CheckSpec, CostModel, LayoutCol, PlanProps, TableSet,
+        CheckContext, CheckFlavor, CheckSpec, CostModel, PlanProps, QueryBuilder, TableSet,
         ValidityRange,
     };
     use pop_storage::Catalog;
-    use pop_types::{ColId, DataType, Schema, Value};
+    use pop_types::{DataType, Schema, Value};
 
     /// The profiled run returns the rows, work and CHECK events of the
     /// plain one, and one entry per plan node, children first: a LIMIT
@@ -156,12 +166,7 @@ mod tests {
             qidx: 0,
             table: "t".into(),
             pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(0),
-                50.0,
-                50.0,
-                vec![LayoutCol::Base(ColId::new(0, 0))],
-            ),
+            props: PlanProps::leaf(TableSet::single(0), 50.0, 50.0),
         };
         let props = scan.props().clone();
         let limit = PhysNode::Limit {
@@ -183,13 +188,16 @@ mod tests {
             },
             props: props.clone(),
         };
+        let mut b = QueryBuilder::new();
+        b.table("t");
+        let spec = b.build().unwrap();
         let run = |plan: &PhysNode, profiled: bool| {
             let mut ctx = ExecCtx::new(cat.clone(), Params::none(), CostModel::default());
             ctx.batch_size = 8;
             let (outcome, nodes) = if profiled {
-                execute_profiled(plan, &mut ctx).unwrap()
+                execute_profiled(plan, &spec, &[1], &mut ctx).unwrap()
             } else {
-                (execute(plan, &mut ctx).unwrap(), Vec::new())
+                (execute(plan, &spec, &[1], &mut ctx).unwrap(), Vec::new())
             };
             let rows: Vec<Vec<Value>> = outcome
                 .batches()

@@ -3,7 +3,8 @@
 use pop_exec::{build_operator, execute, ExecCtx, RunOutcome};
 use pop_expr::{Expr, Params};
 use pop_plan::{
-    CostModel, InnerProbe, LayoutCol, PhysNode, PlanProps, SortKeyRef, TableSet, ValidityRange,
+    CostModel, InnerProbe, PhysNode, PlanProps, QueryBuilder, QuerySpec, SortKeyRef, TableSet,
+    ValidityRange,
 };
 use pop_storage::{Catalog, IndexKind};
 use pop_types::{ColId, DataType, Schema, Value};
@@ -26,19 +27,46 @@ fn catalog() -> Catalog {
     cat
 }
 
-fn scan(qidx: usize, table: &str, ncols: usize, card: f64) -> PhysNode {
+/// `SELECT * FROM <tables>` joined on `first.b = second.k` when there are
+/// two (every column is read above every node).
+fn select_star(tables: &[&str]) -> QuerySpec {
+    let mut q = QueryBuilder::new();
+    let t: Vec<usize> = tables.iter().map(|name| q.table(*name)).collect();
+    if let [a, b] = t[..] {
+        let (t, u) = if tables[0] == "t" { (a, b) } else { (b, a) };
+        q.join(t, 1, u, 0);
+    }
+    q.build().unwrap()
+}
+
+fn build(plan: &PhysNode, spec: &QuerySpec, cat: &Catalog) -> pop_types::PopResult<()> {
+    build_operator(plan, spec, &[2, 2], cat, false).map(|_| ())
+}
+
+fn scan(qidx: usize, table: &str, card: f64) -> PhysNode {
     PhysNode::TableScan {
         qidx,
         table: table.into(),
         pred: None,
-        props: PlanProps::leaf(
-            TableSet::single(qidx),
-            card,
-            card,
-            (0..ncols)
-                .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
-                .collect(),
-        ),
+        props: PlanProps::leaf(TableSet::single(qidx), card, card),
+    }
+}
+
+fn join_props(card: f64) -> PlanProps {
+    PlanProps {
+        edge_ranges: vec![ValidityRange::unbounded(); 2],
+        ..PlanProps::leaf(TableSet::from_iter([0, 1]), card, card)
+    }
+}
+
+/// The rows of a completed run.
+fn rows(plan: &PhysNode, spec: &QuerySpec, cat: Catalog) -> Vec<Vec<Value>> {
+    let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
+    match execute(plan, spec, &[2, 2], &mut ctx).unwrap() {
+        RunOutcome::Complete { batches } => (batches.iter())
+            .flat_map(|b| b.live_indices().map(|i| b.row_at(i)))
+            .collect(),
+        other @ RunOutcome::Suspended { .. } => panic!("unexpected {other:?}"),
     }
 }
 
@@ -46,7 +74,7 @@ fn scan(qidx: usize, table: &str, ncols: usize, card: f64) -> PhysNode {
 fn nljn_without_index_is_a_planning_error() {
     let cat = catalog();
     let plan = PhysNode::Nljn {
-        outer: Box::new(scan(0, "t", 2, 50.0)),
+        outer: Box::new(scan(0, "t", 50.0)),
         outer_key: ColId::new(0, 1),
         inner: InnerProbe {
             qidx: 1,
@@ -56,22 +84,22 @@ fn nljn_without_index_is_a_planning_error() {
             residual_joins: vec![],
             inner_card: 25.0,
         },
-        props: PlanProps::leaf(TableSet::from_iter([0, 1]), 10.0, 10.0, vec![]),
+        props: join_props(10.0),
     };
-    assert!(build_operator(&plan, &cat, false).is_err());
+    assert!(build(&plan, &select_star(&["t", "u"]), &cat).is_err());
 }
 
 #[test]
 fn join_key_not_in_layout_is_a_planning_error() {
     let cat = catalog();
     let plan = PhysNode::Hsjn {
-        build: Box::new(scan(0, "t", 2, 50.0)),
-        probe: Box::new(scan(1, "u", 2, 25.0)),
+        build: Box::new(scan(0, "t", 50.0)),
+        probe: Box::new(scan(1, "u", 25.0)),
         build_keys: vec![ColId::new(0, 9)], // no such column
         probe_keys: vec![ColId::new(1, 0)],
-        props: PlanProps::leaf(TableSet::from_iter([0, 1]), 10.0, 10.0, vec![]),
+        props: join_props(10.0),
     };
-    assert!(build_operator(&plan, &cat, false).is_err());
+    assert!(build(&plan, &select_star(&["t", "u"]), &cat).is_err());
 }
 
 #[test]
@@ -79,15 +107,14 @@ fn unknown_mv_is_an_error() {
     let cat = catalog();
     let plan = PhysNode::MvScan {
         mv_name: "__missing".into(),
-        props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
+        props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0),
     };
-    assert!(build_operator(&plan, &cat, false).is_err());
+    assert!(build(&plan, &select_star(&["t"]), &cat).is_err());
 }
 
 #[test]
 fn sort_by_position_works_end_to_end() {
-    let cat = catalog();
-    let inner = scan(0, "t", 2, 50.0);
+    let inner = scan(0, "t", 50.0);
     let props = inner.props().clone();
     let plan = PhysNode::Sort {
         input: Box::new(inner),
@@ -95,78 +122,62 @@ fn sort_by_position_works_end_to_end() {
         desc: true,
         props,
     };
-    let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx).unwrap();
-    match out {
-        RunOutcome::Complete { batches } => {
-            let keys: Vec<Value> = batches
-                .iter()
-                .flat_map(|b| b.live_indices().map(|i| b.value(1, i)))
-                .collect();
-            assert_eq!(keys.len(), 50);
-            for w in keys.windows(2) {
-                assert!(w[0] >= w[1], "descending order broken");
-            }
-        }
-        other @ RunOutcome::Suspended { .. } => panic!("unexpected {other:?}"),
+    let keys: Vec<Value> = (rows(&plan, &select_star(&["t"]), catalog()).into_iter())
+        .map(|r| r[1].clone())
+        .collect();
+    assert_eq!(keys.len(), 50);
+    for w in keys.windows(2) {
+        assert!(w[0] >= w[1], "descending order broken");
     }
 }
 
+/// A join emits its table set's layout, ascending by query table, so its
+/// columns interleave by table whichever input leads: an NLJN's inner
+/// and an HSJN's build may be the lower table.
 #[test]
-fn project_with_aggregate_outputs() {
-    let cat = catalog();
-    let inner = scan(0, "t", 2, 50.0);
-    let agg_props = PlanProps {
-        tables: TableSet::single(0),
-        card: 5.0,
-        cost: 60.0,
-        layout: vec![LayoutCol::Base(ColId::new(0, 1)), LayoutCol::Agg(0)],
-        sorted_by: None,
-        edge_ranges: vec![ValidityRange::unbounded()],
-    };
-    let agg = PhysNode::HashAgg {
-        input: Box::new(inner),
-        group_by: vec![ColId::new(0, 1)],
-        aggs: vec![pop_plan::AggFunc::Count],
-        props: agg_props.clone(),
-    };
-    // Project only the aggregate output, dropping the key.
-    let plan = PhysNode::Project {
-        input: Box::new(agg),
-        cols: vec![LayoutCol::Agg(0)],
-        props: PlanProps {
-            layout: vec![LayoutCol::Agg(0)],
-            ..agg_props
-        },
-    };
-    let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx).unwrap();
-    assert_eq!(out.row_count(), 5);
-    for b in out.batches() {
-        assert!(b
-            .live_indices()
-            .all(|i| b.row_at(i) == vec![Value::Int(10)]));
+fn joins_emit_columns_in_query_table_order_whichever_input_leads() {
+    for tables in [["t", "u"], ["u", "t"]] {
+        let spec = select_star(&tables);
+        let (t, u) = if tables[0] == "t" { (0, 1) } else { (1, 0) };
+        let nljn = PhysNode::Nljn {
+            outer: Box::new(scan(t, "t", 50.0)),
+            outer_key: ColId::new(t, 1),
+            inner: InnerProbe {
+                qidx: u,
+                table: "u".into(),
+                join_col: 0,
+                pred: None,
+                residual_joins: vec![],
+                inner_card: 25.0,
+            },
+            props: join_props(250.0),
+        };
+        let hsjn = PhysNode::Hsjn {
+            build: Box::new(scan(u, "u", 25.0)),
+            probe: Box::new(scan(t, "t", 50.0)),
+            build_keys: vec![ColId::new(u, 0)],
+            probe_keys: vec![ColId::new(t, 1)],
+            props: join_props(250.0),
+        };
+        for plan in [nljn, hsjn] {
+            let rows = rows(&plan, &spec, catalog());
+            assert_eq!(rows.len(), 250, "{tables:?}\n{plan}");
+            for row in rows {
+                // t.b = u.k, t.b = t.a % 5, u.v % 5 = u.k.
+                let (tr, ur) = (&row[2 * t..2 * t + 2], &row[2 * u..2 * u + 2]);
+                assert_eq!(tr[1], ur[0], "{tables:?} {row:?}\n{plan}");
+                assert_eq!(tr[0].as_i64().unwrap() % 5, tr[1].as_i64().unwrap());
+                assert_eq!(ur[1].as_i64().unwrap() % 5, ur[0].as_i64().unwrap());
+            }
+        }
     }
 }
 
 #[test]
 fn filter_predicate_binds_against_scan_layout() {
-    let cat = catalog();
-    let plan = PhysNode::TableScan {
-        qidx: 0,
-        table: "t".into(),
-        pred: Some(Expr::col(0, 1).eq(Expr::lit(3i64))),
-        props: PlanProps::leaf(
-            TableSet::single(0),
-            10.0,
-            50.0,
-            vec![
-                LayoutCol::Base(ColId::new(0, 0)),
-                LayoutCol::Base(ColId::new(0, 1)),
-            ],
-        ),
-    };
-    let mut ctx = ExecCtx::new(cat, Params::none(), CostModel::default());
-    let out = execute(&plan, &mut ctx).unwrap();
-    assert_eq!(out.row_count(), 10);
+    let mut plan = scan(0, "t", 50.0);
+    if let PhysNode::TableScan { pred, .. } = &mut plan {
+        *pred = Some(Expr::col(0, 1).eq(Expr::lit(3i64)));
+    }
+    assert_eq!(rows(&plan, &select_star(&["t"]), catalog()).len(), 10);
 }

@@ -17,7 +17,7 @@ use pop_exec::operators::{
 use pop_exec::{execute, ExecCtx, JoinSide, Operator};
 use pop_expr::{BoundExpr, Expr, Params};
 use pop_plan::{
-    CheckContext, CheckFlavor, CheckSpec, CostModel, LayoutCol, PhysNode, PlanProps, TableSet,
+    CheckContext, CheckFlavor, CheckSpec, CostModel, PhysNode, PlanProps, QueryBuilder, TableSet,
     ValidityRange,
 };
 use pop_storage::{Catalog, Index, IndexKind, StorageConfig, Table};
@@ -421,14 +421,15 @@ fn side_effect_and_compensation_operators_charge_per_row() {
 fn execution_charges_the_result_rows() {
     for model in models() {
         for mut f in fixtures(&model) {
-            let layout = (0..3).map(|c| LayoutCol::Base(ColId::new(0, c))).collect();
             let plan = PhysNode::TableScan {
                 qidx: 0,
                 table: "t".into(),
                 pred: None,
-                props: PlanProps::leaf(TableSet::single(0), N as f64, 0.0, layout),
+                props: PlanProps::leaf(TableSet::single(0), N as f64, 0.0),
             };
-            execute(&plan, &mut f.ctx).unwrap();
+            let mut q = QueryBuilder::new();
+            q.table("t");
+            execute(&plan, &q.build().unwrap(), &[3], &mut f.ctx).unwrap();
             let want = f.scan_cost(&f.t) + f.m().output(N as f64);
             assert!(
                 (f.ctx.work - want).abs() <= 1e-9 * want,

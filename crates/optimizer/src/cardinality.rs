@@ -1,7 +1,7 @@
 //! Per-query cardinality estimation with feedback overrides.
 
 use crate::OptimizerContext;
-use pop_plan::{canonical_layout, JoinGraph, LayoutCol, QuerySpec, TableSet};
+use pop_plan::{JoinGraph, QuerySpec, TableSet};
 use pop_stats::{estimate_selectivity, join_selectivity, SelectivityDefaults, TableStats};
 use pop_storage::Table;
 use pop_types::{ColId, PopResult};
@@ -151,18 +151,6 @@ impl CardEstimator {
         self.inputs.base_cards[qidx]
     }
 
-    /// Column counts per query table (for canonical layouts).
-    pub fn col_counts(&self) -> &[usize] {
-        &self.inputs.col_counts
-    }
-
-    /// Output layout of every leaf over query table `qidx` (scan, index
-    /// range scan, the inner half an NLJN starts from): the
-    /// [`canonical_layout`] of `{qidx}`, the columns read above it.
-    pub fn leaf_layout(&self, qidx: usize) -> &[LayoutCol] {
-        &self.inputs.leaf_layouts[qidx]
-    }
-
     /// Distinct count of a column.
     pub fn distinct(&self, col: ColId) -> f64 {
         self.inputs.sources[col.table].1.distinct(col.col)
@@ -229,8 +217,7 @@ impl CardEstimator {
 /// keeps the last one and [`CardEstimator::bound`] reuses it while every
 /// table, its statistics and its indexed columns are the same and the
 /// selectivity inputs are unchanged ([`TableInputs::still_valid`]): a
-/// re-optimization step then re-estimates no local selectivity and
-/// rebuilds no layout.
+/// re-optimization step then re-estimates no local selectivity.
 #[derive(Debug)]
 pub(crate) struct TableInputs {
     /// Per query table, the catalog table and the statistics read.
@@ -239,7 +226,6 @@ pub(crate) struct TableInputs {
     raw_cards: Vec<f64>,
     base_cards: Vec<f64>,
     col_counts: Vec<usize>,
-    leaf_layouts: Vec<Vec<LayoutCol>>,
     /// Per query table, its indexed columns (ascending).
     indexed_cols: Vec<Vec<usize>>,
     /// Per join predicate, its selectivity.
@@ -258,7 +244,6 @@ impl TableInputs {
         let mut raw_cards = Vec::with_capacity(n);
         let mut base_cards = Vec::with_capacity(n);
         let mut col_counts = Vec::with_capacity(n);
-        let mut leaf_layouts = Vec::with_capacity(n);
         let mut indexed_cols = Vec::with_capacity(n);
         for (qidx, tref) in spec.tables.iter().enumerate() {
             let (table, mut cols) = ctx.catalog.with_table(&tref.table, |table, idxs| {
@@ -274,12 +259,6 @@ impl TableInputs {
             raw_cards.push(raw);
             base_cards.push((raw * sel).max(0.0));
             col_counts.push(table.schema().len());
-            leaf_layouts.push(
-                canonical_layout(spec, TableSet::single(qidx), &col_counts)
-                    .into_iter()
-                    .map(LayoutCol::Base)
-                    .collect(),
-            );
             cols.sort_unstable();
             cols.dedup();
             indexed_cols.push(cols);
@@ -299,7 +278,6 @@ impl TableInputs {
             raw_cards,
             base_cards,
             col_counts,
-            leaf_layouts,
             indexed_cols,
             join_sels,
             fingerprint: 0,

@@ -24,7 +24,7 @@
 use crate::memo::Group;
 use crate::{Candidate, CardEstimator, MemoStats, OptimizerContext, RootCostSpec};
 use pop_expr::Expr;
-use pop_plan::{CostModel, JoinPred, LayoutCol, PhysNode, PlanProps, TableSet};
+use pop_plan::{CostModel, JoinPred, PhysNode, PlanProps, TableSet};
 use pop_storage::TempMv;
 use pop_types::{ColId, PopResult};
 
@@ -258,12 +258,11 @@ pub(crate) fn scan_candidate(
         .get(&spec.tables[qidx].table)
         .map_or(0.0, |s| s.pages as f64);
     let cost = ctx.cost.scan_cost(raw, pages);
-    let layout = est.leaf_layout(qidx).to_vec();
     leaf_candidate(PhysNode::TableScan {
         qidx,
         table: spec.tables[qidx].table.clone(),
         pred,
-        props: PlanProps::leaf(TableSet::single(qidx), card, cost, layout),
+        props: PlanProps::leaf(TableSet::single(qidx), card, cost),
     })
 }
 
@@ -346,8 +345,7 @@ fn index_range_candidates(
         let matching = sel * raw;
         let pages = CostModel::touched_pages(matching, stats.pages as f64);
         let cost = ctx.cost.index_access(1.0, matching.max(0.0), pages);
-        let layout = est.leaf_layout(qidx).to_vec();
-        let mut props = PlanProps::leaf(TableSet::single(qidx), card, cost, layout);
+        let mut props = PlanProps::leaf(TableSet::single(qidx), card, cost);
         props.sorted_by = Some(ColId::new(qidx, col));
         out.push(leaf_candidate(PhysNode::IndexRangeScan {
             qidx,
@@ -380,10 +378,9 @@ fn mv_candidate(
     // identical across storage backends.
     let pages = mv.table.page_count() as f64;
     let cost = ctx.cost.mv_scan_cost(rows, pages);
-    let layout = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
     leaf_candidate(PhysNode::MvScan {
         mv_name: mv.table.name().to_string(),
-        props: PlanProps::leaf(set, est.card(set), cost, layout),
+        props: PlanProps::leaf(set, est.card(set), cost),
     })
 }
 

@@ -11,10 +11,7 @@ use crate::enumerate::{combine_local_preds, nljn_probe, split_candidates};
 use crate::memo::{Group, SolvedRanges};
 use crate::placement::place_checkpoints;
 use crate::{validity, Candidate, CardEstimator, Memo, MemoStats, OptimizerContext, RootCostSpec};
-use pop_plan::{
-    canonical_layout, InnerProbe, LayoutCol, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet,
-    ValidityRange,
-};
+use pop_plan::{InnerProbe, PhysNode, PlanProps, QuerySpec, SortKeyRef, TableSet, ValidityRange};
 use pop_types::{ColId, PopResult};
 
 /// Optimize a query into an executable physical plan, with checkpoints
@@ -82,16 +79,11 @@ fn extract(
         extract(groups, solved, sides[edge], idx, est, ctx, evals)
     };
     // `edges`: the canonical edge behind each physical child, in child
-    // order. A join emits its table set's canonical layout, whatever the
-    // order of its inputs.
+    // order.
     let props = |edges: &[usize]| PlanProps {
         tables: set,
         card: cand.card,
         cost: cand.cost,
-        layout: canonical_layout(spec, set, est.col_counts())
-            .into_iter()
-            .map(LayoutCol::Base)
-            .collect(),
         sorted_by: cand.order,
         edge_ranges: edges.iter().map(|&e| ranges[e]).collect(),
     };
@@ -267,15 +259,10 @@ fn assemble(
                 .min(in_card)
                 .max(1.0)
         };
-        let mut layout: Vec<LayoutCol> = agg.group_by.iter().map(|c| LayoutCol::Base(*c)).collect();
-        for i in 0..agg.aggs.len() {
-            layout.push(LayoutCol::Agg(i));
-        }
         let props = PlanProps {
             tables: node.props().tables,
             card: group_card,
             cost: node.props().cost + ctx.cost.agg_cost(in_card),
-            layout,
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded()],
         };
@@ -286,22 +273,16 @@ fn assemble(
             props,
         };
     } else if !spec.projection.is_empty() {
-        let cols: Vec<LayoutCol> = spec
-            .projection
-            .iter()
-            .map(|c| LayoutCol::Base(*c))
-            .collect();
         let props = PlanProps {
             tables: node.props().tables,
             card: node.props().card,
             cost: node.props().cost,
-            layout: cols.clone(),
             sorted_by: node.props().sorted_by,
             edge_ranges: vec![ValidityRange::unbounded()],
         };
         node = PhysNode::Project {
             input: Box::new(node),
-            cols,
+            cols: spec.projection.clone(),
             props,
         };
     }
@@ -395,15 +376,15 @@ mod tests {
     /// (canonical edge 0 = customer, edge 1 = orders, both fed by the
     /// groups' sequential scans) in split slot `slot`, which pruned the
     /// siblings in `pruned`. Returns the ranges [`edge_ranges`] solves for
-    /// the candidate, the cost differences that took, the scans' layouts and
-    /// the extracted node, whose cost / cardinality must be the candidate's
-    /// `1234.5` / `77.0`.
+    /// the candidate, the cost differences that took and the extracted
+    /// node, whose cost / cardinality must be the candidate's `1234.5` /
+    /// `77.0`.
     fn extract_join(
         root_spec: RootCostSpec,
         order: Option<ColId>,
         slot: u8,
         pruned: u8,
-    ) -> ([ValidityRange; 2], usize, [Vec<LayoutCol>; 2], PhysNode) {
+    ) -> ([ValidityRange; 2], usize, PhysNode) {
         let (cat, stats) = setup();
         let cfg = OptimizerConfig::default();
         let cost = CostModel::default();
@@ -464,8 +445,7 @@ mod tests {
         assert_eq!(node.props().cost, 1234.5);
         assert_eq!(node.props().card, 77.0);
         assert_eq!(node.props().sorted_by, order);
-        let layouts = [0, 1].map(|t| est.leaf_layout(t).to_vec());
-        (ranges, evals, layouts, node)
+        (ranges, evals, node)
     }
 
     #[test]
@@ -473,7 +453,7 @@ mod tests {
         // Slot 1 pruned the unordered siblings pruning can record: HSJN
         // building on edge 0 and the NLJN into orders (customer has no
         // index, so there is no slot 3; the MGJN is ordered).
-        let (ranges, _, layouts, node) = extract_join(
+        let (ranges, _, node) = extract_join(
             RootCostSpec::Hsjn {
                 build_edge: 1,
                 probe_edge: 0,
@@ -497,15 +477,13 @@ mod tests {
         assert_eq!(build.props().tables, TableSet::single(1));
         assert_eq!(probe.props().tables, TableSet::single(0));
         assert_eq!(props.edge_ranges, [ranges[1], ranges[0]]);
-        // The join emits its set's canonical layout, not build ++ probe.
-        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
         assert_eq!(build_keys, &[ColId::new(1, 1)]);
         assert_eq!(probe_keys, &[ColId::new(0, 0)]);
     }
 
     #[test]
     fn extract_nljn_drops_the_inner_edge_range() {
-        let (ranges, evals, layouts, node) = extract_join(
+        let (ranges, evals, node) = extract_join(
             RootCostSpec::Nljn {
                 outer_edge: 0,
                 matches_per_probe: 1.0,
@@ -530,7 +508,6 @@ mod tests {
         // One physical child (the outer); the inner's edge has none.
         assert_eq!(outer.props().tables, TableSet::single(0));
         assert_eq!(props.edge_ranges, [ranges[0]]);
-        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
         assert_eq!(*outer_key, ColId::new(0, 0));
         assert_eq!((inner.qidx, inner.join_col), (1, 1));
     }
@@ -538,7 +515,7 @@ mod tests {
     #[test]
     fn extract_mgjn_keeps_the_range_above_its_enforcer_sort() {
         let key = ColId::new(0, 0);
-        let (ranges, _, layouts, node) = extract_join(
+        let (ranges, _, node) = extract_join(
             RootCostSpec::Mgjn {
                 left_edge: 0,
                 right_edge: 1,
@@ -563,7 +540,6 @@ mod tests {
             panic!("expected MGJN:\n{node}");
         };
         assert_eq!(props.edge_ranges, ranges);
-        assert_eq!(props.layout, [&layouts[0][..], &layouts[1][..]].concat());
         let PhysNode::Sort {
             input,
             props: sort_props,
@@ -603,14 +579,8 @@ mod tests {
         let s = plan.to_string();
         assert!(s.contains("AGG"), "plan:\n{s}");
         assert!(s.contains("SORT"), "plan:\n{s}");
-        // Aggregate layout: 1 group col + 2 aggs.
-        let mut agg_layout = None;
-        plan.visit(&mut |n| {
-            if let PhysNode::HashAgg { props, .. } = n {
-                agg_layout = Some(props.layout.clone());
-            }
-        });
-        assert_eq!(agg_layout.unwrap().len(), 3);
+        // Aggregate output: 1 group col + 2 aggs, sorted by position.
+        assert_eq!(plan.columns(&q, &[2, 3]), pop_plan::Columns::Width(3));
     }
 
     #[test]
@@ -628,7 +598,8 @@ mod tests {
         b.project(&[(o, 0), (c, 0)]);
         let q = b.build().unwrap();
         let (plan, _) = optimize(&q, &ctx, &mut Memo::new()).unwrap();
-        assert_eq!(plan.props().layout.len(), 2);
+        let cols = vec![ColId::new(o, 0), ColId::new(c, 0)];
+        assert_eq!(plan.columns(&q, &[2, 3]), pop_plan::Columns::Base(cols));
     }
 
     #[test]

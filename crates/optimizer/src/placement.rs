@@ -159,7 +159,6 @@ fn wrapper_props(node: &PhysNode, range: ValidityRange, own: impl Fn(f64) -> f64
         tables: p.tables,
         card: p.card,
         cost: p.cost + own(p.card),
-        layout: p.layout.clone(),
         sorted_by: p.sorted_by,
         edge_ranges: vec![range],
     }

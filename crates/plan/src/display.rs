@@ -131,8 +131,7 @@ fn render(node: &PhysNode, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Res
 
 #[cfg(test)]
 mod tests {
-    use crate::{LayoutCol, PhysNode, PlanProps, TableSet};
-    use pop_types::ColId;
+    use crate::{PhysNode, PlanProps, TableSet};
 
     #[test]
     fn renders_tree() {
@@ -140,12 +139,7 @@ mod tests {
             qidx: 0,
             table: "orders".into(),
             pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(0),
-                100.0,
-                100.0,
-                vec![LayoutCol::Base(ColId::new(0, 0))],
-            ),
+            props: PlanProps::leaf(TableSet::single(0), 100.0, 100.0),
         };
         let props = scan.props().clone();
         let temp = PhysNode::Temp {

@@ -29,7 +29,7 @@ mod table_set;
 
 pub use check::{CheckContext, CheckFlavor, CheckSpec, ValidityRange};
 pub use cost::CostModel;
-pub use physical::{AggFunc, AggSpec, InnerProbe, LayoutCol, PhysNode, PlanProps, SortKeyRef};
+pub use physical::{AggFunc, AggSpec, Columns, InnerProbe, PhysNode, PlanProps, SortKeyRef};
 pub use query::{
     node_count, Aggregate, ExistsClause, HavingPred, JoinGraph, JoinPred, OrderKey, QueryBuilder,
     QuerySpec, TableRef,

@@ -1,26 +1,47 @@
 //! The physical plan (QEP) tree.
 
-use crate::{CheckSpec, TableSet, ValidityRange};
+use crate::{canonical_layout, CheckSpec, QuerySpec, TableSet, ValidityRange};
 use pop_expr::Expr;
 use pop_types::{ColId, Value};
 
-/// A column of a node's output row: either a base-table column or the
-/// `i`-th aggregate output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayoutCol {
-    /// A base-table column carried through.
-    Base(ColId),
-    /// The `i`-th aggregate of the HashAgg below.
-    Agg(usize),
+/// The columns a plan node emits, derived from the query spec
+/// ([`PhysNode::columns`]): a plan stores no layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Columns {
+    /// Base-table columns, by position.
+    Base(Vec<ColId>),
+    /// An aggregate's output and everything above it: the group keys, then
+    /// one value per aggregate. Nothing above the aggregate resolves a
+    /// column by [`ColId`] (ORDER BY and HAVING read positions), so only
+    /// the width is known.
+    Width(usize),
 }
 
-impl LayoutCol {
-    /// The base column, if this is one.
-    pub fn as_base(&self) -> Option<ColId> {
+impl Columns {
+    /// Number of columns.
+    pub fn len(&self) -> usize {
         match self {
-            LayoutCol::Base(c) => Some(*c),
-            LayoutCol::Agg(_) => None,
+            Columns::Base(cols) => cols.len(),
+            Columns::Width(n) => *n,
         }
+    }
+
+    /// True when the node emits no column.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The base columns, in order (none for a width).
+    pub fn base(&self) -> &[ColId] {
+        match self {
+            Columns::Base(cols) => cols,
+            Columns::Width(_) => &[],
+        }
+    }
+
+    /// Position of base column `c`, if the node emits it.
+    pub fn position(&self, c: ColId) -> Option<usize> {
+        self.base().iter().position(|x| *x == c)
     }
 }
 
@@ -51,8 +72,6 @@ pub struct PlanProps {
     pub card: f64,
     /// Estimated cumulative cost (subtree total, in cost units).
     pub cost: f64,
-    /// Output column layout.
-    pub layout: Vec<LayoutCol>,
     /// If the output is sorted, by which base column.
     pub sorted_by: Option<ColId>,
     /// Validity ranges of the node's input edges, aligned with
@@ -64,12 +83,11 @@ pub struct PlanProps {
 
 impl PlanProps {
     /// Props for a leaf node.
-    pub fn leaf(tables: TableSet, card: f64, cost: f64, layout: Vec<LayoutCol>) -> Self {
+    pub fn leaf(tables: TableSet, card: f64, cost: f64) -> Self {
         PlanProps {
             tables,
             card,
             cost,
-            layout,
             sorted_by: None,
             edge_ranges: Vec::new(),
         }
@@ -227,7 +245,7 @@ pub enum PhysNode {
         /// Input.
         input: Box<PhysNode>,
         /// Output columns.
-        cols: Vec<LayoutCol>,
+        cols: Vec<ColId>,
         /// Node properties.
         props: PlanProps,
     },
@@ -374,6 +392,41 @@ impl PhysNode {
         }
     }
 
+    /// The columns this node emits under `spec`, whose query table `t`
+    /// has `col_counts[t]` columns — the one definition of a layout:
+    /// - a node over a table set (leaf, MV scan, join) emits
+    ///   [`canonical_layout`] of its set;
+    /// - a PROJECT emits its `cols`;
+    /// - an aggregate emits its group keys and aggregates, a
+    ///   [`Columns::Width`];
+    /// - every other node passes its input's columns through, so a CHECK,
+    ///   TEMP or SORT over a join emits the join's set's layout and an
+    ///   ORDER BY sort over an aggregate its width.
+    pub fn columns(&self, spec: &QuerySpec, col_counts: &[usize]) -> Columns {
+        match self {
+            PhysNode::TableScan { props, .. }
+            | PhysNode::IndexRangeScan { props, .. }
+            | PhysNode::MvScan { props, .. }
+            | PhysNode::Nljn { props, .. }
+            | PhysNode::Hsjn { props, .. }
+            | PhysNode::Mgjn { props, .. } => {
+                Columns::Base(canonical_layout(spec, props.tables, col_counts))
+            }
+            PhysNode::Project { cols, .. } => Columns::Base(cols.clone()),
+            PhysNode::HashAgg { group_by, aggs, .. } => Columns::Width(group_by.len() + aggs.len()),
+            PhysNode::Sort { input, .. }
+            | PhysNode::Temp { input, .. }
+            | PhysNode::Check { input, .. }
+            | PhysNode::BufCheck { input, .. }
+            | PhysNode::RidSink { input, .. }
+            | PhysNode::AntiJoinRids { input, .. }
+            | PhysNode::SemiProbe { input, .. }
+            | PhysNode::Having { input, .. }
+            | PhysNode::Limit { input, .. }
+            | PhysNode::Insert { input, .. } => input.columns(spec, col_counts),
+        }
+    }
+
     /// Children in edge order (matching `props().edge_ranges`).
     pub fn children(&self) -> Vec<&PhysNode> {
         match self {
@@ -484,7 +537,7 @@ impl PhysNode {
             qidx: 0,
             table: String::new(),
             pred: None,
-            props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0, vec![]),
+            props: PlanProps::leaf(TableSet::single(0), 0.0, 0.0),
         };
         *self = f(std::mem::replace(self, hole));
     }
@@ -598,12 +651,7 @@ mod tests {
             qidx,
             table: table.into(),
             pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(qidx),
-                card,
-                card,
-                vec![LayoutCol::Base(ColId::new(qidx, 0))],
-            ),
+            props: PlanProps::leaf(TableSet::single(qidx), card, card),
         }
     }
 
@@ -612,13 +660,6 @@ mod tests {
             tables: l.props().tables.union(r.props().tables),
             card: 10.0,
             cost: l.props().cost + r.props().cost + 10.0,
-            layout: l
-                .props()
-                .layout
-                .iter()
-                .chain(r.props().layout.iter())
-                .copied()
-                .collect(),
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded(), ValidityRange::unbounded()],
         };
@@ -637,14 +678,68 @@ mod tests {
         assert_eq!(p.children().len(), 2);
         assert_eq!(p.arity(), 2);
         assert_eq!(p.props().tables, TableSet::from_iter([0, 1]));
-        assert_eq!(p.props().layout.len(), 2);
         assert_eq!(p.node_count(), 3);
+    }
+
+    /// `a(2 columns) JOIN b(3 columns) ON a.0 = b.0`, projecting `b.2`: a
+    /// leaf emits its join key and what is projected, the join what is
+    /// projected, whichever input builds; wrappers pass their input's
+    /// columns through; an aggregate and what is above it have a width.
+    #[test]
+    fn columns_derive_from_the_spec() {
+        let mut b = crate::QueryBuilder::new();
+        let (a, t) = (b.table("a"), b.table("b"));
+        b.join(a, 0, t, 0);
+        b.project(&[(t, 2)]);
+        let spec = b.build().unwrap();
+        let counts = [2, 3];
+        let base = |cols: &[(usize, usize)]| {
+            Columns::Base(cols.iter().map(|&(t, c)| ColId::new(t, c)).collect())
+        };
+        let cols = |n: &PhysNode| n.columns(&spec, &counts);
+        assert_eq!(cols(&leaf(0, "a", 5.0)), base(&[(0, 0)]));
+        assert_eq!(cols(&leaf(1, "b", 5.0)), base(&[(1, 0), (1, 2)]));
+        for j in [
+            join(leaf(0, "a", 5.0), leaf(1, "b", 7.0)),
+            join(leaf(1, "b", 7.0), leaf(0, "a", 5.0)),
+        ] {
+            assert_eq!(cols(&j), base(&[(1, 2)]));
+            let props = j.props().clone();
+            let temp = PhysNode::Temp {
+                input: Box::new(j),
+                props,
+            };
+            assert_eq!(cols(&temp), base(&[(1, 2)]));
+        }
+        let scan = leaf(1, "b", 7.0);
+        let props = scan.props().clone();
+        let project = PhysNode::Project {
+            input: Box::new(scan.clone()),
+            cols: vec![ColId::new(1, 2), ColId::new(1, 0)],
+            props: props.clone(),
+        };
+        assert_eq!(cols(&project), base(&[(1, 2), (1, 0)]));
+        let agg = PhysNode::HashAgg {
+            input: Box::new(scan),
+            group_by: vec![ColId::new(1, 2)],
+            aggs: vec![AggFunc::Count, AggFunc::Sum(ColId::new(1, 0))],
+            props: props.clone(),
+        };
+        let sort = PhysNode::Sort {
+            input: Box::new(agg),
+            key: SortKeyRef::Pos(1),
+            desc: true,
+            props,
+        };
+        assert_eq!(cols(&sort), Columns::Width(3));
+        assert_eq!(cols(&sort).position(ColId::new(1, 2)), None);
+        assert_eq!(cols(&project).position(ColId::new(1, 0)), Some(1));
     }
 
     #[test]
     fn child_access_follows_edge_order() {
         let mut p = PhysNode::Limit {
-            props: PlanProps::leaf(TableSet::from_iter([0, 1]), 5.0, 1.0, vec![]),
+            props: PlanProps::leaf(TableSet::from_iter([0, 1]), 5.0, 1.0),
             input: Box::new(join(leaf(0, "a", 5.0), leaf(1, "b", 7.0))),
             n: 5,
         };

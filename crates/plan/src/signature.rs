@@ -133,10 +133,15 @@ pub fn subplan_signature(spec: &QuerySpec, set: TableSet) -> String {
 /// producers (harvests) and consumers (MV scans) share: the columns of
 /// the member tables that are [`QuerySpec::read_above`] `set`, ascending
 /// by query-table index then column index. `col_counts[t]` is the column
-/// count of query table `t`.
+/// count of query table `t` (a table past its end has none).
+/// [`PhysNode::columns`](crate::PhysNode::columns) derives every plan
+/// node's columns from it.
 pub fn canonical_layout(spec: &QuerySpec, set: TableSet, col_counts: &[usize]) -> Vec<ColId> {
     set.iter()
-        .flat_map(|t| (0..col_counts[t]).map(move |c| ColId::new(t, c)))
+        .flat_map(|t| {
+            let n = col_counts.get(t).copied().unwrap_or(0);
+            (0..n).map(move |c| ColId::new(t, c))
+        })
         .filter(|&c| spec.read_above(set, c))
         .collect()
 }

@@ -62,47 +62,46 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, sink: &mut Sink) {
 #[cfg(test)]
 mod tests {
     use crate::testutil::*;
-    use crate::{lint_plan, LintContext};
 
     #[test]
     fn pl301_non_monotone_cost() {
-        let mut plan = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0);
+        let mut plan = hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0);
         plan.props_mut().cost = 1.0; // children cost 100 and 1000
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL301"), "{diags:?}");
     }
 
     #[test]
     fn pl302_nan_cardinality() {
-        let mut plan = leaf(0, "a", 2, 100.0);
+        let mut plan = leaf(0, "a", 100.0);
         plan.props_mut().card = f64::NAN;
-        assert!(codes(&lint_plan(&plan, &LintContext::bare())).contains(&"PL302"));
+        assert!(codes(&lint(&plan)).contains(&"PL302"));
     }
 
     #[test]
     fn pl302_negative_cardinality() {
-        let mut plan = leaf(0, "a", 2, 100.0);
+        let mut plan = leaf(0, "a", 100.0);
         plan.props_mut().card = -4.0;
-        assert!(codes(&lint_plan(&plan, &LintContext::bare())).contains(&"PL302"));
+        assert!(codes(&lint(&plan)).contains(&"PL302"));
     }
 
     #[test]
     fn pl303_infinite_cost() {
-        let mut plan = leaf(0, "a", 2, 100.0);
+        let mut plan = leaf(0, "a", 100.0);
         plan.props_mut().cost = f64::INFINITY;
-        assert!(codes(&lint_plan(&plan, &LintContext::bare())).contains(&"PL303"));
+        assert!(codes(&lint(&plan)).contains(&"PL303"));
     }
 
     #[test]
     fn equal_costs_are_monotone() {
         // Pass-through wrappers legitimately keep the child's cost.
-        let inner = leaf(0, "a", 2, 100.0);
+        let inner = leaf(0, "a", 100.0);
         let props = inner.props().clone();
         let plan = pop_plan::PhysNode::Limit {
             input: Box::new(inner),
             n: 5,
             props,
         };
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
+        assert!(lint(&plan).is_empty());
     }
 }

@@ -16,7 +16,6 @@ use std::fmt;
 #[allow(missing_docs)] // each variant is documented by `title()`
 pub enum DiagCode {
     Pl001,
-    Pl002,
     Pl003,
     Pl101,
     Pl102,
@@ -37,9 +36,8 @@ pub enum DiagCode {
 impl DiagCode {
     /// Every code, in code order (the source of truth for the
     /// `planlint --codes` table).
-    pub const ALL: [DiagCode; 17] = [
+    pub const ALL: [DiagCode; 16] = [
         DiagCode::Pl001,
-        DiagCode::Pl002,
         DiagCode::Pl003,
         DiagCode::Pl101,
         DiagCode::Pl102,
@@ -60,7 +58,6 @@ impl DiagCode {
     pub fn as_str(&self) -> &'static str {
         match self {
             DiagCode::Pl001 => "PL001",
-            DiagCode::Pl002 => "PL002",
             DiagCode::Pl003 => "PL003",
             DiagCode::Pl101 => "PL101",
             DiagCode::Pl102 => "PL102",
@@ -84,9 +81,6 @@ impl DiagCode {
         match self {
             DiagCode::Pl001 => {
                 "column reference does not resolve (leaf predicate: table schema; else: input layout)"
-            }
-            DiagCode::Pl002 => {
-                "output layout is not what the operator produces (a node over a table set: its columns ascending by table, then column, each from an input or, for a leaf, its table)"
             }
             DiagCode::Pl003 => "malformed operator arguments",
             DiagCode::Pl101 => "empty validity range (lo > hi)",

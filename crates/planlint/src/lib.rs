@@ -5,20 +5,22 @@
 //! consumed in another: validity ranges computed by the optimizer's
 //! sensitivity analysis (§2.2) must bracket the optimizer's own estimate,
 //! CHECK operators must be placed according to the Table 1 flavor rules
-//! (§3), operator layouts must compose so the executor's column binding
-//! cannot miss, and re-optimized plans may only reuse temporary MVs whose
-//! recorded schema matches the subplan they replace (§2.3). This crate
-//! checks them *statically*, between optimization and execution, so a
-//! malformed plan is rejected up front instead of surfacing as a wrong
-//! answer or a panic mid-query. Every finding denies.
+//! (§3), every column an operator reads must be in what its input emits,
+//! so the executor's column binding cannot miss, and re-optimized plans
+//! may only reuse temporary MVs whose recorded schema matches the subplan
+//! they replace (§2.3). This crate checks them *statically*, between
+//! optimization and execution, so a malformed plan is rejected up front
+//! instead of surfacing as a wrong answer or a panic mid-query. Every
+//! finding denies.
 //!
 //! [`lint_plan`] walks the [`PhysNode`] tree once, pre-order, with the
 //! stack of ancestors, and runs five passes at every node:
 //!
 //! 1. **Schema/layout** (`PL0xx`) — every column reference in filters,
 //!    join keys, aggregates, projections and sort keys resolves against
-//!    the child's [`pop_plan::LayoutCol`] layout, and every node's own
-//!    output layout is what its operator produces.
+//!    the columns its input emits, which the pass derives from the query
+//!    ([`PhysNode::columns`]; a plan stores no layout), and operator
+//!    arguments are well-formed.
 //! 2. **Validity ranges** (`PL1xx`) — every [`pop_plan::CheckSpec`] and
 //!    edge range is non-empty, well-formed, and brackets the estimate at
 //!    that edge.
@@ -29,7 +31,7 @@
 //! 4. **Cost/cardinality sanity** (`PL3xx`) — cumulative cost is monotone
 //!    up the tree; estimates are finite and non-negative.
 //! 5. **MV reuse** (`PL40x`) — every MVSCAN names a registered temp MV
-//!    whose recorded layout matches the scan's output layout.
+//!    whose recorded layout is its table set's canonical layout.
 //!
 //! The analyzer never mutates the plan. `pop::PopExecutor::execute_plan`
 //! rejects a caller-supplied plan with any finding; debug builds hold the
@@ -51,40 +53,44 @@ mod validity;
 
 pub use diag::{DiagCode, PlanDiagnostic};
 
-use pop_plan::{PhysNode, QuerySpec};
+use pop_plan::{Columns, PhysNode, QuerySpec};
 use pop_stats::StatsRegistry;
 use pop_storage::Catalog;
 use std::fmt::Write as _;
 
-/// What the analyzer may consult besides the plan itself. Without a
-/// catalog the MV pass and the schema-width checks are skipped.
-#[derive(Clone, Copy)]
+/// What the analyzer consults besides the plan itself: the catalog (temp
+/// MVs, table schemas) and the query the plan was compiled from, from
+/// which it derives what every node emits.
+#[derive(Debug)]
 pub struct LintContext<'a> {
-    /// Catalog, for temp-MV lookups and table schemas.
-    pub catalog: Option<&'a Catalog>,
-}
-
-impl std::fmt::Debug for LintContext<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LintContext")
-            .field("catalog", &self.catalog.is_some())
-            .finish()
-    }
+    catalog: &'a Catalog,
+    spec: &'a QuerySpec,
+    /// Column count of every query table (0 for a table the catalog does
+    /// not know).
+    col_counts: Vec<usize>,
 }
 
 impl<'a> LintContext<'a> {
-    /// Context with no external information: structural checks only.
-    pub fn bare() -> Self {
-        LintContext { catalog: None }
+    /// The context of a plan compiled from `spec` against `catalog`.
+    pub fn full(catalog: &'a Catalog, spec: &'a QuerySpec) -> Self {
+        let col_counts = (spec.tables.iter())
+            .map(|t| catalog.table(&t.table).map_or(0, |tb| tb.schema().len()))
+            .collect();
+        LintContext {
+            catalog,
+            spec,
+            col_counts,
+        }
     }
 
-    /// The context of a plan compiled from `spec` against `catalog`. No
-    /// pass reads the spec (columns resolve through the plan's layouts and
-    /// the catalog's schemas); the frozen `bench_e2e` trace passes one.
-    pub fn full(catalog: &'a Catalog, _spec: &'a QuerySpec) -> Self {
-        LintContext {
-            catalog: Some(catalog),
-        }
+    /// The columns `node` emits ([`PhysNode::columns`]).
+    pub(crate) fn columns(&self, node: &PhysNode) -> Columns {
+        node.columns(self.spec, &self.col_counts)
+    }
+
+    /// The width of `table`, if the catalog knows it.
+    pub(crate) fn schema_len(&self, table: &str) -> Option<usize> {
+        Some(self.catalog.table(table).ok()?.schema().len())
     }
 
     /// No-op, kept for the `bench_e2e` trace, which is frozen: the
@@ -161,14 +167,14 @@ pub(crate) fn through_checks(mut node: &PhysNode) -> &PhysNode {
 /// the plan may run.
 pub fn lint_plan(plan: &PhysNode, ctx: &LintContext<'_>) -> Vec<PlanDiagnostic> {
     let mut sink = Sink { diags: Vec::new() };
-    walk(plan, *ctx, &mut Vec::new(), &mut Vec::new(), &mut sink);
+    walk(plan, ctx, &mut Vec::new(), &mut Vec::new(), &mut sink);
     placement::check_unique_ids(plan, &mut sink);
     sink.diags
 }
 
 fn walk<'p>(
     node: &'p PhysNode,
-    ctx: LintContext<'_>,
+    ctx: &LintContext<'_>,
     path: &mut Vec<usize>,
     frames: &mut Vec<Frame<'p>>,
     sink: &mut Sink,
@@ -200,45 +206,67 @@ pub fn deny_summary(diags: &[PlanDiagnostic]) -> String {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    //! Builders for small (and deliberately broken) plans used across the
-    //! pass tests.
+    //! The catalog and query the pass tests lint against, and builders for
+    //! small (and deliberately broken) plans over them.
 
+    use crate::{lint_plan, LintContext, PlanDiagnostic};
     use pop_plan::{
-        CheckContext, CheckFlavor, CheckSpec, LayoutCol, PhysNode, PlanProps, TableSet,
-        ValidityRange,
+        CheckContext, CheckFlavor, CheckSpec, PhysNode, PlanProps, QueryBuilder, QuerySpec,
+        TableSet, ValidityRange,
     };
-    use pop_types::ColId;
+    use pop_storage::{Catalog, IndexKind};
+    use pop_types::{ColId, DataType, Schema};
 
-    /// A scan of query table `qidx` with `ncols` columns.
-    pub fn leaf(qidx: usize, table: &str, ncols: usize, card: f64) -> PhysNode {
+    /// `a(id INT, name STR, grp INT)` and `b(id INT, v INT)`, both empty,
+    /// `b.id` hash-indexed.
+    pub fn catalog() -> Catalog {
+        let cat = Catalog::new();
+        let a = [
+            ("id", DataType::Int),
+            ("name", DataType::Str),
+            ("grp", DataType::Int),
+        ];
+        cat.create_table("a", Schema::from_pairs(&a), vec![])
+            .unwrap();
+        let b = [("id", DataType::Int), ("v", DataType::Int)];
+        cat.create_table("b", Schema::from_pairs(&b), vec![])
+            .unwrap();
+        cat.create_index("b", "id", IndexKind::Hash).unwrap();
+        cat
+    }
+
+    /// `SELECT * FROM a JOIN b ON a.id = b.id`: every column of both
+    /// tables is read above every node.
+    pub fn select_star() -> QuerySpec {
+        let mut q = QueryBuilder::new();
+        let (a, b) = (q.table("a"), q.table("b"));
+        q.join(a, 0, b, 0);
+        q.build().unwrap()
+    }
+
+    /// The findings on `plan`, compiled from [`select_star`] against
+    /// [`catalog`].
+    pub fn lint(plan: &PhysNode) -> Vec<PlanDiagnostic> {
+        let (cat, q) = (catalog(), select_star());
+        lint_plan(plan, &LintContext::full(&cat, &q))
+    }
+
+    /// A scan of query table `qidx`.
+    pub fn leaf(qidx: usize, table: &str, card: f64) -> PhysNode {
         PhysNode::TableScan {
             qidx,
             table: table.into(),
             pred: None,
-            props: PlanProps::leaf(
-                TableSet::single(qidx),
-                card,
-                card,
-                (0..ncols)
-                    .map(|c| LayoutCol::Base(ColId::new(qidx, c)))
-                    .collect(),
-            ),
+            props: PlanProps::leaf(TableSet::single(qidx), card, card),
         }
     }
 
-    /// Hash join of two subplans on `(0,0) = (1,0)` emitting its set's
-    /// canonical layout: every input column, ascending.
+    /// Hash join of two subplans on `(0,0) = (1,0)`.
     pub fn hsjn(build: PhysNode, probe: PhysNode, card: f64) -> PhysNode {
-        let mut layout: Vec<LayoutCol> = (build.props().layout.iter())
-            .chain(&probe.props().layout)
-            .copied()
-            .collect();
-        layout.sort_by_key(LayoutCol::as_base);
         let props = PlanProps {
             tables: build.props().tables.union(probe.props().tables),
             card,
             cost: build.props().cost + probe.props().cost + card,
-            layout,
             sorted_by: None,
             edge_ranges: vec![ValidityRange::unbounded(), ValidityRange::unbounded()],
         };
@@ -251,7 +279,7 @@ pub(crate) mod testutil {
         }
     }
 
-    /// A TEMP wrapper (pass-through layout, cost bumped).
+    /// A TEMP wrapper (cost bumped).
     pub fn temp(input: PhysNode) -> PhysNode {
         let mut props = input.props().clone();
         props.cost += props.card;
@@ -382,22 +410,22 @@ mod tests {
 
     #[test]
     fn well_formed_handbuilt_plan_is_clean() {
-        let plan = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0);
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
+        let plan = hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0);
+        assert!(lint(&plan).is_empty());
     }
 
     #[test]
     fn deny_helpers() {
-        let mut bad = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0);
+        let mut bad = hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0);
         bad.props_mut().card = f64::NAN;
         bad.props_mut().cost = -1.0;
-        let summary = deny_summary(&lint_plan(&bad, &LintContext::bare()));
+        let summary = deny_summary(&lint(&bad));
         assert!(
             summary.contains("PL302") && summary.contains("; PL303"),
             "{summary}"
         );
-        let good = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0);
-        assert!(lint_plan(&good, &LintContext::bare()).is_empty());
+        let good = hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0);
+        assert!(lint(&good).is_empty());
     }
 
     #[test]

@@ -3,20 +3,19 @@
 //! Re-optimization substitutes MVSCAN nodes for subplans whose results
 //! were materialized in an earlier execution step (§2.3). The scan is only
 //! sound if the catalog actually holds a temp MV over the scan's table set
-//! and its recorded layout matches the scan's output layout — otherwise
-//! the executor would read rows under the wrong column interpretation.
-//!
-//! Requires a catalog in the [`LintContext`]; skipped without one.
+//! and the MV was recorded in the set's canonical layout, which the scan
+//! emits — otherwise the executor would read rows under the wrong column
+//! interpretation.
 
 use crate::{DiagCode, LintContext, NodeCx, Sink};
-use pop_plan::{LayoutCol, PhysNode};
+use pop_plan::{Columns, PhysNode};
 
-pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) {
+pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: &LintContext<'_>, sink: &mut Sink) {
     let (node, path) = (cx.node, cx.path);
-    let (PhysNode::MvScan { mv_name, props }, Some(catalog)) = (node, ctx.catalog) else {
+    let PhysNode::MvScan { mv_name, props } = node else {
         return;
     };
-    let Some(mv) = catalog.temp_mv(props.tables.mask()) else {
+    let Some(mv) = ctx.catalog.temp_mv(props.tables.mask()) else {
         sink.emit(
             DiagCode::Pl401,
             node,
@@ -36,15 +35,16 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
             ),
         );
     }
-    let expected: Vec<LayoutCol> = mv.layout.iter().map(|c| LayoutCol::Base(*c)).collect();
-    if props.layout != expected {
+    let emitted = ctx.columns(node);
+    if !matches!(&emitted, Columns::Base(cols) if *cols == mv.layout) {
         sink.emit(
             DiagCode::Pl402,
             node,
             path,
             format!(
-                "MV scan layout ({} columns) does not match the recorded MV layout ({} columns)",
-                props.layout.len(),
+                "MV scan over {} emits its canonical layout ({} columns), but the MV was recorded with {} columns",
+                props.tables,
+                emitted.len(),
                 mv.layout.len()
             ),
         );
@@ -65,16 +65,17 @@ pub(crate) fn check(cx: &NodeCx<'_, '_>, ctx: LintContext<'_>, sink: &mut Sink) 
 
 #[cfg(test)]
 mod tests {
-    use crate::testutil::codes;
-    use crate::{lint_plan, LintContext};
-    use pop_plan::{LayoutCol, PhysNode, PlanProps, TableSet};
-    use pop_storage::{Catalog, Table, TempMv};
+    use crate::testutil::{catalog, codes, lint};
+    use pop_plan::{PhysNode, PlanProps, TableSet};
+    use pop_storage::{Table, TempMv};
     use pop_types::{ColId, ColumnDef, DataType, Schema};
     use std::sync::Arc;
 
-    /// A catalog holding one 7-row MV over query table 0.
-    fn catalog_with_mv(cols: usize) -> Catalog {
-        let cat = Catalog::new();
+    /// The fixture catalog holding one 7-row MV over query table 0 (`a`,
+    /// whose canonical layout under `SELECT *` is its 3 columns),
+    /// recorded with `cols` columns.
+    fn catalog_with_mv(cols: usize) -> pop_storage::Catalog {
+        let cat = catalog();
         let schema = Schema::new(
             (0..cols)
                 .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int))
@@ -93,56 +94,44 @@ mod tests {
     }
 
     /// An MV scan over query table `t`.
-    fn mvscan(name: &str, t: usize, cols: usize, card: f64) -> PhysNode {
+    fn mvscan(name: &str, t: usize, card: f64) -> PhysNode {
         PhysNode::MvScan {
             mv_name: name.into(),
-            props: PlanProps::leaf(
-                TableSet::single(t),
-                card,
-                card,
-                (0..cols)
-                    .map(|c| LayoutCol::Base(ColId::new(t, c)))
-                    .collect(),
-            ),
+            props: PlanProps::leaf(TableSet::single(t), card, card),
         }
     }
 
-    fn lint_against(cat: &Catalog, plan: &PhysNode) -> Vec<&'static str> {
-        let ctx = LintContext { catalog: Some(cat) };
-        codes(&lint_plan(plan, &ctx))
+    fn lint_against(cat: &pop_storage::Catalog, plan: &PhysNode) -> Vec<&'static str> {
+        let q = crate::testutil::select_star();
+        codes(&crate::lint_plan(plan, &crate::LintContext::full(cat, &q)))
     }
 
     #[test]
     fn pl401_unknown_signature() {
-        let cat = catalog_with_mv(2);
-        let plan = mvscan("__pop_mv_0", 1, 2, 7.0);
-        assert!(lint_against(&cat, &plan).contains(&"PL401"));
+        let cat = catalog_with_mv(3);
+        let plan = mvscan("__pop_mv_0", 1, 7.0);
+        assert_eq!(lint_against(&cat, &plan), vec!["PL401"]);
+        assert_eq!(codes(&lint(&mvscan("__pop_mv_0", 0, 7.0))), vec!["PL401"]);
     }
 
     #[test]
     fn pl402_layout_width_mismatch() {
-        let cat = catalog_with_mv(3);
-        let plan = mvscan("__pop_mv_0", 0, 2, 7.0); // 2 cols vs recorded 3
-        assert!(lint_against(&cat, &plan).contains(&"PL402"));
+        let cat = catalog_with_mv(2); // 2 recorded columns, 3 canonical
+        let plan = mvscan("__pop_mv_0", 0, 7.0);
+        assert_eq!(lint_against(&cat, &plan), vec!["PL402"]);
     }
 
     #[test]
     fn pl402_name_mismatch() {
-        let cat = catalog_with_mv(2);
-        let plan = mvscan("some_other_table", 0, 2, 7.0);
-        assert!(lint_against(&cat, &plan).contains(&"PL402"));
+        let cat = catalog_with_mv(3);
+        let plan = mvscan("some_other_table", 0, 7.0);
+        assert_eq!(lint_against(&cat, &plan), vec!["PL402"]);
     }
 
     #[test]
     fn matching_mv_scan_is_clean() {
-        let cat = catalog_with_mv(2);
-        let plan = mvscan("__pop_mv_0", 0, 2, 7.0);
+        let cat = catalog_with_mv(3);
+        let plan = mvscan("__pop_mv_0", 0, 7.0);
         assert!(lint_against(&cat, &plan).is_empty());
-    }
-
-    #[test]
-    fn no_catalog_no_mv_findings() {
-        let plan = mvscan("__pop_mv_0", 0, 2, 7.0);
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
     }
 }

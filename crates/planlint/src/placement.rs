@@ -189,18 +189,17 @@ pub(crate) fn check_unique_ids(plan: &PhysNode, sink: &mut Sink) {
 #[cfg(test)]
 mod tests {
     use crate::testutil::*;
-    use crate::{lint_plan, LintContext};
     use pop_plan::{CheckContext, CheckFlavor, PhysNode};
 
     fn diags_of(plan: &PhysNode) -> Vec<&'static str> {
-        codes(&lint_plan(plan, &LintContext::bare()))
+        codes(&lint(plan))
     }
 
     #[test]
     fn pl201_lc_over_pipelined_scan() {
         // LC directly above a table scan: nothing is materialized there.
         let plan = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Lc,
             CheckContext::AboveTemp,
         );
@@ -210,25 +209,25 @@ mod tests {
     #[test]
     fn lc_above_temp_and_on_build_edge_are_legal() {
         let guarded = check(
-            temp(leaf(0, "a", 2, 100.0)),
+            temp(leaf(0, "a", 100.0)),
             CheckFlavor::Lc,
             CheckContext::AboveTemp,
         );
         assert!(diags_of(&guarded).is_empty(), "{:?}", diags_of(&guarded));
         // LC on the hash build edge guards an unmaterialized input legally.
         let build = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Lc,
             CheckContext::HashBuild,
         );
-        let plan = hsjn(build, leaf(1, "b", 2, 1000.0), 500.0);
+        let plan = hsjn(build, leaf(1, "b", 1000.0), 500.0);
         assert!(diags_of(&plan).is_empty(), "{:?}", diags_of(&plan));
     }
 
     #[test]
     fn pl202_lcem_without_temp() {
         let plan = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Lcem,
             CheckContext::NljnOuter,
         );
@@ -238,7 +237,7 @@ mod tests {
     #[test]
     fn pl203_ecdc_without_ridsink() {
         let plan = check(
-            hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0),
+            hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0),
             CheckFlavor::Ecdc,
             CheckContext::Pipeline,
         );
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn ecdc_under_ridsink_is_legal() {
         let checked = check(
-            hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 500.0),
+            hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 500.0),
             CheckFlavor::Ecdc,
             CheckContext::Pipeline,
         );
@@ -263,7 +262,7 @@ mod tests {
     #[test]
     fn pl204_ecwc_without_blocking_ancestor() {
         let plan = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Ecwc,
             CheckContext::BelowMaterialization,
         );
@@ -273,7 +272,7 @@ mod tests {
     #[test]
     fn ecwc_below_sort_is_legal() {
         let checked = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Ecwc,
             CheckContext::BelowMaterialization,
         );
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn pl205_ecb_on_plain_check() {
         let plan = check(
-            leaf(0, "a", 2, 100.0),
+            leaf(0, "a", 100.0),
             CheckFlavor::Ecb,
             CheckContext::NljnOuter,
         );
@@ -295,7 +294,7 @@ mod tests {
     fn pl205_flavor_context_mismatch() {
         // LC recorded under the pipeline context.
         let plan = check(
-            temp(leaf(0, "a", 2, 100.0)),
+            temp(leaf(0, "a", 100.0)),
             CheckFlavor::Lc,
             CheckContext::Pipeline,
         );
@@ -306,7 +305,7 @@ mod tests {
     fn pl206_duplicate_check_ids() {
         // Two checks both with id 0 (the testutil default).
         let inner = check(
-            temp(leaf(0, "a", 2, 100.0)),
+            temp(leaf(0, "a", 100.0)),
             CheckFlavor::Lc,
             CheckContext::AboveTemp,
         );

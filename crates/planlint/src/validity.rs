@@ -87,19 +87,18 @@ fn check_range_shape(
 #[cfg(test)]
 mod tests {
     use crate::testutil::*;
-    use crate::{lint_plan, LintContext};
     use pop_plan::{CheckContext, CheckFlavor, PhysNode, ValidityRange};
 
     fn lcem_pair(range: ValidityRange) -> PhysNode {
         // Well-placed LCEM (CHECK above TEMP) so only range findings fire.
-        let t = temp(leaf(0, "a", 2, 100.0));
+        let t = temp(leaf(0, "a", 100.0));
         check_with_range(t, CheckFlavor::Lcem, CheckContext::NljnOuter, range)
     }
 
     #[test]
     fn pl101_inverted_range() {
         let plan = lcem_pair(ValidityRange::new(500.0, 20.0));
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL101"), "{diags:?}");
     }
 
@@ -107,35 +106,35 @@ mod tests {
     fn pl102_estimate_outside_range() {
         // est_card is 100 (the TEMP's card); range excludes it.
         let plan = lcem_pair(ValidityRange::new(500.0, 900.0));
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL102"), "{diags:?}");
     }
 
     #[test]
     fn pl103_nan_bound() {
         let plan = lcem_pair(ValidityRange::new(f64::NAN, 100.0));
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL103"), "{diags:?}");
     }
 
     #[test]
     fn pl103_negative_bound() {
         let plan = lcem_pair(ValidityRange::new(-5.0, 100.0));
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL103"), "{diags:?}");
     }
 
     #[test]
     fn pl102_edge_range_excludes_child_estimate() {
-        let mut plan = hsjn(leaf(0, "a", 2, 100.0), leaf(1, "b", 2, 1000.0), 50.0);
+        let mut plan = hsjn(leaf(0, "a", 100.0), leaf(1, "b", 1000.0), 50.0);
         plan.props_mut().edge_ranges[0] = ValidityRange::new(0.0, 10.0); // build est is 100
-        let diags = lint_plan(&plan, &LintContext::bare());
+        let diags = lint(&plan);
         assert!(codes(&diags).contains(&"PL102"), "{diags:?}");
     }
 
     #[test]
     fn bracketing_range_is_clean() {
         let plan = lcem_pair(ValidityRange::new(20.0, 500.0));
-        assert!(lint_plan(&plan, &LintContext::bare()).is_empty());
+        assert!(lint(&plan).is_empty());
     }
 }

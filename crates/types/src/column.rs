@@ -553,6 +553,9 @@ impl Column {
 
     #[inline]
     fn push_null(&mut self) {
+        if matches!(&self.data, Data::Mixed(d) if d.is_empty()) {
+            self.data = Data::Null(0);
+        }
         let i = self.len();
         self.data.push_placeholder();
         if self.data.kind().is_some() {
@@ -569,7 +572,7 @@ impl Column {
             (Data::Date(d), Value::Date(x)) => d.push(x),
             (Data::Bool(d), Value::Bool(x)) => d.push(x),
             (Data::Str(d), Value::Str(x)) => d.push(&x),
-            (Data::Mixed(d), v) => d.push(v),
+            (Data::Mixed(d), v) if !d.is_empty() => d.push(v),
             (_, v) => self.push_value_slow(v, cap),
         }
     }
@@ -583,11 +586,13 @@ impl Column {
         if v.is_null() {
             return self.push_null();
         }
-        if let Data::Mixed(d) = &mut self.data {
-            return d.push(v);
+        match &mut self.data {
+            Data::Mixed(d) if !d.is_empty() => d.push(v),
+            _ => {
+                self.retype(kind_of(&v), cap);
+                self.push_value(v, cap);
+            }
         }
-        self.retype(kind_of(&v), cap);
-        self.push_value(v, cap);
     }
 
     /// Start writing the column over from row 0 with the `put_*` calls,
@@ -718,7 +723,7 @@ impl Column {
             (Data::Date(d), Value::Date(x)) => d.push(*x),
             (Data::Bool(d), Value::Bool(x)) => d.push(*x),
             (Data::Str(d), Value::Str(x)) => d.push(x),
-            (Data::Mixed(d), v) => d.push(v.clone()),
+            (Data::Mixed(d), v) if !d.is_empty() => d.push(v.clone()),
             (_, v) => self.push_slow(v, cap),
         }
     }
@@ -1108,6 +1113,38 @@ mod tests {
             column(&vec![Value::Null; 3]).data(),
             Data::Null(3)
         ));
+    }
+
+    /// A mixed column that is empty again takes the type of whatever
+    /// arrives next, through `push` and `push_value` alike; a NULL first
+    /// leaves it untyped, and the value after it types it with the NULL's
+    /// bit set.
+    #[test]
+    fn an_emptied_mixed_column_takes_the_next_type() {
+        let mixed = || column(&[Value::Int(1), Value::str("x")]);
+        for by_value in [false, true] {
+            let push = |c: &mut Column, v: Value| {
+                if by_value {
+                    c.push_value(v, 0);
+                } else {
+                    c.push(&v, 0);
+                }
+            };
+            let mut c = mixed();
+            c.clear();
+            push(&mut c, Value::Int(7));
+            assert!(matches!(c.data(), Data::Int(_)), "{:?}", c.data());
+            assert!(identical(&values(&c), &[Value::Int(7)]));
+
+            let mut c = mixed();
+            c.truncate(0);
+            push(&mut c, Value::Null);
+            assert!(matches!(c.data(), Data::Null(1)), "{:?}", c.data());
+            push(&mut c, Value::Int(7));
+            assert!(matches!(c.data(), Data::Int(_)), "{:?}", c.data());
+            assert!(c.is_null(0) && c.has_null_bitmap());
+            assert!(identical(&values(&c), &[Value::Null, Value::Int(7)]));
+        }
     }
 
     #[test]

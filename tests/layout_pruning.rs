@@ -1,20 +1,21 @@
-//! Per-table-set layouts end to end: every node over a table set of every
-//! TPC-H and DMV plan — first plans and every re-plan — emits exactly the
-//! columns the query reads above its table set, in one order
-//! (`pop_plan::canonical_layout`, built on `QuerySpec::read_above`);
-//! layouts stay narrow; joins gather no column nothing reads; pruning did
-//! not cost the engine its temp-MV reuse (the MV contract moved with the
-//! layouts); and a `SELECT *` returns its columns in query-table order,
-//! whatever the plan or the re-plans.
+//! Per-table-set layouts end to end: at every node of every TPC-H and DMV
+//! plan — first plans and every re-plan — the batches the executor
+//! returns are as wide as the layout `PhysNode::columns` derives from the
+//! spec (for a node over a table set, `pop_plan::canonical_layout`, built
+//! on `QuerySpec::read_above`); layouts stay narrow; joins gather no
+//! column nothing reads; pruning did not cost the engine its temp-MV reuse
+//! (the MV contract moved with the layouts); and a `SELECT *` returns its
+//! columns in query-table order, whatever the plan or the re-plans.
 
 use pop::{Catalog, FlavorSet, PopConfig, PopExecutor};
 use pop_dmv::{dmv_catalog, dmv_queries};
+use pop_exec::{execute_profiled, ExecCtx, Harvest, ObservedCard, OpTime, RunOutcome};
 use pop_expr::{Expr, Params};
-use pop_plan::{
-    canonical_layout, CheckFlavor, LayoutCol, PhysNode, QueryBuilder, QuerySpec, TableSet,
-};
+use pop_optimizer::{optimize, CardFact, FeedbackCache, Memo, OptimizerContext};
+use pop_plan::{canonical_layout, CheckFlavor, PhysNode, QueryBuilder, QuerySpec, TableSet};
+use pop_storage::TempMv;
 use pop_tpch::{extended_queries, q7, tpch_catalog};
-use pop_types::{DataType, Row, Schema, Value};
+use pop_types::{ColumnDef, DataType, Row, Schema, Value};
 
 /// `promote_harvest` reports a harvest it refuses (layout not canonical) on
 /// `RunReport::warnings`; nothing else in these runs may be refused.
@@ -26,60 +27,158 @@ fn refused_harvests(report: &pop::RunReport) -> Vec<&String> {
         .collect()
 }
 
-/// The columns read above `set`, ascending: its canonical layout.
-fn read_above(exec: &PopExecutor, spec: &QuerySpec, set: TableSet) -> Vec<LayoutCol> {
-    let counts: Vec<usize> = (spec.tables.iter())
-        .map(|t| exec.catalog().table(&t.table).unwrap().schema().len())
-        .collect();
-    canonical_layout(spec, set, &counts)
-        .into_iter()
-        .map(LayoutCol::Base)
-        .collect()
+/// The nodes of `plan` children first, in the order the builder wraps
+/// them (and so the order of `execute_profiled`'s entries).
+fn post_order<'p>(plan: &'p PhysNode, out: &mut Vec<&'p PhysNode>) {
+    for c in plan.children() {
+        post_order(c, out);
+    }
+    out.push(plan);
 }
 
-/// Check every node of `plan` against the spec; returns the widest layout
-/// of any node. Below the query's output operator (aggregate or
-/// projection; with neither, everywhere), a node's layout is the list of
-/// columns read above its table set, ascending.
-fn check_plan(exec: &PopExecutor, name: &str, spec: &QuerySpec, plan: &PhysNode) -> usize {
-    let no_output = spec.aggregate.is_none() && spec.projection.is_empty();
+/// Check one profiled step of `spec`'s plan `plan`: every node that
+/// returned a batch returned batches as wide as its derived layout.
+/// Returns the widest derived layout of any node.
+fn check_widths(
+    name: &str,
+    spec: &QuerySpec,
+    counts: &[usize],
+    plan: &PhysNode,
+    ops: &[OpTime],
+) -> usize {
+    let mut nodes = Vec::new();
+    post_order(plan, &mut nodes);
+    assert_eq!(nodes.len(), ops.len(), "{name}\n{plan}");
     let mut widest = 0;
-    check_node(exec, name, spec, plan, plan, no_output, &mut widest);
+    for (node, op) in nodes.iter().zip(ops) {
+        assert_eq!(node.name(), op.name, "{name}\n{plan}");
+        let derived = node.columns(spec, counts).len();
+        widest = widest.max(derived);
+        if op.rows > 0 {
+            assert_eq!(
+                op.width,
+                derived,
+                "{name}: {} over {}\n{plan}",
+                node.name(),
+                node.props().tables
+            );
+        }
+    }
     widest
 }
 
-fn check_node(
-    exec: &PopExecutor,
-    name: &str,
-    spec: &QuerySpec,
-    plan: &PhysNode,
-    n: &PhysNode,
-    below_output: bool,
-    widest: &mut usize,
-) {
-    let layout = &n.props().layout;
-    *widest = (*widest).max(layout.len());
-    let set = n.props().tables;
-    if below_output {
-        assert_eq!(
-            *layout,
-            read_above(exec, spec, set),
-            "{name}: {} over {set:?}\n{plan}",
-            n.name()
-        );
-    }
-    let below = below_output || matches!(n, PhysNode::HashAgg { .. } | PhysNode::Project { .. });
-    for c in n.children() {
-        check_node(exec, name, spec, plan, c, below, widest);
-    }
+/// An execution context as `exec.run` sets one up for `spec`.
+fn exec_ctx(exec: &PopExecutor, spec: &QuerySpec) -> ExecCtx {
+    let config = exec.config();
+    let mut ctx = ExecCtx::new(
+        exec.catalog().clone(),
+        Params::none(),
+        config.cost_model.clone(),
+    );
+    ctx.batch_size = config.batch_size.max(1);
+    ctx.lineage = exec.carries_lineage(spec);
+    ctx
 }
 
-/// Every plan a run executed: the first plan and each re-plan.
-fn check_run(exec: &PopExecutor, name: &str, spec: &QuerySpec) {
-    let report = exec.run(spec, &Params::none()).unwrap().report;
-    for step in &report.steps {
-        check_plan(exec, name, spec, step.plan.tree());
+/// The widest derived layout of `spec`'s first plan, run to completion
+/// with every node's output width checked.
+fn check_first_plan(exec: &PopExecutor, name: &str, spec: &QuerySpec) -> usize {
+    let plan = exec.plan(spec, &Params::none()).unwrap();
+    let counts = exec.col_counts(spec);
+    let mut ctx = exec_ctx(exec, spec);
+    ctx.checks_enabled = false;
+    let (_, ops) = execute_profiled(&plan, spec, &counts, &mut ctx).unwrap();
+    check_widths(name, spec, &counts, &plan, &ops)
+}
+
+/// Promote a harvest to a temp MV as the driver does: its set's canonical
+/// layout, base-table column types.
+fn promote(exec: &PopExecutor, spec: &QuerySpec, counts: &[usize], h: Harvest, n: usize) {
+    let cat = exec.catalog();
+    let layout = canonical_layout(spec, h.tables, counts);
+    assert!(
+        h.row_count() == 0 || h.width() == layout.len(),
+        "harvest over {}",
+        h.tables
+    );
+    let cols = (layout.iter())
+        .map(|c| {
+            let base = cat.table(&spec.tables[c.table].table).unwrap();
+            let def = base.schema().col(c.col);
+            ColumnDef::new(format!("t{}_{}", c.table, def.name), def.dtype)
+        })
+        .collect();
+    let (tables, rows) = (h.tables, h.row_count());
+    let (data, lineage) = h.into_columns();
+    let id = cat.allocate_temp_id();
+    let table = (cat.create_temp_table(id, format!("__pop_mv_{n}"), Schema::new(cols), data, rows))
+        .unwrap();
+    cat.register_temp_mv(TempMv {
+        table,
+        tables: tables.mask(),
+        layout,
+        actual_card: rows as u64,
+        lineage,
+    });
+}
+
+/// Run `spec` step by step as `exec.run` does — the first plan, then after
+/// each violation a re-plan under the facts it taught and the temp MVs
+/// its harvests became — but each step through `execute_profiled`,
+/// checking every node's output width. Returns the plans it ran.
+fn check_run(exec: &PopExecutor, name: &str, spec: &QuerySpec) -> Vec<PhysNode> {
+    let config = exec.config();
+    let counts = exec.col_counts(spec);
+    let params = Params::none();
+    let mut ctx = exec_ctx(exec, spec);
+    ctx.force_reopt_at = config.force_reopt_at;
+    let (mut memo, mut feedback) = (Memo::new(), FeedbackCache::new());
+    let (mut steps, mut mvs) = (Vec::new(), 0);
+    loop {
+        let octx = OptimizerContext::new(
+            exec.catalog(),
+            exec.stats(),
+            &config.optimizer,
+            &config.cost_model,
+            Some(&params),
+            &feedback,
+        );
+        let (plan, _) = optimize(spec, &octx, &mut memo).unwrap();
+        let (outcome, ops) = execute_profiled(&plan, spec, &counts, &mut ctx).unwrap();
+        let step = format!("{name} step {}", steps.len());
+        check_widths(&step, spec, &counts, &plan, &ops);
+        steps.push(plan);
+        let RunOutcome::Suspended { violation, .. } = outcome else {
+            break;
+        };
+        let exact = |n: u64| CardFact::Exact(n as f64);
+        if !violation.forced {
+            let fact = match violation.observed {
+                ObservedCard::Exact(n) => exact(n),
+                ObservedCard::AtLeast(n) => CardFact::AtLeast(n as f64),
+            };
+            feedback.record(violation.tables, fact);
+            for ev in &ctx.check_events {
+                if let ObservedCard::Exact(n) = ev.observed {
+                    feedback.record(ev.tables, exact(n));
+                }
+            }
+        }
+        for h in std::mem::take(&mut ctx.harvests) {
+            if memo.is_subplan(h.tables) {
+                if !violation.forced {
+                    feedback.record(h.tables, exact(h.row_count() as u64));
+                }
+                promote(exec, spec, &counts, h, mvs);
+                mvs += 1;
+            }
+        }
+        if steps.len() >= config.max_reopts {
+            ctx.checks_enabled = false;
+        }
     }
+    exec.catalog().clear_temp_mvs();
+    steps
 }
 
 #[test]
@@ -87,8 +186,7 @@ fn every_tpch_leaf_emits_exactly_the_required_columns() {
     let exec = PopExecutor::new(tpch_catalog(0.0005).unwrap(), PopConfig::default()).unwrap();
     let mut widest = 0;
     for (name, spec) in extended_queries() {
-        let plan = exec.plan(&spec, &Params::none()).unwrap();
-        widest = widest.max(check_plan(&exec, name, &spec, &plan));
+        widest = widest.max(check_first_plan(&exec, name, &spec));
     }
     // Full-width layouts reached 39 (Q8), leaf-pruned ones 16.
     assert!(
@@ -102,8 +200,7 @@ fn every_dmv_leaf_emits_exactly_the_required_columns() {
     let exec = PopExecutor::new(dmv_catalog(0.0003).unwrap(), PopConfig::default()).unwrap();
     let mut widest = 0;
     for q in dmv_queries() {
-        let plan = exec.plan(&q.spec, &Params::none()).unwrap();
-        widest = widest.max(check_plan(&exec, &q.name, &q.spec, &plan));
+        widest = widest.max(check_first_plan(&exec, &q.name, &q.spec));
     }
     // Full-width layouts reached 53, leaf-pruned ones 22.
     assert!(
@@ -119,7 +216,7 @@ const WIDEST_DMV: usize = 8;
 
 /// Every plan of every run — the first plan and each re-plan, under the
 /// default configuration and with a re-optimization forced at the first
-/// CHECK — keeps per-table-set layouts.
+/// CHECK — emits its derived layouts. The plans are the driver's.
 #[test]
 fn every_replan_keeps_per_table_set_layouts() {
     let forced = PopConfig {
@@ -127,34 +224,36 @@ fn every_replan_keeps_per_table_set_layouts() {
         ..PopConfig::default()
     };
     for config in [PopConfig::default(), forced] {
-        let exec = PopExecutor::new(tpch_catalog(0.002).unwrap(), config.clone()).unwrap();
-        for (name, spec) in extended_queries() {
-            check_run(&exec, name, &spec);
+        let tpch = PopExecutor::new(tpch_catalog(0.002).unwrap(), config.clone()).unwrap();
+        let dmv = PopExecutor::new(dmv_catalog(0.001).unwrap(), config).unwrap();
+        let queries = (extended_queries().into_iter())
+            .map(|(name, q)| (&tpch, name.to_string(), q))
+            .chain(dmv_queries().into_iter().map(|q| (&dmv, q.name, q.spec)));
+        let mut replans = 0;
+        for (exec, name, spec) in queries {
+            let steps = check_run(exec, &name, &spec);
+            let report = exec.run(&spec, &Params::none()).unwrap().report;
+            let driver: Vec<&PhysNode> = report.steps.iter().map(|s| s.plan.tree()).collect();
+            assert_eq!(steps.iter().collect::<Vec<_>>(), driver, "{name}");
+            replans += steps.len() - 1;
         }
-        let exec = PopExecutor::new(dmv_catalog(0.001).unwrap(), config).unwrap();
-        for q in dmv_queries() {
-            check_run(&exec, &q.name, &q.spec);
-        }
+        assert!(replans > 0);
     }
 }
 
-/// Cells (rows × layout width) the joins of the static first plans return
+/// Cells (rows × width) the joins of the static first plans return
 /// in one pass, summed over each suite — the values every join gathers.
 fn join_cells(exec: &PopExecutor, specs: &[QuerySpec]) -> u64 {
     let mut cells = 0;
     for spec in specs {
         let plan = exec.plan(spec, &Params::none()).unwrap();
-        let mut ctx = pop_exec::ExecCtx::new(
-            exec.catalog().clone(),
-            Params::none(),
-            exec.config().cost_model.clone(),
-        );
+        let mut ctx = exec_ctx(exec, spec);
         ctx.checks_enabled = false;
-        ctx.lineage = exec.carries_lineage(spec);
-        let (_, nodes) = pop_exec::execute_profiled(&plan, &mut ctx).unwrap();
+        let counts = exec.col_counts(spec);
+        let (_, nodes) = execute_profiled(&plan, spec, &counts, &mut ctx).unwrap();
         cells += (nodes.iter())
             .filter(|n| matches!(n.name, "HSJN" | "NLJN" | "MGJN"))
-            .map(pop_exec::OpTime::cells)
+            .map(OpTime::cells)
             .sum::<u64>();
     }
     cells
